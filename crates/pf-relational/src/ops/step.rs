@@ -1,19 +1,22 @@
 //! The staircase-join *plan operator*.
 //!
-//! [`pf_store::staircase_join`] evaluates one axis step for one document;
-//! this module lifts it to the loop-lifted plan level: the input is an
-//! `iter|item` table whose `item` column holds context *nodes*, the output
-//! is the `iter|pos|item` table of step results per iteration, in document
-//! order and duplicate-free within each iteration — exactly the contract of
-//! `fs:distinct-doc-order` applied after an XPath step.
+//! [`pf_store::StepKernel`] evaluates one axis step for one context of one
+//! document; this module lifts it to the loop-lifted plan level: the input
+//! is an `iter|item` table whose `item` column holds context *nodes*, the
+//! output is the `iter|pos|item` table of step results per iteration, in
+//! document order and duplicate-free within each iteration — exactly the
+//! contract of `fs:distinct-doc-order` applied after an XPath step.
 //!
 //! The evaluation is split into three phases so the executor can run the
 //! scan phase as **morsels** on a worker pool:
 //!
-//! 1. [`plan_step`] groups the context rows by `(iter, doc)`, resolves
-//!    every document store once, sorts/dedups each context and — for the
-//!    descendant axes — pre-prunes it ([`pf_store::descendant_prune`]),
-//!    producing a [`StepPlan`] of independent work items;
+//! 1. [`plan_step`] reads the context rows as `(iter, doc, pre)` triples,
+//!    sorts and dedups them unless they already ascend strictly (they do
+//!    when the input is a previous step's output), cuts them into one
+//!    *sorted run* per `(iter, doc)`, resolves every document store once
+//!    and — for the descendant axes — pre-prunes each run
+//!    ([`pf_store::descendant_prune_into`]), producing a flat
+//!    [`StepPlan`]: one context arena plus `(iter, doc slot, range)` items;
 //! 2. [`StepPlan::shards`] partitions the work into row-bounded shards
 //!    ([`StepPlan::eval_shards`] evaluates any subset; shards of a
 //!    descendant context are sub-ranges of the pruned context, whose
@@ -25,17 +28,15 @@
 //! evaluation **bit for bit**, so [`staircase_step`] (the sequential entry
 //! point) is just phases 1–3 run back to back.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use pf_store::{descendant_scan, staircase_join, Axis, DocStore, NodeTest, PreRank};
+use pf_store::{descendant_prune_into, Axis, DocStore, NodeTest, PreRank, StepKernel};
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::table::Table;
-use crate::value::NodeRef;
-#[cfg(test)]
-use crate::value::Value;
+use crate::value::{NodeRef, Value};
 
 /// Resolves document ids found in [`NodeRef`]s to their stores.
 ///
@@ -61,26 +62,28 @@ impl DocResolver for Vec<Arc<DocStore>> {
     }
 }
 
-/// One independent unit of a planned step: the (sorted, deduplicated,
-/// possibly pre-pruned) context of one `(iter, doc)` group.
+/// One independent unit of a planned step: the sorted run of one
+/// `(iter, doc)` group, as a range of the plan's context arena.
 #[derive(Debug)]
 struct StepItem {
     iter: u64,
-    doc: u32,
-    store: Arc<DocStore>,
-    context: Vec<PreRank>,
-    /// May this item's context be split across shards?  `true` for the
-    /// descendant axes (pruned contexts root disjoint subtrees) and the
-    /// attribute axis (per-context-node lookups); the remaining axes are
-    /// evaluated whole.
-    splittable: bool,
+    /// Index into [`StepPlan::docs`].
+    slot: usize,
+    lo: usize,
+    hi: usize,
 }
 
-/// A grouped, store-resolved step evaluation, ready to be sharded across
-/// workers (or evaluated in one piece).  Shared immutably across threads.
+/// A store-resolved step evaluation over sorted-run contexts, ready to be
+/// sharded across workers (or evaluated in one piece).  Shared immutably
+/// across threads.
 #[derive(Debug)]
 pub struct StepPlan {
     axis: Axis,
+    /// The documents the context touches, each resolved once.
+    docs: Vec<(u32, Arc<DocStore>)>,
+    /// Every item's context nodes, back to back in `(iter, doc, pre)`
+    /// order; pre-pruned for the descendant axes.
+    contexts: Vec<PreRank>,
     items: Vec<StepItem>,
 }
 
@@ -102,9 +105,34 @@ pub struct StepChunk {
     strs: Vec<String>,
 }
 
-/// Phase 1: group, resolve and order the context rows of `input` (see the
+/// View `column` as a slice of `T`: borrowed when it is stored that way
+/// (`typed`), otherwise converted cell by cell in one pass.  A failure
+/// carries the row of the first bad cell.
+fn typed_cells<'a, T: Copy>(
+    column: &'a Column,
+    typed: Option<&'a [T]>,
+    cell: impl Fn(&Value) -> RelResult<T>,
+) -> Result<Cow<'a, [T]>, (usize, RelError)> {
+    if let Some(cells) = typed {
+        return Ok(Cow::Borrowed(cells));
+    }
+    let converted: Result<Vec<T>, _> = match column.as_items() {
+        Some(items) => items
+            .iter()
+            .enumerate()
+            .map(|(row, value)| cell(value).map_err(|e| (row, e)))
+            .collect(),
+        None => (0..column.len())
+            .map(|row| cell(&column.get(row)).map_err(|e| (row, e)))
+            .collect(),
+    };
+    converted.map(Cow::Owned)
+}
+
+/// Phase 1: order, cut and resolve the context rows of `input` (see the
 /// module docs).  `input` must have an `iter` column and a node-valued
-/// `item` column; unknown documents are reported here.
+/// `item` column; the first offending row (then the first unknown document
+/// in `(iter, doc)` order) is reported here.
 pub fn plan_step<R: DocResolver + ?Sized>(
     input: &Table,
     docs: &R,
@@ -112,68 +140,82 @@ pub fn plan_step<R: DocResolver + ?Sized>(
 ) -> RelResult<StepPlan> {
     let iter_col = input.column("iter")?;
     let item_col = input.column("item")?;
+    let iters = typed_cells(iter_col, iter_col.as_nats(), Value::as_nat);
+    let nodes = typed_cells(item_col, item_col.as_nodes(), Value::as_node);
+    let (iters, nodes) = match (iters, nodes) {
+        (Ok(iters), Ok(nodes)) => (iters, nodes),
+        // Row order decides between two bad columns, `iter` first in a row.
+        (Err((iter_row, _)), Err((node_row, e))) if node_row < iter_row => return Err(e),
+        (Err((_, e)), _) | (_, Err((_, e))) => return Err(e),
+    };
 
-    // Group context nodes by (iter, doc) preserving document order per group.
-    let mut groups: HashMap<u64, HashMap<u32, Vec<PreRank>>> = HashMap::new();
-    let mut iter_order: Vec<u64> = Vec::new();
-    for row in 0..input.row_count() {
-        let iter = iter_col.get(row).as_nat()?;
-        let node = item_col.get(row).as_node()?;
-        let by_doc = groups.entry(iter).or_insert_with(|| {
-            iter_order.push(iter);
-            HashMap::new()
-        });
-        by_doc.entry(node.doc).or_default().push(node.pre);
+    let mut triples: Vec<(u64, u32, PreRank)> = iters
+        .iter()
+        .zip(nodes.iter())
+        .map(|(&iter, node)| (iter, node.doc, node.pre))
+        .collect();
+    if !triples.is_sorted_by(|a, b| a < b) {
+        triples.sort_unstable();
+        triples.dedup();
     }
-    iter_order.sort_unstable();
 
-    // Resolve each document once per plan, not once per iteration group —
-    // a resolver may sit behind a lock, and a step typically touches one
-    // document across thousands of groups.
-    let mut stores: HashMap<u32, Arc<DocStore>> = HashMap::new();
-    let splittable = matches!(
+    let prune = matches!(axis, Axis::Descendant | Axis::DescendantOrSelf);
+    let mut plan = StepPlan {
         axis,
-        Axis::Descendant | Axis::DescendantOrSelf | Axis::Attribute
-    );
-    let mut items = Vec::new();
-    for iter in iter_order {
-        let by_doc = &groups[&iter];
-        let mut docs_sorted: Vec<u32> = by_doc.keys().copied().collect();
-        docs_sorted.sort_unstable();
-        for doc_id in docs_sorted {
-            let store = match stores.entry(doc_id) {
-                std::collections::hash_map::Entry::Occupied(slot) => slot.into_mut(),
-                std::collections::hash_map::Entry::Vacant(slot) => slot.insert(
-                    docs.resolve(doc_id)
-                        .ok_or_else(|| RelError::new(format!("unknown document id {doc_id}")))?,
-                ),
-            };
-            let mut context = by_doc[&doc_id].clone();
-            context.sort_unstable();
-            context.dedup();
-            if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
-                // Pre-prune so shards scan disjoint subtrees; the in-join
-                // pruning pass then has nothing left to remove, whatever
-                // the shard boundaries.
-                context = pf_store::descendant_prune(store, &context).0;
+        docs: Vec::new(),
+        contexts: Vec::with_capacity(triples.len()),
+        items: Vec::new(),
+    };
+    for run in triples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (iter, doc, _) = run[0];
+        // Resolve each document once per plan, not once per run — a
+        // resolver may sit behind a lock, and a step typically touches one
+        // document across thousands of runs.
+        let slot = match plan.docs.iter().position(|(id, _)| *id == doc) {
+            Some(slot) => slot,
+            None => {
+                let store = docs
+                    .resolve(doc)
+                    .ok_or_else(|| RelError::new(format!("unknown document id {doc}")))?;
+                plan.docs.push((doc, store));
+                plan.docs.len() - 1
             }
-            items.push(StepItem {
-                iter,
-                doc: doc_id,
-                store: Arc::clone(store),
-                context,
-                splittable,
-            });
+        };
+        let lo = plan.contexts.len();
+        let pres = run.iter().map(|&(_, _, pre)| pre);
+        if prune {
+            // Pre-prune so shards scan disjoint subtrees, whatever the
+            // shard boundaries.
+            descendant_prune_into(&plan.docs[slot].1, pres, &mut plan.contexts);
+        } else {
+            plan.contexts.extend(pres);
         }
+        plan.items.push(StepItem {
+            iter,
+            slot,
+            lo,
+            hi: plan.contexts.len(),
+        });
     }
-    Ok(StepPlan { axis, items })
+    Ok(plan)
 }
 
 impl StepPlan {
     /// Total context rows across all work items — the morsel weight of
     /// this step.
     pub fn context_rows(&self) -> usize {
-        self.items.iter().map(|i| i.context.len()).sum()
+        self.contexts.len()
+    }
+
+    /// May an item's context be split across shards?  `true` for the
+    /// descendant axes (pruned contexts root disjoint subtrees) and the
+    /// attribute axis (per-context-node lookups); the remaining axes are
+    /// evaluated whole.
+    fn splittable(&self) -> bool {
+        matches!(
+            self.axis,
+            Axis::Descendant | Axis::DescendantOrSelf | Axis::Attribute
+        )
     }
 
     /// Phase 2: partition the work into shards of at most `target_rows`
@@ -183,27 +225,23 @@ impl StepPlan {
     /// `target_rows`, never on scheduling.
     pub fn shards(&self, target_rows: usize) -> Vec<StepShard> {
         let target = target_rows.max(1);
-        let mut shards = Vec::new();
+        let splittable = self.splittable();
+        let mut shards = Vec::with_capacity(self.items.len());
         for (item_idx, item) in self.items.iter().enumerate() {
-            let len = item.context.len();
-            if item.splittable && len > target {
-                let mut lo = 0;
-                while lo < len {
-                    let hi = (lo + target).min(len);
-                    shards.push(StepShard {
-                        item: item_idx,
-                        lo,
-                        hi,
-                    });
-                    lo = hi;
-                }
-            } else {
+            let mut lo = item.lo;
+            while splittable && item.hi - lo > target {
                 shards.push(StepShard {
                     item: item_idx,
-                    lo: 0,
-                    hi: len,
+                    lo,
+                    hi: lo + target,
                 });
+                lo += target;
             }
+            shards.push(StepShard {
+                item: item_idx,
+                lo,
+                hi: item.hi,
+            });
         }
         shards
     }
@@ -232,45 +270,30 @@ impl StepPlan {
     }
 
     /// Phase 3a: evaluate a run of shards (any thread; `&self` is shared
-    /// immutably).  Infallible: contexts and stores were validated by
-    /// [`plan_step`].
+    /// immutably), appending straight into the chunk's output buffers.
+    /// One [`StepKernel`] per document serves the whole run: the node test
+    /// is resolved once, and its cursors carry over from shard to shard.
+    /// Infallible: contexts and stores were validated by [`plan_step`].
     pub fn eval_shards(&self, shards: &[StepShard], test: &NodeTest) -> StepChunk {
         let mut chunk = StepChunk::default();
+        let mut kernels: Vec<Option<StepKernel>> = self.docs.iter().map(|_| None).collect();
         for shard in shards {
             let item = &self.items[shard.item];
-            let context = &item.context[shard.lo..shard.hi];
-            match self.axis {
-                Axis::Attribute => {
-                    for value in attribute_step(&item.store, context, test) {
-                        chunk.iters.push(item.iter);
-                        chunk.strs.push(value);
-                    }
-                }
-                Axis::Descendant | Axis::DescendantOrSelf => {
-                    let mut pres = Vec::new();
-                    descendant_scan(
-                        &item.store,
-                        context,
-                        self.axis == Axis::DescendantOrSelf,
-                        test,
-                        &mut pres,
-                    );
-                    chunk
-                        .iters
-                        .extend(std::iter::repeat_n(item.iter, pres.len()));
-                    chunk
-                        .nodes
-                        .extend(pres.into_iter().map(|pre| NodeRef::new(item.doc, pre)));
-                }
-                axis => {
-                    let result = staircase_join(&item.store, context, axis, test);
-                    chunk
-                        .iters
-                        .extend(std::iter::repeat_n(item.iter, result.len()));
-                    chunk
-                        .nodes
-                        .extend(result.into_iter().map(|pre| NodeRef::new(item.doc, pre)));
-                }
+            let (doc, store) = &self.docs[item.slot];
+            let kernel =
+                kernels[item.slot].get_or_insert_with(|| StepKernel::new(store, self.axis, test));
+            let context = &self.contexts[shard.lo..shard.hi];
+            if self.axis == Axis::Attribute {
+                // Attribute *values* are returned, as strings.
+                let strs = &mut chunk.strs;
+                kernel.attributes(context, |row| {
+                    strs.push(store.attr_value_of(row).to_string())
+                });
+                chunk.iters.resize(chunk.strs.len(), item.iter);
+            } else {
+                let nodes = &mut chunk.nodes;
+                kernel.run(context, |pre| nodes.push(NodeRef::new(*doc, pre)));
+                chunk.iters.resize(chunk.nodes.len(), item.iter);
             }
         }
         chunk
@@ -281,39 +304,37 @@ impl StepPlan {
     /// numbering.  Deterministic: depends only on the chunks' contents and
     /// order.
     pub fn merge(&self, chunks: Vec<StepChunk>) -> RelResult<Table> {
-        let rows: usize = chunks.iter().map(|c| c.iters.len()).sum();
-        let mut iters: Vec<u64> = Vec::with_capacity(rows);
-        let mut poss: Vec<u64> = Vec::with_capacity(rows);
-        let mut node_items: Vec<NodeRef> = Vec::with_capacity(rows);
-        let mut str_items: Vec<String> = Vec::with_capacity(rows);
-        let mut pos = 0u64;
+        let mut chunks = chunks.into_iter();
+        let mut all = chunks.next().unwrap_or_default();
         for chunk in chunks {
-            for iter in &chunk.iters {
-                // Iterations are contiguous across chunks (work items are
-                // sorted by iter), so `pos` restarts exactly at iteration
-                // boundaries.
-                if iters.last() != Some(iter) {
-                    pos = 0;
-                }
-                pos += 1;
-                iters.push(*iter);
-                poss.push(pos);
+            all.iters.extend(chunk.iters);
+            all.nodes.extend(chunk.nodes);
+            all.strs.extend(chunk.strs);
+        }
+        // Iterations are contiguous (work items are sorted by iter), so
+        // `pos` restarts exactly at iteration boundaries.
+        let mut poss: Vec<u64> = Vec::with_capacity(all.iters.len());
+        let mut previous = None;
+        let mut pos = 0u64;
+        for &iter in &all.iters {
+            if previous.replace(iter) != Some(iter) {
+                pos = 0;
             }
-            node_items.extend(chunk.nodes);
-            str_items.extend(chunk.strs);
+            pos += 1;
+            poss.push(pos);
         }
         // An empty step keeps the polymorphic representation `from_values`
         // would have produced, so downstream unions see the same column
         // kinds as before this fast path existed.
-        let item_col = if iters.is_empty() {
+        let item_col = if all.iters.is_empty() {
             Column::empty_item()
         } else if self.axis == Axis::Attribute {
-            Column::strs(str_items)
+            Column::strs(all.strs)
         } else {
-            Column::nodes(node_items)
+            Column::nodes(all.nodes)
         };
         Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
+            ("iter".into(), Column::nats(all.iters)),
             ("pos".into(), Column::nats(poss)),
             ("item".into(), item_col),
         ])
@@ -340,24 +361,6 @@ pub fn staircase_step<R: DocResolver + ?Sized>(
     let shards = plan.shards(usize::MAX);
     let chunk = plan.eval_shards(&shards, test);
     plan.merge(vec![chunk])
-}
-
-/// The attribute axis: look up attribute values in the attribute table.
-fn attribute_step(store: &DocStore, context: &[PreRank], test: &NodeTest) -> Vec<String> {
-    let mut out = Vec::new();
-    for &ctx in context {
-        for idx in store.attributes_of(ctx) {
-            let matches = match test {
-                NodeTest::Attribute(name) => store.attr_name_of(idx) == name,
-                NodeTest::AnyAttribute | NodeTest::AnyNode => true,
-                _ => false,
-            };
-            if matches {
-                out.push(store.attr_value_of(idx).to_string());
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -240,24 +240,29 @@ fn serve_connection(
     server_addr: SocketAddr,
 ) -> io::Result<()> {
     let session = engine.session();
+    // A reply is one segment, sent at once: written in two pieces, Nagle's
+    // algorithm holds the second behind the client's delayed ACK (~40 ms).
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {
         let line = line?;
-        let reply = handle_line(&session, &line);
-        writer.write_all(reply.line().as_bytes())?;
-        writer.write_all(b"\n")?;
+        let (mut out, closes, stops) = match handle_line(&session, &line) {
+            Reply::Line(l) => (l, false, false),
+            Reply::Close(l) => (l, true, false),
+            Reply::Shutdown(l) => (l, true, true),
+        };
+        out.push('\n');
+        writer.write_all(out.as_bytes())?;
         writer.flush()?;
-        match reply {
-            Reply::Line(_) => {}
-            Reply::Close(_) => break,
-            Reply::Shutdown(_) => {
-                shutdown.store(true, Ordering::SeqCst);
-                // Wake the accept loop so it observes the flag even with
-                // no further clients arriving.
-                let _ = TcpStream::connect(server_addr);
-                break;
-            }
+        if stops {
+            shutdown.store(true, Ordering::SeqCst);
+            // Wake the accept loop so it observes the flag even with no
+            // further clients arriving.
+            let _ = TcpStream::connect(server_addr);
+        }
+        if closes {
+            break;
         }
     }
     Ok(())
@@ -353,6 +358,37 @@ mod tests {
             self.reader.read_line(&mut response).unwrap();
             response.trim_end().to_string()
         }
+    }
+
+    #[test]
+    fn a_lone_request_is_answered_without_a_delayed_ack_stall() {
+        let pf = Arc::new(Pathfinder::new());
+        let server = Server::bind(pf, "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let server_thread = std::thread::spawn(move || server.run());
+
+        // One connection, one request in flight, one write per request:
+        // a reply that leaves in two segments costs ~44 ms each (880 ms).
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut response = String::new();
+        let started = std::time::Instant::now();
+        for _ in 0..20 {
+            stream.write_all(b"PING\n").unwrap();
+            response.clear();
+            reader.read_line(&mut response).unwrap();
+            assert_eq!(response, "OK pong\n");
+        }
+        let elapsed = started.elapsed();
+        stream.write_all(b"SHUTDOWN\n").unwrap();
+        server_thread
+            .join()
+            .expect("server thread")
+            .expect("server run");
+        assert!(
+            elapsed < std::time::Duration::from_millis(400),
+            "20 sequential PINGs took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! turns an XPath step into a relational range selection; the region that is
 //! selected depends on the axis.  This module defines the axes, node tests,
 //! the region predicates, and a *naive* per-context-node evaluation that the
-//! staircase join ([`crate::staircase`]) is benchmarked against.
+//! staircase join ([`crate::staircase`]) is tested and benchmarked against.
 
 use crate::store::{DocStore, NodeKindCode, PreRank};
 
@@ -114,7 +114,9 @@ pub enum NodeTest {
 }
 
 impl NodeTest {
-    /// Does node `pre` of `store` satisfy this test?
+    /// Does node `pre` of `store` satisfy this test?  Compares names as
+    /// strings: the oracle [`ResolvedTest::matches`] is checked against,
+    /// not what the staircase kernels run.
     pub fn matches(&self, store: &DocStore, pre: PreRank) -> bool {
         match self {
             NodeTest::AnyElement => store.kind_of(pre) == NodeKindCode::Element,
@@ -127,6 +129,75 @@ impl NodeTest {
             NodeTest::AnyNode => true,
             // Attribute tests never match tree nodes.
             NodeTest::Attribute(_) | NodeTest::AnyAttribute => false,
+        }
+    }
+}
+
+/// A [`NodeTest`] resolved against one document: kind codes and property
+/// surrogates only, so a scan compares `kind`/`prop` column cells and never
+/// strings ("node properties are identified by their surrogates",
+/// Section 3.1).  Resolve once per (step, document) with
+/// [`NodeTest::resolve`] or [`NodeTest::resolve_attribute`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResolvedTest {
+    /// Every row qualifies.
+    Any,
+    /// Rows of this node kind qualify.
+    Kind(NodeKindCode),
+    /// Elements (or, on the attribute table, attributes) whose name has
+    /// this `qnames` surrogate qualify.
+    Tag(u32),
+    /// No row qualifies — e.g. the name does not occur in the document.
+    Never,
+}
+
+impl ResolvedTest {
+    /// The test for `name`: its surrogate, or `Never` if the document
+    /// does not use the name at all.
+    fn named(store: &DocStore, name: &str) -> ResolvedTest {
+        store
+            .qnames
+            .lookup(name)
+            .map_or(ResolvedTest::Never, ResolvedTest::Tag)
+    }
+
+    /// Does node `pre` of `store` satisfy the resolved test?
+    #[inline]
+    pub fn matches(self, store: &DocStore, pre: PreRank) -> bool {
+        match self {
+            ResolvedTest::Any => true,
+            ResolvedTest::Kind(kind) => store.kind[pre as usize] == kind,
+            // `prop` holds a `texts` surrogate for non-elements, so the
+            // kind has to agree as well.
+            ResolvedTest::Tag(tag) => {
+                store.prop[pre as usize] == tag && store.kind[pre as usize] == NodeKindCode::Element
+            }
+            ResolvedTest::Never => false,
+        }
+    }
+}
+
+impl NodeTest {
+    /// Resolve this test for the node table of `store`.
+    pub fn resolve(&self, store: &DocStore) -> ResolvedTest {
+        match self {
+            NodeTest::AnyElement => ResolvedTest::Kind(NodeKindCode::Element),
+            NodeTest::Element(name) => ResolvedTest::named(store, name),
+            NodeTest::Text => ResolvedTest::Kind(NodeKindCode::Text),
+            NodeTest::Comment => ResolvedTest::Kind(NodeKindCode::Comment),
+            NodeTest::Pi => ResolvedTest::Kind(NodeKindCode::Pi),
+            NodeTest::AnyNode => ResolvedTest::Any,
+            NodeTest::Attribute(_) | NodeTest::AnyAttribute => ResolvedTest::Never,
+        }
+    }
+
+    /// Resolve this test for the attribute table of `store` (the attribute
+    /// axis): `Tag` then compares the `attr_name` column.
+    pub fn resolve_attribute(&self, store: &DocStore) -> ResolvedTest {
+        match self {
+            NodeTest::Attribute(name) => ResolvedTest::named(store, name),
+            NodeTest::AnyAttribute | NodeTest::AnyNode => ResolvedTest::Any,
+            _ => ResolvedTest::Never,
         }
     }
 }
@@ -448,6 +519,48 @@ mod tests {
             assert_eq!(Axis::parse(axis.name()), Some(axis));
         }
         assert_eq!(Axis::parse("bogus"), None);
+    }
+
+    #[test]
+    fn resolved_tests_agree_with_string_tests() {
+        // "t" is an attribute name and a PI target but never a tag: its
+        // surrogate exists in `qnames`, yet no element may match it.
+        let s = DocStore::from_xml("t", "<a t=\"1\">hi<!--c--><?t d?><b/><a/></a>").unwrap();
+        let tests = [
+            NodeTest::AnyElement,
+            NodeTest::Element("a".into()),
+            NodeTest::Element("t".into()),
+            NodeTest::Element("absent".into()),
+            NodeTest::Text,
+            NodeTest::Comment,
+            NodeTest::Pi,
+            NodeTest::AnyNode,
+            NodeTest::Attribute("t".into()),
+            NodeTest::AnyAttribute,
+        ];
+        for test in &tests {
+            let resolved = test.resolve(&s);
+            for pre in 0..s.node_count() as PreRank {
+                assert_eq!(
+                    resolved.matches(&s, pre),
+                    test.matches(&s, pre),
+                    "{test:?} at {pre}"
+                );
+            }
+        }
+        assert_eq!(
+            NodeTest::Element("absent".into()).resolve(&s),
+            ResolvedTest::Never
+        );
+        assert_eq!(
+            NodeTest::Attribute("absent".into()).resolve_attribute(&s),
+            ResolvedTest::Never
+        );
+        assert_eq!(
+            NodeTest::AnyAttribute.resolve_attribute(&s),
+            ResolvedTest::Any
+        );
+        assert_eq!(NodeTest::Text.resolve_attribute(&s), ResolvedTest::Never);
     }
 
     #[test]

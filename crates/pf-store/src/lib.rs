@@ -13,8 +13,9 @@
 //! * **XPath axis evaluation as range selections** over the
 //!   `(pre, size, level)` space, and
 //! * the **staircase join** [Grust et al., VLDB 2003] — the tree-aware
-//!   axis-step join with *pruning*, *skipping* and early termination that
-//!   the paper injects into the relational kernel,
+//!   axis-step join with *pruning*, *partitioning* and *skipping* that the
+//!   paper injects into the relational kernel, with node tests compared by
+//!   surrogate,
 //! * **storage accounting** used to reproduce the Section 3.1 storage
 //!   overhead experiment.
 //!
@@ -38,11 +39,12 @@ pub mod staircase;
 pub mod stats;
 pub mod store;
 
-pub use axis::{axis_region, naive_axis_step, Axis, NodeTest};
+pub use axis::{axis_region, naive_axis_step, Axis, NodeTest, ResolvedTest};
 pub use dict::Dictionary;
 pub use index::{DocIndexes, TextIndex, ValueEntry, ValueIndex, ValueKey};
 pub use staircase::{
-    descendant_prune, descendant_scan, staircase_join, staircase_join_counted, StaircaseStats,
+    descendant_prune, descendant_prune_into, descendant_scan, staircase_join,
+    staircase_join_counted, StaircaseStats, StepKernel,
 };
 pub use stats::{DocStatistics, StorageStats};
 pub use store::{DocStore, NodeKindCode, PreRank};

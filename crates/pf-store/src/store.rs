@@ -271,8 +271,7 @@ impl DocStore {
     /// Indices into the attribute table of all attributes owned by `pre`.
     pub fn attributes_of(&self, pre: PreRank) -> impl Iterator<Item = usize> + '_ {
         // The attribute table is built in document order of owners, so the
-        // rows of one owner are contiguous; a linear partition-point search
-        // keeps this simple and fast enough.
+        // rows of one owner are contiguous: two binary searches bound them.
         let start = self.attr_owner.partition_point(|&o| o < pre);
         let end = self.attr_owner.partition_point(|&o| o <= pre);
         start..end
