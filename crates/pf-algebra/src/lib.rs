@@ -11,8 +11,10 @@
 //!
 //! The algebra deliberately exploits restrictions that hold for compiled
 //! plans: all joins are equi-joins (a single explicit theta-join exists for
-//! the Q11/Q12-style value joins), π never eliminates duplicates, and all
-//! unions are disjoint.
+//! the Q11/Q12-style value joins, and the optimizer replaces a count over
+//! its distinct pairs by the grouped rank count [`AlgOp::ThetaCount`], which
+//! never materializes them), π never eliminates duplicates, and all unions
+//! are disjoint.
 //!
 //! Execution of these plans lives in `pf-engine`; this crate is purely the
 //! logical layer.

@@ -6,7 +6,9 @@
 //! by [`crate::plan::OpId`], so plans are DAGs and common
 //! subexpressions can be shared.
 
-use pf_relational::ops::{AggFunc, BinaryOp, IndexMode, IndexProbe, IndexTarget, UnaryOp};
+use pf_relational::ops::{
+    AggFunc, BinaryOp, IndexMode, IndexProbe, IndexTarget, RankCount, UnaryOp,
+};
 use pf_relational::Value;
 use pf_store::{Axis, NodeTest};
 
@@ -122,6 +124,23 @@ pub enum AlgOp {
         op: BinaryOp,
         /// Right comparison column.
         right_col: String,
+    },
+    /// Grouped *rank count* over an inequality join (introduced by the
+    /// `thetacount` optimizer rule, never by the compiler): per distinct
+    /// `count.group` value of `left`, the number of distinct
+    /// `count.right_id` values of `right` with at least one pair
+    /// `count.left_col op count.right_col` that holds.  Groups without a
+    /// match are absent, like the groups of an [`AlgOp::Aggregate`] over
+    /// the pair table this replaces.  Output `group|result`, groups in
+    /// first-appearance order.
+    ThetaCount {
+        /// Left input (the counted-for side).
+        left: OpId,
+        /// Right input (the counted side).
+        right: OpId,
+        /// Columns and comparison — boxed, so that its five names do not
+        /// widen every operator of every cached plan.
+        count: Box<RankCount>,
     },
     /// × — Cartesian product.
     Cross {
@@ -304,6 +323,7 @@ impl AlgOp {
             | AlgOp::Difference { left, right }
             | AlgOp::EquiJoin { left, right, .. }
             | AlgOp::ThetaJoin { left, right, .. }
+            | AlgOp::ThetaCount { left, right, .. }
             | AlgOp::Cross { left, right } => vec![*left, *right],
             AlgOp::ElemConstruct {
                 loop_input,
@@ -351,6 +371,7 @@ impl AlgOp {
             | AlgOp::Difference { left, right }
             | AlgOp::EquiJoin { left, right, .. }
             | AlgOp::ThetaJoin { left, right, .. }
+            | AlgOp::ThetaCount { left, right, .. }
             | AlgOp::Cross { left, right } => {
                 if index == 0 {
                     set(left);
@@ -416,6 +437,15 @@ impl AlgOp {
                 right_col,
                 ..
             } => format!("⋈θ[{left_col} {op:?} {right_col}]"),
+            AlgOp::ThetaCount { count, .. } => format!(
+                "#θ[{}:=count({})/{}: {} {:?} {}]",
+                count.result,
+                count.right_id,
+                count.group,
+                count.left_col,
+                count.op,
+                count.right_col
+            ),
             AlgOp::Cross { .. } => "×".to_string(),
             AlgOp::RowNum {
                 target,

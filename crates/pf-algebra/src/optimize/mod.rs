@@ -45,6 +45,9 @@
 //!   greedily joining the smallest-estimated leaves first per
 //!   [`cardinality::CardEstimate`] (document statistics from
 //!   `pf-store`).
+//! * [`thetacount`] — replaces a count aggregate over the distinct pairs
+//!   of a θ-join by one [`AlgOp::ThetaCount`] when the scaffolding in
+//!   between provably changes no row count (runs with `reorder`).
 //! * [`dedup`] — hash-consed common-subplan elimination in one bottom-up
 //!   pass (replaces the fixpoint string-keyed CSE of the basic level),
 //!   plus a post-fixpoint *unshare* pass that clones cheap shared
@@ -65,6 +68,7 @@ pub mod indexscan;
 pub mod isolation;
 pub mod pushdown;
 pub mod reorder;
+pub mod thetacount;
 
 pub use cardinality::{CardEstimate, NoStats, StatsSource};
 pub use isolation::Isolation;
@@ -86,8 +90,10 @@ pub struct OptimizerLevel {
     /// Push selections below joins / through π, attach and maps, and fold
     /// σ/π over literal tables.
     pub pushdown: bool,
-    /// Reorder equi-join clusters in order-free regions by cardinality
-    /// estimate.
+    /// The join-graph rewrites: reorder equi-join clusters in order-free
+    /// regions by cardinality estimate, and count over a θ-join's distinct
+    /// pairs by rank instead of materializing them
+    /// ([`thetacount`]).
     pub reorder: bool,
     /// Hash-consed subplan dedup (one-pass replacement for the string CSE).
     pub dedup: bool,
@@ -226,6 +232,9 @@ pub struct OptimizeReport {
     /// Number of `IndexScan` candidate filters spliced above axis steps
     /// (`full` level only).
     pub index_scans_introduced: usize,
+    /// Number of count aggregates over a θ-join's pair table replaced by
+    /// [`AlgOp::ThetaCount`] (`full` level only).
+    pub theta_counts_introduced: usize,
     /// `true` when the plan verifier ran for this optimization and every
     /// rule application passed ([`crate::verify`]).
     pub verified: bool,
@@ -234,13 +243,13 @@ pub struct OptimizeReport {
     pub verify_passes: usize,
     /// Nanoseconds spent verifying after each rule, indexed like
     /// [`OptimizeReport::RULE_NAMES`].
-    pub verify_rule_nanos: [u64; 9],
+    pub verify_rule_nanos: [u64; Self::RULE_NAMES.len()],
 }
 
 impl OptimizeReport {
     /// Rule names indexing [`OptimizeReport::verify_rule_nanos`] (and
     /// naming rules in [`crate::verify::VerifyError`]).
-    pub const RULE_NAMES: [&'static str; 9] = [
+    pub const RULE_NAMES: [&'static str; 10] = [
         "merge_projections",
         "identity_projections",
         "order_ops",
@@ -250,6 +259,7 @@ impl OptimizeReport {
         "reorder",
         "indexscan",
         "unshare",
+        "thetacount",
     ];
 
     /// Total nanoseconds spent in the plan verifier.
@@ -418,6 +428,18 @@ pub fn optimize_with_verify(
                 &mut failed,
                 7,
                 &mut indexscan::introduce_index_scans,
+            );
+        }
+        // Count-by-rank matches the settled shape and needs a property
+        // pass per θ-join plan: try it once the other rules are done (a
+        // hit sends the plan round the loop again to clean up).
+        if level.reorder && !changed {
+            changed |= run_rule(
+                plan,
+                &mut report,
+                &mut failed,
+                9,
+                &mut thetacount::count_by_rank,
             );
         }
         if !changed {

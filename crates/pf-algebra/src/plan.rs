@@ -228,6 +228,7 @@ impl Plan {
                 AlgOp::Difference { .. } => "difference",
                 AlgOp::EquiJoin { .. } => "equi-join",
                 AlgOp::ThetaJoin { .. } => "theta-join",
+                AlgOp::ThetaCount { .. } => "theta-count",
                 AlgOp::Cross { .. } => "cross",
                 AlgOp::RowNum { .. } => "rownum",
                 AlgOp::BinaryMap { .. } | AlgOp::UnaryMap { .. } => "map",

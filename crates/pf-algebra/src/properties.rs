@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use pf_relational::ops::AggFunc;
 use pf_relational::Value;
-use pf_store::{Axis, DocStatistics};
+use pf_store::{Axis, DocStatistics, NodeTest};
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
@@ -239,6 +239,15 @@ impl PlanProperties {
         self.doc.get(id).and_then(|d| d.as_deref())
     }
 
+    /// `true` when every value of column `ac` at `a` provably occurs in
+    /// column `bc` at `b`: some tag is a superset of the former and
+    /// set-equal to the latter.
+    pub(crate) fn value_subset(&self, a: OpId, ac: &str, b: OpId, bc: &str) -> bool {
+        let mut equal = self.equalsets[b].get(bc).cloned().unwrap_or_default();
+        equal.insert((b, bc.to_string()));
+        !self.supersets_with_self(a, ac).is_disjoint(&equal)
+    }
+
     /// Supersets of column `c` at `id`, including `(id, c)` itself.
     fn supersets_with_self(&self, id: OpId, c: &str) -> BTreeSet<Tag> {
         let mut tags = self.supersets[id].get(c).cloned().unwrap_or_default();
@@ -375,6 +384,11 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             for c in cols(*right) {
                 subset(&mut sup, &mut excl, *right, &c, &c);
             }
+        }
+        // Groups without a match vanish: the group values shrink; the
+        // count is fresh.
+        AlgOp::ThetaCount { left, count, .. } => {
+            subset(&mut sup, &mut excl, *left, &count.group, &count.group);
         }
         // A union row comes from either side: only relations that hold
         // on both survive; a tag equal to both sides equals the union.
@@ -536,12 +550,26 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
             keys.push(numbered);
             keys
         }
-        AlgOp::Aggregate { group, .. } => vec![std::iter::once(group.clone()).collect()],
+        // One row per distinct group value, whatever the inputs' keys.
+        AlgOp::Aggregate { group, .. } => vec![set(&[group])],
+        AlgOp::ThetaCount { count, .. } => vec![set(&[&count.group])],
         // Steps and ddo sort + dedup on (iter, item) and renumber pos
         // within iter: both (iter, pos) and (iter, item) key the output.
-        AlgOp::Step { .. } | AlgOp::DocOrder { .. } => {
-            vec![set(&["iter", "pos"]), set(&["iter", "item"])]
+        // An element has at most one attribute of a given name, so a
+        // named attribute step over one context node per iteration
+        // yields at most one row per iteration.
+        AlgOp::Step { input, axis, test } => {
+            let mut keys = vec![set(&["iter", "pos"]), set(&["iter", "item"])];
+            let iter = set(&["iter"]);
+            if *axis == Axis::Attribute
+                && matches!(test, NodeTest::Attribute(_))
+                && pp.keyed_by(*input, &iter)
+            {
+                keys.push(iter);
+            }
+            keys
         }
+        AlgOp::DocOrder { .. } => vec![set(&["iter", "pos"]), set(&["iter", "item"])],
         AlgOp::Ebv { .. } => vec![set(&["iter"])],
         // fn:data / fn:root rewrite the item column, which can collapse
         // distinct items; keys not involving `item` survive.
@@ -641,6 +669,7 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         AlgOp::Difference { left, .. } => pp.empty[*left],
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
+        | AlgOp::ThetaCount { left, right, .. }
         | AlgOp::Cross { left, right } => pp.empty[*left] || pp.empty[*right],
         // Constructors emit one node per loop row.
         AlgOp::ElemConstruct { loop_input, .. }
@@ -743,13 +772,8 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             c
         }
         AlgOp::Difference { left, .. } => pp.constants[*left].clone(),
-        AlgOp::Aggregate { input, group, .. } => {
-            let mut c = BTreeMap::new();
-            if let Some(v) = pp.constants[*input].get(group) {
-                c.insert(group.clone(), v.clone());
-            }
-            c
-        }
+        AlgOp::Aggregate { input, group, .. } => group_constant(pp, *input, group),
+        AlgOp::ThetaCount { left, count, .. } => group_constant(pp, *left, &count.group),
         AlgOp::Step { input, .. } | AlgOp::Ebv { input } => {
             let mut c = BTreeMap::new();
             if let Some(v) = pp.constants[*input].get("iter") {
@@ -786,6 +810,20 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             c
         }
     }
+}
+
+/// The constants of a grouping operator: its group column, when that is
+/// constant at `input`.
+fn group_constant(
+    pp: &PlanProperties,
+    input: OpId,
+    group: &str,
+) -> BTreeMap<String, Option<Value>> {
+    let known = pp.constants[input].get(group);
+    known
+        .map(|v| (group.to_string(), v.clone()))
+        .into_iter()
+        .collect()
 }
 
 /// Can permuting the rows of `child` (child slot `slot` of `parent_op`)
@@ -854,8 +892,9 @@ fn edge_order_free(
                 pp.keyed_by(child, &set(&["iter", "pos"]))
             }
         }
-        // The right side of a difference is only probed, never emitted.
-        AlgOp::Difference { .. } if slot == 1 => true,
+        // The right side of a difference is only probed, never emitted;
+        // the right side of a rank count is only counted.
+        AlgOp::Difference { .. } | AlgOp::ThetaCount { .. } if slot == 1 => true,
         // Everything else is row-order passthrough: permuting the input
         // permutes the output without changing its contents (selects,
         // maps, projections, joins' left-major nesting, union's
@@ -926,6 +965,8 @@ fn estimate_op(
             rows[*left] * rows[*right] / 3.0,
             merge_doc(doc, *left, *right),
         ),
+        // At most one row per left row, and nothing bigger in between.
+        AlgOp::ThetaCount { left, .. } => (rows[*left], doc[*left].clone()),
         // Loop-lifted equi-joins are overwhelmingly iter↔iter matches:
         // close to a 1:N alignment of the two sides, not a blow-up.
         AlgOp::EquiJoin { left, right, .. } => {
@@ -965,7 +1006,6 @@ fn merge_doc(doc: &[Option<String>], left: OpId, right: OpId) -> Option<String> 
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
-    use pf_store::NodeTest;
 
     fn doc_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let d = b.add(AlgOp::Doc { uri: uri.into() });
@@ -1045,6 +1085,56 @@ mod tests {
         let pp = PlanProperties::analyze(&plan);
         assert_eq!(pp.doc(join), Some("d"), "join keeps the doc side's uri");
         assert_eq!(pp.doc(elem), None, "constructed nodes reset provenance");
+    }
+
+    /// The pair table of a θ-join is estimated at |L|·|R|/3 rows — what a
+    /// cold plan is admitted at; the rank count over the same inputs never
+    /// holds more than its left input.
+    #[test]
+    fn rank_count_is_estimated_at_its_left_input() {
+        let mut b = PlanBuilder::new();
+        let nats = |n: u64| {
+            (1..=n)
+                .map(|i| vec![Value::Nat(i), Value::Nat(i)])
+                .collect()
+        };
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["g".into(), "k".into()],
+            rows: nats(30),
+        });
+        let r = b.add(AlgOp::Lit {
+            columns: vec!["id".into(), "v".into()],
+            rows: nats(60),
+        });
+        let op = pf_relational::ops::BinaryOp::Cmp(pf_relational::ops::CmpOp::Gt);
+        let pairs = b.add(AlgOp::ThetaJoin {
+            left: l,
+            right: r,
+            left_col: "k".into(),
+            op,
+            right_col: "v".into(),
+        });
+        let count = b.add(AlgOp::ThetaCount {
+            left: l,
+            right: r,
+            count: Box::new(pf_relational::ops::RankCount {
+                group: "g".into(),
+                left_col: "k".into(),
+                op,
+                right_id: "id".into(),
+                right_col: "v".into(),
+                result: "n".into(),
+            }),
+        });
+        let both = b.add(AlgOp::Cross {
+            left: pairs,
+            right: count,
+        });
+        let pp = PlanProperties::analyze(&b.finish(both));
+        assert_eq!(pp.rows(pairs), 600.0);
+        assert_eq!(pp.rows(count), 30.0);
+        assert_eq!(pp.columns(count), ["g", "n"]);
+        assert!(pp.keyed_by(count, &set(&["g"])));
     }
 
     #[test]

@@ -138,6 +138,11 @@ pub(crate) fn infer_one(plan: &Plan, id: OpId, props: &HashMap<OpId, Properties>
                 doc_ordered: false,
             }
         }
+        AlgOp::ThetaCount { count, .. } => Properties {
+            columns: vec![count.group.clone(), count.result.clone()],
+            distinct: true,
+            doc_ordered: false,
+        },
         AlgOp::Aggregate { group, target, .. } => Properties {
             columns: vec![group.clone(), target.clone()],
             distinct: true,

@@ -18,6 +18,9 @@
 //!   pre-rewrite [`PlanDigest`].  (A rewrite that loses a key the
 //!   analysis had proven would silently disable downstream rewrites that
 //!   relied on it — and usually means rows were duplicated or dropped.)
+//!   Every [`AlgOp::ThetaCount`] of the rewritten plan must be one the
+//!   pre-rewrite plan justifies: a count over a pair table may only be
+//!   replaced where the scaffolding in between is provably row-for-row.
 //!
 //! The optimizer runs these checks between rule applications in debug
 //! builds unconditionally, and in release behind
@@ -83,6 +86,11 @@ pub struct PlanDigest {
     /// Constant columns proven at the root (with statically known
     /// values where available).
     pub constants: BTreeMap<String, Option<Value>>,
+    /// The [`AlgOp::ThetaCount`] operators the plan justifies, inputs
+    /// erased: the ones it already contains, and one per count aggregate
+    /// whose input is row-aligned with a θ-join's distinct pairs
+    /// ([`crate::optimize::thetacount`]).
+    pub theta_counts: Vec<AlgOp>,
 }
 
 /// Capture the root-level property digest of `plan`.  The plan must be
@@ -90,11 +98,33 @@ pub struct PlanDigest {
 pub fn digest(plan: &Plan) -> PlanDigest {
     let props = PlanProperties::analyze(plan);
     let root = plan.root();
+    let justified = crate::optimize::thetacount::candidates(plan);
     PlanDigest {
         columns: props.columns(root).to_vec(),
         keys: props.keys(root).to_vec(),
         constants: props.constants(root).clone(),
+        theta_counts: theta_counts(plan)
+            .chain(justified.iter().map(|candidate| &candidate.count))
+            .map(without_inputs)
+            .collect(),
     }
+}
+
+/// The reachable [`AlgOp::ThetaCount`] operators of `plan`.
+fn theta_counts(plan: &Plan) -> impl Iterator<Item = &AlgOp> {
+    let reachable = plan.reachable().into_iter().map(|id| plan.op(id));
+    reachable.filter(|op| matches!(op, AlgOp::ThetaCount { .. }))
+}
+
+/// `op` with its inputs erased: rank counts are compared by columns and
+/// comparison, not by input id — other rules may redirect inputs to equal
+/// subplans, and column resolution pins them to the right schemas anyway.
+fn without_inputs(op: &AlgOp) -> AlgOp {
+    let mut op = op.clone();
+    for slot in 0..op.children().len() {
+        op.replace_child(slot, 0);
+    }
+    op
 }
 
 /// Check `plan` for structural well-formedness.  See the module docs
@@ -246,6 +276,18 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
             } => {
                 resolve(*left, left_col, "left join", id)?;
                 resolve(*right, right_col, "right join", id)?;
+            }
+            AlgOp::ThetaCount { left, right, count } => {
+                resolve(*left, &count.group, "group", id)?;
+                resolve(*left, &count.left_col, "left join", id)?;
+                resolve(*right, &count.right_id, "counted", id)?;
+                resolve(*right, &count.right_col, "right join", id)?;
+                if count.result == count.group {
+                    return Err(err(format!(
+                        "op #{id} {}: count column collides with the group column",
+                        plan.op(id).symbol()
+                    )));
+                }
             }
             AlgOp::Cross { .. } => {}
             AlgOp::RowNum {
@@ -416,6 +458,18 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
                 "root key {key:?} was proven before the rewrite but not after \
                  (keys now: {:?})",
                 props.keys(root)
+            )));
+        }
+    }
+    // A rank count stands for a count over a pair table, which is only
+    // sound where the pre-rewrite plan justified it.
+    for count in theta_counts(after) {
+        if !before.theta_counts.contains(&without_inputs(count)) {
+            let justified: Vec<String> = before.theta_counts.iter().map(AlgOp::symbol).collect();
+            return Err(semantic(format!(
+                "{} is not a count the plan before the rewrite justifies \
+                 (justified: {justified:?})",
+                count.symbol()
             )));
         }
     }

@@ -20,8 +20,15 @@ fn main() {
         "Q", "unoptimized", "optimized", "reduction", "joins"
     );
     let pf = Pathfinder::new();
+    let mut ranked = Vec::new();
     for q in queries() {
         let explain = pf.explain(q.text).expect("every XMark query compiles");
+        if explain.report.theta_counts_introduced > 0 {
+            ranked.push(format!(
+                "Q{} ({} operators)",
+                q.id, explain.report.operators_after
+            ));
+        }
         let mut histogram = explain.optimized.operator_histogram();
         histogram.sort_by_key(|(_, count)| std::cmp::Reverse(*count));
         let top: Vec<String> = histogram
@@ -40,6 +47,10 @@ fn main() {
         );
     }
     println!();
+    println!(
+        "# count over a θ-join's pair table replaced by a rank count (ThetaCount): {}",
+        ranked.join(", ")
+    );
     let q8 = pf.explain(pf_xmark::query(8).unwrap().text).unwrap();
     println!(
         "# Q8 compiles to {} operators before optimization ({} after) — the paper cites ~120",

@@ -199,7 +199,7 @@ fn main() {
         100.0 * (wall[1] - wall[0]) / wall[0].max(f64::EPSILON)
     );
     // Per-rule verifier breakdown across all queries.
-    let mut per_rule = [0u64; 9];
+    let mut per_rule = [0u64; OptimizeReport::RULE_NAMES.len()];
     for p in &profiles {
         for (slot, nanos) in per_rule.iter_mut().zip(p.report.verify_rule_nanos) {
             *slot += nanos;
@@ -231,7 +231,7 @@ fn render_json(
     xml_bytes: usize,
     runs: usize,
     profiles: &[QueryProfile],
-    per_rule: &[u64; 9],
+    per_rule: &[u64; OptimizeReport::RULE_NAMES.len()],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");

@@ -72,7 +72,7 @@ use pf_algebra::{
     AlgOp, OpId, PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan, Plan, SortSpec,
 };
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
-use pf_relational::{Column, NodeRef, RelResult, Table, Value};
+use pf_relational::{Column, NodeRef, Table, Value};
 use pf_store::{Axis, DocStore, NodeKindCode, NodeTest};
 use pf_xml::{Attribute, DocumentBuilder};
 
@@ -321,7 +321,7 @@ fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
             AlgOp::Union { .. } => "union",
             AlgOp::Difference { .. } => "difference",
             AlgOp::EquiJoin { .. } => "equi_join",
-            AlgOp::ThetaJoin { .. } => "theta_join",
+            AlgOp::ThetaJoin { .. } | AlgOp::ThetaCount { .. } => "theta_join",
             AlgOp::Cross { .. } => "cross",
             AlgOp::RowNum { .. } => "rownum",
             AlgOp::BinaryMap { .. } => "binary_map",
@@ -1167,6 +1167,9 @@ impl<'a> Executor<'a> {
                     *op,
                     right_col,
                 ),
+                AlgOp::ThetaCount { left, right, count } => {
+                    self.theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)
+                }
                 AlgOp::Aggregate {
                     input,
                     group,
@@ -1199,6 +1202,33 @@ impl<'a> Executor<'a> {
                 Ok((table, KernelStats::default()))
             }
         }
+    }
+
+    /// Evaluate `work` on every `chunk`-row range of `0..rows` as morsels
+    /// on the pool; the results come back in range order.
+    fn map_morsels<T: Send>(
+        &self,
+        rows: usize,
+        chunk: usize,
+        work: impl Fn(Range<usize>) -> T + Sync,
+    ) -> Vec<T> {
+        let ranges = (0..rows)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(rows));
+        let mut results: Vec<Option<T>> = ranges.clone().map(|_| None).collect();
+        let work = &work;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
+            .iter_mut()
+            .zip(ranges)
+            .map(|(slot, range)| {
+                Box::new(move || *slot = Some(work(range))) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        self.pool().run_scoped_tagged(self.query_tag, tasks);
+        results
+            .into_iter()
+            .map(|result| result.expect("every morsel ran"))
+            .collect()
     }
 
     /// Morsel-parallel equi-join: build the hash index once over the
@@ -1235,30 +1265,11 @@ impl<'a> Executor<'a> {
         let rows = join.probe_rows();
         let pairs = match self.morsel_chunk_rows(rows) {
             None => join.probe_range(0..rows),
-            Some(chunk) => {
-                let ranges: Vec<Range<usize>> = (0..rows)
-                    .step_by(chunk)
-                    .map(|lo| lo..(lo + chunk).min(rows))
-                    .collect();
-                let mut results: Vec<Option<Vec<(usize, usize)>>> =
-                    ranges.iter().map(|_| None).collect();
-                let join_ref = &join;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                    .iter_mut()
-                    .zip(&ranges)
-                    .map(|(slot, range)| {
-                        let range = range.clone();
-                        Box::new(move || *slot = Some(join_ref.probe_range(range)))
-                            as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.pool().run_scoped_tagged(self.query_tag, tasks);
-                let mut pairs = Vec::new();
-                for result in results {
-                    pairs.extend(result.expect("every probe morsel ran"));
-                }
-                pairs
-            }
+            Some(chunk) => self
+                .map_morsels(rows, chunk, |range| join.probe_range(range))
+                .into_iter()
+                .flatten()
+                .collect(),
         };
         if let Some(started) = probe_started {
             kernel.timings.push(("join_probe", rows, started.elapsed()));
@@ -1289,26 +1300,9 @@ impl<'a> Executor<'a> {
         let pairs = match self.morsel_chunk_rows(rows) {
             None => join.probe_range(0..rows)?,
             Some(chunk) => {
-                let ranges: Vec<Range<usize>> = (0..rows)
-                    .step_by(chunk)
-                    .map(|lo| lo..(lo + chunk).min(rows))
-                    .collect();
-                type MorselPairs = Option<RelResult<Vec<(usize, usize)>>>;
-                let mut results: Vec<MorselPairs> = ranges.iter().map(|_| None).collect();
-                let join_ref = &join;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                    .iter_mut()
-                    .zip(&ranges)
-                    .map(|(slot, range)| {
-                        let range = range.clone();
-                        Box::new(move || *slot = Some(join_ref.probe_range(range)))
-                            as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.pool().run_scoped_tagged(self.query_tag, tasks);
                 let mut pairs = Vec::new();
-                for result in results {
-                    pairs.extend(result.expect("every theta morsel ran")?);
+                for morsel in self.map_morsels(rows, chunk, |range| join.probe_range(range)) {
+                    pairs.extend(morsel?);
                 }
                 pairs
             }
@@ -1317,6 +1311,43 @@ impl<'a> Executor<'a> {
             kernel.timings.push(("join_probe", rows, started.elapsed()));
         }
         Ok((join.materialize(pairs)?, kernel))
+    }
+
+    /// Grouped rank count over an inequality join ([`AlgOp::ThetaCount`]):
+    /// both sides are reduced once, then group ranges — left-row ranges
+    /// when the group column keys the left input — are counted as
+    /// morsels.  Every failing range reports the nested loop's first
+    /// error, so the message does not depend on the morsel size.
+    fn theta_count_node(
+        &self,
+        left: &Table,
+        right: &Table,
+        count: &ops::RankCount,
+    ) -> EngineResult<(Table, KernelStats)> {
+        let mut kernel = KernelStats {
+            join_build_rows: right.row_count(),
+            join_probe_rows: left.row_count(),
+            ..KernelStats::default()
+        };
+        let started = self.profile_ops.then(Instant::now);
+        let plan = ops::ThetaCountPlan::new(left, right, count)?;
+        let groups = plan.groups();
+        let counts = match self.morsel_chunk_rows(groups) {
+            None => plan.count_range(0..groups)?,
+            Some(chunk) => {
+                let mut counts = Vec::with_capacity(groups);
+                for morsel in self.map_morsels(groups, chunk, |range| plan.count_range(range)) {
+                    counts.extend(morsel?);
+                }
+                counts
+            }
+        };
+        if let Some(started) = started {
+            kernel
+                .timings
+                .push(("join_probe", left.row_count(), started.elapsed()));
+        }
+        Ok((plan.finish(counts)?, kernel))
     }
 
     /// Grouped aggregation through the typed kernels: the segmented
@@ -1361,26 +1392,10 @@ impl<'a> Executor<'a> {
                 return Ok((table, kernel));
             }
         };
-        let ranges: Vec<Range<usize>> = (0..rows)
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(rows))
-            .collect();
-        let mut results: Vec<Option<RelResult<ops::AggPartial<'_>>>> =
-            ranges.iter().map(|_| None).collect();
-        let agg_ref = &agg;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .zip(&ranges)
-            .map(|(slot, range)| {
-                let range = range.clone();
-                Box::new(move || *slot = Some(agg_ref.partial(range)))
-                    as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.pool().run_scoped_tagged(self.query_tag, tasks);
+        let results = self.map_morsels(rows, chunk, |range| agg.partial(range));
         let mut partials = Vec::with_capacity(results.len());
         for result in results {
-            match result.expect("every aggregation morsel ran") {
+            match result {
                 Ok(partial) => partials.push(partial),
                 Err(chunk_error) => {
                     // Canonical error: the sequential pass (cheap — errors
@@ -1415,30 +1430,14 @@ impl<'a> Executor<'a> {
         steps: &[ops::FusedStep],
         chunk: usize,
     ) -> EngineResult<Table> {
-        let rows = input.row_count();
-        let ranges: Vec<Range<usize>> = (0..rows)
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(rows))
-            .collect();
-        let mut results: Vec<Option<RelResult<Table>>> = ranges.iter().map(|_| None).collect();
         let registry = self.registry;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .zip(&ranges)
-            .map(|(slot, range)| {
-                let range = range.clone();
-                Box::new(move || {
-                    let mut cache = StoreCache::new(registry);
-                    *slot = Some(ops::run_pipeline_range(input, steps, range, &mut |v| {
-                        cache.atomize(v)
-                    }));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.pool().run_scoped_tagged(self.query_tag, tasks);
+        let results = self.map_morsels(input.row_count(), chunk, |range| {
+            let mut cache = StoreCache::new(registry);
+            ops::run_pipeline_range(input, steps, range, &mut |v| cache.atomize(v))
+        });
         let mut chunks = Vec::with_capacity(results.len());
         for result in results {
-            match result.expect("every pipeline morsel ran") {
+            match result {
                 Ok(table) => chunks.push(table),
                 Err(chunk_error) => {
                     // Canonical error: the whole-input pass.  It cannot
@@ -1741,6 +1740,9 @@ impl<'a> Executor<'a> {
                     *op,
                     right_col,
                 )?
+                .0),
+            AlgOp::ThetaCount { left, right, count } => Ok(self
+                .theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)?
                 .0),
             AlgOp::Cross { left, right } => {
                 Ok(ops::cross(inputs.get(*left)?, inputs.get(*right)?)?)

@@ -18,6 +18,7 @@
 //! | ε, τ (element/text construction) | implemented in `pf-engine` on top of [`Table`] |
 //! | ⊙ (arithmetic / comparison)     | [`ops::map_binary`], [`ops::map_unary`] |
 //! | aggregates (count, sum, …)      | [`ops::aggregate_by`] |
+//! | count over an inequality join   | [`ops::theta_count()`](fn@ops::theta_count) |
 //!
 //! Tables are sets of equal-length named [`Column`]s; the row number plays
 //! the role of MonetDB's *virtual object identifier*, which is why

@@ -16,16 +16,19 @@
 //!
 //! The explicit theta-join exists for the value-based joins the paper
 //! discusses for XMark Q11/Q12 (predicate `>`), whose quadratic output is
-//! inherent to the query; [`ThetaPlan`] materializes each side's key values
-//! once (not per inner iteration) and likewise evaluates left-row ranges
-//! independently for morselization.
+//! inherent to the join; [`ThetaPlan`] materializes each side's key values
+//! once (not per inner iteration; as plain `f64`s when both columns are
+//! numeric) and likewise evaluates left-row ranges independently for
+//! morselization.  A query that only *counts* the matches never needs the
+//! pairs — see [`mod@crate::ops::theta_count`].
 
 use std::collections::HashMap;
 use std::ops::Range;
 
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Key, KeyView};
-use crate::ops::map::{apply_binary, BinaryOp};
+use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::ops::HashKey;
 use crate::table::Table;
 use crate::value::Value;
@@ -220,6 +223,39 @@ pub fn equi_join_generic(
     materialize_join(left, right, &pairs)
 }
 
+/// A numeric key column (`Nat`/`Int`/`Dbl`, or an `Item` column holding
+/// only those) as the `f64`s [`Value::compare`] compares; `None` for
+/// anything else.
+pub(crate) fn numeric_keys(column: &Column) -> Option<Vec<f64>> {
+    match column {
+        Column::Nat(v) => Some(v.iter().map(|&n| n as f64).collect()),
+        Column::Int(v) => Some(v.iter().map(|&i| i as f64).collect()),
+        Column::Dbl(v) => Some(v.to_vec()),
+        Column::Item(v) => v
+            .iter()
+            .map(|value| match value {
+                Value::Nat(n) => Some(*n as f64),
+                Value::Int(i) => Some(*i as f64),
+                Value::Dbl(d) => Some(*d),
+                _ => None,
+            })
+            .collect(),
+        Column::Str(_) | Column::Bool(_) | Column::Node(_) => None,
+    }
+}
+
+/// The error [`Value::compare`] raises on a `NaN` operand.
+pub(crate) fn nan_error() -> RelError {
+    RelError::new("NaN is not comparable")
+}
+
+/// The key columns of a [`ThetaPlan`]: `f64` slices when the predicate is
+/// a comparison of two numeric columns, boxed values otherwise.
+enum ThetaKeys {
+    Numeric(Vec<f64>, Vec<f64>, CmpOp),
+    Values(Vec<Value>, Vec<Value>),
+}
+
 /// A prepared theta-join: both key columns materialized **once** (the old
 /// nested loop re-boxed the right value on every inner iteration), with
 /// left-row ranges independently evaluable for morselization.
@@ -227,8 +263,7 @@ pub struct ThetaPlan<'t> {
     left: &'t Table,
     right: &'t Table,
     op: BinaryOp,
-    lvals: Vec<Value>,
-    rvals: Vec<Value>,
+    keys: ThetaKeys,
 }
 
 impl<'t> ThetaPlan<'t> {
@@ -243,20 +278,26 @@ impl<'t> ThetaPlan<'t> {
         merge_schemas(left, right)?;
         let lcol = left.column(left_col)?;
         let rcol = right.column(right_col)?;
-        let lvals: Vec<Value> = (0..left.row_count()).map(|row| lcol.get(row)).collect();
-        let rvals: Vec<Value> = (0..right.row_count()).map(|row| rcol.get(row)).collect();
+        let numeric = match op {
+            BinaryOp::Cmp(cmp) => numeric_keys(lcol)
+                .zip(numeric_keys(rcol))
+                .map(|(l, r)| ThetaKeys::Numeric(l, r, cmp)),
+            _ => None,
+        };
+        let keys = numeric.unwrap_or_else(|| {
+            ThetaKeys::Values(lcol.iter_values().collect(), rcol.iter_values().collect())
+        });
         Ok(ThetaPlan {
             left,
             right,
             op,
-            lvals,
-            rvals,
+            keys,
         })
     }
 
     /// Rows on the left (outer) side.
     pub fn left_rows(&self) -> usize {
-        self.lvals.len()
+        self.left.row_count()
     }
 
     /// Evaluate the predicate for every pair with a left row in `range`,
@@ -265,11 +306,24 @@ impl<'t> ThetaPlan<'t> {
     /// nested loop (including which pair errors first).
     pub fn probe_range(&self, range: Range<usize>) -> RelResult<Vec<(usize, usize)>> {
         let mut pairs = Vec::new();
-        for lrow in range {
-            let lval = &self.lvals[lrow];
-            for (rrow, rval) in self.rvals.iter().enumerate() {
-                if apply_binary(self.op, lval, rval)?.as_bool()? {
-                    pairs.push((lrow, rrow));
+        match &self.keys {
+            ThetaKeys::Numeric(lkeys, rkeys, cmp) => {
+                for lrow in range {
+                    for (rrow, rkey) in rkeys.iter().enumerate() {
+                        let ordering = lkeys[lrow].partial_cmp(rkey).ok_or_else(nan_error)?;
+                        if cmp.matches(ordering) {
+                            pairs.push((lrow, rrow));
+                        }
+                    }
+                }
+            }
+            ThetaKeys::Values(lvals, rvals) => {
+                for lrow in range {
+                    for (rrow, rval) in rvals.iter().enumerate() {
+                        if apply_binary(self.op, &lvals[lrow], rval)?.as_bool()? {
+                            pairs.push((lrow, rrow));
+                        }
+                    }
                 }
             }
         }
@@ -315,8 +369,6 @@ pub fn cross(left: &Table, right: &Table) -> RelResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
-    use crate::ops::map::CmpOp;
     use crate::value::Value;
 
     fn left() -> Table {
@@ -473,6 +525,59 @@ mod tests {
         let j = equi_join(&l, &r, "k", "k1").unwrap();
         assert_eq!(j.row_count(), 2);
         assert_eq!(equi_join_generic(&l, &r, "k", "k1").unwrap(), j);
+    }
+
+    /// The `f64` probe and the boxed-value loop are the same join: same
+    /// pairs in the same order over Nat/Int/Dbl mixes, the same error on a
+    /// `NaN` key.
+    #[test]
+    fn numeric_theta_probe_matches_the_value_loop() {
+        let l = Table::new(vec![(
+            "a".into(),
+            Column::items(vec![Value::Int(-3), Value::Dbl(2.5), Value::Nat(7)]),
+        )])
+        .unwrap();
+        let r = Table::new(vec![(
+            "b".into(),
+            Column::dbls(vec![2.5, -4.0, 7.0, 1e300]),
+        )])
+        .unwrap();
+        let value_loop = |l: &Table, r: &Table, cmp: CmpOp| -> RelResult<Vec<(usize, usize)>> {
+            let mut pairs = Vec::new();
+            for lrow in 0..l.row_count() {
+                for rrow in 0..r.row_count() {
+                    let (a, b) = (l.value("a", lrow)?, r.value("b", rrow)?);
+                    if apply_binary(BinaryOp::Cmp(cmp), &a, &b)?.as_bool()? {
+                        pairs.push((lrow, rrow));
+                    }
+                }
+            }
+            Ok(pairs)
+        };
+        for cmp in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let plan = ThetaPlan::new(&l, &r, "a", BinaryOp::Cmp(cmp), "b").unwrap();
+            assert!(matches!(plan.keys, ThetaKeys::Numeric(..)));
+            assert_eq!(
+                plan.probe_range(0..plan.left_rows()).unwrap(),
+                value_loop(&l, &r, cmp).unwrap(),
+                "{cmp:?}"
+            );
+        }
+        let nan = Table::new(vec![("b".into(), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
+        let plan = ThetaPlan::new(&l, &nan, "a", BinaryOp::Cmp(CmpOp::Lt), "b").unwrap();
+        assert_eq!(
+            plan.probe_range(0..plan.left_rows())
+                .unwrap_err()
+                .to_string(),
+            value_loop(&l, &nan, CmpOp::Lt).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod setops;
 pub mod sort;
 pub mod sortkeys;
 pub mod step;
+pub mod theta_count;
 
 pub use aggregate::{aggregate_by, aggregate_by_generic, AggFunc, AggPartial, AggPlan};
 pub use index::{
@@ -35,6 +36,7 @@ pub use setops::{difference, distinct, union_disjoint};
 pub use sort::sort_by;
 pub use sortkeys::{KeyCol, SortKeys};
 pub use step::{plan_step, staircase_step, DocResolver, StepChunk, StepPlan, StepShard};
+pub use theta_count::{theta_count, RankCount, ThetaCountPlan};
 
 use crate::value::Value;
 

@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use pathfinder::algebra::OptimizerLevel;
 use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 
@@ -227,6 +228,57 @@ fn a_cold_plan_queues_on_its_shape_estimate() {
     });
     assert!(finished.load(Ordering::SeqCst));
     assert_eq!(pf.admission().stats().waited, 1);
+}
+
+#[test]
+fn q11_counted_by_rank_fits_a_budget_its_pair_table_does_not() {
+    // Admission charges a warm plan its measured peak_resident_rows.  With
+    // the count taken by rank Q11 never holds the (outer, aid) pair table,
+    // so under a budget of four times its footprint it runs beside another
+    // query at once — where the same query, planned at the basic level
+    // (θ-join, δ, scaffolding, count), has to wait for the budget.
+    let xml = generate(&GeneratorConfig {
+        scale: 0.05,
+        seed: 17,
+    });
+    let q11 = queries().into_iter().find(|q| q.id == 11).unwrap().text;
+    let engine = |level: OptimizerLevel, budget: usize| {
+        let options = EngineOptions::builder()
+            .optimizer_level(level)
+            .memory_budget_rows(budget);
+        let pf = Pathfinder::with_options(options.build());
+        pf.load_document("auction.xml", &xml).unwrap();
+        // Warm run: records the plan's measured peak.
+        let warm = pf.query_with(q11, Profile::Stats).unwrap();
+        (pf, warm.stats.unwrap().peak_resident_rows, warm.to_xml())
+    };
+    let (_, ranked_peak, expected) = engine(OptimizerLevel::FULL, usize::MAX);
+    let budget = 4 * ranked_peak;
+    let (ranked, _, _) = engine(OptimizerLevel::FULL, budget);
+    let (pairs, pairs_peak, pairs_xml) = engine(OptimizerLevel::BASIC, budget);
+    assert_eq!(pairs_xml, expected);
+    assert!(
+        pairs_peak > budget,
+        "the pair table ({pairs_peak} rows) dwarfs the ranked plan ({ranked_peak} rows)"
+    );
+
+    // Ranked: admitted beside a running query, never waits.
+    let running = ranked.admission().admit(1);
+    assert_eq!(ranked.session().query(q11).unwrap().to_xml(), expected);
+    assert_eq!(ranked.admission().stats().waited, 0);
+    drop(running);
+
+    // Pairs: queues until the running query releases its share.
+    let running = pairs.admission().admit(1);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| pairs.session().query(q11).unwrap().to_xml());
+        while pairs.admission().stats().waiting == 0 {
+            std::thread::yield_now();
+        }
+        drop(running);
+        assert_eq!(worker.join().unwrap(), expected);
+    });
+    assert_eq!(pairs.admission().stats().waited, 1);
 }
 
 #[test]

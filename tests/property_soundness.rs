@@ -7,7 +7,8 @@
 //! schema must be the executed table's schema — column for column, in
 //! order.  This suite generates randomized literal-table plans (the
 //! shapes the isolation rules rewrite: projections, selections, joins,
-//! unions, distinct, attach), executes them, and checks every claim the
+//! unions, distinct, attach, rank counts) and named attribute steps over
+//! randomized documents, executes them, and checks every claim the
 //! analysis makes against the actual table — both on the raw plan and
 //! after a `full`-level optimization pass.
 
@@ -19,22 +20,21 @@ use pathfinder::algebra::{
     optimize_with, AlgOp, NoStats, OptimizerLevel, Plan, PlanBuilder, PlanProperties,
 };
 use pathfinder::engine::{DocRegistry, Executor};
+use pathfinder::relational::ops::{BinaryOp, CmpOp, RankCount};
 use pathfinder::relational::{Table, Value};
+use pathfinder::store::{Axis, NodeTest};
 
-/// Execute a literal-only plan.
-fn run(plan: &Plan) -> Table {
-    let registry = DocRegistry::new();
-    Executor::new(&registry)
-        .run(plan)
-        .expect("literal plan executes")
+/// Assert every property claimed at the root of a literal-only plan
+/// against the executed table.
+fn assert_sound(plan: &Plan, label: &str) {
+    assert_sound_over(&DocRegistry::new(), plan, label);
 }
 
-/// Assert every property claimed at the plan root against the executed
-/// table.
-fn assert_sound(plan: &Plan, label: &str) {
+/// [`assert_sound`] for a plan that reads the documents of `registry`.
+fn assert_sound_over(registry: &DocRegistry, plan: &Plan, label: &str) {
     let props = PlanProperties::analyze(plan);
     let root = plan.root();
-    let table = run(plan);
+    let table: Table = Executor::new(registry).run(plan).expect("plan executes");
 
     // Schema: the claimed columns are the table's columns, in order.
     let claimed: Vec<&str> = props.columns(root).iter().map(|c| c.as_str()).collect();
@@ -235,5 +235,96 @@ proptest! {
         });
         let plan = b.finish(agg);
         assert_sound(&plan, "aggregate");
+    }
+
+    /// A named attribute step over one context node per iteration claims
+    /// the key `{iter}`; `@*` must not.
+    #[test]
+    fn attribute_step_shapes_are_sound(
+        elems in proptest::collection::vec((proptest::bool::ANY, proptest::bool::ANY), 0..9),
+        any_attribute in proptest::bool::ANY,
+    ) {
+        let body: String = elems
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b))| {
+                let a = if *a { format!(" a=\"{i}\"") } else { String::new() };
+                let b = if *b { " b=\"x\"" } else { "" };
+                format!("<e{a}{b}/>")
+            })
+            .collect();
+        let registry = DocRegistry::new();
+        registry.load_xml("d.xml", &format!("<r>{body}</r>")).unwrap();
+
+        let mut b = PlanBuilder::new();
+        let doc = b.add(AlgOp::Doc { uri: "d.xml".into() });
+        let root_ctx = b.add(AlgOp::Attach {
+            input: doc,
+            target: "iter".into(),
+            value: Value::Nat(1),
+        });
+        let elements = b.add(AlgOp::Step {
+            input: root_ctx,
+            axis: Axis::Descendant,
+            test: NodeTest::Element("e".into()),
+        });
+        // One iteration per element: `iter` is constant below, so `pos`
+        // keys the step output and becomes the new `iter`.
+        let per_element = b.add(AlgOp::Project {
+            input: elements,
+            columns: vec![("pos".into(), "iter".into()), ("item".into(), "item".into())],
+        });
+        let test = if any_attribute {
+            NodeTest::AnyAttribute
+        } else {
+            NodeTest::Attribute("a".into())
+        };
+        let attrs = b.add(AlgOp::Step {
+            input: per_element,
+            axis: Axis::Attribute,
+            test,
+        });
+        let plan = b.finish(attrs);
+        let iter: BTreeSet<String> = std::iter::once("iter".to_string()).collect();
+        let claimed = PlanProperties::analyze(&plan).keyed_by(attrs, &iter);
+        prop_assert_eq!(claimed, !any_attribute, "key {{iter}} claimed for the wrong test");
+        assert_sound_over(&registry, &plan, "attribute step");
+    }
+
+    /// The rank count emits one row per group value, whatever the keys of
+    /// its inputs.
+    #[test]
+    fn rank_count_shapes_are_sound(
+        left in proptest::collection::vec((0u64..4, 0u64..9), 0..10),
+        right in proptest::collection::vec((0u64..4, 0u64..9), 0..10),
+        greater in proptest::bool::ANY,
+    ) {
+        let mut b = PlanBuilder::new();
+        let lrows: Vec<Vec<u64>> = left.iter().map(|(g, k)| vec![*g, *k]).collect();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["g".into(), "k".into()],
+            rows: nat_rows(2, &lrows),
+        });
+        let rrows: Vec<Vec<u64>> = right.iter().map(|(id, v)| vec![*id, *v]).collect();
+        let r = b.add(AlgOp::Lit {
+            columns: vec!["id".into(), "v".into()],
+            rows: nat_rows(2, &rrows),
+        });
+        let count = b.add(AlgOp::ThetaCount {
+            left: l,
+            right: r,
+            count: Box::new(RankCount {
+                group: "g".into(),
+                left_col: "k".into(),
+                op: BinaryOp::Cmp(if greater { CmpOp::Gt } else { CmpOp::Le }),
+                right_id: "id".into(),
+                right_col: "v".into(),
+                result: "n".into(),
+            }),
+        });
+        let plan = b.finish(count);
+        let g: BTreeSet<String> = std::iter::once("g".to_string()).collect();
+        prop_assert!(PlanProperties::analyze(&plan).keyed_by(count, &g));
+        assert_sound(&plan, "rank count");
     }
 }

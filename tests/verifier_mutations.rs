@@ -17,7 +17,9 @@ use pathfinder::algebra::{
     digest, optimize_with_verify, verify_plan, verify_rewrite, AlgOp, NoStats, OptimizerLevel,
     Plan, PlanBuilder, SortSpec,
 };
-use pathfinder::relational::ops::{AggFunc, CmpOp, IndexMode, IndexProbe, IndexTarget};
+use pathfinder::relational::ops::{
+    AggFunc, BinaryOp, CmpOp, IndexMode, IndexProbe, IndexTarget, RankCount,
+};
 use pathfinder::relational::Value;
 use pathfinder::store::{Axis, NodeTest};
 use pathfinder::xmark::queries;
@@ -394,6 +396,139 @@ fn mutation_after_plan_structurally_broken() {
 }
 
 // ---------------------------------------------------------------------------
+// Count-by-rank mutations: a `ThetaCount` stands for a count over a pair
+// table, so it is only accepted where the plan before the rewrite justifies
+// exactly that count.
+// ---------------------------------------------------------------------------
+
+/// XMark query `id`, compiled, and optimized at the full level.
+fn xmark_plans(id: u8) -> (Plan, Plan) {
+    let q = queries().into_iter().find(|q| q.id == id).unwrap();
+    let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+    let compiled = compile(&core, &CompileOptions::default()).unwrap().plan;
+    let mut optimized = compiled.clone();
+    optimize_with_verify(&mut optimized, OptimizerLevel::FULL, &NoStats, true);
+    (compiled, optimized)
+}
+
+/// `plan` with operator `at` replaced by `op(at's current value)`.
+fn with_op(plan: &Plan, at: usize, op: impl FnOnce(&AlgOp) -> AlgOp) -> Plan {
+    let mut ops = plan.ops().to_vec();
+    ops[at] = op(&ops[at]);
+    Plan::new(ops, plan.root())
+}
+
+fn find_op(plan: &Plan, pick: impl Fn(&AlgOp) -> bool) -> usize {
+    plan.reachable()
+        .into_iter()
+        .find(|&id| pick(plan.op(id)))
+        .expect("operator present in the plan")
+}
+
+fn is_theta_count(op: &AlgOp) -> bool {
+    matches!(op, AlgOp::ThetaCount { .. })
+}
+
+#[test]
+fn rank_count_rewrite_of_q11_is_accepted() {
+    let (compiled, optimized) = xmark_plans(11);
+    find_op(&optimized, is_theta_count);
+    verify_rewrite("thetacount", &digest(&compiled), &optimized)
+        .expect("the compiled Q11 justifies its rank count");
+}
+
+#[test]
+fn mutation_rank_count_with_mirrored_comparison() {
+    let (compiled, optimized) = xmark_plans(11);
+    let at = find_op(&optimized, is_theta_count);
+    let mirrored = with_op(&optimized, at, |op| {
+        let mut op = op.clone();
+        match &mut op {
+            AlgOp::ThetaCount { count, .. } => match &mut count.op {
+                BinaryOp::Cmp(cmp) => *cmp = cmp.mirror(),
+                other => panic!("Q11 counts over a comparison, found {other:?}"),
+            },
+            other => panic!("expected the rank count, found {other:?}"),
+        }
+        op
+    });
+    let err = verify_rewrite("mutated-mirror", &digest(&compiled), &mirrored)
+        .expect_err("a mirrored comparison counts different pairs");
+    assert!(err.to_string().contains("justifies"), "{err}");
+}
+
+#[test]
+fn mutation_rank_count_grouped_on_the_right_input() {
+    let (_, optimized) = xmark_plans(11);
+    let at = find_op(&optimized, is_theta_count);
+    let regrouped = with_op(&optimized, at, |op| {
+        let mut op = op.clone();
+        if let AlgOp::ThetaCount { count, .. } = &mut op {
+            count.group = count.right_id.clone();
+        }
+        op
+    });
+    assert_rejected(&regrouped, &["group column"]);
+}
+
+#[test]
+fn mutation_rank_count_across_a_step_in_the_body() {
+    // Q5 counts `$i/price` per qualifying auction: the ⇝[child::price]
+    // between the pairs and the aggregate is not row-for-row, so the
+    // distinct-pair count is not the answer.
+    let (_, optimized) = xmark_plans(5);
+    assert!(
+        !optimized.ops().iter().any(is_theta_count),
+        "the rule must not fire on Q5"
+    );
+    let agg = find_op(&optimized, |op| {
+        matches!(
+            op,
+            AlgOp::Aggregate {
+                func: AggFunc::Count,
+                ..
+            }
+        )
+    });
+    let theta = find_op(&optimized, |op| matches!(op, AlgOp::ThetaJoin { .. }));
+    let (
+        AlgOp::Aggregate { group, target, .. },
+        AlgOp::ThetaJoin {
+            left,
+            right,
+            left_col,
+            op,
+            right_col,
+        },
+    ) = (optimized.op(agg).clone(), optimized.op(theta).clone())
+    else {
+        unreachable!();
+    };
+    let mut ops = optimized.ops().to_vec();
+    ops.push(AlgOp::ThetaCount {
+        left,
+        right,
+        count: Box::new(RankCount {
+            group: "outer".into(),
+            left_col,
+            op,
+            right_id: "aid1".into(),
+            right_col,
+            result: target.clone(),
+        }),
+    });
+    ops[agg] = AlgOp::Project {
+        input: ops.len() - 1,
+        columns: vec![("outer".into(), group), (target.clone(), target)],
+    };
+    let forced = Plan::new(ops, optimized.root());
+    verify_plan(&forced).expect("the forced plan is well-formed");
+    let err = verify_rewrite("mutated-across-step", &digest(&optimized), &forced)
+        .expect_err("a count across a step must be rejected");
+    assert!(err.to_string().contains("justifies"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
 // Positive controls: the verifier accepts what it should accept.
 // ---------------------------------------------------------------------------
 
@@ -476,6 +611,14 @@ fn all_xmark_plans_verify_at_every_level() {
             );
             verify_plan(&plan)
                 .unwrap_or_else(|e| panic!("Q{} optimized ({name}) plan rejected: {e}", q.id));
+            // Count-by-rank rides with the join-graph rules, and only
+            // Q11 and Q12 count over an inequality join.
+            let expected = usize::from(level.reorder && matches!(q.id, 11 | 12));
+            assert_eq!(
+                report.theta_counts_introduced, expected,
+                "Q{} at level {name}",
+                q.id
+            );
         }
     }
 }
