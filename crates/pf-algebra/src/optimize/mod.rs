@@ -54,11 +54,10 @@
 //!   operators so each copy fuses into its consumer's pipeline.
 //!
 //! Every rule is independently toggleable via [`OptimizerLevel`]; the
-//! engine exposes them through `PF_OPTIMIZE` /
-//! `EngineOptions::optimizer_level`.  All full-level rewrites preserve
-//! the serialized result byte for byte (pinned by
-//! `tests/optimize_agreement.rs` across the whole
-//! threads × morsel × fusion matrix).
+//! engine exposes them through `EngineOptions::optimizer_level`.  All
+//! full-level rewrites preserve the serialized result byte for byte
+//! (pinned by `tests/optimize_agreement.rs` across the whole
+//! threads × morsel matrix).
 
 use std::collections::HashMap;
 
@@ -82,9 +81,7 @@ use crate::schema::infer_schema;
 /// can be measured (and property-tested) in isolation.
 ///
 /// [`OptimizerLevel::BASIC`] is exactly the pre-isolation optimizer;
-/// [`OptimizerLevel::FULL`] (the default) enables everything.  A level
-/// parses from the `PF_OPTIMIZE` syntax: `basic`, `full`, or a
-/// comma-separated rule list such as `pushdown,dedup`.
+/// [`OptimizerLevel::FULL`] (the default) enables everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptimizerLevel {
     /// Push selections below joins / through π, attach and maps, and fold
@@ -131,34 +128,8 @@ impl OptimizerLevel {
         self == OptimizerLevel::BASIC
     }
 
-    /// Parse the `PF_OPTIMIZE` syntax: `basic`, `full` (or an empty
-    /// string), or a comma-separated subset of
-    /// `pushdown`/`reorder`/`dedup`/`unshare`/`indexscan`.  `None` for
-    /// anything else.
-    pub fn parse(spec: &str) -> Option<OptimizerLevel> {
-        let spec = spec.trim();
-        match spec.to_ascii_lowercase().as_str() {
-            "" | "full" => return Some(OptimizerLevel::FULL),
-            "basic" => return Some(OptimizerLevel::BASIC),
-            _ => {}
-        }
-        let mut level = OptimizerLevel::BASIC;
-        for rule in spec.split(',') {
-            match rule.trim().to_ascii_lowercase().as_str() {
-                "pushdown" => level.pushdown = true,
-                "reorder" => level.reorder = true,
-                "dedup" => level.dedup = true,
-                "unshare" => level.unshare = true,
-                "indexscan" => level.indexscan = true,
-                _ => return None,
-            }
-        }
-        Some(level)
-    }
-
-    /// Stable textual tag (round-trips through [`OptimizerLevel::parse`]);
-    /// the engine embeds this in plan-cache keys so plans compiled at
-    /// different levels never alias.
+    /// Stable textual tag, distinct per level; the engine embeds this in
+    /// plan-cache keys so plans compiled at different levels never alias.
     pub fn tag(self) -> String {
         if self == OptimizerLevel::FULL {
             return "full".into();
@@ -262,11 +233,6 @@ impl OptimizeReport {
         "thetacount",
     ];
 
-    /// Total nanoseconds spent in the plan verifier.
-    pub fn verify_nanos(&self) -> u64 {
-        self.verify_rule_nanos.iter().sum()
-    }
-
     /// Fraction of operators removed, in percent.
     pub fn reduction_percent(&self) -> f64 {
         if self.operators_before == 0 {
@@ -290,31 +256,14 @@ pub fn optimize(plan: &mut Plan) -> OptimizeReport {
 /// fixpoint loop, except *unshare* which runs exactly once afterwards —
 /// unshare and dedup are mutual inverses and must never alternate.  When
 /// dedup is on, the one-pass hash-consing replaces the fixpoint string
-/// CSE (same rewrites, counted in `subplans_deduped`).
+/// CSE (same rewrites, counted in `subplans_deduped`).  Debug builds
+/// verify every rewrite ([`optimize_with_verify`]); release builds do not.
 pub fn optimize_with(
     plan: &mut Plan,
     level: OptimizerLevel,
     stats: &dyn StatsSource,
 ) -> OptimizeReport {
-    optimize_with_verify(plan, level, stats, default_verify())
-}
-
-/// Whether [`optimize_with`] verifies rewrites: always in debug builds,
-/// and behind `PF_VERIFY=1` (or the engine's `verify_plans` option,
-/// which calls [`optimize_with_verify`] directly) in release.
-fn default_verify() -> bool {
-    if cfg!(debug_assertions) {
-        return true;
-    }
-    static VERIFY_ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *VERIFY_ENV.get_or_init(|| {
-        std::env::var("PF_VERIFY")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-            .unwrap_or(false)
-    })
+    optimize_with_verify(plan, level, stats, cfg!(debug_assertions))
 }
 
 /// [`optimize_with`] with explicit control over plan verification.

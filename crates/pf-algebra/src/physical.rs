@@ -25,9 +25,7 @@
 //! itself scheduler-ready: [`PhysicalPlan::books`] derives the ready-set
 //! bookkeeping at node granularity, so the executor dispatches whole
 //! pipelines as single work units on both its sequential and parallel
-//! paths.  Compiling with `fusion = false` yields one singleton node per
-//! operator — the exact pre-fusion interpretation order — which is the
-//! A/B escape hatch behind `EngineOptions::fusion` / `PF_FUSION=0`.
+//! paths.
 //!
 //! [`Pipeline`]: PhysKind::Pipeline
 
@@ -220,15 +218,10 @@ fn step_matches(op: &AlgOp, step: &FusedStep) -> bool {
 }
 
 impl PhysicalPlan {
-    /// Compile `plan` into a physical plan.
-    ///
-    /// With `fusion` enabled, maximal single-consumer chains of fusable
-    /// operators become [`PhysKind::Pipeline`] nodes; singleton chains and
-    /// everything else stay [`PhysKind::Breaker`]s.  With `fusion`
-    /// disabled every reachable operator becomes its own breaker — the
-    /// node order is then exactly the logical topological order, so the
-    /// executor reproduces the unfused interpretation step for step.
-    pub fn compile(plan: &Plan, fusion: bool) -> PhysicalPlan {
+    /// Compile `plan` into a physical plan: maximal single-consumer chains
+    /// of fusable operators become [`PhysKind::Pipeline`] nodes; singleton
+    /// chains and everything else stay [`PhysKind::Breaker`]s.
+    pub fn compile(plan: &Plan) -> PhysicalPlan {
         let books = plan.ready_set_books();
         let n = plan.ops().len();
         let mut absorbed = vec![false; n];
@@ -242,7 +235,7 @@ impl PhysicalPlan {
                 continue;
             }
             let op = plan.op(id);
-            if fusion && is_fusable(op) {
+            if is_fusable(op) {
                 // `id` is a chain head: its input is either a breaker or a
                 // shared / already-absorbed fusable result (otherwise this
                 // op would have been absorbed when its child was visited —
@@ -488,7 +481,7 @@ mod tests {
     #[test]
     fn single_consumer_chains_fuse_between_breakers() {
         let plan = chain_plan();
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.nodes().len(), 3, "lit + pipeline + sort");
         assert_eq!(phys.pipeline_count(), 1);
         assert_eq!(phys.fused_ops(), 4);
@@ -505,18 +498,6 @@ mod tests {
         assert_eq!(steps.len(), 4);
         assert!(matches!(steps[0], FusedStep::Attach { .. }));
         assert!(matches!(steps[3], FusedStep::Project { .. }));
-    }
-
-    #[test]
-    fn fusion_off_yields_one_breaker_per_operator_in_topo_order() {
-        let plan = chain_plan();
-        let phys = PhysicalPlan::compile(&plan, false);
-        assert_eq!(phys.nodes().len(), plan.operator_count());
-        assert!(phys.nodes().iter().all(|n| !n.is_pipeline()));
-        assert_eq!(phys.fused_ops(), 0);
-        assert_eq!(phys.tables_elided(), 0);
-        let order: Vec<OpId> = phys.nodes().iter().map(|n| n.output).collect();
-        assert_eq!(order, plan.reachable());
     }
 
     #[test]
@@ -551,7 +532,7 @@ mod tests {
             right: s2,
         });
         let plan = b.finish(cross);
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.pipeline_count(), 0);
         assert_eq!(phys.tables_elided(), 0);
         assert_eq!(phys.nodes().len(), 5);
@@ -576,7 +557,7 @@ mod tests {
             columns: vec![("iter".into(), "iter".into()), ("pos".into(), "pos".into())],
         });
         let plan = b.finish(project);
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.pipeline_count(), 1);
         assert_eq!(phys.nodes()[phys.root_node()].output, project);
         assert!(phys.nodes()[phys.root_node()].is_pipeline());
@@ -598,14 +579,14 @@ mod tests {
             columns: vec![("iter".into(), "iter".into())],
         });
         let plan = b.finish(attach);
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.pipeline_count(), 0);
     }
 
     #[test]
     fn books_agree_with_node_structure() {
         let plan = chain_plan();
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         let books = phys.books();
         assert_eq!(books.input_edges, vec![0, 1, 1]);
         assert_eq!(books.consumers[0], vec![1]);
@@ -624,27 +605,10 @@ mod tests {
     }
 
     #[test]
-    fn fusion_off_books_match_the_logical_books() {
-        let plan = chain_plan();
-        let phys = PhysicalPlan::compile(&plan, false);
-        let books = phys.books();
-        let logical = plan.ready_set_books();
-        // With singleton nodes in topo order, node-granular bookkeeping
-        // collapses onto the logical bookkeeping.
-        let node_output: Vec<OpId> = phys.nodes().iter().map(|n| n.output).collect();
-        for (node_id, &op) in node_output.iter().enumerate() {
-            assert_eq!(books.input_edges[node_id], logical.input_edges[op]);
-            assert_eq!(books.result_consumers[op], logical.consumer_counts[op]);
-        }
-        assert_eq!(books.width(), logical.width());
-    }
-
-    #[test]
     fn matches_accepts_its_source_plan_and_rejects_others() {
         let plan = chain_plan();
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         assert!(phys.matches(&plan));
-        assert!(PhysicalPlan::compile(&plan, false).matches(&plan));
 
         // A same-size plan with one fused parameter changed is rejected.
         let mut other = chain_plan();
@@ -682,7 +646,7 @@ mod tests {
             right: lit,
         });
         let plan = b.finish(cross);
-        let phys = PhysicalPlan::compile(&plan, true);
+        let phys = PhysicalPlan::compile(&plan);
         let books = phys.books();
         assert_eq!(books.input_edges[1], 2);
         assert_eq!(books.consumers[0], vec![1, 1]);

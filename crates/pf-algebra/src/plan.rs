@@ -107,7 +107,7 @@ impl Plan {
     /// walks it directly: it schedules physical nodes and evicts via the
     /// node-granular consumer counts of
     /// [`crate::PhysicalPlan::books`], which collapse onto this schedule
-    /// when every operator is its own node (fusion off).
+    /// when every operator is its own node (a plan nothing fuses in).
     pub fn last_use_schedule(&self) -> Vec<(OpId, Vec<OpId>)> {
         let mut remaining = self.consumer_counts();
         self.reachable()

@@ -23,8 +23,7 @@
 //!   replaced where the scaffolding in between is provably row-for-row.
 //!
 //! The optimizer runs these checks between rule applications in debug
-//! builds unconditionally, and in release behind
-//! `EngineOptions::verify_plans` / `PF_VERIFY=1`
+//! builds, which every `cargo test` run is, and skips them in release
 //! (see [`crate::optimize::optimize_with_verify`]).  Error messages for
 //! semantic failures embed the property-annotated plan dump
 //! ([`crate::render::to_ascii_annotated`]) so a rejected rewrite is

@@ -1,7 +1,8 @@
-//! Shared harness code for the benchmark binaries and Criterion benches.
+//! Shared code for the paper-artefact binaries.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
-//! binary in `src/bin/` (see DESIGN.md's experiment index).  The helpers
+//! binary in `src/bin/`; performance is measured by `bench/pfbench` (see
+//! `bench/README.md`), not here.  The helpers
 //! here prepare documents of a given scale factor for both engines and time
 //! query executions.
 
@@ -54,32 +55,12 @@ pub struct Instance {
 /// Generate one instance and load it into both engines.
 ///
 /// The generated XML is parsed once; the parsed document is shared with the
-/// baseline engine (zero-copy) and shredded into the Pathfinder store.
-/// The Pathfinder engine uses the default thread count (`PF_THREADS` /
-/// available parallelism); measurements that must be schedule-independent
-/// should use [`prepare_with_threads`] and pin `threads = 1`.
+/// baseline engine (zero-copy) and shredded into the Pathfinder store,
+/// which runs with the default engine options.
 pub fn prepare(scale: f64) -> Instance {
-    prepare_with_threads(scale, 0)
-}
-
-/// Like [`prepare`], with an explicit executor thread count for the
-/// Pathfinder engine (`0` = default, `1` = sequential path).
-pub fn prepare_with_threads(scale: f64, threads: usize) -> Instance {
-    prepare_with_options(
-        scale,
-        pf_engine::EngineOptions {
-            threads,
-            ..pf_engine::EngineOptions::default()
-        },
-    )
-}
-
-/// Like [`prepare`], with full control over the Pathfinder engine options
-/// (thread count, operator fusion, plan-cache capacity, …).
-pub fn prepare_with_options(scale: f64, options: pf_engine::EngineOptions) -> Instance {
     let xml = generate(&GeneratorConfig { scale, seed: SEED });
     let doc = Arc::new(pf_xml::parse(&xml).expect("generated document is well-formed"));
-    let pathfinder = Pathfinder::with_options(options);
+    let pathfinder = Pathfinder::new();
     pathfinder
         .load_parsed("auction.xml", &doc)
         .expect("shredding cannot fail on a parsed document");
@@ -110,26 +91,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// Table 3 of the paper).
 pub fn seconds(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
-}
-
-/// Minimal JSON string escaping, shared by the hand-rolled JSON emitters of
-/// the profile binaries (the workspace deliberately has no serde).
-pub fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -7,9 +7,7 @@
 //! pass by `pf-relational`'s fused kernel, with **zero intermediate table
 //! allocations**).  The physical plan is compiled once per (cached)
 //! logical plan; [`ExecStats::fused_ops`] / [`ExecStats::tables_elided`]
-//! report what fusion saved, and `EngineOptions::fusion` (or `PF_FUSION=0`)
-//! turns it off, which reproduces the pre-fusion interpretation step for
-//! step.
+//! report what fusion saved.
 //!
 //! Physical nodes are evaluated in **ready-set order**: the executor
 //! keeps, for every node, the number of inputs that are not yet
@@ -47,17 +45,15 @@
 //! (`AggPlan::chunk_parallel_safe`); `sum`/`avg` stay sequential, and
 //! ascending `Nat`/`Int` group columns take a hash-free segmented scan.
 //! [`ExecStats::join_build_rows`] / [`ExecStats::join_probe_rows`] /
-//! [`ExecStats::agg_input_rows`] count what the kernels processed, and
-//! `PF_KERNELS=generic` (or `Executor::with_typed_kernels(false)`) falls
-//! back to the old value-at-a-time kernels for A/B measurement.
+//! [`ExecStats::agg_input_rows`] count what the kernels processed.
 //!
 //! Intermediate results are held behind [`Arc`]s and evicted at their last
-//! use: both paths decrement the per-result consumer counts of
+//! use: both dispatch loops publish every node through one
+//! `RunState::publish`, which decrements the per-result consumer counts of
 //! [`PhysicalPlan::books`] (`result_consumers`, which count consuming
-//! *node* edges plus a synthetic final consumer protecting the root) as
-//! each node publishes, and free a result the moment its count reaches
-//! zero — peak resident rows track the live frontier of the DAG, not the
-//! whole plan.  Physical cell accounting is incremental (per
+//! *node* edges plus a synthetic final consumer protecting the root) and
+//! frees a result the moment its count reaches zero — peak resident rows
+//! track the live frontier of the DAG, not the whole plan.  Physical cell accounting is incremental (per
 //! [`Column::buffer_id`] refcounts, updated on publish/evict), so profiling
 //! no longer rescans the live slots after every operator.  Operators are
 //! borrowed from the plan, never cloned.
@@ -123,8 +119,7 @@ pub struct ExecStats {
     pub peak_resident_cells: usize,
     /// Intermediate results freed before the end of the query.
     pub evicted_results: usize,
-    /// Logical operators that ran inside fused pipelines (0 with fusion
-    /// disabled).
+    /// Logical operators that ran inside fused pipelines.
     pub fused_ops: usize,
     /// Intermediate tables fusion elided — one per interior pipeline edge
     /// that the unfused interpreter would have materialized.
@@ -150,116 +145,19 @@ pub struct ExecStats {
 }
 
 /// The thread count the executor uses when none is requested explicitly:
-/// the `PF_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`].
+/// [`std::thread::available_parallelism`].
 pub fn default_threads() -> usize {
-    match std::env::var("PF_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
-    }
-}
-
-/// The fusion default when none is requested explicitly: `PF_FUSION`
-/// set to `0`, `false`, `off` or `no` disables operator fusion; anything
-/// else (including an unset variable) enables it.  The variable is read
-/// once per process — an executor is constructed per query, and the
-/// default would otherwise cost an environment lookup on every call.
-pub fn default_fusion() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| fusion_flag(std::env::var("PF_FUSION").ok().as_deref()))
-}
-
-/// Parse a `PF_FUSION`-style setting (split out of [`default_fusion`] so
-/// the parsing is testable without mutating the process environment).
-fn fusion_flag(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        None => true,
-    }
-}
-
-/// The kernel selection when none is requested explicitly: `PF_KERNELS`
-/// set to `generic`, `value` or `0` selects the old value-at-a-time
-/// join/aggregate kernels (the A/B baseline `join_profile` measures
-/// against); anything else (including an unset variable) selects the typed
-/// columnar kernels.  Read per executor construction, not cached — the
-/// bench flips it between runs.
-pub fn default_typed_kernels() -> bool {
-    kernels_flag(std::env::var("PF_KERNELS").ok().as_deref())
-}
-
-/// Parse a `PF_KERNELS`-style setting (`true` = typed kernels).
-fn kernels_flag(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "generic" | "value" | "0" | "off"
-        ),
-        None => true,
-    }
-}
-
-/// The index-scan default when none is requested explicitly: `PF_INDEXES`
-/// set to `0`, `false`, `off` or `no` disables the optimizer's
-/// index-accelerated predicate rewrites (`EngineOptions::indexes`);
-/// anything else (including an unset variable) enables them.  Read per
-/// engine construction, not cached — the `index_profile` bench flips it
-/// between runs.
-pub fn default_indexes() -> bool {
-    indexes_flag(std::env::var("PF_INDEXES").ok().as_deref())
-}
-
-/// Parse a `PF_INDEXES`-style setting (`true` = index scans allowed).
-fn indexes_flag(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        None => true,
-    }
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Default morsel size (input rows per partitioned-operator chunk) when
-/// neither `EngineOptions::morsel_rows` nor `PF_MORSEL` says otherwise.
+/// `EngineOptions::morsel_rows` does not say otherwise.
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
-/// The morsel size used when none is requested explicitly: the `PF_MORSEL`
-/// environment variable if set (`morsel_flag` syntax), otherwise
-/// [`DEFAULT_MORSEL_ROWS`].
-pub fn default_morsel_rows() -> usize {
-    morsel_flag(std::env::var("PF_MORSEL").ok().as_deref())
-}
-
-/// Parse a `PF_MORSEL`-style setting: a positive integer is the morsel
-/// size in input rows; `off`, `none`, `inf` or `max` disable
-/// intra-operator partitioning entirely (one infinite morsel); anything
-/// else (including an unset variable or `0`) selects
-/// [`DEFAULT_MORSEL_ROWS`] — `0` consistently means "use the default" for
-/// this knob, in the environment variable, `EngineOptions::morsel_rows`
-/// and [`Executor::with_morsel_rows`] alike.
-fn morsel_flag(value: Option<&str>) -> usize {
-    match value {
-        Some(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "inf" | "max" => usize::MAX,
-            "0" => DEFAULT_MORSEL_ROWS,
-            trimmed => trimmed.parse::<usize>().unwrap_or(DEFAULT_MORSEL_ROWS),
-        },
-        None => DEFAULT_MORSEL_ROWS,
-    }
-}
-
 /// Per-operator-kind wall-clock accounting of one plan execution, collected
-/// when [`Executor::with_op_profile`] asks for it (the `morsel_profile`
-/// bench bin reports these at several thread counts).  Unlike [`ExecStats`],
+/// when [`Executor::with_op_profile`] asks for it.  Unlike [`ExecStats`],
 /// timings are inherently schedule-dependent; the *shape* (kinds, node and
 /// row counts) is not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -289,21 +187,6 @@ fn record_op_time(times: &mut OpTimes, kind: &'static str, rows: usize, elapsed:
     entry.0 += 1;
     entry.1 += rows;
     entry.2 += elapsed;
-}
-
-fn finish_profile(times: Option<OpTimes>) -> OpProfile {
-    let mut entries: Vec<OpTiming> = times
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(kind, (nodes, rows, total))| OpTiming {
-            kind,
-            nodes,
-            rows,
-            total,
-        })
-        .collect();
-    entries.sort_by_key(|e| e.kind);
-    OpProfile { entries }
 }
 
 /// The profile key of one physical node.
@@ -516,42 +399,116 @@ impl ContentIndex {
     }
 }
 
-/// Account one published node result into the running statistics.
+/// The published results of one run and everything accounted about them.
 ///
-/// Shared by the sequential and parallel paths so the work totals are
-/// schedule-independent by construction: a breaker contributes one
-/// evaluated operator, a pipeline contributes all the operators it covers
-/// plus the intermediate tables it never allocated.
-fn account_publish(stats: &mut ExecStats, node: &PhysNode, table: &Table, kernel: &KernelStats) {
-    stats.operators_evaluated += node.op_count();
-    if let PhysKind::Pipeline { ops, .. } = &node.kind {
-        stats.fused_ops += ops.len();
-        stats.tables_elided += ops.len() - 1;
-    }
-    stats.rows_produced += table.row_count();
-    stats.cells_produced += table.columns().iter().map(|(_, c)| c.len()).sum::<usize>();
-    stats.join_build_rows += kernel.join_build_rows;
-    stats.join_probe_rows += kernel.join_probe_rows;
-    stats.agg_input_rows += kernel.agg_input_rows;
-    stats.index_lookups += kernel.index_lookups;
-    stats.index_candidate_rows += kernel.index_candidate_rows;
-    stats.index_residual_rows += kernel.index_residual_rows;
-}
-
-/// Mutable scheduler state shared by the coordinator and the workers.
-struct ParState {
+/// Both dispatch loops hand every evaluated node to [`RunState::publish`],
+/// so the work totals, peaks, evictions and timings come from one piece
+/// of code and are schedule-independent by construction (only the peaks
+/// depend on which branches happened to be resident together).
+struct RunState {
     slots: Vec<Option<Arc<Table>>>,
-    /// Unmet input edges per physical node (ready when 0).
-    waiting: Vec<usize>,
     /// Remaining consumer edges per published result, by [`OpId`] (evict
     /// when 0).
     remaining: Vec<usize>,
-    /// Nodes published so far.
-    completed: usize,
     stats: ExecStats,
     resident_rows: usize,
     ledger: CellLedger,
     op_times: Option<OpTimes>,
+}
+
+impl RunState {
+    fn new(plan: &Plan, remaining: Vec<usize>, profile_ops: bool) -> Self {
+        RunState {
+            slots: vec![None; plan.ops().len()],
+            remaining,
+            stats: ExecStats::default(),
+            resident_rows: 0,
+            ledger: CellLedger::default(),
+            op_times: profile_ops.then(HashMap::new),
+        }
+    }
+
+    /// Record `node`'s result: time and account it, publish it, and evict
+    /// the inputs that lost their last consumer.  A breaker contributes
+    /// one evaluated operator, a pipeline all the operators it covers plus
+    /// the intermediate tables it never allocated.
+    fn publish(
+        &mut self,
+        plan: &Plan,
+        node: &PhysNode,
+        table: Table,
+        kernel: &KernelStats,
+        elapsed: Option<Duration>,
+    ) {
+        if let (Some(times), Some(elapsed)) = (&mut self.op_times, elapsed) {
+            record_op_time(times, node_kind(plan, node), table.row_count(), elapsed);
+            for &(kind, rows, spent) in &kernel.timings {
+                record_op_time(times, kind, rows, spent);
+            }
+        }
+        let stats = &mut self.stats;
+        stats.operators_evaluated += node.op_count();
+        if let PhysKind::Pipeline { ops, .. } = &node.kind {
+            stats.fused_ops += ops.len();
+            stats.tables_elided += ops.len() - 1;
+        }
+        stats.rows_produced += table.row_count();
+        stats.cells_produced += table.columns().iter().map(|(_, c)| c.len()).sum::<usize>();
+        stats.join_build_rows += kernel.join_build_rows;
+        stats.join_probe_rows += kernel.join_probe_rows;
+        stats.agg_input_rows += kernel.agg_input_rows;
+        stats.index_lookups += kernel.index_lookups;
+        stats.index_candidate_rows += kernel.index_candidate_rows;
+        stats.index_residual_rows += kernel.index_residual_rows;
+
+        self.resident_rows += table.row_count();
+        let table = Arc::new(table);
+        self.ledger.publish(&table);
+        self.slots[node.output] = Some(table);
+        // The node's inputs and its output coexist while it runs, so the
+        // peaks are sampled before the inputs are released.
+        stats.peak_resident_rows = stats.peak_resident_rows.max(self.resident_rows);
+        stats.peak_resident_cells = stats.peak_resident_cells.max(self.ledger.resident);
+        for &input in &node.inputs {
+            self.remaining[input] -= 1;
+            if self.remaining[input] == 0 {
+                if let Some(freed) = self.slots[input].take() {
+                    self.resident_rows -= freed.row_count();
+                    self.ledger.evict(&freed);
+                    stats.evicted_results += 1;
+                }
+            }
+        }
+    }
+
+    /// The root table, the statistics and the timing profile of the run.
+    fn finish(mut self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
+        let root = self.slots[plan.root()]
+            .take()
+            .ok_or_else(|| EngineError::msg("plan produced no result"))?;
+        let mut entries: Vec<OpTiming> = self
+            .op_times
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(kind, (nodes, rows, total))| OpTiming {
+                kind,
+                nodes,
+                rows,
+                total,
+            })
+            .collect();
+        entries.sort_by_key(|e| e.kind);
+        Ok((root, self.stats, OpProfile { entries }))
+    }
+}
+
+/// Mutable scheduler state shared by the coordinator and the workers.
+struct ParState {
+    run: RunState,
+    /// Unmet input edges per physical node (ready when 0).
+    waiting: Vec<usize>,
+    /// Nodes published so far.
+    completed: usize,
     error: Option<EngineError>,
 }
 
@@ -607,7 +564,7 @@ impl ParCtx<'_, '_> {
             node.inputs
                 .iter()
                 .map(|&input| {
-                    let table = state.slots[input]
+                    let table = state.run.slots[input]
                         .clone()
                         .expect("ready node with unpublished input");
                     (input, table)
@@ -634,21 +591,25 @@ impl ParCtx<'_, '_> {
         let elapsed = started.map(|s| s.elapsed());
         drop(gathered);
         let newly_ready = {
-            let mut state = self.state.lock().expect("scheduler lock poisoned");
+            let mut guard = self.state.lock().expect("scheduler lock poisoned");
+            let state = &mut *guard;
             match outcome {
                 Ok((table, kernel)) => {
-                    if let (Some(times), Some(elapsed)) = (&mut state.op_times, elapsed) {
-                        record_op_time(
-                            times,
-                            node_kind(self.plan, node),
-                            table.row_count(),
-                            elapsed,
-                        );
-                        for &(kind, rows, spent) in &kernel.timings {
-                            record_op_time(times, kind, rows, spent);
+                    state.run.publish(self.plan, node, table, &kernel, elapsed);
+                    state.completed += 1;
+                    let mut newly_ready = Vec::new();
+                    for &parent in &self.consumers[node_id] {
+                        state.waiting[parent] -= 1;
+                        if state.waiting[parent] == 0 {
+                            newly_ready.push(parent);
                         }
                     }
-                    self.publish(&mut state, node_id, table, &kernel)
+                    // Node ids are topological positions; submitting the
+                    // smallest first approximates the sequential order.
+                    // (No duplicates: `waiting` counts edges, so even a
+                    // parent consuming this result twice hits zero once.)
+                    newly_ready.sort_unstable();
+                    newly_ready
                 }
                 Err(e) => {
                     // First failure wins; everyone drains on the flag.
@@ -664,54 +625,6 @@ impl ParCtx<'_, '_> {
         // wake whoever waits on that.
         self.pool.bump();
     }
-
-    /// Record a published result: account it, evict inputs that lost their
-    /// last consumer, and return the nodes whose inputs are now complete
-    /// (the caller submits them as jobs).
-    #[must_use]
-    fn publish(
-        &self,
-        state: &mut ParState,
-        node_id: PhysNodeId,
-        table: Table,
-        kernel: &KernelStats,
-    ) -> Vec<PhysNodeId> {
-        let node = &self.physical.nodes()[node_id];
-        account_publish(&mut state.stats, node, &table, kernel);
-        state.resident_rows += table.row_count();
-        let table = Arc::new(table);
-        state.ledger.publish(&table);
-        state.slots[node.output] = Some(table);
-        // Inputs and output coexist while a node runs, so the peaks are
-        // sampled before the inputs are released.
-        state.stats.peak_resident_rows = state.stats.peak_resident_rows.max(state.resident_rows);
-        state.stats.peak_resident_cells =
-            state.stats.peak_resident_cells.max(state.ledger.resident);
-        for &input in &node.inputs {
-            state.remaining[input] -= 1;
-            if state.remaining[input] == 0 {
-                if let Some(freed) = state.slots[input].take() {
-                    state.resident_rows -= freed.row_count();
-                    state.ledger.evict(&freed);
-                    state.stats.evicted_results += 1;
-                }
-            }
-        }
-        let mut newly_ready = Vec::new();
-        for &parent in &self.consumers[node_id] {
-            state.waiting[parent] -= 1;
-            if state.waiting[parent] == 0 {
-                newly_ready.push(parent);
-            }
-        }
-        // Node ids are topological positions; submitting the smallest
-        // first approximates the sequential executor's memory-friendly
-        // order.  (No duplicates possible: `waiting` counts edges, so even
-        // a parent consuming this result twice hits zero exactly once.)
-        newly_ready.sort_unstable();
-        state.completed += 1;
-        newly_ready
-    }
 }
 
 /// Plan interpreter bound to a document registry.
@@ -724,13 +637,9 @@ impl ParCtx<'_, '_> {
 pub struct Executor<'a> {
     registry: &'a DocRegistry,
     threads: usize,
-    fusion: bool,
     /// Input rows per morsel for partitioned operators (`usize::MAX`
     /// disables intra-operator partitioning).
     morsel_rows: usize,
-    /// `false` selects the old value-at-a-time join/aggregate kernels
-    /// (A/B baseline; results are identical either way).
-    typed_kernels: bool,
     /// Collect per-operator-kind timings ([`OpProfile`]).
     profile_ops: bool,
     /// The fair-scheduling lane this executor's pool jobs queue on (the
@@ -748,19 +657,16 @@ pub struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     /// Create an executor over `registry` (constructed nodes are registered
-    /// there) using the default thread count ([`default_threads`]) and the
-    /// default fusion setting ([`default_fusion`]).
+    /// there) using the default thread count ([`default_threads`]).
     pub fn new(registry: &'a DocRegistry) -> Self {
         Executor::with_threads(registry, 0)
     }
 
     /// Create an executor with an explicit worker thread count.
     ///
-    /// `1` selects the sequential path (identical, step for step, to the
-    /// pre-parallel executor); `0` resolves to [`default_threads`].
-    /// Operator fusion starts at the [`default_fusion`] setting; override
-    /// it with [`Executor::with_fusion`].  The morsel size starts at
-    /// [`default_morsel_rows`]; override it with
+    /// `1` selects the sequential path; `0` resolves to
+    /// [`default_threads`].  The morsel size starts at
+    /// [`DEFAULT_MORSEL_ROWS`]; override it with
     /// [`Executor::with_morsel_rows`].
     pub fn with_threads(registry: &'a DocRegistry, threads: usize) -> Self {
         let threads = if threads == 0 {
@@ -771,9 +677,7 @@ impl<'a> Executor<'a> {
         Executor {
             registry,
             threads,
-            fusion: default_fusion(),
-            morsel_rows: default_morsel_rows(),
-            typed_kernels: default_typed_kernels(),
+            morsel_rows: DEFAULT_MORSEL_ROWS,
             profile_ops: false,
             query_tag: 0,
             shared_pool: None,
@@ -781,33 +685,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Enable or disable operator fusion (the A/B escape hatch behind
-    /// `EngineOptions::fusion` / `PF_FUSION=0`).  Results are identical
-    /// either way; only the number of materialized intermediates changes.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
     /// Set the morsel size (input rows per chunk) for partitioned
-    /// operators; `0` resolves to [`default_morsel_rows`], `usize::MAX`
+    /// operators; `0` resolves to [`DEFAULT_MORSEL_ROWS`], `usize::MAX`
     /// disables intra-operator partitioning.  Results and work totals are
     /// identical at every setting.
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = if rows == 0 {
-            default_morsel_rows()
-        } else {
-            rows
-        };
-        self
-    }
-
-    /// Select between the typed columnar join/aggregate kernels (`true`,
-    /// the default) and the old value-at-a-time kernels (`false` — the
-    /// `PF_KERNELS=generic` A/B baseline).  Results are identical either
-    /// way; only the per-row work changes.
-    pub fn with_typed_kernels(mut self, typed: bool) -> Self {
-        self.typed_kernels = typed;
+        self.morsel_rows = if rows == 0 { DEFAULT_MORSEL_ROWS } else { rows };
         self
     }
 
@@ -839,22 +722,6 @@ impl<'a> Executor<'a> {
     /// The number of threads this executor evaluates plans with.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// `true` when this executor fuses operator pipelines.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion
-    }
-
-    /// The morsel size (input rows per partitioned-operator chunk).
-    pub fn morsel_rows(&self) -> usize {
-        self.morsel_rows
-    }
-
-    /// `true` when this executor uses the typed columnar join/aggregate
-    /// kernels.
-    pub fn typed_kernels(&self) -> bool {
-        self.typed_kernels
     }
 
     /// The worker pool this executor runs on (the shared one when
@@ -894,28 +761,12 @@ impl<'a> Executor<'a> {
         ))
     }
 
-    /// Evaluate `plan`, returning the root table behind its [`Arc`] handle
-    /// (ready to hand to the streaming serializer without a copy) and the
-    /// statistics of the run.  Compiles the physical plan on the fly; use
-    /// [`Executor::run_physical`] to reuse a cached compilation.
-    pub fn run_shared(&self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats)> {
-        self.execute(plan)
-    }
-
     /// Evaluate a pre-compiled physical plan (see [`PhysicalPlan::compile`];
-    /// the engine caches one per cached logical plan).  `physical` must
-    /// have been compiled from this very `plan`.
-    pub fn run_physical(
-        &self,
-        plan: &Plan,
-        physical: &PhysicalPlan,
-    ) -> EngineResult<(Arc<Table>, ExecStats)> {
-        let (table, stats, _) = self.run_physical_profiled(plan, physical)?;
-        Ok((table, stats))
-    }
-
-    /// Like [`Executor::run_physical`], but also return the per-operator
-    /// timing profile (only populated under [`Executor::with_op_profile`]).
+    /// the engine caches one per cached logical plan), returning the root
+    /// table behind its [`Arc`], the statistics of the run and the
+    /// per-operator timing profile (only populated under
+    /// [`Executor::with_op_profile`]).  `physical` must have been compiled
+    /// from this very `plan`.
     pub fn run_physical_profiled(
         &self,
         plan: &Plan,
@@ -930,7 +781,7 @@ impl<'a> Executor<'a> {
     }
 
     fn execute(&self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats)> {
-        let physical = PhysicalPlan::compile(plan, self.fusion);
+        let physical = PhysicalPlan::compile(plan);
         let (table, stats, _) = self.execute_physical(plan, &physical)?;
         Ok((table, stats))
     }
@@ -990,10 +841,9 @@ impl<'a> Executor<'a> {
     }
 
     /// The sequential dispatch path: physical nodes in topological order
-    /// with last-use eviction — with fusion disabled and one thread this
-    /// is operator for operator the pre-fusion interpreter.  With more
-    /// threads, individual operators still partition onto the pool
-    /// (morsels); only the dispatch order is sequential.
+    /// with last-use eviction.  With more than one thread, individual
+    /// operators still partition onto the pool (morsels); only the
+    /// dispatch order is sequential.
     fn execute_sequential(
         &self,
         plan: &Plan,
@@ -1001,47 +851,14 @@ impl<'a> Executor<'a> {
         books: PhysicalBooks,
         doc_ids: DocIds,
     ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        let mut remaining = books.result_consumers;
-        let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.ops().len()];
-        let mut stats = ExecStats::default();
-        let mut resident_rows = 0usize;
-        let mut ledger = CellLedger::default();
-        let mut op_times: Option<OpTimes> = self.profile_ops.then(HashMap::new);
+        let mut run = RunState::new(plan, books.result_consumers, self.profile_ops);
         for node in physical.nodes() {
             let started = self.profile_ops.then(Instant::now);
-            let (table, kernel) = self.eval_node(plan, node, &Inputs::Slots(&slots), &doc_ids)?;
-            if let (Some(times), Some(started)) = (&mut op_times, started) {
-                record_op_time(
-                    times,
-                    node_kind(plan, node),
-                    table.row_count(),
-                    started.elapsed(),
-                );
-                for &(kind, rows, spent) in &kernel.timings {
-                    record_op_time(times, kind, rows, spent);
-                }
-            }
-            account_publish(&mut stats, node, &table, &kernel);
-            resident_rows += table.row_count();
-            let table = Arc::new(table);
-            ledger.publish(&table);
-            slots[node.output] = Some(table);
-            // The node's inputs and its output coexist while it runs, so
-            // the peaks are sampled before the dead set is dropped.
-            stats.peak_resident_rows = stats.peak_resident_rows.max(resident_rows);
-            stats.peak_resident_cells = stats.peak_resident_cells.max(ledger.resident);
-            for &input in &node.inputs {
-                remaining[input] -= 1;
-                if remaining[input] == 0 {
-                    if let Some(freed) = slots[input].take() {
-                        resident_rows -= freed.row_count();
-                        ledger.evict(&freed);
-                        stats.evicted_results += 1;
-                    }
-                }
-            }
+            let (table, kernel) =
+                self.eval_node(plan, node, &Inputs::Slots(&run.slots), &doc_ids)?;
+            run.publish(plan, node, table, &kernel, started.map(|s| s.elapsed()));
         }
-        Self::take_root(&mut slots, plan, stats, finish_profile(op_times))
+        run.finish(plan)
     }
 
     /// The ready-set scheduler on the persistent pool: every node
@@ -1075,14 +892,9 @@ impl<'a> Executor<'a> {
             doc_ids,
             consumers,
             state: Mutex::new(ParState {
-                slots: vec![None; plan.ops().len()],
+                run: RunState::new(plan, remaining, self.profile_ops),
                 waiting,
-                remaining,
                 completed: 0,
-                stats: ExecStats::default(),
-                resident_rows: 0,
-                ledger: CellLedger::default(),
-                op_times: self.profile_ops.then(HashMap::new),
                 error: None,
             }),
         };
@@ -1106,25 +918,11 @@ impl<'a> Executor<'a> {
             std::panic::resume_unwind(payload);
         }
         drop(session);
-        let mut state = ctx.state.into_inner().expect("scheduler lock poisoned");
-        if let Some(error) = state.error.take() {
-            return Err(error);
+        let state = ctx.state.into_inner().expect("scheduler lock poisoned");
+        match state.error {
+            Some(error) => Err(error),
+            None => state.run.finish(plan),
         }
-        let stats = state.stats;
-        let profile = finish_profile(state.op_times.take());
-        Self::take_root(&mut state.slots, plan, stats, profile)
-    }
-
-    fn take_root(
-        slots: &mut [Option<Arc<Table>>],
-        plan: &Plan,
-        stats: ExecStats,
-        profile: OpProfile,
-    ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        let root = slots[plan.root()]
-            .take()
-            .ok_or_else(|| EngineError::msg("plan produced no result"))?;
-        Ok((root, stats, profile))
     }
 
     /// Evaluate one physical node: breakers go through the single-operator
@@ -1142,52 +940,7 @@ impl<'a> Executor<'a> {
         doc_ids: &DocIds,
     ) -> EngineResult<(Table, KernelStats)> {
         match &node.kind {
-            PhysKind::Breaker => match plan.op(node.output) {
-                AlgOp::EquiJoin {
-                    left,
-                    right,
-                    left_col,
-                    right_col,
-                } => self.equi_join_node(
-                    inputs.get(*left)?,
-                    inputs.get(*right)?,
-                    left_col,
-                    right_col,
-                ),
-                AlgOp::ThetaJoin {
-                    left,
-                    right,
-                    left_col,
-                    op,
-                    right_col,
-                } => self.theta_join_node(
-                    inputs.get(*left)?,
-                    inputs.get(*right)?,
-                    left_col,
-                    *op,
-                    right_col,
-                ),
-                AlgOp::ThetaCount { left, right, count } => {
-                    self.theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)
-                }
-                AlgOp::Aggregate {
-                    input,
-                    group,
-                    target,
-                    func,
-                    value,
-                } => self.aggregate_node(inputs.get(*input)?, group, target, *func, value),
-                AlgOp::IndexScan {
-                    input,
-                    uri,
-                    probe,
-                    mode,
-                } => self.index_scan_node(inputs.get(*input)?, uri, probe, *mode),
-                _ => Ok((
-                    self.eval(plan, node.output, inputs, doc_ids)?,
-                    KernelStats::default(),
-                )),
-            },
+            PhysKind::Breaker => self.eval(plan, node.output, inputs, doc_ids),
             PhysKind::Pipeline { steps, .. } => {
                 let input = inputs.get(node.inputs[0])?;
                 let table = match self.morsel_chunk_rows(input.row_count()) {
@@ -1235,9 +988,7 @@ impl<'a> Executor<'a> {
     /// smaller side (typed keys straight off the column buffers — no
     /// per-row [`Value`]), then probe in chunk ranges on the pool.  The
     /// per-range pair vectors concatenate in range order, so the output is
-    /// bit-identical to the sequential probe.  Under
-    /// [`Executor::with_typed_kernels`]`(false)` (or `PF_KERNELS=generic`)
-    /// the value-at-a-time reference join runs instead.
+    /// bit-identical to the sequential probe.
     fn equi_join_node(
         &self,
         left: &Table,
@@ -1246,12 +997,6 @@ impl<'a> Executor<'a> {
         right_col: &str,
     ) -> EngineResult<(Table, KernelStats)> {
         let mut kernel = KernelStats::default();
-        if !self.typed_kernels {
-            kernel.join_build_rows = right.row_count();
-            kernel.join_probe_rows = left.row_count();
-            let table = ops::equi_join_generic(left, right, left_col, right_col)?;
-            return Ok((table, kernel));
-        }
         let build_started = self.profile_ops.then(Instant::now);
         let join = ops::JoinPlan::new(left, right, left_col, right_col)?;
         kernel.join_build_rows = join.build_rows();
@@ -1354,8 +1099,7 @@ impl<'a> Executor<'a> {
     /// (hash-free) scan when the group column is ascending, per-chunk
     /// pre-aggregation merged in chunk order when the function tolerates
     /// it (see [`AggPlan::chunk_parallel_safe`]), the sequential typed
-    /// loop otherwise.  Under [`Executor::with_typed_kernels`]`(false)`
-    /// the value-at-a-time reference aggregation runs instead.
+    /// loop otherwise.
     ///
     /// When a chunk errors, the plan re-runs sequentially and THAT error
     /// is surfaced, keeping messages independent of the morsel size.
@@ -1373,10 +1117,6 @@ impl<'a> Executor<'a> {
             agg_input_rows: input.row_count(),
             ..KernelStats::default()
         };
-        if !self.typed_kernels {
-            let table = ops::aggregate_by_generic(input, group, target, func, value)?;
-            return Ok((table, kernel));
-        }
         let agg = ops::AggPlan::new(input, group, target, func, value)?;
         let rows = agg.input_rows();
         let started = self.profile_ops.then(Instant::now);
@@ -1656,14 +1396,61 @@ impl<'a> Executor<'a> {
         Ok((out, kernel))
     }
 
+    /// Evaluate one logical operator as a pipeline breaker.  The join,
+    /// aggregate and index kernels report their counters; every other
+    /// operator reports none.
     fn eval(
         &self,
         plan: &Plan,
         id: OpId,
         inputs: &Inputs<'_>,
         doc_ids: &DocIds,
-    ) -> EngineResult<Table> {
-        match plan.op(id) {
+    ) -> EngineResult<(Table, KernelStats)> {
+        let table = match plan.op(id) {
+            AlgOp::EquiJoin {
+                left,
+                right,
+                left_col,
+                right_col,
+            } => {
+                return self.equi_join_node(
+                    inputs.get(*left)?,
+                    inputs.get(*right)?,
+                    left_col,
+                    right_col,
+                )
+            }
+            AlgOp::ThetaJoin {
+                left,
+                right,
+                left_col,
+                op,
+                right_col,
+            } => {
+                return self.theta_join_node(
+                    inputs.get(*left)?,
+                    inputs.get(*right)?,
+                    left_col,
+                    *op,
+                    right_col,
+                )
+            }
+            AlgOp::ThetaCount { left, right, count } => {
+                return self.theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)
+            }
+            AlgOp::Aggregate {
+                input,
+                group,
+                target,
+                func,
+                value,
+            } => return self.aggregate_node(inputs.get(*input)?, group, target, *func, value),
+            AlgOp::IndexScan {
+                input,
+                uri,
+                probe,
+                mode,
+            } => return self.index_scan_node(inputs.get(*input)?, uri, probe, *mode),
             AlgOp::Lit { columns, rows } => {
                 let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); columns.len()];
                 for row in rows {
@@ -1671,95 +1458,57 @@ impl<'a> Executor<'a> {
                         cols[i].push(v.clone());
                     }
                 }
-                let table = Table::new(
+                Table::new(
                     columns
                         .iter()
                         .zip(cols)
                         .map(|(name, values)| (name.clone(), Column::from_values(values)))
                         .collect(),
-                )?;
-                Ok(table)
+                )?
             }
             AlgOp::Doc { uri } => {
                 let doc_id = self.registry.id_of(uri).ok_or_else(|| {
                     EngineError::msg(format!("no document registered under `{uri}`"))
                 })?;
-                Ok(Table::new(vec![(
+                Table::new(vec![(
                     "item".into(),
                     Column::nodes(vec![NodeRef::new(doc_id, 0)]),
-                )])?)
+                )])?
             }
             AlgOp::Project { input, columns } => {
                 let pairs: Vec<(&str, &str)> = columns
                     .iter()
                     .map(|(s, t)| (s.as_str(), t.as_str()))
                     .collect();
-                Ok(ops::project(inputs.get(*input)?, &pairs)?)
+                ops::project(inputs.get(*input)?, &pairs)?
             }
-            AlgOp::Select { input, column } => Ok(ops::select_true(inputs.get(*input)?, column)?),
+            AlgOp::Select { input, column } => ops::select_true(inputs.get(*input)?, column)?,
             AlgOp::SelectEq {
                 input,
                 column,
                 value,
-            } => Ok(ops::select_eq(inputs.get(*input)?, column, value)?),
-            AlgOp::IndexScan {
-                input,
-                uri,
-                probe,
-                mode,
-            } => Ok(self
-                .index_scan_node(inputs.get(*input)?, uri, probe, *mode)?
-                .0),
-            AlgOp::Distinct { input } => Ok(ops::distinct(inputs.get(*input)?)?),
-            AlgOp::Union { left, right } => Ok(ops::union_disjoint(
-                inputs.get(*left)?,
-                inputs.get(*right)?,
-            )?),
+            } => ops::select_eq(inputs.get(*input)?, column, value)?,
+            AlgOp::Distinct { input } => ops::distinct(inputs.get(*input)?)?,
+            AlgOp::Union { left, right } => {
+                ops::union_disjoint(inputs.get(*left)?, inputs.get(*right)?)?
+            }
             AlgOp::Difference { left, right } => {
-                Ok(ops::difference(inputs.get(*left)?, inputs.get(*right)?)?)
+                ops::difference(inputs.get(*left)?, inputs.get(*right)?)?
             }
-            AlgOp::EquiJoin {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => Ok(self
-                .equi_join_node(inputs.get(*left)?, inputs.get(*right)?, left_col, right_col)?
-                .0),
-            AlgOp::ThetaJoin {
-                left,
-                right,
-                left_col,
-                op,
-                right_col,
-            } => Ok(self
-                .theta_join_node(
-                    inputs.get(*left)?,
-                    inputs.get(*right)?,
-                    left_col,
-                    *op,
-                    right_col,
-                )?
-                .0),
-            AlgOp::ThetaCount { left, right, count } => Ok(self
-                .theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)?
-                .0),
-            AlgOp::Cross { left, right } => {
-                Ok(ops::cross(inputs.get(*left)?, inputs.get(*right)?)?)
-            }
+            AlgOp::Cross { left, right } => ops::cross(inputs.get(*left)?, inputs.get(*right)?)?,
             AlgOp::RowNum {
                 input,
                 target,
                 order_by,
                 partition,
-            } => self.row_number(inputs.get(*input)?, target, order_by, partition.as_deref()),
+            } => self.row_number(inputs.get(*input)?, target, order_by, partition.as_deref())?,
             AlgOp::BinaryMap {
                 input,
                 target,
                 left,
                 op,
                 right,
-            } => self.binary_map(inputs.get(*input)?, target, left, *op, right),
+            } => self.binary_map(inputs.get(*input)?, target, left, *op, right)?,
             AlgOp::UnaryMap {
                 input,
                 target,
@@ -1776,27 +1525,18 @@ impl<'a> Executor<'a> {
                 }
                 let mut out = table.clone();
                 out.add_column(target.clone(), Column::from_values(values))?;
-                Ok(out)
+                out
             }
             AlgOp::Attach {
                 input,
                 target,
                 value,
-            } => Ok(ops::map_const(inputs.get(*input)?, target, value)?),
-            AlgOp::Aggregate {
-                input,
-                group,
-                target,
-                func,
-                value,
-            } => Ok(self
-                .aggregate_node(inputs.get(*input)?, group, target, *func, value)?
-                .0),
-            AlgOp::Step { input, axis, test } => self.step(inputs.get(*input)?, *axis, test),
-            AlgOp::DocOrder { input } => self.doc_order(inputs.get(*input)?),
-            AlgOp::FnData { input } => self.fn_data(inputs.get(*input)?),
-            AlgOp::FnRoot { input } => self.fn_root(inputs.get(*input)?),
-            AlgOp::Ebv { input } => self.ebv(inputs.get(*input)?),
+            } => ops::map_const(inputs.get(*input)?, target, value)?,
+            AlgOp::Step { input, axis, test } => self.step(inputs.get(*input)?, *axis, test)?,
+            AlgOp::DocOrder { input } => self.doc_order(inputs.get(*input)?)?,
+            AlgOp::FnData { input } => self.fn_data(inputs.get(*input)?)?,
+            AlgOp::FnRoot { input } => self.fn_root(inputs.get(*input)?)?,
+            AlgOp::Ebv { input } => self.ebv(inputs.get(*input)?)?,
             AlgOp::ElemConstruct {
                 loop_input,
                 tag,
@@ -1806,12 +1546,14 @@ impl<'a> Executor<'a> {
                 tag,
                 inputs.get(*content)?,
                 self.doc_id_for(doc_ids, id),
-            ),
+            )?,
             AlgOp::AttrConstruct {
                 loop_input,
                 name,
                 content,
-            } => self.construct_attributes(inputs.get(*loop_input)?, name, inputs.get(*content)?),
+            } => {
+                self.construct_attributes(inputs.get(*loop_input)?, name, inputs.get(*content)?)?
+            }
             AlgOp::TextConstruct {
                 loop_input,
                 content,
@@ -1819,12 +1561,13 @@ impl<'a> Executor<'a> {
                 inputs.get(*loop_input)?,
                 inputs.get(*content)?,
                 self.doc_id_for(doc_ids, id),
-            ),
+            )?,
             AlgOp::Sort { input, by } => {
                 let columns: Vec<&str> = by.iter().map(|s| s.column.as_str()).collect();
-                self.sort_table(inputs.get(*input)?, &columns)
+                self.sort_table(inputs.get(*input)?, &columns)?
             }
-        }
+        };
+        Ok((table, KernelStats::default()))
     }
 
     // ----- value helpers --------------------------------------------------
@@ -2377,47 +2120,43 @@ mod tests {
         b.finish(p2)
     }
 
+    /// The unfused reference: every reachable operator interpreted on its
+    /// own in topological order, every intermediate materialized.
+    fn run_unfused(exec: &Executor<'_>, plan: &Plan) -> EngineResult<Table> {
+        let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.ops().len()];
+        for id in plan.reachable() {
+            let (table, _) = exec.eval(plan, id, &Inputs::Slots(&slots), &DocIds::new())?;
+            slots[id] = Some(Arc::new(table));
+        }
+        Ok((*slots[plan.root()].take().expect("the root ran")).clone())
+    }
+
     #[test]
     fn physical_accounting_counts_shared_buffers_once() {
-        // lit → project(rename) → project(rename): every output shares the
+        // lit → pipeline(project, project): the pipeline output shares the
         // literal's buffers, so the physically resident cells never exceed
-        // one copy of the data while the logical accounting sees three
-        // coexisting tables after the first projection.  Fusion is pinned
-        // off: this test pins down the *unfused* accounting model.
+        // one copy of the data while the logical accounting sees both
+        // tables live when the pipeline publishes.
         let plan = projection_chain_plan();
         let reg = registry();
-        let (_, stats) = Executor::new(&reg)
-            .with_fusion(false)
-            .run_with_stats(&plan)
-            .unwrap();
-        // Logical: at the p1 step the literal and the projection (8 rows
-        // each) are both live → peak 16.  Physical: one shared buffer set.
+        let (_, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
         assert_eq!(stats.peak_resident_rows, 16);
         assert_eq!(stats.peak_resident_cells, 16); // 8 rows × 2 unique buffers
-        assert_eq!(stats.cells_produced, 48); // 3 tables × 2 columns × 8 rows
-        assert_eq!(stats.fused_ops, 0);
-        assert_eq!(stats.tables_elided, 0);
+        assert_eq!(stats.cells_produced, 32); // 2 tables × 2 columns × 8 rows
     }
 
     #[test]
     fn fusion_elides_the_interior_projection() {
-        // The same chain with fusion on: the two projections fuse into one
-        // pipeline, the interior table is never allocated, and the result
-        // is identical.
+        // The two projections fuse into one pipeline, the interior table
+        // is never allocated, and the result is the unfused one.
         let plan = projection_chain_plan();
         let reg = registry();
-        let (fused, stats) = Executor::new(&reg)
-            .with_fusion(true)
-            .run_with_stats(&plan)
-            .unwrap();
-        let (unfused, off) = Executor::new(&reg)
-            .with_fusion(false)
-            .run_with_stats(&plan)
-            .unwrap();
-        assert_eq!(fused, unfused);
+        let exec = Executor::new(&reg);
+        let (fused, stats) = exec.run_with_stats(&plan).unwrap();
+        assert_eq!(fused, run_unfused(&exec, &plan).unwrap());
         assert_eq!(stats.fused_ops, 2);
         assert_eq!(stats.tables_elided, 1);
-        assert_eq!(stats.operators_evaluated, off.operators_evaluated);
+        assert_eq!(stats.operators_evaluated, 3);
         // Only two tables materialize: the literal and the pipeline output.
         assert_eq!(stats.cells_produced, 32);
         assert_eq!(stats.evicted_results, 1);
@@ -2428,7 +2167,7 @@ mod tests {
         // lit → attach → map(>) → select → project → distinct: everything
         // above the literal fuses into one pipeline (δ is a fusable
         // selection-vector pass); values, schema and row order must match
-        // the unfused run exactly.
+        // the operator-at-a-time interpretation exactly.
         let reg = registry();
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
@@ -2462,20 +2201,13 @@ mod tests {
         });
         let distinct = b.add(AlgOp::Distinct { input: project });
         let plan = b.finish(distinct);
-        let (fused, on) = Executor::new(&reg)
-            .with_fusion(true)
-            .run_with_stats(&plan)
-            .unwrap();
-        let (unfused, off) = Executor::new(&reg)
-            .with_fusion(false)
-            .run_with_stats(&plan)
-            .unwrap();
-        assert_eq!(fused, unfused);
+        let exec = Executor::new(&reg);
+        let (fused, on) = exec.run_with_stats(&plan).unwrap();
+        assert_eq!(fused, run_unfused(&exec, &plan).unwrap());
         assert_eq!(fused.row_count(), 3);
         assert_eq!(on.fused_ops, 5);
         assert_eq!(on.tables_elided, 4);
-        assert_eq!(off.tables_elided, 0);
-        assert_eq!(on.operators_evaluated, off.operators_evaluated);
+        assert_eq!(on.operators_evaluated, 6);
     }
 
     #[test]
@@ -2501,26 +2233,10 @@ mod tests {
             let distinct = b.add(AlgOp::Distinct { input: select });
             b.finish(distinct)
         };
-        let fused = Executor::new(&reg)
-            .with_fusion(true)
-            .run(&build())
-            .unwrap_err();
-        let unfused = Executor::new(&reg)
-            .with_fusion(false)
-            .run(&build())
-            .unwrap_err();
+        let exec = Executor::new(&reg);
+        let fused = exec.run(&build()).unwrap_err();
+        let unfused = run_unfused(&exec, &build()).unwrap_err();
         assert_eq!(fused.to_string(), unfused.to_string());
-    }
-
-    #[test]
-    fn fusion_flag_parsing() {
-        assert!(fusion_flag(None));
-        assert!(fusion_flag(Some("1")));
-        assert!(fusion_flag(Some("on")));
-        assert!(!fusion_flag(Some("0")));
-        assert!(!fusion_flag(Some("false")));
-        assert!(!fusion_flag(Some("OFF")));
-        assert!(!fusion_flag(Some(" no ")));
     }
 
     #[test]
@@ -2890,29 +2606,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn morsel_flag_parsing() {
-        assert_eq!(morsel_flag(None), DEFAULT_MORSEL_ROWS);
-        assert_eq!(morsel_flag(Some("128")), 128);
-        assert_eq!(morsel_flag(Some(" 7 ")), 7);
-        assert_eq!(morsel_flag(Some("0")), DEFAULT_MORSEL_ROWS);
-        assert_eq!(morsel_flag(Some("off")), usize::MAX);
-        assert_eq!(morsel_flag(Some("INF")), usize::MAX);
-        assert_eq!(morsel_flag(Some("garbage")), DEFAULT_MORSEL_ROWS);
-    }
-
-    #[test]
-    fn kernels_flag_parsing() {
-        assert!(kernels_flag(None));
-        assert!(kernels_flag(Some("typed")));
-        assert!(kernels_flag(Some("1")));
-        assert!(kernels_flag(Some("garbage")));
-        assert!(!kernels_flag(Some("generic")));
-        assert!(!kernels_flag(Some(" Value ")));
-        assert!(!kernels_flag(Some("0")));
-        assert!(!kernels_flag(Some("off")));
-    }
-
     /// A join + aggregation plan large enough to morselize: 200 probe rows
     /// against a 40-row build side, counted and summed per group.
     fn join_agg_plan() -> Plan {
@@ -2964,17 +2657,20 @@ mod tests {
 
     #[test]
     fn generic_kernels_reproduce_the_typed_results() {
+        // The value-at-a-time reference kernels of `pf-relational`, run by
+        // hand over the plan's two literals.
         let reg = registry();
         let plan = join_agg_plan();
-        let typed = Executor::new(&reg)
-            .with_typed_kernels(true)
-            .run(&plan)
-            .unwrap();
-        let generic = Executor::new(&reg)
-            .with_typed_kernels(false)
-            .run(&plan)
-            .unwrap();
-        assert_eq!(typed, generic);
+        let exec = Executor::new(&reg);
+        let lit = |id| {
+            exec.eval(&plan, id, &Inputs::Slots(&[]), &DocIds::new())
+                .unwrap()
+                .0
+        };
+        let joined = ops::equi_join_generic(&lit(0), &lit(1), "iter", "iter2").unwrap();
+        let generic =
+            ops::aggregate_by_generic(&joined, "iter", "n", AggFunc::Count, "item").unwrap();
+        assert_eq!(exec.run(&plan).unwrap(), generic);
     }
 
     #[test]

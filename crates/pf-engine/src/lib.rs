@@ -73,8 +73,7 @@ use std::time::{Duration, Instant};
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use error::{EngineError, EngineResult};
 pub use executor::{
-    default_fusion, default_indexes, default_morsel_rows, default_threads, ExecStats, Executor,
-    OpProfile, OpTiming, DEFAULT_MORSEL_ROWS,
+    default_threads, ExecStats, Executor, OpProfile, OpTiming, DEFAULT_MORSEL_ROWS,
 };
 pub use pool::{QueryTag, WorkerPool};
 pub use registry::DocRegistry;
@@ -83,16 +82,17 @@ pub use session::Session;
 
 pub use pf_algebra::{OptimizeReport, OptimizerLevel};
 
-use pf_algebra::{optimize_with_verify, CardEstimate, PhysicalPlan, Plan, StatsSource};
+use pf_algebra::{optimize_with, CardEstimate, PhysicalPlan, Plan, StatsSource};
 use pf_store::DocStatistics;
 use pf_xquery::{compile, normalize, parse_query, CompileOptions};
 
-/// Engine-level options.
+/// Engine-level options — the engine's one source of configuration (it
+/// reads no environment variables).
 ///
 /// Construct via the fluent [`EngineOptionsBuilder`]
-/// (`EngineOptions::builder().threads(4).fusion(false).build()`); the
-/// struct fields stay public for back-compat with the older
-/// `EngineOptions { threads: 4, ..Default::default() }` literal style.
+/// (`EngineOptions::builder().threads(4).build()`); the struct fields stay
+/// public for the `EngineOptions { threads: 4, ..Default::default() }`
+/// literal style.  Results serialize byte-identically under every setting.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Options forwarded to the loop-lifting compiler.
@@ -100,53 +100,23 @@ pub struct EngineOptions {
     /// Run the peephole optimizer before execution (on by default).
     pub optimize: bool,
     /// Which rewrite rules the optimizer runs when it runs at all (see
-    /// [`EngineOptions::optimize`]).  The default resolves via
-    /// [`default_optimizer_level`]: the `PF_OPTIMIZE` environment variable
-    /// if it parses (`basic`, `full`, or a comma-separated rule list such
-    /// as `pushdown,dedup`), otherwise [`OptimizerLevel::FULL`].  Every
-    /// level serializes results byte-identically; levels only change plan
-    /// shape and cost.
+    /// [`EngineOptions::optimize`]); default [`OptimizerLevel::FULL`].
+    /// Levels only change plan shape and cost.
     pub optimizer_level: OptimizerLevel,
     /// Executor worker threads: `1` runs the sequential path, `0` (the
-    /// default) resolves via [`default_threads`] — the `PF_THREADS`
-    /// environment variable if set, otherwise the machine's available
-    /// parallelism.  Results are identical at every setting.
+    /// default) resolves to [`default_threads`], the machine's available
+    /// parallelism.
     pub threads: usize,
-    /// Fuse single-consumer operator chains into physical pipelines (the
-    /// default is [`default_fusion`]: on, unless `PF_FUSION` says `0` /
-    /// `false` / `off` / `no`).  Results are identical either way; fusion
-    /// only changes how many intermediate tables materialize.
-    pub fusion: bool,
-    /// Allow the optimizer's index-scan rewrites (the sidecar text/value
-    /// indexes of `pf-store`; see `OptimizerLevel::indexscan`).  The
-    /// default is [`default_indexes`]: on, unless `PF_INDEXES` says `0` /
-    /// `false` / `off` / `no`.  `false` strips the `indexscan` rule from
-    /// the effective optimizer level, whatever
-    /// [`EngineOptions::optimizer_level`] says — results are byte-identical
-    /// either way; index scans only change how predicates are evaluated.
-    pub indexes: bool,
     /// Input rows per morsel for intra-operator parallelism (partitioned
     /// sorts, row numberings, staircase shards and fused-pipeline chunks
-    /// on the worker pool).  `0` (the default) resolves via
-    /// [`default_morsel_rows`] — the `PF_MORSEL` environment variable if
-    /// set, otherwise [`DEFAULT_MORSEL_ROWS`]; `usize::MAX` disables the
-    /// partitioning.  Results, serialization and work totals are identical
-    /// at every setting.
+    /// on the worker pool).  `0` (the default) means
+    /// [`DEFAULT_MORSEL_ROWS`]; `usize::MAX` disables the partitioning.
+    /// Work totals are identical at every setting.
     pub morsel_rows: usize,
     /// Maximum number of compiled plans the per-engine plan cache retains;
     /// when full, the least-recently-hit plan is evicted.  `0` disables
     /// caching entirely.
     pub plan_cache_capacity: usize,
-    /// Verify every optimizer rewrite against the static plan verifier
-    /// (`pf_algebra::verify`): structural well-formedness plus the
-    /// schema-preservation / key-and-constant-monotonicity invariants,
-    /// checked after each rule application that changed the plan.  Debug
-    /// builds always verify regardless of this knob; in release builds
-    /// the default is [`default_verify`]: off, unless `PF_VERIFY` is set
-    /// to anything other than `0` / `false` / `off` / `no`.  A rejected
-    /// rewrite is rolled back (the query still runs, on the last plan
-    /// that verified clean) and reported via `OptimizeReport::verified`.
-    pub verify_plans: bool,
     /// Admission-control budget: the maximum *summed estimated memory
     /// frontier* (in resident intermediate rows, the unit of
     /// [`ExecStats::peak_resident_rows`]) of the queries running
@@ -168,11 +138,8 @@ impl Default for EngineOptions {
             optimize: true,
             optimizer_level: default_optimizer_level(),
             threads: 0,
-            fusion: default_fusion(),
-            indexes: default_indexes(),
             morsel_rows: 0,
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            verify_plans: default_verify(),
             memory_budget_rows: usize::MAX,
         }
     }
@@ -185,37 +152,13 @@ impl EngineOptions {
     }
 }
 
-/// The default [`EngineOptions::optimizer_level`]: the `PF_OPTIMIZE`
-/// environment variable if set and parseable (`basic`, `full`, or a
-/// comma-separated rule list), otherwise [`OptimizerLevel::FULL`].
+/// The default [`EngineOptions::optimizer_level`]: [`OptimizerLevel::FULL`].
 pub fn default_optimizer_level() -> OptimizerLevel {
-    std::env::var("PF_OPTIMIZE")
-        .ok()
-        .and_then(|spec| OptimizerLevel::parse(&spec))
-        .unwrap_or(OptimizerLevel::FULL)
+    OptimizerLevel::FULL
 }
 
-/// The default [`EngineOptions::verify_plans`]: `true` iff the
-/// `PF_VERIFY` environment variable is set to anything other than `0` /
-/// `false` / `off` / `no`.  (Debug builds verify unconditionally.)
-pub fn default_verify() -> bool {
-    verify_flag(std::env::var("PF_VERIFY").ok().as_deref())
-}
-
-/// Parse a `PF_VERIFY`-style setting (`true` = verify rewrites).
-fn verify_flag(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        None => false,
-    }
-}
-
-/// Fluent builder for [`EngineOptions`] — the preferred construction
-/// style since PR 6 (struct literals with `..Default::default()` keep
-/// working, but new knobs read better chained):
+/// Fluent builder for [`EngineOptions`] (struct literals with
+/// `..Default::default()` keep working, but options read better chained):
 ///
 /// ```
 /// use pf_engine::{EngineOptions, Pathfinder};
@@ -224,7 +167,6 @@ fn verify_flag(value: Option<&str>) -> bool {
 ///     EngineOptions::builder()
 ///         .threads(4)
 ///         .morsel_rows(1024)
-///         .fusion(true)
 ///         .plan_cache_capacity(64)
 ///         .memory_budget_rows(1_000_000)
 ///         .build(),
@@ -254,19 +196,6 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Enable or disable operator fusion (see [`EngineOptions::fusion`]).
-    pub fn fusion(mut self, fusion: bool) -> Self {
-        self.options.fusion = fusion;
-        self
-    }
-
-    /// Allow or forbid index-scan rewrites (see
-    /// [`EngineOptions::indexes`]).
-    pub fn indexes(mut self, indexes: bool) -> Self {
-        self.options.indexes = indexes;
-        self
-    }
-
     /// Run the peephole optimizer (see [`EngineOptions::optimize`]).
     pub fn optimize(mut self, optimize: bool) -> Self {
         self.options.optimize = optimize;
@@ -283,12 +212,6 @@ impl EngineOptionsBuilder {
     /// Plan-cache capacity (see [`EngineOptions::plan_cache_capacity`]).
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.options.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Verify optimizer rewrites (see [`EngineOptions::verify_plans`]).
-    pub fn verify_plans(mut self, verify: bool) -> Self {
-        self.options.verify_plans = verify;
         self
     }
 
@@ -380,7 +303,7 @@ impl Explain {
 }
 
 /// One plan-cache entry: the optimized logical plan, its physical
-/// compilation (fused per the engine's `fusion` option), the LRU
+/// compilation (fused pipelines), the LRU
 /// bookkeeping, and the admission estimate learned from earlier runs.
 #[derive(Debug)]
 struct CachedPlan {
@@ -598,14 +521,9 @@ impl Pathfinder {
         let compiled = compile(&core, &self.options.compile)?;
         let unoptimized = compiled.plan.clone();
         let mut optimized = compiled.plan;
-        let level = self.effective_optimizer_level();
+        let level = self.options.optimizer_level;
         let report = if self.options.optimize {
-            optimize_with_verify(
-                &mut optimized,
-                level,
-                &EngineStats(self),
-                self.effective_verify(),
-            )
+            optimize_with(&mut optimized, level, &EngineStats(self))
         } else {
             OptimizeReport::default()
         };
@@ -619,9 +537,8 @@ impl Pathfinder {
     }
 
     /// Parse, compile, optimize, execute and serialize `query` — the one
-    /// execution entry point (PR 6 collapsed `query` / `query_profiled` /
-    /// `query_op_profiled` into this).  `profile` selects how much
-    /// telemetry rides along in the [`QueryOutcome`].
+    /// execution entry point.  `profile` selects how much telemetry rides
+    /// along in the [`QueryOutcome`].
     ///
     /// Takes `&self`: any number of sessions/threads may call this
     /// concurrently on one engine.  The call admission-gates against
@@ -645,7 +562,6 @@ impl Pathfinder {
         let pool = (threads > 1).then(|| self.worker_pool(threads));
         let tag = self.query_tags.fetch_add(1, Ordering::Relaxed) + 1;
         let mut executor = Executor::with_threads(&snapshot, threads)
-            .with_fusion(self.options.fusion)
             .with_morsel_rows(self.options.morsel_rows)
             .with_op_profile(matches!(profile, Profile::Ops))
             .with_query_tag(tag);
@@ -677,39 +593,6 @@ impl Pathfinder {
             },
             ops: matches!(profile, Profile::Ops).then_some(ops),
         })
-    }
-
-    /// Parse, compile, optimize, execute and serialize `query`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `query_with(query, Profile::None)` (or a `Session`)"
-    )]
-    pub fn query(&self, query: &str) -> EngineResult<QueryResult> {
-        Ok(self.query_with(query, Profile::None)?.result)
-    }
-
-    /// Like `query`, but also report the executor's memory-discipline
-    /// statistics (peak resident intermediate rows, total rows produced,
-    /// evictions, fusion savings).
-    #[deprecated(since = "0.2.0", note = "use `query_with(query, Profile::Stats)`")]
-    pub fn query_profiled(&self, query: &str) -> EngineResult<(QueryResult, ExecStats)> {
-        let outcome = self.query_with(query, Profile::Stats)?;
-        let stats = outcome.stats.expect("Profile::Stats returns stats");
-        Ok((outcome.result, stats))
-    }
-
-    /// Like `query_profiled`, but additionally collect the per-operator-kind
-    /// wall-time profile of the execution (the `morsel_profile` bench bin
-    /// reports these at several thread counts).
-    #[deprecated(since = "0.2.0", note = "use `query_with(query, Profile::Ops)`")]
-    pub fn query_op_profiled(
-        &self,
-        query: &str,
-    ) -> EngineResult<(QueryResult, ExecStats, OpProfile)> {
-        let outcome = self.query_with(query, Profile::Ops)?;
-        let stats = outcome.stats.expect("Profile::Ops returns stats");
-        let ops = outcome.ops.expect("Profile::Ops returns the op profile");
-        Ok((outcome.result, stats, ops))
     }
 
     /// The engine's persistent worker pool, created on first use and
@@ -772,38 +655,11 @@ impl Pathfinder {
     /// is disabled.  Plans compiled under different rule sets have
     /// different shapes, so they must never alias in the cache.
     fn optimizer_tag(&self) -> String {
-        let mut tag = if self.options.optimize {
-            self.effective_optimizer_level().tag()
+        if self.options.optimize {
+            self.options.optimizer_level.tag()
         } else {
             "off".into()
-        };
-        // The verifier can roll a rejected rewrite back, so a verified
-        // plan may differ in shape from an unverified one — engines
-        // toggling the knob on a shared process must never alias plans.
-        // (The build-type half of `effective_verify` is constant within
-        // one process, so the knob alone distinguishes cache entries.)
-        if self.options.verify_plans {
-            tag.push_str("+verify");
         }
-        tag
-    }
-
-    /// Whether the optimizer verifies rewrites for this engine: always
-    /// in debug builds, opt-in via [`EngineOptions::verify_plans`] /
-    /// `PF_VERIFY=1` in release.
-    fn effective_verify(&self) -> bool {
-        cfg!(debug_assertions) || self.options.verify_plans
-    }
-
-    /// The optimizer level actually applied: the configured level with the
-    /// `indexscan` rule stripped when [`EngineOptions::indexes`] is off.
-    /// Plans differ in shape across the two settings, so everything keyed
-    /// on the level — [`Pathfinder::explain`], the plan cache tag — goes
-    /// through here.
-    fn effective_optimizer_level(&self) -> OptimizerLevel {
-        let mut level = self.options.optimizer_level;
-        level.indexscan &= self.options.indexes;
-        level
     }
 
     fn plan_for(&self, query: &str) -> EngineResult<Planned> {
@@ -861,16 +717,11 @@ impl Pathfinder {
         let opt_start = Instant::now();
         let mut plan = compiled.plan;
         let report = if self.options.optimize {
-            optimize_with_verify(
-                &mut plan,
-                self.effective_optimizer_level(),
-                &EngineStats(self),
-                self.effective_verify(),
-            )
+            optimize_with(&mut plan, self.options.optimizer_level, &EngineStats(self))
         } else {
             OptimizeReport::default()
         };
-        let physical = Arc::new(PhysicalPlan::compile(&plan, self.options.fusion));
+        let physical = Arc::new(PhysicalPlan::compile(&plan));
         let optimize_time = opt_start.elapsed();
         let plan = Arc::new(plan);
         let estimate_rows = self.cold_plan_estimate(&plan);
@@ -1091,28 +942,11 @@ mod tests {
         assert!(ops.ops.is_some());
     }
 
-    /// The PR 6 façade keeps the pre-session entry points alive as thin
-    /// wrappers; this is the one place that still calls them.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_answer() {
-        let pf = engine_with("<a><b>1</b><b>2</b></a>");
-        let q = "fn:sum(fn:doc(\"doc.xml\")//b)";
-        assert_eq!(pf.query(q).unwrap().to_xml(), "3");
-        let (r, stats) = pf.query_profiled(q).unwrap();
-        assert_eq!(r.to_xml(), "3");
-        assert!(stats.rows_produced > 0);
-        let (r, _, profile) = pf.query_op_profiled(q).unwrap();
-        assert_eq!(r.to_xml(), "3");
-        assert!(!profile.entries.is_empty());
-    }
-
     #[test]
     fn options_builder_chains_every_knob() {
         let options = EngineOptions::builder()
             .threads(3)
             .morsel_rows(128)
-            .fusion(false)
             .optimize(false)
             .optimizer_level(OptimizerLevel::BASIC)
             .plan_cache_capacity(7)
@@ -1120,7 +954,6 @@ mod tests {
             .build();
         assert_eq!(options.threads, 3);
         assert_eq!(options.morsel_rows, 128);
-        assert!(!options.fusion);
         assert!(!options.optimize);
         assert_eq!(options.optimizer_level, OptimizerLevel::BASIC);
         assert_eq!(options.plan_cache_capacity, 7);
@@ -1128,10 +961,10 @@ mod tests {
         // The struct-literal style (back-compat) still composes with it.
         let literal = EngineOptions {
             threads: 2,
-            ..EngineOptions::builder().fusion(false).build()
+            ..EngineOptions::builder().morsel_rows(64).build()
         };
         assert_eq!(literal.threads, 2);
-        assert!(!literal.fusion);
+        assert_eq!(literal.morsel_rows, 64);
     }
 
     #[test]
@@ -1298,8 +1131,6 @@ mod tests {
             let cache = pf.cache.lock().unwrap();
             cache.entries.keys().cloned().collect()
         };
-        // Levels are pinned explicitly so the test is immune to an
-        // ambient PF_OPTIMIZE override.
         let full = Pathfinder::with_options(
             EngineOptions::builder()
                 .optimizer_level(OptimizerLevel::FULL)
@@ -1359,27 +1190,6 @@ mod tests {
         run(&pf, "1 + 1");
         assert_eq!(pf.plan_cache_len(), 0);
         assert_eq!(pf.plan_cache_stats(), (0, 2));
-    }
-
-    #[test]
-    fn fusion_on_and_off_serialize_identically() {
-        let make = |fusion: bool| {
-            let pf = Pathfinder::with_options(EngineOptions::builder().fusion(fusion).build());
-            pf.load_document(
-                "doc.xml",
-                "<site><p><n>Ann</n><x>3</x></p><p><n>Bo</n><x>9</x></p></site>",
-            )
-            .unwrap();
-            pf
-        };
-        let q = "for $p in fn:doc(\"doc.xml\")//p where $p/x > 5 return fn:string($p/n)";
-        let on = make(true).query_with(q, Profile::Stats).unwrap();
-        let off = make(false).query_with(q, Profile::Stats).unwrap();
-        assert_eq!(on.to_xml(), off.to_xml());
-        let (on_stats, off_stats) = (on.stats.unwrap(), off.stats.unwrap());
-        assert_eq!(on_stats.operators_evaluated, off_stats.operators_evaluated);
-        assert!(on_stats.tables_elided > 0, "this plan has fusable chains");
-        assert_eq!(off_stats.tables_elided, 0);
     }
 
     #[test]

@@ -438,9 +438,8 @@ pub fn aggregate_by(
 /// [`Value`] per input row and `Value::arithmetic`/`Value::compare`
 /// accumulators.
 ///
-/// Kept as the differential-testing and benchmarking reference for
-/// [`aggregate_by`] (the property suite asserts both agree on arbitrary
-/// tables; `join_profile` measures the typed kernel against it).
+/// Kept as the differential-testing reference for [`aggregate_by`] (the
+/// property suite asserts both agree on arbitrary tables).
 pub fn aggregate_by_generic(
     input: &Table,
     group_col: &str,

@@ -193,9 +193,8 @@ pub fn equi_join(left: &Table, right: &Table, left_col: &str, right_col: &str) -
 /// The pre-typed-kernel equi-join: a [`HashKey`] index over the right
 /// input, probed one materialized [`Value`] at a time.
 ///
-/// Kept as the differential-testing and benchmarking reference for
-/// [`equi_join`] (the property suite asserts both agree on arbitrary
-/// tables; `join_profile` measures the typed kernel against it).
+/// Kept as the differential-testing reference for [`equi_join`] (the
+/// property suite asserts both agree on arbitrary tables).
 pub fn equi_join_generic(
     left: &Table,
     right: &Table,

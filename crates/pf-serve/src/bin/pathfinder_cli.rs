@@ -19,7 +19,8 @@
 //! ```
 //!
 //! Script files use the same syntax, one command per line; blank lines
-//! and lines starting with `#` are skipped.
+//! and lines starting with `#` are skipped.  A malformed command line
+//! prints the usage line and exits with a failure status.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -129,33 +130,49 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
-    let mut connect: Option<String> = None;
-    let mut preloads: Vec<(String, String)> = Vec::new();
-    let mut evals: Vec<String> = Vec::new();
-    let mut script: Option<String> = None;
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    connect: Option<String>,
+    preloads: Vec<(String, String)>,
+    evals: Vec<String>,
+    script: Option<String>,
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--connect" => connect = Some(value("--connect")),
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--connect" => parsed.connect = Some(value()?),
             "--load" => {
-                let spec = value("--load");
-                let Some((name, path)) = spec.split_once('=') else {
-                    eprintln!("--load expects NAME=PATH, got {spec}");
-                    return usage();
-                };
-                preloads.push((name.to_string(), path.to_string()));
+                let spec = value()?;
+                let (name, path) = spec
+                    .split_once('=')
+                    .ok_or_else(|| format!("--load expects NAME=PATH, got {spec:?}"))?;
+                parsed.preloads.push((name.to_string(), path.to_string()));
             }
-            "--eval" => evals.push(value("--eval")),
-            "--script" => script = Some(value("--script")),
-            _ => return usage(),
+            "--eval" => parsed.evals.push(value()?),
+            "--script" => parsed.script = Some(value()?),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args {
+        connect,
+        preloads,
+        evals,
+        script,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}");
+            return usage();
+        }
+    };
 
     let mut backend = match &connect {
         Some(addr) => match TcpStream::connect(addr) {

@@ -1,15 +1,16 @@
 //! `pathfinder-serve` — serve one shared engine over TCP.
 //!
 //! ```text
-//! pathfinder-serve [--addr HOST:PORT] [--threads N] [--morsel ROWS]
-//!                  [--budget ROWS] [--load NAME=PATH]...
+//! pathfinder-serve [--addr HOST:PORT] [--threads N] [--budget ROWS]
+//!                  [--load NAME=PATH]...
 //! ```
 //!
-//! Defaults: `--addr 127.0.0.1:4044`, engine options from the usual
-//! `PF_THREADS` / `PF_FUSION` / `PF_MORSEL` environment knobs, unlimited
-//! admission budget.  `--load` preloads documents before the first client
-//! connects.  The protocol is documented in the `pf_serve` crate docs;
-//! any client can stop the server with `SHUTDOWN`.
+//! Defaults: `--addr 127.0.0.1:4044`, one executor thread per available
+//! CPU, unlimited admission budget.  `--load` preloads documents before
+//! the first client connects.  A malformed command line prints the usage
+//! line and exits with a failure status.  The protocol is documented in
+//! the `pf_serve` crate docs; any client can stop the server with
+//! `SHUTDOWN`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -19,48 +20,63 @@ use pf_serve::Server;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pathfinder-serve [--addr HOST:PORT] [--threads N] [--morsel ROWS] \
-         [--budget ROWS] [--load NAME=PATH]..."
+        "usage: pathfinder-serve [--addr HOST:PORT] [--threads N] [--budget ROWS] \
+         [--load NAME=PATH]..."
     );
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
-    let mut addr = "127.0.0.1:4044".to_string();
-    let mut builder = EngineOptions::builder();
-    let mut preloads: Vec<(String, String)> = Vec::new();
+/// The parsed command line.
+struct Args {
+    addr: String,
+    options: EngineOptions,
+    preloads: Vec<(String, String)>,
+}
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        addr: "127.0.0.1:4044".to_string(),
+        options: EngineOptions::default(),
+        preloads: Vec::new(),
+    };
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let count = |value: String| {
+            value
+                .parse::<usize>()
+                .map_err(|_| format!("{flag} expects a number, got {value:?}"))
         };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--threads" => {
-                builder = builder.threads(value("--threads").parse().expect("--threads: number"));
-            }
-            "--morsel" => {
-                builder = builder.morsel_rows(value("--morsel").parse().expect("--morsel: number"));
-            }
-            "--budget" => {
-                builder = builder
-                    .memory_budget_rows(value("--budget").parse().expect("--budget: number"));
-            }
+        match flag.as_str() {
+            "--addr" => parsed.addr = value()?,
+            "--threads" => parsed.options.threads = count(value()?)?,
+            "--budget" => parsed.options.memory_budget_rows = count(value()?)?,
             "--load" => {
-                let spec = value("--load");
-                let Some((name, path)) = spec.split_once('=') else {
-                    eprintln!("--load expects NAME=PATH, got {spec}");
-                    return usage();
-                };
-                preloads.push((name.to_string(), path.to_string()));
+                let spec = value()?;
+                let (name, path) = spec
+                    .split_once('=')
+                    .ok_or_else(|| format!("--load expects NAME=PATH, got {spec:?}"))?;
+                parsed.preloads.push((name.to_string(), path.to_string()));
             }
-            _ => return usage(),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
+    Ok(parsed)
+}
 
-    let engine = Arc::new(Pathfinder::with_options(builder.build()));
+fn main() -> ExitCode {
+    let Args {
+        addr,
+        options,
+        preloads,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}");
+            return usage();
+        }
+    };
+
+    let engine = Arc::new(Pathfinder::with_options(options));
     for (name, path) in &preloads {
         let xml = match std::fs::read_to_string(path) {
             Ok(xml) => xml,

@@ -26,9 +26,9 @@
 //! ```
 //! use pathfinder::engine::Pathfinder;
 //!
-//! let mut pf = Pathfinder::new();
+//! let pf = Pathfinder::new();
 //! pf.load_document("doc.xml", "<a><b>1</b><b>2</b></a>").unwrap();
-//! let result = pf.query("fn:sum(fn:doc(\"doc.xml\")//b)").unwrap();
+//! let result = pf.session().query("fn:sum(fn:doc(\"doc.xml\")//b)").unwrap();
 //! assert_eq!(result.to_xml(), "3");
 //! ```
 

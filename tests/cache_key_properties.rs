@@ -186,12 +186,12 @@ fn constructor_queries_scale_linearly_in_iteration_count() {
     );
 }
 
-/// The optimizer-level tag that prefixes every plan-cache key must
-/// round-trip through `OptimizerLevel::parse` and stay injective: two
-/// different rule sets can never produce the same tag (else plans
-/// compiled under different levels would alias in the cache).
+/// The optimizer-level tag that prefixes every plan-cache key must be
+/// injective: two different rule sets can never produce the same tag
+/// (else plans compiled under different levels would alias in the
+/// cache), and no level may take the disabled optimizer's `off` tag.
 #[test]
-fn optimizer_level_tags_round_trip_and_never_collide() {
+fn optimizer_level_tags_never_collide() {
     use pathfinder::engine::OptimizerLevel;
 
     let mut seen = std::collections::HashMap::new();
@@ -204,11 +204,7 @@ fn optimizer_level_tags_round_trip_and_never_collide() {
             indexscan: bits & 16 != 0,
         };
         let tag = level.tag();
-        assert_eq!(
-            OptimizerLevel::parse(&tag),
-            Some(level),
-            "tag {tag:?} must round-trip"
-        );
+        assert_ne!(tag, "off", "{level:?} takes the disabled optimizer's tag");
         assert!(
             !tag.contains('\u{0}'),
             "tags must never contain the key separator"
@@ -219,6 +215,5 @@ fn optimizer_level_tags_round_trip_and_never_collide() {
         // The tag behaves like a cache-key component: normalization-stable.
         assert_eq!(pathfinder::engine::normalize_cache_key(&tag), tag);
     }
-    assert_eq!(OptimizerLevel::parse(""), Some(OptimizerLevel::FULL));
-    assert_eq!(OptimizerLevel::parse("garbage"), None);
+    assert_eq!(seen.len(), 32);
 }

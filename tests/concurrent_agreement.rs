@@ -8,7 +8,8 @@
 //!
 //! * **Agreement** — N sessions running the whole XMark set concurrently
 //!   (each in a different order) serialize byte-identically to a
-//!   sequential run on a fresh engine, with no per-query thread spawns.
+//!   sequential run on a fresh engine, with no per-query thread spawns,
+//!   at the default morsel size and with 2-row morsels.
 //! * **Snapshot isolation** — documents reloaded *while queries are in
 //!   flight* never tear an admitted query's reads: a query that scans the
 //!   same document twice always sees one version, even though the
@@ -16,15 +17,23 @@
 //! * **Admission control** — with the memory budget saturated, the next
 //!   query with a known footprint demonstrably queues (it is *waiting*,
 //!   not running) and completes once budget frees up.
+//!
+//! Every shared engine runs four executor threads, so the worker-pool
+//! path and its query-tagged fair scheduler are exercised on any machine.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pathfinder::algebra::OptimizerLevel;
-use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
+use pathfinder::engine::{EngineOptions, EngineOptionsBuilder, Pathfinder, Profile};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 
 const SESSIONS: usize = 4;
+
+/// Options of every shared engine: the parallel executor.
+fn parallel() -> EngineOptionsBuilder {
+    EngineOptions::builder().threads(4)
+}
 
 #[test]
 fn concurrent_sessions_agree_with_a_sequential_run() {
@@ -35,7 +44,7 @@ fn concurrent_sessions_agree_with_a_sequential_run() {
     let doc = Arc::new(pathfinder::xml::parse(&xml).expect("generated XML is well-formed"));
 
     // Sequential reference on its own engine.
-    let reference_engine = Pathfinder::new();
+    let reference_engine = Pathfinder::with_options(EngineOptions::builder().threads(1).build());
     reference_engine.load_parsed("auction.xml", &doc).unwrap();
     let reference: Vec<String> = queries()
         .iter()
@@ -51,36 +60,36 @@ fn concurrent_sessions_agree_with_a_sequential_run() {
     // N sessions on one shared engine, all running the whole set
     // concurrently — each starting at a different offset so the in-flight
     // mix differs the whole time.
-    let pf = Pathfinder::new();
-    pf.load_parsed("auction.xml", &doc).unwrap();
-    std::thread::scope(|scope| {
-        for offset in 0..SESSIONS {
-            let session = pf.session();
-            let reference = &reference;
-            scope.spawn(move || {
-                let qs = queries();
-                for i in 0..qs.len() {
-                    let q = &qs[(i + offset * 5) % qs.len()];
-                    let result = session
-                        .query(q.text)
-                        .unwrap_or_else(|e| panic!("Q{} failed concurrently: {e}", q.id));
-                    assert_eq!(
-                        reference[(i + offset * 5) % qs.len()],
-                        result.to_xml(),
-                        "Q{} diverges under concurrent serving (session offset {offset})",
-                        q.id
-                    );
-                }
-            });
-        }
-    });
-    // However many queries ran in parallel, the engine spawned at most one
-    // worker pool (zero on the sequential path) — never a per-query one.
-    assert!(
-        pf.worker_pool_spawns() <= 1,
-        "per-query pool creation: {} spawns",
-        pf.worker_pool_spawns()
-    );
+    for options in [parallel(), parallel().morsel_rows(2)] {
+        let pf = Pathfinder::with_options(options.build());
+        pf.load_parsed("auction.xml", &doc).unwrap();
+        let morsel_rows = pf.options().morsel_rows;
+        std::thread::scope(|scope| {
+            for offset in 0..SESSIONS {
+                let session = pf.session();
+                let reference = &reference;
+                scope.spawn(move || {
+                    let qs = queries();
+                    for i in 0..qs.len() {
+                        let q = &qs[(i + offset * 5) % qs.len()];
+                        let result = session
+                            .query(q.text)
+                            .unwrap_or_else(|e| panic!("Q{} failed concurrently: {e}", q.id));
+                        assert_eq!(
+                            reference[(i + offset * 5) % qs.len()],
+                            result.to_xml(),
+                            "Q{} diverges under concurrent serving (session offset \
+                             {offset}, morsel_rows {morsel_rows})",
+                            q.id
+                        );
+                    }
+                });
+            }
+        });
+        // However many queries ran in parallel, the engine spawned exactly
+        // one worker pool — never a per-query one.
+        assert_eq!(pf.worker_pool_spawns(), 1, "morsel_rows {morsel_rows}");
+    }
 }
 
 #[test]
@@ -89,7 +98,7 @@ fn reloads_during_in_flight_queries_do_not_tear_snapshots() {
     // one evaluation must see the *same* version both times, so the only
     // possible answers are 11 and 33 — a 13 or 31 is a torn snapshot.
     let torn_detector = "fn:count(fn:doc(\"d.xml\")//b) * 10 + fn:count(fn:doc(\"d.xml\")//b)";
-    let pf = Pathfinder::new();
+    let pf = Pathfinder::with_options(parallel().build());
     pf.load_document("d.xml", "<a><b/></a>").unwrap();
     let stop = AtomicBool::new(false);
 
@@ -133,7 +142,7 @@ fn reloads_during_in_flight_queries_do_not_tear_snapshots() {
 
 #[test]
 fn a_query_with_a_known_footprint_queues_when_the_budget_is_saturated() {
-    let pf = Pathfinder::with_options(EngineOptions::builder().memory_budget_rows(1_000).build());
+    let pf = Pathfinder::with_options(parallel().memory_budget_rows(1_000).build());
     pf.load_document("d.xml", "<a><b>1</b><b>2</b><b>3</b></a>")
         .unwrap();
     let q = "for $b in fn:doc(\"d.xml\")//b return fn:string($b)";
@@ -188,7 +197,7 @@ fn a_cold_plan_queues_on_its_shape_estimate() {
     // estimate is now seeded from the plan shape (the referenced
     // document's node count), so the very first run queues like a warm
     // one.
-    let pf = Pathfinder::with_options(EngineOptions::builder().memory_budget_rows(1_000).build());
+    let pf = Pathfinder::with_options(parallel().memory_budget_rows(1_000).build());
     pf.load_document("d.xml", "<a><b>1</b><b>2</b><b>3</b></a>")
         .unwrap();
     let q = "for $b in fn:doc(\"d.xml\")//b return fn:string($b)";
@@ -243,9 +252,7 @@ fn q11_counted_by_rank_fits_a_budget_its_pair_table_does_not() {
     });
     let q11 = queries().into_iter().find(|q| q.id == 11).unwrap().text;
     let engine = |level: OptimizerLevel, budget: usize| {
-        let options = EngineOptions::builder()
-            .optimizer_level(level)
-            .memory_budget_rows(budget);
+        let options = parallel().optimizer_level(level).memory_budget_rows(budget);
         let pf = Pathfinder::with_options(options.build());
         pf.load_document("auction.xml", &xml).unwrap();
         // Warm run: records the plan's measured peak.
@@ -288,7 +295,7 @@ fn admitted_queries_keep_their_snapshot_across_a_reload() {
     // engine registry changing *after* admission is not.  We simulate the
     // in-flight case directly through the registry snapshot the engine
     // takes per query.
-    let pf = Pathfinder::new();
+    let pf = Pathfinder::with_options(parallel().build());
     pf.load_document("d.xml", "<a><b/></a>").unwrap();
     let before = pf.registry().snapshot();
     pf.load_document("d.xml", "<a><b/><b/><b/></a>").unwrap();

@@ -20,10 +20,17 @@ fn engine(
     indexes: bool,
     threads: usize,
 ) -> Pathfinder {
+    let level = if indexes {
+        level
+    } else {
+        OptimizerLevel {
+            indexscan: false,
+            ..level
+        }
+    };
     let pf = Pathfinder::with_options(
         EngineOptions::builder()
             .optimizer_level(level)
-            .indexes(indexes)
             .threads(threads)
             .build(),
     );
@@ -103,8 +110,8 @@ fn index_scan_rule_fires_on_the_predicate_queries() {
         );
     }
 
-    // With indexes disabled the same engine configuration must not
-    // introduce a single scan (the A/B switch really is a switch).
+    // With the rule switched off the same engine configuration must not
+    // introduce a single scan.
     let off = engine(&doc, OptimizerLevel::FULL, false, 1);
     for q in queries() {
         let explain = off.explain(q.text).unwrap();

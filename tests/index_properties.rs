@@ -59,15 +59,10 @@ fn document() -> impl Strategy<Value = String> {
     })
 }
 
-fn engine(
-    doc: &Arc<pathfinder::xml::Document>,
-    level: OptimizerLevel,
-    indexes: bool,
-) -> Pathfinder {
+fn engine(doc: &Arc<pathfinder::xml::Document>, level: OptimizerLevel) -> Pathfinder {
     let pf = Pathfinder::with_options(
         EngineOptions::builder()
             .optimizer_level(level)
-            .indexes(indexes)
             .threads(1)
             .build(),
     );
@@ -76,21 +71,19 @@ fn engine(
     pf
 }
 
-/// Run `query` with and without the index path; fold each outcome to a
-/// comparable `Result<String, String>`.
+/// Run `query` with and without the index path (the basic level has no
+/// `indexscan` rule); fold each outcome to a comparable
+/// `Result<String, String>`.
 fn both_paths(xml: &str, query: &str) -> (Result<String, String>, Result<String, String>) {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated document is well-formed"));
-    let run = |level, indexes| {
-        engine(&doc, level, indexes)
+    let run = |level| {
+        engine(&doc, level)
             .session()
             .query(query)
             .map(|r| r.to_xml())
             .map_err(|e| e.to_string())
     };
-    (
-        run(OptimizerLevel::BASIC, false),
-        run(OptimizerLevel::FULL, true),
-    )
+    (run(OptimizerLevel::BASIC), run(OptimizerLevel::FULL))
 }
 
 proptest! {

@@ -6,16 +6,15 @@
 //! schedule-independent [`ExecStats`] totals of every query are
 //! **byte-identical** across
 //!
-//! * thread counts (`1` — the sequential executor — vs `4`),
+//! * thread counts (`1` — the sequential executor — vs `4`), and
 //! * morsel sizes (tiny — every big operator splits into many chunks —
-//!   vs the default vs `∞` — no intra-operator partitioning at all), and
-//! * fusion on/off (chunked pipelines vs chunked single operators).
+//!   vs the default vs `∞` — no intra-operator partitioning at all).
 //!
 //! This suite pins that down for all 20 XMark queries plus a
 //! constructor-heavy query, comparing every configuration against the
-//! sequential, unpartitioned reference of the same fusion setting (work
-//! totals differ *between* fusion settings by design — elided tables —
-//! so the reference is per fusion flag).
+//! sequential, unpartitioned reference; the totals include the fusion
+//! savings (`fused_ops`, `tables_elided`), so they too are pinned across
+//! schedules.
 
 use std::sync::Arc;
 
@@ -72,11 +71,10 @@ fn profiled(pf: &Pathfinder, query: &str) -> EngineResult<(QueryResult, ExecStat
     Ok((outcome.result, stats))
 }
 
-fn engine(xml_doc: &Arc<pathfinder::xml::Document>, fusion: bool, config: &Config) -> Pathfinder {
+fn engine(xml_doc: &Arc<pathfinder::xml::Document>, config: &Config) -> Pathfinder {
     let pf = Pathfinder::with_options(EngineOptions {
         threads: config.threads,
         morsel_rows: config.morsel_rows,
-        fusion,
         ..EngineOptions::default()
     });
     pf.load_parsed("auction.xml", xml_doc).unwrap();
@@ -114,7 +112,7 @@ fn totals(stats: &ExecStats) -> Totals {
 }
 
 #[test]
-fn all_queries_agree_across_threads_morsels_and_fusion() {
+fn all_queries_agree_across_threads_and_morsels() {
     let xml = generate(&GeneratorConfig {
         scale: 0.003,
         seed: 20050831,
@@ -127,51 +125,53 @@ fn all_queries_agree_across_threads_morsels_and_fusion() {
         .collect();
     query_texts.push(("constructor".into(), CONSTRUCTOR_QUERY.into()));
 
-    for fusion in [true, false] {
-        // Reference: sequential, unpartitioned, this fusion setting.
-        let reference_engine = engine(&doc, fusion, &CONFIGS[0]);
-        let references: Vec<(String, usize, Totals)> = query_texts
-            .iter()
-            .map(|(name, text)| {
-                let (result, stats) = profiled(&reference_engine, text)
-                    .unwrap_or_else(|e| panic!("{name} failed on the reference: {e}"));
-                (result.to_xml(), result.len(), totals(&stats))
-            })
-            .collect();
+    // Reference: sequential, unpartitioned.
+    let reference_engine = engine(&doc, &CONFIGS[0]);
+    let references: Vec<(String, usize, Totals)> = query_texts
+        .iter()
+        .map(|(name, text)| {
+            let (result, stats) = profiled(&reference_engine, text)
+                .unwrap_or_else(|e| panic!("{name} failed on the reference: {e}"));
+            (result.to_xml(), result.len(), totals(&stats))
+        })
+        .collect();
+    let (_, constructed, _) = references.last().expect("the constructor query ran");
+    assert!(*constructed > 0, "constructor query produced no items");
+    let tables_elided = |t: &Totals| t.5;
+    assert!(
+        references.iter().any(|(_, _, t)| tables_elided(t) > 0),
+        "fusion never elided a table across the whole XMark set"
+    );
 
-        for config in &CONFIGS[1..] {
-            let pf = engine(&doc, fusion, config);
-            for ((name, text), (ref_xml, ref_len, ref_totals)) in
-                query_texts.iter().zip(&references)
-            {
-                let (result, stats) = profiled(&pf, text).unwrap_or_else(|e| {
-                    panic!("{name} failed at {} (fusion {fusion}): {e}", config.label)
-                });
-                assert_eq!(
-                    *ref_xml,
-                    result.to_xml(),
-                    "{name}: serialization diverges at {} (fusion {fusion})",
-                    config.label
-                );
-                assert_eq!(
-                    *ref_len,
-                    result.len(),
-                    "{name}: row count diverges at {} (fusion {fusion})",
-                    config.label
-                );
-                assert_eq!(
-                    *ref_totals,
-                    totals(&stats),
-                    "{name}: work totals diverge at {} (fusion {fusion})",
-                    config.label
-                );
-            }
-            // One pool, however many queries this configuration ran.
-            if config.threads > 1 {
-                assert_eq!(pf.worker_pool_spawns(), 1, "{}", config.label);
-            } else {
-                assert_eq!(pf.worker_pool_spawns(), 0, "{}", config.label);
-            }
+    for config in &CONFIGS[1..] {
+        let pf = engine(&doc, config);
+        for ((name, text), (ref_xml, ref_len, ref_totals)) in query_texts.iter().zip(&references) {
+            let (result, stats) = profiled(&pf, text)
+                .unwrap_or_else(|e| panic!("{name} failed at {}: {e}", config.label));
+            assert_eq!(
+                *ref_xml,
+                result.to_xml(),
+                "{name}: serialization diverges at {}",
+                config.label
+            );
+            assert_eq!(
+                *ref_len,
+                result.len(),
+                "{name}: row count diverges at {}",
+                config.label
+            );
+            assert_eq!(
+                *ref_totals,
+                totals(&stats),
+                "{name}: work totals diverge at {}",
+                config.label
+            );
+        }
+        // One pool, however many queries this configuration ran.
+        if config.threads > 1 {
+            assert_eq!(pf.worker_pool_spawns(), 1, "{}", config.label);
+        } else {
+            assert_eq!(pf.worker_pool_spawns(), 0, "{}", config.label);
         }
     }
 }
@@ -181,7 +181,7 @@ fn join_heavy_queries_agree_across_the_full_matrix() {
     // Q8–Q12 are the join- and aggregate-heavy XMark queries; their
     // equi-joins build typed hash indexes and probe in morsels, and their
     // counts pre-aggregate per chunk.  The full cross product of thread
-    // count × morsel size × fusion must serialize byte-identically, and
+    // count × morsel size must serialize byte-identically, and
     // the kernel counters (join build/probe rows, aggregate input rows)
     // must be schedule-independent and non-zero.
     let xml = generate(&GeneratorConfig {
@@ -196,46 +196,39 @@ fn join_heavy_queries_agree_across_the_full_matrix() {
         let mut ref_kernel: Option<(usize, usize, usize)> = None;
         for threads in [1usize, 4] {
             for morsel_rows in [2usize, 0, usize::MAX] {
-                for fusion in [true, false] {
-                    let pf = Pathfinder::with_options(EngineOptions {
-                        threads,
-                        morsel_rows,
-                        fusion,
-                        ..EngineOptions::default()
-                    });
-                    pf.load_parsed("auction.xml", &doc).unwrap();
-                    let (result, stats) = profiled(&pf, q.text).unwrap_or_else(|e| {
-                        panic!("Q{id} failed at t{threads}/m{morsel_rows}/f{fusion}: {e}")
-                    });
-                    let xml_out = result.to_xml();
-                    match &ref_xml {
-                        None => ref_xml = Some(xml_out),
-                        Some(reference) => assert_eq!(
-                            *reference, xml_out,
-                            "Q{id}: serialization diverges at t{threads}/m{morsel_rows}/f{fusion}"
-                        ),
+                let pf = Pathfinder::with_options(EngineOptions {
+                    threads,
+                    morsel_rows,
+                    ..EngineOptions::default()
+                });
+                pf.load_parsed("auction.xml", &doc).unwrap();
+                let (result, stats) = profiled(&pf, q.text)
+                    .unwrap_or_else(|e| panic!("Q{id} failed at t{threads}/m{morsel_rows}: {e}"));
+                let xml_out = result.to_xml();
+                match &ref_xml {
+                    None => ref_xml = Some(xml_out),
+                    Some(reference) => assert_eq!(
+                        *reference, xml_out,
+                        "Q{id}: serialization diverges at t{threads}/m{morsel_rows}"
+                    ),
+                }
+                let kernel = (
+                    stats.join_build_rows,
+                    stats.join_probe_rows,
+                    stats.agg_input_rows,
+                );
+                match &ref_kernel {
+                    None => {
+                        assert!(
+                            kernel.1 > 0,
+                            "Q{id}: a join-heavy query counted no probe rows"
+                        );
+                        ref_kernel = Some(kernel);
                     }
-                    // Joins and aggregates are breakers under either
-                    // fusion setting, so the kernel counters agree across
-                    // the whole matrix.
-                    let kernel = (
-                        stats.join_build_rows,
-                        stats.join_probe_rows,
-                        stats.agg_input_rows,
-                    );
-                    match &ref_kernel {
-                        None => {
-                            assert!(
-                                kernel.1 > 0,
-                                "Q{id}: a join-heavy query counted no probe rows"
-                            );
-                            ref_kernel = Some(kernel);
-                        }
-                        Some(reference) => assert_eq!(
-                            *reference, kernel,
-                            "Q{id}: kernel counters diverge at t{threads}/m{morsel_rows}/f{fusion}"
-                        ),
-                    }
+                    Some(reference) => assert_eq!(
+                        *reference, kernel,
+                        "Q{id}: kernel counters diverge at t{threads}/m{morsel_rows}"
+                    ),
                 }
             }
         }

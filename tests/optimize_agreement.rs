@@ -11,10 +11,11 @@
 //!
 //! The join-graph-isolation half of the suite pins the `full` optimizer
 //! level: every XMark query must serialize **byte-identically** under
-//! `basic` and `full` across the threads × fusion matrix (plus morsel
-//! sizes on the join-heavy queries), and each isolation rule — pushdown,
-//! dedup/unshare, reorder — carries its own property test over randomized
-//! literal-table plans.
+//! `basic` and `full` at 1 and 4 threads (plus morsel sizes on the
+//! join-heavy queries), the full level's *unshare* must never lower the
+//! fused share, and each isolation rule — pushdown, dedup/unshare,
+//! reorder — carries its own property test over randomized literal-table
+//! plans.
 
 use std::sync::Arc;
 
@@ -24,7 +25,7 @@ use pathfinder::algebra::{
     optimize, optimize_with, AlgOp, NoStats, OpId, OptimizerLevel, Plan, PlanBuilder,
 };
 use pathfinder::engine::{
-    DocRegistry, EngineOptions, Executor, Pathfinder, Profile, QueryResult, Timings,
+    DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
 };
 use pathfinder::relational::Value;
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
@@ -112,24 +113,20 @@ fn eviction_does_not_change_results_on_shared_dags() {
     assert_eq!(a.to_xml(), b.to_xml());
 }
 
-/// One engine per (level, threads, fusion) cell, all sharing the parsed
-/// document.
-fn level_engines(xml: &str) -> Vec<((OptimizerLevel, usize, bool), Pathfinder)> {
+/// One engine per (level, threads) cell, all sharing the parsed document.
+fn level_engines(xml: &str) -> Vec<((OptimizerLevel, usize), Pathfinder)> {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated XML is well-formed"));
     let mut engines = Vec::new();
     for level in [OptimizerLevel::BASIC, OptimizerLevel::FULL] {
         for threads in [1usize, 4] {
-            for fusion in [false, true] {
-                let pf = Pathfinder::with_options(
-                    EngineOptions::builder()
-                        .optimizer_level(level)
-                        .threads(threads)
-                        .fusion(fusion)
-                        .build(),
-                );
-                pf.load_parsed("auction.xml", &doc).unwrap();
-                engines.push(((level, threads, fusion), pf));
-            }
+            let pf = Pathfinder::with_options(
+                EngineOptions::builder()
+                    .optimizer_level(level)
+                    .threads(threads)
+                    .build(),
+            );
+            pf.load_parsed("auction.xml", &doc).unwrap();
+            engines.push(((level, threads), pf));
         }
     }
     engines
@@ -147,10 +144,10 @@ fn full_and_basic_levels_agree_on_all_xmark_queries() {
     let mut unshared = 0usize;
     for q in queries() {
         let mut reference: Option<String> = None;
-        for ((level, threads, fusion), pf) in &engines {
+        for ((level, threads), pf) in &engines {
             let outcome = pf.query_with(q.text, Profile::None).unwrap_or_else(|e| {
                 panic!(
-                    "Q{} failed at level = {level}, threads = {threads}, fusion = {fusion}: {e}",
+                    "Q{} failed at level = {level}, threads = {threads}: {e}",
                     q.id
                 )
             });
@@ -159,8 +156,7 @@ fn full_and_basic_levels_agree_on_all_xmark_queries() {
                 None => reference = Some(xml_out),
                 Some(expected) => assert_eq!(
                     *expected, xml_out,
-                    "Q{}: serialization diverges at level = {level}, threads = {threads}, \
-                     fusion = {fusion}",
+                    "Q{}: serialization diverges at level = {level}, threads = {threads}",
                     q.id
                 ),
             }
@@ -191,6 +187,87 @@ fn full_and_basic_levels_agree_on_all_xmark_queries() {
         "hash-consing never merged a subplan across XMark"
     );
     assert!(unshared > 0, "unsharing never cloned a chain across XMark");
+}
+
+#[test]
+fn full_optimizer_never_decreases_the_fused_share_on_fusable_queries() {
+    // The full level's *unshare* pass exists for exactly this: cloning
+    // cheap shared operators so fusion sees single-consumer chains.  On
+    // every query where the basic level fuses at all, the full level's
+    // tables-elided share (elided / operators evaluated) must be at least
+    // as high — and the results must stay byte-identical.
+    let xml = generate(&GeneratorConfig {
+        scale: 0.004,
+        seed: 20050831,
+    });
+    let doc = Arc::new(pathfinder::xml::parse(&xml).expect("generated XML is well-formed"));
+    // Index scans are pinned off: an IndexScan rewrite splices an extra
+    // breaker into the plan, which shifts the share denominator exactly
+    // like reordering does (byte-agreement with and without index scans
+    // is pinned by tests/index_agreement.rs).
+    let mk = |level: OptimizerLevel| {
+        let pf = Pathfinder::with_options(
+            EngineOptions::builder()
+                .optimizer_level(OptimizerLevel {
+                    indexscan: false,
+                    ..level
+                })
+                .threads(1)
+                .build(),
+        );
+        pf.load_parsed("auction.xml", &doc).unwrap();
+        pf
+    };
+    let basic = mk(OptimizerLevel::BASIC);
+    let full = mk(OptimizerLevel::FULL);
+    let mut fusable = 0usize;
+    for q in queries() {
+        let out_basic = basic
+            .query_with(q.text, Profile::Stats)
+            .unwrap_or_else(|e| panic!("Q{} basic failed: {e}", q.id));
+        let out_full = full
+            .query_with(q.text, Profile::Stats)
+            .unwrap_or_else(|e| panic!("Q{} full failed: {e}", q.id));
+        assert_eq!(
+            out_basic.result.to_xml(),
+            out_full.result.to_xml(),
+            "Q{}: levels disagree",
+            q.id
+        );
+        let (s_basic, s_full) = (
+            out_basic.stats.expect("Profile::Stats returns stats"),
+            out_full.stats.expect("Profile::Stats returns stats"),
+        );
+        if s_basic.tables_elided == 0 {
+            continue;
+        }
+        // The share invariant is about *unshare*: cloning shared cheap
+        // chains can only create fusion opportunities.  Once the
+        // reorderer restructures a join cluster the physical plan is a
+        // different shape and its fused share is incomparable, so only
+        // byte-agreement is asserted on reordered queries.
+        if out_full.timings().optimizer.joins_reordered > 0 {
+            continue;
+        }
+        fusable += 1;
+        let share = |s: &ExecStats| s.tables_elided as f64 / s.operators_evaluated.max(1) as f64;
+        assert!(
+            share(&s_full) >= share(&s_basic) - 1e-9,
+            "Q{}: fused share decreased under the full level \
+             ({:.3} = {}/{} basic vs {:.3} = {}/{} full)",
+            q.id,
+            share(&s_basic),
+            s_basic.tables_elided,
+            s_basic.operators_evaluated,
+            share(&s_full),
+            s_full.tables_elided,
+            s_full.operators_evaluated,
+        );
+    }
+    assert!(
+        fusable >= 5,
+        "expected at least 5 fusable XMark queries, saw {fusable}"
+    );
 }
 
 #[test]
