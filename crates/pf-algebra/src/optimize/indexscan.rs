@@ -52,18 +52,21 @@ use crate::properties::PlanProperties;
 
 /// Introduce at most one `IndexScan` per call (the fixpoint driver
 /// re-invokes until nothing changes, with fresh consumer counts).
-pub(crate) fn introduce_index_scans(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+/// `props` is the analysis of `plan`; document provenance and key sets
+/// are what the rule reads.
+pub(crate) fn introduce_index_scans(
+    plan: &mut Plan,
+    props: &PlanProperties,
+    report: &mut OptimizeReport,
+) -> bool {
     let consumers = plan.consumer_counts();
-    // Document provenance and key sets both come from the unified
-    // property pass (it used to be two separate walks).
-    let props = PlanProperties::analyze(plan);
     for id in plan.reachable() {
         let rewrite = match plan.op(id) {
             AlgOp::Select { input, column } => {
                 let (input, column) = (*input, column.clone());
-                match_exact(plan, &consumers, &props, input, &column)
-                    .or_else(|| match_ebv_union(plan, &consumers, &props, input, &column))
-                    .or_else(|| match_ebv_pushed(plan, &consumers, &props, id, input, &column))
+                match_exact(plan, &consumers, props, input, &column)
+                    .or_else(|| match_ebv_union(plan, &consumers, props, input, &column))
+                    .or_else(|| match_ebv_pushed(plan, &consumers, props, id, input, &column))
             }
             AlgOp::ThetaJoin {
                 left,
@@ -79,7 +82,7 @@ pub(crate) fn introduce_index_scans(plan: &mut Plan, report: &mut OptimizeReport
                 (*right, right_col),
                 *op,
             )
-            .and_then(|traced| build_rewrite(plan, &props, traced, IndexMode::Exact)),
+            .and_then(|traced| build_rewrite(plan, props, traced, IndexMode::Exact)),
             _ => continue,
         };
         let Some(rw) = rewrite else {

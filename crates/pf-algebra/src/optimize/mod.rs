@@ -59,7 +59,11 @@
 //! (pinned by `tests/optimize_agreement.rs` across the whole
 //! threads × morsel matrix).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use pf_store::DocStatistics;
 
 pub mod cardinality;
 pub mod dedup;
@@ -74,6 +78,7 @@ pub use isolation::Isolation;
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
+use crate::properties::PlanProperties;
 use crate::schema::infer_schema;
 
 /// Which rewrite rules [`optimize_with`] runs: the basic peephole pass is
@@ -212,6 +217,10 @@ pub struct OptimizeReport {
     /// Number of verifier passes run (one for the input plan plus one per
     /// rule application that changed the plan).
     pub verify_passes: usize,
+    /// Number of whole-plan property analyses the rules asked for: at most
+    /// one per plan version, i.e. at most one plus the number of rule
+    /// applications that changed the plan.
+    pub property_passes: usize,
     /// Nanoseconds spent verifying after each rule, indexed like
     /// [`OptimizeReport::RULE_NAMES`].
     pub verify_rule_nanos: [u64; Self::RULE_NAMES.len()],
@@ -258,12 +267,36 @@ pub fn optimize(plan: &mut Plan) -> OptimizeReport {
 /// dedup is on, the one-pass hash-consing replaces the fixpoint string
 /// CSE (same rewrites, counted in `subplans_deduped`).  Debug builds
 /// verify every rewrite ([`optimize_with_verify`]); release builds do not.
+///
+/// The property-reading rules (`reorder`, `indexscan`, `thetacount`)
+/// share one [`PlanProperties`] analysis per plan version: it is computed
+/// when a rule first asks for it and dropped when a rule changes the plan
+/// ([`OptimizeReport::property_passes`] counts the analyses).
 pub fn optimize_with(
     plan: &mut Plan,
     level: OptimizerLevel,
     stats: &dyn StatsSource,
 ) -> OptimizeReport {
     optimize_with_verify(plan, level, stats, cfg!(debug_assertions))
+}
+
+/// [`optimize_with`] that also returns the property analysis of the
+/// optimized plan — reused when no rule changed the plan after the last
+/// analysis, so a caller that needs the final plan's properties (the
+/// engine's cold admission estimate reads [`PlanProperties::peak_rows`])
+/// runs no extra pass.
+pub fn optimize_analyzed(
+    plan: &mut Plan,
+    level: OptimizerLevel,
+    stats: &dyn StatsSource,
+) -> (OptimizeReport, PlanProperties) {
+    let mut optimizer = Optimizer::new(plan, stats, cfg!(debug_assertions));
+    optimizer.run(plan, level);
+    optimizer.analysis.of(plan);
+    let mut report = optimizer.report;
+    report.property_passes = optimizer.analysis.passes;
+    let props = optimizer.analysis.current.expect("analyzed just above");
+    (report, props)
 }
 
 /// [`optimize_with`] with explicit control over plan verification.
@@ -281,130 +314,191 @@ pub fn optimize_with_verify(
     stats: &dyn StatsSource,
     verify: bool,
 ) -> OptimizeReport {
-    let mut report = OptimizeReport {
-        operators_before: plan.operator_count(),
-        ..Default::default()
-    };
-    let mut failed = false;
-    if verify {
-        report.verify_passes += 1;
-        if let Err(e) = crate::verify::verify_plan(plan) {
-            debug_assert!(false, "optimizer input plan is malformed: {e}");
-            failed = true;
+    let mut optimizer = Optimizer::new(plan, stats, verify);
+    optimizer.run(plan, level);
+    optimizer.report
+}
+
+/// The property analysis of the plan version the optimizer currently
+/// holds: computed on first demand, dropped whenever a rule changes the
+/// plan.
+struct Analysis<'s> {
+    stats: PinnedStats<'s>,
+    current: Option<PlanProperties>,
+    /// Analyses computed so far.
+    passes: usize,
+}
+
+/// The statistics one optimization run sees: each document's fetched
+/// once, so every analysis of the run estimates from the same version
+/// even while a concurrent reload replaces the document.
+struct PinnedStats<'s> {
+    source: &'s dyn StatsSource,
+    fetched: RefCell<HashMap<String, Option<Arc<DocStatistics>>>>,
+}
+
+impl StatsSource for PinnedStats<'_> {
+    fn doc_statistics(&self, uri: &str) -> Option<Arc<DocStatistics>> {
+        if let Some(stats) = self.fetched.borrow().get(uri) {
+            return stats.clone();
         }
+        let stats = self.source.doc_statistics(uri);
+        self.fetched
+            .borrow_mut()
+            .insert(uri.to_string(), stats.clone());
+        stats
     }
-    // Wraps one rule application: snapshot, run, verify on change, roll
-    // back on rejection.  The digest is computed from the snapshot only
-    // when the rule actually changed the plan, so an idle fixpoint
-    // iteration costs one arena clone and nothing else.
-    let run_rule = |plan: &mut Plan,
-                    report: &mut OptimizeReport,
-                    failed: &mut bool,
-                    rule_idx: usize,
-                    rule: &mut dyn FnMut(&mut Plan, &mut OptimizeReport) -> bool|
-     -> bool {
-        if !verify || *failed {
-            return rule(plan, report);
+}
+
+impl Analysis<'_> {
+    /// The analysis of `plan`, which must be the version the last
+    /// [`Analysis::invalidate`] left behind.  Debug builds check a reused
+    /// analysis against a fresh one.
+    fn of(&mut self, plan: &Plan) -> &PlanProperties {
+        match &self.current {
+            Some(reused) => debug_assert!(
+                *reused == PlanProperties::analyze_with(plan, &self.stats),
+                "a rule changed the plan without reporting the change"
+            ),
+            None => self.passes += 1,
         }
-        let snapshot = plan.clone();
-        if !rule(plan, report) {
+        let stats = &self.stats;
+        self.current
+            .get_or_insert_with(|| PlanProperties::analyze_with(plan, stats))
+    }
+
+    fn invalidate(&mut self) {
+        self.current = None;
+    }
+}
+
+/// One optimization run: the report, the shared analysis, and the
+/// verification state.
+struct Optimizer<'s> {
+    report: OptimizeReport,
+    analysis: Analysis<'s>,
+    verify: bool,
+    /// A rewrite failed verification: stop verifying, keep optimizing.
+    failed: bool,
+}
+
+impl<'s> Optimizer<'s> {
+    fn new(plan: &Plan, stats: &'s dyn StatsSource, verify: bool) -> Optimizer<'s> {
+        let mut optimizer = Optimizer {
+            report: OptimizeReport {
+                operators_before: plan.operator_count(),
+                ..Default::default()
+            },
+            analysis: Analysis {
+                stats: PinnedStats {
+                    source: stats,
+                    fetched: RefCell::default(),
+                },
+                current: None,
+                passes: 0,
+            },
+            verify,
+            failed: false,
+        };
+        if verify {
+            optimizer.report.verify_passes += 1;
+            if let Err(e) = crate::verify::verify_plan(plan) {
+                debug_assert!(false, "optimizer input plan is malformed: {e}");
+                optimizer.failed = true;
+            }
+        }
+        optimizer
+    }
+
+    /// One rule application: snapshot, run, verify on change, roll back
+    /// on rejection.  The digest is computed from the snapshot only when
+    /// the rule actually changed the plan, so an idle fixpoint iteration
+    /// costs one arena clone and nothing else.  Any change (kept or
+    /// rolled back) drops the analysis.
+    fn apply(
+        &mut self,
+        plan: &mut Plan,
+        rule_idx: usize,
+        rule: impl FnOnce(&mut Plan, &mut Analysis<'s>, &mut OptimizeReport) -> bool,
+    ) -> bool {
+        let snapshot = (self.verify && !self.failed).then(|| plan.clone());
+        if !rule(plan, &mut self.analysis, &mut self.report) {
             return false;
         }
+        self.analysis.invalidate();
+        let Some(snapshot) = snapshot else {
+            return true;
+        };
         let start = std::time::Instant::now();
         let before = crate::verify::digest(&snapshot);
         let outcome =
             crate::verify::verify_rewrite(OptimizeReport::RULE_NAMES[rule_idx], &before, plan);
-        report.verify_rule_nanos[rule_idx] += start.elapsed().as_nanos() as u64;
-        report.verify_passes += 1;
+        self.report.verify_rule_nanos[rule_idx] += start.elapsed().as_nanos() as u64;
+        self.report.verify_passes += 1;
         match outcome {
             Ok(()) => true,
             Err(e) => {
                 debug_assert!(false, "{e}");
                 *plan = snapshot;
-                *failed = true;
+                self.failed = true;
                 false
             }
         }
-    };
-    // Run to a fixpoint; each pass is cheap (linear in plan size).
-    loop {
-        let mut changed = false;
-        changed |= run_rule(plan, &mut report, &mut failed, 0, &mut merge_projections);
-        changed |= run_rule(
-            plan,
-            &mut report,
-            &mut failed,
-            1,
-            &mut remove_identity_projections,
-        );
-        changed |= run_rule(
-            plan,
-            &mut report,
-            &mut failed,
-            2,
-            &mut remove_redundant_order_ops,
-        );
-        changed |= run_rule(plan, &mut report, &mut failed, 3, &mut fold_constant_attach);
-        if level.dedup {
-            changed |= run_rule(plan, &mut report, &mut failed, 4, &mut dedup::hash_cons);
-        } else {
-            changed |= run_rule(
-                plan,
-                &mut report,
-                &mut failed,
-                4,
-                &mut common_subexpressions,
-            );
+    }
+
+    fn run(&mut self, plan: &mut Plan, level: OptimizerLevel) {
+        // Run to a fixpoint; each pass is cheap (linear in plan size).
+        loop {
+            let mut changed = false;
+            changed |= self.apply(plan, 0, |p, _, r| merge_projections(p, r));
+            changed |= self.apply(plan, 1, |p, _, r| remove_identity_projections(p, r));
+            changed |= self.apply(plan, 2, |p, _, r| remove_redundant_order_ops(p, r));
+            changed |= self.apply(plan, 3, |p, _, r| fold_constant_attach(p, r));
+            if level.dedup {
+                changed |= self.apply(plan, 4, |p, _, r| dedup::hash_cons(p, r));
+            } else {
+                changed |= self.apply(plan, 4, |p, _, r| common_subexpressions(p, r));
+            }
+            if level.pushdown {
+                changed |= self.apply(plan, 5, |p, _, r| pushdown::push_selections(p, r));
+            }
+            if level.reorder {
+                changed |= self.apply(plan, 6, |p, a, r| {
+                    let props = a.of(p);
+                    reorder::reorder_join_graphs(p, props, r)
+                });
+            }
+            if level.indexscan {
+                changed |= self.apply(plan, 7, |p, a, r| {
+                    let props = a.of(p);
+                    indexscan::introduce_index_scans(p, props, r)
+                });
+            }
+            // Count-by-rank matches the settled shape: try it once the
+            // other rules are done (a hit sends the plan round the loop
+            // again to clean up).  Nothing changed since `reorder` asked
+            // for the analysis, so this reuses it.
+            if level.reorder && !changed {
+                changed |= self.apply(plan, 9, |p, a, r| {
+                    let props = a.of(p);
+                    thetacount::count_by_rank(p, props, r)
+                });
+            }
+            if !changed {
+                break;
+            }
         }
-        if level.pushdown {
-            changed |= run_rule(
-                plan,
-                &mut report,
-                &mut failed,
-                5,
-                &mut pushdown::push_selections,
-            );
-        }
-        if level.reorder {
-            changed |= run_rule(plan, &mut report, &mut failed, 6, &mut |plan, report| {
-                reorder::reorder_join_graphs(plan, stats, report)
+        if level.unshare {
+            self.apply(plan, 8, |p, _, r| {
+                let before = r.chains_unshared;
+                dedup::unshare_fusable_chains(p, r);
+                r.chains_unshared != before
             });
         }
-        if level.indexscan {
-            changed |= run_rule(
-                plan,
-                &mut report,
-                &mut failed,
-                7,
-                &mut indexscan::introduce_index_scans,
-            );
-        }
-        // Count-by-rank matches the settled shape and needs a property
-        // pass per θ-join plan: try it once the other rules are done (a
-        // hit sends the plan round the loop again to clean up).
-        if level.reorder && !changed {
-            changed |= run_rule(
-                plan,
-                &mut report,
-                &mut failed,
-                9,
-                &mut thetacount::count_by_rank,
-            );
-        }
-        if !changed {
-            break;
-        }
+        self.report.verified = self.verify && !self.failed;
+        self.report.operators_after = plan.operator_count();
+        self.report.property_passes = self.analysis.passes;
     }
-    if level.unshare {
-        run_rule(plan, &mut report, &mut failed, 8, &mut |plan, report| {
-            let before = report.chains_unshared;
-            dedup::unshare_fusable_chains(plan, report);
-            report.chains_unshared != before
-        });
-    }
-    report.verified = verify && !failed;
-    report.operators_after = plan.operator_count();
-    report
 }
 
 /// Redirect every reference to `from` so that it points to `to`.

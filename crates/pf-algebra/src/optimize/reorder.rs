@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 
-use super::cardinality::StatsSource;
 use super::{redirect, OptimizeReport};
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
@@ -52,15 +51,14 @@ fn alpha(i: usize, col: &str) -> String {
 }
 
 /// Reorder one equi-join cluster per call (the optimizer's fixpoint
-/// loop drives repetition); `true` if a cluster was rewritten.
+/// loop drives repetition); `true` if a cluster was rewritten.  `props`
+/// is the analysis of `plan` — with document statistics, since it
+/// supplies the cardinalities as well as order freedom and schemas.
 pub fn reorder_join_graphs(
     plan: &mut Plan,
-    stats: &dyn StatsSource,
+    props: &PlanProperties,
     report: &mut OptimizeReport,
 ) -> bool {
-    // One unified analysis supplies order freedom, cardinalities, and
-    // schemas (it used to be three separate passes).
-    let props = PlanProperties::analyze_with(plan, stats);
     let consumers = plan.consumer_counts();
     let reachable = plan.reachable();
 
@@ -96,7 +94,7 @@ pub fn reorder_join_graphs(
         if !props.order_free(root) {
             continue;
         }
-        let Some(cluster) = collect_cluster(plan, root, &consumers, &props) else {
+        let Some(cluster) = collect_cluster(plan, root, &consumers, props) else {
             continue;
         };
         let Cluster {
@@ -378,10 +376,16 @@ fn collect_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::cardinality::NoStats;
     use crate::plan::PlanBuilder;
     use crate::schema::infer_schema;
     use pf_relational::Value;
+
+    /// The rule over a fresh statistics-free analysis, as the driver
+    /// would call it.
+    fn reorder(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+        let props = PlanProperties::analyze(plan);
+        reorder_join_graphs(plan, &props, report)
+    }
 
     /// A distinct single-iteration relation with `rows` rows and columns
     /// `{key_col, val_col}`; key values are 0..rows so every column is a
@@ -444,7 +448,7 @@ mod tests {
         let before_props = infer_schema(&plan);
         let before_cols = before_props[&root].columns.clone();
         let mut report = OptimizeReport::default();
-        assert!(reorder_join_graphs(&mut plan, &NoStats, &mut report));
+        assert!(reorder(&mut plan, &mut report));
         assert_eq!(report.joins_reordered, 1);
         // The restore projection feeds the old root's consumers with the
         // original column order.
@@ -492,9 +496,9 @@ mod tests {
         let (_a, _bb, _c, root) = three_way(&mut b);
         let mut plan = finish_order_free(b, root);
         let mut report = OptimizeReport::default();
-        assert!(reorder_join_graphs(&mut plan, &NoStats, &mut report));
+        assert!(reorder(&mut plan, &mut report));
         let mut report2 = OptimizeReport::default();
-        assert!(!reorder_join_graphs(&mut plan, &NoStats, &mut report2));
+        assert!(!reorder(&mut plan, &mut report2));
         assert_eq!(report2.joins_reordered, 0);
     }
 
@@ -510,7 +514,7 @@ mod tests {
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
-        assert!(!reorder_join_graphs(&mut plan, &NoStats, &mut report));
+        assert!(!reorder(&mut plan, &mut report));
     }
 
     #[test]
@@ -530,7 +534,7 @@ mod tests {
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
-        assert!(!reorder_join_graphs(&mut plan, &NoStats, &mut report));
+        assert!(!reorder(&mut plan, &mut report));
     }
 
     /// The loop-lifted shape: joins separated by rename projections and
@@ -576,13 +580,13 @@ mod tests {
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
         assert!(
-            reorder_join_graphs(&mut plan, &NoStats, &mut report),
+            reorder(&mut plan, &mut report),
             "interposed cluster should be reordered"
         );
         assert_eq!(report.joins_reordered, 1);
         // Fixpoint holds on the rebuilt shape.
         let mut report2 = OptimizeReport::default();
-        assert!(!reorder_join_graphs(&mut plan, &NoStats, &mut report2));
+        assert!(!reorder(&mut plan, &mut report2));
         // The attached constant column survives at the root.
         let schema = infer_schema(&plan);
         assert!(schema[&plan.root()].columns.iter().any(|c| c == "flag"));

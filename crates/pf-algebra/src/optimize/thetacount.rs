@@ -41,9 +41,14 @@ use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
 
 /// Replace every count aggregate [`candidates`] justifies by its
-/// `ThetaCount`, renamed to the aggregate's schema by a `π`.
-pub(crate) fn count_by_rank(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let found = candidates(plan);
+/// `ThetaCount`, renamed to the aggregate's schema by a `π`.  `props` is
+/// the analysis of `plan`.
+pub(crate) fn count_by_rank(
+    plan: &mut Plan,
+    props: &PlanProperties,
+    report: &mut OptimizeReport,
+) -> bool {
+    let found = candidates(plan, props);
     report.theta_counts_introduced += found.len();
     for candidate in &found {
         plan.ops_mut().push(candidate.count.clone());
@@ -65,22 +70,14 @@ pub(crate) struct Candidate {
 }
 
 /// Every reachable count aggregate whose input is row-aligned with a
-/// `δ(π(⋈θ))` base (see the module docs).  The verifier derives the same
-/// list from the pre-rewrite plan, so a rank count the rule could not
-/// have justified is rejected.
-pub(crate) fn candidates(plan: &Plan) -> Vec<Candidate> {
+/// `δ(π(⋈θ))` base (see the module docs), given the analysis `pp` of
+/// `plan`.  The verifier derives the same list from the pre-rewrite plan,
+/// so a rank count the rule could not have justified is rejected.
+pub(crate) fn candidates(plan: &Plan, pp: &PlanProperties) -> Vec<Candidate> {
     let order = plan.reachable();
-    // Most plans have no θ-join: skip the property pass for them.
-    if !order
-        .iter()
-        .any(|&id| matches!(plan.op(id), AlgOp::ThetaJoin { .. }))
-    {
-        return Vec::new();
-    }
-    let pp = PlanProperties::analyze(plan);
     let mut found = Vec::new();
-    for base in order.iter().filter_map(|&id| Base::at(plan, &pp, id)) {
-        let aligned = base.aligned(plan, &order, &pp);
+    for base in order.iter().filter_map(|&id| Base::at(plan, pp, id)) {
+        let aligned = base.aligned(plan, &order, pp);
         for &id in &order {
             let AlgOp::Aggregate {
                 input,
@@ -358,7 +355,8 @@ mod tests {
     fn aligned_scaffolding_becomes_a_rank_count() {
         let (mut plan, agg) = counted_join(false);
         let mut report = OptimizeReport::default();
-        assert!(count_by_rank(&mut plan, &mut report));
+        let props = PlanProperties::analyze(&plan);
+        assert!(count_by_rank(&mut plan, &props, &mut report));
         assert_eq!(report.theta_counts_introduced, 1);
         let AlgOp::Project { input, .. } = plan.op(agg) else {
             panic!("aggregate not replaced: {:?}", plan.op(agg));
@@ -374,12 +372,16 @@ mod tests {
             }
             other => panic!("expected a rank count, found {other:?}"),
         }
-        assert!(!count_by_rank(&mut plan, &mut report), "nothing left");
+        let props = PlanProperties::analyze(&plan);
+        assert!(
+            !count_by_rank(&mut plan, &props, &mut report),
+            "nothing left"
+        );
     }
 
     #[test]
     fn a_filtering_body_breaks_the_alignment() {
         let (plan, _) = counted_join(true);
-        assert!(candidates(&plan).is_empty());
+        assert!(candidates(&plan, &PlanProperties::analyze(&plan)).is_empty());
     }
 }

@@ -28,10 +28,11 @@
 //!
 //! The legacy entry points — [`crate::optimize::isolation::Isolation`]
 //! and [`crate::optimize::cardinality::CardEstimate`] — are thin
-//! wrappers over this pass; rewrite rules that need several property
-//! families at once ([`crate::optimize::reorder`],
-//! [`crate::optimize::indexscan`]) analyze the plan once instead of
-//! three times.  [`crate::verify`] checks rewrites against the same
+//! wrappers over this pass.  The optimizer driver owns one analysis per
+//! plan version and hands it to every rule that reads properties
+//! ([`crate::optimize::reorder`], [`crate::optimize::indexscan`],
+//! [`crate::optimize::thetacount`]); only a rule that changed the plan
+//! costs a new pass.  [`crate::verify`] checks rewrites against the same
 //! inference, so the optimizer is validated by the very properties it
 //! plans with.
 
@@ -81,7 +82,7 @@ const TAG_CAP: usize = 24;
 /// Every statically inferred property of one plan, per operator.
 /// Indexed by [`OpId`]; entries for unreachable operators are
 /// empty/false/zero.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanProperties {
     /// Schema properties ([`crate::schema::infer_schema`]-equivalent).
     schema: HashMap<OpId, Properties>,
@@ -147,7 +148,7 @@ impl PlanProperties {
             pp.supersets[id] = sup;
             pp.equalsets[id] = eq;
             pp.exclusions[id] = excl;
-            pp.keys[id] = infer_keys(plan, id, &pp);
+            pp.keys[id] = minimal_keys(infer_keys(plan, id, &pp));
         }
         // Top-down: the root's order matters unless serialization's
         // stable pos-sort fully determines it; every other operator is
@@ -254,6 +255,22 @@ impl PlanProperties {
         tags.insert((id, c.to_string()));
         tags
     }
+}
+
+/// `keys` without duplicates and without any key that contains another
+/// (smallest first).  [`PlanProperties::keyed_by`] answers the same, and
+/// every rule that derives keys from input keys is monotone, so nothing
+/// downstream changes either — but key lists stay short: without this a
+/// chain of joins multiplies its inputs' lists level by level.
+fn minimal_keys(mut keys: Vec<BTreeSet<String>>) -> Vec<BTreeSet<String>> {
+    keys.sort_by_key(BTreeSet::len);
+    let mut minimal: Vec<BTreeSet<String>> = Vec::with_capacity(keys.len());
+    for key in keys {
+        if !minimal.iter().any(|kept| kept.is_subset(&key)) {
+            minimal.push(key);
+        }
+    }
+    minimal
 }
 
 fn set(cols: &[&str]) -> BTreeSet<String> {

@@ -97,7 +97,7 @@ pub struct PlanDigest {
 pub fn digest(plan: &Plan) -> PlanDigest {
     let props = PlanProperties::analyze(plan);
     let root = plan.root();
-    let justified = crate::optimize::thetacount::candidates(plan);
+    let justified = crate::optimize::thetacount::candidates(plan, &props);
     PlanDigest {
         columns: props.columns(root).to_vec(),
         keys: props.keys(root).to_vec(),

@@ -3,7 +3,8 @@
 //! operators. This complexity may significantly be reduced by peep-hole
 //! style optimization."  This binary prints, for all 20 XMark queries, the
 //! operator counts before and after peephole optimization, the reduction,
-//! and how many joins were recognized.
+//! how many joins were recognized, and how many whole-plan property
+//! analyses the optimizer ran (at most one per plan version).
 //!
 //! ```text
 //! cargo run -p pf-bench --bin plan_size
@@ -16,13 +17,15 @@ fn main() {
     println!("# Section 2 reproduction — plan sizes before/after peephole optimization");
     println!();
     println!(
-        "{:>4} {:>12} {:>12} {:>10} {:>8}  largest operator families",
-        "Q", "unoptimized", "optimized", "reduction", "joins"
+        "{:>4} {:>12} {:>12} {:>10} {:>8} {:>7}  largest operator families",
+        "Q", "unoptimized", "optimized", "reduction", "joins", "passes"
     );
     let pf = Pathfinder::new();
     let mut ranked = Vec::new();
+    let mut passes = 0;
     for q in queries() {
         let explain = pf.explain(q.text).expect("every XMark query compiles");
+        passes += explain.report.property_passes;
         if explain.report.theta_counts_introduced > 0 {
             ranked.push(format!(
                 "Q{} ({} operators)",
@@ -37,16 +40,18 @@ fn main() {
             .map(|(name, count)| format!("{name}:{count}"))
             .collect();
         println!(
-            "{:>4} {:>12} {:>12} {:>9.1}% {:>8}  {}",
+            "{:>4} {:>12} {:>12} {:>9.1}% {:>8} {:>7}  {}",
             format!("Q{}", q.id),
             explain.report.operators_before,
             explain.report.operators_after,
             explain.report.reduction_percent(),
             explain.joins_recognized,
+            explain.report.property_passes,
             top.join(", ")
         );
     }
     println!();
+    println!("# property analyses over all queries: {passes}");
     println!(
         "# count over a θ-join's pair table replaced by a rank count (ThetaCount): {}",
         ranked.join(", ")

@@ -1261,9 +1261,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate one `IndexScan`: probe the document's sidecar indexes
-    /// ([`DocStore::indexes`], built lazily on first use and shared by all
-    /// sessions) and keep only candidate rows — a provable *superset* of
+    /// Evaluate one `IndexScan`: probe the one index the probe names
+    /// ([`DocStore::text_index`], [`DocStore::element_index`] or
+    /// [`DocStore::attribute_index`] — built on first use and shared by
+    /// all sessions) and keep only candidate rows — a provable *superset* of
     /// what the residual predicate upstream accepts or errors on, so the
     /// untouched residual keeps answers and error behavior byte-identical.
     /// Rows the index cannot speak for (other documents, atomic values
@@ -1286,12 +1287,11 @@ impl<'a> Executor<'a> {
             return Ok((table.clone(), kernel));
         };
         let started = self.profile_ops.then(Instant::now);
-        let indexes = store.indexes();
         let item = table.column("item")?;
         let rows = table.row_count();
         let candidate: Vec<bool> = match probe {
             ops::IndexProbe::TextContains { needle } => {
-                let Some(cands) = ops::evaluate_text_probe(&indexes.text, needle) else {
+                let Some(cands) = ops::evaluate_text_probe(store.text_index(), needle) else {
                     return Ok((table.clone(), kernel));
                 };
                 kernel.index_lookups = 1;
@@ -1312,10 +1312,8 @@ impl<'a> Executor<'a> {
                 to_number,
             } => {
                 let index = match target {
-                    ops::IndexTarget::ElementTag(tag) => indexes.element_index(store.as_ref(), tag),
-                    ops::IndexTarget::AttributeName(name) => {
-                        indexes.attribute_index(store.as_ref(), name)
-                    }
+                    ops::IndexTarget::ElementTag(tag) => store.element_index(tag),
+                    ops::IndexTarget::AttributeName(name) => store.attribute_index(name),
                 };
                 let Some(index) = index else {
                     return Ok((table.clone(), kernel));

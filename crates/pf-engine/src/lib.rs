@@ -82,7 +82,7 @@ pub use session::Session;
 
 pub use pf_algebra::{OptimizeReport, OptimizerLevel};
 
-use pf_algebra::{optimize_with, CardEstimate, PhysicalPlan, Plan, StatsSource};
+use pf_algebra::{optimize_analyzed, optimize_with, CardEstimate, PhysicalPlan, Plan, StatsSource};
 use pf_store::DocStatistics;
 use pf_xquery::{compile, normalize, parse_query, CompileOptions};
 
@@ -316,6 +316,9 @@ struct CachedPlan {
     /// the admission-control estimate for the next run (`None` until the
     /// first execution finishes).
     peak_rows: Option<usize>,
+    /// The shape estimate a plan that has never run is admitted at (see
+    /// [`Pathfinder::cold_plan_estimate`]), computed once at compile time.
+    cold_estimate: usize,
     /// The optimizer report recorded when this plan was compiled, so
     /// cache hits still surface the rewrite counters in [`Timings`].
     report: OptimizeReport,
@@ -638,7 +641,9 @@ impl Pathfinder {
     /// and joins, so a `//open_auction/bidder` plan is now charged for
     /// the bidders it touches, not the whole document.  Still an
     /// *estimate* — the first measured peak replaces it (see
-    /// [`Pathfinder::record_peak`]).
+    /// [`Pathfinder::record_peak`]).  A plan the optimizer rewrote reads
+    /// the same number off the optimizer's final property analysis
+    /// instead of running this pass.
     fn cold_plan_estimate(&self, plan: &Plan) -> usize {
         CardEstimate::analyze(plan, &EngineStats(self)).peak_rows(plan)
     }
@@ -678,10 +683,7 @@ impl Pathfinder {
                 // Cached but never executed (e.g. warmed, or every prior
                 // run failed before recording a peak): fall back to the
                 // shape estimate rather than admitting at 0.
-                let estimate_rows = match cached.peak_rows {
-                    Some(peak) => peak,
-                    None => self.cold_plan_estimate(&plan),
-                };
+                let estimate_rows = cached.peak_rows.unwrap_or(cached.cold_estimate);
                 let report = cached.report;
                 cache.hits += 1;
                 cache.clock += 1;
@@ -716,15 +718,16 @@ impl Pathfinder {
 
         let opt_start = Instant::now();
         let mut plan = compiled.plan;
-        let report = if self.options.optimize {
-            optimize_with(&mut plan, self.options.optimizer_level, &EngineStats(self))
+        let (report, estimate_rows) = if self.options.optimize {
+            let (report, props) =
+                optimize_analyzed(&mut plan, self.options.optimizer_level, &EngineStats(self));
+            (report, props.peak_rows(&plan))
         } else {
-            OptimizeReport::default()
+            (OptimizeReport::default(), self.cold_plan_estimate(&plan))
         };
         let physical = Arc::new(PhysicalPlan::compile(&plan));
         let optimize_time = opt_start.elapsed();
         let plan = Arc::new(plan);
-        let estimate_rows = self.cold_plan_estimate(&plan);
 
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         cache.misses += 1;
@@ -738,6 +741,7 @@ impl Pathfinder {
                     physical: Arc::clone(&physical),
                     last_hit: stamp,
                     peak_rows: None,
+                    cold_estimate: estimate_rows,
                     report,
                 },
             );
@@ -1012,6 +1016,9 @@ mod tests {
              document ({nodes} nodes)",
             planned.estimate_rows
         );
+        // Read off the optimizer's final analysis: the number a separate
+        // statistics pass over the optimized plan computes.
+        assert_eq!(planned.estimate_rows, pf.cold_plan_estimate(&planned.plan));
         // A cache hit on a plan that still has no recorded peak keeps the
         // same estimate.
         let again = pf.plan_for(q).unwrap();

@@ -279,8 +279,7 @@ mod tests {
         // Trailing punctuation ends each token run, so adjacent text nodes
         // do not fuse into one token.
         let s = store("<a><d>a gold ring.</d><d>silver.</d><d>marigold.</d></a>");
-        let idx = s.indexes();
-        let c = evaluate_text_probe(&idx.text, "Gold").unwrap();
+        let c = evaluate_text_probe(s.text_index(), "Gold").unwrap();
         let ds: Vec<u32> = (0..s.node_count() as u32)
             .filter(|&p| s.tag_surrogate(p) == s.qnames.lookup("d"))
             .collect();
@@ -294,20 +293,18 @@ mod tests {
     #[test]
     fn text_probe_with_multiple_fragments_intersects() {
         let s = store("<a><d>gold ring</d><d>gold coin</d><d>brass ring</d></a>");
-        let idx = s.indexes();
-        let c = evaluate_text_probe(&idx.text, "gold ring").unwrap();
+        let c = evaluate_text_probe(s.text_index(), "gold ring").unwrap();
         let root = s.root_element().unwrap();
         assert!(text_row_is_candidate(&s, &c, root)); // root sees both words
         let first_d = root + 1;
         assert!(text_row_is_candidate(&s, &c, first_d));
-        assert!(evaluate_text_probe(&idx.text, "...").is_none());
+        assert!(evaluate_text_probe(s.text_index(), "...").is_none());
     }
 
     #[test]
     fn value_probe_equality_yields_exact_value_strings() {
         let s = store(r#"<a><b id="x1"/><b id="y2"/><b id="x1"/></a>"#);
-        let idx = s.indexes();
-        let vi = idx.attribute_index(&s, "id").unwrap();
+        let vi = s.attribute_index("id").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Eq, &Value::Str("x1".into()), false);
         assert_eq!(c.values, vec!["x1".to_string()]);
         assert_eq!(c.pres.len(), 2);
@@ -316,8 +313,7 @@ mod tests {
     #[test]
     fn value_probe_numeric_range_keeps_cast_errors_as_candidates() {
         let s = store("<a><p>10</p><p>50</p><p>oops</p></a>");
-        let idx = s.indexes();
-        let vi = idx.element_index(&s, "p").unwrap();
+        let vi = s.element_index("p").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Ge, &Value::Int(40), true);
         // 50 matches; "oops" would error under fn:number → candidate too.
         assert_eq!(c.values.len(), 2);
@@ -331,8 +327,7 @@ mod tests {
     #[test]
     fn value_probe_string_order_is_lexicographic() {
         let s = store("<a><p>apple</p><p>banana</p><p>cherry</p></a>");
-        let idx = s.indexes();
-        let vi = idx.element_index(&s, "p").unwrap();
+        let vi = s.element_index("p").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Lt, &Value::Str("banana".into()), false);
         assert_eq!(c.values, vec!["apple".to_string()]);
     }

@@ -392,6 +392,31 @@ mod tests {
     }
 
     #[test]
+    fn an_over_deep_query_costs_one_err_not_the_connection() {
+        let pf = Arc::new(Pathfinder::new());
+        let server = Server::bind(pf, "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let server_thread = std::thread::spawn(move || server.run());
+
+        // Parsed on the connection's own thread: without a nesting bound
+        // this overflows its stack and aborts the server for every client.
+        let mut client = Client::connect(addr);
+        let deep = format!("QUERY {}1{}", "(".repeat(10_000), ")".repeat(10_000));
+        let reply = client.request(&deep);
+        assert!(
+            reply.starts_with("ERR ") && reply.contains("nested more than"),
+            "{reply}"
+        );
+        assert_eq!(client.request("PING"), "OK pong");
+        assert_eq!(client.request("QUERY (((1)))"), "OK 1");
+        assert_eq!(client.request("SHUTDOWN"), "OK shutting down");
+        server_thread
+            .join()
+            .expect("server thread")
+            .expect("server run");
+    }
+
+    #[test]
     fn server_serves_concurrent_clients_over_tcp() {
         let pf = Arc::new(Pathfinder::new());
         pf.load_document("d.xml", "<a><b>1</b><b>2</b><b>3</b></a>")

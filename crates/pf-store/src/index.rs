@@ -6,7 +6,7 @@
 //! classic complement surveyed in "XML Query Processing and Query
 //! Languages": value and keyword indexes built *beside* the node table.
 //!
-//! Two index families are built per document:
+//! Two index families exist per document:
 //!
 //! * [`TextIndex`] — lowercased word tokens of the document's text
 //!   content, mapped to sorted pre-rank postings of the *text nodes* each
@@ -23,11 +23,16 @@
 //!   ([`ValueKey::Code`]) whenever the value is already interned there;
 //!   only multi-text-node concatenations own their string.
 //!
-//! The whole bundle hangs off [`DocStore`] behind a
-//! `OnceLock`, so concurrent sessions share a single lazy build.
+//! Nothing is built at load time.  A [`DocStore`] keeps one `OnceLock` per
+//! index — the text index, and one value index per element tag and per
+//! attribute name, in a table indexed by the name's `qnames` surrogate —
+//! so a probe builds exactly the index it names, once, however many
+//! sessions (or clones of the store) ask.  [`DocIndexes::build`] builds
+//! every index at once with the same functions, for sizing the whole
+//! sidecar.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::dict::Dictionary;
@@ -65,7 +70,7 @@ impl ValueKey {
 
 /// One distinct value of a [`ValueIndex`] with the sorted pre ranks of the
 /// nodes carrying it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValueEntry {
     /// The distinct value.
     pub key: ValueKey,
@@ -76,7 +81,7 @@ pub struct ValueEntry {
 
 /// Distinct values of one element tag or one attribute name, sorted
 /// lexicographically, with a numeric side-view for range lookups.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValueIndex {
     /// Distinct values sorted by their resolved string.
     pub entries: Vec<ValueEntry>,
@@ -140,12 +145,15 @@ impl ValueIndex {
     }
 
     fn finish(mut self, texts: &Dictionary) -> Self {
-        self.entries
-            .sort_by(|a, b| a.key.resolve(texts).cmp(b.key.resolve(texts)));
         for e in &mut self.entries {
             e.pres.sort_unstable();
             e.pres.dedup();
         }
+        // Two keys resolve alike only for empty content (an empty CDATA
+        // text node and no text at all); their first nodes break the tie.
+        self.entries.sort_by(|a, b| {
+            (a.key.resolve(texts), a.pres.first()).cmp(&(b.key.resolve(texts), b.pres.first()))
+        });
         self.numeric = self
             .entries
             .iter()
@@ -228,7 +236,17 @@ impl TextIndex {
     }
 }
 
-/// The complete sidecar index bundle for one document.
+/// Two text indexes are equal when their token tables are (the memo is a
+/// cache of answers the table determines).
+impl PartialEq for TextIndex {
+    fn eq(&self, other: &TextIndex) -> bool {
+        self.tokens == other.tokens
+    }
+}
+
+/// Every content index of one document, built at once — what the
+/// per-name indexes of a [`DocStore`] add up to when every one of them
+/// has been probed.
 #[derive(Debug, Clone, Default)]
 pub struct DocIndexes {
     /// Tokenized text index over the document's text nodes.
@@ -246,28 +264,17 @@ pub struct DocIndexes {
 }
 
 impl DocIndexes {
-    /// Build all sidecar indexes for `store`.
+    /// Build all content indexes of `store`.
     pub fn build(store: &DocStore) -> Self {
         let started = Instant::now();
         let mut indexes = DocIndexes {
             text: build_text_index(store),
-            elem_values: build_element_values(store),
-            attr_values: build_attribute_values(store),
+            elem_values: build_element_values(store, None),
+            attr_values: build_attribute_values(store, None),
             build_time: Duration::ZERO,
         };
         indexes.build_time = started.elapsed();
         indexes
-    }
-
-    /// Value index for the element tag `tag`, if fully covered.
-    pub fn element_index(&self, store: &DocStore, tag: &str) -> Option<&ValueIndex> {
-        self.elem_values.get(&store.qnames.lookup(tag)?)
-    }
-
-    /// Value index for the attribute name `name`, if any such attribute
-    /// exists in the document.
-    pub fn attribute_index(&self, store: &DocStore, name: &str) -> Option<&ValueIndex> {
-        self.attr_values.get(&store.qnames.lookup(name)?)
     }
 
     /// Bytes owned by the sidecar (postings, numeric views, owned keys;
@@ -288,7 +295,7 @@ impl DocIndexes {
 /// contiguous pre range `(pre, pre+size]`), so every alphanumeric fragment
 /// occurring in some element's string value lies inside one maximal
 /// alphanumeric run of the stream — the token we post.
-fn build_text_index(store: &DocStore) -> TextIndex {
+pub(crate) fn build_text_index(store: &DocStore) -> TextIndex {
     // The stream with, per text node, its byte span.
     let mut stream = String::new();
     let mut spans: Vec<(usize, usize, PreRank)> = Vec::new();
@@ -338,16 +345,23 @@ fn build_text_index(store: &DocStore) -> TextIndex {
     }
 }
 
-/// Per-tag value indexes over *simple-content* elements.  A tag whose
-/// elements ever contain element/comment/PI children is dropped entirely,
-/// so map presence guarantees complete coverage of the tag.
-fn build_element_values(store: &DocStore) -> HashMap<u32, ValueIndex> {
+/// Per-tag value indexes over *simple-content* elements — of every tag,
+/// or only of the tag `only`.  A tag whose elements ever contain
+/// element/comment/PI children is dropped entirely, so map presence
+/// guarantees complete coverage of the tag.
+pub(crate) fn build_element_values(
+    store: &DocStore,
+    only: Option<u32>,
+) -> HashMap<u32, ValueIndex> {
     let mut by_tag: HashMap<u32, HashMap<ValueKey, Vec<PreRank>>> = HashMap::new();
     let mut complex_tags: Vec<u32> = Vec::new();
     for pre in 0..store.node_count() as PreRank {
         let Some(tag) = store.tag_surrogate(pre) else {
             continue;
         };
+        if only.is_some_and(|only| only != tag) {
+            continue;
+        }
         let end = pre + store.size_of(pre);
         let mut simple = true;
         let mut text_codes: Vec<u32> = Vec::new();
@@ -400,13 +414,21 @@ fn build_element_values(store: &DocStore) -> HashMap<u32, ValueIndex> {
         .collect()
 }
 
-/// Per-attribute-name value indexes over the attribute table.  Values are
-/// always dictionary codes (the shredder interns every attribute value).
-fn build_attribute_values(store: &DocStore) -> HashMap<u32, ValueIndex> {
+/// Per-attribute-name value indexes over the attribute table — of every
+/// name, or only of the name `only`.  Values are always dictionary codes
+/// (the shredder interns every attribute value).
+pub(crate) fn build_attribute_values(
+    store: &DocStore,
+    only: Option<u32>,
+) -> HashMap<u32, ValueIndex> {
     let mut by_name: HashMap<u32, HashMap<u32, Vec<PreRank>>> = HashMap::new();
     for i in 0..store.attribute_count() {
+        let name = store.attr_name[i];
+        if only.is_some_and(|only| only != name) {
+            continue;
+        }
         by_name
-            .entry(store.attr_name[i])
+            .entry(name)
             .or_default()
             .entry(store.attr_value[i])
             .or_default()
@@ -430,6 +452,27 @@ fn build_attribute_values(store: &DocStore) -> HashMap<u32, ValueIndex> {
         .collect()
 }
 
+/// The lazily built indexes of one store: one cell per index, value
+/// indexes addressed by the name's `qnames` surrogate.  An initialized
+/// `None` records that the name has no index.
+#[derive(Debug, Default)]
+pub(crate) struct IndexTable {
+    pub(crate) text: OnceLock<TextIndex>,
+    pub(crate) elements: Vec<OnceLock<Option<ValueIndex>>>,
+    pub(crate) attributes: Vec<OnceLock<Option<ValueIndex>>>,
+}
+
+impl IndexTable {
+    /// Empty cells for a document with `names` distinct qualified names.
+    pub(crate) fn new(names: usize) -> IndexTable {
+        IndexTable {
+            text: OnceLock::new(),
+            elements: (0..names).map(|_| OnceLock::new()).collect(),
+            attributes: (0..names).map(|_| OnceLock::new()).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,48 +484,45 @@ mod tests {
     #[test]
     fn text_tokens_are_lowercased_words_with_text_node_postings() {
         let s = store("<a><b>Gold Ring</b><c>silver</c></a>");
-        let idx = DocIndexes::build(&s);
-        let gold = idx.text.postings("gold").unwrap();
+        let text = s.text_index();
+        let gold = text.postings("gold").unwrap();
         assert_eq!(gold.len(), 1);
         assert_eq!(s.content_of(gold[0]), "Gold Ring");
-        assert!(idx.text.postings("Gold").is_none(), "tokens are lowercased");
+        assert!(text.postings("Gold").is_none(), "tokens are lowercased");
         // "Ring" and "silver" are adjacent in the text stream, so they fuse
         // into one "ringsilver" token posted to both text nodes.
-        assert!(idx.text.postings("silver").is_none());
-        assert_eq!(idx.text.postings_containing("silver").len(), 2);
+        assert!(text.postings("silver").is_none());
+        assert_eq!(text.postings_containing("silver").len(), 2);
     }
 
     #[test]
     fn tokens_spanning_text_nodes_post_to_all_pieces() {
         let s = store("<a><b>go</b><c>ld</c></a>");
-        let idx = DocIndexes::build(&s);
         // "go" + "ld" are adjacent in the text stream, so the run "gold"
         // overlaps both text nodes.
-        let gold = idx.text.postings("gold").unwrap();
+        let gold = s.text_index().postings("gold").unwrap();
         assert_eq!(gold.len(), 2);
-        assert!(idx.text.postings_containing("ol").len() >= 2);
+        assert!(s.text_index().postings_containing("ol").len() >= 2);
     }
 
     #[test]
     fn element_value_index_covers_only_fully_simple_tags() {
         let s = store("<a><p>40.5</p><p>7</p><q><r/>text</q></a>");
-        let idx = DocIndexes::build(&s);
-        let p = idx.element_index(&s, "p").unwrap();
+        let p = s.element_index("p").unwrap();
         assert_eq!(p.len(), 2);
         assert!(p.lookup(&s.texts, "40.5").is_some());
         assert!(p.lookup(&s.texts, "41").is_none());
-        // `q` has an element child → dropped from the map entirely.
-        assert!(idx.element_index(&s, "q").is_none());
+        // `q` has an element child → no index at all.
+        assert!(s.element_index("q").is_none());
         // `r` is empty: simple with an owned empty-string key.
-        let r = idx.element_index(&s, "r").unwrap();
+        let r = s.element_index("r").unwrap();
         assert!(r.lookup(&s.texts, "").is_some());
     }
 
     #[test]
     fn numeric_range_respects_bounds_and_skips_non_numbers() {
         let s = store("<a><p>1</p><p>2.5</p><p>30</p><p>abc</p></a>");
-        let idx = DocIndexes::build(&s);
-        let p = idx.element_index(&s, "p").unwrap();
+        let p = s.element_index("p").unwrap();
         let hits: Vec<u32> = p.numeric_range(Some((2.0, true)), None).collect();
         assert_eq!(hits.len(), 2); // 2.5 and 30; "abc" never appears
         let all: Vec<u32> = p.numeric_range(None, None).collect();
@@ -494,20 +534,80 @@ mod tests {
     #[test]
     fn attribute_value_index_maps_values_to_owner_elements() {
         let s = store(r#"<a><b id="x"/><b id="y"/><c id="x"/></a>"#);
-        let idx = DocIndexes::build(&s);
-        let id = idx.attribute_index(&s, "id").unwrap();
+        let id = s.attribute_index("id").unwrap();
         assert_eq!(id.len(), 2);
         assert_eq!(id.lookup(&s.texts, "x").unwrap().pres.len(), 2);
         assert_eq!(id.lookup(&s.texts, "y").unwrap().pres.len(), 1);
-        assert!(idx.attribute_index(&s, "absent").is_none());
+        assert!(s.attribute_index("absent").is_none());
+        // A tag is not an attribute name, and vice versa.
+        assert!(s.attribute_index("b").is_none());
+        assert!(s.element_index("id").is_none());
+    }
+
+    #[test]
+    fn empty_content_keys_sort_deterministically() {
+        // `<p/>` (no text) and `<p><![CDATA[]]></p>` (one empty text node)
+        // both have the value "": two entries, ordered by their first node.
+        let s = store("<a><p><![CDATA[]]></p><p/><p>x</p></a>");
+        let p = s.element_index("p").unwrap();
+        let firsts: Vec<PreRank> = p.entries.iter().map(|e| e.pres[0]).collect();
+        assert_eq!(firsts, vec![2, 4, 5]);
+        assert_eq!(
+            *p,
+            DocIndexes::build(&s).elem_values[&s.qnames.lookup("p").unwrap()]
+        );
+    }
+
+    #[test]
+    fn a_probe_builds_only_the_index_it_names() {
+        let s = store(r#"<a><b id="x">t</b><c k="1">u</c></a>"#);
+        assert!(s.built_indexes().is_empty(), "loading builds nothing");
+        assert!(s.attribute_index("id").is_some());
+        assert_eq!(s.built_indexes(), ["@id"]);
+        assert!(
+            s.element_index("nope").is_none(),
+            "unknown names build nothing"
+        );
+        assert!(
+            s.element_index("a").is_none(),
+            "complex content: recorded absent"
+        );
+        assert_eq!(s.built_indexes(), ["a", "@id"]);
+        s.text_index();
+        assert_eq!(s.built_indexes(), ["text", "a", "@id"]);
     }
 
     #[test]
     fn lazy_accessor_shares_one_build_across_clones() {
-        let s = store("<a>x</a>");
-        let first = std::sync::Arc::as_ptr(s.indexes());
+        let s = store(r#"<a><b id="x"/></a>"#);
         let clone = s.clone();
-        assert_eq!(std::sync::Arc::as_ptr(clone.indexes()), first);
-        assert!(s.indexes().payload_bytes() > 0);
+        // Built through the clone, visible from the original…
+        let via_clone: *const ValueIndex = clone.attribute_index("id").unwrap();
+        assert_eq!(s.built_indexes(), ["@id"]);
+        let via_original: *const ValueIndex = s.attribute_index("id").unwrap();
+        assert_eq!(via_clone, via_original);
+        // …and the other way round.
+        let text: *const TextIndex = s.text_index();
+        assert!(std::ptr::eq(text, clone.text_index()));
+    }
+
+    #[test]
+    fn the_bundle_is_every_per_name_index() {
+        let s = store(r#"<a><p x="1">2</p><p x="3">4</p><q><p/></q></a>"#);
+        let bundle = DocIndexes::build(&s);
+        assert_eq!(s.text_index(), &bundle.text);
+        for (sym, name) in s.qnames.iter() {
+            assert_eq!(
+                s.element_index(name),
+                bundle.elem_values.get(&sym),
+                "{name}"
+            );
+            assert_eq!(
+                s.attribute_index(name),
+                bundle.attr_values.get(&sym),
+                "@{name}"
+            );
+        }
+        assert!(bundle.payload_bytes() > 0);
     }
 }

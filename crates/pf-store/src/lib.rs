@@ -10,6 +10,12 @@
 //! * a **`prop` surrogate column** plus shared **property dictionaries**
 //!   for tag names and text content (Section 3.1 "surrogate sharing"),
 //! * a separate **attribute table** `owner|name|value`,
+//! * **shredding from parse events**: the columns are filled from
+//!   `pf-xml`'s start-tag/end-tag stream with one stack of open elements
+//!   ([`DocStore::from_xml`] builds no DOM; [`DocStore::from_document`]
+//!   replays a DOM through the same shredder),
+//! * **content indexes** (text and value indexes, [`index`]), each built
+//!   the first time a probe names it,
 //! * **XPath axis evaluation as range selections** over the
 //!   `(pre, size, level)` space, and
 //! * the **staircase join** [Grust et al., VLDB 2003] — the tree-aware
@@ -35,6 +41,7 @@
 pub mod axis;
 pub mod dict;
 pub mod index;
+mod shred;
 pub mod staircase;
 pub mod stats;
 pub mod store;

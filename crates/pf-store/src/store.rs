@@ -1,16 +1,21 @@
 //! The `pre|size|level` document store.
 //!
-//! Shreds a [`pf_xml::Document`] into column-oriented node and attribute
-//! tables.  The row index of the node table *is* the node's pre-order rank,
-//! so no explicit `pre` column is materialized — this mirrors MonetDB's
-//! virtual object identifiers, which make the row-numbering operator a
-//! no-cost operator (Section 2, "MonetDB").
+//! Column-oriented node and attribute tables of one shredded document,
+//! built by the shredder straight from parse events.  The row index of the
+//! node table *is* the node's pre-order rank, so no explicit `pre` column
+//! is materialized — this mirrors MonetDB's virtual object identifiers,
+//! which make the row-numbering operator a no-cost operator (Section 2,
+//! "MonetDB").
 
 use std::sync::{Arc, OnceLock};
 
 use crate::dict::Dictionary;
-use crate::index::DocIndexes;
-use pf_xml::{Document, NodeKind};
+use crate::index::{
+    build_attribute_values, build_element_values, build_text_index, IndexTable, TextIndex,
+    ValueIndex,
+};
+use crate::shred::Shredder;
+use pf_xml::Document;
 
 /// A node reference: the pre-order rank of the node within its document.
 ///
@@ -74,83 +79,99 @@ pub struct DocStore {
     /// Size of the original XML serialization in bytes (for the storage
     /// overhead experiment); 0 if unknown.
     pub source_bytes: usize,
-    /// Lazily built sidecar content indexes (see [`crate::index`]).
-    /// Cloning the store shares an already-built bundle.
-    indexes: OnceLock<Arc<DocIndexes>>,
+    /// The content indexes, each built when a probe first names it (see
+    /// [`crate::index`]).  Clones of the store share the builds.
+    indexes: Arc<IndexTable>,
 }
 
 impl DocStore {
-    /// Shred `doc` into its relational encoding.
-    pub fn from_document(name: impl Into<String>, doc: &Document) -> Self {
-        let n = doc.len();
-        let mut store = DocStore {
-            name: name.into(),
-            size: Vec::with_capacity(n),
-            level: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
-            prop: Vec::with_capacity(n),
+    /// A store holding no node yet (the shredder's starting point).
+    pub(crate) fn empty(name: String) -> DocStore {
+        DocStore {
+            name,
+            size: Vec::new(),
+            level: Vec::new(),
+            kind: Vec::new(),
+            prop: Vec::new(),
             attr_owner: Vec::new(),
             attr_name: Vec::new(),
             attr_value: Vec::new(),
             qnames: Dictionary::new(),
             texts: Dictionary::new(),
             source_bytes: 0,
-            indexes: OnceLock::new(),
-        };
-        for node in doc.all_nodes() {
-            let pre = node.0;
-            store.size.push(doc.subtree_size(node));
-            store.level.push(doc.level(node));
-            match doc.kind(node) {
-                NodeKind::Document => {
-                    store.kind.push(NodeKindCode::Document);
-                    store.prop.push(u32::MAX);
-                }
-                NodeKind::Element { tag, attributes } => {
-                    store.kind.push(NodeKindCode::Element);
-                    store.prop.push(store.qnames.intern(tag));
-                    for attr in attributes {
-                        store.attr_owner.push(pre);
-                        let name_id = store.qnames.intern(&attr.name);
-                        let value_id = store.texts.intern(&attr.value);
-                        store.attr_name.push(name_id);
-                        store.attr_value.push(value_id);
-                    }
-                }
-                NodeKind::Text(t) => {
-                    store.kind.push(NodeKindCode::Text);
-                    store.prop.push(store.texts.intern(t));
-                }
-                NodeKind::Comment(c) => {
-                    store.kind.push(NodeKindCode::Comment);
-                    store.prop.push(store.texts.intern(c));
-                }
-                NodeKind::ProcessingInstruction { target, data } => {
-                    store.kind.push(NodeKindCode::Pi);
-                    // The PI target is a name, the data is text; we store the
-                    // data surrogate in `prop` and intern the target as a qname.
-                    store.qnames.intern(target);
-                    store.prop.push(store.texts.intern(data));
-                }
-            }
+            indexes: Arc::default(),
         }
-        store
     }
 
-    /// Shred an XML string, remembering its serialized size.
+    /// Size the per-name index table once the name dictionary is final.
+    pub(crate) fn finish_shredding(&mut self) {
+        self.indexes = Arc::new(IndexTable::new(self.qnames.len()));
+    }
+
+    /// Shred `doc` into its relational encoding (by replaying it through
+    /// the same shredder [`DocStore::from_xml`] feeds from the parser).
+    pub fn from_document(name: impl Into<String>, doc: &Document) -> Self {
+        Shredder::new(name.into()).replay(doc)
+    }
+
+    /// Shred an XML string straight from its parse events — no DOM is
+    /// built — remembering its serialized size.
     pub fn from_xml(name: impl Into<String>, xml: &str) -> Result<Self, pf_xml::XmlError> {
-        let doc = pf_xml::parse(xml)?;
-        let mut store = Self::from_document(name, &doc);
+        let mut shredder = Shredder::new(name.into());
+        pf_xml::Parser::new(xml).parse_into(&mut shredder)?;
+        let mut store = shredder.finish();
         store.source_bytes = xml.len();
         Ok(store)
     }
 
-    /// The sidecar content indexes, built lazily on first use.  The build
-    /// runs at most once per store (`OnceLock`), so concurrent sessions
-    /// probing the same registered document share a single build.
-    pub fn indexes(&self) -> &Arc<DocIndexes> {
+    /// The text index, built on first use (at most once per store and
+    /// its clones, however many sessions probe concurrently).
+    pub fn text_index(&self) -> &TextIndex {
+        self.indexes.text.get_or_init(|| build_text_index(self))
+    }
+
+    /// The value index of the elements tagged `tag`, built on first use.
+    /// `None` when no element carries the tag, when one of them has
+    /// element, comment or PI children (an index must cover every element
+    /// of its tag), or when the name never occurs — that case builds
+    /// nothing.
+    pub fn element_index(&self, tag: &str) -> Option<&ValueIndex> {
+        let name = self.qnames.lookup(tag)?;
         self.indexes
-            .get_or_init(|| Arc::new(DocIndexes::build(self)))
+            .elements
+            .get(name as usize)?
+            .get_or_init(|| build_element_values(self, Some(name)).remove(&name))
+            .as_ref()
+    }
+
+    /// The value index of the attributes named `name`, built on first
+    /// use; `None` when no attribute has that name.
+    pub fn attribute_index(&self, name: &str) -> Option<&ValueIndex> {
+        let name = self.qnames.lookup(name)?;
+        self.indexes
+            .attributes
+            .get(name as usize)?
+            .get_or_init(|| build_attribute_values(self, Some(name)).remove(&name))
+            .as_ref()
+    }
+
+    /// The indexes built (or found absent) so far: `text`, element tags,
+    /// and attribute names prefixed with `@`.
+    pub fn built_indexes(&self) -> Vec<String> {
+        let table = &self.indexes;
+        let built = |cells: &[OnceLock<Option<ValueIndex>>], prefix: &str| -> Vec<String> {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|(_, cell)| cell.get().is_some())
+                .map(|(name, _)| format!("{prefix}{}", self.qnames.resolve(name as u32)))
+                .collect()
+        };
+        let text = table.text.get().map(|_| "text".to_string());
+        text.into_iter()
+            .chain(built(&table.elements, ""))
+            .chain(built(&table.attributes, "@"))
+            .collect()
     }
 
     /// Number of nodes (including the document node).

@@ -1,5 +1,7 @@
 //! Escaping and unescaping of XML character data and attribute values.
 
+use std::borrow::Cow;
+
 use crate::error::{XmlError, XmlResult};
 
 /// Escape a string for use as XML character data (element content).
@@ -37,10 +39,11 @@ pub fn escape_attribute(value: &str) -> String {
 
 /// Resolve the five predefined entities and numeric character references in
 /// `raw`.  `offset` is the byte offset of `raw` within the overall input and
-/// is only used for error reporting.
-pub fn unescape(raw: &str, offset: usize) -> XmlResult<String> {
+/// is only used for error reporting.  Text without a reference is returned
+/// borrowed.
+pub fn unescape(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let bytes = raw.as_bytes();
@@ -93,7 +96,7 @@ pub fn unescape(raw: &str, offset: usize) -> XmlResult<String> {
         }
         i = end + 1;
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 fn char_from_code(code: u32, offset: usize) -> XmlResult<char> {

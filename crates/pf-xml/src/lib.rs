@@ -5,11 +5,13 @@
 //! arena-based document model (DOM) and a serializer.
 //!
 //! The paper ("Pathfinder: XQuery — The Relational Way", VLDB 2005) shreds
-//! XML documents into a relational `pre|size|level` encoding; that shredding
-//! lives in [`pf-store`](../pf_store/index.html) and consumes the
-//! [`Document`] produced here.  The navigational baseline engine
-//! (`pf-baseline`, the X-Hive stand-in) evaluates queries directly over this
-//! DOM.
+//! XML documents into a relational `pre|size|level` encoding, which needs
+//! no more than the start-tag/end-tag stream.  The parser therefore
+//! reports *events* to an [`XmlSink`]: the shredding in
+//! [`pf-store`](../pf_store/index.html) consumes them directly, and
+//! [`DocumentBuilder`] is the sink that builds the arena [`Document`] for
+//! the navigational baseline engine (`pf-baseline`, the X-Hive stand-in)
+//! and for node constructors.
 //!
 //! ## Supported XML subset
 //!
@@ -40,6 +42,6 @@ pub mod serialize;
 pub mod tree;
 
 pub use error::{XmlError, XmlResult};
-pub use parser::{parse, Parser, ParserOptions};
+pub use parser::{parse, Parser, ParserOptions, RawAttribute, XmlSink};
 pub use serialize::{serialize_document, serialize_node};
 pub use tree::{Attribute, Document, DocumentBuilder, NodeId, NodeKind};

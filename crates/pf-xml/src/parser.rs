@@ -1,13 +1,18 @@
 //! A hand-written, non-validating XML 1.0 parser.
 //!
-//! The parser builds a [`Document`] directly via [`DocumentBuilder`].  It
-//! is deliberately simple (single pass over the input bytes, no DTD
-//! processing) but fast enough to shred multi-megabyte XMark instances in
-//! well under a second, which is all the reproduction needs.
+//! The parser makes a single pass over the input bytes (no DTD
+//! processing) and reports what it reads to an [`XmlSink`]: start and end
+//! tags, text, comments and processing instructions, in document order.
+//! [`DocumentBuilder`] is the sink that builds a [`Document`] ([`parse`]);
+//! `pf-store`'s shredder is the sink that builds the `pre|size|level`
+//! columns without a DOM in between.  Well-formedness is checked here, so
+//! every sink sees the same errors at the same offsets.
+
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
-use crate::tree::{Attribute, Document, DocumentBuilder};
+use crate::tree::{Document, DocumentBuilder};
 
 /// Options controlling parsing behaviour.
 #[derive(Debug, Clone)]
@@ -32,6 +37,37 @@ impl Default for ParserOptions {
     }
 }
 
+/// One attribute of a start tag as the parser reports it: the name
+/// borrowed from the input, the value borrowed unless it contained an
+/// entity or character reference.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawAttribute<'a> {
+    /// Attribute name (including any namespace prefix).
+    pub name: &'a str,
+    /// Attribute value, entity-decoded.
+    pub value: Cow<'a, str>,
+}
+
+/// Receives the content of a well-formed document in document order.
+///
+/// Only content inside the root element is reported; text is
+/// entity-decoded, and one run of character data may arrive as several
+/// `text` calls (a text run next to a CDATA section, for instance), which
+/// a sink building the XQuery data model merges into one text node.
+pub trait XmlSink {
+    /// An element opens; its content follows until the matching
+    /// [`XmlSink::end_element`].
+    fn start_element(&mut self, name: &str, attributes: &[RawAttribute<'_>]);
+    /// The most recently opened element closes.
+    fn end_element(&mut self);
+    /// Character data (a text run or a CDATA section).
+    fn text(&mut self, text: &str);
+    /// A comment's content.
+    fn comment(&mut self, text: &str);
+    /// A processing instruction.
+    fn processing_instruction(&mut self, target: &str, data: &str);
+}
+
 /// Parse an XML document with default [`ParserOptions`].
 pub fn parse(input: &str) -> XmlResult<Document> {
     Parser::new(input).parse()
@@ -44,17 +80,18 @@ pub struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     options: ParserOptions,
+    /// Elements opened and not yet closed.
+    depth: usize,
+    /// Whether an element has been opened at the top level.
+    seen_root: bool,
+    /// The start tag being read, reused from tag to tag.
+    attributes: Vec<RawAttribute<'a>>,
 }
 
 impl<'a> Parser<'a> {
     /// Create a parser over `input` with default options.
     pub fn new(input: &'a str) -> Self {
-        Parser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            options: ParserOptions::default(),
-        }
+        Parser::with_options(input, ParserOptions::default())
     }
 
     /// Create a parser with explicit options.
@@ -64,24 +101,33 @@ impl<'a> Parser<'a> {
             bytes: input.as_bytes(),
             pos: 0,
             options,
+            depth: 0,
+            seen_root: false,
+            attributes: Vec::new(),
         }
     }
 
     /// Run the parser to completion and return the document.
-    pub fn parse(mut self) -> XmlResult<Document> {
+    pub fn parse(self) -> XmlResult<Document> {
         let mut builder = DocumentBuilder::new();
+        self.parse_into(&mut builder)?;
+        Ok(builder.finish())
+    }
+
+    /// Run the parser to completion, reporting the document to `sink`.
+    /// On an error the sink has seen a prefix of the document.
+    pub fn parse_into<S: XmlSink>(mut self, sink: &mut S) -> XmlResult<()> {
         self.skip_prolog()?;
         while self.pos < self.bytes.len() {
-            self.parse_content(&mut builder)?;
+            self.parse_content(sink)?;
         }
-        if builder.open_elements() != 0 {
+        if self.depth != 0 {
             return Err(self.err("unexpected end of input: unclosed element"));
         }
-        let doc = builder.finish();
-        if doc.root_element().is_none() {
+        if !self.seen_root {
             return Err(XmlError::new("document has no root element", 0).with_position(self.input));
         }
-        Ok(doc)
+        Ok(())
     }
 
     fn err(&self, message: impl Into<String>) -> XmlError {
@@ -140,27 +186,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_content(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_content<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         match self.peek() {
             None => Ok(()),
             Some(b'<') => {
                 if self.starts_with("<!--") {
-                    self.parse_comment(builder)
+                    self.parse_comment(sink)
                 } else if self.starts_with("<![CDATA[") {
-                    self.parse_cdata(builder)
+                    self.parse_cdata(sink)
                 } else if self.starts_with("<?") {
-                    self.parse_pi(builder)
+                    self.parse_pi(sink)
                 } else if self.starts_with("</") {
-                    self.parse_end_tag(builder)
+                    self.parse_end_tag(sink)
                 } else {
-                    self.parse_element(builder)
+                    self.parse_element(sink)
                 }
             }
-            Some(_) => self.parse_text(builder),
+            Some(_) => self.parse_text(sink),
         }
     }
 
-    fn parse_text(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_text<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b'<' {
@@ -173,64 +219,64 @@ impl<'a> Parser<'a> {
         let only_ws = decoded.chars().all(|c| c.is_ascii_whitespace());
         let stripped = only_ws && self.options.strip_whitespace_text;
         if !stripped && !decoded.is_empty() {
-            if builder.open_elements() == 0 && !only_ws {
+            if self.depth == 0 && !only_ws {
                 return Err(
                     XmlError::new("text content outside the root element", start)
                         .with_position(self.input),
                 );
             }
-            if builder.open_elements() > 0 {
-                builder.text(decoded);
+            if self.depth > 0 {
+                sink.text(&decoded);
             }
         }
         Ok(())
     }
 
-    fn parse_comment(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_comment<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         self.expect("<!--")?;
         let end = self.input[self.pos..]
             .find("-->")
             .ok_or_else(|| self.err("unterminated comment"))?;
         let content = &self.input[self.pos..self.pos + end];
         self.pos += end + 3;
-        if self.options.keep_comments && builder.open_elements() > 0 {
-            builder.comment(content);
+        if self.options.keep_comments && self.depth > 0 {
+            sink.comment(content);
         }
         Ok(())
     }
 
-    fn parse_cdata(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_cdata<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         self.expect("<![CDATA[")?;
         let end = self.input[self.pos..]
             .find("]]>")
             .ok_or_else(|| self.err("unterminated CDATA section"))?;
         let content = &self.input[self.pos..self.pos + end];
         self.pos += end + 3;
-        if builder.open_elements() == 0 {
+        if self.depth == 0 {
             return Err(self.err("CDATA outside the root element"));
         }
-        builder.text(content);
+        sink.text(content);
         Ok(())
     }
 
-    fn parse_pi(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_pi<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         self.expect("<?")?;
         let end = self.input[self.pos..]
             .find("?>")
             .ok_or_else(|| self.err("unterminated processing instruction"))?;
         let content = &self.input[self.pos..self.pos + end];
         self.pos += end + 2;
-        if self.options.keep_processing_instructions && builder.open_elements() > 0 {
+        if self.options.keep_processing_instructions && self.depth > 0 {
             let (target, data) = match content.find(|c: char| c.is_ascii_whitespace()) {
                 Some(i) => (&content[..i], content[i..].trim_start()),
                 None => (content, ""),
             };
-            builder.processing_instruction(target, data);
+            sink.processing_instruction(target, data);
         }
         Ok(())
     }
 
-    fn parse_name(&mut self) -> XmlResult<String> {
+    fn parse_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             let ok =
@@ -243,10 +289,10 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(self.input[start..self.pos].to_string())
+        Ok(&self.input[start..self.pos])
     }
 
-    fn parse_attribute(&mut self) -> XmlResult<Attribute> {
+    fn parse_attribute(&mut self) -> XmlResult<RawAttribute<'a>> {
         let name = self.parse_name()?;
         self.skip_whitespace();
         self.expect("=")?;
@@ -268,33 +314,34 @@ impl<'a> Parser<'a> {
         }
         let raw = &self.input[start..self.pos];
         self.pos += 1;
-        Ok(Attribute {
+        Ok(RawAttribute {
             name,
             value: unescape(raw, start)?,
         })
     }
 
-    fn parse_element(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn parse_element<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         self.expect("<")?;
         let tag = self.parse_name()?;
-        let mut attributes = Vec::new();
+        let mut attributes = std::mem::take(&mut self.attributes);
+        attributes.clear();
         loop {
             self.skip_whitespace();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    builder.start_element(tag, attributes);
-                    return Ok(());
+                    self.open(sink, tag, &attributes);
+                    break;
                 }
                 Some(b'/') => {
                     self.expect("/>")?;
-                    builder.start_element(tag, attributes);
-                    builder.end_element();
-                    return Ok(());
+                    self.open(sink, tag, &attributes);
+                    self.close(sink);
+                    break;
                 }
                 Some(_) => {
                     let attr = self.parse_attribute()?;
-                    if attributes.iter().any(|a: &Attribute| a.name == attr.name) {
+                    if attributes.iter().any(|a| a.name == attr.name) {
                         return Err(self.err(format!("duplicate attribute `{}`", attr.name)));
                     }
                     attributes.push(attr);
@@ -302,17 +349,30 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unexpected end of input in start tag")),
             }
         }
+        self.attributes = attributes;
+        Ok(())
     }
 
-    fn parse_end_tag(&mut self, builder: &mut DocumentBuilder) -> XmlResult<()> {
+    fn open<S: XmlSink>(&mut self, sink: &mut S, tag: &str, attributes: &[RawAttribute<'_>]) {
+        self.seen_root |= self.depth == 0;
+        self.depth += 1;
+        sink.start_element(tag, attributes);
+    }
+
+    fn close<S: XmlSink>(&mut self, sink: &mut S) {
+        self.depth -= 1;
+        sink.end_element();
+    }
+
+    fn parse_end_tag<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         self.expect("</")?;
         let _tag = self.parse_name()?;
         self.skip_whitespace();
         self.expect(">")?;
-        if builder.open_elements() == 0 {
+        if self.depth == 0 {
             return Err(self.err("end tag without matching start tag"));
         }
-        builder.end_element();
+        self.close(sink);
         Ok(())
     }
 }
@@ -402,6 +462,82 @@ mod tests {
             "<site><people><person id=\"p0\"><name>Ann &amp; Bo</name></person></people></site>";
         let doc = parse(src).unwrap();
         assert_eq!(doc.node_to_xml(doc.root()), src);
+    }
+
+    /// Records every event as one line.
+    #[derive(Default)]
+    struct Events(Vec<String>);
+
+    impl XmlSink for Events {
+        fn start_element(&mut self, name: &str, attributes: &[RawAttribute<'_>]) {
+            let attrs: Vec<String> = attributes
+                .iter()
+                .map(|a| format!("{}={}", a.name, a.value))
+                .collect();
+            self.0.push(format!("<{name} {}", attrs.join(" ")));
+        }
+        fn end_element(&mut self) {
+            self.0.push(">".into());
+        }
+        fn text(&mut self, text: &str) {
+            self.0.push(format!("text {text}"));
+        }
+        fn comment(&mut self, text: &str) {
+            self.0.push(format!("comment {text}"));
+        }
+        fn processing_instruction(&mut self, target: &str, data: &str) {
+            self.0.push(format!("pi {target} {data}"));
+        }
+    }
+
+    #[test]
+    fn sinks_see_events_in_document_order() {
+        let mut events = Events::default();
+        Parser::new("<!--out--><a x=\"&lt;\" y='b'>1<![CDATA[2]]><?p d?><b/></a>")
+            .parse_into(&mut events)
+            .unwrap();
+        assert_eq!(
+            events.0,
+            ["<a x=< y=b", "text 1", "text 2", "pi p d", "<b ", ">", ">"]
+        );
+    }
+
+    #[test]
+    fn attribute_values_are_borrowed_unless_decoded() {
+        #[derive(Default)]
+        struct Borrowed(Vec<bool>);
+        impl XmlSink for Borrowed {
+            fn start_element(&mut self, _: &str, attributes: &[RawAttribute<'_>]) {
+                self.0.extend(
+                    attributes
+                        .iter()
+                        .map(|a| matches!(a.value, Cow::Borrowed(_))),
+                );
+            }
+            fn end_element(&mut self) {}
+            fn text(&mut self, _: &str) {}
+            fn comment(&mut self, _: &str) {}
+            fn processing_instruction(&mut self, _: &str, _: &str) {}
+        }
+        let mut sink = Borrowed::default();
+        Parser::new("<a p=\"plain\" q=\"&amp;\"/>")
+            .parse_into(&mut sink)
+            .unwrap();
+        assert_eq!(sink.0, [true, false]);
+    }
+
+    #[test]
+    fn a_document_without_an_element_has_no_root() {
+        for input in [
+            "",
+            "  \n",
+            "<!-- only a comment -->",
+            "<?xml version=\"1.0\"?>",
+        ] {
+            let err = parse(input).unwrap_err();
+            assert_eq!(err.message, "document has no root element", "{input:?}");
+            assert_eq!(err.offset, 0);
+        }
     }
 
     #[test]

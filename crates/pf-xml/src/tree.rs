@@ -6,6 +6,7 @@
 //! XPath Accelerator encoding in `pf-store` relies on.
 
 use crate::escape::{escape_attribute, escape_text};
+use crate::parser::{RawAttribute, XmlSink};
 use std::fmt;
 
 /// Index of a node inside a [`Document`] arena.
@@ -424,6 +425,36 @@ impl DocumentBuilder {
             "finish() called with unclosed elements"
         );
         self.doc
+    }
+}
+
+/// The parser's DOM sink: what [`crate::parse`] builds.
+impl XmlSink for DocumentBuilder {
+    fn start_element(&mut self, name: &str, attributes: &[RawAttribute<'_>]) {
+        let attributes = attributes
+            .iter()
+            .map(|a| Attribute {
+                name: a.name.to_string(),
+                value: a.value.clone().into_owned(),
+            })
+            .collect();
+        DocumentBuilder::start_element(self, name, attributes);
+    }
+
+    fn end_element(&mut self) {
+        DocumentBuilder::end_element(self);
+    }
+
+    fn text(&mut self, text: &str) {
+        DocumentBuilder::text(self, text);
+    }
+
+    fn comment(&mut self, text: &str) {
+        DocumentBuilder::comment(self, text);
+    }
+
+    fn processing_instruction(&mut self, target: &str, data: &str) {
+        DocumentBuilder::processing_instruction(self, target, data);
     }
 }
 

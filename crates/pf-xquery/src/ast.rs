@@ -206,6 +206,61 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// The number of nodes on the longest root-to-leaf path (a literal has
+    /// height 1).  Recursive: meant for trees the parser has bounded (see
+    /// [`crate::parser::MAX_NESTING_DEPTH`]).
+    pub fn height(&self) -> usize {
+        fn tallest<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> usize {
+            exprs.into_iter().map(Expr::height).max().unwrap_or(0)
+        }
+        1 + match self {
+            Expr::IntLit(_)
+            | Expr::DecLit(_)
+            | Expr::StrLit(_)
+            | Expr::EmptySeq
+            | Expr::Var(_)
+            | Expr::ContextItem => 0,
+            Expr::Sequence(items)
+            | Expr::FunCall { args: items, .. }
+            | Expr::ElemConstr { content: items, .. }
+            | Expr::AttrConstr { value: items, .. }
+            | Expr::TextConstr(items) => tallest(items),
+            Expr::For {
+                seq,
+                where_clause,
+                order_by,
+                body,
+                ..
+            } => tallest(
+                [&**seq, &**body]
+                    .into_iter()
+                    .chain(where_clause.as_deref())
+                    .chain(order_by.iter().map(|key| &key.expr)),
+            ),
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => tallest([&**cond, then_branch, else_branch]),
+            Expr::Let {
+                value: left,
+                body: right,
+                ..
+            }
+            | Expr::Some {
+                seq: left,
+                satisfies: right,
+                ..
+            }
+            | Expr::BinOp { left, right, .. }
+            | Expr::Filter {
+                input: left,
+                pred: right,
+            } => left.height().max(right.height()),
+            Expr::Neg(inner) | Expr::PathStep { input: inner, .. } => inner.height(),
+        }
+    }
+
     /// The set of free variables of this expression (variables that are
     /// referenced but not bound by an enclosing `let`/`for`/`some` within
     /// the expression itself).  Used by the join recognizer to decide

@@ -40,4 +40,4 @@ pub use ast::{BinOpKind, Expr};
 pub use compile::{compile, CompileOptions, Compiled};
 pub use error::{XqError, XqResult};
 pub use normalize::normalize;
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_NESTING_DEPTH};

@@ -6,10 +6,23 @@ use crate::ast::{BinOpKind, Expr, OrderKey};
 use crate::error::{XqError, XqResult};
 use crate::lexer::{tokenize, SpannedToken, Token};
 
+/// How deeply a query may nest.  Both the parser's recursion (one level
+/// per parenthesis, sub-expression or unary sign) and the height of the
+/// syntax tree (which also grows without recursion, through chains such
+/// as `a + b + c`, `a/b/c`, `a[1][2]` and FLWOR clauses) stay within it;
+/// deeper queries are a syntax error.  Normalizing, compiling and running
+/// a query recurse over its syntax tree, and at this depth they fit in the
+/// 2 MiB stack of a server connection thread.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse an XQuery expression.
 pub fn parse_query(input: &str) -> XqResult<Expr> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let expr = parser.parse_expr()?;
     if !parser.at_end() {
         return Err(parser.error("unexpected trailing input"));
@@ -20,6 +33,8 @@ pub fn parse_query(input: &str) -> XqResult<Expr> {
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Recursion depth of the parse in progress.
+    depth: usize,
 }
 
 impl Parser {
@@ -45,6 +60,32 @@ impl Parser {
 
     fn error(&self, message: impl Into<String>) -> XqError {
         XqError::parse(message, self.offset())
+    }
+
+    fn too_deep(&self) -> XqError {
+        self.error(format!(
+            "expression nested more than {MAX_NESTING_DEPTH} levels deep"
+        ))
+    }
+
+    /// Run `parse` one recursion level deeper.
+    fn nested(&mut self, parse: impl FnOnce(&mut Self) -> XqResult<Expr>) -> XqResult<Expr> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let expr = parse(self);
+        self.depth -= 1;
+        expr
+    }
+
+    /// `expr`, one more link of a chain, unless the link lifts the syntax
+    /// tree above the nesting bound.
+    fn bounded(&self, expr: Expr) -> XqResult<Expr> {
+        if expr.height() > MAX_NESTING_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(expr)
     }
 
     fn advance(&mut self) -> Option<Token> {
@@ -116,6 +157,10 @@ impl Parser {
 
     // ExprSingle ::= FLWORExpr | IfExpr | QuantifiedExpr | OrExpr
     fn parse_expr_single(&mut self) -> XqResult<Expr> {
+        self.nested(Self::parse_expr_single_unnested)
+    }
+
+    fn parse_expr_single_unnested(&mut self) -> XqResult<Expr> {
         if (self.peek_keyword("for") || self.peek_keyword("let"))
             && matches!(self.peek_ahead(1), Some(Token::Variable(_)))
         {
@@ -216,11 +261,11 @@ impl Parser {
             .rposition(|c| matches!(c, Clause::For { .. }));
         if last_for_index.is_none() {
             if let Some(w) = where_slot.take() {
-                result = Expr::If {
+                result = self.bounded(Expr::If {
                     cond: Box::new(w),
                     then_branch: Box::new(result),
                     else_branch: Box::new(Expr::EmptySeq),
-                };
+                })?;
             }
             if !order_slot.is_empty() {
                 return Err(self.error("`order by` requires at least one `for` clause"));
@@ -234,21 +279,21 @@ impl Parser {
                     } else {
                         (None, Vec::new())
                     };
-                    result = Expr::For {
+                    result = self.bounded(Expr::For {
                         var,
                         pos_var,
                         seq: Box::new(seq),
                         where_clause: w.map(Box::new),
                         order_by: o,
                         body: Box::new(result),
-                    };
+                    })?;
                 }
                 Clause::Let { var, value } => {
-                    result = Expr::Let {
+                    result = self.bounded(Expr::Let {
                         var,
                         value: Box::new(value),
                         body: Box::new(result),
-                    };
+                    })?;
                 }
             }
         }
@@ -290,11 +335,11 @@ impl Parser {
         while self.peek_keyword("or") {
             self.pos += 1;
             let right = self.parse_and()?;
-            left = Expr::BinOp {
+            left = self.bounded(Expr::BinOp {
                 op: BinOpKind::Or,
                 left: Box::new(left),
                 right: Box::new(right),
-            };
+            })?;
         }
         Ok(left)
     }
@@ -304,11 +349,11 @@ impl Parser {
         while self.peek_keyword("and") {
             self.pos += 1;
             let right = self.parse_comparison()?;
-            left = Expr::BinOp {
+            left = self.bounded(Expr::BinOp {
                 op: BinOpKind::And,
                 left: Box::new(left),
                 right: Box::new(right),
-            };
+            })?;
         }
         Ok(left)
     }
@@ -363,11 +408,11 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_multiplicative()?;
-            left = Expr::BinOp {
+            left = self.bounded(Expr::BinOp {
                 op,
                 left: Box::new(left),
                 right: Box::new(right),
-            };
+            })?;
         }
         Ok(left)
     }
@@ -384,11 +429,11 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_unary()?;
-            left = Expr::BinOp {
+            left = self.bounded(Expr::BinOp {
                 op,
                 left: Box::new(left),
                 right: Box::new(right),
-            };
+            })?;
         }
         Ok(left)
     }
@@ -396,12 +441,12 @@ impl Parser {
     fn parse_unary(&mut self) -> XqResult<Expr> {
         if self.peek() == Some(&Token::Minus) {
             self.pos += 1;
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         if self.peek() == Some(&Token::Plus) {
             self.pos += 1;
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_path()
     }
@@ -435,11 +480,13 @@ impl Parser {
             match self.peek() {
                 Some(Token::Slash) => {
                     self.pos += 1;
-                    current = self.parse_step(current)?;
+                    let step = self.parse_step(current)?;
+                    current = self.bounded(step)?;
                 }
                 Some(Token::DoubleSlash) => {
                     self.pos += 1;
-                    current = self.parse_step_with_axis(current, Axis::Descendant)?;
+                    let step = self.parse_step_with_axis(current, Axis::Descendant)?;
+                    current = self.bounded(step)?;
                 }
                 _ => break,
             }
@@ -567,10 +614,10 @@ impl Parser {
             self.pos += 1;
             let pred = self.parse_expr()?;
             self.expect(&Token::RBracket)?;
-            expr = Expr::Filter {
+            expr = self.bounded(Expr::Filter {
                 input: Box::new(expr),
                 pred: Box::new(pred),
-            };
+            })?;
         }
         Ok(expr)
     }
@@ -873,6 +920,23 @@ mod tests {
         assert!(parse_query("let $x = 1 return $x").is_err());
         assert!(parse_query("element { 1 }").is_err());
         assert!(parse_query("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_recursion_and_by_tree_height() {
+        let parens = |d: usize| format!("{}1{}", "(".repeat(d), ")".repeat(d));
+        let chain = |d: usize| format!("1{}", " + 1".repeat(d));
+        // One parse level per parenthesis, below the top-level expression.
+        assert!(parse_query(&parens(MAX_NESTING_DEPTH - 1)).is_ok());
+        // A chain nests without recursing: n operators, height n + 1.
+        assert_eq!(
+            parse_query(&chain(MAX_NESTING_DEPTH - 1)).unwrap().height(),
+            MAX_NESTING_DEPTH
+        );
+        for too_deep in [parens(MAX_NESTING_DEPTH), chain(MAX_NESTING_DEPTH)] {
+            let err = parse_query(&too_deep).unwrap_err();
+            assert!(err.to_string().contains("nested more than"), "{err}");
+        }
     }
 
     #[test]

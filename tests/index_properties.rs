@@ -15,6 +15,9 @@
 //!   mark every truly-matching (or erroring) node as a candidate; the
 //!   residual predicate can only ever *narrow* a candidate set, so a
 //!   missed candidate would silently drop a result row.
+//! * **Per-name builds** — each index a store builds on demand equals the
+//!   all-at-once `DocIndexes::build` entry, and a query probing only
+//!   `@id` builds only that index (shared by the store's clones).
 
 use std::sync::Arc;
 
@@ -23,7 +26,7 @@ use proptest::prelude::*;
 use pathfinder::engine::{EngineOptions, OptimizerLevel, Pathfinder};
 use pathfinder::relational::ops::{self, CmpOp, UnaryOp};
 use pathfinder::relational::Value;
-use pathfinder::store::{DocStore, NodeKindCode};
+use pathfinder::store::{DocIndexes, DocStore, NodeKindCode};
 
 /// A word pool small enough that repeats (and shared substrings) are
 /// common: `goldfish` contains `gold`, `dusty` contains `dust`.
@@ -150,7 +153,7 @@ proptest! {
         needle in proptest::sample::select(vec!["gold", "old", "dust fish", "zzz", "d", "Gold"]),
     ) {
         let store = DocStore::from_xml("d.xml", &xml).unwrap();
-        let Some(cands) = ops::evaluate_text_probe(&store.indexes().text, needle) else {
+        let Some(cands) = ops::evaluate_text_probe(store.text_index(), needle) else {
             // No alphanumeric fragment: the executor keeps every row.
             return;
         };
@@ -179,7 +182,7 @@ proptest! {
         op in proptest::sample::select(vec![CmpOp::Ge, CmpOp::Lt, CmpOp::Eq]),
     ) {
         let store = DocStore::from_xml("d.xml", &xml).unwrap();
-        let Some(index) = store.indexes().element_index(&store, "price") else {
+        let Some(index) = store.element_index("price") else {
             // No <price> element in this document: nothing to check.
             return;
         };
@@ -214,7 +217,7 @@ proptest! {
         id in proptest::sample::select(vec!["id0", "id3", ""]),
     ) {
         let store = DocStore::from_xml("d.xml", &xml).unwrap();
-        let Some(index) = store.indexes().attribute_index(&store, "id") else {
+        let Some(index) = store.attribute_index("id") else {
             return;
         };
         let cands = ops::evaluate_value_probe(
@@ -232,6 +235,50 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every index a store builds on demand, one name at a time, equals
+    /// that name's entry of the all-at-once bundle — and so does the text
+    /// index.
+    #[test]
+    fn per_name_indexes_equal_the_bundle(xml in document()) {
+        let store = DocStore::from_xml("d.xml", &xml).unwrap();
+        let bundle = DocIndexes::build(&store);
+        for (name, tag) in store.qnames.iter() {
+            prop_assert_eq!(store.element_index(tag), bundle.elem_values.get(&name), "{}", tag);
+            prop_assert_eq!(store.attribute_index(tag), bundle.attr_values.get(&name), "@{}", tag);
+        }
+        prop_assert_eq!(store.text_index(), &bundle.text);
+    }
+
+    /// A query whose only index probe is `@id` leaves the registered
+    /// store (and every clone of it) with the `@id` index built and no
+    /// other: no text index, no element index.
+    #[test]
+    fn an_id_probe_builds_only_the_id_index(
+        xml in document(),
+        id in proptest::sample::select(vec!["id0", "id3"]),
+    ) {
+        let pf = engine(
+            &Arc::new(pathfinder::xml::parse(&xml).unwrap()),
+            OptimizerLevel::FULL,
+        );
+        let registry = pf.registry();
+        let store = registry.store(registry.id_of("d.xml").unwrap()).unwrap();
+        let clone = DocStore::clone(&store);
+        pf.session()
+            .query(&format!("for $i in doc(\"d.xml\")/site/item[@id = \"{id}\"] return $i/name/text()"))
+            .unwrap();
+        let expected: Vec<String> = match store.qnames.lookup("id") {
+            Some(_) => vec!["@id".to_string()],
+            None => Vec::new(), // no item: the name is unknown, nothing to build
+        };
+        prop_assert_eq!(store.built_indexes(), expected.clone());
+        prop_assert_eq!(clone.built_indexes(), expected);
     }
 }
 

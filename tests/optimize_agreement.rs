@@ -22,12 +22,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pathfinder::algebra::{
-    optimize, optimize_with, AlgOp, NoStats, OpId, OptimizerLevel, Plan, PlanBuilder,
+    optimize, optimize_analyzed, optimize_with, optimize_with_verify, AlgOp, CardEstimate, NoStats,
+    OpId, OptimizerLevel, Plan, PlanBuilder, StatsSource,
 };
 use pathfinder::engine::{
     DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
 };
 use pathfinder::relational::Value;
+use pathfinder::store::{DocStatistics, DocStore};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 use pathfinder::xquery::{compile, normalize, parse_query, CompileOptions};
 
@@ -307,6 +309,58 @@ fn full_level_agrees_across_morsel_sizes_on_join_heavy_queries() {
                 }
             }
         }
+    }
+}
+
+/// The document statistics of one generated auction, as the engine
+/// serves them to the optimizer.
+struct AuctionStats(Arc<DocStatistics>);
+
+impl StatsSource for AuctionStats {
+    fn doc_statistics(&self, uri: &str) -> Option<Arc<DocStatistics>> {
+        (uri == "auction.xml").then(|| Arc::clone(&self.0))
+    }
+}
+
+/// One property analysis per plan version: on every XMark query, with the
+/// document's statistics, the optimizer analyzes the plan at most once
+/// more than the number of rule applications that changed it (each
+/// verified change is one verifier pass after the input plan's), and the
+/// analysis it hands back prices the cold plan exactly as a separate
+/// statistics pass over the optimized plan does.
+#[test]
+fn property_analyses_are_shared_per_plan_version() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.004,
+        seed: 20050831,
+    });
+    let store = DocStore::from_xml("auction.xml", &xml).unwrap();
+    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    for q in queries() {
+        let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+        let plan = compile(&core, &CompileOptions::default()).unwrap().plan;
+
+        let mut verified = plan.clone();
+        let report = optimize_with_verify(&mut verified, OptimizerLevel::FULL, &stats, true);
+        assert!(report.verified, "Q{}", q.id);
+        let changes = report.verify_passes - 1;
+        assert!(
+            report.property_passes <= 1 + changes,
+            "Q{}: {} analyses for {changes} changing rule applications",
+            q.id,
+            report.property_passes
+        );
+
+        let mut analyzed = plan;
+        let (final_report, props) = optimize_analyzed(&mut analyzed, OptimizerLevel::FULL, &stats);
+        assert_eq!(analyzed, verified, "Q{}: the same rewrites", q.id);
+        assert!(final_report.property_passes <= 1 + changes, "Q{}", q.id);
+        assert_eq!(
+            props.peak_rows(&analyzed),
+            CardEstimate::analyze(&analyzed, &stats).peak_rows(&analyzed),
+            "Q{}: the cold admission estimate",
+            q.id
+        );
     }
 }
 
