@@ -58,6 +58,7 @@
 //! no longer rescans the live slots after every operator.  Operators are
 //! borrowed from the plan, never cloned.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -69,7 +70,7 @@ use pf_algebra::{
 };
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Column, NodeRef, Table, Value};
-use pf_store::{Axis, DocStore, NodeKindCode, NodeTest};
+use pf_store::{Axis, DocStore, NodeKindCode, NodeTest, SubtreeStep};
 use pf_xml::{Attribute, DocumentBuilder};
 
 use crate::error::{EngineError, EngineResult};
@@ -361,41 +362,66 @@ impl<'a> StoreCache<'a> {
 /// The content rows of a constructor operator, grouped by iteration in
 /// **one pass** and sorted by `pos` within each group.
 ///
-/// The old per-iteration gather rescanned the whole content table for
-/// every loop row, making constructor-heavy queries O(iterations × rows);
-/// this index costs one scan plus one per-group sort, and
-/// [`ContentIndex::content_of`] is a hash lookup.
-struct ContentIndex {
-    groups: HashMap<u64, Vec<Value>>,
+/// The rows are grouped by a [`ops::NatIndex`] over `iter` (direct
+/// address for the dense `iter`s loop-lifting produces) and each group is
+/// sorted stably by `pos` unless it already is in order;
+/// [`ContentIndex::content_of`] reads a group's items off the column.
+struct ContentIndex<'t> {
+    groups: ops::NatIndex,
+    items: &'t Column,
 }
 
-impl ContentIndex {
-    fn build(content: &Table) -> EngineResult<ContentIndex> {
-        let iter_col = content.column("iter")?;
-        let pos_col = content.column("pos")?;
-        let item_col = content.column("item")?;
-        let mut keyed: HashMap<u64, Vec<(u64, Value)>> = HashMap::new();
-        for row in 0..content.row_count() {
-            keyed
-                .entry(iter_col.get(row).as_nat()?)
-                .or_default()
-                .push((pos_col.get(row).as_nat()?, item_col.get(row)));
-        }
-        let groups = keyed
-            .into_iter()
-            .map(|(iter, mut rows)| {
-                // Stable by pos, like the gather this replaces: equal
-                // positions keep table order.
-                rows.sort_by_key(|(pos, _)| *pos);
-                (iter, rows.into_iter().map(|(_, v)| v).collect())
-            })
-            .collect();
-        Ok(ContentIndex { groups })
+impl<'t> ContentIndex<'t> {
+    fn build(content: &'t Table) -> EngineResult<ContentIndex<'t>> {
+        let iters = nat_keys(content.column("iter")?)?;
+        let poss = nat_keys(content.column("pos")?)?;
+        let items = content.column("item")?;
+        let mut groups = ops::NatIndex::new(&iters);
+        // Stable by pos: equal positions keep table order.
+        groups.sort_groups_by_key(|row| poss[row as usize]);
+        Ok(ContentIndex { groups, items })
     }
 
     /// The content values of `iter`, in `pos` order.
-    fn content_of(&self, iter: u64) -> &[Value] {
-        self.groups.get(&iter).map_or(&[], Vec::as_slice)
+    fn content_of(&self, iter: u64) -> impl Iterator<Item = Value> + '_ {
+        self.groups
+            .rows_of(iter)
+            .iter()
+            .map(|&row| self.items.get(row as usize))
+    }
+}
+
+/// The effective boolean value of the single item at `row`, read in place.
+fn item_truth(column: &Column, row: usize) -> bool {
+    match column {
+        Column::Bool(v) => v[row],
+        Column::Int(v) => v[row] != 0,
+        Column::Nat(v) => v[row] != 0,
+        Column::Dbl(v) => v[row] != 0.0,
+        Column::Str(v) => !v[row].is_empty(),
+        Column::Node(_) => true,
+        Column::Item(v) => match &v[row] {
+            Value::Bool(b) => *b,
+            Value::Int(i) => *i != 0,
+            Value::Nat(n) => *n != 0,
+            Value::Dbl(d) => *d != 0.0,
+            Value::Str(s) => !s.is_empty(),
+            Value::Node(_) => true,
+        },
+    }
+}
+
+/// A `Nat` key column as `u64`s: borrowed from a `Nat` column, converted
+/// row by row (with [`Value::as_nat`]'s errors) from any other.
+fn nat_keys(column: &Column) -> EngineResult<Cow<'_, [u64]>> {
+    match column.as_nats() {
+        Some(nats) => Ok(Cow::Borrowed(nats)),
+        None => Ok(Cow::Owned(
+            column
+                .iter_values()
+                .map(|value| value.as_nat())
+                .collect::<Result<_, _>>()?,
+        )),
     }
 }
 
@@ -1650,44 +1676,33 @@ impl<'a> Executor<'a> {
         Ok(Table::new(columns)?)
     }
 
-    /// Effective boolean value per iteration.
+    /// Effective boolean value per iteration, in first-appearance order of
+    /// the iterations: `true` for more than one item, otherwise the
+    /// truth of the single item (a node is `true`).
     fn ebv(&self, table: &Table) -> EngineResult<Table> {
-        let iter_col = table.column("iter")?;
+        let iters = nat_keys(table.column("iter")?)?;
         let item_col = table.column("item")?;
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<Value>> = HashMap::new();
-        for row in 0..table.row_count() {
-            let iter = iter_col.get(row).as_nat()?;
-            groups
-                .entry(iter)
-                .or_insert_with(|| {
-                    order.push(iter);
-                    Vec::new()
-                })
-                .push(item_col.get(row));
+        let groups = ops::NatIndex::new(&iters);
+        let mut out_iters = Vec::new();
+        let mut bools = Vec::new();
+        for (row, &iter) in iters.iter().enumerate() {
+            let group = groups.rows_of(iter);
+            // Rows ascend within a group: its first row opens it.
+            if group[0] as usize == row {
+                out_iters.push(iter);
+                bools.push(group.len() > 1 || item_truth(item_col, row));
+            }
         }
-        let mut iters = Vec::with_capacity(order.len());
-        let mut bools = Vec::with_capacity(order.len());
-        for iter in order {
-            let items = &groups[&iter];
-            let ebv = if items.iter().any(|v| matches!(v, Value::Node(_))) || items.len() > 1 {
-                true
-            } else {
-                match &items[0] {
-                    Value::Bool(b) => *b,
-                    Value::Int(i) => *i != 0,
-                    Value::Nat(n) => *n != 0,
-                    Value::Dbl(d) => *d != 0.0,
-                    Value::Str(s) => !s.is_empty(),
-                    Value::Node(_) => true,
-                }
-            };
-            iters.push(iter);
-            bools.push(Value::Bool(ebv));
-        }
+        // No rows: an untyped item column, like any empty
+        // `Column::from_values`.
+        let item = if bools.is_empty() {
+            Column::empty_item()
+        } else {
+            Column::bools(bools)
+        };
         Ok(Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("item".into(), Column::from_values(bools)),
+            ("iter".into(), Column::nats(out_iters)),
+            ("item".into(), item),
         ])?)
     }
 
@@ -1839,8 +1854,7 @@ impl<'a> Executor<'a> {
             let iter = iter_col.get(row).as_nat()?;
             let text = index
                 .content_of(iter)
-                .iter()
-                .map(|v| cache.atomize(v).to_xdm_string())
+                .map(|v| cache.atomize(&v).to_xdm_string())
                 .collect::<Vec<_>>()
                 .join(" ");
             iters.push(iter);
@@ -1876,8 +1890,7 @@ impl<'a> Executor<'a> {
             let iter = iter_col.get(row).as_nat()?;
             let text = index
                 .content_of(iter)
-                .iter()
-                .map(|v| cache.atomize(v).to_xdm_string())
+                .map(|v| cache.atomize(&v).to_xdm_string())
                 .collect::<Vec<_>>()
                 .join(" ");
             // Wrap every text node in a marker element so that adjacent text
@@ -1906,36 +1919,39 @@ impl<'a> Executor<'a> {
 }
 
 /// Deep-copy the subtree rooted at `pre` of `store` into `builder` (the copy
-/// semantics of constructed element content).
+/// semantics of constructed element content).  Walks the subtree with
+/// [`DocStore::walk_subtree`], so a subtree of any depth copies on any
+/// thread's stack.
 fn copy_subtree(builder: &mut DocumentBuilder, store: &DocStore, pre: u32) {
-    match store.kind_of(pre) {
-        NodeKindCode::Document => {
-            for child in store.children_of(pre) {
-                copy_subtree(builder, store, child);
+    for step in store.walk_subtree(pre) {
+        let p = match step {
+            SubtreeStep::End(_) => {
+                builder.end_element();
+                continue;
             }
-        }
-        NodeKindCode::Element => {
-            let attributes = store
-                .attributes_of(pre)
-                .map(|idx| Attribute {
-                    name: store.attr_name_of(idx).to_string(),
-                    value: store.attr_value_of(idx).to_string(),
-                })
-                .collect();
-            builder.start_element(store.tag_of(pre), attributes);
-            for child in store.children_of(pre) {
-                copy_subtree(builder, store, child);
+            SubtreeStep::Node(p) => p,
+        };
+        match store.kind_of(p) {
+            NodeKindCode::Document => {}
+            NodeKindCode::Element => {
+                let attributes = store
+                    .attributes_of(p)
+                    .map(|idx| Attribute {
+                        name: store.attr_name_of(idx).to_string(),
+                        value: store.attr_value_of(idx).to_string(),
+                    })
+                    .collect();
+                builder.start_element(store.tag_of(p), attributes);
             }
-            builder.end_element();
-        }
-        NodeKindCode::Text => {
-            builder.text(store.content_of(pre));
-        }
-        NodeKindCode::Comment => {
-            builder.comment(store.content_of(pre));
-        }
-        NodeKindCode::Pi => {
-            builder.processing_instruction("pi", store.content_of(pre));
+            NodeKindCode::Text => {
+                builder.text(store.content_of(p));
+            }
+            NodeKindCode::Comment => {
+                builder.comment(store.content_of(p));
+            }
+            NodeKindCode::Pi => {
+                builder.processing_instruction(store.pi_target_of(p), store.content_of(p));
+            }
         }
     }
 }
@@ -2003,6 +2019,134 @@ mod tests {
                 Value::Bool(true),
                 Value::Bool(true)
             ]
+        );
+    }
+
+    /// Groups in first-appearance order whether the `iter`s are unsorted,
+    /// repeated or sparse; a group of several items is `true` whatever
+    /// they are; every item representation reads like its `Value`.
+    #[test]
+    fn ebv_groups_unsorted_duplicate_and_sparse_iters() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let iter_item = |iters: Vec<u64>, items: Column| {
+            Table::new(vec![
+                ("iter".into(), Column::nats(iters)),
+                ("item".into(), items),
+            ])
+            .unwrap()
+        };
+        let as_rows = |t: &Table| -> Vec<(u64, Value)> {
+            (0..t.row_count())
+                .map(|r| {
+                    let iter = t.value("iter", r).unwrap().as_nat().unwrap();
+                    (iter, t.value("item", r).unwrap())
+                })
+                .collect()
+        };
+        let t = iter_item(
+            vec![7, 3, 7, u64::MAX, 5, 3],
+            Column::ints(vec![0, 0, 0, 2, 0, 0]),
+        );
+        let out = exec.ebv(&t).unwrap();
+        assert_eq!(
+            as_rows(&out),
+            vec![
+                (7, Value::Bool(true)),
+                (3, Value::Bool(true)),
+                (u64::MAX, Value::Bool(true)),
+                (5, Value::Bool(false)),
+            ]
+        );
+        assert_eq!(out.column("item").unwrap().as_bools().unwrap().len(), 4);
+        for (items, expected) in [
+            (Column::nats(vec![0, 4]), [false, true]),
+            (Column::dbls(vec![0.0, f64::NAN]), [false, true]),
+            (Column::strs(vec!["".into(), "x".into()]), [false, true]),
+            (Column::bools(vec![false, true]), [false, true]),
+            (Column::nodes(vec![NodeRef::new(0, 1); 2]), [true, true]),
+            (
+                Column::items(vec![Value::Str(String::new()), Value::Dbl(-0.5)]),
+                [false, true],
+            ),
+        ] {
+            let out = exec.ebv(&iter_item(vec![2, 1], items)).unwrap();
+            let flags: Vec<bool> = out
+                .column("item")
+                .unwrap()
+                .iter_values()
+                .map(|v| v.as_bool().unwrap())
+                .collect();
+            assert_eq!(flags, expected);
+        }
+        // A non-`Nat` iter column of naturals groups alike; one that is not
+        // natural fails as before.
+        let items = Table::new(vec![
+            ("iter".into(), Column::ints(vec![4, 4])),
+            ("item".into(), Column::ints(vec![0, 0])),
+        ])
+        .unwrap();
+        assert_eq!(
+            as_rows(&exec.ebv(&items).unwrap()),
+            vec![(4, Value::Bool(true))]
+        );
+        let bad = Table::new(vec![
+            ("iter".into(), Column::ints(vec![1, -1])),
+            ("item".into(), Column::ints(vec![0, 0])),
+        ])
+        .unwrap();
+        assert!(exec
+            .ebv(&bad)
+            .unwrap_err()
+            .to_string()
+            .contains("expected nat"));
+    }
+
+    /// An empty input keeps its output column types: `Nat` iters and the
+    /// untyped item column.
+    #[test]
+    fn ebv_of_an_empty_input_keeps_its_column_types() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let t = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
+        let out = exec.ebv(&t).unwrap();
+        assert_eq!(out.row_count(), 0);
+        assert!(out.column("iter").unwrap().as_nats().is_some());
+        assert!(out.column("item").unwrap().as_items().is_some());
+    }
+
+    /// The content of an iteration is its rows in `pos` order, ties in
+    /// table order — for unsorted, repeated and sparse `iter`s and
+    /// out-of-order `pos`; an absent iteration has none.
+    #[test]
+    fn content_index_groups_by_iter_in_pos_order() {
+        let iters = vec![9, 2, 9, 2, 1 << 50, 9, 2];
+        let poss = vec![3, 2, 1, 1, 1, 1, 2];
+        let items: Vec<Value> = (0..7).map(Value::Int).collect();
+        let content = Table::iter_pos_item(iters.clone(), poss.clone(), items).unwrap();
+        let index = ContentIndex::build(&content).unwrap();
+        let content_of = |iter: u64| index.content_of(iter).collect::<Vec<_>>();
+        // The old per-iteration gather, stable by pos.
+        let gather = |iter: u64| -> Vec<Value> {
+            let mut rows: Vec<usize> = (0..iters.len()).filter(|&r| iters[r] == iter).collect();
+            rows.sort_by_key(|&r| poss[r]);
+            rows.into_iter().map(|r| Value::Int(r as i64)).collect()
+        };
+        for iter in [9, 2, 1 << 50, 0, 3, u64::MAX] {
+            assert_eq!(content_of(iter), gather(iter), "iter {iter}");
+        }
+        assert_eq!(
+            content_of(9),
+            vec![Value::Int(2), Value::Int(5), Value::Int(0)]
+        );
+        assert_eq!(
+            content_of(2),
+            vec![Value::Int(3), Value::Int(1), Value::Int(6)]
+        );
+        let empty = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
+        assert_eq!(
+            ContentIndex::build(&empty).unwrap().content_of(1).count(),
+            0
         );
     }
 

@@ -1,18 +1,32 @@
 //! ⋈ and × — equi-join, theta-join, Cartesian product.
 //!
 //! The compiled plans only ever use *equi*-joins ("all joins are
-//! equi-joins", Section 2); they are implemented as partitioned hash joins:
-//! [`JoinPlan`] hashes the **smaller** input once into a read-only index of
-//! borrowed, typed keys ([`Key`] — no per-row `Value` boxing, string keys
-//! hashed by `&str`), and the larger input probes it.  The probe side is
-//! embarrassingly parallel: [`JoinPlan::probe_range`] evaluates any row
-//! range independently, and per-range pair buffers concatenated in range
-//! order reproduce the sequential probe exactly, so an executor may
-//! partition the probe into morsels without changing the result.  Output
-//! order is always **left-major** (left row order, then right row order) —
-//! when the build side is the left input, [`JoinPlan::materialize`]
-//! restores that order with a stable counting sort over the probe-major
-//! pairs.
+//! equi-joins", Section 2).  [`JoinPlan`] indexes the **smaller** input
+//! once into a read-only [`NatIndex`] — its rows grouped by key, ascending
+//! within a group — and the larger input probes it:
+//!
+//! * **Direct address.**  Loop-lifting joins almost always on two `Nat`
+//!   columns (`iter`, `inner`, `outer`, surrogate ids) whose values are
+//!   bounded by the row counts.  When both key columns are `Column::Nat`
+//!   and the build side's largest key is at most `4 · rows + 1024` for
+//!   the rows of *both* inputs (a small build side is often sparse: 973
+//!   rows keyed up to 5 084), the key is the group: a probe is an array
+//!   access, and a probe key above the largest build key misses.  Exact,
+//!   because two `Nat`s share a [`Key`] exactly when they are equal.
+//! * **Hashed.**  Every other key pair — strings, doubles, mixed `Item`
+//!   columns, a `Nat` against an `Int` — maps each borrowed [`Key`] (no
+//!   per-row `Value`, string keys hashed by `&str`) to a group id in
+//!   first-appearance order, and the ids index the same CSR.
+//!
+//! Either way the pairs and their order are the ones a per-key list of
+//! build rows would give.  The probe side is embarrassingly parallel:
+//! [`JoinPlan::probe_range`] evaluates any row range independently, and
+//! per-range pair buffers concatenated in range order reproduce the
+//! sequential probe exactly, so an executor may partition the probe into
+//! morsels without changing the result.  Output order is always
+//! **left-major** (left row order, then right row order) — when the build
+//! side is the left input, [`JoinPlan::materialize`] restores that order
+//! with a stable counting sort over the probe-major pairs.
 //!
 //! The explicit theta-join exists for the value-based joins the paper
 //! discusses for XMark Q11/Q12 (predicate `>`), whose quadratic output is
@@ -27,7 +41,7 @@ use std::ops::Range;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::ops::keys::{Key, KeyView};
+use crate::ops::keys::{Key, KeyView, NatIndex};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::ops::HashKey;
 use crate::table::Table;
@@ -64,9 +78,9 @@ fn materialize_join(left: &Table, right: &Table, pairs: &[(usize, usize)]) -> Re
     Table::new(columns)
 }
 
-/// A prepared hash join: the smaller side hashed once into a shared
-/// read-only index of borrowed typed keys, ready to be probed — whole, or
-/// range by range from concurrent morsels (see the module docs).
+/// A prepared equi-join: the smaller side indexed once into a shared
+/// read-only [`NatIndex`], ready to be probed — whole, or range by range
+/// from concurrent morsels (see the module docs).
 pub struct JoinPlan<'t> {
     left: &'t Table,
     right: &'t Table,
@@ -74,12 +88,26 @@ pub struct JoinPlan<'t> {
     /// side was smaller); the probe is then right-major and
     /// [`JoinPlan::materialize`] restores left-major order.
     build_left: bool,
-    index: HashMap<Key<'t>, Vec<usize>>,
-    probe: KeyView<'t>,
+    /// The build rows grouped by key (direct-address) or by hash group id.
+    build: NatIndex,
+    probe: Probe<'t>,
+}
+
+/// How a probe row finds its group in [`JoinPlan::build`].
+enum Probe<'t> {
+    /// Both keys are `Nat`s and the build side is dense: the key is the
+    /// group.
+    Direct(&'t [u64]),
+    /// Any other keys: a hash map from the borrowed build key to its group
+    /// id (groups numbered in first-appearance order).
+    Hashed {
+        groups: HashMap<Key<'t>, u64>,
+        keys: KeyView<'t>,
+    },
 }
 
 impl<'t> JoinPlan<'t> {
-    /// Validate the schemas and build the hash index on the smaller side.
+    /// Validate the schemas and index the smaller side.
     pub fn new(
         left: &'t Table,
         right: &'t Table,
@@ -87,31 +115,63 @@ impl<'t> JoinPlan<'t> {
         right_col: &str,
     ) -> RelResult<JoinPlan<'t>> {
         merge_schemas(left, right)?;
-        let lkeys = KeyView::of(left.column(left_col)?);
-        let rkeys = KeyView::of(right.column(right_col)?);
+        let lcol = left.column(left_col)?;
+        let rcol = right.column(right_col)?;
         // Build on the smaller side, probe with the larger.
         let build_left = left.row_count() < right.row_count();
         let (build, probe) = if build_left {
-            (lkeys, rkeys)
+            (lcol, rcol)
         } else {
-            (rkeys, lkeys)
+            (rcol, lcol)
         };
-        let mut index: HashMap<Key<'t>, Vec<usize>> = HashMap::with_capacity(build.len());
-        for row in 0..build.len() {
-            index.entry(build.key(row)).or_default().push(row);
-        }
+        let rows = left.row_count() + right.row_count();
+        let direct = build
+            .as_nats()
+            .zip(probe.as_nats())
+            .and_then(|(build, probe)| Some((NatIndex::dense(build, rows)?, probe)));
+        let (build, probe) = match direct {
+            Some((index, probe)) => (index, Probe::Direct(probe)),
+            None => {
+                let build = KeyView::of(build);
+                let mut groups: HashMap<Key<'t>, u64> = HashMap::with_capacity(build.len());
+                let group_of: Vec<u64> = (0..build.len())
+                    .map(|row| {
+                        let next = groups.len() as u64;
+                        *groups.entry(build.key(row)).or_insert(next)
+                    })
+                    .collect();
+                let index = NatIndex::dense(&group_of, group_of.len())
+                    .expect("group ids are dense by construction");
+                let keys = KeyView::of(probe);
+                (index, Probe::Hashed { groups, keys })
+            }
+        };
         Ok(JoinPlan {
             left,
             right,
             build_left,
-            index,
+            build,
             probe,
         })
     }
 
     /// Rows on the probe (larger) side.
     pub fn probe_rows(&self) -> usize {
-        self.probe.len()
+        match &self.probe {
+            Probe::Direct(keys) => keys.len(),
+            Probe::Hashed { keys, .. } => keys.len(),
+        }
+    }
+
+    /// The build rows matching probe row `row`.
+    #[inline]
+    fn matches(&self, row: usize) -> &[u32] {
+        match &self.probe {
+            Probe::Direct(keys) => self.build.rows_of(keys[row]),
+            Probe::Hashed { groups, keys } => groups
+                .get(&keys.key(row))
+                .map_or(&[], |&group| self.build.rows_of(group)),
+        }
     }
 
     /// Rows on the build (smaller) side.
@@ -132,16 +192,11 @@ impl<'t> JoinPlan<'t> {
     pub fn probe_range(&self, range: Range<usize>) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for row in range {
-            if let Some(matches) = self.index.get(&self.probe.key(row)) {
-                if self.build_left {
-                    for &lrow in matches {
-                        pairs.push((lrow, row));
-                    }
-                } else {
-                    for &rrow in matches {
-                        pairs.push((row, rrow));
-                    }
-                }
+            let matches = self.matches(row);
+            if self.build_left {
+                pairs.extend(matches.iter().map(|&lrow| (lrow as usize, row)));
+            } else {
+                pairs.extend(matches.iter().map(|&rrow| (row, rrow as usize)));
             }
         }
         pairs
@@ -488,6 +543,37 @@ mod tests {
                 let merged = plan.materialize(pairs).unwrap();
                 assert_eq!(merged, plan.materialize(whole.clone()).unwrap());
             }
+        }
+    }
+
+    /// Two `Nat` keys take the direct-address probe whenever the build
+    /// side is dense against both inputs — even a small, sparse build
+    /// side — and anything else hashes; the pairs are the reference's.
+    #[test]
+    fn nat_keys_are_probed_by_direct_address() {
+        let nats = |name: &str, keys: Vec<u64>| {
+            Table::new(vec![(name.to_string(), Column::nats(keys))]).unwrap()
+        };
+        let small_sparse = nats("k", vec![2000, 7, 2000]);
+        let big = nats("k1", (0..600).map(|i| i * 4 % 2003).collect());
+        let plan = JoinPlan::new(&small_sparse, &big, "k", "k1").unwrap();
+        assert!(plan.build_left && matches!(plan.probe, Probe::Direct(_)));
+        assert_eq!(
+            equi_join(&small_sparse, &big, "k", "k1").unwrap(),
+            equi_join_generic(&small_sparse, &big, "k", "k1").unwrap()
+        );
+        // Too sparse for the rows read, or a key column of another type.
+        let huge = nats("k1", vec![1 << 40, 7, u64::MAX]);
+        let plan = JoinPlan::new(&small_sparse, &huge, "k", "k1").unwrap();
+        assert!(matches!(plan.probe, Probe::Hashed { .. }));
+        let ints = Table::new(vec![("k1".into(), Column::ints(vec![7, 2000, 3]))]).unwrap();
+        let plan = JoinPlan::new(&small_sparse, &ints, "k", "k1").unwrap();
+        assert!(matches!(plan.probe, Probe::Hashed { .. }));
+        for right in [&huge, &ints] {
+            assert_eq!(
+                equi_join(&small_sparse, right, "k", "k1").unwrap(),
+                equi_join_generic(&small_sparse, right, "k", "k1").unwrap()
+            );
         }
     }
 

@@ -26,7 +26,7 @@ pub use index::{
     IndexProbe, IndexTarget, TextCandidates, ValueCandidates,
 };
 pub use join::{cross, equi_join, equi_join_generic, theta_join, JoinPlan, ThetaPlan};
-pub use keys::{Key, KeyView};
+pub use keys::{Key, KeyView, NatIndex};
 pub use map::{map_binary, map_const, map_unary, BinaryOp, CmpOp, SubstringMemo, UnaryOp};
 pub use pipeline::{run_pipeline, run_pipeline_range, steps_chunkable, FusedStep};
 pub use project::project;
@@ -40,8 +40,10 @@ pub use theta_count::{theta_count, RankCount, ThetaCountPlan};
 
 use crate::value::Value;
 
-/// A hashable key derived from a [`Value`], used by hash-based joins,
-/// duplicate elimination and grouping.
+/// A hashable key derived from a [`Value`] — the owned key of the
+/// value-at-a-time reference kernels ([`equi_join_generic`],
+/// [`aggregate_by_generic`]); the product kernels use the borrowed
+/// [`Key`] and the direct-address kernels of [`keys`].
 ///
 /// Numeric values that are integral collapse onto the same key regardless of
 /// their concrete type, matching the XQuery general-comparison semantics the
@@ -84,14 +86,6 @@ impl HashKey {
             Value::Node(n) => HashKey::Node(n.doc, n.pre),
         }
     }
-}
-
-/// Derive the composite hash key of one row restricted to `columns`.
-pub(crate) fn row_key(table: &crate::table::Table, columns: &[&str], row: usize) -> Vec<HashKey> {
-    columns
-        .iter()
-        .map(|c| HashKey::of(&table.column(c).expect("column checked by caller").get(row)))
-        .collect()
 }
 
 #[cfg(test)]

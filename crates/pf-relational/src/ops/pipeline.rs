@@ -29,13 +29,12 @@
 //! paths surface as [`RelResult`] errors; the kernel has no panic paths on
 //! malformed input.
 
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
+use crate::ops::keys::{first_nats, first_rows, KeyView};
 use crate::ops::map::{apply_binary, apply_unary, BinaryOp, SubstringMemo, UnaryOp};
-use crate::ops::HashKey;
 use crate::table::Table;
 use crate::value::Value;
 
@@ -180,6 +179,37 @@ impl VirtualTable {
             }
             Slot::Dense(v) => v[at].clone(),
         }
+    }
+
+    /// δ's selection: the live-row positions of the first occurrence of
+    /// every distinct row, compared like [`super::distinct`] compares —
+    /// a seen-bitset for one dense `Nat` column, borrowed key tuples
+    /// otherwise.
+    fn first_occurrences(&self) -> Vec<usize> {
+        let sel = self.sel.as_deref();
+        if let [(_, Slot::Shared(Column::Nat(nats)))] = &self.cols[..] {
+            let dense = match sel {
+                None => first_nats(nats.iter().copied()),
+                Some(sel) => first_nats(sel.iter().map(|&row| nats[row])),
+            };
+            if let Some(keep) = dense {
+                return keep;
+            }
+        }
+        // Shared slots are indexed through the selection, dense slots by
+        // live-row position.
+        let views: Vec<(KeyView, Option<&[usize]>)> = self
+            .cols
+            .iter()
+            .map(|(_, slot)| match slot {
+                Slot::Shared(c) => (KeyView::of(c), sel),
+                Slot::Dense(values) => (KeyView::Item(values), None),
+            })
+            .collect();
+        first_rows(views.len(), self.live_rows(), |c, at| {
+            let (view, sel) = views[c];
+            view.key(sel.map_or(at, |sel| sel[at]))
+        })
     }
 
     /// Append a computed column, rejecting duplicate names exactly like
@@ -383,16 +413,7 @@ fn apply_steps(
                 vt.cols[idx].1 = Slot::Dense(Rc::new(values));
             }
             FusedStep::Distinct => {
-                let ncols = vt.cols.len();
-                let mut seen: HashSet<Vec<HashKey>> = HashSet::with_capacity(vt.live_rows());
-                let mut keep = Vec::new();
-                for at in 0..vt.live_rows() {
-                    let key: Vec<HashKey> =
-                        (0..ncols).map(|c| HashKey::of(&vt.get(c, at))).collect();
-                    if seen.insert(key) {
-                        keep.push(at);
-                    }
-                }
+                let keep = vt.first_occurrences();
                 vt.restrict(keep);
             }
         }

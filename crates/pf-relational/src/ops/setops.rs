@@ -1,9 +1,21 @@
 //! ∪̇, \ and δ — disjoint union, difference, duplicate elimination.
-
-use std::collections::HashSet;
+//!
+//! Loop-lifting's `∖` is nearly always `loop ∖ π_iter(…)` and its `δ` an
+//! `iter`-keyed one: a single `Nat` column whose values are bounded by the
+//! row count.  Such a key is answered by a bitset: a presence bitset over
+//! the right input for `∖`, a seen-bitset for `δ`, whether or not the
+//! rows are sorted, whenever the largest key is at most `4 · rows + 1024`
+//! (counting both inputs' rows for `∖`, the input's for `δ`; the rule of
+//! [`keys`](crate::ops::keys)).  Exact, because two `Nat`s share a
+//! [`Key`](crate::ops::Key) exactly when they are equal.  Any other schema
+//! — several columns, or one column that is not `Column::Nat` on both
+//! sides — compares rows as tuples of borrowed [`Key`](crate::ops::Key)s,
+//! which collapse `Nat`, `Int` and integral `Dbl` values as every hashed
+//! kernel does.  Either way no `Value` is built and no string is cloned
+//! per row, and `δ` keeps the first occurrence of every row.
 
 use crate::error::{RelError, RelResult};
-use crate::ops::row_key;
+use crate::ops::keys::{first_nats, first_rows, nats_absent, rows_absent, KeyView};
 use crate::table::Table;
 
 /// ∪̇ — disjoint union.
@@ -44,20 +56,29 @@ pub fn union_disjoint(left: &Table, right: &Table) -> RelResult<Table> {
 /// \ — difference: the rows of `left` that do not appear in `right`
 /// (comparing all columns of `left`; `right` must contain those columns).
 pub fn difference(left: &Table, right: &Table) -> RelResult<Table> {
-    let key_columns: Vec<&str> = left.column_names();
-    for c in &key_columns {
-        right.column(c)?;
-    }
-    let mut exclude: HashSet<Vec<crate::ops::HashKey>> = HashSet::with_capacity(right.row_count());
-    for row in 0..right.row_count() {
-        exclude.insert(row_key(right, &key_columns, row));
-    }
-    let mut keep = Vec::new();
-    for row in 0..left.row_count() {
-        if !exclude.contains(&row_key(left, &key_columns, row)) {
-            keep.push(row);
+    let rcols = left
+        .columns()
+        .iter()
+        .map(|(name, _)| right.column(name))
+        .collect::<RelResult<Vec<_>>>()?;
+    if let ([(_, lcol)], [rcol]) = (left.columns(), &rcols[..]) {
+        if let Some(keep) = lcol
+            .as_nats()
+            .zip(rcol.as_nats())
+            .and_then(|(lnats, rnats)| nats_absent(lnats, rnats))
+        {
+            return Ok(left.gather_rows(&keep));
         }
     }
+    let lviews: Vec<KeyView> = left.columns().iter().map(|(_, c)| KeyView::of(c)).collect();
+    let rviews: Vec<KeyView> = rcols.into_iter().map(KeyView::of).collect();
+    let keep = rows_absent(
+        lviews.len(),
+        left.row_count(),
+        |c, row| lviews[c].key(row),
+        right.row_count(),
+        |c, row| rviews[c].key(row),
+    );
     Ok(left.gather_rows(&keep))
 }
 
@@ -71,16 +92,20 @@ pub fn distinct(input: &Table) -> RelResult<Table> {
 /// distinct combination and projects nothing away (the remaining columns of
 /// the surviving row are retained).
 pub fn distinct_on(input: &Table, columns: &[&str]) -> RelResult<Table> {
-    for c in columns {
-        input.column(c)?;
-    }
-    let mut seen: HashSet<Vec<crate::ops::HashKey>> = HashSet::with_capacity(input.row_count());
-    let mut keep = Vec::new();
-    for row in 0..input.row_count() {
-        if seen.insert(row_key(input, columns, row)) {
-            keep.push(row);
+    let cols = columns
+        .iter()
+        .map(|c| input.column(c))
+        .collect::<RelResult<Vec<_>>>()?;
+    if let [col] = cols[..] {
+        if let Some(keep) = col
+            .as_nats()
+            .and_then(|nats| first_nats(nats.iter().copied()))
+        {
+            return Ok(input.gather_rows(&keep));
         }
     }
+    let views: Vec<KeyView> = cols.into_iter().map(KeyView::of).collect();
+    let keep = first_rows(views.len(), input.row_count(), |c, row| views[c].key(row));
     Ok(input.gather_rows(&keep))
 }
 
@@ -158,6 +183,50 @@ mod tests {
         assert_eq!(d.row_count(), 2);
         assert_eq!(d.value("iter", 0).unwrap(), Value::Nat(1));
         assert_eq!(d.value("iter", 1).unwrap(), Value::Nat(2));
+    }
+
+    fn iters(keys: Vec<u64>) -> Table {
+        Table::new(vec![("iter".into(), Column::nats(keys))]).unwrap()
+    }
+
+    fn nats_of(table: &Table) -> Vec<u64> {
+        table.column("iter").unwrap().as_nats().unwrap().to_vec()
+    }
+
+    /// One `Nat` column: the bitset path, unsorted or sparse alike.
+    #[test]
+    fn single_nat_column_difference_and_distinct() {
+        let loop_ = iters(vec![5, 1, 4, 2, 3, 1]);
+        let d = difference(&loop_, &iters(vec![4, 1, 4, 99])).unwrap();
+        assert_eq!(nats_of(&d), vec![5, 2, 3]);
+        // Sparse right side: past the density rule, same answer.
+        let d = difference(&loop_, &iters(vec![4, 1, u64::MAX])).unwrap();
+        assert_eq!(nats_of(&d), vec![5, 2, 3]);
+        assert_eq!(nats_of(&distinct(&loop_).unwrap()), vec![5, 1, 4, 2, 3]);
+        let sparse = iters(vec![u64::MAX, 3, u64::MAX, 1 << 40, 3]);
+        assert_eq!(
+            nats_of(&distinct(&sparse).unwrap()),
+            vec![u64::MAX, 3, 1 << 40]
+        );
+    }
+
+    /// A `Nat` column against an `Int` or `Item` column compares by key
+    /// class: 2 (Nat), 2 (Int) and 2.0 (Dbl) are one key.
+    #[test]
+    fn cross_type_keys_collapse() {
+        let right = Table::new(vec![(
+            "iter".into(),
+            Column::items(vec![Value::Int(2), Value::Dbl(3.0), Value::Dbl(4.5)]),
+        )])
+        .unwrap();
+        let d = difference(&iters(vec![1, 2, 3, 4]), &right).unwrap();
+        assert_eq!(nats_of(&d), vec![1, 4]);
+        let mixed = Table::new(vec![(
+            "iter".into(),
+            Column::items(vec![Value::Nat(2), Value::Int(2), Value::Dbl(2.0)]),
+        )])
+        .unwrap();
+        assert_eq!(distinct(&mixed).unwrap().row_count(), 1);
     }
 
     #[test]

@@ -417,6 +417,30 @@ mod tests {
     }
 
     #[test]
+    fn a_deep_document_is_served_on_a_connection_thread() {
+        let pf = Arc::new(Pathfinder::new());
+        let server = Server::bind(pf, "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let server_thread = std::thread::spawn(move || server.run());
+
+        // Serialized on the connection's own thread: a recursive writer
+        // overflows its stack and aborts the server for every client.
+        let n = 100_000;
+        let mut client = Client::connect(addr);
+        let load = format!("LOAD deep.xml {}{}", "<x>".repeat(n), "</x>".repeat(n));
+        assert_eq!(client.request(&load), "OK loaded deep.xml");
+        let reply = client.request("QUERY doc(\"deep.xml\")/x");
+        let expected = format!("OK {}<x/>{}", "<x>".repeat(n - 1), "</x>".repeat(n - 1));
+        assert!(reply == expected, "the chain comes back unchanged");
+        assert_eq!(client.request("PING"), "OK pong");
+        assert_eq!(client.request("SHUTDOWN"), "OK shutting down");
+        server_thread
+            .join()
+            .expect("server thread")
+            .expect("server run");
+    }
+
+    #[test]
     fn server_serves_concurrent_clients_over_tcp() {
         let pf = Arc::new(Pathfinder::new());
         pf.load_document("d.xml", "<a><b>1</b><b>2</b><b>3</b></a>")

@@ -54,4 +54,4 @@ pub use staircase::{
     staircase_join_counted, StaircaseStats, StepKernel,
 };
 pub use stats::{DocStatistics, StorageStats};
-pub use store::{DocStore, NodeKindCode, PreRank};
+pub use store::{DocStore, NodeKindCode, PreRank, SubtreeStep, SubtreeWalk};

@@ -146,10 +146,12 @@ impl XmlSink for Shredder {
 
     fn processing_instruction(&mut self, target: &str, data: &str) {
         self.end_text();
-        // The target is a name, the data is text: `prop` holds the data.
-        self.store.qnames.intern(target);
+        // The target is a name, the data is text: `prop` holds the data,
+        // the side table the target.
+        let target = self.store.qnames.intern(target);
         let prop = self.store.texts.intern(data);
-        self.push(NodeKindCode::Pi, prop);
+        let pre = self.push(NodeKindCode::Pi, prop);
+        self.store.pi_target.push((pre, target));
     }
 }
 

@@ -40,8 +40,9 @@ impl StorageStats {
     /// Measure `store`.
     pub fn measure(store: &DocStore) -> Self {
         let n = store.node_count();
-        // size + level + prop are u32, kind is 1 byte.
-        let node_table_bytes = n * (4 + 4 + 4 + 1);
+        // size + level + prop are u32, kind is 1 byte; a PI adds its
+        // (pre, target) side-table row.
+        let node_table_bytes = n * (4 + 4 + 4 + 1) + store.pi_target.len() * (4 + 4);
         let attribute_table_bytes = store.attribute_count() * (4 + 4 + 4);
         // A dictionary entry costs its payload plus a 4-byte offset (this is
         // how MonetDB's string BATs account heap storage, approximately).

@@ -51,8 +51,9 @@ pub enum NodeKindCode {
 /// | `kind`  | [`NodeKindCode`]                                        |
 /// | `prop`  | surrogate of the tag name (elements) or content (text, comments, PIs); `u32::MAX` for the document node |
 ///
-/// plus an attribute table `attr_owner|attr_name|attr_value` and the two
-/// shared dictionaries.
+/// plus an attribute table `attr_owner|attr_name|attr_value`, the
+/// processing-instruction targets `pi_target` and the two shared
+/// dictionaries.
 #[derive(Debug, Clone)]
 pub struct DocStore {
     /// Name under which the document was loaded (the `fn:doc()` URI).
@@ -71,6 +72,9 @@ pub struct DocStore {
     pub attr_name: Vec<u32>,
     /// Attribute table: surrogate of the attribute value (in `texts`).
     pub attr_value: Vec<u32>,
+    /// Processing-instruction targets: `(pre, surrogate in qnames)` of
+    /// every PI node, ascending by `pre` (a PI's `prop` is its data).
+    pub pi_target: Vec<(PreRank, u32)>,
     /// Shared dictionary for tag and attribute names.
     pub qnames: Dictionary,
     /// Shared dictionary for text content, comment content, PI data and
@@ -96,6 +100,7 @@ impl DocStore {
             attr_owner: Vec::new(),
             attr_name: Vec::new(),
             attr_value: Vec::new(),
+            pi_target: Vec::new(),
             qnames: Dictionary::new(),
             texts: Dictionary::new(),
             source_bytes: 0,
@@ -233,6 +238,13 @@ impl DocStore {
         self.texts.resolve(self.prop[pre as usize])
     }
 
+    /// Target of a processing-instruction node (`""` for other kinds).
+    pub fn pi_target_of(&self, pre: PreRank) -> &str {
+        self.pi_target
+            .binary_search_by_key(&pre, |&(p, _)| p)
+            .map_or("", |i| self.qnames.resolve(self.pi_target[i].1))
+    }
+
     /// Parent of `pre`: the nearest preceding node whose level is one less.
     pub fn parent_of(&self, pre: PreRank) -> Option<PreRank> {
         if pre == 0 {
@@ -321,55 +333,120 @@ impl DocStore {
     /// [`DocStore::subtree_to_xml`], exposed so result serialization can
     /// write straight out of the store without an intermediate string per
     /// node.
+    ///
+    /// Walks the subtree with [`DocStore::walk_subtree`], so a subtree of
+    /// any depth serializes on any thread's stack.
     pub fn write_subtree_xml<W: std::fmt::Write + ?Sized>(
         &self,
         pre: PreRank,
         out: &mut W,
     ) -> std::fmt::Result {
-        match self.kind_of(pre) {
-            NodeKindCode::Document => {
-                for c in self.children_of(pre) {
-                    self.write_subtree_xml(c, out)?;
-                }
-            }
-            NodeKindCode::Element => {
-                out.write_char('<')?;
-                out.write_str(self.tag_of(pre))?;
-                for i in self.attributes_of(pre) {
-                    out.write_char(' ')?;
-                    out.write_str(self.attr_name_of(i))?;
-                    out.write_str("=\"")?;
-                    out.write_str(&pf_xml::escape::escape_attribute(self.attr_value_of(i)))?;
-                    out.write_char('"')?;
-                }
-                let children = self.children_of(pre);
-                if children.is_empty() {
-                    out.write_str("/>")?;
-                } else {
-                    out.write_char('>')?;
-                    for c in children {
-                        self.write_subtree_xml(c, out)?;
+        for step in self.walk_subtree(pre) {
+            let p = match step {
+                SubtreeStep::End(element) => {
+                    if self.size_of(element) > 0 {
+                        out.write_str("</")?;
+                        out.write_str(self.tag_of(element))?;
+                        out.write_char('>')?;
                     }
-                    out.write_str("</")?;
-                    out.write_str(self.tag_of(pre))?;
-                    out.write_char('>')?;
+                    continue;
                 }
-            }
-            NodeKindCode::Text => {
-                out.write_str(&pf_xml::escape::escape_text(self.content_of(pre)))?
-            }
-            NodeKindCode::Comment => {
-                out.write_str("<!--")?;
-                out.write_str(self.content_of(pre))?;
-                out.write_str("-->")?;
-            }
-            NodeKindCode::Pi => {
-                out.write_str("<?")?;
-                out.write_str(self.content_of(pre))?;
-                out.write_str("?>")?;
+                SubtreeStep::Node(p) => p,
+            };
+            match self.kind_of(p) {
+                NodeKindCode::Document => {}
+                NodeKindCode::Element => {
+                    out.write_char('<')?;
+                    out.write_str(self.tag_of(p))?;
+                    for i in self.attributes_of(p) {
+                        out.write_char(' ')?;
+                        out.write_str(self.attr_name_of(i))?;
+                        out.write_str("=\"")?;
+                        out.write_str(&pf_xml::escape::escape_attribute(self.attr_value_of(i)))?;
+                        out.write_char('"')?;
+                    }
+                    out.write_str(if self.size_of(p) == 0 { "/>" } else { ">" })?;
+                }
+                NodeKindCode::Text => {
+                    out.write_str(&pf_xml::escape::escape_text(self.content_of(p)))?
+                }
+                NodeKindCode::Comment => {
+                    out.write_str("<!--")?;
+                    out.write_str(self.content_of(p))?;
+                    out.write_str("-->")?;
+                }
+                NodeKindCode::Pi => {
+                    // As `pf_xml::Document` writes it: `<?target?>` or
+                    // `<?target data?>`.
+                    out.write_str("<?")?;
+                    out.write_str(self.pi_target_of(p))?;
+                    let data = self.content_of(p);
+                    if !data.is_empty() {
+                        out.write_char(' ')?;
+                        out.write_str(data)?;
+                    }
+                    out.write_str("?>")?;
+                }
             }
         }
         Ok(())
+    }
+
+    /// The subtree rooted at `pre` in document order: every node, and
+    /// after the last node inside an element, that element's end.  One
+    /// pass over `pre ..= pre + size` with a stack of open elements — no
+    /// recursion, so a subtree of any depth can be walked on any thread's
+    /// stack.
+    pub fn walk_subtree(&self, pre: PreRank) -> SubtreeWalk<'_> {
+        SubtreeWalk {
+            store: self,
+            next: pre,
+            last: pre + self.size_of(pre),
+            open: Vec::new(),
+        }
+    }
+}
+
+/// One step of [`DocStore::walk_subtree`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubtreeStep {
+    /// A node, in document order.
+    Node(PreRank),
+    /// The end of an element: every node inside it has been visited.
+    End(PreRank),
+}
+
+/// The iterator behind [`DocStore::walk_subtree`].
+#[derive(Debug)]
+pub struct SubtreeWalk<'s> {
+    store: &'s DocStore,
+    /// The next node to visit.
+    next: PreRank,
+    /// The last node of the subtree.
+    last: PreRank,
+    /// The elements visited whose end is not reported yet.
+    open: Vec<PreRank>,
+}
+
+impl Iterator for SubtreeWalk<'_> {
+    type Item = SubtreeStep;
+
+    fn next(&mut self) -> Option<SubtreeStep> {
+        if let Some(&element) = self.open.last() {
+            if self.next > element + self.store.size_of(element) {
+                self.open.pop();
+                return Some(SubtreeStep::End(element));
+            }
+        }
+        if self.next > self.last {
+            return None;
+        }
+        let node = self.next;
+        self.next += 1;
+        if self.store.kind_of(node) == NodeKindCode::Element {
+            self.open.push(node);
+        }
+        Some(SubtreeStep::Node(node))
     }
 }
 
@@ -447,6 +524,69 @@ mod tests {
             s.subtree_to_xml(2),
             "<person id=\"p1\"><name>Ann</name></person>"
         );
+    }
+
+    /// A PI keeps its target: serialized as `pf_xml` writes it, with the
+    /// data after a space only when there is data.
+    #[test]
+    fn processing_instructions_keep_their_target() {
+        let xml = "<a><?tgt some data?>x<b><?t?></b></a>";
+        let s = store(xml);
+        assert_eq!(s.kind_of(2), NodeKindCode::Pi);
+        assert_eq!((s.pi_target_of(2), s.content_of(2)), ("tgt", "some data"));
+        assert_eq!((s.pi_target_of(5), s.content_of(5)), ("t", ""));
+        assert_eq!(s.pi_target_of(1), "");
+        assert_eq!(s.subtree_to_xml(0), xml);
+        assert_eq!(s.subtree_to_xml(2), "<?tgt some data?>");
+        let doc = pf_xml::parse(xml).unwrap();
+        assert_eq!(s.subtree_to_xml(0), doc.node_to_xml(pf_xml::NodeId(0)));
+        // The replayed DOM keeps the targets too.
+        let replayed = DocStore::from_document("t", &doc);
+        assert_eq!(replayed.pi_target, s.pi_target);
+    }
+
+    #[test]
+    fn a_walk_reports_each_element_end_after_its_content() {
+        use SubtreeStep::{End, Node};
+        // pre: 0=doc 1=a 2=b 3=c 4=text 5=d
+        let s = store("<a><b><c/></b>t<d/></a>");
+        let walk: Vec<SubtreeStep> = s.walk_subtree(0).collect();
+        assert_eq!(
+            walk,
+            vec![
+                Node(0),
+                Node(1),
+                Node(2),
+                Node(3),
+                End(3),
+                End(2),
+                Node(4),
+                Node(5),
+                End(5),
+                End(1)
+            ]
+        );
+        let walk: Vec<SubtreeStep> = s.walk_subtree(2).collect();
+        assert_eq!(walk, vec![Node(2), Node(3), End(3), End(2)]);
+        assert_eq!(s.walk_subtree(4).collect::<Vec<_>>(), vec![Node(4)]);
+    }
+
+    /// Serialization walks the subtree without recursing: a 100 000-level
+    /// chain serializes on a 2 MiB thread (the stack of a server
+    /// connection).
+    #[test]
+    fn a_deep_chain_serializes_on_a_small_stack() {
+        let n = 100_000;
+        let xml = format!("{}<x a=\"1\"/>{}", "<x>".repeat(n), "</x>".repeat(n));
+        let s = store(&xml);
+        let out = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || (s.subtree_to_xml(0), s.subtree_to_xml(n as u32)))
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(out.0, xml);
+        assert_eq!(out.1, "<x><x a=\"1\"/></x>");
     }
 
     #[test]

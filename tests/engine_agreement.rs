@@ -137,3 +137,33 @@ fn engines_agree_on_handwritten_micro_queries() {
         assert_eq!(a.to_xml(), b.to_xml(), "engines disagree on `{q}`");
     }
 }
+
+/// Processing instructions keep their targets through the store, node
+/// copying in constructors and serialization: `<?target?>` without data,
+/// `<?target data?>` with.
+#[test]
+fn engines_agree_on_processing_instructions() {
+    let docs = [
+        "<a><?tgt some data?><b/></a>",
+        "<a><?t?>x<?u  spaced  data ?><b><?deep d?></b></a>",
+        "<a>text<?x-y:z d?>more<b x=\"1\"><?p?><c/></b><?q r?></a>",
+    ];
+    let queries = [
+        "fn:doc(\"d.xml\")/a",
+        "element r { fn:doc(\"d.xml\")/a }",
+        "element r { fn:doc(\"d.xml\")/a/b }",
+        "for $b in fn:doc(\"d.xml\")//b return element w { $b, \"t\" }",
+        "fn:doc(\"d.xml\")",
+    ];
+    for xml in docs {
+        let pf = Pathfinder::new();
+        pf.load_document("d.xml", xml).unwrap();
+        let mut baseline = BaselineEngine::new();
+        baseline.load_document("d.xml", xml).unwrap();
+        for q in queries {
+            let a = pf.session().query(q).unwrap().to_xml();
+            let b = baseline.query(q).unwrap().to_xml();
+            assert_eq!(a, b, "engines disagree on `{q}` over {xml}");
+        }
+    }
+}

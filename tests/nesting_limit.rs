@@ -115,6 +115,40 @@ fn one_level_deeper_is_a_syntax_error_on_a_server_stack() {
     }
 }
 
+/// A 100 000-level document is served on a connection's stack: counted,
+/// serialized, and deep-copied into a constructed element.
+#[test]
+fn a_deep_document_serializes_and_copies_on_a_server_stack() {
+    let n = 100_000;
+    let chain = format!("{}{}", "<x>".repeat(n), "</x>".repeat(n));
+    // The innermost element is empty.
+    let expected = format!("{}<x/>{}", "<x>".repeat(n - 1), "</x>".repeat(n - 1));
+    let answers = std::thread::Builder::new()
+        .stack_size(SERVER_STACK)
+        .spawn(move || {
+            let pf = Pathfinder::with_options(EngineOptions::builder().threads(1).build());
+            pf.load_document("deep.xml", &chain).unwrap();
+            let session = pf.session();
+            [
+                "count(doc(\"deep.xml\")//x)",
+                "doc(\"deep.xml\")/x",
+                "element r { doc(\"deep.xml\")/x }",
+                "count(element r { doc(\"deep.xml\")/x }/descendant-or-self::*)",
+            ]
+            .map(|query| session.query(query).unwrap().to_xml())
+        })
+        .expect("spawn a thread")
+        .join()
+        .expect("no stack overflow");
+    assert_eq!(answers[0], n.to_string());
+    assert!(answers[1] == expected, "the chain serializes unchanged");
+    assert!(
+        answers[2] == format!("<r>{expected}</r>"),
+        "the copy serializes as the chain inside <r>"
+    );
+    assert_eq!(answers[3], (n + 1).to_string());
+}
+
 #[test]
 fn hostile_depths_are_rejected_without_recursing() {
     for (name, shape) in SHAPES {

@@ -12,12 +12,14 @@
 //!   `from_xml(x)`.
 //! * **Same errors** — on truncated and mutated inputs both paths fail
 //!   with the same `XmlError` (message and offset) or both succeed alike.
+//! * **Serialization** — the store writes every generated document back
+//!   exactly as the DOM does (PI targets included).
 //! * **Depth** — a 100 000-level chain loads.
 
 use proptest::prelude::*;
 
 use pathfinder::store::{Dictionary, DocStore, NodeKindCode};
-use pathfinder::xml::{parse, Document, NodeKind, XmlError};
+use pathfinder::xml::{parse, Document, NodeId, NodeKind, XmlError};
 
 /// One step of a document script; see [`render`].
 type Step = (u8, u8);
@@ -98,6 +100,7 @@ struct Oracle {
     kind: Vec<NodeKindCode>,
     prop: Vec<u32>,
     attributes: Vec<(u32, u32, u32)>,
+    pi_target: Vec<(u32, u32)>,
     qnames: Dictionary,
     texts: Dictionary,
 }
@@ -110,6 +113,7 @@ impl Oracle {
             kind: Vec::new(),
             prop: Vec::new(),
             attributes: Vec::new(),
+            pi_target: Vec::new(),
             qnames: Dictionary::new(),
             texts: Dictionary::new(),
         };
@@ -130,7 +134,8 @@ impl Oracle {
                 NodeKind::Text(text) => (NodeKindCode::Text, oracle.texts.intern(text)),
                 NodeKind::Comment(text) => (NodeKindCode::Comment, oracle.texts.intern(text)),
                 NodeKind::ProcessingInstruction { target, data } => {
-                    oracle.qnames.intern(target);
+                    let target = oracle.qnames.intern(target);
+                    oracle.pi_target.push((node.0, target));
                     (NodeKindCode::Pi, oracle.texts.intern(data))
                 }
             };
@@ -164,6 +169,7 @@ fn assert_same_store(a: &DocStore, b: &DocStore, xml: &str) {
         attribute_rows(b),
         "attributes of {xml:?}"
     );
+    assert_eq!(a.pi_target, b.pi_target, "PI targets of {xml:?}");
     assert_eq!(entries(&a.qnames), entries(&b.qnames), "qnames of {xml:?}");
     assert_eq!(entries(&a.texts), entries(&b.texts), "texts of {xml:?}");
 }
@@ -211,9 +217,19 @@ proptest! {
         prop_assert_eq!(&store.kind, &oracle.kind, "kind of {:?}", xml);
         prop_assert_eq!(&store.prop, &oracle.prop, "prop of {:?}", xml);
         prop_assert_eq!(attribute_rows(&store), oracle.attributes.clone(), "attributes of {:?}", xml);
+        prop_assert_eq!(&store.pi_target, &oracle.pi_target, "PI targets of {:?}", xml);
         prop_assert_eq!(entries(&store.qnames), entries(&oracle.qnames));
         prop_assert_eq!(entries(&store.texts), entries(&oracle.texts));
         prop_assert_eq!(store.source_bytes, xml.len());
+    }
+
+    /// The store serializes what it shredded exactly as the DOM would.
+    #[test]
+    fn serialization_matches_the_dom(steps in script()) {
+        let xml = render(&steps);
+        let doc = parse(&xml).unwrap();
+        let store = DocStore::from_xml("d.xml", &xml).unwrap();
+        prop_assert_eq!(store.subtree_to_xml(0), doc.node_to_xml(NodeId(0)), "{:?}", xml);
     }
 
     /// Cut anywhere: both paths fail alike (or, for a cut after the root
