@@ -344,8 +344,8 @@ pub(crate) fn nats_absent(left: &[u64], right: &[u64]) -> Option<Vec<usize>> {
 
 /// δ over composite keys: the first row among `0..rows` of every distinct
 /// combination of the `columns` keys `key(column, row)`.  Rows are keyed
-/// by fixed-size arrays of borrowed [`Key`]s up to three columns, by a
-/// `Vec` beyond.
+/// by a borrowed [`Key`], a pair of them, or a `Vec` beyond two columns;
+/// the compiler's `δ`s have one or two.
 pub(crate) fn first_rows<'a>(
     columns: usize,
     rows: usize,
@@ -358,7 +358,6 @@ pub(crate) fn first_rows<'a>(
     match columns {
         1 => first_by(rows, |r| key(0, r)),
         2 => first_by(rows, |r| [key(0, r), key(1, r)]),
-        3 => first_by(rows, |r| [key(0, r), key(1, r), key(2, r)]),
         _ => first_by(rows, |r| {
             (0..columns).map(|c| key(c, r)).collect::<Vec<_>>()
         }),
@@ -366,8 +365,9 @@ pub(crate) fn first_rows<'a>(
 }
 
 /// `∖` over composite keys: the rows among `0..left_rows` whose key
-/// combination `left(column, row)` is not among `right`'s.  Keyed like
-/// [`first_rows`].
+/// combination `left(column, row)` is not among `right`'s.  Rows are
+/// keyed by a borrowed [`Key`], or a `Vec` beyond one column; the
+/// compiler's `∖`s are all `loop ∖ π_iter(…)`.
 pub(crate) fn rows_absent<'a>(
     columns: usize,
     left_rows: usize,
@@ -388,18 +388,6 @@ pub(crate) fn rows_absent<'a>(
     }
     match columns {
         1 => absent_by(left_rows, |r| left(0, r), right_rows, |r| right(0, r)),
-        2 => absent_by(
-            left_rows,
-            |r| [left(0, r), left(1, r)],
-            right_rows,
-            |r| [right(0, r), right(1, r)],
-        ),
-        3 => absent_by(
-            left_rows,
-            |r| [left(0, r), left(1, r), left(2, r)],
-            right_rows,
-            |r| [right(0, r), right(1, r), right(2, r)],
-        ),
         _ => absent_by(
             left_rows,
             |r| (0..columns).map(|c| left(c, r)).collect::<Vec<_>>(),
