@@ -463,7 +463,16 @@ impl BaselineEngine {
                     .map(|v| self.atomize(v).lexical())
                     .collect::<Vec<_>>()
                     .join(" ");
-                Ok(vec![BValue::Str(text)])
+                // A text node of its own (as the relational engine builds
+                // it, also for empty content): it merges with neighbouring
+                // text in element content and serializes escaped.
+                let mut builder = DocumentBuilder::new();
+                let node = builder.text(text);
+                self.docs.push(Arc::new(builder.finish()));
+                Ok(vec![BValue::Node {
+                    doc: self.docs.len() - 1,
+                    node,
+                }])
             }
             Expr::Some { .. } => {
                 Err("quantified expressions must be normalized before evaluation".into())

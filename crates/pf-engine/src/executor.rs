@@ -70,17 +70,29 @@ use pf_algebra::{
 };
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Column, NodeRef, Table, Value};
-use pf_store::{Axis, DocStore, NodeKindCode, NodeTest, SubtreeStep};
-use pf_xml::{Attribute, DocumentBuilder};
+use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest};
 
 use crate::error::{EngineError, EngineResult};
 use crate::pool::{QuerySession, WorkerPool};
 use crate::registry::DocRegistry;
 
 /// Marker prefix used to smuggle constructed attributes through the `item`
-/// column (they are consumed by the enclosing element constructor and never
-/// escape the engine).
+/// column as `marker name \u{1} value` (they are consumed by the enclosing
+/// element constructor and never escape the engine).
+///
+/// No data can forge one: U+0001 is outside XML 1.0's `Char` production,
+/// which `pf-xml` enforces on raw characters and character references
+/// alike, and outside XQuery's string-literal grammar, which the
+/// `pf-xquery` lexer enforces — so no document and no query can put the
+/// marker into a string item.
 const ATTR_MARKER: &str = "\u{1}attr\u{1}";
+
+/// The `(name, value)` of a constructed attribute item, borrowed from its
+/// marker string; `None` for any other string.
+fn constructed_attribute(item: &str) -> Option<(&str, &str)> {
+    let rest = item.strip_prefix(ATTR_MARKER)?;
+    Some(rest.split_once('\u{1}').unwrap_or((rest, "")))
+}
 
 /// Memory-discipline statistics of one plan execution.
 ///
@@ -365,10 +377,34 @@ impl<'a> StoreCache<'a> {
 /// The rows are grouped by a [`ops::NatIndex`] over `iter` (direct
 /// address for the dense `iter`s loop-lifting produces) and each group is
 /// sorted stably by `pos` unless it already is in order;
-/// [`ContentIndex::content_of`] reads a group's items off the column.
+/// [`ContentIndex::content_of`] reads a group's items in place.
 struct ContentIndex<'t> {
     groups: ops::NatIndex,
     items: &'t Column,
+}
+
+/// One content item, read in place: a node, a borrowed string, or any
+/// other atomic (which owns no heap data).
+#[derive(Debug, PartialEq)]
+enum ContentItem<'t> {
+    Node(NodeRef),
+    Str(&'t str),
+    Atomic(Value),
+}
+
+impl<'t> ContentItem<'t> {
+    fn at(column: &'t Column, row: usize) -> ContentItem<'t> {
+        match column {
+            Column::Node(nodes) => ContentItem::Node(nodes[row]),
+            Column::Str(strs) => ContentItem::Str(&strs[row]),
+            Column::Item(items) => match &items[row] {
+                Value::Node(node) => ContentItem::Node(*node),
+                Value::Str(s) => ContentItem::Str(s),
+                atomic => ContentItem::Atomic(atomic.clone()),
+            },
+            typed => ContentItem::Atomic(typed.get(row)),
+        }
+    }
 }
 
 impl<'t> ContentIndex<'t> {
@@ -382,12 +418,32 @@ impl<'t> ContentIndex<'t> {
         Ok(ContentIndex { groups, items })
     }
 
-    /// The content values of `iter`, in `pos` order.
-    fn content_of(&self, iter: u64) -> impl Iterator<Item = Value> + '_ {
+    /// The content items of `iter`, in `pos` order.
+    fn content_of(&self, iter: u64) -> impl Iterator<Item = ContentItem<'t>> + '_ {
+        let items = self.items;
         self.groups
             .rows_of(iter)
             .iter()
-            .map(|&row| self.items.get(row as usize))
+            .map(move |&row| ContentItem::at(items, row as usize))
+    }
+
+    /// Append the atomized content of `iter` to `out`, items separated by
+    /// single spaces: a node contributes its string value, read in place.
+    fn push_atomized(&self, iter: u64, cache: &mut StoreCache<'_>, out: &mut String) {
+        for (i, item) in self.content_of(iter).enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            match item {
+                ContentItem::Node(node) => {
+                    if let Some(store) = cache.store(node.doc) {
+                        store.push_string_value(node.pre, out);
+                    }
+                }
+                ContentItem::Str(s) => out.push_str(s),
+                ContentItem::Atomic(atomic) => out.push_str(&atomic.to_xdm_string()),
+            }
+        }
     }
 }
 
@@ -1751,9 +1807,6 @@ impl<'a> Executor<'a> {
 
     // ----- node construction (ε, τ) ---------------------------------------
 
-    // (node copying lives in the free function `copy_subtree` below; it
-    // reads stores through the registry's shared handles)
-
     /// The transient document id pre-reserved for constructor `id`, or a
     /// fresh reservation when the operator was not scheduled through
     /// [`Executor::execute_physical`] (direct `eval` in tests).
@@ -1764,6 +1817,11 @@ impl<'a> Executor<'a> {
             .unwrap_or_else(|| self.registry.reserve_constructed(1))
     }
 
+    /// ε: one element per iteration of `loop_table`.  All elements one
+    /// operator constructs share a single transient fragment (like
+    /// MonetDB/XQuery's transient fragments), written straight into its
+    /// `pre|size|level` columns: each element is a child of the fragment's
+    /// document node, and its pre rank identifies it.
     fn construct_elements(
         &self,
         loop_table: &Table,
@@ -1771,189 +1829,112 @@ impl<'a> Executor<'a> {
         content: &Table,
         doc_id: u32,
     ) -> EngineResult<Table> {
-        let iter_col = loop_table.column("iter")?;
-        let mut iters = Vec::new();
-        let mut element_pres: Vec<u32> = Vec::new();
-        let mut cache = StoreCache::new(self.registry);
+        let iters = nat_keys(loop_table.column("iter")?)?;
         let index = ContentIndex::build(content)?;
-        // All elements constructed by one ε operator share a single
-        // transient document (like MonetDB/XQuery's transient fragments):
-        // each constructed element becomes a child of that document's root,
-        // and its pre rank identifies it.
-        let mut builder = DocumentBuilder::new();
-        for row in 0..loop_table.row_count() {
-            let iter = iter_col.get(row).as_nat()?;
-            let values = index.content_of(iter);
-            // Split constructed attributes from content proper.
-            let mut attributes = Vec::new();
-            let mut children = Vec::new();
-            for value in values {
-                match value {
-                    Value::Str(s) if s.starts_with(ATTR_MARKER) => {
-                        let rest = &s[ATTR_MARKER.len()..];
-                        let (name, attr_value) = rest.split_once('\u{1}').unwrap_or((rest, ""));
-                        attributes.push(Attribute {
-                            name: name.to_string(),
-                            value: attr_value.to_string(),
-                        });
-                    }
-                    _ => children.push(value),
-                }
-            }
-            let element = builder.start_element(tag, attributes);
+        let mut cache = StoreCache::new(self.registry);
+        let mut fragment = FragmentBuilder::new(format!("#constructed-{doc_id}"));
+        let tag = fragment.tag(tag);
+        let mut nodes = Vec::with_capacity(iters.len());
+        for &iter in iters.iter() {
+            // Constructed attributes, wherever they sit in the content,
+            // become the element's attributes; the rest its children.
+            let attributes = index.content_of(iter).filter_map(|item| match item {
+                ContentItem::Str(s) => constructed_attribute(s),
+                _ => None,
+            });
+            let element = fragment.start_element(tag, attributes);
             let mut previous_was_atomic = false;
-            for value in children {
-                match value {
-                    Value::Node(node) => {
+            for item in index.content_of(iter) {
+                let text = match item {
+                    ContentItem::Node(node) => {
                         let store = cache.store(node.doc).ok_or_else(|| {
                             EngineError::msg(format!("unknown document id {}", node.doc))
                         })?;
-                        copy_subtree(&mut builder, store, node.pre);
+                        fragment.copy_subtree(store, node.pre);
                         previous_was_atomic = false;
+                        continue;
                     }
-                    atomic => {
-                        if previous_was_atomic {
-                            builder.text(" ");
-                        }
-                        builder.text(atomic.to_xdm_string());
-                        previous_was_atomic = true;
-                    }
+                    ContentItem::Str(s) if constructed_attribute(s).is_some() => continue,
+                    ContentItem::Str(s) => Cow::Borrowed(s),
+                    ContentItem::Atomic(atomic) => Cow::Owned(atomic.to_xdm_string()),
+                };
+                if previous_was_atomic {
+                    fragment.text(" ");
                 }
+                fragment.text(&text);
+                previous_was_atomic = true;
             }
-            builder.end_element();
-            iters.push(iter);
-            element_pres.push(element.0);
+            fragment.end_element();
+            nodes.push(NodeRef::new(doc_id, element));
         }
-        let doc = builder.finish();
-        let store = DocStore::from_document(format!("#constructed-{doc_id}"), &doc);
-        self.registry.fill_constructed(doc_id, store);
-        let items: Vec<Value> = element_pres
-            .into_iter()
-            .map(|pre| Value::Node(NodeRef::new(doc_id, pre)))
-            .collect();
-        let poss = vec![1u64; iters.len()];
-        Ok(Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("pos".into(), Column::nats(poss)),
-            ("item".into(), Column::from_values(items)),
-        ])?)
+        self.registry.fill_constructed(doc_id, fragment.finish());
+        constructor_output(iters, Column::nodes(nodes))
     }
 
+    /// Attribute construction: one `marker name \u{1} value` string per
+    /// iteration, the value the atomized content joined by spaces.
     fn construct_attributes(
         &self,
         loop_table: &Table,
         name: &str,
         content: &Table,
     ) -> EngineResult<Table> {
-        let iter_col = loop_table.column("iter")?;
-        let mut iters = Vec::new();
-        let mut items = Vec::new();
-        let mut cache = StoreCache::new(self.registry);
+        let iters = nat_keys(loop_table.column("iter")?)?;
         let index = ContentIndex::build(content)?;
-        for row in 0..loop_table.row_count() {
-            let iter = iter_col.get(row).as_nat()?;
-            let text = index
-                .content_of(iter)
-                .map(|v| cache.atomize(&v).to_xdm_string())
-                .collect::<Vec<_>>()
-                .join(" ");
-            iters.push(iter);
-            items.push(Value::Str(format!("{ATTR_MARKER}{name}\u{1}{text}")));
+        let mut cache = StoreCache::new(self.registry);
+        let mut items = Vec::with_capacity(iters.len());
+        for &iter in iters.iter() {
+            let mut item = format!("{ATTR_MARKER}{name}\u{1}");
+            index.push_atomized(iter, &mut cache, &mut item);
+            items.push(item);
         }
-        let poss = vec![1u64; iters.len()];
-        Ok(Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("pos".into(), Column::nats(poss)),
-            ("item".into(), Column::from_values(items)),
-        ])?)
+        constructor_output(iters, Column::strs(items))
     }
 
+    /// τ: one text node per iteration holding the atomized content joined
+    /// by spaces.  The nodes share one transient fragment, each under an
+    /// element of its own, so the text of neighbouring iterations never
+    /// merges; the item is the text node, the wrapper's pre + 1.
     fn construct_texts(
         &self,
         loop_table: &Table,
         content: &Table,
         doc_id: u32,
     ) -> EngineResult<Table> {
-        let iter_col = loop_table.column("iter")?;
-        let mut iters = Vec::new();
-        let mut pres: Vec<u32> = Vec::new();
-        let mut cache = StoreCache::new(self.registry);
-        // All text nodes constructed by one τ operator share one transient
-        // document; distinct content per iteration keeps one node each (the
-        // builder merges adjacent text nodes, so separate them by building
-        // each text node under its own wrapper-free position is impossible —
-        // instead wrap each in a dedicated element-less document slot by
-        // tracking the node id the builder returns).
-        let mut builder = DocumentBuilder::new();
+        let iters = nat_keys(loop_table.column("iter")?)?;
         let index = ContentIndex::build(content)?;
-        for row in 0..loop_table.row_count() {
-            let iter = iter_col.get(row).as_nat()?;
-            let text = index
-                .content_of(iter)
-                .map(|v| cache.atomize(&v).to_xdm_string())
-                .collect::<Vec<_>>()
-                .join(" ");
-            // Wrap every text node in a marker element so that adjacent text
-            // nodes of different iterations are not merged; the item points
-            // at the text node itself.
-            builder.start_element("#text-wrapper", vec![]);
-            let node = builder.text(text);
-            builder.end_element();
-            iters.push(iter);
-            pres.push(node.0);
+        let mut cache = StoreCache::new(self.registry);
+        let mut fragment = FragmentBuilder::new(format!("#text-{doc_id}"));
+        let wrapper = fragment.tag("#text-wrapper");
+        let mut nodes = Vec::with_capacity(iters.len());
+        let mut text = String::new();
+        for &iter in iters.iter() {
+            text.clear();
+            index.push_atomized(iter, &mut cache, &mut text);
+            let element = fragment.start_element(wrapper, []);
+            fragment.text(&text);
+            fragment.end_element();
+            nodes.push(NodeRef::new(doc_id, element + 1));
         }
-        let doc = builder.finish();
-        let store = DocStore::from_document(format!("#text-{doc_id}"), &doc);
-        self.registry.fill_constructed(doc_id, store);
-        let items: Vec<Value> = pres
-            .into_iter()
-            .map(|pre| Value::Node(NodeRef::new(doc_id, pre)))
-            .collect();
-        let poss = vec![1u64; iters.len()];
-        Ok(Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("pos".into(), Column::nats(poss)),
-            ("item".into(), Column::from_values(items)),
-        ])?)
+        self.registry.fill_constructed(doc_id, fragment.finish());
+        constructor_output(iters, Column::nodes(nodes))
     }
 }
 
-/// Deep-copy the subtree rooted at `pre` of `store` into `builder` (the copy
-/// semantics of constructed element content).  Walks the subtree with
-/// [`DocStore::walk_subtree`], so a subtree of any depth copies on any
-/// thread's stack.
-fn copy_subtree(builder: &mut DocumentBuilder, store: &DocStore, pre: u32) {
-    for step in store.walk_subtree(pre) {
-        let p = match step {
-            SubtreeStep::End(_) => {
-                builder.end_element();
-                continue;
-            }
-            SubtreeStep::Node(p) => p,
-        };
-        match store.kind_of(p) {
-            NodeKindCode::Document => {}
-            NodeKindCode::Element => {
-                let attributes = store
-                    .attributes_of(p)
-                    .map(|idx| Attribute {
-                        name: store.attr_name_of(idx).to_string(),
-                        value: store.attr_value_of(idx).to_string(),
-                    })
-                    .collect();
-                builder.start_element(store.tag_of(p), attributes);
-            }
-            NodeKindCode::Text => {
-                builder.text(store.content_of(p));
-            }
-            NodeKindCode::Comment => {
-                builder.comment(store.content_of(p));
-            }
-            NodeKindCode::Pi => {
-                builder.processing_instruction(store.pi_target_of(p), store.content_of(p));
-            }
-        }
-    }
+/// The `iter|pos|item` output of a constructor: one item per iteration,
+/// each at position 1.  An empty output keeps the untyped item column.
+fn constructor_output(iters: Cow<'_, [u64]>, item: Column) -> EngineResult<Table> {
+    let item = if item.is_empty() {
+        Column::empty_item()
+    } else {
+        item
+    };
+    let poss = vec![1; iters.len()];
+    Ok(Table::new(vec![
+        ("iter".into(), Column::nats(iters.into_owned())),
+        ("pos".into(), Column::nats(poss)),
+        ("item".into(), item),
+    ])?)
 }
 
 #[cfg(test)]
@@ -2126,23 +2107,23 @@ mod tests {
         let content = Table::iter_pos_item(iters.clone(), poss.clone(), items).unwrap();
         let index = ContentIndex::build(&content).unwrap();
         let content_of = |iter: u64| index.content_of(iter).collect::<Vec<_>>();
+        let ints = |values: &[i64]| -> Vec<ContentItem<'_>> {
+            values
+                .iter()
+                .map(|&i| ContentItem::Atomic(Value::Int(i)))
+                .collect()
+        };
         // The old per-iteration gather, stable by pos.
-        let gather = |iter: u64| -> Vec<Value> {
+        let gather = |iter: u64| -> Vec<i64> {
             let mut rows: Vec<usize> = (0..iters.len()).filter(|&r| iters[r] == iter).collect();
             rows.sort_by_key(|&r| poss[r]);
-            rows.into_iter().map(|r| Value::Int(r as i64)).collect()
+            rows.into_iter().map(|r| r as i64).collect()
         };
         for iter in [9, 2, 1 << 50, 0, 3, u64::MAX] {
-            assert_eq!(content_of(iter), gather(iter), "iter {iter}");
+            assert_eq!(content_of(iter), ints(&gather(iter)), "iter {iter}");
         }
-        assert_eq!(
-            content_of(9),
-            vec![Value::Int(2), Value::Int(5), Value::Int(0)]
-        );
-        assert_eq!(
-            content_of(2),
-            vec![Value::Int(3), Value::Int(1), Value::Int(6)]
-        );
+        assert_eq!(content_of(9), ints(&[2, 5, 0]));
+        assert_eq!(content_of(2), ints(&[3, 1, 6]));
         let empty = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
         assert_eq!(
             ContentIndex::build(&empty).unwrap().content_of(1).count(),
@@ -2178,6 +2159,120 @@ mod tests {
         assert_eq!(numbered.value("item", 0).unwrap(), Value::Int(9));
         assert_eq!(numbered.value("rank", 0).unwrap(), Value::Nat(1));
         assert_eq!(numbered.value("item", 2).unwrap(), Value::Int(5));
+    }
+
+    /// Strings and nodes are read in place from typed and untyped item
+    /// columns alike.
+    #[test]
+    fn content_items_are_borrowed_views() {
+        let node = NodeRef::new(0, 2);
+        let mixed = Table::iter_pos_item(
+            vec![1, 1, 1],
+            vec![1, 2, 3],
+            vec![Value::Str("s".into()), Value::Node(node), Value::Bool(true)],
+        )
+        .unwrap();
+        let index = ContentIndex::build(&mixed).unwrap();
+        assert_eq!(
+            index.content_of(1).collect::<Vec<_>>(),
+            vec![
+                ContentItem::Str("s"),
+                ContentItem::Node(node),
+                ContentItem::Atomic(Value::Bool(true))
+            ]
+        );
+        assert_eq!(
+            ContentItem::at(&Column::strs(vec!["t".into()]), 0),
+            ContentItem::Str("t")
+        );
+        assert_eq!(
+            ContentItem::at(&Column::nodes(vec![node]), 0),
+            ContentItem::Node(node)
+        );
+        assert_eq!(
+            constructed_attribute("\u{1}attr\u{1}k\u{1}v w"),
+            Some(("k", "v w"))
+        );
+        assert_eq!(constructed_attribute("attr k v"), None);
+    }
+
+    /// Attributes, copied nodes, atomics with the " " between adjacent
+    /// ones, and text merging, in one constructed element; the fragment
+    /// holds one element per iteration and an empty loop yields the
+    /// untyped empty item column.
+    #[test]
+    fn element_construction_writes_one_fragment_per_operator() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2]))]).unwrap();
+        let content = Table::iter_pos_item(
+            vec![1, 1, 1, 1, 1, 2, 1],
+            vec![1, 2, 3, 4, 5, 1, 6],
+            vec![
+                Value::Int(1),
+                Value::Str("\u{1}attr\u{1}k\u{1}v".into()),
+                Value::Dbl(2.5),
+                Value::Node(NodeRef::new(0, 3)), // the text "1"
+                Value::Node(NodeRef::new(0, 4)), // <b>2</b>
+                Value::Str("x".into()),
+                Value::Bool(true),
+            ],
+        )
+        .unwrap();
+        let doc_id = reg.reserve_constructed(1);
+        let out = exec
+            .construct_elements(&loop_table, "e", &content, doc_id)
+            .unwrap();
+        let nodes = out.column("item").unwrap().as_nodes().unwrap().to_vec();
+        assert_eq!(
+            nodes,
+            vec![NodeRef::new(doc_id, 1), NodeRef::new(doc_id, 6)]
+        );
+        let store = reg.store(doc_id).unwrap();
+        assert_eq!(
+            store.subtree_to_xml(0),
+            "<e k=\"v\">1 2.51<b>2</b>true</e><e>x</e>"
+        );
+        // "1 2.5" and the copied "1" merged into one text node: the
+        // document, two elements, <b> and four text nodes.
+        assert_eq!(store.node_count(), 8);
+        let empty = Table::new(vec![("iter".into(), Column::nats(vec![]))]).unwrap();
+        let out = exec
+            .construct_elements(&empty, "e", &content, reg.reserve_constructed(1))
+            .unwrap();
+        assert_eq!(out.row_count(), 0);
+        assert!(out.column("item").unwrap().as_items().is_some());
+    }
+
+    /// τ over empty and multi-item content: one text node per iteration,
+    /// never merged across iterations.
+    #[test]
+    fn text_construction_keeps_one_node_per_iteration() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2, 3]))]).unwrap();
+        let content = Table::iter_pos_item(
+            vec![1, 1, 3],
+            vec![1, 2, 1],
+            vec![
+                Value::Node(NodeRef::new(0, 1)),
+                Value::Int(7),
+                Value::Str("z".into()),
+            ],
+        )
+        .unwrap();
+        let doc_id = reg.reserve_constructed(1);
+        let out = exec.construct_texts(&loop_table, &content, doc_id).unwrap();
+        let store = reg.store(doc_id).unwrap();
+        let texts: Vec<&str> = out
+            .column("item")
+            .unwrap()
+            .as_nodes()
+            .unwrap()
+            .iter()
+            .map(|node| store.content_of(node.pre))
+            .collect();
+        assert_eq!(texts, ["12x 7", "", "z"]);
     }
 
     #[test]

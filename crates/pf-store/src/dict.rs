@@ -6,12 +6,16 @@
 //! nodes with identical properties share the same surrogate."
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An interning dictionary: maps strings to dense `u32` surrogates and back.
+///
+/// Each distinct value is stored once, shared by the surrogate-ordered
+/// list and the lookup map.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    values: Vec<String>,
-    index: HashMap<String, u32>,
+    values: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl Dictionary {
@@ -27,8 +31,9 @@ impl Dictionary {
             return id;
         }
         let id = self.values.len() as u32;
-        self.values.push(value.to_string());
-        self.index.insert(value.to_string(), id);
+        let value: Arc<str> = Arc::from(value);
+        self.values.push(Arc::clone(&value));
+        self.index.insert(value, id);
         id
     }
 
@@ -63,7 +68,7 @@ impl Dictionary {
         self.values
             .iter()
             .enumerate()
-            .map(|(i, v)| (i as u32, v.as_str()))
+            .map(|(i, v)| (i as u32, &**v))
     }
 }
 

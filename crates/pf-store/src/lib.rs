@@ -14,6 +14,11 @@
 //!   `pf-xml`'s start-tag/end-tag stream with one stack of open elements
 //!   ([`DocStore::from_xml`] builds no DOM; [`DocStore::from_document`]
 //!   replays a DOM through the same shredder),
+//! * **transient fragments**: the nodes an XQuery constructor builds are
+//!   written by a [`FragmentBuilder`] into the same columns through the
+//!   same open-element stack, with content subtrees copied row by row off
+//!   the source store (`size` and `kind` as they are, `level` shifted,
+//!   surrogates re-interned) — no DOM, no replay,
 //! * **content indexes** (text and value indexes, [`index`]), each built
 //!   the first time a probe names it,
 //! * **XPath axis evaluation as range selections** over the
@@ -49,6 +54,7 @@ pub mod store;
 pub use axis::{axis_region, naive_axis_step, Axis, NodeTest, ResolvedTest};
 pub use dict::Dictionary;
 pub use index::{DocIndexes, TextIndex, ValueEntry, ValueIndex, ValueKey};
+pub use shred::{FragmentBuilder, Tag};
 pub use staircase::{
     descendant_prune, descendant_prune_into, descendant_scan, staircase_join,
     staircase_join_counted, StaircaseStats, StepKernel,

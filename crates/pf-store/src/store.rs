@@ -276,19 +276,24 @@ impl DocStore {
     /// The XQuery string value of `pre`: concatenation of all text content
     /// in its subtree (or its own content for text/comment/PI nodes).
     pub fn string_value(&self, pre: PreRank) -> String {
+        let mut out = String::new();
+        self.push_string_value(pre, &mut out);
+        out
+    }
+
+    /// Append the string value of `pre` (see [`DocStore::string_value`])
+    /// to `out`, read in place off the text dictionary.
+    pub fn push_string_value(&self, pre: PreRank, out: &mut String) {
         match self.kind_of(pre) {
             NodeKindCode::Text | NodeKindCode::Comment | NodeKindCode::Pi => {
-                self.content_of(pre).to_string()
+                out.push_str(self.content_of(pre))
             }
             NodeKindCode::Document | NodeKindCode::Element => {
-                let end = pre + self.size[pre as usize];
-                let mut out = String::new();
-                for p in pre + 1..=end {
+                for p in pre + 1..=pre + self.size[pre as usize] {
                     if self.kind_of(p) == NodeKindCode::Text {
                         out.push_str(self.content_of(p));
                     }
                 }
-                out
             }
         }
     }

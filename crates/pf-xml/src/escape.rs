@@ -7,34 +7,49 @@ use crate::error::{XmlError, XmlResult};
 /// Escape a string for use as XML character data (element content).
 ///
 /// `<`, `>` and `&` are replaced by their predefined entities.  Quotes are
-/// left untouched, which is valid in content position.
-pub fn escape_text(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(ch),
-        }
-    }
-    out
+/// left untouched, which is valid in content position.  A string with
+/// nothing to escape is returned borrowed.
+pub fn escape_text(value: &str) -> Cow<'_, str> {
+    escape(value, |b| matches!(b, b'<' | b'>' | b'&'))
 }
 
-/// Escape a string for use inside a double-quoted attribute value.
-pub fn escape_attribute(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for ch in value.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(ch),
+/// Escape a string for use inside a double-quoted attribute value; a
+/// string with nothing to escape is returned borrowed.
+pub fn escape_attribute(value: &str) -> Cow<'_, str> {
+    escape(value, |b| matches!(b, b'<' | b'>' | b'&' | b'"' | b'\''))
+}
+
+/// Replace every byte `special` selects (all ASCII, so every cut falls on
+/// a character boundary) by its predefined entity.
+fn escape(value: &str, special: impl Fn(u8) -> bool) -> Cow<'_, str> {
+    if !value.bytes().any(&special) {
+        return Cow::Borrowed(value);
+    }
+    let mut out = String::with_capacity(value.len() + 8);
+    let mut start = 0;
+    for (i, b) in value.bytes().enumerate() {
+        if special(b) {
+            out.push_str(&value[start..i]);
+            out.push_str(match b {
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'&' => "&amp;",
+                b'"' => "&quot;",
+                _ => "&apos;",
+            });
+            start = i + 1;
         }
     }
-    out
+    out.push_str(&value[start..]);
+    Cow::Owned(out)
+}
+
+/// Whether XML 1.0's `Char` production admits `c`: tab, LF, CR and
+/// everything from U+0020 on except the surrogates, U+FFFE and U+FFFF.
+/// The other C0 controls can occur in no document, neither raw nor as a
+/// character reference.
+fn is_xml_char(c: char) -> bool {
+    matches!(c, '\t' | '\n' | '\r' | '\u{20}'..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
 }
 
 /// Resolve the five predefined entities and numeric character references in
@@ -99,9 +114,16 @@ pub fn unescape(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
     Ok(Cow::Owned(out))
 }
 
+/// The character a reference names, if XML admits it ([`is_xml_char`]).
 fn char_from_code(code: u32, offset: usize) -> XmlResult<char> {
     char::from_u32(code)
-        .ok_or_else(|| XmlError::new(format!("invalid Unicode code point {code}"), offset))
+        .filter(|&c| is_xml_char(c))
+        .ok_or_else(|| {
+            XmlError::new(
+                format!("character reference to U+{code:04X}, which is not an XML character"),
+                offset,
+            )
+        })
 }
 
 #[cfg(test)]
@@ -149,5 +171,31 @@ mod tests {
     fn invalid_code_point_is_an_error() {
         assert!(unescape("&#x110000;", 0).is_err());
         assert!(unescape("&#xD800;", 0).is_err());
+    }
+
+    /// References to characters outside XML's `Char` production are
+    /// errors; tab, LF and CR are characters.
+    #[test]
+    fn references_to_non_characters_are_errors() {
+        for bad in ["&#0;", "&#1;", "&#x1F;", "&#xFFFE;", "&#xFFFF;"] {
+            let err = unescape(bad, 4).unwrap_err();
+            assert!(err.message.contains("not an XML character"), "{bad}");
+            assert_eq!(err.offset, 4);
+        }
+        assert_eq!(unescape("&#9;&#xA;&#13;&#x20;", 0).unwrap(), "\t\n\r ");
+        assert_eq!(
+            unescape("&#xFFFD;&#x10000;", 0).unwrap(),
+            "\u{FFFD}\u{10000}"
+        );
+    }
+
+    /// Nothing to escape: the input comes back borrowed.
+    #[test]
+    fn escaping_borrows_when_nothing_changes() {
+        assert!(matches!(escape_text("plain \"'"), Cow::Borrowed(_)));
+        assert!(matches!(escape_attribute("plain"), Cow::Borrowed(_)));
+        assert!(matches!(escape_attribute("it's"), Cow::Owned(_)));
+        assert_eq!(escape_text("é<è&"), "é&lt;è&amp;");
+        assert_eq!(escape_attribute("<\"'>&"), "&lt;&quot;&apos;&gt;&amp;");
     }
 }

@@ -10,8 +10,7 @@
 //! reports *events* to an [`XmlSink`]: the shredding in
 //! [`pf-store`](../pf_store/index.html) consumes them directly, and
 //! [`DocumentBuilder`] is the sink that builds the arena [`Document`] for
-//! the navigational baseline engine (`pf-baseline`, the X-Hive stand-in)
-//! and for node constructors.
+//! the navigational baseline engine (`pf-baseline`, the X-Hive stand-in).
 //!
 //! ## Supported XML subset
 //!

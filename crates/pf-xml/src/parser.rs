@@ -134,6 +134,24 @@ impl<'a> Parser<'a> {
         XmlError::new(message, self.pos).with_position(self.input)
     }
 
+    /// Reject the first C0 control character of `text` (which starts at
+    /// byte `start`) that is not tab, LF or CR: XML 1.0's `Char`
+    /// production excludes them, so no store ever holds one.
+    fn check_chars(&self, text: &str, start: usize) -> XmlResult<()> {
+        match text.bytes().position(is_forbidden_control) {
+            None => Ok(()),
+            Some(i) => Err(self.control_error(text.as_bytes()[i], start + i)),
+        }
+    }
+
+    fn control_error(&self, byte: u8, offset: usize) -> XmlError {
+        XmlError::new(
+            format!("control character U+{byte:04X} is not allowed in XML"),
+            offset,
+        )
+        .with_position(self.input)
+    }
+
     #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
@@ -208,11 +226,21 @@ impl<'a> Parser<'a> {
 
     fn parse_text<S: XmlSink>(&mut self, sink: &mut S) -> XmlResult<()> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'<' {
-                break;
+        // One test per byte finds both the end of the run and any control
+        // character; tab, LF and CR continue the run.
+        loop {
+            let rest = &self.bytes[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'<' || b < 0x20)
+                .unwrap_or(rest.len());
+            match self.peek() {
+                Some(b) if is_forbidden_control(b) => {
+                    return Err(self.control_error(b, self.pos));
+                }
+                Some(b) if b != b'<' => self.pos += 1,
+                _ => break,
             }
-            self.pos += 1;
         }
         let raw = &self.input[start..self.pos];
         let decoded = unescape(raw, start)?;
@@ -238,6 +266,7 @@ impl<'a> Parser<'a> {
             .find("-->")
             .ok_or_else(|| self.err("unterminated comment"))?;
         let content = &self.input[self.pos..self.pos + end];
+        self.check_chars(content, self.pos)?;
         self.pos += end + 3;
         if self.options.keep_comments && self.depth > 0 {
             sink.comment(content);
@@ -251,6 +280,7 @@ impl<'a> Parser<'a> {
             .find("]]>")
             .ok_or_else(|| self.err("unterminated CDATA section"))?;
         let content = &self.input[self.pos..self.pos + end];
+        self.check_chars(content, self.pos)?;
         self.pos += end + 3;
         if self.depth == 0 {
             return Err(self.err("CDATA outside the root element"));
@@ -265,6 +295,7 @@ impl<'a> Parser<'a> {
             .find("?>")
             .ok_or_else(|| self.err("unterminated processing instruction"))?;
         let content = &self.input[self.pos..self.pos + end];
+        self.check_chars(content, self.pos)?;
         self.pos += end + 2;
         if self.options.keep_processing_instructions && self.depth > 0 {
             let (target, data) = match content.find(|c: char| c.is_ascii_whitespace()) {
@@ -313,6 +344,7 @@ impl<'a> Parser<'a> {
             return Err(self.err("unterminated attribute value"));
         }
         let raw = &self.input[start..self.pos];
+        self.check_chars(raw, start)?;
         self.pos += 1;
         Ok(RawAttribute {
             name,
@@ -375,6 +407,11 @@ impl<'a> Parser<'a> {
         self.close(sink);
         Ok(())
     }
+}
+
+/// A C0 control character other than tab, LF and CR.
+fn is_forbidden_control(byte: u8) -> bool {
+    byte < 0x20 && !matches!(byte, b'\t' | b'\n' | b'\r')
 }
 
 #[cfg(test)]
@@ -538,6 +575,31 @@ mod tests {
             assert_eq!(err.message, "document has no root element", "{input:?}");
             assert_eq!(err.offset, 0);
         }
+    }
+
+    /// Raw C0 controls other than tab, LF and CR are errors wherever
+    /// character data can hold them, at the control's offset.
+    #[test]
+    fn raw_control_characters_are_rejected() {
+        for (input, offset) in [
+            ("<a>x\u{1}</a>", 4),
+            ("<a b=\"\u{1}attr\"/>", 6),
+            ("<a><!--\u{8}--></a>", 7),
+            ("<a><?p \u{1f}?></a>", 7),
+            ("<a><![CDATA[\u{0}]]></a>", 12),
+            ("\u{1}<a/>", 0),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert!(
+                err.message.contains("control character"),
+                "{input:?}: {err}"
+            );
+            assert_eq!(err.offset, offset, "{input:?}");
+        }
+        let doc = parse("<a b=\"\t\">x\ty\r\nz<!--\t--><?p \n?></a>").unwrap();
+        let a = doc.root_element().unwrap();
+        assert_eq!(doc.attribute(a, "b"), Some("\t"));
+        assert_eq!(doc.string_value(a), "x\ty\r\nz");
     }
 
     #[test]

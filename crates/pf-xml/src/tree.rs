@@ -326,8 +326,9 @@ impl Document {
     }
 }
 
-/// Incremental builder used by the parser and by node-constructing XQuery
-/// expressions (`element {} {}`, `text {}`).
+/// Incremental builder: the parser's DOM sink, and how the navigational
+/// baseline evaluates node-constructing XQuery expressions
+/// (`element {} {}`, `text {}`).
 #[derive(Debug)]
 pub struct DocumentBuilder {
     doc: Document,

@@ -309,6 +309,14 @@ pub fn tokenize(input: &str) -> XqResult<Vec<SpannedToken>> {
                 loop {
                     match bytes.get(i) {
                         None => return Err(XqError::lex("unterminated string literal", start)),
+                        // XQuery's `Char` is XML's: no C0 control but tab,
+                        // LF and CR may appear in a literal.
+                        Some(&b) if b < 0x20 && !matches!(b, b'\t' | b'\n' | b'\r') => {
+                            return Err(XqError::lex(
+                                format!("control character U+{b:04X} in a string literal"),
+                                i,
+                            ))
+                        }
                         Some(&b) if b == quote => {
                             // Doubled quote is an escaped quote.
                             if bytes.get(i + 1) == Some(&quote) {
@@ -553,6 +561,19 @@ mod tests {
                 Token::Integer(1),
                 Token::RBrace,
             ]
+        );
+    }
+
+    #[test]
+    fn control_characters_are_rejected_in_string_literals() {
+        for (input, offset) in [("\"\u{1}attr\"", 1), ("'a\u{0}'", 2), ("\"x\u{1f}\"", 2)] {
+            let err = tokenize(input).unwrap_err();
+            assert!(err.to_string().contains("control character"), "{input:?}");
+            assert_eq!(err.offset, Some(offset), "{input:?}");
+        }
+        assert_eq!(
+            toks("\"a\tb\nc\rd\""),
+            vec![Token::StringLit("a\tb\nc\rd".into())]
         );
     }
 

@@ -167,3 +167,41 @@ fn engines_agree_on_processing_instructions() {
         }
     }
 }
+
+/// Data cannot forge a constructed attribute.  U+0001 is neither an XML
+/// nor an XQuery character, so the inputs that used to smuggle the
+/// engine's attribute marker into element content — a raw U+0001 in a
+/// string literal, in a document, or as a character reference — are the
+/// same error on both engines.  Tab, LF and CR are characters and load.
+#[test]
+fn forged_attribute_markers_are_the_same_error_on_both_engines() {
+    let pf = Pathfinder::new();
+    let mut baseline = BaselineEngine::new();
+    let forged = "element a { \"\u{1}attr\u{1}x\u{1}y\", \"t\" }";
+    let error = pf.session().query(forged).unwrap_err().to_string();
+    assert!(error.contains("control character U+0001"), "{error}");
+    assert_eq!(error, baseline.query(forged).unwrap_err());
+    for xml in [
+        "<r>\u{1}attr\u{1}k\u{1}v</r>",
+        "<r>&#1;attr&#1;k&#1;v</r>",
+        "<r k=\"&#x1;attr\"/>",
+    ] {
+        let error = pf.load_document("d.xml", xml).unwrap_err().to_string();
+        assert_eq!(
+            error,
+            baseline.load_document("d.xml", xml).unwrap_err(),
+            "{xml:?}"
+        );
+    }
+    let xml = "<r a=\"\t\">x\ty\r\nz&#9;&#10;&#13;</r>";
+    pf.load_document("d.xml", xml).unwrap();
+    baseline.load_document("d.xml", xml).unwrap();
+    for q in [
+        "fn:doc(\"d.xml\")/r",
+        "element a { fn:string(fn:doc(\"d.xml\")/r), \"\t\", fn:doc(\"d.xml\")/r }",
+    ] {
+        let a = pf.session().query(q).unwrap().to_xml();
+        assert_eq!(a, baseline.query(q).unwrap().to_xml(), "{q}");
+        assert!(a.contains("x\ty\r\nz\t\n\r"), "{a:?}");
+    }
+}
