@@ -17,9 +17,11 @@
 //! else is a **pipeline breaker**: joins, cross products, row numbering,
 //! sorts, aggregates, union/difference, steps, document order, `fn:root`,
 //! `ebv`, the node constructors, and the leaves.  A fusable operator whose
-//! result has more than one consumer also breaks the chain — the shared
+//! result has more than one consumer ends its chain — the shared
 //! intermediate must materialize so both consumers can read it (the plan
 //! root likewise always materializes: its table *is* the query result).
+//! The fused kernel is the only implementation of the fusable operators:
+//! a chain of one is a one-step pipeline.
 //!
 //! The physical plan is compiled **once per (cached) logical plan** and is
 //! itself scheduler-ready: [`PhysicalPlan::books`] derives the ready-set
@@ -43,16 +45,14 @@ pub type PhysNodeId = usize;
 pub enum PhysKind {
     /// A pipeline breaker: one logical operator, interpreted as before.
     Breaker,
-    /// A fused chain of ≥ 2 single-consumer fusable operators.  `ops`
-    /// lists the covered logical operators in execution order (head first,
-    /// tail last — the tail is the node's [`output`](PhysNode::output));
-    /// `steps` is the pre-compiled kernel program for
-    /// [`pf_relational::ops::run_pipeline`].
+    /// A fused chain of single-consumer fusable operators (one or more).
+    /// `ops` lists the covered logical operators in execution order (head
+    /// first, tail last — the tail is the node's [`output`](PhysNode::output));
+    /// [`PhysNode::steps`] reads the kernel program for
+    /// [`pf_relational::ops::run_pipeline`] off them.
     Pipeline {
         /// Covered logical operators, head → tail.
         ops: Vec<OpId>,
-        /// The fused kernel program (one entry per covered operator).
-        steps: Vec<FusedStep>,
     },
 }
 
@@ -83,6 +83,19 @@ impl PhysNode {
     pub fn is_pipeline(&self) -> bool {
         matches!(self.kind, PhysKind::Pipeline { .. })
     }
+
+    /// The fused kernel program of a pipeline: one step per covered
+    /// operator, borrowing its parameters from `plan` (the plan this node
+    /// was compiled from); empty for a breaker.
+    pub fn steps<'p>(&self, plan: &'p Plan) -> Vec<FusedStep<'p>> {
+        match &self.kind {
+            PhysKind::Breaker => Vec::new(),
+            PhysKind::Pipeline { ops } => ops
+                .iter()
+                .filter_map(|&op| fused_step(plan.op(op)))
+                .collect(),
+        }
+    }
 }
 
 /// A compiled physical plan: the logical DAG regrouped into schedulable
@@ -97,7 +110,7 @@ pub struct PhysicalPlan {
     root_node: PhysNodeId,
     /// Total logical operators covered (= reachable plan size).
     op_count: usize,
-    /// Operators that run inside fused pipelines.
+    /// Operators that run inside pipelines of two or more.
     fused_ops: usize,
     /// Intermediate tables the pipelines never allocate (Σ len−1).
     tables_elided: usize,
@@ -121,106 +134,44 @@ fn is_fusable(op: &AlgOp) -> bool {
     )
 }
 
-/// Translate a fusable operator into its kernel step (`None` for
-/// breakers).
-fn fused_step(op: &AlgOp) -> Option<FusedStep> {
-    match op {
-        AlgOp::Project { columns, .. } => Some(FusedStep::Project {
-            columns: columns.clone(),
-        }),
-        AlgOp::Select { column, .. } => Some(FusedStep::SelectTrue {
-            column: column.clone(),
-        }),
-        AlgOp::SelectEq { column, value, .. } => Some(FusedStep::SelectEq {
-            column: column.clone(),
-            value: value.clone(),
-        }),
-        AlgOp::Attach { target, value, .. } => Some(FusedStep::Attach {
-            target: target.clone(),
-            value: value.clone(),
-        }),
+/// The kernel step of a fusable operator, borrowing its parameters
+/// (`None` for breakers).
+fn fused_step(op: &AlgOp) -> Option<FusedStep<'_>> {
+    Some(match op {
+        AlgOp::Project { columns, .. } => FusedStep::Project { columns },
+        AlgOp::Select { column, .. } => FusedStep::SelectTrue { column },
+        AlgOp::SelectEq { column, value, .. } => FusedStep::SelectEq { column, value },
+        AlgOp::Attach { target, value, .. } => FusedStep::Attach { target, value },
         AlgOp::UnaryMap {
             target, op, source, ..
-        } => Some(FusedStep::MapUnary {
-            target: target.clone(),
+        } => FusedStep::MapUnary {
+            target,
             op: *op,
-            source: source.clone(),
-        }),
+            source,
+        },
         AlgOp::BinaryMap {
             target,
             left,
             op,
             right,
             ..
-        } => Some(FusedStep::MapBinary {
-            target: target.clone(),
-            left: left.clone(),
+        } => FusedStep::MapBinary {
+            target,
+            left,
             op: *op,
-            right: right.clone(),
-        }),
-        AlgOp::FnData { .. } => Some(FusedStep::MapAtomize {
-            column: "item".into(),
-        }),
-        AlgOp::Distinct { .. } => Some(FusedStep::Distinct),
-        _ => None,
-    }
-}
-
-/// Does `step` encode exactly `op`?  Allocation-free field-by-field
-/// comparison (the verification counterpart of [`fused_step`]).
-fn step_matches(op: &AlgOp, step: &FusedStep) -> bool {
-    match (op, step) {
-        (AlgOp::Project { columns, .. }, FusedStep::Project { columns: c }) => columns == c,
-        (AlgOp::Select { column, .. }, FusedStep::SelectTrue { column: c }) => column == c,
-        (
-            AlgOp::SelectEq { column, value, .. },
-            FusedStep::SelectEq {
-                column: c,
-                value: v,
-            },
-        ) => column == c && value == v,
-        (
-            AlgOp::Attach { target, value, .. },
-            FusedStep::Attach {
-                target: t,
-                value: v,
-            },
-        ) => target == t && value == v,
-        (
-            AlgOp::UnaryMap {
-                target, op, source, ..
-            },
-            FusedStep::MapUnary {
-                target: t,
-                op: o,
-                source: s,
-            },
-        ) => target == t && op == o && source == s,
-        (
-            AlgOp::BinaryMap {
-                target,
-                left,
-                op,
-                right,
-                ..
-            },
-            FusedStep::MapBinary {
-                target: t,
-                left: l,
-                op: o,
-                right: r,
-            },
-        ) => target == t && left == l && op == o && right == r,
-        (AlgOp::FnData { .. }, FusedStep::MapAtomize { column }) => column == "item",
-        (AlgOp::Distinct { .. }, FusedStep::Distinct) => true,
-        _ => false,
-    }
+            right,
+        },
+        AlgOp::FnData { .. } => FusedStep::MapAtomize { column: "item" },
+        AlgOp::Distinct { .. } => FusedStep::Distinct,
+        _ => return None,
+    })
 }
 
 impl PhysicalPlan {
     /// Compile `plan` into a physical plan: maximal single-consumer chains
-    /// of fusable operators become [`PhysKind::Pipeline`] nodes; singleton
-    /// chains and everything else stay [`PhysKind::Breaker`]s.
+    /// of fusable operators — of any length, one included — become
+    /// [`PhysKind::Pipeline`] nodes; everything else is a
+    /// [`PhysKind::Breaker`].
     pub fn compile(plan: &Plan) -> PhysicalPlan {
         let books = plan.ready_set_books();
         let n = plan.ops().len();
@@ -257,22 +208,17 @@ impl PhysicalPlan {
                     ops.push(parent);
                     tail = parent;
                 }
-                if ops.len() >= 2 {
-                    let steps: Vec<FusedStep> = ops
-                        .iter()
-                        .map(|&o| fused_step(plan.op(o)).expect("chain members are fusable"))
-                        .collect();
-                    let inputs = plan.op(id).children();
+                if ops.len() > 1 {
                     fused_ops += ops.len();
                     tables_elided += ops.len() - 1;
-                    producer[tail] = Some(nodes.len());
-                    nodes.push(PhysNode {
-                        kind: PhysKind::Pipeline { ops, steps },
-                        inputs,
-                        output: tail,
-                    });
-                    continue;
                 }
+                producer[tail] = Some(nodes.len());
+                nodes.push(PhysNode {
+                    kind: PhysKind::Pipeline { ops },
+                    inputs: op.children(),
+                    output: tail,
+                });
+                continue;
             }
             producer[id] = Some(nodes.len());
             nodes.push(PhysNode {
@@ -316,7 +262,8 @@ impl PhysicalPlan {
         self.op_count
     }
 
-    /// Logical operators that run inside fused pipelines.
+    /// Logical operators that run inside pipelines of two or more (the
+    /// ones fusion saves a table for).
     pub fn fused_ops(&self) -> usize {
         self.fused_ops
     }
@@ -326,9 +273,9 @@ impl PhysicalPlan {
         self.tables_elided
     }
 
-    /// Number of physical pipelines (nodes covering ≥ 2 operators).
+    /// Number of physical pipelines covering two or more operators.
     pub fn pipeline_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_pipeline()).count()
+        self.nodes.iter().filter(|n| n.op_count() > 1).count()
     }
 
     /// Arena size of the logical plan this was compiled from — executors
@@ -340,28 +287,25 @@ impl PhysicalPlan {
     /// Is this physical plan a valid compilation of `plan`?
     ///
     /// Checks the complete wiring structurally: every breaker's recorded
-    /// inputs are its operator's children in `plan`, every pipeline is a
-    /// genuine chain in `plan` whose pre-compiled kernel steps match the
-    /// covered operators parameter for parameter.  A plan that passes is
-    /// safe to execute against this physical plan — breakers evaluate
-    /// `plan`'s own operators, and the fused steps are verified equal to
-    /// `plan`'s.  Executors call this per run; it is O(operators) with no
-    /// allocations beyond the children lists.
+    /// inputs are its operator's children in `plan` and it is no fusable
+    /// operator, every pipeline is a genuine chain of fusable operators in
+    /// `plan`.  A plan that passes is safe to execute against this
+    /// physical plan — breakers evaluate `plan`'s own operators, and the
+    /// fused steps are read off them.  Executors call this per run; it is
+    /// O(operators) with no allocations beyond the children lists.
     pub fn matches(&self, plan: &Plan) -> bool {
         if self.logical_len != plan.ops().len() {
             return false;
         }
         self.nodes.iter().all(|node| match &node.kind {
-            PhysKind::Breaker => plan.op(node.output).children() == node.inputs,
-            PhysKind::Pipeline { ops, steps } => {
-                ops.len() == steps.len()
-                    && ops.last() == Some(&node.output)
+            PhysKind::Breaker => {
+                !is_fusable(plan.op(node.output)) && plan.op(node.output).children() == node.inputs
+            }
+            PhysKind::Pipeline { ops } => {
+                ops.last() == Some(&node.output)
                     && plan.op(ops[0]).children() == node.inputs
                     && ops.windows(2).all(|w| plan.op(w[1]).children() == [w[0]])
-                    && ops
-                        .iter()
-                        .zip(steps)
-                        .all(|(&op, step)| step_matches(plan.op(op), step))
+                    && ops.iter().all(|&op| is_fusable(plan.op(op)))
             }
         })
     }
@@ -491,10 +435,11 @@ mod tests {
         assert!(pipeline.is_pipeline());
         assert_eq!(pipeline.inputs, vec![0], "external input is the literal");
         assert_eq!(pipeline.output, 4, "tail is the projection");
-        let PhysKind::Pipeline { ops, steps } = &pipeline.kind else {
+        let PhysKind::Pipeline { ops } = &pipeline.kind else {
             panic!("expected a pipeline");
         };
         assert_eq!(ops, &vec![1, 2, 3, 4]);
+        let steps = pipeline.steps(&plan);
         assert_eq!(steps.len(), 4);
         assert!(matches!(steps[0], FusedStep::Attach { .. }));
         assert!(matches!(steps[3], FusedStep::Project { .. }));
@@ -504,8 +449,7 @@ mod tests {
     fn shared_results_break_chains() {
         // lit → project; the projection feeds TWO selects that join back:
         // the projection's result is shared, so nothing fuses with it from
-        // above, and each single fusable op stays a breaker (singleton
-        // chains do not become pipelines).
+        // above, and each single fusable op is a one-step pipeline.
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
@@ -535,7 +479,11 @@ mod tests {
         let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.pipeline_count(), 0);
         assert_eq!(phys.tables_elided(), 0);
+        assert_eq!(phys.fused_ops(), 0);
         assert_eq!(phys.nodes().len(), 5);
+        let one_step: Vec<bool> = phys.nodes().iter().map(PhysNode::is_pipeline).collect();
+        assert_eq!(one_step, [false, true, true, true, false]);
+        assert!(phys.matches(&plan));
     }
 
     #[test]
@@ -581,6 +529,7 @@ mod tests {
         let plan = b.finish(attach);
         let phys = PhysicalPlan::compile(&plan);
         assert_eq!(phys.pipeline_count(), 0);
+        assert_eq!(phys.nodes()[phys.root_node()].op_count(), 1);
     }
 
     #[test]
@@ -610,15 +559,17 @@ mod tests {
         let phys = PhysicalPlan::compile(&plan);
         assert!(phys.matches(&plan));
 
-        // A same-size plan with one fused parameter changed is rejected.
+        // A same-size plan with a fused operator turned into a breaker is
+        // rejected; its parameters are read off the plan at run time.
         let mut other = chain_plan();
-        if let AlgOp::Attach { value, .. } = &mut other.ops_mut()[1] {
-            *value = Value::Int(99);
-        }
+        other.ops_mut()[1] = AlgOp::Cross { left: 0, right: 0 };
         assert!(
             !phys.matches(&other),
-            "changed fused constant must not match"
+            "a breaker inside a pipeline must not match"
         );
+        let mut other = chain_plan();
+        other.ops_mut()[5] = AlgOp::Distinct { input: 4 };
+        assert!(!phys.matches(&other), "a fusable breaker must not match");
 
         // A same-size plan with different wiring is rejected.
         let mut rewired = chain_plan();

@@ -438,10 +438,13 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         }
         // One output row per loop row; iter values survive exactly, the
         // item (fresh node ids) does not.
-        AlgOp::ElemConstruct { loop_input, .. }
-        | AlgOp::AttrConstruct { loop_input, .. }
-        | AlgOp::TextConstruct { loop_input, .. } => {
+        AlgOp::ElemConstruct { loop_input, .. } | AlgOp::AttrConstruct { loop_input, .. } => {
             exact(&mut sup, &mut eq, &mut excl, *loop_input, "iter", "iter");
+        }
+        // τ builds no node for an iteration without content: its iters
+        // are a subset of the loop's.
+        AlgOp::TextConstruct { loop_input, .. } => {
+            subset(&mut sup, &mut excl, *loop_input, "iter", "iter");
         }
     }
     (sup, eq, excl)
@@ -688,7 +691,7 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::ThetaCount { left, right, .. }
         | AlgOp::Cross { left, right } => pp.empty[*left] || pp.empty[*right],
-        // Constructors emit one node per loop row.
+        // Constructors emit at most one node per loop row.
         AlgOp::ElemConstruct { loop_input, .. }
         | AlgOp::AttrConstruct { loop_input, .. }
         | AlgOp::TextConstruct { loop_input, .. } => pp.empty[*loop_input],

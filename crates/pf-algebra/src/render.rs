@@ -2,10 +2,13 @@
 //! query plans at different compilation stages" (Section 4, Figure 5).
 //!
 //! Two renderers are provided: Graphviz DOT (for graphical output) and an
-//! indented ASCII tree with sharing markers (for terminal use and tests).
+//! indented ASCII tree with sharing markers (for terminal use and tests),
+//! optionally annotated with each operator's properties and the physical
+//! node that runs it (`EXPLAIN`).
 
 use std::collections::HashMap;
 
+use crate::physical::{PhysKind, PhysicalPlan};
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
 
@@ -66,6 +69,33 @@ pub fn to_ascii(plan: &Plan) -> String {
 /// [`to_ascii`].
 pub fn to_ascii_annotated(plan: &Plan) -> String {
     let props = PlanProperties::analyze(plan);
+    render_annotated(plan, &|id| Some(annotate(&props, id)))
+}
+
+/// [`to_ascii_annotated`] with each operator also tagged by the node of
+/// `physical` (compiled from `plan`) that runs it: `pipe#k` for the fused
+/// kernel's pipeline `k`, `brk#k` for breaker `k` — the `EXPLAIN` dump.
+pub fn to_ascii_physical(plan: &Plan, physical: &PhysicalPlan) -> String {
+    let props = PlanProperties::analyze(plan);
+    let mut tags: Vec<Option<String>> = vec![None; plan.ops().len()];
+    for (k, node) in physical.nodes().iter().enumerate() {
+        match &node.kind {
+            PhysKind::Breaker => tags[node.output] = Some(format!("brk#{k}")),
+            PhysKind::Pipeline { ops } => {
+                for &op in ops {
+                    tags[op] = Some(format!("pipe#{k}"));
+                }
+            }
+        }
+    }
+    render_annotated(plan, &|id| {
+        let tag = tags[id].as_deref().unwrap_or("-");
+        Some(format!(" {tag}{}", annotate(&props, id)))
+    })
+}
+
+/// The indented tree with `annotation` after each operator.
+fn render_annotated(plan: &Plan, annotation: &dyn Fn(OpId) -> Option<String>) -> String {
     let mut reference_count: HashMap<OpId, usize> = HashMap::new();
     for id in plan.reachable() {
         for child in plan.op(id).children() {
@@ -81,7 +111,7 @@ pub fn to_ascii_annotated(plan: &Plan) -> String {
         &reference_count,
         &mut printed,
         &mut out,
-        &|id| Some(annotate(&props, id)),
+        annotation,
     );
     out
 }
@@ -226,5 +256,23 @@ mod tests {
         assert!(lines[0].contains("rows≈1"), "{ascii}");
         // Sharing markers survive annotation.
         assert!(ascii.contains("*see #0"), "{ascii}");
+    }
+
+    #[test]
+    fn physical_dump_tags_every_operator_with_its_node() {
+        let plan = shared_plan();
+        let physical = PhysicalPlan::compile(&plan);
+        let ascii = to_ascii_physical(&plan, &physical);
+        let lines: Vec<&str> = ascii.lines().collect();
+        // Nodes in topological order: the literal, the two projections
+        // (one-step pipelines: the literal's result is shared), the join.
+        assert!(
+            lines[0].starts_with("⋈[iter=iter1] brk#3 {cols="),
+            "{ascii}"
+        );
+        assert!(lines[1].starts_with("  π[iter] pipe#2 {"), "{ascii}");
+        assert!(lines[2].contains("[#0] brk#0 {"), "{ascii}");
+        assert!(lines[3].starts_with("  π[iter1:iter] pipe#1 {"), "{ascii}");
+        assert!(ascii.contains("rows≈1"), "{ascii}");
     }
 }

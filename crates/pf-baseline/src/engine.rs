@@ -458,14 +458,19 @@ impl BaselineEngine {
                 for c in content {
                     values.extend(self.eval(c, env)?);
                 }
+                // Empty content constructs no node at all.
+                if values.is_empty() {
+                    return Ok(vec![]);
+                }
                 let text = values
                     .iter()
                     .map(|v| self.atomize(v).lexical())
                     .collect::<Vec<_>>()
                     .join(" ");
                 // A text node of its own (as the relational engine builds
-                // it, also for empty content): it merges with neighbouring
-                // text in element content and serializes escaped.
+                // it, also for content that atomizes to ""): it merges with
+                // neighbouring text in element content and serializes
+                // escaped.
                 let mut builder = DocumentBuilder::new();
                 let node = builder.text(text);
                 self.docs.push(Arc::new(builder.finish()));

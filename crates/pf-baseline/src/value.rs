@@ -44,7 +44,7 @@ impl BValue {
         match self {
             BValue::Int(i) => Some(*i as f64),
             BValue::Dbl(d) => Some(*d),
-            BValue::Str(s) => s.trim().parse().ok(),
+            BValue::Str(s) => pf_store::parse_double(s),
             BValue::Bool(b) => Some(f64::from(*b)),
             _ => None,
         }
@@ -72,13 +72,7 @@ impl BValue {
     pub fn lexical(&self) -> String {
         match self {
             BValue::Int(i) => i.to_string(),
-            BValue::Dbl(d) => {
-                if d.fract() == 0.0 && d.abs() < 1e15 {
-                    format!("{}", *d as i64)
-                } else {
-                    format!("{d}")
-                }
-            }
+            BValue::Dbl(d) => pf_store::format_double(*d),
             BValue::Str(s) => s.clone(),
             BValue::Bool(b) => b.to_string(),
             BValue::Node { doc, node } => format!("node({doc},{node})"),
@@ -121,6 +115,8 @@ mod tests {
     fn lexical_forms() {
         assert_eq!(BValue::Dbl(2.0).lexical(), "2");
         assert_eq!(BValue::Dbl(2.5).lexical(), "2.5");
+        assert_eq!(BValue::Dbl(f64::NEG_INFINITY).lexical(), "-INF");
+        assert_eq!(BValue::Str("infinity".into()).as_number(), None);
         assert_eq!(BValue::Bool(true).lexical(), "true");
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The executor no longer interprets the logical [`Plan`] one operator at a
 //! time: it executes a [`PhysicalPlan`] — the logical DAG regrouped into
-//! *pipeline breakers* (interpreted exactly as before) and *fused
-//! pipelines* (single-consumer chains of π/σ/attach/⊙ evaluated in one
-//! pass by `pf-relational`'s fused kernel, with **zero intermediate table
-//! allocations**).  The physical plan is compiled once per (cached)
-//! logical plan; [`ExecStats::fused_ops`] / [`ExecStats::tables_elided`]
-//! report what fusion saved.
+//! *pipeline breakers* (joins, steps, sorts, constructors, …) and *fused
+//! pipelines* (single-consumer chains of π/σ/attach/⊙/`fn:data`/δ, one
+//! operator long or more, evaluated in one pass by `pf-relational`'s
+//! fused kernel with **zero intermediate table allocations**; it is the
+//! only implementation of those operators).  The physical plan is
+//! compiled once per (cached) logical plan; [`ExecStats::fused_ops`] /
+//! [`ExecStats::tables_elided`] report what fusion saved.
 //!
 //! Physical nodes are evaluated in **ready-set order**: the executor
 //! keeps, for every node, the number of inputs that are not yet
@@ -202,38 +203,36 @@ fn record_op_time(times: &mut OpTimes, kind: &'static str, rows: usize, elapsed:
     entry.2 += elapsed;
 }
 
-/// The profile key of one physical node.
+/// The profile key of one physical node: `"pipeline"` for the fused
+/// kernel (which runs every fusable operator), the operator otherwise.
 fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
-    match &node.kind {
-        PhysKind::Pipeline { .. } => "pipeline",
-        PhysKind::Breaker => match plan.op(node.output) {
-            AlgOp::Lit { .. } => "lit",
-            AlgOp::Doc { .. } => "doc",
-            AlgOp::Project { .. } => "project",
-            AlgOp::Select { .. } => "select",
-            AlgOp::SelectEq { .. } => "select_eq",
-            AlgOp::IndexScan { .. } => "index_scan",
-            AlgOp::Distinct { .. } => "distinct",
-            AlgOp::Union { .. } => "union",
-            AlgOp::Difference { .. } => "difference",
-            AlgOp::EquiJoin { .. } => "equi_join",
-            AlgOp::ThetaJoin { .. } | AlgOp::ThetaCount { .. } => "theta_join",
-            AlgOp::Cross { .. } => "cross",
-            AlgOp::RowNum { .. } => "rownum",
-            AlgOp::BinaryMap { .. } => "binary_map",
-            AlgOp::UnaryMap { .. } => "unary_map",
-            AlgOp::Attach { .. } => "attach",
-            AlgOp::Aggregate { .. } => "aggregate",
-            AlgOp::Step { .. } => "step",
-            AlgOp::DocOrder { .. } => "doc_order",
-            AlgOp::FnData { .. } => "fn_data",
-            AlgOp::FnRoot { .. } => "fn_root",
-            AlgOp::Ebv { .. } => "ebv",
-            AlgOp::ElemConstruct { .. } => "elem_construct",
-            AlgOp::AttrConstruct { .. } => "attr_construct",
-            AlgOp::TextConstruct { .. } => "text_construct",
-            AlgOp::Sort { .. } => "sort",
-        },
+    match plan.op(node.output) {
+        AlgOp::Project { .. }
+        | AlgOp::Select { .. }
+        | AlgOp::SelectEq { .. }
+        | AlgOp::Distinct { .. }
+        | AlgOp::BinaryMap { .. }
+        | AlgOp::UnaryMap { .. }
+        | AlgOp::Attach { .. }
+        | AlgOp::FnData { .. } => "pipeline",
+        AlgOp::Lit { .. } => "lit",
+        AlgOp::Doc { .. } => "doc",
+        AlgOp::IndexScan { .. } => "index_scan",
+        AlgOp::Union { .. } => "union",
+        AlgOp::Difference { .. } => "difference",
+        AlgOp::EquiJoin { .. } => "equi_join",
+        AlgOp::ThetaJoin { .. } | AlgOp::ThetaCount { .. } => "theta_join",
+        AlgOp::Cross { .. } => "cross",
+        AlgOp::RowNum { .. } => "rownum",
+        AlgOp::Aggregate { .. } => "aggregate",
+        AlgOp::Step { .. } => "step",
+        AlgOp::DocOrder { .. } => "doc_order",
+        AlgOp::FnRoot { .. } => "fn_root",
+        AlgOp::Ebv { .. } => "ebv",
+        AlgOp::ElemConstruct { .. } => "elem_construct",
+        AlgOp::AttrConstruct { .. } => "attr_construct",
+        AlgOp::TextConstruct { .. } => "text_construct",
+        AlgOp::Sort { .. } => "sort",
     }
 }
 
@@ -332,41 +331,37 @@ impl CellLedger {
 /// per row in atomizing loops.  Safe to hold across an operator evaluation
 /// because a document id's store never changes while a query runs — loads
 /// require `&mut DocRegistry`, and constructors only append fresh ids.
+/// An operator reads few documents, so the memo is a short list.
 struct StoreCache<'a> {
     registry: &'a DocRegistry,
-    memo: HashMap<u32, Option<Arc<DocStore>>>,
+    memo: Vec<(u32, Option<Arc<DocStore>>)>,
 }
 
 impl<'a> StoreCache<'a> {
     fn new(registry: &'a DocRegistry) -> Self {
         StoreCache {
             registry,
-            memo: HashMap::new(),
+            memo: Vec::new(),
         }
     }
 
     /// The store for `doc`, resolved through the registry at most once.
     fn store(&mut self, doc: u32) -> Option<&DocStore> {
-        let registry = self.registry;
-        self.memo
-            .entry(doc)
-            .or_insert_with(|| registry.store(doc))
-            .as_deref()
+        let at = match self.memo.iter().position(|(id, _)| *id == doc) {
+            Some(at) => at,
+            None => {
+                self.memo.push((doc, self.registry.store(doc)));
+                self.memo.len() - 1
+            }
+        };
+        self.memo[at].1.as_deref()
     }
 
-    /// Atomize a value: nodes become their string value, atomics pass
-    /// through (the implicit atomization XQuery applies to operands of
-    /// arithmetic, comparisons and string functions).
-    fn atomize(&mut self, value: &Value) -> Value {
-        match value {
-            Value::Node(node) => {
-                let text = self
-                    .store(node.doc)
-                    .map(|s| s.string_value(node.pre))
-                    .unwrap_or_default();
-                Value::Str(text)
-            }
-            other => other.clone(),
+    /// Append the string value of `node` to `out` — the atomization hook
+    /// of the fused kernel (an unknown document contributes nothing).
+    fn push_string_value(&mut self, node: NodeRef, out: &mut String) {
+        if let Some(store) = self.store(node.doc) {
+            store.push_string_value(node.pre, out);
         }
     }
 }
@@ -435,11 +430,7 @@ impl<'t> ContentIndex<'t> {
                 out.push(' ');
             }
             match item {
-                ContentItem::Node(node) => {
-                    if let Some(store) = cache.store(node.doc) {
-                        store.push_string_value(node.pre, out);
-                    }
-                }
+                ContentItem::Node(node) => cache.push_string_value(node, out),
                 ContentItem::Str(s) => out.push_str(s),
                 ContentItem::Atomic(atomic) => out.push_str(&atomic.to_xdm_string()),
             }
@@ -530,9 +521,9 @@ impl RunState {
         }
         let stats = &mut self.stats;
         stats.operators_evaluated += node.op_count();
-        if let PhysKind::Pipeline { ops, .. } = &node.kind {
-            stats.fused_ops += ops.len();
-            stats.tables_elided += ops.len() - 1;
+        if node.op_count() > 1 {
+            stats.fused_ops += node.op_count();
+            stats.tables_elided += node.op_count() - 1;
         }
         stats.rows_produced += table.row_count();
         stats.cells_produced += table.columns().iter().map(|(_, c)| c.len()).sum::<usize>();
@@ -1008,10 +999,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Evaluate one physical node: breakers go through the single-operator
-    /// interpreter, pipelines through the fused kernel (with the engine's
-    /// atomization semantics wired in via a [`StoreCache`]).  Pipelines
-    /// over large inputs run as morsels when the executor is parallel and
-    /// every step is row-local; joins and aggregates go through the typed
+    /// interpreter, pipelines through the fused kernel (with node
+    /// atomization wired in via a [`StoreCache`]).  Pipelines over large
+    /// inputs run as morsels when the executor is parallel and
+    /// [`ops::steps_chunkable`] says chunking is exact and pays; joins and
+    /// aggregates go through the typed
     /// morsel kernels (see [`Executor::equi_join_node`] and friends), which
     /// also report the kernel counters folded into [`ExecStats`].
     fn eval_node(
@@ -1023,15 +1015,18 @@ impl<'a> Executor<'a> {
     ) -> EngineResult<(Table, KernelStats)> {
         match &node.kind {
             PhysKind::Breaker => self.eval(plan, node.output, inputs, doc_ids),
-            PhysKind::Pipeline { steps, .. } => {
+            PhysKind::Pipeline { .. } => {
                 let input = inputs.get(node.inputs[0])?;
+                let steps = node.steps(plan);
                 let table = match self.morsel_chunk_rows(input.row_count()) {
-                    Some(chunk) if ops::steps_chunkable(steps) => {
-                        self.run_pipeline_morsels(input, steps, chunk)?
+                    Some(chunk) if ops::steps_chunkable(&steps) => {
+                        self.run_pipeline_morsels(input, &steps, chunk)?
                     }
                     _ => {
                         let mut cache = StoreCache::new(self.registry);
-                        ops::run_pipeline(input, steps, &mut |v| cache.atomize(v))?
+                        ops::run_pipeline(input, &steps, &mut |node, out| {
+                            cache.push_string_value(node, out)
+                        })?
                     }
                 };
                 Ok((table, KernelStats::default()))
@@ -1249,13 +1244,15 @@ impl<'a> Executor<'a> {
     fn run_pipeline_morsels(
         &self,
         input: &Table,
-        steps: &[ops::FusedStep],
+        steps: &[ops::FusedStep<'_>],
         chunk: usize,
     ) -> EngineResult<Table> {
         let registry = self.registry;
         let results = self.map_morsels(input.row_count(), chunk, |range| {
             let mut cache = StoreCache::new(registry);
-            ops::run_pipeline_range(input, steps, range, &mut |v| cache.atomize(v))
+            ops::run_pipeline_range(input, steps, range, &mut |node, out| {
+                cache.push_string_value(node, out)
+            })
         });
         let mut chunks = Vec::with_capacity(results.len());
         for result in results {
@@ -1267,7 +1264,8 @@ impl<'a> Executor<'a> {
                     // so the failing row reaches the same step with the
                     // same value — but keep the chunk error as a fallback.
                     let mut cache = StoreCache::new(self.registry);
-                    return match ops::run_pipeline(input, steps, &mut |v| cache.atomize(v)) {
+                    let mut atomize = |node, out: &mut String| cache.push_string_value(node, out);
+                    return match ops::run_pipeline(input, steps, &mut atomize) {
                         Err(whole_error) => Err(whole_error.into()),
                         Ok(_) => Err(chunk_error.into()),
                     };
@@ -1478,7 +1476,8 @@ impl<'a> Executor<'a> {
 
     /// Evaluate one logical operator as a pipeline breaker.  The join,
     /// aggregate and index kernels report their counters; every other
-    /// operator reports none.
+    /// operator reports none.  The fusable operators are not breakers:
+    /// the fused kernel runs them (see [`PhysicalPlan::compile`]).
     fn eval(
         &self,
         plan: &Plan,
@@ -1555,20 +1554,19 @@ impl<'a> Executor<'a> {
                     Column::nodes(vec![NodeRef::new(doc_id, 0)]),
                 )])?
             }
-            AlgOp::Project { input, columns } => {
-                let pairs: Vec<(&str, &str)> = columns
-                    .iter()
-                    .map(|(s, t)| (s.as_str(), t.as_str()))
-                    .collect();
-                ops::project(inputs.get(*input)?, &pairs)?
+            AlgOp::Project { .. }
+            | AlgOp::Select { .. }
+            | AlgOp::SelectEq { .. }
+            | AlgOp::Distinct { .. }
+            | AlgOp::BinaryMap { .. }
+            | AlgOp::UnaryMap { .. }
+            | AlgOp::Attach { .. }
+            | AlgOp::FnData { .. } => {
+                return Err(EngineError::msg(format!(
+                    "{} runs in a fused pipeline, not as a breaker",
+                    plan.op(id).symbol()
+                )))
             }
-            AlgOp::Select { input, column } => ops::select_true(inputs.get(*input)?, column)?,
-            AlgOp::SelectEq {
-                input,
-                column,
-                value,
-            } => ops::select_eq(inputs.get(*input)?, column, value)?,
-            AlgOp::Distinct { input } => ops::distinct(inputs.get(*input)?)?,
             AlgOp::Union { left, right } => {
                 ops::union_disjoint(inputs.get(*left)?, inputs.get(*right)?)?
             }
@@ -1582,39 +1580,8 @@ impl<'a> Executor<'a> {
                 order_by,
                 partition,
             } => self.row_number(inputs.get(*input)?, target, order_by, partition.as_deref())?,
-            AlgOp::BinaryMap {
-                input,
-                target,
-                left,
-                op,
-                right,
-            } => self.binary_map(inputs.get(*input)?, target, left, *op, right)?,
-            AlgOp::UnaryMap {
-                input,
-                target,
-                op,
-                source,
-            } => {
-                let table = inputs.get(*input)?;
-                let col = table.column(source)?;
-                let mut cache = StoreCache::new(self.registry);
-                let mut values = Vec::with_capacity(table.row_count());
-                for row in 0..table.row_count() {
-                    let v = cache.atomize(&col.get(row));
-                    values.push(ops::map::apply_unary(*op, &v)?);
-                }
-                let mut out = table.clone();
-                out.add_column(target.clone(), Column::from_values(values))?;
-                out
-            }
-            AlgOp::Attach {
-                input,
-                target,
-                value,
-            } => ops::map_const(inputs.get(*input)?, target, value)?,
             AlgOp::Step { input, axis, test } => self.step(inputs.get(*input)?, *axis, test)?,
             AlgOp::DocOrder { input } => self.doc_order(inputs.get(*input)?)?,
-            AlgOp::FnData { input } => self.fn_data(inputs.get(*input)?)?,
             AlgOp::FnRoot { input } => self.fn_root(inputs.get(*input)?)?,
             AlgOp::Ebv { input } => self.ebv(inputs.get(*input)?)?,
             AlgOp::ElemConstruct {
@@ -1651,62 +1618,6 @@ impl<'a> Executor<'a> {
     }
 
     // ----- value helpers --------------------------------------------------
-
-    /// One-shot atomization (see [`StoreCache::atomize`]); production row
-    /// loops build their own [`StoreCache`] so the registry is locked once
-    /// per document, not once per row.
-    #[cfg(test)]
-    fn atomize(&self, value: &Value) -> Value {
-        StoreCache::new(self.registry).atomize(value)
-    }
-
-    fn binary_map(
-        &self,
-        table: &Table,
-        target: &str,
-        left: &str,
-        op: BinaryOp,
-        right: &str,
-    ) -> EngineResult<Table> {
-        let lcol = table.column(left)?;
-        let rcol = table.column(right)?;
-        let mut cache = StoreCache::new(self.registry);
-        let mut memo = ops::SubstringMemo::new();
-        let mut values = Vec::with_capacity(table.row_count());
-        for row in 0..table.row_count() {
-            let l = lcol.get(row);
-            let r = rcol.get(row);
-            // Node identity / document order compare node references
-            // directly; everything else operates on atomized values.
-            let result = match (&l, &r, op) {
-                (Value::Node(_), Value::Node(_), BinaryOp::Cmp(_)) => {
-                    ops::map::apply_binary(op, &l, &r)?
-                }
-                _ => memo.apply(op, &cache.atomize(&l), &cache.atomize(&r))?,
-            };
-            values.push(result);
-        }
-        let mut out = table.clone();
-        out.add_column(target, Column::from_values(values))?;
-        Ok(out)
-    }
-
-    fn fn_data(&self, table: &Table) -> EngineResult<Table> {
-        let item = table.column("item")?;
-        let mut cache = StoreCache::new(self.registry);
-        let values: Vec<Value> = (0..table.row_count())
-            .map(|row| cache.atomize(&item.get(row)))
-            .collect();
-        let mut columns = Vec::new();
-        for (name, col) in table.columns() {
-            if name == "item" {
-                columns.push((name.clone(), Column::from_values(values.clone())));
-            } else {
-                columns.push((name.clone(), col.clone()));
-            }
-        }
-        Ok(Table::new(columns)?)
-    }
 
     fn fn_root(&self, table: &Table) -> EngineResult<Table> {
         let item = table.column("item")?;
@@ -1891,10 +1802,12 @@ impl<'a> Executor<'a> {
         constructor_output(iters, Column::strs(items))
     }
 
-    /// τ: one text node per iteration holding the atomized content joined
-    /// by spaces.  The nodes share one transient fragment, each under an
-    /// element of its own, so the text of neighbouring iterations never
-    /// merges; the item is the text node, the wrapper's pre + 1.
+    /// τ: one text node per iteration with content, holding the atomized
+    /// content joined by spaces; an iteration whose content is the empty
+    /// sequence constructs no node.  The nodes share one transient
+    /// fragment, each under an element of its own, so the text of
+    /// neighbouring iterations never merges; the item is the text node,
+    /// the wrapper's pre + 1.
     fn construct_texts(
         &self,
         loop_table: &Table,
@@ -1906,18 +1819,23 @@ impl<'a> Executor<'a> {
         let mut cache = StoreCache::new(self.registry);
         let mut fragment = FragmentBuilder::new(format!("#text-{doc_id}"));
         let wrapper = fragment.tag("#text-wrapper");
+        let mut out_iters = Vec::with_capacity(iters.len());
         let mut nodes = Vec::with_capacity(iters.len());
         let mut text = String::new();
         for &iter in iters.iter() {
+            if index.content_of(iter).next().is_none() {
+                continue;
+            }
             text.clear();
             index.push_atomized(iter, &mut cache, &mut text);
             let element = fragment.start_element(wrapper, []);
             fragment.text(&text);
             fragment.end_element();
+            out_iters.push(iter);
             nodes.push(NodeRef::new(doc_id, element + 1));
         }
         self.registry.fill_constructed(doc_id, fragment.finish());
-        constructor_output(iters, Column::nodes(nodes))
+        constructor_output(Cow::Owned(out_iters), Column::nodes(nodes))
     }
 }
 
@@ -2131,16 +2049,19 @@ mod tests {
         );
     }
 
+    /// The fused kernel's atomization hook appends a node's string value
+    /// and nothing for a node of an unknown document.
     #[test]
     fn atomization_resolves_node_string_values() {
         let reg = registry();
-        let exec = Executor::new(&reg);
-        // node 2 is the first <b>; its string value is "1"
-        assert_eq!(
-            exec.atomize(&Value::Node(NodeRef::new(0, 2))),
-            Value::Str("1".into())
-        );
-        assert_eq!(exec.atomize(&Value::Int(5)), Value::Int(5));
+        let mut cache = StoreCache::new(&reg);
+        let mut out = String::from(">");
+        // node 2 is the first <b>; its string value is "1"; node 1 is <a>
+        cache.push_string_value(NodeRef::new(0, 2), &mut out);
+        cache.push_string_value(NodeRef::new(0, 1), &mut out);
+        cache.push_string_value(NodeRef::new(99, 0), &mut out);
+        assert_eq!(out, ">112x");
+        assert_eq!(cache.memo.len(), 2, "one lookup per document");
     }
 
     #[test]
@@ -2244,8 +2165,9 @@ mod tests {
         assert!(out.column("item").unwrap().as_items().is_some());
     }
 
-    /// τ over empty and multi-item content: one text node per iteration,
-    /// never merged across iterations.
+    /// τ over empty and multi-item content: one text node per iteration
+    /// with content, never merged across iterations; none for an
+    /// iteration whose content is empty.
     #[test]
     fn text_construction_keeps_one_node_per_iteration() {
         let reg = registry();
@@ -2272,7 +2194,8 @@ mod tests {
             .iter()
             .map(|node| store.content_of(node.pre))
             .collect();
-        assert_eq!(texts, ["12x 7", "", "z"]);
+        assert_eq!(texts, ["12x 7", "z"]);
+        assert_eq!(out.column("iter").unwrap().as_nats().unwrap(), &[1, 3]);
     }
 
     #[test]
@@ -2358,11 +2281,41 @@ mod tests {
     }
 
     /// The unfused reference: every reachable operator interpreted on its
-    /// own in topological order, every intermediate materialized.
+    /// own in topological order, every intermediate materialized — the
+    /// fusable ones through `pf-relational`'s value-at-a-time reference
+    /// kernels (these plans hold no nodes).
     fn run_unfused(exec: &Executor<'_>, plan: &Plan) -> EngineResult<Table> {
         let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.ops().len()];
+        let no_nodes = &mut |_: NodeRef, _: &mut String| unreachable!("no node operands");
         for id in plan.reachable() {
-            let (table, _) = exec.eval(plan, id, &Inputs::Slots(&slots), &DocIds::new())?;
+            let input = |input: &OpId| slots[*input].as_deref().expect("inputs ran first");
+            let table = match plan.op(id) {
+                AlgOp::Project { input: i, columns } => {
+                    let pairs: Vec<(&str, &str)> = columns
+                        .iter()
+                        .map(|(s, t)| (s.as_str(), t.as_str()))
+                        .collect();
+                    ops::project(input(i), &pairs)?
+                }
+                AlgOp::Select { input: i, column } => ops::select_true(input(i), column)?,
+                AlgOp::Distinct { input: i } => ops::distinct(input(i))?,
+                AlgOp::Attach {
+                    input: i,
+                    target,
+                    value,
+                } => ops::map_const(input(i), target, value)?,
+                AlgOp::BinaryMap {
+                    input: i,
+                    target,
+                    left,
+                    op,
+                    right,
+                } => ops::map_binary(input(i), target, left, *op, right, no_nodes)?,
+                _ => {
+                    exec.eval(plan, id, &Inputs::Slots(&slots), &DocIds::new())?
+                        .0
+                }
+            };
             slots[id] = Some(Arc::new(table));
         }
         Ok((*slots[plan.root()].take().expect("the root ran")).clone())

@@ -300,6 +300,15 @@ impl Explain {
     pub fn plan_dot(&self) -> String {
         pf_algebra::to_dot(&self.optimized)
     }
+
+    /// The `EXPLAIN` rendering: the optimized plan with every operator's
+    /// properties (schema, keys, constants, estimated rows) and the
+    /// physical node that runs it — `pipe#k` for a fused pipeline,
+    /// `brk#k` for a breaker.
+    pub fn plan_physical(&self) -> String {
+        let physical = PhysicalPlan::compile(&self.optimized);
+        pf_algebra::to_ascii_physical(&self.optimized, &physical)
+    }
 }
 
 /// One plan-cache entry: the optimized logical plan, its physical

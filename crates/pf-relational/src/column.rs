@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use crate::error::{RelError, RelResult};
-use crate::value::{NodeRef, Value, ValueType};
+use crate::value::{Cell, NodeRef, Value, ValueType};
 
 /// A homogeneous column of values.
 ///
@@ -143,6 +143,21 @@ impl Column {
         }
     }
 
+    /// Row `i` viewed in place as a [`Cell`] (a string is borrowed, not
+    /// cloned).
+    #[inline]
+    pub fn cell(&self, i: usize) -> Cell<'_> {
+        match self {
+            Column::Nat(v) => Cell::Nat(v[i]),
+            Column::Int(v) => Cell::Int(v[i]),
+            Column::Dbl(v) => Cell::Dbl(v[i]),
+            Column::Str(v) => Cell::Str(&v[i]),
+            Column::Bool(v) => Cell::Bool(v[i]),
+            Column::Node(v) => Cell::Node(v[i]),
+            Column::Item(v) => v[i].cell(),
+        }
+    }
+
     /// Read row `i` as a [`Value`].
     pub fn get(&self, i: usize) -> Value {
         match self {
@@ -194,21 +209,14 @@ impl Column {
     }
 
     /// Build a column from a vector of values.  If all values share one
-    /// type a typed column is produced, otherwise an item column.
+    /// type a typed column is produced, otherwise an item column; no
+    /// values give [`Column::empty_item`] (see [`ColumnBuilder`]).
     pub fn from_values(values: Vec<Value>) -> Column {
-        if values.is_empty() {
-            return Column::empty_item();
+        let mut builder = ColumnBuilder::with_capacity(values.len());
+        for value in values {
+            builder.push(value);
         }
-        let ty = values[0].value_type();
-        if values.iter().all(|v| v.value_type() == ty) {
-            let mut col = Column::empty(ty);
-            for v in values {
-                col.push(v).expect("homogeneous push cannot fail");
-            }
-            col
-        } else {
-            Column::items(values)
-        }
+        builder.finish()
     }
 
     /// Build a `Nat` column.
@@ -321,9 +329,123 @@ impl Column {
     }
 }
 
+/// Builds a column value by value, typed while every value has the type
+/// of the first and demoted to an `Item` column at the first that does
+/// not — the column [`Column::from_values`] makes of the same values,
+/// without collecting them first.
+#[derive(Debug)]
+pub enum ColumnBuilder {
+    /// No value yet (the capacity to reserve once the type is known).
+    Empty(usize),
+    /// Natural numbers so far.
+    Nat(Vec<u64>),
+    /// Integers so far.
+    Int(Vec<i64>),
+    /// Doubles so far.
+    Dbl(Vec<f64>),
+    /// Strings so far.
+    Str(Vec<String>),
+    /// Booleans so far.
+    Bool(Vec<bool>),
+    /// Node references so far.
+    Node(Vec<NodeRef>),
+    /// Values of more than one type.
+    Item(Vec<Value>),
+}
+
+impl ColumnBuilder {
+    /// An empty builder for about `capacity` values.
+    pub fn with_capacity(capacity: usize) -> ColumnBuilder {
+        ColumnBuilder::Empty(capacity)
+    }
+
+    /// Append one value.
+    #[inline]
+    pub fn push(&mut self, value: Value) {
+        match (&mut *self, value) {
+            (ColumnBuilder::Nat(v), Value::Nat(x)) => v.push(x),
+            (ColumnBuilder::Int(v), Value::Int(x)) => v.push(x),
+            (ColumnBuilder::Dbl(v), Value::Dbl(x)) => v.push(x),
+            (ColumnBuilder::Str(v), Value::Str(x)) => v.push(x),
+            (ColumnBuilder::Bool(v), Value::Bool(x)) => v.push(x),
+            (ColumnBuilder::Node(v), Value::Node(x)) => v.push(x),
+            (ColumnBuilder::Item(v), x) => v.push(x),
+            (ColumnBuilder::Empty(capacity), x) => {
+                let capacity = *capacity;
+                *self = match x {
+                    Value::Nat(x) => ColumnBuilder::Nat(first(capacity, x)),
+                    Value::Int(x) => ColumnBuilder::Int(first(capacity, x)),
+                    Value::Dbl(x) => ColumnBuilder::Dbl(first(capacity, x)),
+                    Value::Str(x) => ColumnBuilder::Str(first(capacity, x)),
+                    Value::Bool(x) => ColumnBuilder::Bool(first(capacity, x)),
+                    Value::Node(x) => ColumnBuilder::Node(first(capacity, x)),
+                };
+            }
+            (typed, x) => {
+                let mut items = std::mem::replace(typed, ColumnBuilder::Empty(0)).into_items();
+                items.push(x);
+                *self = ColumnBuilder::Item(items);
+            }
+        }
+    }
+
+    /// The values so far as a polymorphic vector.
+    fn into_items(self) -> Vec<Value> {
+        match self {
+            ColumnBuilder::Empty(_) => Vec::new(),
+            ColumnBuilder::Nat(v) => v.into_iter().map(Value::Nat).collect(),
+            ColumnBuilder::Int(v) => v.into_iter().map(Value::Int).collect(),
+            ColumnBuilder::Dbl(v) => v.into_iter().map(Value::Dbl).collect(),
+            ColumnBuilder::Str(v) => v.into_iter().map(Value::Str).collect(),
+            ColumnBuilder::Bool(v) => v.into_iter().map(Value::Bool).collect(),
+            ColumnBuilder::Node(v) => v.into_iter().map(Value::Node).collect(),
+            ColumnBuilder::Item(v) => v,
+        }
+    }
+
+    /// The column: typed when every value had one type, `Item` otherwise,
+    /// [`Column::empty_item`] when no value was pushed.
+    pub fn finish(self) -> Column {
+        match self {
+            ColumnBuilder::Empty(_) => Column::empty_item(),
+            ColumnBuilder::Nat(v) => Column::nats(v),
+            ColumnBuilder::Int(v) => Column::ints(v),
+            ColumnBuilder::Dbl(v) => Column::dbls(v),
+            ColumnBuilder::Str(v) => Column::strs(v),
+            ColumnBuilder::Bool(v) => Column::bools(v),
+            ColumnBuilder::Node(v) => Column::nodes(v),
+            ColumnBuilder::Item(v) => Column::items(v),
+        }
+    }
+}
+
+/// A vector of `capacity` slots holding `value` first.
+fn first<T>(capacity: usize, value: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(capacity.max(1));
+    v.push(value);
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A builder demoted to `Item` keeps every value, in order.
+    #[test]
+    fn builder_demotes_at_the_first_other_type() {
+        let values = vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Str("x".into()),
+            Value::Int(3),
+        ];
+        let col = Column::from_values(values.clone());
+        assert_eq!(col, Column::items(values));
+        let mut builder = ColumnBuilder::with_capacity(0);
+        builder.push(Value::Str("a".into()));
+        builder.push(Value::Str("b".into()));
+        assert_eq!(builder.finish(), Column::strs(vec!["a".into(), "b".into()]));
+    }
 
     #[test]
     fn from_values_detects_homogeneous_type() {

@@ -32,7 +32,7 @@ pub mod ops;
 pub mod table;
 pub mod value;
 
-pub use column::Column;
+pub use column::{Column, ColumnBuilder};
 pub use error::{RelError, RelResult};
 pub use table::Table;
-pub use value::{NodeRef, Value, ValueType};
+pub use value::{Cell, NodeRef, Value, ValueType};

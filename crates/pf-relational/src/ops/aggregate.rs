@@ -34,7 +34,7 @@ use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Key, KeyView};
 use crate::ops::HashKey;
 use crate::table::Table;
-use crate::value::{ArithOp, Value};
+use crate::value::{compare_f64, parse_double, ArithOp, Value};
 
 /// Aggregation functions supported by the dialect of Table 2
 /// (`fn:count`, `fn:sum`) plus the obvious companions.
@@ -347,16 +347,15 @@ impl<'t> AggPlan<'t> {
     /// The `fn:sum` coercion for untyped content: integer if it parses as
     /// one, double otherwise (mirrors `coerce_numeric`).
     fn add_str(&self, sum: &mut NumAcc, s: &str) -> RelResult<()> {
-        let t = s.trim();
-        if let Ok(i) = t.parse::<i64>() {
+        if let Ok(i) = s.trim().parse::<i64>() {
             sum.add_i64(i)
         } else {
-            match t.parse::<f64>() {
-                Ok(d) => {
+            match parse_double(s) {
+                Some(d) => {
                     sum.add_f64(d);
                     Ok(())
                 }
-                Err(_) => Err(RelError::new(format!("cannot sum non-numeric value `{s}`"))),
+                None => Err(RelError::new(format!("cannot sum non-numeric value `{s}`"))),
             }
         }
     }
@@ -366,11 +365,10 @@ impl<'t> AggPlan<'t> {
     /// `f64`, strings byte-wise, item columns via the full dynamic rules).
     fn cmp_rows(&self, a: usize, b: usize) -> RelResult<Ordering> {
         let vcol = self.vcol.expect("min/max have a value column");
-        let nan = || RelError::new("NaN is not comparable");
         match vcol {
-            Column::Nat(v) => (v[a] as f64).partial_cmp(&(v[b] as f64)).ok_or_else(nan),
-            Column::Int(v) => (v[a] as f64).partial_cmp(&(v[b] as f64)).ok_or_else(nan),
-            Column::Dbl(v) => v[a].partial_cmp(&v[b]).ok_or_else(nan),
+            Column::Nat(v) => compare_f64(v[a] as f64, v[b] as f64),
+            Column::Int(v) => compare_f64(v[a] as f64, v[b] as f64),
+            Column::Dbl(v) => compare_f64(v[a], v[b]),
             Column::Str(v) => Ok(v[a].cmp(&v[b])),
             Column::Bool(v) => Ok(v[a].cmp(&v[b])),
             Column::Node(v) => Ok(v[a].cmp(&v[b])),
@@ -532,13 +530,12 @@ fn coerce_numeric(v: &Value) -> RelResult<Value> {
     match v {
         Value::Int(_) | Value::Dbl(_) | Value::Nat(_) => Ok(v.clone()),
         Value::Str(s) => {
-            let t = s.trim();
-            if let Ok(i) = t.parse::<i64>() {
+            if let Ok(i) = s.trim().parse::<i64>() {
                 Ok(Value::Int(i))
             } else {
-                t.parse::<f64>()
+                parse_double(s)
                     .map(Value::Dbl)
-                    .map_err(|_| RelError::new(format!("cannot sum non-numeric value `{s}`")))
+                    .ok_or_else(|| RelError::new(format!("cannot sum non-numeric value `{s}`")))
             }
         }
         other => Err(RelError::new(format!("cannot aggregate value {other}"))),

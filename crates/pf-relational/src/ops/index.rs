@@ -14,8 +14,8 @@
 
 use pf_store::{Dictionary, DocStore, NodeKindCode, TextIndex, ValueIndex};
 
-use crate::ops::map::{apply_unary, CmpOp, UnaryOp};
-use crate::value::Value;
+use crate::ops::map::CmpOp;
+use crate::value::{Cell, Value};
 
 /// What an indexed value probe tests: the string value of elements with a
 /// given tag, or the value of attributes with a given name.
@@ -207,19 +207,18 @@ fn string_eq_fast_path(
     )
 }
 
-/// One distinct value through the exact scan pipeline; `Err` ⇒ candidate.
+/// One distinct value through the exact scan pipeline; `Err` ⇒ candidate
+/// (a cast or NaN comparison error must surface upstream).
 fn entry_is_candidate(entry: &str, op: CmpOp, value: &Value, to_number: bool) -> bool {
-    let left = if to_number {
-        match apply_unary(UnaryOp::ToNumber, &Value::Str(entry.to_string())) {
-            Ok(v) => v,
-            Err(_) => return true, // the cast error must surface upstream
-        }
+    let entry = Cell::Str(entry);
+    let ordering = if to_number {
+        entry.to_number().and_then(|number| number.compare(value))
     } else {
-        Value::Str(entry.to_string())
+        entry.compare(value.cell())
     };
-    match left.compare(value) {
+    match ordering {
         Ok(ordering) => op.matches(ordering),
-        Err(_) => true, // NaN comparison errors must surface upstream
+        Err(_) => true,
     }
 }
 

@@ -45,7 +45,7 @@ use crate::ops::keys::{Key, KeyView, NatIndex};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::ops::HashKey;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{compare_f64, Value};
 
 fn merge_schemas(left: &Table, right: &Table) -> RelResult<Vec<String>> {
     for (name, _) in right.columns() {
@@ -298,11 +298,6 @@ pub(crate) fn numeric_keys(column: &Column) -> Option<Vec<f64>> {
     }
 }
 
-/// The error [`Value::compare`] raises on a `NaN` operand.
-pub(crate) fn nan_error() -> RelError {
-    RelError::new("NaN is not comparable")
-}
-
 /// The key columns of a [`ThetaPlan`]: `f64` slices when the predicate is
 /// a comparison of two numeric columns, boxed values otherwise.
 enum ThetaKeys {
@@ -364,7 +359,7 @@ impl<'t> ThetaPlan<'t> {
             ThetaKeys::Numeric(lkeys, rkeys, cmp) => {
                 for lrow in range {
                     for (rrow, rkey) in rkeys.iter().enumerate() {
-                        let ordering = lkeys[lrow].partial_cmp(rkey).ok_or_else(nan_error)?;
+                        let ordering = compare_f64(lkeys[lrow], *rkey)?;
                         if cmp.matches(ordering) {
                             pairs.push((lrow, rrow));
                         }

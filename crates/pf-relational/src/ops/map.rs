@@ -3,15 +3,18 @@
 //! The compiled plans never evaluate expressions row-at-a-time inside some
 //! host language; they *materialize* the result of every arithmetic or
 //! comparison operation as a new column (see the `⊕res:(item,item1)` node in
-//! Figure 5).  `map_binary`, `map_unary` and `map_const` are the physical
-//! operators that do this.
+//! Figure 5).  The fused kernel of [`super::pipeline`] is the physical
+//! operator that does this; [`binary_cell`] and [`unary_cell`] are the
+//! operator semantics it shares with every other path, and `map_binary`,
+//! `map_unary`, `map_const` and `map_data` are its value-at-a-time
+//! references.
 
 use std::cmp::Ordering;
 
 use crate::column::Column;
-use crate::error::{RelError, RelResult};
+use crate::error::RelResult;
 use crate::table::Table;
-use crate::value::{ArithOp, Value};
+use crate::value::{ArithOp, Cell, NodeRef, Value};
 
 /// Comparison operators (`eq`, `ne`, `lt`, `le`, `gt`, `ge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,112 +105,129 @@ pub enum UnaryOp {
     StrLen,
 }
 
-/// Apply `op` to every value of `value`; see [`BinaryOp`].
-pub fn apply_binary(op: BinaryOp, left: &Value, right: &Value) -> RelResult<Value> {
+/// Apply `op` to two cells: the ⊙ semantics every path shares (the
+/// fused kernel's per-row path, the join kernels and the reference
+/// kernels below).  Comparison, arithmetic and truth
+/// are [`Cell`]'s; the boolean connectives short-circuit like Rust's
+/// `&&`/`||`, so a `false` left operand never checks the right one.
+pub fn binary_cell(op: BinaryOp, left: Cell<'_>, right: Cell<'_>) -> RelResult<Value> {
     match op {
         BinaryOp::Arith(a) => left.arithmetic(a, right),
         BinaryOp::Cmp(c) => Ok(Value::Bool(c.matches(left.compare(right)?))),
         BinaryOp::And => Ok(Value::Bool(left.as_bool()? && right.as_bool()?)),
         BinaryOp::Or => Ok(Value::Bool(left.as_bool()? || right.as_bool()?)),
-        BinaryOp::Contains => Ok(Value::Bool(
-            left.to_xdm_string().contains(&right.to_xdm_string()),
-        )),
-        BinaryOp::StartsWith => Ok(Value::Bool(
-            left.to_xdm_string().starts_with(&right.to_xdm_string()),
-        )),
-        BinaryOp::Concat => Ok(Value::Str(format!(
-            "{}{}",
-            left.to_xdm_string(),
-            right.to_xdm_string()
-        ))),
+        BinaryOp::Contains | BinaryOp::StartsWith => Ok(Value::Bool(with_str(left, |l| {
+            with_str(right, |r| substring_test(op, l, r))
+        }))),
+        BinaryOp::Concat => Ok(Value::Str(format!("{left}{right}"))),
     }
 }
 
-/// Apply `op` to a single value; see [`UnaryOp`].
-pub fn apply_unary(op: UnaryOp, value: &Value) -> RelResult<Value> {
+/// The test of `fn:starts-with` (for [`BinaryOp::StartsWith`]) or
+/// `fn:contains` (for [`BinaryOp::Contains`]) on the operands' string
+/// representations.
+#[inline]
+pub(crate) fn substring_test(op: BinaryOp, left: &str, right: &str) -> bool {
+    match op {
+        BinaryOp::StartsWith => left.starts_with(right),
+        _ => left.contains(right),
+    }
+}
+
+/// Apply `op` to one cell; see [`UnaryOp`].
+pub fn unary_cell(op: UnaryOp, value: Cell<'_>) -> RelResult<Value> {
     match op {
         UnaryOp::Not => Ok(Value::Bool(!value.as_bool()?)),
-        UnaryOp::Neg => value.arithmetic(ArithOp::Mul, &Value::Int(-1)),
-        UnaryOp::ToNumber => match value {
-            Value::Int(_) | Value::Dbl(_) | Value::Nat(_) => Ok(value.clone()),
-            Value::Str(s) => s
-                .trim()
-                .parse::<f64>()
-                .map(Value::Dbl)
-                .map_err(|_| RelError::new(format!("cannot cast `{s}` to a number"))),
-            Value::Bool(b) => Ok(Value::Int(i64::from(*b))),
-            Value::Node(_) => Err(RelError::new("cannot cast a node reference to a number")),
-        },
-        UnaryOp::ToString => Ok(Value::Str(value.to_xdm_string())),
-        UnaryOp::StrLen => Ok(Value::Int(value.to_xdm_string().chars().count() as i64)),
+        UnaryOp::Neg => value.arithmetic(ArithOp::Mul, Cell::Int(-1)),
+        UnaryOp::ToNumber => value.to_number(),
+        UnaryOp::ToString => Ok(Value::Str(value.to_string())),
+        UnaryOp::StrLen => Ok(Value::Int(with_str(value, |s| s.chars().count()) as i64)),
     }
 }
 
-/// Memo for one `Contains`/`StartsWith` map operator: substring tests are
-/// evaluated once per distinct `(left, right)` string pair instead of once
-/// per row.  Step outputs and attribute values come out of the store's
-/// property dictionaries, so long columns repeat few distinct strings and
-/// the per-row rescan collapses to one probe per dictionary code.
-///
-/// One memo must serve exactly one operator instance (the cache key does
-/// not include the operator).
-#[derive(Debug, Default)]
-pub struct SubstringMemo {
-    cache: std::collections::HashMap<String, std::collections::HashMap<String, bool>>,
+/// Run `f` on the string representation of `cell`: borrowed for a
+/// string, formatted for anything else.
+fn with_str<R>(cell: Cell<'_>, f: impl FnOnce(&str) -> R) -> R {
+    match cell {
+        Cell::Str(s) => f(s),
+        other => f(&other.to_string()),
+    }
 }
 
-impl SubstringMemo {
-    /// Create an empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// [`binary_cell`] on owned values.
+pub fn apply_binary(op: BinaryOp, left: &Value, right: &Value) -> RelResult<Value> {
+    binary_cell(op, left.cell(), right.cell())
+}
 
-    /// Apply `op` like [`apply_binary`], consulting the memo when both
-    /// sides are strings and the operator is a substring test.
-    pub fn apply(&mut self, op: BinaryOp, left: &Value, right: &Value) -> RelResult<Value> {
-        match (op, left, right) {
-            (BinaryOp::Contains | BinaryOp::StartsWith, Value::Str(l), Value::Str(r)) => {
-                if let Some(&hit) = self.cache.get(l).and_then(|m| m.get(r)) {
-                    return Ok(Value::Bool(hit));
-                }
-                let result = apply_binary(op, left, right)?;
-                let hit = matches!(result, Value::Bool(true));
-                self.cache
-                    .entry(l.clone())
-                    .or_default()
-                    .insert(r.clone(), hit);
-                Ok(result)
-            }
-            _ => apply_binary(op, left, right),
+/// [`unary_cell`] on an owned value.
+pub fn apply_unary(op: UnaryOp, value: &Value) -> RelResult<Value> {
+    unary_cell(op, value.cell())
+}
+
+/// The node-only atomization hook the engine hands the kernels: append
+/// the string value of a node to the buffer.
+pub type Atomizer<'h> = dyn FnMut(NodeRef, &mut String) + 'h;
+
+/// Atomize an owned value through `atomize`: a node becomes its string
+/// value, an atomic stays as it is.
+pub fn atomize_value(value: Value, atomize: &mut Atomizer<'_>) -> Value {
+    match value {
+        Value::Node(node) => {
+            let mut text = String::new();
+            atomize(node, &mut text);
+            Value::Str(text)
         }
+        atomic => atomic,
     }
 }
+
+// ----- value-at-a-time reference kernels --------------------------------
+//
+// The operators below evaluate one row at a time on owned `Value`s and
+// rebuild every output with `Column::from_values` — the semantics of the
+// fused kernel (`super::pipeline`), which the engine runs for every ⊙,
+// attach and `fn:data`.  They are kept as the differential-testing
+// reference for it, as `equi_join_generic` is for the typed join.
 
 /// ⊙: append column `target` = `left ⊙ right` to a copy of `input`.
+/// Operands are atomized through `atomize`, except that two nodes under a
+/// comparison compare as nodes (identity / document order).
 pub fn map_binary(
     input: &Table,
     target: &str,
     left: &str,
     op: BinaryOp,
     right: &str,
+    atomize: &mut Atomizer<'_>,
 ) -> RelResult<Table> {
     let lcol = input.column(left)?;
     let rcol = input.column(right)?;
     let mut values = Vec::with_capacity(input.row_count());
     for row in 0..input.row_count() {
-        values.push(apply_binary(op, &lcol.get(row), &rcol.get(row))?);
+        let (l, r) = (lcol.get(row), rcol.get(row));
+        values.push(match (&l, &r, op) {
+            (Value::Node(_), Value::Node(_), BinaryOp::Cmp(_)) => apply_binary(op, &l, &r)?,
+            _ => apply_binary(op, &atomize_value(l, atomize), &atomize_value(r, atomize))?,
+        });
     }
     let mut out = input.clone();
     out.add_column(target, Column::from_values(values))?;
     Ok(out)
 }
 
-/// Unary ⊙: append column `target` = `op(source)` to a copy of `input`.
-pub fn map_unary(input: &Table, target: &str, op: UnaryOp, source: &str) -> RelResult<Table> {
+/// Unary ⊙: append column `target` = `op(source)` to a copy of `input`,
+/// the operand atomized through `atomize`.
+pub fn map_unary(
+    input: &Table,
+    target: &str,
+    op: UnaryOp,
+    source: &str,
+    atomize: &mut Atomizer<'_>,
+) -> RelResult<Table> {
     let col = input.column(source)?;
     let mut values = Vec::with_capacity(input.row_count());
     for row in 0..input.row_count() {
-        values.push(apply_unary(op, &col.get(row))?);
+        values.push(apply_unary(op, &atomize_value(col.get(row), atomize))?);
     }
     let mut out = input.clone();
     out.add_column(target, Column::from_values(values))?;
@@ -223,10 +243,39 @@ pub fn map_const(input: &Table, target: &str, value: &Value) -> RelResult<Table>
     Ok(out)
 }
 
+/// Atomization (`fn:data`): replace `column` with its values atomized
+/// through `atomize`, leaving every other column untouched.
+pub fn map_data(input: &Table, column: &str, atomize: &mut Atomizer<'_>) -> RelResult<Table> {
+    let mut values: Vec<Value> = input
+        .column(column)?
+        .iter_values()
+        .map(|value| atomize_value(value, atomize))
+        .collect();
+    // Column names are unique: exactly one column takes the values.
+    let columns = input
+        .columns()
+        .iter()
+        .map(|(name, c)| {
+            let c = if name == column {
+                Column::from_values(std::mem::take(&mut values))
+            } else {
+                c.clone()
+            };
+            (name.clone(), c)
+        })
+        .collect();
+    Table::new(columns)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::Column;
+
+    /// A hook for tables that hold no nodes.
+    fn no_nodes() -> impl FnMut(NodeRef, &mut String) {
+        |_, _| unreachable!("no node operands")
+    }
 
     fn table() -> Table {
         Table::new(vec![
@@ -239,17 +288,41 @@ mod tests {
 
     #[test]
     fn arithmetic_map() {
-        let t = map_binary(&table(), "sum", "a", BinaryOp::Arith(ArithOp::Add), "b").unwrap();
+        let t = map_binary(
+            &table(),
+            "sum",
+            "a",
+            BinaryOp::Arith(ArithOp::Add),
+            "b",
+            &mut no_nodes(),
+        )
+        .unwrap();
         assert_eq!(t.value("sum", 0).unwrap(), Value::Int(13));
         assert_eq!(t.value("sum", 2).unwrap(), Value::Int(37));
     }
 
     #[test]
     fn comparison_map_produces_booleans() {
-        let t = map_binary(&table(), "eq", "a", BinaryOp::Cmp(CmpOp::Eq), "b").unwrap();
+        let t = map_binary(
+            &table(),
+            "eq",
+            "a",
+            BinaryOp::Cmp(CmpOp::Eq),
+            "b",
+            &mut no_nodes(),
+        )
+        .unwrap();
         assert_eq!(t.value("eq", 0).unwrap(), Value::Bool(false));
         assert_eq!(t.value("eq", 1).unwrap(), Value::Bool(true));
-        let t = map_binary(&table(), "gt", "a", BinaryOp::Cmp(CmpOp::Gt), "b").unwrap();
+        let t = map_binary(
+            &table(),
+            "gt",
+            "a",
+            BinaryOp::Cmp(CmpOp::Gt),
+            "b",
+            &mut no_nodes(),
+        )
+        .unwrap();
         assert_eq!(t.value("gt", 0).unwrap(), Value::Bool(true));
     }
 
@@ -260,8 +333,8 @@ mod tests {
             ("y".into(), Column::bools(vec![true, false, false])),
         ])
         .unwrap();
-        let t = map_binary(&t, "and", "x", BinaryOp::And, "y").unwrap();
-        let t = map_binary(&t, "or", "x", BinaryOp::Or, "y").unwrap();
+        let t = map_binary(&t, "and", "x", BinaryOp::And, "y", &mut no_nodes()).unwrap();
+        let t = map_binary(&t, "or", "x", BinaryOp::Or, "y", &mut no_nodes()).unwrap();
         assert_eq!(t.value("and", 1).unwrap(), Value::Bool(false));
         assert_eq!(t.value("or", 1).unwrap(), Value::Bool(true));
     }
@@ -285,6 +358,52 @@ mod tests {
             Value::Str("7".into())
         );
         assert!(apply_unary(UnaryOp::ToNumber, &Value::Str("abc".into())).is_err());
+        assert!(apply_unary(UnaryOp::ToNumber, &Value::Str("infinity".into())).is_err());
+        assert_eq!(
+            apply_unary(UnaryOp::ToNumber, &Value::Str("-INF".into())).unwrap(),
+            Value::Dbl(f64::NEG_INFINITY)
+        );
+    }
+
+    /// Node operands are atomized through the hook, except that two
+    /// nodes under a comparison compare in document order.
+    #[test]
+    fn reference_maps_atomize_node_operands() {
+        let nodes = Table::new(vec![
+            (
+                "n".into(),
+                Column::nodes(vec![NodeRef::new(0, 4), NodeRef::new(0, 9)]),
+            ),
+            (
+                "m".into(),
+                Column::nodes(vec![NodeRef::new(0, 5), NodeRef::new(0, 2)]),
+            ),
+        ])
+        .unwrap();
+        let mut pre_as_text = |node: NodeRef, out: &mut String| out.push_str(&node.pre.to_string());
+        let t = map_binary(
+            &nodes,
+            "lt",
+            "n",
+            BinaryOp::Cmp(CmpOp::Lt),
+            "m",
+            &mut pre_as_text,
+        )
+        .unwrap();
+        assert_eq!(t.column("lt").unwrap(), &Column::bools(vec![true, false]));
+        let t = map_binary(&nodes, "c", "n", BinaryOp::Concat, "m", &mut pre_as_text).unwrap();
+        assert_eq!(t.value("c", 1).unwrap(), Value::Str("92".into()));
+        let t = map_unary(&nodes, "x", UnaryOp::ToNumber, "n", &mut pre_as_text).unwrap();
+        assert_eq!(t.column("x").unwrap(), &Column::dbls(vec![4.0, 9.0]));
+        let t = map_data(&nodes, "m", &mut pre_as_text).unwrap();
+        assert_eq!(
+            t.column("m").unwrap(),
+            &Column::strs(vec!["5".into(), "2".into()])
+        );
+        assert!(t
+            .column("n")
+            .unwrap()
+            .shares_data(nodes.column("n").unwrap()));
     }
 
     #[test]
@@ -319,7 +438,15 @@ mod tests {
     #[test]
     fn map_shares_untouched_input_columns() {
         let t = table();
-        let out = map_binary(&t, "sum", "a", BinaryOp::Arith(ArithOp::Add), "b").unwrap();
+        let out = map_binary(
+            &t,
+            "sum",
+            "a",
+            BinaryOp::Arith(ArithOp::Add),
+            "b",
+            &mut no_nodes(),
+        )
+        .unwrap();
         // ⊙ appends one new column; the input columns are shared, not copied.
         for name in ["iter", "a", "b"] {
             assert!(out
@@ -345,7 +472,7 @@ mod tests {
     #[test]
     fn type_errors_are_reported() {
         let t = table();
-        assert!(map_binary(&t, "x", "a", BinaryOp::And, "b").is_err());
-        assert!(map_unary(&t, "x", UnaryOp::Not, "a").is_err());
+        assert!(map_binary(&t, "x", "a", BinaryOp::And, "b", &mut no_nodes()).is_err());
+        assert!(map_unary(&t, "x", UnaryOp::Not, "a", &mut no_nodes()).is_err());
     }
 }

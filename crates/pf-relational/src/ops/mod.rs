@@ -27,7 +27,10 @@ pub use index::{
 };
 pub use join::{cross, equi_join, equi_join_generic, theta_join, JoinPlan, ThetaPlan};
 pub use keys::{Key, KeyView, NatIndex};
-pub use map::{map_binary, map_const, map_unary, BinaryOp, CmpOp, SubstringMemo, UnaryOp};
+pub use map::{
+    binary_cell, map_binary, map_const, map_data, map_unary, unary_cell, Atomizer, BinaryOp, CmpOp,
+    UnaryOp,
+};
 pub use pipeline::{run_pipeline, run_pipeline_range, steps_chunkable, FusedStep};
 pub use project::project;
 pub use rownum::{row_number, row_number_by, row_number_permuted, OrderSpec};

@@ -27,11 +27,11 @@ use std::ops::Range;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::ops::join::{nan_error, numeric_keys};
+use crate::ops::join::numeric_keys;
 use crate::ops::keys::{Key, KeyView};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{nan_error, Value};
 
 /// What a grouped rank count counts: per distinct `group` value of the
 /// left input, the distinct `right_id` values of the right input with at

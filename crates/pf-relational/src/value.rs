@@ -5,9 +5,20 @@
 //! this module defines the Rust representation of a single item together
 //! with the coercion, comparison and arithmetic rules the compiled plans
 //! rely on.
+//!
+//! The rules are written once, on the borrowed [`Cell`] view the kernels
+//! read columns through (a string cell borrows the column's buffer); the
+//! [`Value`] methods and the ⊙ operators of [`crate::ops::map`] delegate
+//! to them, and the typed loops of the fused kernel call the same scalar
+//! helpers ([`compare_f64`] and the arithmetic below), so every path
+//! raises the same error text for the same row.  Strings become numbers
+//! through [`parse_double`], the one `xs:double` lexical parser.
 
 use std::cmp::Ordering;
 use std::fmt;
+
+pub use pf_store::parse_double;
+use pf_store::XsDouble;
 
 use crate::error::{RelError, RelResult};
 
@@ -78,13 +89,19 @@ pub enum Value {
 impl Value {
     /// The [`ValueType`] of this value.
     pub fn value_type(&self) -> ValueType {
+        self.cell().value_type()
+    }
+
+    /// The borrowed [`Cell`] view of this value.
+    #[inline]
+    pub fn cell(&self) -> Cell<'_> {
         match self {
-            Value::Nat(_) => ValueType::Nat,
-            Value::Int(_) => ValueType::Int,
-            Value::Dbl(_) => ValueType::Dbl,
-            Value::Str(_) => ValueType::Str,
-            Value::Bool(_) => ValueType::Bool,
-            Value::Node(_) => ValueType::Node,
+            Value::Nat(n) => Cell::Nat(*n),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Dbl(d) => Cell::Dbl(*d),
+            Value::Str(s) => Cell::Str(s),
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Node(n) => Cell::Node(*n),
         }
     }
 
@@ -105,138 +122,32 @@ impl Value {
         }
     }
 
-    /// Interpret as a boolean (for selection predicates).
+    /// Interpret as a boolean (for selection predicates); see
+    /// [`Cell::as_bool`].
     pub fn as_bool(&self) -> RelResult<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(RelError::new(format!("expected boolean, found {other}"))),
-        }
-    }
-
-    /// Numeric view for arithmetic: integers stay exact, doubles are lossy.
-    fn as_f64(&self) -> RelResult<f64> {
-        match self {
-            Value::Nat(n) => Ok(*n as f64),
-            Value::Int(i) => Ok(*i as f64),
-            Value::Dbl(d) => Ok(*d),
-            other => Err(RelError::new(format!("expected number, found {other}"))),
-        }
+        self.cell().as_bool()
     }
 
     /// `true` if the value is numeric.
     pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Nat(_) | Value::Int(_) | Value::Dbl(_))
+        self.cell().is_numeric()
     }
 
-    /// The XQuery effective boolean value / string representation used by
-    /// `fn:data` on atomics.
+    /// The XQuery string representation used by `fn:data` / `fn:string`
+    /// on atomics (see [`Cell`]'s `Display`).
     pub fn to_xdm_string(&self) -> String {
-        match self {
-            Value::Nat(n) => n.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Dbl(d) => format_double(*d),
-            Value::Str(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
-            Value::Node(n) => n.to_string(),
-        }
+        self.cell().to_string()
     }
 
-    /// Arithmetic on two values following the XQuery numeric promotion rules
-    /// (integer op integer stays integer except for `div`).
+    /// Arithmetic following the XQuery numeric promotion rules; see
+    /// [`Cell::arithmetic`].
     pub fn arithmetic(&self, op: ArithOp, rhs: &Value) -> RelResult<Value> {
-        use ArithOp::*;
-        let as_i64 = |v: &Value| match v {
-            Value::Int(x) => Some(*x),
-            Value::Nat(x) => Some(*x as i64),
-            _ => None,
-        };
-        match (as_i64(self), as_i64(rhs)) {
-            (Some(a), Some(b)) if op != Div => {
-                let r = match op {
-                    Add => a.checked_add(b),
-                    Sub => a.checked_sub(b),
-                    Mul => a.checked_mul(b),
-                    IDiv => {
-                        if b == 0 {
-                            return Err(RelError::new("integer division by zero"));
-                        }
-                        a.checked_div(b)
-                    }
-                    Mod => {
-                        if b == 0 {
-                            return Err(RelError::new("modulo by zero"));
-                        }
-                        a.checked_rem(b)
-                    }
-                    Div => unreachable!(),
-                };
-                r.map(Value::Int)
-                    .ok_or_else(|| RelError::new("integer overflow in arithmetic"))
-            }
-            _ => {
-                let a = self.as_f64()?;
-                let b = rhs.as_f64()?;
-                let r = match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => {
-                        if b == 0.0 {
-                            return Err(RelError::new("division by zero"));
-                        }
-                        a / b
-                    }
-                    IDiv => {
-                        if b == 0.0 {
-                            return Err(RelError::new("integer division by zero"));
-                        }
-                        return Ok(Value::Int((a / b).trunc() as i64));
-                    }
-                    Mod => {
-                        if b == 0.0 {
-                            return Err(RelError::new("modulo by zero"));
-                        }
-                        a % b
-                    }
-                };
-                Ok(Value::Dbl(r))
-            }
-        }
+        self.cell().arithmetic(op, rhs.cell())
     }
 
-    /// General ("value") comparison following XQuery `eq`/`lt`/… semantics:
-    /// numbers compare numerically, strings lexicographically, booleans as
-    /// false < true, nodes in document order.
+    /// General ("value") comparison; see [`Cell::compare`].
     pub fn compare(&self, rhs: &Value) -> RelResult<Ordering> {
-        match (self, rhs) {
-            (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Ok(a.cmp(b)),
-            (Value::Node(a), Value::Node(b)) => Ok(a.cmp(b)),
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-                    .ok_or_else(|| RelError::new("NaN is not comparable"))
-            }
-            // Mixed string/number comparisons arise from untyped XML content;
-            // follow the common "cast the string to a number if possible,
-            // otherwise compare as strings" route used for untyped atomics.
-            (Value::Str(s), b) if b.is_numeric() => match s.trim().parse::<f64>() {
-                Ok(x) => x
-                    .partial_cmp(&b.as_f64()?)
-                    .ok_or_else(|| RelError::new("NaN is not comparable")),
-                Err(_) => Ok(s.as_str().cmp(b.to_xdm_string().as_str())),
-            },
-            (a, Value::Str(s)) if a.is_numeric() => match s.trim().parse::<f64>() {
-                Ok(y) => a
-                    .as_f64()?
-                    .partial_cmp(&y)
-                    .ok_or_else(|| RelError::new("NaN is not comparable")),
-                Err(_) => Ok(a.to_xdm_string().as_str().cmp(s.as_str())),
-            },
-            (a, b) => Err(RelError::new(format!(
-                "values {a} and {b} are not comparable"
-            ))),
-        }
+        self.cell().compare(rhs.cell())
     }
 
     /// A total order usable for sorting and duplicate elimination: orders by
@@ -263,13 +174,237 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Node(a), Value::Node(b)) => a.cmp(b),
             (a, b) if a.is_numeric() && b.is_numeric() => {
-                let x = a.as_f64().unwrap_or(f64::NAN);
-                let y = b.as_f64().unwrap_or(f64::NAN);
+                let x = a.cell().as_f64().unwrap_or(f64::NAN);
+                let y = b.cell().as_f64().unwrap_or(f64::NAN);
                 nan_last_cmp(x, y)
             }
             (a, b) => type_rank(a).cmp(&type_rank(b)),
         }
     }
+}
+
+/// One cell of a column (or a [`Value`]) viewed in place: a string cell
+/// borrows the buffer it lives in.  The derived equality is [`Value`]'s:
+/// the same variant with an equal payload (so `Int(1) != Nat(1)` and
+/// `NaN != NaN`), which is what σ= tests.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// A natural number.
+    Nat(u64),
+    /// An `xs:integer`.
+    Int(i64),
+    /// An `xs:double`.
+    Dbl(f64),
+    /// An `xs:string`, borrowed.
+    Str(&'a str),
+    /// An `xs:boolean`.
+    Bool(bool),
+    /// A node reference.
+    Node(NodeRef),
+}
+
+impl<'a> Cell<'a> {
+    /// The owned [`Value`] of this cell (clones a string).
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Nat(n) => Value::Nat(n),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Dbl(d) => Value::Dbl(d),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Node(n) => Value::Node(n),
+        }
+    }
+
+    /// The [`ValueType`] of this cell.
+    pub fn value_type(self) -> ValueType {
+        match self {
+            Cell::Nat(_) => ValueType::Nat,
+            Cell::Int(_) => ValueType::Int,
+            Cell::Dbl(_) => ValueType::Dbl,
+            Cell::Str(_) => ValueType::Str,
+            Cell::Bool(_) => ValueType::Bool,
+            Cell::Node(_) => ValueType::Node,
+        }
+    }
+
+    /// `true` if the cell is numeric.
+    pub fn is_numeric(self) -> bool {
+        matches!(self, Cell::Nat(_) | Cell::Int(_) | Cell::Dbl(_))
+    }
+
+    /// Numeric view for arithmetic and comparison: integers convert to
+    /// `f64` (lossy beyond 2^53).
+    fn as_f64(self) -> RelResult<f64> {
+        match self {
+            Cell::Nat(n) => Ok(n as f64),
+            Cell::Int(i) => Ok(i as f64),
+            Cell::Dbl(d) => Ok(d),
+            other => Err(RelError::new(format!("expected number, found {other}"))),
+        }
+    }
+
+    /// The integer view of integer arithmetic (`Nat`s wrap into `i64`).
+    fn as_i64(self) -> Option<i64> {
+        match self {
+            Cell::Int(i) => Some(i),
+            Cell::Nat(n) => Some(n as i64),
+            _ => None,
+        }
+    }
+
+    /// Interpret as a boolean (for selection predicates and the boolean
+    /// connectives): only `xs:boolean` qualifies.
+    pub fn as_bool(self) -> RelResult<bool> {
+        match self {
+            Cell::Bool(b) => Ok(b),
+            other => Err(RelError::new(format!("expected boolean, found {other}"))),
+        }
+    }
+
+    /// Arithmetic on two cells following the XQuery numeric promotion
+    /// rules: integer op integer stays integer (checked) except for `div`;
+    /// anything involving a double is double arithmetic, where `idiv`
+    /// yields an integer.
+    pub fn arithmetic(self, op: ArithOp, rhs: Cell<'_>) -> RelResult<Value> {
+        match (self.as_i64(), rhs.as_i64()) {
+            (Some(a), Some(b)) if op != ArithOp::Div => int_arith(op, a, b).map(Value::Int),
+            _ => {
+                let (a, b) = (self.as_f64()?, rhs.as_f64()?);
+                if op == ArithOp::IDiv {
+                    dbl_idiv(a, b).map(Value::Int)
+                } else {
+                    dbl_arith(op, a, b).map(Value::Dbl)
+                }
+            }
+        }
+    }
+
+    /// General ("value") comparison following XQuery `eq`/`lt`/…
+    /// semantics: numbers compare numerically ([`compare_f64`]), strings
+    /// lexicographically, booleans as false < true, nodes in document
+    /// order.  Untyped content compared with a number is cast when it
+    /// parses ([`parse_double`]) and compared as a string otherwise.
+    pub fn compare(self, rhs: Cell<'_>) -> RelResult<Ordering> {
+        match (self, rhs) {
+            (Cell::Str(a), Cell::Str(b)) => Ok(a.cmp(b)),
+            (Cell::Bool(a), Cell::Bool(b)) => Ok(a.cmp(&b)),
+            (Cell::Node(a), Cell::Node(b)) => Ok(a.cmp(&b)),
+            (a, b) if a.is_numeric() && b.is_numeric() => compare_f64(a.as_f64()?, b.as_f64()?),
+            (Cell::Str(s), b) if b.is_numeric() => match parse_double(s) {
+                Some(x) => compare_f64(x, b.as_f64()?),
+                None => Ok(s.cmp(b.to_string().as_str())),
+            },
+            (a, Cell::Str(s)) if a.is_numeric() => match parse_double(s) {
+                Some(y) => compare_f64(a.as_f64()?, y),
+                None => Ok(a.to_string().as_str().cmp(s)),
+            },
+            (a, b) => Err(RelError::new(format!(
+                "values {a} and {b} are not comparable"
+            ))),
+        }
+    }
+
+    /// The cast of `fn:number` on an atomic: numbers stay as they are,
+    /// strings parse as `xs:double`, booleans become 0 or 1.
+    pub fn to_number(self) -> RelResult<Value> {
+        match self {
+            Cell::Nat(_) | Cell::Int(_) | Cell::Dbl(_) => Ok(self.to_value()),
+            Cell::Str(s) => cast_double(s).map(Value::Dbl),
+            Cell::Bool(b) => Ok(Value::Int(i64::from(b))),
+            Cell::Node(_) => Err(RelError::new("cannot cast a node reference to a number")),
+        }
+    }
+}
+
+/// The XQuery string representation (what `fn:string` gives an atomic):
+/// doubles print as [`XsDouble`], nodes as `node(doc,pre)`.
+impl fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Nat(n) => write!(f, "{n}"),
+            Cell::Int(i) => write!(f, "{i}"),
+            Cell::Dbl(d) => write!(f, "{}", XsDouble(*d)),
+            Cell::Str(s) => f.write_str(s),
+            Cell::Bool(b) => write!(f, "{b}"),
+            Cell::Node(n) => write!(f, "{n}"),
+        }
+    }
+}
+
+/// The cast of a string to `xs:double` ([`parse_double`]), failing with
+/// the cast error.
+#[inline]
+pub fn cast_double(text: &str) -> RelResult<f64> {
+    parse_double(text).ok_or_else(|| RelError::new(format!("cannot cast `{text}` to a number")))
+}
+
+/// Numeric comparison: `NaN` is not comparable.
+#[inline]
+pub fn compare_f64(a: f64, b: f64) -> RelResult<Ordering> {
+    a.partial_cmp(&b).ok_or_else(nan_error)
+}
+
+/// The error a comparison with a `NaN` operand raises.
+pub(crate) fn nan_error() -> RelError {
+    RelError::new("NaN is not comparable")
+}
+
+/// Integer arithmetic (every operator but `div`, which is double
+/// arithmetic): overflow and division by zero are errors.
+#[inline]
+pub fn int_arith(op: ArithOp, a: i64, b: i64) -> RelResult<i64> {
+    let r = match op {
+        ArithOp::Add => a.checked_add(b),
+        ArithOp::Sub => a.checked_sub(b),
+        ArithOp::Mul => a.checked_mul(b),
+        ArithOp::IDiv => {
+            if b == 0 {
+                return Err(RelError::new("integer division by zero"));
+            }
+            a.checked_div(b)
+        }
+        ArithOp::Mod => {
+            if b == 0 {
+                return Err(RelError::new("modulo by zero"));
+            }
+            a.checked_rem(b)
+        }
+        ArithOp::Div => unreachable!("`div` is double arithmetic"),
+    };
+    r.ok_or_else(|| RelError::new("integer overflow in arithmetic"))
+}
+
+/// Double arithmetic for every operator but `idiv` (see [`dbl_idiv`]).
+#[inline]
+pub fn dbl_arith(op: ArithOp, a: f64, b: f64) -> RelResult<f64> {
+    Ok(match op {
+        ArithOp::Add => a + b,
+        ArithOp::Sub => a - b,
+        ArithOp::Mul => a * b,
+        ArithOp::Div => {
+            if b == 0.0 {
+                return Err(RelError::new("division by zero"));
+            }
+            a / b
+        }
+        ArithOp::Mod => {
+            if b == 0.0 {
+                return Err(RelError::new("modulo by zero"));
+            }
+            a % b
+        }
+        ArithOp::IDiv => unreachable!("`idiv` yields an integer: dbl_idiv"),
+    })
+}
+
+/// `idiv` on doubles: the truncated quotient as an integer.
+#[inline]
+pub fn dbl_idiv(a: f64, b: f64) -> RelResult<i64> {
+    if b == 0.0 {
+        return Err(RelError::new("integer division by zero"));
+    }
+    Ok((a / b).trunc() as i64)
 }
 
 /// A genuinely total double comparison for sorting: ordinary values by
@@ -289,19 +424,9 @@ pub fn nan_last_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// Print `xs:double` values the way the XQuery serialization does for the
-/// common cases (integral doubles print without a trailing `.0`).
-fn format_double(d: f64) -> String {
-    if d.fract() == 0.0 && d.abs() < 1e15 {
-        format!("{}", d as i64)
-    } else {
-        format!("{d}")
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_xdm_string())
+        self.cell().fmt(f)
     }
 }
 
@@ -434,6 +559,53 @@ mod tests {
         assert_eq!(Value::Dbl(2.5).to_xdm_string(), "2.5");
         assert_eq!(Value::Bool(true).to_xdm_string(), "true");
         assert_eq!(Value::Str("x".into()).to_xdm_string(), "x");
+        assert_eq!(Value::Dbl(f64::INFINITY).to_xdm_string(), "INF");
+        assert_eq!(Value::Dbl(f64::NEG_INFINITY).to_xdm_string(), "-INF");
+    }
+
+    /// Untyped content is cast with the `xs:double` lexical rules: `INF`
+    /// is a number, `infinity` is a string.
+    #[test]
+    fn untyped_comparisons_use_the_xs_double_lexical_space() {
+        let inf = Value::Str("INF".into());
+        assert_eq!(inf.compare(&Value::Int(1)).unwrap(), Ordering::Greater);
+        // "-infinity" is not a number: compared as strings, "-i" > "-5".
+        let word = Value::Str("-infinity".into());
+        assert_eq!(word.compare(&Value::Int(-5)).unwrap(), Ordering::Greater);
+        assert!(Value::Str("NaN".into())
+            .compare(&Value::Int(1))
+            .unwrap_err()
+            .to_string()
+            .contains("NaN is not comparable"));
+        assert_eq!(Cell::Str(" 2.5 ").to_number().unwrap(), Value::Dbl(2.5));
+        assert!(Cell::Str("infinity")
+            .to_number()
+            .unwrap_err()
+            .to_string()
+            .contains("cannot cast `infinity` to a number"));
+    }
+
+    /// Cells and values are two views of one rule set: equality, display
+    /// and the round trip agree.
+    #[test]
+    fn cells_are_borrowed_views_of_values() {
+        let values = [
+            Value::Nat(3),
+            Value::Int(-3),
+            Value::Dbl(0.5),
+            Value::Str("s".into()),
+            Value::Bool(false),
+            Value::Node(NodeRef::new(1, 2)),
+        ];
+        for a in &values {
+            assert_eq!(a.cell().to_value(), *a);
+            assert_eq!(a.cell().to_string(), a.to_xdm_string());
+            for b in &values {
+                assert_eq!(a.cell() == b.cell(), a == b);
+            }
+        }
+        assert_ne!(Cell::Dbl(f64::NAN), Cell::Dbl(f64::NAN));
+        assert_ne!(Cell::Int(1), Cell::Nat(1));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! ```text
 //! pf> fn:count(fn:doc("auction.xml")//item)     -- any other line: a query
 //! pf> :load name path/to.xml                    -- load a document
+//! pf> :explain fn:count(fn:doc("auction.xml")//item)  -- the annotated plan
 //! pf> :stats                                    -- engine counters
 //! pf> :quit
 //! ```
@@ -83,6 +84,7 @@ fn run_command(backend: &mut Backend, line: &str) -> bool {
                 };
                 format!("LOADFILE {name} {path}")
             }
+            "explain" => format!("EXPLAIN {}", args.replace('\n', " ")),
             "stats" => "STATS".to_string(),
             "quit" | "q" => {
                 let _ = backend.request("QUIT");
@@ -93,7 +95,9 @@ fn run_command(backend: &mut Backend, line: &str) -> bool {
                 return false;
             }
             other => {
-                eprintln!("unknown command :{other} (try :load, :stats, :quit, :shutdown)");
+                eprintln!(
+                    "unknown command :{other} (try :load, :explain, :stats, :quit, :shutdown)"
+                );
                 return true;
             }
         }

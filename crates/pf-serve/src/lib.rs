@@ -17,6 +17,7 @@
 //! | request                  | response                                     |
 //! |--------------------------|----------------------------------------------|
 //! | `QUERY <xquery>`         | `OK <escaped serialized result>`             |
+//! | `EXPLAIN <xquery>`       | `OK <escaped annotated plan>` (not executed) |
 //! | `LOAD <name> <xml>`      | `OK loaded <name>` (xml is escaped)          |
 //! | `LOADFILE <name> <path>` | `OK loaded <name>` (path read server-side)   |
 //! | `STATS`                  | `OK k=v ...` (admission, cache, pool, docs)  |
@@ -24,8 +25,11 @@
 //! | `QUIT`                   | `OK bye`, then the connection closes         |
 //! | `SHUTDOWN`               | `OK shutting down`, then the server exits    |
 //!
-//! Blank lines are ignored; an unknown verb answers `ERR`.  The `QUERY`
-//! verb accepts the query text verbatim (queries are single-line in the
+//! `EXPLAIN` returns the optimized plan as an indented tree, each operator
+//! with its properties and the physical node that runs it (`pipe#k` for a
+//! fused pipeline, `brk#k` for a breaker).  Blank lines are ignored; an
+//! unknown verb answers `ERR`.  The `QUERY` and `EXPLAIN` verbs accept the
+//! query text verbatim (queries are single-line in the
 //! protocol; clients fold newlines to spaces, which never changes XQuery
 //! semantics outside string literals).
 
@@ -150,6 +154,15 @@ pub fn handle_line(session: &Session<'_>, line: &str) -> Reply {
             }
             match session.query(rest) {
                 Ok(result) => Reply::Line(ok(&result.to_xml())),
+                Err(e) => Reply::Line(err(&e.to_string())),
+            }
+        }
+        "EXPLAIN" => {
+            if rest.is_empty() {
+                return Reply::Line(err("EXPLAIN needs a query text"));
+            }
+            match session.explain(rest) {
+                Ok(explain) => Reply::Line(ok(&explain.plan_physical())),
                 Err(e) => Reply::Line(err(&e.to_string())),
             }
         }
@@ -316,6 +329,18 @@ mod tests {
         );
         let reply = handle_line(&session, "QUERY fn:doc(\"m.xml\")/a/text()");
         assert_eq!(reply, Reply::Line("OK x\\ny".into()));
+        // EXPLAIN: the annotated plan on one escaped line, each operator
+        // tagged with the physical node that runs it; nothing executes.
+        let reply = handle_line(&session, "EXPLAIN fn:count(fn:doc(\"d.xml\")//b)");
+        let plan = unescape_line(reply.line().strip_prefix("OK ").expect("an OK line"));
+        assert!(!reply.line().contains('\n'), "{reply:?}");
+        assert!(plan.lines().count() > 3, "{plan}");
+        assert!(plan.contains(" pipe#") && plan.contains(" brk#"), "{plan}");
+        assert!(plan.contains("rows≈"), "{plan}");
+        assert!(handle_line(&session, "EXPLAIN").line().starts_with("ERR "));
+        assert!(handle_line(&session, "EXPLAIN for $x in")
+            .line()
+            .starts_with("ERR "));
         // Errors are ERR lines, not dropped connections.
         let reply = handle_line(&session, "QUERY for $x in");
         assert!(reply.line().starts_with("ERR "), "{reply:?}");
@@ -335,6 +360,7 @@ mod tests {
         // STATS reports engine counters.
         let stats = handle_line(&session, "STATS");
         assert!(stats.line().contains("documents=2"), "{stats:?}");
+        assert!(stats.line().contains("admitted=2 "), "{stats:?}");
         assert!(stats.line().contains("budget_rows=unlimited"), "{stats:?}");
     }
 

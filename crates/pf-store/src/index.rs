@@ -159,7 +159,7 @@ impl ValueIndex {
             .iter()
             .enumerate()
             .filter_map(|(i, e)| {
-                let parsed = e.key.resolve(texts).trim().parse::<f64>().ok()?;
+                let parsed = crate::lexical::parse_double(e.key.resolve(texts))?;
                 (!parsed.is_nan()).then_some((parsed, i as u32))
             })
             .collect();

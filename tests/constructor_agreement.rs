@@ -229,6 +229,30 @@ proptest! {
     }
 }
 
+/// `text { () }` constructs no node (XQuery's rule for empty content), so
+/// an element around it has no child and serializes like `element a { () }`;
+/// `text { "" }` constructs an empty text node.
+#[test]
+fn empty_text_content_constructs_no_node() {
+    let pf = Pathfinder::new();
+    let mut baseline = BaselineEngine::new();
+    for (query, expected) in [
+        ("count(text { () })", "0"),
+        ("count(text { \"\" })", "1"),
+        ("element a { text { () } }", "<a/>"),
+        ("element a { text { \"\" } }", "<a></a>"),
+        ("count(for $i in (1, 2, 3) return text { $i[. != 2] })", "2"),
+        (
+            "for $i in (1, 2, 3) return element w { text { $i[. != 2] } }",
+            "<w>1</w><w/><w>3</w>",
+        ),
+    ] {
+        let engine = pf.session().query(query).unwrap().to_xml();
+        assert_eq!(engine, expected, "{query}");
+        assert_eq!(baseline.query(query).unwrap().to_xml(), expected, "{query}");
+    }
+}
+
 /// The shapes the generator must reach, spelled out.
 #[test]
 fn constructor_shapes_agree() {
@@ -245,9 +269,18 @@ fn constructor_shapes_agree() {
         "for $c in element a { 1, doc(\"d.xml\")//text(), \"s\" } return count($c//text())",
         // The document node's children are copied.
         "element a { doc(\"d.xml\") }",
-        // text { } over empty and multi-item content.
+        // text { } over empty and multi-item content: empty content
+        // constructs no node, an empty string one.
         "element a { text { () }, 1, text { 1, doc(\"d.xml\")//f } }",
         "text { 1, \"a<b\" }",
+        "count(text { () })",
+        "count(text { \"\" })",
+        "element a { text { () } }",
+        // ... and per iteration, over empty and non-empty iterations.
+        "for $v in doc(\"d.xml\")//e return text { $v/f }",
+        "count(for $v in doc(\"d.xml\")//e return text { $v/f })",
+        "for $v in doc(\"d.xml\")//e return element w { text { $v/f/text() }, \"s\" }",
+        "for $i in (1, 2, 3) return element w { text { $i[. != 2] } }",
         // Empty sequences and loops of many iterations.
         "element a { () }",
         "for $v in doc(\"d.xml\")//missing return element w { $v }",

@@ -205,3 +205,41 @@ fn forged_attribute_markers_are_the_same_error_on_both_engines() {
         assert!(a.contains("x\ty\r\nz\t\n\r"), "{a:?}");
     }
 }
+
+/// One `xs:double` lexical parser on both engines: `INF`, `-INF` and `NaN`
+/// are numbers and serialize as XQuery spells them, while `infinity` —
+/// which Rust's own float parser accepts — is a string, in a comparison
+/// with a literal and with document content alike.
+#[test]
+fn engines_agree_on_the_xs_double_lexical_space() {
+    let xml = "<r><v>INF</v><v>-INF</v><v>infinity</v><v>2.5</v></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    for (q, expected) in [
+        ("number(\"INF\")", "INF"),
+        ("number(\" -INF \")", "-INF"),
+        ("-number(\"INF\")", "-INF"),
+        ("number(\"INF\") * 0", "NaN"),
+        ("number(\"INF\") > 1", "true"),
+        // Not a number: compared as strings, "-i" > "-5".
+        ("\"-infinity\" > -5", "true"),
+        ("\"infinity\" = number(\"INF\")", "false"),
+        (
+            "for $v in fn:doc(\"d.xml\")//v where $v > 0 return fn:string($v)",
+            "INF infinity 2.5",
+        ),
+        ("fn:sum(fn:doc(\"d.xml\")//v[1])", "INF"),
+    ] {
+        let a = pf
+            .session()
+            .query(q)
+            .unwrap_or_else(|e| panic!("Pathfinder failed on `{q}`: {e}"));
+        let b = baseline
+            .query(q)
+            .unwrap_or_else(|e| panic!("baseline failed on `{q}`: {e}"));
+        assert_eq!(a.to_xml(), b.to_xml(), "engines disagree on `{q}`");
+        assert_eq!(a.to_xml(), expected, "`{q}`");
+    }
+}

@@ -25,6 +25,14 @@
 //! `distinct_on` must equal a `HashKey` oracle (the owned-key loops they
 //! replaced); a fused δ must equal the operator.
 //!
+//! The fused kernel, finally, runs random chains of all eight
+//! [`FusedStep`] kinds over random tables — typed, `Item` and empty
+//! columns, `NaN`, strings that are and are not numbers, nodes of a small
+//! document atomized through the node-only hook — and must give the table
+//! (column representation included) or the error that the value-at-a-time
+//! reference kernels give applied one operator at a time, whole and at
+//! every chunk size.
+//!
 //! [`JoinPlan`]: pathfinder::relational::ops::JoinPlan
 //! [`AggPlan`]: pathfinder::relational::ops::AggPlan
 
@@ -32,8 +40,13 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use pathfinder::relational::ops::{self, AggFunc, AggPlan, FusedStep, HashKey, JoinPlan};
-use pathfinder::relational::{Column, Table, Value};
+use pathfinder::engine::{DocRegistry, Executor};
+use pathfinder::relational::ops::{
+    self, AggFunc, AggPlan, BinaryOp, CmpOp, FusedStep, HashKey, JoinPlan, UnaryOp,
+};
+use pathfinder::relational::value::ArithOp;
+use pathfinder::relational::{Cell, Column, NodeRef, RelResult, Table, Value};
+use pathfinder::store::DocStore;
 
 /// Random scalar values spanning every key class: small colliding
 /// integers, huge `Nat`s beyond `i64::MAX`, integral and fractional
@@ -396,16 +409,16 @@ proptest! {
             .add_column("keep", Column::bools(keep[..table.row_count()].to_vec()))
             .unwrap();
         let kept = if with_computed_column { vec!["iter", "c"] } else { vec!["iter"] };
+        let columns: Vec<(String, String)> =
+            kept.iter().map(|c| (c.to_string(), c.to_string())).collect();
         let mut steps = Vec::new();
         if select_first {
-            steps.push(FusedStep::SelectTrue { column: "keep".into() });
+            steps.push(FusedStep::SelectTrue { column: "keep" });
         }
-        steps.push(FusedStep::Attach { target: "c".into(), value: Value::Int(7) });
-        steps.push(FusedStep::Project {
-            columns: kept.iter().map(|c| (c.to_string(), c.to_string())).collect(),
-        });
+        steps.push(FusedStep::Attach { target: "c", value: &Value::Int(7) });
+        steps.push(FusedStep::Project { columns: &columns });
         steps.push(FusedStep::Distinct);
-        let fused = ops::run_pipeline(&table, &steps, &mut |v: &Value| v.clone()).unwrap();
+        let fused = ops::run_pipeline(&table, &steps, &mut |_, _| unreachable!()).unwrap();
         let selected = if select_first { ops::select_true(&table, "keep").unwrap() } else { table };
         let attached = ops::map_const(&selected, "c", &Value::Int(7)).unwrap();
         let pairs: Vec<(&str, &str)> = kept.iter().map(|c| (*c, *c)).collect();
@@ -413,4 +426,509 @@ proptest! {
         prop_assert_eq!(&fused, &ops::distinct(&projected).unwrap());
         prop_assert_eq!(fused, oracle_distinct_on(&projected, &kept));
     }
+}
+
+// ----- the fused kernel against the operator-at-a-time reference ---------
+
+/// The document node columns point into.  Pre ranks: 1 `<r>`, 2 and 4
+/// `<a>`, 3 and 5 their texts, 6 and 8 `<b>`, 10 `<c/>`.
+const DOC: &str = "<r><a>1</a><a>x</a><b>2.5</b><b>INF</b><c/></r>";
+
+/// Node cells: elements and texts of [`DOC`], and a node of a document
+/// the hook does not know (its string value is empty).
+const NODES: [(u32, u32); 8] = [
+    (0, 1),
+    (0, 2),
+    (0, 3),
+    (0, 4),
+    (0, 6),
+    (0, 8),
+    (0, 10),
+    (7, 0),
+];
+
+/// Strings that are numbers, are not, and are only to Rust's parser.
+const STRINGS: [&str; 10] = [
+    "1", " 2.5 ", "abc", "INF", "-INF", "NaN", "infinity", "", "10", "x",
+];
+
+const DOUBLES: [f64; 7] = [-1.5, 0.0, 2.0, 2.5, f64::NAN, f64::INFINITY, 10.0];
+
+/// What a column holds, as far as the chain generator cares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Class {
+    Num,
+    Str,
+    Bool,
+    Node,
+    Mixed,
+}
+
+fn class_of(value: &Value) -> Class {
+    match value {
+        Value::Nat(_) | Value::Int(_) | Value::Dbl(_) => Class::Num,
+        Value::Str(_) => Class::Str,
+        Value::Bool(_) => Class::Bool,
+        Value::Node(_) => Class::Node,
+    }
+}
+
+/// Constants for σ=, attach and `Item` cells.
+fn constants() -> Vec<Value> {
+    vec![
+        Value::Nat(1),
+        Value::Nat(3),
+        Value::Int(2),
+        Value::Int(-1),
+        Value::Dbl(2.5),
+        Value::Dbl(f64::NAN),
+        Value::Str("1".into()),
+        Value::Str("x".into()),
+        Value::Str("INF".into()),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::Node(NodeRef::new(0, 2)),
+        Value::Node(NodeRef::new(0, 8)),
+    ]
+}
+
+/// The generator's choices, read off a random tape (zeros once it runs
+/// out).
+struct Tape<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Tape<'_> {
+    fn next(&mut self, choices: usize) -> usize {
+        let byte = self.bytes.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        byte as usize % choices
+    }
+
+    fn pick<T: Clone>(&mut self, options: &[T]) -> T {
+        options[self.next(options.len())].clone()
+    }
+}
+
+/// A random input table of `rows` rows: `Nat` keys, integers, doubles,
+/// strings, booleans (random, all true or all false), two mixed `Item`
+/// columns (any constant; nodes and strings) and nodes.
+fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)>) {
+    let mut nats = Vec::new();
+    let mut ints = Vec::new();
+    let mut dbls = Vec::new();
+    let mut strs = Vec::new();
+    let mut items = Vec::new();
+    let mut texts = Vec::new();
+    let mut nodes = Vec::new();
+    for _ in 0..rows {
+        nats.push(tape.next(4) as u64);
+        ints.push(tape.next(7) as i64 - 3);
+        dbls.push(tape.pick(&DOUBLES));
+        strs.push(tape.pick(&STRINGS).to_string());
+        items.push(tape.pick(&constants()));
+        let (doc, pre) = tape.pick(&NODES);
+        nodes.push(NodeRef::new(doc, pre));
+        texts.push(match tape.next(3) {
+            0 => Value::Str(tape.pick(&STRINGS).to_string()),
+            _ => Value::Node(*nodes.last().expect("just pushed")),
+        });
+    }
+    let bools: Vec<bool> = match tape.next(3) {
+        0 => (0..rows).map(|_| tape.next(2) == 1).collect(),
+        mode => vec![mode == 1; rows],
+    };
+    let columns = vec![
+        ("k", Column::nats(nats), Class::Num),
+        ("i", Column::ints(ints), Class::Num),
+        ("f", Column::dbls(dbls), Class::Num),
+        ("s", Column::strs(strs), Class::Str),
+        ("t", Column::bools(bools), Class::Bool),
+        ("x", Column::items(items), Class::Mixed),
+        ("y", Column::items(texts), Class::Mixed),
+        ("n", Column::nodes(nodes), Class::Node),
+    ];
+    let schema = columns
+        .iter()
+        .map(|(n, _, c)| (n.to_string(), *c))
+        .collect();
+    let table = Table::new(columns.into_iter().map(|(n, c, _)| (n.into(), c)).collect()).unwrap();
+    (table, schema)
+}
+
+/// A column name of the current schema: of one of the `wanted` classes
+/// seven times in eight, and then the newest such column (a computed or
+/// constant one, once the chain has added some) a third of the time.
+fn column(tape: &mut Tape<'_>, schema: &[(String, Class)], wanted: &[Class]) -> (String, Class) {
+    let fitting: Vec<(String, Class)> = schema
+        .iter()
+        .filter(|(_, class)| wanted.contains(class))
+        .cloned()
+        .collect();
+    match (tape.next(8), fitting.last()) {
+        (0, _) | (_, None) => tape.pick(schema),
+        (1..=2, Some(newest)) => newest.clone(),
+        _ => tape.pick(&fitting),
+    }
+}
+
+/// One step of a generated chain, owning what its [`FusedStep`] borrows.
+#[derive(Debug)]
+enum Step {
+    Project(Vec<(String, String)>),
+    SelectTrue(String),
+    SelectEq(String, Value),
+    Attach(String, Value),
+    MapUnary(String, UnaryOp, String),
+    MapBinary(String, String, BinaryOp, String),
+    MapAtomize(String),
+    Distinct,
+}
+
+impl Step {
+    fn fused(&self) -> FusedStep<'_> {
+        match self {
+            Step::Project(columns) => FusedStep::Project { columns },
+            Step::SelectTrue(column) => FusedStep::SelectTrue { column },
+            Step::SelectEq(column, value) => FusedStep::SelectEq { column, value },
+            Step::Attach(target, value) => FusedStep::Attach { target, value },
+            Step::MapUnary(target, op, source) => FusedStep::MapUnary {
+                target,
+                op: *op,
+                source,
+            },
+            Step::MapBinary(target, left, op, right) => FusedStep::MapBinary {
+                target,
+                left,
+                op: *op,
+                right,
+            },
+            Step::MapAtomize(column) => FusedStep::MapAtomize { column },
+            Step::Distinct => FusedStep::Distinct,
+        }
+    }
+}
+
+/// A random chain over `schema`, tracking the schema as it goes: often
+/// `fn:data` of a node-bearing column and an attached constant first (the
+/// shape loop-lifted plans start with), then one to six steps of any
+/// kind, ⊙ the likeliest.  Operands mostly fit the operator; the rest
+/// exercise the errors.
+fn kernel_chain(tape: &mut Tape<'_>, mut schema: Vec<(String, Class)>) -> Vec<Step> {
+    const NUMS: &[Class] = &[Class::Num];
+    const ANY: &[Class] = &[
+        Class::Num,
+        Class::Str,
+        Class::Bool,
+        Class::Node,
+        Class::Mixed,
+    ];
+    const TEXTS: &[Class] = &[Class::Str, Class::Node];
+    let constants = constants();
+    let mut steps = Vec::new();
+    let prefix = [8, 3].map(|kind| (tape.next(2) == 0).then_some(kind));
+    let kinds: Vec<usize> = (0..1 + tape.next(6)).map(|_| tape.next(10)).collect();
+    for (fresh, kind) in prefix.into_iter().flatten().chain(kinds).enumerate() {
+        let target = format!("c{fresh}");
+        let step = match kind {
+            0 => {
+                let mut columns: Vec<(String, String)> = Vec::new();
+                let mut projected = Vec::new();
+                for p in 0..1 + tape.next(schema.len().min(4)) {
+                    let (source, class) = tape.pick(&schema);
+                    let clash = columns.iter().any(|(_, t)| *t == source);
+                    let name = if (clash && tape.next(8) > 0) || tape.next(3) == 0 {
+                        format!("p{fresh}_{p}")
+                    } else {
+                        source.clone()
+                    };
+                    columns.push((source, name.clone()));
+                    projected.push((name, class));
+                }
+                schema = projected;
+                Step::Project(columns)
+            }
+            1 => Step::SelectTrue(column(tape, &schema, &[Class::Bool]).0),
+            2 => {
+                let (column, class) = column(tape, &schema, ANY);
+                let fitting: Vec<Value> = constants
+                    .iter()
+                    .filter(|v| class_of(v) == class)
+                    .cloned()
+                    .collect();
+                let value = match fitting.is_empty() || tape.next(4) == 0 {
+                    true => tape.pick(&constants),
+                    false => tape.pick(&fitting),
+                };
+                Step::SelectEq(column, value)
+            }
+            3 => {
+                let value = tape.pick(&constants);
+                schema.push((target.clone(), class_of(&value)));
+                Step::Attach(target, value)
+            }
+            4 => {
+                let (op, wanted, class) = tape.pick(&[
+                    (UnaryOp::Not, &[Class::Bool][..], Class::Bool),
+                    (UnaryOp::Neg, NUMS, Class::Num),
+                    (
+                        UnaryOp::ToNumber,
+                        &[Class::Str, Class::Node, Class::Num][..],
+                        Class::Num,
+                    ),
+                    (UnaryOp::ToNumber, TEXTS, Class::Num),
+                    (UnaryOp::ToString, ANY, Class::Str),
+                    (UnaryOp::StrLen, TEXTS, Class::Num),
+                ]);
+                let source = column(tape, &schema, wanted).0;
+                schema.push((target.clone(), class));
+                Step::MapUnary(target, op, source)
+            }
+            5..=7 => {
+                let arith = [
+                    ArithOp::Add,
+                    ArithOp::Sub,
+                    ArithOp::Mul,
+                    ArithOp::Div,
+                    ArithOp::IDiv,
+                    ArithOp::Mod,
+                ];
+                let cmp = [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ];
+                let mixed = &[Class::Str, Class::Node, Class::Mixed][..];
+                let (op, wanted, class) = match tape.next(8) {
+                    0 | 1 => (BinaryOp::Arith(tape.pick(&arith)), NUMS, Class::Num),
+                    2 => (BinaryOp::Cmp(tape.pick(&cmp)), NUMS, Class::Bool),
+                    // Strings against numbers.
+                    3 => (
+                        BinaryOp::Cmp(tape.pick(&cmp)),
+                        &[Class::Num, Class::Str, Class::Mixed][..],
+                        Class::Bool,
+                    ),
+                    // Strings, nodes and atomized nodes against each other.
+                    4 => (BinaryOp::Cmp(tape.pick(&cmp)), mixed, Class::Bool),
+                    5 => (
+                        tape.pick(&[BinaryOp::Contains, BinaryOp::StartsWith, BinaryOp::Concat]),
+                        TEXTS,
+                        Class::Bool,
+                    ),
+                    6 => (
+                        tape.pick(&[BinaryOp::Contains, BinaryOp::StartsWith]),
+                        mixed,
+                        Class::Bool,
+                    ),
+                    _ => (
+                        tape.pick(&[BinaryOp::And, BinaryOp::Or]),
+                        &[Class::Bool][..],
+                        Class::Bool,
+                    ),
+                };
+                let class = if op == BinaryOp::Concat {
+                    Class::Str
+                } else {
+                    class
+                };
+                let left = column(tape, &schema, wanted).0;
+                let right = column(tape, &schema, wanted).0;
+                schema.push((target.clone(), class));
+                Step::MapBinary(target, left, op, right)
+            }
+            8 => {
+                let (column, class) = column(tape, &schema, &[Class::Node, Class::Mixed]);
+                if class == Class::Node {
+                    if let Some(entry) = schema.iter_mut().find(|(n, _)| *n == column) {
+                        entry.1 = Class::Str;
+                    }
+                }
+                Step::MapAtomize(column)
+            }
+            _ => Step::Distinct,
+        };
+        steps.push(step);
+    }
+    steps
+}
+
+/// The chain one operator at a time with the value-at-a-time reference
+/// kernels; the columns the chain computes end as `Column::from_values`
+/// builds them, the fused kernel's output convention.
+fn reference_chain(
+    input: &Table,
+    steps: &[FusedStep<'_>],
+    atomize: &mut dyn FnMut(NodeRef, &mut String),
+) -> RelResult<Table> {
+    let mut table = input.clone();
+    let mut computed: HashSet<String> = HashSet::new();
+    for &step in steps {
+        table = match step {
+            FusedStep::Project { columns } => {
+                let pairs: Vec<(&str, &str)> = columns
+                    .iter()
+                    .map(|(s, t)| (s.as_str(), t.as_str()))
+                    .collect();
+                computed = columns
+                    .iter()
+                    .filter(|(s, _)| computed.contains(s))
+                    .map(|(_, t)| t.clone())
+                    .collect();
+                ops::project(&table, &pairs)?
+            }
+            FusedStep::SelectTrue { column } => ops::select_true(&table, column)?,
+            FusedStep::SelectEq { column, value } => ops::select_eq(&table, column, value)?,
+            FusedStep::Attach { target, value } => {
+                computed.insert(target.to_string());
+                ops::map_const(&table, target, value)?
+            }
+            FusedStep::MapUnary { target, op, source } => {
+                computed.insert(target.to_string());
+                ops::map_unary(&table, target, op, source, atomize)?
+            }
+            FusedStep::MapBinary {
+                target,
+                left,
+                op,
+                right,
+            } => {
+                computed.insert(target.to_string());
+                ops::map_binary(&table, target, left, op, right, atomize)?
+            }
+            FusedStep::MapAtomize { column } => {
+                computed.insert(column.to_string());
+                ops::map_data(&table, column, atomize)?
+            }
+            FusedStep::Distinct => ops::distinct(&table)?,
+        };
+    }
+    let columns = table
+        .columns()
+        .iter()
+        .map(|(name, c)| match computed.contains(name) {
+            true => (name.clone(), Column::from_values(c.iter_values().collect())),
+            false => (name.clone(), c.clone()),
+        })
+        .collect();
+    Table::new(columns)
+}
+
+/// Table equality with `NaN` equal to `NaN`: the same names, column
+/// representations and cells.
+fn same_table(a: &Table, b: &Table) -> bool {
+    let same_cell = |x: Cell<'_>, y: Cell<'_>| match (x, y) {
+        (Cell::Dbl(x), Cell::Dbl(y)) => x == y || (x.is_nan() && y.is_nan()),
+        _ => x == y,
+    };
+    a.column_names() == b.column_names()
+        && a.row_count() == b.row_count()
+        && a.columns().iter().zip(b.columns()).all(|((_, x), (_, y))| {
+            std::mem::discriminant(x) == std::mem::discriminant(y)
+                && (0..x.len()).all(|row| same_cell(x.cell(row), y.cell(row)))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn fused_chains_agree_with_the_operator_at_a_time_reference(
+        rows in 0usize..9,
+        tape in proptest::collection::vec(0u8..255, 96..256),
+    ) {
+        let store = DocStore::from_xml("d.xml", DOC).unwrap();
+        let mut atomize = |node: NodeRef, out: &mut String| {
+            if node.doc == 0 {
+                store.push_string_value(node.pre, out);
+            }
+        };
+        let mut tape = Tape { bytes: &tape, at: 0 };
+        let (input, schema) = kernel_input(&mut tape, rows);
+        let chain = kernel_chain(&mut tape, schema);
+        let steps: Vec<FusedStep> = chain.iter().map(Step::fused).collect();
+        let fused = ops::run_pipeline(&input, &steps, &mut atomize);
+        let reference = reference_chain(&input, &steps, &mut atomize);
+        match (&fused, &reference) {
+            (Ok(f), Ok(r)) => prop_assert!(same_table(f, r), "{steps:?}\n{f:?}\n{r:?}"),
+            (Err(f), Err(r)) => prop_assert_eq!(f, r, "{:?}", steps),
+            _ => prop_assert!(false, "{steps:?}: fused {fused:?}, reference {reference:?}"),
+        }
+        if !ops::steps_chunkable(&steps) {
+            return;
+        }
+        // Every chunking concatenates to the whole run; a chunk fails
+        // exactly when the whole run does (the executor then reports the
+        // whole run's error).
+        for chunk in 1..=rows {
+            let pieces: Vec<RelResult<Table>> = (0..rows)
+                .step_by(chunk)
+                .map(|lo| {
+                    ops::run_pipeline_range(&input, &steps, lo..(lo + chunk).min(rows), &mut atomize)
+                })
+                .collect();
+            match &fused {
+                Ok(whole) => {
+                    let pieces: Vec<Table> = pieces.into_iter().map(Result::unwrap).collect();
+                    let merged = Table::concat_rows(pieces).unwrap();
+                    prop_assert!(same_table(&merged, whole), "chunk {chunk}: {steps:?}");
+                }
+                Err(_) => prop_assert!(pieces.iter().any(Result::is_err), "chunk {chunk}: {steps:?}"),
+            }
+        }
+    }
+}
+
+/// A chain that only renames hands the input buffers through: the kernel
+/// never chunks it, and the executor keeps it zero-copy at 4 threads with
+/// 2-row morsels (the physically resident cells count one copy).
+#[test]
+fn projection_pipelines_stay_zero_copy_at_four_threads() {
+    use pathfinder::algebra::{AlgOp, PlanBuilder};
+
+    let input = Table::new(vec![
+        ("iter".into(), Column::nats((0..64).collect())),
+        (
+            "item".into(),
+            Column::strs((0..64).map(|i| i.to_string()).collect()),
+        ),
+    ])
+    .unwrap();
+    let rename = FusedStep::Project {
+        columns: &[("iter".into(), "a".into()), ("item".into(), "b".into())],
+    };
+    assert!(!ops::steps_chunkable(&[rename]));
+    let out = ops::run_pipeline(&input, &[rename], &mut |_, _| unreachable!()).unwrap();
+    assert!(out
+        .column("a")
+        .unwrap()
+        .shares_data(input.column("iter").unwrap()));
+    assert!(out
+        .column("b")
+        .unwrap()
+        .shares_data(input.column("item").unwrap()));
+
+    let mut b = PlanBuilder::new();
+    let lit = b.add(AlgOp::Lit {
+        columns: vec!["iter".into(), "item".into()],
+        rows: (0..64u64)
+            .map(|i| vec![Value::Nat(i), Value::Str(i.to_string())])
+            .collect(),
+    });
+    let renamed = b.add(AlgOp::Project {
+        input: lit,
+        columns: vec![("iter".into(), "a".into()), ("item".into(), "b".into())],
+    });
+    let plan = b.finish(renamed);
+    let registry = DocRegistry::new();
+    let (table, stats) = Executor::with_threads(&registry, 4)
+        .with_morsel_rows(2)
+        .run_with_stats(&plan)
+        .unwrap();
+    assert_eq!(table.row_count(), 64);
+    assert_eq!(stats.cells_produced, 4 * 64, "two tables of two columns");
+    assert_eq!(stats.peak_resident_cells, 2 * 64, "one copy of the cells");
 }
