@@ -37,7 +37,7 @@ pub use optimize::{
 };
 pub use physical::{PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan};
 pub use plan::{OpId, Plan, PlanBuilder, ReadySetBooks};
-pub use properties::PlanProperties;
+pub use properties::{PlanProperties, Sequence, TypeSet};
 pub use render::{to_ascii, to_ascii_annotated, to_ascii_physical, to_dot};
 pub use schema::{infer_schema, Properties};
 pub use verify::{digest, verify_plan, verify_rewrite, PlanDigest, VerifyError};

@@ -26,7 +26,11 @@ use crate::plan::{OpId, Plan};
 /// Merge structurally identical operators in one bottom-up pass;
 /// `true` if anything merged.
 pub fn hash_cons(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let mut canonical: HashMap<String, OpId> = HashMap::new();
+    // Operators are bucketed by kind and inputs; only operators sharing a
+    // bucket are compared, by their full rendering (which, unlike `==`,
+    // tells `0.0` from `-0.0` and equates two NaN literals).
+    type Bucket = Vec<(OpId, Option<String>)>;
+    let mut canonical: HashMap<(std::mem::Discriminant<AlgOp>, Vec<OpId>), Bucket> = HashMap::new();
     let mut rep: Vec<OpId> = (0..plan.ops().len()).collect();
     let mut merged = 0;
     for id in plan.reachable() {
@@ -38,16 +42,25 @@ pub fn hash_cons(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 plan.ops_mut()[id].replace_child(slot, rep[*child]);
             }
         }
-        let key = format!("{:?}", plan.op(id));
-        match canonical.get(&key) {
-            Some(&existing) if existing != id => {
+        let op = plan.op(id);
+        let bucket = canonical
+            .entry((std::mem::discriminant(op), op.children()))
+            .or_default();
+        let mut key = None;
+        let mut found = None;
+        for (existing, rendered) in bucket.iter_mut() {
+            let rendered = rendered.get_or_insert_with(|| format!("{:?}", plan.op(*existing)));
+            if *key.get_or_insert_with(|| format!("{op:?}")) == *rendered {
+                found = Some(*existing);
+                break;
+            }
+        }
+        match found {
+            Some(existing) => {
                 rep[id] = existing;
                 merged += 1;
             }
-            Some(_) => {}
-            None => {
-                canonical.insert(key, id);
-            }
+            None => bucket.push((id, key)),
         }
     }
     let root = plan.root();

@@ -50,16 +50,18 @@ use crate::optimize::OptimizeReport;
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
 
-/// Introduce at most one `IndexScan` per call (the fixpoint driver
-/// re-invokes until nothing changes, with fresh consumer counts).
-/// `props` is the analysis of `plan`; document provenance and key sets
-/// are what the rule reads.
+/// Introduce every `IndexScan` `props`, the analysis of `plan`, justifies
+/// (document provenance and key sets are what the rule reads).  A splice
+/// moves an edge and never changes a consumer count, and each recognized
+/// chain is single-consumer, so one sweep over one set of counts finds
+/// every splice: a chain already spliced no longer ends at a step.
 pub(crate) fn introduce_index_scans(
     plan: &mut Plan,
     props: &PlanProperties,
     report: &mut OptimizeReport,
 ) -> bool {
     let consumers = plan.consumer_counts();
+    let mut changed = false;
     for id in plan.reachable() {
         let rewrite = match plan.op(id) {
             AlgOp::Select { input, column } => {
@@ -104,9 +106,9 @@ pub(crate) fn introduce_index_scans(
             .expect("parent-child edge recorded during the walk");
         plan.ops_mut()[rw.parent].replace_child(slot, scan_id);
         report.index_scans_introduced += 1;
-        return true;
+        changed = true;
     }
-    false
+    changed
 }
 
 /// One recognized splice: redirect `parent`'s edge to `base` through a new

@@ -56,7 +56,7 @@ impl Isolation {
     }
 
     /// The inferred key sets of `id` (for tests/diagnostics).
-    pub fn keys(&self, id: OpId) -> &[BTreeSet<String>] {
+    pub fn keys(&self, id: OpId) -> Vec<BTreeSet<String>> {
         self.props.keys(id)
     }
 

@@ -21,6 +21,9 @@
 //! 6. **Attach/constant folding into literals** — attaching a constant
 //!    column to a literal table is evaluated at compile time.
 //!
+//! These six are the basic level; the `full` level adds the rules below,
+//! including the property-driven deletions of [`scaffold`].
+//!
 //! The optimizer runs the rewrites to a fixpoint and reports what it did;
 //! the `plan_size` harness binary uses that report to reproduce the paper's
 //! plan-complexity claim (experiment E5).
@@ -52,6 +55,38 @@
 //!   pass (replaces the fixpoint string-keyed CSE of the basic level),
 //!   plus a post-fixpoint *unshare* pass that clones cheap shared
 //!   operators so each copy fuses into its consumer's pipeline.
+//! * [`scaffold`] — deletes loop-lifting scaffolding with the inferred
+//!   keys, constants, emptiness, types and sequence facts (runs with
+//!   `reorder`): (a) a join against the loop plus constants becomes a π
+//!   with the constants attached; (b) a `%` partitioned on a key column
+//!   becomes `@t:=1`, and a `%` over rows already numbered densely within
+//!   `iter` in sort order becomes a π of that column; (c) a provably empty
+//!   operator becomes an empty literal, `∪` with an empty arm its other
+//!   arm, `∖` with an empty right side its left side, σ over a
+//!   constant-`true` column its input, and `ebv` over a Boolean `item`
+//!   keyed by `iter` a π.  A subplan stops being evaluated only when what
+//!   stays evaluates every operator in it that can raise an error.
+//!
+//! ## One analysis per plan, sweeps, one schema per iteration
+//!
+//! The rules that read [`PlanProperties`] (`reorder`, `indexscan`,
+//! `scaffold`, `thetacount`) share one analysis, computed when a rule
+//! first asks for it and then *kept*.  The sweep contract: every rewrite
+//! replaces an operator by a subplan with the same rows, the same row
+//! order and the same columns, so the bottom-up facts of every operator
+//! the rewrite did not create — keys, constants, emptiness, provenance,
+//! types, sequences, raisers — stay true.  A rule therefore applies every
+//! rewrite its analysis justifies in one sweep, reading only the facts of
+//! operators it did not create; between rules the kept analysis infers
+//! facts for the created operators, re-estimates cardinalities and
+//! re-resolves the top-down `order_free`, which any change of a consumer
+//! can invalidate.  Rewrites that keep rows but not their order (join
+//! reordering, the rank count, a mirrored join deletion) re-derive the
+//! sequence facts; `indexscan` filters intermediate rows and is the one
+//! rule after which the next reader gets a new analysis.  The cheap
+//! peephole rules share one [`infer_schema`] per fixpoint iteration, and
+//! `pushdown` keeps its consumer counts and schemas across one sweep of
+//! pushes.
 //!
 //! Every rule is independently toggleable via [`OptimizerLevel`]; the
 //! engine exposes them through `EngineOptions::optimizer_level`.  All
@@ -71,6 +106,7 @@ pub mod indexscan;
 pub mod isolation;
 pub mod pushdown;
 pub mod reorder;
+pub mod scaffold;
 pub mod thetacount;
 
 pub use cardinality::{CardEstimate, NoStats, StatsSource};
@@ -79,7 +115,7 @@ pub use isolation::Isolation;
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
-use crate::schema::infer_schema;
+use crate::schema::{infer_schema, Properties};
 
 /// Which rewrite rules [`optimize_with`] runs: the basic peephole pass is
 /// always on; each join-graph-isolation rule has its own toggle so rules
@@ -211,15 +247,20 @@ pub struct OptimizeReport {
     /// Number of count aggregates over a θ-join's pair table replaced by
     /// [`AlgOp::ThetaCount`] (`full` level only).
     pub theta_counts_introduced: usize,
+    /// Number of loop-lifting scaffolding operators replaced by cheaper
+    /// equivalent subplans ([`scaffold`]; `full` level only).
+    pub scaffolding_deleted: usize,
+    /// Number of fixpoint iterations the optimizer ran.
+    pub iterations: usize,
     /// `true` when the plan verifier ran for this optimization and every
     /// rule application passed ([`crate::verify`]).
     pub verified: bool,
     /// Number of verifier passes run (one for the input plan plus one per
     /// rule application that changed the plan).
     pub verify_passes: usize,
-    /// Number of whole-plan property analyses the rules asked for: at most
-    /// one per plan version, i.e. at most one plus the number of rule
-    /// applications that changed the plan.
+    /// Number of whole-plan property analyses the rules asked for: one,
+    /// plus one after each `indexscan` application that changed the plan
+    /// (every other rewrite keeps the analysis).
     pub property_passes: usize,
     /// Nanoseconds spent verifying after each rule, indexed like
     /// [`OptimizeReport::RULE_NAMES`].
@@ -229,7 +270,7 @@ pub struct OptimizeReport {
 impl OptimizeReport {
     /// Rule names indexing [`OptimizeReport::verify_rule_nanos`] (and
     /// naming rules in [`crate::verify::VerifyError`]).
-    pub const RULE_NAMES: [&'static str; 10] = [
+    pub const RULE_NAMES: [&'static str; 11] = [
         "merge_projections",
         "identity_projections",
         "order_ops",
@@ -240,6 +281,7 @@ impl OptimizeReport {
         "indexscan",
         "unshare",
         "thetacount",
+        "scaffold",
     ];
 
     /// Fraction of operators removed, in percent.
@@ -268,10 +310,10 @@ pub fn optimize(plan: &mut Plan) -> OptimizeReport {
 /// CSE (same rewrites, counted in `subplans_deduped`).  Debug builds
 /// verify every rewrite ([`optimize_with_verify`]); release builds do not.
 ///
-/// The property-reading rules (`reorder`, `indexscan`, `thetacount`)
-/// share one [`PlanProperties`] analysis per plan version: it is computed
-/// when a rule first asks for it and dropped when a rule changes the plan
-/// ([`OptimizeReport::property_passes`] counts the analyses).
+/// The property-reading rules (`reorder`, `indexscan`, `scaffold`,
+/// `thetacount`) share one [`PlanProperties`] analysis, computed when a
+/// rule first asks for it and kept across rewrites (see the module docs;
+/// [`OptimizeReport::property_passes`] counts the whole-plan analyses).
 pub fn optimize_with(
     plan: &mut Plan,
     level: OptimizerLevel,
@@ -281,10 +323,9 @@ pub fn optimize_with(
 }
 
 /// [`optimize_with`] that also returns the property analysis of the
-/// optimized plan — reused when no rule changed the plan after the last
-/// analysis, so a caller that needs the final plan's properties (the
-/// engine's cold admission estimate reads [`PlanProperties::peak_rows`])
-/// runs no extra pass.
+/// optimized plan — the kept analysis brought up to date, so a caller that
+/// needs the final plan's properties (the engine's cold admission
+/// estimate reads [`PlanProperties::peak_rows`]) runs no extra pass.
 pub fn optimize_analyzed(
     plan: &mut Plan,
     level: OptimizerLevel,
@@ -319,14 +360,38 @@ pub fn optimize_with_verify(
     optimizer.report
 }
 
-/// The property analysis of the plan version the optimizer currently
-/// holds: computed on first demand, dropped whenever a rule changes the
-/// plan.
+/// The property analysis of the plan the optimizer currently holds:
+/// computed on first demand, then kept across rewrites.
+///
+/// Every rewrite but one replaces a subplan by one with the same rows, so
+/// the bottom-up facts of every operator stay true; the analysis only
+/// infers facts for the operators a rule created, re-estimates
+/// cardinalities and re-resolves the top-down `order_free`.  A rewrite that keeps the rows but not their
+/// order (join reordering, a rank count, a mirrored join deletion) also
+/// re-derives the sequence facts.  Only `indexscan`, which filters the
+/// rows between the step it splices above and the predicate, drops the
+/// analysis.
 struct Analysis<'s> {
     stats: PinnedStats<'s>,
     current: Option<PlanProperties>,
-    /// Analyses computed so far.
+    /// Whole-plan analyses computed so far.
     passes: usize,
+    /// The plan changed since `order_free` was resolved.
+    order_stale: bool,
+    /// A rewrite changed a row order since the sequences were derived.
+    sequences_stale: bool,
+}
+
+/// How a rule application changed the plan, as far as the analysis is
+/// concerned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    /// Same rows, same order, same columns wherever a relation survived.
+    Equivalent,
+    /// Same rows and columns; some row orders changed.
+    Reordered,
+    /// Some intermediate relations lost rows.
+    Filtered,
 }
 
 /// The statistics one optimization run sees: each document's fetched
@@ -351,24 +416,49 @@ impl StatsSource for PinnedStats<'_> {
 }
 
 impl Analysis<'_> {
-    /// The analysis of `plan`, which must be the version the last
-    /// [`Analysis::invalidate`] left behind.  Debug builds check a reused
-    /// analysis against a fresh one.
+    /// The analysis of `plan`: the kept one brought up to date, or a new
+    /// whole-plan pass.  Debug builds check that every operator's columns
+    /// agree with a fresh schema inference — a rewrite that changed a
+    /// relation's columns broke the equivalence the kept facts rely on.
     fn of(&mut self, plan: &Plan) -> &PlanProperties {
-        match &self.current {
-            Some(reused) => debug_assert!(
-                *reused == PlanProperties::analyze_with(plan, &self.stats),
-                "a rule changed the plan without reporting the change"
-            ),
-            None => self.passes += 1,
-        }
         let stats = &self.stats;
-        self.current
-            .get_or_insert_with(|| PlanProperties::analyze_with(plan, stats))
+        match &mut self.current {
+            None => {
+                self.passes += 1;
+                self.current = Some(PlanProperties::analyze_with(plan, stats));
+            }
+            Some(kept) => {
+                kept.extend(plan, stats);
+                if self.sequences_stale {
+                    kept.refresh_sequences(plan);
+                }
+                if self.order_stale || self.sequences_stale {
+                    kept.refresh_estimates(plan, stats);
+                    kept.resolve_order_free(plan);
+                }
+                if cfg!(debug_assertions) {
+                    let fresh = infer_schema(plan);
+                    for (id, schema) in &fresh {
+                        debug_assert_eq!(
+                            kept.columns(*id),
+                            schema.columns.as_slice(),
+                            "a rewrite changed the columns of op #{id}"
+                        );
+                    }
+                }
+            }
+        }
+        self.order_stale = false;
+        self.sequences_stale = false;
+        self.current.as_ref().expect("analyzed just above")
     }
 
-    fn invalidate(&mut self) {
-        self.current = None;
+    fn changed(&mut self, change: Change) {
+        match change {
+            Change::Equivalent => self.order_stale = true,
+            Change::Reordered => self.sequences_stale = true,
+            Change::Filtered => self.current = None,
+        }
     }
 }
 
@@ -396,6 +486,8 @@ impl<'s> Optimizer<'s> {
                 },
                 current: None,
                 passes: 0,
+                order_stale: false,
+                sequences_stale: false,
             },
             verify,
             failed: false,
@@ -413,19 +505,19 @@ impl<'s> Optimizer<'s> {
     /// One rule application: snapshot, run, verify on change, roll back
     /// on rejection.  The digest is computed from the snapshot only when
     /// the rule actually changed the plan, so an idle fixpoint iteration
-    /// costs one arena clone and nothing else.  Any change (kept or
-    /// rolled back) drops the analysis.
+    /// costs one arena clone and nothing else.  A change is reported to
+    /// the analysis as the rule's `change`; a rollback drops it.
     fn apply(
         &mut self,
         plan: &mut Plan,
         rule_idx: usize,
-        rule: impl FnOnce(&mut Plan, &mut Analysis<'s>, &mut OptimizeReport) -> bool,
+        rule: impl FnOnce(&mut Plan, &mut Analysis<'s>, &mut OptimizeReport) -> Option<Change>,
     ) -> bool {
         let snapshot = (self.verify && !self.failed).then(|| plan.clone());
-        if !rule(plan, &mut self.analysis, &mut self.report) {
+        let Some(change) = rule(plan, &mut self.analysis, &mut self.report) else {
             return false;
-        }
-        self.analysis.invalidate();
+        };
+        self.analysis.changed(change);
         let Some(snapshot) = snapshot else {
             return true;
         };
@@ -440,6 +532,7 @@ impl<'s> Optimizer<'s> {
             Err(e) => {
                 debug_assert!(false, "{e}");
                 *plan = snapshot;
+                self.analysis.current = None;
                 self.failed = true;
                 false
             }
@@ -447,41 +540,65 @@ impl<'s> Optimizer<'s> {
     }
 
     fn run(&mut self, plan: &mut Plan, level: OptimizerLevel) {
+        let equivalent = |changed: bool| changed.then_some(Change::Equivalent);
         // Run to a fixpoint; each pass is cheap (linear in plan size).
         loop {
+            self.report.iterations += 1;
             let mut changed = false;
-            changed |= self.apply(plan, 0, |p, _, r| merge_projections(p, r));
-            changed |= self.apply(plan, 1, |p, _, r| remove_identity_projections(p, r));
-            changed |= self.apply(plan, 2, |p, _, r| remove_redundant_order_ops(p, r));
-            changed |= self.apply(plan, 3, |p, _, r| fold_constant_attach(p, r));
+            changed |= self.apply(plan, 0, |p, _, r| equivalent(merge_projections(p, r)));
+            // One schema for the iteration: the rules below only redirect
+            // consumers to equivalent operators, which leaves the schema
+            // of every operator they read valid.
+            let schema = infer_schema(plan);
+            changed |= self.apply(plan, 1, |p, _, r| {
+                equivalent(remove_identity_projections(p, &schema, r))
+            });
+            changed |= self.apply(plan, 2, |p, _, r| {
+                equivalent(remove_redundant_order_ops(p, &schema, r))
+            });
+            changed |= self.apply(plan, 3, |p, _, r| equivalent(fold_constant_attach(p, r)));
             if level.dedup {
-                changed |= self.apply(plan, 4, |p, _, r| dedup::hash_cons(p, r));
+                changed |= self.apply(plan, 4, |p, _, r| equivalent(dedup::hash_cons(p, r)));
             } else {
-                changed |= self.apply(plan, 4, |p, _, r| common_subexpressions(p, r));
+                changed |= self.apply(plan, 4, |p, _, r| equivalent(common_subexpressions(p, r)));
             }
             if level.pushdown {
-                changed |= self.apply(plan, 5, |p, _, r| pushdown::push_selections(p, r));
+                changed |= self.apply(plan, 5, |p, _, r| {
+                    equivalent(pushdown::push_selections(p, r))
+                });
             }
             if level.reorder {
                 changed |= self.apply(plan, 6, |p, a, r| {
                     let props = a.of(p);
-                    reorder::reorder_join_graphs(p, props, r)
+                    reorder::reorder_join_graphs(p, props, r).then_some(Change::Reordered)
                 });
             }
             if level.indexscan {
                 changed |= self.apply(plan, 7, |p, a, r| {
                     let props = a.of(p);
-                    indexscan::introduce_index_scans(p, props, r)
+                    indexscan::introduce_index_scans(p, props, r).then_some(Change::Filtered)
+                });
+            }
+            // Scaffolding deletion runs after the index scans are in, so
+            // it never takes apart a predicate shape they match.
+            if level.reorder {
+                changed |= self.apply(plan, 10, |p, a, r| {
+                    let props = a.of(p);
+                    let swept = scaffold::delete_scaffolding(p, props, r);
+                    match (swept.changed, swept.reordered) {
+                        (false, _) => None,
+                        (true, false) => Some(Change::Equivalent),
+                        (true, true) => Some(Change::Reordered),
+                    }
                 });
             }
             // Count-by-rank matches the settled shape: try it once the
             // other rules are done (a hit sends the plan round the loop
-            // again to clean up).  Nothing changed since `reorder` asked
-            // for the analysis, so this reuses it.
+            // again to clean up).
             if level.reorder && !changed {
                 changed |= self.apply(plan, 9, |p, a, r| {
                     let props = a.of(p);
-                    thetacount::count_by_rank(p, props, r)
+                    thetacount::count_by_rank(p, props, r).then_some(Change::Reordered)
                 });
             }
             if !changed {
@@ -492,7 +609,7 @@ impl<'s> Optimizer<'s> {
             self.apply(plan, 8, |p, _, r| {
                 let before = r.chains_unshared;
                 dedup::unshare_fusable_chains(p, r);
-                r.chains_unshared != before
+                equivalent(r.chains_unshared != before)
             });
         }
         self.report.verified = self.verify && !self.failed;
@@ -558,8 +675,11 @@ fn merge_projections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
 }
 
 /// Remove projections that keep all input columns under unchanged names.
-fn remove_identity_projections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let props = infer_schema(plan);
+fn remove_identity_projections(
+    plan: &mut Plan,
+    props: &HashMap<OpId, Properties>,
+    report: &mut OptimizeReport,
+) -> bool {
     let mut changed = false;
     for id in plan.reachable() {
         let AlgOp::Project { input, columns } = plan.op(id) else {
@@ -585,8 +705,11 @@ fn remove_identity_projections(plan: &mut Plan, report: &mut OptimizeReport) -> 
 
 /// Remove `ddo` over already document-ordered inputs and δ over already
 /// distinct inputs.
-fn remove_redundant_order_ops(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let props = infer_schema(plan);
+fn remove_redundant_order_ops(
+    plan: &mut Plan,
+    props: &HashMap<OpId, Properties>,
+    report: &mut OptimizeReport,
+) -> bool {
     let mut changed = false;
     for id in plan.reachable() {
         match plan.op(id) {

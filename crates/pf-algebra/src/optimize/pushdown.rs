@@ -17,10 +17,12 @@
 //! so the boolean σ only folds when every value in the column is a
 //! boolean; the equality σ never errors and folds unconditionally.
 
+use std::collections::HashMap;
+
 use super::OptimizeReport;
 use crate::ops::AlgOp;
-use crate::plan::Plan;
-use crate::schema::infer_schema;
+use crate::plan::{OpId, Plan};
+use crate::schema::{infer_one, infer_schema, Properties};
 use pf_relational::Value;
 
 /// Largest literal table the folds will copy.
@@ -30,170 +32,214 @@ const LIT_FOLD_CAP: usize = 64;
 /// Returns `true` if the plan changed.
 pub fn push_selections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     let mut changed = false;
-    while push_one(plan, report) || fold_one(plan, report) {
+    while push_all(plan, report) | fold_all(plan, report) {
         changed = true;
     }
     changed
 }
 
-/// Apply the first applicable push; `true` if one fired.
-fn push_one(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let consumers = plan.consumer_counts();
-    let props = infer_schema(plan);
+/// Push every selection as far down as it goes, in one sweep over one set
+/// of consumer counts and schemas (the latter inferred once a push below a
+/// join needs them).  A push re-targets the σ's edge and moves the σ's
+/// operator id onto the host, so every count it leaves behind is still
+/// right: the pushed copies are new, with one consumer each, and are
+/// pushed on at once.  Returns `true` if one fired.
+fn push_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+    let mut consumers = plan.consumer_counts();
+    let mut props = None;
+    let mut pushed_any = false;
     for id in plan.reachable() {
-        let (input, column) = match plan.op(id) {
-            AlgOp::Select { input, column } | AlgOp::SelectEq { input, column, .. } => {
-                (*input, column.clone())
+        let mut pending = vec![id];
+        while let Some(sel) = pending.pop() {
+            let created = push_one(plan, sel, &consumers, &mut props);
+            if created.is_empty() {
+                continue;
             }
-            _ => continue,
-        };
-        // Only rewrite below exclusively-owned children: pushing under a
-        // shared operator would either duplicate its work or filter rows
-        // its other consumers still need.
-        if consumers[input] != 1 {
-            continue;
-        }
-        // `sigma(new_input)`: the current σ re-targeted at `new_input`.
-        let sigma = |plan: &mut Plan, sel_id: usize, new_input: usize| -> usize {
-            let mut op = plan.op(sel_id).clone();
-            op.replace_child(0, new_input);
-            plan.ops_mut().push(op);
-            plan.ops_mut().len() - 1
-        };
-        match plan.op(input).clone() {
-            AlgOp::Project { input: x, columns } => {
-                // Rename the predicate column back to its source name.
-                let Some((source, _)) = columns.iter().find(|(_, t)| *t == column) else {
-                    continue;
-                };
-                let source = source.clone();
-                let pushed = sigma(plan, id, x);
-                match &mut plan.ops_mut()[pushed] {
-                    AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => {
-                        *column = source;
-                    }
-                    _ => unreachable!(),
+            for &new in &created {
+                if let Some(props) = &mut props {
+                    let schema = infer_one(plan, new, props);
+                    props.insert(new, schema);
                 }
-                plan.ops_mut()[id] = AlgOp::Project {
-                    input: pushed,
-                    columns,
-                };
+                consumers.push(1);
             }
-            AlgOp::Attach {
-                input: x,
+            report.predicates_pushed += 1;
+            pushed_any = true;
+            pending.extend(created);
+        }
+    }
+    pushed_any
+}
+
+/// Push the selection `id` one level down; returns the selections it
+/// created below the host (none when it did not move).
+fn push_one(
+    plan: &mut Plan,
+    id: OpId,
+    consumers: &[usize],
+    props: &mut Option<HashMap<OpId, Properties>>,
+) -> Vec<OpId> {
+    let (input, column) = match plan.op(id) {
+        AlgOp::Select { input, column } | AlgOp::SelectEq { input, column, .. } => {
+            (*input, column.clone())
+        }
+        _ => return Vec::new(),
+    };
+    // Only rewrite below exclusively-owned children: pushing under a
+    // shared operator would either duplicate its work or filter rows
+    // its other consumers still need.
+    if consumers.get(input) != Some(&1) {
+        return Vec::new();
+    }
+    // `sigma(new_input)`: the current σ re-targeted at `new_input`.
+    let sigma = |plan: &mut Plan, new_input: OpId| -> OpId {
+        let mut op = plan.op(id).clone();
+        op.replace_child(0, new_input);
+        plan.ops_mut().push(op);
+        plan.ops_mut().len() - 1
+    };
+    match plan.op(input).clone() {
+        AlgOp::Project { input: x, columns } => {
+            // Rename the predicate column back to its source name.
+            let Some((source, _)) = columns.iter().find(|(_, t)| *t == column) else {
+                return Vec::new();
+            };
+            let source = source.clone();
+            let pushed = sigma(plan, x);
+            match &mut plan.ops_mut()[pushed] {
+                AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => {
+                    *column = source;
+                }
+                _ => unreachable!(),
+            }
+            plan.ops_mut()[id] = AlgOp::Project {
+                input: pushed,
+                columns,
+            };
+            vec![pushed]
+        }
+        AlgOp::Attach {
+            input: x,
+            target,
+            value,
+        } => {
+            if target == column {
+                return Vec::new();
+            }
+            let pushed = sigma(plan, x);
+            plan.ops_mut()[id] = AlgOp::Attach {
+                input: pushed,
                 target,
                 value,
-            } => {
-                if target == column {
-                    continue;
-                }
-                let pushed = sigma(plan, id, x);
-                plan.ops_mut()[id] = AlgOp::Attach {
-                    input: pushed,
-                    target,
-                    value,
-                };
+            };
+            vec![pushed]
+        }
+        AlgOp::UnaryMap {
+            input: x,
+            target,
+            op,
+            source,
+        } => {
+            if target == column {
+                return Vec::new();
             }
-            AlgOp::UnaryMap {
-                input: x,
+            let pushed = sigma(plan, x);
+            plan.ops_mut()[id] = AlgOp::UnaryMap {
+                input: pushed,
                 target,
                 op,
                 source,
-            } => {
-                if target == column {
-                    continue;
-                }
-                let pushed = sigma(plan, id, x);
-                plan.ops_mut()[id] = AlgOp::UnaryMap {
-                    input: pushed,
-                    target,
-                    op,
-                    source,
-                };
+            };
+            vec![pushed]
+        }
+        AlgOp::BinaryMap {
+            input: x,
+            target,
+            left,
+            op,
+            right,
+        } => {
+            if target == column {
+                return Vec::new();
             }
-            AlgOp::BinaryMap {
-                input: x,
+            let pushed = sigma(plan, x);
+            plan.ops_mut()[id] = AlgOp::BinaryMap {
+                input: pushed,
                 target,
                 left,
                 op,
                 right,
-            } => {
-                if target == column {
-                    continue;
-                }
-                let pushed = sigma(plan, id, x);
-                plan.ops_mut()[id] = AlgOp::BinaryMap {
-                    input: pushed,
-                    target,
-                    left,
-                    op,
-                    right,
-                };
-            }
-            AlgOp::Distinct { input: x } => {
-                // Duplicates are whole-row, so filtering commutes with δ
-                // (and keeps the same first occurrences).
-                let pushed = sigma(plan, id, x);
-                plan.ops_mut()[id] = AlgOp::Distinct { input: pushed };
-            }
-            AlgOp::Union { left, right } => {
-                let sl = sigma(plan, id, left);
-                let sr = sigma(plan, id, right);
-                plan.ops_mut()[id] = AlgOp::Union {
-                    left: sl,
-                    right: sr,
-                };
-            }
-            AlgOp::Difference { left, right } => {
-                // σ(L − R) = σ(L) − R: the filter only concerns emitted
-                // (left) rows.
-                let pushed = sigma(plan, id, left);
-                plan.ops_mut()[id] = AlgOp::Difference {
-                    left: pushed,
-                    right,
-                };
-            }
-            join @ (AlgOp::EquiJoin { .. } | AlgOp::ThetaJoin { .. } | AlgOp::Cross { .. }) => {
-                let (left, right) = match &join {
-                    AlgOp::EquiJoin { left, right, .. }
-                    | AlgOp::ThetaJoin { left, right, .. }
-                    | AlgOp::Cross { left, right } => (*left, *right),
-                    _ => unreachable!(),
-                };
-                let owns = |side: usize| {
-                    props
-                        .get(&side)
-                        .is_some_and(|p| p.columns.contains(&column))
-                };
-                // The column must belong to exactly one side (a self-join
-                // with colliding names is ambiguous — bail).
-                let (push_left, push_right) = (owns(left), owns(right));
-                if push_left == push_right {
-                    continue;
-                }
-                let mut new_join = join;
-                if push_left {
-                    let pushed = sigma(plan, id, left);
-                    new_join.replace_child(0, pushed);
-                } else {
-                    let pushed = sigma(plan, id, right);
-                    new_join.replace_child(1, pushed);
-                }
-                plan.ops_mut()[id] = new_join;
-            }
-            _ => continue,
+            };
+            vec![pushed]
         }
-        report.predicates_pushed += 1;
-        return true;
+        AlgOp::Distinct { input: x } => {
+            // Duplicates are whole-row, so filtering commutes with δ
+            // (and keeps the same first occurrences).
+            let pushed = sigma(plan, x);
+            plan.ops_mut()[id] = AlgOp::Distinct { input: pushed };
+            vec![pushed]
+        }
+        AlgOp::Union { left, right } => {
+            let sl = sigma(plan, left);
+            let sr = sigma(plan, right);
+            plan.ops_mut()[id] = AlgOp::Union {
+                left: sl,
+                right: sr,
+            };
+            vec![sl, sr]
+        }
+        AlgOp::Difference { left, right } => {
+            // σ(L − R) = σ(L) − R: the filter only concerns emitted
+            // (left) rows.
+            let pushed = sigma(plan, left);
+            plan.ops_mut()[id] = AlgOp::Difference {
+                left: pushed,
+                right,
+            };
+            vec![pushed]
+        }
+        join @ (AlgOp::EquiJoin { .. } | AlgOp::ThetaJoin { .. } | AlgOp::Cross { .. }) => {
+            let (left, right) = match &join {
+                AlgOp::EquiJoin { left, right, .. }
+                | AlgOp::ThetaJoin { left, right, .. }
+                | AlgOp::Cross { left, right } => (*left, *right),
+                _ => unreachable!(),
+            };
+            let props = props.get_or_insert_with(|| infer_schema(plan));
+            let owns = |side: OpId| {
+                props
+                    .get(&side)
+                    .is_some_and(|p| p.columns.contains(&column))
+            };
+            // The column must belong to exactly one side (a self-join
+            // with colliding names is ambiguous — bail).
+            let (push_left, push_right) = (owns(left), owns(right));
+            if push_left == push_right {
+                return Vec::new();
+            }
+            let mut new_join = join;
+            let pushed = if push_left {
+                let pushed = sigma(plan, left);
+                new_join.replace_child(0, pushed);
+                pushed
+            } else {
+                let pushed = sigma(plan, right);
+                new_join.replace_child(1, pushed);
+                pushed
+            };
+            plan.ops_mut()[id] = new_join;
+            vec![pushed]
+        }
+        _ => Vec::new(),
     }
-    false
 }
 
 /// A row predicate compiled from a σ/σ= operator.
 type KeepFn = Box<dyn Fn(&[Value]) -> bool>;
 
-/// Evaluate one σ or π over a literal table; `true` if one fired.
-fn fold_one(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+/// Evaluate every σ and π over a literal table, children first (so a π
+/// over a folded σ folds too); `true` if one fired.
+fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+    let mut folded = false;
     for id in plan.reachable() {
         let (input, keep): (usize, KeepFn) = match plan.op(id).clone() {
             AlgOp::SelectEq {
@@ -250,7 +296,8 @@ fn fold_one(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                     rows: new_rows,
                 };
                 report.constants_folded += 1;
-                return true;
+                folded = true;
+                continue;
             }
             _ => continue,
         };
@@ -263,9 +310,9 @@ fn fold_one(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
             rows: new_rows,
         };
         report.constants_folded += 1;
-        return true;
+        folded = true;
     }
-    false
+    folded
 }
 
 /// If `input` is a small literal containing `column`, its index.

@@ -50,10 +50,12 @@ fn alpha(i: usize, col: &str) -> String {
     format!("{col}__jg{i}")
 }
 
-/// Reorder one equi-join cluster per call (the optimizer's fixpoint
-/// loop drives repetition); `true` if a cluster was rewritten.  `props`
-/// is the analysis of `plan` — with document statistics, since it
-/// supplies the cardinalities as well as order freedom and schemas.
+/// Reorder every equi-join cluster `props` justifies, top-down; `true` if
+/// a cluster was rewritten.  `props` is the analysis of `plan` — with
+/// document statistics, since it supplies the cardinalities as well as
+/// order freedom and schemas.  A rewritten cluster changes the consumers
+/// of everything below its leaves, whose order freedom is then unknown:
+/// clusters there wait for the next call.
 pub fn reorder_join_graphs(
     plan: &mut Plan,
     props: &PlanProperties,
@@ -87,11 +89,16 @@ pub fn reorder_join_graphs(
         }
     };
 
-    for &root in &reachable {
-        if !matches!(plan.op(root), AlgOp::EquiJoin { .. }) || interior(root) {
-            continue;
-        }
-        if !props.order_free(root) {
+    let roots: Vec<OpId> = reachable
+        .iter()
+        .rev()
+        .copied()
+        .filter(|&id| matches!(plan.op(id), AlgOp::EquiJoin { .. }) && !interior(id))
+        .collect();
+    let mut below_rewrite = vec![false; plan.ops().len()];
+    let mut changed = false;
+    for root in roots {
+        if below_rewrite[root] || !props.order_free(root) {
             continue;
         }
         let Some(cluster) = collect_cluster(plan, root, &consumers, props) else {
@@ -246,9 +253,16 @@ pub fn reorder_join_graphs(
         let pi_op = plan.ops_mut().len() - 1;
         redirect(plan, root, pi_op);
         report.joins_reordered += 1;
-        return true;
+        changed = true;
+        let mut stack = leaves;
+        while let Some(id) = stack.pop() {
+            if id < below_rewrite.len() && !below_rewrite[id] {
+                below_rewrite[id] = true;
+                stack.extend(plan.op(id).children());
+            }
+        }
     }
-    false
+    changed
 }
 
 struct Cluster {

@@ -115,7 +115,8 @@ pub(crate) fn candidates(plan: &Plan, pp: &PlanProperties) -> Vec<Candidate> {
 type Origin = (OpId, String);
 
 /// `δ(π[group_out:group, …:right_id](⋈θ))` — the distinct pairs of one
-/// recognized join.
+/// recognized join — or the `π` alone where its rows are keyed, so that
+/// scaffolding deletion dropped the δ.
 struct Base {
     delta: OpId,
     theta: OpId,
@@ -129,13 +130,15 @@ struct Base {
 
 impl Base {
     fn at(plan: &Plan, pp: &PlanProperties, delta: OpId) -> Option<Base> {
-        let AlgOp::Distinct { input } = plan.op(delta) else {
-            return None;
+        let pairs = match plan.op(delta) {
+            AlgOp::Distinct { input } => *input,
+            AlgOp::Project { .. } if !pp.keys(delta).is_empty() => delta,
+            _ => return None,
         };
         let AlgOp::Project {
             input: theta,
             columns,
-        } = plan.op(*input)
+        } = plan.op(pairs)
         else {
             return None;
         };

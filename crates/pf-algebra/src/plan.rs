@@ -89,7 +89,14 @@ impl Plan {
     /// hand-off — so its count never drops to zero during execution.
     /// Unreachable operators have count 0.
     pub fn consumer_counts(&self) -> Vec<usize> {
-        self.ready_set_books().consumer_counts
+        let mut counts = vec![0usize; self.ops.len()];
+        for id in self.reachable() {
+            for child in self.ops[id].children() {
+                counts[child] += 1;
+            }
+        }
+        counts[self.root] += 1;
+        counts
     }
 
     /// The evaluation schedule with last-use annotations.

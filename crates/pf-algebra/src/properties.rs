@@ -22,9 +22,24 @@
 //! * **document provenance** — the URI of the single `doc()` source
 //!   feeding the operator's items, if unambiguous (what lets an axis
 //!   step find its tag histogram and an `IndexScan` its sidecar);
+//! * **types** — per column, the set of value types it can hold (Boolean
+//!   at comparisons, `ebv` and Boolean constants, a union at `∪`);
+//! * **sequence** — rows sorted by `(iter, c)` and, when *dense*, `c`
+//!   numbering the rows of each `iter` 1, 2, … (what a step's `pos` and a
+//!   `%·/iter` target are); σ keeps the order but loses the density;
+//! * **raisers** — the operators below (and including) this one that can
+//!   raise a dynamic error, so a rule deletes a subplan only when what it
+//!   keeps still evaluates every one of them;
 //! * **order_free** — whether permuting the operator's output rows can
 //!   change the serialized query result (the only top-down part,
 //!   resolved over consumer edges after the bottom-up pass).
+//!
+//! Every bottom-up fact is a function of the operator's output relation
+//! alone, so a rewrite that replaces a subplan by one with the same rows,
+//! row order and columns leaves the facts of every other operator true.
+//! `PlanProperties::extend` therefore keeps one analysis alive across
+//! such rewrites by inferring facts for the new operators only;
+//! `order_free`, being top-down, is recomputed instead.
 //!
 //! The legacy entry points — [`crate::optimize::isolation::Isolation`]
 //! and [`crate::optimize::cardinality::CardEstimate`] — are thin
@@ -39,8 +54,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use pf_relational::ops::AggFunc;
-use pf_relational::Value;
+use pf_relational::ops::{AggFunc, BinaryOp, UnaryOp};
+use pf_relational::{Value, ValueType};
 use pf_store::{Axis, DocStatistics, NodeTest};
 
 use crate::ops::AlgOp;
@@ -65,11 +80,50 @@ impl StatsSource for NoStats {
     }
 }
 
+/// A column name, interned once per analysis.
+type Col = u32;
+
+/// A set of interned columns, sorted and duplicate-free.
+type ColSet = Vec<Col>;
+
+/// The column names one analysis has seen.  Keys and provenance tags
+/// hold [`Col`] ids, so comparing and copying them never touches a
+/// string.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Names {
+    ids: HashMap<String, Col>,
+    names: Vec<String>,
+}
+
+impl Names {
+    fn intern(&mut self, name: &str) -> Col {
+        if let Some(&col) = self.ids.get(name) {
+            return col;
+        }
+        let col = self.names.len() as Col;
+        self.names.push(name.to_string());
+        self.ids.insert(name.to_string(), col);
+        col
+    }
+
+    fn get(&self, name: &str) -> Option<Col> {
+        self.ids.get(name).copied()
+    }
+
+    fn name(&self, col: Col) -> &str {
+        &self.names[col as usize]
+    }
+}
+
+/// Operators of one kind over the same canonical inputs, each with its
+/// rendering once one was needed to tell two apart.
+type OpClass = Vec<(OpId, Option<String>)>;
+
 /// A value-provenance tag: “the tracked column's values are related to
 /// column `.1` of operator `.0`”.
-pub(crate) type Tag = (OpId, String);
+pub(crate) type Tag = (OpId, Col);
 /// Per-column tag sets for one operator.
-pub(crate) type TagMap = BTreeMap<String, BTreeSet<Tag>>;
+pub(crate) type TagMap = BTreeMap<Col, BTreeSet<Tag>>;
 
 /// Rows of a literal are scanned for distinctness/constancy only up to
 /// this many rows — larger literals simply get no column keys.
@@ -79,6 +133,84 @@ const LIT_SCAN_CAP: usize = 64;
 /// smallest, deterministically) so deep plans stay linear to analyze.
 const TAG_CAP: usize = 24;
 
+/// The set of value types a column can hold: one bit per [`ValueType`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TypeSet(u8);
+
+impl TypeSet {
+    /// No type: the column of a provably empty relation.
+    pub const NONE: TypeSet = TypeSet(0);
+
+    /// Exactly `t`.
+    pub fn of(t: ValueType) -> TypeSet {
+        TypeSet(1 << TypeSet::bit(t))
+    }
+
+    fn bit(t: ValueType) -> u8 {
+        match t {
+            ValueType::Nat => 0,
+            ValueType::Int => 1,
+            ValueType::Dbl => 2,
+            ValueType::Str => 3,
+            ValueType::Bool => 4,
+            ValueType::Node => 5,
+        }
+    }
+
+    /// Either set's types.
+    pub fn union(self, other: TypeSet) -> TypeSet {
+        TypeSet(self.0 | other.0)
+    }
+
+    /// Whether a value of type `t` is in the set.
+    pub fn contains(self, t: ValueType) -> bool {
+        self.0 & (1 << TypeSet::bit(t)) != 0
+    }
+
+    /// Every value is a Boolean (vacuously so for [`TypeSet::NONE`]).
+    pub fn is_boolean(self) -> bool {
+        self.0 & !TypeSet::of(ValueType::Bool).0 == 0
+    }
+}
+
+/// Row order within `iter`: the rows are sorted ascending by
+/// `(iter, column)`, and when `dense` is set, `column` numbers the rows of
+/// every `iter` 1, 2, …, k in row order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sequence {
+    /// The column that orders the rows of one `iter`.
+    pub column: String,
+    /// The column is 1..k within every `iter`, without gaps or ties.
+    pub dense: bool,
+}
+
+/// A set of operator ids, one bit each.
+pub(crate) type OpSet = Vec<u64>;
+
+fn opset_insert(set: &mut OpSet, id: OpId) {
+    let word = id / 64;
+    if set.len() <= word {
+        set.resize(word + 1, 0);
+    }
+    set[word] |= 1 << (id % 64);
+}
+
+fn opset_union(set: &mut OpSet, other: &OpSet) {
+    if set.len() < other.len() {
+        set.resize(other.len(), 0);
+    }
+    for (w, o) in set.iter_mut().zip(other) {
+        *w |= o;
+    }
+}
+
+/// `a ⊆ b`.
+pub(crate) fn opset_subset(a: &OpSet, b: &OpSet) -> bool {
+    a.iter()
+        .enumerate()
+        .all(|(i, w)| w & !b.get(i).copied().unwrap_or(0) == 0)
+}
+
 /// Every statically inferred property of one plan, per operator.
 /// Indexed by [`OpId`]; entries for unreachable operators are
 /// empty/false/zero.
@@ -86,8 +218,18 @@ const TAG_CAP: usize = 24;
 pub struct PlanProperties {
     /// Schema properties ([`crate::schema::infer_schema`]-equivalent).
     schema: HashMap<OpId, Properties>,
+    /// Every column name of the analyzed operators.
+    names: Names,
+    /// Per operator, the first analyzed operator computing the same
+    /// relation (same kind, same parameters, canonical inputs): the id
+    /// provenance tags name, so a cloned subplan relates to what its
+    /// original relates to.
+    canon: Vec<OpId>,
+    /// The canonical operators by kind and canonical inputs, with their
+    /// rendering once one was needed to tell two apart.
+    classes: HashMap<(std::mem::Discriminant<AlgOp>, Vec<OpId>), OpClass>,
     /// Column sets on which each operator's rows are provably distinct.
-    keys: Vec<Vec<BTreeSet<String>>>,
+    keys: Vec<Vec<ColSet>>,
     /// Columns provably constant across each operator's rows, with the
     /// constant's value when statically known.
     constants: Vec<BTreeMap<String, Option<Value>>>,
@@ -108,6 +250,16 @@ pub struct PlanProperties {
     /// Document provenance: the URI of the single `doc()` source feeding
     /// the operator's items, if unambiguous.
     doc: Vec<Option<String>>,
+    /// Per column, the value types it can hold; a column without an
+    /// entry can hold any type.
+    types: Vec<BTreeMap<String, TypeSet>>,
+    /// Row order within `iter`, where known.
+    sequence: Vec<Option<Sequence>>,
+    /// The operators of the subplan rooted here that can raise a dynamic
+    /// error (this one included).
+    raisers: Vec<OpSet>,
+    /// Whether the bottom-up facts of the operator have been inferred.
+    analyzed: Vec<bool>,
     /// Whether permuting the operator's output rows is unobservable in
     /// the serialized result.
     order_free: Vec<bool>,
@@ -122,53 +274,168 @@ impl PlanProperties {
 
     /// Analyze `plan`, seeding step cardinalities from `stats`.
     pub fn analyze_with(plan: &Plan, stats: &dyn StatsSource) -> PlanProperties {
-        let n = plan.ops().len();
         let mut pp = PlanProperties {
             schema: HashMap::new(),
-            keys: vec![Vec::new(); n],
-            constants: vec![BTreeMap::new(); n],
-            supersets: vec![TagMap::new(); n],
-            equalsets: vec![TagMap::new(); n],
-            exclusions: vec![TagMap::new(); n],
-            empty: vec![false; n],
-            rows: vec![0.0_f64; n],
-            doc: vec![None; n],
-            order_free: vec![true; n],
+            names: Names::default(),
+            canon: Vec::new(),
+            classes: HashMap::new(),
+            keys: Vec::new(),
+            constants: Vec::new(),
+            supersets: Vec::new(),
+            equalsets: Vec::new(),
+            exclusions: Vec::new(),
+            empty: Vec::new(),
+            rows: Vec::new(),
+            doc: Vec::new(),
+            types: Vec::new(),
+            sequence: Vec::new(),
+            raisers: Vec::new(),
+            analyzed: Vec::new(),
+            order_free: Vec::new(),
         };
-        let topo = plan.reachable();
-        for &id in &topo {
-            let schema = infer_one(plan, id, &pp.schema);
-            pp.schema.insert(id, schema);
-            pp.empty[id] = infer_empty(plan, id, &pp);
-            let (est, uri) = estimate_op(plan, id, &pp.rows, &pp.doc, stats);
-            pp.rows[id] = est;
-            pp.doc[id] = uri;
-            pp.constants[id] = infer_constants(plan, id, &pp);
-            let (sup, eq, excl) = infer_provenance(plan, id, &pp);
-            pp.supersets[id] = sup;
-            pp.equalsets[id] = eq;
-            pp.exclusions[id] = excl;
-            pp.keys[id] = minimal_keys(infer_keys(plan, id, &pp));
+        pp.extend(plan, stats);
+        pp.resolve_order_free(plan);
+        pp
+    }
+
+    /// Infer the bottom-up facts of every reachable operator that has none
+    /// yet — the operators a rewrite created — from the facts of their
+    /// inputs.  Facts already present stay: they describe an operator's
+    /// output relation, which the equivalence-preserving rewrites of the
+    /// optimizer never change.  Call [`PlanProperties::resolve_order_free`]
+    /// afterwards before reading `order_free`.
+    pub(crate) fn extend(&mut self, plan: &Plan, stats: &dyn StatsSource) {
+        let n = plan.ops().len();
+        if self.analyzed.len() < n {
+            self.canon.resize(n, 0);
+            self.keys.resize(n, Vec::new());
+            self.constants.resize(n, BTreeMap::new());
+            self.supersets.resize(n, TagMap::new());
+            self.equalsets.resize(n, TagMap::new());
+            self.exclusions.resize(n, TagMap::new());
+            self.empty.resize(n, false);
+            self.rows.resize(n, 0.0);
+            self.doc.resize(n, None);
+            self.types.resize(n, BTreeMap::new());
+            self.sequence.resize(n, None);
+            self.raisers.resize(n, OpSet::new());
+            self.analyzed.resize(n, false);
+            self.order_free.resize(n, false);
         }
-        // Top-down: the root's order matters unless serialization's
-        // stable pos-sort fully determines it; every other operator is
-        // constrained through its consumer edges, parents first.
-        let root = plan.root();
-        let pos: BTreeSet<String> = std::iter::once("pos".to_string()).collect();
-        pp.order_free[root] = pp
-            .schema
-            .get(&root)
-            .is_some_and(|p| p.columns.iter().any(|c| c == "pos"))
-            && pp.keyed_by(root, &pos);
-        for &id in topo.iter().rev() {
-            let parent_free = pp.order_free[id];
-            let children = plan.op(id).children();
-            for (slot, &child) in children.iter().enumerate() {
-                let edge = edge_order_free(plan.op(id), slot, parent_free, child, &pp);
-                pp.order_free[child] &= edge;
+        for id in plan.reachable() {
+            if !self.analyzed[id] {
+                self.infer(plan, id, stats);
             }
         }
-        pp
+    }
+
+    /// Every bottom-up fact of `id`, from its inputs' facts.
+    fn infer(&mut self, plan: &Plan, id: OpId, stats: &dyn StatsSource) {
+        let schema = infer_one(plan, id, &self.schema);
+        for column in schema
+            .columns
+            .iter()
+            .map(String::as_str)
+            .chain(mentioned(plan.op(id)))
+        {
+            self.names.intern(column);
+        }
+        self.schema.insert(id, schema);
+        self.canon[id] = self.canonical(plan, id);
+        self.empty[id] = infer_empty(plan, id, self);
+        let (est, uri) = estimate_op(plan, id, &self.rows, &self.doc, stats);
+        self.rows[id] = est;
+        self.doc[id] = uri;
+        self.constants[id] = infer_constants(plan, id, self);
+        let (sup, eq, excl) = infer_provenance(plan, id, self);
+        self.supersets[id] = sup;
+        self.equalsets[id] = eq;
+        self.exclusions[id] = excl;
+        self.keys[id] = minimal_keys(infer_keys(plan, id, self));
+        self.types[id] = infer_types(plan, id, self);
+        self.sequence[id] = infer_sequence(plan, id, self);
+        self.raisers[id] = infer_raisers(plan, id, self);
+        self.analyzed[id] = true;
+    }
+
+    /// The canonical operator of `id` (see [`PlanProperties::canon`]).
+    /// Constructors are never merged: each builds fresh nodes.
+    fn canonical(&mut self, plan: &Plan, id: OpId) -> OpId {
+        let op = plan.op(id);
+        if matches!(
+            op,
+            AlgOp::ElemConstruct { .. } | AlgOp::AttrConstruct { .. } | AlgOp::TextConstruct { .. }
+        ) {
+            return id;
+        }
+        let inputs: Vec<OpId> = op.children().iter().map(|&c| self.canon[c]).collect();
+        // Rendered with canonical inputs; `{:?}` (unlike `==`) tells
+        // `0.0` from `-0.0`.
+        let render = |of: OpId| {
+            let mut op = plan.op(of).clone();
+            for (slot, &input) in inputs.iter().enumerate() {
+                op.replace_child(slot, input);
+            }
+            format!("{op:?}")
+        };
+        let class = self
+            .classes
+            .entry((std::mem::discriminant(op), inputs.clone()))
+            .or_default();
+        let mut mine = None;
+        for (other, rendered) in class.iter_mut() {
+            let rendered = rendered.get_or_insert_with(|| render(*other));
+            if *mine.get_or_insert_with(|| render(id)) == *rendered {
+                return *other;
+            }
+        }
+        class.push((id, mine));
+        id
+    }
+
+    /// Re-derive the row-order facts of every reachable operator from the
+    /// current plan — after a rewrite that kept each relation's rows but
+    /// not their order (join reordering, a rank count), which leaves every
+    /// other fact true.
+    pub(crate) fn refresh_sequences(&mut self, plan: &Plan) {
+        for id in plan.reachable() {
+            self.sequence[id] = infer_sequence(plan, id, self);
+        }
+    }
+
+    /// Re-estimate the cardinality and document provenance of every
+    /// reachable operator over the current plan (cheap: both only read
+    /// the inputs' estimates), so estimates match a fresh analysis.
+    pub(crate) fn refresh_estimates(&mut self, plan: &Plan, stats: &dyn StatsSource) {
+        for id in plan.reachable() {
+            let (est, uri) = estimate_op(plan, id, &self.rows, &self.doc, stats);
+            self.rows[id] = est;
+            self.doc[id] = uri;
+        }
+    }
+
+    /// Resolve `order_free` top-down over the current plan.
+    pub(crate) fn resolve_order_free(&mut self, plan: &Plan) {
+        let topo = plan.reachable();
+        self.order_free.iter_mut().for_each(|free| *free = false);
+        for &id in &topo {
+            self.order_free[id] = true;
+        }
+        // The root's order matters unless serialization's stable pos-sort
+        // fully determines it; every other operator is constrained
+        // through its consumer edges, parents first.
+        let root = plan.root();
+        let pos: BTreeSet<String> = std::iter::once("pos".to_string()).collect();
+        self.order_free[root] =
+            self.columns(root).iter().any(|c| c == "pos") && self.keyed_by(root, &pos);
+        for &id in topo.iter().rev() {
+            let parent_free = self.order_free[id];
+            let children = plan.op(id).children();
+            for (slot, &child) in children.iter().enumerate() {
+                let edge = edge_order_free(plan.op(id), slot, parent_free, child, self);
+                self.order_free[child] &= edge;
+            }
+        }
     }
 
     /// `true` if some key of `id`, after removing provably constant
@@ -177,9 +444,35 @@ impl PlanProperties {
     pub fn keyed_by(&self, id: OpId, cols: &BTreeSet<String>) -> bool {
         let constants = &self.constants[id];
         self.keys[id].iter().any(|key| {
-            key.iter()
-                .all(|c| constants.contains_key(c) || cols.contains(c))
+            key.iter().all(|&c| {
+                let name = self.names.name(c);
+                constants.contains_key(name) || cols.contains(name)
+            })
         })
+    }
+
+    /// [`PlanProperties::keyed_by`] over interned columns.
+    fn keyed_by_cols(&self, id: OpId, cols: &[Col]) -> bool {
+        let constants = &self.constants[id];
+        self.keys[id].iter().any(|key| {
+            key.iter()
+                .all(|c| cols.contains(c) || constants.contains_key(self.names.name(*c)))
+        })
+    }
+
+    /// The interned id of a column the analysis has seen.
+    fn col(&self, name: &str) -> Col {
+        self.names
+            .get(name)
+            .expect("an operator's columns are interned before its facts")
+    }
+
+    /// The interned set of `names`.
+    fn cols(&self, names: &[&str]) -> ColSet {
+        let mut set: ColSet = names.iter().map(|n| self.col(n)).collect();
+        set.sort_unstable();
+        set.dedup();
+        set
     }
 
     /// Whether permuting the rows of `id` is unobservable in the
@@ -189,8 +482,15 @@ impl PlanProperties {
     }
 
     /// The inferred key sets of `id`.
-    pub fn keys(&self, id: OpId) -> &[BTreeSet<String>] {
-        &self.keys[id]
+    pub fn keys(&self, id: OpId) -> Vec<BTreeSet<String>> {
+        self.keys[id]
+            .iter()
+            .map(|key| {
+                key.iter()
+                    .map(|&c| self.names.name(c).to_string())
+                    .collect()
+            })
+            .collect()
     }
 
     /// The provably constant columns of `id`, with statically known
@@ -240,19 +540,49 @@ impl PlanProperties {
         self.doc.get(id).and_then(|d| d.as_deref())
     }
 
+    /// The value types column `col` of `id` can hold; `None` when any
+    /// type is possible.
+    pub fn types(&self, id: OpId, col: &str) -> Option<TypeSet> {
+        self.types.get(id).and_then(|t| t.get(col)).copied()
+    }
+
+    /// Every column of `id` with a known type set.
+    pub fn typed_columns(&self, id: OpId) -> &BTreeMap<String, TypeSet> {
+        &self.types[id]
+    }
+
+    /// The row order of `id` within `iter`, if known.
+    pub fn sequence(&self, id: OpId) -> Option<&Sequence> {
+        self.sequence.get(id).and_then(Option::as_ref)
+    }
+
+    /// The operators of the subplan rooted at `id` that can raise a
+    /// dynamic error.
+    pub(crate) fn raisers(&self, id: OpId) -> &OpSet {
+        &self.raisers[id]
+    }
+
+    /// The known value of a constant column `col` of `id`.
+    pub fn constant_value(&self, id: OpId, col: &str) -> Option<&Value> {
+        self.constants[id].get(col).and_then(Option::as_ref)
+    }
+
     /// `true` when every value of column `ac` at `a` provably occurs in
     /// column `bc` at `b`: some tag is a superset of the former and
     /// set-equal to the latter.
     pub(crate) fn value_subset(&self, a: OpId, ac: &str, b: OpId, bc: &str) -> bool {
-        let mut equal = self.equalsets[b].get(bc).cloned().unwrap_or_default();
-        equal.insert((b, bc.to_string()));
+        let (Some(ac), Some(bc)) = (self.names.get(ac), self.names.get(bc)) else {
+            return false;
+        };
+        let mut equal = self.equalsets[b].get(&bc).cloned().unwrap_or_default();
+        equal.insert((self.canon[b], bc));
         !self.supersets_with_self(a, ac).is_disjoint(&equal)
     }
 
     /// Supersets of column `c` at `id`, including `(id, c)` itself.
-    fn supersets_with_self(&self, id: OpId, c: &str) -> BTreeSet<Tag> {
-        let mut tags = self.supersets[id].get(c).cloned().unwrap_or_default();
-        tags.insert((id, c.to_string()));
+    fn supersets_with_self(&self, id: OpId, c: Col) -> BTreeSet<Tag> {
+        let mut tags = self.supersets[id].get(&c).cloned().unwrap_or_default();
+        tags.insert((self.canon[id], c));
         tags
     }
 }
@@ -262,15 +592,85 @@ impl PlanProperties {
 /// every rule that derives keys from input keys is monotone, so nothing
 /// downstream changes either — but key lists stay short: without this a
 /// chain of joins multiplies its inputs' lists level by level.
-fn minimal_keys(mut keys: Vec<BTreeSet<String>>) -> Vec<BTreeSet<String>> {
-    keys.sort_by_key(BTreeSet::len);
-    let mut minimal: Vec<BTreeSet<String>> = Vec::with_capacity(keys.len());
+fn minimal_keys(mut keys: Vec<ColSet>) -> Vec<ColSet> {
+    keys.sort_by_key(Vec::len);
+    let mut minimal: Vec<ColSet> = Vec::with_capacity(keys.len());
     for key in keys {
-        if !minimal.iter().any(|kept| kept.is_subset(&key)) {
+        if !minimal.iter().any(|kept| is_subset(kept, &key)) {
             minimal.push(key);
         }
     }
     minimal
+}
+
+/// The column names `op` reads or writes besides its output columns —
+/// interned with them, so inference can name a column a malformed plan
+/// lacks (the verifier analyzes plans before it rejects them).
+fn mentioned(op: &AlgOp) -> Vec<&str> {
+    let mut names = vec!["iter", "pos", "item"];
+    match op {
+        AlgOp::Project { columns, .. } => {
+            names.extend(columns.iter().flat_map(|(s, t)| [s.as_str(), t.as_str()]));
+        }
+        AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => names.push(column),
+        AlgOp::EquiJoin {
+            left_col,
+            right_col,
+            ..
+        }
+        | AlgOp::ThetaJoin {
+            left_col,
+            right_col,
+            ..
+        } => names.extend([left_col.as_str(), right_col.as_str()]),
+        AlgOp::ThetaCount { count, .. } => names.extend([
+            count.group.as_str(),
+            count.left_col.as_str(),
+            count.right_id.as_str(),
+            count.right_col.as_str(),
+            count.result.as_str(),
+        ]),
+        AlgOp::RowNum {
+            target,
+            order_by,
+            partition,
+            ..
+        } => {
+            names.push(target);
+            names.extend(order_by.iter().map(|s| s.column.as_str()));
+            names.extend(partition.as_deref());
+        }
+        AlgOp::BinaryMap {
+            target,
+            left,
+            right,
+            ..
+        } => names.extend([target.as_str(), left.as_str(), right.as_str()]),
+        AlgOp::UnaryMap { target, source, .. } => names.extend([target.as_str(), source.as_str()]),
+        AlgOp::Attach { target, .. } => names.push(target),
+        AlgOp::Aggregate {
+            group,
+            target,
+            value,
+            ..
+        } => names.extend([group.as_str(), target.as_str(), value.as_str()]),
+        AlgOp::Sort { by, .. } => names.extend(by.iter().map(|s| s.column.as_str())),
+        _ => {}
+    }
+    names
+}
+
+/// `a ⊆ b` for sorted column sets.
+fn is_subset(a: &[Col], b: &[Col]) -> bool {
+    a.iter().all(|c| b.binary_search(c).is_ok())
+}
+
+/// `a ∪ b` for sorted column sets.
+fn union(a: &[Col], b: &[Col]) -> ColSet {
+    let mut set: ColSet = a.iter().chain(b).copied().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 fn set(cols: &[&str]) -> BTreeSet<String> {
@@ -287,10 +687,16 @@ fn cap(tags: BTreeSet<Tag>) -> BTreeSet<Tag> {
 
 /// Tag set of `(input, src)` extended with the input's own tags from
 /// `maps[input][src]`.
-fn inherit(maps: &[TagMap], input: OpId, src: &str, include_self: bool) -> BTreeSet<Tag> {
-    let mut tags = maps[input].get(src).cloned().unwrap_or_default();
+fn inherit(
+    pp: &PlanProperties,
+    maps: &[TagMap],
+    input: OpId,
+    src: Col,
+    include_self: bool,
+) -> BTreeSet<Tag> {
+    let mut tags = maps[input].get(&src).cloned().unwrap_or_default();
     if include_self {
-        tags.insert((input, src.to_string()));
+        tags.insert((pp.canon[input], src));
     }
     cap(tags)
 }
@@ -304,41 +710,44 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
     let mut eq = TagMap::new();
     let mut excl = TagMap::new();
     // Row-preserving rename: `tgt` takes exactly the values `src` had.
-    let exact = |sup: &mut TagMap,
-                 eq: &mut TagMap,
-                 excl: &mut TagMap,
-                 input: OpId,
-                 src: &str,
-                 tgt: &str| {
-        sup.insert(tgt.into(), inherit(&pp.supersets, input, src, true));
-        eq.insert(tgt.into(), inherit(&pp.equalsets, input, src, true));
-        excl.insert(tgt.into(), inherit(&pp.exclusions, input, src, false));
-    };
+    let exact =
+        |sup: &mut TagMap, eq: &mut TagMap, excl: &mut TagMap, input: OpId, src: Col, tgt: Col| {
+            sup.insert(tgt, inherit(pp, &pp.supersets, input, src, true));
+            eq.insert(tgt, inherit(pp, &pp.equalsets, input, src, true));
+            excl.insert(tgt, inherit(pp, &pp.exclusions, input, src, false));
+        };
     // Row subset: values shrink — supersets and exclusions carry, set
     // equality does not.
-    let subset = |sup: &mut TagMap, excl: &mut TagMap, input: OpId, src: &str, tgt: &str| {
-        sup.insert(tgt.into(), inherit(&pp.supersets, input, src, true));
-        excl.insert(tgt.into(), inherit(&pp.exclusions, input, src, false));
+    let subset = |sup: &mut TagMap, excl: &mut TagMap, input: OpId, src: Col, tgt: Col| {
+        sup.insert(tgt, inherit(pp, &pp.supersets, input, src, true));
+        excl.insert(tgt, inherit(pp, &pp.exclusions, input, src, false));
     };
-    let cols = |of: OpId| -> Vec<String> { pp.columns(of).to_vec() };
+    let cols = |of: OpId| -> Vec<Col> { pp.columns(of).iter().map(|c| pp.col(c)).collect() };
     match plan.op(id) {
         AlgOp::Lit { .. } | AlgOp::Doc { .. } => {}
         AlgOp::Project { input, columns } => {
             for (src, tgt) in columns {
-                exact(&mut sup, &mut eq, &mut excl, *input, src, tgt);
+                exact(
+                    &mut sup,
+                    &mut eq,
+                    &mut excl,
+                    *input,
+                    pp.col(src),
+                    pp.col(tgt),
+                );
             }
         }
         // Full-row dedup / re-sort preserves every column's value set.
         AlgOp::Sort { input, .. } | AlgOp::Distinct { input } | AlgOp::DocOrder { input } => {
             for c in cols(*input) {
-                exact(&mut sup, &mut eq, &mut excl, *input, &c, &c);
+                exact(&mut sup, &mut eq, &mut excl, *input, c, c);
             }
         }
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. } => {
             for c in cols(*input) {
-                subset(&mut sup, &mut excl, *input, &c, &c);
+                subset(&mut sup, &mut excl, *input, c, c);
             }
         }
         // Row-preserving column adders: every pre-existing column keeps
@@ -347,30 +756,34 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         | AlgOp::RowNum { input, target, .. }
         | AlgOp::UnaryMap { input, target, .. }
         | AlgOp::BinaryMap { input, target, .. } => {
+            let target = pp.col(target);
             for c in cols(*input) {
-                if c != *target {
-                    exact(&mut sup, &mut eq, &mut excl, *input, &c, &c);
+                if c != target {
+                    exact(&mut sup, &mut eq, &mut excl, *input, c, c);
                 }
             }
         }
         // fn:data / fn:root rewrite `item`; other columns ride along
         // row-preserved.
         AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
+            let item = pp.names.get("item");
             for c in cols(*input) {
-                if c != "item" {
-                    exact(&mut sup, &mut eq, &mut excl, *input, &c, &c);
+                if Some(c) != item {
+                    exact(&mut sup, &mut eq, &mut excl, *input, c, c);
                 }
             }
         }
         // The distinct group values survive exactly; the aggregate
         // target is fresh.
         AlgOp::Aggregate { input, group, .. } => {
+            let group = pp.col(group);
             exact(&mut sup, &mut eq, &mut excl, *input, group, group);
         }
         // Steps emit a subset of the input iterations; item/pos are
         // fresh node/position values.
         AlgOp::Step { input, .. } | AlgOp::Ebv { input } => {
-            subset(&mut sup, &mut excl, *input, "iter", "iter");
+            let iter = pp.col("iter");
+            subset(&mut sup, &mut excl, *input, iter, iter);
         }
         AlgOp::EquiJoin {
             left,
@@ -379,82 +792,87 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             right_col,
         } => {
             for c in cols(*left) {
-                subset(&mut sup, &mut excl, *left, &c, &c);
+                subset(&mut sup, &mut excl, *left, c, c);
             }
             for c in cols(*right) {
-                subset(&mut sup, &mut excl, *right, &c, &c);
+                subset(&mut sup, &mut excl, *right, c, c);
             }
             // Matched join columns take values present on *both* sides.
-            let lc = sup.entry(left_col.clone()).or_default();
-            lc.extend(inherit(&pp.supersets, *right, right_col, true));
+            let (lcol, rcol) = (pp.col(left_col), pp.col(right_col));
+            let lc = sup.entry(lcol).or_default();
+            lc.extend(inherit(pp, &pp.supersets, *right, rcol, true));
             let lc = cap(std::mem::take(lc));
-            sup.insert(left_col.clone(), lc);
-            let rc = sup.entry(right_col.clone()).or_default();
-            rc.extend(inherit(&pp.supersets, *left, left_col, true));
+            sup.insert(lcol, lc);
+            let rc = sup.entry(rcol).or_default();
+            rc.extend(inherit(pp, &pp.supersets, *left, lcol, true));
             let rc = cap(std::mem::take(rc));
-            sup.insert(right_col.clone(), rc);
+            sup.insert(rcol, rc);
         }
         AlgOp::ThetaJoin { left, right, .. } | AlgOp::Cross { left, right } => {
             for c in cols(*left) {
-                subset(&mut sup, &mut excl, *left, &c, &c);
+                subset(&mut sup, &mut excl, *left, c, c);
             }
             for c in cols(*right) {
-                subset(&mut sup, &mut excl, *right, &c, &c);
+                subset(&mut sup, &mut excl, *right, c, c);
             }
         }
         // Groups without a match vanish: the group values shrink; the
         // count is fresh.
         AlgOp::ThetaCount { left, count, .. } => {
-            subset(&mut sup, &mut excl, *left, &count.group, &count.group);
+            let group = pp.col(&count.group);
+            subset(&mut sup, &mut excl, *left, group, group);
         }
         // A union row comes from either side: only relations that hold
         // on both survive; a tag equal to both sides equals the union.
         AlgOp::Union { left, right } => {
             for c in cols(id) {
                 let meet = |maps: &[TagMap]| -> BTreeSet<Tag> {
-                    let l = maps[*left].get(&c).cloned().unwrap_or_default();
-                    let r = maps[*right].get(&c).cloned().unwrap_or_default();
-                    l.intersection(&r).cloned().collect()
+                    match (maps[*left].get(&c), maps[*right].get(&c)) {
+                        (Some(l), Some(r)) => l.intersection(r).copied().collect(),
+                        _ => BTreeSet::new(),
+                    }
                 };
-                sup.insert(c.clone(), meet(&pp.supersets));
-                eq.insert(c.clone(), meet(&pp.equalsets));
-                excl.insert(c.clone(), meet(&pp.exclusions));
+                sup.insert(c, meet(&pp.supersets));
+                eq.insert(c, meet(&pp.equalsets));
+                excl.insert(c, meet(&pp.exclusions));
             }
         }
         AlgOp::Difference { left, right } => {
-            for c in cols(id) {
-                subset(&mut sup, &mut excl, *left, &c, &c);
+            let out = cols(id);
+            for &c in &out {
+                subset(&mut sup, &mut excl, *left, c, c);
             }
             // A single-column difference is a set complement: its values
             // are disjoint from the right side — and from anything whose
             // value set *equals* the right side's.
-            let out = cols(id);
-            if let [c] = out.as_slice() {
-                let entry = excl.entry(c.clone()).or_default();
-                entry.extend(inherit(&pp.equalsets, *right, c, true));
+            if let [c] = out[..] {
+                let entry = excl.entry(c).or_default();
+                entry.extend(inherit(pp, &pp.equalsets, *right, c, true));
                 let capped = cap(std::mem::take(entry));
-                excl.insert(c.clone(), capped);
+                excl.insert(c, capped);
             }
         }
         // One output row per loop row; iter values survive exactly, the
         // item (fresh node ids) does not.
         AlgOp::ElemConstruct { loop_input, .. } | AlgOp::AttrConstruct { loop_input, .. } => {
-            exact(&mut sup, &mut eq, &mut excl, *loop_input, "iter", "iter");
+            let iter = pp.col("iter");
+            exact(&mut sup, &mut eq, &mut excl, *loop_input, iter, iter);
         }
         // τ builds no node for an iteration without content: its iters
         // are a subset of the loop's.
         AlgOp::TextConstruct { loop_input, .. } => {
-            subset(&mut sup, &mut excl, *loop_input, "iter", "iter");
+            let iter = pp.col("iter");
+            subset(&mut sup, &mut excl, *loop_input, iter, iter);
         }
     }
     (sup, eq, excl)
 }
 
-fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String>> {
+fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
     match plan.op(id) {
         AlgOp::Lit { columns, rows } => {
             if rows.len() <= 1 {
-                return vec![BTreeSet::new()];
+                return vec![ColSet::new()];
             }
             if rows.len() > LIT_SCAN_CAP {
                 return Vec::new();
@@ -472,34 +890,40 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
                     }
                 });
                 if distinct {
-                    keys.push(set(&[col]));
+                    keys.push(vec![pp.col(col)]);
                 }
             }
             keys
         }
-        AlgOp::Doc { .. } => vec![BTreeSet::new()],
+        AlgOp::Doc { .. } => vec![ColSet::new()],
         AlgOp::Project { input, columns } => {
             let mut renamed = Vec::new();
             for key in &pp.keys[*input] {
                 // A source column the projection drops kills the key —
                 // unless it is constant at the input, in which case it
-                // never contributed to distinctness anyway.
-                let mapped: Option<BTreeSet<String>> = key
-                    .iter()
-                    .filter(|source| {
-                        columns.iter().any(|(s, _)| s == *source)
-                            || !pp.constants[*input].contains_key(*source)
-                    })
-                    .map(|source| {
-                        columns
-                            .iter()
-                            .find(|(s, _)| s == source)
-                            .map(|(_, t)| t.clone())
-                    })
-                    .collect();
-                if let Some(mapped) = mapped {
-                    renamed.push(mapped);
+                // never contributed to distinctness anyway.  A source
+                // copied under several names keys the output under each.
+                let mut mapped: Vec<ColSet> = vec![ColSet::new()];
+                for &source in key {
+                    let name = pp.names.name(source);
+                    let targets: Vec<Col> = columns
+                        .iter()
+                        .filter(|(s, _)| s == name)
+                        .map(|(_, t)| pp.col(t))
+                        .collect();
+                    if targets.is_empty() {
+                        if pp.constants[*input].contains_key(name) {
+                            continue;
+                        }
+                        mapped.clear();
+                        break;
+                    }
+                    mapped = mapped
+                        .iter()
+                        .flat_map(|partial| targets.iter().map(move |&t| union(partial, &[t])))
+                        .collect();
                 }
+                renamed.extend(mapped);
             }
             renamed
         }
@@ -516,9 +940,8 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
         | AlgOp::BinaryMap { input, .. } => pp.keys[*input].clone(),
         AlgOp::Distinct { input } => {
             let mut keys = pp.keys[*input].clone();
-            if let Some(p) = pp.schema.get(&id) {
-                keys.push(p.columns.iter().cloned().collect());
-            }
+            let all: Vec<&str> = pp.columns(id).iter().map(String::as_str).collect();
+            keys.push(pp.cols(&all));
             keys
         }
         AlgOp::EquiJoin {
@@ -531,17 +954,15 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
             // A pair of keys, one per side, keys the concatenated rows.
             for kl in &pp.keys[*left] {
                 for kr in &pp.keys[*right] {
-                    keys.push(kl.union(kr).cloned().collect());
+                    keys.push(union(kl, kr));
                 }
             }
             // If the join column keys one side, every row of the other
             // side matches at most once, so that side's keys survive.
-            let rc = std::iter::once(right_col.clone()).collect();
-            if pp.keyed_by(*right, &rc) {
+            if pp.keyed_by_cols(*right, &[pp.col(right_col)]) {
                 keys.extend(pp.keys[*left].iter().cloned());
             }
-            let lc = std::iter::once(left_col.clone()).collect();
-            if pp.keyed_by(*left, &lc) {
+            if pp.keyed_by_cols(*left, &[pp.col(left_col)]) {
                 keys.extend(pp.keys[*right].iter().cloned());
             }
             keys
@@ -550,7 +971,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
             let mut keys = Vec::new();
             for kl in &pp.keys[*left] {
                 for kr in &pp.keys[*right] {
-                    keys.push(kl.union(kr).cloned().collect());
+                    keys.push(union(kl, kr));
                 }
             }
             keys
@@ -562,42 +983,48 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
             ..
         } => {
             let mut keys = pp.keys[*input].clone();
-            let mut numbered = BTreeSet::new();
+            let mut numbered = vec![target.as_str()];
             if let Some(p) = partition {
-                numbered.insert(p.clone());
+                numbered.push(p);
             }
-            numbered.insert(target.clone());
-            keys.push(numbered);
+            keys.push(pp.cols(&numbered));
             keys
         }
         // One row per distinct group value, whatever the inputs' keys.
-        AlgOp::Aggregate { group, .. } => vec![set(&[group])],
-        AlgOp::ThetaCount { count, .. } => vec![set(&[&count.group])],
+        AlgOp::Aggregate { group, .. } => vec![pp.cols(&[group])],
+        AlgOp::ThetaCount { count, .. } => vec![pp.cols(&[&count.group])],
         // Steps and ddo sort + dedup on (iter, item) and renumber pos
         // within iter: both (iter, pos) and (iter, item) key the output.
         // An element has at most one attribute of a given name, so a
         // named attribute step over one context node per iteration
         // yields at most one row per iteration.
+        // (An attribute step yields attribute *values*, which repeat.)
         AlgOp::Step { input, axis, test } => {
-            let mut keys = vec![set(&["iter", "pos"]), set(&["iter", "item"])];
-            let iter = set(&["iter"]);
+            let mut keys = vec![pp.cols(&["iter", "pos"])];
+            if *axis != Axis::Attribute {
+                keys.push(pp.cols(&["iter", "item"]));
+            }
+            let iter = pp.cols(&["iter"]);
             if *axis == Axis::Attribute
                 && matches!(test, NodeTest::Attribute(_))
-                && pp.keyed_by(*input, &iter)
+                && pp.keyed_by_cols(*input, &iter)
             {
                 keys.push(iter);
             }
             keys
         }
-        AlgOp::DocOrder { .. } => vec![set(&["iter", "pos"]), set(&["iter", "item"])],
-        AlgOp::Ebv { .. } => vec![set(&["iter"])],
+        AlgOp::DocOrder { .. } => vec![pp.cols(&["iter", "pos"]), pp.cols(&["iter", "item"])],
+        AlgOp::Ebv { .. } => vec![pp.cols(&["iter"])],
         // fn:data / fn:root rewrite the item column, which can collapse
         // distinct items; keys not involving `item` survive.
-        AlgOp::FnData { input } | AlgOp::FnRoot { input } => pp.keys[*input]
-            .iter()
-            .filter(|k| !k.contains("item"))
-            .cloned()
-            .collect(),
+        AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
+            let item = pp.names.get("item");
+            pp.keys[*input]
+                .iter()
+                .filter(|k| item.is_none_or(|item| !k.contains(&item)))
+                .cloned()
+                .collect()
+        }
         // A union generally loses all keys — unless some column provably
         // *discriminates* the sides (rows from different sides always
         // differ on it).  Then that column plus one key per side is a
@@ -615,32 +1042,31 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
             if pp.empty[*right] {
                 return pp.keys[*left].clone();
             }
-            let Some(p) = pp.schema.get(&id) else {
-                return Vec::new();
-            };
-            let mut discriminators: BTreeSet<String> = BTreeSet::new();
-            for c in &p.columns {
-                let known = |side: OpId| pp.constants[side].get(c).cloned().flatten();
+            let mut discriminators: Vec<Col> = Vec::new();
+            for name in pp.columns(id) {
+                let c = pp.col(name);
+                let known = |side: OpId| pp.constant_value(side, name);
                 if let (Some(va), Some(vb)) = (known(*left), known(*right)) {
                     if va != vb {
-                        discriminators.insert(c.clone());
+                        discriminators.push(c);
                         continue;
                     }
                 }
                 let disjoint = |a: OpId, b: OpId| {
                     let sup = pp.supersets_with_self(a, c);
-                    pp.exclusions[b].get(c).is_some_and(|x| !sup.is_disjoint(x))
+                    pp.exclusions[b]
+                        .get(&c)
+                        .is_some_and(|x| !sup.is_disjoint(x))
                 };
                 if disjoint(*left, *right) || disjoint(*right, *left) {
-                    discriminators.insert(c.clone());
+                    discriminators.push(c);
                 }
             }
-            let mut keys = Vec::new();
-            for c in &discriminators {
+            let mut keys: Vec<ColSet> = Vec::new();
+            for &c in &discriminators {
                 for kl in &pp.keys[*left] {
                     for kr in &pp.keys[*right] {
-                        let mut key: BTreeSet<String> = kl.union(kr).cloned().collect();
-                        key.insert(c.clone());
+                        let key = union(&union(kl, kr), &[c]);
                         if !keys.contains(&key) {
                             keys.push(key);
                         }
@@ -653,9 +1079,9 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<BTreeSet<String
         AlgOp::ElemConstruct { loop_input, .. }
         | AlgOp::AttrConstruct { loop_input, .. }
         | AlgOp::TextConstruct { loop_input, .. } => {
-            let mut keys = vec![set(&["item"])];
-            let iter = set(&["iter"]);
-            if pp.keyed_by(*loop_input, &iter) {
+            let mut keys = vec![pp.cols(&["item"])];
+            let iter = pp.cols(&["iter"]);
+            if pp.keyed_by_cols(*loop_input, &iter) {
                 keys.push(iter);
             }
             keys
@@ -669,9 +1095,23 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
     match plan.op(id) {
         AlgOp::Lit { rows, .. } => rows.is_empty(),
         AlgOp::Doc { .. } => false,
+        // σ keeps the rows whose column is `true`: none of a column that
+        // is constant `false`.  σ= keeps none of a column constant at a
+        // different value.
+        AlgOp::Select { input, column } => {
+            pp.empty[*input] || pp.constant_value(*input, column) == Some(&Value::Bool(false))
+        }
+        AlgOp::SelectEq {
+            input,
+            column,
+            value,
+        } => {
+            pp.empty[*input]
+                || pp
+                    .constant_value(*input, column)
+                    .is_some_and(|c| c != value)
+        }
         AlgOp::Project { input, .. }
-        | AlgOp::Select { input, .. }
-        | AlgOp::SelectEq { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Sort { input, .. }
         | AlgOp::DocOrder { input }
@@ -714,10 +1154,8 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
                 .map(|(idx, c)| (c.clone(), Some(rows[0][idx].clone())))
                 .collect()
         }
-        // One row per document root: iter/pos constant, values opaque.
-        AlgOp::Doc { .. } => [("iter".to_string(), None), ("pos".to_string(), None)]
-            .into_iter()
-            .collect(),
+        // One row: its only column is constant, the value opaque.
+        AlgOp::Doc { .. } => std::iter::once(("item".to_string(), None)).collect(),
         AlgOp::Project { input, columns } => columns
             .iter()
             .filter_map(|(s, t)| pp.constants[*input].get(s).map(|v| (t.clone(), v.clone())))
@@ -830,6 +1268,244 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             c
         }
     }
+}
+
+/// Per-column type sets: Boolean at comparisons, `ebv`, `not` and Boolean
+/// constants, carried by renames and row subsets, united at `∪`.
+fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, TypeSet> {
+    let carry = |input: OpId| pp.types[input].clone();
+    let with = |mut types: BTreeMap<String, TypeSet>, col: &str, t: Option<TypeSet>| {
+        match t {
+            Some(t) => types.insert(col.to_string(), t),
+            None => types.remove(col),
+        };
+        types
+    };
+    let boolean = Some(TypeSet::of(ValueType::Bool));
+    match plan.op(id) {
+        AlgOp::Lit { columns, rows } => {
+            if rows.len() > LIT_SCAN_CAP {
+                return BTreeMap::new();
+            }
+            columns
+                .iter()
+                .enumerate()
+                .map(|(idx, c)| {
+                    let t = rows.iter().fold(TypeSet::NONE, |t, r| {
+                        t.union(TypeSet::of(r[idx].value_type()))
+                    });
+                    (c.clone(), t)
+                })
+                .collect()
+        }
+        AlgOp::Doc { .. } => with(BTreeMap::new(), "item", Some(TypeSet::of(ValueType::Node))),
+        AlgOp::Project { input, columns } => columns
+            .iter()
+            .filter_map(|(s, t)| pp.types[*input].get(s).map(|ty| (t.clone(), *ty)))
+            .collect(),
+        // Survivors carry `true` in the column (anything else is an error).
+        AlgOp::Select { input, column } => with(carry(*input), column, boolean),
+        AlgOp::SelectEq { input, .. }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::Sort { input, .. }
+        | AlgOp::DocOrder { input }
+        | AlgOp::Difference { left: input, .. } => carry(*input),
+        AlgOp::Attach {
+            input,
+            target,
+            value,
+        } => with(carry(*input), target, Some(TypeSet::of(value.value_type()))),
+        AlgOp::BinaryMap {
+            input, target, op, ..
+        } => {
+            let t = match op {
+                BinaryOp::Cmp(_)
+                | BinaryOp::And
+                | BinaryOp::Or
+                | BinaryOp::Contains
+                | BinaryOp::StartsWith => boolean,
+                BinaryOp::Arith(_) | BinaryOp::Concat => None,
+            };
+            with(carry(*input), target, t)
+        }
+        AlgOp::UnaryMap {
+            input, target, op, ..
+        } => with(
+            carry(*input),
+            target,
+            (*op == UnaryOp::Not).then_some(boolean).flatten(),
+        ),
+        AlgOp::RowNum { input, target, .. } => {
+            with(carry(*input), target, Some(TypeSet::of(ValueType::Nat)))
+        }
+        AlgOp::Aggregate { input, group, .. } => {
+            with(BTreeMap::new(), group, pp.types[*input].get(group).copied())
+        }
+        AlgOp::ThetaCount { left, count, .. } => with(
+            BTreeMap::new(),
+            &count.group,
+            pp.types[*left].get(&count.group).copied(),
+        ),
+        // Attribute steps yield the attribute values, every other axis
+        // nodes.
+        AlgOp::Step { input, axis, .. } => {
+            let types = with(
+                BTreeMap::new(),
+                "iter",
+                pp.types[*input].get("iter").copied(),
+            );
+            let types = with(types, "pos", Some(TypeSet::of(ValueType::Nat)));
+            let item = match axis {
+                Axis::Attribute => ValueType::Str,
+                _ => ValueType::Node,
+            };
+            with(types, "item", Some(TypeSet::of(item)))
+        }
+        AlgOp::Ebv { input } => {
+            let types = with(
+                BTreeMap::new(),
+                "iter",
+                pp.types[*input].get("iter").copied(),
+            );
+            with(types, "item", boolean)
+        }
+        AlgOp::FnData { input } => with(carry(*input), "item", None),
+        AlgOp::FnRoot { input } => with(carry(*input), "item", Some(TypeSet::of(ValueType::Node))),
+        AlgOp::EquiJoin { left, right, .. }
+        | AlgOp::ThetaJoin { left, right, .. }
+        | AlgOp::Cross { left, right } => {
+            let mut types = carry(*left);
+            types.extend(carry(*right));
+            types
+        }
+        AlgOp::Union { left, right } => {
+            if pp.empty[*left] {
+                return carry(*right);
+            }
+            if pp.empty[*right] {
+                return carry(*left);
+            }
+            pp.types[*left]
+                .iter()
+                .filter_map(|(c, l)| pp.types[*right].get(c).map(|r| (c.clone(), l.union(*r))))
+                .collect()
+        }
+        // A constructed attribute travels as an encoded string.
+        AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } => {
+            with(BTreeMap::new(), "item", Some(TypeSet::of(ValueType::Node)))
+        }
+        AlgOp::AttrConstruct { .. } => BTreeMap::new(),
+    }
+}
+
+/// Row order within `iter` (see [`Sequence`]).  Steps, `ddo` and `%·/iter`
+/// produce a dense one; π, `@` and maps keep it; σ, δ, `∖` and the
+/// left-major joins keep the order but lose the density.
+fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Sequence> {
+    let dense = |column: &str| {
+        Some(Sequence {
+            column: column.to_string(),
+            dense: true,
+        })
+    };
+    let sparse = |input: OpId| {
+        pp.sequence[input].as_ref().map(|s| Sequence {
+            column: s.column.clone(),
+            dense: false,
+        })
+    };
+    match plan.op(id) {
+        // Steps and ddo sort by (iter, document order) and number `pos`
+        // within each iter.
+        AlgOp::Step { .. } | AlgOp::DocOrder { .. } => dense("pos"),
+        // % re-sorts by (partition, order keys) and numbers within each
+        // partition: per iter, or over the whole table when iter is
+        // constant.
+        AlgOp::RowNum {
+            input,
+            target,
+            partition,
+            ..
+        } => {
+            let has_iter = pp.columns(*input).iter().any(|c| c == "iter");
+            let per_iter = match partition {
+                Some(p) => p == "iter",
+                None => pp.constants[*input].contains_key("iter"),
+            };
+            (has_iter && per_iter).then(|| dense(target)).flatten()
+        }
+        AlgOp::Project { input, columns } => {
+            let seq = pp.sequence[*input].as_ref()?;
+            columns.iter().find(|(s, t)| s == "iter" && t == "iter")?;
+            let (_, target) = columns.iter().find(|(s, _)| *s == seq.column)?;
+            Some(Sequence {
+                column: target.clone(),
+                dense: seq.dense,
+            })
+        }
+        AlgOp::Attach { input, .. }
+        | AlgOp::BinaryMap { input, .. }
+        | AlgOp::UnaryMap { input, .. } => pp.sequence[*input].clone(),
+        AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
+            pp.sequence[*input].clone().filter(|s| s.column != "item")
+        }
+        // One row per iter survives σ[c=1] of a dense sequence on c: still
+        // 1 within each iter.
+        AlgOp::SelectEq {
+            input,
+            column,
+            value,
+        } if *value == Value::Nat(1)
+            && pp.sequence[*input]
+                .as_ref()
+                .is_some_and(|s| s.dense && s.column == *column) =>
+        {
+            pp.sequence[*input].clone()
+        }
+        AlgOp::Select { input, .. }
+        | AlgOp::SelectEq { input, .. }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::Difference { left: input, .. }
+        | AlgOp::EquiJoin { left: input, .. }
+        | AlgOp::Cross { left: input, .. } => sparse(*input),
+        _ => None,
+    }
+}
+
+/// The operators of the subplan rooted at `id` that can raise a dynamic
+/// error: maps and casts, σ over a column that may not be Boolean,
+/// atomization, the non-count aggregates, steps, θ-joins, document access
+/// and constructors.
+fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> OpSet {
+    let op = plan.op(id);
+    let mut set = OpSet::new();
+    for child in op.children() {
+        opset_union(&mut set, &pp.raisers[child]);
+    }
+    let raises = match op {
+        AlgOp::Select { input, column } => {
+            !pp.types(*input, column).is_some_and(TypeSet::is_boolean)
+        }
+        AlgOp::Aggregate { func, .. } => *func != AggFunc::Count,
+        AlgOp::BinaryMap { .. }
+        | AlgOp::UnaryMap { .. }
+        | AlgOp::FnData { .. }
+        | AlgOp::FnRoot { .. }
+        | AlgOp::Step { .. }
+        | AlgOp::ThetaJoin { .. }
+        | AlgOp::ThetaCount { .. }
+        | AlgOp::Doc { .. }
+        | AlgOp::ElemConstruct { .. }
+        | AlgOp::AttrConstruct { .. }
+        | AlgOp::TextConstruct { .. } => true,
+        _ => false,
+    };
+    if raises {
+        opset_insert(&mut set, id);
+    }
+    set
 }
 
 /// The constants of a grouping operator: its group column, when that is

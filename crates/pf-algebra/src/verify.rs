@@ -1,6 +1,7 @@
 //! Static plan verification.
 //!
-//! With six peephole rules and four join-graph-isolation rules composing
+//! With six peephole rules and the join-graph-isolation rules (pushdown,
+//! reordering, index scans, rank counts, scaffolding deletion) composing
 //! at fixpoint, a latent rewrite bug can only surface as a wrong query
 //! answer.  This module catches it at *plan time* instead: after every
 //! rule application the optimizer can check
@@ -15,7 +16,8 @@
 //! * **semantic invariants** ([`verify_rewrite`]) — a rewrite must
 //!   preserve the root schema exactly and may only *strengthen* the
 //!   statically proven key sets and constant columns captured in the
-//!   pre-rewrite [`PlanDigest`].  (A rewrite that loses a key the
+//!   pre-rewrite [`PlanDigest`], and may only narrow the proven value
+//!   types of the root columns.  (A rewrite that loses a key the
 //!   analysis had proven would silently disable downstream rewrites that
 //!   relied on it — and usually means rows were duplicated or dropped.)
 //!   Every [`AlgOp::ThetaCount`] of the rewritten plan must be one the
@@ -36,7 +38,7 @@ use pf_relational::Value;
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
-use crate::properties::PlanProperties;
+use crate::properties::{PlanProperties, TypeSet};
 
 /// A verification failure: which invariant broke, attributed to the
 /// rewrite rule that broke it when checked via [`verify_rewrite`].
@@ -85,6 +87,8 @@ pub struct PlanDigest {
     /// Constant columns proven at the root (with statically known
     /// values where available).
     pub constants: BTreeMap<String, Option<Value>>,
+    /// The value types proven for root columns.
+    pub types: BTreeMap<String, TypeSet>,
     /// The [`AlgOp::ThetaCount`] operators the plan justifies, inputs
     /// erased: the ones it already contains, and one per count aggregate
     /// whose input is row-aligned with a θ-join's distinct pairs
@@ -100,8 +104,9 @@ pub fn digest(plan: &Plan) -> PlanDigest {
     let justified = crate::optimize::thetacount::candidates(plan, &props);
     PlanDigest {
         columns: props.columns(root).to_vec(),
-        keys: props.keys(root).to_vec(),
+        keys: props.keys(root),
         constants: props.constants(root).clone(),
+        types: props.typed_columns(root).clone(),
         theta_counts: theta_counts(plan)
             .chain(justified.iter().map(|candidate| &candidate.count))
             .map(without_inputs)
@@ -495,6 +500,17 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
                         )));
                     }
                 }
+            }
+        }
+    }
+    // Types may only narrow; losing track of a column's types is an
+    // analysis weakening, like losing a constant's value.
+    for (col, before_types) in &before.types {
+        if let Some(after_types) = props.types(root, col) {
+            if after_types.union(*before_types) != *before_types {
+                return Err(semantic(format!(
+                    "column `{col}` widened its types: {before_types:?} -> {after_types:?}"
+                )));
             }
         }
     }

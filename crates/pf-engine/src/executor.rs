@@ -70,7 +70,7 @@ use pf_algebra::{
     AlgOp, OpId, PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan, Plan, SortSpec,
 };
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
-use pf_relational::{Column, NodeRef, Table, Value};
+use pf_relational::{Cell, Column, NodeRef, Table, Value};
 use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest};
 
 use crate::error::{EngineError, EngineResult};
@@ -1377,8 +1377,8 @@ impl<'a> Executor<'a> {
                 kernel.index_lookups = 1;
                 kernel.index_candidate_rows = cands.posting_rows();
                 (0..rows)
-                    .map(|row| match item.get(row) {
-                        Value::Node(n) if n.doc == doc_id => {
+                    .map(|row| match item.cell(row) {
+                        Cell::Node(n) if n.doc == doc_id => {
                             ops::text_row_is_candidate(store.as_ref(), &cands, n.pre)
                         }
                         _ => true,
@@ -1403,19 +1403,18 @@ impl<'a> Executor<'a> {
                 kernel.index_candidate_rows = cands.pres.len();
                 match target {
                     ops::IndexTarget::ElementTag(_) => (0..rows)
-                        .map(|row| match item.get(row) {
-                            Value::Node(n) if n.doc == doc_id => cands.contains_pre(n.pre),
+                        .map(|row| match item.cell(row) {
+                            Cell::Node(n) if n.doc == doc_id => cands.contains_pre(n.pre),
                             _ => true,
                         })
                         .collect(),
                     ops::IndexTarget::AttributeName(_) => {
                         // Attribute steps yield the attribute *values* as
                         // strings; membership is on the value itself.
-                        let values: HashSet<&str> =
-                            cands.values.iter().map(String::as_str).collect();
+                        let values: HashSet<&str> = cands.values(index, &store.texts).collect();
                         (0..rows)
-                            .map(|row| match item.get(row) {
-                                Value::Str(s) => values.contains(s.as_str()),
+                            .map(|row| match item.cell(row) {
+                                Cell::Str(s) => values.contains(s),
                                 _ => true,
                             })
                             .collect()
@@ -1430,11 +1429,7 @@ impl<'a> Executor<'a> {
                 // without ever evaluating the predicate, so every row of a
                 // multi-row iteration must survive; only singleton groups
                 // may be filtered on candidacy.
-                let iter_col = table.column("iter")?;
-                let mut iters = Vec::with_capacity(rows);
-                for row in 0..rows {
-                    iters.push(iter_col.get(row).as_nat()?);
-                }
+                let iters = nat_keys(table.column("iter")?)?;
                 let mut keep = Vec::with_capacity(rows);
                 if iters.windows(2).all(|w| w[0] <= w[1]) {
                     // Iterations are grouped (the common case: the join
@@ -1452,7 +1447,7 @@ impl<'a> Executor<'a> {
                     }
                 } else {
                     let mut counts: HashMap<u64, usize> = HashMap::new();
-                    for &iter in &iters {
+                    for &iter in iters.iter() {
                         *counts.entry(iter).or_insert(0) += 1;
                     }
                     keep.extend((0..rows).filter(|&r| candidate[r] || counts[&iters[r]] > 1));

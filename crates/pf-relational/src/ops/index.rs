@@ -131,14 +131,26 @@ pub fn text_row_is_candidate(store: &DocStore, candidates: &TextCandidates, pre:
 pub struct ValueCandidates {
     /// Sorted pre ranks of nodes carrying a candidate value.
     pub pres: Vec<u32>,
-    /// The candidate value strings.
-    pub values: Vec<String>,
+    /// The candidate entries of the probed index, ascending.
+    pub entries: Vec<u32>,
 }
 
 impl ValueCandidates {
     /// Is `pre` a candidate node?
     pub fn contains_pre(&self, pre: u32) -> bool {
         self.pres.binary_search(&pre).is_ok()
+    }
+
+    /// The candidate value strings, borrowed from the probed `index` and
+    /// the store's `texts`.
+    pub fn values<'a>(
+        &'a self,
+        index: &'a ValueIndex,
+        texts: &'a Dictionary,
+    ) -> impl Iterator<Item = &'a str> + 'a {
+        self.entries
+            .iter()
+            .map(move |&i| index.entries[i as usize].key.resolve(texts))
     }
 }
 
@@ -168,15 +180,15 @@ pub fn evaluate_value_probe(
                 .collect()
         });
     let mut pres = Vec::new();
-    let mut values = Vec::with_capacity(entry_indices.len());
     for i in &entry_indices {
-        let entry = &index.entries[*i as usize];
-        pres.extend_from_slice(&entry.pres);
-        values.push(entry.key.resolve(texts).to_string());
+        pres.extend_from_slice(&index.entries[*i as usize].pres);
     }
     pres.sort_unstable();
     pres.dedup();
-    ValueCandidates { pres, values }
+    ValueCandidates {
+        pres,
+        entries: entry_indices,
+    }
 }
 
 /// Exact string-equality probes answer with one binary search over the
@@ -254,11 +266,18 @@ fn numeric_fast_path(
     };
     let mut hits: Vec<u32> = index.numeric_range(min, max).collect();
     // Entries outside the numeric view error under fn:number → keep.
-    let mut numeric_entries = vec![false; index.entries.len()];
-    for i in index.numeric_range(None, None) {
-        numeric_entries[i as usize] = true;
+    if index.numeric.len() < index.entries.len() {
+        let mut numeric: Vec<u32> = index.numeric.iter().map(|&(_, i)| i).collect();
+        numeric.sort_unstable();
+        let mut next = numeric.iter().peekable();
+        for i in 0..index.entries.len() as u32 {
+            if next.peek() == Some(&&i) {
+                next.next();
+            } else {
+                hits.push(i);
+            }
+        }
     }
-    hits.extend((0..index.entries.len() as u32).filter(|&i| !numeric_entries[i as usize]));
     hits.sort_unstable();
     hits.dedup();
     Some(hits)
@@ -305,7 +324,7 @@ mod tests {
         let s = store(r#"<a><b id="x1"/><b id="y2"/><b id="x1"/></a>"#);
         let vi = s.attribute_index("id").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Eq, &Value::Str("x1".into()), false);
-        assert_eq!(c.values, vec!["x1".to_string()]);
+        assert_eq!(c.values(vi, &s.texts).collect::<Vec<_>>(), ["x1"]);
         assert_eq!(c.pres.len(), 2);
     }
 
@@ -315,12 +334,13 @@ mod tests {
         let vi = s.element_index("p").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Ge, &Value::Int(40), true);
         // 50 matches; "oops" would error under fn:number → candidate too.
-        assert_eq!(c.values.len(), 2);
-        assert!(c.values.contains(&"50".to_string()));
-        assert!(c.values.contains(&"oops".to_string()));
+        let values: Vec<&str> = c.values(vi, &s.texts).collect();
+        assert_eq!(values.len(), 2);
+        assert!(values.contains(&"50"));
+        assert!(values.contains(&"oops"));
         // Linear fallback (string literal) agrees with the fast path.
         let lin = evaluate_value_probe(vi, &s.texts, CmpOp::Ge, &Value::Str("40".into()), true);
-        assert_eq!(lin.values.len(), 2);
+        assert_eq!(lin.values(vi, &s.texts).count(), 2);
     }
 
     #[test]
@@ -328,6 +348,6 @@ mod tests {
         let s = store("<a><p>apple</p><p>banana</p><p>cherry</p></a>");
         let vi = s.element_index("p").unwrap();
         let c = evaluate_value_probe(vi, &s.texts, CmpOp::Lt, &Value::Str("banana".into()), false);
-        assert_eq!(c.values, vec!["apple".to_string()]);
+        assert_eq!(c.values(vi, &s.texts).collect::<Vec<_>>(), ["apple"]);
     }
 }

@@ -28,7 +28,7 @@
 //! result that makes the naive compilation (and navigational engines)
 //! collapse on XMark Q8–Q12.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pf_algebra::{AlgOp, OpId, Plan, PlanBuilder, SortSpec};
 use pf_relational::ops::{AggFunc, BinaryOp, CmpOp, UnaryOp};
@@ -78,6 +78,7 @@ pub fn compile(expr: &Expr, options: &CompileOptions) -> XqResult<Compiled> {
     let scope = Scope {
         loop_op: loop0,
         vars: HashMap::new(),
+        numeric: HashSet::new(),
     };
     let root = ctx.compile_expr(expr, &scope)?;
     Ok(Compiled {
@@ -91,6 +92,57 @@ pub fn compile(expr: &Expr, options: &CompileOptions) -> XqResult<Compiled> {
 struct Scope {
     loop_op: OpId,
     vars: HashMap<String, OpId>,
+    /// The visible variables statically bound to one number per
+    /// iteration (what makes a predicate `[$v]` positional).
+    numeric: HashSet<String>,
+}
+
+impl Scope {
+    /// A scope over `loop_op` that knows the numeric variables of `outer`
+    /// (its variables are lifted in by the caller).
+    fn nested(loop_op: OpId, outer: &Scope) -> Scope {
+        Scope {
+            loop_op,
+            vars: HashMap::new(),
+            numeric: outer.numeric.clone(),
+        }
+    }
+
+    /// Bind `var` to `op`, numeric when `numeric` is set.
+    fn bind(&mut self, var: &str, op: OpId, numeric: bool) {
+        self.vars.insert(var.to_string(), op);
+        if numeric {
+            self.numeric.insert(var.to_string());
+        } else {
+            self.numeric.remove(var);
+        }
+    }
+
+    /// Whether `expr` statically evaluates to a single number per
+    /// iteration: numeric literals, arithmetic, the numeric functions and
+    /// numeric variables.
+    fn is_numeric(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::IntLit(_) | Expr::DecLit(_) | Expr::Neg(_) => true,
+            Expr::BinOp { op, .. } => op.is_arithmetic(),
+            Expr::Var(v) => self.numeric.contains(v),
+            Expr::Sequence(items) => matches!(items.as_slice(), [item] if self.is_numeric(item)),
+            Expr::FunCall { name, .. } => matches!(
+                name.as_str(),
+                "count" | "sum" | "avg" | "number" | "string-length" | "position" | "last"
+            ),
+            _ => false,
+        }
+    }
+
+    /// Whether every item of `expr` is statically a number, so a `for`
+    /// over it binds a numeric variable.
+    fn items_numeric(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Sequence(items) => !items.is_empty() && items.iter().all(|i| self.is_numeric(i)),
+            other => self.is_numeric(other),
+        }
+    }
 }
 
 struct Ctx {
@@ -310,7 +362,7 @@ impl Ctx {
             Expr::Let { var, value, body } => {
                 let value_op = self.compile_expr(value, scope)?;
                 let mut inner = scope.clone();
-                inner.vars.insert(var.clone(), value_op);
+                inner.bind(var, value_op, scope.is_numeric(value));
                 self.compile_expr(body, &inner)
             }
             Expr::If {
@@ -418,14 +470,8 @@ impl Ctx {
         let loop_then = self.project(true_rows, &[("iter", "iter")]);
         let loop_else = self.difference(scope.loop_op, loop_then);
 
-        let mut then_scope = Scope {
-            loop_op: loop_then,
-            vars: HashMap::new(),
-        };
-        let mut else_scope = Scope {
-            loop_op: loop_else,
-            vars: HashMap::new(),
-        };
+        let mut then_scope = Scope::nested(loop_then, scope);
+        let mut else_scope = Scope::nested(loop_else, scope);
         for (name, &op) in &scope.vars {
             then_scope
                 .vars
@@ -617,10 +663,7 @@ impl Ctx {
         let last_pos = self.attach(last_pairs, "pos", Value::Nat(1));
         let last = self.canonical(last_pos);
 
-        let mut pred_scope = Scope {
-            loop_op: inner_loop,
-            vars: HashMap::new(),
-        };
+        let mut pred_scope = Scope::nested(inner_loop, scope);
         for (name, &op) in &scope.vars {
             pred_scope.vars.insert(name.clone(), self.lift_var(op, map));
         }
@@ -629,12 +672,32 @@ impl Ctx {
         pred_scope.vars.insert("fs:last".into(), last);
 
         let q_pred = self.compile_expr(pred, &pred_scope)?;
-        let bools = self.ebv_bool(q_pred, inner_loop);
-        let keep_rows = self.b.add(AlgOp::Select {
-            input: bools,
-            column: "item".into(),
-        });
-        let keep = self.project(keep_rows, &[("iter", "inner2")]);
+        let keep = if pred_scope.is_numeric(pred) {
+            // A numeric predicate is positional: keep the iterations whose
+            // value equals their position.
+            let positions = self.project(position, &[("iter", "iterp"), ("item", "posp")]);
+            let paired = self.equi_join(q_pred, positions, "iter", "iterp");
+            let flagged = self.b.add(AlgOp::BinaryMap {
+                input: paired,
+                target: "at".into(),
+                left: "item".into(),
+                op: BinaryOp::Cmp(CmpOp::Eq),
+                right: "posp".into(),
+            });
+            let hits = self.b.add(AlgOp::Select {
+                input: flagged,
+                column: "at".into(),
+            });
+            let iters = self.project(hits, &[("iter", "inner2")]);
+            self.b.add(AlgOp::Distinct { input: iters })
+        } else {
+            let bools = self.ebv_bool(q_pred, inner_loop);
+            let keep_rows = self.b.add(AlgOp::Select {
+                input: bools,
+                column: "item".into(),
+            });
+            self.project(keep_rows, &[("iter", "inner2")])
+        };
         let surviving = self.equi_join(numbered, keep, "inner", "inner2");
         let canonical = self.canonical(surviving);
         Ok(self.renumber_pos(canonical))
@@ -849,19 +912,16 @@ impl Ctx {
         let var_pos = self.attach(var_pairs, "pos", Value::Nat(1));
         let var_table = self.canonical(var_pos);
 
-        let mut body_scope = Scope {
-            loop_op: inner_loop,
-            vars: HashMap::new(),
-        };
+        let mut body_scope = Scope::nested(inner_loop, scope);
         for (name, &op) in &scope.vars {
             body_scope.vars.insert(name.clone(), self.lift_var(op, map));
         }
-        body_scope.vars.insert(var.to_string(), var_table);
+        body_scope.bind(var, var_table, scope.items_numeric(seq));
         if let Some(pos_name) = pos_var {
             let pos_pairs = self.project(numbered, &[("inner", "iter"), ("pos", "item")]);
             let pos_pos = self.attach(pos_pairs, "pos", Value::Nat(1));
             let pos_table = self.canonical(pos_pos);
-            body_scope.vars.insert(pos_name.to_string(), pos_table);
+            body_scope.bind(pos_name, pos_table, true);
         }
 
         // `where` desugars to `if (…) then body else ()` inside the loop.
@@ -953,6 +1013,7 @@ impl Ctx {
         let single_scope = Scope {
             loop_op: single_loop,
             vars: HashMap::new(),
+            numeric: HashSet::new(),
         };
         let q_seq = self.compile_expr(seq, &single_scope)?;
         let keyed = self.row_number(
@@ -971,8 +1032,9 @@ impl Ctx {
         let mut key_scope = Scope {
             loop_op: aid_loop,
             vars: HashMap::new(),
+            numeric: HashSet::new(),
         };
-        key_scope.vars.insert(var.to_string(), var_single);
+        key_scope.bind(var, var_single, single_scope.items_numeric(seq));
         let q_inner_key = self.compile_expr(inner_expr, &key_scope)?;
         let inner_key_data = self.b.add(AlgOp::FnData { input: q_inner_key });
         let inner_keys = self.project(inner_key_data, &[("iter", "aid1"), ("item", "item1")]);
@@ -1017,14 +1079,11 @@ impl Ctx {
         let var_table = self.canonical(var_pos2);
 
         // 6. Lift the enclosing variables and compile the body.
-        let mut body_scope = Scope {
-            loop_op: inner_loop,
-            vars: HashMap::new(),
-        };
+        let mut body_scope = Scope::nested(inner_loop, scope);
         for (name, &op) in &scope.vars {
             body_scope.vars.insert(name.clone(), self.lift_var(op, map));
         }
-        body_scope.vars.insert(var.to_string(), var_table);
+        body_scope.bind(var, var_table, scope.items_numeric(seq));
         let q_body = self.compile_expr(body, &body_scope)?;
 
         // 7. Back-map to the enclosing scope.

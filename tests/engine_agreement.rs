@@ -138,6 +138,31 @@ fn engines_agree_on_handwritten_micro_queries() {
     }
 }
 
+/// A predicate whose value is a single number selects by position, not by
+/// effective boolean value — however the number is computed.
+#[test]
+fn numeric_predicates_select_by_position() {
+    let xml = "<r><p>a</p><p>b</p><p>c</p></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    let cases = [
+        ("fn:doc(\"d.xml\")/r/p[1 + 1]", "<p>b</p>"),
+        ("let $k := 2 return fn:doc(\"d.xml\")/r/p[$k]", "<p>b</p>"),
+        (
+            "for $i in (1, 3) return fn:doc(\"d.xml\")/r/p[$i]/text()",
+            "ac",
+        ),
+    ];
+    for (q, expected) in cases {
+        let a = pf.session().query(q).unwrap().to_xml();
+        let b = baseline.query(q).unwrap().to_xml();
+        assert_eq!(a, b, "engines disagree on `{q}`");
+        assert_eq!(a, expected, "`{q}` must select by position");
+    }
+}
+
 /// Processing instructions keep their targets through the store, node
 /// copying in constructors and serialization: `<?target?>` without data,
 /// `<?target data?>` with.

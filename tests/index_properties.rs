@@ -230,7 +230,7 @@ proptest! {
         for attr in 0..store.attribute_count() {
             if store.attr_name_of(attr) == "id" && store.attr_value_of(attr) == id {
                 prop_assert!(
-                    cands.values.iter().any(|v| v == id),
+                    cands.values(index, &store.texts).any(|v| v == id),
                     "attribute value {id:?} exists but is missing from the candidates"
                 );
             }

@@ -10,19 +10,22 @@
 //! unions, distinct, attach, rank counts) and named attribute steps over
 //! randomized documents, executes them, and checks every claim the
 //! analysis makes against the actual table — both on the raw plan and
-//! after a `full`-level optimization pass.
+//! after a `full`-level optimization pass.  The same checks run on every
+//! operator of the compiled XMark plans.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use pathfinder::algebra::{
-    optimize_with, AlgOp, NoStats, OptimizerLevel, Plan, PlanBuilder, PlanProperties,
+    optimize_with, AlgOp, NoStats, OpId, OptimizerLevel, Plan, PlanBuilder, PlanProperties,
 };
 use pathfinder::engine::{DocRegistry, Executor};
 use pathfinder::relational::ops::{BinaryOp, CmpOp, RankCount};
 use pathfinder::relational::{Table, Value};
 use pathfinder::store::{Axis, NodeTest};
+use pathfinder::xmark::{generate, queries, GeneratorConfig};
+use pathfinder::xquery::{compile, normalize, parse_query, CompileOptions};
 
 /// Assert every property claimed at the root of a literal-only plan
 /// against the executed table.
@@ -33,8 +36,14 @@ fn assert_sound(plan: &Plan, label: &str) {
 /// [`assert_sound`] for a plan that reads the documents of `registry`.
 fn assert_sound_over(registry: &DocRegistry, plan: &Plan, label: &str) {
     let props = PlanProperties::analyze(plan);
-    let root = plan.root();
     let table: Table = Executor::new(registry).run(plan).expect("plan executes");
+    assert_claims(&props, plan.root(), &table, label);
+}
+
+/// Assert every property `props` claims for operator `id` against `table`,
+/// the executed output of the sub-plan rooted at `id`.
+fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
+    let root = id;
 
     // Schema: the claimed columns are the table's columns, in order.
     let claimed: Vec<&str> = props.columns(root).iter().map(|c| c.as_str()).collect();
@@ -92,8 +101,64 @@ fn assert_sound_over(registry: &DocRegistry, plan: &Plan, label: &str) {
         }
     }
 
+    // Emptiness is a guarantee, not an estimate.
+    if props.provably_empty(root) {
+        prop_assert_eq!(table.row_count(), 0, "{}: claimed empty", label);
+    }
+
+    // Types: every value of a typed column has one of the claimed types.
+    for (col, types) in props.typed_columns(root) {
+        for r in 0..table.row_count() {
+            let v = table.value(col, r).expect("typed column exists");
+            prop_assert!(
+                types.contains(v.value_type()),
+                "{}: column `{}` holds {:?}, outside its claimed types {:?}",
+                label,
+                col,
+                v,
+                types
+            );
+        }
+    }
+
+    // Sequence: rows sorted by (iter, column); dense ⇒ 1..k per iter.
+    if let Some(seq) = props.sequence(root) {
+        let nat = |col: &str, r: usize| match table.value(col, r).expect("sequence column") {
+            Value::Nat(n) => n,
+            other => panic!("{label}: sequence column `{col}` holds {other:?}"),
+        };
+        let mut previous: Option<(u64, u64)> = None;
+        for r in 0..table.row_count() {
+            let row = (nat("iter", r), nat(&seq.column, r));
+            if let Some(prev) = previous {
+                prop_assert!(
+                    prev <= row,
+                    "{}: rows not sorted by (iter, {}): {:?} before {:?}",
+                    label,
+                    seq.column,
+                    prev,
+                    row
+                );
+            }
+            if seq.dense {
+                let expected = match previous {
+                    Some((iter, n)) if iter == row.0 => n + 1,
+                    _ => 1,
+                };
+                prop_assert_eq!(
+                    row.1,
+                    expected,
+                    "{}: `{}` claimed dense within iter",
+                    label,
+                    seq.column
+                );
+            }
+            previous = Some(row);
+        }
+    }
+
     // Row estimate: not a correctness claim, but it must at least be a
-    // finite, non-negative number for a literal-only plan.
+    // finite, non-negative number.
     let rows = props.rows(root);
     prop_assert!(
         rows.is_finite() && rows >= 0.0,
@@ -101,6 +166,48 @@ fn assert_sound_over(registry: &DocRegistry, plan: &Plan, label: &str) {
         label,
         rows
     );
+}
+
+/// Every claim about every operator of the 20 compiled XMark plans — with
+/// join recognition on and off, at the basic and full levels — holds for
+/// the table that operator produces on a small auction document.
+#[test]
+fn xmark_plan_properties_are_sound_at_every_operator() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.003,
+        seed: 11,
+    });
+    let registry = DocRegistry::new();
+    registry.load_xml("auction.xml", &xml).unwrap();
+    let executor = Executor::with_threads(&registry, 1);
+    for join_recognition in [true, false] {
+        let options = CompileOptions {
+            join_recognition,
+            ..Default::default()
+        };
+        for q in queries() {
+            let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+            let compiled = compile(&core, &options).unwrap().plan;
+            for (name, level) in [
+                ("basic", OptimizerLevel::BASIC),
+                ("full", OptimizerLevel::FULL),
+            ] {
+                let mut plan = compiled.clone();
+                optimize_with(&mut plan, level, &NoStats);
+                let props = PlanProperties::analyze(&plan);
+                for id in plan.reachable() {
+                    let sub = Plan::new(plan.ops().to_vec(), id);
+                    let table = executor.run(&sub).expect("every sub-plan executes");
+                    let label = format!(
+                        "Q{} ({name}, join recognition {join_recognition}) op #{id} {}",
+                        q.id,
+                        plan.op(id).symbol()
+                    );
+                    assert_claims(&props, id, &table, &label);
+                }
+            }
+        }
+    }
 }
 
 fn nat_rows(cols: usize, values: &[Vec<u64>]) -> Vec<Vec<Value>> {

@@ -396,6 +396,145 @@ fn mutation_after_plan_structurally_broken() {
 }
 
 // ---------------------------------------------------------------------------
+// Scaffolding-deletion mutations: the broken replacement of a loop join, a
+// dead arm or a row numbering is rejected where it reaches the root.
+// ---------------------------------------------------------------------------
+
+/// `⋈[iter=iter1](L, @c:=c(π[iter1:iter](L)))` — the join `scaffold`
+/// deletes — or, with `deleted`, its replacement attaching `deleted`.
+fn loop_join(deleted: Option<Value>) -> Plan {
+    let mut b = PlanBuilder::new();
+    let l = nat_lit(&mut b, &["iter", "item"], &[&[1, 10], &[2, 20]]);
+    let keys = b.add(AlgOp::Project {
+        input: l,
+        columns: vec![("iter".into(), "iter1".into())],
+    });
+    let root = match deleted {
+        None => {
+            let lookup = b.add(AlgOp::Attach {
+                input: keys,
+                target: "c".into(),
+                value: Value::Str("x".into()),
+            });
+            b.add(AlgOp::EquiJoin {
+                left: l,
+                right: lookup,
+                left_col: "iter".into(),
+                right_col: "iter1".into(),
+            })
+        }
+        Some(value) => {
+            let copied = b.add(AlgOp::Project {
+                input: l,
+                columns: vec![
+                    ("iter".into(), "iter".into()),
+                    ("item".into(), "item".into()),
+                    ("iter".into(), "iter1".into()),
+                ],
+            });
+            b.add(AlgOp::Attach {
+                input: copied,
+                target: "c".into(),
+                value,
+            })
+        }
+    };
+    b.finish(root)
+}
+
+#[test]
+fn loop_join_deletion_is_accepted_and_a_wrong_constant_rejected() {
+    let before = digest(&loop_join(None));
+    verify_rewrite(
+        "scaffold",
+        &before,
+        &loop_join(Some(Value::Str("x".into()))),
+    )
+    .expect("the faithful deletion verifies");
+    let err = verify_rewrite(
+        "mutated-loop-join",
+        &before,
+        &loop_join(Some(Value::Str("y".into()))),
+    )
+    .expect_err("a deletion attaching the wrong constant must be rejected");
+    assert!(err.to_string().contains("changed value"), "{err}");
+}
+
+#[test]
+fn mutation_dead_arm_deletion_keeping_the_empty_arm() {
+    // ∪(σ[val=1](lit), σ[val=2](lit)) where `val` is constant 1: the right
+    // arm is provably empty.  Keeping it instead of the left one changes
+    // the root's constant.
+    let arm = |b: &mut PlanBuilder, pick: u64| {
+        let lit = nat_lit(b, &["iter", "val"], &[&[1, 1], &[2, 1]]);
+        b.add(AlgOp::SelectEq {
+            input: lit,
+            column: "val".into(),
+            value: Value::Nat(pick),
+        })
+    };
+    let mut b = PlanBuilder::new();
+    let live = arm(&mut b, 1);
+    let dead = arm(&mut b, 2);
+    let u = b.add(AlgOp::Union {
+        left: live,
+        right: dead,
+    });
+    let before = digest(&b.finish(u));
+    let mut b = PlanBuilder::new();
+    let kept = arm(&mut b, 2);
+    let err = verify_rewrite("mutated-dead-arm", &before, &b.finish(kept))
+        .expect_err("keeping the empty arm must be rejected");
+    assert!(err.to_string().contains("changed value"), "{err}");
+}
+
+#[test]
+fn mutation_row_number_deletion_copying_the_wrong_column() {
+    // `%t:⟨pos⟩/iter` over a dense `pos` is `π[…, t:pos]`; copying `item`
+    // into `t` instead widens `t` from naturals to strings.
+    let lit = |b: &mut PlanBuilder| {
+        b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![
+                vec![Value::Nat(1), Value::Str("a".into())],
+                vec![Value::Nat(1), Value::Str("b".into())],
+            ],
+        })
+    };
+    let numbered = |b: &mut PlanBuilder| {
+        let l = lit(b);
+        b.add(AlgOp::RowNum {
+            input: l,
+            target: "pos".into(),
+            order_by: vec![SortSpec::asc("item")],
+            partition: Some("iter".into()),
+        })
+    };
+    let mut b = PlanBuilder::new();
+    let input = numbered(&mut b);
+    let t = b.add(AlgOp::RowNum {
+        input,
+        target: "t".into(),
+        order_by: vec![SortSpec::asc("pos")],
+        partition: Some("iter".into()),
+    });
+    let before = digest(&b.finish(t));
+    let mut b = PlanBuilder::new();
+    let input = numbered(&mut b);
+    let copied = b.add(AlgOp::Project {
+        input,
+        columns: ["iter", "item", "pos"]
+            .iter()
+            .map(|c| (c.to_string(), c.to_string()))
+            .chain(std::iter::once(("item".to_string(), "t".to_string())))
+            .collect(),
+    });
+    let err = verify_rewrite("mutated-row-number", &before, &b.finish(copied))
+        .expect_err("copying the wrong column must be rejected");
+    assert!(err.to_string().contains("widened its types"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
 // Count-by-rank mutations: a `ThetaCount` stands for a count over a pair
 // table, so it is only accepted where the plan before the rewrite justifies
 // exactly that count.
