@@ -32,8 +32,8 @@ pub mod verify;
 
 pub use ops::{AlgOp, SortSpec};
 pub use optimize::{
-    optimize, optimize_analyzed, optimize_with, optimize_with_verify, CardEstimate, Isolation,
-    NoStats, OptimizeReport, OptimizerLevel, StatsSource,
+    optimize, optimize_analyzed, optimize_with, optimize_with_verify, NoStats, OptimizeReport,
+    OptimizerLevel, StatsSource,
 };
 pub use physical::{PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan};
 pub use plan::{OpId, Plan, PlanBuilder, ReadySetBooks};

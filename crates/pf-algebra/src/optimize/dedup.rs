@@ -2,9 +2,8 @@
 //!
 //! [`hash_cons`] merges structurally identical subplans in **one**
 //! bottom-up pass: children are first rewritten to their canonical
-//! representatives, so a whole duplicated subtree collapses without the
-//! fixpoint iterations the string-keyed CSE of the basic level needs.
-//! (Same rewrites, counted separately in `subplans_deduped`.)
+//! representatives, so a whole duplicated subtree collapses without
+//! fixpoint iterations (counted in `subplans_deduped`).
 //!
 //! [`unshare_fusable_chains`] runs exactly once *after* the rewrite
 //! fixpoint and deliberately undoes a little of that sharing: a cheap

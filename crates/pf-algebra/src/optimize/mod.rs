@@ -14,57 +14,53 @@
 //! 3. **Redundant `ddo` removal** — `fs:distinct-doc-order` applied to an
 //!    input that is already in distinct document order (e.g. directly after
 //!    a staircase-join step) is dropped.
-//! 4. **Redundant δ removal** — duplicate elimination over a provably
-//!    duplicate-free input is dropped.
-//! 5. **Common subexpression elimination** — structurally identical
-//!    operators are merged, turning the plan into a maximally shared DAG.
-//! 6. **Attach/constant folding into literals** — attaching a constant
+//! 4. **Attach/constant folding into literals** — attaching a constant
 //!    column to a literal table is evaluated at compile time.
 //!
-//! These six are the basic level; the `full` level adds the rules below,
-//! including the property-driven deletions of [`scaffold`].
+//! The optimizer has one rule set: these peephole rules plus the
+//! join-graph-isolation rules below, including the property-driven
+//! deletions of [`scaffold`].
 //!
 //! The optimizer runs the rewrites to a fixpoint and reports what it did;
 //! the `plan_size` harness binary uses that report to reproduce the paper's
 //! plan-complexity claim (experiment E5).
 //!
-//! ## Join-graph isolation (the `full` level)
+//! ## Join-graph isolation
 //!
-//! On top of the basic peephole pass, [`optimize_with`] untangles the
+//! On top of the peephole rules, [`optimize_with`] untangles the
 //! order-maintenance scaffolding (rownum / `iter`-plumbing) from the value
 //! predicates — the rewrite "XQuery Join Graph Isolation" (Grust et al.)
-//! describes for exactly these plan DAGs:
+//! describes for exactly these plan DAGs.  [`PlanProperties`] infers, per
+//! operator, key sets, constant columns and whether the operator's *row
+//! order* can influence the serialized result at all.  Serialization
+//! stably re-sorts the root by `pos` and most order-maintenance operators
+//! either normalize their input (steps, `ddo`) or number it
+//! deterministically when their sort keys cover a key (rownum), so large
+//! plan regions are provably order-free.  The rules:
 //!
-//! * [`isolation`] — infers, per operator, key sets, constant columns and
-//!   whether the operator's *row order* can influence the serialized
-//!   result at all.  Serialization stably re-sorts the root by `pos` and
-//!   most order-maintenance operators either normalize their input
-//!   (steps, `ddo`) or number it deterministically when their sort keys
-//!   cover a key (rownum), so large plan regions are provably order-free.
 //! * [`pushdown`] — pushes σ below joins and through
 //!   projections/attach/maps (order-preserving rewrites, safe
 //!   everywhere), and folds σ/π over literal tables at compile time.
 //! * [`reorder`] — reorders equi-join clusters inside order-free regions,
 //!   greedily joining the smallest-estimated leaves first per
-//!   [`cardinality::CardEstimate`] (document statistics from
-//!   `pf-store`).
+//!   [`PlanProperties::rows`] (document statistics from `pf-store`).
 //! * [`thetacount`] — replaces a count aggregate over the distinct pairs
 //!   of a θ-join by one [`AlgOp::ThetaCount`] when the scaffolding in
-//!   between provably changes no row count (runs with `reorder`).
+//!   between provably changes no row count.
 //! * [`dedup`] — hash-consed common-subplan elimination in one bottom-up
-//!   pass (replaces the fixpoint string-keyed CSE of the basic level),
-//!   plus a post-fixpoint *unshare* pass that clones cheap shared
-//!   operators so each copy fuses into its consumer's pipeline.
+//!   pass, turning the plan into a maximally shared DAG, plus a
+//!   post-fixpoint *unshare* pass that clones cheap shared operators so
+//!   each copy fuses into its consumer's pipeline.
 //! * [`scaffold`] — deletes loop-lifting scaffolding with the inferred
-//!   keys, constants, emptiness, types and sequence facts (runs with
-//!   `reorder`): (a) a join against the loop plus constants becomes a π
-//!   with the constants attached; (b) a `%` partitioned on a key column
-//!   becomes `@t:=1`, and a `%` over rows already numbered densely within
-//!   `iter` in sort order becomes a π of that column; (c) a provably empty
-//!   operator becomes an empty literal, `∪` with an empty arm its other
-//!   arm, `∖` with an empty right side its left side, σ over a
-//!   constant-`true` column its input, and `ebv` over a Boolean `item`
-//!   keyed by `iter` a π.  A subplan stops being evaluated only when what
+//!   keys, constants, emptiness, types and sequence facts: (a) a join
+//!   against the loop plus constants becomes a π with the constants
+//!   attached; (b) a `%` partitioned on a key column becomes `@t:=1`, and
+//!   a `%` over rows already numbered densely within `iter` in sort order
+//!   becomes a π of that column; (c) a provably empty operator becomes an
+//!   empty literal, `∪` with an empty arm its other arm, `∖` with an empty
+//!   right side its left side, σ over a constant-`true` column its input,
+//!   `ebv` over a Boolean `item` keyed by `iter` a π, and δ over a keyed
+//!   input its input.  A subplan stops being evaluated only when what
 //!   stays evaluates every operator in it that can raise an error.
 //!
 //! ## One analysis per plan, sweeps, one schema per iteration
@@ -88,11 +84,11 @@
 //! `pushdown` keeps its consumer counts and schemas across one sweep of
 //! pushes.
 //!
-//! Every rule is independently toggleable via [`OptimizerLevel`]; the
-//! engine exposes them through `EngineOptions::optimizer_level`.  All
-//! full-level rewrites preserve the serialized result byte for byte
-//! (pinned by `tests/optimize_agreement.rs` across the whole
-//! threads × morsel matrix).
+//! The rule set is fixed: the engine either runs all of it or, with
+//! `EngineOptions::optimize` off, none.  Every rewrite preserves the
+//! serialized result byte for byte (pinned by
+//! `tests/optimize_agreement.rs` against the unoptimized plan across the
+//! whole threads × morsel matrix).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -100,114 +96,30 @@ use std::sync::Arc;
 
 use pf_store::DocStatistics;
 
-pub mod cardinality;
 pub mod dedup;
 pub mod indexscan;
-pub mod isolation;
 pub mod pushdown;
 pub mod reorder;
 pub mod scaffold;
 pub mod thetacount;
 
-pub use cardinality::{CardEstimate, NoStats, StatsSource};
-pub use isolation::Isolation;
+pub use crate::properties::{NoStats, StatsSource};
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
 use crate::schema::{infer_schema, Properties};
 
-/// Which rewrite rules [`optimize_with`] runs: the basic peephole pass is
-/// always on; each join-graph-isolation rule has its own toggle so rules
-/// can be measured (and property-tested) in isolation.
-///
-/// [`OptimizerLevel::BASIC`] is exactly the pre-isolation optimizer;
-/// [`OptimizerLevel::FULL`] (the default) enables everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OptimizerLevel {
-    /// Push selections below joins / through π, attach and maps, and fold
-    /// σ/π over literal tables.
-    pub pushdown: bool,
-    /// The join-graph rewrites: reorder equi-join clusters in order-free
-    /// regions by cardinality estimate, and count over a θ-join's distinct
-    /// pairs by rank instead of materializing them
-    /// ([`thetacount`]).
-    pub reorder: bool,
-    /// Hash-consed subplan dedup (one-pass replacement for the string CSE).
-    pub dedup: bool,
-    /// Clone cheap shared operators after the fixpoint so pipeline fusion
-    /// sees single-consumer chains.
-    pub unshare: bool,
-    /// Rewrite recognized content predicates over axis steps into
-    /// [`AlgOp::IndexScan`] candidate filters backed by the sidecar
-    /// document indexes (the residual predicate stays in place, so
-    /// answers are exact).
-    pub indexscan: bool,
-}
+/// The optimizer's rule set.  It carries no choice: there is one rule
+/// set, and [`optimize_with`] runs all of it.  The type exists for that
+/// function's signature, which the benchmark harness calls with the
+/// engine's default level.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptimizerLevel;
 
 impl OptimizerLevel {
-    /// Today's peephole pass, nothing else.
-    pub const BASIC: OptimizerLevel = OptimizerLevel {
-        pushdown: false,
-        reorder: false,
-        dedup: false,
-        unshare: false,
-        indexscan: false,
-    };
-
-    /// Every rule on (the engine default).
-    pub const FULL: OptimizerLevel = OptimizerLevel {
-        pushdown: true,
-        reorder: true,
-        dedup: true,
-        unshare: true,
-        indexscan: true,
-    };
-
-    /// `true` if no isolation rule is enabled.
-    pub fn is_basic(self) -> bool {
-        self == OptimizerLevel::BASIC
-    }
-
-    /// Stable textual tag, distinct per level; the engine embeds this in
-    /// plan-cache keys so plans compiled at different levels never alias.
-    pub fn tag(self) -> String {
-        if self == OptimizerLevel::FULL {
-            return "full".into();
-        }
-        if self == OptimizerLevel::BASIC {
-            return "basic".into();
-        }
-        let mut rules = Vec::new();
-        if self.pushdown {
-            rules.push("pushdown");
-        }
-        if self.reorder {
-            rules.push("reorder");
-        }
-        if self.dedup {
-            rules.push("dedup");
-        }
-        if self.unshare {
-            rules.push("unshare");
-        }
-        if self.indexscan {
-            rules.push("indexscan");
-        }
-        rules.join(",")
-    }
-}
-
-impl Default for OptimizerLevel {
-    fn default() -> Self {
-        OptimizerLevel::FULL
-    }
-}
-
-impl std::fmt::Display for OptimizerLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.tag())
-    }
+    /// The one rule set.
+    pub const FULL: OptimizerLevel = OptimizerLevel;
 }
 
 /// Statistics of one [`optimize`] run.
@@ -223,32 +135,33 @@ pub struct OptimizeReport {
     pub identity_projections_removed: usize,
     /// Number of redundant `ddo` operators removed.
     pub doc_orders_removed: usize,
-    /// Number of redundant δ operators removed.
+    /// Number of δ operators over a keyed input removed (by
+    /// [`scaffold`]).
     pub distincts_removed: usize,
-    /// Number of operators merged by common-subexpression elimination.
+    /// Always 0: common subplans are merged by hash-consing and counted
+    /// in `subplans_deduped`.  Kept so readers of the report's fields
+    /// (the benchmark harness sums them) keep compiling.
     pub cse_merged: usize,
     /// Number of constant attaches folded into literal tables.
     pub constants_folded: usize,
     /// Number of equi-join clusters rewritten by statistics-driven
-    /// reordering (`full` level only).
+    /// reordering.
     pub joins_reordered: usize,
     /// Number of selections pushed below joins or through
-    /// π/attach/maps (`full` level only).
+    /// π/attach/maps.
     pub predicates_pushed: usize,
-    /// Number of operators merged by hash-consed subplan dedup (`full`
-    /// level only; supersedes `cse_merged` when enabled).
+    /// Number of operators merged by hash-consed subplan dedup.
     pub subplans_deduped: usize,
     /// Number of cheap shared operators cloned after the fixpoint so
-    /// pipeline fusion sees single-consumer chains (`full` level only).
+    /// pipeline fusion sees single-consumer chains.
     pub chains_unshared: usize,
-    /// Number of `IndexScan` candidate filters spliced above axis steps
-    /// (`full` level only).
+    /// Number of `IndexScan` candidate filters spliced above axis steps.
     pub index_scans_introduced: usize,
     /// Number of count aggregates over a θ-join's pair table replaced by
-    /// [`AlgOp::ThetaCount`] (`full` level only).
+    /// [`AlgOp::ThetaCount`].
     pub theta_counts_introduced: usize,
-    /// Number of loop-lifting scaffolding operators replaced by cheaper
-    /// equivalent subplans ([`scaffold`]; `full` level only).
+    /// Number of loop-lifting scaffolding operators other than δ
+    /// replaced by cheaper equivalent subplans ([`scaffold`]).
     pub scaffolding_deleted: usize,
     /// Number of fixpoint iterations the optimizer ran.
     pub iterations: usize,
@@ -293,22 +206,20 @@ impl OptimizeReport {
     }
 }
 
-/// Optimize `plan` in place with the basic peephole pass (no statistics
-/// needed) and report what happened.  Equivalent to [`optimize_with`] at
-/// [`OptimizerLevel::BASIC`].
+/// Optimize `plan` in place without document statistics and report what
+/// happened.  Equivalent to [`optimize_with`] over [`NoStats`].
 pub fn optimize(plan: &mut Plan) -> OptimizeReport {
-    optimize_with(plan, OptimizerLevel::BASIC, &NoStats)
+    optimize_with(plan, OptimizerLevel::FULL, &NoStats)
 }
 
-/// Optimize `plan` in place at `level`, using `stats` for cardinality
-/// estimates, and report what happened.
+/// Optimize `plan` in place, using `stats` for cardinality estimates, and
+/// report what happened.  `level` carries no choice (see
+/// [`OptimizerLevel`]).
 ///
-/// The basic peephole rules always run.  Enabled isolation rules join the
-/// fixpoint loop, except *unshare* which runs exactly once afterwards —
-/// unshare and dedup are mutual inverses and must never alternate.  When
-/// dedup is on, the one-pass hash-consing replaces the fixpoint string
-/// CSE (same rewrites, counted in `subplans_deduped`).  Debug builds
-/// verify every rewrite ([`optimize_with_verify`]); release builds do not.
+/// Every rule but *unshare* runs in the fixpoint loop; unshare runs
+/// exactly once afterwards — unshare and dedup are mutual inverses and
+/// must never alternate.  Debug builds verify every rewrite
+/// ([`optimize_with_verify`]); release builds do not.
 ///
 /// The property-reading rules (`reorder`, `indexscan`, `scaffold`,
 /// `thetacount`) share one [`PlanProperties`] analysis, computed when a
@@ -316,10 +227,10 @@ pub fn optimize(plan: &mut Plan) -> OptimizeReport {
 /// [`OptimizeReport::property_passes`] counts the whole-plan analyses).
 pub fn optimize_with(
     plan: &mut Plan,
-    level: OptimizerLevel,
+    _level: OptimizerLevel,
     stats: &dyn StatsSource,
 ) -> OptimizeReport {
-    optimize_with_verify(plan, level, stats, cfg!(debug_assertions))
+    optimize_with_verify(plan, stats, cfg!(debug_assertions))
 }
 
 /// [`optimize_with`] that also returns the property analysis of the
@@ -328,11 +239,10 @@ pub fn optimize_with(
 /// estimate reads [`PlanProperties::peak_rows`]) runs no extra pass.
 pub fn optimize_analyzed(
     plan: &mut Plan,
-    level: OptimizerLevel,
     stats: &dyn StatsSource,
 ) -> (OptimizeReport, PlanProperties) {
     let mut optimizer = Optimizer::new(plan, stats, cfg!(debug_assertions));
-    optimizer.run(plan, level);
+    optimizer.run(plan);
     optimizer.analysis.of(plan);
     let mut report = optimizer.report;
     report.property_passes = optimizer.analysis.passes;
@@ -351,12 +261,11 @@ pub fn optimize_analyzed(
 /// the query still runs, on the last plan that verified clean.
 pub fn optimize_with_verify(
     plan: &mut Plan,
-    level: OptimizerLevel,
     stats: &dyn StatsSource,
     verify: bool,
 ) -> OptimizeReport {
     let mut optimizer = Optimizer::new(plan, stats, verify);
-    optimizer.run(plan, level);
+    optimizer.run(plan);
     optimizer.report
 }
 
@@ -539,7 +448,7 @@ impl<'s> Optimizer<'s> {
         }
     }
 
-    fn run(&mut self, plan: &mut Plan, level: OptimizerLevel) {
+    fn run(&mut self, plan: &mut Plan) {
         let equivalent = |changed: bool| changed.then_some(Change::Equivalent);
         // Run to a fixpoint; each pass is cheap (linear in plan size).
         loop {
@@ -554,48 +463,36 @@ impl<'s> Optimizer<'s> {
                 equivalent(remove_identity_projections(p, &schema, r))
             });
             changed |= self.apply(plan, 2, |p, _, r| {
-                equivalent(remove_redundant_order_ops(p, &schema, r))
+                equivalent(remove_redundant_doc_orders(p, &schema, r))
             });
             changed |= self.apply(plan, 3, |p, _, r| equivalent(fold_constant_attach(p, r)));
-            if level.dedup {
-                changed |= self.apply(plan, 4, |p, _, r| equivalent(dedup::hash_cons(p, r)));
-            } else {
-                changed |= self.apply(plan, 4, |p, _, r| equivalent(common_subexpressions(p, r)));
-            }
-            if level.pushdown {
-                changed |= self.apply(plan, 5, |p, _, r| {
-                    equivalent(pushdown::push_selections(p, r))
-                });
-            }
-            if level.reorder {
-                changed |= self.apply(plan, 6, |p, a, r| {
-                    let props = a.of(p);
-                    reorder::reorder_join_graphs(p, props, r).then_some(Change::Reordered)
-                });
-            }
-            if level.indexscan {
-                changed |= self.apply(plan, 7, |p, a, r| {
-                    let props = a.of(p);
-                    indexscan::introduce_index_scans(p, props, r).then_some(Change::Filtered)
-                });
-            }
+            changed |= self.apply(plan, 4, |p, _, r| equivalent(dedup::hash_cons(p, r)));
+            changed |= self.apply(plan, 5, |p, _, r| {
+                equivalent(pushdown::push_selections(p, r))
+            });
+            changed |= self.apply(plan, 6, |p, a, r| {
+                let props = a.of(p);
+                reorder::reorder_join_graphs(p, props, r).then_some(Change::Reordered)
+            });
+            changed |= self.apply(plan, 7, |p, a, r| {
+                let props = a.of(p);
+                indexscan::introduce_index_scans(p, props, r).then_some(Change::Filtered)
+            });
             // Scaffolding deletion runs after the index scans are in, so
             // it never takes apart a predicate shape they match.
-            if level.reorder {
-                changed |= self.apply(plan, 10, |p, a, r| {
-                    let props = a.of(p);
-                    let swept = scaffold::delete_scaffolding(p, props, r);
-                    match (swept.changed, swept.reordered) {
-                        (false, _) => None,
-                        (true, false) => Some(Change::Equivalent),
-                        (true, true) => Some(Change::Reordered),
-                    }
-                });
-            }
+            changed |= self.apply(plan, 10, |p, a, r| {
+                let props = a.of(p);
+                let swept = scaffold::delete_scaffolding(p, props, r);
+                match (swept.changed, swept.reordered) {
+                    (false, _) => None,
+                    (true, false) => Some(Change::Equivalent),
+                    (true, true) => Some(Change::Reordered),
+                }
+            });
             // Count-by-rank matches the settled shape: try it once the
             // other rules are done (a hit sends the plan round the loop
             // again to clean up).
-            if level.reorder && !changed {
+            if !changed {
                 changed |= self.apply(plan, 9, |p, a, r| {
                     let props = a.of(p);
                     thetacount::count_by_rank(p, props, r).then_some(Change::Reordered)
@@ -605,13 +502,11 @@ impl<'s> Optimizer<'s> {
                 break;
             }
         }
-        if level.unshare {
-            self.apply(plan, 8, |p, _, r| {
-                let before = r.chains_unshared;
-                dedup::unshare_fusable_chains(p, r);
-                equivalent(r.chains_unshared != before)
-            });
-        }
+        self.apply(plan, 8, |p, _, r| {
+            let before = r.chains_unshared;
+            dedup::unshare_fusable_chains(p, r);
+            equivalent(r.chains_unshared != before)
+        });
         self.report.verified = self.verify && !self.failed;
         self.report.operators_after = plan.operator_count();
         self.report.property_passes = self.analysis.passes;
@@ -703,31 +598,22 @@ fn remove_identity_projections(
     changed
 }
 
-/// Remove `ddo` over already document-ordered inputs and δ over already
-/// distinct inputs.
-fn remove_redundant_order_ops(
+/// Remove `ddo` over already document-ordered inputs.  (δ over a keyed
+/// input goes in [`scaffold`].)
+fn remove_redundant_doc_orders(
     plan: &mut Plan,
     props: &HashMap<OpId, Properties>,
     report: &mut OptimizeReport,
 ) -> bool {
     let mut changed = false;
     for id in plan.reachable() {
-        match plan.op(id) {
-            AlgOp::DocOrder { input }
-                if props.get(input).map(|p| p.doc_ordered).unwrap_or(false) =>
-            {
-                let input = *input;
-                redirect(plan, id, input);
-                report.doc_orders_removed += 1;
-                changed = true;
-            }
-            AlgOp::Distinct { input } if props.get(input).map(|p| p.distinct).unwrap_or(false) => {
-                let input = *input;
-                redirect(plan, id, input);
-                report.distincts_removed += 1;
-                changed = true;
-            }
-            _ => {}
+        let AlgOp::DocOrder { input } = *plan.op(id) else {
+            continue;
+        };
+        if props.get(&input).is_some_and(|p| p.doc_ordered) {
+            redirect(plan, id, input);
+            report.doc_orders_removed += 1;
+            changed = true;
         }
     }
     changed
@@ -768,30 +654,6 @@ fn fold_constant_attach(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     changed
 }
 
-/// Merge structurally identical operators (after children have been merged —
-/// processing in topological order guarantees this converges).
-fn common_subexpressions(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let mut changed = false;
-    let mut canonical: HashMap<String, OpId> = HashMap::new();
-    for id in plan.reachable() {
-        // The Debug representation includes child ids, which at this point
-        // already reference canonical representatives.
-        let key = format!("{:?}", plan.op(id));
-        match canonical.get(&key) {
-            Some(&existing) if existing != id => {
-                redirect(plan, id, existing);
-                report.cse_merged += 1;
-                changed = true;
-            }
-            Some(_) => {}
-            None => {
-                canonical.insert(key, id);
-            }
-        }
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,13 +686,14 @@ mod tests {
         let mut plan = b.finish(p2);
         let report = optimize(&mut plan);
         assert!(report.projections_merged >= 1);
-        // The root is now a single projection straight over the literal.
+        // The merged projection keeps `iter` under its own name, and
+        // pushdown folds it into the literal.
         match plan.op(plan.root()) {
-            AlgOp::Project { input, columns } => {
-                assert_eq!(*input, l);
-                assert_eq!(columns, &vec![("iter".to_string(), "iter".to_string())]);
+            AlgOp::Lit { columns, rows } => {
+                assert_eq!(columns, &vec!["iter".to_string()]);
+                assert_eq!(rows, &vec![vec![Value::Nat(1)]]);
             }
-            other => panic!("expected projection, found {other:?}"),
+            other => panic!("expected folded literal, found {other:?}"),
         }
     }
 
@@ -849,7 +712,10 @@ mod tests {
         let d = b.add(AlgOp::Distinct { input: p });
         let mut plan = b.finish(d);
         let report = optimize(&mut plan);
-        assert_eq!(report.identity_projections_removed, 1);
+        // The compiled π, and the one `scaffold` puts in the δ's place.
+        assert_eq!(report.identity_projections_removed, 2);
+        assert_eq!(report.distincts_removed, 1);
+        assert_eq!(plan.root(), l);
     }
 
     #[test]
@@ -911,7 +777,11 @@ mod tests {
         let mut plan = b.finish(join);
         let before = plan.operator_count();
         let report = optimize(&mut plan);
-        assert!(report.cse_merged >= 1, "duplicate literals should merge");
+        assert!(
+            report.subplans_deduped >= 1,
+            "duplicate literals should merge"
+        );
+        assert_eq!(report.cse_merged, 0);
         assert!(plan.operator_count() < before);
     }
 

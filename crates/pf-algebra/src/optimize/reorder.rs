@@ -5,15 +5,15 @@
 //! buries under order-maintenance plumbing.  Edges may run through
 //! single-consumer `Project`/`Attach` interposers (renames, column
 //! drops, attached constants): exactly the plumbing the lifted encoding
-//! wraps around every join.  Once [`Isolation`](super::Isolation)
-//! proves the cluster root
-//! order-free (its left-major output order is unobservable in the
+//! wraps around every join.  Once
+//! [`PlanProperties::order_free`](crate::PlanProperties::order_free)
+//! proves the cluster root order-free (its left-major output order is unobservable in the
 //! serialized result), the cluster is a plain bag-semantics join graph:
 //! leaves are relations, the join columns are edges of a spanning tree.
 //!
 //! The pass rebuilds each such cluster as a left-deep chain, greedily
 //! joining the smallest-estimated connected leaf next (per
-//! [`CardEstimate`](super::CardEstimate)).  Leaf columns are α-renamed
+//! [`PlanProperties::rows`](crate::PlanProperties::rows)).  Leaf columns are α-renamed
 //! (`col__jg<i>`) so
 //! self-joins and colliding rename schemes stay unambiguous, and a
 //! projection on top restores the original output columns — re-attaching

@@ -66,8 +66,12 @@ pub(crate) fn delete_scaffolding(
         let Some((rewrite, reordered)) = rewrite(plan, props, id) else {
             continue;
         };
+        if matches!(plan.op(id), AlgOp::Distinct { .. }) {
+            report.distincts_removed += 1;
+        } else {
+            report.scaffolding_deleted += 1;
+        }
         plan.ops_mut()[id] = rewrite;
-        report.scaffolding_deleted += 1;
         swept.changed = true;
         swept.reordered |= reordered;
     }

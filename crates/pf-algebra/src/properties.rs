@@ -3,8 +3,8 @@
 //! [`PlanProperties`] computes, in **one bottom-up pass** per plan, every
 //! static property the optimizer and the verifier consume:
 //!
-//! * **schema** — output columns plus the `distinct` / `doc_ordered`
-//!   flags of [`crate::schema`];
+//! * **schema** — output columns plus the `doc_ordered` flag of
+//!   [`crate::schema`];
 //! * **keys** — column sets on which the operator's output rows are
 //!   provably distinct;
 //! * **constants** — columns provably equal in every output row, with
@@ -41,15 +41,14 @@
 //! such rewrites by inferring facts for the new operators only;
 //! `order_free`, being top-down, is recomputed instead.
 //!
-//! The legacy entry points — [`crate::optimize::isolation::Isolation`]
-//! and [`crate::optimize::cardinality::CardEstimate`] — are thin
-//! wrappers over this pass.  The optimizer driver owns one analysis per
-//! plan version and hands it to every rule that reads properties
-//! ([`crate::optimize::reorder`], [`crate::optimize::indexscan`],
-//! [`crate::optimize::thetacount`]); only a rule that changed the plan
-//! costs a new pass.  [`crate::verify`] checks rewrites against the same
-//! inference, so the optimizer is validated by the very properties it
-//! plans with.
+//! Every reader calls this pass directly: the optimizer's rules, the
+//! verifier, and the engine's admission estimate for an unoptimized plan
+//! ([`PlanProperties::peak_rows`]).  The optimizer driver owns one
+//! analysis per plan version and hands it to every rule that reads
+//! properties ([`crate::optimize::reorder`], [`crate::optimize::indexscan`],
+//! [`crate::optimize::scaffold`], [`crate::optimize::thetacount`]).
+//! [`crate::verify`] checks rewrites against the same inference, so the
+//! optimizer is validated by the very properties it plans with.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -1702,6 +1701,7 @@ fn merge_doc(doc: &[Option<String>], left: OpId, right: OpId) -> Option<String> 
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use pf_store::DocStore;
 
     fn doc_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let d = b.add(AlgOp::Doc { uri: uri.into() });
@@ -1868,5 +1868,379 @@ mod tests {
             !pp.keys(u).is_empty(),
             "keys survive a provably empty union side"
         );
+    }
+
+    /// A one-iteration literal context under a descendant step.
+    fn lit_step(b: &mut PlanBuilder, uri: &str) -> OpId {
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![vec![Value::Nat(1), Value::Nat(0)]],
+        });
+        b.add(AlgOp::Step {
+            input: l,
+            axis: Axis::Descendant,
+            test: NodeTest::Element(uri.into()),
+        })
+    }
+
+    #[test]
+    fn step_output_is_keyed_and_constant_iter_shrinks_the_key() {
+        let mut b = PlanBuilder::new();
+        let s = lit_step(&mut b, "a");
+        let plan = b.finish(s);
+        let pp = PlanProperties::analyze(&plan);
+        // iter is constant (single-iteration literal below), so {pos}
+        // alone determines rows.
+        assert!(pp.constants(s).contains_key("iter"));
+        assert!(pp.keyed_by(s, &set(&["pos"])));
+        assert!(pp.keyed_by(s, &set(&["item"])));
+        assert!(!pp.keyed_by(s, &BTreeSet::new()));
+        // Serialization sorts by pos, which keys the root: order-free.
+        assert!(pp.order_free(s));
+    }
+
+    #[test]
+    fn order_sensitive_aggregate_pins_its_input() {
+        let mut b = PlanBuilder::new();
+        let s = lit_step(&mut b, "a");
+        let fd = b.add(AlgOp::FnData { input: s });
+        let agg = b.add(AlgOp::Aggregate {
+            input: fd,
+            group: "iter".into(),
+            target: "item".into(),
+            func: AggFunc::Sum,
+            value: "item".into(),
+        });
+        // Give the root a pos column so serialization is key-covered.
+        let at = b.add(AlgOp::Attach {
+            input: agg,
+            target: "pos".into(),
+            value: Value::Nat(1),
+        });
+        let plan = b.finish(at);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.order_free(at));
+        assert!(pp.order_free(agg));
+        // But everything feeding the Sum is order-pinned.
+        assert!(!pp.order_free(fd));
+        assert!(!pp.order_free(s));
+    }
+
+    #[test]
+    fn count_aggregate_keeps_the_region_order_free() {
+        let mut b = PlanBuilder::new();
+        let s = lit_step(&mut b, "a");
+        let agg = b.add(AlgOp::Aggregate {
+            input: s,
+            group: "iter".into(),
+            target: "item".into(),
+            func: AggFunc::Count,
+            value: "item".into(),
+        });
+        let at = b.add(AlgOp::Attach {
+            input: agg,
+            target: "pos".into(),
+            value: Value::Nat(1),
+        });
+        let plan = b.finish(at);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.order_free(s));
+    }
+
+    #[test]
+    fn rownum_without_covering_keys_pins_its_input() {
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![
+                vec![Value::Nat(1), Value::Int(5)],
+                vec![Value::Nat(2), Value::Int(5)],
+            ],
+        });
+        let rn = b.add(AlgOp::RowNum {
+            input: l,
+            target: "pos".into(),
+            order_by: vec![crate::ops::SortSpec {
+                column: "item".into(),
+                descending: false,
+            }],
+            partition: None,
+        });
+        let plan = b.finish(rn);
+        let pp = PlanProperties::analyze(&plan);
+        // item does not key the literal (duplicate 5s): numbering order
+        // observable.
+        assert!(!pp.order_free(l));
+
+        // With a key-covering order_by, the same shape is order-free.
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![
+                vec![Value::Nat(1), Value::Int(5)],
+                vec![Value::Nat(2), Value::Int(5)],
+            ],
+        });
+        let rn = b.add(AlgOp::RowNum {
+            input: l,
+            target: "pos".into(),
+            order_by: vec![crate::ops::SortSpec {
+                column: "iter".into(),
+                descending: false,
+            }],
+            partition: None,
+        });
+        let plan = b.finish(rn);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.order_free(l));
+        assert!(pp.keyed_by(rn, &set(&["pos"])));
+    }
+
+    #[test]
+    fn equijoin_on_keyed_side_preserves_other_side_keys() {
+        let mut b = PlanBuilder::new();
+        let s = lit_step(&mut b, "a");
+        let lookup = b.add(AlgOp::Lit {
+            columns: vec!["key".into(), "val".into()],
+            rows: vec![
+                vec![Value::Nat(1), Value::Int(10)],
+                vec![Value::Nat(2), Value::Int(20)],
+            ],
+        });
+        let join = b.add(AlgOp::EquiJoin {
+            left: s,
+            right: lookup,
+            left_col: "iter".into(),
+            right_col: "key".into(),
+        });
+        let plan = b.finish(join);
+        let pp = PlanProperties::analyze(&plan);
+        // `key` keys the lookup side, so the step's {iter,pos} key
+        // survives the join (and iter is still constant).
+        assert!(pp.keyed_by(join, &set(&["pos"])));
+    }
+
+    #[test]
+    fn root_without_pos_column_is_order_pinned() {
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![vec![Value::Nat(1), Value::Int(1)]],
+        });
+        let plan = b.finish(l);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(!pp.order_free(l));
+    }
+
+    /// Two branches tagged with different `ord` constants: the union is
+    /// keyed by {ord} ∪ (a key per side).
+    #[test]
+    fn constant_discriminated_union_keeps_a_key() {
+        let mut b = PlanBuilder::new();
+        let s1 = lit_step(&mut b, "a");
+        let s2 = lit_step(&mut b, "b");
+        let t1 = b.add(AlgOp::Attach {
+            input: s1,
+            target: "ord".into(),
+            value: Value::Nat(1),
+        });
+        let t2 = b.add(AlgOp::Attach {
+            input: s2,
+            target: "ord".into(),
+            value: Value::Nat(2),
+        });
+        let u = b.add(AlgOp::Union {
+            left: t1,
+            right: t2,
+        });
+        let plan = b.finish(u);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.keyed_by(u, &set(&["ord", "pos"])));
+        assert!(!pp.keyed_by(u, &set(&["pos"])));
+
+        // Same ord value on both sides: no discrimination, no key.
+        let mut b = PlanBuilder::new();
+        let s1 = lit_step(&mut b, "a");
+        let s2 = lit_step(&mut b, "b");
+        let t1 = b.add(AlgOp::Attach {
+            input: s1,
+            target: "ord".into(),
+            value: Value::Nat(1),
+        });
+        let t2 = b.add(AlgOp::Attach {
+            input: s2,
+            target: "ord".into(),
+            value: Value::Nat(1),
+        });
+        let u = b.add(AlgOp::Union {
+            left: t1,
+            right: t2,
+        });
+        let plan = b.finish(u);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(!pp.keyed_by(u, &set(&["ord", "pos"])));
+    }
+
+    /// The compiler's default-branch plumbing: `agg ∪ (all ∖ agg)` on
+    /// the iter column.  Provenance proves the sides disjoint, so the
+    /// union keeps the {iter} key.
+    #[test]
+    fn difference_complement_union_keeps_a_key() {
+        let mut b = PlanBuilder::new();
+        let s = lit_step(&mut b, "a");
+        // One row per item: iter column = item ids (a key).
+        let all = b.add(AlgOp::Project {
+            input: s,
+            columns: vec![("item".into(), "iter".into())],
+        });
+        let agg_in = b.add(AlgOp::SelectEq {
+            input: s,
+            column: "pos".into(),
+            value: Value::Nat(1),
+        });
+        let agg_iters = b.add(AlgOp::Project {
+            input: agg_in,
+            columns: vec![("item".into(), "iter".into())],
+        });
+        let agg = b.add(AlgOp::Aggregate {
+            input: agg_iters,
+            group: "iter".into(),
+            target: "res".into(),
+            func: AggFunc::Count,
+            value: "iter".into(),
+        });
+        let hit = b.add(AlgOp::Project {
+            input: agg,
+            columns: vec![
+                ("iter".into(), "iter".into()),
+                ("res".into(), "item".into()),
+            ],
+        });
+        // Default branch: iters with no aggregate row.
+        let agg_keys = b.add(AlgOp::Project {
+            input: agg,
+            columns: vec![("iter".into(), "iter".into())],
+        });
+        let missing = b.add(AlgOp::Difference {
+            left: all,
+            right: agg_keys,
+        });
+        let dflt = b.add(AlgOp::Attach {
+            input: missing,
+            target: "item".into(),
+            value: Value::Int(0),
+        });
+        let u = b.add(AlgOp::Union {
+            left: hit,
+            right: dflt,
+        });
+        let plan = b.finish(u);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(
+            pp.keyed_by(u, &set(&["iter"])),
+            "complement union should be keyed on iter; keys = {:?}",
+            pp.keys(u)
+        );
+    }
+
+    struct MapStats(HashMap<String, Arc<DocStatistics>>);
+
+    impl StatsSource for MapStats {
+        fn doc_statistics(&self, uri: &str) -> Option<Arc<DocStatistics>> {
+            self.0.get(uri).cloned()
+        }
+    }
+
+    fn xml_stats(uri: &str, xml: &str) -> MapStats {
+        let store = DocStore::from_xml(uri, xml).unwrap();
+        let mut map = HashMap::new();
+        map.insert(uri.to_string(), Arc::new(DocStatistics::measure(&store)));
+        MapStats(map)
+    }
+
+    #[test]
+    fn descendant_step_estimates_from_tag_histogram() {
+        let stats = xml_stats("d", "<a><b/><b/><b/><c/></a>");
+        let mut b = PlanBuilder::new();
+        let d = b.add(AlgOp::Doc { uri: "d".into() });
+        let step = b.add(AlgOp::Step {
+            input: d,
+            axis: Axis::Descendant,
+            test: NodeTest::Element("b".into()),
+        });
+        let plan = b.finish(step);
+        let pp = PlanProperties::analyze_with(&plan, &stats);
+        assert_eq!(pp.rows(step), 3.0);
+        assert_eq!(pp.rows(d), 1.0);
+    }
+
+    #[test]
+    fn empty_input_steps_estimate_zero() {
+        let stats = xml_stats("d", "<a><b/></a>");
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![],
+        });
+        let step = b.add(AlgOp::Step {
+            input: l,
+            axis: Axis::Descendant,
+            test: NodeTest::AnyElement,
+        });
+        let plan = b.finish(step);
+        let pp = PlanProperties::analyze_with(&plan, &stats);
+        assert_eq!(pp.rows(step), 0.0);
+    }
+
+    #[test]
+    fn provenance_survives_joins_and_selections() {
+        let stats = xml_stats("d", "<a><b/><b/><c/><c/><c/><c/></a>");
+        let mut b = PlanBuilder::new();
+        let d = b.add(AlgOp::Doc { uri: "d".into() });
+        let bs = b.add(AlgOp::Step {
+            input: d,
+            axis: Axis::Descendant,
+            test: NodeTest::Element("b".into()),
+        });
+        let lit = b.add(AlgOp::Lit {
+            columns: vec!["iter".into()],
+            rows: vec![vec![Value::Nat(1)]],
+        });
+        let join = b.add(AlgOp::EquiJoin {
+            left: bs,
+            right: lit,
+            left_col: "iter".into(),
+            right_col: "iter".into(),
+        });
+        // The join keeps the document provenance of its left side, so a
+        // step above it still finds the tag histogram.
+        let cs = b.add(AlgOp::Step {
+            input: join,
+            axis: Axis::Descendant,
+            test: NodeTest::Element("c".into()),
+        });
+        let plan = b.finish(cs);
+        let pp = PlanProperties::analyze_with(&plan, &stats);
+        assert_eq!(pp.rows(cs), 4.0);
+        assert_eq!(pp.rows(join), 2.0);
+    }
+
+    #[test]
+    fn peak_rows_takes_the_plan_maximum() {
+        let stats = NoStats;
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into()],
+            rows: vec![vec![Value::Nat(1)], vec![Value::Nat(2)]],
+        });
+        let cross = b.add(AlgOp::Cross { left: l, right: l });
+        let sel = b.add(AlgOp::SelectEq {
+            input: cross,
+            column: "iter".into(),
+            value: Value::Nat(1),
+        });
+        let plan = b.finish(sel);
+        let pp = PlanProperties::analyze_with(&plan, &stats);
+        assert_eq!(pp.peak_rows(&plan), 4); // the cross product dominates
     }
 }

@@ -3,15 +3,12 @@
 //! The paper attributes much of Pathfinder's optimization potential to "a
 //! careful consideration of order properties of relational operators" \[3\]
 //! together with the restrictions that hold for compiled plans.  This module
-//! infers, per operator, the output column set and two such properties:
-//!
-//! * `distinct` — the output provably carries no duplicate rows, and
-//! * `doc_ordered` — the output is sorted by `(iter, item)` with items in
-//!   document order per iteration (the invariant `fs:distinct-doc-order`
-//!   establishes).
-//!
-//! The peephole optimizer uses these to remove redundant δ / `ddo` / sort
-//! operators.
+//! infers, per operator, the output column set and one such property,
+//! `doc_ordered`: the output is sorted by `(iter, item)` with items in
+//! document order per iteration (the invariant `fs:distinct-doc-order`
+//! establishes).  The peephole optimizer uses it to remove redundant `ddo`
+//! operators; duplicate-freeness is a key fact of
+//! [`crate::properties::PlanProperties`].
 
 use std::collections::HashMap;
 
@@ -23,8 +20,6 @@ use crate::plan::{OpId, Plan};
 pub struct Properties {
     /// Output column names, in schema order.
     pub columns: Vec<String>,
-    /// The output provably contains no duplicate rows.
-    pub distinct: bool,
     /// The output is an `iter|pos|item` table in document order per `iter`
     /// with no duplicate items per `iter`.
     pub doc_ordered: bool,
@@ -45,151 +40,59 @@ fn get(props: &HashMap<OpId, Properties>, id: OpId) -> &Properties {
 }
 
 pub(crate) fn infer_one(plan: &Plan, id: OpId, props: &HashMap<OpId, Properties>) -> Properties {
+    let unordered = |columns: Vec<String>| Properties {
+        columns,
+        doc_ordered: false,
+    };
+    let iter_pos_item = || vec!["iter".into(), "pos".into(), "item".into()];
     match plan.op(id) {
-        AlgOp::Lit { columns, rows } => Properties {
-            columns: columns.clone(),
-            distinct: rows.len() <= 1,
-            doc_ordered: false,
-        },
-        AlgOp::Doc { .. } => Properties {
-            columns: vec!["item".into()],
-            distinct: true,
-            doc_ordered: false,
-        },
-        AlgOp::Project { input, columns } => {
-            let child = get(props, *input);
-            Properties {
-                columns: columns.iter().map(|(_, t)| t.clone()).collect(),
-                // π does not eliminate duplicates; distinctness survives only
-                // if no column was dropped (a pure renaming).
-                distinct: child.distinct && columns.len() >= child.columns.len(),
-                doc_ordered: false,
-            }
+        AlgOp::Lit { columns, .. } => unordered(columns.clone()),
+        AlgOp::Doc { .. } => unordered(vec!["item".into()]),
+        AlgOp::Project { columns, .. } => {
+            unordered(columns.iter().map(|(_, t)| t.clone()).collect())
         }
+        // These keep the input's columns and its `doc_ordered` flag.
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. } => {
-            let child = get(props, *input);
-            Properties {
-                columns: child.columns.clone(),
-                distinct: child.distinct,
-                doc_ordered: child.doc_ordered,
-            }
-        }
-        AlgOp::Distinct { input } => {
-            let child = get(props, *input);
-            Properties {
-                columns: child.columns.clone(),
-                distinct: true,
-                doc_ordered: child.doc_ordered,
-            }
-        }
-        AlgOp::Union { left, right: _ } => {
-            let l = get(props, *left);
-            Properties {
-                columns: l.columns.clone(),
-                distinct: false,
-                doc_ordered: false,
-            }
-        }
-        AlgOp::Difference { left, .. } => {
-            let l = get(props, *left);
-            Properties {
-                columns: l.columns.clone(),
-                distinct: l.distinct,
-                doc_ordered: l.doc_ordered,
-            }
-        }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::Difference { left: input, .. }
+        | AlgOp::Sort { input, .. } => get(props, *input).clone(),
+        AlgOp::Union { left, .. }
+        | AlgOp::FnData { input: left }
+        | AlgOp::FnRoot { input: left } => unordered(get(props, *left).columns.clone()),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::Cross { left, right } => {
-            let l = get(props, *left);
-            let r = get(props, *right);
-            let mut columns = l.columns.clone();
-            columns.extend(r.columns.clone());
-            Properties {
-                columns,
-                distinct: false,
-                doc_ordered: false,
-            }
+            let mut columns = get(props, *left).columns.clone();
+            columns.extend(get(props, *right).columns.iter().cloned());
+            unordered(columns)
         }
-        AlgOp::RowNum { input, target, .. } => {
-            let child = get(props, *input);
-            let mut columns = child.columns.clone();
-            columns.push(target.clone());
-            Properties {
-                // A numbering column is a key, so the output is distinct
-                // (per partition the numbers are unique; together with the
-                // partition column they key the row).
-                columns,
-                distinct: true,
-                doc_ordered: false,
-            }
-        }
-        AlgOp::BinaryMap { input, target, .. }
+        AlgOp::RowNum { input, target, .. }
+        | AlgOp::BinaryMap { input, target, .. }
         | AlgOp::UnaryMap { input, target, .. }
         | AlgOp::Attach { input, target, .. } => {
-            let child = get(props, *input);
-            let mut columns = child.columns.clone();
+            let mut columns = get(props, *input).columns.clone();
             columns.push(target.clone());
-            Properties {
-                columns,
-                distinct: child.distinct,
-                doc_ordered: false,
-            }
+            unordered(columns)
         }
-        AlgOp::ThetaCount { count, .. } => Properties {
-            columns: vec![count.group.clone(), count.result.clone()],
-            distinct: true,
-            doc_ordered: false,
-        },
-        AlgOp::Aggregate { group, target, .. } => Properties {
-            columns: vec![group.clone(), target.clone()],
-            distinct: true,
-            doc_ordered: false,
-        },
+        AlgOp::ThetaCount { count, .. } => {
+            unordered(vec![count.group.clone(), count.result.clone()])
+        }
+        AlgOp::Aggregate { group, target, .. } => unordered(vec![group.clone(), target.clone()]),
+        // The staircase join produces document order and removes
+        // duplicates per iteration by construction.
         AlgOp::Step { .. } => Properties {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
-            distinct: true,
-            // The staircase join produces document order and removes
-            // duplicates per iteration by construction.
+            columns: iter_pos_item(),
             doc_ordered: true,
         },
-        AlgOp::DocOrder { input } => {
-            let child = get(props, *input);
-            Properties {
-                columns: child.columns.clone(),
-                distinct: true,
-                doc_ordered: true,
-            }
-        }
-        AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            let child = get(props, *input);
-            Properties {
-                columns: child.columns.clone(),
-                distinct: false,
-                doc_ordered: false,
-            }
-        }
-        AlgOp::Ebv { .. } => Properties {
-            columns: vec!["iter".into(), "item".into()],
-            distinct: true,
-            doc_ordered: false,
+        AlgOp::DocOrder { input } => Properties {
+            columns: get(props, *input).columns.clone(),
+            doc_ordered: true,
         },
+        AlgOp::Ebv { .. } => unordered(vec!["iter".into(), "item".into()]),
         AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } | AlgOp::AttrConstruct { .. } => {
-            Properties {
-                columns: vec!["iter".into(), "pos".into(), "item".into()],
-                distinct: true,
-                doc_ordered: false,
-            }
-        }
-        AlgOp::Sort { input, .. } => {
-            let child = get(props, *input);
-            Properties {
-                columns: child.columns.clone(),
-                distinct: child.distinct,
-                doc_ordered: child.doc_ordered,
-            }
+            unordered(iter_pos_item())
         }
     }
 }
@@ -199,6 +102,7 @@ mod tests {
     use super::*;
     use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;
+    use crate::properties::PlanProperties;
     use pf_relational::Value;
     use pf_store::{Axis, NodeTest};
 
@@ -218,7 +122,8 @@ mod tests {
         let plan = b.finish(ddo);
         let props = infer_schema(&plan);
         assert!(props[&step].doc_ordered);
-        assert!(props[&step].distinct);
+        let keyed = ["iter", "item"].map(String::from).into();
+        assert!(PlanProperties::analyze(&plan).keyed_by(step, &keyed));
         assert_eq!(props[&step].columns, vec!["iter", "pos", "item"]);
         assert!(props[&ddo].doc_ordered);
     }
@@ -240,10 +145,6 @@ mod tests {
         let plan = b.finish(proj);
         let props = infer_schema(&plan);
         assert_eq!(props[&proj].columns, vec!["outer", "item"]);
-        assert!(
-            !props[&proj].distinct,
-            "dropping a column may introduce duplicates"
-        );
     }
 
     #[test]
@@ -284,7 +185,8 @@ mod tests {
         });
         let plan = b.finish(r);
         let props = infer_schema(&plan);
-        assert!(props[&r].distinct);
+        let keyed = ["inner"].map(String::from).into();
+        assert!(PlanProperties::analyze(&plan).keyed_by(r, &keyed));
         assert_eq!(props[&r].columns, vec!["iter", "pos", "inner"]);
     }
 }

@@ -82,7 +82,9 @@ pub use session::Session;
 
 pub use pf_algebra::{OptimizeReport, OptimizerLevel};
 
-use pf_algebra::{optimize_analyzed, optimize_with, CardEstimate, PhysicalPlan, Plan, StatsSource};
+use pf_algebra::{
+    optimize_analyzed, optimize_with, PhysicalPlan, Plan, PlanProperties, StatsSource,
+};
 use pf_store::DocStatistics;
 use pf_xquery::{compile, normalize, parse_query, CompileOptions};
 
@@ -97,12 +99,10 @@ use pf_xquery::{compile, normalize, parse_query, CompileOptions};
 pub struct EngineOptions {
     /// Options forwarded to the loop-lifting compiler.
     pub compile: CompileOptions,
-    /// Run the peephole optimizer before execution (on by default).
+    /// Run the optimizer's one rule set before execution (on by
+    /// default).  Off, queries run the plan the loop-lifting compiler
+    /// produced — the reference the agreement suites compare against.
     pub optimize: bool,
-    /// Which rewrite rules the optimizer runs when it runs at all (see
-    /// [`EngineOptions::optimize`]); default [`OptimizerLevel::FULL`].
-    /// Levels only change plan shape and cost.
-    pub optimizer_level: OptimizerLevel,
     /// Executor worker threads: `1` runs the sequential path, `0` (the
     /// default) resolves to [`default_threads`], the machine's available
     /// parallelism.
@@ -136,7 +136,6 @@ impl Default for EngineOptions {
         EngineOptions {
             compile: CompileOptions::default(),
             optimize: true,
-            optimizer_level: default_optimizer_level(),
             threads: 0,
             morsel_rows: 0,
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
@@ -152,7 +151,8 @@ impl EngineOptions {
     }
 }
 
-/// The default [`EngineOptions::optimizer_level`]: [`OptimizerLevel::FULL`].
+/// The optimizer's one rule set, [`OptimizerLevel::FULL`], for callers of
+/// [`pf_algebra::optimize_with`].
 pub fn default_optimizer_level() -> OptimizerLevel {
     OptimizerLevel::FULL
 }
@@ -199,13 +199,6 @@ impl EngineOptionsBuilder {
     /// Run the peephole optimizer (see [`EngineOptions::optimize`]).
     pub fn optimize(mut self, optimize: bool) -> Self {
         self.options.optimize = optimize;
-        self
-    }
-
-    /// Which rewrite rules the optimizer runs (see
-    /// [`EngineOptions::optimizer_level`]).
-    pub fn optimizer_level(mut self, level: OptimizerLevel) -> Self {
-        self.options.optimizer_level = level;
         self
     }
 
@@ -280,12 +273,9 @@ pub struct Explain {
     pub unoptimized: Plan,
     /// The plan after optimization.
     pub optimized: Plan,
-    /// What the optimizer did.
+    /// What the optimizer did (empty when [`EngineOptions::optimize`] is
+    /// off).
     pub report: OptimizeReport,
-    /// The rule set the optimizer ran with (the engine's configured
-    /// [`EngineOptions::optimizer_level`]; meaningless when
-    /// [`EngineOptions::optimize`] is off and `report` is empty).
-    pub level: OptimizerLevel,
     /// Number of `for … where` clauses compiled into joins.
     pub joins_recognized: usize,
 }
@@ -376,8 +366,7 @@ struct Planned {
 /// them), a cached [`Arc<Plan>`] / [`Arc<PhysicalPlan>`] pair is directly
 /// reusable.  Cache keys are the query text with whitespace runs outside
 /// string literals collapsed — so trivially reformatted queries share one
-/// plan — prefixed with the engine's optimizer-level tag, so plans
-/// compiled under different rule sets never alias; the cache is capped ([`EngineOptions::plan_cache_capacity`],
+/// plan; the cache is capped ([`EngineOptions::plan_cache_capacity`],
 /// default [`DEFAULT_PLAN_CACHE_CAPACITY`]) with least-recently-hit
 /// eviction.  Cache effectiveness is reported per query via
 /// [`Timings::plan_cache_hits`] / [`Timings::plan_cache_misses`].
@@ -533,9 +522,8 @@ impl Pathfinder {
         let compiled = compile(&core, &self.options.compile)?;
         let unoptimized = compiled.plan.clone();
         let mut optimized = compiled.plan;
-        let level = self.options.optimizer_level;
         let report = if self.options.optimize {
-            optimize_with(&mut optimized, level, &EngineStats(self))
+            optimize_with(&mut optimized, OptimizerLevel::FULL, &EngineStats(self))
         } else {
             OptimizeReport::default()
         };
@@ -543,7 +531,6 @@ impl Pathfinder {
             unoptimized,
             optimized,
             report,
-            level,
             joins_recognized: compiled.joins_recognized,
         })
     }
@@ -643,7 +630,7 @@ impl Pathfinder {
     }
 
     /// The admission estimate for a plan that has never executed: the
-    /// peak per-operator row estimate of a [`CardEstimate`] pass over the
+    /// peak per-operator row estimate of a [`PlanProperties`] pass over the
     /// *rewritten* plan, fed by the per-document statistics histograms.
     /// Earlier PRs admitted cold plans at the largest leaf cardinality
     /// (document node count); the statistics walk sees selections, steps
@@ -654,7 +641,7 @@ impl Pathfinder {
     /// the same number off the optimizer's final property analysis
     /// instead of running this pass.
     fn cold_plan_estimate(&self, plan: &Plan) -> usize {
-        CardEstimate::analyze(plan, &EngineStats(self)).peak_rows(plan)
+        PlanProperties::analyze_with(plan, &EngineStats(self)).peak_rows(plan)
     }
 
     /// The compiled-and-optimized plan for `query`, with its physical
@@ -664,26 +651,8 @@ impl Pathfinder {
     /// because the stages are skipped entirely.  Distinct queries compile
     /// outside the cache lock, so sessions never serialize on each
     /// other's compile stage.
-    /// The tag the engine's optimizer configuration contributes to plan
-    /// cache keys: the level's stable tag, or `"off"` when the optimizer
-    /// is disabled.  Plans compiled under different rule sets have
-    /// different shapes, so they must never alias in the cache.
-    fn optimizer_tag(&self) -> String {
-        if self.options.optimize {
-            self.options.optimizer_level.tag()
-        } else {
-            "off".into()
-        }
-    }
-
     fn plan_for(&self, query: &str) -> EngineResult<Planned> {
-        // NUL never survives `normalize_cache_key` as a tag character, so
-        // the tag/query boundary is unambiguous.
-        let key = format!(
-            "{}\u{0}{}",
-            self.optimizer_tag(),
-            normalize_cache_key(query)
-        );
+        let key = normalize_cache_key(query);
         {
             let mut cache = self.cache.lock().expect("plan cache poisoned");
             if let Some(cached) = cache.entries.get(&key) {
@@ -728,8 +697,7 @@ impl Pathfinder {
         let opt_start = Instant::now();
         let mut plan = compiled.plan;
         let (report, estimate_rows) = if self.options.optimize {
-            let (report, props) =
-                optimize_analyzed(&mut plan, self.options.optimizer_level, &EngineStats(self));
+            let (report, props) = optimize_analyzed(&mut plan, &EngineStats(self));
             (report, props.peak_rows(&plan))
         } else {
             (OptimizeReport::default(), self.cold_plan_estimate(&plan))
@@ -961,14 +929,12 @@ mod tests {
             .threads(3)
             .morsel_rows(128)
             .optimize(false)
-            .optimizer_level(OptimizerLevel::BASIC)
             .plan_cache_capacity(7)
             .memory_budget_rows(9_000)
             .build();
         assert_eq!(options.threads, 3);
         assert_eq!(options.morsel_rows, 128);
         assert!(!options.optimize);
-        assert_eq!(options.optimizer_level, OptimizerLevel::BASIC);
         assert_eq!(options.plan_cache_capacity, 7);
         assert_eq!(options.memory_budget_rows, 9_000);
         // The struct-literal style (back-compat) still composes with it.
@@ -1133,50 +1099,6 @@ mod tests {
         );
         // Unterminated comments run to the end without panicking.
         assert_eq!(normalize_cache_key("(: open   comment"), "(: open comment");
-    }
-
-    #[test]
-    fn plan_cache_keys_embed_the_optimizer_level() {
-        // Plans compiled under different rule sets have different shapes;
-        // the key prefix keeps them from ever aliasing.  The tag and the
-        // normalized query are separated by NUL, which no tag contains,
-        // so the split is unambiguous for any query text.
-        let q = "1 + 1";
-        let keys_of = |pf: &Pathfinder| -> Vec<String> {
-            run(pf, q);
-            let cache = pf.cache.lock().unwrap();
-            cache.entries.keys().cloned().collect()
-        };
-        let full = Pathfinder::with_options(
-            EngineOptions::builder()
-                .optimizer_level(OptimizerLevel::FULL)
-                .build(),
-        );
-        let basic = Pathfinder::with_options(
-            EngineOptions::builder()
-                .optimizer_level(OptimizerLevel::BASIC)
-                .build(),
-        );
-        let off = Pathfinder::with_options(EngineOptions::builder().optimize(false).build());
-        let (full_keys, basic_keys, off_keys) = (keys_of(&full), keys_of(&basic), keys_of(&off));
-        assert_eq!(full_keys.len(), 1);
-        assert!(
-            full_keys[0].starts_with(&format!("{}\u{0}", full.optimizer_tag())),
-            "key {:?} must lead with the level tag",
-            full_keys[0]
-        );
-        assert!(basic_keys[0].starts_with("basic\u{0}"));
-        assert!(off_keys[0].starts_with("off\u{0}"));
-        // All three engines cached the same normalized query under
-        // different keys.
-        let tails: Vec<&str> = [&full_keys[0], &basic_keys[0], &off_keys[0]]
-            .iter()
-            .map(|k| k.split_once('\u{0}').unwrap().1)
-            .collect();
-        assert!(tails.iter().all(|t| *t == normalize_cache_key(q)));
-        let mut uniq: Vec<&String> = vec![&full_keys[0], &basic_keys[0], &off_keys[0]];
-        uniq.dedup();
-        assert_eq!(uniq.len(), 3, "levels must never alias in the cache");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! ## Protocol
 //!
 //! Requests and responses are single lines of UTF-8.  A request is a verb
-//! plus arguments; a response is `OK <payload>` or `ERR <message>`.
+//! plus arguments; a response is `OK <payload>` or `ERR <message>`.  A
+//! request line that is not UTF-8 is answered `ERR request is not UTF-8`
+//! and the connection keeps serving.
 //! Payloads are escaped so multi-line XML fits on one line: `\` → `\\`,
 //! newline → `\n`, carriage return → `\r` (see [`escape_line`] /
 //! [`unescape_line`]).
@@ -257,10 +259,25 @@ fn serve_connection(
     // algorithm holds the second behind the client's delayed ACK (~40 ms).
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        let (mut out, closes, stops) = match handle_line(&session, &line) {
+    let mut reader = BufReader::new(stream);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
+            break;
+        }
+        if bytes.ends_with(b"\n") {
+            bytes.pop();
+            if bytes.ends_with(b"\r") {
+                bytes.pop();
+            }
+        }
+        // A request that is not UTF-8 costs one ERR, not the connection.
+        let reply = match std::str::from_utf8(&bytes) {
+            Ok(line) => handle_line(&session, line),
+            Err(_) => Reply::Line(err("request is not UTF-8")),
+        };
+        let (mut out, closes, stops) = match reply {
             Reply::Line(l) => (l, false, false),
             Reply::Close(l) => (l, true, false),
             Reply::Shutdown(l) => (l, true, true),
@@ -435,6 +452,28 @@ mod tests {
         );
         assert_eq!(client.request("PING"), "OK pong");
         assert_eq!(client.request("QUERY (((1)))"), "OK 1");
+        assert_eq!(client.request("SHUTDOWN"), "OK shutting down");
+        server_thread
+            .join()
+            .expect("server thread")
+            .expect("server run");
+    }
+
+    #[test]
+    fn a_request_that_is_not_utf8_costs_one_err_not_the_connection() {
+        let pf = Arc::new(Pathfinder::new());
+        let server = Server::bind(pf, "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let server_thread = std::thread::spawn(move || server.run());
+
+        let mut client = Client::connect(addr);
+        assert_eq!(client.request("PING"), "OK pong");
+        client.writer.write_all(b"QUERY \xff\xfe 1\r\n").unwrap();
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ERR request is not UTF-8\n");
+        assert_eq!(client.request("PING"), "OK pong");
+        assert_eq!(client.request("QUERY 1 + 1"), "OK 2");
         assert_eq!(client.request("SHUTDOWN"), "OK shutting down");
         server_thread
             .join()

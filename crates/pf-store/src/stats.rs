@@ -78,7 +78,7 @@ impl StorageStats {
 }
 
 /// Cardinality statistics of one encoded document, the per-document input
-/// of the optimizer's cost model (`pf-algebra`'s `CardEstimate`).
+/// of the optimizer's cost model (`pf-algebra`'s `PlanProperties`).
 ///
 /// Where [`StorageStats`] accounts *bytes* (the Section 3.1 experiment),
 /// this accounts *rows*: how many nodes a staircase step over this

@@ -43,16 +43,12 @@ use crate::error::{XqError, XqResult};
 pub struct CompileOptions {
     /// Recognize joins in `for … where key θ key` patterns (on by default).
     pub join_recognition: bool,
-    /// Insert `fs:distinct-doc-order` after every location step (on by
-    /// default; the peephole optimizer removes the redundant ones).
-    pub insert_doc_order: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             join_recognition: true,
-            insert_doc_order: true,
         }
     }
 }
@@ -405,7 +401,9 @@ impl Ctx {
                     axis: *axis,
                     test: test.clone(),
                 });
-                if self.opts.insert_doc_order && *axis != Axis::Attribute {
+                // `fs:distinct-doc-order` after every non-attribute step;
+                // the optimizer removes the redundant ones.
+                if *axis != Axis::Attribute {
                     Ok(self.b.add(AlgOp::DocOrder { input: step }))
                 } else {
                     Ok(step)
@@ -749,7 +747,15 @@ impl Ctx {
                     op: UnaryOp::StrLen,
                     source: "item".into(),
                 });
-                Ok(self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]))
+                let present =
+                    self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]);
+                // `string-length(())` is 0: complete the iterations that
+                // have no item.
+                let present_iters = self.project(mapped, &[("iter", "iter")]);
+                let missing_iters = self.difference(scope.loop_op, present_iters);
+                let missing_pos = self.attach(missing_iters, "pos", Value::Nat(1));
+                let missing = self.attach(missing_pos, "item", Value::Int(0));
+                Ok(self.union(present, missing))
             }
             "count" | "sum" | "avg" | "min" | "max" => {
                 let q = self.compile_expr(&args[0], scope)?;
@@ -1198,7 +1204,6 @@ mod tests {
             &core,
             &CompileOptions {
                 join_recognition: false,
-                ..Default::default()
             },
         )
         .unwrap();

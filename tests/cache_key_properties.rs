@@ -185,35 +185,3 @@ fn constructor_queries_scale_linearly_in_iteration_count() {
          constructor gather is back ({t_small:?} → {t_large:?})"
     );
 }
-
-/// The optimizer-level tag that prefixes every plan-cache key must be
-/// injective: two different rule sets can never produce the same tag
-/// (else plans compiled under different levels would alias in the
-/// cache), and no level may take the disabled optimizer's `off` tag.
-#[test]
-fn optimizer_level_tags_never_collide() {
-    use pathfinder::engine::OptimizerLevel;
-
-    let mut seen = std::collections::HashMap::new();
-    for bits in 0u8..32 {
-        let level = OptimizerLevel {
-            pushdown: bits & 1 != 0,
-            reorder: bits & 2 != 0,
-            dedup: bits & 4 != 0,
-            unshare: bits & 8 != 0,
-            indexscan: bits & 16 != 0,
-        };
-        let tag = level.tag();
-        assert_ne!(tag, "off", "{level:?} takes the disabled optimizer's tag");
-        assert!(
-            !tag.contains('\u{0}'),
-            "tags must never contain the key separator"
-        );
-        if let Some(previous) = seen.insert(tag.clone(), level) {
-            panic!("levels {previous:?} and {level:?} share the tag {tag:?}");
-        }
-        // The tag behaves like a cache-key component: normalization-stable.
-        assert_eq!(pathfinder::engine::normalize_cache_key(&tag), tag);
-    }
-    assert_eq!(seen.len(), 32);
-}

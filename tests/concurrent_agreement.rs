@@ -24,7 +24,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pathfinder::algebra::OptimizerLevel;
 use pathfinder::engine::{EngineOptions, EngineOptionsBuilder, Pathfinder, Profile};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 
@@ -244,25 +243,25 @@ fn q11_counted_by_rank_fits_a_budget_its_pair_table_does_not() {
     // Admission charges a warm plan its measured peak_resident_rows.  With
     // the count taken by rank Q11 never holds the (outer, aid) pair table,
     // so under a budget of four times its footprint it runs beside another
-    // query at once — where the same query, planned at the basic level
-    // (θ-join, δ, scaffolding, count), has to wait for the budget.
+    // query at once — where the same query, unoptimized (θ-join, δ,
+    // scaffolding, count), has to wait for the budget.
     let xml = generate(&GeneratorConfig {
         scale: 0.05,
         seed: 17,
     });
     let q11 = queries().into_iter().find(|q| q.id == 11).unwrap().text;
-    let engine = |level: OptimizerLevel, budget: usize| {
-        let options = parallel().optimizer_level(level).memory_budget_rows(budget);
+    let engine = |optimize: bool, budget: usize| {
+        let options = parallel().optimize(optimize).memory_budget_rows(budget);
         let pf = Pathfinder::with_options(options.build());
         pf.load_document("auction.xml", &xml).unwrap();
         // Warm run: records the plan's measured peak.
         let warm = pf.query_with(q11, Profile::Stats).unwrap();
         (pf, warm.stats.unwrap().peak_resident_rows, warm.to_xml())
     };
-    let (_, ranked_peak, expected) = engine(OptimizerLevel::FULL, usize::MAX);
+    let (_, ranked_peak, expected) = engine(true, usize::MAX);
     let budget = 4 * ranked_peak;
-    let (ranked, _, _) = engine(OptimizerLevel::FULL, budget);
-    let (pairs, pairs_peak, pairs_xml) = engine(OptimizerLevel::BASIC, budget);
+    let (ranked, _, _) = engine(true, budget);
+    let (pairs, pairs_peak, pairs_xml) = engine(false, budget);
     assert_eq!(pairs_xml, expected);
     assert!(
         pairs_peak > budget,

@@ -6,7 +6,7 @@
 //! identical results for the whole XMark query set on generated documents.
 
 use pathfinder::baseline::BaselineEngine;
-use pathfinder::engine::Pathfinder;
+use pathfinder::engine::{EngineOptions, Pathfinder};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 
 fn engines(scale: f64, seed: u64) -> (Pathfinder, BaselineEngine) {
@@ -40,7 +40,6 @@ fn all_twenty_xmark_queries_agree_between_engines() {
 
 #[test]
 fn join_recognition_does_not_change_results() {
-    use pathfinder::engine::EngineOptions;
     use pathfinder::xquery::CompileOptions;
 
     let xml = generate(&GeneratorConfig {
@@ -52,7 +51,6 @@ fn join_recognition_does_not_change_results() {
     let without_joins = Pathfinder::with_options(EngineOptions {
         compile: CompileOptions {
             join_recognition: false,
-            ..Default::default()
         },
         optimize: true,
         ..Default::default()
@@ -73,8 +71,6 @@ fn join_recognition_does_not_change_results() {
 
 #[test]
 fn optimizer_does_not_change_results() {
-    use pathfinder::engine::EngineOptions;
-
     let xml = generate(&GeneratorConfig {
         scale: 0.003,
         seed: 13,
@@ -160,6 +156,36 @@ fn numeric_predicates_select_by_position() {
         let b = baseline.query(q).unwrap().to_xml();
         assert_eq!(a, b, "engines disagree on `{q}`");
         assert_eq!(a, expected, "`{q}` must select by position");
+    }
+}
+
+/// `fn:string-length` of the empty sequence is 0 (XQuery F&O), in every
+/// iteration that has no item, optimized or not.
+#[test]
+fn string_length_of_the_empty_sequence_is_zero() {
+    let xml = "<r><p>ab</p><p/><p>c</p></r>";
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    let cases = [
+        ("fn:string-length(())", "0"),
+        (
+            "for $p in fn:doc(\"d.xml\")//p return fn:string-length($p/missing)",
+            "0 0 0",
+        ),
+        (
+            "for $p in fn:doc(\"d.xml\")//p return fn:string-length($p/text())",
+            "2 0 1",
+        ),
+    ];
+    for optimize in [true, false] {
+        let pf = Pathfinder::with_options(EngineOptions::builder().optimize(optimize).build());
+        pf.load_document("d.xml", xml).unwrap();
+        for (q, expected) in cases {
+            let a = pf.session().query(q).unwrap().to_xml();
+            let b = baseline.query(q).unwrap().to_xml();
+            assert_eq!(a, b, "engines disagree on `{q}` (optimize = {optimize})");
+            assert_eq!(a, expected, "`{q}` (optimize = {optimize})");
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * **Engine agreement** — a random shop document is queried with the
 //!   three rewrite shapes (`contains`, attribute equality, numeric
-//!   range) under `FULL` + indexes and under `BASIC` without; results
+//!   range) optimized, with index scans, and unoptimized, without; results
 //!   (or errors) must be byte-identical.  The generator deliberately
 //!   covers empty documents, repeated attribute values, non-numeric
 //!   price strings and `Nat` values above `i64::MAX`.
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pathfinder::engine::{EngineOptions, OptimizerLevel, Pathfinder};
+use pathfinder::engine::{EngineOptions, Pathfinder};
 use pathfinder::relational::ops::{self, CmpOp, UnaryOp};
 use pathfinder::relational::Value;
 use pathfinder::store::{DocIndexes, DocStore, NodeKindCode};
@@ -62,10 +62,10 @@ fn document() -> impl Strategy<Value = String> {
     })
 }
 
-fn engine(doc: &Arc<pathfinder::xml::Document>, level: OptimizerLevel) -> Pathfinder {
+fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool) -> Pathfinder {
     let pf = Pathfinder::with_options(
         EngineOptions::builder()
-            .optimizer_level(level)
+            .optimize(optimize)
             .threads(1)
             .build(),
     );
@@ -74,19 +74,19 @@ fn engine(doc: &Arc<pathfinder::xml::Document>, level: OptimizerLevel) -> Pathfi
     pf
 }
 
-/// Run `query` with and without the index path (the basic level has no
-/// `indexscan` rule); fold each outcome to a comparable
+/// Run `query` with and without the index path (the unoptimized plan has
+/// no index scan); fold each outcome to a comparable
 /// `Result<String, String>`.
 fn both_paths(xml: &str, query: &str) -> (Result<String, String>, Result<String, String>) {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated document is well-formed"));
-    let run = |level| {
-        engine(&doc, level)
+    let run = |optimize| {
+        engine(&doc, optimize)
             .session()
             .query(query)
             .map(|r| r.to_xml())
             .map_err(|e| e.to_string())
     };
-    (run(OptimizerLevel::BASIC), run(OptimizerLevel::FULL))
+    (run(false), run(true))
 }
 
 proptest! {
@@ -265,7 +265,7 @@ proptest! {
     ) {
         let pf = engine(
             &Arc::new(pathfinder::xml::parse(&xml).unwrap()),
-            OptimizerLevel::FULL,
+            true,
         );
         let registry = pf.registry();
         let store = registry.store(registry.id_of("d.xml").unwrap()).unwrap();

@@ -9,21 +9,22 @@
 //! so the comparison exercises exactly the executor path (including
 //! last-use eviction on the much larger unoptimized DAGs).
 //!
-//! The join-graph-isolation half of the suite pins the `full` optimizer
-//! level: every XMark query must serialize **byte-identically** under
-//! `basic` and `full` at 1 and 4 threads (plus morsel sizes on the
-//! join-heavy queries), the full level's *unshare* must never lower the
-//! fused share, and each isolation rule — pushdown, dedup/unshare,
-//! reorder — carries its own property test over randomized literal-table
-//! plans.
+//! The join-graph-isolation half of the suite pins the optimizer through
+//! the engine: every XMark query must serialize **byte-identically** with
+//! the optimizer on and off at 1 and 4 threads (plus morsel sizes on the
+//! join-heavy queries), *unshare* must never lower the fused share, and
+//! each isolation rule — pushdown, dedup/unshare, reorder — applied alone
+//! through its public function carries its own property test over
+//! randomized literal-table plans.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use pathfinder::algebra::optimize::{dedup, pushdown, reorder};
 use pathfinder::algebra::{
-    optimize, optimize_analyzed, optimize_with, optimize_with_verify, AlgOp, CardEstimate, NoStats,
-    OpId, OptimizerLevel, Plan, PlanBuilder, StatsSource,
+    optimize, optimize_analyzed, optimize_with_verify, AlgOp, OpId, OptimizeReport, Plan,
+    PlanBuilder, PlanProperties, StatsSource,
 };
 use pathfinder::engine::{
     DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
@@ -115,41 +116,42 @@ fn eviction_does_not_change_results_on_shared_dags() {
     assert_eq!(a.to_xml(), b.to_xml());
 }
 
-/// One engine per (level, threads) cell, all sharing the parsed document.
-fn level_engines(xml: &str) -> Vec<((OptimizerLevel, usize), Pathfinder)> {
+/// One engine per (optimize, threads) cell, all sharing the parsed
+/// document.
+fn optimizer_engines(xml: &str) -> Vec<((bool, usize), Pathfinder)> {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated XML is well-formed"));
     let mut engines = Vec::new();
-    for level in [OptimizerLevel::BASIC, OptimizerLevel::FULL] {
+    for optimize in [false, true] {
         for threads in [1usize, 4] {
             let pf = Pathfinder::with_options(
                 EngineOptions::builder()
-                    .optimizer_level(level)
+                    .optimize(optimize)
                     .threads(threads)
                     .build(),
             );
             pf.load_parsed("auction.xml", &doc).unwrap();
-            engines.push(((level, threads), pf));
+            engines.push(((optimize, threads), pf));
         }
     }
     engines
 }
 
 #[test]
-fn full_and_basic_levels_agree_on_all_xmark_queries() {
+fn optimizer_on_and_off_agree_across_threads_on_all_xmark_queries() {
     let xml = generate(&GeneratorConfig {
         scale: 0.004,
         seed: 20050831,
     });
-    let engines = level_engines(&xml);
+    let engines = optimizer_engines(&xml);
     let mut pushed = 0usize;
     let mut deduped = 0usize;
     let mut unshared = 0usize;
     for q in queries() {
         let mut reference: Option<String> = None;
-        for ((level, threads), pf) in &engines {
+        for ((optimize, threads), pf) in &engines {
             let outcome = pf.query_with(q.text, Profile::None).unwrap_or_else(|e| {
                 panic!(
-                    "Q{} failed at level = {level}, threads = {threads}: {e}",
+                    "Q{} failed at optimize = {optimize}, threads = {threads}: {e}",
                     q.id
                 )
             });
@@ -158,31 +160,27 @@ fn full_and_basic_levels_agree_on_all_xmark_queries() {
                 None => reference = Some(xml_out),
                 Some(expected) => assert_eq!(
                     *expected, xml_out,
-                    "Q{}: serialization diverges at level = {level}, threads = {threads}",
+                    "Q{}: serialization diverges at optimize = {optimize}, threads = {threads}",
                     q.id
                 ),
             }
             let report = outcome.timings().optimizer;
-            if *level == OptimizerLevel::FULL {
+            if *optimize {
                 pushed += report.predicates_pushed;
                 deduped += report.subplans_deduped;
                 unshared += report.chains_unshared;
             } else {
                 assert_eq!(
-                    report.predicates_pushed, 0,
-                    "Q{}: basic level pushed σ",
-                    q.id
-                );
-                assert_eq!(
-                    report.joins_reordered, 0,
-                    "Q{}: basic level reordered",
+                    report,
+                    OptimizeReport::default(),
+                    "Q{}: the optimizer ran although it is off",
                     q.id
                 );
             }
         }
     }
-    // The full level must actually do something across the XMark set —
-    // otherwise this suite pins nothing beyond the basic one.
+    // The optimizer must actually do something across the XMark set —
+    // otherwise this suite compares two identical plans.
     assert!(pushed > 0, "no predicate was ever pushed across XMark");
     assert!(
         deduped > 0,
@@ -193,77 +191,64 @@ fn full_and_basic_levels_agree_on_all_xmark_queries() {
 
 #[test]
 fn full_optimizer_never_decreases_the_fused_share_on_fusable_queries() {
-    // The full level's *unshare* pass exists for exactly this: cloning
+    // The optimizer's *unshare* pass exists for exactly this: cloning
     // cheap shared operators so fusion sees single-consumer chains.  On
-    // every query where the basic level fuses at all, the full level's
-    // tables-elided share (elided / operators evaluated) must be at least
-    // as high — and the results must stay byte-identical.
+    // every optimized plan where unshare cloned a chain, re-sharing the
+    // clones (hash-consing the final plan again) gives the plan fusion
+    // would see without unshare; the optimized plan's tables-elided
+    // share (elided / operators evaluated) must be at least as high, and
+    // the results must stay byte-identical.
     let xml = generate(&GeneratorConfig {
         scale: 0.004,
         seed: 20050831,
     });
-    let doc = Arc::new(pathfinder::xml::parse(&xml).expect("generated XML is well-formed"));
-    // Index scans are pinned off: an IndexScan rewrite splices an extra
-    // breaker into the plan, which shifts the share denominator exactly
-    // like reordering does (byte-agreement with and without index scans
-    // is pinned by tests/index_agreement.rs).
-    let mk = |level: OptimizerLevel| {
-        let pf = Pathfinder::with_options(
-            EngineOptions::builder()
-                .optimizer_level(OptimizerLevel {
-                    indexscan: false,
-                    ..level
-                })
-                .threads(1)
-                .build(),
-        );
-        pf.load_parsed("auction.xml", &doc).unwrap();
-        pf
+    let registry = DocRegistry::new();
+    registry.load_xml("auction.xml", &xml).unwrap();
+    let run = |plan: &Plan| {
+        let (table, stats) = Executor::new(&registry)
+            .run_with_stats(plan)
+            .expect("XMark plans execute");
+        let result = QueryResult::from_table(Arc::new(table), &registry, Timings::default())
+            .expect("XMark results serialize");
+        (result.to_xml(), stats)
     };
-    let basic = mk(OptimizerLevel::BASIC);
-    let full = mk(OptimizerLevel::FULL);
     let mut fusable = 0usize;
     for q in queries() {
-        let out_basic = basic
-            .query_with(q.text, Profile::Stats)
-            .unwrap_or_else(|e| panic!("Q{} basic failed: {e}", q.id));
-        let out_full = full
-            .query_with(q.text, Profile::Stats)
-            .unwrap_or_else(|e| panic!("Q{} full failed: {e}", q.id));
-        assert_eq!(
-            out_basic.result.to_xml(),
-            out_full.result.to_xml(),
-            "Q{}: levels disagree",
-            q.id
-        );
-        let (s_basic, s_full) = (
-            out_basic.stats.expect("Profile::Stats returns stats"),
-            out_full.stats.expect("Profile::Stats returns stats"),
-        );
-        if s_basic.tables_elided == 0 {
+        let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+        let mut unshared = compile(&core, &CompileOptions::default()).unwrap().plan;
+        let report = optimize(&mut unshared);
+        if report.chains_unshared == 0 {
             continue;
         }
-        // The share invariant is about *unshare*: cloning shared cheap
-        // chains can only create fusion opportunities.  Once the
-        // reorderer restructures a join cluster the physical plan is a
-        // different shape and its fused share is incomparable, so only
-        // byte-agreement is asserted on reordered queries.
-        if out_full.timings().optimizer.joins_reordered > 0 {
+        let mut shared = unshared.clone();
+        assert!(
+            dedup::hash_cons(&mut shared, &mut OptimizeReport::default()),
+            "Q{}: the unshared clones must hash-cons back",
+            q.id
+        );
+        let (xml_shared, s_shared) = run(&shared);
+        let (xml_unshared, s_unshared) = run(&unshared);
+        assert_eq!(
+            xml_shared, xml_unshared,
+            "Q{}: unshare changed the result",
+            q.id
+        );
+        if s_shared.tables_elided == 0 {
             continue;
         }
         fusable += 1;
         let share = |s: &ExecStats| s.tables_elided as f64 / s.operators_evaluated.max(1) as f64;
         assert!(
-            share(&s_full) >= share(&s_basic) - 1e-9,
-            "Q{}: fused share decreased under the full level \
-             ({:.3} = {}/{} basic vs {:.3} = {}/{} full)",
+            share(&s_unshared) >= share(&s_shared) - 1e-9,
+            "Q{}: fused share decreased under unshare \
+             ({:.3} = {}/{} shared vs {:.3} = {}/{} unshared)",
             q.id,
-            share(&s_basic),
-            s_basic.tables_elided,
-            s_basic.operators_evaluated,
-            share(&s_full),
-            s_full.tables_elided,
-            s_full.operators_evaluated,
+            share(&s_shared),
+            s_shared.tables_elided,
+            s_shared.operators_evaluated,
+            share(&s_unshared),
+            s_unshared.tables_elided,
+            s_unshared.operators_evaluated,
         );
     }
     assert!(
@@ -285,10 +270,10 @@ fn full_level_agrees_across_morsel_sizes_on_join_heavy_queries() {
         let q = pathfinder::xmark::query(id).unwrap();
         let mut reference: Option<String> = None;
         for morsel_rows in [2usize, 0, usize::MAX] {
-            for level in [OptimizerLevel::BASIC, OptimizerLevel::FULL] {
+            for optimize in [false, true] {
                 let pf = Pathfinder::with_options(
                     EngineOptions::builder()
-                        .optimizer_level(level)
+                        .optimize(optimize)
                         .threads(4)
                         .morsel_rows(morsel_rows)
                         .build(),
@@ -297,14 +282,14 @@ fn full_level_agrees_across_morsel_sizes_on_join_heavy_queries() {
                 let out = pf
                     .query_with(q.text, Profile::None)
                     .unwrap_or_else(|e| {
-                        panic!("Q{id} failed at level = {level}, morsel = {morsel_rows}: {e}")
+                        panic!("Q{id} failed at optimize = {optimize}, morsel = {morsel_rows}: {e}")
                     })
                     .to_xml();
                 match &reference {
                     None => reference = Some(out),
                     Some(expected) => assert_eq!(
                         *expected, out,
-                        "Q{id}: diverges at level = {level}, morsel = {morsel_rows}"
+                        "Q{id}: diverges at optimize = {optimize}, morsel = {morsel_rows}"
                     ),
                 }
             }
@@ -341,7 +326,7 @@ fn property_analyses_are_shared_per_plan_version() {
         let plan = compile(&core, &CompileOptions::default()).unwrap().plan;
 
         let mut verified = plan.clone();
-        let report = optimize_with_verify(&mut verified, OptimizerLevel::FULL, &stats, true);
+        let report = optimize_with_verify(&mut verified, &stats, true);
         assert!(report.verified, "Q{}", q.id);
         let changes = report.verify_passes - 1;
         assert!(
@@ -352,12 +337,12 @@ fn property_analyses_are_shared_per_plan_version() {
         );
 
         let mut analyzed = plan;
-        let (final_report, props) = optimize_analyzed(&mut analyzed, OptimizerLevel::FULL, &stats);
+        let (final_report, props) = optimize_analyzed(&mut analyzed, &stats);
         assert_eq!(analyzed, verified, "Q{}: the same rewrites", q.id);
         assert!(final_report.property_passes <= 1 + changes, "Q{}", q.id);
         assert_eq!(
             props.peak_rows(&analyzed),
-            CardEstimate::analyze(&analyzed, &stats).peak_rows(&analyzed),
+            PlanProperties::analyze_with(&analyzed, &stats).peak_rows(&analyzed),
             "Q{}: the cold admission estimate",
             q.id
         );
@@ -365,8 +350,9 @@ fn property_analyses_are_shared_per_plan_version() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-rule property tests: each isolation rule, applied alone, preserves
-// the executed result of randomized literal-table plans.
+// Per-rule property tests: each isolation rule, applied alone through its
+// public function, preserves the executed result of randomized
+// literal-table plans.
 // ---------------------------------------------------------------------------
 
 /// Execute `plan` against an empty registry and render every row (these
@@ -438,11 +424,8 @@ proptest! {
 
         let raw = run_rows(&plan);
         let mut optimized = plan.clone();
-        let report = optimize_with(
-            &mut optimized,
-            OptimizerLevel { pushdown: true, ..OptimizerLevel::BASIC },
-            &NoStats,
-        );
+        let mut report = OptimizeReport::default();
+        pushdown::push_selections(&mut optimized, &mut report);
         prop_assert!(
             report.predicates_pushed + report.constants_folded > 0,
             "the σ-over-π-over-⋈ shape must trigger the rule"
@@ -480,18 +463,15 @@ proptest! {
         let plan = b.finish(u);
 
         let raw = run_rows(&plan);
-        for level in [
-            OptimizerLevel { dedup: true, ..OptimizerLevel::BASIC },
-            OptimizerLevel { dedup: true, unshare: true, ..OptimizerLevel::BASIC },
-        ] {
-            let mut optimized = plan.clone();
-            let report = optimize_with(&mut optimized, level, &NoStats);
-            prop_assert!(
-                report.subplans_deduped > 0,
-                "identical branches must hash-cons"
-            );
-            prop_assert_eq!(run_rows(&optimized), raw.clone());
-        }
+        let mut optimized = plan.clone();
+        let mut report = OptimizeReport::default();
+        prop_assert!(
+            dedup::hash_cons(&mut optimized, &mut report),
+            "identical branches must hash-cons"
+        );
+        prop_assert_eq!(run_rows(&optimized), raw.clone());
+        dedup::unshare_fusable_chains(&mut optimized, &mut report);
+        prop_assert_eq!(run_rows(&optimized), raw);
     }
 
     /// Statistics-driven join reordering preserves the row *multiset* of
@@ -554,11 +534,8 @@ proptest! {
 
         let mut raw = run_rows(&plan);
         let mut optimized = plan.clone();
-        optimize_with(
-            &mut optimized,
-            OptimizerLevel { reorder: true, ..OptimizerLevel::BASIC },
-            &NoStats,
-        );
+        let props = PlanProperties::analyze(&plan);
+        reorder::reorder_join_graphs(&mut optimized, &props, &mut OptimizeReport::default());
         let mut opt = run_rows(&optimized);
         prop_assert_eq!(raw.len(), opt.len());
         raw.sort_unstable();

@@ -91,7 +91,6 @@ fn join_recognition_avoids_quadratic_intermediates() {
     let without = Pathfinder::with_options(EngineOptions {
         compile: CompileOptions {
             join_recognition: false,
-            ..Default::default()
         },
         optimize: true,
         ..Default::default()

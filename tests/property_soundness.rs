@@ -10,16 +10,14 @@
 //! unions, distinct, attach, rank counts) and named attribute steps over
 //! randomized documents, executes them, and checks every claim the
 //! analysis makes against the actual table — both on the raw plan and
-//! after a `full`-level optimization pass.  The same checks run on every
+//! after an optimization pass.  The same checks run on every
 //! operator of the compiled XMark plans.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use pathfinder::algebra::{
-    optimize_with, AlgOp, NoStats, OpId, OptimizerLevel, Plan, PlanBuilder, PlanProperties,
-};
+use pathfinder::algebra::{optimize, AlgOp, OpId, Plan, PlanBuilder, PlanProperties};
 use pathfinder::engine::{DocRegistry, Executor};
 use pathfinder::relational::ops::{BinaryOp, CmpOp, RankCount};
 use pathfinder::relational::{Table, Value};
@@ -169,7 +167,7 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
 }
 
 /// Every claim about every operator of the 20 compiled XMark plans — with
-/// join recognition on and off, at the basic and full levels — holds for
+/// join recognition on and off, unoptimized and optimized — holds for
 /// the table that operator produces on a small auction document.
 #[test]
 fn xmark_plan_properties_are_sound_at_every_operator() {
@@ -181,19 +179,15 @@ fn xmark_plan_properties_are_sound_at_every_operator() {
     registry.load_xml("auction.xml", &xml).unwrap();
     let executor = Executor::with_threads(&registry, 1);
     for join_recognition in [true, false] {
-        let options = CompileOptions {
-            join_recognition,
-            ..Default::default()
-        };
+        let options = CompileOptions { join_recognition };
         for q in queries() {
             let core = normalize(&parse_query(q.text).unwrap()).unwrap();
             let compiled = compile(&core, &options).unwrap().plan;
-            for (name, level) in [
-                ("basic", OptimizerLevel::BASIC),
-                ("full", OptimizerLevel::FULL),
-            ] {
+            for (name, optimized) in [("unoptimized", false), ("optimized", true)] {
                 let mut plan = compiled.clone();
-                optimize_with(&mut plan, level, &NoStats);
+                if optimized {
+                    optimize(&mut plan);
+                }
                 let props = PlanProperties::analyze(&plan);
                 for id in plan.reachable() {
                     let sub = Plan::new(plan.ops().to_vec(), id);
@@ -272,7 +266,7 @@ proptest! {
 
         assert_sound(&plan, "raw");
         let mut optimized = plan;
-        optimize_with(&mut optimized, OptimizerLevel::FULL, &NoStats);
+        optimize(&mut optimized);
         assert_sound(&optimized, "optimized");
     }
 
@@ -304,7 +298,7 @@ proptest! {
 
         assert_sound(&plan, "raw");
         let mut optimized = plan;
-        optimize_with(&mut optimized, OptimizerLevel::FULL, &NoStats);
+        optimize(&mut optimized);
         assert_sound(&optimized, "optimized");
     }
 

@@ -10,15 +10,16 @@
 //!   and incomparable keys, all comparison operators, both operand orders,
 //!   every chunking of the groups — same rows, or the same error.
 //! * **Engine** — generated count-over-θ queries on random documents:
-//!   the rewritten plan agrees with the `basic`-level plan (answers *and*
-//!   errors) and with the `pf-baseline` tree walker.
+//!   the rewritten plan agrees with the unoptimized plan — the *basic
+//!   plan* of the test names, which materializes the pair table — (answers
+//!   *and* errors) and with the `pf-baseline` tree walker.
 //! * **Growth** — XMark Q11's `rows_produced` and `peak_resident_rows`
 //!   grow linearly with the document, not with the pair table.
 
 use proptest::prelude::*;
 
 use pathfinder::baseline::BaselineEngine;
-use pathfinder::engine::{EngineOptions, OptimizerLevel, Pathfinder, Profile};
+use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
 use pathfinder::relational::ops::{self, AggFunc, BinaryOp, CmpOp, RankCount, ThetaCountPlan};
 use pathfinder::relational::{Column, RelResult, Table, Value};
 use pathfinder::xmark::{generate, query, GeneratorConfig};
@@ -265,16 +266,16 @@ fn count_query(shape: Shape, outer_key: &str, op: &str, inner_key: &str) -> Stri
     )
 }
 
-fn engine(xml: &str, level: OptimizerLevel) -> Pathfinder {
-    let pf = Pathfinder::with_options(EngineOptions::builder().optimizer_level(level).build());
+fn engine(xml: &str, optimize: bool) -> Pathfinder {
+    let pf = Pathfinder::with_options(EngineOptions::builder().optimize(optimize).build());
     pf.load_document("d.xml", xml).unwrap();
     pf
 }
 
-/// Run `query` with the rule (`full`) and without (`basic`), asserting the
-/// rule fired exactly once.
+/// Run `query` optimized, with the rule, and unoptimized, without;
+/// assert the rule fired exactly once.
 fn ranked_and_basic(xml: &str, query: &str) -> (Result<String, String>, Result<String, String>) {
-    let full = engine(xml, OptimizerLevel::FULL);
+    let full = engine(xml, true);
     assert_eq!(
         full.explain(query).unwrap().report.theta_counts_introduced,
         1,
@@ -286,7 +287,7 @@ fn ranked_and_basic(xml: &str, query: &str) -> (Result<String, String>, Result<S
             .map(|r| r.to_xml())
             .map_err(|e| e.to_string())
     };
-    (run(&full), run(&engine(xml, OptimizerLevel::BASIC)))
+    (run(&full), run(&engine(xml, false)))
 }
 
 proptest! {
@@ -360,9 +361,7 @@ fn a_nan_key_fails_the_comparison_with_and_without_the_rule() {
 fn q11_rows_grow_with_the_document_not_with_the_pair_table() {
     let q11 = query(11).unwrap().text;
     let stats_at = |scale: f64| {
-        let options = EngineOptions::builder()
-            .optimizer_level(OptimizerLevel::FULL)
-            .threads(1);
+        let options = EngineOptions::builder().threads(1);
         let pf = Pathfinder::with_options(options.build());
         let xml = generate(&GeneratorConfig { scale, seed: 11 });
         pf.load_document("auction.xml", &xml).unwrap();

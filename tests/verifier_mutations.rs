@@ -14,8 +14,8 @@
 //! rejected rewrite (exactly what these tests want to provoke).
 
 use pathfinder::algebra::{
-    digest, optimize_with_verify, verify_plan, verify_rewrite, AlgOp, NoStats, OptimizerLevel,
-    Plan, PlanBuilder, SortSpec,
+    digest, optimize_with_verify, verify_plan, verify_rewrite, AlgOp, NoStats, Plan, PlanBuilder,
+    SortSpec,
 };
 use pathfinder::relational::ops::{
     AggFunc, BinaryOp, CmpOp, IndexMode, IndexProbe, IndexTarget, RankCount,
@@ -540,13 +540,13 @@ fn mutation_row_number_deletion_copying_the_wrong_column() {
 // exactly that count.
 // ---------------------------------------------------------------------------
 
-/// XMark query `id`, compiled, and optimized at the full level.
+/// XMark query `id`, compiled, and optimized.
 fn xmark_plans(id: u8) -> (Plan, Plan) {
     let q = queries().into_iter().find(|q| q.id == id).unwrap();
     let core = normalize(&parse_query(q.text).unwrap()).unwrap();
     let compiled = compile(&core, &CompileOptions::default()).unwrap().plan;
     let mut optimized = compiled.clone();
-    optimize_with_verify(&mut optimized, OptimizerLevel::FULL, &NoStats, true);
+    optimize_with_verify(&mut optimized, &NoStats, true);
     (compiled, optimized)
 }
 
@@ -704,30 +704,12 @@ fn strengthening_rewrites_are_accepted() {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: every XMark query plan verifies clean at every level,
-// indexes on and off.
+// Acceptance: every XMark query plan verifies clean, unoptimized and
+// after every rewrite of the optimizer.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn all_xmark_plans_verify_at_every_level() {
-    let levels = [
-        ("basic", OptimizerLevel::BASIC),
-        (
-            "basic+indexscan",
-            OptimizerLevel {
-                indexscan: true,
-                ..OptimizerLevel::BASIC
-            },
-        ),
-        (
-            "full-indexscan",
-            OptimizerLevel {
-                indexscan: false,
-                ..OptimizerLevel::FULL
-            },
-        ),
-        ("full", OptimizerLevel::FULL),
-    ];
     for q in queries() {
         let ast = parse_query(q.text).unwrap_or_else(|e| panic!("Q{} parse: {e}", q.id));
         let core = normalize(&ast).unwrap_or_else(|e| panic!("Q{} normalize: {e}", q.id));
@@ -735,29 +717,13 @@ fn all_xmark_plans_verify_at_every_level() {
             .unwrap_or_else(|e| panic!("Q{} compile: {e}", q.id));
         verify_plan(&compiled.plan)
             .unwrap_or_else(|e| panic!("Q{} unoptimized plan rejected: {e}", q.id));
-        for (name, level) in &levels {
-            let mut plan = compiled.plan.clone();
-            let report = optimize_with_verify(&mut plan, *level, &NoStats, true);
-            assert!(
-                report.verified,
-                "Q{} did not verify clean at level {name}",
-                q.id
-            );
-            assert!(
-                report.verify_passes > 0,
-                "Q{} at level {name}: verifier never ran",
-                q.id
-            );
-            verify_plan(&plan)
-                .unwrap_or_else(|e| panic!("Q{} optimized ({name}) plan rejected: {e}", q.id));
-            // Count-by-rank rides with the join-graph rules, and only
-            // Q11 and Q12 count over an inequality join.
-            let expected = usize::from(level.reorder && matches!(q.id, 11 | 12));
-            assert_eq!(
-                report.theta_counts_introduced, expected,
-                "Q{} at level {name}",
-                q.id
-            );
-        }
+        let mut plan = compiled.plan.clone();
+        let report = optimize_with_verify(&mut plan, &NoStats, true);
+        assert!(report.verified, "Q{} did not verify clean", q.id);
+        assert!(report.verify_passes > 0, "Q{}: verifier never ran", q.id);
+        verify_plan(&plan).unwrap_or_else(|e| panic!("Q{} optimized plan rejected: {e}", q.id));
+        // Only Q11 and Q12 count over an inequality join.
+        let expected = usize::from(matches!(q.id, 11 | 12));
+        assert_eq!(report.theta_counts_introduced, expected, "Q{}", q.id);
     }
 }
