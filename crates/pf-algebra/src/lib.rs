@@ -35,8 +35,8 @@ pub use optimize::{
     optimize, optimize_analyzed, optimize_with, optimize_with_verify, NoStats, OptimizeReport,
     OptimizerLevel, StatsSource,
 };
-pub use physical::{PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan};
-pub use plan::{OpId, Plan, PlanBuilder, ReadySetBooks};
+pub use physical::{PhysKind, PhysNode, PhysNodeId, PhysicalPlan};
+pub use plan::{OpId, Plan, PlanBuilder};
 pub use properties::{PlanProperties, Sequence, TypeSet};
 pub use render::{to_ascii, to_ascii_annotated, to_ascii_physical, to_dot};
 pub use schema::{infer_schema, Properties};

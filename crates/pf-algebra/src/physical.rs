@@ -6,10 +6,10 @@
 //! ⊙) whose intermediate exists only to feed a single consumer — the
 //! paper's MonetDB backend wins because its BAT kernels stream through such
 //! chains without materialization.  [`PhysicalPlan::compile`] recovers that
-//! property: it walks the scheduler books once and greedily groups maximal
-//! single-consumer chains of *fusable* operators into [`Pipeline`] nodes,
-//! which the executor evaluates with `pf-relational`'s fused kernel in one
-//! pass — zero intermediate tables.
+//! property: it walks the plan in topological order once and greedily
+//! groups maximal single-consumer chains of *fusable* operators into
+//! [`Pipeline`] nodes, which the executor evaluates with `pf-relational`'s
+//! fused kernel in one pass — zero intermediate tables.
 //!
 //! **Fusable** operators (all unary, all cheap): π (project/rename), σ
 //! (both select forms), attach, the ⊙ maps, atomization (`fn:data`), and
@@ -23,11 +23,10 @@
 //! The fused kernel is the only implementation of the fusable operators:
 //! a chain of one is a one-step pipeline.
 //!
-//! The physical plan is compiled **once per (cached) logical plan** and is
-//! itself scheduler-ready: [`PhysicalPlan::books`] derives the ready-set
-//! bookkeeping at node granularity, so the executor dispatches whole
-//! pipelines as single work units on both its sequential and parallel
-//! paths.
+//! The physical plan is compiled **once per (cached) logical plan**; the
+//! executor runs its nodes in topological order, a whole pipeline as one
+//! unit, and evicts each result after its last consumer
+//! ([`PhysicalPlan::result_consumers`]).
 //!
 //! [`Pipeline`]: PhysKind::Pipeline
 
@@ -103,9 +102,6 @@ impl PhysNode {
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     nodes: Vec<PhysNode>,
-    /// Producing node per operator id (`None` for unreachable operators
-    /// and for pipeline interiors, whose results never materialize).
-    producer: Vec<Option<PhysNodeId>>,
     /// The node publishing the plan root's result.
     root_node: PhysNodeId,
     /// Total logical operators covered (= reachable plan size).
@@ -173,15 +169,15 @@ impl PhysicalPlan {
     /// [`PhysKind::Pipeline`] nodes; everything else is a
     /// [`PhysKind::Breaker`].
     pub fn compile(plan: &Plan) -> PhysicalPlan {
-        let books = plan.ready_set_books();
+        let order = plan.reachable();
+        let consumers = plan.consumers();
         let n = plan.ops().len();
         let mut absorbed = vec![false; n];
-        let mut producer: Vec<Option<PhysNodeId>> = vec![None; n];
         let mut nodes: Vec<PhysNode> = Vec::new();
         let mut fused_ops = 0usize;
         let mut tables_elided = 0usize;
 
-        for &id in &books.topo_order {
+        for &id in &order {
             if absorbed[id] {
                 continue;
             }
@@ -194,13 +190,11 @@ impl PhysicalPlan {
                 // the chain upward while the current tail's result has
                 // exactly one consumer and that consumer is fusable.  The
                 // root never extends a chain as an interior link: its
-                // result is the query answer (the count check sees its
-                // synthetic final consumer, which may be its only one —
-                // never look up a consumer edge for it).
+                // result is the query answer, whatever reads it.
                 let mut ops = vec![id];
                 let mut tail = id;
-                while tail != plan.root() && books.consumer_counts[tail] == 1 {
-                    let parent = books.consumers[tail][0];
+                while tail != plan.root() && consumers[tail].len() == 1 {
+                    let parent = consumers[tail][0];
                     if !is_fusable(plan.op(parent)) {
                         break;
                     }
@@ -212,7 +206,6 @@ impl PhysicalPlan {
                     fused_ops += ops.len();
                     tables_elided += ops.len() - 1;
                 }
-                producer[tail] = Some(nodes.len());
                 nodes.push(PhysNode {
                     kind: PhysKind::Pipeline { ops },
                     inputs: op.children(),
@@ -220,7 +213,6 @@ impl PhysicalPlan {
                 });
                 continue;
             }
-            producer[id] = Some(nodes.len());
             nodes.push(PhysNode {
                 kind: PhysKind::Breaker,
                 inputs: op.children(),
@@ -228,12 +220,14 @@ impl PhysicalPlan {
             });
         }
 
-        let root_node = producer[plan.root()].expect("the root is always reachable");
+        let root_node = nodes
+            .iter()
+            .position(|node| node.output == plan.root())
+            .expect("the root is always reachable");
         PhysicalPlan {
             nodes,
-            producer,
             root_node,
-            op_count: books.topo_order.len(),
+            op_count: order.len(),
             fused_ops,
             tables_elided,
             logical_len: n,
@@ -249,12 +243,6 @@ impl PhysicalPlan {
     /// The node that publishes the plan root's result.
     pub fn root_node(&self) -> PhysNodeId {
         self.root_node
-    }
-
-    /// The node publishing operator `id`'s result (`None` for unreachable
-    /// operators and pipeline interiors).
-    pub fn producer_of(&self, id: OpId) -> Option<PhysNodeId> {
-        self.producer.get(id).copied().flatten()
     }
 
     /// Total logical operators covered (= reachable plan size).
@@ -310,70 +298,20 @@ impl PhysicalPlan {
         })
     }
 
-    /// The ready-set bookkeeping at physical-node granularity, derived in
-    /// one pass (the node-level analogue of [`Plan::ready_set_books`]).
-    pub fn books(&self) -> PhysicalBooks {
-        let n = self.nodes.len();
-        let mut input_edges = vec![0usize; n];
-        let mut consumers: Vec<Vec<PhysNodeId>> = vec![Vec::new(); n];
-        let mut result_consumers = vec![0usize; self.producer.len()];
-        let mut levels = vec![0usize; n];
-        let mut level_widths: Vec<usize> = Vec::new();
-        for (node_id, node) in self.nodes.iter().enumerate() {
-            input_edges[node_id] = node.inputs.len();
-            let mut depth = 0usize;
+    /// The number of consuming node edges per published operator result,
+    /// indexed by [`OpId`], plus a synthetic final consumer for the root
+    /// (whose result is the query answer and must never be evicted).  The
+    /// executor frees a result when its count reaches zero.  Pipeline
+    /// interiors never materialize and count zero.
+    pub fn result_consumers(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.logical_len];
+        for node in &self.nodes {
             for &input in &node.inputs {
-                let producer =
-                    self.producer[input].expect("node inputs are published by earlier nodes");
-                consumers[producer].push(node_id);
-                result_consumers[input] += 1;
-                depth = depth.max(levels[producer] + 1);
+                counts[input] += 1;
             }
-            levels[node_id] = depth;
-            if depth >= level_widths.len() {
-                level_widths.resize(depth + 1, 0);
-            }
-            level_widths[depth] += 1;
         }
-        // The synthetic final consumer: the root's result is the query
-        // answer and must never be evicted.
-        result_consumers[self.nodes[self.root_node].output] += 1;
-        PhysicalBooks {
-            input_edges,
-            consumers,
-            result_consumers,
-            levels,
-            level_widths,
-        }
-    }
-}
-
-/// Scheduler bookkeeping over one [`PhysicalPlan`], node-granular: the
-/// executor's work units are physical nodes, but eviction still happens
-/// per published *result* (operator id), because that is what the slot
-/// arena holds.
-#[derive(Debug, Clone)]
-pub struct PhysicalBooks {
-    /// Unmet input edges per node (ready when 0).
-    pub input_edges: Vec<usize>,
-    /// Consumer edges per node: which nodes read this node's output (per
-    /// edge — a self-cross consumer appears twice).
-    pub consumers: Vec<Vec<PhysNodeId>>,
-    /// Remaining consumer edges per published operator result, indexed by
-    /// [`OpId`], including the synthetic final consumer of the root.
-    pub result_consumers: Vec<usize>,
-    /// Dependency level per node (leaves are 0).
-    pub levels: Vec<usize>,
-    /// Nodes per dependency level; the maximum bounds the useful worker
-    /// count, exactly like [`crate::ReadySetBooks::width`].
-    pub level_widths: Vec<usize>,
-}
-
-impl PhysicalBooks {
-    /// The widest dependency level — an upper bound on how many nodes can
-    /// usefully evaluate concurrently.
-    pub fn width(&self) -> usize {
-        self.level_widths.iter().copied().max().unwrap_or(0)
+        counts[self.nodes[self.root_node].output] += 1;
+        counts
     }
 }
 
@@ -536,21 +474,15 @@ mod tests {
     fn books_agree_with_node_structure() {
         let plan = chain_plan();
         let phys = PhysicalPlan::compile(&plan);
-        let books = phys.books();
-        assert_eq!(books.input_edges, vec![0, 1, 1]);
-        assert_eq!(books.consumers[0], vec![1]);
-        assert_eq!(books.consumers[1], vec![2]);
-        assert!(books.consumers[2].is_empty());
+        let counts = phys.result_consumers();
         // Result consumers: the literal feeds the pipeline, the pipeline
         // tail feeds the sort, the root gets the synthetic consumer.
-        assert_eq!(books.result_consumers[0], 1);
-        assert_eq!(books.result_consumers[4], 1);
-        assert_eq!(books.result_consumers[plan.root()], 1);
+        assert_eq!(counts[0], 1);
+        assert_eq!(counts[4], 1);
+        assert_eq!(counts[plan.root()], 1);
         // Interior chain results never materialize → no consumers.
-        assert_eq!(books.result_consumers[1], 0);
-        assert_eq!(books.result_consumers[2], 0);
-        assert_eq!(books.levels, vec![0, 1, 2]);
-        assert_eq!(books.width(), 1);
+        assert_eq!(counts[1], 0);
+        assert_eq!(counts[2], 0);
     }
 
     #[test]
@@ -598,9 +530,7 @@ mod tests {
         });
         let plan = b.finish(cross);
         let phys = PhysicalPlan::compile(&plan);
-        let books = phys.books();
-        assert_eq!(books.input_edges[1], 2);
-        assert_eq!(books.consumers[0], vec![1, 1]);
-        assert_eq!(books.result_consumers[lit], 2);
+        assert_eq!(phys.nodes()[1].inputs, vec![lit, lit]);
+        assert_eq!(phys.result_consumers()[lit], 2);
     }
 }

@@ -10,71 +10,58 @@
 //! compiled once per (cached) logical plan; [`ExecStats::fused_ops`] /
 //! [`ExecStats::tables_elided`] report what fusion saved.
 //!
-//! Physical nodes are evaluated in **ready-set order**: the executor
-//! keeps, for every node, the number of inputs that are not yet
-//! materialized; nodes whose count is zero form the *ready set* and may
-//! run in any order — or concurrently.  With one thread the ready set is
-//! drained in the classic topological order (children before parents,
-//! identical to the pre-parallel executor, bit for bit); with more threads
-//! every ready node streams onto the persistent worker pool as a node job.
-//! A whole pipeline is one work unit.  Shared subexpressions are still
-//! computed exactly once — this is the "single algebraic query" execution
-//! model of the paper, now exploiting the plan's join-graph independence.
+//! **One dispatch loop.**  Physical nodes run in topological order on the
+//! calling thread, children before parents — the paper's model of one
+//! algebraic plan evaluated bottom-up, one operator after another.
+//! Shared subexpressions are computed exactly once.  The node
+//! constructors (ε, attribute and τ text construction) create transient
+//! documents and take their document ids from the registry as they run,
+//! so ids — and with them document order across transient fragments —
+//! follow the topological order and are identical at every thread count
+//! and morsel size.  A panicking operator is caught once, around the
+//! loop, and surfaces as an [`EngineError`].
 //!
-//! **Constructors are ordinary jobs.**  The node-constructing operators
-//! (ε, attribute and τ text construction) create transient documents and
-//! thereby consume document ids, which must be reproducible across thread
-//! counts.  Rather than serializing them on a coordinator thread, the
-//! executor **reserves** every constructor's doc id up front — one
-//! [`DocRegistry::reserve_constructed`] block in topological plan order at
-//! schedule time — and each constructor fills its pre-assigned slot
-//! whenever its pool job happens to run.  Ids (and with them document
-//! order across transient fragments) are identical at every thread count,
-//! and constructor-heavy plans parallelize like any other.  Every operator
-//! is thus *pure* with respect to scheduling: it reads the registry (which
-//! hands out [`Arc`] store snapshots from behind a lock) and its inputs,
-//! so any worker may evaluate it as soon as its inputs are published, and
-//! every thread count produces the same result table.
-//!
-//! **Joins and aggregates are morsel-parallel.**  An equi-join builds its
-//! hash index once over the smaller input (typed borrowed keys — see
-//! `pf_relational::ops::JoinPlan`), then partitions the probe side into
-//! morsels on the pool; per-morsel pair buffers concatenate in range
-//! order, so the output is bit-identical to the sequential probe.  An
-//! aggregation pre-aggregates input chunks into partials and merges them
-//! in chunk order — but only for the functions where that is bit-exact
+//! **Big operators are morsel-parallel.**  With `threads > 1`, sorts, row
+//! numberings, staircase steps, fused pipelines, joins and aggregates
+//! over inputs larger than one morsel partition their inner loop into
+//! row ranges on the [`WorkerPool`] and merge the parts in range order,
+//! so every result is bit-identical to the unpartitioned run.  An
+//! equi-join builds its hash index once over the smaller input (typed
+//! borrowed keys — see `pf_relational::ops::JoinPlan`), then probes in
+//! morsels whose pair buffers concatenate in range order.  An aggregation
+//! pre-aggregates input chunks into partials and merges them in chunk
+//! order — but only for the functions where that is bit-exact
 //! (`AggPlan::chunk_parallel_safe`); `sum`/`avg` stay sequential, and
 //! ascending `Nat`/`Int` group columns take a hash-free segmented scan.
 //! [`ExecStats::join_build_rows`] / [`ExecStats::join_probe_rows`] /
 //! [`ExecStats::agg_input_rows`] count what the kernels processed.
 //!
 //! Intermediate results are held behind [`Arc`]s and evicted at their last
-//! use: both dispatch loops publish every node through one
-//! `RunState::publish`, which decrements the per-result consumer counts of
-//! [`PhysicalPlan::books`] (`result_consumers`, which count consuming
-//! *node* edges plus a synthetic final consumer protecting the root) and
-//! frees a result the moment its count reaches zero — peak resident rows
-//! track the live frontier of the DAG, not the whole plan.  Physical cell accounting is incremental (per
-//! [`Column::buffer_id`] refcounts, updated on publish/evict), so profiling
-//! no longer rescans the live slots after every operator.  Operators are
-//! borrowed from the plan, never cloned.
+//! use: every node is published through `RunState::publish`, which
+//! decrements the per-result consumer counts of
+//! [`PhysicalPlan::result_consumers`] (consuming *node* edges plus a
+//! synthetic final consumer protecting the root) and frees a result the
+//! moment its count reaches zero — peak resident rows track the live
+//! frontier of the DAG, not the whole plan.  Physical cell accounting is
+//! incremental (per [`Column::buffer_id`] refcounts, updated on
+//! publish/evict), so profiling never rescans the live slots after every
+//! operator.  Operators are borrowed from the plan, never cloned.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use pf_algebra::{
-    AlgOp, OpId, PhysKind, PhysNode, PhysNodeId, PhysicalBooks, PhysicalPlan, Plan, SortSpec,
-};
+use pf_algebra::{AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Cell, Column, NodeRef, Table, Value};
 use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest};
 
 use crate::error::{EngineError, EngineResult};
-use crate::pool::{QuerySession, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::registry::DocRegistry;
 
 /// Marker prefix used to smuggle constructed attributes through the `item`
@@ -111,11 +98,11 @@ fn constructed_attribute(item: &str) -> Option<(&str, &str)> {
 ///   executor actually held at its worst moment; `cells_produced` is the
 ///   retain-everything, share-nothing total it is compared against.
 ///
-/// The totals (`operators_evaluated`, `rows_produced`, `cells_produced`,
-/// `evicted_results`) are identical at every thread count; the two peaks
-/// depend on which branches happened to be resident together, so parallel
-/// runs may report higher peaks than `threads = 1` (which reproduces the
-/// sequential numbers exactly).
+/// Nodes always run in the plan's topological order, so the totals and
+/// `peak_resident_rows` are identical at every thread count and morsel
+/// size.  `peak_resident_cells` may differ: a morselized operator
+/// concatenates fresh buffers where the unpartitioned one can share its
+/// input's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Operators evaluated (= reachable plan size).
@@ -236,12 +223,6 @@ fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
     }
 }
 
-/// Pre-assigned transient document ids, one per constructor operator
-/// ([`AlgOp::ElemConstruct`] / [`AlgOp::TextConstruct`]), reserved in
-/// topological plan order before any node runs — what lets constructors
-/// run as ordinary parallel pool jobs with deterministic ids.
-type DocIds = HashMap<OpId, u32>;
-
 /// Per-evaluation kernel counters and sub-phase timings, returned by
 /// `eval_node` alongside the result table and folded into [`ExecStats`] /
 /// [`OpProfile`] at publish.  The row counters are data-determined
@@ -260,27 +241,22 @@ struct KernelStats {
     timings: Vec<(&'static str, usize, Duration)>,
 }
 
-/// The materialized inputs an operator evaluation may read.
-///
-/// The sequential path hands the whole slot arena over; the parallel path
-/// gathers [`Arc`] clones of exactly the operator's inputs when the
-/// operator is claimed (the arena itself stays behind the scheduler lock).
-enum Inputs<'t> {
-    /// Borrow of the sequential executor's slot arena.
-    Slots(&'t [Option<Arc<Table>>]),
-    /// The claimed operator's inputs, gathered under the scheduler lock.
-    Gathered(&'t [(OpId, Arc<Table>)]),
+/// The published result of operator `id` in the slot arena.
+fn slot(slots: &[Option<Arc<Table>>], id: OpId) -> EngineResult<&Table> {
+    slots
+        .get(id)
+        .and_then(|slot| slot.as_deref())
+        .ok_or_else(|| EngineError::msg("operator evaluated before its input"))
 }
 
-impl Inputs<'_> {
-    /// Fetch a previously computed operator result.
-    fn get(&self, id: OpId) -> EngineResult<&Table> {
-        match self {
-            Inputs::Slots(slots) => slots.get(id).and_then(|slot| slot.as_deref()),
-            Inputs::Gathered(list) => list.iter().find(|(i, _)| *i == id).map(|(_, t)| &**t),
-        }
-        .ok_or_else(|| EngineError::msg("operator evaluated before its input"))
-    }
+/// The message of a caught panic payload (a `&str` or `String` in
+/// practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Incremental physical-cell accounting: reference counts per column
@@ -474,10 +450,9 @@ fn nat_keys(column: &Column) -> EngineResult<Cow<'_, [u64]>> {
 
 /// The published results of one run and everything accounted about them.
 ///
-/// Both dispatch loops hand every evaluated node to [`RunState::publish`],
-/// so the work totals, peaks, evictions and timings come from one piece
-/// of code and are schedule-independent by construction (only the peaks
-/// depend on which branches happened to be resident together).
+/// The dispatch loop hands every evaluated node to [`RunState::publish`]
+/// in topological order, so the work totals, peaks and evictions are the
+/// same at every thread count and morsel size.
 struct RunState {
     slots: Vec<Option<Arc<Table>>>,
     /// Remaining consumer edges per published result, by [`OpId`] (evict
@@ -575,137 +550,12 @@ impl RunState {
     }
 }
 
-/// Mutable scheduler state shared by the coordinator and the workers.
-struct ParState {
-    run: RunState,
-    /// Unmet input edges per physical node (ready when 0).
-    waiting: Vec<usize>,
-    /// Nodes published so far.
-    completed: usize,
-    error: Option<EngineError>,
-}
-
-/// Immutable context of one parallel run.
-///
-/// Ready nodes are streamed to the worker pool as **node jobs**
-/// ([`ParCtx::spawn_node`]) — constructors included, since their document
-/// ids were reserved up front (`doc_ids`).  There is no per-query thread:
-/// the persistent pool's workers pull node jobs (and the morsel jobs
-/// partitioned operators submit) from one queue pair, and any thread that
-/// has to wait — the coordinator for the root, a morsel submitter for its
-/// chunks — helps execute queued jobs instead of blocking.
-struct ParCtx<'e, 'p> {
-    exec: &'e Executor<'e>,
-    plan: &'p Plan,
-    physical: &'p PhysicalPlan,
-    pool: Arc<WorkerPool>,
-    /// Pre-reserved transient document ids per constructor operator.
-    doc_ids: DocIds,
-    /// Consumer edges (inverse adjacency) per node.
-    consumers: Vec<Vec<PhysNodeId>>,
-    state: Mutex<ParState>,
-}
-
-impl ParCtx<'_, '_> {
-    /// `true` once every physical node has published or a branch failed.
-    fn finished(&self, state: &ParState) -> bool {
-        state.error.is_some() || state.completed == self.physical.nodes().len()
-    }
-
-    /// Submit node `id` to the pool (called when its inputs are complete).
-    #[allow(unsafe_code)] // unsafe `submit` call; see the SAFETY comment below
-    fn spawn_node<'s>(&'s self, session: &'s QuerySession, id: PhysNodeId) {
-        // SAFETY: the session is drained before `self` (and the session
-        // itself) go out of scope in `execute_parallel`, so the borrows
-        // this job captures outlive every possible execution of it.
-        unsafe {
-            session.submit(Box::new(move || self.run_node(session, id)));
-        }
-    }
-
-    /// Evaluate one ready node and publish its result — the body of every
-    /// node job.
-    fn run_node(&self, session: &QuerySession, node_id: PhysNodeId) {
-        let node = &self.physical.nodes()[node_id];
-        let gathered: Vec<(OpId, Arc<Table>)> = {
-            let state = self.state.lock().expect("scheduler lock poisoned");
-            if state.error.is_some() {
-                // A sibling already failed; don't start new work (the
-                // queued jobs drain as no-ops).
-                return;
-            }
-            node.inputs
-                .iter()
-                .map(|&input| {
-                    let table = state.run.slots[input]
-                        .clone()
-                        .expect("ready node with unpublished input");
-                    (input, table)
-                })
-                .collect()
-        };
-        let started = self.exec.profile_ops.then(Instant::now);
-        // A panicking operator must not strand its peers: without the
-        // catch, the panicking thread would die before publishing and
-        // every other thread would wait forever (the sequential path
-        // propagates panics; here they surface as an engine error).
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.exec
-                .eval_node(self.plan, node, &Inputs::Gathered(&gathered), &self.doc_ids)
-        }))
-        .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(EngineError::msg(format!("operator panicked: {message}")))
-        });
-        let elapsed = started.map(|s| s.elapsed());
-        drop(gathered);
-        let newly_ready = {
-            let mut guard = self.state.lock().expect("scheduler lock poisoned");
-            let state = &mut *guard;
-            match outcome {
-                Ok((table, kernel)) => {
-                    state.run.publish(self.plan, node, table, &kernel, elapsed);
-                    state.completed += 1;
-                    let mut newly_ready = Vec::new();
-                    for &parent in &self.consumers[node_id] {
-                        state.waiting[parent] -= 1;
-                        if state.waiting[parent] == 0 {
-                            newly_ready.push(parent);
-                        }
-                    }
-                    // Node ids are topological positions; submitting the
-                    // smallest first approximates the sequential order.
-                    // (No duplicates: `waiting` counts edges, so even a
-                    // parent consuming this result twice hits zero once.)
-                    newly_ready.sort_unstable();
-                    newly_ready
-                }
-                Err(e) => {
-                    // First failure wins; everyone drains on the flag.
-                    state.error.get_or_insert(e);
-                    Vec::new()
-                }
-            }
-        };
-        for id in newly_ready {
-            self.spawn_node(session, id);
-        }
-        // Publishing may have completed the plan or recorded an error —
-        // wake whoever waits on that.
-        self.pool.bump();
-    }
-}
-
 /// Plan interpreter bound to a document registry.
 ///
 /// The registry is only ever read-shared during execution (node
 /// constructors append transient documents through its interior lock), so
-/// the executor borrows it immutably and may be shared across the worker
-/// threads of a parallel run.
+/// the executor borrows it immutably and its morsels may read it from any
+/// pool thread.
 #[derive(Debug)]
 pub struct Executor<'a> {
     registry: &'a DocRegistry,
@@ -735,10 +585,12 @@ impl<'a> Executor<'a> {
         Executor::with_threads(registry, 0)
     }
 
-    /// Create an executor with an explicit worker thread count.
+    /// Create an executor with an explicit thread count for morsels.
     ///
-    /// `1` selects the sequential path; `0` resolves to
-    /// [`default_threads`].  The morsel size starts at
+    /// Nodes always run one after another on the calling thread; with
+    /// `threads > 1` big operators split into morsels on a pool of
+    /// `threads − 1` workers plus the caller, and `1` never touches a
+    /// pool.  `0` resolves to [`default_threads`].  The morsel size starts at
     /// [`DEFAULT_MORSEL_ROWS`]; override it with
     /// [`Executor::with_morsel_rows`].
     pub fn with_threads(registry: &'a DocRegistry, threads: usize) -> Self {
@@ -859,143 +711,35 @@ impl<'a> Executor<'a> {
         Ok((table, stats))
     }
 
+    /// The dispatch loop: physical nodes in topological order on the
+    /// calling thread, with last-use eviction.  With more than one
+    /// thread, big operators still partition onto the pool (morsels).
+    ///
+    /// A panicking operator must not take its caller down — the server
+    /// runs every query on a connection thread — so the loop runs under
+    /// one `catch_unwind`, which also sees a morsel's panic that
+    /// [`WorkerPool::run_scoped_tagged`] resumes here: at every thread
+    /// count it surfaces as the same [`EngineError`].
     fn execute_physical(
         &self,
         plan: &Plan,
         physical: &PhysicalPlan,
     ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        // One pass over the physical nodes derives every scheduler book.
-        let books = physical.books();
-        // Reserve every constructor's transient doc id up front, in
-        // topological plan order — ids are then identical under any
-        // schedule, and constructors run as ordinary (parallel) jobs.
-        let doc_ids = self.reserve_doc_ids(plan, physical);
-        if self.threads <= 1 {
-            return self.execute_sequential(plan, physical, books, doc_ids);
-        }
-        // A chain-shaped plan (width 1) has no *branch* parallelism to fan
-        // out, so the scheduler itself stays sequential — but its big
-        // operators still run their morsels on the pool.  (Level width
-        // slightly under-estimates the maximum antichain of exotic DAG
-        // shapes, but it is the right order of magnitude and comes free
-        // with the books.)
-        if books.width() <= 1 {
-            self.execute_sequential(plan, physical, books, doc_ids)
-        } else {
-            self.execute_parallel(plan, physical, books, doc_ids)
-        }
-    }
-
-    /// Pre-assign transient document ids to the plan's element and text
-    /// constructors (attribute constructors never register documents), in
-    /// the order the sequential executor would have registered them.
-    fn reserve_doc_ids(&self, plan: &Plan, physical: &PhysicalPlan) -> DocIds {
-        let ctors: Vec<OpId> = physical
-            .nodes()
-            .iter()
-            .filter(|node| matches!(node.kind, PhysKind::Breaker))
-            .map(|node| node.output)
-            .filter(|&id| {
-                matches!(
-                    plan.op(id),
-                    AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. }
-                )
-            })
-            .collect();
-        if ctors.is_empty() {
-            return DocIds::new();
-        }
-        let first = self.registry.reserve_constructed(ctors.len());
-        ctors
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| (op, first + i as u32))
-            .collect()
-    }
-
-    /// The sequential dispatch path: physical nodes in topological order
-    /// with last-use eviction.  With more than one thread, individual
-    /// operators still partition onto the pool (morsels); only the
-    /// dispatch order is sequential.
-    fn execute_sequential(
-        &self,
-        plan: &Plan,
-        physical: &PhysicalPlan,
-        books: PhysicalBooks,
-        doc_ids: DocIds,
-    ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        let mut run = RunState::new(plan, books.result_consumers, self.profile_ops);
-        for node in physical.nodes() {
-            let started = self.profile_ops.then(Instant::now);
-            let (table, kernel) =
-                self.eval_node(plan, node, &Inputs::Slots(&run.slots), &doc_ids)?;
-            run.publish(plan, node, table, &kernel, started.map(|s| s.elapsed()));
-        }
-        run.finish(plan)
-    }
-
-    /// The ready-set scheduler on the persistent pool: every node
-    /// (breakers, whole fused pipelines, and constructors — their doc ids
-    /// are pre-reserved) streams to the pool as a node job the moment its
-    /// inputs are published; this (coordinator) thread helps execute
-    /// queued jobs until the plan completes.  No thread is spawned — the
-    /// pool outlives the query.
-    fn execute_parallel(
-        &self,
-        plan: &Plan,
-        physical: &PhysicalPlan,
-        books: PhysicalBooks,
-        doc_ids: DocIds,
-    ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        let PhysicalBooks {
-            input_edges: waiting,
-            consumers,
-            result_consumers: remaining,
-            ..
-        } = books;
-        let seed: Vec<PhysNodeId> = (0..physical.nodes().len())
-            .filter(|&id| waiting[id] == 0)
-            .collect();
-        let pool = Arc::clone(self.pool());
-        let ctx = ParCtx {
-            exec: self,
-            plan,
-            physical,
-            pool: Arc::clone(&pool),
-            doc_ids,
-            consumers,
-            state: Mutex::new(ParState {
-                run: RunState::new(plan, remaining, self.profile_ops),
-                waiting,
-                completed: 0,
-                error: None,
-            }),
-        };
-        // The session is dropped (and thereby drained) before `ctx` goes
-        // out of scope — the safety contract of the erased node jobs.
-        let session = QuerySession::new(Arc::clone(&pool), self.query_tag);
-        for id in &seed {
-            ctx.spawn_node(&session, *id);
-        }
-        // Help the pool with queued node and morsel jobs (or sleep until a
-        // publish changes the picture) until the plan completes or fails.
-        pool.help_until(false, || {
-            let state = ctx.state.lock().expect("scheduler lock poisoned");
-            ctx.finished(&state)
-        });
-        session.drain();
-        if let Some(payload) = session.take_panic() {
-            // A scheduler-level bug (operator panics are converted to
-            // errors inside the job); surface it like the sequential path
-            // would.
-            std::panic::resume_unwind(payload);
-        }
-        drop(session);
-        let state = ctx.state.into_inner().expect("scheduler lock poisoned");
-        match state.error {
-            Some(error) => Err(error),
-            None => state.run.finish(plan),
-        }
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut run = RunState::new(plan, physical.result_consumers(), self.profile_ops);
+            for node in physical.nodes() {
+                let started = self.profile_ops.then(Instant::now);
+                let (table, kernel) = self.eval_node(plan, node, &run.slots)?;
+                run.publish(plan, node, table, &kernel, started.map(|s| s.elapsed()));
+            }
+            run.finish(plan)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(EngineError::msg(format!(
+                "operator panicked: {}",
+                panic_message(&*payload)
+            )))
+        })
     }
 
     /// Evaluate one physical node: breakers go through the single-operator
@@ -1010,13 +754,12 @@ impl<'a> Executor<'a> {
         &self,
         plan: &Plan,
         node: &PhysNode,
-        inputs: &Inputs<'_>,
-        doc_ids: &DocIds,
+        slots: &[Option<Arc<Table>>],
     ) -> EngineResult<(Table, KernelStats)> {
         match &node.kind {
-            PhysKind::Breaker => self.eval(plan, node.output, inputs, doc_ids),
+            PhysKind::Breaker => self.eval(plan, node.output, slots),
             PhysKind::Pipeline { .. } => {
-                let input = inputs.get(node.inputs[0])?;
+                let input = slot(slots, node.inputs[0])?;
                 let steps = node.steps(plan);
                 let table = match self.morsel_chunk_rows(input.row_count()) {
                     Some(chunk) if ops::steps_chunkable(&steps) => {
@@ -1477,8 +1220,7 @@ impl<'a> Executor<'a> {
         &self,
         plan: &Plan,
         id: OpId,
-        inputs: &Inputs<'_>,
-        doc_ids: &DocIds,
+        slots: &[Option<Arc<Table>>],
     ) -> EngineResult<(Table, KernelStats)> {
         let table = match plan.op(id) {
             AlgOp::EquiJoin {
@@ -1488,8 +1230,8 @@ impl<'a> Executor<'a> {
                 right_col,
             } => {
                 return self.equi_join_node(
-                    inputs.get(*left)?,
-                    inputs.get(*right)?,
+                    slot(slots, *left)?,
+                    slot(slots, *right)?,
                     left_col,
                     right_col,
                 )
@@ -1502,15 +1244,15 @@ impl<'a> Executor<'a> {
                 right_col,
             } => {
                 return self.theta_join_node(
-                    inputs.get(*left)?,
-                    inputs.get(*right)?,
+                    slot(slots, *left)?,
+                    slot(slots, *right)?,
                     left_col,
                     *op,
                     right_col,
                 )
             }
             AlgOp::ThetaCount { left, right, count } => {
-                return self.theta_count_node(inputs.get(*left)?, inputs.get(*right)?, count)
+                return self.theta_count_node(slot(slots, *left)?, slot(slots, *right)?, count)
             }
             AlgOp::Aggregate {
                 input,
@@ -1518,13 +1260,13 @@ impl<'a> Executor<'a> {
                 target,
                 func,
                 value,
-            } => return self.aggregate_node(inputs.get(*input)?, group, target, *func, value),
+            } => return self.aggregate_node(slot(slots, *input)?, group, target, *func, value),
             AlgOp::IndexScan {
                 input,
                 uri,
                 probe,
                 mode,
-            } => return self.index_scan_node(inputs.get(*input)?, uri, probe, *mode),
+            } => return self.index_scan_node(slot(slots, *input)?, uri, probe, *mode),
             AlgOp::Lit { columns, rows } => {
                 let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); columns.len()];
                 for row in rows {
@@ -1563,50 +1305,50 @@ impl<'a> Executor<'a> {
                 )))
             }
             AlgOp::Union { left, right } => {
-                ops::union_disjoint(inputs.get(*left)?, inputs.get(*right)?)?
+                ops::union_disjoint(slot(slots, *left)?, slot(slots, *right)?)?
             }
             AlgOp::Difference { left, right } => {
-                ops::difference(inputs.get(*left)?, inputs.get(*right)?)?
+                ops::difference(slot(slots, *left)?, slot(slots, *right)?)?
             }
-            AlgOp::Cross { left, right } => ops::cross(inputs.get(*left)?, inputs.get(*right)?)?,
+            AlgOp::Cross { left, right } => ops::cross(slot(slots, *left)?, slot(slots, *right)?)?,
             AlgOp::RowNum {
                 input,
                 target,
                 order_by,
                 partition,
-            } => self.row_number(inputs.get(*input)?, target, order_by, partition.as_deref())?,
-            AlgOp::Step { input, axis, test } => self.step(inputs.get(*input)?, *axis, test)?,
-            AlgOp::DocOrder { input } => self.doc_order(inputs.get(*input)?)?,
-            AlgOp::FnRoot { input } => self.fn_root(inputs.get(*input)?)?,
-            AlgOp::Ebv { input } => self.ebv(inputs.get(*input)?)?,
+            } => self.row_number(slot(slots, *input)?, target, order_by, partition.as_deref())?,
+            AlgOp::Step { input, axis, test } => self.step(slot(slots, *input)?, *axis, test)?,
+            AlgOp::DocOrder { input } => self.doc_order(slot(slots, *input)?)?,
+            AlgOp::FnRoot { input } => self.fn_root(slot(slots, *input)?)?,
+            AlgOp::Ebv { input } => self.ebv(slot(slots, *input)?)?,
             AlgOp::ElemConstruct {
                 loop_input,
                 tag,
                 content,
             } => self.construct_elements(
-                inputs.get(*loop_input)?,
+                slot(slots, *loop_input)?,
                 tag,
-                inputs.get(*content)?,
-                self.doc_id_for(doc_ids, id),
+                slot(slots, *content)?,
+                self.registry.reserve_constructed(1),
             )?,
             AlgOp::AttrConstruct {
                 loop_input,
                 name,
                 content,
             } => {
-                self.construct_attributes(inputs.get(*loop_input)?, name, inputs.get(*content)?)?
+                self.construct_attributes(slot(slots, *loop_input)?, name, slot(slots, *content)?)?
             }
             AlgOp::TextConstruct {
                 loop_input,
                 content,
             } => self.construct_texts(
-                inputs.get(*loop_input)?,
-                inputs.get(*content)?,
-                self.doc_id_for(doc_ids, id),
+                slot(slots, *loop_input)?,
+                slot(slots, *content)?,
+                self.registry.reserve_constructed(1),
             )?,
             AlgOp::Sort { input, by } => {
                 let columns: Vec<&str> = by.iter().map(|s| s.column.as_str()).collect();
-                self.sort_table(inputs.get(*input)?, &columns)?
+                self.sort_table(slot(slots, *input)?, &columns)?
             }
         };
         Ok((table, KernelStats::default()))
@@ -1712,16 +1454,6 @@ impl<'a> Executor<'a> {
     }
 
     // ----- node construction (ε, τ) ---------------------------------------
-
-    /// The transient document id pre-reserved for constructor `id`, or a
-    /// fresh reservation when the operator was not scheduled through
-    /// [`Executor::execute_physical`] (direct `eval` in tests).
-    fn doc_id_for(&self, doc_ids: &DocIds, id: OpId) -> u32 {
-        doc_ids
-            .get(&id)
-            .copied()
-            .unwrap_or_else(|| self.registry.reserve_constructed(1))
-    }
 
     /// ε: one element per iteration of `loop_table`.  All elements one
     /// operator constructs share a single transient fragment (like
@@ -2306,10 +2038,7 @@ mod tests {
                     op,
                     right,
                 } => ops::map_binary(input(i), target, left, *op, right, no_nodes)?,
-                _ => {
-                    exec.eval(plan, id, &Inputs::Slots(&slots), &DocIds::new())?
-                        .0
-                }
+                _ => exec.eval(plan, id, &slots)?.0,
             };
             slots[id] = Some(Arc::new(table));
         }
@@ -2475,7 +2204,7 @@ mod tests {
         assert_eq!(plain, profiled);
     }
 
-    // ----- ready-set / parallel scheduler ---------------------------------
+    // ----- thread counts ---------------------------------------------------
 
     /// A diamond over the sample document whose two branches are
     /// independent (a `b`-step and a `c`-step) joined by a cross product.
@@ -2551,20 +2280,20 @@ mod tests {
         let (_, par) = Executor::with_threads(&reg, 4)
             .run_with_stats(&plan)
             .unwrap();
-        // Work totals are schedule-independent; only the peaks may differ.
+        // Nodes run in one order at every thread count, so the totals and
+        // the row peak agree.
         assert_eq!(seq.operators_evaluated, par.operators_evaluated);
         assert_eq!(seq.rows_produced, par.rows_produced);
         assert_eq!(seq.cells_produced, par.cells_produced);
         assert_eq!(seq.evicted_results, par.evicted_results);
-        assert!(par.peak_resident_rows >= seq.peak_resident_rows);
+        assert_eq!(seq.peak_resident_rows, par.peak_resident_rows);
     }
 
     #[test]
     fn unpinned_constructors_get_identical_doc_ids_at_any_thread_count() {
-        // Two constructor operators: their transient document ids are
-        // reserved in plan order at schedule time, so even though the
-        // constructors run as ordinary pool jobs in any order, the result
-        // tables (which embed document ids in node refs) are equal.
+        // Two constructor operators: each takes its transient document id
+        // when it runs, in topological order at every thread count, so the
+        // result tables (which embed document ids in node refs) are equal.
         let build = || {
             let mut b = PlanBuilder::new();
             let loop0 = b.add(AlgOp::Lit {
@@ -2629,9 +2358,8 @@ mod tests {
     #[test]
     fn parallel_operator_panics_become_errors_not_hangs() {
         // A malformed literal (row wider than the schema) panics inside
-        // eval; a second leaf widens the plan so the parallel path runs.
-        // The panic must surface as an error on every thread count instead
-        // of stranding the worker pool on the condvar.
+        // eval.  The panic must surface as the same error at every thread
+        // count instead of unwinding into the caller.
         let reg = registry();
         let mut b = PlanBuilder::new();
         let bad = b.add(AlgOp::Lit {
@@ -2647,9 +2375,17 @@ mod tests {
             right: good,
         });
         let plan = b.finish(crossed);
-        let err = Executor::with_threads(&reg, 4).run(&plan);
-        assert!(err.is_err());
-        assert!(err.unwrap_err().to_string().contains("panicked"));
+        let errors: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let err = Executor::with_threads(&reg, threads)
+                    .run(&plan)
+                    .unwrap_err();
+                err.to_string()
+            })
+            .collect();
+        assert!(errors[0].contains("panicked"), "{}", errors[0]);
+        assert_eq!(errors[0], errors[1]);
     }
 
     // ----- morsel-parallel operators ---------------------------------------
@@ -2847,11 +2583,7 @@ mod tests {
         let reg = registry();
         let plan = join_agg_plan();
         let exec = Executor::new(&reg);
-        let lit = |id| {
-            exec.eval(&plan, id, &Inputs::Slots(&[]), &DocIds::new())
-                .unwrap()
-                .0
-        };
+        let lit = |id| exec.eval(&plan, id, &[]).unwrap().0;
         let joined = ops::equi_join_generic(&lit(0), &lit(1), "iter", "iter2").unwrap();
         let generic =
             ops::aggregate_by_generic(&joined, "iter", "n", AggFunc::Count, "item").unwrap();

@@ -27,7 +27,8 @@
 //! Every entry point takes `&self`: the plan cache, the worker pool and
 //! the document registry are interior-mutable, so one engine — typically
 //! behind an [`std::sync::Arc`] — serves many clients at once.  Each
-//! client opens a [`Session`], queries run as query-tagged jobs on the
+//! client opens a [`Session`], each query runs its plan on the calling
+//! thread and splits big operators into query-tagged morsels on the
 //! engine's one persistent [`WorkerPool`] (fair round-robin across
 //! in-flight queries), every execution reads a frozen snapshot of the
 //! document registry (a concurrent reload can never tear a running
@@ -52,9 +53,11 @@
 //! ```
 
 // `forbid` is the workspace norm (see scripts/check-unsafe.sh); this crate
-// carries the one documented exemption — lifetime erasure for scoped jobs
-// on the persistent worker pool (`pool.rs`, `executor.rs`).  `deny` +
-// per-function `#[allow(unsafe_code)]` keeps every site explicit.
+// carries the one documented exemption — lifetime erasure for the scoped
+// morsel tasks of the persistent worker pool, in `pool.rs` and nowhere
+// else.  `deny` plus one per-function allow attribute there keeps the
+// site explicit; scripts/check-unsafe.sh rejects both spellings in every
+// other engine file.
 #![deny(unsafe_code)]
 
 pub mod admission;
@@ -103,9 +106,11 @@ pub struct EngineOptions {
     /// default).  Off, queries run the plan the loop-lifting compiler
     /// produced — the reference the agreement suites compare against.
     pub optimize: bool,
-    /// Executor worker threads: `1` runs the sequential path, `0` (the
-    /// default) resolves to [`default_threads`], the machine's available
-    /// parallelism.
+    /// Threads per query for morsels: plan nodes always run one after
+    /// another on the calling thread, and with more than one thread big
+    /// operators split into morsels on the engine's worker pool.  `1`
+    /// never spawns a pool; `0` (the default) resolves to
+    /// [`default_threads`], the machine's available parallelism.
     pub threads: usize,
     /// Input rows per morsel for intra-operator parallelism (partitioned
     /// sorts, row numberings, staircase shards and fused-pipeline chunks
@@ -542,9 +547,10 @@ impl Pathfinder {
     /// Takes `&self`: any number of sessions/threads may call this
     /// concurrently on one engine.  The call admission-gates against
     /// [`EngineOptions::memory_budget_rows`], snapshots the document
-    /// registry (concurrent reloads cannot tear this query), and runs as
-    /// query-tagged jobs on the engine's persistent pool with round-robin
-    /// fairness across in-flight queries.
+    /// registry (concurrent reloads cannot tear this query), and runs the
+    /// plan on the calling thread, its morsels as query-tagged jobs on the
+    /// engine's persistent pool with round-robin fairness across in-flight
+    /// queries.  A panicking operator returns an [`EngineError`].
     pub fn query_with(&self, query: &str, profile: Profile) -> EngineResult<QueryOutcome> {
         let planned = self.plan_for(query)?;
         // Admission first, snapshot second: the query's view of the
@@ -619,9 +625,9 @@ impl Pathfinder {
     }
 
     /// Record the observed execution peak on the cached plan, feeding the
-    /// admission estimate of the next run (the largest observed peak wins:
-    /// parallel schedules can legitimately hold more branches resident
-    /// than sequential ones, and admission should budget for the worst).
+    /// admission estimate of the next run.  The peak is the same at every
+    /// thread count, but a reload can change the data under the same plan,
+    /// so the largest observed peak wins.
     fn record_peak(&self, key: &str, peak_rows: usize) {
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         if let Some(entry) = cache.entries.get_mut(key) {
@@ -1152,7 +1158,7 @@ mod tests {
         assert_eq!(pf.worker_pool_spawns(), 0, "no pool before the first query");
         assert!(pf.worker_pool_generation().is_none());
 
-        // A query with independent branches exercises the parallel path.
+        // The first query of a multi-threaded engine creates the pool.
         let q = "fn:count(fn:doc(\"doc.xml\")//b) + fn:count(fn:doc(\"doc.xml\")//c)";
         assert_eq!(run(&pf, q).to_xml(), "3");
         assert_eq!(pf.worker_pool_spawns(), 1);
@@ -1202,6 +1208,7 @@ mod tests {
             assert_eq!(ref_stats.operators_evaluated, stats.operators_evaluated);
             assert_eq!(ref_stats.cells_produced, stats.cells_produced);
             assert_eq!(ref_stats.evicted_results, stats.evicted_results);
+            assert_eq!(ref_stats.peak_resident_rows, stats.peak_resident_rows);
         }
     }
 

@@ -1,49 +1,33 @@
 //! The persistent worker pool.
 //!
-//! PR 3's parallel executor spawned and joined `threads − 1` OS threads
-//! *per query* via [`std::thread::scope`]; a sub-millisecond query paid
-//! that setup on every call.  A [`WorkerPool`] is owned by the engine
-//! ([`crate::Pathfinder`] creates exactly one and reuses it for every
-//! query): its workers are spawned once, park on a condition variable when
-//! idle, and receive **jobs** per query — both the ready-set node jobs of
-//! the parallel executor and the **morsel** tasks of partitioned operators
-//! (chunked sorts, staircase shards, pipeline ranges).
+//! A [`WorkerPool`] is owned by the engine ([`crate::Pathfinder`] creates
+//! exactly one and reuses it for every query): its workers are spawned
+//! once, park on a condition variable when idle, and run the **morsels**
+//! of partitioned operators (chunked sorts, staircase shards, pipeline
+//! ranges, join probes, aggregate partials).  The executor dispatches
+//! plan nodes one after another on the query's own thread; morsels are
+//! the pool's only work.
 //!
-//! Two job classes share one queue pair:
+//! Morsels are always submitted through [`WorkerPool::run_scoped_tagged`],
+//! which *blocks until every task finished* — the tasks may therefore
+//! borrow the caller's stack (the classic scoped-threads contract), and
+//! the submitting thread drains its own task group, so progress never
+//! depends on a worker being free (no deadlock when every worker is
+//! busy).  A submitter whose group is empty but not yet finished helps
+//! execute other queued jobs instead of blocking.
 //!
-//! * **Morsel jobs** are the partitioned inner loops of one operator.
-//!   They are always submitted through [`WorkerPool::run_scoped`], which
-//!   *blocks until every task finished* — the tasks may therefore borrow
-//!   the caller's stack (the classic scoped-threads contract), and the
-//!   submitting thread drains its own task group, so progress never
-//!   depends on a worker being free (no deadlock when every worker is
-//!   busy).
-//! * **Node jobs** are whole physical-plan nodes, streamed dynamically by
-//!   the ready-set scheduler through a `QuerySession`; the session is
-//!   drained before the query returns, which re-establishes the same
-//!   borrow safety for the per-query scheduler state.
-//!
-//! Workers prefer morsel jobs over node jobs: morsels finish an operator
-//! that is already running, node jobs start new ones.  A thread *waiting*
-//! (for a scoped group or for scheduler progress) helps execute queued
-//! jobs instead of blocking — waiting threads and workers are
-//! indistinguishable, which is what makes intra-operator parallelism
-//! compose with inter-operator parallelism on one fixed set of threads.
-//!
-//! **Fairness across queries.**  Since PR 6 one engine serves many
-//! concurrent queries over this single pool, every job carries the
-//! [`QueryTag`] of the query that submitted it and the queues are
-//! organized as per-tag *lanes*.  Dequeue picks round-robin across lanes
-//! (within the morsel-before-node preference): after a lane supplies a
-//! job it rotates to the back, so a query flooding the pool with jobs
-//! cannot starve a lighter concurrent query — each in-flight query gets
-//! roughly one job slot per scheduling round.
+//! **Fairness across queries.**  One engine serves many concurrent
+//! queries over this single pool, so every job carries the [`QueryTag`]
+//! of the query that submitted it and the queue is organized as per-tag
+//! FIFO *lanes*.  Dequeue picks round-robin across lanes: after a lane
+//! supplies a job it rotates to the back, so a query flooding the pool
+//! with morsels cannot starve a lighter concurrent query — each in-flight
+//! query gets roughly one job slot per scheduling round.
 //!
 //! Wake-ups use an epoch counter: every state change a waiter could be
-//! waiting for (job pushed, task group drained, scheduler publish — via
-//! `WorkerPool::bump`) increments the epoch and notifies under the queue
-//! lock, so a waiter that sampled the epoch before checking its predicate
-//! can never miss the wake-up.
+//! waiting for (job pushed, task group drained) increments the epoch and
+//! notifies under the queue lock, so a waiter that sampled the epoch
+//! before checking its predicate can never miss the wake-up.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -53,9 +37,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// A type-erased, lifetime-erased job (see the safety notes on the
-/// submission paths: every erased job is executed before the borrows it
-/// captures go out of scope).
+/// A type-erased, lifetime-erased job (see the safety note in
+/// [`WorkerPool::run_scoped_tagged`]: every erased task is executed before
+/// the borrows it captures go out of scope).
 type RawJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// Counts pools ever created in this process; [`WorkerPool::generation`]
@@ -69,18 +53,10 @@ static POOL_GENERATIONS: AtomicU64 = AtomicU64::new(0);
 /// use tag `0`.
 pub type QueryTag = u64;
 
-/// The job queues of one query: a morsel FIFO and a node FIFO.
-#[derive(Default)]
+/// The job FIFO of one query.
 struct Lane {
     tag: QueryTag,
-    morsel: VecDeque<RawJob>,
-    node: VecDeque<RawJob>,
-}
-
-impl Lane {
-    fn is_empty(&self) -> bool {
-        self.morsel.is_empty() && self.node.is_empty()
-    }
+    jobs: VecDeque<RawJob>,
 }
 
 #[derive(Default)]
@@ -91,58 +67,31 @@ struct Queues {
 }
 
 impl Queues {
-    fn push(&mut self, tag: QueryTag, morsel: bool, job: RawJob) {
-        let lane = match self.lanes.iter_mut().find(|l| l.tag == tag) {
-            Some(lane) => lane,
-            None => {
-                self.lanes.push_back(Lane {
-                    tag,
-                    ..Lane::default()
-                });
-                self.lanes.back_mut().expect("lane was just pushed")
-            }
-        };
-        if morsel {
-            lane.morsel.push_back(job);
-        } else {
-            lane.node.push_back(job);
+    fn push(&mut self, tag: QueryTag, job: RawJob) {
+        match self.lanes.iter_mut().find(|l| l.tag == tag) {
+            Some(lane) => lane.jobs.push_back(job),
+            None => self.lanes.push_back(Lane {
+                tag,
+                jobs: VecDeque::from([job]),
+            }),
         }
     }
 
-    /// The fair pick: the first lane (in rotation order) with a morsel
-    /// job, else — unless `morsel_only` — the first lane with a node job.
-    /// The supplying lane rotates to the back (and is dropped once empty),
-    /// so consecutive picks cycle through the queries with queued work.
-    fn pop(&mut self, morsel_only: bool) -> Option<RawJob> {
-        let idx = self
-            .lanes
-            .iter()
-            .position(|l| !l.morsel.is_empty())
-            .or_else(|| {
-                if morsel_only {
-                    None
-                } else {
-                    self.lanes.iter().position(|l| !l.node.is_empty())
-                }
-            })?;
-        let lane = &mut self.lanes[idx];
-        let job = lane
-            .morsel
-            .pop_front()
-            .or_else(|| lane.node.pop_front())
-            .expect("lane selected non-empty");
-        let lane = self.lanes.remove(idx).expect("index in bounds");
-        if !lane.is_empty() {
+    /// The fair pick: the front job of the first lane.  The supplying lane
+    /// rotates to the back (and is dropped once empty), so consecutive
+    /// picks cycle through the queries with queued work.
+    fn pop(&mut self) -> Option<RawJob> {
+        let mut lane = self.lanes.pop_front()?;
+        let job = lane.jobs.pop_front().expect("queued lanes are non-empty");
+        if !lane.jobs.is_empty() {
             self.lanes.push_back(lane);
         }
         Some(job)
     }
 
-    /// `true` when a `pop(morsel_only)` would find a job.
-    fn has_jobs(&self, morsel_only: bool) -> bool {
-        self.lanes
-            .iter()
-            .any(|l| !l.morsel.is_empty() || (!morsel_only && !l.node.is_empty()))
+    /// `true` when a `pop` would find a job.
+    fn has_jobs(&self) -> bool {
+        !self.lanes.is_empty()
     }
 }
 
@@ -187,8 +136,7 @@ impl fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool of `workers` parked threads (0 is allowed: every job
-    /// then runs on the threads that wait on the pool, typically the
-    /// query's coordinator).
+    /// then runs on the thread that submitted it).
     pub fn new(workers: usize) -> WorkerPool {
         let shared = Arc::new(PoolShared {
             queues: Mutex::new(Queues::default()),
@@ -225,42 +173,34 @@ impl WorkerPool {
         self.generation
     }
 
-    /// Announce externally-managed progress (the executor calls this after
-    /// publishing a result, so threads waiting on scheduler state re-check
-    /// it).
-    pub(crate) fn bump(&self) {
-        self.shared.bump();
-    }
-
-    fn push_job(&self, tag: QueryTag, morsel: bool, job: RawJob) {
+    fn push_job(&self, tag: QueryTag, job: RawJob) {
         let mut q = self.shared.queues.lock().expect("pool lock poisoned");
-        q.push(tag, morsel, job);
+        q.push(tag, job);
         self.shared.epoch.fetch_add(1, Ordering::SeqCst);
         self.shared.wake.notify_all();
     }
 
-    fn try_pop(&self, morsel_only: bool) -> Option<RawJob> {
+    fn try_pop(&self) -> Option<RawJob> {
         let mut q = self.shared.queues.lock().expect("pool lock poisoned");
-        q.pop(morsel_only)
+        q.pop()
     }
 
     /// Execute queued jobs — sleeping when there are none — until `done()`
-    /// returns true.  `done` is always evaluated with no pool lock held
-    /// (it may take other locks); any event that can flip it must go
-    /// through [`PoolShared::bump`] (or a job push), or the waiter could
-    /// sleep through it.
-    pub(crate) fn help_until(&self, morsel_only: bool, mut done: impl FnMut() -> bool) {
+    /// returns true.  `done` is always evaluated with no pool lock held;
+    /// any event that can flip it must go through [`PoolShared::bump`]
+    /// (or a job push), or the waiter could sleep through it.
+    fn help_until(&self, mut done: impl FnMut() -> bool) {
         loop {
             let epoch = self.shared.epoch.load(Ordering::SeqCst);
             if done() {
                 return;
             }
-            if let Some(job) = self.try_pop(morsel_only) {
+            if let Some(job) = self.try_pop() {
                 job();
                 continue;
             }
             let mut q = self.shared.queues.lock().expect("pool lock poisoned");
-            while self.shared.epoch.load(Ordering::SeqCst) == epoch && !q.has_jobs(morsel_only) {
+            while self.shared.epoch.load(Ordering::SeqCst) == epoch && !q.has_jobs() {
                 q = self.shared.wake.wait(q).expect("pool lock poisoned");
             }
         }
@@ -273,7 +213,7 @@ impl WorkerPool {
     /// resumed on the calling thread afterwards.
     ///
     /// The calling thread drains the group itself (and, once its group is
-    /// empty, helps with *other* morsel jobs while waiting for stragglers),
+    /// empty, helps with *other* queued jobs while waiting for stragglers),
     /// so completion never depends on a worker being idle.
     pub fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         self.run_scoped_tagged(0, tasks);
@@ -316,10 +256,10 @@ impl WorkerPool {
         for _ in 0..helpers {
             let group = Arc::clone(&group);
             let shared = Arc::clone(&self.shared);
-            self.push_job(tag, true, Box::new(move || drain_group(&shared, &group)));
+            self.push_job(tag, Box::new(move || drain_group(&shared, &group)));
         }
         drain_group(&self.shared, &group);
-        self.help_until(true, || group.remaining.load(Ordering::SeqCst) == 0);
+        self.help_until(|| group.remaining.load(Ordering::SeqCst) == 0);
         let payload = group.panic.lock().expect("group lock poisoned").take();
         if let Some(payload) = payload {
             resume_unwind(payload);
@@ -371,11 +311,11 @@ fn drain_group(shared: &PoolShared, group: &ScopedGroup) {
 fn worker_loop(shared: &PoolShared) {
     let mut q = shared.queues.lock().expect("pool lock poisoned");
     loop {
-        let job = q.pop(false);
+        let job = q.pop();
         if let Some(job) = job {
             drop(q);
-            // Jobs arrive pre-wrapped in catch_unwind (groups and
-            // sessions); this outer catch only shields the pool itself
+            // Jobs arrive pre-wrapped in catch_unwind (drain jobs catch
+            // per task); this outer catch only shields the pool itself
             // from a hypothetical unwinding bug, keeping the worker alive.
             let _ = catch_unwind(AssertUnwindSafe(job));
             q = shared.queues.lock().expect("pool lock poisoned");
@@ -385,90 +325,6 @@ fn worker_loop(shared: &PoolShared) {
             return;
         }
         q = shared.wake.wait(q).expect("pool lock poisoned");
-    }
-}
-
-/// The per-query handle the parallel executor streams node jobs through.
-///
-/// Tracks how many submitted jobs have not yet finished; [`QuerySession::drain`]
-/// (also called on drop) runs the stragglers on the current thread, so by
-/// the time the executor's stack frame unwinds, no erased job that borrows
-/// it can still exist — the safety argument for [`QuerySession::submit`].
-pub(crate) struct QuerySession {
-    pool: Arc<WorkerPool>,
-    tag: QueryTag,
-    pending: Arc<SessionPending>,
-}
-
-struct SessionPending {
-    count: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl QuerySession {
-    pub(crate) fn new(pool: Arc<WorkerPool>, tag: QueryTag) -> QuerySession {
-        QuerySession {
-            pool,
-            tag,
-            pending: Arc::new(SessionPending {
-                count: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-            }),
-        }
-    }
-
-    /// Submit a node job.
-    ///
-    /// # Safety
-    ///
-    /// Everything `job` borrows must stay alive until this session is
-    /// drained (the executor drops the session — which drains — before the
-    /// scheduler state the jobs borrow leaves scope).
-    #[allow(unsafe_code)] // lifetime erasure; the contract is documented above
-    pub(crate) unsafe fn submit<'env>(&self, job: Box<dyn FnOnce() + Send + 'env>) {
-        self.pending.count.fetch_add(1, Ordering::SeqCst);
-        let erased = std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, RawJob>(job);
-        let pending = Arc::clone(&self.pending);
-        let shared = Arc::clone(&self.pool.shared);
-        self.pool.push_job(
-            self.tag,
-            false,
-            Box::new(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(erased)) {
-                    pending
-                        .panic
-                        .lock()
-                        .expect("session lock poisoned")
-                        .get_or_insert(payload);
-                }
-                if pending.count.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    shared.bump();
-                }
-            }),
-        );
-    }
-
-    /// Run (or wait out) every outstanding job of this session.
-    pub(crate) fn drain(&self) {
-        let pending = &self.pending;
-        self.pool
-            .help_until(false, || pending.count.load(Ordering::SeqCst) == 0);
-    }
-
-    /// The first panic payload a job produced, if any (the executor
-    /// resumes it on the coordinator after draining).
-    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.pending
-            .panic
-            .lock()
-            .expect("session lock poisoned")
-            .take()
-    }
-}
-
-impl Drop for QuerySession {
-    fn drop(&mut self) {
-        self.drain();
     }
 }
 
@@ -558,30 +414,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(unsafe_code)] // exercises the unsafe `submit` contract directly
-    fn sessions_drain_their_jobs_and_surface_panics() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let session = QuerySession::new(Arc::clone(&pool), 1);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..16 {
-            let counter = Arc::clone(&counter);
-            // 'static jobs: the erasure is a no-op, trivially safe.
-            unsafe {
-                session.submit(Box::new(move || {
-                    if i == 5 {
-                        panic!("job 5 exploded");
-                    }
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-        }
-        session.drain();
-        assert_eq!(counter.load(Ordering::SeqCst), 15);
-        assert!(session.take_panic().is_some());
-        assert!(session.take_panic().is_none(), "payload is taken once");
-    }
-
-    #[test]
     fn generations_are_distinct_per_pool() {
         let a = WorkerPool::new(0);
         let b = WorkerPool::new(0);
@@ -599,56 +431,12 @@ mod tests {
         for tag in [1u64, 2u64] {
             for _ in 0..4 {
                 let order = Arc::clone(&order);
-                pool.push_job(
-                    tag,
-                    false,
-                    Box::new(move || order.lock().unwrap().push(tag)),
-                );
+                pool.push_job(tag, Box::new(move || order.lock().unwrap().push(tag)));
             }
         }
         // Drain on this thread (no workers exist to race with).
-        pool.help_until(false, || {
-            !pool.shared.queues.lock().unwrap().has_jobs(false)
-        });
+        pool.help_until(|| !pool.shared.queues.lock().unwrap().has_jobs());
         let order = order.lock().unwrap();
         assert_eq!(*order, vec![1, 2, 1, 2, 1, 2, 1, 2]);
-    }
-
-    /// Morsel jobs keep their global preference over node jobs, but both
-    /// classes rotate fairly across tags.
-    #[test]
-    fn morsels_stay_preferred_but_rotate_fairly() {
-        let mut q = Queues::default();
-        let log: Arc<Mutex<Vec<(QueryTag, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-        let push = |q: &mut Queues, tag: QueryTag, morsel: bool| {
-            let log = Arc::clone(&log);
-            q.push(
-                tag,
-                morsel,
-                Box::new(move || log.lock().unwrap().push((tag, morsel))),
-            );
-        };
-        push(&mut q, 1, false);
-        push(&mut q, 1, true);
-        push(&mut q, 2, false);
-        push(&mut q, 2, true);
-        while let Some(job) = q.pop(false) {
-            job();
-        }
-        assert_eq!(
-            *log.lock().unwrap(),
-            vec![(1, true), (2, true), (1, false), (2, false)]
-        );
-    }
-
-    #[test]
-    fn morsel_only_pop_skips_node_jobs() {
-        let mut q = Queues::default();
-        q.push(7, false, Box::new(|| {}));
-        assert!(q.has_jobs(false));
-        assert!(!q.has_jobs(true));
-        assert!(q.pop(true).is_none());
-        assert!(q.pop(false).is_some());
-        assert!(!q.has_jobs(false));
     }
 }

@@ -36,11 +36,10 @@ use pf_xml::Document;
 /// The lock-protected registry state: the id-indexed store table and the
 /// name index over the persistent entries.
 ///
-/// Slots are `Option` so that transient ids can be **reserved** ahead of
-/// construction ([`DocRegistry::reserve_constructed`]): the executor
-/// pre-assigns every constructor's doc id at schedule time — making the ids
-/// deterministic under any parallel schedule — and each constructor fills
-/// its slot whenever its pool job happens to run.
+/// Slots are `Option` so that a transient id can be **reserved** before
+/// its document is built ([`DocRegistry::reserve_constructed`]): a
+/// constructor writes the id into the node references of its fragment,
+/// then fills the slot.
 #[derive(Debug, Default)]
 struct RegState {
     stores: Vec<Option<Arc<DocStore>>>,
@@ -103,9 +102,9 @@ impl DocRegistry {
 
     /// Register a transient (constructed) document and return its id.
     ///
-    /// Takes `&self`: constructors run while the executor shares the
-    /// registry across threads.  Concurrent readers either see the store
-    /// table before or after the append, never in between.
+    /// Takes `&self`: constructors run while morsels and concurrent
+    /// queries may read the registry.  Concurrent readers either see the
+    /// store table before or after the append, never in between.
     pub fn register_constructed(&self, store: DocStore) -> u32 {
         let id = self.reserve_constructed(1);
         self.fill_constructed(id, store);
@@ -116,10 +115,9 @@ impl DocRegistry {
     ///
     /// The reserved slots are empty until [`DocRegistry::fill_constructed`]
     /// supplies their stores; looking one up in between yields `None`, the
-    /// same as an unknown id.  The executor reserves every constructor's id
-    /// up front (in plan topological order), which is what lets element /
-    /// text constructors run as ordinary parallel pool jobs while still
-    /// producing the exact ids a sequential left-to-right execution would.
+    /// same as an unknown id.  Element and text constructors reserve their
+    /// id when they run; the executor runs them in topological plan order,
+    /// so the ids are the same at every thread count.
     pub fn reserve_constructed(&self, n: usize) -> u32 {
         let mut state = self.state.write().expect("registry lock poisoned");
         let id = state.stores.len() as u32;
@@ -240,7 +238,7 @@ mod tests {
         assert_eq!(reg.len(), 4);
         // Reserved slots read as absent until filled…
         assert!(reg.store(2).is_none());
-        // …and fill out of order, as parallel constructor jobs would.
+        // …and may fill out of order.
         reg.fill_constructed(3, DocStore::from_xml("#c3", "<r>3</r>").unwrap());
         reg.fill_constructed(1, DocStore::from_xml("#c1", "<r>1</r>").unwrap());
         reg.fill_constructed(2, DocStore::from_xml("#c2", "<r>2</r>").unwrap());

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Assert the workspace's unsafe-code policy: every crate root carries
 # `#![forbid(unsafe_code)]`, except pf-engine, which carries the one
-# documented exemption — `#![deny(unsafe_code)]` with per-function
-# `#[allow(unsafe_code)]` at the lifetime-erasure sites of its persistent
-# worker pool (pool.rs / executor.rs).  The compiler enforces the
-# attributes; this script enforces that the attributes are present, so a
-# new crate (or a deleted line) cannot silently reopen the door.
+# documented exemption — `#![deny(unsafe_code)]` with a per-function
+# `#[allow(unsafe_code)]` at the lifetime-erasure site of its persistent
+# worker pool.  Inside pf-engine only `src/pool.rs` may spell `unsafe` or
+# `allow(unsafe_code)`.  The compiler enforces the attributes; this script
+# enforces that the attributes are present and the exemption stays in one
+# file, so a new crate, a new engine module (or a deleted line) cannot
+# silently reopen the door.
 #
 # Run from the workspace root:  ./scripts/check-unsafe.sh
 set -euo pipefail
@@ -47,12 +49,23 @@ if [ -n "$stray" ]; then
     status=1
 fi
 
+# Inside pf-engine, the exemption covers the worker pool only (a leading
+# `-` is allowed so comments may name this script).
+engine_stray=$(grep -rln --include='*.rs' -E '(^|[^a-z_-])unsafe([^_a-z]|$)|allow\(unsafe_code\)' \
+    crates/pf-engine/src 2>/dev/null | grep -vx 'crates/pf-engine/src/pool.rs' || true)
+if [ -n "$engine_stray" ]; then
+    echo "ERROR: unsafe token or allow(unsafe_code) in pf-engine outside pool.rs:" >&2
+    echo "$engine_stray" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo >&2
     echo "The unsafe policy allows unsafe code only in pf-engine's worker" >&2
-    echo "pool (lifetime erasure for scoped jobs), behind deny + scoped" >&2
-    echo "allow. See crates/pf-engine/src/lib.rs." >&2
+    echo "pool (crates/pf-engine/src/pool.rs: lifetime erasure for scoped" >&2
+    echo "morsel tasks), behind deny + a scoped allow. See" >&2
+    echo "crates/pf-engine/src/lib.rs." >&2
     exit 1
 fi
 
-echo "unsafe-code check OK: forbid everywhere, deny + scoped allows in pf-engine only"
+echo "unsafe-code check OK: forbid everywhere, deny + a scoped allow in pf-engine's pool.rs only"

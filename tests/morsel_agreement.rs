@@ -2,19 +2,20 @@
 //!
 //! Intra-operator parallelism must be invisible: partitioned sorts, row
 //! numberings, staircase shards and chunked fused pipelines merge
-//! deterministically, so the serialized result, the row counts and the
-//! schedule-independent [`ExecStats`] totals of every query are
+//! deterministically, and plan nodes run in one topological order at
+//! every setting, so the serialized result, the row counts, the
+//! [`ExecStats`] totals and the resident-row peak of every query are
 //! **byte-identical** across
 //!
-//! * thread counts (`1` — the sequential executor — vs `4`), and
+//! * thread counts (`1` — no pool — vs `4`), and
 //! * morsel sizes (tiny — every big operator splits into many chunks —
 //!   vs the default vs `∞` — no intra-operator partitioning at all).
 //!
 //! This suite pins that down for all 20 XMark queries plus a
 //! constructor-heavy query, comparing every configuration against the
-//! sequential, unpartitioned reference; the totals include the fusion
-//! savings (`fused_ops`, `tables_elided`), so they too are pinned across
-//! schedules.
+//! single-threaded, unpartitioned reference; the totals include the
+//! fusion savings (`fused_ops`, `tables_elided`), so they too are pinned
+//! across settings.
 
 use std::sync::Arc;
 
@@ -42,6 +43,11 @@ const CONFIGS: &[Config] = &[
         threads: 1,
         morsel_rows: usize::MAX,
         label: "t1/∞",
+    },
+    Config {
+        threads: 1,
+        morsel_rows: 0,
+        label: "t1/default",
     },
     Config {
         threads: 1,
@@ -81,11 +87,14 @@ fn engine(xml_doc: &Arc<pathfinder::xml::Document>, config: &Config) -> Pathfind
     pf
 }
 
-/// The schedule-independent slice of [`ExecStats`] (peaks legitimately
-/// vary with scheduling and buffer sharing).  The join/aggregate kernel
-/// counters are included: build/probe/input row counts depend only on
-/// the tables, never on how the probe was morselized.
+/// The setting-independent slice of [`ExecStats`].  The join/aggregate
+/// kernel counters are included: build/probe/input row counts depend only
+/// on the tables, never on how the probe was morselized.  So is the
+/// resident-row peak, because nodes publish and evict in one order; the
+/// cell peak is not, because a morselized operator concatenates fresh
+/// buffers where the unpartitioned one shares its input's.
 type Totals = (
+    usize,
     usize,
     usize,
     usize,
@@ -108,6 +117,7 @@ fn totals(stats: &ExecStats) -> Totals {
         stats.join_build_rows,
         stats.join_probe_rows,
         stats.agg_input_rows,
+        stats.peak_resident_rows,
     )
 }
 
@@ -125,7 +135,7 @@ fn all_queries_agree_across_threads_and_morsels() {
         .collect();
     query_texts.push(("constructor".into(), CONSTRUCTOR_QUERY.into()));
 
-    // Reference: sequential, unpartitioned.
+    // Reference: one thread, unpartitioned.
     let reference_engine = engine(&doc, &CONFIGS[0]);
     let references: Vec<(String, usize, Totals)> = query_texts
         .iter()
