@@ -30,7 +30,7 @@ pub mod render;
 pub mod schema;
 pub mod verify;
 
-pub use ops::{AlgOp, SortSpec};
+pub use ops::{AlgOp, Const, SortSpec};
 pub use optimize::{
     optimize, optimize_analyzed, optimize_with, optimize_with_verify, NoStats, OptimizeReport,
     OptimizerLevel, StatsSource,
@@ -40,4 +40,4 @@ pub use plan::{OpId, Plan, PlanBuilder};
 pub use properties::{PlanProperties, Sequence, TypeSet};
 pub use render::{to_ascii, to_ascii_annotated, to_ascii_physical, to_dot};
 pub use schema::{infer_schema, Properties};
-pub use verify::{digest, verify_plan, verify_rewrite, PlanDigest, VerifyError};
+pub use verify::{digest, verify_bound, verify_plan, verify_rewrite, PlanDigest, VerifyError};

@@ -9,10 +9,67 @@
 use pf_relational::ops::{
     AggFunc, BinaryOp, IndexMode, IndexProbe, IndexTarget, RankCount, UnaryOp,
 };
-use pf_relational::Value;
+use pf_relational::{Value, ValueType};
 use pf_store::{Axis, NodeTest};
 
 use crate::plan::OpId;
+
+/// A plan constant: a known [`Value`], or a **parameter slot** — an
+/// `xs:string` whose value the plan does not carry.
+///
+/// A plan with slots is a *template*: the compiler emits one for every
+/// lifted string literal (`pf_xquery::lift`), the optimizer rewrites it
+/// once, and [`crate::Plan::bind`] fills the slots in per request.  Rules
+/// move, fold, hash-cons and re-attach a slot as they do any constant —
+/// two occurrences of the same slot are the same value — but there is no
+/// value to read, so no rewrite can depend on one.  A plan that still
+/// holds a slot never runs ([`crate::verify::verify_bound`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Const {
+    /// A known value.
+    Value(Value),
+    /// Parameter slot `k`, an `xs:string` bound later.
+    Param(u32),
+}
+
+impl Const {
+    /// The value, when it is known.
+    pub fn value(&self) -> Option<&Value> {
+        match self {
+            Const::Value(v) => Some(v),
+            Const::Param(_) => None,
+        }
+    }
+
+    /// The static type: a slot is an `xs:string`.
+    pub fn value_type(&self) -> ValueType {
+        match self {
+            Const::Value(v) => v.value_type(),
+            Const::Param(_) => ValueType::Str,
+        }
+    }
+}
+
+impl From<Value> for Const {
+    fn from(value: Value) -> Self {
+        Const::Value(value)
+    }
+}
+
+impl PartialEq<Value> for Const {
+    fn eq(&self, other: &Value) -> bool {
+        self.value() == Some(other)
+    }
+}
+
+impl std::fmt::Display for Const {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Const::Value(v) => write!(f, "{v}"),
+            Const::Param(k) => write!(f, "?{k}"),
+        }
+    }
+}
 
 /// A sort key of the `%` (row numbering) operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +106,9 @@ pub enum AlgOp {
     Lit {
         /// Column names.
         columns: Vec<String>,
-        /// Row values (each row has `columns.len()` entries).
-        rows: Vec<Vec<Value>>,
+        /// Row values (each row has `columns.len()` entries); a template
+        /// may hold parameter slots in them.
+        rows: Vec<Vec<Const>>,
     },
     /// The root node of a persistent document registered under `uri`
     /// (`fn:doc`).  Produces a single-row, single-column (`item`) table.
@@ -192,8 +250,8 @@ pub enum AlgOp {
         input: OpId,
         /// New column name.
         target: String,
-        /// The constant value.
-        value: Value,
+        /// The constant: a value, or a parameter slot of a template.
+        value: Const,
     },
     /// Grouped aggregation (`fn:count`, `fn:sum`, …) — one row per group.
     Aggregate {
@@ -233,6 +291,11 @@ pub enum AlgOp {
         /// How the residual consumes the rows (row filter vs per-`iter`
         /// EBV — the latter may only drop singleton groups).
         mode: IndexMode,
+        /// The parameter slot the probe's literal comes from while the
+        /// plan is a template (the probe then holds an empty string);
+        /// [`crate::Plan::bind`] writes the value into the probe and
+        /// clears this.
+        param: Option<u32>,
     },
     /// `fs:distinct-doc-order`: per `iter`, sort items into document order
     /// and remove duplicates.  Steps already produce this shape, which is
@@ -477,13 +540,18 @@ impl AlgOp {
                 ..
             } => format!("agg[{target}:={}({value})]", func.name()),
             AlgOp::Step { axis, test, .. } => format!("⇝[{}::{test:?}]", axis.name()),
-            AlgOp::IndexScan { probe, mode, .. } => {
+            AlgOp::IndexScan {
+                probe, mode, param, ..
+            } => {
                 let tag = match mode {
                     IndexMode::Exact => "σ",
                     IndexMode::Ebv => "ebv",
                 };
                 match probe {
-                    IndexProbe::TextContains { needle } => format!("idx[text∋\"{needle}\"]/{tag}"),
+                    IndexProbe::TextContains { needle } => match param {
+                        Some(k) => format!("idx[text∋?{k}]/{tag}"),
+                        None => format!("idx[text∋\"{needle}\"]/{tag}"),
+                    },
                     IndexProbe::ValueCmp {
                         target,
                         op,
@@ -495,6 +563,10 @@ impl AlgOp {
                             IndexTarget::AttributeName(n) => format!("@{n}"),
                         };
                         let cast = if *to_number { "number " } else { "" };
+                        let value = match param {
+                            Some(k) => format!("?{k}"),
+                            None => value.to_string(),
+                        };
                         format!("idx[{cast}{name} {} {value}]/{tag}", op.name())
                     }
                 }
@@ -539,7 +611,7 @@ mod tests {
 
         let lit = AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         };
         assert!(lit.children().is_empty());
     }

@@ -169,7 +169,7 @@ mod tests {
     fn lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Int(7)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Int(7).into()]],
         })
     }
 
@@ -214,7 +214,7 @@ mod tests {
         let shared = b.add(AlgOp::Attach {
             input: l,
             target: "flag".into(),
-            value: Value::Bool(true),
+            value: Value::Bool(true).into(),
         });
         // Two fusable consumers of the shared attach.
         let c1 = b.add(AlgOp::Select {

@@ -45,7 +45,7 @@ use pf_relational::ops::{
 use pf_relational::Value;
 use pf_store::{Axis, NodeTest};
 
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::optimize::OptimizeReport;
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
@@ -95,6 +95,7 @@ pub(crate) fn introduce_index_scans(
             uri: rw.uri,
             probe: rw.probe,
             mode: rw.mode,
+            param: rw.param,
         };
         plan.ops_mut().push(scan);
         let scan_id = plan.ops().len() - 1;
@@ -112,13 +113,14 @@ pub(crate) fn introduce_index_scans(
 }
 
 /// One recognized splice: redirect `parent`'s edge to `base` through a new
-/// `IndexScan{input: base, uri, probe, mode}`.
+/// `IndexScan{input: base, uri, probe, mode, param}`.
 struct Rewrite {
     parent: OpId,
     base: OpId,
     uri: String,
     probe: IndexProbe,
     mode: IndexMode,
+    param: Option<u32>,
 }
 
 /// The step side of a recognized predicate: the chain walked down from the
@@ -133,7 +135,7 @@ struct NodeSide {
 /// A fully traced comparison: the step side, the (possibly mirrored)
 /// operator, the literal, and the constant side's `(operator, column)` —
 /// the latter so EBV matching can require the constant side to be keyed.
-type Traced = (NodeSide, BinaryOp, Value, (OpId, String));
+type Traced = (NodeSide, BinaryOp, Const, (OpId, String));
 
 /// Pattern A: `Select{mapped, res}` with
 /// `mapped = BinaryMap{joined, res, item ⊙ item1}` over an equi-join of a
@@ -485,9 +487,10 @@ fn trace_node_side(
     }
 }
 
-/// Walk one join input down to the loop-lifted literal it carries in
-/// `col`.  No consumer constraints: the constant side is never modified.
-fn trace_const_side(plan: &Plan, mut cur: OpId, col: &str) -> Option<Value> {
+/// Walk one join input down to the loop-lifted literal (or parameter
+/// slot) it carries in `col`.  No consumer constraints: the constant side
+/// is never modified.
+fn trace_const_side(plan: &Plan, mut cur: OpId, col: &str) -> Option<Const> {
     let mut col = col.to_string();
     loop {
         match plan.op(cur) {
@@ -526,6 +529,12 @@ fn trace_const_side(plan: &Plan, mut cur: OpId, col: &str) -> Option<Value> {
 /// Turn a traced (step side, operator, constant) triple into a rewrite,
 /// checking the probe is actually answerable: known document, supported
 /// operator/constant, and a step whose rows the probe understands.
+///
+/// A parameter slot is an `xs:string` of unknown value: the probe is
+/// built with an empty placeholder and the slot recorded, and every
+/// check that needs the value is skipped.  A needle without alphanumeric
+/// content, which a known literal is declined for, then makes a scan the
+/// executor passes every row through.
 fn build_rewrite(
     plan: &Plan,
     props: &PlanProperties,
@@ -533,6 +542,10 @@ fn build_rewrite(
     mode: IndexMode,
 ) -> Option<Rewrite> {
     let uri = props.doc(node.base)?.to_string();
+    let param = match constant {
+        Const::Param(k) => Some(k),
+        Const::Value(_) => None,
+    };
     let probe = match op {
         BinaryOp::Contains | BinaryOp::StartsWith => {
             if node.to_number {
@@ -547,20 +560,28 @@ fn build_rewrite(
                 AlgOp::Step { .. } | AlgOp::DocOrder { .. } => {}
                 _ => unreachable!("trace_node_side only returns steps and ddo"),
             }
-            let needle = constant.to_xdm_string();
-            if text_fragments(&needle).is_empty() {
-                return None; // no alphanumeric content — the token index cannot filter
-            }
+            let needle = match &constant {
+                Const::Value(value) => {
+                    let needle = value.to_xdm_string();
+                    if text_fragments(&needle).is_empty() {
+                        return None; // no alphanumeric content — the token index cannot filter
+                    }
+                    needle
+                }
+                Const::Param(_) => String::new(),
+            };
             IndexProbe::TextContains { needle }
         }
         BinaryOp::Cmp(cmp) => {
             if cmp == CmpOp::Ne {
                 return None; // candidates would be nearly everything
             }
-            if matches!(constant, Value::Dbl(d) if d.is_nan()) || matches!(constant, Value::Node(_))
-            {
-                return None;
-            }
+            let value = match constant {
+                Const::Value(Value::Dbl(d)) if d.is_nan() => return None,
+                Const::Value(Value::Node(_)) => return None,
+                Const::Value(value) => value,
+                Const::Param(_) => Value::Str(String::new()),
+            };
             // The probe target must describe *every* row of the base: a
             // named-attribute step (rows are that attribute's values) or a
             // named-element step (rows are elements of that tag).
@@ -591,7 +612,7 @@ fn build_rewrite(
             IndexProbe::ValueCmp {
                 target,
                 op: cmp,
-                value: constant,
+                value,
                 to_number: node.to_number,
             }
         }
@@ -603,6 +624,7 @@ fn build_rewrite(
         uri,
         probe,
         mode,
+        param,
     })
 }
 

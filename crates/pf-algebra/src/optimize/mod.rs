@@ -664,7 +664,11 @@ mod tests {
     fn lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Int(1)]],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(1).into(),
+            ]],
         })
     }
 
@@ -790,12 +794,12 @@ mod tests {
         let mut b = PlanBuilder::new();
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)], vec![Value::Nat(2)]],
+            rows: vec![vec![Value::Nat(1).into()], vec![Value::Nat(2).into()]],
         });
         let a = b.add(AlgOp::Attach {
             input: l,
             target: "pos".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let mut plan = b.finish(a);
         let report = optimize(&mut plan);

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use super::OptimizeReport;
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::schema::{infer_one, infer_schema, Properties};
 use pf_relational::Value;
@@ -234,7 +234,7 @@ fn push_one(
 }
 
 /// A row predicate compiled from a σ/σ= operator.
-type KeepFn = Box<dyn Fn(&[Value]) -> bool>;
+type KeepFn = Box<dyn Fn(&[Const]) -> bool>;
 
 /// Evaluate every σ and π over a literal table, children first (so a π
 /// over a folded σ folds too); `true` if one fired.
@@ -250,7 +250,15 @@ fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 let Some(idx) = lit_column(plan, input, &column) else {
                     continue;
                 };
-                (input, Box::new(move |row: &[Value]| row[idx] == value))
+                // A parameter slot may or may not equal the constant.
+                let AlgOp::Lit { rows, .. } = plan.op(input) else {
+                    continue;
+                };
+                if rows.iter().any(|r| matches!(r[idx], Const::Param(_))) {
+                    continue;
+                }
+                let value = Const::Value(value);
+                (input, Box::new(move |row: &[Const]| row[idx] == value))
             }
             AlgOp::Select { input, column } => {
                 let Some(idx) = lit_column(plan, input, &column) else {
@@ -261,12 +269,15 @@ fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 let AlgOp::Lit { rows, .. } = plan.op(input) else {
                     continue;
                 };
-                if !rows.iter().all(|r| matches!(r[idx], Value::Bool(_))) {
+                if !rows
+                    .iter()
+                    .all(|r| matches!(r[idx], Const::Value(Value::Bool(_))))
+                {
                     continue;
                 }
                 (
                     input,
-                    Box::new(move |row: &[Value]| row[idx] == Value::Bool(true)),
+                    Box::new(move |row: &[Const]| row[idx] == Const::Value(Value::Bool(true))),
                 )
             }
             AlgOp::Project { input, columns } => {
@@ -304,7 +315,7 @@ fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
         let AlgOp::Lit { columns, rows } = plan.op(input).clone() else {
             unreachable!("lit_column checked the input is a literal");
         };
-        let new_rows: Vec<Vec<Value>> = rows.into_iter().filter(|r| keep(r)).collect();
+        let new_rows: Vec<Vec<Const>> = rows.into_iter().filter(|r| keep(r)).collect();
         plan.ops_mut()[id] = AlgOp::Lit {
             columns,
             rows: new_rows,
@@ -335,8 +346,8 @@ mod tests {
         b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "flag".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Bool(true)],
-                vec![Value::Nat(2), Value::Bool(false)],
+                vec![Value::Nat(1).into(), Value::Bool(true).into()],
+                vec![Value::Nat(2).into(), Value::Bool(false).into()],
             ],
         })
     }
@@ -347,7 +358,7 @@ mod tests {
         let l = b.add(AlgOp::Lit {
             columns: vec!["a".into(), "b".into()],
             rows: (0..100)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i % 7)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Nat(i % 7).into()])
                 .collect(),
         });
         let d = b.add(AlgOp::Distinct { input: l });
@@ -383,14 +394,14 @@ mod tests {
         let left = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (0..80)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Nat(i).into()])
                 .collect(),
         });
         let dl = b.add(AlgOp::Distinct { input: left });
         let right = b.add(AlgOp::Lit {
             columns: vec!["iter1".into(), "val".into()],
             rows: (0..80)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i * 2)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Nat(i * 2).into()])
                 .collect(),
         });
         let dr = b.add(AlgOp::Distinct { input: right });
@@ -468,7 +479,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let l = b.add(AlgOp::Lit {
             columns: vec!["flag".into()],
-            rows: vec![vec![Value::Bool(true)], vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Bool(true).into()], vec![Value::Nat(1).into()]],
         });
         let s = b.add(AlgOp::Select {
             input: l,

@@ -27,10 +27,9 @@
 use std::collections::HashMap;
 
 use super::{redirect, OptimizeReport};
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
-use pf_relational::Value;
 
 /// A join predicate resolved to leaf coordinates:
 /// `((leaf, col), (leaf, col))`.
@@ -42,7 +41,7 @@ enum Origin {
     /// Column `1` of cluster leaf `0`.
     Leaf(usize, String),
     /// An `Attach`ed constant.
-    Const(Value),
+    Const(Const),
 }
 
 /// The α-name leaf `i`'s column `col` gets inside a rebuilt chain.
@@ -408,7 +407,7 @@ mod tests {
         b.add(AlgOp::Lit {
             columns: vec![key_col.into(), val_col.into()],
             rows: (0..rows)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i * 10)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Nat(i * 10).into()])
                 .collect(),
         })
     }
@@ -575,7 +574,7 @@ mod tests {
         let att = b.add(AlgOp::Attach {
             input: ren,
             target: "flag".into(),
-            value: Value::Nat(7),
+            value: Value::Nat(7).into(),
         });
         let j2 = b.add(AlgOp::EquiJoin {
             left: att,

@@ -41,7 +41,7 @@ use std::collections::BTreeSet;
 use pf_relational::Value;
 
 use super::OptimizeReport;
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::properties::{opset_subset, PlanProperties};
 
@@ -146,7 +146,7 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
             let one = || AlgOp::Attach {
                 input,
                 target: target.clone(),
-                value: Value::Nat(1),
+                value: Value::Nat(1).into(),
             };
             // At most one row, or one row per partition already in
             // partition order: every row is number 1.
@@ -204,11 +204,11 @@ fn loop_lookup(
     if !opset_subset(props.raisers(lookup), props.raisers(kept)) {
         return None;
     }
-    let constants: Vec<(String, Value)> = props
+    let constants: Vec<(String, Const)> = props
         .columns(lookup)
         .iter()
         .filter(|c| *c != lc)
-        .map(|c| Some((c.clone(), props.constant_value(lookup, c)?.clone())))
+        .map(|c| Some((c.clone(), props.constant(lookup, c)?.clone())))
         .collect::<Option<_>>()?;
     let mut columns: Vec<(String, String)> = props
         .columns(kept)
@@ -266,7 +266,10 @@ mod tests {
     fn lit(b: &mut PlanBuilder, columns: &[&str], rows: Vec<Vec<Value>>) -> OpId {
         b.add(AlgOp::Lit {
             columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows,
+            rows: rows
+                .into_iter()
+                .map(|r| r.into_iter().map(Const::from).collect())
+                .collect(),
         })
     }
 
@@ -304,7 +307,7 @@ mod tests {
                 b.add(AlgOp::Attach {
                     input: keys,
                     target: "c".into(),
-                    value: Value::Str("x".into()),
+                    value: Value::Str("x".into()).into(),
                 })
             }
         };
@@ -351,7 +354,7 @@ mod tests {
         let r = b.add(AlgOp::Attach {
             input: keys,
             target: "c".into(),
-            value: Value::Str("x".into()),
+            value: Value::Str("x".into()).into(),
         });
         let j = b.add(AlgOp::EquiJoin {
             left: l,
@@ -394,7 +397,7 @@ mod tests {
         let f = b.add(AlgOp::Attach {
             input: x,
             target: "f".into(),
-            value: Value::Bool(false),
+            value: Value::Bool(false).into(),
         });
         let none = b.add(AlgOp::Select {
             input: f,

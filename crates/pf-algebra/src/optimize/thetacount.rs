@@ -272,7 +272,7 @@ mod tests {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: rows
                 .iter()
-                .map(|r| r.iter().map(|v| Value::Nat(*v)).collect())
+                .map(|r| r.iter().map(|v| Value::Nat(*v).into()).collect())
                 .collect(),
         })
     }

@@ -137,7 +137,12 @@ fn fused_step(op: &AlgOp) -> Option<FusedStep<'_>> {
         AlgOp::Project { columns, .. } => FusedStep::Project { columns },
         AlgOp::Select { column, .. } => FusedStep::SelectTrue { column },
         AlgOp::SelectEq { column, value, .. } => FusedStep::SelectEq { column, value },
-        AlgOp::Attach { target, value, .. } => FusedStep::Attach { target, value },
+        AlgOp::Attach { target, value, .. } => FusedStep::Attach {
+            target,
+            value: value
+                .value()
+                .expect("plans are verified bound before they run"),
+        },
         AlgOp::UnaryMap {
             target, op, source, ..
         } => FusedStep::MapUnary {
@@ -328,12 +333,12 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Int(10)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Int(10).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
             target: "limit".into(),
-            value: Value::Int(5),
+            value: Value::Int(5).into(),
         });
         let map = b.add(AlgOp::BinaryMap {
             input: attach,
@@ -391,7 +396,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Bool(true)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Bool(true).into()]],
         });
         let project = b.add(AlgOp::Project {
             input: lit,
@@ -431,12 +436,12 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
             target: "pos".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let project = b.add(AlgOp::Project {
             input: attach,
@@ -453,12 +458,12 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
             target: "pos".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let _orphan = b.add(AlgOp::Project {
             input: attach,
@@ -522,7 +527,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {
             left: lit,

@@ -1,6 +1,9 @@
 //! Plan DAGs and the plan builder.
 
-use crate::ops::AlgOp;
+use pf_relational::ops::IndexProbe;
+use pf_relational::Value;
+
+use crate::ops::{AlgOp, Const};
 
 /// Identifier of an operator within a [`Plan`] (index into the node arena).
 pub type OpId = usize;
@@ -73,6 +76,46 @@ impl Plan {
             }
         }
         order
+    }
+
+    /// This template with every parameter slot `k` bound to the
+    /// `xs:string` `values[k]`: in attached constants, literal rows and
+    /// the literal of an index probe.  Arena, ids and root stay as they are, so a
+    /// bound template is the plan the optimizer produced for the slots,
+    /// with the values written in.
+    ///
+    /// # Panics
+    ///
+    /// If a slot of the plan has no value in `values`.
+    pub fn bind(&self, values: &[String]) -> Plan {
+        let value = |k: u32| {
+            values
+                .get(k as usize)
+                .unwrap_or_else(|| panic!("no value for parameter slot {k}"))
+                .clone()
+        };
+        let bind = |slot: &mut Const| {
+            if let Const::Param(k) = *slot {
+                *slot = Const::Value(Value::Str(value(k)));
+            }
+        };
+        let mut plan = self.clone();
+        for op in &mut plan.ops {
+            match op {
+                AlgOp::Attach { value: slot, .. } => bind(slot),
+                AlgOp::Lit { rows, .. } => rows.iter_mut().flatten().for_each(bind),
+                AlgOp::IndexScan { probe, param, .. } => {
+                    if let Some(k) = param.take() {
+                        match probe {
+                            IndexProbe::TextContains { needle } => *needle = value(k),
+                            IndexProbe::ValueCmp { value: v, .. } => *v = Value::Str(value(k)),
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        plan
     }
 
     /// Number of operators reachable from the root — the "plan size" metric
@@ -203,7 +246,11 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Int(10)]],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(10).into(),
+            ]],
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,
@@ -288,7 +335,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {
             left: lit,
@@ -341,7 +388,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {
             left: lit,

@@ -10,7 +10,10 @@
 //! * **constants** — columns provably equal in every output row, with
 //!   the value itself when it is statically known (the top-level
 //!   `iter ≡ 1` is the important case: it shrinks the `{iter, pos}` key
-//!   of a step to `{pos}`, exactly what the serializer sorts by);
+//!   of a step to `{pos}`, exactly what the serializer sorts by).  A
+//!   parameter slot ([`crate::Const::Param`]) is a constant the analysis
+//!   can name but not evaluate: equal to itself, never known to differ
+//!   from another constant;
 //! * **value provenance** — per column, which upstream (operator,
 //!   column) pairs are provable value supersets (and which are provably
 //!   *disjoint*, via single-column `Difference`).  This is what lets a
@@ -57,7 +60,7 @@ use pf_relational::ops::{AggFunc, BinaryOp, UnaryOp};
 use pf_relational::{Value, ValueType};
 use pf_store::{Axis, DocStatistics, NodeTest};
 
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::schema::{infer_one, Properties};
 
@@ -231,7 +234,7 @@ pub struct PlanProperties {
     keys: Vec<Vec<ColSet>>,
     /// Columns provably constant across each operator's rows, with the
     /// constant's value when statically known.
-    constants: Vec<BTreeMap<String, Option<Value>>>,
+    constants: Vec<BTreeMap<String, Option<Const>>>,
     /// `supersets[id][c]` ∋ `t` ⇒ values of `c` at `id` ⊆ values of `t`.
     supersets: Vec<TagMap>,
     /// `equalsets[id][c]` ∋ `t` ⇒ values of `c` at `id` = values of `t`
@@ -494,7 +497,7 @@ impl PlanProperties {
 
     /// The provably constant columns of `id`, with statically known
     /// values where available.
-    pub fn constants(&self, id: OpId) -> &BTreeMap<String, Option<Value>> {
+    pub fn constants(&self, id: OpId) -> &BTreeMap<String, Option<Const>> {
         &self.constants[id]
     }
 
@@ -561,8 +564,15 @@ impl PlanProperties {
         &self.raisers[id]
     }
 
-    /// The known value of a constant column `col` of `id`.
+    /// The known value of a constant column `col` of `id` (`None` for a
+    /// parameter slot: its value is not in the plan).
     pub fn constant_value(&self, id: OpId, col: &str) -> Option<&Value> {
+        self.constant(id, col).and_then(Const::value)
+    }
+
+    /// The constant in column `col` of `id` — a known value or a
+    /// parameter slot — when the analysis can name it.
+    pub fn constant(&self, id: OpId, col: &str) -> Option<&Const> {
         self.constants[id].get(col).and_then(Option::as_ref)
     }
 
@@ -880,7 +890,10 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
             for (idx, col) in columns.iter().enumerate() {
                 let mut seen: Vec<&Value> = Vec::with_capacity(rows.len());
                 let distinct = rows.iter().all(|r| {
-                    let v = &r[idx];
+                    // Two parameter slots may be bound to one value.
+                    let Const::Value(v) = &r[idx] else {
+                        return false;
+                    };
                     if seen.contains(&v) {
                         false
                     } else {
@@ -1137,7 +1150,7 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
     }
 }
 
-fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, Option<Value>> {
+fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, Option<Const>> {
     match plan.op(id) {
         AlgOp::Lit { columns, rows } => {
             if rows.is_empty() {
@@ -1162,7 +1175,7 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
         // Survivors all carry `true` / the matched constant in `column`.
         AlgOp::Select { input, column } => {
             let mut c = pp.constants[*input].clone();
-            c.insert(column.clone(), Some(Value::Bool(true)));
+            c.insert(column.clone(), Some(Const::Value(Value::Bool(true))));
             c
         }
         AlgOp::SelectEq {
@@ -1171,7 +1184,7 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             value,
         } => {
             let mut c = pp.constants[*input].clone();
-            c.insert(column.clone(), Some(value.clone()));
+            c.insert(column.clone(), Some(Const::Value(value.clone())));
             c
         }
         // Row subsets / reorders keep every constant column constant.
@@ -1513,7 +1526,7 @@ fn group_constant(
     pp: &PlanProperties,
     input: OpId,
     group: &str,
-) -> BTreeMap<String, Option<Value>> {
+) -> BTreeMap<String, Option<Const>> {
     let known = pp.constants[input].get(group);
     known
         .map(|v| (group.to_string(), v.clone()))
@@ -1708,7 +1721,7 @@ mod tests {
         let l = b.add(AlgOp::Attach {
             input: d,
             target: "iter".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let p = b.add(AlgOp::Project {
             input: l,
@@ -1746,7 +1759,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let keep = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Nat(1).into()]],
         });
         let orphan = b.add(AlgOp::Distinct { input: keep });
         let plan = b.finish(keep);
@@ -1764,7 +1777,7 @@ mod tests {
         let s = doc_step(&mut b, "d");
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: s,
@@ -1791,7 +1804,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let nats = |n: u64| {
             (1..=n)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Nat(i).into()])
                 .collect()
         };
         let l = b.add(AlgOp::Lit {
@@ -1840,7 +1853,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["a".into(), "v".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(7)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Nat(7).into()]],
         });
         let sel = b.add(AlgOp::SelectEq {
             input: lit,
@@ -1861,7 +1874,7 @@ mod tests {
         assert!(!pp.provably_empty(u));
         assert_eq!(
             pp.constants(u).get("v"),
-            Some(&Some(Value::Nat(7))),
+            Some(&Some(Const::Value(Value::Nat(7)))),
             "constant survives a provably empty union side"
         );
         assert!(
@@ -1874,7 +1887,7 @@ mod tests {
     fn lit_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(0)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Nat(0).into()]],
         });
         b.add(AlgOp::Step {
             input: l,
@@ -1915,7 +1928,7 @@ mod tests {
         let at = b.add(AlgOp::Attach {
             input: agg,
             target: "pos".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let plan = b.finish(at);
         let pp = PlanProperties::analyze(&plan);
@@ -1940,7 +1953,7 @@ mod tests {
         let at = b.add(AlgOp::Attach {
             input: agg,
             target: "pos".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let plan = b.finish(at);
         let pp = PlanProperties::analyze(&plan);
@@ -1953,8 +1966,8 @@ mod tests {
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Int(5)],
-                vec![Value::Nat(2), Value::Int(5)],
+                vec![Value::Nat(1).into(), Value::Int(5).into()],
+                vec![Value::Nat(2).into(), Value::Int(5).into()],
             ],
         });
         let rn = b.add(AlgOp::RowNum {
@@ -1977,8 +1990,8 @@ mod tests {
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Int(5)],
-                vec![Value::Nat(2), Value::Int(5)],
+                vec![Value::Nat(1).into(), Value::Int(5).into()],
+                vec![Value::Nat(2).into(), Value::Int(5).into()],
             ],
         });
         let rn = b.add(AlgOp::RowNum {
@@ -2003,8 +2016,8 @@ mod tests {
         let lookup = b.add(AlgOp::Lit {
             columns: vec!["key".into(), "val".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Int(10)],
-                vec![Value::Nat(2), Value::Int(20)],
+                vec![Value::Nat(1).into(), Value::Int(10).into()],
+                vec![Value::Nat(2).into(), Value::Int(20).into()],
             ],
         });
         let join = b.add(AlgOp::EquiJoin {
@@ -2025,11 +2038,61 @@ mod tests {
         let mut b = PlanBuilder::new();
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Int(1)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Int(1).into()]],
         });
         let plan = b.finish(l);
         let pp = PlanProperties::analyze(&plan);
         assert!(!pp.order_free(l));
+    }
+
+    /// Two parameter slots may be bound to one value: a union over two
+    /// slot-tagged branches is not discriminated by them, and literal
+    /// rows holding two slots are not keyed on them.  The same slot twice
+    /// is the same value.
+    #[test]
+    fn slots_are_never_known_to_differ() {
+        let mut b = PlanBuilder::new();
+        let s1 = lit_step(&mut b, "a");
+        let s2 = lit_step(&mut b, "b");
+        let t1 = b.add(AlgOp::Attach {
+            input: s1,
+            target: "ord".into(),
+            value: Const::Param(0),
+        });
+        let t2 = b.add(AlgOp::Attach {
+            input: s2,
+            target: "ord".into(),
+            value: Const::Param(1),
+        });
+        let u = b.add(AlgOp::Union {
+            left: t1,
+            right: t2,
+        });
+        let same = b.add(AlgOp::Union {
+            left: t1,
+            right: t1,
+        });
+        let rows = b.add(AlgOp::Lit {
+            columns: vec!["v".into()],
+            rows: vec![vec![Const::Param(0)], vec![Const::Param(1)]],
+        });
+        let root = b.add(AlgOp::Cross {
+            left: u,
+            right: same,
+        });
+        let root = b.add(AlgOp::Cross {
+            left: root,
+            right: rows,
+        });
+        let plan = b.finish(root);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(!pp.keyed_by(u, &set(&["ord", "pos"])));
+        assert_eq!(pp.constant(t1, "ord"), Some(&Const::Param(0)));
+        assert_eq!(pp.constant_value(t1, "ord"), None);
+        assert_eq!(pp.constant(same, "ord"), Some(&Const::Param(0)));
+        assert!(pp.constant(u, "ord").is_none());
+        assert!(!pp.keyed_by(rows, &set(&["v"])));
+        assert_eq!(pp.types(t1, "ord"), Some(TypeSet::of(ValueType::Str)));
     }
 
     /// Two branches tagged with different `ord` constants: the union is
@@ -2042,12 +2105,12 @@ mod tests {
         let t1 = b.add(AlgOp::Attach {
             input: s1,
             target: "ord".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let t2 = b.add(AlgOp::Attach {
             input: s2,
             target: "ord".into(),
-            value: Value::Nat(2),
+            value: Value::Nat(2).into(),
         });
         let u = b.add(AlgOp::Union {
             left: t1,
@@ -2065,12 +2128,12 @@ mod tests {
         let t1 = b.add(AlgOp::Attach {
             input: s1,
             target: "ord".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let t2 = b.add(AlgOp::Attach {
             input: s2,
             target: "ord".into(),
-            value: Value::Nat(1),
+            value: Value::Nat(1).into(),
         });
         let u = b.add(AlgOp::Union {
             left: t1,
@@ -2128,7 +2191,7 @@ mod tests {
         let dflt = b.add(AlgOp::Attach {
             input: missing,
             target: "item".into(),
-            value: Value::Int(0),
+            value: Value::Int(0).into(),
         });
         let u = b.add(AlgOp::Union {
             left: hit,
@@ -2204,7 +2267,7 @@ mod tests {
         });
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: bs,
@@ -2231,7 +2294,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let l = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)], vec![Value::Nat(2)]],
+            rows: vec![vec![Value::Nat(1).into()], vec![Value::Nat(2).into()]],
         });
         let cross = b.add(AlgOp::Cross { left: l, right: l });
         let sel = b.add(AlgOp::SelectEq {

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use crate::ops::Const;
 use crate::physical::{PhysKind, PhysicalPlan};
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
@@ -130,7 +131,8 @@ fn annotate(props: &PlanProperties, id: OpId) -> String {
         .constants(id)
         .iter()
         .map(|(c, v)| match v {
-            Some(v) => format!("{c}={v:?}"),
+            Some(Const::Value(v)) => format!("{c}={v:?}"),
+            Some(Const::Param(k)) => format!("{c}=?{k}"),
             None => c.clone(),
         })
         .collect::<Vec<_>>()
@@ -194,7 +196,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Int(10)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Int(10).into()]],
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,

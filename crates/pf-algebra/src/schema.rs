@@ -133,7 +133,11 @@ mod tests {
         let mut b = PlanBuilder::new();
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Int(5)]],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(5).into(),
+            ]],
         });
         let proj = b.add(AlgOp::Project {
             input: lit,

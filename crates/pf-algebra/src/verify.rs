@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use pf_relational::ops::IndexProbe;
 use pf_relational::Value;
 
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::properties::{PlanProperties, TypeSet};
 
@@ -86,7 +86,7 @@ pub struct PlanDigest {
     pub keys: Vec<BTreeSet<String>>,
     /// Constant columns proven at the root (with statically known
     /// values where available).
-    pub constants: BTreeMap<String, Option<Value>>,
+    pub constants: BTreeMap<String, Option<Const>>,
     /// The value types proven for root columns.
     pub types: BTreeMap<String, TypeSet>,
     /// The [`AlgOp::ThetaCount`] operators the plan justifies, inputs
@@ -129,6 +129,33 @@ fn without_inputs(op: &AlgOp) -> AlgOp {
         op.replace_child(slot, 0);
     }
     op
+}
+
+/// Check that `plan` holds no parameter slot — that it is executable,
+/// not a template ([`crate::ops::Const::Param`]).  The engine runs this
+/// on every plan before [`crate::PhysicalPlan::compile`], in every build.
+pub fn verify_bound(plan: &Plan) -> Result<(), VerifyError> {
+    for (id, op) in plan.ops().iter().enumerate() {
+        let slot = match op {
+            AlgOp::Attach {
+                value: Const::Param(k),
+                ..
+            } => Some(*k),
+            AlgOp::Lit { rows, .. } => rows.iter().flatten().find_map(|c| match c {
+                Const::Param(k) => Some(*k),
+                Const::Value(_) => None,
+            }),
+            AlgOp::IndexScan { param, .. } => *param,
+            _ => None,
+        };
+        if let Some(k) = slot {
+            return Err(err(format!(
+                "op #{id} {}: parameter slot ?{k} is unbound",
+                op.symbol()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Check `plan` for structural well-formedness.  See the module docs
@@ -525,7 +552,11 @@ mod tests {
     fn small_lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Int(7)]],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(7).into(),
+            ]],
         })
     }
 
@@ -536,6 +567,68 @@ mod tests {
         let d = b.add(AlgOp::Distinct { input: l });
         let plan = b.finish(d);
         assert_eq!(verify_plan(&plan), Ok(()));
+    }
+
+    #[test]
+    fn a_slot_anywhere_makes_a_plan_unexecutable() {
+        use pf_relational::ops::IndexMode;
+
+        let mut b = PlanBuilder::new();
+        let l = small_lit(&mut b);
+        let a = b.add(AlgOp::Attach {
+            input: l,
+            target: "s".into(),
+            value: Const::Param(0),
+        });
+        let template = b.finish(a);
+        // A template is a well-formed plan, but not an executable one.
+        assert_eq!(verify_plan(&template), Ok(()));
+        let e = verify_bound(&template).unwrap_err();
+        assert!(e.message.contains("?0 is unbound"), "{e}");
+        assert_eq!(verify_bound(&template.bind(&["x".into()])), Ok(()));
+
+        let lit = Plan::new(
+            vec![AlgOp::Lit {
+                columns: vec!["item".into()],
+                rows: vec![vec![Const::Param(1)]],
+            }],
+            0,
+        );
+        assert!(verify_bound(&lit).is_err());
+        let bound = lit.bind(&["x".into(), "y".into()]);
+        assert_eq!(
+            bound.op(0),
+            &AlgOp::Lit {
+                columns: vec!["item".into()],
+                rows: vec![vec![Value::Str("y".into()).into()]],
+            }
+        );
+
+        let scan = Plan::new(
+            vec![
+                AlgOp::Lit {
+                    columns: vec!["iter".into(), "item".into()],
+                    rows: vec![],
+                },
+                AlgOp::IndexScan {
+                    input: 0,
+                    uri: "d".into(),
+                    probe: IndexProbe::TextContains {
+                        needle: String::new(),
+                    },
+                    mode: IndexMode::Exact,
+                    param: Some(0),
+                },
+            ],
+            1,
+        );
+        assert!(verify_bound(&scan).is_err());
+        let bound = scan.bind(&["gold".into()]);
+        assert!(matches!(
+            bound.op(1),
+            AlgOp::IndexScan { probe: IndexProbe::TextContains { needle }, param: None, .. }
+                if needle == "gold"
+        ));
     }
 
     #[test]
@@ -587,7 +680,11 @@ mod tests {
         let mut b = PlanBuilder::new();
         let l2 = b.add(AlgOp::Lit {
             columns: vec!["pos".into(), "iter".into(), "item".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Int(7)]],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(7).into(),
+            ]],
         });
         let swapped = b.finish(l2);
         let e = verify_rewrite("swap", &before, &swapped).unwrap_err();
@@ -600,8 +697,16 @@ mod tests {
         let l3 = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "pos".into(), "item".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Nat(1), Value::Int(7)],
-                vec![Value::Nat(1), Value::Nat(1), Value::Int(7)],
+                vec![
+                    Value::Nat(1).into(),
+                    Value::Nat(1).into(),
+                    Value::Int(7).into(),
+                ],
+                vec![
+                    Value::Nat(1).into(),
+                    Value::Nat(1).into(),
+                    Value::Int(7).into(),
+                ],
             ],
         });
         let dup = b.finish(l3);

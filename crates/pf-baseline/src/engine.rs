@@ -289,6 +289,7 @@ impl BaselineEngine {
             Expr::IntLit(i) => Ok(vec![BValue::Int(*i)]),
             Expr::DecLit(d) => Ok(vec![BValue::Dbl(*d)]),
             Expr::StrLit(s) => Ok(vec![BValue::Str(s.clone())]),
+            Expr::Param(k) => Err(format!("parameter slot ?{k} is unbound")),
             Expr::EmptySeq => Ok(vec![]),
             Expr::Sequence(items) => {
                 let mut out = Vec::new();
@@ -322,7 +323,7 @@ impl BaselineEngine {
                 body,
             } => {
                 let bindings = self.eval(seq, env)?;
-                let mut keyed: Vec<(Vec<BValue>, Vec<BValue>)> = Vec::new();
+                let mut keyed: Vec<(Vec<Option<BValue>>, Vec<BValue>)> = Vec::new();
                 for (index, binding) in bindings.iter().enumerate() {
                     let mut inner = env.clone();
                     inner.vars.insert(var.clone(), vec![binding.clone()]);
@@ -337,14 +338,16 @@ impl BaselineEngine {
                             continue;
                         }
                     }
+                    // An order key is zero or one atomic value (XPTY0004
+                    // on more); the empty key sorts least.
                     let keys = order_by
                         .iter()
-                        .map(|k| {
-                            let values = self.eval(&k.expr, &inner)?;
-                            Ok(values
-                                .first()
-                                .map(|v| self.atomize(v))
-                                .unwrap_or(BValue::Str(String::new())))
+                        .map(|k| match self.eval(&k.expr, &inner)?.as_slice() {
+                            [] => Ok(None),
+                            [v] => Ok(Some(self.atomize(v))),
+                            _ => Err("XPTY0004: a sequence of more than one item where at most \
+                                      one is allowed"
+                                .to_string()),
                         })
                         .collect::<Result<Vec<_>, BaselineError>>()?;
                     let result = self.eval(body, &inner)?;
@@ -353,7 +356,10 @@ impl BaselineEngine {
                 if !order_by.is_empty() {
                     keyed.sort_by(|(ka, _), (kb, _)| {
                         for ((a, b), spec) in ka.iter().zip(kb).zip(order_by) {
-                            let mut ord = a.compare_atomic(b);
+                            let mut ord = match (a, b) {
+                                (Some(a), Some(b)) => a.compare_atomic(b),
+                                (a, b) => a.is_some().cmp(&b.is_some()),
+                            };
                             if spec.descending {
                                 ord = ord.reverse();
                             }

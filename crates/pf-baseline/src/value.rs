@@ -58,11 +58,16 @@ impl BValue {
         }
     }
 
-    /// Compare two atomic values with XQuery general-comparison semantics
-    /// (numbers numerically, otherwise as strings).
+    /// Compare two atomic values with XQuery general-comparison semantics:
+    /// numerically when at least one side is a number (an untyped operand,
+    /// such as atomized content, is cast to the other operand's type),
+    /// otherwise by code points — two strings never compare as numbers.
     pub fn compare_atomic(&self, other: &BValue) -> Ordering {
-        if let (Some(a), Some(b)) = (self.as_number(), other.as_number()) {
-            return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+        let numeric = |v: &BValue| matches!(v, BValue::Int(_) | BValue::Dbl(_));
+        if numeric(self) || numeric(other) {
+            if let (Some(a), Some(b)) = (self.as_number(), other.as_number()) {
+                return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+            }
         }
         self.lexical().cmp(&other.lexical())
     }
@@ -109,6 +114,18 @@ mod tests {
             BValue::Str("abc".into()).compare_atomic(&BValue::Str("abd".into())),
             Ordering::Less
         );
+    }
+
+    #[test]
+    fn two_strings_compare_by_code_points() {
+        let s = |v: &str| BValue::Str(v.into());
+        assert_eq!(s("12").compare_atomic(&s("12.0")), Ordering::Less);
+        assert_eq!(s("12").compare_atomic(&s("4")), Ordering::Less);
+        assert_eq!(s("3").compare_atomic(&s("12")), Ordering::Greater);
+        assert_eq!(s("").compare_atomic(&s("4")), Ordering::Less);
+        // A number on either side still compares numerically.
+        assert_eq!(s("12").compare_atomic(&BValue::Int(4)), Ordering::Greater);
+        assert_eq!(BValue::Dbl(12.0).compare_atomic(&s("12")), Ordering::Equal);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use pf_algebra::{AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
+use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Cell, Column, NodeRef, Table, Value};
 use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest};
@@ -706,6 +706,7 @@ impl<'a> Executor<'a> {
     }
 
     fn execute(&self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats)> {
+        verify_bound(plan).map_err(|e| EngineError::msg(e.to_string()))?;
         let physical = PhysicalPlan::compile(plan);
         let (table, stats, _) = self.execute_physical(plan, &physical)?;
         Ok((table, stats))
@@ -1266,11 +1267,13 @@ impl<'a> Executor<'a> {
                 uri,
                 probe,
                 mode,
+                ..
             } => return self.index_scan_node(slot(slots, *input)?, uri, probe, *mode),
             AlgOp::Lit { columns, rows } => {
                 let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); columns.len()];
                 for row in rows {
                     for (i, v) in row.iter().enumerate() {
+                        let v = v.value().expect("plans are verified bound before they run");
                         cols[i].push(v.clone());
                     }
                 }
@@ -1601,7 +1604,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let loop0 = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let doc = b.add(AlgOp::Doc {
             uri: "doc.xml".into(),
@@ -1954,7 +1957,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let loop0 = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let doc = b.add(AlgOp::Doc {
             uri: "doc.xml".into(),
@@ -1993,7 +1996,7 @@ mod tests {
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (1..=8)
-                .map(|i| vec![Value::Nat(i), Value::Int(i as i64 * 10)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64 * 10).into()])
                 .collect(),
         });
         let p1 = b.add(AlgOp::Project {
@@ -2030,7 +2033,7 @@ mod tests {
                     input: i,
                     target,
                     value,
-                } => ops::map_const(input(i), target, value)?,
+                } => ops::map_const(input(i), target, value.value().unwrap())?,
                 AlgOp::BinaryMap {
                     input: i,
                     target,
@@ -2087,13 +2090,13 @@ mod tests {
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (1..=6)
-                .map(|i| vec![Value::Nat(i), Value::Int(i as i64)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
                 .collect(),
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
             target: "limit".into(),
-            value: Value::Int(3),
+            value: Value::Int(3).into(),
         });
         let map = b.add(AlgOp::BinaryMap {
             input: attach,
@@ -2133,12 +2136,12 @@ mod tests {
             let mut b = PlanBuilder::new();
             let lit = b.add(AlgOp::Lit {
                 columns: vec!["iter".into(), "item".into()],
-                rows: vec![vec![Value::Nat(1), Value::Int(5)]],
+                rows: vec![vec![Value::Nat(1).into(), Value::Int(5).into()]],
             });
             let attach = b.add(AlgOp::Attach {
                 input: lit,
                 target: "flag".into(),
-                value: Value::Int(7),
+                value: Value::Int(7).into(),
             });
             let select = b.add(AlgOp::Select {
                 input: attach,
@@ -2162,8 +2165,8 @@ mod tests {
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Int(10)],
-                vec![Value::Nat(2), Value::Int(20)],
+                vec![Value::Nat(1).into(), Value::Int(10).into()],
+                vec![Value::Nat(2).into(), Value::Int(20).into()],
             ],
         });
         let p1 = b.add(AlgOp::Project {
@@ -2212,7 +2215,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let loop0 = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1)]],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
         let doc = b.add(AlgOp::Doc {
             uri: "doc.xml".into(),
@@ -2298,15 +2301,23 @@ mod tests {
             let mut b = PlanBuilder::new();
             let loop0 = b.add(AlgOp::Lit {
                 columns: vec!["iter".into()],
-                rows: vec![vec![Value::Nat(1)]],
+                rows: vec![vec![Value::Nat(1).into()]],
             });
             let content_a = b.add(AlgOp::Lit {
                 columns: vec!["iter".into(), "pos".into(), "item".into()],
-                rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Str("x".into())]],
+                rows: vec![vec![
+                    Value::Nat(1).into(),
+                    Value::Nat(1).into(),
+                    Value::Str("x".into()).into(),
+                ]],
             });
             let content_b = b.add(AlgOp::Lit {
                 columns: vec!["iter".into(), "pos".into(), "item".into()],
-                rows: vec![vec![Value::Nat(1), Value::Nat(1), Value::Str("y".into())]],
+                rows: vec![vec![
+                    Value::Nat(1).into(),
+                    Value::Nat(1).into(),
+                    Value::Str("y".into()).into(),
+                ]],
             });
             let ea = b.add(AlgOp::ElemConstruct {
                 loop_input: loop0,
@@ -2364,11 +2375,11 @@ mod tests {
         let mut b = PlanBuilder::new();
         let bad = b.add(AlgOp::Lit {
             columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1), Value::Nat(2)]],
+            rows: vec![vec![Value::Nat(1).into(), Value::Nat(2).into()]],
         });
         let good = b.add(AlgOp::Lit {
             columns: vec!["item".into()],
-            rows: vec![vec![Value::Int(7)]],
+            rows: vec![vec![Value::Int(7).into()]],
         });
         let crossed = b.add(AlgOp::Cross {
             left: bad,
@@ -2398,13 +2409,18 @@ mod tests {
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (1..=64)
-                .map(|i| vec![Value::Nat(i), Value::Int((i as i64 * 37) % 29)])
+                .map(|i| {
+                    vec![
+                        Value::Nat(i).into(),
+                        Value::Int((i as i64 * 37) % 29).into(),
+                    ]
+                })
                 .collect(),
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
             target: "limit".into(),
-            value: Value::Int(10),
+            value: Value::Int(10).into(),
         });
         let map = b.add(AlgOp::BinaryMap {
             input: attach,
@@ -2455,7 +2471,7 @@ mod tests {
         let lit = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (1..=32)
-                .map(|i| vec![Value::Nat(i), Value::Node(NodeRef::new(0, 1))])
+                .map(|i| vec![Value::Nat(i).into(), Value::Node(NodeRef::new(0, 1)).into()])
                 .collect(),
         });
         let step = b.add(AlgOp::Step {
@@ -2483,13 +2499,13 @@ mod tests {
             let lit = b.add(AlgOp::Lit {
                 columns: vec!["iter".into(), "item".into()],
                 rows: (1..=16)
-                    .map(|i| vec![Value::Nat(i), Value::Int(i as i64)])
+                    .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
                     .collect(),
             });
             let attach = b.add(AlgOp::Attach {
                 input: lit,
                 target: "flag".into(),
-                value: Value::Int(7),
+                value: Value::Int(7).into(),
             });
             let select = b.add(AlgOp::Select {
                 input: attach,
@@ -2534,13 +2550,13 @@ mod tests {
         let left = b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: (0..200u64)
-                .map(|i| vec![Value::Nat(i % 40), Value::Int(i as i64 % 13)])
+                .map(|i| vec![Value::Nat(i % 40).into(), Value::Int(i as i64 % 13).into()])
                 .collect(),
         });
         let right = b.add(AlgOp::Lit {
             columns: vec!["iter2".into(), "weight".into()],
             rows: (0..40u64)
-                .map(|i| vec![Value::Nat(i), Value::Int(i as i64)])
+                .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
                 .collect(),
         });
         let join = b.add(AlgOp::EquiJoin {

@@ -86,10 +86,10 @@ pub use session::Session;
 pub use pf_algebra::{OptimizeReport, OptimizerLevel};
 
 use pf_algebra::{
-    optimize_analyzed, optimize_with, PhysicalPlan, Plan, PlanProperties, StatsSource,
+    optimize_analyzed, optimize_with, verify_bound, PhysicalPlan, Plan, PlanProperties, StatsSource,
 };
 use pf_store::DocStatistics;
-use pf_xquery::{compile, normalize, parse_query, CompileOptions};
+use pf_xquery::{compile, lift, normalize, parse_query, CompileOptions, Lifted};
 
 /// Engine-level options — the engine's one source of configuration (it
 /// reads no environment variables).
@@ -306,13 +306,26 @@ impl Explain {
     }
 }
 
-/// One plan-cache entry: the optimized logical plan, its physical
-/// compilation (fused pipelines), the LRU
-/// bookkeeping, and the admission estimate learned from earlier runs.
+/// A plan-cache key: the normalized text of a query that compiled
+/// ([`normalize_cache_key`]), or the shape of a template
+/// ([`Lifted::key`]).  One map holds both, under one capacity and LRU.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CacheKey {
+    Text(String),
+    Shape(String),
+}
+
+/// One plan-cache entry: an optimized logical plan, its physical
+/// compilation, the LRU bookkeeping, and the admission estimate learned
+/// from earlier runs.
 #[derive(Debug)]
 struct CachedPlan {
+    /// A bound plan under a text key; the optimized template, with its
+    /// parameter slots, under a shape key.
     plan: Arc<Plan>,
-    physical: Arc<PhysicalPlan>,
+    /// The physical compilation of a bound plan; `None` for a template,
+    /// which never runs.
+    physical: Option<Arc<PhysicalPlan>>,
     /// Logical timestamp of the last hit (or the insertion); the entry
     /// with the smallest stamp is evicted when the cache is full.
     last_hit: u64,
@@ -333,16 +346,74 @@ struct CachedPlan {
 /// `&self` from any session).
 #[derive(Debug, Default)]
 struct PlanCache {
-    entries: HashMap<String, CachedPlan>,
+    entries: HashMap<CacheKey, CachedPlan>,
     /// Logical clock driving the last-hit stamps.
     clock: u64,
+    /// Exact-text hits plus shape hits.
     hits: usize,
     misses: usize,
+    /// The hits that bound a cached template.
+    shape_hits: usize,
+}
+
+impl PlanCache {
+    /// Look `key` up as a hit: stamp it, count it, and return its plans,
+    /// admission estimate and report.
+    fn hit(&mut self, key: &CacheKey) -> Option<CacheHit> {
+        let entry = self.entries.get_mut(key)?;
+        self.clock += 1;
+        entry.last_hit = self.clock;
+        // Cached but never executed (e.g. warmed, or every prior run
+        // failed before recording a peak): fall back to the shape
+        // estimate rather than admitting at 0.
+        let found = CacheHit {
+            plan: Arc::clone(&entry.plan),
+            physical: entry.physical.clone(),
+            estimate_rows: entry.peak_rows.unwrap_or(entry.cold_estimate),
+            report: entry.report,
+        };
+        self.hits += 1;
+        Some(found)
+    }
+
+    /// Insert `entry` under `key`, evicting the least-recently-hit
+    /// entries beyond `capacity`.
+    fn insert(&mut self, key: CacheKey, mut entry: CachedPlan, capacity: usize) {
+        if capacity == 0 {
+            return;
+        }
+        self.clock += 1;
+        entry.last_hit = self.clock;
+        self.entries.insert(key, entry);
+        while self.entries.len() > capacity {
+            // A linear scan is fine at the default capacity of 256; the
+            // cache is per engine and off the execution hot path.
+            let Some(coldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_hit)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.entries.remove(&coldest);
+        }
+    }
+}
+
+/// What a cache hit hands out.
+struct CacheHit {
+    plan: Arc<Plan>,
+    physical: Option<Arc<PhysicalPlan>>,
+    estimate_rows: usize,
+    report: OptimizeReport,
 }
 
 /// A compiled query ready for admission and execution.
 struct Planned {
-    key: String,
+    /// The entry the execution peak is recorded on: the text's, or on a
+    /// shape hit the template's.
+    key: CacheKey,
     plan: Arc<Plan>,
     physical: Arc<PhysicalPlan>,
     compile_time: Duration,
@@ -369,12 +440,18 @@ struct Planned {
 /// cached per query: the compile stage dominates small-document queries,
 /// and since the executor borrows operators from the plan (never clones
 /// them), a cached [`Arc<Plan>`] / [`Arc<PhysicalPlan>`] pair is directly
-/// reusable.  Cache keys are the query text with whitespace runs outside
-/// string literals collapsed — so trivially reformatted queries share one
-/// plan; the cache is capped ([`EngineOptions::plan_cache_capacity`],
-/// default [`DEFAULT_PLAN_CACHE_CAPACITY`]) with least-recently-hit
-/// eviction.  Cache effectiveness is reported per query via
-/// [`Timings::plan_cache_hits`] / [`Timings::plan_cache_misses`].
+/// reusable.  A plan is cached under the query text with whitespace runs
+/// outside string literals collapsed — so trivially reformatted queries
+/// share one plan — and its optimized *template* under the query's shape:
+/// the AST with the string literals of comparisons and substring tests
+/// lifted into parameter slots ([`pf_xquery::lift()`]).  A query that
+/// differs from a cached one only in such a literal binds the template
+/// instead of being compiled and optimized again.  One map holds both
+/// kinds of key, capped ([`EngineOptions::plan_cache_capacity`], default
+/// [`DEFAULT_PLAN_CACHE_CAPACITY`]) with least-recently-hit eviction.
+/// Cache effectiveness is reported per query via
+/// [`Timings::plan_cache_hits`] / [`Timings::plan_cache_misses`], and
+/// shape hits by [`Pathfinder::plan_shape_hits`].
 #[derive(Debug, Default)]
 pub struct Pathfinder {
     registry: DocRegistry,
@@ -454,10 +531,18 @@ impl Pathfinder {
             .len()
     }
 
-    /// Cumulative plan-cache hits and misses since this engine was created.
+    /// Cumulative plan-cache hits and misses since this engine was
+    /// created.  Hits count exact-text and shape hits alike.
     pub fn plan_cache_stats(&self) -> (usize, usize) {
         let cache = self.cache.lock().expect("plan cache poisoned");
         (cache.hits, cache.misses)
+    }
+
+    /// Cumulative plan-cache hits that bound a cached template to a
+    /// query's literals (a subset of the hits of
+    /// [`Pathfinder::plan_cache_stats`]).
+    pub fn plan_shape_hits(&self) -> usize {
+        self.cache.lock().expect("plan cache poisoned").shape_hits
     }
 
     /// Drop all cached plans (hit/miss counters are kept).  Takes `&self`:
@@ -520,12 +605,13 @@ impl Pathfinder {
         Some(stats)
     }
 
-    /// Compile a query without executing it.
+    /// Compile a query without executing it — the way a query runs: its
+    /// shape is compiled and optimized into a template, and the lifted
+    /// literals are bound into both plans.
     pub fn explain(&self, query: &str) -> EngineResult<Explain> {
-        let ast = parse_query(query)?;
-        let core = normalize(&ast)?;
-        let compiled = compile(&core, &self.options.compile)?;
-        let unoptimized = compiled.plan.clone();
+        let lifted = lift(&parse_query(query)?);
+        let compiled = compile(&normalize(&lifted.shape)?, &self.options.compile)?;
+        let unoptimized = compiled.plan.bind(&lifted.values);
         let mut optimized = compiled.plan;
         let report = if self.options.optimize {
             optimize_with(&mut optimized, OptimizerLevel::FULL, &EngineStats(self))
@@ -534,7 +620,7 @@ impl Pathfinder {
         };
         Ok(Explain {
             unoptimized,
-            optimized,
+            optimized: optimized.bind(&lifted.values),
             report,
             joins_recognized: compiled.joins_recognized,
         })
@@ -628,7 +714,7 @@ impl Pathfinder {
     /// admission estimate of the next run.  The peak is the same at every
     /// thread count, but a reload can change the data under the same plan,
     /// so the largest observed peak wins.
-    fn record_peak(&self, key: &str, peak_rows: usize) {
+    fn record_peak(&self, key: &CacheKey, peak_rows: usize) {
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         if let Some(entry) = cache.entries.get_mut(key) {
             entry.peak_rows = Some(entry.peak_rows.unwrap_or(0).max(peak_rows));
@@ -651,99 +737,103 @@ impl Pathfinder {
     }
 
     /// The compiled-and-optimized plan for `query`, with its physical
-    /// compilation: served from the plan cache when possible, compiled
-    /// (and cached) otherwise.  Returns the plans with the compile and
-    /// optimize stage timings — both [`Duration::ZERO`] on a cache hit,
-    /// because the stages are skipped entirely.  Distinct queries compile
-    /// outside the cache lock, so sessions never serialize on each
-    /// other's compile stage.
+    /// compilation.  Three ways, one cache:
+    ///
+    /// * **exact hit** — the normalized text is cached: its plans are
+    ///   served as they are, without parsing;
+    /// * **shape hit** — the query is parsed and its string literals
+    ///   lifted ([`pf_xquery::lift()`]); the cached template of that shape
+    ///   is bound to the literals and physically compiled.  Normalize,
+    ///   loop lifting, optimize and property analysis are skipped, and
+    ///   no entry is added;
+    /// * **miss** — the shape is compiled and optimized into a template,
+    ///   which is cached under the shape, and the plan bound from it is
+    ///   cached under the text.
+    ///
+    /// A query with nothing to lift is a shape with zero slots.  The
+    /// stage timings are [`Duration::ZERO`] on an exact hit; on a shape
+    /// hit `compile` is the parse and lift and `optimize` the bind and
+    /// physical compile.  Misses compile outside the cache lock, so
+    /// sessions never serialize on each other's compile stage (two
+    /// sessions racing on the same new query both compile, and the later
+    /// insert wins — harmless, the plans are identical).
     fn plan_for(&self, query: &str) -> EngineResult<Planned> {
-        let key = normalize_cache_key(query);
+        let text = CacheKey::Text(normalize_cache_key(query));
         {
             let mut cache = self.cache.lock().expect("plan cache poisoned");
-            if let Some(cached) = cache.entries.get(&key) {
-                let plan = Arc::clone(&cached.plan);
-                let physical = Arc::clone(&cached.physical);
-                // Cached but never executed (e.g. warmed, or every prior
-                // run failed before recording a peak): fall back to the
-                // shape estimate rather than admitting at 0.
-                let estimate_rows = cached.peak_rows.unwrap_or(cached.cold_estimate);
-                let report = cached.report;
-                cache.hits += 1;
-                cache.clock += 1;
-                let stamp = cache.clock;
-                cache
-                    .entries
-                    .get_mut(&key)
-                    .expect("entry just looked up")
-                    .last_hit = stamp;
+            if let Some(hit) = cache.hit(&text) {
                 return Ok(Planned {
-                    key,
-                    plan,
-                    physical,
+                    key: text,
+                    plan: hit.plan,
+                    physical: hit.physical.expect("text entries hold bound plans"),
                     compile_time: Duration::ZERO,
                     optimize_time: Duration::ZERO,
-                    estimate_rows,
-                    report,
+                    estimate_rows: hit.estimate_rows,
+                    report: hit.report,
                     cache_hits: cache.hits,
                     cache_misses: cache.misses,
                 });
             }
         }
-        // Miss: compile with no lock held (concurrent sessions compiling
-        // *different* queries proceed in parallel; two sessions racing on
-        // the *same* new query both compile and the later insert wins —
-        // harmless, the plans are identical).
         let started = Instant::now();
-        let ast = parse_query(query)?;
-        let core = normalize(&ast)?;
-        let compiled = compile(&core, &self.options.compile)?;
-        let compile_time = started.elapsed();
-
-        let opt_start = Instant::now();
-        let mut plan = compiled.plan;
-        let (report, estimate_rows) = if self.options.optimize {
-            let (report, props) = optimize_analyzed(&mut plan, &EngineStats(self));
-            (report, props.peak_rows(&plan))
-        } else {
-            (OptimizeReport::default(), self.cold_plan_estimate(&plan))
+        let lifted = lift(&parse_query(query)?);
+        let shape = CacheKey::Shape(lifted.key());
+        let template = {
+            let mut cache = self.cache.lock().expect("plan cache poisoned");
+            cache.hit(&shape).map(|hit| {
+                cache.shape_hits += 1;
+                (hit, cache.hits, cache.misses)
+            })
         };
-        let physical = Arc::new(PhysicalPlan::compile(&plan));
-        let optimize_time = opt_start.elapsed();
-        let plan = Arc::new(plan);
+        if let Some((hit, cache_hits, cache_misses)) = template {
+            let compile_time = started.elapsed();
+            let bind_start = Instant::now();
+            let (plan, physical) = bind(&hit.plan, &lifted)?;
+            return Ok(Planned {
+                key: shape,
+                plan,
+                physical,
+                compile_time,
+                optimize_time: bind_start.elapsed(),
+                estimate_rows: hit.estimate_rows,
+                report: hit.report,
+                cache_hits,
+                cache_misses,
+            });
+        }
 
+        let compiled = compile(&normalize(&lifted.shape)?, &self.options.compile)?;
+        let compile_time = started.elapsed();
+        let opt_start = Instant::now();
+        let mut template = compiled.plan;
+        let (report, estimate_rows) = if self.options.optimize {
+            let (report, props) = optimize_analyzed(&mut template, &EngineStats(self));
+            (report, props.peak_rows(&template))
+        } else {
+            (
+                OptimizeReport::default(),
+                self.cold_plan_estimate(&template),
+            )
+        };
+        let template = Arc::new(template);
+        let (plan, physical) = bind(&template, &lifted)?;
+        let optimize_time = opt_start.elapsed();
+
+        let entry = |plan: &Arc<Plan>, physical: Option<&Arc<PhysicalPlan>>| CachedPlan {
+            plan: Arc::clone(plan),
+            physical: physical.cloned(),
+            last_hit: 0,
+            peak_rows: None,
+            cold_estimate: estimate_rows,
+            report,
+        };
+        let capacity = self.options.plan_cache_capacity;
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         cache.misses += 1;
-        if self.options.plan_cache_capacity > 0 {
-            cache.clock += 1;
-            let stamp = cache.clock;
-            cache.entries.insert(
-                key.clone(),
-                CachedPlan {
-                    plan: Arc::clone(&plan),
-                    physical: Arc::clone(&physical),
-                    last_hit: stamp,
-                    peak_rows: None,
-                    cold_estimate: estimate_rows,
-                    report,
-                },
-            );
-            if cache.entries.len() > self.options.plan_cache_capacity {
-                // Evict the least-recently-hit entry.  A linear scan is
-                // fine at the default capacity of 256; the cache is per
-                // engine and off the execution hot path.
-                if let Some(coldest) = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.last_hit)
-                    .map(|(k, _)| k.clone())
-                {
-                    cache.entries.remove(&coldest);
-                }
-            }
-        }
+        cache.insert(shape, entry(&template, None), capacity);
+        cache.insert(text.clone(), entry(&plan, Some(&physical)), capacity);
         Ok(Planned {
-            key,
+            key: text,
             plan,
             physical,
             compile_time,
@@ -754,6 +844,20 @@ impl Pathfinder {
             cache_misses: cache.misses,
         })
     }
+}
+
+/// Bind the lifted literals of a query into `template` and compile the
+/// result physically — after the verifier has checked no slot is left.
+/// Binding no literals is the identity, and shares the template.
+fn bind(template: &Arc<Plan>, lifted: &Lifted) -> EngineResult<(Arc<Plan>, Arc<PhysicalPlan>)> {
+    let plan = if lifted.values.is_empty() {
+        Arc::clone(template)
+    } else {
+        Arc::new(template.bind(&lifted.values))
+    };
+    verify_bound(&plan).map_err(|e| EngineError::msg(e.to_string()))?;
+    let physical = Arc::new(PhysicalPlan::compile(&plan));
+    Ok((plan, physical))
 }
 
 /// Normalize a query text into its plan-cache key: collapse every run of
@@ -961,7 +1065,7 @@ mod tests {
         pf.query_with(q, Profile::Stats).unwrap();
         let peak = {
             let cache = pf.cache.lock().unwrap();
-            let entry = cache.entries.values().next().expect("one cached plan");
+            let entry = &cache.entries[&CacheKey::Text(normalize_cache_key(q))];
             entry.peak_rows.expect("peak recorded after the run")
         };
         assert!(peak > 0, "a real query holds intermediate rows");
@@ -1008,7 +1112,7 @@ mod tests {
         pf.session().query(q).unwrap();
         let peak = {
             let cache = pf.cache.lock().unwrap();
-            let entry = cache.entries.values().next().expect("one cached plan");
+            let entry = &cache.entries[&CacheKey::Text(normalize_cache_key(q))];
             entry.peak_rows.expect("peak recorded after the run")
         };
         let warm = pf.plan_for(q).unwrap();
@@ -1025,7 +1129,8 @@ mod tests {
         assert_eq!(first.timings().plan_cache_hits, 0);
         assert_eq!(first.timings().plan_cache_misses, 1);
         assert!(first.timings().compile > std::time::Duration::ZERO);
-        assert_eq!(pf.plan_cache_len(), 1);
+        // The bound plan under the text, the template under the shape.
+        assert_eq!(pf.plan_cache_len(), 2);
 
         let second = run(&pf, q);
         assert_eq!(second.to_xml(), "2");
@@ -1040,7 +1145,7 @@ mod tests {
         // the counters.
         run(&pf, "1 + 1");
         assert_eq!(pf.plan_cache_stats(), (1, 2));
-        assert_eq!(pf.plan_cache_len(), 2);
+        assert_eq!(pf.plan_cache_len(), 4);
         pf.clear_plan_cache();
         assert_eq!(pf.plan_cache_len(), 0);
         assert_eq!(pf.plan_cache_stats(), (1, 2));
@@ -1056,14 +1161,15 @@ mod tests {
         let reformatted = "for  $b in\n    fn:doc(\"doc.xml\")//b\n  return fn:string($b)";
         assert_eq!(run(&pf, reformatted).to_xml(), "1 2");
         assert_eq!(pf.plan_cache_stats(), (1, 1), "reformat must hit");
-        assert_eq!(pf.plan_cache_len(), 1);
+        assert_eq!(pf.plan_cache_len(), 2);
 
         // Whitespace *inside* a string literal is significant: a different
-        // literal body is a different plan.
+        // literal body is a different plan (`concat` arguments are not
+        // lifted, so the two are different shapes too).
         run(&pf, "fn:concat(\"a b\", \"c\")");
         run(&pf, "fn:concat(\"a  b\", \"c\")");
         assert_eq!(pf.plan_cache_stats(), (1, 3));
-        assert_eq!(pf.plan_cache_len(), 3);
+        assert_eq!(pf.plan_cache_len(), 6);
     }
 
     #[test]
@@ -1109,22 +1215,78 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_the_least_recently_hit_plan() {
-        let pf = Pathfinder::with_options(EngineOptions::builder().plan_cache_capacity(2).build());
+        // Each miss caches two entries: the template under the shape
+        // (older) and the bound plan under the text.
+        let pf = Pathfinder::with_options(EngineOptions::builder().plan_cache_capacity(4).build());
         run(&pf, "1 + 1");
         run(&pf, "2 + 2");
-        assert_eq!(pf.plan_cache_len(), 2);
-        // Touch "1 + 1" so "2 + 2" becomes the coldest entry…
+        assert_eq!(pf.plan_cache_len(), 4);
+        // Touch the text entry of "1 + 1", so the coldest entries are the
+        // two shapes…
         run(&pf, "1 + 1");
-        // …and a third query evicts it.
+        // …and the two entries of a third query evict exactly those.
         run(&pf, "3 + 3");
-        assert_eq!(pf.plan_cache_len(), 2);
+        assert_eq!(pf.plan_cache_len(), 4);
         let (hits, misses) = pf.plan_cache_stats();
         assert_eq!((hits, misses), (1, 3));
-        // "1 + 1" is still cached; "2 + 2" was evicted and recompiles.
         run(&pf, "1 + 1");
-        assert_eq!(pf.plan_cache_stats().0, 2);
         run(&pf, "2 + 2");
-        assert_eq!(pf.plan_cache_stats(), (2, 4));
+        assert_eq!(pf.plan_cache_stats(), (3, 3));
+        // Untouched, the text of "1 + 1" would have gone with its shape.
+        let cold =
+            Pathfinder::with_options(EngineOptions::builder().plan_cache_capacity(4).build());
+        for q in ["1 + 1", "2 + 2", "3 + 3", "1 + 1"] {
+            run(&cold, q);
+        }
+        assert_eq!(cold.plan_cache_stats(), (0, 4));
+    }
+
+    #[test]
+    fn literal_variants_bind_the_cached_template() {
+        let pf = engine_with("<r><p id=\"a\"/><p id=\"b\"/><p id=\"b\"/></r>");
+        let q = |id: &str| format!("fn:count(fn:doc(\"doc.xml\")//p[@id = \"{id}\"])");
+        assert_eq!(run(&pf, &q("a")).to_xml(), "1");
+        assert_eq!(pf.plan_cache_len(), 2);
+        // Another literal: a hit on the shape, bound and run, no new entry.
+        let b = run(&pf, &q("b"));
+        assert_eq!(b.to_xml(), "2");
+        assert_eq!(b.timings().plan_cache_hits, 1);
+        assert_eq!(pf.plan_shape_hits(), 1);
+        assert_eq!(pf.plan_cache_len(), 2);
+        assert_eq!(run(&pf, &q("zz")).to_xml(), "0");
+        assert_eq!(run(&pf, &q("b")).to_xml(), "2");
+        assert_eq!(pf.plan_shape_hits(), 3);
+        // The exact text that compiled stays an exact hit.
+        assert_eq!(run(&pf, &q("a")).to_xml(), "1");
+        assert_eq!(pf.plan_shape_hits(), 3);
+        assert_eq!(pf.plan_cache_stats(), (4, 1));
+        // The peak of a shape hit is recorded on the template's entry.
+        let template = pf
+            .cache
+            .lock()
+            .unwrap()
+            .entries
+            .iter()
+            .find(|(key, _)| matches!(key, CacheKey::Shape(_)))
+            .map(|(_, entry)| entry.peak_rows)
+            .expect("the template is cached");
+        assert!(template.is_some());
+    }
+
+    #[test]
+    fn an_unbound_template_never_runs() {
+        let pf = Pathfinder::new();
+        let ast = parse_query("\"a\" = \"b\"").unwrap();
+        let template = compile(
+            &normalize(&lift(&ast).shape).unwrap(),
+            &CompileOptions::default(),
+        )
+        .unwrap()
+        .plan;
+        let error = Executor::new(&pf.registry().snapshot())
+            .run(&template)
+            .unwrap_err();
+        assert!(error.to_string().contains("unbound"), "{error}");
     }
 
     #[test]

@@ -32,11 +32,13 @@ use crate::registry::DocRegistry;
 /// counters of the engine that ran the query.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
-    /// Parse + normalize + loop-lifting compilation ([`Duration::ZERO`]
-    /// when the plan was served from the plan cache).
+    /// Parse + literal lifting + normalize + loop-lifting compilation
+    /// ([`Duration::ZERO`] on an exact-text plan-cache hit; parse and
+    /// lifting alone on a shape hit).
     pub compile: Duration,
-    /// Peephole optimization and physical-plan compilation
-    /// ([`Duration::ZERO`] on a plan-cache hit).
+    /// Peephole optimization, literal binding and physical-plan
+    /// compilation ([`Duration::ZERO`] on an exact-text plan-cache hit;
+    /// binding and physical compilation alone on a shape hit).
     pub optimize: Duration,
     /// Plan execution (including result serialization inputs).
     pub execute: Duration,

@@ -50,7 +50,14 @@ pub enum AggFunc {
     Min,
     /// `fn:avg`
     Avg,
+    /// `fn:zero-or-one`: the group's one value; a group of more raises
+    /// XPTY0004 (what an `order by` key of several items raises).
+    ZeroOrOne,
 }
+
+/// The error a [`AggFunc::ZeroOrOne`] group of more than one value raises.
+const MORE_THAN_ONE: &str =
+    "XPTY0004: a sequence of more than one item where at most one is allowed";
 
 impl AggFunc {
     /// The XQuery function name.
@@ -61,6 +68,7 @@ impl AggFunc {
             AggFunc::Max => "max",
             AggFunc::Min => "min",
             AggFunc::Avg => "avg",
+            AggFunc::ZeroOrOne => "zero-or-one",
         }
     }
 }
@@ -177,7 +185,7 @@ impl<'t> AggPlan<'t> {
     /// `avg` never qualify).
     pub fn chunk_parallel_safe(&self) -> bool {
         match self.func {
-            AggFunc::Count => true,
+            AggFunc::Count | AggFunc::ZeroOrOne => true,
             AggFunc::Min | AggFunc::Max => !matches!(self.vcol, Some(Column::Item(_))),
             AggFunc::Sum | AggFunc::Avg => false,
         }
@@ -228,6 +236,9 @@ impl<'t> AggPlan<'t> {
                     Some(&idx) => {
                         let into = &mut merged.groups[idx];
                         into.count += group.count;
+                        if self.func == AggFunc::ZeroOrOne {
+                            return Err(RelError::new(MORE_THAN_ONE));
+                        }
                         match group.sum {
                             NumAcc::Int(v) => into.sum.add_i64(v)?,
                             NumAcc::Dbl(v) => into.sum.add_f64(v),
@@ -292,6 +303,8 @@ impl<'t> AggPlan<'t> {
         group.count += 1;
         match self.func {
             AggFunc::Count => {}
+            AggFunc::ZeroOrOne if group.count > 1 => return Err(RelError::new(MORE_THAN_ONE)),
+            AggFunc::ZeroOrOne => group.best = Some(row),
             AggFunc::Sum | AggFunc::Avg => self.add_row(&mut group.sum, row)?,
             AggFunc::Min | AggFunc::Max => {
                 let replace = match group.best {
@@ -405,6 +418,10 @@ impl<'t> AggPlan<'t> {
                         .ok_or_else(|| RelError::new("max over an empty group"))?;
                     self.vcol.expect("max has a value column").get(best)
                 }
+                AggFunc::ZeroOrOne => {
+                    let row = group.best.expect("a group holds a row");
+                    self.vcol.expect("zero-or-one has a value column").get(row)
+                }
             };
             out_values.push(value);
         }
@@ -496,6 +513,10 @@ pub fn aggregate_by_generic(
                         maxs[idx] = Some(v);
                     }
                 }
+                AggFunc::ZeroOrOne if counts[idx] > 1 => {
+                    return Err(RelError::new(MORE_THAN_ONE));
+                }
+                AggFunc::ZeroOrOne => mins[idx] = Some(v),
                 AggFunc::Count => {}
             }
         }
@@ -515,6 +536,7 @@ pub fn aggregate_by_generic(
             AggFunc::Max => maxs[idx]
                 .clone()
                 .ok_or_else(|| RelError::new("max over an empty group"))?,
+            AggFunc::ZeroOrOne => mins[idx].clone().expect("a group holds a row"),
         };
         out_values.push(value);
     }
@@ -578,6 +600,24 @@ mod tests {
         let t = aggregate_by(&table(), "iter", "a", AggFunc::Avg, "item").unwrap();
         assert_eq!(t.value("a", 0).unwrap(), Value::Dbl(15.0));
         assert_eq!(t.value("a", 1).unwrap(), Value::Dbl(7.0));
+    }
+
+    #[test]
+    fn zero_or_one_keeps_the_one_value_and_rejects_more() {
+        let singles = Table::new(vec![
+            ("iter".into(), Column::nats(vec![1, 3, 4])),
+            (
+                "item".into(),
+                Column::strs(vec!["b".into(), "a".into(), "c".into()]),
+            ),
+        ])
+        .unwrap();
+        for run in [aggregate_by, aggregate_by_generic] {
+            let t = run(&singles, "iter", "k", AggFunc::ZeroOrOne, "item").unwrap();
+            assert_eq!(t.value("k", 1).unwrap(), Value::Str("a".into()));
+            let err = run(&table(), "iter", "k", AggFunc::ZeroOrOne, "item").unwrap_err();
+            assert!(err.to_string().contains("XPTY0004"), "{err}");
+        }
     }
 
     #[test]

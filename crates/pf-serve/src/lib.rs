@@ -122,10 +122,11 @@ pub fn stats_line(engine: &Pathfinder) -> String {
     };
     format!(
         "documents={} plan_cache_len={} plan_cache_hits={hits} plan_cache_misses={misses} \
-         admitted={} waited={} waiting={} running={} charged_rows={} budget_rows={budget} \
-         pool_spawns={}",
+         plan_shape_hits={} admitted={} waited={} waiting={} running={} charged_rows={} \
+         budget_rows={budget} pool_spawns={}",
         engine.registry().len(),
         engine.plan_cache_len(),
+        engine.plan_shape_hits(),
         adm.admitted,
         adm.waited,
         adm.waiting,
@@ -379,6 +380,19 @@ mod tests {
         assert!(stats.line().contains("documents=2"), "{stats:?}");
         assert!(stats.line().contains("admitted=2 "), "{stats:?}");
         assert!(stats.line().contains("budget_rows=unlimited"), "{stats:?}");
+        assert!(stats.line().contains("plan_shape_hits=0 "), "{stats:?}");
+        // A query that differs from a cached one only in a compared
+        // literal binds the cached template: a hit, and a shape hit.
+        for (literal, count) in [("1", "1"), ("3", "0")] {
+            let query = format!("QUERY fn:count(fn:doc(\"d.xml\")//b[. = \"{literal}\"])");
+            assert_eq!(
+                handle_line(&session, &query),
+                Reply::Line(format!("OK {count}"))
+            );
+        }
+        let stats = handle_line(&session, "STATS");
+        assert!(stats.line().contains("plan_shape_hits=1 "), "{stats:?}");
+        assert!(stats.line().contains("plan_cache_hits=1 "), "{stats:?}");
     }
 
     struct Client {

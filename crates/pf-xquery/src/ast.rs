@@ -102,6 +102,9 @@ pub enum Expr {
     DecLit(f64),
     /// String literal.
     StrLit(String),
+    /// Parameter slot `k`: a string literal [`crate::lift()`] took out of
+    /// the query, compiled to a [`pf_algebra::Const::Param`].
+    Param(u32),
     /// The empty sequence `()`.
     EmptySeq,
     /// Sequence construction `(e1, e2, …)`.
@@ -217,6 +220,7 @@ impl Expr {
             Expr::IntLit(_)
             | Expr::DecLit(_)
             | Expr::StrLit(_)
+            | Expr::Param(_)
             | Expr::EmptySeq
             | Expr::Var(_)
             | Expr::ContextItem => 0,
@@ -281,6 +285,7 @@ impl Expr {
             Expr::IntLit(_)
             | Expr::DecLit(_)
             | Expr::StrLit(_)
+            | Expr::Param(_)
             | Expr::EmptySeq
             | Expr::ContextItem => {}
             Expr::Sequence(items) => {

@@ -28,9 +28,9 @@
 //! result that makes the naive compilation (and navigational engines)
 //! collapse on XMark Q8–Q12.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use pf_algebra::{AlgOp, OpId, Plan, PlanBuilder, SortSpec};
+use pf_algebra::{AlgOp, Const, OpId, Plan, PlanBuilder, SortSpec};
 use pf_relational::ops::{AggFunc, BinaryOp, CmpOp, UnaryOp};
 use pf_relational::Value;
 use pf_store::Axis;
@@ -73,7 +73,7 @@ pub fn compile(expr: &Expr, options: &CompileOptions) -> XqResult<Compiled> {
     let loop0 = ctx.lit(vec!["iter"], vec![vec![Value::Nat(1)]]);
     let scope = Scope {
         loop_op: loop0,
-        vars: HashMap::new(),
+        vars: BTreeMap::new(),
         numeric: HashSet::new(),
     };
     let root = ctx.compile_expr(expr, &scope)?;
@@ -87,7 +87,9 @@ pub fn compile(expr: &Expr, options: &CompileOptions) -> XqResult<Compiled> {
 #[derive(Debug, Clone)]
 struct Scope {
     loop_op: OpId,
-    vars: HashMap<String, OpId>,
+    /// Ordered, so that a plan does not depend on hash order: lifting the
+    /// variables into a nested scope visits them by name.
+    vars: BTreeMap<String, OpId>,
     /// The visible variables statically bound to one number per
     /// iteration (what makes a predicate `[$v]` positional).
     numeric: HashSet<String>,
@@ -99,7 +101,7 @@ impl Scope {
     fn nested(loop_op: OpId, outer: &Scope) -> Scope {
         Scope {
             loop_op,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
             numeric: outer.numeric.clone(),
         }
     }
@@ -153,7 +155,10 @@ impl Ctx {
     fn lit(&mut self, columns: Vec<&str>, rows: Vec<Vec<Value>>) -> OpId {
         self.b.add(AlgOp::Lit {
             columns: columns.into_iter().map(str::to_string).collect(),
-            rows,
+            rows: rows
+                .into_iter()
+                .map(|row| row.into_iter().map(Const::Value).collect())
+                .collect(),
         })
     }
 
@@ -167,11 +172,11 @@ impl Ctx {
         })
     }
 
-    fn attach(&mut self, input: OpId, target: &str, value: Value) -> OpId {
+    fn attach(&mut self, input: OpId, target: &str, value: impl Into<Const>) -> OpId {
         self.b.add(AlgOp::Attach {
             input,
             target: target.to_string(),
-            value,
+            value: value.into(),
         })
     }
 
@@ -213,7 +218,7 @@ impl Ctx {
     }
 
     /// Loop-lift a constant: one row per live iteration, `pos = 1`.
-    fn const_item(&mut self, scope: &Scope, value: Value) -> OpId {
+    fn const_item(&mut self, scope: &Scope, value: impl Into<Const>) -> OpId {
         let with_pos = self.attach(scope.loop_op, "pos", Value::Nat(1));
         self.attach(with_pos, "item", value)
     }
@@ -337,6 +342,7 @@ impl Ctx {
             Expr::IntLit(i) => Ok(self.const_item(scope, Value::Int(*i))),
             Expr::DecLit(d) => Ok(self.const_item(scope, Value::Dbl(*d))),
             Expr::StrLit(s) => Ok(self.const_item(scope, Value::Str(s.clone()))),
+            Expr::Param(k) => Ok(self.const_item(scope, Const::Param(*k))),
             Expr::EmptySeq => Ok(self.empty_seq()),
             Expr::Sequence(items) => {
                 let parts = items
@@ -947,19 +953,26 @@ impl Ctx {
         let mut sort_keys: Vec<SortSpec> = Vec::new();
         for (index, key) in order_by.iter().enumerate() {
             let q_key = self.compile_expr(&key.expr, &body_scope)?;
-            let data = self.b.add(AlgOp::FnData { input: q_key });
+            let mut data = self.b.add(AlgOp::FnData { input: q_key });
             let inner_name = format!("okey_inner{index}");
             let item_name = format!("okey{index}");
-            let key_pairs = self.project(
-                data,
-                &[("iter", inner_name.as_str()), ("item", item_name.as_str())],
-            );
+            let flag_name = format!("okey_present{index}");
+            let spec = |column: &str| {
+                if key.descending {
+                    SortSpec::desc(column)
+                } else {
+                    SortSpec::asc(column)
+                }
+            };
+            let mut columns = vec![("iter", inner_name.as_str()), ("item", item_name.as_str())];
+            if !statically_one_item(&key.expr) {
+                data = self.zero_or_one_key(data, body_scope.loop_op);
+                columns.push(("present", flag_name.as_str()));
+                sort_keys.push(spec(&flag_name));
+            }
+            let key_pairs = self.project(data, &columns);
             back = self.equi_join(back, key_pairs, "inner", &inner_name);
-            sort_keys.push(if key.descending {
-                SortSpec::desc(item_name)
-            } else {
-                SortSpec::asc(item_name)
-            });
+            sort_keys.push(spec(&item_name));
         }
         sort_keys.push(SortSpec::asc("iter"));
         sort_keys.push(SortSpec::asc("pos"));
@@ -968,6 +981,28 @@ impl Ctx {
             renumbered,
             &[("outer", "iter"), ("pos1", "pos"), ("item", "item")],
         ))
+    }
+
+    /// An `order by` key with `zero-or-one` semantics: per iteration of
+    /// `loop_op`, the key's one atomized item (more raise XPTY0004) and a
+    /// `present` flag — `1` with a key, `0` with an `item` of `0` without
+    /// one.  Sorting on the flag before the key puts the empty key first
+    /// ascending and last descending (`empty least`), and no iteration is
+    /// dropped or duplicated.  Schema `iter|item|present`.
+    fn zero_or_one_key(&mut self, data: OpId, loop_op: OpId) -> OpId {
+        let single = self.b.add(AlgOp::Aggregate {
+            input: data,
+            group: "iter".into(),
+            target: "item".into(),
+            func: AggFunc::ZeroOrOne,
+            value: "item".into(),
+        });
+        let present = self.attach(single, "present", Value::Nat(1));
+        let present_iters = self.project(single, &[("iter", "iter")]);
+        let missing_iters = self.difference(loop_op, present_iters);
+        let missing_items = self.attach(missing_iters, "item", Value::Nat(0));
+        let missing = self.attach(missing_items, "present", Value::Nat(0));
+        self.union(present, missing)
     }
 
     /// Attempt to compile `for $var in seq where <lhs θ rhs> return body` as
@@ -1018,7 +1053,7 @@ impl Ctx {
         let single_loop = self.lit(vec!["iter"], vec![vec![Value::Nat(1)]]);
         let single_scope = Scope {
             loop_op: single_loop,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
             numeric: HashSet::new(),
         };
         let q_seq = self.compile_expr(seq, &single_scope)?;
@@ -1037,7 +1072,7 @@ impl Ctx {
         let var_single = self.canonical(var_pos);
         let mut key_scope = Scope {
             loop_op: aid_loop,
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
             numeric: HashSet::new(),
         };
         key_scope.bind(var, var_single, single_scope.items_numeric(seq));
@@ -1104,6 +1139,29 @@ impl Ctx {
             renumbered,
             &[("outer", "iter"), ("pos1", "pos"), ("item", "item")],
         )))
+    }
+}
+
+/// Whether `expr` is statically one item per iteration — a literal or a
+/// function that always returns one (`fn:string` included, as XQuery
+/// types it) — so an `order by` on it needs no `zero-or-one` handling.
+fn statically_one_item(expr: &Expr) -> bool {
+    match expr {
+        Expr::IntLit(_) | Expr::DecLit(_) | Expr::StrLit(_) | Expr::Param(_) => true,
+        Expr::FunCall { name, .. } => matches!(
+            name.as_str(),
+            "string"
+                | "count"
+                | "sum"
+                | "string-length"
+                | "empty"
+                | "exists"
+                | "not"
+                | "boolean"
+                | "position"
+                | "last"
+        ),
+        _ => false,
     }
 }
 

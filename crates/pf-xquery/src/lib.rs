@@ -33,11 +33,13 @@ pub mod ast;
 pub mod compile;
 pub mod error;
 pub mod lexer;
+pub mod lift;
 pub mod normalize;
 pub mod parser;
 
 pub use ast::{BinOpKind, Expr};
 pub use compile::{compile, CompileOptions, Compiled};
 pub use error::{XqError, XqResult};
+pub use lift::{lift, Lifted};
 pub use normalize::normalize;
 pub use parser::{parse_query, MAX_NESTING_DEPTH};

@@ -277,6 +277,7 @@ fn check(expr: &Expr, bound: &mut HashSet<String>) -> XqResult<()> {
         Expr::IntLit(_)
         | Expr::DecLit(_)
         | Expr::StrLit(_)
+        | Expr::Param(_)
         | Expr::EmptySeq
         | Expr::ContextItem => Ok(()),
     }

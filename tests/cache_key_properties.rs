@@ -9,10 +9,16 @@
 //! significant), quotes inside (possibly nested) comments must not
 //! desynchronize the literal tracking, the doubled-quote escape
 //! round-trips, and unterminated literals or comments must not panic.
+//!
+//! Behind the text key sits the *shape* key (`pf_xquery::lift`): queries
+//! that differ only in a lifted string literal share one, and queries
+//! that differ anywhere else — a `doc()` URI, a number, constructor
+//! content, the expression around the literal — never do.
 
 use proptest::prelude::*;
 
 use pathfinder::engine::normalize_cache_key;
+use pathfinder::xquery::{lift, parse_query};
 
 /// A whitespace run (the only thing normalization may rewrite).
 fn whitespace() -> impl Strategy<Value = String> {
@@ -133,6 +139,89 @@ proptest! {
         let spaced = format!("{a} {b}");
         let glued = format!("{a}{b}");
         prop_assert_ne!(normalize_cache_key(&spaced), normalize_cache_key(&glued));
+    }
+}
+
+/// The body of a string literal as written between double quotes:
+/// letters, digits, spaces, a doubled quote and an entity reference.
+fn literal_body() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        proptest::sample::select(vec!["a", "Z", "7", " ", "\"\"", "&amp;", "person", "!"]),
+        0..5,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
+/// Query shapes with one lifted literal, written `{}`.
+const LIFTED: &[&str] = &[
+    r#"count(doc("d.xml")//p[@id = "{}"])"#,
+    r#"for $x in doc("d.xml")//p where $x/name != "{}" return $x"#,
+    r#"doc("d.xml")//p[contains(string(.), "{}")]"#,
+    r#"for $x in doc("d.xml")//p where starts-with($x, "{}") return 1"#,
+    r#"if ("{}" ge $y) then 1 else 2"#,
+];
+
+/// The shape key of a query text.
+fn shape_key(query: &str) -> String {
+    lift(&parse_query(query).expect("the generated query parses")).key()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Queries that differ only in a lifted literal share one shape key,
+    /// and lifting hands back each query's own literal.
+    #[test]
+    fn lifted_literals_share_a_shape_key(
+        shape in proptest::sample::select(LIFTED.to_vec()),
+        a in literal_body(),
+        b in literal_body(),
+    ) {
+        let (qa, qb) = (shape.replace("{}", &a), shape.replace("{}", &b));
+        prop_assert_eq!(shape_key(&qa), shape_key(&qb));
+        let lifted = lift(&parse_query(&qa).unwrap());
+        prop_assert_eq!(lifted.values, vec![a.replace("\"\"", "\"")]);
+    }
+
+    /// Queries that differ anywhere else — in the shape around the
+    /// literal, or in a literal that is not lifted — never share a key.
+    #[test]
+    fn other_differences_never_share_a_shape_key(
+        i in 0..LIFTED.len(),
+        j in 0..LIFTED.len(),
+        a in literal_body(),
+        b in literal_body(),
+        n in 1u32..5,
+        m in 1u32..5,
+    ) {
+        if i != j {
+            prop_assert_ne!(
+                shape_key(&LIFTED[i].replace("{}", &a)),
+                shape_key(&LIFTED[j].replace("{}", &b))
+            );
+        }
+        // doc() URIs name a document: never lifted.
+        let doc = |uri: &str| format!(r#"count(doc("{uri}")//p[@id = "x"])"#);
+        if a != b {
+            prop_assert_ne!(shape_key(&doc(&a)), shape_key(&doc(&b)));
+        }
+        // Numbers decide positional predicates: never lifted.
+        let nth = |k: u32| format!(r#"doc("d.xml")//p[{k}]"#);
+        if n != m {
+            prop_assert_ne!(shape_key(&nth(n)), shape_key(&nth(m)));
+        }
+        // A number and a string literal are different shapes.
+        prop_assert_ne!(
+            shape_key(&format!("$x = {n}")),
+            shape_key(&format!(r#"$x = "{n}""#))
+        );
+        // Constructor content and other arguments are never lifted.
+        if a != b {
+            let concat = |s: &str| format!(r#"concat("{s}", $x)"#);
+            prop_assert_ne!(shape_key(&concat(&a)), shape_key(&concat(&b)));
+            let text = |s: &str| format!(r#"element e {{ "{s}" }}"#);
+            prop_assert_ne!(shape_key(&text(&a)), shape_key(&text(&b)));
+        }
     }
 }
 

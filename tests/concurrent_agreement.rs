@@ -91,6 +91,66 @@ fn concurrent_sessions_agree_with_a_sequential_run() {
     }
 }
 
+/// Four sessions bind one cached template at once, each with its own
+/// literals: every reply is the one a plan-cache-free engine gives, and
+/// no request compiles anything.
+#[test]
+fn sessions_binding_one_shape_at_once_agree() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.003,
+        seed: 30,
+    });
+    let query = |person: usize| {
+        format!(
+            r#"for $b in doc("auction.xml")/site/people/person[@id = "person{person}"] return $b/name/text()"#
+        )
+    };
+    let rounds = 6;
+    let reference_engine = Pathfinder::with_options(
+        EngineOptions::builder()
+            .threads(1)
+            .plan_cache_capacity(0)
+            .build(),
+    );
+    reference_engine.load_document("auction.xml", &xml).unwrap();
+    let reference = |person: usize| {
+        reference_engine
+            .session()
+            .query(&query(person))
+            .unwrap()
+            .to_xml()
+    };
+
+    let shared = Pathfinder::with_options(parallel().build());
+    shared.load_document("auction.xml", &xml).unwrap();
+    shared.session().query(&query(999)).unwrap();
+    let barrier = std::sync::Barrier::new(SESSIONS);
+    let replies: Vec<Vec<(usize, String)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..SESSIONS)
+            .map(|s| {
+                let session = shared.session();
+                let barrier = &barrier;
+                let query = &query;
+                scope.spawn(move || {
+                    barrier.wait();
+                    (0..rounds)
+                        .map(|round| {
+                            let person = s * rounds + round;
+                            (person, session.query(&query(person)).unwrap().to_xml())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (person, reply) in replies.into_iter().flatten() {
+        assert_eq!(reply, reference(person), "person{person}");
+    }
+    assert_eq!(shared.plan_shape_hits(), SESSIONS * rounds);
+    assert_eq!(shared.plan_cache_stats(), (SESSIONS * rounds, 1));
+}
+
 #[test]
 fn reloads_during_in_flight_queries_do_not_tear_snapshots() {
     // Version A has 1 <b>, version B has 3: a query that counts twice in

@@ -134,6 +134,76 @@ fn engines_agree_on_handwritten_micro_queries() {
     }
 }
 
+/// An `order by` key is `zero-or-one`: an empty key sorts least (first
+/// ascending, last descending) and keeps its tuple; a key of two items is
+/// XPTY0004 on both engines, never a duplicated tuple.
+#[test]
+fn order_by_keys_are_zero_or_one() {
+    let pf = Pathfinder::new();
+    let mut baseline = BaselineEngine::new();
+    for (q, expected) in [
+        (
+            "for $x in (1, 2, 3) order by (if ($x = 2) then () else $x) return $x",
+            "2 1 3",
+        ),
+        (
+            "for $x in (1, 2, 3) order by (if ($x = 2) then () else $x) descending return $x",
+            "3 1 2",
+        ),
+    ] {
+        assert_eq!(pf.session().query(q).unwrap().to_xml(), expected, "{q}");
+        assert_eq!(baseline.query(q).unwrap().to_xml(), expected, "{q}");
+    }
+    let q = "for $x in (1, 2) order by (if ($x = 1) then (5, 6) else 3) return $x";
+    let error = pf.session().query(q).unwrap_err().to_string();
+    assert!(error.contains("XPTY0004"), "{error}");
+    assert!(baseline.query(q).unwrap_err().contains("XPTY0004"));
+}
+
+/// Known divergences (ROADMAP item 2's table), pinned until fixed: the
+/// engine's `max`/`min` over untyped content compare strings, and its
+/// `number("abc")` raises where pf-baseline returns `()` (XQuery: 30 and
+/// NaN).
+#[test]
+fn known_divergences_stay_pinned_until_fixed() {
+    let xml = "<r><age>30</age><age>4.5</age></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    let q = "max(doc(\"d.xml\")//age)";
+    assert_eq!(pf.session().query(q).unwrap().to_xml(), "4.5");
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "30");
+    let q = "number(\"abc\")";
+    assert!(pf.session().query(q).is_err());
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "");
+}
+
+/// Two strings compare by code points on both engines, also when both
+/// look like numbers (atomized attributes are untyped); a number on one
+/// side makes the comparison numeric.
+#[test]
+fn strings_compare_as_strings_on_both_engines() {
+    let xml = "<r><p n=\"3\"/><p n=\"12\"/><p n=\"\"/></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    for (q, expected) in [
+        ("\"12\" = \"12.0\"", "false"),
+        ("\"12\" > \"4\"", "false"),
+        ("count(doc(\"d.xml\")//p[@n < \"4\"])", "3"),
+        ("count(doc(\"d.xml\")//p[@n > 4])", "1"),
+        (
+            "for $p in doc(\"d.xml\")//p order by string($p/@n) return string($p/@n)",
+            " 12 3",
+        ),
+    ] {
+        assert_eq!(pf.session().query(q).unwrap().to_xml(), expected, "{q}");
+        assert_eq!(baseline.query(q).unwrap().to_xml(), expected, "{q}");
+    }
+}
+
 /// A predicate whose value is a single number selects by position, not by
 /// effective boolean value — however the number is computed.
 #[test]

@@ -915,7 +915,7 @@ fn projection_pipelines_stay_zero_copy_at_four_threads() {
     let lit = b.add(AlgOp::Lit {
         columns: vec!["iter".into(), "item".into()],
         rows: (0..64u64)
-            .map(|i| vec![Value::Nat(i), Value::Str(i.to_string())])
+            .map(|i| vec![Value::Nat(i).into(), Value::Str(i.to_string()).into()])
             .collect(),
     });
     let renamed = b.add(AlgOp::Project {

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 use pathfinder::algebra::optimize::{dedup, pushdown, reorder};
 use pathfinder::algebra::{
-    optimize, optimize_analyzed, optimize_with_verify, AlgOp, OpId, OptimizeReport, Plan,
+    optimize, optimize_analyzed, optimize_with_verify, AlgOp, Const, OpId, OptimizeReport, Plan,
     PlanBuilder, PlanProperties, StatsSource,
 };
 use pathfinder::engine::{
@@ -367,10 +367,10 @@ fn run_rows(plan: &Plan) -> Vec<String> {
         .collect()
 }
 
-fn nat_rows(cols: usize, values: &[Vec<u64>]) -> Vec<Vec<Value>> {
+fn nat_rows(cols: usize, values: &[Vec<u64>]) -> Vec<Vec<Const>> {
     values
         .iter()
-        .map(|row| (0..cols).map(|c| Value::Nat(row[c])).collect())
+        .map(|row| (0..cols).map(|c| Value::Nat(row[c]).into()).collect())
         .collect()
 }
 

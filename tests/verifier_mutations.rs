@@ -30,7 +30,7 @@ fn nat_lit(b: &mut PlanBuilder, columns: &[&str], rows: &[&[u64]]) -> usize {
         columns: columns.iter().map(|c| c.to_string()).collect(),
         rows: rows
             .iter()
-            .map(|r| r.iter().map(|v| Value::Nat(*v)).collect())
+            .map(|r| r.iter().map(|v| Value::Nat(*v).into()).collect())
             .collect(),
     })
 }
@@ -41,7 +41,7 @@ fn step_base(b: &mut PlanBuilder, uri: &str) -> usize {
     let ctx = b.add(AlgOp::Attach {
         input: doc,
         target: "iter".into(),
-        value: Value::Nat(1),
+        value: Value::Nat(1).into(),
     });
     b.add(AlgOp::Step {
         input: ctx,
@@ -103,7 +103,10 @@ fn mutation_ragged_literal_rows() {
     let mut b = PlanBuilder::new();
     let lit = b.add(AlgOp::Lit {
         columns: vec!["a".into(), "b".into()],
-        rows: vec![vec![Value::Nat(1), Value::Nat(2)], vec![Value::Nat(3)]],
+        rows: vec![
+            vec![Value::Nat(1).into(), Value::Nat(2).into()],
+            vec![Value::Nat(3).into()],
+        ],
     });
     assert_rejected(&b.finish(lit), &["row 1", "1 values for 2 columns"]);
 }
@@ -155,7 +158,7 @@ fn mutation_attach_target_collision() {
     let at = b.add(AlgOp::Attach {
         input: lit,
         target: "a".into(),
-        value: Value::Nat(7),
+        value: Value::Nat(7).into(),
     });
     assert_rejected(&b.finish(at), &["target column `a` already exists"]);
 }
@@ -222,6 +225,7 @@ fn mutation_indexscan_over_non_step_input() {
         uri: "auction.xml".into(),
         probe: text_probe(),
         mode: IndexMode::Exact,
+        param: None,
     });
     assert_rejected(&b.finish(idx), &["only", "filter a step"]);
 }
@@ -239,6 +243,7 @@ fn mutation_indexscan_uri_provenance_mismatch() {
         uri: "other.xml".into(),
         probe: text_probe(),
         mode: IndexMode::Exact,
+        param: None,
     });
     assert_rejected(&b.finish(idx), &["other.xml", "provenance"]);
 }
@@ -257,6 +262,7 @@ fn mutation_indexscan_unanswerable_nan_probe() {
             to_number: true,
         },
         mode: IndexMode::Exact,
+        param: None,
     });
     assert_rejected(&b.finish(idx), &["unanswerable probe"]);
 }
@@ -414,7 +420,7 @@ fn loop_join(deleted: Option<Value>) -> Plan {
             let lookup = b.add(AlgOp::Attach {
                 input: keys,
                 target: "c".into(),
-                value: Value::Str("x".into()),
+                value: Value::Str("x".into()).into(),
             });
             b.add(AlgOp::EquiJoin {
                 left: l,
@@ -435,7 +441,7 @@ fn loop_join(deleted: Option<Value>) -> Plan {
             b.add(AlgOp::Attach {
                 input: copied,
                 target: "c".into(),
-                value,
+                value: value.into(),
             })
         }
     };
@@ -496,8 +502,8 @@ fn mutation_row_number_deletion_copying_the_wrong_column() {
         b.add(AlgOp::Lit {
             columns: vec!["iter".into(), "item".into()],
             rows: vec![
-                vec![Value::Nat(1), Value::Str("a".into())],
-                vec![Value::Nat(1), Value::Str("b".into())],
+                vec![Value::Nat(1).into(), Value::Str("a".into()).into()],
+                vec![Value::Nat(1).into(), Value::Str("b".into()).into()],
             ],
         })
     };
@@ -680,6 +686,7 @@ fn well_formed_bases_pass_including_indexscan() {
         uri: "auction.xml".into(),
         probe: text_probe(),
         mode: IndexMode::Exact,
+        param: None,
     });
     verify_plan(&b.finish(idx)).expect("well-formed IndexScan plan verifies");
     verify_plan(&selected_plan(1)).expect("well-formed selection plan verifies");
