@@ -27,7 +27,6 @@ pub mod physical;
 pub mod plan;
 pub mod properties;
 pub mod render;
-pub mod schema;
 pub mod verify;
 
 pub use ops::{AlgOp, Const, SortSpec};
@@ -39,5 +38,4 @@ pub use physical::{PhysKind, PhysNode, PhysNodeId, PhysicalPlan};
 pub use plan::{OpId, Plan, PlanBuilder};
 pub use properties::{PlanProperties, Sequence, TypeSet};
 pub use render::{to_ascii, to_ascii_annotated, to_ascii_physical, to_dot};
-pub use schema::{infer_schema, Properties};
 pub use verify::{digest, verify_bound, verify_plan, verify_rewrite, PlanDigest, VerifyError};

@@ -2,11 +2,11 @@
 //!
 //! [`hash_cons`] merges structurally identical subplans in **one**
 //! bottom-up pass: children are first rewritten to their canonical
-//! representatives, so a whole duplicated subtree collapses without
-//! fixpoint iterations (counted in `subplans_deduped`).
+//! representatives, so a whole duplicated subtree collapses without a
+//! second pass (counted in `subplans_deduped`).
 //!
-//! [`unshare_fusable_chains`] runs exactly once *after* the rewrite
-//! fixpoint and deliberately undoes a little of that sharing: a cheap
+//! [`unshare_fusable_chains`] runs exactly once, as the optimizer's last
+//! phase, and deliberately undoes a little of that sharing: a cheap
 //! row-at-a-time operator whose result is consumed by several fusable
 //! parents is cloned per parent, so each clone becomes a
 //! single-consumer link that the physical planner fuses into its
@@ -14,7 +14,7 @@
 //! purely by coincidence of structure.  Recomputing a projection or a
 //! selection per pipeline is cheaper than materializing it once —
 //! that's the whole premise of fusion.  The two passes must never
-//! alternate inside the same loop: they are mutual inverses.
+//! alternate: they are mutual inverses.
 
 use std::collections::HashMap;
 

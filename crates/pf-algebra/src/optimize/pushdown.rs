@@ -11,55 +11,61 @@
 //! row-order-preserving — so unlike join reordering, pushdown needs no
 //! order-freedom analysis and is safe anywhere in the DAG.
 //!
-//! σ/π over literal tables are additionally evaluated at compile time
-//! (counted in `constants_folded`, like the existing attach folding).
-//! `select_true` raises a type error on non-boolean values at runtime,
-//! so the boolean σ only folds when every value in the column is a
-//! boolean; the equality σ never errors and folds unconditionally.
+//! σ, π and @ over literal tables of at most `LIT_FOLD_CAP` rows are
+//! additionally evaluated at compile time (`fold_literals`, counted in
+//! `constants_folded`).  `select_true` raises a type error on non-boolean
+//! values at runtime, so the boolean σ only folds when every value in the
+//! column is a boolean; the equality σ never errors and folds
+//! unconditionally.
 
 use std::collections::HashMap;
 
 use super::OptimizeReport;
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
-use crate::schema::{infer_one, infer_schema, Properties};
+use crate::properties::PlanProperties;
 use pf_relational::Value;
 
 /// Largest literal table the folds will copy.
-const LIT_FOLD_CAP: usize = 64;
+pub(crate) const LIT_FOLD_CAP: usize = 64;
 
-/// Push selections down and fold σ/π over literals until nothing moves.
-/// Returns `true` if the plan changed.
-pub fn push_selections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    let mut changed = false;
-    while push_all(plan, report) | fold_all(plan, report) {
-        changed = true;
-    }
-    changed
+/// Push selections down, then fold σ/π/@ over literals, one sweep each.
+/// `props` is the analysis of `plan`; a push below a join reads the
+/// columns of the join's inputs from it.  Returns `true` if the plan
+/// changed.
+pub fn push_selections(
+    plan: &mut Plan,
+    props: &PlanProperties,
+    report: &mut OptimizeReport,
+) -> bool {
+    let pushed = push_all(plan, props, report);
+    let folded = fold_literals(plan, report);
+    pushed || folded
 }
 
 /// Push every selection as far down as it goes, in one sweep over one set
-/// of consumer counts and schemas (the latter inferred once a push below a
-/// join needs them).  A push re-targets the σ's edge and moves the σ's
+/// of consumer counts.  A push re-targets the σ's edge and moves the σ's
 /// operator id onto the host, so every count it leaves behind is still
 /// right: the pushed copies are new, with one consumer each, and are
-/// pushed on at once.  Returns `true` if one fired.
-fn push_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+/// pushed on at once.  A pushed copy has the columns of the input it was
+/// created over, and keeps them when a later push turns it into a host:
+/// `origin` maps each copy to the analyzed operator with its columns.
+/// Returns `true` if one fired.
+fn push_all(plan: &mut Plan, props: &PlanProperties, report: &mut OptimizeReport) -> bool {
     let mut consumers = plan.consumer_counts();
-    let mut props = None;
+    let mut origin: HashMap<OpId, OpId> = HashMap::new();
     let mut pushed_any = false;
     for id in plan.reachable() {
         let mut pending = vec![id];
         while let Some(sel) = pending.pop() {
-            let created = push_one(plan, sel, &consumers, &mut props);
+            let columns = |side: OpId| props.columns(origin.get(&side).copied().unwrap_or(side));
+            let created = push_one(plan, sel, &consumers, columns);
             if created.is_empty() {
                 continue;
             }
             for &new in &created {
-                if let Some(props) = &mut props {
-                    let schema = infer_one(plan, new, props);
-                    props.insert(new, schema);
-                }
+                let input = plan.op(new).children()[0];
+                origin.insert(new, origin.get(&input).copied().unwrap_or(input));
                 consumers.push(1);
             }
             report.predicates_pushed += 1;
@@ -71,12 +77,13 @@ fn push_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
 }
 
 /// Push the selection `id` one level down; returns the selections it
-/// created below the host (none when it did not move).
-fn push_one(
+/// created below the host (none when it did not move).  `columns` names
+/// the output columns of an operator.
+fn push_one<'p>(
     plan: &mut Plan,
     id: OpId,
     consumers: &[usize],
-    props: &mut Option<HashMap<OpId, Properties>>,
+    columns: impl Fn(OpId) -> &'p [String],
 ) -> Vec<OpId> {
     let (input, column) = match plan.op(id) {
         AlgOp::Select { input, column } | AlgOp::SelectEq { input, column, .. } => {
@@ -204,12 +211,7 @@ fn push_one(
                 | AlgOp::Cross { left, right } => (*left, *right),
                 _ => unreachable!(),
             };
-            let props = props.get_or_insert_with(|| infer_schema(plan));
-            let owns = |side: OpId| {
-                props
-                    .get(&side)
-                    .is_some_and(|p| p.columns.contains(&column))
-            };
+            let owns = |side: OpId| columns(side).contains(&column);
             // The column must belong to exactly one side (a self-join
             // with colliding names is ambiguous — bail).
             let (push_left, push_right) = (owns(left), owns(right));
@@ -236,9 +238,10 @@ fn push_one(
 /// A row predicate compiled from a σ/σ= operator.
 type KeepFn = Box<dyn Fn(&[Const]) -> bool>;
 
-/// Evaluate every σ and π over a literal table, children first (so a π
-/// over a folded σ folds too); `true` if one fired.
-fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+/// Evaluate every σ, π and @ over a literal table of at most
+/// `LIT_FOLD_CAP` rows, children first (so a π over a folded σ folds
+/// too); `true` if one fired.
+pub(crate) fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     let mut folded = false;
     for id in plan.reachable() {
         let (input, keep): (usize, KeepFn) = match plan.op(id).clone() {
@@ -310,6 +313,28 @@ fn fold_all(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 folded = true;
                 continue;
             }
+            AlgOp::Attach {
+                input,
+                target,
+                value,
+            } => {
+                let AlgOp::Lit { columns, rows } = plan.op(input) else {
+                    continue;
+                };
+                if rows.len() > LIT_FOLD_CAP {
+                    continue;
+                }
+                let mut columns = columns.clone();
+                columns.push(target);
+                let rows = rows
+                    .iter()
+                    .map(|r| r.iter().chain([&value]).cloned().collect())
+                    .collect();
+                plan.ops_mut()[id] = AlgOp::Lit { columns, rows };
+                report.constants_folded += 1;
+                folded = true;
+                continue;
+            }
             _ => continue,
         };
         let AlgOp::Lit { columns, rows } = plan.op(input).clone() else {
@@ -373,7 +398,8 @@ mod tests {
         });
         let mut plan = b.finish(s);
         let mut report = OptimizeReport::default();
-        assert!(push_selections(&mut plan, &mut report));
+        let props = PlanProperties::analyze(&plan);
+        assert!(push_selections(&mut plan, &props, &mut report));
         // σ moved through π (renamed to b) and through δ.
         assert_eq!(report.predicates_pushed, 2);
         let AlgOp::Project { input, .. } = plan.op(plan.root()) else {
@@ -418,7 +444,8 @@ mod tests {
         });
         let mut plan = b.finish(s);
         let mut report = OptimizeReport::default();
-        assert!(push_selections(&mut plan, &mut report));
+        let props = PlanProperties::analyze(&plan);
+        assert!(push_selections(&mut plan, &props, &mut report));
         // Pushed below the join (right side) and then through that δ.
         assert_eq!(report.predicates_pushed, 2);
         let AlgOp::EquiJoin { right, .. } = plan.op(plan.root()) else {
@@ -444,7 +471,8 @@ mod tests {
         let u = b.add(AlgOp::Union { left: s, right: d });
         let mut plan = b.finish(u);
         let mut report = OptimizeReport::default();
-        push_selections(&mut plan, &mut report);
+        let props = PlanProperties::analyze(&plan);
+        push_selections(&mut plan, &props, &mut report);
         assert_eq!(report.predicates_pushed, 0);
     }
 
@@ -463,7 +491,8 @@ mod tests {
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
-        assert!(push_selections(&mut plan, &mut report));
+        let props = PlanProperties::analyze(&plan);
+        assert!(push_selections(&mut plan, &props, &mut report));
         assert_eq!(report.constants_folded, 2);
         match plan.op(plan.root()) {
             AlgOp::Lit { columns, rows } => {
@@ -488,8 +517,54 @@ mod tests {
         let mut plan = b.finish(s);
         let mut report = OptimizeReport::default();
         // Folding would swallow the runtime type error: must not fire.
-        push_selections(&mut plan, &mut report);
+        let props = PlanProperties::analyze(&plan);
+        push_selections(&mut plan, &props, &mut report);
         assert_eq!(report.constants_folded, 0);
         assert!(matches!(plan.op(plan.root()), AlgOp::Select { .. }));
+    }
+
+    /// σ, π and @ share one cap: each folds a literal of `LIT_FOLD_CAP`
+    /// rows and leaves one of a row more alone.
+    #[test]
+    fn folds_stop_at_the_literal_cap() {
+        let fold = |rows: usize, op: fn(OpId) -> AlgOp| {
+            let mut b = PlanBuilder::new();
+            let l = b.add(AlgOp::Lit {
+                columns: vec!["iter".into(), "flag".into()],
+                rows: (0..rows as u64)
+                    .map(|i| vec![Value::Nat(i).into(), Value::Bool(true).into()])
+                    .collect(),
+            });
+            let top = b.add(op(l));
+            let mut plan = b.finish(top);
+            let mut report = OptimizeReport::default();
+            let folded = fold_literals(&mut plan, &mut report);
+            assert_eq!(folded, matches!(plan.op(top), AlgOp::Lit { .. }));
+            folded
+        };
+        let ops: [fn(OpId) -> AlgOp; 4] = [
+            |input| AlgOp::Attach {
+                input,
+                target: "pos".into(),
+                value: Value::Nat(1).into(),
+            },
+            |input| AlgOp::Project {
+                input,
+                columns: vec![("iter".into(), "pos".into())],
+            },
+            |input| AlgOp::Select {
+                input,
+                column: "flag".into(),
+            },
+            |input| AlgOp::SelectEq {
+                input,
+                column: "iter".into(),
+                value: Value::Nat(3),
+            },
+        ];
+        for op in ops {
+            assert!(fold(LIT_FOLD_CAP, op), "{:?}", op(0));
+            assert!(!fold(LIT_FOLD_CAP + 1, op), "{:?}", op(0));
+        }
     }
 }

@@ -21,8 +21,8 @@
 //! `union_disjoint`'s schema-order check) never see a difference.
 //!
 //! The greedy order is deterministic, so a cluster already in greedy
-//! left-deep shape is recognized and skipped — the surrounding fixpoint
-//! terminates.
+//! left-deep shape is recognized and skipped: a second run of the rule
+//! changes nothing.
 
 use std::collections::HashMap;
 
@@ -120,7 +120,7 @@ pub fn reorder_join_graphs(
         //
         // All tie-breaks compare by *collection index* (leaves are
         // collected in DFS order, predicates in bottom-up post-order).
-        // That makes the fixpoint check below trivial — a left-deep
+        // That makes the already-greedy check below trivial — a left-deep
         // chain in greedy shape collects exactly so that greedy returns
         // the identity order picking predicates in index order — and it
         // is stable across rebuilds: the rebuilt chain's DFS order *is*
@@ -359,8 +359,7 @@ fn collect_edge(
             leaves.push(leaf);
             return Some(
                 props
-                    .schema(leaf)?
-                    .columns
+                    .columns(leaf)
                     .iter()
                     .map(|c| (c.clone(), Origin::Leaf(idx, c.clone())))
                     .collect(),
@@ -390,7 +389,6 @@ fn collect_edge(
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
-    use crate::schema::infer_schema;
     use pf_relational::Value;
 
     /// The rule over a fresh statistics-free analysis, as the driver
@@ -458,8 +456,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let (_a, bb, c, root) = three_way(&mut b);
         let mut plan = finish_order_free(b, root);
-        let before_props = infer_schema(&plan);
-        let before_cols = before_props[&root].columns.clone();
+        let before_cols = PlanProperties::analyze(&plan).columns(root).to_vec();
         let mut report = OptimizeReport::default();
         assert!(reorder(&mut plan, &mut report));
         assert_eq!(report.joins_reordered, 1);
@@ -601,7 +598,7 @@ mod tests {
         let mut report2 = OptimizeReport::default();
         assert!(!reorder(&mut plan, &mut report2));
         // The attached constant column survives at the root.
-        let schema = infer_schema(&plan);
-        assert!(schema[&plan.root()].columns.iter().any(|c| c == "flag"));
+        let props = PlanProperties::analyze(&plan);
+        assert!(props.columns(plan.root()).iter().any(|c| c == "flag"));
     }
 }

@@ -3,8 +3,10 @@
 //! [`PlanProperties`] computes, in **one bottom-up pass** per plan, every
 //! static property the optimizer and the verifier consume:
 //!
-//! * **schema** — output columns plus the `doc_ordered` flag of
-//!   [`crate::schema`];
+//! * **schema** — output columns, and whether the output is in distinct
+//!   document order: sorted by `(iter, item)` with no duplicate item per
+//!   `iter` (what a staircase-join step and `fs:distinct-doc-order`
+//!   produce);
 //! * **keys** — column sets on which the operator's output rows are
 //!   provably distinct;
 //! * **constants** — columns provably equal in every output row, with
@@ -46,10 +48,12 @@
 //!
 //! Every reader calls this pass directly: the optimizer's rules, the
 //! verifier, and the engine's admission estimate for an unoptimized plan
-//! ([`PlanProperties::peak_rows`]).  The optimizer driver owns one
-//! analysis per plan version and hands it to every rule that reads
-//! properties ([`crate::optimize::reorder`], [`crate::optimize::indexscan`],
-//! [`crate::optimize::scaffold`], [`crate::optimize::thetacount`]).
+//! ([`PlanProperties::peak_rows`]).  It is the only whole-plan analysis:
+//! the optimizer driver owns one per plan version and hands it to every
+//! rule that reads properties — the cleanup rules (columns, document
+//! order), [`crate::optimize::pushdown`] (which side of a join owns a
+//! column), [`crate::optimize::reorder`], [`crate::optimize::indexscan`],
+//! [`crate::optimize::scaffold`] and [`crate::optimize::thetacount`].
 //! [`crate::verify`] checks rewrites against the same inference, so the
 //! optimizer is validated by the very properties it plans with.
 
@@ -62,7 +66,6 @@ use pf_store::{Axis, DocStatistics, NodeTest};
 
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
-use crate::schema::{infer_one, Properties};
 
 /// Resolves a document URI to its measured statistics.  The engine
 /// implements this over its registry snapshot; [`NoStats`] is the
@@ -218,8 +221,10 @@ pub(crate) fn opset_subset(a: &OpSet, b: &OpSet) -> bool {
 /// empty/false/zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProperties {
-    /// Schema properties ([`crate::schema::infer_schema`]-equivalent).
-    schema: HashMap<OpId, Properties>,
+    /// Output columns, in schema order.
+    columns: Vec<Vec<String>>,
+    /// The output is in distinct document order per `iter`.
+    doc_ordered: Vec<bool>,
     /// Every column name of the analyzed operators.
     names: Names,
     /// Per operator, the first analyzed operator computing the same
@@ -277,7 +282,8 @@ impl PlanProperties {
     /// Analyze `plan`, seeding step cardinalities from `stats`.
     pub fn analyze_with(plan: &Plan, stats: &dyn StatsSource) -> PlanProperties {
         let mut pp = PlanProperties {
-            schema: HashMap::new(),
+            columns: Vec::new(),
+            doc_ordered: Vec::new(),
             names: Names::default(),
             canon: Vec::new(),
             classes: HashMap::new(),
@@ -309,6 +315,8 @@ impl PlanProperties {
     pub(crate) fn extend(&mut self, plan: &Plan, stats: &dyn StatsSource) {
         let n = plan.ops().len();
         if self.analyzed.len() < n {
+            self.columns.resize(n, Vec::new());
+            self.doc_ordered.resize(n, false);
             self.canon.resize(n, 0);
             self.keys.resize(n, Vec::new());
             self.constants.resize(n, BTreeMap::new());
@@ -333,16 +341,16 @@ impl PlanProperties {
 
     /// Every bottom-up fact of `id`, from its inputs' facts.
     fn infer(&mut self, plan: &Plan, id: OpId, stats: &dyn StatsSource) {
-        let schema = infer_one(plan, id, &self.schema);
-        for column in schema
-            .columns
+        let columns = infer_columns(plan, id, self);
+        for column in columns
             .iter()
             .map(String::as_str)
             .chain(mentioned(plan.op(id)))
         {
             self.names.intern(column);
         }
-        self.schema.insert(id, schema);
+        self.columns[id] = columns;
+        self.doc_ordered[id] = infer_doc_ordered(plan, id, self);
         self.canon[id] = self.canonical(plan, id);
         self.empty[id] = infer_empty(plan, id, self);
         let (est, uri) = estimate_op(plan, id, &self.rows, &self.doc, stats);
@@ -501,17 +509,15 @@ impl PlanProperties {
         &self.constants[id]
     }
 
-    /// The schema properties of `id` (`None` for unreachable operators).
-    pub fn schema(&self, id: OpId) -> Option<&Properties> {
-        self.schema.get(&id)
-    }
-
     /// The output columns of `id` (empty for unreachable operators).
     pub fn columns(&self, id: OpId) -> &[String] {
-        self.schema
-            .get(&id)
-            .map(|p| p.columns.as_slice())
-            .unwrap_or(&[])
+        self.columns.get(id).map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether the output of `id` is in distinct document order: sorted by
+    /// `(iter, item)` with no duplicate item per `iter`.
+    pub fn doc_ordered(&self, id: OpId) -> bool {
+        self.doc_ordered.get(id).copied().unwrap_or(false)
     }
 
     /// Estimated output rows of operator `id`.
@@ -708,6 +714,64 @@ fn inherit(
         tags.insert((pp.canon[input], src));
     }
     cap(tags)
+}
+
+/// The output columns of `id`, from its inputs' columns.
+fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<String> {
+    let iter_pos_item = || vec!["iter".into(), "pos".into(), "item".into()];
+    let extended = |input: OpId, target: &str| {
+        let mut columns = pp.columns(input).to_vec();
+        columns.push(target.to_string());
+        columns
+    };
+    match plan.op(id) {
+        AlgOp::Lit { columns, .. } => columns.clone(),
+        AlgOp::Doc { .. } => vec!["item".into()],
+        AlgOp::Project { columns, .. } => columns.iter().map(|(_, t)| t.clone()).collect(),
+        AlgOp::Select { input, .. }
+        | AlgOp::SelectEq { input, .. }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::Difference { left: input, .. }
+        | AlgOp::Sort { input, .. }
+        | AlgOp::DocOrder { input }
+        | AlgOp::Union { left: input, .. }
+        | AlgOp::FnData { input }
+        | AlgOp::FnRoot { input } => pp.columns(*input).to_vec(),
+        AlgOp::EquiJoin { left, right, .. }
+        | AlgOp::ThetaJoin { left, right, .. }
+        | AlgOp::Cross { left, right } => {
+            let mut columns = pp.columns(*left).to_vec();
+            columns.extend_from_slice(pp.columns(*right));
+            columns
+        }
+        AlgOp::RowNum { input, target, .. }
+        | AlgOp::BinaryMap { input, target, .. }
+        | AlgOp::UnaryMap { input, target, .. }
+        | AlgOp::Attach { input, target, .. } => extended(*input, target),
+        AlgOp::ThetaCount { count, .. } => vec![count.group.clone(), count.result.clone()],
+        AlgOp::Aggregate { group, target, .. } => vec![group.clone(), target.clone()],
+        AlgOp::Step { .. }
+        | AlgOp::ElemConstruct { .. }
+        | AlgOp::TextConstruct { .. }
+        | AlgOp::AttrConstruct { .. } => iter_pos_item(),
+        AlgOp::Ebv { .. } => vec!["iter".into(), "item".into()],
+    }
+}
+
+/// Whether the output of `id` is in distinct document order per `iter`.
+/// The staircase join produces that order and removes duplicates per
+/// iteration by construction; the row-subset operators keep it.
+fn infer_doc_ordered(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
+    match plan.op(id) {
+        AlgOp::Step { .. } | AlgOp::DocOrder { .. } => true,
+        AlgOp::Select { input, .. }
+        | AlgOp::SelectEq { input, .. }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::Difference { left: input, .. } => pp.doc_ordered(*input),
+        _ => false,
+    }
 }
 
 /// Value-provenance inference for one operator: `(supersets, equalsets,
@@ -1713,6 +1777,7 @@ fn merge_doc(doc: &[Option<String>], left: OpId, right: OpId) -> Option<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;
     use pf_store::DocStore;
 
@@ -1737,6 +1802,93 @@ mod tests {
         })
     }
 
+    #[test]
+    fn step_output_is_doc_ordered_and_distinct() {
+        let mut b = PlanBuilder::new();
+        let lit = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "item".into()],
+            rows: vec![],
+        });
+        let step = b.add(AlgOp::Step {
+            input: lit,
+            axis: Axis::Descendant,
+            test: NodeTest::AnyElement,
+        });
+        let ddo = b.add(AlgOp::DocOrder { input: step });
+        let plan = b.finish(ddo);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.doc_ordered(step));
+        assert!(pp.keyed_by(step, &set(&["iter", "item"])));
+        assert_eq!(pp.columns(step), ["iter", "pos", "item"]);
+        assert!(pp.doc_ordered(ddo));
+        assert!(!pp.doc_ordered(lit));
+    }
+
+    #[test]
+    fn project_tracks_renamed_columns() {
+        let mut b = PlanBuilder::new();
+        let lit = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            rows: vec![vec![
+                Value::Nat(1).into(),
+                Value::Nat(1).into(),
+                Value::Int(5).into(),
+            ]],
+        });
+        let proj = b.add(AlgOp::Project {
+            input: lit,
+            columns: vec![
+                ("iter".into(), "outer".into()),
+                ("item".into(), "item".into()),
+            ],
+        });
+        let plan = b.finish(proj);
+        let pp = PlanProperties::analyze(&plan);
+        assert_eq!(pp.columns(proj), ["outer", "item"]);
+    }
+
+    #[test]
+    fn join_concatenates_schemas_and_clears_order() {
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into()],
+            rows: vec![],
+        });
+        let r = b.add(AlgOp::Lit {
+            columns: vec!["inner".into(), "outer".into()],
+            rows: vec![],
+        });
+        let j = b.add(AlgOp::EquiJoin {
+            left: l,
+            right: r,
+            left_col: "iter".into(),
+            right_col: "outer".into(),
+        });
+        let plan = b.finish(j);
+        let pp = PlanProperties::analyze(&plan);
+        assert_eq!(pp.columns(j), ["iter", "inner", "outer"]);
+        assert!(!pp.doc_ordered(j));
+    }
+
+    #[test]
+    fn rownum_adds_key_column() {
+        let mut b = PlanBuilder::new();
+        let l = b.add(AlgOp::Lit {
+            columns: vec!["iter".into(), "pos".into()],
+            rows: vec![],
+        });
+        let r = b.add(AlgOp::RowNum {
+            input: l,
+            target: "inner".into(),
+            order_by: vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
+            partition: None,
+        });
+        let plan = b.finish(r);
+        let pp = PlanProperties::analyze(&plan);
+        assert!(pp.keyed_by(r, &set(&["inner"])));
+        assert_eq!(pp.columns(r), ["iter", "pos", "inner"]);
+    }
+
     /// The unified pass agrees with itself: one analysis carries schema,
     /// keys, constants, cardinality and provenance for the same ops.
     #[test]
@@ -1751,7 +1903,7 @@ mod tests {
         assert_eq!(pp.doc(s), Some("doc.xml"));
         assert!(pp.rows(s) > 0.0);
         assert!(pp.order_free(s));
-        assert!(pp.schema(s).is_some_and(|p| p.doc_ordered));
+        assert!(pp.doc_ordered(s));
     }
 
     #[test]
@@ -1764,7 +1916,7 @@ mod tests {
         let orphan = b.add(AlgOp::Distinct { input: keep });
         let plan = b.finish(keep);
         let pp = PlanProperties::analyze(&plan);
-        assert!(pp.schema(orphan).is_none());
+        assert!(!pp.doc_ordered(orphan));
         assert!(pp.columns(orphan).is_empty());
         assert!(pp.keys(orphan).is_empty());
         assert_eq!(pp.rows(orphan), 0.0);
@@ -1973,7 +2125,7 @@ mod tests {
         let rn = b.add(AlgOp::RowNum {
             input: l,
             target: "pos".into(),
-            order_by: vec![crate::ops::SortSpec {
+            order_by: vec![SortSpec {
                 column: "item".into(),
                 descending: false,
             }],
@@ -1997,7 +2149,7 @@ mod tests {
         let rn = b.add(AlgOp::RowNum {
             input: l,
             target: "pos".into(),
-            order_by: vec![crate::ops::SortSpec {
+            order_by: vec![SortSpec {
                 column: "iter".into(),
                 descending: false,
             }],

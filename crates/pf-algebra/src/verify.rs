@@ -1,9 +1,9 @@
 //! Static plan verification.
 //!
-//! With six peephole rules and the join-graph-isolation rules (pushdown,
+//! With the cleanup rules and the join-graph-isolation rules (pushdown,
 //! reordering, index scans, rank counts, scaffolding deletion) composing
-//! at fixpoint, a latent rewrite bug can only surface as a wrong query
-//! answer.  This module catches it at *plan time* instead: after every
+//! over a fixed sequence of phases, a latent rewrite bug can only surface
+//! as a wrong query answer.  This module catches it at *plan time* instead: after every
 //! rule application the optimizer can check
 //!
 //! * **structural well-formedness** ([`verify_plan`]) — every child

@@ -23,8 +23,8 @@ use proptest::prelude::*;
 
 use pathfinder::algebra::optimize::{dedup, pushdown, reorder};
 use pathfinder::algebra::{
-    optimize, optimize_analyzed, optimize_with_verify, AlgOp, Const, OpId, OptimizeReport, Plan,
-    PlanBuilder, PlanProperties, StatsSource,
+    optimize, optimize_analyzed, optimize_with_verify, to_ascii, AlgOp, Const, OpId,
+    OptimizeReport, Plan, PlanBuilder, PlanProperties, StatsSource,
 };
 use pathfinder::engine::{
     DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
@@ -349,6 +349,34 @@ fn property_analyses_are_shared_per_plan_version() {
     }
 }
 
+/// The optimizer's phases run once each, with no loop to a fixpoint, yet
+/// their output is one: on every XMark query, with the statistics of a
+/// loaded document, optimizing the optimized plan again leaves its
+/// rendering unchanged.
+#[test]
+fn optimizing_an_optimized_plan_changes_nothing() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.05,
+        seed: 20050831,
+    });
+    let store = DocStore::from_xml("auction.xml", &xml).unwrap();
+    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    for q in queries() {
+        let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+        let mut plan = compile(&core, &CompileOptions::default()).unwrap().plan;
+        optimize_with_verify(&mut plan, &stats, true);
+        let once = to_ascii(&plan);
+        let report = optimize_with_verify(&mut plan, &stats, true);
+        assert!(report.verified, "Q{}", q.id);
+        assert_eq!(
+            to_ascii(&plan),
+            once,
+            "Q{}: a second run changed the plan",
+            q.id
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Per-rule property tests: each isolation rule, applied alone through its
 // public function, preserves the executed result of randomized
@@ -425,7 +453,8 @@ proptest! {
         let raw = run_rows(&plan);
         let mut optimized = plan.clone();
         let mut report = OptimizeReport::default();
-        pushdown::push_selections(&mut optimized, &mut report);
+        let props = PlanProperties::analyze(&optimized);
+        pushdown::push_selections(&mut optimized, &props, &mut report);
         prop_assert!(
             report.predicates_pushed + report.constants_folded > 0,
             "the σ-over-π-over-⋈ shape must trigger the rule"
@@ -433,7 +462,7 @@ proptest! {
         prop_assert_eq!(run_rows(&optimized), raw);
     }
 
-    /// Hash-consed dedup (and the post-fixpoint unshare) preserve rows and
+    /// Hash-consed dedup (and the final unshare) preserve rows and
     /// row order on plans with duplicated subtrees.
     #[test]
     fn dedup_and_unshare_preserve_rows_and_order(
