@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Cell, Column, NodeRef, Table, Value};
-use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest};
+use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest, Rental};
 
 use crate::error::{EngineError, EngineResult};
 use crate::pool::WorkerPool;
@@ -137,6 +137,12 @@ pub struct ExecStats {
     /// Sidecar index probes evaluated (one per `IndexScan` operator that
     /// found its index; pass-through scans do not count).
     pub index_lookups: usize,
+    /// `IndexScan` operators that passed every row through because their
+    /// index was not yet paid for: the scans charged their rows to the
+    /// index's rent and the residual did all the work (see
+    /// `pf_store::index`).  Explains an `index_lookups` of 0 on a plan
+    /// with index scans.
+    pub index_probes_deferred: usize,
     /// Candidate entries the probes returned — postings for text probes,
     /// matching pre ranks for value probes.  Data-determined.
     pub index_candidate_rows: usize,
@@ -234,11 +240,25 @@ struct KernelStats {
     join_probe_rows: usize,
     agg_input_rows: usize,
     index_lookups: usize,
+    index_probes_deferred: usize,
     index_candidate_rows: usize,
     index_residual_rows: usize,
     /// Sub-phase timings (`("join_build", rows, elapsed)`, …); empty unless
     /// profiling is on.
     timings: Vec<(&'static str, usize, Duration)>,
+}
+
+/// The index a rental yields, or `None` for the pass-through; a scan
+/// deferred to the index's rent is counted.
+fn built<'a, T>(rental: Rental<'a, T>, kernel: &mut KernelStats) -> Option<&'a T> {
+    match rental {
+        Rental::Built(index) => Some(index),
+        Rental::Deferred => {
+            kernel.index_probes_deferred = 1;
+            None
+        }
+        Rental::Absent => None,
+    }
 }
 
 /// The published result of operator `id` in the slot arena.
@@ -506,6 +526,7 @@ impl RunState {
         stats.join_probe_rows += kernel.join_probe_rows;
         stats.agg_input_rows += kernel.agg_input_rows;
         stats.index_lookups += kernel.index_lookups;
+        stats.index_probes_deferred += kernel.index_probes_deferred;
         stats.index_candidate_rows += kernel.index_candidate_rows;
         stats.index_residual_rows += kernel.index_residual_rows;
 
@@ -1085,17 +1106,23 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluate one `IndexScan`: probe the one index the probe names
-    /// ([`DocStore::text_index`], [`DocStore::element_index`] or
-    /// [`DocStore::attribute_index`] — built on first use and shared by
-    /// all sessions) and keep only candidate rows — a provable *superset* of
-    /// what the residual predicate upstream accepts or errors on, so the
-    /// untouched residual keeps answers and error behavior byte-identical.
-    /// Rows the index cannot speak for (other documents, atomic values
-    /// under a node probe, comment/PI nodes) always stay candidates.  When
-    /// the document or the specific index is unavailable the scan degrades
-    /// to a pass-through and the residual does all the work, exactly as
-    /// without the rewrite.
+    /// Evaluate one `IndexScan`: probe the one index the probe names and
+    /// keep only candidate rows — a provable *superset* of what the
+    /// residual predicate upstream accepts or errors on, so the untouched
+    /// residual keeps answers and error behavior byte-identical.  Rows the
+    /// index cannot speak for (other documents, atomic values under a node
+    /// probe, comment/PI nodes) always stay candidates.
+    ///
+    /// The index is rented ([`DocStore::rent_text_index`],
+    /// [`DocStore::rent_element_index`], [`DocStore::rent_attribute_index`]):
+    /// while it is unbuilt the scan charges the input's row count to it
+    /// and passes every row through, and the scan whose rows bring the
+    /// charge to the build cost — the store's node count, or its attribute
+    /// count for an attribute index — builds it, shared by all sessions.
+    /// The pass-through is the residual doing all the work, exactly as
+    /// without the rewrite; it is also what a scan does when the document,
+    /// the name's index or the needle's alphanumeric content is missing,
+    /// and those charge nothing.
     fn index_scan_node(
         &self,
         table: &Table,
@@ -1115,9 +1142,14 @@ impl<'a> Executor<'a> {
         let rows = table.row_count();
         let candidate: Vec<bool> = match probe {
             ops::IndexProbe::TextContains { needle } => {
-                let Some(cands) = ops::evaluate_text_probe(store.text_index(), needle) else {
+                if ops::text_fragments(needle).is_empty() {
+                    return Ok((table.clone(), kernel));
+                }
+                let Some(index) = built(store.rent_text_index(rows), &mut kernel) else {
                     return Ok((table.clone(), kernel));
                 };
+                let cands = ops::evaluate_text_probe(index, needle)
+                    .expect("the needle has an alphanumeric fragment");
                 kernel.index_lookups = 1;
                 kernel.index_candidate_rows = cands.posting_rows();
                 (0..rows)
@@ -1135,11 +1167,11 @@ impl<'a> Executor<'a> {
                 value,
                 to_number,
             } => {
-                let index = match target {
-                    ops::IndexTarget::ElementTag(tag) => store.element_index(tag),
-                    ops::IndexTarget::AttributeName(name) => store.attribute_index(name),
+                let rental = match target {
+                    ops::IndexTarget::ElementTag(tag) => store.rent_element_index(tag, rows),
+                    ops::IndexTarget::AttributeName(name) => store.rent_attribute_index(name, rows),
                 };
-                let Some(index) = index else {
+                let Some(index) = built(rental, &mut kernel) else {
                     return Ok((table.clone(), kernel));
                 };
                 let cands = ops::evaluate_value_probe(index, &store.texts, *op, value, *to_number);

@@ -27,11 +27,29 @@
 //! index — the text index, and one value index per element tag and per
 //! attribute name, in a table indexed by the name's `qnames` surrogate —
 //! so a probe builds exactly the index it names, once, however many
-//! sessions (or clones of the store) ask.  [`DocIndexes::build`] builds
-//! every index at once with the same functions, for sizing the whole
-//! sidecar.
+//! sessions (or clones of the store) ask.
+//!
+//! A probe builds it only once scans have paid for it (ski rental).  Next
+//! to each `OnceLock` sits an atomic rent counter, in rows.  A probe that
+//! finds its index unbuilt charges the counter with the rows it would
+//! filter and scans them instead ([`Rental::Deferred`]); the probe whose
+//! rows bring the total to the build cost builds the index, and every
+//! later probe uses it.  The build cost is the number of rows the build
+//! walks: [`DocStore::node_count`] for the text index and the element
+//! value indexes, [`DocStore::attribute_count`] for the attribute value
+//! indexes.  So when an index gets built is a deterministic function of
+//! the rows probed — no clock, no setting.  A name that can carry no index
+//! (unknown, or tagging complex content) is [`Rental::Absent`] and charges
+//! nothing.  The counters live with the cells, so clones of the store
+//! share them and a reloaded document starts from zero.
+//!
+//! The eager accessors ([`DocStore::text_index`],
+//! [`DocStore::element_index`], [`DocStore::attribute_index`]) build on
+//! call, and [`DocIndexes::build`] builds every index at once with the
+//! same functions, for sizing the whole sidecar.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -362,21 +380,8 @@ pub(crate) fn build_element_values(
         if only.is_some_and(|only| only != tag) {
             continue;
         }
-        let end = pre + store.size_of(pre);
-        let mut simple = true;
         let mut text_codes: Vec<u32> = Vec::new();
-        let mut p = pre + 1;
-        while p <= end {
-            match store.kind_of(p) {
-                NodeKindCode::Text => text_codes.push(store.prop[p as usize]),
-                _ => {
-                    simple = false;
-                    break;
-                }
-            }
-            p += store.size_of(p) + 1;
-        }
-        if !simple {
+        if !text_children(store, pre, &mut text_codes) {
             complex_tags.push(tag);
             continue;
         }
@@ -412,6 +417,23 @@ pub(crate) fn build_element_values(
             (tag, index.finish(&store.texts))
         })
         .collect()
+}
+
+/// Push the text codes of the children of element `pre` onto `out`;
+/// `false` (with `out` partly filled) as soon as a child is an element,
+/// comment or PI — the element has complex content and no value index
+/// can cover its tag.
+fn text_children(store: &DocStore, pre: PreRank, out: &mut Vec<u32>) -> bool {
+    let end = pre + store.size_of(pre);
+    let mut p = pre + 1;
+    while p <= end {
+        if store.kind_of(p) != NodeKindCode::Text {
+            return false;
+        }
+        out.push(store.prop[p as usize]);
+        p += store.size_of(p) + 1;
+    }
+    true
 }
 
 /// Per-attribute-name value indexes over the attribute table — of every
@@ -452,24 +474,128 @@ pub(crate) fn build_attribute_values(
         .collect()
 }
 
+/// What a probe that rents an index gets (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rental<'a, T> {
+    /// The index is built — by this probe, whose rows paid the last of
+    /// its cost, or by an earlier one.  Use it.
+    Built(&'a T),
+    /// The rows were charged but the index is not paid for yet: scan
+    /// them.
+    Deferred,
+    /// The name has no index and never will (it is unknown, names no
+    /// element or attribute, or names elements with complex content).
+    /// Nothing was charged.
+    Absent,
+}
+
+/// One lazily built index and the rent the scans that stood in for it
+/// have paid toward its build, in rows.
+#[derive(Debug, Default)]
+pub(crate) struct RentedCell<T> {
+    pub(crate) built: OnceLock<T>,
+    paid: AtomicUsize,
+}
+
+impl<T> RentedCell<T> {
+    /// The built index, or `None` after charging `rows` when the rent
+    /// paid so far stays below `cost`.  The probe whose rows bring the
+    /// total to `cost` builds (concurrent ones wait on the same build).
+    pub(crate) fn rent(&self, rows: usize, cost: usize, build: impl FnOnce() -> T) -> Option<&T> {
+        if let Some(built) = self.built.get() {
+            return Some(built);
+        }
+        let paid = self
+            .paid
+            .fetch_add(rows, Ordering::Relaxed)
+            .saturating_add(rows);
+        (paid >= cost).then(|| self.built.get_or_init(build))
+    }
+}
+
+/// Which names can carry a value index: per `qnames` surrogate, whether
+/// it tags elements that all have simple content, and whether it names
+/// an attribute.
+#[derive(Debug)]
+pub(crate) struct NameRoles {
+    pub(crate) simple_tag: Vec<bool>,
+    pub(crate) attribute: Vec<bool>,
+}
+
+impl NameRoles {
+    /// One pass over the node and attribute tables.
+    fn measure(store: &DocStore) -> NameRoles {
+        let names = store.qnames.len();
+        let mut seen = vec![false; names];
+        let mut complex = vec![false; names];
+        let mut scratch = Vec::new();
+        for pre in 0..store.node_count() as PreRank {
+            let Some(tag) = store.tag_surrogate(pre) else {
+                continue;
+            };
+            let tag = tag as usize;
+            seen[tag] = true;
+            if !complex[tag] {
+                scratch.clear();
+                complex[tag] = !text_children(store, pre, &mut scratch);
+            }
+        }
+        let mut attribute = vec![false; names];
+        for &name in &store.attr_name {
+            attribute[name as usize] = true;
+        }
+        NameRoles {
+            simple_tag: seen.iter().zip(&complex).map(|(&s, &c)| s && !c).collect(),
+            attribute,
+        }
+    }
+}
+
 /// The lazily built indexes of one store: one cell per index, value
 /// indexes addressed by the name's `qnames` surrogate.  An initialized
 /// `None` records that the name has no index.
 #[derive(Debug, Default)]
 pub(crate) struct IndexTable {
-    pub(crate) text: OnceLock<TextIndex>,
-    pub(crate) elements: Vec<OnceLock<Option<ValueIndex>>>,
-    pub(crate) attributes: Vec<OnceLock<Option<ValueIndex>>>,
+    pub(crate) text: RentedCell<TextIndex>,
+    pub(crate) elements: Vec<RentedCell<Option<ValueIndex>>>,
+    pub(crate) attributes: Vec<RentedCell<Option<ValueIndex>>>,
+    /// Measured on the first value probe that finds its index unbuilt.
+    roles: OnceLock<NameRoles>,
 }
 
 impl IndexTable {
     /// Empty cells for a document with `names` distinct qualified names.
     pub(crate) fn new(names: usize) -> IndexTable {
         IndexTable {
-            text: OnceLock::new(),
-            elements: (0..names).map(|_| OnceLock::new()).collect(),
-            attributes: (0..names).map(|_| OnceLock::new()).collect(),
+            text: RentedCell::default(),
+            elements: (0..names).map(|_| RentedCell::default()).collect(),
+            attributes: (0..names).map(|_| RentedCell::default()).collect(),
+            roles: OnceLock::new(),
         }
+    }
+
+    /// Which names can carry a value index, measured on first demand.
+    pub(crate) fn roles(&self, store: &DocStore) -> &NameRoles {
+        self.roles.get_or_init(|| NameRoles::measure(store))
+    }
+}
+
+/// Rent one value-index cell: a built cell answers at once; an unbuilt
+/// one is charged only when its name can carry an index at all.
+pub(crate) fn rent_value<'a>(
+    cell: &'a RentedCell<Option<ValueIndex>>,
+    indexable: impl FnOnce() -> bool,
+    rows: usize,
+    cost: usize,
+    build: impl FnOnce() -> Option<ValueIndex>,
+) -> Rental<'a, ValueIndex> {
+    if cell.built.get().is_none() && !indexable() {
+        return Rental::Absent;
+    }
+    match cell.rent(rows, cost, build) {
+        Some(Some(index)) => Rental::Built(index),
+        Some(None) => Rental::Absent,
+        None => Rental::Deferred,
     }
 }
 
@@ -575,6 +701,59 @@ mod tests {
         assert_eq!(s.built_indexes(), ["a", "@id"]);
         s.text_index();
         assert_eq!(s.built_indexes(), ["text", "a", "@id"]);
+    }
+
+    #[test]
+    fn a_rented_index_is_built_by_the_probe_that_pays_for_it() {
+        let s = store(r#"<a><b id="x">t</b><b id="y">u</b><c k="1">v</c></a>"#);
+        assert_eq!((s.node_count(), s.attribute_count()), (8, 3));
+        // The text index costs the node count: 3 + 4 rows scan, the
+        // eighth row builds.
+        assert_eq!(s.rent_text_index(3), Rental::Deferred);
+        assert_eq!(s.rent_text_index(4), Rental::Deferred);
+        assert!(s.built_indexes().is_empty());
+        assert!(matches!(s.rent_text_index(1), Rental::Built(_)));
+        assert_eq!(s.built_indexes(), ["text"]);
+        // An attribute index costs the attribute count.
+        assert_eq!(s.rent_attribute_index("id", 2), Rental::Deferred);
+        let built = s.rent_attribute_index("id", 1);
+        assert_eq!(built, Rental::Built(s.attribute_index("id").unwrap()));
+        // Once built, a probe of no rows uses it.
+        assert_eq!(s.rent_attribute_index("id", 0), built);
+        // An element index costs the node count too.
+        assert_eq!(s.rent_element_index("b", 7), Rental::Deferred);
+        assert!(matches!(s.rent_element_index("b", 1), Rental::Built(_)));
+        assert_eq!(s.built_indexes(), ["text", "b", "@id"]);
+    }
+
+    #[test]
+    fn names_without_an_index_charge_nothing() {
+        let s = store(r#"<a><b id="x">t</b><c><b/></c></a>"#);
+        for _ in 0..10 {
+            // Complex content, a name that tags no element, a name no
+            // attribute has, and names the document never uses.
+            assert_eq!(s.rent_element_index("c", 100), Rental::Absent);
+            assert_eq!(s.rent_element_index("a", 100), Rental::Absent);
+            assert_eq!(s.rent_element_index("id", 100), Rental::Absent);
+            assert_eq!(s.rent_attribute_index("b", 100), Rental::Absent);
+            assert_eq!(s.rent_element_index("nope", 100), Rental::Absent);
+            assert_eq!(s.rent_attribute_index("nope", 100), Rental::Absent);
+        }
+        assert!(s.built_indexes().is_empty());
+        // `b` has simple content (one text child, or none) everywhere.
+        assert!(matches!(s.rent_element_index("b", 100), Rental::Built(_)));
+    }
+
+    #[test]
+    fn clones_share_the_rent() {
+        let s = store(r#"<a><b id="x"/><b id="y"/></a>"#);
+        let clone = s.clone();
+        assert_eq!(s.rent_attribute_index("id", 1), Rental::Deferred);
+        assert!(matches!(
+            clone.rent_attribute_index("id", 1),
+            Rental::Built(_)
+        ));
+        assert_eq!(s.built_indexes(), ["@id"]);
     }
 
     #[test]

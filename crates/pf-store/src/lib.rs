@@ -20,7 +20,8 @@
 //!   the source store (`size` and `kind` as they are, `level` shifted,
 //!   surrogates re-interned) — no DOM, no replay,
 //! * **content indexes** (text and value indexes, [`index`]), each built
-//!   the first time a probe names it, with numbers read by the one
+//!   once the scans probing it have passed through as many rows as its
+//!   build walks, with numbers read by the one
 //!   `xs:double` parser ([`lexical`]) every engine shares,
 //! * **XPath axis evaluation as range selections** over the
 //!   `(pre, size, level)` space, and
@@ -55,7 +56,7 @@ pub mod store;
 
 pub use axis::{axis_region, naive_axis_step, Axis, NodeTest, ResolvedTest};
 pub use dict::Dictionary;
-pub use index::{DocIndexes, TextIndex, ValueEntry, ValueIndex, ValueKey};
+pub use index::{DocIndexes, Rental, TextIndex, ValueEntry, ValueIndex, ValueKey};
 pub use lexical::{format_double, parse_double, XsDouble};
 pub use shred::{FragmentBuilder, Tag};
 pub use staircase::{

@@ -7,12 +7,12 @@
 //! which make the row-numbering operator a no-cost operator (Section 2,
 //! "MonetDB").
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::dict::Dictionary;
 use crate::index::{
-    build_attribute_values, build_element_values, build_text_index, IndexTable, TextIndex,
-    ValueIndex,
+    build_attribute_values, build_element_values, build_text_index, rent_value, IndexTable, Rental,
+    RentedCell, TextIndex, ValueIndex,
 };
 use crate::shred::Shredder;
 use pf_xml::Document;
@@ -83,8 +83,9 @@ pub struct DocStore {
     /// Size of the original XML serialization in bytes (for the storage
     /// overhead experiment); 0 if unknown.
     pub source_bytes: usize,
-    /// The content indexes, each built when a probe first names it (see
-    /// [`crate::index`]).  Clones of the store share the builds.
+    /// The content indexes, each built once the probes naming it have
+    /// paid for it (see [`crate::index`]).  Clones of the store share the
+    /// builds and the rent counters.
     indexes: Arc<IndexTable>,
 }
 
@@ -129,50 +130,110 @@ impl DocStore {
         Ok(store)
     }
 
-    /// The text index, built on first use (at most once per store and
-    /// its clones, however many sessions probe concurrently).
+    /// The text index, built on call if no probe has built it yet (at
+    /// most once per store and its clones, however many sessions ask
+    /// concurrently).  Probes rent it instead: [`DocStore::rent_text_index`].
     pub fn text_index(&self) -> &TextIndex {
-        self.indexes.text.get_or_init(|| build_text_index(self))
+        self.indexes
+            .text
+            .built
+            .get_or_init(|| build_text_index(self))
     }
 
-    /// The value index of the elements tagged `tag`, built on first use.
-    /// `None` when no element carries the tag, when one of them has
-    /// element, comment or PI children (an index must cover every element
-    /// of its tag), or when the name never occurs — that case builds
-    /// nothing.
+    /// The value index of the elements tagged `tag`, built on call if no
+    /// probe has built it yet.  `None` when no element carries the tag,
+    /// when one of them has element, comment or PI children (an index
+    /// must cover every element of its tag), or when the name never
+    /// occurs — that case builds nothing.  Probes rent it instead:
+    /// [`DocStore::rent_element_index`].
     pub fn element_index(&self, tag: &str) -> Option<&ValueIndex> {
         let name = self.qnames.lookup(tag)?;
         self.indexes
             .elements
             .get(name as usize)?
+            .built
             .get_or_init(|| build_element_values(self, Some(name)).remove(&name))
             .as_ref()
     }
 
-    /// The value index of the attributes named `name`, built on first
-    /// use; `None` when no attribute has that name.
+    /// The value index of the attributes named `name`, built on call if
+    /// no probe has built it yet; `None` when no attribute has that name.
+    /// Probes rent it instead: [`DocStore::rent_attribute_index`].
     pub fn attribute_index(&self, name: &str) -> Option<&ValueIndex> {
         let name = self.qnames.lookup(name)?;
         self.indexes
             .attributes
             .get(name as usize)?
+            .built
             .get_or_init(|| build_attribute_values(self, Some(name)).remove(&name))
             .as_ref()
+    }
+
+    /// The text index for a probe that would otherwise scan `rows` rows.
+    /// Until the rows charged to it reach [`DocStore::node_count`] (its
+    /// build walks every node) the answer is [`Rental::Deferred`] and the
+    /// probe scans; the probe that reaches that count builds it.  The
+    /// count is shared by every clone of the store.
+    pub fn rent_text_index(&self, rows: usize) -> Rental<'_, TextIndex> {
+        let cost = self.node_count();
+        match self
+            .indexes
+            .text
+            .rent(rows, cost, || build_text_index(self))
+        {
+            Some(index) => Rental::Built(index),
+            None => Rental::Deferred,
+        }
+    }
+
+    /// The value index of the elements tagged `tag` for a probe over
+    /// `rows` rows, built once the rows charged to it reach
+    /// [`DocStore::node_count`].  [`Rental::Absent`], charging nothing,
+    /// when [`DocStore::element_index`] would be `None`.
+    pub fn rent_element_index(&self, tag: &str, rows: usize) -> Rental<'_, ValueIndex> {
+        let Some(name) = self.qnames.lookup(tag) else {
+            return Rental::Absent;
+        };
+        let Some(cell) = self.indexes.elements.get(name as usize) else {
+            return Rental::Absent;
+        };
+        let indexable = || self.indexes.roles(self).simple_tag[name as usize];
+        rent_value(cell, indexable, rows, self.node_count(), || {
+            build_element_values(self, Some(name)).remove(&name)
+        })
+    }
+
+    /// The value index of the attributes named `name` for a probe over
+    /// `rows` rows, built once the rows charged to it reach
+    /// [`DocStore::attribute_count`] (its build walks the attribute
+    /// table).  [`Rental::Absent`], charging nothing, when no attribute
+    /// has that name.
+    pub fn rent_attribute_index(&self, name: &str, rows: usize) -> Rental<'_, ValueIndex> {
+        let Some(name) = self.qnames.lookup(name) else {
+            return Rental::Absent;
+        };
+        let Some(cell) = self.indexes.attributes.get(name as usize) else {
+            return Rental::Absent;
+        };
+        let indexable = || self.indexes.roles(self).attribute[name as usize];
+        rent_value(cell, indexable, rows, self.attribute_count(), || {
+            build_attribute_values(self, Some(name)).remove(&name)
+        })
     }
 
     /// The indexes built (or found absent) so far: `text`, element tags,
     /// and attribute names prefixed with `@`.
     pub fn built_indexes(&self) -> Vec<String> {
         let table = &self.indexes;
-        let built = |cells: &[OnceLock<Option<ValueIndex>>], prefix: &str| -> Vec<String> {
+        let built = |cells: &[RentedCell<Option<ValueIndex>>], prefix: &str| -> Vec<String> {
             cells
                 .iter()
                 .enumerate()
-                .filter(|(_, cell)| cell.get().is_some())
+                .filter(|(_, cell)| cell.built.get().is_some())
                 .map(|(name, _)| format!("{prefix}{}", self.qnames.resolve(name as u32)))
                 .collect()
         };
-        let text = table.text.get().map(|_| "text".to_string());
+        let text = table.text.built.get().map(|_| "text".to_string());
         text.into_iter()
             .chain(built(&table.elements, ""))
             .chain(built(&table.attributes, "@"))

@@ -18,15 +18,20 @@
 //! * **Per-name builds** — each index a store builds on demand equals the
 //!   all-at-once `DocIndexes::build` entry, and a query probing only
 //!   `@id` builds only that index (shared by the store's clones).
+//! * **Rental** — a probe builds its index only once the rows its scans
+//!   passed through reach the build cost (`pf_store::index`): agreement
+//!   holds on the scanning run, the run that builds and the run after it,
+//!   at one thread and at four; concurrent sessions build an index once;
+//!   probes that cannot use an index never build one.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pathfinder::engine::{EngineOptions, Pathfinder};
+use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
 use pathfinder::relational::ops::{self, CmpOp, UnaryOp};
 use pathfinder::relational::Value;
-use pathfinder::store::{DocIndexes, DocStore, NodeKindCode};
+use pathfinder::store::{DocIndexes, DocStore, NodeKindCode, ValueIndex};
 
 /// A word pool small enough that repeats (and shared substrings) are
 /// common: `goldfish` contains `gold`, `dusty` contains `dust`.
@@ -62,11 +67,11 @@ fn document() -> impl Strategy<Value = String> {
     })
 }
 
-fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool) -> Pathfinder {
+fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool, threads: usize) -> Pathfinder {
     let pf = Pathfinder::with_options(
         EngineOptions::builder()
             .optimize(optimize)
-            .threads(1)
+            .threads(threads)
             .build(),
     );
     pf.load_parsed("d.xml", doc)
@@ -74,19 +79,60 @@ fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool) -> Pathfinder {
     pf
 }
 
-/// Run `query` with and without the index path (the unoptimized plan has
-/// no index scan); fold each outcome to a comparable
-/// `Result<String, String>`.
-fn both_paths(xml: &str, query: &str) -> (Result<String, String>, Result<String, String>) {
+/// The store registered as `d.xml` (its clones share its index table).
+fn registered(pf: &Pathfinder) -> Arc<DocStore> {
+    let registry = pf.registry();
+    registry
+        .store(registry.id_of("d.xml").expect("d.xml is loaded"))
+        .expect("d.xml has a store")
+}
+
+/// One run folded to a comparable `Result<String, String>`.
+fn run(pf: &Pathfinder, query: &str) -> Result<String, String> {
+    pf.session()
+        .query(query)
+        .map(|r| r.to_xml())
+        .map_err(|e| e.to_string())
+}
+
+/// Run `query` without the index path (the unoptimized plan has no index
+/// scan) and with it, at one thread and at four: every run that scans
+/// while the probe's index is unpaid for, the run that builds it and the
+/// run after.  Every optimized outcome must equal the unoptimized one;
+/// the panic names the run.
+fn assert_all_paths_agree(xml: &str, query: &str) {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated document is well-formed"));
-    let run = |optimize| {
-        engine(&doc, optimize)
-            .session()
-            .query(query)
-            .map(|r| r.to_xml())
-            .map_err(|e| e.to_string())
+    let reference = run(&engine(&doc, false, 1), query);
+    let agrees = |label: String, outcome| {
+        assert_eq!(
+            reference, outcome,
+            "{label} of {query:?} diverges on {xml:?}"
+        );
     };
-    (run(false), run(true))
+    for threads in [1, 4] {
+        let pf = engine(&doc, true, threads);
+        let store = registered(&pf);
+        agrees(
+            format!("scanning run 1, threads {threads}"),
+            run(&pf, query),
+        );
+        // Every deferred run charges at least one row, so an index that
+        // can be built is built within `cost` runs.
+        let cost = store.node_count().max(store.attribute_count());
+        for n in 2..=cost + 1 {
+            let outcome = run(&pf, query);
+            let built = !store.built_indexes().is_empty();
+            let kind = if built { "building" } else { "scanning" };
+            agrees(format!("{kind} run {n}, threads {threads}"), outcome);
+            if built {
+                agrees(
+                    format!("run after the build, threads {threads}"),
+                    run(&pf, query),
+                );
+                break;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -106,8 +152,7 @@ proptest! {
              where contains(string($i/name), \"{needle}\") \
              return $i/price/text()"
         );
-        let (scan, indexed) = both_paths(&xml, &query);
-        prop_assert_eq!(scan, indexed);
+        assert_all_paths_agree(&xml, &query);
     }
 
     /// Attribute equality over repeated values: indexed == scan.
@@ -119,8 +164,7 @@ proptest! {
         let query = format!(
             "for $i in doc(\"d.xml\")/site/item[@id = \"{id}\"] return $i/name/text()"
         );
-        let (scan, indexed) = both_paths(&xml, &query);
-        prop_assert_eq!(scan, indexed);
+        assert_all_paths_agree(&xml, &query);
     }
 
     /// Numeric range predicates: indexed == scan, including bounds that
@@ -140,8 +184,7 @@ proptest! {
              where number($i/price) {op} {bound} \
              return $i/price)"
         );
-        let (scan, indexed) = both_paths(&xml, &query);
-        prop_assert_eq!(scan, indexed);
+        assert_all_paths_agree(&xml, &query);
     }
 
     /// Every node whose string value case-sensitively contains the
@@ -255,30 +298,47 @@ proptest! {
         prop_assert_eq!(store.text_index(), &bundle.text);
     }
 
-    /// A query whose only index probe is `@id` leaves the registered
-    /// store (and every clone of it) with the `@id` index built and no
-    /// other: no text index, no element index.
+    /// A query whose only index probe is `@id` scans until the rows it
+    /// passed through reach the attribute count, then builds the `@id`
+    /// index and no other — no text index, no element index — in the
+    /// registered store and every clone of it.  `pad` attributes on `site`
+    /// raise the cost above one run's rows, so run 1 scans.
     #[test]
     fn an_id_probe_builds_only_the_id_index(
         xml in document(),
+        pad in 0usize..12,
         id in proptest::sample::select(vec!["id0", "id3"]),
     ) {
-        let pf = engine(
-            &Arc::new(pathfinder::xml::parse(&xml).unwrap()),
-            true,
-        );
-        let registry = pf.registry();
-        let store = registry.store(registry.id_of("d.xml").unwrap()).unwrap();
+        let padding: String = (0..pad).map(|i| format!(" p{i}=\"x\"")).collect();
+        let xml = xml.replacen("<site>", &format!("<site{padding}>"), 1);
+        let items = xml.matches("<item ").count();
+        let pf = engine(&Arc::new(pathfinder::xml::parse(&xml).unwrap()), true, 1);
+        let store = registered(&pf);
         let clone = DocStore::clone(&store);
-        pf.session()
-            .query(&format!("for $i in doc(\"d.xml\")/site/item[@id = \"{id}\"] return $i/name/text()"))
-            .unwrap();
-        let expected: Vec<String> = match store.qnames.lookup("id") {
-            Some(_) => vec!["@id".to_string()],
-            None => Vec::new(), // no item: the name is unknown, nothing to build
-        };
-        prop_assert_eq!(store.built_indexes(), expected.clone());
-        prop_assert_eq!(clone.built_indexes(), expected);
+        let query = format!("for $i in doc(\"d.xml\")/site/item[@id = \"{id}\"] return $i/name/text()");
+        if items == 0 {
+            // The name is unknown: nothing is charged, nothing is built.
+            for _ in 0..=pad {
+                let stats = pf.session().query_with(&query, Profile::Stats).unwrap().stats.unwrap();
+                prop_assert_eq!((stats.index_lookups, stats.index_probes_deferred), (0, 0));
+            }
+            prop_assert!(store.built_indexes().is_empty());
+            return;
+        }
+        // Each run hands on one `@id` row per item.
+        let break_even = store.attribute_count().div_ceil(items);
+        prop_assert_eq!(break_even, (items + pad).div_ceil(items));
+        for n in 1..break_even + 2 {
+            let stats = pf.session().query_with(&query, Profile::Stats).unwrap().stats.unwrap();
+            if n < break_even {
+                prop_assert_eq!((stats.index_lookups, stats.index_probes_deferred), (0, 1), "run {}", n);
+                prop_assert!(store.built_indexes().is_empty(), "run {} scans", n);
+            } else {
+                prop_assert_eq!((stats.index_lookups, stats.index_probes_deferred), (1, 0), "run {}", n);
+                prop_assert_eq!(store.built_indexes(), vec!["@id".to_string()], "run {}", n);
+                prop_assert_eq!(clone.built_indexes(), vec!["@id".to_string()], "run {}", n);
+            }
+        }
     }
 }
 
@@ -299,8 +359,102 @@ fn empty_and_all_equal_documents_agree() {
             "count(for $i in doc(\"d.xml\")/site/item \
              where number($i/price) >= 40 return $i/price)",
         ] {
-            let (scan, indexed) = both_paths(xml, query);
-            assert_eq!(scan, indexed, "query {query:?} diverges on {xml:?}");
+            assert_all_paths_agree(xml, query);
         }
+    }
+}
+
+/// Probes that cannot use an index charge nothing and build nothing,
+/// however often they run: a `contains` needle without alphanumeric
+/// content (the shape-keyed plan cache binds it into a plan whose index
+/// scan was built for a slot), a value test on a tag with complex content
+/// and one on an attribute name the document never uses.
+#[test]
+fn probes_that_cannot_use_an_index_never_build_one() {
+    let xml = "<site><item id=\"a\"><name>gold <b>ring</b></name><price>42</price></item>\
+               <item id=\"b\"><name>dust</name><price>7</price></item></site>";
+    let doc = Arc::new(pathfinder::xml::parse(xml).unwrap());
+    let pf = engine(&doc, true, 1);
+    let store = registered(&pf);
+    for query in [
+        "for $i in doc(\"d.xml\")/site/item where contains(string($i/name), \"...\") return $i/price/text()",
+        "for $i in doc(\"d.xml\")/site/item[name = \"dust\"] return $i/price/text()",
+        "for $i in doc(\"d.xml\")/site/item[@nope = \"a\"] return $i/name/text()",
+    ] {
+        let explain = pf.explain(query).unwrap();
+        assert!(
+            explain.report.index_scans_introduced > 0,
+            "{query:?} plans no index scan, so it tests nothing"
+        );
+        let reference = run(&engine(&doc, false, 1), query);
+        // Charged rows would reach any build cost within this many runs.
+        for n in 0..=store.node_count() {
+            let outcome = pf.session().query_with(query, Profile::Stats);
+            let stats = outcome.as_ref().ok().map(|o| o.stats.unwrap());
+            let outcome = outcome.map(|o| o.to_xml()).map_err(|e| e.to_string());
+            assert_eq!(outcome, reference, "run {n} of {query:?}");
+            if let Some(stats) = stats {
+                assert_eq!(
+                    (stats.index_lookups, stats.index_probes_deferred),
+                    (0, 0),
+                    "run {n} of {query:?}"
+                );
+            }
+        }
+        assert!(store.built_indexes().is_empty(), "{query:?} built an index");
+    }
+}
+
+/// Four sessions probing one unbuilt index at once build it exactly once:
+/// the four runs' rows add up to the cost, so exactly one probe — the one
+/// whose charge reaches it — builds and uses the index, and the other
+/// three scan.  Every clone of the store sees that one build.
+#[test]
+fn concurrent_sessions_build_a_rented_index_once() {
+    // Four `@id` rows per run against twelve padding attributes: a cost of
+    // sixteen rows, paid by four runs.
+    let padding: String = (0..12).map(|i| format!(" p{i}=\"x\"")).collect();
+    let items: String = (0..4)
+        .map(|i| {
+            format!(
+                "<item id=\"id{}\"><name>n{i}</name><price>{i}</price></item>",
+                i % 2
+            )
+        })
+        .collect();
+    let xml = format!("<site{padding}>{items}</site>");
+    let query = "for $i in doc(\"d.xml\")/site/item[@id = \"id1\"] return $i/name/text()";
+    let doc = Arc::new(pathfinder::xml::parse(&xml).unwrap());
+    let reference = run(&engine(&doc, false, 1), query);
+    for round in 0..8 {
+        let pf = engine(&doc, true, 4);
+        let store = registered(&pf);
+        let clone = DocStore::clone(&store);
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let session = pf.session();
+                        barrier.wait();
+                        session.query_with(query, Profile::Stats).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for outcome in &runs {
+            assert_eq!(Ok(outcome.to_xml()), reference, "round {round}");
+        }
+        let lookups: usize = runs.iter().map(|o| o.stats.unwrap().index_lookups).sum();
+        let deferred: usize = runs
+            .iter()
+            .map(|o| o.stats.unwrap().index_probes_deferred)
+            .sum();
+        assert_eq!((lookups, deferred), (1, 3), "round {round}");
+        assert_eq!(store.built_indexes(), ["@id"], "round {round}");
+        assert_eq!(clone.built_indexes(), ["@id"], "round {round}");
+        let built: *const ValueIndex = store.attribute_index("id").unwrap();
+        assert!(std::ptr::eq(built, clone.attribute_index("id").unwrap()));
     }
 }
