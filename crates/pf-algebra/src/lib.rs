@@ -29,7 +29,7 @@ pub mod properties;
 pub mod render;
 pub mod verify;
 
-pub use ops::{AlgOp, Const, SortSpec};
+pub use ops::{AlgOp, Children, Const, SortSpec};
 pub use optimize::{
     optimize, optimize_analyzed, optimize_with, optimize_with_verify, NoStats, OptimizeReport,
     OptimizerLevel, StatsSource,

@@ -98,6 +98,75 @@ impl SortSpec {
     }
 }
 
+/// The inputs of one operator ([`AlgOp::children`]): at most two ids,
+/// held inline.  Derefs to `[OpId]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Children {
+    /// The ids in slot order; unused slots hold 0, so the derived
+    /// equality and hash see only the used ones.
+    ids: [OpId; 2],
+    len: u8,
+}
+
+impl Children {
+    /// No input (a leaf).
+    pub(crate) const NONE: Children = Children {
+        ids: [0, 0],
+        len: 0,
+    };
+
+    /// One input.
+    pub(crate) fn one(input: OpId) -> Children {
+        Children {
+            ids: [input, 0],
+            len: 1,
+        }
+    }
+
+    /// Two inputs, in slot order.
+    pub(crate) fn two(left: OpId, right: OpId) -> Children {
+        Children {
+            ids: [left, right],
+            len: 2,
+        }
+    }
+
+    /// Each input mapped through `f`.
+    pub(crate) fn map(mut self, f: impl Fn(OpId) -> OpId) -> Children {
+        let len = usize::from(self.len);
+        for id in &mut self.ids[..len] {
+            *id = f(*id);
+        }
+        self
+    }
+}
+
+impl std::ops::Deref for Children {
+    type Target = [OpId];
+
+    fn deref(&self) -> &[OpId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Children {
+    type Item = OpId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<OpId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a OpId;
+    type IntoIter = std::slice::Iter<'a, OpId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// A logical algebra operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AlgOp {
@@ -362,10 +431,12 @@ pub enum AlgOp {
 }
 
 impl AlgOp {
-    /// Children of this operator (inputs referenced by id).
-    pub fn children(&self) -> Vec<OpId> {
+    /// Children of this operator (inputs referenced by id), in slot
+    /// order.  At most two, held inline: walking a plan allocates nothing
+    /// per operator.
+    pub fn children(&self) -> Children {
         match self {
-            AlgOp::Lit { .. } | AlgOp::Doc { .. } => vec![],
+            AlgOp::Lit { .. } | AlgOp::Doc { .. } => Children::NONE,
             AlgOp::Project { input, .. }
             | AlgOp::Select { input, .. }
             | AlgOp::SelectEq { input, .. }
@@ -381,13 +452,13 @@ impl AlgOp {
             | AlgOp::FnData { input }
             | AlgOp::FnRoot { input }
             | AlgOp::Ebv { input }
-            | AlgOp::Sort { input, .. } => vec![*input],
+            | AlgOp::Sort { input, .. } => Children::one(*input),
             AlgOp::Union { left, right }
             | AlgOp::Difference { left, right }
             | AlgOp::EquiJoin { left, right, .. }
             | AlgOp::ThetaJoin { left, right, .. }
             | AlgOp::ThetaCount { left, right, .. }
-            | AlgOp::Cross { left, right } => vec![*left, *right],
+            | AlgOp::Cross { left, right } => Children::two(*left, *right),
             AlgOp::ElemConstruct {
                 loop_input,
                 content,
@@ -401,7 +472,39 @@ impl AlgOp {
             | AlgOp::TextConstruct {
                 loop_input,
                 content,
-            } => vec![*loop_input, *content],
+            } => Children::two(*loop_input, *content),
+        }
+    }
+
+    /// Whether `self` and `other` are the same operator: `==`, except
+    /// that an operator carrying an `xs:double` literal compares by its
+    /// rendering, so `0.0` and `-0.0` stay different constants and two
+    /// NaN literals are the same one.  Hash-consing
+    /// ([`crate::optimize::dedup`]) and the analysis's canonical operators
+    /// ([`crate::PlanProperties`]) merge by this.
+    pub fn same_as(&self, other: &AlgOp) -> bool {
+        if std::mem::discriminant(self) != std::mem::discriminant(other) {
+            return false;
+        }
+        if self.carries_double() || other.carries_double() {
+            return format!("{self:?}") == format!("{other:?}");
+        }
+        self == other
+    }
+
+    /// Whether a literal of this operator is an `xs:double`.
+    fn carries_double(&self) -> bool {
+        let double = |v: &Value| matches!(v, Value::Dbl(_));
+        let constant = |c: &Const| c.value().is_some_and(double);
+        match self {
+            AlgOp::Lit { rows, .. } => rows.iter().flatten().any(constant),
+            AlgOp::SelectEq { value, .. } => double(value),
+            AlgOp::Attach { value, .. } => constant(value),
+            AlgOp::IndexScan {
+                probe: IndexProbe::ValueCmp { value, .. },
+                ..
+            } => double(value),
+            _ => false,
         }
     }
 
@@ -598,16 +701,16 @@ mod tests {
             left_col: "iter".into(),
             right_col: "iter1".into(),
         };
-        assert_eq!(op.children(), vec![3, 5]);
+        assert_eq!(op.children().to_vec(), vec![3, 5]);
         op.replace_child(1, 9);
-        assert_eq!(op.children(), vec![3, 9]);
+        assert_eq!(op.children().to_vec(), vec![3, 9]);
 
         let mut p = AlgOp::Project {
             input: 1,
             columns: vec![("a".into(), "b".into())],
         };
         p.replace_child(0, 7);
-        assert_eq!(p.children(), vec![7]);
+        assert_eq!(p.children().to_vec(), vec![7]);
 
         let lit = AlgOp::Lit {
             columns: vec!["iter".into()],

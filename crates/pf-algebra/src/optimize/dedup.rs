@@ -16,50 +16,82 @@
 //! that's the whole premise of fusion.  The two passes must never
 //! alternate: they are mutual inverses.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::mem::Discriminant;
 
 use super::OptimizeReport;
-use crate::ops::AlgOp;
+use crate::ops::{AlgOp, Children};
 use crate::plan::{OpId, Plan};
+use crate::properties::FxHashMap;
+
+/// Operators bucketed by kind and inputs.  Two operators can compute the
+/// same relation only within one bucket, so only bucket members are ever
+/// compared ([`AlgOp::same_as`]).  [`hash_cons`] keys by an operator's
+/// inputs, the property analysis by its inputs' canonical operators.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct OpClasses {
+    /// The first and the last member of each bucket.
+    ends: FxHashMap<(Discriminant<AlgOp>, Children), (OpId, OpId)>,
+    /// The member after each member of a bucket, in insertion order;
+    /// [`OpClasses::END`] after the last.
+    next: Vec<OpId>,
+}
+
+impl OpClasses {
+    const END: OpId = OpId::MAX;
+
+    /// The first member of the bucket of `op` over `inputs` that `same`
+    /// accepts; else `id`, which joins the bucket.
+    pub(crate) fn find_or_insert(
+        &mut self,
+        op: &AlgOp,
+        inputs: Children,
+        id: OpId,
+        same: impl Fn(OpId) -> bool,
+    ) -> OpId {
+        let (first, last) = match self.ends.entry((std::mem::discriminant(op), inputs)) {
+            Entry::Vacant(bucket) => {
+                bucket.insert((id, id));
+                return id;
+            }
+            Entry::Occupied(bucket) => bucket.into_mut(),
+        };
+        let mut member = *first;
+        while member != Self::END {
+            if same(member) {
+                return member;
+            }
+            member = self.next.get(member).copied().unwrap_or(Self::END);
+        }
+        let tail = std::mem::replace(last, id);
+        if self.next.len() <= tail {
+            self.next.resize(tail + 1, Self::END);
+        }
+        self.next[tail] = id;
+        id
+    }
+}
 
 /// Merge structurally identical operators in one bottom-up pass;
 /// `true` if anything merged.
 pub fn hash_cons(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
-    // Operators are bucketed by kind and inputs; only operators sharing a
-    // bucket are compared, by their full rendering (which, unlike `==`,
-    // tells `0.0` from `-0.0` and equates two NaN literals).
-    type Bucket = Vec<(OpId, Option<String>)>;
-    let mut canonical: HashMap<(std::mem::Discriminant<AlgOp>, Vec<OpId>), Bucket> = HashMap::new();
+    let mut classes = OpClasses::default();
     let mut rep: Vec<OpId> = (0..plan.ops().len()).collect();
     let mut merged = 0;
     for id in plan.reachable() {
         // Children first (topological order): point them at their
         // canonical representatives, then key this operator.
-        let children = plan.op(id).children();
-        for (slot, child) in children.iter().enumerate() {
-            if rep[*child] != *child {
-                plan.ops_mut()[id].replace_child(slot, rep[*child]);
+        for (slot, child) in plan.op(id).children().into_iter().enumerate() {
+            if rep[child] != child {
+                plan.ops_mut()[id].replace_child(slot, rep[child]);
             }
         }
         let op = plan.op(id);
-        let bucket = canonical
-            .entry((std::mem::discriminant(op), op.children()))
-            .or_default();
-        let mut key = None;
-        let mut found = None;
-        for (existing, rendered) in bucket.iter_mut() {
-            let rendered = rendered.get_or_insert_with(|| format!("{:?}", plan.op(*existing)));
-            if *key.get_or_insert_with(|| format!("{op:?}")) == *rendered {
-                found = Some(*existing);
-                break;
-            }
-        }
-        match found {
-            Some(existing) => {
-                rep[id] = existing;
-                merged += 1;
-            }
-            None => bucket.push((id, key)),
+        let found =
+            classes.find_or_insert(op, op.children(), id, |member| plan.op(member).same_as(op));
+        if found != id {
+            rep[id] = found;
+            merged += 1;
         }
     }
     let root = plan.root();
@@ -104,24 +136,22 @@ fn cheap(op: &AlgOp) -> bool {
 /// single-consumer copy; cascades down chains until sharing bottoms out
 /// at a non-cheap operator (which stays materialized once).
 pub fn unshare_fusable_chains(plan: &mut Plan, report: &mut OptimizeReport) {
+    // Consumer edges per operator: (parent, child slot).  Rebuilt after
+    // every clone, in place.
+    let mut edges: Vec<Vec<(OpId, usize)>> = Vec::new();
     loop {
+        edges.iter_mut().for_each(Vec::clear);
+        edges.resize_with(plan.ops().len(), Vec::new);
         let reachable = plan.reachable();
-        // Consumer edges per operator: (parent, child slot).
-        let mut edges: HashMap<OpId, Vec<(OpId, usize)>> = HashMap::new();
         for &p in &reachable {
             for (slot, c) in plan.op(p).children().into_iter().enumerate() {
-                edges.entry(c).or_default().push((p, slot));
+                edges[c].push((p, slot));
             }
         }
         let mut did = false;
         for &id in &reachable {
-            if id == plan.root() || !cheap(plan.op(id)) {
-                continue;
-            }
-            let Some(parents) = edges.get(&id) else {
-                continue;
-            };
-            if parents.len() < 2 {
+            let parents = &edges[id];
+            if id == plan.root() || parents.len() < 2 || !cheap(plan.op(id)) {
                 continue;
             }
             let fusable_edges: Vec<(OpId, usize)> = parents
@@ -152,7 +182,7 @@ pub fn unshare_fusable_chains(plan: &mut Plan, report: &mut OptimizeReport) {
                 report.chains_unshared += 1;
             }
             did = true;
-            break; // edge maps are stale: rescan
+            break; // edge lists are stale: rescan
         }
         if !did {
             break;
@@ -160,11 +190,81 @@ pub fn unshare_fusable_chains(plan: &mut Plan, report: &mut OptimizeReport) {
     }
 }
 
+/// Pairs of operators that differ only in an `xs:double` literal, under
+/// one union tree: `@c := 0.0` and `@c := -0.0`, two `@c := NaN` — both
+/// over one shared input — then the same as single-row literals.  `==`
+/// gets both pairs wrong: `0.0 == -0.0` holds and `NaN == NaN` does not.
+/// Returns the plan, the pairs and the union over each pair.
+#[cfg(test)]
+pub(crate) fn float_twins() -> (Plan, [(OpId, OpId); 4], [OpId; 4]) {
+    use crate::plan::PlanBuilder;
+    use pf_relational::Value;
+
+    let mut b = PlanBuilder::new();
+    let input = b.add(AlgOp::Lit {
+        columns: vec!["iter".into()],
+        rows: vec![vec![Value::Nat(1).into()]],
+    });
+    let attach = |b: &mut PlanBuilder, x: f64| {
+        b.add(AlgOp::Attach {
+            input,
+            target: "c".into(),
+            value: Value::Dbl(x).into(),
+        })
+    };
+    let zeros = (attach(&mut b, 0.0), attach(&mut b, -0.0));
+    let nans = (attach(&mut b, f64::NAN), attach(&mut b, f64::NAN));
+    let lit = |b: &mut PlanBuilder, x: f64| {
+        b.add(AlgOp::Lit {
+            columns: vec!["d".into()],
+            rows: vec![vec![Value::Dbl(x).into()]],
+        })
+    };
+    let lit_zeros = (lit(&mut b, 0.0), lit(&mut b, -0.0));
+    let lit_nans = (lit(&mut b, f64::NAN), lit(&mut b, f64::NAN));
+    let pairs = [zeros, nans, lit_zeros, lit_nans];
+    let unions = pairs.map(|(left, right)| b.add(AlgOp::Union { left, right }));
+    let [u1, u2, u3, u4] = unions;
+    let attaches = b.add(AlgOp::Union {
+        left: u1,
+        right: u2,
+    });
+    let lits = b.add(AlgOp::Union {
+        left: u3,
+        right: u4,
+    });
+    let root = b.add(AlgOp::Cross {
+        left: attaches,
+        right: lits,
+    });
+    (b.finish(root), pairs, unions)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
     use pf_relational::Value;
+
+    /// Hash-consing keeps `0.0` and `-0.0` apart (they serialize
+    /// differently) and merges two NaN literals, for `@` and for literal
+    /// tables alike.
+    #[test]
+    fn hash_cons_tells_signed_zeros_apart_and_merges_nans() {
+        let (mut plan, pairs, unions) = float_twins();
+        let mut report = OptimizeReport::default();
+        assert!(hash_cons(&mut plan, &mut report));
+        assert_eq!(report.subplans_deduped, 2, "one merge per NaN pair");
+        for (k, ((left, right), union)) in pairs.into_iter().zip(unions).enumerate() {
+            let inputs = plan.op(union).children();
+            if k % 2 == 0 {
+                assert_eq!(inputs[..], [left, right], "0.0 and -0.0 stay apart");
+            } else {
+                assert_eq!(inputs[0], inputs[1], "the NaN twins merge");
+                assert!([left, right].contains(&inputs[0]));
+            }
+        }
+    }
 
     fn lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {

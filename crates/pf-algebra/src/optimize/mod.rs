@@ -104,7 +104,6 @@
 //! whole threads × morsel matrix).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pf_store::DocStatistics;
@@ -120,7 +119,7 @@ pub use crate::properties::{NoStats, StatsSource};
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
-use crate::properties::PlanProperties;
+use crate::properties::{FxHashMap, PlanProperties};
 
 /// The optimizer's rule set.  It carries no choice: there is one rule
 /// set, and [`optimize_with`] runs all of it.  The type exists for that
@@ -185,6 +184,10 @@ pub struct OptimizeReport {
     /// plus one after each `indexscan` application that changed the plan
     /// (every other rewrite keeps the analysis).
     pub property_passes: usize,
+    /// Number of per-operator inferences the analyses ran: every operator
+    /// of each whole-plan analysis, plus each operator a kept analysis
+    /// inferred facts for after a rewrite created it.
+    pub operators_analyzed: usize,
     /// Nanoseconds spent verifying after each rule, indexed like
     /// [`OptimizeReport::RULE_NAMES`].
     pub verify_rule_nanos: [u64; Self::RULE_NAMES.len()],
@@ -258,6 +261,7 @@ pub fn optimize_analyzed(
     optimizer.analysis.of(plan);
     let mut report = optimizer.report;
     report.property_passes = optimizer.analysis.passes;
+    report.operators_analyzed = optimizer.analysis.inferred;
     let props = optimizer.analysis.current.expect("analyzed just above");
     (report, props)
 }
@@ -297,6 +301,8 @@ struct Analysis<'s> {
     current: Option<PlanProperties>,
     /// Whole-plan analyses computed so far.
     passes: usize,
+    /// Per-operator inferences run so far, over all analyses.
+    inferred: usize,
     /// The plan changed since `order_free` was resolved.
     order_stale: bool,
     /// A rewrite changed a row order since the sequences were derived.
@@ -320,7 +326,7 @@ enum Change {
 /// even while a concurrent reload replaces the document.
 struct PinnedStats<'s> {
     source: &'s dyn StatsSource,
-    fetched: RefCell<HashMap<String, Option<Arc<DocStatistics>>>>,
+    fetched: RefCell<FxHashMap<String, Option<Arc<DocStatistics>>>>,
 }
 
 impl StatsSource for PinnedStats<'_> {
@@ -347,10 +353,13 @@ impl Analysis<'_> {
         match &mut self.current {
             None => {
                 self.passes += 1;
-                self.current = Some(PlanProperties::analyze_with(plan, stats));
+                let mut fresh = PlanProperties::empty();
+                self.inferred += fresh.extend(plan, stats);
+                fresh.resolve_order_free(plan);
+                self.current = Some(fresh);
             }
             Some(kept) => {
-                kept.extend(plan, stats);
+                self.inferred += kept.extend(plan, stats);
                 if self.sequences_stale {
                     kept.refresh_sequences(plan);
                 }
@@ -359,7 +368,7 @@ impl Analysis<'_> {
                     kept.resolve_order_free(plan);
                     if cfg!(debug_assertions) {
                         let fresh = PlanProperties::analyze(plan);
-                        for id in plan.reachable() {
+                        for &id in plan.order() {
                             debug_assert_eq!(
                                 kept.columns(id),
                                 fresh.columns(id),
@@ -408,6 +417,7 @@ impl<'s> Optimizer<'s> {
                 },
                 current: None,
                 passes: 0,
+                inferred: 0,
                 order_stale: false,
                 sequences_stale: false,
             },
@@ -490,6 +500,7 @@ impl<'s> Optimizer<'s> {
         self.report.verified = self.verify && !self.failed;
         self.report.operators_after = plan.operator_count();
         self.report.property_passes = self.analysis.passes;
+        self.report.operators_analyzed = self.analysis.inferred;
     }
 
     /// Hash-cons, pushdown, reorder, indexscan (when `index_scans`),
@@ -564,34 +575,30 @@ pub(crate) fn redirect(plan: &mut Plan, from: OpId, to: OpId) {
 fn merge_projections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     let mut changed = false;
     for id in plan.reachable() {
-        let AlgOp::Project { input, columns } = plan.op(id).clone() else {
+        let AlgOp::Project { input, columns } = plan.op(id) else {
             continue;
         };
         let AlgOp::Project {
             input: inner_input,
             columns: inner_columns,
-        } = plan.op(input).clone()
+        } = plan.op(*input)
         else {
             continue;
         };
         // Compose: outer (source→target) looks up source in the inner map.
-        let inner_map: HashMap<&str, &str> = inner_columns
-            .iter()
-            .map(|(s, t)| (t.as_str(), s.as_str()))
-            .collect();
         let Some(composed) = columns
             .iter()
             .map(|(source, target)| {
-                inner_map
-                    .get(source.as_str())
-                    .map(|orig| (orig.to_string(), target.clone()))
+                let (orig, _) = inner_columns.iter().rfind(|(_, t)| t == source)?;
+                Some((orig.clone(), target.clone()))
             })
             .collect::<Option<Vec<_>>>()
         else {
             continue;
         };
+        let input = *inner_input;
         plan.ops_mut()[id] = AlgOp::Project {
-            input: inner_input,
+            input,
             columns: composed,
         };
         report.projections_merged += 1;

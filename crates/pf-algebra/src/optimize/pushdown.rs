@@ -244,6 +244,17 @@ type KeepFn = Box<dyn Fn(&[Const]) -> bool>;
 pub(crate) fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     let mut folded = false;
     for id in plan.reachable() {
+        // Only an operator over a literal is cloned below.
+        let over_literal = match plan.op(id) {
+            AlgOp::SelectEq { input, .. }
+            | AlgOp::Select { input, .. }
+            | AlgOp::Project { input, .. }
+            | AlgOp::Attach { input, .. } => matches!(plan.op(*input), AlgOp::Lit { .. }),
+            _ => false,
+        };
+        if !over_literal {
+            continue;
+        }
         let (input, keep): (usize, KeepFn) = match plan.op(id).clone() {
             AlgOp::SelectEq {
                 input,

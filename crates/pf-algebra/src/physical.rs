@@ -174,7 +174,7 @@ impl PhysicalPlan {
     /// [`PhysKind::Pipeline`] nodes; everything else is a
     /// [`PhysKind::Breaker`].
     pub fn compile(plan: &Plan) -> PhysicalPlan {
-        let order = plan.reachable();
+        let order = plan.order();
         let consumers = plan.consumers();
         let n = plan.ops().len();
         let mut absorbed = vec![false; n];
@@ -182,7 +182,7 @@ impl PhysicalPlan {
         let mut fused_ops = 0usize;
         let mut tables_elided = 0usize;
 
-        for &id in &order {
+        for &id in order {
             if absorbed[id] {
                 continue;
             }
@@ -213,14 +213,14 @@ impl PhysicalPlan {
                 }
                 nodes.push(PhysNode {
                     kind: PhysKind::Pipeline { ops },
-                    inputs: op.children(),
+                    inputs: op.children().to_vec(),
                     output: tail,
                 });
                 continue;
             }
             nodes.push(PhysNode {
                 kind: PhysKind::Breaker,
-                inputs: op.children(),
+                inputs: op.children().to_vec(),
                 output: id,
             });
         }
@@ -285,19 +285,22 @@ impl PhysicalPlan {
     /// `plan`.  A plan that passes is safe to execute against this
     /// physical plan — breakers evaluate `plan`'s own operators, and the
     /// fused steps are read off them.  Executors call this per run; it is
-    /// O(operators) with no allocations beyond the children lists.
+    /// O(operators) and allocation-free: child lists are inline.
     pub fn matches(&self, plan: &Plan) -> bool {
         if self.logical_len != plan.ops().len() {
             return false;
         }
         self.nodes.iter().all(|node| match &node.kind {
             PhysKind::Breaker => {
-                !is_fusable(plan.op(node.output)) && plan.op(node.output).children() == node.inputs
+                !is_fusable(plan.op(node.output))
+                    && plan.op(node.output).children()[..] == node.inputs[..]
             }
             PhysKind::Pipeline { ops } => {
                 ops.last() == Some(&node.output)
-                    && plan.op(ops[0]).children() == node.inputs
-                    && ops.windows(2).all(|w| plan.op(w[1]).children() == [w[0]])
+                    && plan.op(ops[0]).children()[..] == node.inputs[..]
+                    && ops
+                        .windows(2)
+                        .all(|w| plan.op(w[1]).children()[..] == [w[0]])
                     && ops.iter().all(|&op| is_fusable(plan.op(op)))
             }
         })

@@ -1,5 +1,8 @@
 //! Plan DAGs and the plan builder.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use pf_relational::ops::IndexProbe;
 use pf_relational::Value;
 
@@ -14,17 +17,44 @@ pub type OpId = usize;
 /// The same node may be referenced by several parents (common subexpression
 /// sharing), which is essential to keep the loop-lifted plans manageable —
 /// the paper reports ~120 operators for XMark Q8 *with* sharing.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The topological order of the reachable operators is computed once per
+/// plan version, on first demand ([`Plan::reachable`]); the optimizer's
+/// two mutation paths, its arena access and its root change, drop it.
+/// [`Plan::bind`] keeps it: binding changes no edge.  Equality and
+/// `Debug` look at the arena and the root only.
+#[derive(Clone)]
 pub struct Plan {
     ops: Vec<AlgOp>,
     root: OpId,
+    /// The reachable operators, children before parents.
+    order: OnceLock<Vec<OpId>>,
+}
+
+impl PartialEq for Plan {
+    fn eq(&self, other: &Plan) -> bool {
+        self.root == other.root && self.ops == other.ops
+    }
+}
+
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Plan")
+            .field("ops", &self.ops)
+            .field("root", &self.root)
+            .finish()
+    }
 }
 
 impl Plan {
     /// Build a plan from an arena and a root id.
     pub fn new(ops: Vec<AlgOp>, root: OpId) -> Self {
         assert!(root < ops.len(), "root id out of bounds");
-        Plan { ops, root }
+        Plan {
+            ops,
+            root,
+            order: OnceLock::new(),
+        }
     }
 
     /// The root operator id.
@@ -42,20 +72,41 @@ impl Plan {
         &self.ops
     }
 
-    /// Mutable access used by the optimizer.
+    /// Mutable access used by the optimizer.  Drops the cached order.
     pub(crate) fn ops_mut(&mut self) -> &mut Vec<AlgOp> {
+        self.order.take();
         &mut self.ops
     }
 
-    /// Change the root.
+    /// Change the root.  Drops the cached order.
     pub(crate) fn set_root(&mut self, root: OpId) {
         assert!(root < self.ops.len());
+        self.order.take();
         self.root = root;
     }
 
     /// Ids of all operators reachable from the root, in a topological order
     /// (children before parents).
+    ///
+    /// The order is walked once per plan version and kept in the plan, so
+    /// every sweep, analysis update and estimate refresh over an unchanged
+    /// plan shares one walk; this returns a copy, for callers that rewrite
+    /// the plan while they walk it.  Debug builds check the kept order
+    /// against a fresh walk on every call.
     pub fn reachable(&self) -> Vec<OpId> {
+        self.order().to_vec()
+    }
+
+    /// [`Plan::reachable`], borrowed from the plan.
+    pub(crate) fn order(&self) -> &[OpId] {
+        let order = self.order.get_or_init(|| self.walk());
+        debug_assert_eq!(*order, self.walk(), "the cached topological order is stale");
+        order
+    }
+
+    /// The reachable operators, children before parents: one depth-first
+    /// walk from the root.
+    fn walk(&self) -> Vec<OpId> {
         let mut visited = vec![false; self.ops.len()];
         let mut order = Vec::new();
         let mut stack = vec![(self.root, false)];
@@ -121,7 +172,7 @@ impl Plan {
     /// Number of operators reachable from the root — the "plan size" metric
     /// used for the Q8 plan-size experiment (E5).
     pub fn operator_count(&self) -> usize {
-        self.reachable().len()
+        self.order().len()
     }
 
     /// How many times each operator's result is consumed.
@@ -133,7 +184,7 @@ impl Plan {
     /// Unreachable operators have count 0.
     pub fn consumer_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.ops.len()];
-        for id in self.reachable() {
+        for &id in self.order() {
             for child in self.ops[id].children() {
                 counts[child] += 1;
             }
@@ -152,7 +203,7 @@ impl Plan {
     /// final consumer; this list does not).
     pub fn consumers(&self) -> Vec<Vec<OpId>> {
         let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); self.ops.len()];
-        for id in self.reachable() {
+        for &id in self.order() {
             for child in self.ops[id].children() {
                 consumers[child].push(id);
             }
@@ -164,7 +215,7 @@ impl Plan {
     pub fn operator_histogram(&self) -> Vec<(String, usize)> {
         use std::collections::BTreeMap;
         let mut hist: BTreeMap<String, usize> = BTreeMap::new();
-        for id in self.reachable() {
+        for &id in self.order() {
             let name = match self.op(id) {
                 AlgOp::Lit { .. } => "table",
                 AlgOp::Doc { .. } => "doc",
@@ -286,6 +337,53 @@ mod tests {
         assert!(pos(1) < pos(3));
         assert!(pos(2) < pos(3));
         assert_eq!(*order.last().unwrap(), plan.root());
+    }
+
+    #[test]
+    fn mutation_drops_the_cached_order() {
+        let mut plan = small_plan();
+        assert_eq!(plan.reachable(), [0, 2, 1, 3]);
+        assert!(plan.order.get().is_some(), "the walk is kept");
+        plan.ops_mut();
+        assert!(plan.order.get().is_none(), "ops_mut drops the order");
+        plan.reachable();
+        plan.set_root(1);
+        assert!(plan.order.get().is_none(), "set_root drops the order");
+        assert_eq!(plan.reachable(), [0, 1]);
+    }
+
+    #[test]
+    fn binding_keeps_the_cached_order() {
+        let mut b = PlanBuilder::new();
+        let lit = b.add(AlgOp::Lit {
+            columns: vec!["iter".into()],
+            rows: vec![vec![Value::Nat(1).into()]],
+        });
+        let attach = b.add(AlgOp::Attach {
+            input: lit,
+            target: "item".into(),
+            value: Const::Param(0),
+        });
+        let template = b.finish(attach);
+        template.reachable();
+        let bound = template.bind(&["x".to_string()]);
+        assert_eq!(
+            bound.order.get().map(Vec::as_slice),
+            Some(&[lit, attach][..]),
+            "binding changes no edge, so the order carries over"
+        );
+        assert_eq!(bound.reachable(), template.reachable());
+    }
+
+    #[test]
+    fn the_cached_order_is_invisible_to_equality_and_debug() {
+        let walked = small_plan();
+        walked.reachable();
+        let fresh = small_plan();
+        assert!(walked.order.get().is_some() && fresh.order.get().is_none());
+        assert_eq!(walked, fresh);
+        assert_eq!(format!("{walked:?}"), format!("{fresh:?}"));
+        assert!(format!("{fresh:?}").starts_with("Plan { ops: ["));
     }
 
     #[test]

@@ -46,6 +46,23 @@
 //! such rewrites by inferring facts for the new operators only;
 //! `order_free`, being top-down, is recomputed instead.
 //!
+//! Inference is cheap per operator.  It walks the plan's kept topological
+//! order ([`Plan::reachable`]) and the inline child lists of
+//! [`AlgOp::children`].  Columns, keys, constants, types, document
+//! provenance and sequences are shared behind [`Arc`]: where an
+//! operator's fact is its input's, the operator points at the input's
+//! fact instead of copying it.  The row subsets and reorders (σ, σ=, δ,
+//! sort, `ddo`, `∖`, the index scan) mostly share, and so do `∪` (its
+//! left side), `fn:data` and `fn:root` for columns and `@` and the maps
+//! for keys.  Column names are interned into small integers, each
+//! operator interning only the names it mentions itself (its inputs
+//! interned the rest), so keys are small inline integer sets and an
+//! operator's provenance tags one sorted vector of `(column, tag)`
+//! pairs.  The canonical operators that provenance tags name are found
+//! the way hash-consing finds duplicates: bucketed by kind and
+//! (canonical) inputs and compared with [`AlgOp::same_as`], never by
+//! rendering.
+//!
 //! Every reader calls this pass directly: the optimizer's rules, the
 //! verifier, and the engine's admission estimate for an unoptimized plan
 //! ([`PlanProperties::peak_rows`]).  It is the only whole-plan analysis:
@@ -58,6 +75,7 @@
 //! optimizer is validated by the very properties it plans with.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use pf_relational::ops::{AggFunc, BinaryOp, UnaryOp};
@@ -65,6 +83,7 @@ use pf_relational::{Value, ValueType};
 use pf_store::{Axis, DocStatistics, NodeTest};
 
 use crate::ops::{AlgOp, Const};
+use crate::optimize::dedup::OpClasses;
 use crate::plan::{OpId, Plan};
 
 /// Resolves a document URI to its measured statistics.  The engine
@@ -88,15 +107,126 @@ impl StatsSource for NoStats {
 /// A column name, interned once per analysis.
 type Col = u32;
 
-/// A set of interned columns, sorted and duplicate-free.
-type ColSet = Vec<Col>;
+/// A set of interned columns, sorted and duplicate-free.  Up to
+/// [`ColSet::INLINE`] columns are held inline — nearly every key is
+/// `{iter}`, `{iter, pos}` or `{iter, item}`, and most schemas have fewer
+/// columns — so most sets allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct ColSet {
+    len: usize,
+    inline: [Col; ColSet::INLINE],
+    /// Every column, once there are more than fit inline.
+    spilled: Vec<Col>,
+}
+
+impl ColSet {
+    const INLINE: usize = 8;
+
+    /// Add `c`, keeping the set sorted.
+    fn insert(&mut self, c: Col) {
+        let Err(at) = self.binary_search(&c) else {
+            return;
+        };
+        if self.len < Self::INLINE {
+            self.inline.copy_within(at..self.len, at + 1);
+            self.inline[at] = c;
+        } else {
+            if self.len == Self::INLINE {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.insert(at, c);
+        }
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for ColSet {
+    type Target = [Col];
+
+    fn deref(&self) -> &[Col] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+impl PartialEq for ColSet {
+    fn eq(&self, other: &ColSet) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl FromIterator<Col> for ColSet {
+    fn from_iter<I: IntoIterator<Item = Col>>(cols: I) -> ColSet {
+        let mut set = ColSet::default();
+        cols.into_iter().for_each(|c| set.insert(c));
+        set
+    }
+}
+
+impl<'a> IntoIterator for &'a ColSet {
+    type Item = &'a Col;
+    type IntoIter = std::slice::Iter<'a, Col>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// A multiply-rotate hasher in the style of rustc's `FxHash`, for the
+/// analysis's maps: their keys are short column names and operator
+/// buckets out of the plan itself, so SipHash's resistance to chosen
+/// keys buys nothing and costs a hash per lookup.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over [`FxHasher`].
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The column names one analysis has seen.  Keys and provenance tags
 /// hold [`Col`] ids, so comparing and copying them never touches a
 /// string.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Names {
-    ids: HashMap<String, Col>,
+    ids: FxHashMap<String, Col>,
     names: Vec<String>,
 }
 
@@ -120,15 +250,136 @@ impl Names {
     }
 }
 
-/// Operators of one kind over the same canonical inputs, each with its
-/// rendering once one was needed to tell two apart.
-type OpClass = Vec<(OpId, Option<String>)>;
-
 /// A value-provenance tag: “the tracked column's values are related to
 /// column `.1` of operator `.0`”.
 pub(crate) type Tag = (OpId, Col);
-/// Per-column tag sets for one operator.
-pub(crate) type TagMap = BTreeMap<Col, BTreeSet<Tag>>;
+
+/// The tag sets of one operator's columns in one vector of `(column,
+/// tag)` pairs, sorted by column, then tag.  A column without a pair has
+/// no tag.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TagMap(Vec<(Col, Tag)>);
+
+impl TagMap {
+    /// The pairs of column `c`, ascending.
+    fn run(&self, c: Col) -> &[(Col, Tag)] {
+        let start = self.0.partition_point(|&(col, _)| col < c);
+        let len = self.0[start..].partition_point(|&(col, _)| col == c);
+        &self.0[start..start + len]
+    }
+
+    /// The tags of column `c`, ascending.
+    fn tags(&self, c: Col) -> impl Iterator<Item = Tag> + '_ {
+        self.run(c).iter().map(|&(_, tag)| tag)
+    }
+
+    /// Whether column `c` has `tag`.
+    fn contains(&self, c: Col, tag: Tag) -> bool {
+        self.0.binary_search(&(c, tag)).is_ok()
+    }
+}
+
+/// A [`TagMap`] being built, one column's tag set at a time.
+struct TagMapBuilder {
+    /// Each column's tags, ascending, the columns in the order set.
+    pairs: Vec<(Col, Tag)>,
+    /// The columns set so far.
+    columns: ColSet,
+    /// The pairs to make room for once the first tag arrives.
+    room: usize,
+}
+
+impl TagMapBuilder {
+    /// A builder that allocates room for `room` pairs with its first tag.
+    fn with_room(room: usize) -> TagMapBuilder {
+        TagMapBuilder {
+            pairs: Vec::new(),
+            columns: ColSet::default(),
+            room,
+        }
+    }
+
+    /// Remove the tags of column `c` and return them.
+    fn take(&mut self, c: Col) -> Vec<Tag> {
+        let mut taken = Vec::new();
+        if self.columns.binary_search(&c).is_ok() {
+            self.pairs.retain(|&(col, tag)| {
+                if col == c {
+                    taken.push(tag);
+                }
+                col != c
+            });
+        }
+        taken
+    }
+
+    /// Set the tags of column `c` to the smallest [`TAG_CAP`] of `tags`,
+    /// which ascend.
+    fn put(&mut self, c: Col, tags: impl Iterator<Item = Tag>) {
+        self.take(c);
+        self.columns.insert(c);
+        let mut tags = tags.take(TAG_CAP).peekable();
+        if tags.peek().is_some() && self.pairs.capacity() == 0 {
+            self.pairs.reserve(self.room);
+        }
+        self.pairs.extend(tags.map(|tag| (c, tag)));
+    }
+
+    /// [`TagMapBuilder::put`] of the tags of `run` (one column's pairs of
+    /// a finished map) plus `own`, copying the run in slices: in a deep
+    /// plan the run is full and `own` — the input itself, above the
+    /// operators its tags name — falls off the end.
+    fn put_run(&mut self, c: Col, run: &[(Col, Tag)], own: Tag) {
+        self.take(c);
+        self.columns.insert(c);
+        if self.pairs.capacity() == 0 {
+            self.pairs.reserve(self.room);
+        }
+        let run = &run[..run.len().min(TAG_CAP)];
+        let at = run.partition_point(|&(_, tag)| tag < own);
+        self.pairs
+            .extend(run[..at].iter().map(|&(_, tag)| (c, tag)));
+        let rest = if run.get(at).is_some_and(|&(_, tag)| tag == own) {
+            &run[at..]
+        } else if at < TAG_CAP {
+            self.pairs.push((c, own));
+            &run[at..run.len().min(TAG_CAP - 1)]
+        } else {
+            &[]
+        };
+        self.pairs.extend(rest.iter().map(|&(_, tag)| (c, tag)));
+    }
+
+    /// The map, sorted for reading (columns set in schema order mostly
+    /// are already).
+    fn finish(mut self) -> TagMap {
+        if !self.pairs.is_sorted() {
+            self.pairs.sort_unstable();
+        }
+        TagMap(self.pairs)
+    }
+}
+
+/// The ascending, duplicate-free union of two ascending tag sequences.
+fn merge(
+    a: impl IntoIterator<Item = Tag>,
+    b: impl IntoIterator<Item = Tag>,
+) -> impl Iterator<Item = Tag> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
+        (Some(x), Some(y)) => {
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+            Some(x.min(y))
+        }
+        (Some(_), None) => a.next(),
+        (None, _) => b.next(),
+    })
+}
 
 /// Rows of a literal are scanned for distinctness/constancy only up to
 /// this many rows — larger literals simply get no column keys.
@@ -216,13 +467,23 @@ pub(crate) fn opset_subset(a: &OpSet, b: &OpSet) -> bool {
         .all(|(i, w)| w & !b.get(i).copied().unwrap_or(0) == 0)
 }
 
+/// The constant columns of one operator, with the value when known.
+type Constants = BTreeMap<String, Option<Const>>;
+
+/// The known type sets of one operator's columns.
+type Types = BTreeMap<String, TypeSet>;
+
 /// Every statically inferred property of one plan, per operator.
 /// Indexed by [`OpId`]; entries for unreachable operators are
 /// empty/false/zero.
+///
+/// Columns, keys, constants, types, document provenance and sequences are
+/// held behind [`Arc`]: an operator whose fact equals its input's shares
+/// the input's, so inferring it copies nothing (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProperties {
     /// Output columns, in schema order.
-    columns: Vec<Vec<String>>,
+    columns: Vec<Arc<Vec<String>>>,
     /// The output is in distinct document order per `iter`.
     doc_ordered: Vec<bool>,
     /// Every column name of the analyzed operators.
@@ -232,14 +493,13 @@ pub struct PlanProperties {
     /// provenance tags name, so a cloned subplan relates to what its
     /// original relates to.
     canon: Vec<OpId>,
-    /// The canonical operators by kind and canonical inputs, with their
-    /// rendering once one was needed to tell two apart.
-    classes: HashMap<(std::mem::Discriminant<AlgOp>, Vec<OpId>), OpClass>,
+    /// The canonical operators by kind and canonical inputs.
+    classes: OpClasses,
     /// Column sets on which each operator's rows are provably distinct.
-    keys: Vec<Vec<ColSet>>,
+    keys: Vec<Arc<Vec<ColSet>>>,
     /// Columns provably constant across each operator's rows, with the
     /// constant's value when statically known.
-    constants: Vec<BTreeMap<String, Option<Const>>>,
+    constants: Vec<Arc<Constants>>,
     /// `supersets[id][c]` ∋ `t` ⇒ values of `c` at `id` ⊆ values of `t`.
     supersets: Vec<TagMap>,
     /// `equalsets[id][c]` ∋ `t` ⇒ values of `c` at `id` = values of `t`
@@ -256,15 +516,15 @@ pub struct PlanProperties {
     rows: Vec<f64>,
     /// Document provenance: the URI of the single `doc()` source feeding
     /// the operator's items, if unambiguous.
-    doc: Vec<Option<String>>,
+    doc: Vec<Option<Arc<str>>>,
     /// Per column, the value types it can hold; a column without an
     /// entry can hold any type.
-    types: Vec<BTreeMap<String, TypeSet>>,
+    types: Vec<Arc<Types>>,
     /// Row order within `iter`, where known.
-    sequence: Vec<Option<Sequence>>,
+    sequence: Vec<Option<Arc<Sequence>>>,
     /// The operators of the subplan rooted here that can raise a dynamic
     /// error (this one included).
-    raisers: Vec<OpSet>,
+    raisers: Vec<Arc<OpSet>>,
     /// Whether the bottom-up facts of the operator have been inferred.
     analyzed: Vec<bool>,
     /// Whether permuting the operator's output rows is unobservable in
@@ -281,12 +541,20 @@ impl PlanProperties {
 
     /// Analyze `plan`, seeding step cardinalities from `stats`.
     pub fn analyze_with(plan: &Plan, stats: &dyn StatsSource) -> PlanProperties {
-        let mut pp = PlanProperties {
+        let mut pp = PlanProperties::empty();
+        pp.extend(plan, stats);
+        pp.resolve_order_free(plan);
+        pp
+    }
+
+    /// An analysis of no operator yet.
+    pub(crate) fn empty() -> PlanProperties {
+        PlanProperties {
             columns: Vec::new(),
             doc_ordered: Vec::new(),
             names: Names::default(),
             canon: Vec::new(),
-            classes: HashMap::new(),
+            classes: OpClasses::default(),
             keys: Vec::new(),
             constants: Vec::new(),
             supersets: Vec::new(),
@@ -300,56 +568,50 @@ impl PlanProperties {
             raisers: Vec::new(),
             analyzed: Vec::new(),
             order_free: Vec::new(),
-        };
-        pp.extend(plan, stats);
-        pp.resolve_order_free(plan);
-        pp
+        }
     }
 
     /// Infer the bottom-up facts of every reachable operator that has none
     /// yet — the operators a rewrite created — from the facts of their
-    /// inputs.  Facts already present stay: they describe an operator's
-    /// output relation, which the equivalence-preserving rewrites of the
-    /// optimizer never change.  Call [`PlanProperties::resolve_order_free`]
-    /// afterwards before reading `order_free`.
-    pub(crate) fn extend(&mut self, plan: &Plan, stats: &dyn StatsSource) {
+    /// inputs, and return how many that was.  Facts already present stay:
+    /// they describe an operator's output relation, which the
+    /// equivalence-preserving rewrites of the optimizer never change.
+    /// Call [`PlanProperties::resolve_order_free`] afterwards before
+    /// reading `order_free`.
+    pub(crate) fn extend(&mut self, plan: &Plan, stats: &dyn StatsSource) -> usize {
         let n = plan.ops().len();
         if self.analyzed.len() < n {
-            self.columns.resize(n, Vec::new());
+            self.columns.resize(n, Arc::default());
             self.doc_ordered.resize(n, false);
             self.canon.resize(n, 0);
-            self.keys.resize(n, Vec::new());
-            self.constants.resize(n, BTreeMap::new());
-            self.supersets.resize(n, TagMap::new());
-            self.equalsets.resize(n, TagMap::new());
-            self.exclusions.resize(n, TagMap::new());
+            self.keys.resize(n, Arc::default());
+            self.constants.resize(n, Arc::default());
+            self.supersets.resize(n, TagMap::default());
+            self.equalsets.resize(n, TagMap::default());
+            self.exclusions.resize(n, TagMap::default());
             self.empty.resize(n, false);
             self.rows.resize(n, 0.0);
             self.doc.resize(n, None);
-            self.types.resize(n, BTreeMap::new());
+            self.types.resize(n, Arc::default());
             self.sequence.resize(n, None);
-            self.raisers.resize(n, OpSet::new());
+            self.raisers.resize(n, Arc::default());
             self.analyzed.resize(n, false);
             self.order_free.resize(n, false);
         }
-        for id in plan.reachable() {
+        let mut inferred = 0;
+        for &id in plan.order() {
             if !self.analyzed[id] {
                 self.infer(plan, id, stats);
+                inferred += 1;
             }
         }
+        inferred
     }
 
     /// Every bottom-up fact of `id`, from its inputs' facts.
     fn infer(&mut self, plan: &Plan, id: OpId, stats: &dyn StatsSource) {
-        let columns = infer_columns(plan, id, self);
-        for column in columns
-            .iter()
-            .map(String::as_str)
-            .chain(mentioned(plan.op(id)))
-        {
-            self.names.intern(column);
-        }
-        self.columns[id] = columns;
+        intern_mentioned(&mut self.names, plan.op(id));
+        self.columns[id] = infer_columns(plan, id, self);
         self.doc_ordered[id] = infer_doc_ordered(plan, id, self);
         self.canon[id] = self.canonical(plan, id);
         self.empty[id] = infer_empty(plan, id, self);
@@ -361,7 +623,7 @@ impl PlanProperties {
         self.supersets[id] = sup;
         self.equalsets[id] = eq;
         self.exclusions[id] = excl;
-        self.keys[id] = minimal_keys(infer_keys(plan, id, self));
+        self.keys[id] = infer_keys(plan, id, self);
         self.types[id] = infer_types(plan, id, self);
         self.sequence[id] = infer_sequence(plan, id, self);
         self.raisers[id] = infer_raisers(plan, id, self);
@@ -378,29 +640,25 @@ impl PlanProperties {
         ) {
             return id;
         }
-        let inputs: Vec<OpId> = op.children().iter().map(|&c| self.canon[c]).collect();
-        // Rendered with canonical inputs; `{:?}` (unlike `==`) tells
-        // `0.0` from `-0.0`.
-        let render = |of: OpId| {
-            let mut op = plan.op(of).clone();
-            for (slot, &input) in inputs.iter().enumerate() {
-                op.replace_child(slot, input);
+        let canon = &self.canon;
+        let inputs = op.children().map(|c| canon[c]);
+        // A member matches when it still reads the same canonical inputs
+        // and is the same operator once its inputs are `id`'s.
+        let same = |member: OpId| {
+            let theirs = plan.op(member);
+            if theirs.children().map(|c| canon[c]) != inputs {
+                return false;
             }
-            format!("{op:?}")
+            if theirs.children() == op.children() {
+                return theirs.same_as(op);
+            }
+            let mut theirs = theirs.clone();
+            for (slot, child) in op.children().into_iter().enumerate() {
+                theirs.replace_child(slot, child);
+            }
+            theirs.same_as(op)
         };
-        let class = self
-            .classes
-            .entry((std::mem::discriminant(op), inputs.clone()))
-            .or_default();
-        let mut mine = None;
-        for (other, rendered) in class.iter_mut() {
-            let rendered = rendered.get_or_insert_with(|| render(*other));
-            if *mine.get_or_insert_with(|| render(id)) == *rendered {
-                return *other;
-            }
-        }
-        class.push((id, mine));
-        id
+        self.classes.find_or_insert(op, inputs, id, same)
     }
 
     /// Re-derive the row-order facts of every reachable operator from the
@@ -408,7 +666,7 @@ impl PlanProperties {
     /// not their order (join reordering, a rank count), which leaves every
     /// other fact true.
     pub(crate) fn refresh_sequences(&mut self, plan: &Plan) {
-        for id in plan.reachable() {
+        for &id in plan.order() {
             self.sequence[id] = infer_sequence(plan, id, self);
         }
     }
@@ -417,7 +675,7 @@ impl PlanProperties {
     /// reachable operator over the current plan (cheap: both only read
     /// the inputs' estimates), so estimates match a fresh analysis.
     pub(crate) fn refresh_estimates(&mut self, plan: &Plan, stats: &dyn StatsSource) {
-        for id in plan.reachable() {
+        for &id in plan.order() {
             let (est, uri) = estimate_op(plan, id, &self.rows, &self.doc, stats);
             self.rows[id] = est;
             self.doc[id] = uri;
@@ -426,18 +684,17 @@ impl PlanProperties {
 
     /// Resolve `order_free` top-down over the current plan.
     pub(crate) fn resolve_order_free(&mut self, plan: &Plan) {
-        let topo = plan.reachable();
+        let topo = plan.order();
         self.order_free.iter_mut().for_each(|free| *free = false);
-        for &id in &topo {
+        for &id in topo {
             self.order_free[id] = true;
         }
         // The root's order matters unless serialization's stable pos-sort
         // fully determines it; every other operator is constrained
         // through its consumer edges, parents first.
         let root = plan.root();
-        let pos: BTreeSet<String> = std::iter::once("pos".to_string()).collect();
         self.order_free[root] =
-            self.columns(root).iter().any(|c| c == "pos") && self.keyed_by(root, &pos);
+            self.columns(root).iter().any(|c| c == "pos") && self.keyed_by_names(root, ["pos"]);
         for &id in topo.iter().rev() {
             let parent_free = self.order_free[id];
             let children = plan.op(id).children();
@@ -461,6 +718,16 @@ impl PlanProperties {
         })
     }
 
+    /// [`PlanProperties::keyed_by`] over names.  A name the analysis never
+    /// saw is in no key, so it is dropped.
+    fn keyed_by_names<'n>(&self, id: OpId, names: impl IntoIterator<Item = &'n str>) -> bool {
+        let cols: ColSet = names
+            .into_iter()
+            .filter_map(|n| self.names.get(n))
+            .collect();
+        self.keyed_by_cols(id, &cols)
+    }
+
     /// [`PlanProperties::keyed_by`] over interned columns.
     fn keyed_by_cols(&self, id: OpId, cols: &[Col]) -> bool {
         let constants = &self.constants[id];
@@ -479,10 +746,7 @@ impl PlanProperties {
 
     /// The interned set of `names`.
     fn cols(&self, names: &[&str]) -> ColSet {
-        let mut set: ColSet = names.iter().map(|n| self.col(n)).collect();
-        set.sort_unstable();
-        set.dedup();
-        set
+        names.iter().map(|n| self.col(n)).collect()
     }
 
     /// Whether permuting the rows of `id` is unobservable in the
@@ -511,7 +775,9 @@ impl PlanProperties {
 
     /// The output columns of `id` (empty for unreachable operators).
     pub fn columns(&self, id: OpId) -> &[String] {
-        self.columns.get(id).map_or(&[], Vec::as_slice)
+        self.columns
+            .get(id)
+            .map_or(&[], |columns| columns.as_slice())
     }
 
     /// Whether the output of `id` is in distinct document order: sorted by
@@ -535,9 +801,9 @@ impl PlanProperties {
     /// shape-derived stand-in for peak resident rows (admission control
     /// uses this for plans that have never run).
     pub fn peak_rows(&self, plan: &Plan) -> usize {
-        plan.reachable()
-            .into_iter()
-            .map(|id| self.rows[id])
+        plan.order()
+            .iter()
+            .map(|&id| self.rows[id])
             .fold(0.0_f64, f64::max)
             .ceil() as usize
     }
@@ -561,7 +827,7 @@ impl PlanProperties {
 
     /// The row order of `id` within `iter`, if known.
     pub fn sequence(&self, id: OpId) -> Option<&Sequence> {
-        self.sequence.get(id).and_then(Option::as_ref)
+        self.sequence.get(id).and_then(Option::as_deref)
     }
 
     /// The operators of the subplan rooted at `id` that can raise a
@@ -589,16 +855,16 @@ impl PlanProperties {
         let (Some(ac), Some(bc)) = (self.names.get(ac), self.names.get(bc)) else {
             return false;
         };
-        let mut equal = self.equalsets[b].get(&bc).cloned().unwrap_or_default();
-        equal.insert((self.canon[b], bc));
-        !self.supersets_with_self(a, ac).is_disjoint(&equal)
+        let own = (self.canon[b], bc);
+        self.meets_supersets(a, ac, |tag| {
+            tag == own || self.equalsets[b].contains(bc, tag)
+        })
     }
 
-    /// Supersets of column `c` at `id`, including `(id, c)` itself.
-    fn supersets_with_self(&self, id: OpId, c: Col) -> BTreeSet<Tag> {
-        let mut tags = self.supersets[id].get(&c).cloned().unwrap_or_default();
-        tags.insert((self.canon[id], c));
-        tags
+    /// Whether some superset of column `c` at `id` — `(id, c)` itself
+    /// included — is in a set, given by its membership test.
+    fn meets_supersets(&self, id: OpId, c: Col, contains: impl Fn(Tag) -> bool) -> bool {
+        contains((self.canon[id], c)) || self.supersets[id].tags(c).any(contains)
     }
 }
 
@@ -608,26 +874,57 @@ impl PlanProperties {
 /// downstream changes either — but key lists stay short: without this a
 /// chain of joins multiplies its inputs' lists level by level.
 fn minimal_keys(mut keys: Vec<ColSet>) -> Vec<ColSet> {
-    keys.sort_by_key(Vec::len);
-    let mut minimal: Vec<ColSet> = Vec::with_capacity(keys.len());
-    for key in keys {
-        if !minimal.iter().any(|kept| is_subset(kept, &key)) {
-            minimal.push(key);
+    keys.sort_by_key(|key| key.len());
+    // Compact in place: `keys[..kept]` are the minimal keys so far.
+    let mut kept = 0;
+    for i in 0..keys.len() {
+        if !keys[..kept].iter().any(|k| is_subset(k, &keys[i])) {
+            keys.swap(kept, i);
+            kept += 1;
         }
     }
-    minimal
+    keys.truncate(kept);
+    keys
 }
 
-/// The column names `op` reads or writes besides its output columns —
-/// interned with them, so inference can name a column a malformed plan
-/// lacks (the verifier analyzes plans before it rejects them).
-fn mentioned(op: &AlgOp) -> Vec<&str> {
-    let mut names = vec!["iter", "pos", "item"];
+/// Intern the column names `op` itself names.  Every other output column
+/// comes from an input, which interned it first.  The columns the
+/// operator adds go first, in schema order, then `iter`, `pos` and
+/// `item`, then the names it reads or writes besides its output — these
+/// let inference name a column a malformed plan lacks (the verifier
+/// analyzes plans before it rejects them).
+fn intern_mentioned(names: &mut Names, op: &AlgOp) {
+    let mut intern = |name: &str| {
+        names.intern(name);
+    };
+    match op {
+        AlgOp::Lit { columns, .. } => columns.iter().for_each(|c| intern(c)),
+        AlgOp::Doc { .. } => intern("item"),
+        AlgOp::Project { columns, .. } => columns.iter().for_each(|(_, t)| intern(t)),
+        AlgOp::RowNum { target, .. }
+        | AlgOp::BinaryMap { target, .. }
+        | AlgOp::UnaryMap { target, .. }
+        | AlgOp::Attach { target, .. } => intern(target),
+        AlgOp::Aggregate { group, target, .. } => {
+            [group, target].into_iter().for_each(|c| intern(c))
+        }
+        AlgOp::ThetaCount { count, .. } => {
+            [&count.group, &count.result]
+                .into_iter()
+                .for_each(|c| intern(c));
+        }
+        AlgOp::Ebv { .. } => ["iter", "item"].into_iter().for_each(&mut intern),
+        _ => {}
+    }
+    ["iter", "pos", "item"].into_iter().for_each(&mut intern);
     match op {
         AlgOp::Project { columns, .. } => {
-            names.extend(columns.iter().flat_map(|(s, t)| [s.as_str(), t.as_str()]));
+            for (source, target) in columns {
+                intern(source);
+                intern(target);
+            }
         }
-        AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => names.push(column),
+        AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => intern(column),
         AlgOp::EquiJoin {
             left_col,
             right_col,
@@ -637,42 +934,46 @@ fn mentioned(op: &AlgOp) -> Vec<&str> {
             left_col,
             right_col,
             ..
-        } => names.extend([left_col.as_str(), right_col.as_str()]),
-        AlgOp::ThetaCount { count, .. } => names.extend([
-            count.group.as_str(),
-            count.left_col.as_str(),
-            count.right_id.as_str(),
-            count.right_col.as_str(),
-            count.result.as_str(),
-        ]),
+        } => [left_col, right_col].into_iter().for_each(|c| intern(c)),
+        AlgOp::ThetaCount { count, .. } => [
+            &count.group,
+            &count.left_col,
+            &count.right_id,
+            &count.right_col,
+            &count.result,
+        ]
+        .into_iter()
+        .for_each(|c| intern(c)),
         AlgOp::RowNum {
             target,
             order_by,
             partition,
             ..
         } => {
-            names.push(target);
-            names.extend(order_by.iter().map(|s| s.column.as_str()));
-            names.extend(partition.as_deref());
+            intern(target);
+            order_by.iter().for_each(|s| intern(&s.column));
+            partition.iter().for_each(|p| intern(p));
         }
         AlgOp::BinaryMap {
             target,
             left,
             right,
             ..
-        } => names.extend([target.as_str(), left.as_str(), right.as_str()]),
-        AlgOp::UnaryMap { target, source, .. } => names.extend([target.as_str(), source.as_str()]),
-        AlgOp::Attach { target, .. } => names.push(target),
+        } => [target, left, right].into_iter().for_each(|c| intern(c)),
+        AlgOp::UnaryMap { target, source, .. } => {
+            intern(target);
+            intern(source);
+        }
+        AlgOp::Attach { target, .. } => intern(target),
         AlgOp::Aggregate {
             group,
             target,
             value,
             ..
-        } => names.extend([group.as_str(), target.as_str(), value.as_str()]),
-        AlgOp::Sort { by, .. } => names.extend(by.iter().map(|s| s.column.as_str())),
+        } => [group, target, value].into_iter().for_each(|c| intern(c)),
+        AlgOp::Sort { by, .. } => by.iter().for_each(|s| intern(&s.column)),
         _ => {}
     }
-    names
 }
 
 /// `a ⊆ b` for sorted column sets.
@@ -682,51 +983,30 @@ fn is_subset(a: &[Col], b: &[Col]) -> bool {
 
 /// `a ∪ b` for sorted column sets.
 fn union(a: &[Col], b: &[Col]) -> ColSet {
-    let mut set: ColSet = a.iter().chain(b).copied().collect();
-    set.sort_unstable();
-    set.dedup();
-    set
+    a.iter().chain(b).copied().collect()
 }
 
-fn set(cols: &[&str]) -> BTreeSet<String> {
-    cols.iter().map(|c| c.to_string()).collect()
+/// The tags column `c` has at both `left` and `right` in `maps`.
+fn meet(maps: &[TagMap], left: OpId, right: OpId, c: Col) -> impl Iterator<Item = Tag> + '_ {
+    let right = &maps[right];
+    maps[left]
+        .tags(c)
+        .filter(move |&tag| right.contains(c, tag))
 }
 
-fn cap(tags: BTreeSet<Tag>) -> BTreeSet<Tag> {
-    if tags.len() <= TAG_CAP {
-        tags
-    } else {
-        tags.into_iter().take(TAG_CAP).collect()
-    }
-}
-
-/// Tag set of `(input, src)` extended with the input's own tags from
-/// `maps[input][src]`.
-fn inherit(
-    pp: &PlanProperties,
-    maps: &[TagMap],
-    input: OpId,
-    src: Col,
-    include_self: bool,
-) -> BTreeSet<Tag> {
-    let mut tags = maps[input].get(&src).cloned().unwrap_or_default();
-    if include_self {
-        tags.insert((pp.canon[input], src));
-    }
-    cap(tags)
-}
-
-/// The output columns of `id`, from its inputs' columns.
-fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<String> {
-    let iter_pos_item = || vec!["iter".into(), "pos".into(), "item".into()];
+/// The output columns of `id`, from its inputs' columns: shared with the
+/// input when they are the input's.
+fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<String>> {
+    let names = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
     let extended = |input: OpId, target: &str| {
-        let mut columns = pp.columns(input).to_vec();
+        let mut columns = Vec::with_capacity(pp.columns(input).len() + 1);
+        columns.extend_from_slice(pp.columns(input));
         columns.push(target.to_string());
         columns
     };
-    match plan.op(id) {
+    Arc::new(match plan.op(id) {
         AlgOp::Lit { columns, .. } => columns.clone(),
-        AlgOp::Doc { .. } => vec!["item".into()],
+        AlgOp::Doc { .. } => names(&["item"]),
         AlgOp::Project { columns, .. } => columns.iter().map(|(_, t)| t.clone()).collect(),
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
@@ -737,14 +1017,10 @@ fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<String> {
         | AlgOp::DocOrder { input }
         | AlgOp::Union { left: input, .. }
         | AlgOp::FnData { input }
-        | AlgOp::FnRoot { input } => pp.columns(*input).to_vec(),
+        | AlgOp::FnRoot { input } => return Arc::clone(&pp.columns[*input]),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
-        | AlgOp::Cross { left, right } => {
-            let mut columns = pp.columns(*left).to_vec();
-            columns.extend_from_slice(pp.columns(*right));
-            columns
-        }
+        | AlgOp::Cross { left, right } => [pp.columns(*left), pp.columns(*right)].concat(),
         AlgOp::RowNum { input, target, .. }
         | AlgOp::BinaryMap { input, target, .. }
         | AlgOp::UnaryMap { input, target, .. }
@@ -754,9 +1030,9 @@ fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<String> {
         AlgOp::Step { .. }
         | AlgOp::ElemConstruct { .. }
         | AlgOp::TextConstruct { .. }
-        | AlgOp::AttrConstruct { .. } => iter_pos_item(),
-        AlgOp::Ebv { .. } => vec!["iter".into(), "item".into()],
-    }
+        | AlgOp::AttrConstruct { .. } => names(&["iter", "pos", "item"]),
+        AlgOp::Ebv { .. } => names(&["iter", "item"]),
+    })
 }
 
 /// Whether the output of `id` is in distinct document order per `iter`.
@@ -779,23 +1055,41 @@ fn infer_doc_ordered(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
 /// [`PlanProperties`]'s fields; every arm below must only record
 /// relations that hold for the operator's actual value semantics.
 fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagMap, TagMap) {
-    let mut sup = TagMap::new();
-    let mut eq = TagMap::new();
-    let mut excl = TagMap::new();
+    // Room for every input tag plus one own tag per column.
+    let room = |maps: &[TagMap]| {
+        let inherited: usize = plan
+            .op(id)
+            .children()
+            .iter()
+            .map(|&c| maps[c].0.len())
+            .sum();
+        TagMapBuilder::with_room(inherited + pp.columns(id).len())
+    };
+    let mut sup = room(&pp.supersets);
+    let mut eq = room(&pp.equalsets);
+    let mut excl = room(&pp.exclusions);
+    // The tag naming column `src` of `input` itself.
+    let own = |input: OpId, src: Col| Some((pp.canon[input], src));
     // Row-preserving rename: `tgt` takes exactly the values `src` had.
-    let exact =
-        |sup: &mut TagMap, eq: &mut TagMap, excl: &mut TagMap, input: OpId, src: Col, tgt: Col| {
-            sup.insert(tgt, inherit(pp, &pp.supersets, input, src, true));
-            eq.insert(tgt, inherit(pp, &pp.equalsets, input, src, true));
-            excl.insert(tgt, inherit(pp, &pp.exclusions, input, src, false));
-        };
+    let exact = |sup: &mut TagMapBuilder,
+                 eq: &mut TagMapBuilder,
+                 excl: &mut TagMapBuilder,
+                 input: OpId,
+                 src: Col,
+                 tgt: Col| {
+        let own = (pp.canon[input], src);
+        sup.put_run(tgt, pp.supersets[input].run(src), own);
+        eq.put_run(tgt, pp.equalsets[input].run(src), own);
+        excl.put(tgt, pp.exclusions[input].tags(src));
+    };
     // Row subset: values shrink — supersets and exclusions carry, set
     // equality does not.
-    let subset = |sup: &mut TagMap, excl: &mut TagMap, input: OpId, src: Col, tgt: Col| {
-        sup.insert(tgt, inherit(pp, &pp.supersets, input, src, true));
-        excl.insert(tgt, inherit(pp, &pp.exclusions, input, src, false));
-    };
-    let cols = |of: OpId| -> Vec<Col> { pp.columns(of).iter().map(|c| pp.col(c)).collect() };
+    let subset =
+        |sup: &mut TagMapBuilder, excl: &mut TagMapBuilder, input: OpId, src: Col, tgt: Col| {
+            sup.put_run(tgt, pp.supersets[input].run(src), (pp.canon[input], src));
+            excl.put(tgt, pp.exclusions[input].tags(src));
+        };
+    let cols = |of: OpId| pp.columns(of).iter().map(|c| pp.col(c));
     match plan.op(id) {
         AlgOp::Lit { .. } | AlgOp::Doc { .. } => {}
         AlgOp::Project { input, columns } => {
@@ -872,14 +1166,12 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             }
             // Matched join columns take values present on *both* sides.
             let (lcol, rcol) = (pp.col(left_col), pp.col(right_col));
-            let lc = sup.entry(lcol).or_default();
-            lc.extend(inherit(pp, &pp.supersets, *right, rcol, true));
-            let lc = cap(std::mem::take(lc));
-            sup.insert(lcol, lc);
-            let rc = sup.entry(rcol).or_default();
-            rc.extend(inherit(pp, &pp.supersets, *left, lcol, true));
-            let rc = cap(std::mem::take(rc));
-            sup.insert(rcol, rc);
+            let kept = sup.take(lcol);
+            let matched = merge(pp.supersets[*right].tags(rcol), own(*right, rcol));
+            sup.put(lcol, merge(kept, matched));
+            let kept = sup.take(rcol);
+            let matched = merge(pp.supersets[*left].tags(lcol), own(*left, lcol));
+            sup.put(rcol, merge(kept, matched));
         }
         AlgOp::ThetaJoin { left, right, .. } | AlgOp::Cross { left, right } => {
             for c in cols(*left) {
@@ -899,19 +1191,13 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         // on both survive; a tag equal to both sides equals the union.
         AlgOp::Union { left, right } => {
             for c in cols(id) {
-                let meet = |maps: &[TagMap]| -> BTreeSet<Tag> {
-                    match (maps[*left].get(&c), maps[*right].get(&c)) {
-                        (Some(l), Some(r)) => l.intersection(r).copied().collect(),
-                        _ => BTreeSet::new(),
-                    }
-                };
-                sup.insert(c, meet(&pp.supersets));
-                eq.insert(c, meet(&pp.equalsets));
-                excl.insert(c, meet(&pp.exclusions));
+                sup.put(c, meet(&pp.supersets, *left, *right, c));
+                eq.put(c, meet(&pp.equalsets, *left, *right, c));
+                excl.put(c, meet(&pp.exclusions, *left, *right, c));
             }
         }
         AlgOp::Difference { left, right } => {
-            let out = cols(id);
+            let out: Vec<Col> = cols(id).collect();
             for &c in &out {
                 subset(&mut sup, &mut excl, *left, c, c);
             }
@@ -919,10 +1205,9 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             // are disjoint from the right side — and from anything whose
             // value set *equals* the right side's.
             if let [c] = out[..] {
-                let entry = excl.entry(c).or_default();
-                entry.extend(inherit(pp, &pp.equalsets, *right, c, true));
-                let capped = cap(std::mem::take(entry));
-                excl.insert(c, capped);
+                let kept = excl.take(c);
+                let equal = merge(pp.equalsets[*right].tags(c), own(*right, c));
+                excl.put(c, merge(kept, equal));
             }
         }
         // One output row per loop row; iter values survive exactly, the
@@ -938,18 +1223,17 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             subset(&mut sup, &mut excl, *loop_input, iter, iter);
         }
     }
-    (sup, eq, excl)
+    (sup.finish(), eq.finish(), excl.finish())
 }
 
-fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
-    match plan.op(id) {
+/// The minimal keys of `id` (see [`minimal_keys`]), shared with the
+/// input's when they are the input's.
+fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
+    let shared = |input: OpId| Arc::clone(&pp.keys[input]);
+    Arc::new(minimal_keys(match plan.op(id) {
+        AlgOp::Lit { rows, .. } if rows.len() <= 1 => vec![ColSet::default()],
+        AlgOp::Lit { rows, .. } if rows.len() > LIT_SCAN_CAP => Vec::new(),
         AlgOp::Lit { columns, rows } => {
-            if rows.len() <= 1 {
-                return vec![ColSet::new()];
-            }
-            if rows.len() > LIT_SCAN_CAP {
-                return Vec::new();
-            }
             let mut keys = Vec::new();
             for (idx, col) in columns.iter().enumerate() {
                 let mut seen: Vec<&Value> = Vec::with_capacity(rows.len());
@@ -966,20 +1250,20 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
                     }
                 });
                 if distinct {
-                    keys.push(vec![pp.col(col)]);
+                    keys.push(pp.cols(&[col]));
                 }
             }
             keys
         }
-        AlgOp::Doc { .. } => vec![ColSet::new()],
+        AlgOp::Doc { .. } => vec![ColSet::default()],
         AlgOp::Project { input, columns } => {
             let mut renamed = Vec::new();
-            for key in &pp.keys[*input] {
+            for key in pp.keys[*input].iter() {
                 // A source column the projection drops kills the key —
                 // unless it is constant at the input, in which case it
                 // never contributed to distinctness anyway.  A source
                 // copied under several names keys the output under each.
-                let mut mapped: Vec<ColSet> = vec![ColSet::new()];
+                let mut mapped: Vec<ColSet> = vec![ColSet::default()];
                 for &source in key {
                     let name = pp.names.name(source);
                     let targets: Vec<Col> = columns
@@ -1007,15 +1291,15 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. }
-        | AlgOp::Difference { left: input, .. } => pp.keys[*input].clone(),
+        | AlgOp::Difference { left: input, .. } => return shared(*input),
         // Row-preserving operators keep existing keys (they only add or
         // reorder columns / rows).
         AlgOp::Sort { input, .. }
         | AlgOp::Attach { input, .. }
         | AlgOp::UnaryMap { input, .. }
-        | AlgOp::BinaryMap { input, .. } => pp.keys[*input].clone(),
+        | AlgOp::BinaryMap { input, .. } => return shared(*input),
         AlgOp::Distinct { input } => {
-            let mut keys = pp.keys[*input].clone();
+            let mut keys = pp.keys[*input].to_vec();
             let all: Vec<&str> = pp.columns(id).iter().map(String::as_str).collect();
             keys.push(pp.cols(&all));
             keys
@@ -1028,8 +1312,8 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
         } => {
             let mut keys = Vec::new();
             // A pair of keys, one per side, keys the concatenated rows.
-            for kl in &pp.keys[*left] {
-                for kr in &pp.keys[*right] {
+            for kl in pp.keys[*left].iter() {
+                for kr in pp.keys[*right].iter() {
                     keys.push(union(kl, kr));
                 }
             }
@@ -1045,8 +1329,8 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
         }
         AlgOp::ThetaJoin { left, right, .. } | AlgOp::Cross { left, right } => {
             let mut keys = Vec::new();
-            for kl in &pp.keys[*left] {
-                for kr in &pp.keys[*right] {
+            for kl in pp.keys[*left].iter() {
+                for kr in pp.keys[*right].iter() {
                     keys.push(union(kl, kr));
                 }
             }
@@ -1058,7 +1342,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
             partition,
             ..
         } => {
-            let mut keys = pp.keys[*input].clone();
+            let mut keys = pp.keys[*input].to_vec();
             let mut numbered = vec![target.as_str()];
             if let Some(p) = partition {
                 numbered.push(p);
@@ -1113,10 +1397,10 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
             // A provably empty side contributes no rows: the union *is*
             // the other side, keys included.
             if pp.empty[*left] {
-                return pp.keys[*right].clone();
+                return shared(*right);
             }
             if pp.empty[*right] {
-                return pp.keys[*left].clone();
+                return shared(*left);
             }
             let mut discriminators: Vec<Col> = Vec::new();
             for name in pp.columns(id) {
@@ -1129,10 +1413,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
                     }
                 }
                 let disjoint = |a: OpId, b: OpId| {
-                    let sup = pp.supersets_with_self(a, c);
-                    pp.exclusions[b]
-                        .get(&c)
-                        .is_some_and(|x| !sup.is_disjoint(x))
+                    pp.meets_supersets(a, c, |tag| pp.exclusions[b].contains(c, tag))
                 };
                 if disjoint(*left, *right) || disjoint(*right, *left) {
                     discriminators.push(c);
@@ -1140,8 +1421,8 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
             }
             let mut keys: Vec<ColSet> = Vec::new();
             for &c in &discriminators {
-                for kl in &pp.keys[*left] {
-                    for kr in &pp.keys[*right] {
+                for kl in pp.keys[*left].iter() {
+                    for kr in pp.keys[*right].iter() {
                         let key = union(&union(kl, kr), &[c]);
                         if !keys.contains(&key) {
                             keys.push(key);
@@ -1162,7 +1443,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Vec<ColSet> {
             }
             keys
         }
-    }
+    }))
 }
 
 /// Structural emptiness: `true` only when the operator provably yields
@@ -1214,21 +1495,44 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
     }
 }
 
-fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, Option<Const>> {
-    match plan.op(id) {
+/// The constant columns of `id`: shared with the input's when they are
+/// the input's.
+fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants> {
+    let shared = |input: OpId| Arc::clone(&pp.constants[input]);
+    // The input's constants with `col` set to `value`.
+    let with = |input: OpId, col: &str, value: Option<Const>| {
+        let known = &pp.constants[input];
+        if known.get(col) == Some(&value) {
+            return Arc::clone(known);
+        }
+        let mut c = Constants::clone(known);
+        c.insert(col.to_string(), value);
+        Arc::new(c)
+    };
+    // The input's constants without `col`.
+    let without = |input: OpId, col: &str| {
+        let known = &pp.constants[input];
+        if !known.contains_key(col) {
+            return Arc::clone(known);
+        }
+        let mut c = Constants::clone(known);
+        c.remove(col);
+        Arc::new(c)
+    };
+    Arc::new(match plan.op(id) {
         AlgOp::Lit { columns, rows } => {
             if rows.is_empty() {
-                return columns.iter().map(|c| (c.clone(), None)).collect();
+                columns.iter().map(|c| (c.clone(), None)).collect()
+            } else if rows.len() > LIT_SCAN_CAP {
+                Constants::new()
+            } else {
+                columns
+                    .iter()
+                    .enumerate()
+                    .filter(|(idx, _)| rows.iter().all(|r| r[*idx] == rows[0][*idx]))
+                    .map(|(idx, c)| (c.clone(), Some(rows[0][idx].clone())))
+                    .collect()
             }
-            if rows.len() > LIT_SCAN_CAP {
-                return BTreeMap::new();
-            }
-            columns
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| rows.iter().all(|r| r[*idx] == rows[0][*idx]))
-                .map(|(idx, c)| (c.clone(), Some(rows[0][idx].clone())))
-                .collect()
         }
         // One row: its only column is constant, the value opaque.
         AlgOp::Doc { .. } => std::iter::once(("item".to_string(), None)).collect(),
@@ -1238,47 +1542,34 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             .collect(),
         // Survivors all carry `true` / the matched constant in `column`.
         AlgOp::Select { input, column } => {
-            let mut c = pp.constants[*input].clone();
-            c.insert(column.clone(), Some(Const::Value(Value::Bool(true))));
-            c
+            return with(*input, column, Some(Const::Value(Value::Bool(true))));
         }
         AlgOp::SelectEq {
             input,
             column,
             value,
-        } => {
-            let mut c = pp.constants[*input].clone();
-            c.insert(column.clone(), Some(Const::Value(value.clone())));
-            c
-        }
+        } => return with(*input, column, Some(Const::Value(value.clone()))),
         // Row subsets / reorders keep every constant column constant.
-        AlgOp::Sort { input, .. } | AlgOp::Distinct { input } | AlgOp::IndexScan { input, .. } => {
-            pp.constants[*input].clone()
-        }
+        AlgOp::Sort { input, .. }
+        | AlgOp::Distinct { input }
+        | AlgOp::IndexScan { input, .. }
+        | AlgOp::Difference { left: input, .. } => return shared(*input),
         AlgOp::Attach {
             input,
             target,
             value,
-        } => {
-            let mut c = pp.constants[*input].clone();
-            c.insert(target.clone(), Some(value.clone()));
-            c
-        }
-        AlgOp::UnaryMap { input, target, .. } | AlgOp::BinaryMap { input, target, .. } => {
-            let mut c = pp.constants[*input].clone();
-            c.remove(target);
-            c
-        }
-        AlgOp::RowNum { input, target, .. } => {
-            let mut c = pp.constants[*input].clone();
-            c.remove(target);
-            c
-        }
+        } => return with(*input, target, Some(value.clone())),
+        AlgOp::UnaryMap { input, target, .. }
+        | AlgOp::BinaryMap { input, target, .. }
+        | AlgOp::RowNum { input, target, .. } => return without(*input, target),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::Cross { left, right } => {
-            let mut c = pp.constants[*left].clone();
-            for (col, v) in &pp.constants[*right] {
+            if pp.constants[*right].is_empty() {
+                return shared(*left);
+            }
+            let mut c = Constants::clone(&pp.constants[*left]);
+            for (col, v) in pp.constants[*right].iter() {
                 c.entry(col.clone()).or_insert_with(|| v.clone());
             }
             c
@@ -1289,13 +1580,13 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
         // survive as they are.
         AlgOp::Union { left, right } => {
             if pp.empty[*left] {
-                return pp.constants[*right].clone();
+                return shared(*right);
             }
             if pp.empty[*right] {
-                return pp.constants[*left].clone();
+                return shared(*left);
             }
-            let mut c = BTreeMap::new();
-            for (col, v) in &pp.constants[*left] {
+            let mut c = Constants::new();
+            for (col, v) in pp.constants[*left].iter() {
                 let (Some(va), Some(Some(vb))) = (v, pp.constants[*right].get(col)) else {
                     continue;
                 };
@@ -1305,63 +1596,67 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<Strin
             }
             c
         }
-        AlgOp::Difference { left, .. } => pp.constants[*left].clone(),
         AlgOp::Aggregate { input, group, .. } => group_constant(pp, *input, group),
         AlgOp::ThetaCount { left, count, .. } => group_constant(pp, *left, &count.group),
-        AlgOp::Step { input, .. } | AlgOp::Ebv { input } => {
-            let mut c = BTreeMap::new();
-            if let Some(v) = pp.constants[*input].get("iter") {
-                c.insert("iter".to_string(), v.clone());
-            }
-            c
-        }
-        AlgOp::DocOrder { input } => {
-            let mut c = BTreeMap::new();
-            for col in ["iter", "item"] {
-                if let Some(v) = pp.constants[*input].get(col) {
-                    c.insert(col.to_string(), v.clone());
-                }
-            }
-            c
-        }
+        AlgOp::Step { input, .. } | AlgOp::Ebv { input } => group_constant(pp, *input, "iter"),
+        AlgOp::DocOrder { input } => ["iter", "item"]
+            .into_iter()
+            .filter_map(|col| {
+                let v = pp.constants[*input].get(col)?;
+                Some((col.to_string(), v.clone()))
+            })
+            .collect(),
+        // The item column is rewritten: still constant when the input
+        // item was (same node ⇒ same atomization), but the value is no
+        // longer statically known.
         AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            let mut c = pp.constants[*input].clone();
-            // The item column is rewritten: still constant when the
-            // input item was (same node ⇒ same atomization), but the
-            // value is no longer statically known.
-            if let Some(v) = c.get_mut("item") {
-                *v = None;
-            }
-            c
+            return if pp.constants[*input].contains_key("item") {
+                with(*input, "item", None)
+            } else {
+                shared(*input)
+            };
         }
         AlgOp::ElemConstruct { loop_input, .. }
         | AlgOp::AttrConstruct { loop_input, .. }
         | AlgOp::TextConstruct { loop_input, .. } => {
-            let mut c = BTreeMap::new();
+            let mut c = Constants::new();
             if pp.constants[*loop_input].contains_key("iter") {
                 c.insert("iter".to_string(), None);
             }
             c
         }
-    }
+    })
 }
 
 /// Per-column type sets: Boolean at comparisons, `ebv`, `not` and Boolean
-/// constants, carried by renames and row subsets, united at `∪`.
-fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, TypeSet> {
-    let carry = |input: OpId| pp.types[input].clone();
-    let with = |mut types: BTreeMap<String, TypeSet>, col: &str, t: Option<TypeSet>| {
-        match t {
-            Some(t) => types.insert(col.to_string(), t),
-            None => types.remove(col),
-        };
+/// constants, carried by renames and row subsets, united at `∪` — shared
+/// with the input's when they are the input's.
+fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
+    let carry = |input: OpId| Arc::clone(&pp.types[input]);
+    // The input's types with `col` set to `t` (`None`: any type).
+    let with = |input: OpId, col: &str, t: Option<TypeSet>| {
+        let known = &pp.types[input];
+        if known.get(col).copied() == t {
+            return Arc::clone(known);
+        }
+        let mut types = Types::clone(known);
+        set_type(&mut types, col, t);
+        Arc::new(types)
+    };
+    // A fresh map of the given types.
+    let fresh = |typed: &[(&str, Option<TypeSet>)]| {
+        let mut types = Types::new();
+        for &(col, t) in typed {
+            set_type(&mut types, col, t);
+        }
         types
     };
     let boolean = Some(TypeSet::of(ValueType::Bool));
-    match plan.op(id) {
+    let node = Some(TypeSet::of(ValueType::Node));
+    Arc::new(match plan.op(id) {
         AlgOp::Lit { columns, rows } => {
             if rows.len() > LIT_SCAN_CAP {
-                return BTreeMap::new();
+                return Arc::default();
             }
             columns
                 .iter()
@@ -1374,24 +1669,24 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, T
                 })
                 .collect()
         }
-        AlgOp::Doc { .. } => with(BTreeMap::new(), "item", Some(TypeSet::of(ValueType::Node))),
+        AlgOp::Doc { .. } => fresh(&[("item", node)]),
         AlgOp::Project { input, columns } => columns
             .iter()
             .filter_map(|(s, t)| pp.types[*input].get(s).map(|ty| (t.clone(), *ty)))
             .collect(),
         // Survivors carry `true` in the column (anything else is an error).
-        AlgOp::Select { input, column } => with(carry(*input), column, boolean),
+        AlgOp::Select { input, column } => return with(*input, column, boolean),
         AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Sort { input, .. }
         | AlgOp::DocOrder { input }
-        | AlgOp::Difference { left: input, .. } => carry(*input),
+        | AlgOp::Difference { left: input, .. } => return carry(*input),
         AlgOp::Attach {
             input,
             target,
             value,
-        } => with(carry(*input), target, Some(TypeSet::of(value.value_type()))),
+        } => return with(*input, target, Some(TypeSet::of(value.value_type()))),
         AlgOp::BinaryMap {
             input, target, op, ..
         } => {
@@ -1403,56 +1698,53 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, T
                 | BinaryOp::StartsWith => boolean,
                 BinaryOp::Arith(_) | BinaryOp::Concat => None,
             };
-            with(carry(*input), target, t)
+            return with(*input, target, t);
         }
         AlgOp::UnaryMap {
             input, target, op, ..
-        } => with(
-            carry(*input),
-            target,
-            (*op == UnaryOp::Not).then_some(boolean).flatten(),
-        ),
+        } => {
+            return with(
+                *input,
+                target,
+                (*op == UnaryOp::Not).then_some(boolean).flatten(),
+            );
+        }
         AlgOp::RowNum { input, target, .. } => {
-            with(carry(*input), target, Some(TypeSet::of(ValueType::Nat)))
+            return with(*input, target, Some(TypeSet::of(ValueType::Nat)));
         }
         AlgOp::Aggregate { input, group, .. } => {
-            with(BTreeMap::new(), group, pp.types[*input].get(group).copied())
+            fresh(&[(group, pp.types[*input].get(group).copied())])
         }
-        AlgOp::ThetaCount { left, count, .. } => with(
-            BTreeMap::new(),
-            &count.group,
-            pp.types[*left].get(&count.group).copied(),
-        ),
+        AlgOp::ThetaCount { left, count, .. } => {
+            fresh(&[(&count.group, pp.types[*left].get(&count.group).copied())])
+        }
         // Attribute steps yield the attribute values, every other axis
         // nodes.
         AlgOp::Step { input, axis, .. } => {
-            let types = with(
-                BTreeMap::new(),
-                "iter",
-                pp.types[*input].get("iter").copied(),
-            );
-            let types = with(types, "pos", Some(TypeSet::of(ValueType::Nat)));
             let item = match axis {
                 Axis::Attribute => ValueType::Str,
                 _ => ValueType::Node,
             };
-            with(types, "item", Some(TypeSet::of(item)))
+            fresh(&[
+                ("iter", pp.types[*input].get("iter").copied()),
+                ("pos", Some(TypeSet::of(ValueType::Nat))),
+                ("item", Some(TypeSet::of(item))),
+            ])
         }
-        AlgOp::Ebv { input } => {
-            let types = with(
-                BTreeMap::new(),
-                "iter",
-                pp.types[*input].get("iter").copied(),
-            );
-            with(types, "item", boolean)
-        }
-        AlgOp::FnData { input } => with(carry(*input), "item", None),
-        AlgOp::FnRoot { input } => with(carry(*input), "item", Some(TypeSet::of(ValueType::Node))),
+        AlgOp::Ebv { input } => fresh(&[
+            ("iter", pp.types[*input].get("iter").copied()),
+            ("item", boolean),
+        ]),
+        AlgOp::FnData { input } => return with(*input, "item", None),
+        AlgOp::FnRoot { input } => return with(*input, "item", node),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::Cross { left, right } => {
-            let mut types = carry(*left);
-            types.extend(carry(*right));
+            if pp.types[*right].is_empty() {
+                return carry(*left);
+            }
+            let mut types = Types::clone(&pp.types[*left]);
+            types.extend(pp.types[*right].iter().map(|(c, t)| (c.clone(), *t)));
             types
         }
         AlgOp::Union { left, right } => {
@@ -1468,28 +1760,39 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> BTreeMap<String, T
                 .collect()
         }
         // A constructed attribute travels as an encoded string.
-        AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } => {
-            with(BTreeMap::new(), "item", Some(TypeSet::of(ValueType::Node)))
-        }
-        AlgOp::AttrConstruct { .. } => BTreeMap::new(),
-    }
+        AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } => fresh(&[("item", node)]),
+        AlgOp::AttrConstruct { .. } => return Arc::default(),
+    })
+}
+
+/// Set the type set of `col` (`None`: any type, no entry).
+fn set_type(types: &mut Types, col: &str, t: Option<TypeSet>) {
+    match t {
+        Some(t) => types.insert(col.to_string(), t),
+        None => types.remove(col),
+    };
 }
 
 /// Row order within `iter` (see [`Sequence`]).  Steps, `ddo` and `%·/iter`
 /// produce a dense one; π, `@` and maps keep it; σ, δ, `∖` and the
 /// left-major joins keep the order but lose the density.
-fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Sequence> {
+fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Arc<Sequence>> {
     let dense = |column: &str| {
-        Some(Sequence {
+        Some(Arc::new(Sequence {
             column: column.to_string(),
             dense: true,
-        })
+        }))
     };
+    // The input's order, without its density.
     let sparse = |input: OpId| {
-        pp.sequence[input].as_ref().map(|s| Sequence {
-            column: s.column.clone(),
+        let seq = pp.sequence[input].as_ref()?;
+        if !seq.dense {
+            return Some(Arc::clone(seq));
+        }
+        Some(Arc::new(Sequence {
+            column: seq.column.clone(),
             dense: false,
-        })
+        }))
     };
     match plan.op(id) {
         // Steps and ddo sort by (iter, document order) and number `pos`
@@ -1515,10 +1818,13 @@ fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Sequence
             let seq = pp.sequence[*input].as_ref()?;
             columns.iter().find(|(s, t)| s == "iter" && t == "iter")?;
             let (_, target) = columns.iter().find(|(s, _)| *s == seq.column)?;
-            Some(Sequence {
+            if *target == seq.column {
+                return Some(Arc::clone(seq));
+            }
+            Some(Arc::new(Sequence {
                 column: target.clone(),
                 dense: seq.dense,
-            })
+            }))
         }
         AlgOp::Attach { input, .. }
         | AlgOp::BinaryMap { input, .. }
@@ -1554,12 +1860,8 @@ fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Sequence
 /// error: maps and casts, σ over a column that may not be Boolean,
 /// atomization, the non-count aggregates, steps, θ-joins, document access
 /// and constructors.
-fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> OpSet {
+fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<OpSet> {
     let op = plan.op(id);
-    let mut set = OpSet::new();
-    for child in op.children() {
-        opset_union(&mut set, &pp.raisers[child]);
-    }
     let raises = match op {
         AlgOp::Select { input, column } => {
             !pp.types(*input, column).is_some_and(TypeSet::is_boolean)
@@ -1578,19 +1880,22 @@ fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> OpSet {
         | AlgOp::TextConstruct { .. } => true,
         _ => false,
     };
+    if let ([input], false) = (&op.children()[..], raises) {
+        return Arc::clone(&pp.raisers[*input]);
+    }
+    let mut set = OpSet::new();
+    for child in op.children() {
+        opset_union(&mut set, &pp.raisers[child]);
+    }
     if raises {
         opset_insert(&mut set, id);
     }
-    set
+    Arc::new(set)
 }
 
 /// The constants of a grouping operator: its group column, when that is
 /// constant at `input`.
-fn group_constant(
-    pp: &PlanProperties,
-    input: OpId,
-    group: &str,
-) -> BTreeMap<String, Option<Const>> {
+fn group_constant(pp: &PlanProperties, input: OpId, group: &str) -> Constants {
     let known = pp.constants[input].get(group);
     known
         .map(|v| (group.to_string(), v.clone()))
@@ -1616,8 +1921,7 @@ fn edge_order_free(
         // deterministic; otherwise stable tie-breaking passes the input
         // order through.
         AlgOp::Sort { by, .. } => {
-            let cols: BTreeSet<String> = by.iter().map(|s| s.column.clone()).collect();
-            if pp.keyed_by(child, &cols) {
+            if pp.keyed_by_names(child, by.iter().map(|s| s.column.as_str())) {
                 true
             } else {
                 parent_free
@@ -1631,11 +1935,8 @@ fn edge_order_free(
             partition,
             ..
         } => {
-            let mut cols: BTreeSet<String> = order_by.iter().map(|s| s.column.clone()).collect();
-            if let Some(p) = partition {
-                cols.insert(p.clone());
-            }
-            if pp.keyed_by(child, &cols) {
+            let cols = order_by.iter().map(|s| s.column.as_str());
+            if pp.keyed_by_names(child, cols.chain(partition.as_deref())) {
                 parent_free
             } else {
                 false
@@ -1655,13 +1956,13 @@ fn edge_order_free(
         // index re-sorts stably by pos within iter.
         AlgOp::ElemConstruct { .. } | AlgOp::AttrConstruct { .. } | AlgOp::TextConstruct { .. } => {
             if slot == 0 {
-                if pp.keyed_by(child, &set(&["iter"])) {
+                if pp.keyed_by_names(child, ["iter"]) {
                     parent_free
                 } else {
                     false
                 }
             } else {
-                pp.keyed_by(child, &set(&["iter", "pos"]))
+                pp.keyed_by_names(child, ["iter", "pos"])
             }
         }
         // The right side of a difference is only probed, never emitted;
@@ -1684,12 +1985,12 @@ fn estimate_op(
     plan: &Plan,
     id: OpId,
     rows: &[f64],
-    doc: &[Option<String>],
+    doc: &[Option<Arc<str>>],
     stats: &dyn StatsSource,
-) -> (f64, Option<String>) {
+) -> (f64, Option<Arc<str>>) {
     match plan.op(id) {
         AlgOp::Lit { rows: r, .. } => (r.len() as f64, None),
-        AlgOp::Doc { uri } => (1.0, Some(uri.clone())),
+        AlgOp::Doc { uri } => (1.0, Some(uri.as_str().into())),
         AlgOp::Step { input, axis, test } => {
             let input_rows = rows[*input];
             let uri = doc[*input].clone();
@@ -1765,7 +2066,7 @@ fn estimate_op(
     }
 }
 
-fn merge_doc(doc: &[Option<String>], left: OpId, right: OpId) -> Option<String> {
+fn merge_doc(doc: &[Option<Arc<str>>], left: OpId, right: OpId) -> Option<Arc<str>> {
     match (&doc[left], &doc[right]) {
         (Some(l), Some(r)) if l == r => Some(l.clone()),
         (Some(l), None) => Some(l.clone()),
@@ -1780,6 +2081,10 @@ mod tests {
     use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;
     use pf_store::DocStore;
+
+    fn set(cols: &[&str]) -> BTreeSet<String> {
+        cols.iter().map(|c| c.to_string()).collect()
+    }
 
     fn doc_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let d = b.add(AlgOp::Doc { uri: uri.into() });
@@ -1904,6 +2209,20 @@ mod tests {
         assert!(pp.rows(s) > 0.0);
         assert!(pp.order_free(s));
         assert!(pp.doc_ordered(s));
+    }
+
+    /// The analysis's canonical operators follow hash-consing: `0.0` and
+    /// `-0.0` are different relations, two NaN literals the same one.
+    #[test]
+    fn canonical_operators_tell_signed_zeros_apart_and_merge_nans() {
+        let (plan, [zeros, nans, lit_zeros, lit_nans], _) = crate::optimize::dedup::float_twins();
+        let pp = PlanProperties::analyze(&plan);
+        for (left, right) in [zeros, lit_zeros] {
+            assert_ne!(pp.canon[left], pp.canon[right], "0.0 and -0.0 differ");
+        }
+        for (left, right) in [nans, lit_nans] {
+            assert_eq!(pp.canon[left], pp.canon[right], "the NaN twins are one");
+        }
     }
 
     #[test]

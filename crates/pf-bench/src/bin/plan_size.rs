@@ -4,7 +4,8 @@
 //! style optimization."  This binary prints, for all 20 XMark queries, the
 //! operator counts before and after peephole optimization, the reduction,
 //! how many joins were recognized, how many index scans the optimizer
-//! introduced, and how many whole-plan property analyses it ran.
+//! introduced, and how many whole-plan property analyses it ran; below the
+//! table, how many per-operator inferences those analyses made in all.
 //!
 //! ```text
 //! cargo run -p pf-bench --bin plan_size             # the table
@@ -13,9 +14,10 @@
 //!
 //! The counts are deterministic (no document is loaded, so no statistics
 //! steer the optimizer).  `--check` fails when any query's optimized plan,
-//! the median optimized plan, Q1's plan or the total number of property
-//! analyses grows past the bounds below, so neither plan shrinkage nor the
-//! analysis budget can regress unnoticed.
+//! the median optimized plan, Q1's plan, the total number of property
+//! analyses or the total number of operators analyzed grows past the
+//! bounds below, so neither plan shrinkage nor the analysis budget can
+//! regress unnoticed.
 
 use pf_engine::Pathfinder;
 use pf_xmark::queries;
@@ -31,6 +33,10 @@ const Q1_BOUND: usize = 37;
 /// Largest accepted number of whole-plan property analyses over all 20
 /// queries.
 const PASSES_BOUND: usize = 25;
+/// Largest accepted number of per-operator inferences over all 20
+/// queries ([`pf_engine::OptimizeReport::operators_analyzed`]): a rule
+/// that re-analyzed whole plans would multiply it.
+const ANALYZED_BOUND: usize = 2150;
 
 fn main() {
     let check = match std::env::args().nth(1).as_deref() {
@@ -50,6 +56,7 @@ fn main() {
     let pf = Pathfinder::new();
     let mut ranked = Vec::new();
     let mut passes = 0;
+    let mut analyzed = 0;
     let mut sizes = Vec::new();
     let mut grown = Vec::new();
     let mut q1 = 0;
@@ -57,6 +64,7 @@ fn main() {
         let explain = pf.explain(q.text).expect("every XMark query compiles");
         let report = &explain.report;
         passes += report.property_passes;
+        analyzed += report.operators_analyzed;
         sizes.push(report.operators_after);
         let bound = QUERY_BOUNDS[usize::from(q.id) - 1];
         if report.operators_after > bound {
@@ -96,6 +104,7 @@ fn main() {
     println!();
     println!("# median optimized plan: {median} operators; Q1: {q1}");
     println!("# property analyses over all queries: {passes}");
+    println!("# operators analyzed over all queries: {analyzed}");
     println!(
         "# count over a θ-join's pair table replaced by a rank count (ThetaCount): {}",
         ranked.join(", ")
@@ -118,10 +127,13 @@ fn main() {
         if passes > PASSES_BOUND {
             failed.push(format!("property analyses {passes} > {PASSES_BOUND}"));
         }
+        if analyzed > ANALYZED_BOUND {
+            failed.push(format!("operators analyzed {analyzed} > {ANALYZED_BOUND}"));
+        }
         if !failed.is_empty() {
             eprintln!("plan_size --check failed: {}", failed.join("; "));
             std::process::exit(1);
         }
-        println!("# --check: within bounds (every query ≤ its bound, median ≤ {MEDIAN_BOUND}, Q1 ≤ {Q1_BOUND}, analyses ≤ {PASSES_BOUND})");
+        println!("# --check: within bounds (every query ≤ its bound, median ≤ {MEDIAN_BOUND}, Q1 ≤ {Q1_BOUND}, analyses ≤ {PASSES_BOUND}, operators analyzed ≤ {ANALYZED_BOUND})");
     }
 }

@@ -470,14 +470,10 @@ pub struct Pathfinder {
     query_tags: AtomicU64,
     /// Stamps each opened [`Session`] with an id.
     session_ids: AtomicU64,
-    /// Per-document [`DocStatistics`], measured lazily on the first query
-    /// that needs a cardinality estimate for the document and invalidated
-    /// on (re)load.  Keyed by document URI.
-    stats_cache: Mutex<HashMap<String, Arc<DocStatistics>>>,
 }
 
-/// The engine's [`StatsSource`]: serves per-document statistics out of
-/// [`Pathfinder::stats_cache`], measuring them on first demand.
+/// The engine's [`StatsSource`]: serves each document's statistics from
+/// its registered store ([`Pathfinder::doc_statistics`]).
 struct EngineStats<'a>(&'a Pathfinder);
 
 impl StatsSource for EngineStats<'_> {
@@ -560,49 +556,27 @@ impl Pathfinder {
     /// which keep reading their own admission-time snapshots.
     pub fn load_document(&self, name: &str, xml: &str) -> EngineResult<()> {
         self.registry.load_xml(name, xml)?;
-        self.invalidate_statistics(name);
         Ok(())
     }
 
     /// Register an already parsed document under `name`.
     pub fn load_parsed(&self, name: &str, doc: &pf_xml::Document) -> EngineResult<()> {
         self.registry.load_document(name, doc);
-        self.invalidate_statistics(name);
         Ok(())
     }
 
-    /// Drop the cached [`DocStatistics`] of `name` — a (re)load changes
-    /// the histograms, and the next estimate must re-measure.
-    fn invalidate_statistics(&self, name: &str) {
-        self.stats_cache
-            .lock()
-            .expect("stats cache poisoned")
-            .remove(name);
-    }
-
     /// The measured [`DocStatistics`] of the document registered under
-    /// `uri` (`None` if no such document), served from the per-engine
-    /// statistics cache and measured on first demand.
+    /// `uri` (`None` if no such document).  They are measured on first
+    /// demand and kept with the registered store
+    /// ([`pf_store::DocStore::statistics`]), so they always describe the
+    /// version of the document the registry holds: a reload registers a
+    /// new store, and the old one's statistics go with it.
     pub fn doc_statistics(&self, uri: &str) -> Option<Arc<DocStatistics>> {
-        {
-            let cache = self.stats_cache.lock().expect("stats cache poisoned");
-            if let Some(stats) = cache.get(uri) {
-                return Some(Arc::clone(stats));
-            }
-        }
-        // Measure outside the lock: statistics are a full-document scan,
-        // and two sessions racing on the same cold document both measure
-        // identical values (the later insert harmlessly wins).
         let store = self
             .registry
             .id_of(uri)
             .and_then(|id| self.registry.store(id))?;
-        let stats = Arc::new(DocStatistics::measure(&store));
-        self.stats_cache
-            .lock()
-            .expect("stats cache poisoned")
-            .insert(uri.to_string(), Arc::clone(&stats));
-        Some(stats)
+        Some(store.statistics())
     }
 
     /// Compile a query without executing it — the way a query runs: its
@@ -932,6 +906,23 @@ mod tests {
 
     fn run(pf: &Pathfinder, q: &str) -> QueryResult {
         pf.query_with(q, Profile::None).unwrap().result
+    }
+
+    /// Statistics belong to one version of a document: a reload must not
+    /// be answered with the measurement of the document it replaced.
+    #[test]
+    fn doc_statistics_follow_a_reload() {
+        let pf = engine_with("<a><b/></a>");
+        assert_eq!(pf.doc_statistics("doc.xml").unwrap().nodes, 3);
+        let before = pf.registry().snapshot();
+        pf.load_document("doc.xml", "<a><b/><b/><b/></a>").unwrap();
+        assert_eq!(pf.doc_statistics("doc.xml").unwrap().nodes, 5);
+        // A snapshot taken before the reload still reads the old store,
+        // and its statistics stay the old document's.
+        let old = before.store(before.id_of("doc.xml").unwrap()).unwrap();
+        assert_eq!(old.statistics().nodes, 3);
+        assert_eq!(pf.doc_statistics("doc.xml").unwrap().nodes, 5);
+        assert!(pf.doc_statistics("missing.xml").is_none());
     }
 
     #[test]

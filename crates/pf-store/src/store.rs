@@ -7,7 +7,7 @@
 //! which make the row-numbering operator a no-cost operator (Section 2,
 //! "MonetDB").
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::dict::Dictionary;
 use crate::index::{
@@ -15,6 +15,7 @@ use crate::index::{
     RentedCell, TextIndex, ValueIndex,
 };
 use crate::shred::Shredder;
+use crate::stats::DocStatistics;
 use pf_xml::Document;
 
 /// A node reference: the pre-order rank of the node within its document.
@@ -87,6 +88,10 @@ pub struct DocStore {
     /// paid for it (see [`crate::index`]).  Clones of the store share the
     /// builds and the rent counters.
     indexes: Arc<IndexTable>,
+    /// The document statistics, measured on first demand
+    /// ([`DocStore::statistics`]).  Clones share the one measurement,
+    /// and a reload — a new store — starts without one.
+    statistics: Arc<OnceLock<Arc<DocStatistics>>>,
 }
 
 impl DocStore {
@@ -106,12 +111,25 @@ impl DocStore {
             texts: Dictionary::new(),
             source_bytes: 0,
             indexes: Arc::default(),
+            statistics: Arc::default(),
         }
     }
 
     /// Size the per-name index table once the name dictionary is final.
     pub(crate) fn finish_shredding(&mut self) {
         self.indexes = Arc::new(IndexTable::new(self.qnames.len()));
+    }
+
+    /// The [`DocStatistics`] of this document, measured on the first call
+    /// (one scan of the node and attribute tables) and then shared by
+    /// every clone of the store: they belong to this version of the
+    /// document, so a reload, which registers a new store, can never be
+    /// answered with the old document's statistics.
+    pub fn statistics(&self) -> Arc<DocStatistics> {
+        Arc::clone(
+            self.statistics
+                .get_or_init(|| Arc::new(DocStatistics::measure(self))),
+        )
     }
 
     /// Shred `doc` into its relational encoding (by replaying it through
@@ -533,6 +551,23 @@ mod tests {
         assert_eq!(s.level, vec![0, 1, 2, 3, 2]);
         assert_eq!(s.tag_of(1), "a");
         assert_eq!(s.tag_of(4), "d");
+    }
+
+    #[test]
+    fn clones_share_one_statistics_measurement() {
+        let s = store("<a><b/><b/></a>");
+        let copy = s.clone();
+        let measured = copy.statistics();
+        assert_eq!(measured.nodes, 4);
+        assert!(
+            Arc::ptr_eq(&measured, &s.statistics()),
+            "the original sees the clone's measurement"
+        );
+        let other = store("<a><b/><b/></a>");
+        assert!(
+            !Arc::ptr_eq(&measured, &other.statistics()),
+            "another store, even of equal text, measures its own"
+        );
     }
 
     #[test]
