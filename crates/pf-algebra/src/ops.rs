@@ -421,13 +421,6 @@ pub enum AlgOp {
         /// Content relation.
         content: OpId,
     },
-    /// Explicit sort (used by `order by` back-mapping and serialization).
-    Sort {
-        /// Input operator.
-        input: OpId,
-        /// Sort keys.
-        by: Vec<SortSpec>,
-    },
 }
 
 impl AlgOp {
@@ -451,8 +444,7 @@ impl AlgOp {
             | AlgOp::DocOrder { input }
             | AlgOp::FnData { input }
             | AlgOp::FnRoot { input }
-            | AlgOp::Ebv { input }
-            | AlgOp::Sort { input, .. } => Children::one(*input),
+            | AlgOp::Ebv { input } => Children::one(*input),
             AlgOp::Union { left, right }
             | AlgOp::Difference { left, right }
             | AlgOp::EquiJoin { left, right, .. }
@@ -527,8 +519,7 @@ impl AlgOp {
             | AlgOp::DocOrder { input }
             | AlgOp::FnData { input }
             | AlgOp::FnRoot { input }
-            | AlgOp::Ebv { input }
-            | AlgOp::Sort { input, .. } => {
+            | AlgOp::Ebv { input } => {
                 if index == 0 {
                     set(input);
                 }
@@ -681,10 +672,6 @@ impl AlgOp {
             AlgOp::ElemConstruct { tag, .. } => format!("ε⟨{tag}⟩"),
             AlgOp::AttrConstruct { name, .. } => format!("α⟨@{name}⟩"),
             AlgOp::TextConstruct { .. } => "τ".to_string(),
-            AlgOp::Sort { by, .. } => {
-                let keys: Vec<&str> = by.iter().map(|s| s.column.as_str()).collect();
-                format!("sort[{}]", keys.join(","))
-            }
         }
     }
 }

@@ -359,10 +359,13 @@ mod tests {
             input: shared,
             column: "item".into(),
         });
-        // Sort is a breaker: it keeps reading the original operator.
-        let keep = b.add(AlgOp::Sort {
+        // Row numbering is a breaker: it keeps reading the original
+        // operator.
+        let keep = b.add(AlgOp::RowNum {
             input: shared,
-            by: vec![],
+            target: "pos".into(),
+            order_by: vec![],
+            partition: None,
         });
         let u = b.add(AlgOp::Union {
             left: fuse,
@@ -372,7 +375,7 @@ mod tests {
         let mut report = OptimizeReport::default();
         unshare_fusable_chains(&mut plan, &mut report);
         assert_eq!(report.chains_unshared, 1);
-        let AlgOp::Sort { input, .. } = plan.op(keep) else {
+        let AlgOp::RowNum { input, .. } = plan.op(keep) else {
             panic!()
         };
         assert_eq!(*input, shared, "breaker consumer keeps the original");

@@ -23,8 +23,9 @@
 //!   without touching the predicate, so the executor only filters
 //!   singleton groups ([`IndexMode::Ebv`]); statically we require the
 //!   constant side to be keyed on its join column so group sizes at the
-//!   splice point equal group sizes at the `ebv`.  The pre-pushdown
-//!   variant — σ over the whole union — is matched as well.
+//!   splice point equal group sizes at the `ebv`.  Before pushdown the σ
+//!   sat over the union of both branches; pushdown, which runs right
+//!   before this rule, always moves it off that single-consumer ∪.
 //!
 //! The spliced [`AlgOp::IndexScan`] sits directly above the step (below
 //! the data/cast/projection chain), carries the probe and the document
@@ -67,7 +68,6 @@ pub(crate) fn introduce_index_scans(
             AlgOp::Select { input, column } => {
                 let (input, column) = (*input, column.clone());
                 match_exact(plan, &consumers, props, input, &column)
-                    .or_else(|| match_ebv_union(plan, &consumers, props, input, &column))
                     .or_else(|| match_ebv_pushed(plan, &consumers, props, id, input, &column))
             }
             AlgOp::ThetaJoin {
@@ -175,82 +175,7 @@ fn match_exact(
     build_rewrite(plan, props, traced, IndexMode::Exact)
 }
 
-/// Pattern B: the pre-pushdown `ebv_bool` scaffolding with the σ over its
-/// union: `σ_item( π[iter,item](ebv) ∪ @item:=false(loop \ π_iter(ebv)) )`.
-fn match_ebv_union(
-    plan: &Plan,
-    consumers: &[usize],
-    props: &PlanProperties,
-    union_id: OpId,
-    column: &str,
-) -> Option<Rewrite> {
-    if column != "item" {
-        return None;
-    }
-    let AlgOp::Union {
-        left: present,
-        right: missing,
-    } = plan.op(union_id)
-    else {
-        return None;
-    };
-    if consumers[union_id] != 1 {
-        return None;
-    }
-    // present = π[iter,item](ebv)
-    let AlgOp::Project {
-        input: ebv_id,
-        columns: pc,
-    } = plan.op(*present)
-    else {
-        return None;
-    };
-    if consumers[*present] != 1 || !same_mapping(pc, &[("iter", "iter"), ("item", "item")]) {
-        return None;
-    }
-    let ebv_id = *ebv_id;
-    if consumers[ebv_id] != 2 {
-        return None;
-    }
-    // missing = @item:=false (loop \ π[iter](ebv))
-    let AlgOp::Attach {
-        input: diff,
-        target,
-        value,
-    } = plan.op(*missing)
-    else {
-        return None;
-    };
-    if consumers[*missing] != 1 || target != "item" || *value != Value::Bool(false) {
-        return None;
-    }
-    let AlgOp::Difference {
-        left: _loop_rel,
-        right: present_iters,
-    } = plan.op(*diff)
-    else {
-        return None;
-    };
-    if consumers[*diff] != 1 {
-        return None;
-    }
-    let AlgOp::Project {
-        input: ebv_again,
-        columns: pic,
-    } = plan.op(*present_iters)
-    else {
-        return None;
-    };
-    if consumers[*present_iters] != 1
-        || *ebv_again != ebv_id
-        || !same_mapping(pic, &[("iter", "iter")])
-    {
-        return None;
-    }
-    ebv_predicate(plan, consumers, props, ebv_id)
-}
-
-/// Pattern B′: the post-pushdown `ebv_bool` scaffolding — the σ sits
+/// Pattern B: the post-pushdown `ebv_bool` scaffolding — the σ sits
 /// directly on the `ebv`; its second consumer is the completed-`false`
 /// branch, which re-filters on the constant `false` and so never emits a
 /// row whatever flows into it.
@@ -314,7 +239,7 @@ fn match_ebv_pushed(
     ebv_predicate(plan, consumers, props, ebv_id)
 }
 
-/// The shared predicate half of both EBV patterns: walk the `ebv` input
+/// The predicate half of the EBV pattern: walk the `ebv` input
 /// through single-consumer projections to the comparison, require the
 /// equi-join underneath, require the constant side keyed on its join
 /// column (so dropping step rows drops whole `iter` groups and group

@@ -34,7 +34,8 @@
 //!    which pushdown and scaffold then match again; without this pass
 //!    XMark Q1, Q17 and Q20 keep operators;
 //! 4. thetacount, then cleanup when it fired;
-//! 5. hash-cons, then unshare.
+//! 5. unshare.  A hash-cons right before it merged nothing on any plan
+//!    the test suite or `plan_size` optimizes, so there is none.
 //!
 //! A second run of the whole sequence over its own output changes nothing
 //! on the XMark queries (pinned by `tests/optimize_agreement.rs`).
@@ -100,8 +101,7 @@
 //! The rule set is fixed: the engine either runs all of it or, with
 //! `EngineOptions::optimize` off, none.  Every rewrite preserves the
 //! serialized result byte for byte (pinned by
-//! `tests/optimize_agreement.rs` against the unoptimized plan across the
-//! whole threads × morsel matrix).
+//! `tests/optimize_agreement.rs` against the unoptimized plan).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -188,14 +188,10 @@ pub struct OptimizeReport {
     /// of each whole-plan analysis, plus each operator a kept analysis
     /// inferred facts for after a rewrite created it.
     pub operators_analyzed: usize,
-    /// Nanoseconds spent verifying after each rule, indexed like
-    /// [`OptimizeReport::RULE_NAMES`].
-    pub verify_rule_nanos: [u64; Self::RULE_NAMES.len()],
 }
 
 impl OptimizeReport {
-    /// Rule names indexing [`OptimizeReport::verify_rule_nanos`] (and
-    /// naming rules in [`crate::verify::VerifyError`]).
+    /// Rule names, naming the rules in [`crate::verify::VerifyError`].
     pub const RULE_NAMES: [&'static str; 11] = [
         "merge_projections",
         "identity_projections",
@@ -453,11 +449,9 @@ impl<'s> Optimizer<'s> {
         let Some(snapshot) = snapshot else {
             return true;
         };
-        let start = std::time::Instant::now();
         let before = crate::verify::digest(&snapshot);
         let outcome =
             crate::verify::verify_rewrite(OptimizeReport::RULE_NAMES[rule_idx], &before, plan);
-        self.report.verify_rule_nanos[rule_idx] += start.elapsed().as_nanos() as u64;
         self.report.verify_passes += 1;
         match outcome {
             Ok(()) => true,
@@ -475,7 +469,7 @@ impl<'s> Optimizer<'s> {
     /// the **second pass** (hash-cons, pushdown, reorder, scaffold,
     /// cleanup), which exists because scaffold's π and @ feed pushdown and
     /// scaffold again — without it XMark Q1, Q17 and Q20 keep operators;
-    /// thetacount, with cleanup on a hit; hash-cons and unshare.
+    /// thetacount, with cleanup on a hit; unshare.
     fn run(&mut self, plan: &mut Plan) {
         self.cleanup(plan);
         self.rewrite_pass(plan, true);
@@ -491,7 +485,6 @@ impl<'s> Optimizer<'s> {
         if counted {
             self.cleanup(plan);
         }
-        self.apply(plan, 4, |p, _, r| equivalent(dedup::hash_cons(p, r)));
         self.apply(plan, 8, |p, _, r| {
             let before = r.chains_unshared;
             dedup::unshare_fusable_chains(p, r);

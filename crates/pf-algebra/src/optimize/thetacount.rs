@@ -345,13 +345,16 @@ mod tests {
             func: AggFunc::Count,
             value: "item".into(),
         });
-        // A sort on the group key makes the aggregate's own row order
-        // unobservable, as the scaffolding around a compiled count does.
-        let sorted = b.add(AlgOp::Sort {
+        // Numbering the result by the group key makes the aggregate's own
+        // row order unobservable, as the scaffolding around a compiled
+        // count does.
+        let numbered = b.add(AlgOp::RowNum {
             input: agg,
-            by: vec![SortSpec::asc("outer")],
+            target: "pos".into(),
+            order_by: vec![SortSpec::asc("outer")],
+            partition: None,
         });
-        (b.finish(sorted), agg)
+        (b.finish(numbered), agg)
     }
 
     #[test]

@@ -361,18 +361,20 @@ mod tests {
                 ("item".into(), "item".into()),
             ],
         });
-        let sort = b.add(AlgOp::Sort {
+        let rownum = b.add(AlgOp::RowNum {
             input: project,
-            by: vec![crate::SortSpec::asc("iter")],
+            target: "pos".into(),
+            order_by: vec![crate::SortSpec::asc("iter")],
+            partition: None,
         });
-        b.finish(sort)
+        b.finish(rownum)
     }
 
     #[test]
     fn single_consumer_chains_fuse_between_breakers() {
         let plan = chain_plan();
         let phys = PhysicalPlan::compile(&plan);
-        assert_eq!(phys.nodes().len(), 3, "lit + pipeline + sort");
+        assert_eq!(phys.nodes().len(), 3, "lit + pipeline + rownum");
         assert_eq!(phys.pipeline_count(), 1);
         assert_eq!(phys.fused_ops(), 4);
         assert_eq!(phys.tables_elided(), 3);

@@ -241,7 +241,6 @@ impl Plan {
                 AlgOp::ElemConstruct { .. }
                 | AlgOp::AttrConstruct { .. }
                 | AlgOp::TextConstruct { .. } => "construct",
-                AlgOp::Sort { .. } => "sort",
             };
             *hist.entry(name.to_string()).or_default() += 1;
         }

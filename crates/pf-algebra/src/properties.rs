@@ -971,7 +971,6 @@ fn intern_mentioned(names: &mut Names, op: &AlgOp) {
             value,
             ..
         } => [group, target, value].into_iter().for_each(|c| intern(c)),
-        AlgOp::Sort { by, .. } => by.iter().for_each(|s| intern(&s.column)),
         _ => {}
     }
 }
@@ -1013,7 +1012,6 @@ fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<String>>
         | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Difference { left: input, .. }
-        | AlgOp::Sort { input, .. }
         | AlgOp::DocOrder { input }
         | AlgOp::Union { left: input, .. }
         | AlgOp::FnData { input }
@@ -1105,7 +1103,7 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             }
         }
         // Full-row dedup / re-sort preserves every column's value set.
-        AlgOp::Sort { input, .. } | AlgOp::Distinct { input } | AlgOp::DocOrder { input } => {
+        AlgOp::Distinct { input } | AlgOp::DocOrder { input } => {
             for c in cols(*input) {
                 exact(&mut sup, &mut eq, &mut excl, *input, c, c);
             }
@@ -1294,8 +1292,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
         | AlgOp::Difference { left: input, .. } => return shared(*input),
         // Row-preserving operators keep existing keys (they only add or
         // reorder columns / rows).
-        AlgOp::Sort { input, .. }
-        | AlgOp::Attach { input, .. }
+        AlgOp::Attach { input, .. }
         | AlgOp::UnaryMap { input, .. }
         | AlgOp::BinaryMap { input, .. } => return shared(*input),
         AlgOp::Distinct { input } => {
@@ -1470,7 +1467,6 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         }
         AlgOp::Project { input, .. }
         | AlgOp::Distinct { input }
-        | AlgOp::Sort { input, .. }
         | AlgOp::DocOrder { input }
         | AlgOp::RowNum { input, .. }
         | AlgOp::BinaryMap { input, .. }
@@ -1550,8 +1546,7 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
             value,
         } => return with(*input, column, Some(Const::Value(value.clone()))),
         // Row subsets / reorders keep every constant column constant.
-        AlgOp::Sort { input, .. }
-        | AlgOp::Distinct { input }
+        AlgOp::Distinct { input }
         | AlgOp::IndexScan { input, .. }
         | AlgOp::Difference { left: input, .. } => return shared(*input),
         AlgOp::Attach {
@@ -1679,7 +1674,6 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
         AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
-        | AlgOp::Sort { input, .. }
         | AlgOp::DocOrder { input }
         | AlgOp::Difference { left: input, .. } => return carry(*input),
         AlgOp::Attach {
@@ -1917,16 +1911,6 @@ fn edge_order_free(
         // Steps and ddo sort-normalize their input: any input order
         // yields the identical output table.
         AlgOp::Step { .. } | AlgOp::DocOrder { .. } => true,
-        // A sort whose keys cover a key of the input is fully
-        // deterministic; otherwise stable tie-breaking passes the input
-        // order through.
-        AlgOp::Sort { by, .. } => {
-            if pp.keyed_by_names(child, by.iter().map(|s| s.column.as_str())) {
-                true
-            } else {
-                parent_free
-            }
-        }
         // Rownum numbers rows in (order_by, input-order) sequence within
         // each partition: deterministic content iff the sort keys cover
         // a key; the output *order* still follows the input.
@@ -2055,8 +2039,7 @@ fn estimate_op(
         | AlgOp::Attach { input, .. }
         | AlgOp::DocOrder { input }
         | AlgOp::FnData { input }
-        | AlgOp::FnRoot { input }
-        | AlgOp::Sort { input, .. } => (rows[*input], doc[*input].clone()),
+        | AlgOp::FnRoot { input } => (rows[*input], doc[*input].clone()),
         // Constructors emit one node per loop iteration (content rows are
         // folded into those nodes).  The constructed nodes live in a new
         // transient document, so provenance resets.

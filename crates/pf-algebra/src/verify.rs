@@ -444,11 +444,6 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                     resolve(*content, col, "content", id)?;
                 }
             }
-            AlgOp::Sort { input, by } => {
-                for spec in by {
-                    resolve(*input, &spec.column, "sort", id)?;
-                }
-            }
         }
     }
     if props.columns(plan.root()).is_empty() {

@@ -17,24 +17,18 @@
 //! constructors (ε, attribute and τ text construction) create transient
 //! documents and take their document ids from the registry as they run,
 //! so ids — and with them document order across transient fragments —
-//! follow the topological order and are identical at every thread count
-//! and morsel size.  A panicking operator is caught once, around the
-//! loop, and surfaces as an [`EngineError`].
+//! follow the topological order.  A panicking operator is caught once,
+//! around the loop, and surfaces as an [`EngineError`].
 //!
-//! **Big operators are morsel-parallel.**  With `threads > 1`, sorts, row
-//! numberings, staircase steps, fused pipelines, joins and aggregates
-//! over inputs larger than one morsel partition their inner loop into
-//! row ranges on the [`WorkerPool`] and merge the parts in range order,
-//! so every result is bit-identical to the unpartitioned run.  An
-//! equi-join builds its hash index once over the smaller input (typed
-//! borrowed keys — see `pf_relational::ops::JoinPlan`), then probes in
-//! morsels whose pair buffers concatenate in range order.  An aggregation
-//! pre-aggregates input chunks into partials and merges them in chunk
-//! order — but only for the functions where that is bit-exact
-//! (`AggPlan::chunk_parallel_safe`); `sum`/`avg` stay sequential, and
-//! ascending `Nat`/`Int` group columns take a hash-free segmented scan.
-//! [`ExecStats::join_build_rows`] / [`ExecStats::join_probe_rows`] /
-//! [`ExecStats::agg_input_rows`] count what the kernels processed.
+//! **One thread per query.**  Every kernel runs over its whole input on
+//! the calling thread; concurrency comes from the callers (the server
+//! runs one OS thread per connection).  An equi-join builds its hash
+//! index once over the smaller input (typed borrowed keys — see
+//! `pf_relational::ops::JoinPlan`) and probes it with the larger one; an
+//! aggregation takes a hash-free segmented scan over an ascending
+//! `Nat`/`Int` group column.  [`ExecStats::join_build_rows`] /
+//! [`ExecStats::join_probe_rows`] / [`ExecStats::agg_input_rows`] count
+//! what the kernels processed.
 //!
 //! Intermediate results are held behind [`Arc`]s and evicted at their last
 //! use: every node is published through `RunState::publish`, which
@@ -49,19 +43,16 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
 use pf_relational::{Cell, Column, NodeRef, Table, Value};
-use pf_store::{Axis, DocStore, FragmentBuilder, NodeTest, Rental};
+use pf_store::{DocStore, FragmentBuilder, Rental};
 
 use crate::error::{EngineError, EngineResult};
-use crate::pool::WorkerPool;
 use crate::registry::DocRegistry;
 
 /// Marker prefix used to smuggle constructed attributes through the `item`
@@ -98,11 +89,8 @@ fn constructed_attribute(item: &str) -> Option<(&str, &str)> {
 ///   executor actually held at its worst moment; `cells_produced` is the
 ///   retain-everything, share-nothing total it is compared against.
 ///
-/// Nodes always run in the plan's topological order, so the totals and
-/// `peak_resident_rows` are identical at every thread count and morsel
-/// size.  `peak_resident_cells` may differ: a morselized operator
-/// concatenates fresh buffers where the unpartitioned one can share its
-/// input's.
+/// Nodes run one at a time in the plan's topological order, so every
+/// counter and both peaks are determined by the plan and the data alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Operators evaluated (= reachable plan size).
@@ -127,7 +115,6 @@ pub struct ExecStats {
     pub tables_elided: usize,
     /// Rows hashed into join build sides (the smaller input of each
     /// equi-join, plus the materialized inner side of each theta-join).
-    /// Data-determined, identical at every thread count and morsel size.
     pub join_build_rows: usize,
     /// Rows probed against join indexes (the larger input of each
     /// equi-join, plus the outer side of each theta-join).
@@ -151,22 +138,9 @@ pub struct ExecStats {
     pub index_residual_rows: usize,
 }
 
-/// The thread count the executor uses when none is requested explicitly:
-/// [`std::thread::available_parallelism`].
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Default morsel size (input rows per partitioned-operator chunk) when
-/// `EngineOptions::morsel_rows` does not say otherwise.
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
-
 /// Per-operator-kind wall-clock accounting of one plan execution, collected
-/// when [`Executor::with_op_profile`] asks for it.  Unlike [`ExecStats`],
-/// timings are inherently schedule-dependent; the *shape* (kinds, node and
-/// row counts) is not.
+/// when [`Executor::with_op_profile`] asks for it.  Timings vary from run
+/// to run; the *shape* (kinds, node and row counts) does not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpProfile {
     /// One entry per operator kind that ran, sorted by kind name.
@@ -182,7 +156,7 @@ pub struct OpTiming {
     pub nodes: usize,
     /// Output rows those nodes produced.
     pub rows: usize,
-    /// Total wall time spent evaluating them (summed across threads).
+    /// Total wall time spent evaluating them.
     pub total: Duration,
 }
 
@@ -225,14 +199,13 @@ fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
         AlgOp::ElemConstruct { .. } => "elem_construct",
         AlgOp::AttrConstruct { .. } => "attr_construct",
         AlgOp::TextConstruct { .. } => "text_construct",
-        AlgOp::Sort { .. } => "sort",
     }
 }
 
 /// Per-evaluation kernel counters and sub-phase timings, returned by
 /// `eval_node` alongside the result table and folded into [`ExecStats`] /
-/// [`OpProfile`] at publish.  The row counters are data-determined
-/// (schedule-independent); the timings are only collected under
+/// [`OpProfile`] at publish.  The row counters are data-determined; the
+/// timings are only collected under
 /// [`Executor::with_op_profile`].
 #[derive(Debug, Default)]
 struct KernelStats {
@@ -471,8 +444,7 @@ fn nat_keys(column: &Column) -> EngineResult<Cow<'_, [u64]>> {
 /// The published results of one run and everything accounted about them.
 ///
 /// The dispatch loop hands every evaluated node to [`RunState::publish`]
-/// in topological order, so the work totals, peaks and evictions are the
-/// same at every thread count and morsel size.
+/// in topological order.
 struct RunState {
     slots: Vec<Option<Arc<Table>>>,
     /// Remaining consumer edges per published result, by [`OpId`] (evict
@@ -575,78 +547,22 @@ impl RunState {
 ///
 /// The registry is only ever read-shared during execution (node
 /// constructors append transient documents through its interior lock), so
-/// the executor borrows it immutably and its morsels may read it from any
-/// pool thread.
+/// the executor borrows it immutably.
 #[derive(Debug)]
 pub struct Executor<'a> {
     registry: &'a DocRegistry,
-    threads: usize,
-    /// Input rows per morsel for partitioned operators (`usize::MAX`
-    /// disables intra-operator partitioning).
-    morsel_rows: usize,
     /// Collect per-operator-kind timings ([`OpProfile`]).
     profile_ops: bool,
-    /// The fair-scheduling lane this executor's pool jobs queue on (the
-    /// engine stamps each query execution with a fresh tag; standalone
-    /// executors run on tag 0).
-    query_tag: u64,
-    /// The engine's persistent pool, when one was handed in
-    /// ([`Executor::with_pool`] — `Pathfinder` creates one pool and
-    /// reuses it for every query).
-    shared_pool: Option<Arc<WorkerPool>>,
-    /// Fallback pool for standalone executors (spawned lazily, at most
-    /// once per executor).
-    own_pool: OnceLock<Arc<WorkerPool>>,
 }
 
 impl<'a> Executor<'a> {
     /// Create an executor over `registry` (constructed nodes are registered
-    /// there) using the default thread count ([`default_threads`]).
+    /// there).
     pub fn new(registry: &'a DocRegistry) -> Self {
-        Executor::with_threads(registry, 0)
-    }
-
-    /// Create an executor with an explicit thread count for morsels.
-    ///
-    /// Nodes always run one after another on the calling thread; with
-    /// `threads > 1` big operators split into morsels on a pool of
-    /// `threads − 1` workers plus the caller, and `1` never touches a
-    /// pool.  `0` resolves to [`default_threads`].  The morsel size starts at
-    /// [`DEFAULT_MORSEL_ROWS`]; override it with
-    /// [`Executor::with_morsel_rows`].
-    pub fn with_threads(registry: &'a DocRegistry, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
         Executor {
             registry,
-            threads,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             profile_ops: false,
-            query_tag: 0,
-            shared_pool: None,
-            own_pool: OnceLock::new(),
         }
-    }
-
-    /// Set the morsel size (input rows per chunk) for partitioned
-    /// operators; `0` resolves to [`DEFAULT_MORSEL_ROWS`], `usize::MAX`
-    /// disables intra-operator partitioning.  Results and work totals are
-    /// identical at every setting.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = if rows == 0 { DEFAULT_MORSEL_ROWS } else { rows };
-        self
-    }
-
-    /// Evaluate plans on `pool` instead of lazily spawning one.  This is
-    /// how the persistent, per-engine pool reaches the executor: the
-    /// engine constructs one executor per query but hands every one the
-    /// same pool, so no query ever spawns a thread.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.shared_pool = Some(pool);
-        self
     }
 
     /// Collect a per-operator-kind timing profile ([`OpProfile`], returned
@@ -654,42 +570,6 @@ impl<'a> Executor<'a> {
     pub fn with_op_profile(mut self, profile: bool) -> Self {
         self.profile_ops = profile;
         self
-    }
-
-    /// Tag every pool job this executor submits with `tag` (see
-    /// [`crate::pool::QueryTag`]): jobs of distinct tags are scheduled
-    /// round-robin, which is how concurrent queries sharing one engine
-    /// pool get fair treatment.
-    pub fn with_query_tag(mut self, tag: u64) -> Self {
-        self.query_tag = tag;
-        self
-    }
-
-    /// The number of threads this executor evaluates plans with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The worker pool this executor runs on (the shared one when
-    /// provided, else an own pool spawned on first use).  Only meaningful
-    /// when `threads > 1`.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        if let Some(pool) = &self.shared_pool {
-            return pool;
-        }
-        self.own_pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads.saturating_sub(1))))
-    }
-
-    /// The chunk size for a morselizable operator over `rows` input rows,
-    /// or `None` to run it sequentially.  Depends only on the executor
-    /// configuration and the row count — never on scheduling — so the
-    /// partitioning (and with it every merge) is deterministic.
-    fn morsel_chunk_rows(&self, rows: usize) -> Option<usize> {
-        if self.threads <= 1 || self.morsel_rows == usize::MAX || rows <= self.morsel_rows {
-            return None;
-        }
-        Some(self.morsel_rows)
     }
 
     /// Evaluate `plan` and return the root operator's table.
@@ -734,14 +614,11 @@ impl<'a> Executor<'a> {
     }
 
     /// The dispatch loop: physical nodes in topological order on the
-    /// calling thread, with last-use eviction.  With more than one
-    /// thread, big operators still partition onto the pool (morsels).
+    /// calling thread, with last-use eviction.
     ///
     /// A panicking operator must not take its caller down — the server
     /// runs every query on a connection thread — so the loop runs under
-    /// one `catch_unwind`, which also sees a morsel's panic that
-    /// [`WorkerPool::run_scoped_tagged`] resumes here: at every thread
-    /// count it surfaces as the same [`EngineError`].
+    /// one `catch_unwind`, and the panic surfaces as an [`EngineError`].
     fn execute_physical(
         &self,
         plan: &Plan,
@@ -766,12 +643,10 @@ impl<'a> Executor<'a> {
 
     /// Evaluate one physical node: breakers go through the single-operator
     /// interpreter, pipelines through the fused kernel (with node
-    /// atomization wired in via a [`StoreCache`]).  Pipelines over large
-    /// inputs run as morsels when the executor is parallel and
-    /// [`ops::steps_chunkable`] says chunking is exact and pays; joins and
-    /// aggregates go through the typed
-    /// morsel kernels (see [`Executor::equi_join_node`] and friends), which
-    /// also report the kernel counters folded into [`ExecStats`].
+    /// atomization wired in via a [`StoreCache`]).  Joins and aggregates
+    /// go through the typed kernels (see [`Executor::equi_join_node`] and
+    /// friends), which also report the kernel counters folded into
+    /// [`ExecStats`].
     fn eval_node(
         &self,
         plan: &Plan,
@@ -782,55 +657,18 @@ impl<'a> Executor<'a> {
             PhysKind::Breaker => self.eval(plan, node.output, slots),
             PhysKind::Pipeline { .. } => {
                 let input = slot(slots, node.inputs[0])?;
-                let steps = node.steps(plan);
-                let table = match self.morsel_chunk_rows(input.row_count()) {
-                    Some(chunk) if ops::steps_chunkable(&steps) => {
-                        self.run_pipeline_morsels(input, &steps, chunk)?
-                    }
-                    _ => {
-                        let mut cache = StoreCache::new(self.registry);
-                        ops::run_pipeline(input, &steps, &mut |node, out| {
-                            cache.push_string_value(node, out)
-                        })?
-                    }
-                };
+                let mut cache = StoreCache::new(self.registry);
+                let table = ops::run_pipeline(input, &node.steps(plan), &mut |node, out| {
+                    cache.push_string_value(node, out)
+                })?;
                 Ok((table, KernelStats::default()))
             }
         }
     }
 
-    /// Evaluate `work` on every `chunk`-row range of `0..rows` as morsels
-    /// on the pool; the results come back in range order.
-    fn map_morsels<T: Send>(
-        &self,
-        rows: usize,
-        chunk: usize,
-        work: impl Fn(Range<usize>) -> T + Sync,
-    ) -> Vec<T> {
-        let ranges = (0..rows)
-            .step_by(chunk)
-            .map(|lo| lo..(lo + chunk).min(rows));
-        let mut results: Vec<Option<T>> = ranges.clone().map(|_| None).collect();
-        let work = &work;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-            .iter_mut()
-            .zip(ranges)
-            .map(|(slot, range)| {
-                Box::new(move || *slot = Some(work(range))) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.pool().run_scoped_tagged(self.query_tag, tasks);
-        results
-            .into_iter()
-            .map(|result| result.expect("every morsel ran"))
-            .collect()
-    }
-
-    /// Morsel-parallel equi-join: build the hash index once over the
-    /// smaller side (typed keys straight off the column buffers — no
-    /// per-row [`Value`]), then probe in chunk ranges on the pool.  The
-    /// per-range pair vectors concatenate in range order, so the output is
-    /// bit-identical to the sequential probe.
+    /// Equi-join: build the hash index once over the smaller side (typed
+    /// keys straight off the column buffers — no per-row [`Value`]), then
+    /// probe it with every row of the larger side.
     fn equi_join_node(
         &self,
         left: &Table,
@@ -849,25 +687,16 @@ impl<'a> Executor<'a> {
                 .push(("join_build", join.build_rows(), started.elapsed()));
         }
         let probe_started = self.profile_ops.then(Instant::now);
-        let rows = join.probe_rows();
-        let pairs = match self.morsel_chunk_rows(rows) {
-            None => join.probe_range(0..rows),
-            Some(chunk) => self
-                .map_morsels(rows, chunk, |range| join.probe_range(range))
-                .into_iter()
-                .flatten()
-                .collect(),
-        };
+        let pairs = join.probe();
         if let Some(started) = probe_started {
-            kernel.timings.push(("join_probe", rows, started.elapsed()));
+            kernel
+                .timings
+                .push(("join_probe", join.probe_rows(), started.elapsed()));
         }
         Ok((join.materialize(pairs)?, kernel))
     }
 
-    /// Theta-join with the inner-side values hoisted out of the scan loop,
-    /// morselized over left-row ranges.  Ranges are disjoint and ordered,
-    /// so the first error in range order IS the sequential first error —
-    /// no re-run is needed for deterministic messages.
+    /// Theta-join with the inner-side values hoisted out of the scan loop.
     fn theta_join_node(
         &self,
         left: &Table,
@@ -882,71 +711,36 @@ impl<'a> Executor<'a> {
             ..KernelStats::default()
         };
         let join = ops::ThetaPlan::new(left, right, left_col, op, right_col)?;
-        let rows = join.left_rows();
         let started = self.profile_ops.then(Instant::now);
-        let pairs = match self.morsel_chunk_rows(rows) {
-            None => join.probe_range(0..rows)?,
-            Some(chunk) => {
-                let mut pairs = Vec::new();
-                for morsel in self.map_morsels(rows, chunk, |range| join.probe_range(range)) {
-                    pairs.extend(morsel?);
-                }
-                pairs
-            }
-        };
+        let pairs = join.probe()?;
         if let Some(started) = started {
-            kernel.timings.push(("join_probe", rows, started.elapsed()));
+            kernel
+                .timings
+                .push(("join_probe", left.row_count(), started.elapsed()));
         }
         Ok((join.materialize(pairs)?, kernel))
     }
 
-    /// Grouped rank count over an inequality join ([`AlgOp::ThetaCount`]):
-    /// both sides are reduced once, then group ranges — left-row ranges
-    /// when the group column keys the left input — are counted as
-    /// morsels.  Every failing range reports the nested loop's first
-    /// error, so the message does not depend on the morsel size.
+    /// Grouped rank count over an inequality join ([`AlgOp::ThetaCount`]).
+    /// The whole node is one kernel call, so it reports no sub-phase.
     fn theta_count_node(
         &self,
         left: &Table,
         right: &Table,
         count: &ops::RankCount,
     ) -> EngineResult<(Table, KernelStats)> {
-        let mut kernel = KernelStats {
+        let kernel = KernelStats {
             join_build_rows: right.row_count(),
             join_probe_rows: left.row_count(),
             ..KernelStats::default()
         };
-        let started = self.profile_ops.then(Instant::now);
-        let plan = ops::ThetaCountPlan::new(left, right, count)?;
-        let groups = plan.groups();
-        let counts = match self.morsel_chunk_rows(groups) {
-            None => plan.count_range(0..groups)?,
-            Some(chunk) => {
-                let mut counts = Vec::with_capacity(groups);
-                for morsel in self.map_morsels(groups, chunk, |range| plan.count_range(range)) {
-                    counts.extend(morsel?);
-                }
-                counts
-            }
-        };
-        if let Some(started) = started {
-            kernel
-                .timings
-                .push(("join_probe", left.row_count(), started.elapsed()));
-        }
-        Ok((plan.finish(counts)?, kernel))
+        Ok((ops::theta_count(left, right, count)?, kernel))
     }
 
-    /// Grouped aggregation through the typed kernels: the segmented
-    /// (hash-free) scan when the group column is ascending, per-chunk
-    /// pre-aggregation merged in chunk order when the function tolerates
-    /// it (see [`AggPlan::chunk_parallel_safe`]), the sequential typed
-    /// loop otherwise.
-    ///
-    /// When a chunk errors, the plan re-runs sequentially and THAT error
-    /// is surfaced, keeping messages independent of the morsel size.
-    ///
-    /// [`AggPlan::chunk_parallel_safe`]: ops::AggPlan::chunk_parallel_safe
+    /// Grouped aggregation through the typed kernel: the segmented
+    /// (hash-free) scan when the group column is ascending, the hashed
+    /// loop otherwise.  The whole node is one kernel call, so it reports
+    /// no sub-phase.
     fn aggregate_node(
         &self,
         input: &Table,
@@ -955,155 +749,20 @@ impl<'a> Executor<'a> {
         func: AggFunc,
         value: &str,
     ) -> EngineResult<(Table, KernelStats)> {
-        let mut kernel = KernelStats {
+        let kernel = KernelStats {
             agg_input_rows: input.row_count(),
             ..KernelStats::default()
         };
-        let agg = ops::AggPlan::new(input, group, target, func, value)?;
-        let rows = agg.input_rows();
-        let started = self.profile_ops.then(Instant::now);
-        let chunk = match self.morsel_chunk_rows(rows) {
-            Some(chunk) if agg.chunk_parallel_safe() && !agg.segmented() => chunk,
-            _ => {
-                let table = agg.run()?;
-                if let Some(started) = started {
-                    kernel
-                        .timings
-                        .push(("agg_partial", rows, started.elapsed()));
-                }
-                return Ok((table, kernel));
-            }
-        };
-        let results = self.map_morsels(rows, chunk, |range| agg.partial(range));
-        let mut partials = Vec::with_capacity(results.len());
-        for result in results {
-            match result {
-                Ok(partial) => partials.push(partial),
-                Err(chunk_error) => {
-                    // Canonical error: the sequential pass (cheap — errors
-                    // are exceptional), falling back to the chunk error.
-                    return match agg.run() {
-                        Err(whole_error) => Err(whole_error.into()),
-                        Ok(_) => Err(chunk_error.into()),
-                    };
-                }
-            }
-        }
-        let table = agg.finish(agg.merge(partials)?)?;
-        if let Some(started) = started {
-            kernel
-                .timings
-                .push(("agg_partial", rows, started.elapsed()));
-        }
-        Ok((table, kernel))
+        Ok((
+            ops::aggregate_by(input, group, target, func, value)?,
+            kernel,
+        ))
     }
 
-    /// Chunked pipeline evaluation: every `chunk`-row input range runs the
-    /// whole fused chain on a pool task; the per-range outputs concatenate
-    /// (in range order) to exactly the whole-input result.  When any chunk
-    /// errors, the pipeline is re-run unchunked and *that* error is
-    /// surfaced: a chunk can fail at a later step than the whole-input
-    /// pass would (it only sees its own rows at each step), so the
-    /// re-run — cheap, an error path — is what keeps error messages
-    /// independent of the morsel size and thread count.
-    fn run_pipeline_morsels(
-        &self,
-        input: &Table,
-        steps: &[ops::FusedStep<'_>],
-        chunk: usize,
-    ) -> EngineResult<Table> {
-        let registry = self.registry;
-        let results = self.map_morsels(input.row_count(), chunk, |range| {
-            let mut cache = StoreCache::new(registry);
-            ops::run_pipeline_range(input, steps, range, &mut |node, out| {
-                cache.push_string_value(node, out)
-            })
-        });
-        let mut chunks = Vec::with_capacity(results.len());
-        for result in results {
-            match result {
-                Ok(table) => chunks.push(table),
-                Err(chunk_error) => {
-                    // Canonical error: the whole-input pass.  It cannot
-                    // succeed where a chunk failed — steps are row-local,
-                    // so the failing row reaches the same step with the
-                    // same value — but keep the chunk error as a fallback.
-                    let mut cache = StoreCache::new(self.registry);
-                    let mut atomize = |node, out: &mut String| cache.push_string_value(node, out);
-                    return match ops::run_pipeline(input, steps, &mut atomize) {
-                        Err(whole_error) => Err(whole_error.into()),
-                        Ok(_) => Err(chunk_error.into()),
-                    };
-                }
-            }
-        }
-        Ok(Table::concat_rows(chunks)?)
-    }
-
-    /// The stable sort permutation of `table` under `specs`, chunk-sorted
-    /// on the pool and merged when the input is large enough to morselize
-    /// (bit-identical to the sequential sort either way).
+    /// The stable sort permutation of `table` under `specs`.
     fn sort_permutation(&self, table: &Table, specs: &[(&str, bool)]) -> EngineResult<Vec<usize>> {
         let keys = SortKeys::for_columns(table, specs)?;
-        let rows = table.row_count();
-        match self.morsel_chunk_rows(rows) {
-            None => Ok(keys.stable_permutation(rows)),
-            Some(chunk) => {
-                let mut perm: Vec<usize> = (0..rows).collect();
-                let keys_ref = &keys;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = perm
-                    .chunks_mut(chunk)
-                    .map(|run| {
-                        Box::new(move || keys_ref.sort_run(run)) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.pool().run_scoped_tagged(self.query_tag, tasks);
-                Ok(keys.merge_sorted_runs(perm, chunk))
-            }
-        }
-    }
-
-    /// Sort `table` by the given ascending columns (the `Sort` operator
-    /// and `fs:distinct-doc-order`'s pre-sort), morsel-parallel when
-    /// worthwhile.
-    fn sort_table(&self, table: &Table, columns: &[&str]) -> EngineResult<Table> {
-        let specs: Vec<(&str, bool)> = columns.iter().map(|&c| (c, false)).collect();
-        let order = self.sort_permutation(table, &specs)?;
-        Ok(table.gather_rows(&order))
-    }
-
-    /// The staircase step, partitioned into context-range shards on the
-    /// pool when the total context is large enough (shard evaluation is
-    /// infallible once the plan is built; the merge re-establishes the
-    /// per-iteration `pos` numbering deterministically).
-    fn step(&self, table: &Table, axis: Axis, test: &NodeTest) -> EngineResult<Table> {
-        let plan = ops::plan_step(table, self.registry, axis)?;
-        match self.morsel_chunk_rows(plan.context_rows()) {
-            None => {
-                let shards = plan.shards(usize::MAX);
-                let chunk = plan.eval_shards(&shards, test);
-                Ok(plan.merge(vec![chunk])?)
-            }
-            Some(target) => {
-                let runs = plan.shard_runs(target);
-                let mut results: Vec<Option<ops::StepChunk>> = runs.iter().map(|_| None).collect();
-                let plan_ref = &plan;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                    .iter_mut()
-                    .zip(&runs)
-                    .map(|(slot, run)| {
-                        Box::new(move || *slot = Some(plan_ref.eval_shards(run, test)))
-                            as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                self.pool().run_scoped_tagged(self.query_tag, tasks);
-                let chunks: Vec<ops::StepChunk> = results
-                    .into_iter()
-                    .map(|c| c.expect("every step morsel ran"))
-                    .collect();
-                Ok(plan.merge(chunks)?)
-            }
-        }
+        Ok(keys.stable_permutation(table.row_count()))
     }
 
     /// Evaluate one `IndexScan`: probe the one index the probe names and
@@ -1352,7 +1011,9 @@ impl<'a> Executor<'a> {
                 order_by,
                 partition,
             } => self.row_number(slot(slots, *input)?, target, order_by, partition.as_deref())?,
-            AlgOp::Step { input, axis, test } => self.step(slot(slots, *input)?, *axis, test)?,
+            AlgOp::Step { input, axis, test } => {
+                ops::staircase_step(slot(slots, *input)?, self.registry, *axis, test)?
+            }
             AlgOp::DocOrder { input } => self.doc_order(slot(slots, *input)?)?,
             AlgOp::FnRoot { input } => self.fn_root(slot(slots, *input)?)?,
             AlgOp::Ebv { input } => self.ebv(slot(slots, *input)?)?,
@@ -1381,10 +1042,6 @@ impl<'a> Executor<'a> {
                 slot(slots, *content)?,
                 self.registry.reserve_constructed(1),
             )?,
-            AlgOp::Sort { input, by } => {
-                let columns: Vec<&str> = by.iter().map(|s| s.column.as_str()).collect();
-                self.sort_table(slot(slots, *input)?, &columns)?
-            }
         };
         Ok((table, KernelStats::default()))
     }
@@ -1448,7 +1105,8 @@ impl<'a> Executor<'a> {
     /// `fs:distinct-doc-order`: per iteration, sort items into document
     /// order and drop duplicates, renumbering `pos`.
     fn doc_order(&self, table: &Table) -> EngineResult<Table> {
-        let sorted = self.sort_table(table, &["iter", "item"])?;
+        let order = self.sort_permutation(table, &[("iter", false), ("item", false)])?;
+        let sorted = table.gather_rows(&order);
         let distinct = ops::setops::distinct_on(&sorted, &["iter", "item"])?;
         let numbered =
             self.row_number(&distinct, "pos_ddo", &[SortSpec::asc("item")], Some("iter"))?;
@@ -1463,9 +1121,8 @@ impl<'a> Executor<'a> {
     ///
     /// One kernel with `pf_relational::ops::row_number_by`: the typed sort
     /// keys are extracted once ([`SortKeys`] — the comparator never
-    /// materializes per-row [`Value`]s), the permutation is chunk-sorted
-    /// on the pool when the input is large enough, and
-    /// [`ops::row_number_permuted`] applies the numbering.
+    /// materializes per-row [`Value`]s), and [`ops::row_number_permuted`]
+    /// applies the numbering to their stable permutation.
     fn row_number(
         &self,
         table: &Table,
@@ -2239,170 +1896,11 @@ mod tests {
         assert_eq!(plain, profiled);
     }
 
-    // ----- thread counts ---------------------------------------------------
-
-    /// A diamond over the sample document whose two branches are
-    /// independent (a `b`-step and a `c`-step) joined by a cross product.
-    fn diamond_plan() -> Plan {
-        let mut b = PlanBuilder::new();
-        let loop0 = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
-            rows: vec![vec![Value::Nat(1).into()]],
-        });
-        let doc = b.add(AlgOp::Doc {
-            uri: "doc.xml".into(),
-        });
-        let crossed = b.add(AlgOp::Cross {
-            left: loop0,
-            right: doc,
-        });
-        let left = b.add(AlgOp::Step {
-            input: crossed,
-            axis: Axis::Descendant,
-            test: NodeTest::Element("b".into()),
-        });
-        let right = b.add(AlgOp::Step {
-            input: crossed,
-            axis: Axis::Descendant,
-            test: NodeTest::Element("c".into()),
-        });
-        let lcount = b.add(AlgOp::Aggregate {
-            input: left,
-            group: "iter".into(),
-            target: "n_b".into(),
-            func: ops::AggFunc::Count,
-            value: "item".into(),
-        });
-        let rcount = b.add(AlgOp::Aggregate {
-            input: right,
-            group: "iter".into(),
-            target: "n_c".into(),
-            func: ops::AggFunc::Count,
-            value: "item".into(),
-        });
-        let renamed = b.add(AlgOp::Project {
-            input: rcount,
-            columns: vec![
-                ("iter".into(), "iter2".into()),
-                ("n_c".into(), "n_c".into()),
-            ],
-        });
-        let joined = b.add(AlgOp::Cross {
-            left: lcount,
-            right: renamed,
-        });
-        b.finish(joined)
-    }
-
     #[test]
-    fn parallel_run_matches_sequential_run() {
-        let reg = registry();
-        let plan = diamond_plan();
-        let sequential = Executor::with_threads(&reg, 1).run(&plan).unwrap();
-        for threads in [2, 4, 8] {
-            let parallel = Executor::with_threads(&reg, threads).run(&plan).unwrap();
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_totals_match_sequential_totals() {
-        let reg = registry();
-        let plan = diamond_plan();
-        let (_, seq) = Executor::with_threads(&reg, 1)
-            .run_with_stats(&plan)
-            .unwrap();
-        let (_, par) = Executor::with_threads(&reg, 4)
-            .run_with_stats(&plan)
-            .unwrap();
-        // Nodes run in one order at every thread count, so the totals and
-        // the row peak agree.
-        assert_eq!(seq.operators_evaluated, par.operators_evaluated);
-        assert_eq!(seq.rows_produced, par.rows_produced);
-        assert_eq!(seq.cells_produced, par.cells_produced);
-        assert_eq!(seq.evicted_results, par.evicted_results);
-        assert_eq!(seq.peak_resident_rows, par.peak_resident_rows);
-    }
-
-    #[test]
-    fn unpinned_constructors_get_identical_doc_ids_at_any_thread_count() {
-        // Two constructor operators: each takes its transient document id
-        // when it runs, in topological order at every thread count, so the
-        // result tables (which embed document ids in node refs) are equal.
-        let build = || {
-            let mut b = PlanBuilder::new();
-            let loop0 = b.add(AlgOp::Lit {
-                columns: vec!["iter".into()],
-                rows: vec![vec![Value::Nat(1).into()]],
-            });
-            let content_a = b.add(AlgOp::Lit {
-                columns: vec!["iter".into(), "pos".into(), "item".into()],
-                rows: vec![vec![
-                    Value::Nat(1).into(),
-                    Value::Nat(1).into(),
-                    Value::Str("x".into()).into(),
-                ]],
-            });
-            let content_b = b.add(AlgOp::Lit {
-                columns: vec!["iter".into(), "pos".into(), "item".into()],
-                rows: vec![vec![
-                    Value::Nat(1).into(),
-                    Value::Nat(1).into(),
-                    Value::Str("y".into()).into(),
-                ]],
-            });
-            let ea = b.add(AlgOp::ElemConstruct {
-                loop_input: loop0,
-                tag: "a".into(),
-                content: content_a,
-            });
-            let eb = b.add(AlgOp::ElemConstruct {
-                loop_input: loop0,
-                tag: "b".into(),
-                content: content_b,
-            });
-            let union = b.add(AlgOp::Union {
-                left: ea,
-                right: eb,
-            });
-            b.finish(union)
-        };
-        let reg1 = registry();
-        let sequential = Executor::with_threads(&reg1, 1).run(&build()).unwrap();
-        let reg4 = registry();
-        let parallel = Executor::with_threads(&reg4, 4).run(&build()).unwrap();
-        // Node refs (including transient document ids) agree because both
-        // registries assigned ids in the same order.
-        assert_eq!(sequential, parallel);
-        assert_eq!(reg1.constructed_count(), 2);
-        assert_eq!(reg4.constructed_count(), 2);
-    }
-
-    #[test]
-    fn parallel_errors_propagate_without_hanging() {
-        let reg = registry();
-        let mut b = PlanBuilder::new();
-        let ok = b.add(AlgOp::Doc {
-            uri: "doc.xml".into(),
-        });
-        let missing = b.add(AlgOp::Doc {
-            uri: "missing.xml".into(),
-        });
-        let crossed = b.add(AlgOp::Cross {
-            left: ok,
-            right: missing,
-        });
-        let plan = b.finish(crossed);
-        let err = Executor::with_threads(&reg, 4).run(&plan);
-        assert!(err.is_err());
-        assert!(err.unwrap_err().to_string().contains("missing.xml"));
-    }
-
-    #[test]
-    fn parallel_operator_panics_become_errors_not_hangs() {
+    fn operator_panics_become_errors() {
         // A malformed literal (row wider than the schema) panics inside
-        // eval.  The panic must surface as the same error at every thread
-        // count instead of unwinding into the caller.
+        // eval.  The panic must surface as an error instead of unwinding
+        // into the caller.
         let reg = registry();
         let mut b = PlanBuilder::new();
         let bad = b.add(AlgOp::Lit {
@@ -2418,165 +1916,12 @@ mod tests {
             right: good,
         });
         let plan = b.finish(crossed);
-        let errors: Vec<String> = [1, 4]
-            .into_iter()
-            .map(|threads| {
-                let err = Executor::with_threads(&reg, threads)
-                    .run(&plan)
-                    .unwrap_err();
-                err.to_string()
-            })
-            .collect();
-        assert!(errors[0].contains("panicked"), "{}", errors[0]);
-        assert_eq!(errors[0], errors[1]);
+        let err = Executor::new(&reg).run(&plan).unwrap_err().to_string();
+        assert!(err.contains("operator panicked"), "{err}");
     }
 
-    // ----- morsel-parallel operators ---------------------------------------
-
-    /// A plan whose hot operators are all morselizable: a 64-row literal
-    /// through a fusable chain (attach + compare + select), a row
-    /// numbering, a sort, and a staircase step over the sample document.
-    fn morsel_plan() -> Plan {
-        let mut b = PlanBuilder::new();
-        let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
-            rows: (1..=64)
-                .map(|i| {
-                    vec![
-                        Value::Nat(i).into(),
-                        Value::Int((i as i64 * 37) % 29).into(),
-                    ]
-                })
-                .collect(),
-        });
-        let attach = b.add(AlgOp::Attach {
-            input: lit,
-            target: "limit".into(),
-            value: Value::Int(10).into(),
-        });
-        let map = b.add(AlgOp::BinaryMap {
-            input: attach,
-            target: "keep".into(),
-            left: "item".into(),
-            op: ops::BinaryOp::Cmp(ops::CmpOp::Gt),
-            right: "limit".into(),
-        });
-        let select = b.add(AlgOp::Select {
-            input: map,
-            column: "keep".into(),
-        });
-        let rownum = b.add(AlgOp::RowNum {
-            input: select,
-            target: "rank".into(),
-            order_by: vec![SortSpec::desc("item"), SortSpec::asc("iter")],
-            partition: None,
-        });
-        let sorted = b.add(AlgOp::Sort {
-            input: rownum,
-            by: vec![SortSpec::asc("iter")],
-        });
-        b.finish(sorted)
-    }
-
-    #[test]
-    fn morselized_operators_reproduce_the_sequential_tables_exactly() {
-        let reg = registry();
-        let plan = morsel_plan();
-        let reference = Executor::with_threads(&reg, 1).run(&plan).unwrap();
-        for threads in [2, 4] {
-            for morsel in [1, 2, 7, 4096, usize::MAX] {
-                let table = Executor::with_threads(&reg, threads)
-                    .with_morsel_rows(morsel)
-                    .run(&plan)
-                    .unwrap();
-                assert_eq!(table, reference, "threads {threads}, morsel {morsel}");
-            }
-        }
-    }
-
-    #[test]
-    fn morselized_step_matches_the_sequential_step() {
-        // Context = every <b> and <c> across many iterations; a tiny
-        // morsel size forces context-range shards through the pool.
-        let reg = registry();
-        let mut b = PlanBuilder::new();
-        let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
-            rows: (1..=32)
-                .map(|i| vec![Value::Nat(i).into(), Value::Node(NodeRef::new(0, 1)).into()])
-                .collect(),
-        });
-        let step = b.add(AlgOp::Step {
-            input: lit,
-            axis: Axis::Descendant,
-            test: NodeTest::AnyElement,
-        });
-        let plan = b.finish(step);
-        let reference = Executor::with_threads(&reg, 1).run(&plan).unwrap();
-        assert!(reference.row_count() > 0);
-        let morselized = Executor::with_threads(&reg, 4)
-            .with_morsel_rows(2)
-            .run(&plan)
-            .unwrap();
-        assert_eq!(morselized, reference);
-    }
-
-    #[test]
-    fn morselized_pipeline_errors_match_the_sequential_error() {
-        // A fused select over a non-boolean column, forced through the
-        // chunked path: the lowest-range error must surface, identical to
-        // the sequential message.
-        let build = || {
-            let mut b = PlanBuilder::new();
-            let lit = b.add(AlgOp::Lit {
-                columns: vec!["iter".into(), "item".into()],
-                rows: (1..=16)
-                    .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
-                    .collect(),
-            });
-            let attach = b.add(AlgOp::Attach {
-                input: lit,
-                target: "flag".into(),
-                value: Value::Int(7).into(),
-            });
-            let select = b.add(AlgOp::Select {
-                input: attach,
-                column: "flag".into(),
-            });
-            let sort = b.add(AlgOp::Sort {
-                input: select,
-                by: vec![SortSpec::asc("iter")],
-            });
-            b.finish(sort)
-        };
-        let reg = registry();
-        let sequential = Executor::with_threads(&reg, 1).run(&build()).unwrap_err();
-        let morselized = Executor::with_threads(&reg, 4)
-            .with_morsel_rows(2)
-            .run(&build())
-            .unwrap_err();
-        assert_eq!(sequential.to_string(), morselized.to_string());
-    }
-
-    #[test]
-    fn standalone_executors_spawn_their_own_pool_at_most_once() {
-        let reg = registry();
-        let exec = Executor::with_threads(&reg, 4).with_morsel_rows(2);
-        let plan = morsel_plan();
-        let first = exec.run(&plan).unwrap();
-        let generation = exec.pool().generation();
-        for _ in 0..3 {
-            assert_eq!(exec.run(&plan).unwrap(), first);
-        }
-        assert_eq!(
-            exec.pool().generation(),
-            generation,
-            "one pool per executor"
-        );
-    }
-
-    /// A join + aggregation plan large enough to morselize: 200 probe rows
-    /// against a 40-row build side, counted and summed per group.
+    /// A join + aggregation plan: 200 probe rows against a 40-row build
+    /// side, counted per group.
     fn join_agg_plan() -> Plan {
         let mut b = PlanBuilder::new();
         let left = b.add(AlgOp::Lit {
@@ -2608,23 +1953,6 @@ mod tests {
     }
 
     #[test]
-    fn morselized_join_and_aggregate_match_sequential() {
-        let reg = registry();
-        let plan = join_agg_plan();
-        let reference = Executor::with_threads(&reg, 1).run(&plan).unwrap();
-        assert!(reference.row_count() > 0);
-        for threads in [2, 4] {
-            for morsel in [3, 64, usize::MAX] {
-                let table = Executor::with_threads(&reg, threads)
-                    .with_morsel_rows(morsel)
-                    .run(&plan)
-                    .unwrap();
-                assert_eq!(table, reference, "threads {threads}, morsel {morsel}");
-            }
-        }
-    }
-
-    #[test]
     fn generic_kernels_reproduce_the_typed_results() {
         // The value-at-a-time reference kernels of `pf-relational`, run by
         // hand over the plan's two literals.
@@ -2648,20 +1976,5 @@ mod tests {
         assert_eq!(stats.join_build_rows, 40);
         assert_eq!(stats.join_probe_rows, 200);
         assert_eq!(stats.agg_input_rows, 200);
-        // The counters are schedule-independent.
-        let (_, par) = Executor::with_threads(&reg, 4)
-            .with_morsel_rows(16)
-            .run_with_stats(&plan)
-            .unwrap();
-        assert_eq!(par.join_build_rows, 40);
-        assert_eq!(par.join_probe_rows, 200);
-        assert_eq!(par.agg_input_rows, 200);
-    }
-
-    #[test]
-    fn with_threads_zero_resolves_to_a_positive_count() {
-        let reg = registry();
-        assert!(Executor::with_threads(&reg, 0).threads() >= 1);
-        assert_eq!(Executor::with_threads(&reg, 3).threads(), 3);
     }
 }

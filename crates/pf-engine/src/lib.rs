@@ -24,16 +24,15 @@
 //!
 //! ## Concurrent serving
 //!
-//! Every entry point takes `&self`: the plan cache, the worker pool and
-//! the document registry are interior-mutable, so one engine — typically
-//! behind an [`std::sync::Arc`] — serves many clients at once.  Each
-//! client opens a [`Session`], each query runs its plan on the calling
-//! thread and splits big operators into query-tagged morsels on the
-//! engine's one persistent [`WorkerPool`] (fair round-robin across
-//! in-flight queries), every execution reads a frozen snapshot of the
-//! document registry (a concurrent reload can never tear a running
-//! query), and an [`AdmissionController`] keeps the summed memory
-//! frontier of the running queries under
+//! Every entry point takes `&self`: the plan cache and the document
+//! registry are interior-mutable, so one engine — typically behind an
+//! [`std::sync::Arc`] — serves many clients at once.  Each client opens a
+//! [`Session`], and each query runs its whole plan on the calling thread:
+//! concurrency comes from the callers (the server runs one OS thread per
+//! connection), never from inside a query.  Every execution reads a
+//! frozen snapshot of the document registry (a concurrent reload can
+//! never tear a running query), and an [`AdmissionController`] keeps the
+//! summed memory frontier of the running queries under
 //! [`EngineOptions::memory_budget_rows`].
 //!
 //! ```
@@ -52,33 +51,23 @@
 //! });
 //! ```
 
-// `forbid` is the workspace norm (see scripts/check-unsafe.sh); this crate
-// carries the one documented exemption — lifetime erasure for the scoped
-// morsel tasks of the persistent worker pool, in `pool.rs` and nowhere
-// else.  `deny` plus one per-function allow attribute there keeps the
-// site explicit; scripts/check-unsafe.sh rejects both spellings in every
-// other engine file.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod error;
 pub mod executor;
-pub mod pool;
 pub mod registry;
 pub mod result;
 pub mod session;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use error::{EngineError, EngineResult};
-pub use executor::{
-    default_threads, ExecStats, Executor, OpProfile, OpTiming, DEFAULT_MORSEL_ROWS,
-};
-pub use pool::{QueryTag, WorkerPool};
+pub use executor::{ExecStats, Executor, OpProfile, OpTiming};
 pub use registry::DocRegistry;
 pub use result::{serialize_table, QueryResult, Timings};
 pub use session::Session;
@@ -95,9 +84,9 @@ use pf_xquery::{compile, lift, normalize, parse_query, CompileOptions, Lifted};
 /// reads no environment variables).
 ///
 /// Construct via the fluent [`EngineOptionsBuilder`]
-/// (`EngineOptions::builder().threads(4).build()`); the struct fields stay
-/// public for the `EngineOptions { threads: 4, ..Default::default() }`
-/// literal style.  Results serialize byte-identically under every setting.
+/// (`EngineOptions::builder().optimize(false).build()`); the struct fields
+/// stay public for the `EngineOptions { optimize: false,
+/// ..Default::default() }` literal style.  Results serialize byte-identically under every setting.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Options forwarded to the loop-lifting compiler.
@@ -106,18 +95,6 @@ pub struct EngineOptions {
     /// default).  Off, queries run the plan the loop-lifting compiler
     /// produced — the reference the agreement suites compare against.
     pub optimize: bool,
-    /// Threads per query for morsels: plan nodes always run one after
-    /// another on the calling thread, and with more than one thread big
-    /// operators split into morsels on the engine's worker pool.  `1`
-    /// never spawns a pool; `0` (the default) resolves to
-    /// [`default_threads`], the machine's available parallelism.
-    pub threads: usize,
-    /// Input rows per morsel for intra-operator parallelism (partitioned
-    /// sorts, row numberings, staircase shards and fused-pipeline chunks
-    /// on the worker pool).  `0` (the default) means
-    /// [`DEFAULT_MORSEL_ROWS`]; `usize::MAX` disables the partitioning.
-    /// Work totals are identical at every setting.
-    pub morsel_rows: usize,
     /// Maximum number of compiled plans the per-engine plan cache retains;
     /// when full, the least-recently-hit plan is evicted.  `0` disables
     /// caching entirely.
@@ -141,8 +118,6 @@ impl Default for EngineOptions {
         EngineOptions {
             compile: CompileOptions::default(),
             optimize: true,
-            threads: 0,
-            morsel_rows: 0,
             plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             memory_budget_rows: usize::MAX,
         }
@@ -170,8 +145,6 @@ pub fn default_optimizer_level() -> OptimizerLevel {
 ///
 /// let pf = Pathfinder::with_options(
 ///     EngineOptions::builder()
-///         .threads(4)
-///         .morsel_rows(1024)
 ///         .plan_cache_capacity(64)
 ///         .memory_budget_rows(1_000_000)
 ///         .build(),
@@ -189,15 +162,10 @@ impl EngineOptionsBuilder {
         EngineOptionsBuilder::default()
     }
 
-    /// Executor worker threads (see [`EngineOptions::threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
-    }
-
-    /// Morsel size in input rows (see [`EngineOptions::morsel_rows`]).
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        self.options.morsel_rows = rows;
+    /// Accepted and ignored: every query runs on its calling thread.  Kept
+    /// so that callers written for the former per-query thread count
+    /// still compile.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -431,8 +399,8 @@ struct Planned {
 /// The Pathfinder engine: a document registry plus the compile/execute
 /// pipeline.
 ///
-/// Every entry point takes `&self` — the registry, plan cache, worker
-/// pool and admission gate are interior-mutable — so one engine serves
+/// Every entry point takes `&self` — the registry, plan cache and
+/// admission gate are interior-mutable — so one engine serves
 /// many concurrent [`Session`]s (from scoped threads, or share the engine
 /// with `Arc<Pathfinder>`).
 ///
@@ -457,17 +425,8 @@ pub struct Pathfinder {
     registry: DocRegistry,
     options: EngineOptions,
     cache: Mutex<PlanCache>,
-    /// The engine's persistent worker pool: created at most once (on the
-    /// first parallel query) and reused for every query after — no
-    /// per-query thread spawns.
-    pool: OnceLock<Arc<WorkerPool>>,
-    /// How many pools this engine has ever spawned (asserted ≤ 1 by the
-    /// pool-reuse tests).
-    pools_created: AtomicUsize,
     /// The memory-budget gate every query passes before starting.
     admission: OnceLock<AdmissionController>,
-    /// Stamps each query execution with a fresh fair-scheduling tag.
-    query_tags: AtomicU64,
     /// Stamps each opened [`Session`] with an id.
     session_ids: AtomicU64,
 }
@@ -608,9 +567,8 @@ impl Pathfinder {
     /// concurrently on one engine.  The call admission-gates against
     /// [`EngineOptions::memory_budget_rows`], snapshots the document
     /// registry (concurrent reloads cannot tear this query), and runs the
-    /// plan on the calling thread, its morsels as query-tagged jobs on the
-    /// engine's persistent pool with round-robin fairness across in-flight
-    /// queries.  A panicking operator returns an [`EngineError`].
+    /// plan on the calling thread.  A panicking operator returns an
+    /// [`EngineError`].
     pub fn query_with(&self, query: &str, profile: Profile) -> EngineResult<QueryOutcome> {
         let planned = self.plan_for(query)?;
         // Admission first, snapshot second: the query's view of the
@@ -619,20 +577,7 @@ impl Pathfinder {
         let snapshot = self.registry.snapshot();
 
         let exec_start = Instant::now();
-        let threads = if self.options.threads == 0 {
-            default_threads()
-        } else {
-            self.options.threads
-        };
-        let pool = (threads > 1).then(|| self.worker_pool(threads));
-        let tag = self.query_tags.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut executor = Executor::with_threads(&snapshot, threads)
-            .with_morsel_rows(self.options.morsel_rows)
-            .with_op_profile(matches!(profile, Profile::Ops))
-            .with_query_tag(tag);
-        if let Some(pool) = pool {
-            executor = executor.with_pool(pool);
-        }
+        let executor = Executor::new(&snapshot).with_op_profile(matches!(profile, Profile::Ops));
         let (table, stats, ops) =
             executor.run_physical_profiled(&planned.plan, &planned.physical)?;
         let execute_time = exec_start.elapsed();
@@ -660,34 +605,9 @@ impl Pathfinder {
         })
     }
 
-    /// The engine's persistent worker pool, created on first use and
-    /// reused for every subsequent query (executors are built per query,
-    /// but they all run on this one pool — the per-query `thread::scope`
-    /// spawn/join of the earlier executor is gone).
-    fn worker_pool(&self, threads: usize) -> Arc<WorkerPool> {
-        Arc::clone(self.pool.get_or_init(|| {
-            self.pools_created.fetch_add(1, Ordering::SeqCst);
-            Arc::new(WorkerPool::new(threads.saturating_sub(1)))
-        }))
-    }
-
-    /// How many worker pools this engine has spawned so far (stays at 1
-    /// however many parallel queries run; 0 until the first one).
-    pub fn worker_pool_spawns(&self) -> usize {
-        self.pools_created.load(Ordering::SeqCst)
-    }
-
-    /// The generation stamp of the engine's pool (see
-    /// [`WorkerPool::generation`]); `None` before the first parallel
-    /// query.
-    pub fn worker_pool_generation(&self) -> Option<u64> {
-        self.pool.get().map(|p| p.generation())
-    }
-
     /// Record the observed execution peak on the cached plan, feeding the
-    /// admission estimate of the next run.  The peak is the same at every
-    /// thread count, but a reload can change the data under the same plan,
-    /// so the largest observed peak wins.
+    /// admission estimate of the next run.  A reload can change the data
+    /// under the same plan, so the largest observed peak wins.
     fn record_peak(&self, key: &CacheKey, peak_rows: usize) {
         let mut cache = self.cache.lock().expect("plan cache poisoned");
         if let Some(entry) = cache.entries.get_mut(key) {
@@ -1027,24 +947,20 @@ mod tests {
     #[test]
     fn options_builder_chains_every_knob() {
         let options = EngineOptions::builder()
-            .threads(3)
-            .morsel_rows(128)
             .optimize(false)
             .plan_cache_capacity(7)
             .memory_budget_rows(9_000)
             .build();
-        assert_eq!(options.threads, 3);
-        assert_eq!(options.morsel_rows, 128);
         assert!(!options.optimize);
         assert_eq!(options.plan_cache_capacity, 7);
         assert_eq!(options.memory_budget_rows, 9_000);
         // The struct-literal style (back-compat) still composes with it.
         let literal = EngineOptions {
-            threads: 2,
-            ..EngineOptions::builder().morsel_rows(64).build()
+            optimize: true,
+            ..EngineOptions::builder().plan_cache_capacity(64).build()
         };
-        assert_eq!(literal.threads, 2);
-        assert_eq!(literal.morsel_rows, 64);
+        assert!(literal.optimize);
+        assert_eq!(literal.plan_cache_capacity, 64);
     }
 
     #[test]
@@ -1304,68 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn the_worker_pool_is_created_once_per_engine_and_reused() {
-        let pf = Pathfinder::with_options(EngineOptions::builder().threads(4).build());
-        pf.load_document("doc.xml", "<a><b>1</b><b>2</b><c>3</c></a>")
-            .unwrap();
-        assert_eq!(pf.worker_pool_spawns(), 0, "no pool before the first query");
-        assert!(pf.worker_pool_generation().is_none());
-
-        // The first query of a multi-threaded engine creates the pool.
-        let q = "fn:count(fn:doc(\"doc.xml\")//b) + fn:count(fn:doc(\"doc.xml\")//c)";
-        assert_eq!(run(&pf, q).to_xml(), "3");
-        assert_eq!(pf.worker_pool_spawns(), 1);
-        let generation = pf.worker_pool_generation().expect("pool exists now");
-
-        // Ten more queries (cache hits and misses alike): still one pool,
-        // same generation — no per-query thread spawn.
-        for i in 0..10 {
-            run(&pf, q);
-            run(&pf, &format!("{i} + {i}"));
-        }
-        assert_eq!(pf.worker_pool_spawns(), 1);
-        assert_eq!(pf.worker_pool_generation(), Some(generation));
-    }
-
-    #[test]
-    fn sequential_engines_never_spawn_a_pool() {
-        let pf = Pathfinder::with_options(EngineOptions::builder().threads(1).build());
-        run(&pf, "1 + 1");
-        assert_eq!(pf.worker_pool_spawns(), 0);
-    }
-
-    #[test]
-    fn morsel_sizes_do_not_change_results_or_work_totals() {
-        let make = |morsel_rows: usize| {
-            let pf = Pathfinder::with_options(
-                EngineOptions::builder()
-                    .threads(4)
-                    .morsel_rows(morsel_rows)
-                    .build(),
-            );
-            pf.load_document(
-                "doc.xml",
-                "<site><p><n>Ann</n><x>3</x></p><p><n>Bo</n><x>9</x></p><p><n>Cy</n><x>7</x></p></site>",
-            )
-            .unwrap();
-            pf
-        };
-        let q = "for $p in fn:doc(\"doc.xml\")//p where $p/x > 5 return fn:string($p/n)";
-        let reference = make(usize::MAX).query_with(q, Profile::Stats).unwrap();
-        let ref_stats = reference.stats.unwrap();
-        for morsel in [1, 2, 0] {
-            let outcome = make(morsel).query_with(q, Profile::Stats).unwrap();
-            let stats = outcome.stats.unwrap();
-            assert_eq!(reference.to_xml(), outcome.to_xml(), "morsel_rows {morsel}");
-            assert_eq!(ref_stats.rows_produced, stats.rows_produced);
-            assert_eq!(ref_stats.operators_evaluated, stats.operators_evaluated);
-            assert_eq!(ref_stats.cells_produced, stats.cells_produced);
-            assert_eq!(ref_stats.evicted_results, stats.evicted_results);
-            assert_eq!(ref_stats.peak_resident_rows, stats.peak_resident_rows);
-        }
-    }
-
-    #[test]
     fn op_profile_reports_per_operator_timings() {
         let pf = engine_with("<a><b>1</b><b>2</b></a>");
         let outcome = pf
@@ -1390,8 +1244,10 @@ mod tests {
 
     #[test]
     fn explicit_thread_counts_agree() {
-        let make = |threads: usize| {
-            let pf = Pathfinder::with_options(EngineOptions::builder().threads(threads).build());
+        // `threads` is accepted and ignored: every query runs on its
+        // calling thread, whatever count the caller asks for.
+        let make = |options: EngineOptions| {
+            let pf = Pathfinder::with_options(options);
             pf.load_document(
                 "doc.xml",
                 "<site><p><n>Ann</n></p><p><n>Bo</n></p><q>9</q></site>",
@@ -1400,9 +1256,14 @@ mod tests {
             pf
         };
         let q = "for $p in fn:doc(\"doc.xml\")//p return element row { $p/n/text() }";
-        let sequential = run(&make(1), q);
-        let parallel = run(&make(4), q);
-        assert_eq!(sequential.to_xml(), parallel.to_xml());
-        assert_eq!(sequential.len(), parallel.len());
+        let reference = run(&make(EngineOptions::default()), q);
+        for threads in [1, 4] {
+            let options = EngineOptions::builder().threads(threads).build();
+            assert_eq!(
+                format!("{options:?}"),
+                format!("{:?}", EngineOptions::default())
+            );
+            assert_eq!(run(&make(options), q).to_xml(), reference.to_xml());
+        }
     }
 }

@@ -102,8 +102,8 @@ impl DocRegistry {
 
     /// Register a transient (constructed) document and return its id.
     ///
-    /// Takes `&self`: constructors run while morsels and concurrent
-    /// queries may read the registry.  Concurrent readers either see the
+    /// Takes `&self`: constructors run while concurrent queries may read
+    /// the registry.  Concurrent readers either see the
     /// store table before or after the append, never in between.
     pub fn register_constructed(&self, store: DocStore) -> u32 {
         let id = self.reserve_constructed(1);
@@ -117,7 +117,7 @@ impl DocRegistry {
     /// supplies their stores; looking one up in between yields `None`, the
     /// same as an unknown id.  Element and text constructors reserve their
     /// id when they run; the executor runs them in topological plan order,
-    /// so the ids are the same at every thread count.
+    /// so the ids are the same on every run of a plan.
     pub fn reserve_constructed(&self, n: usize) -> u32 {
         let mut state = self.state.write().expect("registry lock poisoned");
         let id = state.stores.len() as u32;

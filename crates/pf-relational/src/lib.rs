@@ -19,6 +19,9 @@
 //! | ⊙ (arithmetic / comparison)     | [`ops::map_binary`], [`ops::map_unary`] |
 //! | aggregates (count, sum, …)      | [`ops::aggregate_by`] |
 //! | count over an inequality join   | [`ops::theta_count()`](fn@ops::theta_count) |
+//! | chains of π, σ, @, ⊙, `fn:data`, δ | [`ops::run_pipeline`] (fused, one pass) |
+//!
+//! Every kernel takes its whole input and runs on the calling thread.
 //!
 //! Tables are sets of equal-length named [`Column`]s; the row number plays
 //! the role of MonetDB's *virtual object identifier*, which is why

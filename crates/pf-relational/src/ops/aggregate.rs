@@ -8,26 +8,13 @@
 //! come from a borrowed [`KeyView`] (no `Value` boxed per row) and the
 //! accumulators are native (`i64`/`f64` running sums, row-index min/max) —
 //! [`aggregate_by_generic`] keeps the old value-at-a-time loop as the
-//! differential-testing reference.  Two forms of data parallelism:
-//!
-//! * **Pre-aggregation**: [`AggPlan::partial`] aggregates any row range into
-//!   an [`AggPartial`]; [`AggPlan::merge`] folds partials *in chunk order*
-//!   with a deterministic first-appearance group order.  Only the functions
-//!   for which chunked evaluation is bit-identical to the sequential loop
-//!   advertise it ([`AggPlan::chunk_parallel_safe`]): `count` always, and
-//!   `min`/`max` on typed (non-`Item`) columns, where keep-first-on-ties
-//!   merging over ordered chunks reproduces the sequential winner exactly.
-//!   `sum`/`avg` never do — f64 addition is not associative, and the
-//!   checked `i64` overflow can fire on a sub-range where the sequential
-//!   prefix sum succeeds.
-//! * **Segmented fast path**: when the group column is an ascending
-//!   `Nat`/`Int` column — which `iter`-grouped loop-lifted tables always
-//!   are — groups are exactly the runs of equal values, and [`AggPlan::run`]
-//!   skips the hash table entirely.
+//! differential-testing reference.  When the group column is an ascending
+//! `Nat`/`Int` column — which `iter`-grouped loop-lifted tables always
+//! are — groups are exactly the runs of equal values, and [`AggPlan::run`]
+//! skips the hash table entirely.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
@@ -103,7 +90,7 @@ impl NumAcc {
     }
 }
 
-/// One group's accumulated state within an [`AggPartial`].
+/// One group's accumulated state.
 #[derive(Debug, Clone)]
 struct GroupState<'t> {
     key: Key<'t>,
@@ -127,16 +114,8 @@ impl<'t> GroupState<'t> {
     }
 }
 
-/// The aggregate of one row range: groups in first-appearance order with
-/// native accumulators, ready to be merged chunk-by-chunk.
-pub struct AggPartial<'t> {
-    index: HashMap<Key<'t>, usize>,
-    groups: Vec<GroupState<'t>>,
-}
-
 /// A prepared grouped aggregation over one input table: typed group keys,
-/// native accumulators, chunked pre-aggregation and a segmented fast path
-/// (see the module docs).
+/// native accumulators and a segmented fast path (see the module docs).
 pub struct AggPlan<'t> {
     group_col: String,
     target: String,
@@ -144,7 +123,6 @@ pub struct AggPlan<'t> {
     gcol: &'t Column,
     gkeys: KeyView<'t>,
     vcol: Option<&'t Column>,
-    rows: usize,
 }
 
 impl<'t> AggPlan<'t> {
@@ -169,26 +147,7 @@ impl<'t> AggPlan<'t> {
             gcol,
             gkeys: KeyView::of(gcol),
             vcol,
-            rows: input.row_count(),
         })
-    }
-
-    /// Number of input rows.
-    pub fn input_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// `true` when splitting the input into contiguous chunks, aggregating
-    /// each with [`AggPlan::partial`] and folding with [`AggPlan::merge`]
-    /// is **bit-identical** to the sequential loop — the executor only
-    /// parallelizes when this holds (see the module docs for why `sum` and
-    /// `avg` never qualify).
-    pub fn chunk_parallel_safe(&self) -> bool {
-        match self.func {
-            AggFunc::Count | AggFunc::ZeroOrOne => true,
-            AggFunc::Min | AggFunc::Max => !matches!(self.vcol, Some(Column::Item(_))),
-            AggFunc::Sum | AggFunc::Avg => false,
-        }
     }
 
     /// `true` when the group column is an ascending `Nat`/`Int` column, so
@@ -202,87 +161,13 @@ impl<'t> AggPlan<'t> {
         }
     }
 
-    /// Aggregate the rows of `range` into a fresh partial.  Contiguous
-    /// ranges folded in order with [`AggPlan::merge`] reproduce
-    /// [`AggPlan::run`] whenever [`AggPlan::chunk_parallel_safe`] holds.
-    pub fn partial(&self, range: Range<usize>) -> RelResult<AggPartial<'t>> {
-        let mut partial = AggPartial {
-            index: HashMap::new(),
-            groups: Vec::new(),
-        };
-        for row in range {
-            let key = self.gkeys.key(row);
-            let idx = *partial.index.entry(key).or_insert_with(|| {
-                partial.groups.push(GroupState::new(key, row));
-                partial.groups.len() - 1
-            });
-            self.accumulate(&mut partial.groups[idx], row)?;
-        }
-        Ok(partial)
-    }
-
-    /// Fold chunk partials **in chunk order** into one: group order is
-    /// first appearance across the ordered chunks, counts add, min/max
-    /// winners keep the earlier chunk on ties.
-    pub fn merge(&self, partials: Vec<AggPartial<'t>>) -> RelResult<AggPartial<'t>> {
-        let mut iter = partials.into_iter();
-        let mut merged = iter.next().unwrap_or(AggPartial {
-            index: HashMap::new(),
-            groups: Vec::new(),
-        });
-        for partial in iter {
-            for group in partial.groups {
-                match merged.index.get(&group.key) {
-                    Some(&idx) => {
-                        let into = &mut merged.groups[idx];
-                        into.count += group.count;
-                        if self.func == AggFunc::ZeroOrOne {
-                            return Err(RelError::new(MORE_THAN_ONE));
-                        }
-                        match group.sum {
-                            NumAcc::Int(v) => into.sum.add_i64(v)?,
-                            NumAcc::Dbl(v) => into.sum.add_f64(v),
-                        }
-                        if let Some(candidate) = group.best {
-                            let replace = match into.best {
-                                None => true,
-                                Some(best) => {
-                                    let want = if self.func == AggFunc::Min {
-                                        Ordering::Less
-                                    } else {
-                                        Ordering::Greater
-                                    };
-                                    self.cmp_rows(candidate, best)? == want
-                                }
-                            };
-                            if replace {
-                                into.best = Some(candidate);
-                            }
-                        }
-                    }
-                    None => {
-                        let idx = merged.groups.len();
-                        merged.index.insert(group.key, idx);
-                        merged.groups.push(group);
-                    }
-                }
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Materialize the output table from a (merged) partial.
-    pub fn finish(&self, partial: AggPartial<'t>) -> RelResult<Table> {
-        self.finish_states(&partial.groups)
-    }
-
-    /// Aggregate the whole input sequentially — via the segmented
-    /// run-length scan when the group column is sorted, the hash table
-    /// otherwise.
+    /// Aggregate the whole input — via the segmented run-length scan when
+    /// the group column is sorted, the hash table otherwise.  Groups come
+    /// out in first-appearance order either way.
     pub fn run(&self) -> RelResult<Table> {
+        let mut groups: Vec<GroupState<'t>> = Vec::new();
         if self.segmented() {
-            let mut groups: Vec<GroupState<'t>> = Vec::new();
-            for row in 0..self.rows {
+            for row in 0..self.gkeys.len() {
                 let key = self.gkeys.key(row);
                 match groups.last_mut() {
                     Some(last) if last.key == key => {}
@@ -291,10 +176,18 @@ impl<'t> AggPlan<'t> {
                 let last = groups.last_mut().expect("pushed above");
                 self.accumulate(last, row)?;
             }
-            self.finish_states(&groups)
         } else {
-            self.finish(self.partial(0..self.rows)?)
+            let mut index: HashMap<Key<'t>, usize> = HashMap::new();
+            for row in 0..self.gkeys.len() {
+                let key = self.gkeys.key(row);
+                let idx = *index.entry(key).or_insert_with(|| {
+                    groups.push(GroupState::new(key, row));
+                    groups.len() - 1
+                });
+                self.accumulate(&mut groups[idx], row)?;
+            }
         }
+        self.finish_states(&groups)
     }
 
     /// Fold row `row` into `group` (count always; sum or min/max winner
@@ -715,59 +608,6 @@ mod tests {
         .unwrap();
         let plan = AggPlan::new(&strs, "g", "c", AggFunc::Count, "item").unwrap();
         assert!(!plan.segmented());
-    }
-
-    /// Chunked partial/merge equals the sequential run for the chunk-safe
-    /// functions, at every chunk size.
-    #[test]
-    fn chunked_preaggregation_matches_sequential() {
-        let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![2, 1, 2, 3, 1, 2, 3, 3])),
-            (
-                "item".into(),
-                Column::dbls(vec![5.0, 1.0, 5.0, 9.5, 0.5, 7.0, 9.5, 2.0]),
-            ),
-        ])
-        .unwrap();
-        for func in [AggFunc::Count, AggFunc::Min, AggFunc::Max] {
-            let plan = AggPlan::new(&t, "iter", "v", func, "item").unwrap();
-            assert!(plan.chunk_parallel_safe());
-            let whole = plan.run().unwrap();
-            for chunk in 1..=plan.input_rows() {
-                let mut partials = Vec::new();
-                let mut lo = 0;
-                while lo < plan.input_rows() {
-                    let hi = (lo + chunk).min(plan.input_rows());
-                    partials.push(plan.partial(lo..hi).unwrap());
-                    lo = hi;
-                }
-                let merged = plan.finish(plan.merge(partials).unwrap()).unwrap();
-                assert_eq!(merged, whole, "{} chunk {chunk}", func.name());
-            }
-        }
-    }
-
-    /// Sum/avg (non-associative) and min/max over polymorphic item columns
-    /// (non-transitive comparisons) refuse chunked evaluation.
-    #[test]
-    fn unsafe_functions_stay_sequential() {
-        let t = table();
-        for func in [AggFunc::Sum, AggFunc::Avg] {
-            let plan = AggPlan::new(&t, "iter", "v", func, "item").unwrap();
-            assert!(!plan.chunk_parallel_safe());
-        }
-        let items = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1])),
-            (
-                "item".into(),
-                Column::items(vec![Value::Int(1), Value::Str("2".into())]),
-            ),
-        ])
-        .unwrap();
-        let plan = AggPlan::new(&items, "iter", "v", AggFunc::Min, "item").unwrap();
-        assert!(!plan.chunk_parallel_safe());
-        let plan = AggPlan::new(&items, "iter", "v", AggFunc::Count, "item").unwrap();
-        assert!(plan.chunk_parallel_safe());
     }
 
     /// Min/max keep the first appearance on ties (f64 equality can hold

@@ -19,11 +19,7 @@
 //!   first-appearance order, and the ids index the same CSR.
 //!
 //! Either way the pairs and their order are the ones a per-key list of
-//! build rows would give.  The probe side is embarrassingly parallel:
-//! [`JoinPlan::probe_range`] evaluates any row range independently, and
-//! per-range pair buffers concatenated in range order reproduce the
-//! sequential probe exactly, so an executor may partition the probe into
-//! morsels without changing the result.  Output order is always
+//! build rows would give.  Output order is always
 //! **left-major** (left row order, then right row order) — when the build
 //! side is the left input, [`JoinPlan::materialize`] restores that order
 //! with a stable counting sort over the probe-major pairs.
@@ -32,12 +28,10 @@
 //! discusses for XMark Q11/Q12 (predicate `>`), whose quadratic output is
 //! inherent to the join; [`ThetaPlan`] materializes each side's key values
 //! once (not per inner iteration; as plain `f64`s when both columns are
-//! numeric) and likewise evaluates left-row ranges independently for
-//! morselization.  A query that only *counts* the matches never needs the
+//! numeric).  A query that only *counts* the matches never needs the
 //! pairs — see [`mod@crate::ops::theta_count`].
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
@@ -78,9 +72,8 @@ fn materialize_join(left: &Table, right: &Table, pairs: &[(usize, usize)]) -> Re
     Table::new(columns)
 }
 
-/// A prepared equi-join: the smaller side indexed once into a shared
-/// read-only [`NatIndex`], ready to be probed — whole, or range by range
-/// from concurrent morsels (see the module docs).
+/// A prepared equi-join: the smaller side indexed once into a read-only
+/// [`NatIndex`], ready to be probed (see the module docs).
 pub struct JoinPlan<'t> {
     left: &'t Table,
     right: &'t Table,
@@ -183,15 +176,11 @@ impl<'t> JoinPlan<'t> {
         }
     }
 
-    /// Probe the index with the given probe-row range, returning the
-    /// matching `(left row, right row)` pairs in probe-major order.
-    ///
-    /// Infallible and independent per range: the concatenation of the
-    /// per-range outputs over a partition of `0..probe_rows()` (in range
-    /// order) equals one whole-input probe.
-    pub fn probe_range(&self, range: Range<usize>) -> Vec<(usize, usize)> {
+    /// Probe the index with every probe row, returning the matching
+    /// `(left row, right row)` pairs in probe-major order.
+    pub fn probe(&self) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        for row in range {
+        for row in 0..self.probe_rows() {
             let matches = self.matches(row);
             if self.build_left {
                 pairs.extend(matches.iter().map(|&lrow| (lrow as usize, row)));
@@ -202,8 +191,8 @@ impl<'t> JoinPlan<'t> {
         pairs
     }
 
-    /// Gather the output table from probe-major `pairs` (the concatenated
-    /// [`JoinPlan::probe_range`] results), restoring **left-major** order
+    /// Gather the output table from probe-major `pairs` (the
+    /// [`JoinPlan::probe`] result), restoring **left-major** order
     /// when the build side was the left input.
     pub fn materialize(&self, pairs: Vec<(usize, usize)>) -> RelResult<Table> {
         let pairs = if self.build_left {
@@ -241,7 +230,7 @@ impl<'t> JoinPlan<'t> {
 /// deterministic whichever side the hash index is built on.
 pub fn equi_join(left: &Table, right: &Table, left_col: &str, right_col: &str) -> RelResult<Table> {
     let plan = JoinPlan::new(left, right, left_col, right_col)?;
-    let pairs = plan.probe_range(0..plan.probe_rows());
+    let pairs = plan.probe();
     plan.materialize(pairs)
 }
 
@@ -306,8 +295,7 @@ enum ThetaKeys {
 }
 
 /// A prepared theta-join: both key columns materialized **once** (the old
-/// nested loop re-boxed the right value on every inner iteration), with
-/// left-row ranges independently evaluable for morselization.
+/// nested loop re-boxed the right value on every inner iteration).
 pub struct ThetaPlan<'t> {
     left: &'t Table,
     right: &'t Table,
@@ -344,22 +332,16 @@ impl<'t> ThetaPlan<'t> {
         })
     }
 
-    /// Rows on the left (outer) side.
-    pub fn left_rows(&self) -> usize {
-        self.left.row_count()
-    }
-
-    /// Evaluate the predicate for every pair with a left row in `range`,
-    /// returning the matches in `(left, right)` nested-loop order.  Ranges
-    /// are independent; concatenating them in order reproduces the full
-    /// nested loop (including which pair errors first).
-    pub fn probe_range(&self, range: Range<usize>) -> RelResult<Vec<(usize, usize)>> {
+    /// Evaluate the predicate for every `(left, right)` pair, returning the
+    /// matches in nested-loop order (and the error of the first failing
+    /// pair in that order).
+    pub fn probe(&self) -> RelResult<Vec<(usize, usize)>> {
         let mut pairs = Vec::new();
         match &self.keys {
             ThetaKeys::Numeric(lkeys, rkeys, cmp) => {
-                for lrow in range {
+                for (lrow, &lkey) in lkeys.iter().enumerate() {
                     for (rrow, rkey) in rkeys.iter().enumerate() {
-                        let ordering = compare_f64(lkeys[lrow], *rkey)?;
+                        let ordering = compare_f64(lkey, *rkey)?;
                         if cmp.matches(ordering) {
                             pairs.push((lrow, rrow));
                         }
@@ -367,9 +349,9 @@ impl<'t> ThetaPlan<'t> {
                 }
             }
             ThetaKeys::Values(lvals, rvals) => {
-                for lrow in range {
+                for (lrow, lval) in lvals.iter().enumerate() {
                     for (rrow, rval) in rvals.iter().enumerate() {
-                        if apply_binary(self.op, &lvals[lrow], rval)?.as_bool()? {
+                        if apply_binary(self.op, lval, rval)?.as_bool()? {
                             pairs.push((lrow, rrow));
                         }
                     }
@@ -379,7 +361,7 @@ impl<'t> ThetaPlan<'t> {
         Ok(pairs)
     }
 
-    /// Gather the output table from the concatenated pair ranges.
+    /// Gather the output table from the [`ThetaPlan::probe`] pairs.
     pub fn materialize(&self, pairs: Vec<(usize, usize)>) -> RelResult<Table> {
         materialize_join(self.left, self.right, &pairs)
     }
@@ -395,7 +377,7 @@ pub fn theta_join(
     right_col: &str,
 ) -> RelResult<Table> {
     let plan = ThetaPlan::new(left, right, left_col, op, right_col)?;
-    let pairs = plan.probe_range(0..plan.left_rows())?;
+    let pairs = plan.probe()?;
     plan.materialize(pairs)
 }
 
@@ -517,30 +499,6 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    /// Concatenated per-range probes equal the whole-input probe for every
-    /// chunk size, on both build orientations.
-    #[test]
-    fn chunked_probes_concatenate_to_the_whole_probe() {
-        let small = Table::new(vec![("k".into(), Column::nats(vec![1, 3]))]).unwrap();
-        let big = Table::new(vec![("k1".into(), Column::nats(vec![3, 1, 3, 1, 1, 2]))]).unwrap();
-        for (l, r, lc, rc) in [(&small, &big, "k", "k1"), (&big, &small, "k1", "k")] {
-            let plan = JoinPlan::new(l, r, lc, rc).unwrap();
-            let whole = plan.probe_range(0..plan.probe_rows());
-            for chunk in 1..=plan.probe_rows() {
-                let mut pairs = Vec::new();
-                let mut lo = 0;
-                while lo < plan.probe_rows() {
-                    let hi = (lo + chunk).min(plan.probe_rows());
-                    pairs.extend(plan.probe_range(lo..hi));
-                    lo = hi;
-                }
-                assert_eq!(pairs, whole, "chunk {chunk}");
-                let merged = plan.materialize(pairs).unwrap();
-                assert_eq!(merged, plan.materialize(whole.clone()).unwrap());
-            }
-        }
-    }
-
     /// Two `Nat` keys take the direct-address probe whenever the build
     /// side is dense against both inputs — even a small, sparse build
     /// side — and anything else hashes; the pairs are the reference's.
@@ -645,7 +603,7 @@ mod tests {
             let plan = ThetaPlan::new(&l, &r, "a", BinaryOp::Cmp(cmp), "b").unwrap();
             assert!(matches!(plan.keys, ThetaKeys::Numeric(..)));
             assert_eq!(
-                plan.probe_range(0..plan.left_rows()).unwrap(),
+                plan.probe().unwrap(),
                 value_loop(&l, &r, cmp).unwrap(),
                 "{cmp:?}"
             );
@@ -653,27 +611,8 @@ mod tests {
         let nan = Table::new(vec![("b".into(), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
         let plan = ThetaPlan::new(&l, &nan, "a", BinaryOp::Cmp(CmpOp::Lt), "b").unwrap();
         assert_eq!(
-            plan.probe_range(0..plan.left_rows())
-                .unwrap_err()
-                .to_string(),
+            plan.probe().unwrap_err().to_string(),
             value_loop(&l, &nan, CmpOp::Lt).unwrap_err().to_string()
         );
-    }
-
-    #[test]
-    fn theta_chunked_ranges_match_the_full_loop() {
-        let (l, r) = (left(), right());
-        let plan = ThetaPlan::new(&l, &r, "item", BinaryOp::Cmp(CmpOp::Gt), "iter1").unwrap();
-        let whole = plan.probe_range(0..plan.left_rows()).unwrap();
-        for chunk in 1..=plan.left_rows() {
-            let mut pairs = Vec::new();
-            let mut lo = 0;
-            while lo < plan.left_rows() {
-                let hi = (lo + chunk).min(plan.left_rows());
-                pairs.extend(plan.probe_range(lo..hi).unwrap());
-                lo = hi;
-            }
-            assert_eq!(pairs, whole, "chunk {chunk}");
-        }
     }
 }

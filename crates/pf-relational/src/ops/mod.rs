@@ -1,8 +1,8 @@
 //! Physical relational operators.
 //!
 //! One function per operator of the paper's Table 1 algebra (plus grouped
-//! aggregation and sorting, which Table 1 subsumes under the function items
-//! `fn:count`/`fn:sum` and the `order by` clause).  All operators are pure:
+//! aggregation, which Table 1 subsumes under the function items
+//! `fn:count`/`fn:sum`).  All operators are pure:
 //! they take tables by reference and return new tables.
 
 pub mod aggregate;
@@ -15,12 +15,11 @@ pub mod project;
 pub mod rownum;
 pub mod select;
 pub mod setops;
-pub mod sort;
 pub mod sortkeys;
 pub mod step;
 pub mod theta_count;
 
-pub use aggregate::{aggregate_by, aggregate_by_generic, AggFunc, AggPartial, AggPlan};
+pub use aggregate::{aggregate_by, aggregate_by_generic, AggFunc, AggPlan};
 pub use index::{
     evaluate_text_probe, evaluate_value_probe, text_fragments, text_row_is_candidate, IndexMode,
     IndexProbe, IndexTarget, TextCandidates, ValueCandidates,
@@ -31,15 +30,14 @@ pub use map::{
     binary_cell, map_binary, map_const, map_data, map_unary, unary_cell, Atomizer, BinaryOp, CmpOp,
     UnaryOp,
 };
-pub use pipeline::{run_pipeline, run_pipeline_range, steps_chunkable, FusedStep};
+pub use pipeline::{run_pipeline, FusedStep};
 pub use project::project;
 pub use rownum::{row_number, row_number_by, row_number_permuted, OrderSpec};
 pub use select::{select_by, select_eq, select_true};
 pub use setops::{difference, distinct, union_disjoint};
-pub use sort::sort_by;
 pub use sortkeys::{KeyCol, SortKeys};
-pub use step::{plan_step, staircase_step, DocResolver, StepChunk, StepPlan, StepShard};
-pub use theta_count::{theta_count, RankCount, ThetaCountPlan};
+pub use step::{staircase_step, DocResolver};
+pub use theta_count::{theta_count, RankCount};
 
 use crate::value::Value;
 

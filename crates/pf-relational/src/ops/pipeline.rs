@@ -844,49 +844,6 @@ pub fn run_pipeline(
     atomize: &mut Atomizer<'_>,
 ) -> RelResult<Table> {
     let mut vt = VirtualTable::new(input);
-    apply_steps(&mut vt, steps, atomize)?;
-    vt.finish(atomize)
-}
-
-/// May the pipeline be evaluated over disjoint input-row chunks whose
-/// outputs concatenate to the whole-input result, and does that pay?
-/// Every step but δ is row-local (duplicate elimination needs to see
-/// every row), and a chain that only renames and attaches does no
-/// per-row work — chunking it would copy the input columns it otherwise
-/// hands through untouched.
-pub fn steps_chunkable(steps: &[FusedStep<'_>]) -> bool {
-    !steps.iter().any(|s| matches!(s, FusedStep::Distinct))
-        && steps
-            .iter()
-            .any(|s| !matches!(s, FusedStep::Project { .. } | FusedStep::Attach { .. }))
-}
-
-/// Evaluate a pipeline over the input rows `rows.start..rows.end` only —
-/// the **morsel body** of a chunked pipeline evaluation.  For a
-/// [`steps_chunkable`] pipeline, concatenating the chunk outputs in range
-/// order reproduces [`run_pipeline`] over the whole input row for row
-/// (chunks are processed independently, so a worker pool may evaluate them
-/// concurrently; every error a chunk can hit, the whole-input run hits
-/// too).
-pub fn run_pipeline_range(
-    input: &Table,
-    steps: &[FusedStep<'_>],
-    rows: std::ops::Range<usize>,
-    atomize: &mut Atomizer<'_>,
-) -> RelResult<Table> {
-    debug_assert!(rows.end <= input.row_count());
-    let mut vt = VirtualTable::new(input);
-    vt.sel = Some(rows.collect());
-    apply_steps(&mut vt, steps, atomize)?;
-    vt.finish(atomize)
-}
-
-/// The shared interpreter loop of [`run_pipeline`] / [`run_pipeline_range`].
-fn apply_steps(
-    vt: &mut VirtualTable,
-    steps: &[FusedStep<'_>],
-    atomize: &mut Atomizer<'_>,
-) -> RelResult<()> {
     for &step in steps {
         match step {
             FusedStep::Project { columns } => {
@@ -947,7 +904,7 @@ fn apply_steps(
             }
         }
     }
-    Ok(())
+    vt.finish(atomize)
 }
 
 #[cfg(test)]
@@ -1441,39 +1398,6 @@ mod tests {
         ];
         let out = agree(&mixed, &steps);
         assert_eq!(out.column("v").unwrap(), &Column::ints(vec![1, 3]));
-    }
-
-    #[test]
-    fn chunked_evaluation_concatenates_to_the_whole_run() {
-        let t = input();
-        let steps = [
-            FusedStep::MapBinary {
-                target: "cmp",
-                left: "a",
-                op: BinaryOp::Cmp(CmpOp::Gt),
-                right: "b",
-            },
-            FusedStep::SelectTrue { column: "cmp" },
-            FusedStep::Project {
-                columns: &[("iter".into(), "iter".into()), ("a".into(), "item".into())],
-            },
-        ];
-        assert!(steps_chunkable(&steps));
-        assert!(!steps_chunkable(&[FusedStep::Distinct]));
-        // Renaming and attaching do no per-row work: never chunked.
-        assert!(!steps_chunkable(&steps[2..]));
-        let whole = run_pipeline(&t, &steps, &mut no_nodes()).unwrap();
-        for chunk in 1..=t.row_count() {
-            let mut pieces = Vec::new();
-            let mut lo = 0;
-            while lo < t.row_count() {
-                let hi = (lo + chunk).min(t.row_count());
-                pieces.push(run_pipeline_range(&t, &steps, lo..hi, &mut no_nodes()).unwrap());
-                lo = hi;
-            }
-            let merged = Table::concat_rows(pieces).unwrap();
-            assert_eq!(merged, whole, "chunk size {chunk}");
-        }
     }
 
     #[test]

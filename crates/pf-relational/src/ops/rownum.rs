@@ -12,9 +12,9 @@
 //! sorts via the typed [`SortKeys`]
 //! comparator (keys are extracted once; comparisons never materialize
 //! [`Value`](crate::value::Value)s).  The sort permutation can also be
-//! computed elsewhere — e.g. chunk-sorted on a worker pool and merged — and
-//! handed to [`row_number_permuted`], which applies the numbering; both
-//! entry points produce bit-identical tables for the same logical order.
+//! computed elsewhere and handed to [`row_number_permuted`], which applies
+//! the numbering; both entry points produce bit-identical tables for the
+//! same logical order.
 
 use crate::column::Column;
 use crate::error::RelResult;
@@ -94,9 +94,8 @@ pub fn row_number(
 }
 
 /// Apply a row numbering given a pre-computed sort permutation (`order`
-/// must be the stable permutation for the [`sort_spec`] of this numbering;
-/// the parallel executor computes it with chunk sorts merged on a worker
-/// pool).  Gathers the rows into sort order, then numbers them —
+/// must be the stable permutation for the [`sort_spec`] of this
+/// numbering).  Gathers the rows into sort order, then numbers them —
 /// restarting at each partition boundary, detected with the typed
 /// [`KeyCol`] comparator, so no per-row key values are materialized.
 pub fn row_number_permuted(

@@ -7,14 +7,6 @@
 //! and compares rows straight against the underlying buffers, reproducing
 //! [`Value::sort_key_cmp`] exactly (columns are homogeneous, so the
 //! same-type arms apply; the polymorphic item column compares by reference).
-//!
-//! The keys are also the unit of **morsel parallelism** for sorts: a
-//! permutation can be chunk-sorted on worker threads ([`SortKeys::sort_run`]
-//! over disjoint index runs) and then merged ([`SortKeys::merge_sorted_runs`],
-//! a stable pairwise merge).  Because the runs are contiguous index ranges
-//! and the merge takes from the left run on ties, the merged permutation is
-//! **bit-identical** to a single stable sort — results cannot depend on the
-//! morsel size or the thread count.
 
 use std::cmp::Ordering;
 
@@ -117,57 +109,8 @@ impl<'a> SortKeys<'a> {
     /// The stable permutation sorting rows `0..rows` by these keys.
     pub fn stable_permutation(&self, rows: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..rows).collect();
-        self.sort_run(&mut order);
+        order.sort_by(|&a, &b| self.cmp_rows(a, b));
         order
-    }
-
-    /// Stable-sort one run of row indices in place (the morsel body: runs
-    /// are disjoint, so they may be sorted concurrently).
-    pub fn sort_run(&self, run: &mut [usize]) {
-        run.sort_by(|&a, &b| self.cmp_rows(a, b));
-    }
-
-    /// Merge a permutation consisting of consecutive sorted runs of
-    /// `run_len` rows each (the last run may be shorter) into one sorted
-    /// permutation.
-    ///
-    /// The merge is stable — ties take from the left run, and every index
-    /// in a left run is smaller than every index in a right run — so the
-    /// result is identical to [`SortKeys::stable_permutation`], whatever
-    /// the run length.
-    pub fn merge_sorted_runs(&self, perm: Vec<usize>, run_len: usize) -> Vec<usize> {
-        let n = perm.len();
-        if run_len == 0 || run_len >= n {
-            return perm;
-        }
-        let mut src = perm;
-        let mut dst = vec![0usize; n];
-        let mut width = run_len;
-        while width < n {
-            let mut start = 0;
-            while start < n {
-                let mid = (start + width).min(n);
-                let end = (start + 2 * width).min(n);
-                let (mut i, mut j, mut k) = (start, mid, start);
-                while i < mid && j < end {
-                    if self.cmp_rows(src[i], src[j]) != Ordering::Greater {
-                        dst[k] = src[i];
-                        i += 1;
-                    } else {
-                        dst[k] = src[j];
-                        j += 1;
-                    }
-                    k += 1;
-                }
-                dst[k..k + (mid - i)].copy_from_slice(&src[i..mid]);
-                let k = k + (mid - i);
-                dst[k..k + (end - j)].copy_from_slice(&src[j..end]);
-                start = end;
-            }
-            std::mem::swap(&mut src, &mut dst);
-            width *= 2;
-        }
-        src
     }
 }
 
@@ -241,50 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_runs_equal_one_stable_sort_at_every_run_length() {
-        let t = table();
-        let keys = SortKeys::for_columns(&t, &[("iter", false), ("item", true)]).unwrap();
-        let n = t.row_count();
-        let reference = keys.stable_permutation(n);
-        for run_len in 1..=n + 1 {
-            let mut perm: Vec<usize> = (0..n).collect();
-            for run in perm.chunks_mut(run_len) {
-                keys.sort_run(run);
-            }
-            let merged = keys.merge_sorted_runs(perm, run_len);
-            assert_eq!(merged, reference, "run_len {run_len}");
-        }
-    }
-
-    #[test]
-    fn nan_doubles_sort_last_and_merges_stay_deterministic() {
-        // NaN-as-equal-to-everything is intransitive and would make the
-        // merged permutation depend on the run length; NaN-last keeps the
-        // order total, so every chunking merges to the same permutation.
+    fn nan_doubles_sort_last() {
+        // NaN-as-equal-to-everything is intransitive and would leave the
+        // sorted order to the sort algorithm; NaN-last keeps it total.
         let t = Table::new(vec![(
             "d".into(),
             Column::dbls(vec![5.0, f64::NAN, 3.0, f64::NAN, 1.0, 4.0]),
         )])
         .unwrap();
         let keys = SortKeys::for_columns(&t, &[("d", false)]).unwrap();
-        let n = t.row_count();
-        let reference = keys.stable_permutation(n);
         assert_eq!(
-            reference,
+            keys.stable_permutation(t.row_count()),
             vec![4, 2, 5, 0, 1, 3],
             "numbers first, NaNs last"
         );
-        for run_len in 1..=n {
-            let mut perm: Vec<usize> = (0..n).collect();
-            for run in perm.chunks_mut(run_len) {
-                keys.sort_run(run);
-            }
-            assert_eq!(
-                keys.merge_sorted_runs(perm, run_len),
-                reference,
-                "run_len {run_len}"
-            );
-        }
     }
 
     #[test]

@@ -7,26 +7,18 @@
 //! document order and duplicate-free within each iteration — exactly the
 //! contract of `fs:distinct-doc-order` applied after an XPath step.
 //!
-//! The evaluation is split into three phases so the executor can run the
-//! scan phase as **morsels** on a worker pool:
+//! The evaluation has two phases:
 //!
-//! 1. [`plan_step`] reads the context rows as `(iter, doc, pre)` triples,
+//! 1. `plan_step` reads the context rows as `(iter, doc, pre)` triples,
 //!    sorts and dedups them unless they already ascend strictly (they do
 //!    when the input is a previous step's output), cuts them into one
 //!    *sorted run* per `(iter, doc)`, resolves every document store once
 //!    and — for the descendant axes — pre-prunes each run
-//!    ([`pf_store::descendant_prune_into`]), producing a flat
-//!    [`StepPlan`]: one context arena plus `(iter, doc slot, range)` items;
-//! 2. [`StepPlan::shards`] partitions the work into row-bounded shards
-//!    ([`StepPlan::eval_shards`] evaluates any subset; shards of a
-//!    descendant context are sub-ranges of the pruned context, whose
-//!    subtree scans are disjoint);
-//! 3. [`StepPlan::merge`] concatenates the shard outputs in plan order and
-//!    assigns the per-iteration `pos` numbering.
-//!
-//! Evaluating all shards in one go and merging reproduces the single-pass
-//! evaluation **bit for bit**, so [`staircase_step`] (the sequential entry
-//! point) is just phases 1–3 run back to back.
+//!    ([`pf_store::descendant_prune_into`]), producing a flat `StepPlan`:
+//!    one context arena plus `(iter, doc slot, range)` work items;
+//! 2. `StepPlan::eval` runs the staircase kernel over every work item in
+//!    order, one [`StepKernel`] per document, and assigns the
+//!    per-iteration `pos` numbering.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -73,11 +65,9 @@ struct StepItem {
     hi: usize,
 }
 
-/// A store-resolved step evaluation over sorted-run contexts, ready to be
-/// sharded across workers (or evaluated in one piece).  Shared immutably
-/// across threads.
+/// A store-resolved step evaluation over sorted-run contexts.
 #[derive(Debug)]
-pub struct StepPlan {
+struct StepPlan {
     axis: Axis,
     /// The documents the context touches, each resolved once.
     docs: Vec<(u32, Arc<DocStore>)>,
@@ -85,24 +75,6 @@ pub struct StepPlan {
     /// order; pre-pruned for the descendant axes.
     contexts: Vec<PreRank>,
     items: Vec<StepItem>,
-}
-
-/// One shard of a [`StepPlan`]: a context sub-range of one work item.
-#[derive(Debug, Clone)]
-pub struct StepShard {
-    item: usize,
-    lo: usize,
-    hi: usize,
-}
-
-/// The rows one shard (or shard run) produced, in plan order.  `pos` is
-/// assigned later, by [`StepPlan::merge`], because a partitioned iteration
-/// spans shards.
-#[derive(Debug, Default)]
-pub struct StepChunk {
-    iters: Vec<u64>,
-    nodes: Vec<NodeRef>,
-    strs: Vec<String>,
 }
 
 /// View `column` as a slice of `T`: borrowed when it is stored that way
@@ -133,11 +105,7 @@ fn typed_cells<'a, T: Copy>(
 /// module docs).  `input` must have an `iter` column and a node-valued
 /// `item` column; the first offending row (then the first unknown document
 /// in `(iter, doc)` order) is reported here.
-pub fn plan_step<R: DocResolver + ?Sized>(
-    input: &Table,
-    docs: &R,
-    axis: Axis,
-) -> RelResult<StepPlan> {
+fn plan_step<R: DocResolver + ?Sized>(input: &Table, docs: &R, axis: Axis) -> RelResult<StepPlan> {
     let iter_col = input.column("iter")?;
     let item_col = input.column("item")?;
     let iters = typed_cells(iter_col, iter_col.as_nats(), Value::as_nat);
@@ -184,8 +152,7 @@ pub fn plan_step<R: DocResolver + ?Sized>(
         let lo = plan.contexts.len();
         let pres = run.iter().map(|&(_, _, pre)| pre);
         if prune {
-            // Pre-prune so shards scan disjoint subtrees, whatever the
-            // shard boundaries.
+            // Pre-prune so the kernel scans disjoint subtrees.
             descendant_prune_into(&plan.docs[slot].1, pres, &mut plan.contexts);
         } else {
             plan.contexts.extend(pres);
@@ -201,122 +168,38 @@ pub fn plan_step<R: DocResolver + ?Sized>(
 }
 
 impl StepPlan {
-    /// Total context rows across all work items — the morsel weight of
-    /// this step.
-    pub fn context_rows(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// May an item's context be split across shards?  `true` for the
-    /// descendant axes (pruned contexts root disjoint subtrees) and the
-    /// attribute axis (per-context-node lookups); the remaining axes are
-    /// evaluated whole.
-    fn splittable(&self) -> bool {
-        matches!(
-            self.axis,
-            Axis::Descendant | Axis::DescendantOrSelf | Axis::Attribute
-        )
-    }
-
-    /// Phase 2: partition the work into shards of at most `target_rows`
-    /// context nodes each (splittable items are cut into context
-    /// sub-ranges; the rest stay whole).  Pass `usize::MAX` for one shard
-    /// per item.  The shard list depends only on the plan and
-    /// `target_rows`, never on scheduling.
-    pub fn shards(&self, target_rows: usize) -> Vec<StepShard> {
-        let target = target_rows.max(1);
-        let splittable = self.splittable();
-        let mut shards = Vec::with_capacity(self.items.len());
-        for (item_idx, item) in self.items.iter().enumerate() {
-            let mut lo = item.lo;
-            while splittable && item.hi - lo > target {
-                shards.push(StepShard {
-                    item: item_idx,
-                    lo,
-                    hi: lo + target,
-                });
-                lo += target;
-            }
-            shards.push(StepShard {
-                item: item_idx,
-                lo,
-                hi: item.hi,
-            });
-        }
-        shards
-    }
-
-    /// Group consecutive shards into runs of roughly `target_rows` context
-    /// nodes (one task per run keeps tiny morsel sizes from exploding into
-    /// thousands of jobs).
-    pub fn shard_runs(&self, target_rows: usize) -> Vec<Vec<StepShard>> {
-        let shards = self.shards(target_rows);
-        let mut runs: Vec<Vec<StepShard>> = Vec::new();
-        let mut current: Vec<StepShard> = Vec::new();
-        let mut weight = 0usize;
-        for shard in shards {
-            let w = shard.hi - shard.lo;
-            if !current.is_empty() && weight + w > target_rows {
-                runs.push(std::mem::take(&mut current));
-                weight = 0;
-            }
-            weight += w;
-            current.push(shard);
-        }
-        if !current.is_empty() {
-            runs.push(current);
-        }
-        runs
-    }
-
-    /// Phase 3a: evaluate a run of shards (any thread; `&self` is shared
-    /// immutably), appending straight into the chunk's output buffers.
-    /// One [`StepKernel`] per document serves the whole run: the node test
-    /// is resolved once, and its cursors carry over from shard to shard.
-    /// Infallible: contexts and stores were validated by [`plan_step`].
-    pub fn eval_shards(&self, shards: &[StepShard], test: &NodeTest) -> StepChunk {
-        let mut chunk = StepChunk::default();
+    /// Phase 2: evaluate every work item in order, appending straight into
+    /// the output buffers, then number `pos` per iteration.  One
+    /// [`StepKernel`] per document serves all its items: the node test is
+    /// resolved once, and its cursors carry over from item to item.
+    /// Contexts and stores were validated by [`plan_step`].
+    fn eval(&self, test: &NodeTest) -> RelResult<Table> {
+        let mut iters: Vec<u64> = Vec::new();
+        let mut nodes: Vec<NodeRef> = Vec::new();
+        let mut strs: Vec<String> = Vec::new();
         let mut kernels: Vec<Option<StepKernel>> = self.docs.iter().map(|_| None).collect();
-        for shard in shards {
-            let item = &self.items[shard.item];
+        for item in &self.items {
             let (doc, store) = &self.docs[item.slot];
             let kernel =
                 kernels[item.slot].get_or_insert_with(|| StepKernel::new(store, self.axis, test));
-            let context = &self.contexts[shard.lo..shard.hi];
+            let context = &self.contexts[item.lo..item.hi];
             if self.axis == Axis::Attribute {
                 // Attribute *values* are returned, as strings.
-                let strs = &mut chunk.strs;
                 kernel.attributes(context, |row| {
                     strs.push(store.attr_value_of(row).to_string())
                 });
-                chunk.iters.resize(chunk.strs.len(), item.iter);
+                iters.resize(strs.len(), item.iter);
             } else {
-                let nodes = &mut chunk.nodes;
                 kernel.run(context, |pre| nodes.push(NodeRef::new(*doc, pre)));
-                chunk.iters.resize(chunk.nodes.len(), item.iter);
+                iters.resize(nodes.len(), item.iter);
             }
-        }
-        chunk
-    }
-
-    /// Phase 3b: concatenate shard-run outputs (in shard order) into the
-    /// `iter|pos|item` result table, assigning the per-iteration `pos`
-    /// numbering.  Deterministic: depends only on the chunks' contents and
-    /// order.
-    pub fn merge(&self, chunks: Vec<StepChunk>) -> RelResult<Table> {
-        let mut chunks = chunks.into_iter();
-        let mut all = chunks.next().unwrap_or_default();
-        for chunk in chunks {
-            all.iters.extend(chunk.iters);
-            all.nodes.extend(chunk.nodes);
-            all.strs.extend(chunk.strs);
         }
         // Iterations are contiguous (work items are sorted by iter), so
         // `pos` restarts exactly at iteration boundaries.
-        let mut poss: Vec<u64> = Vec::with_capacity(all.iters.len());
+        let mut poss: Vec<u64> = Vec::with_capacity(iters.len());
         let mut previous = None;
         let mut pos = 0u64;
-        for &iter in &all.iters {
+        for &iter in &iters {
             if previous.replace(iter) != Some(iter) {
                 pos = 0;
             }
@@ -326,15 +209,15 @@ impl StepPlan {
         // An empty step keeps the polymorphic representation `from_values`
         // would have produced, so downstream unions see the same column
         // kinds as before this fast path existed.
-        let item_col = if all.iters.is_empty() {
+        let item_col = if iters.is_empty() {
             Column::empty_item()
         } else if self.axis == Axis::Attribute {
-            Column::strs(all.strs)
+            Column::strs(strs)
         } else {
-            Column::nodes(all.nodes)
+            Column::nodes(nodes)
         };
         Table::new(vec![
-            ("iter".into(), Column::nats(all.iters)),
+            ("iter".into(), Column::nats(iters)),
             ("pos".into(), Column::nats(poss)),
             ("item".into(), item_col),
         ])
@@ -342,8 +225,7 @@ impl StepPlan {
 }
 
 /// Evaluate one XPath location step for every iteration of a loop-lifted
-/// context table (the sequential entry point: plan, evaluate every shard
-/// in one run, merge).
+/// context table.
 ///
 /// * `input` must have an `iter` column and a node-valued `item` column.
 /// * The result has schema `iter|pos|item`, where `pos` re-establishes
@@ -357,10 +239,7 @@ pub fn staircase_step<R: DocResolver + ?Sized>(
     axis: Axis,
     test: &NodeTest,
 ) -> RelResult<Table> {
-    let plan = plan_step(input, docs, axis)?;
-    let shards = plan.shards(usize::MAX);
-    let chunk = plan.eval_shards(&shards, test);
-    plan.merge(vec![chunk])
+    plan_step(input, docs, axis)?.eval(test)
 }
 
 #[cfg(test)]
@@ -401,45 +280,6 @@ mod tests {
         assert_eq!(result.value("pos", 0).unwrap(), Value::Nat(1));
         assert_eq!(result.value("pos", 1).unwrap(), Value::Nat(2));
         assert_eq!(result.value("iter", 2).unwrap(), Value::Nat(2));
-    }
-
-    #[test]
-    fn sharded_evaluation_matches_the_sequential_entry_point() {
-        // Many context nodes in one iteration plus a second iteration:
-        // shard the plan at every context-row target and check the merged
-        // result is bit-identical to the one-pass evaluation.
-        let store = Arc::new(
-            DocStore::from_xml(
-                "t",
-                "<r><a><b/><b/></a><a><b/></a><a/><a><b/><b/><b/></a></r>",
-            )
-            .unwrap(),
-        );
-        let n = store.node_count() as u32;
-        let all: Vec<Value> = (0..n).map(|p| Value::Node(NodeRef::new(0, p))).collect();
-        let iters: Vec<u64> = (0..n as usize).map(|i| 1 + (i as u64 % 2)).collect();
-        let table = Table::iter_pos_item(iters, vec![1; n as usize], all).unwrap();
-        let docs = vec![store];
-        for axis in [
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::Child,
-            Axis::Ancestor,
-            Axis::Following,
-        ] {
-            let whole =
-                staircase_step(&table, docs.as_slice(), axis, &NodeTest::AnyElement).unwrap();
-            let plan = plan_step(&table, docs.as_slice(), axis).unwrap();
-            for target in [1usize, 2, 3, 7, usize::MAX] {
-                let chunks: Vec<StepChunk> = plan
-                    .shard_runs(target)
-                    .iter()
-                    .map(|run| plan.eval_shards(run, &NodeTest::AnyElement))
-                    .collect();
-                let merged = plan.merge(chunks).unwrap();
-                assert_eq!(merged, whole, "axis {axis:?}, target {target}");
-            }
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! `count(for $o in S where K($p) θ K'($o) return $o)` needs, per outer
 //! group, the number of distinct inner ids with at least one satisfying
-//! key pair — not the pairs.  [`ThetaCountPlan`] computes exactly that
+//! key pair — not the pairs.  [`theta_count`] computes exactly that
 //! without ever holding a pair:
 //!
 //! * **Ranked** (`<`, `<=`, `>`, `>=` over numeric key columns): a group
@@ -18,12 +18,8 @@
 //! Both raise what the nested loop over all `(left, right)` pairs would
 //! raise first: `NaN is not comparable` when a numeric side holds a `NaN`
 //! and the other side has a row, the loop's own first error otherwise.
-//! Group ranges are independent, so an executor may evaluate them as
-//! morsels; when the group column keys the left input a group range *is* a
-//! left-row range.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
@@ -104,7 +100,7 @@ enum Probe {
 }
 
 /// A prepared grouped rank count (see the module docs).
-pub struct ThetaCountPlan<'t> {
+struct ThetaCountPlan<'t> {
     group_col: &'t Column,
     count: &'t RankCount,
     groups: DenseIds,
@@ -114,7 +110,7 @@ pub struct ThetaCountPlan<'t> {
 impl<'t> ThetaCountPlan<'t> {
     /// Resolve the columns, collapse both sides onto dense group / id
     /// numbers and prepare the probe.
-    pub fn new(
+    fn new(
         left: &'t Table,
         right: &'t Table,
         count: &'t RankCount,
@@ -179,22 +175,16 @@ impl<'t> ThetaCountPlan<'t> {
         })
     }
 
-    /// Distinct group values of the left input.
-    pub fn groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The counts of the groups in `range` (groups are numbered in
-    /// first-appearance order).  Ranges are independent, and every range
-    /// that fails fails with the error the nested loop over all pairs
+    /// The count of every group, groups numbered in first-appearance
+    /// order.  A failure is the error the nested loop over all pairs
     /// raises first.
-    pub fn count_range(&self, range: Range<usize>) -> RelResult<Vec<u64>> {
+    fn counts(&self) -> RelResult<Vec<u64>> {
         match &self.probe {
             Probe::Ranked {
                 group_keys,
                 id_keys,
                 cmp,
-            } => Ok(group_keys[range]
+            } => Ok(group_keys
                 .iter()
                 .map(|&l| {
                     let below = |strict: bool| {
@@ -218,8 +208,8 @@ impl<'t> ThetaCountPlan<'t> {
             } => {
                 // `counted[id] == g + 1`: id already counted for group g.
                 let mut counted = vec![0usize; ids.len()];
-                let mut counts = Vec::with_capacity(range.len());
-                for g in range {
+                let mut counts = Vec::with_capacity(self.groups.len());
+                for g in 0..self.groups.len() {
                     let mut count = 0;
                     for &lrow in &rows[starts[g]..starts[g + 1]] {
                         for (rrow, rval) in rvals.iter().enumerate() {
@@ -241,8 +231,8 @@ impl<'t> ThetaCountPlan<'t> {
     }
 
     /// The `group|result` table of the groups with at least one match, from
-    /// the concatenated [`ThetaCountPlan::count_range`] outputs.
-    pub fn finish(&self, counts: Vec<u64>) -> RelResult<Table> {
+    /// the [`ThetaCountPlan::counts`].
+    fn finish(&self, counts: Vec<u64>) -> RelResult<Table> {
         let (rows, counts): (Vec<usize>, Vec<i64>) = self
             .groups
             .first
@@ -291,7 +281,7 @@ fn extremes(keys: &[f64], ids: &DenseIds, max: bool) -> Vec<f64> {
 /// row per group with at least one match.
 pub fn theta_count(left: &Table, right: &Table, count: &RankCount) -> RelResult<Table> {
     let plan = ThetaCountPlan::new(left, right, count)?;
-    plan.finish(plan.count_range(0..plan.groups())?)
+    plan.finish(plan.counts()?)
 }
 
 #[cfg(test)]

@@ -147,42 +147,6 @@ impl Table {
         }
     }
 
-    /// Concatenate same-schema tables row-wise, in order — the merge step
-    /// of a chunked (morsel) operator evaluation.
-    ///
-    /// Zero-row chunks contribute nothing and are skipped, so they cannot
-    /// demote a typed column representation to the polymorphic fallback; if
-    /// every chunk is empty, the first chunk is returned as the (empty)
-    /// result shape.  Schemas must match by name and order.
-    pub fn concat_rows(chunks: Vec<Table>) -> RelResult<Table> {
-        let mut chunks = chunks.into_iter();
-        let first = chunks
-            .next()
-            .ok_or_else(|| RelError::new("concat_rows needs at least one chunk"))?;
-        let mut acc: Option<Table> = None;
-        let mut empty_shape = None;
-        for chunk in std::iter::once(first).chain(chunks) {
-            if chunk.row_count() == 0 {
-                empty_shape.get_or_insert(chunk);
-                continue;
-            }
-            match &mut acc {
-                None => acc = Some(chunk),
-                Some(acc) => {
-                    if acc.column_names() != chunk.column_names() {
-                        return Err(RelError::new("concat_rows chunks have differing schemas"));
-                    }
-                    for ((_, into), (_, from)) in acc.columns.iter_mut().zip(&chunk.columns) {
-                        into.append(from)?;
-                    }
-                }
-            }
-        }
-        Ok(acc
-            .or(empty_shape)
-            .expect("at least one chunk was consumed"))
-    }
-
     /// Convenience constructor for the ubiquitous `iter|pos|item` tables.
     pub fn iter_pos_item(iters: Vec<u64>, poss: Vec<u64>, items: Vec<Value>) -> RelResult<Table> {
         Table::new(vec![
@@ -302,31 +266,6 @@ mod tests {
         assert!(ascii.contains("iter"));
         assert!(ascii.contains("30"));
         assert_eq!(ascii.lines().count(), 2 + 3);
-    }
-
-    #[test]
-    fn concat_rows_appends_chunks_and_skips_empty_ones() {
-        let a = sample();
-        let empty = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
-        let b = Table::iter_pos_item(vec![3], vec![1], vec![Value::Int(40)]).unwrap();
-        let merged = Table::concat_rows(vec![a.clone(), empty.clone(), b]).unwrap();
-        assert_eq!(merged.row_count(), 4);
-        assert_eq!(merged.value("item", 3).unwrap(), Value::Int(40));
-        // Skipping the empty chunk keeps the typed representation: the item
-        // column stays Int even though the empty chunk's item column is the
-        // polymorphic placeholder.
-        assert_eq!(
-            merged.column("item").unwrap().column_type(),
-            a.column("item").unwrap().column_type()
-        );
-        // All-empty input returns the first chunk's shape.
-        let all_empty = Table::concat_rows(vec![empty.clone(), empty]).unwrap();
-        assert_eq!(all_empty.row_count(), 0);
-        assert_eq!(all_empty.column_names(), vec!["iter", "pos", "item"]);
-        // Mismatching schemas are rejected; zero chunks are rejected.
-        let other = Table::new(vec![("x".into(), Column::nats(vec![1]))]).unwrap();
-        assert!(Table::concat_rows(vec![sample(), other]).is_err());
-        assert!(Table::concat_rows(vec![]).is_err());
     }
 
     #[test]

@@ -411,10 +411,9 @@ pub fn dbl_idiv(a: f64, b: f64) -> RelResult<i64> {
 /// `partial_cmp`, and `NaN` equal to `NaN` but **after** every number.
 ///
 /// Treating `NaN` as equal to everything (the previous behavior) is not
-/// transitive — `5.0 = NaN = 3.0` but `5.0 > 3.0` — which both trips the
+/// transitive — `5.0 = NaN = 3.0` but `5.0 > 3.0` — which trips the
 /// standard library's sort-total-order assertion on larger inputs and
-/// makes a chunk-sort-then-merge produce a different permutation than one
-/// stable sort, i.e. sort results would depend on the morsel size.
+/// leaves the sorted order to the sort algorithm.
 pub fn nan_last_cmp(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,

@@ -1,12 +1,12 @@
 //! `pathfinder-serve` — serve one shared engine over TCP.
 //!
 //! ```text
-//! pathfinder-serve [--addr HOST:PORT] [--threads N] [--budget ROWS]
+//! pathfinder-serve [--addr HOST:PORT] [--budget ROWS]
 //!                  [--load NAME=PATH]...
 //! ```
 //!
-//! Defaults: `--addr 127.0.0.1:4044`, one executor thread per available
-//! CPU, unlimited admission budget.  `--load` preloads documents before
+//! Defaults: `--addr 127.0.0.1:4044`, unlimited admission budget.  Every
+//! connection gets an OS thread of its own, and its queries run there.  `--load` preloads documents before
 //! the first client connects.  A malformed command line prints the usage
 //! line and exits with a failure status.  The protocol is documented in
 //! the `pf_serve` crate docs; any client can stop the server with
@@ -20,7 +20,7 @@ use pf_serve::Server;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pathfinder-serve [--addr HOST:PORT] [--threads N] [--budget ROWS] \
+        "usage: pathfinder-serve [--addr HOST:PORT] [--budget ROWS] \
          [--load NAME=PATH]..."
     );
     ExitCode::FAILURE
@@ -48,7 +48,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         };
         match flag.as_str() {
             "--addr" => parsed.addr = value()?,
-            "--threads" => parsed.options.threads = count(value()?)?,
             "--budget" => parsed.options.memory_budget_rows = count(value()?)?,
             "--load" => {
                 let spec = value()?;

@@ -2,9 +2,10 @@
 //!
 //! The thinnest useful front-end for the concurrent engine: one
 //! [`Pathfinder`] behind an [`Arc`], one OS thread per TCP connection,
-//! one [`pf_engine::Session`] per connection.  Everything else —
-//! snapshot isolation, fair scheduling across in-flight queries,
-//! admission control — is engine machinery; the server adds only framing.
+//! one [`pf_engine::Session`] per connection, whose queries run on that
+//! connection's thread.  Snapshot isolation and admission control are
+//! engine machinery, fairness across connections is the operating
+//! system's scheduler; the server adds only framing.
 //!
 //! ## Protocol
 //!
@@ -22,7 +23,7 @@
 //! | `EXPLAIN <xquery>`       | `OK <escaped annotated plan>` (not executed) |
 //! | `LOAD <name> <xml>`      | `OK loaded <name>` (xml is escaped)          |
 //! | `LOADFILE <name> <path>` | `OK loaded <name>` (path read server-side)   |
-//! | `STATS`                  | `OK k=v ...` (admission, cache, pool, docs)  |
+//! | `STATS`                  | `OK k=v ...` (admission, cache, docs)        |
 //! | `PING`                   | `OK pong`                                    |
 //! | `QUIT`                   | `OK bye`, then the connection closes         |
 //! | `SHUTDOWN`               | `OK shutting down`, then the server exits    |
@@ -111,7 +112,8 @@ fn err(message: &str) -> String {
 }
 
 /// One-line `k=v` rendering of the engine's live counters (the `STATS`
-/// payload).
+/// payload).  `pool_spawns` is always 0: queries run on their connection's
+/// thread, and the field stays for clients that parse it.
 pub fn stats_line(engine: &Pathfinder) -> String {
     let (hits, misses) = engine.plan_cache_stats();
     let adm = engine.admission().stats();
@@ -123,7 +125,7 @@ pub fn stats_line(engine: &Pathfinder) -> String {
     format!(
         "documents={} plan_cache_len={} plan_cache_hits={hits} plan_cache_misses={misses} \
          plan_shape_hits={} admitted={} waited={} waiting={} running={} charged_rows={} \
-         budget_rows={budget} pool_spawns={}",
+         budget_rows={budget} pool_spawns=0",
         engine.registry().len(),
         engine.plan_cache_len(),
         engine.plan_shape_hits(),
@@ -132,7 +134,6 @@ pub fn stats_line(engine: &Pathfinder) -> String {
         adm.waiting,
         adm.running,
         adm.charged_rows,
-        engine.worker_pool_spawns(),
     )
 }
 

@@ -26,9 +26,10 @@ fn rejects(binary: &str, args: &[&str]) {
 #[test]
 fn pathfinder_serve_rejects_malformed_flags_without_panicking() {
     let serve = env!("CARGO_BIN_EXE_pathfinder-serve");
-    rejects(serve, &["--threads", "x"]);
+    rejects(serve, &["--budget", "x"]);
     rejects(serve, &["--budget", "-1"]);
-    rejects(serve, &["--threads"]);
+    rejects(serve, &["--budget"]);
+    rejects(serve, &["--threads", "4"]);
     rejects(serve, &["--addr", "127.0.0.1:0", "--load"]);
     rejects(serve, &["--load", "no-equals-sign"]);
     rejects(serve, &["--morsel", "2"]);

@@ -77,8 +77,7 @@ pub fn staircase_join_counted(
 /// The surviving context nodes root **disjoint** subtrees in document
 /// order, which is what makes the scan partitionable: the results for any
 /// split of the pruned context into consecutive slices (see
-/// [`descendant_scan`]) concatenate to the full result — the iter-range /
-/// context-range entry the morsel-parallel executor uses.
+/// [`descendant_scan`]) concatenate to the full result.
 pub fn descendant_prune(store: &DocStore, context: &[PreRank]) -> (Vec<PreRank>, usize) {
     let mut pruned: Vec<PreRank> = Vec::with_capacity(context.len());
     let skipped = descendant_prune_into(store, context.iter().copied(), &mut pruned);

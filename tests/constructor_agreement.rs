@@ -9,7 +9,6 @@
 //! copied text nodes (the text merge and the " " rule), copies of the
 //! document node, `text { }` over empty and multi-item content, and empty
 //! sequences — at the top level and inside loops of many iterations.
-//! Every query runs at `threads` 1 and 4.
 
 use proptest::prelude::*;
 
@@ -186,28 +185,23 @@ fn query(tape: &mut Tape<'_>) -> String {
     }
 }
 
-/// The engine's reply at `threads` 1 and 4 equals the baseline's.
+/// The engine's reply equals the baseline's.
 fn agree(xml: &str, queries: &[String]) {
     let mut baseline = BaselineEngine::new();
     baseline.load_document("d.xml", xml).unwrap();
-    for threads in [1, 4] {
-        let pf = Pathfinder::with_options(EngineOptions::builder().threads(threads).build());
-        pf.load_document("d.xml", xml).unwrap();
-        let session = pf.session();
-        for query in queries {
-            let expected = baseline
-                .query(query)
-                .unwrap_or_else(|e| panic!("baseline fails on {query}: {e}"))
-                .to_xml();
-            let actual = session
-                .query(query)
-                .unwrap_or_else(|e| panic!("engine fails on {query}: {e}"))
-                .to_xml();
-            assert_eq!(
-                actual, expected,
-                "{query} at {threads} threads over {xml:?}"
-            );
-        }
+    let pf = Pathfinder::with_options(EngineOptions::default());
+    pf.load_document("d.xml", xml).unwrap();
+    let session = pf.session();
+    for query in queries {
+        let expected = baseline
+            .query(query)
+            .unwrap_or_else(|e| panic!("baseline fails on {query}: {e}"))
+            .to_xml();
+        let actual = session
+            .query(query)
+            .unwrap_or_else(|e| panic!("engine fails on {query}: {e}"))
+            .to_xml();
+        assert_eq!(actual, expected, "{query} over {xml:?}");
     }
 }
 

@@ -3,8 +3,8 @@
 //! The `indexscan` optimizer rule replaces recognized content predicates
 //! with sidecar-index candidate filters plus the untouched residual
 //! predicate.  The rewrite is required to be byte-invisible: every XMark
-//! query must serialize identically to the unoptimized plan, which scans,
-//! at every thread count.  A second test pins the rule's coverage — the
+//! query must serialize identically to the unoptimized plan, which
+//! scans.  A second test pins the rule's coverage — the
 //! queries it is designed for must actually rewrite — and a third checks
 //! that the executor reports index telemetry when a rewritten plan runs.
 //!
@@ -19,13 +19,8 @@ use pathfinder::engine::{EngineOptions, Pathfinder, Profile, QueryOutcome};
 use pathfinder::store::DocStore;
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 
-fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool, threads: usize) -> Pathfinder {
-    let pf = Pathfinder::with_options(
-        EngineOptions::builder()
-            .optimize(optimize)
-            .threads(threads)
-            .build(),
-    );
+fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool) -> Pathfinder {
+    let pf = Pathfinder::with_options(EngineOptions::builder().optimize(optimize).build());
     pf.load_parsed("auction.xml", doc)
         .expect("shredding cannot fail on a parsed document");
     pf
@@ -40,7 +35,7 @@ fn index_scans_serialize_identically_to_full_scans_on_all_xmark_queries() {
     let doc = Arc::new(pathfinder::xml::parse(&xml).unwrap());
 
     // Reference: the unoptimized plan (no index scans), sequential.
-    let reference = engine(&doc, false, 1);
+    let reference = engine(&doc, false);
     let mut expected: Vec<String> = Vec::new();
     for q in queries() {
         let result = reference
@@ -51,23 +46,18 @@ fn index_scans_serialize_identically_to_full_scans_on_all_xmark_queries() {
     }
 
     for optimize in [false, true] {
-        for threads in [1, 4] {
-            let pf = engine(&doc, optimize, threads);
-            for (q, expected) in queries().iter().zip(&expected) {
-                let result = pf.session().query(q.text).unwrap_or_else(|e| {
-                    panic!(
-                        "Q{} failed (optimize = {optimize}, threads = {threads}): {e}",
-                        q.id
-                    )
-                });
-                assert_eq!(
-                    *expected,
-                    result.to_xml(),
-                    "Q{} diverges from the scan reference (optimize = {optimize}, \
-                     threads = {threads})",
-                    q.id
-                );
-            }
+        let pf = engine(&doc, optimize);
+        for (q, expected) in queries().iter().zip(&expected) {
+            let result = pf
+                .session()
+                .query(q.text)
+                .unwrap_or_else(|e| panic!("Q{} failed (optimize = {optimize}): {e}", q.id));
+            assert_eq!(
+                *expected,
+                result.to_xml(),
+                "Q{} diverges from the scan reference (optimize = {optimize})",
+                q.id
+            );
         }
     }
 }
@@ -79,7 +69,7 @@ fn index_scan_rule_fires_on_the_predicate_queries() {
         seed: 20050831,
     });
     let doc = Arc::new(pathfinder::xml::parse(&xml).unwrap());
-    let pf = engine(&doc, true, 1);
+    let pf = engine(&doc, true);
 
     let mut fired: Vec<u8> = Vec::new();
     for q in queries() {
@@ -135,7 +125,7 @@ fn executors_report_index_telemetry_for_rewritten_plans() {
     let doc = Arc::new(pathfinder::xml::parse(&xml).unwrap());
     let q14 = queries().into_iter().find(|q| q.id == 14).unwrap();
 
-    let on = engine(&doc, true, 1);
+    let on = engine(&doc, true);
     let store = registered(&on);
     let first = on.query_with(q14.text, Profile::Ops).unwrap();
     let stats = first.stats.unwrap();
@@ -177,7 +167,7 @@ fn executors_report_index_telemetry_for_rewritten_plans() {
 
 /// Q1, Q5, Q14 and Q20 agree byte for byte with the unoptimized plan on
 /// the run that scans while the index is unpaid for, on the run that
-/// builds it and on the first run after, at one thread and at four.
+/// builds it and on the first run after.
 #[test]
 fn scanning_and_indexed_runs_agree_with_the_unoptimized_plan() {
     let xml = generate(&GeneratorConfig {
@@ -195,49 +185,33 @@ fn scanning_and_indexed_runs_agree_with_the_unoptimized_plan() {
         .into_iter()
         .filter(|q| [1, 5, 14, 20].contains(&q.id))
     {
-        let reference = run(&engine(&doc, false, 1), q.text);
-        for threads in [1, 4] {
-            let pf = engine(&doc, true, threads);
-            let store = registered(&pf);
-            assert_eq!(
-                run(&pf, q.text),
-                reference,
-                "Q{} scanning, threads {threads}",
-                q.id
-            );
-            assert!(store.built_indexes().is_empty(), "Q{} run 1 built", q.id);
-            let mut runs = 1;
-            while store.built_indexes().is_empty() {
-                runs += 1;
-                assert!(
-                    runs <= store.node_count(),
-                    "Q{} never builds its index",
-                    q.id
-                );
-                let outcome = run(&pf, q.text);
-                let label = if store.built_indexes().is_empty() {
-                    "scanning"
-                } else {
-                    "building"
-                };
-                assert_eq!(
-                    outcome, reference,
-                    "Q{} {label} run {runs}, threads {threads}",
-                    q.id
-                );
-            }
-            let after = pf.query_with(q.text, Profile::Stats).unwrap();
+        let reference = run(&engine(&doc, false), q.text);
+        let pf = engine(&doc, true);
+        let store = registered(&pf);
+        assert_eq!(run(&pf, q.text), reference, "Q{} scanning", q.id);
+        assert!(store.built_indexes().is_empty(), "Q{} run 1 built", q.id);
+        let mut runs = 1;
+        while store.built_indexes().is_empty() {
+            runs += 1;
             assert!(
-                after.stats.unwrap().index_lookups > 0,
-                "Q{} probes after the build",
+                runs <= store.node_count(),
+                "Q{} never builds its index",
                 q.id
             );
-            assert_eq!(
-                Ok(after.to_xml()),
-                reference,
-                "Q{} after the build, threads {threads}",
-                q.id
-            );
+            let outcome = run(&pf, q.text);
+            let label = if store.built_indexes().is_empty() {
+                "scanning"
+            } else {
+                "building"
+            };
+            assert_eq!(outcome, reference, "Q{} {label} run {runs}", q.id);
         }
+        let after = pf.query_with(q.text, Profile::Stats).unwrap();
+        assert!(
+            after.stats.unwrap().index_lookups > 0,
+            "Q{} probes after the build",
+            q.id
+        );
+        assert_eq!(Ok(after.to_xml()), reference, "Q{} after the build", q.id);
     }
 }

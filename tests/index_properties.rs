@@ -20,8 +20,8 @@
 //!   `@id` builds only that index (shared by the store's clones).
 //! * **Rental** — a probe builds its index only once the rows its scans
 //!   passed through reach the build cost (`pf_store::index`): agreement
-//!   holds on the scanning run, the run that builds and the run after it,
-//!   at one thread and at four; concurrent sessions build an index once;
+//!   holds on the scanning run, the run that builds and the run after it;
+//!   concurrent sessions build an index once;
 //!   probes that cannot use an index never build one.
 
 use std::sync::Arc;
@@ -67,13 +67,8 @@ fn document() -> impl Strategy<Value = String> {
     })
 }
 
-fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool, threads: usize) -> Pathfinder {
-    let pf = Pathfinder::with_options(
-        EngineOptions::builder()
-            .optimize(optimize)
-            .threads(threads)
-            .build(),
-    );
+fn engine(doc: &Arc<pathfinder::xml::Document>, optimize: bool) -> Pathfinder {
+    let pf = Pathfinder::with_options(EngineOptions::builder().optimize(optimize).build());
     pf.load_parsed("d.xml", doc)
         .expect("shredding cannot fail on a parsed document");
     pf
@@ -96,41 +91,33 @@ fn run(pf: &Pathfinder, query: &str) -> Result<String, String> {
 }
 
 /// Run `query` without the index path (the unoptimized plan has no index
-/// scan) and with it, at one thread and at four: every run that scans
+/// scan) and with it: every run that scans
 /// while the probe's index is unpaid for, the run that builds it and the
 /// run after.  Every optimized outcome must equal the unoptimized one;
 /// the panic names the run.
 fn assert_all_paths_agree(xml: &str, query: &str) {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated document is well-formed"));
-    let reference = run(&engine(&doc, false, 1), query);
+    let reference = run(&engine(&doc, false), query);
     let agrees = |label: String, outcome| {
         assert_eq!(
             reference, outcome,
             "{label} of {query:?} diverges on {xml:?}"
         );
     };
-    for threads in [1, 4] {
-        let pf = engine(&doc, true, threads);
-        let store = registered(&pf);
-        agrees(
-            format!("scanning run 1, threads {threads}"),
-            run(&pf, query),
-        );
-        // Every deferred run charges at least one row, so an index that
-        // can be built is built within `cost` runs.
-        let cost = store.node_count().max(store.attribute_count());
-        for n in 2..=cost + 1 {
-            let outcome = run(&pf, query);
-            let built = !store.built_indexes().is_empty();
-            let kind = if built { "building" } else { "scanning" };
-            agrees(format!("{kind} run {n}, threads {threads}"), outcome);
-            if built {
-                agrees(
-                    format!("run after the build, threads {threads}"),
-                    run(&pf, query),
-                );
-                break;
-            }
+    let pf = engine(&doc, true);
+    let store = registered(&pf);
+    agrees("scanning run 1".to_string(), run(&pf, query));
+    // Every deferred run charges at least one row, so an index that
+    // can be built is built within `cost` runs.
+    let cost = store.node_count().max(store.attribute_count());
+    for n in 2..=cost + 1 {
+        let outcome = run(&pf, query);
+        let built = !store.built_indexes().is_empty();
+        let kind = if built { "building" } else { "scanning" };
+        agrees(format!("{kind} run {n}"), outcome);
+        if built {
+            agrees("run after the build".to_string(), run(&pf, query));
+            break;
         }
     }
 }
@@ -312,7 +299,7 @@ proptest! {
         let padding: String = (0..pad).map(|i| format!(" p{i}=\"x\"")).collect();
         let xml = xml.replacen("<site>", &format!("<site{padding}>"), 1);
         let items = xml.matches("<item ").count();
-        let pf = engine(&Arc::new(pathfinder::xml::parse(&xml).unwrap()), true, 1);
+        let pf = engine(&Arc::new(pathfinder::xml::parse(&xml).unwrap()), true);
         let store = registered(&pf);
         let clone = DocStore::clone(&store);
         let query = format!("for $i in doc(\"d.xml\")/site/item[@id = \"{id}\"] return $i/name/text()");
@@ -374,7 +361,7 @@ fn probes_that_cannot_use_an_index_never_build_one() {
     let xml = "<site><item id=\"a\"><name>gold <b>ring</b></name><price>42</price></item>\
                <item id=\"b\"><name>dust</name><price>7</price></item></site>";
     let doc = Arc::new(pathfinder::xml::parse(xml).unwrap());
-    let pf = engine(&doc, true, 1);
+    let pf = engine(&doc, true);
     let store = registered(&pf);
     for query in [
         "for $i in doc(\"d.xml\")/site/item where contains(string($i/name), \"...\") return $i/price/text()",
@@ -386,7 +373,7 @@ fn probes_that_cannot_use_an_index_never_build_one() {
             explain.report.index_scans_introduced > 0,
             "{query:?} plans no index scan, so it tests nothing"
         );
-        let reference = run(&engine(&doc, false, 1), query);
+        let reference = run(&engine(&doc, false), query);
         // Charged rows would reach any build cost within this many runs.
         for n in 0..=store.node_count() {
             let outcome = pf.session().query_with(query, Profile::Stats);
@@ -425,9 +412,9 @@ fn concurrent_sessions_build_a_rented_index_once() {
     let xml = format!("<site{padding}>{items}</site>");
     let query = "for $i in doc(\"d.xml\")/site/item[@id = \"id1\"] return $i/name/text()";
     let doc = Arc::new(pathfinder::xml::parse(&xml).unwrap());
-    let reference = run(&engine(&doc, false, 1), query);
+    let reference = run(&engine(&doc, false), query);
     for round in 0..8 {
-        let pf = engine(&doc, true, 4);
+        let pf = engine(&doc, true);
         let store = registered(&pf);
         let clone = DocStore::clone(&store);
         let barrier = std::sync::Barrier::new(4);

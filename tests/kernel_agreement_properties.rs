@@ -11,17 +11,12 @@
 //! * mixed-type `Item` columns (per-row `Value` dispatch),
 //! * empty inputs on either side.
 //!
-//! On top of plain agreement, the chunked evaluation contracts are pinned
-//! property-style: probe ranges concatenate to the full probe, and for
-//! the chunk-safe aggregation functions, per-chunk partials merged in
-//! order equal the sequential run — for every chunk size.
-//!
 //! The direct-address paths (`Nat` keys looked up by value instead of
 //! hashed) get key columns in three regimes — dense ascending, dense
 //! unsorted with duplicates, and sparse up to `u64::MAX` (the `Bits`
 //! class) — and `Nat` columns against `Int`/`Dbl`/`Item` ones, which must
-//! take the borrowed-key path.  `equi_join` must equal `equi_join_generic`
-//! under every chunking of the probe; `difference`, `distinct` and
+//! take the borrowed-key path.  `equi_join` must equal `equi_join_generic`;
+//! `difference`, `distinct` and
 //! `distinct_on` must equal a `HashKey` oracle (the owned-key loops they
 //! replaced); a fused δ must equal the operator.
 //!
@@ -30,8 +25,7 @@
 //! columns, `NaN`, strings that are and are not numbers, nodes of a small
 //! document atomized through the node-only hook — and must give the table
 //! (column representation included) or the error that the value-at-a-time
-//! reference kernels give applied one operator at a time, whole and at
-//! every chunk size.
+//! reference kernels give applied one operator at a time.
 //!
 //! [`JoinPlan`]: pathfinder::relational::ops::JoinPlan
 //! [`AggPlan`]: pathfinder::relational::ops::AggPlan
@@ -115,31 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn chunked_probe_ranges_concatenate_to_the_full_probe(
-        (lkey, lval) in table_columns(24),
-        (rkey, rval) in table_columns(24),
-        chunk in 1usize..9,
-    ) {
-        let left = Table::new(vec![("k".into(), lkey), ("v".into(), lval)]).unwrap();
-        let right = Table::new(vec![("k2".into(), rkey), ("w".into(), rval)]).unwrap();
-        let plan = JoinPlan::new(&left, &right, "k", "k2").unwrap();
-        let rows = plan.probe_rows();
-        let full = plan.probe_range(0..rows);
-        let mut chunked = Vec::new();
-        let mut lo = 0;
-        while lo < rows {
-            let hi = (lo + chunk).min(rows);
-            chunked.extend(plan.probe_range(lo..hi));
-            lo = hi;
-        }
-        prop_assert_eq!(&full, &chunked);
-        prop_assert_eq!(
-            plan.materialize(full).unwrap(),
-            ops::equi_join_generic(&left, &right, "k", "k2").unwrap()
-        );
-    }
-
-    #[test]
     fn typed_aggregation_agrees_with_the_generic_aggregation(
         (group, value) in table_columns(32),
         func in agg_func(),
@@ -186,41 +155,6 @@ proptest! {
                 a.is_ok(),
                 b.is_ok()
             ),
-        }
-    }
-
-    #[test]
-    fn chunked_partials_merge_to_the_sequential_aggregate(
-        (group, value) in table_columns(32),
-        func in agg_func(),
-        chunk in 1usize..9,
-    ) {
-        let table = Table::new(vec![("g".into(), group), ("v".into(), value)]).unwrap();
-        let plan = AggPlan::new(&table, "g", "out", func, "v").unwrap();
-        prop_assume!(plan.chunk_parallel_safe());
-        let rows = plan.input_rows();
-        let mut partials = Vec::new();
-        let mut lo = 0;
-        let mut failed = false;
-        while lo < rows {
-            let hi = (lo + chunk).min(rows);
-            match plan.partial(lo..hi) {
-                Ok(p) => partials.push(p),
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-            lo = hi;
-        }
-        let sequential = plan.run();
-        if failed {
-            // A chunk error implies the sequential pass errors too (the
-            // executor re-runs sequentially for the canonical message).
-            prop_assert!(sequential.is_err());
-        } else {
-            let merged = plan.finish(plan.merge(partials).unwrap()).unwrap();
-            prop_assert_eq!(merged, sequential.unwrap());
         }
     }
 }
@@ -321,7 +255,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn dense_key_joins_agree_with_the_generic_join_under_every_chunking(
+    fn dense_key_joins_agree_with_the_generic_join(
         lkey in key_column(40),
         rkey in key_column(40),
     ) {
@@ -330,19 +264,7 @@ proptest! {
         let generic = ops::equi_join_generic(&left, &right, "k", "k2").unwrap();
         prop_assert_eq!(&ops::equi_join(&left, &right, "k", "k2").unwrap(), &generic);
         let plan = JoinPlan::new(&left, &right, "k", "k2").unwrap();
-        let rows = plan.probe_rows();
-        let full = plan.probe_range(0..rows);
-        for chunk in 1..=rows.max(1) {
-            let mut chunked = Vec::new();
-            let mut lo = 0;
-            while lo < rows {
-                let hi = (lo + chunk).min(rows);
-                chunked.extend(plan.probe_range(lo..hi));
-                lo = hi;
-            }
-            prop_assert_eq!(&chunked, &full, "chunk {}", chunk);
-        }
-        prop_assert_eq!(plan.materialize(full).unwrap(), generic);
+        prop_assert_eq!(plan.materialize(plan.probe()).unwrap(), generic);
     }
 
     #[test]
@@ -857,36 +779,14 @@ proptest! {
             (Err(f), Err(r)) => prop_assert_eq!(f, r, "{:?}", steps),
             _ => prop_assert!(false, "{steps:?}: fused {fused:?}, reference {reference:?}"),
         }
-        if !ops::steps_chunkable(&steps) {
-            return;
-        }
-        // Every chunking concatenates to the whole run; a chunk fails
-        // exactly when the whole run does (the executor then reports the
-        // whole run's error).
-        for chunk in 1..=rows {
-            let pieces: Vec<RelResult<Table>> = (0..rows)
-                .step_by(chunk)
-                .map(|lo| {
-                    ops::run_pipeline_range(&input, &steps, lo..(lo + chunk).min(rows), &mut atomize)
-                })
-                .collect();
-            match &fused {
-                Ok(whole) => {
-                    let pieces: Vec<Table> = pieces.into_iter().map(Result::unwrap).collect();
-                    let merged = Table::concat_rows(pieces).unwrap();
-                    prop_assert!(same_table(&merged, whole), "chunk {chunk}: {steps:?}");
-                }
-                Err(_) => prop_assert!(pieces.iter().any(Result::is_err), "chunk {chunk}: {steps:?}"),
-            }
-        }
     }
 }
 
 /// A chain that only renames hands the input buffers through: the kernel
-/// never chunks it, and the executor keeps it zero-copy at 4 threads with
-/// 2-row morsels (the physically resident cells count one copy).
+/// and the executor keep it zero-copy (the physically resident cells count
+/// one copy).
 #[test]
-fn projection_pipelines_stay_zero_copy_at_four_threads() {
+fn projection_pipelines_stay_zero_copy() {
     use pathfinder::algebra::{AlgOp, PlanBuilder};
 
     let input = Table::new(vec![
@@ -900,7 +800,6 @@ fn projection_pipelines_stay_zero_copy_at_four_threads() {
     let rename = FusedStep::Project {
         columns: &[("iter".into(), "a".into()), ("item".into(), "b".into())],
     };
-    assert!(!ops::steps_chunkable(&[rename]));
     let out = ops::run_pipeline(&input, &[rename], &mut |_, _| unreachable!()).unwrap();
     assert!(out
         .column("a")
@@ -924,10 +823,7 @@ fn projection_pipelines_stay_zero_copy_at_four_threads() {
     });
     let plan = b.finish(renamed);
     let registry = DocRegistry::new();
-    let (table, stats) = Executor::with_threads(&registry, 4)
-        .with_morsel_rows(2)
-        .run_with_stats(&plan)
-        .unwrap();
+    let (table, stats) = Executor::new(&registry).run_with_stats(&plan).unwrap();
     assert_eq!(table.row_count(), 64);
     assert_eq!(stats.cells_produced, 4 * 64, "two tables of two columns");
     assert_eq!(stats.peak_resident_cells, 2 * 64, "one copy of the cells");

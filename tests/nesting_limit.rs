@@ -7,7 +7,7 @@
 //! must parse, normalize, compile, optimize, run and serialize on such a
 //! thread, and one level deeper must be a syntax error (never a crash).
 
-use pathfinder::engine::{EngineOptions, Pathfinder};
+use pathfinder::engine::Pathfinder;
 use pathfinder::xquery::{parse_query, MAX_NESTING_DEPTH};
 
 /// The stack of a `pathfinder-serve` connection thread (Rust's default
@@ -80,7 +80,7 @@ fn run_on_server_stack(query: String) -> Result<String, String> {
     std::thread::Builder::new()
         .stack_size(SERVER_STACK)
         .spawn(move || {
-            let pf = Pathfinder::with_options(EngineOptions::builder().threads(1).build());
+            let pf = Pathfinder::new();
             pf.load_document("d.xml", "<a><a><a>x</a></a></a>").unwrap();
             pf.session()
                 .query(&query)
@@ -126,7 +126,7 @@ fn a_deep_document_serializes_and_copies_on_a_server_stack() {
     let answers = std::thread::Builder::new()
         .stack_size(SERVER_STACK)
         .spawn(move || {
-            let pf = Pathfinder::with_options(EngineOptions::builder().threads(1).build());
+            let pf = Pathfinder::new();
             pf.load_document("deep.xml", &chain).unwrap();
             let session = pf.session();
             [

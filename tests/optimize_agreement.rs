@@ -11,8 +11,7 @@
 //!
 //! The join-graph-isolation half of the suite pins the optimizer through
 //! the engine: every XMark query must serialize **byte-identically** with
-//! the optimizer on and off at 1 and 4 threads (plus morsel sizes on the
-//! join-heavy queries), *unshare* must never lower the fused share, and
+//! the optimizer on and off, *unshare* must never lower the fused share, and
 //! each isolation rule — pushdown, dedup/unshare, reorder — applied alone
 //! through its public function carries its own property test over
 //! randomized literal-table plans.
@@ -116,28 +115,22 @@ fn eviction_does_not_change_results_on_shared_dags() {
     assert_eq!(a.to_xml(), b.to_xml());
 }
 
-/// One engine per (optimize, threads) cell, all sharing the parsed
-/// document.
-fn optimizer_engines(xml: &str) -> Vec<((bool, usize), Pathfinder)> {
+/// One engine with the optimizer off and one with it on, both sharing the
+/// parsed document.
+fn optimizer_engines(xml: &str) -> Vec<(bool, Pathfinder)> {
     let doc = Arc::new(pathfinder::xml::parse(xml).expect("generated XML is well-formed"));
-    let mut engines = Vec::new();
-    for optimize in [false, true] {
-        for threads in [1usize, 4] {
-            let pf = Pathfinder::with_options(
-                EngineOptions::builder()
-                    .optimize(optimize)
-                    .threads(threads)
-                    .build(),
-            );
+    [false, true]
+        .into_iter()
+        .map(|optimize| {
+            let pf = Pathfinder::with_options(EngineOptions::builder().optimize(optimize).build());
             pf.load_parsed("auction.xml", &doc).unwrap();
-            engines.push(((optimize, threads), pf));
-        }
-    }
-    engines
+            (optimize, pf)
+        })
+        .collect()
 }
 
 #[test]
-fn optimizer_on_and_off_agree_across_threads_on_all_xmark_queries() {
+fn optimizer_on_and_off_agree_on_all_xmark_queries() {
     let xml = generate(&GeneratorConfig {
         scale: 0.004,
         seed: 20050831,
@@ -148,19 +141,16 @@ fn optimizer_on_and_off_agree_across_threads_on_all_xmark_queries() {
     let mut unshared = 0usize;
     for q in queries() {
         let mut reference: Option<String> = None;
-        for ((optimize, threads), pf) in &engines {
-            let outcome = pf.query_with(q.text, Profile::None).unwrap_or_else(|e| {
-                panic!(
-                    "Q{} failed at optimize = {optimize}, threads = {threads}: {e}",
-                    q.id
-                )
-            });
+        for (optimize, pf) in &engines {
+            let outcome = pf
+                .query_with(q.text, Profile::None)
+                .unwrap_or_else(|e| panic!("Q{} failed at optimize = {optimize}: {e}", q.id));
             let xml_out = outcome.to_xml();
             match &reference {
                 None => reference = Some(xml_out),
                 Some(expected) => assert_eq!(
                     *expected, xml_out,
-                    "Q{}: serialization diverges at optimize = {optimize}, threads = {threads}",
+                    "Q{}: serialization diverges at optimize = {optimize}",
                     q.id
                 ),
             }
@@ -257,46 +247,6 @@ fn full_optimizer_never_decreases_the_fused_share_on_fusable_queries() {
     );
 }
 
-#[test]
-fn full_level_agrees_across_morsel_sizes_on_join_heavy_queries() {
-    let xml = generate(&GeneratorConfig {
-        scale: 0.004,
-        seed: 20050831,
-    });
-    let doc = Arc::new(pathfinder::xml::parse(&xml).expect("generated XML is well-formed"));
-    // The value-join and aggregation queries: the ones whose plans the
-    // reorder/pushdown rules actually touch.
-    for id in [8u8, 9, 10, 11, 12] {
-        let q = pathfinder::xmark::query(id).unwrap();
-        let mut reference: Option<String> = None;
-        for morsel_rows in [2usize, 0, usize::MAX] {
-            for optimize in [false, true] {
-                let pf = Pathfinder::with_options(
-                    EngineOptions::builder()
-                        .optimize(optimize)
-                        .threads(4)
-                        .morsel_rows(morsel_rows)
-                        .build(),
-                );
-                pf.load_parsed("auction.xml", &doc).unwrap();
-                let out = pf
-                    .query_with(q.text, Profile::None)
-                    .unwrap_or_else(|e| {
-                        panic!("Q{id} failed at optimize = {optimize}, morsel = {morsel_rows}: {e}")
-                    })
-                    .to_xml();
-                match &reference {
-                    None => reference = Some(out),
-                    Some(expected) => assert_eq!(
-                        *expected, out,
-                        "Q{id}: diverges at optimize = {optimize}, morsel = {morsel_rows}"
-                    ),
-                }
-            }
-        }
-    }
-}
-
 /// The document statistics of one generated auction, as the engine
 /// serves them to the optimizer.
 struct AuctionStats(Arc<DocStatistics>);
@@ -374,6 +324,43 @@ fn optimizing_an_optimized_plan_changes_nothing() {
             "Q{}: a second run changed the plan",
             q.id
         );
+    }
+}
+
+/// Pushdown moves every σ off a single-consumer ∪, and it runs right
+/// before the index-scan rule, so the rule never sees a σ over the union
+/// of the `ebv_bool` scaffolding.  On every XMark query, with and without
+/// document statistics, no optimized plan has a σ reading a ∪ that has
+/// one consumer.
+#[test]
+fn no_selection_reads_a_single_consumer_union_after_optimization() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.004,
+        seed: 20050831,
+    });
+    let store = DocStore::from_xml("auction.xml", &xml).unwrap();
+    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    for q in queries() {
+        let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+        let compiled = compile(&core, &CompileOptions::default()).unwrap().plan;
+        let mut without = compiled.clone();
+        optimize(&mut without);
+        let mut with = compiled;
+        optimize_with_verify(&mut with, &stats, true);
+        for (label, plan) in [("without statistics", &without), ("with statistics", &with)] {
+            let consumers = plan.consumer_counts();
+            for id in plan.reachable() {
+                let (AlgOp::Select { input, .. } | AlgOp::SelectEq { input, .. }) = plan.op(id)
+                else {
+                    continue;
+                };
+                assert!(
+                    !matches!(plan.op(*input), AlgOp::Union { .. }) || consumers[*input] != 1,
+                    "Q{} {label}: σ #{id} reads the single-consumer ∪ #{input}",
+                    q.id
+                );
+            }
+        }
     }
 }
 

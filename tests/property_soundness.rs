@@ -177,7 +177,7 @@ fn xmark_plan_properties_are_sound_at_every_operator() {
     });
     let registry = DocRegistry::new();
     registry.load_xml("auction.xml", &xml).unwrap();
-    let executor = Executor::with_threads(&registry, 1);
+    let executor = Executor::new(&registry);
     for join_recognition in [true, false] {
         let options = CompileOptions { join_recognition };
         for q in queries() {

@@ -13,8 +13,8 @@
 //!   several iterations and two documents, with `Node`- and `Item`-typed
 //!   `item` columns.
 //!
-//! On top of that: merged shard runs equal the whole for every morsel
-//! target, the error cases report the errors they always did, and the
+//! On top of that: the error cases report the errors they always did, and
+//! the
 //! [`StaircaseStats`] counters show that skipping actually skips.
 
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pathfinder::relational::ops::{plan_step, staircase_step};
+use pathfinder::relational::ops::staircase_step;
 use pathfinder::relational::{Column, NodeRef, Table, Value};
 use pathfinder::store::{
     naive_axis_step, staircase_join_counted, Axis, DocStore, NodeTest, PreRank, StaircaseStats,
@@ -226,36 +226,6 @@ proptest! {
                 let expected = oracle(&docs, &iters, &nodes, axis, &test);
                 let whole = staircase_step(&table, docs.as_slice(), axis, &test).unwrap();
                 prop_assert_eq!(&whole, &expected, "axis {:?} test {:?}", axis, test);
-            }
-        }
-    }
-
-    #[test]
-    fn merged_shard_runs_equal_the_whole(
-        script_a in script(),
-        script_b in script(),
-        raw in raw_rows(),
-    ) {
-        let docs = vec![
-            Arc::new(random_store("a.xml", &script_a, true)),
-            Arc::new(random_store("b.xml", &script_b, false)),
-        ];
-        let (iters, nodes) = context_rows(&docs, &raw);
-        let table = context_table(&iters, &nodes, false);
-        let tests = [NodeTest::AnyNode, NodeTest::Element("a".into()), NodeTest::AnyAttribute];
-        for axis in AXES {
-            for test in &tests {
-                let whole = staircase_step(&table, docs.as_slice(), axis, test).unwrap();
-                let plan = plan_step(&table, docs.as_slice(), axis).unwrap();
-                for target in [1usize, 2, 3, 7, usize::MAX] {
-                    let chunks = plan
-                        .shard_runs(target)
-                        .iter()
-                        .map(|run| plan.eval_shards(run, test))
-                        .collect();
-                    let merged = plan.merge(chunks).unwrap();
-                    prop_assert_eq!(&merged, &whole, "axis {:?} test {:?} target {}", axis, test, target);
-                }
             }
         }
     }

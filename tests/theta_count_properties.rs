@@ -4,11 +4,11 @@
 //! rows of a materialized pair table; the `thetacount` rule replaces that
 //! by one `ThetaCount` operator.  Three layers are pinned:
 //!
-//! * **Kernel** — `ThetaCountPlan` against the pipeline it replaces
+//! * **Kernel** — `ops::theta_count` against the pipeline it replaces
 //!   (nested-loop θ-join → π → δ → count) on random tables: duplicate
 //!   groups and ids, ties, `NaN`, empty sides, Nat/Int/Dbl mixes, string
-//!   and incomparable keys, all comparison operators, both operand orders,
-//!   every chunking of the groups — same rows, or the same error.
+//!   and incomparable keys, all comparison operators, both operand orders
+//!   — same rows, or the same error.
 //! * **Engine** — generated count-over-θ queries on random documents:
 //!   the rewritten plan agrees with the unoptimized plan — the *basic
 //!   plan* of the test names, which materializes the pair table — (answers
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use pathfinder::baseline::BaselineEngine;
 use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
-use pathfinder::relational::ops::{self, AggFunc, BinaryOp, CmpOp, RankCount, ThetaCountPlan};
+use pathfinder::relational::ops::{self, AggFunc, BinaryOp, CmpOp, RankCount};
 use pathfinder::relational::{Column, RelResult, Table, Value};
 use pathfinder::xmark::{generate, query, GeneratorConfig};
 
@@ -175,26 +175,6 @@ proptest! {
                 ops::theta_count(l, r, &count).map(|t| rows_of(&t, group, "n")),
             );
             prop_assert_eq!(&kernel, &expected, "{:?} {:?} {:?}", left_kind, cmp, right_kind);
-
-            // Any chunking of the groups concatenates to the whole — and
-            // fails with the whole's error.
-            let Ok(plan) = ThetaCountPlan::new(l, r, &count) else {
-                continue;
-            };
-            for chunk in 1..=plan.groups().max(1) {
-                let mut counts = Ok(Vec::new());
-                for lo in (0..plan.groups()).step_by(chunk) {
-                    let part = plan.count_range(lo..(lo + chunk).min(plan.groups()));
-                    counts = counts.and_then(|mut all: Vec<u64>| {
-                        all.extend(part?);
-                        Ok(all)
-                    });
-                }
-                let chunked = errors_as_text(
-                    counts.and_then(|c| plan.finish(c)).map(|t| rows_of(&t, group, "n")),
-                );
-                prop_assert_eq!(&chunked, &expected, "chunk {}", chunk);
-            }
         }
     }
 }
@@ -361,8 +341,7 @@ fn a_nan_key_fails_the_comparison_with_and_without_the_rule() {
 fn q11_rows_grow_with_the_document_not_with_the_pair_table() {
     let q11 = query(11).unwrap().text;
     let stats_at = |scale: f64| {
-        let options = EngineOptions::builder().threads(1);
-        let pf = Pathfinder::with_options(options.build());
+        let pf = Pathfinder::new();
         let xml = generate(&GeneratorConfig { scale, seed: 11 });
         pf.load_document("auction.xml", &xml).unwrap();
         pf.query_with(q11, Profile::Stats).unwrap().stats.unwrap()

@@ -192,13 +192,16 @@ fn mutation_aggregate_group_unresolvable() {
 
 #[test]
 fn mutation_sort_column_unresolvable() {
+    // The sort key of a row numbering names a column its input lacks.
     let mut b = PlanBuilder::new();
     let lit = nat_lit(&mut b, &["a"], &[&[1]]);
-    let sort = b.add(AlgOp::Sort {
+    let rn = b.add(AlgOp::RowNum {
         input: lit,
-        by: vec![SortSpec::asc("z")],
+        target: "n".into(),
+        order_by: vec![SortSpec::asc("z")],
+        partition: None,
     });
-    assert_rejected(&b.finish(sort), &["sort column `z`"]);
+    assert_rejected(&b.finish(rn), &["order-by column `z`"]);
 }
 
 #[test]
