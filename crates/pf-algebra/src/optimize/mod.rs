@@ -10,15 +10,12 @@
 //! 1. **Projection merging** — π(π(q)) ⇒ π(q) with composed renaming.
 //! 2. **Identity projection removal** — a π that keeps every column of its
 //!    input under the same name is dropped.
-//! 3. **Redundant `ddo` removal** — `fs:distinct-doc-order` applied to an
-//!    input that is already in distinct document order (e.g. directly after
-//!    a staircase-join step) is dropped.
-//! 4. **Literal folding** — σ, π and @ over a small literal table are
-//!    evaluated at compile time ([`pushdown`]).
 //!
-//! Together these four are the *cleanup* phase.  The optimizer has one
-//! rule set: cleanup plus the join-graph-isolation rules below, including
-//! the property-driven deletions of [`scaffold`].
+//! These two are the *cleanup* phase.  The optimizer has one rule set:
+//! cleanup plus the join-graph-isolation rules below, including the
+//! property-driven deletions of [`scaffold`] (which also drops an
+//! `fs:distinct-doc-order` over an input already in distinct document
+//! order) and the literal folds of [`pushdown`].
 //!
 //! ## The phases
 //!
@@ -27,15 +24,19 @@
 //! uses that report to reproduce the paper's plan-complexity claim
 //! (experiment E5).  No rule runs until nothing changes:
 //!
-//! 1. cleanup;
-//! 2. hash-cons, pushdown, reorder, indexscan, scaffold, cleanup;
-//! 3. the **second pass**: hash-cons, pushdown, reorder, scaffold,
-//!    cleanup.  Scaffold replaces joins, numberings and δ by π and @,
-//!    which pushdown and scaffold then match again; without this pass
-//!    XMark Q1, Q17 and Q20 keep operators;
-//! 4. thetacount, then cleanup when it fired;
-//! 5. unshare.  A hash-cons right before it merged nothing on any plan
-//!    the test suite or `plan_size` optimizes, so there is none.
+//! 1. hash-cons, pushdown, reorder, indexscan, scaffold, cleanup;
+//! 2. the **second pass**: pushdown, reorder, scaffold, cleanup.
+//!    Scaffold replaces joins, numberings and δ by π and @, which
+//!    pushdown and scaffold then match again; without this pass XMark Q1,
+//!    Q17 and Q20 keep operators;
+//! 3. thetacount, then cleanup when it fired;
+//! 4. unshare.
+//!
+//! That is 14 sweeps, 16 after a rank count.  A phase is on the list only
+//! if leaving it out changes some XMark plan: a cleanup before the first
+//! pass, a literal fold of its own in cleanup (pushdown folds in the same
+//! sweep) and a hash-cons in the second pass or right before unshare
+//! changed none.
 //!
 //! A second run of the whole sequence over its own output changes nothing
 //! on the XMark queries (pinned by `tests/optimize_agreement.rs`).
@@ -74,16 +75,17 @@
 //!   becomes a π of that column; (c) a provably empty operator becomes an
 //!   empty literal, `∪` with an empty arm its other arm, `∖` with an empty
 //!   right side its left side, σ over a constant-`true` column its input,
-//!   `ebv` over a Boolean `item` keyed by `iter` a π, and δ over a keyed
-//!   input its input.  A subplan stops being evaluated only when what
+//!   `ebv` over a Boolean `item` keyed by `iter` a π, δ over a keyed
+//!   input its input, and `ddo` over an input in distinct document order
+//!   its input.  A subplan stops being evaluated only when what
 //!   stays evaluates every operator in it that can raise an error.
 //!
 //! ## One analysis per plan, sweeps
 //!
-//! The rules that read properties — identity-π and `ddo` removal,
-//! `pushdown`, `reorder`, `indexscan`, `scaffold`, `thetacount` — share
-//! one [`PlanProperties`] analysis, computed when a rule first asks for
-//! it and then *kept*.  The sweep contract: every rewrite replaces an
+//! The rules that read properties — identity-π removal, `pushdown`,
+//! `reorder`, `indexscan`, `scaffold`, `thetacount` — share one
+//! [`PlanProperties`] analysis, computed when a rule first asks for it
+//! and then *kept*.  The sweep contract: every rewrite replaces an
 //! operator by a subplan with the same rows, the same row order and the
 //! same columns, so the bottom-up facts of every operator the rewrite did
 //! not create — columns, document order, keys, constants, emptiness,
@@ -144,7 +146,8 @@ pub struct OptimizeReport {
     pub projections_merged: usize,
     /// Number of identity projections removed.
     pub identity_projections_removed: usize,
-    /// Number of redundant `ddo` operators removed.
+    /// Number of `ddo` operators over an input already in distinct
+    /// document order removed (by [`scaffold`]).
     pub doc_orders_removed: usize,
     /// Number of δ operators over a keyed input removed (by
     /// [`scaffold`]).
@@ -171,8 +174,8 @@ pub struct OptimizeReport {
     /// Number of count aggregates over a θ-join's pair table replaced by
     /// [`AlgOp::ThetaCount`].
     pub theta_counts_introduced: usize,
-    /// Number of loop-lifting scaffolding operators other than δ
-    /// replaced by cheaper equivalent subplans ([`scaffold`]).
+    /// Number of loop-lifting scaffolding operators other than δ and
+    /// `ddo` replaced by cheaper equivalent subplans ([`scaffold`]).
     pub scaffolding_deleted: usize,
     /// `true` when the plan verifier ran for this optimization and every
     /// rule application passed ([`crate::verify`]).
@@ -191,21 +194,6 @@ pub struct OptimizeReport {
 }
 
 impl OptimizeReport {
-    /// Rule names, naming the rules in [`crate::verify::VerifyError`].
-    pub const RULE_NAMES: [&'static str; 11] = [
-        "merge_projections",
-        "identity_projections",
-        "order_ops",
-        "fold_literals",
-        "dedup",
-        "pushdown",
-        "reorder",
-        "indexscan",
-        "unshare",
-        "thetacount",
-        "scaffold",
-    ];
-
     /// Fraction of operators removed, in percent; negative when the plan
     /// grew (unshare clones shared operators).
     pub fn reduction_percent(&self) -> f64 {
@@ -430,15 +418,16 @@ impl<'s> Optimizer<'s> {
         optimizer
     }
 
-    /// One rule application: snapshot, run, verify on change, roll back
-    /// on rejection.  The digest is computed from the snapshot only when
-    /// the rule actually changed the plan, so an idle rule costs one arena
-    /// clone and nothing else.  A change is reported to the analysis as
-    /// the rule's `change`; a rollback drops it.
+    /// One application of the rule named `name` (the name a
+    /// [`crate::verify::VerifyError`] reports): snapshot, run, verify on
+    /// change, roll back on rejection.  The digest is computed from the
+    /// snapshot only when the rule actually changed the plan, so an idle
+    /// rule costs one arena clone and nothing else.  A change is reported
+    /// to the analysis as the rule's `change`; a rollback drops it.
     fn apply(
         &mut self,
         plan: &mut Plan,
-        rule_idx: usize,
+        name: &str,
         rule: impl FnOnce(&mut Plan, &mut Analysis<'s>, &mut OptimizeReport) -> Option<Change>,
     ) -> bool {
         let snapshot = (self.verify && !self.failed).then(|| plan.clone());
@@ -450,8 +439,7 @@ impl<'s> Optimizer<'s> {
             return true;
         };
         let before = crate::verify::digest(&snapshot);
-        let outcome =
-            crate::verify::verify_rewrite(OptimizeReport::RULE_NAMES[rule_idx], &before, plan);
+        let outcome = crate::verify::verify_rewrite(name, &before, plan);
         self.report.verify_passes += 1;
         match outcome {
             Ok(()) => true,
@@ -465,27 +453,26 @@ impl<'s> Optimizer<'s> {
         }
     }
 
-    /// The phases, each rule one sweep: cleanup; the first rewrite pass;
-    /// the **second pass** (hash-cons, pushdown, reorder, scaffold,
-    /// cleanup), which exists because scaffold's π and @ feed pushdown and
-    /// scaffold again — without it XMark Q1, Q17 and Q20 keep operators;
-    /// thetacount, with cleanup on a hit; unshare.
+    /// The phases, each rule one sweep: the first rewrite pass; the
+    /// **second pass** (pushdown, reorder, scaffold, cleanup), which
+    /// exists because scaffold's π and @ feed pushdown and scaffold again
+    /// — without it XMark Q1, Q17 and Q20 keep operators; thetacount, with
+    /// cleanup on a hit; unshare.
     fn run(&mut self, plan: &mut Plan) {
-        self.cleanup(plan);
         self.rewrite_pass(plan, true);
         // The second pass.  Index scans went in on the first; scaffold
         // never takes apart their shape.
         self.rewrite_pass(plan, false);
         // Count-by-rank matches the settled shape; a hit leaves plumbing
         // for cleanup.
-        let counted = self.apply(plan, 9, |p, a, r| {
+        let counted = self.apply(plan, "thetacount", |p, a, r| {
             let props = a.of(p);
             thetacount::count_by_rank(p, props, r).then_some(Change::Reordered)
         });
         if counted {
             self.cleanup(plan);
         }
-        self.apply(plan, 8, |p, _, r| {
+        self.apply(plan, "unshare", |p, _, r| {
             let before = r.chains_unshared;
             dedup::unshare_fusable_chains(p, r);
             equivalent(r.chains_unshared != before)
@@ -496,27 +483,30 @@ impl<'s> Optimizer<'s> {
         self.report.operators_analyzed = self.analysis.inferred;
     }
 
-    /// Hash-cons, pushdown, reorder, indexscan (when `index_scans`),
-    /// scaffold, cleanup.
-    fn rewrite_pass(&mut self, plan: &mut Plan, index_scans: bool) {
-        self.apply(plan, 4, |p, _, r| equivalent(dedup::hash_cons(p, r)));
-        self.apply(plan, 5, |p, a, r| {
+    /// The first pass (`first`): hash-cons, pushdown, reorder, indexscan,
+    /// scaffold, cleanup.  The second: pushdown, reorder, scaffold,
+    /// cleanup.
+    fn rewrite_pass(&mut self, plan: &mut Plan, first: bool) {
+        if first {
+            self.apply(plan, "dedup", |p, _, r| equivalent(dedup::hash_cons(p, r)));
+        }
+        self.apply(plan, "pushdown", |p, a, r| {
             let props = a.of(p);
             equivalent(pushdown::push_selections(p, props, r))
         });
-        self.apply(plan, 6, |p, a, r| {
+        self.apply(plan, "reorder", |p, a, r| {
             let props = a.of(p);
             reorder::reorder_join_graphs(p, props, r).then_some(Change::Reordered)
         });
-        if index_scans {
-            self.apply(plan, 7, |p, a, r| {
+        if first {
+            self.apply(plan, "indexscan", |p, a, r| {
                 let props = a.of(p);
                 indexscan::introduce_index_scans(p, props, r).then_some(Change::Filtered)
             });
         }
         // Scaffolding deletion runs after the index scans are in, so it
         // never takes apart a predicate shape they match.
-        self.apply(plan, 10, |p, a, r| {
+        self.apply(plan, "scaffold", |p, a, r| {
             let props = a.of(p);
             let swept = scaffold::delete_scaffolding(p, props, r);
             match (swept.changed, swept.reordered) {
@@ -528,18 +518,15 @@ impl<'s> Optimizer<'s> {
         self.cleanup(plan);
     }
 
-    /// Merge π, drop identity π and redundant `ddo`, fold literals.
+    /// Merge π, drop identity π.
     fn cleanup(&mut self, plan: &mut Plan) {
-        self.apply(plan, 0, |p, _, r| equivalent(merge_projections(p, r)));
-        self.apply(plan, 1, |p, a, r| {
+        self.apply(plan, "merge_projections", |p, _, r| {
+            equivalent(merge_projections(p, r))
+        });
+        self.apply(plan, "identity_projections", |p, a, r| {
             let props = a.of(p);
             equivalent(remove_identity_projections(p, props, r))
         });
-        self.apply(plan, 2, |p, a, r| {
-            let props = a.of(p);
-            equivalent(remove_redundant_doc_orders(p, props, r))
-        });
-        self.apply(plan, 3, |p, _, r| equivalent(pushdown::fold_literals(p, r)));
     }
 }
 
@@ -627,27 +614,6 @@ fn remove_identity_projections(
     changed
 }
 
-/// Remove `ddo` over already document-ordered inputs.  (δ over a keyed
-/// input goes in [`scaffold`].)
-fn remove_redundant_doc_orders(
-    plan: &mut Plan,
-    props: &PlanProperties,
-    report: &mut OptimizeReport,
-) -> bool {
-    let mut changed = false;
-    for id in plan.reachable() {
-        let AlgOp::DocOrder { input } = *plan.op(id) else {
-            continue;
-        };
-        if props.doc_ordered(input) {
-            redirect(plan, id, input);
-            report.doc_orders_removed += 1;
-            changed = true;
-        }
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,7 +635,7 @@ mod tests {
     #[test]
     fn merges_stacked_projections() {
         let mut b = PlanBuilder::new();
-        let l = lit(&mut b);
+        let l = big_lit(&mut b);
         let p1 = b.add(AlgOp::Project {
             input: l,
             columns: vec![
@@ -683,22 +649,21 @@ mod tests {
         });
         let mut plan = b.finish(p2);
         let report = optimize(&mut plan);
-        assert!(report.projections_merged >= 1);
-        // The merged projection keeps `iter` under its own name, and
-        // pushdown folds it into the literal.
-        match plan.op(plan.root()) {
-            AlgOp::Lit { columns, rows } => {
-                assert_eq!(columns, &vec!["iter".to_string()]);
-                assert_eq!(rows, &vec![vec![Value::Nat(1)]]);
+        assert_eq!(report.projections_merged, 1);
+        // One π over the literal keeps `iter` under its own name.
+        assert_eq!(
+            plan.op(plan.root()),
+            &AlgOp::Project {
+                input: l,
+                columns: vec![("iter".into(), "iter".into())],
             }
-            other => panic!("expected folded literal, found {other:?}"),
-        }
+        );
     }
 
     #[test]
     fn removes_identity_projection() {
         let mut b = PlanBuilder::new();
-        let l = lit(&mut b);
+        let l = big_lit(&mut b);
         let p = b.add(AlgOp::Project {
             input: l,
             columns: vec![
@@ -707,12 +672,9 @@ mod tests {
                 ("item".into(), "item".into()),
             ],
         });
-        let d = b.add(AlgOp::Distinct { input: p });
-        let mut plan = b.finish(d);
+        let mut plan = b.finish(p);
         let report = optimize(&mut plan);
-        // The compiled π, and the one `scaffold` puts in the δ's place.
-        assert_eq!(report.identity_projections_removed, 2);
-        assert_eq!(report.distincts_removed, 1);
+        assert_eq!(report.identity_projections_removed, 1);
         assert_eq!(plan.root(), l);
     }
 
@@ -720,11 +682,15 @@ mod tests {
     fn removes_redundant_doc_order_after_step() {
         let mut b = PlanBuilder::new();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
-            rows: vec![],
+            columns: vec!["iter".into()],
+            rows: vec![vec![Value::Nat(1).into()]],
         });
+        let d = b.add(AlgOp::Doc {
+            uri: "doc.xml".into(),
+        });
+        let x = b.add(AlgOp::Cross { left: l, right: d });
         let step = b.add(AlgOp::Step {
-            input: l,
+            input: x,
             axis: Axis::Descendant,
             test: NodeTest::AnyElement,
         });
@@ -732,6 +698,7 @@ mod tests {
         let mut plan = b.finish(ddo);
         let report = optimize(&mut plan);
         assert_eq!(report.doc_orders_removed, 1);
+        assert_eq!(report.scaffolding_deleted, 0);
         assert_eq!(plan.root(), step);
     }
 

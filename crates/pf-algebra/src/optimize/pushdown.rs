@@ -241,7 +241,7 @@ type KeepFn = Box<dyn Fn(&[Const]) -> bool>;
 /// Evaluate every σ, π and @ over a literal table of at most
 /// `LIT_FOLD_CAP` rows, children first (so a π over a folded σ folds
 /// too); `true` if one fired.
-pub(crate) fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
+fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     let mut folded = false;
     for id in plan.reachable() {
         // Only an operator over a literal is cloned below.

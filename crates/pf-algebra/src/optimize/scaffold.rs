@@ -24,7 +24,8 @@
 //!   empty right side becomes its left side; σ over a column that is
 //!   constant `true` becomes its input; `ebv` over a Boolean `item` keyed
 //!   by `iter` becomes `π[iter,item]`; δ over a keyed input becomes its
-//!   input.
+//!   input, and so does `ddo` over an input in distinct document order
+//!   (a staircase-join step, say).
 //!
 //! A rewrite that stops evaluating a subplan (the `R` of a join, a dead
 //! arm) fires only when what it keeps still evaluates every operator of
@@ -66,10 +67,10 @@ pub(crate) fn delete_scaffolding(
         let Some((rewrite, reordered)) = rewrite(plan, props, id) else {
             continue;
         };
-        if matches!(plan.op(id), AlgOp::Distinct { .. }) {
-            report.distincts_removed += 1;
-        } else {
-            report.scaffolding_deleted += 1;
+        match plan.op(id) {
+            AlgOp::Distinct { .. } => report.distincts_removed += 1,
+            AlgOp::DocOrder { .. } => report.doc_orders_removed += 1,
+            _ => report.scaffolding_deleted += 1,
         }
         plan.ops_mut()[id] = rewrite;
         swept.changed = true;
@@ -117,8 +118,10 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
             let boolean = props.types(input, "item").is_some_and(|t| t.is_boolean());
             (boolean && props.keyed_by(input, &set("iter"))).then(|| same(input))?
         }
-        // A keyed input has no duplicate rows for δ to remove.
+        // A keyed input has no duplicate rows for δ to remove, and an input
+        // in distinct document order nothing for `ddo` to do.
         &AlgOp::Distinct { input } => (!props.keys(input).is_empty()).then(|| same(input))?,
+        &AlgOp::DocOrder { input } => props.doc_ordered(input).then(|| same(input))?,
         AlgOp::EquiJoin {
             left,
             right,

@@ -67,8 +67,8 @@
 //! verifier, and the engine's admission estimate for an unoptimized plan
 //! ([`PlanProperties::peak_rows`]).  It is the only whole-plan analysis:
 //! the optimizer driver owns one per plan version and hands it to every
-//! rule that reads properties — the cleanup rules (columns, document
-//! order), [`crate::optimize::pushdown`] (which side of a join owns a
+//! rule that reads properties — identity-projection removal (columns),
+//! [`crate::optimize::pushdown`] (which side of a join owns a
 //! column), [`crate::optimize::reorder`], [`crate::optimize::indexscan`],
 //! [`crate::optimize::scaffold`] and [`crate::optimize::thetacount`].
 //! [`crate::verify`] checks rewrites against the same inference, so the

@@ -36,7 +36,7 @@ const PASSES_BOUND: usize = 25;
 /// Largest accepted number of per-operator inferences over all 20
 /// queries ([`pf_engine::OptimizeReport::operators_analyzed`]): a rule
 /// that re-analyzed whole plans would multiply it.
-const ANALYZED_BOUND: usize = 2150;
+const ANALYZED_BOUND: usize = 1971;
 
 fn main() {
     let check = match std::env::args().nth(1).as_deref() {

@@ -62,7 +62,8 @@ impl<'e> Session<'e> {
 
     /// Run `query` with the requested telemetry (see
     /// [`Pathfinder::query_with`] for the full execution contract:
-    /// admission gating, registry snapshot, fair-tagged pool jobs).
+    /// admission gating, registry snapshot, execution on the calling
+    /// thread).
     pub fn query_with(&self, query: &str, profile: Profile) -> EngineResult<QueryOutcome> {
         self.engine.query_with(query, profile)
     }

@@ -60,8 +60,7 @@ pub use index::{DocIndexes, Rental, TextIndex, ValueEntry, ValueIndex, ValueKey}
 pub use lexical::{format_double, parse_double, XsDouble};
 pub use shred::{FragmentBuilder, Tag};
 pub use staircase::{
-    descendant_prune, descendant_prune_into, descendant_scan, staircase_join,
-    staircase_join_counted, StaircaseStats, StepKernel,
+    descendant_prune_into, staircase_join, staircase_join_counted, StaircaseStats, StepKernel,
 };
 pub use stats::{DocStatistics, StorageStats};
 pub use store::{DocStore, NodeKindCode, PreRank, SubtreeStep, SubtreeWalk};

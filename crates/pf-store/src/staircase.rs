@@ -71,21 +71,11 @@ pub fn staircase_join_counted(
 
 /// Prune a document-ordered context for the descendant(-or-self)
 /// staircase: drop every context node that lies inside the subtree of an
-/// earlier context node (its axis region is covered).  Returns the pruned
-/// context and the number of node-table rows the pruning saved.
-///
-/// The surviving context nodes root **disjoint** subtrees in document
-/// order, which is what makes the scan partitionable: the results for any
-/// split of the pruned context into consecutive slices (see
-/// [`descendant_scan`]) concatenate to the full result.
-pub fn descendant_prune(store: &DocStore, context: &[PreRank]) -> (Vec<PreRank>, usize) {
-    let mut pruned: Vec<PreRank> = Vec::with_capacity(context.len());
-    let skipped = descendant_prune_into(store, context.iter().copied(), &mut pruned);
-    (pruned, skipped)
-}
-
-/// [`descendant_prune`], appending the surviving context nodes to `pruned`
-/// (the loop-lifted step prunes every iteration's context into one arena).
+/// earlier context node (its axis region is covered), appending the
+/// survivors to `pruned` (the loop-lifted step prunes every iteration's
+/// context into one arena).  The survivors root **disjoint** subtrees in
+/// document order.  Returns the number of node-table rows the pruning
+/// saved.
 pub fn descendant_prune_into(
     store: &DocStore,
     context: impl IntoIterator<Item = PreRank>,
@@ -103,27 +93,6 @@ pub fn descendant_prune_into(
         }
     }
     skipped
-}
-
-/// Scan the subtrees of a slice of an already-pruned context (the
-/// partitioned half of the descendant staircase; see [`descendant_prune`]).
-/// Results are appended to `out` in document order.  Returns the number of
-/// node-table rows visited.
-pub fn descendant_scan(
-    store: &DocStore,
-    pruned: &[PreRank],
-    or_self: bool,
-    test: &NodeTest,
-    out: &mut Vec<PreRank>,
-) -> usize {
-    let axis = if or_self {
-        Axis::DescendantOrSelf
-    } else {
-        Axis::Descendant
-    };
-    let mut kernel = StepKernel::new(store, axis, test);
-    kernel.run(pruned, |pre| out.push(pre));
-    kernel.stats().rows_scanned
 }
 
 /// One entry of the path stack: a node on the root-to-context path, the
@@ -737,20 +706,6 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(out, sorted, "{axis:?} result not sorted/unique");
-        }
-    }
-
-    #[test]
-    fn partitioned_descendant_scans_concatenate_to_the_full_join() {
-        let s = store();
-        let ctx = all_elements(&s);
-        let (pruned, _) = descendant_prune(&s, &ctx);
-        let whole = staircase_join(&s, &ctx, Axis::Descendant, &NodeTest::AnyNode);
-        for split in 0..=pruned.len() {
-            let mut out = Vec::new();
-            descendant_scan(&s, &pruned[..split], false, &NodeTest::AnyNode, &mut out);
-            descendant_scan(&s, &pruned[split..], false, &NodeTest::AnyNode, &mut out);
-            assert_eq!(out, whole, "split at {split}");
         }
     }
 

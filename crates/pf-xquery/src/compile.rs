@@ -33,7 +33,6 @@ use std::collections::{BTreeMap, HashSet};
 use pf_algebra::{AlgOp, Const, OpId, Plan, PlanBuilder, SortSpec};
 use pf_relational::ops::{AggFunc, BinaryOp, CmpOp, UnaryOp};
 use pf_relational::Value;
-use pf_store::Axis;
 
 use crate::ast::{BinOpKind, Expr, OrderKey};
 use crate::error::{XqError, XqResult};
@@ -402,18 +401,14 @@ impl Ctx {
             Expr::PathStep { input, axis, test } => {
                 let q = self.compile_expr(input, scope)?;
                 let context = self.project(q, &[("iter", "iter"), ("item", "item")]);
-                let step = self.b.add(AlgOp::Step {
+                // The staircase join emits each iteration's nodes in
+                // distinct document order, so no `fs:distinct-doc-order`
+                // goes above it.
+                Ok(self.b.add(AlgOp::Step {
                     input: context,
                     axis: *axis,
                     test: test.clone(),
-                });
-                // `fs:distinct-doc-order` after every non-attribute step;
-                // the optimizer removes the redundant ones.
-                if *axis != Axis::Attribute {
-                    Ok(self.b.add(AlgOp::DocOrder { input: step }))
-                } else {
-                    Ok(step)
-                }
+                }))
             }
             Expr::Filter { input, pred } => self.compile_filter(input, pred, scope),
             Expr::FunCall { name, args } => self.compile_funcall(name, args, scope),
@@ -1278,18 +1273,16 @@ mod tests {
     }
 
     #[test]
-    fn doc_order_operators_are_inserted_and_optimizable() {
-        let compiled = compile_str("doc(\"a.xml\")//person/name");
-        let hist = compiled.plan.operator_histogram();
-        let ddo = hist
-            .iter()
-            .find(|(n, _)| n == "ddo")
-            .map(|(_, c)| *c)
-            .unwrap_or(0);
-        assert_eq!(ddo, 2, "one ddo per location step");
-        let mut plan = compiled.plan.clone();
-        let report = pf_algebra::optimize(&mut plan);
-        assert_eq!(report.doc_orders_removed, 2);
+    fn only_an_explicit_distinct_doc_order_compiles_to_ddo() {
+        let ddo_count = |q: &str| {
+            let hist = compile_str(q).plan.operator_histogram();
+            hist.iter().find(|(n, _)| n == "ddo").map_or(0, |(_, c)| *c)
+        };
+        assert_eq!(ddo_count("doc(\"a.xml\")//person/name"), 0);
+        assert_eq!(
+            ddo_count("fs:distinct-doc-order(doc(\"a.xml\")//person/name)"),
+            1
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use pathfinder::algebra::optimize::{dedup, pushdown, reorder};
 use pathfinder::algebra::{
-    optimize, optimize_analyzed, optimize_with_verify, to_ascii, AlgOp, Const, OpId,
+    optimize, optimize_analyzed, optimize_with_verify, to_ascii, AlgOp, Const, NoStats, OpId,
     OptimizeReport, Plan, PlanBuilder, PlanProperties, StatsSource,
 };
 use pathfinder::engine::{
@@ -324,6 +324,67 @@ fn optimizing_an_optimized_plan_changes_nothing() {
             "Q{}: a second run changed the plan",
             q.id
         );
+    }
+}
+
+/// A public rule, applied through its public function to a plan with a
+/// fresh analysis under `stats`; `true` if it changed the plan.
+type Rule = fn(&mut Plan, &dyn StatsSource, &mut OptimizeReport) -> bool;
+
+/// Every rule the optimizer exports is idempotent: on every XMark query,
+/// with and without document statistics, applied to the compiled and to
+/// the optimized plan, a second application right after a first reports
+/// no change and leaves the plan's rendering as it was.  Each rule's
+/// first application changes some plan, so none passes by doing nothing.
+#[test]
+fn every_public_rule_is_idempotent() {
+    let xml = generate(&GeneratorConfig {
+        scale: 0.004,
+        seed: 20050831,
+    });
+    let store = DocStore::from_xml("auction.xml", &xml).unwrap();
+    let auction = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    let rules: [(&str, Rule); 4] = [
+        ("hash_cons", |p, _, r| dedup::hash_cons(p, r)),
+        ("push_selections", |p, s, r| {
+            let props = PlanProperties::analyze_with(p, s);
+            pushdown::push_selections(p, &props, r)
+        }),
+        ("reorder_join_graphs", |p, s, r| {
+            let props = PlanProperties::analyze_with(p, s);
+            reorder::reorder_join_graphs(p, &props, r)
+        }),
+        ("unshare_fusable_chains", |p, _, r| {
+            dedup::unshare_fusable_chains(p, r);
+            r.chains_unshared > 0
+        }),
+    ];
+    let sources: [(&str, &dyn StatsSource); 2] = [
+        ("without statistics", &NoStats),
+        ("with statistics", &auction),
+    ];
+    let mut fired = [false; 4];
+    for q in queries() {
+        let core = normalize(&parse_query(q.text).unwrap()).unwrap();
+        let compiled = compile(&core, &CompileOptions::default()).unwrap().plan;
+        for (label, stats) in sources {
+            let mut optimized = compiled.clone();
+            optimize_with_verify(&mut optimized, stats, true);
+            for (stage, plan) in [("compiled", &compiled), ("optimized", &optimized)] {
+                for ((name, rule), fired) in rules.iter().zip(&mut fired) {
+                    let mut plan = plan.clone();
+                    *fired |= rule(&mut plan, stats, &mut OptimizeReport::default());
+                    let once = to_ascii(&plan);
+                    let changed = rule(&mut plan, stats, &mut OptimizeReport::default());
+                    let context = format!("Q{} {label}, {stage} plan: a second {name}", q.id);
+                    assert!(!changed, "{context} reported a change");
+                    assert_eq!(to_ascii(&plan), once, "{context} changed the plan");
+                }
+            }
+        }
+    }
+    for ((name, _), fired) in rules.iter().zip(fired) {
+        assert!(fired, "{name} changed no plan");
     }
 }
 
