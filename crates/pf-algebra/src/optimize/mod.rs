@@ -29,14 +29,14 @@
 //!    Scaffold replaces joins, numberings and δ by π and @, which
 //!    pushdown and scaffold then match again; without this pass XMark Q1,
 //!    Q17 and Q20 keep operators;
-//! 3. thetacount, then cleanup when it fired;
+//! 3. thetacount, then merge π when it fired;
 //! 4. unshare.
 //!
-//! That is 14 sweeps, 16 after a rank count.  A phase is on the list only
+//! That is 14 sweeps, 15 after a rank count.  A phase is on the list only
 //! if leaving it out changes some XMark plan: a cleanup before the first
 //! pass, a literal fold of its own in cleanup (pushdown folds in the same
-//! sweep) and a hash-cons in the second pass or right before unshare
-//! changed none.
+//! sweep), a hash-cons in the second pass or right before unshare, and an
+//! identity-π sweep after a rank count changed none.
 //!
 //! A second run of the whole sequence over its own output changes nothing
 //! on the XMark queries (pinned by `tests/optimize_agreement.rs`).
@@ -457,20 +457,20 @@ impl<'s> Optimizer<'s> {
     /// **second pass** (pushdown, reorder, scaffold, cleanup), which
     /// exists because scaffold's π and @ feed pushdown and scaffold again
     /// — without it XMark Q1, Q17 and Q20 keep operators; thetacount, with
-    /// cleanup on a hit; unshare.
+    /// a merge-π sweep on a hit; unshare.
     fn run(&mut self, plan: &mut Plan) {
         self.rewrite_pass(plan, true);
         // The second pass.  Index scans went in on the first; scaffold
         // never takes apart their shape.
         self.rewrite_pass(plan, false);
-        // Count-by-rank matches the settled shape; a hit leaves plumbing
-        // for cleanup.
+        // Count-by-rank matches the settled shape; a hit leaves stacked
+        // projections to merge (and no identity π).
         let counted = self.apply(plan, "thetacount", |p, a, r| {
             let props = a.of(p);
             thetacount::count_by_rank(p, props, r).then_some(Change::Reordered)
         });
         if counted {
-            self.cleanup(plan);
+            self.merge_projections(plan);
         }
         self.apply(plan, "unshare", |p, _, r| {
             let before = r.chains_unshared;
@@ -520,12 +520,17 @@ impl<'s> Optimizer<'s> {
 
     /// Merge π, drop identity π.
     fn cleanup(&mut self, plan: &mut Plan) {
-        self.apply(plan, "merge_projections", |p, _, r| {
-            equivalent(merge_projections(p, r))
-        });
+        self.merge_projections(plan);
         self.apply(plan, "identity_projections", |p, a, r| {
             let props = a.of(p);
             equivalent(remove_identity_projections(p, props, r))
+        });
+    }
+
+    /// Merge stacked π.
+    fn merge_projections(&mut self, plan: &mut Plan) {
+        self.apply(plan, "merge_projections", |p, _, r| {
+            equivalent(merge_projections(p, r))
         });
     }
 }

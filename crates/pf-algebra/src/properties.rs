@@ -2671,7 +2671,7 @@ mod tests {
     fn xml_stats(uri: &str, xml: &str) -> MapStats {
         let store = DocStore::from_xml(uri, xml).unwrap();
         let mut map = HashMap::new();
-        map.insert(uri.to_string(), Arc::new(DocStatistics::measure(&store)));
+        map.insert(uri.to_string(), store.statistics());
         MapStats(map)
     }
 

@@ -524,9 +524,9 @@ impl Pathfinder {
         Ok(())
     }
 
-    /// The measured [`DocStatistics`] of the document registered under
-    /// `uri` (`None` if no such document).  They are measured on first
-    /// demand and kept with the registered store
+    /// The [`DocStatistics`] of the document registered under `uri`
+    /// (`None` if no such document).  The shredder counts them while it
+    /// builds the store, which keeps them
     /// ([`pf_store::DocStore::statistics`]), so they always describe the
     /// version of the document the registry holds: a reload registers a
     /// new store, and the old one's statistics go with it.

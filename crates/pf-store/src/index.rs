@@ -40,7 +40,8 @@
 //! indexes.  So when an index gets built is a deterministic function of
 //! the rows probed — no clock, no setting.  A name that can carry no index
 //! (unknown, or tagging complex content) is [`Rental::Absent`] and charges
-//! nothing.  The counters live with the cells, so clones of the store
+//! nothing; the shredder recorded which names those are while it built
+//! the store.  The counters live with the cells, so clones of the store
 //! share them and a reloaded document starts from zero.
 //!
 //! The eager accessors ([`DocStore::text_index`],
@@ -515,16 +516,18 @@ impl<T> RentedCell<T> {
 
 /// Which names can carry a value index: per `qnames` surrogate, whether
 /// it tags elements that all have simple content, and whether it names
-/// an attribute.
-#[derive(Debug)]
+/// an attribute.  Counted by the shredder ([`crate::stats::ShredCounts`]).
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct NameRoles {
     pub(crate) simple_tag: Vec<bool>,
     pub(crate) attribute: Vec<bool>,
 }
 
+#[cfg(test)]
 impl NameRoles {
-    /// One pass over the node and attribute tables.
-    fn measure(store: &DocStore) -> NameRoles {
+    /// The roles by one pass over the node and attribute tables: the
+    /// oracle of the shredder's counts.
+    pub(crate) fn scan(store: &DocStore) -> NameRoles {
         let names = store.qnames.len();
         let mut seen = vec![false; names];
         let mut complex = vec![false; names];
@@ -559,24 +562,20 @@ pub(crate) struct IndexTable {
     pub(crate) text: RentedCell<TextIndex>,
     pub(crate) elements: Vec<RentedCell<Option<ValueIndex>>>,
     pub(crate) attributes: Vec<RentedCell<Option<ValueIndex>>>,
-    /// Measured on the first value probe that finds its index unbuilt.
-    roles: OnceLock<NameRoles>,
+    /// Which names can carry a value index.
+    pub(crate) roles: NameRoles,
 }
 
 impl IndexTable {
-    /// Empty cells for a document with `names` distinct qualified names.
-    pub(crate) fn new(names: usize) -> IndexTable {
+    /// Empty cells for a document whose names have `roles`.
+    pub(crate) fn new(roles: NameRoles) -> IndexTable {
+        let names = roles.simple_tag.len();
         IndexTable {
             text: RentedCell::default(),
             elements: (0..names).map(|_| RentedCell::default()).collect(),
             attributes: (0..names).map(|_| RentedCell::default()).collect(),
-            roles: OnceLock::new(),
+            roles,
         }
-    }
-
-    /// Which names can carry a value index, measured on first demand.
-    pub(crate) fn roles(&self, store: &DocStore) -> &NameRoles {
-        self.roles.get_or_init(|| NameRoles::measure(store))
     }
 }
 
@@ -584,12 +583,12 @@ impl IndexTable {
 /// one is charged only when its name can carry an index at all.
 pub(crate) fn rent_value<'a>(
     cell: &'a RentedCell<Option<ValueIndex>>,
-    indexable: impl FnOnce() -> bool,
+    indexable: bool,
     rows: usize,
     cost: usize,
     build: impl FnOnce() -> Option<ValueIndex>,
 ) -> Rental<'a, ValueIndex> {
-    if cell.built.get().is_none() && !indexable() {
+    if cell.built.get().is_none() && !indexable {
         return Rental::Absent;
     }
     match cell.rent(rows, cost, build) {

@@ -13,7 +13,9 @@
 //! * **shredding from parse events**: the columns are filled from
 //!   `pf-xml`'s start-tag/end-tag stream with one stack of open elements
 //!   ([`DocStore::from_xml`] builds no DOM; [`DocStore::from_document`]
-//!   replays a DOM through the same shredder),
+//!   replays a DOM through the same shredder), counting the optimizer's
+//!   [`DocStatistics`] and the names that can carry a value index on the
+//!   way, and interning values into string-heap [`Dictionary`]s,
 //! * **transient fragments**: the nodes an XQuery constructor builds are
 //!   written by a [`FragmentBuilder`] into the same columns through the
 //!   same open-element stack, with content subtrees copied row by row off

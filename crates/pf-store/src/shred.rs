@@ -9,12 +9,18 @@
 //! replay of an existing [`Document`] ([`DocStore::from_document`]).  One
 //! code path, either way.
 //!
+//! The open-element stack also hands the shredder each node's parent, so
+//! it counts the document's statistics and which names can carry a value
+//! index ([`ShredCounts`]) as the rows go in; the finished store carries
+//! them and nothing scans it for them.
+//!
 //! Node constructors write through the same stack: a [`FragmentBuilder`]
 //! opens elements and merges text as the shredder does, and copies a
 //! content subtree off the source store's columns row by row.
 
 use pf_xml::{Document, NodeKind, RawAttribute, XmlSink};
 
+use crate::stats::ShredCounts;
 use crate::store::{DocStore, NodeKindCode, PreRank};
 
 /// Builds one [`DocStore`] from parse events.
@@ -28,7 +34,15 @@ pub(crate) struct Shredder {
     text: String,
     /// Whether `text` holds a run (possibly empty: `<![CDATA[]]>`).
     in_text: bool,
+    /// The statistics and name roles, counted as the rows go in.
+    counts: ShredCounts,
+    /// The surrogates of recently interned names ([`Shredder::name`]),
+    /// `u32::MAX` in a slot that holds none.
+    recent_names: [u32; RECENT_NAMES],
 }
+
+/// Slots of [`Shredder::recent_names`].
+const RECENT_NAMES: usize = 64;
 
 impl Shredder {
     /// A shredder holding only the document node.
@@ -38,6 +52,8 @@ impl Shredder {
             open: Vec::new(),
             text: String::new(),
             in_text: false,
+            counts: ShredCounts::default(),
+            recent_names: [u32::MAX; RECENT_NAMES],
         };
         let document = shredder.push(NodeKindCode::Document, u32::MAX);
         shredder.open.push(document);
@@ -50,7 +66,7 @@ impl Shredder {
         while !self.open.is_empty() {
             self.close();
         }
-        self.store.finish_shredding();
+        self.store.finish_shredding(self.counts);
         self.store
     }
 
@@ -94,13 +110,14 @@ impl Shredder {
     ) -> PreRank {
         self.end_text();
         let pre = self.push(NodeKindCode::Element, tag);
-        let store = &mut self.store;
         for (name, value) in attributes {
+            let name = self.name(name);
+            let store = &mut self.store;
             store.attr_owner.push(pre);
-            let name = store.qnames.intern(name);
             let value = store.texts.intern(value);
             store.attr_name.push(name);
             store.attr_value.push(value);
+            self.counts.attribute(name);
         }
         self.open.push(pre);
         pre
@@ -111,8 +128,8 @@ impl Shredder {
     /// pass: `size` and `kind` as they are, `level` shifted, names and
     /// content re-interned in document order (tag, then attribute names
     /// and values; PI target, then data) — what shredding the subtree's
-    /// events would intern.  No recursion, so any depth copies on any
-    /// thread's stack.
+    /// events would intern, and counted as shredding them would count.
+    /// No recursion, so any depth copies on any thread's stack.
     fn append_subtree(&mut self, source: &DocStore, root: PreRank) {
         self.end_text();
         let base = self.store.size.len() as PreRank;
@@ -121,47 +138,91 @@ impl Shredder {
         let last = root + source.size_of(root);
         let mut attr = source.attr_owner.partition_point(|&o| o < root);
         let mut pi = source.pi_target.partition_point(|&(p, _)| p < root);
-        let store = &mut self.store;
+        let outer = self.parent_tag();
+        // The copied elements whose subtree `p` has not left yet: the
+        // last source `pre` of each subtree and the copy's tag.
+        let mut parents: Vec<(PreRank, u32)> = Vec::new();
         for p in root..=last {
             let i = p as usize;
             let copy = base + (p - root);
+            while parents.last().is_some_and(|&(end, _)| end < p) {
+                parents.pop();
+            }
+            let parent = parents.last().map(|&(_, tag)| tag).or(outer);
             let prop = match source.kind[i] {
                 NodeKindCode::Element => {
-                    let tag = store.qnames.intern(source.qnames.resolve(source.prop[i]));
+                    let tag = self.name(source.qnames.resolve(source.prop[i]));
                     while source.attr_owner.get(attr) == Some(&p) {
+                        let name = self.name(source.attr_name_of(attr));
+                        let store = &mut self.store;
                         store.attr_owner.push(copy);
-                        let name = store.qnames.intern(source.attr_name_of(attr));
                         let value = store.texts.intern(source.attr_value_of(attr));
                         store.attr_name.push(name);
                         store.attr_value.push(value);
+                        self.counts.attribute(name);
                         attr += 1;
                     }
+                    parents.push((p + source.size[i], tag));
                     tag
                 }
                 NodeKindCode::Pi => {
                     debug_assert_eq!(source.pi_target[pi].0, p, "every PI has its target");
-                    let target = store
-                        .qnames
-                        .intern(source.qnames.resolve(source.pi_target[pi].1));
-                    store.pi_target.push((copy, target));
+                    let target = self.name(source.qnames.resolve(source.pi_target[pi].1));
+                    self.store.pi_target.push((copy, target));
                     pi += 1;
-                    store.texts.intern(source.texts.resolve(source.prop[i]))
+                    self.store
+                        .texts
+                        .intern(source.texts.resolve(source.prop[i]))
                 }
-                NodeKindCode::Text | NodeKindCode::Comment => {
-                    store.texts.intern(source.texts.resolve(source.prop[i]))
-                }
+                NodeKindCode::Text | NodeKindCode::Comment => self
+                    .store
+                    .texts
+                    .intern(source.texts.resolve(source.prop[i])),
                 NodeKindCode::Document => unreachable!("a document node is never inside a subtree"),
             };
+            let store = &mut self.store;
             store.size.push(source.size[i]);
             store.level.push(source.level[i] - root_level + depth);
             store.kind.push(source.kind[i]);
             store.prop.push(prop);
+            self.counts.node(source.kind[i], prop, parent);
         }
     }
 
-    /// Append a node row at the current level; its size is 0 until
-    /// [`Shredder::close`] sets it.
+    /// Intern the tag, attribute name or PI target `name`.  A document
+    /// repeats a few dozen names over and over, so a small direct-mapped
+    /// cache, slotted by the name's length and end bytes and checked
+    /// against the dictionary, answers most of them without hashing.  A
+    /// miss costs one comparison and replaces the slot.
+    fn name(&mut self, name: &str) -> u32 {
+        let bytes = name.as_bytes();
+        let (first, last) = (bytes.first(), bytes.last());
+        let slot = (bytes.len()
+            ^ first.map_or(0, |&b| usize::from(b) << 1)
+            ^ last.map_or(0, |&b| usize::from(b) << 3))
+            % RECENT_NAMES;
+        let id = self.recent_names[slot];
+        if id != u32::MAX && self.store.qnames.resolve(id) == name {
+            return id;
+        }
+        let id = self.store.qnames.intern(name);
+        self.recent_names[slot] = id;
+        id
+    }
+
+    /// The tag surrogate of the innermost open element, `None` when only
+    /// the document node is open.
+    fn parent_tag(&self) -> Option<u32> {
+        match self.open.as_slice() {
+            [_, .., parent] => Some(self.store.prop[*parent as usize]),
+            _ => None,
+        }
+    }
+
+    /// Append a node row at the current level, and count it; its size is
+    /// 0 until [`Shredder::close`] sets it.
     fn push(&mut self, kind: NodeKindCode, prop: u32) -> PreRank {
+        self.counts.node(kind, prop, self.parent_tag());
         let store = &mut self.store;
         let pre = store.size.len() as PreRank;
         store.size.push(0);
@@ -192,7 +253,7 @@ impl Shredder {
 
 impl XmlSink for Shredder {
     fn start_element(&mut self, name: &str, attributes: &[RawAttribute<'_>]) {
-        let tag = self.store.qnames.intern(name);
+        let tag = self.name(name);
         self.open_element(tag, attributes.iter().map(|a| (a.name, &*a.value)));
     }
 
@@ -216,7 +277,7 @@ impl XmlSink for Shredder {
         self.end_text();
         // The target is a name, the data is text: `prop` holds the data,
         // the side table the target.
-        let target = self.store.qnames.intern(target);
+        let target = self.name(target);
         let prop = self.store.texts.intern(data);
         let pre = self.push(NodeKindCode::Pi, prop);
         self.store.pi_target.push((pre, target));
@@ -252,7 +313,7 @@ impl FragmentBuilder {
 
     /// Intern the element name `name`.
     pub fn tag(&mut self, name: &str) -> Tag {
-        Tag(self.shredder.store.qnames.intern(name))
+        Tag(self.shredder.name(name))
     }
 
     /// Open an element carrying `attributes` (name, value pairs, kept in
@@ -463,7 +524,74 @@ mod tests {
             let direct = fragment.finish();
             let replayed = DocStore::from_document("t", &dom.finish());
             assert_same_store(&direct, &replayed);
+            direct.assert_counts_match_scans();
+            replayed.assert_counts_match_scans();
         }
+
+        /// The shred pass counts what the scans of the finished store
+        /// measure, on documents with every node kind, parsed and
+        /// replayed from their DOM.
+        #[test]
+        fn shred_time_counts_equal_the_scans(
+            script in proptest::collection::vec((0u8..7, 0u8..64), 0..60),
+        ) {
+            let xml = script_xml(&script);
+            let parsed = DocStore::from_xml("t", &xml).unwrap();
+            parsed.assert_counts_match_scans();
+            let replayed = DocStore::from_document("t", &pf_xml::parse(&xml).unwrap());
+            replayed.assert_counts_match_scans();
+        }
+    }
+
+    /// A document from a script of events: open an element (with up to
+    /// three distinct attributes), close one, text, CDATA, a comment or a
+    /// PI.  Elements that hold only text, and tags used both ways, are
+    /// common.
+    fn script_xml(script: &[(u8, u8)]) -> String {
+        let mut xml = String::from("<?top?><r>");
+        let mut open = vec!["r"];
+        for &(op, arg) in script {
+            let arg = arg as usize;
+            match op {
+                0 | 1 => {
+                    let tag = TAGS[arg % TAGS.len()];
+                    xml.push('<');
+                    xml.push_str(tag);
+                    for (i, (_, value)) in ATTRS.iter().take(arg / 4 % 4).enumerate() {
+                        xml.push_str(&format!(
+                            " n{i}=\"{}\"",
+                            pf_xml::escape::escape_attribute(value)
+                        ));
+                    }
+                    xml.push('>');
+                    open.push(tag);
+                }
+                2 if open.len() > 1 => {
+                    xml.push_str(&format!("</{}>", open.pop().unwrap()));
+                }
+                2 | 3 => xml.push_str(&pf_xml::escape::escape_text(TEXTS[arg % TEXTS.len()])),
+                4 => xml.push_str(&format!("<![CDATA[{}]]>", TEXTS[arg % TEXTS.len()])),
+                5 => xml.push_str(&format!("<!--{}-->", TEXTS[arg % TEXTS.len()])),
+                _ => xml.push_str(&format!("<?p{} {}?>", arg % 2, TEXTS[arg % TEXTS.len()])),
+            }
+        }
+        while let Some(tag) = open.pop() {
+            xml.push_str(&format!("</{tag}>"));
+        }
+        xml.push_str("<!--end-->");
+        xml
+    }
+
+    /// The XMark auction document at scale 0.5 (1.7 MB): the shred pass
+    /// counts what the scans measure.
+    #[test]
+    fn xmark_counts_equal_the_scans() {
+        let xml = pf_xmark::generate(&pf_xmark::GeneratorConfig {
+            scale: 0.5,
+            seed: 20050831,
+        });
+        let store = DocStore::from_xml("auction.xml", &xml).unwrap();
+        store.assert_counts_match_scans();
     }
 
     /// A copy goes row by row, without recursion: a 100 000-level chain

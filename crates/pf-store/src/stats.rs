@@ -1,14 +1,22 @@
-//! Storage accounting for the Section 3.1 experiment.
+//! Storage accounting for the Section 3.1 experiment, and the row counts
+//! of the optimizer's cost model.
 //!
 //! The paper reports that "disk space requirements range between 147 %
 //! (11 MB instance) and 125 % (110 MB instance) of the original XML
 //! document", thanks to the compact `pre|size|level` encoding and surrogate
 //! sharing of property values.  [`StorageStats`] computes the equivalent
 //! break-down for an in-memory [`DocStore`].
+//!
+//! [`DocStatistics`] are counted in the shred pass: the shredder feeds
+//! every node and attribute it appends to a `ShredCounts`, which also
+//! records which names can carry a value index.  There is no lazy scan of
+//! the finished store.
 
 use std::collections::HashMap;
 
 use crate::axis::NodeTest;
+use crate::dict::Dictionary;
+use crate::index::NameRoles;
 use crate::store::{DocStore, NodeKindCode};
 
 /// Byte-level breakdown of one encoded document.
@@ -83,8 +91,10 @@ impl StorageStats {
 /// Where [`StorageStats`] accounts *bytes* (the Section 3.1 experiment),
 /// this accounts *rows*: how many nodes a staircase step over this
 /// document can produce, broken down by node kind, tag and attribute
-/// name.  One O(nodes + attributes) scan per document; engines cache the
-/// result per registered document.
+/// name.  The shredder counts them on its one pass through the document
+/// (`ShredCounts`), so they exist, shared by every clone, from the
+/// moment the store does ([`DocStore::statistics`]); nothing scans the
+/// store for them later.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocStatistics {
     /// Total node count (the `pre|size|level` table height).
@@ -106,41 +116,10 @@ pub struct DocStatistics {
 }
 
 impl DocStatistics {
-    /// Measure `store` in one scan of the node and attribute tables.
+    /// The statistics of `store`, as its shredder counted them: a copy of
+    /// [`DocStore::statistics`], without a scan.
     pub fn measure(store: &DocStore) -> Self {
-        let mut stats = DocStatistics {
-            nodes: store.node_count(),
-            ..DocStatistics::default()
-        };
-        for pre in 0..store.node_count() as u32 {
-            match store.kind_of(pre) {
-                NodeKindCode::Element => {
-                    stats.elements += 1;
-                    let tag = store.tag_of(pre);
-                    match stats.tag_elements.get_mut(tag) {
-                        Some(count) => *count += 1,
-                        None => {
-                            stats.tag_elements.insert(tag.to_string(), 1);
-                        }
-                    }
-                }
-                NodeKindCode::Text => stats.texts += 1,
-                NodeKindCode::Comment => stats.comments += 1,
-                NodeKindCode::Pi => stats.pis += 1,
-                NodeKindCode::Document => {}
-            }
-        }
-        stats.attributes = store.attribute_count();
-        for idx in 0..store.attribute_count() {
-            let name = store.attr_name_of(idx);
-            match stats.attr_names.get_mut(name) {
-                Some(count) => *count += 1,
-                None => {
-                    stats.attr_names.insert(name.to_string(), 1);
-                }
-            }
-        }
-        stats
+        DocStatistics::clone(&store.statistics())
     }
 
     /// Elements carrying `tag` (0 if the tag never occurs).
@@ -167,6 +146,139 @@ impl DocStatistics {
             NodeTest::AnyAttribute => self.attributes,
             NodeTest::Attribute(name) => self.attributes_named(name),
         }
+    }
+}
+
+#[cfg(test)]
+impl DocStatistics {
+    /// The statistics by one scan of the node and attribute tables: the
+    /// oracle of the shredder's counts.
+    pub(crate) fn scan(store: &DocStore) -> Self {
+        let mut stats = DocStatistics {
+            nodes: store.node_count(),
+            ..DocStatistics::default()
+        };
+        for pre in 0..store.node_count() as u32 {
+            match store.kind_of(pre) {
+                NodeKindCode::Element => {
+                    stats.elements += 1;
+                    *stats
+                        .tag_elements
+                        .entry(store.tag_of(pre).to_string())
+                        .or_default() += 1;
+                }
+                NodeKindCode::Text => stats.texts += 1,
+                NodeKindCode::Comment => stats.comments += 1,
+                NodeKindCode::Pi => stats.pis += 1,
+                NodeKindCode::Document => {}
+            }
+        }
+        stats.attributes = store.attribute_count();
+        for idx in 0..store.attribute_count() {
+            *stats
+                .attr_names
+                .entry(store.attr_name_of(idx).to_string())
+                .or_default() += 1;
+        }
+        stats
+    }
+}
+
+/// What the shredder counts on its way through a document, in the order
+/// the nodes arrive: the [`DocStatistics`] and the [`NameRoles`], so
+/// neither needs a scan of the finished store.  Per-name tallies are
+/// arrays indexed by the `qnames` surrogate.
+#[derive(Debug, Default)]
+pub(crate) struct ShredCounts {
+    nodes: usize,
+    elements: usize,
+    texts: usize,
+    comments: usize,
+    pis: usize,
+    attributes: usize,
+    /// Per tag surrogate: the elements carrying it.
+    tags: Vec<usize>,
+    /// Per tag surrogate: whether an element carrying it has an element,
+    /// comment or PI child (complex content, which no value index covers).
+    complex: Vec<bool>,
+    /// Per name surrogate: the attributes carrying it.
+    names: Vec<usize>,
+}
+
+impl ShredCounts {
+    /// Count a node of `kind` whose `prop` column holds `prop`.  `parent`
+    /// is the tag surrogate of the element the node sits in (`None` at
+    /// the top level); only a non-text node reads it.
+    pub(crate) fn node(&mut self, kind: NodeKindCode, prop: u32, parent: Option<u32>) {
+        self.nodes += 1;
+        match kind {
+            NodeKindCode::Element => {
+                self.elements += 1;
+                let tag = prop as usize;
+                if tag >= self.tags.len() {
+                    self.tags.resize(tag + 1, 0);
+                    self.complex.resize(tag + 1, false);
+                }
+                self.tags[tag] += 1;
+            }
+            NodeKindCode::Text => {
+                self.texts += 1;
+                return;
+            }
+            NodeKindCode::Comment => self.comments += 1,
+            NodeKindCode::Pi => self.pis += 1,
+            NodeKindCode::Document => {}
+        }
+        if let Some(parent) = parent {
+            self.complex[parent as usize] = true;
+        }
+    }
+
+    /// Count an attribute named by the surrogate `name`.
+    pub(crate) fn attribute(&mut self, name: u32) {
+        self.attributes += 1;
+        let name = name as usize;
+        if name >= self.names.len() {
+            self.names.resize(name + 1, 0);
+        }
+        self.names[name] += 1;
+    }
+
+    /// The statistics and name roles of the document whose names
+    /// `qnames` holds.
+    pub(crate) fn finish(mut self, qnames: &Dictionary) -> (DocStatistics, NameRoles) {
+        let names = qnames.len();
+        self.tags.resize(names, 0);
+        self.complex.resize(names, false);
+        self.names.resize(names, 0);
+        let by_name = |counts: &[usize]| -> HashMap<String, usize> {
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(name, &n)| (qnames.resolve(name as u32).to_string(), n))
+                .collect()
+        };
+        let statistics = DocStatistics {
+            nodes: self.nodes,
+            elements: self.elements,
+            texts: self.texts,
+            comments: self.comments,
+            pis: self.pis,
+            attributes: self.attributes,
+            tag_elements: by_name(&self.tags),
+            attr_names: by_name(&self.names),
+        };
+        let roles = NameRoles {
+            simple_tag: self
+                .tags
+                .iter()
+                .zip(&self.complex)
+                .map(|(&n, &complex)| n > 0 && !complex)
+                .collect(),
+            attribute: self.names.iter().map(|&n| n > 0).collect(),
+        };
+        (statistics, roles)
     }
 }
 

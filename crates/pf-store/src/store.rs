@@ -7,7 +7,7 @@
 //! which make the row-numbering operator a no-cost operator (Section 2,
 //! "MonetDB").
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::dict::Dictionary;
 use crate::index::{
@@ -15,7 +15,7 @@ use crate::index::{
     RentedCell, TextIndex, ValueIndex,
 };
 use crate::shred::Shredder;
-use crate::stats::DocStatistics;
+use crate::stats::{DocStatistics, ShredCounts};
 use pf_xml::Document;
 
 /// A node reference: the pre-order rank of the node within its document.
@@ -88,10 +88,10 @@ pub struct DocStore {
     /// paid for it (see [`crate::index`]).  Clones of the store share the
     /// builds and the rent counters.
     indexes: Arc<IndexTable>,
-    /// The document statistics, measured on first demand
-    /// ([`DocStore::statistics`]).  Clones share the one measurement,
-    /// and a reload — a new store — starts without one.
-    statistics: Arc<OnceLock<Arc<DocStatistics>>>,
+    /// The document statistics, counted by the shredder
+    /// ([`DocStore::statistics`]).  Clones share them, and a reload — a
+    /// new store — comes with its own.
+    statistics: Arc<DocStatistics>,
 }
 
 impl DocStore {
@@ -115,21 +115,21 @@ impl DocStore {
         }
     }
 
-    /// Size the per-name index table once the name dictionary is final.
-    pub(crate) fn finish_shredding(&mut self) {
-        self.indexes = Arc::new(IndexTable::new(self.qnames.len()));
+    /// Keep what the shredder counted, and size the per-name index table
+    /// once the name dictionary is final.
+    pub(crate) fn finish_shredding(&mut self, counts: ShredCounts) {
+        let (statistics, roles) = counts.finish(&self.qnames);
+        self.statistics = Arc::new(statistics);
+        self.indexes = Arc::new(IndexTable::new(roles));
     }
 
-    /// The [`DocStatistics`] of this document, measured on the first call
-    /// (one scan of the node and attribute tables) and then shared by
-    /// every clone of the store: they belong to this version of the
+    /// The [`DocStatistics`] of this document, counted in the shred pass
+    /// that built the store — there is no later scan — and shared by
+    /// every clone of the store.  They belong to this version of the
     /// document, so a reload, which registers a new store, can never be
     /// answered with the old document's statistics.
     pub fn statistics(&self) -> Arc<DocStatistics> {
-        Arc::clone(
-            self.statistics
-                .get_or_init(|| Arc::new(DocStatistics::measure(self))),
-        )
+        Arc::clone(&self.statistics)
     }
 
     /// Shred `doc` into its relational encoding (by replaying it through
@@ -215,7 +215,7 @@ impl DocStore {
         let Some(cell) = self.indexes.elements.get(name as usize) else {
             return Rental::Absent;
         };
-        let indexable = || self.indexes.roles(self).simple_tag[name as usize];
+        let indexable = self.indexes.roles.simple_tag[name as usize];
         rent_value(cell, indexable, rows, self.node_count(), || {
             build_element_values(self, Some(name)).remove(&name)
         })
@@ -233,7 +233,7 @@ impl DocStore {
         let Some(cell) = self.indexes.attributes.get(name as usize) else {
             return Rental::Absent;
         };
-        let indexable = || self.indexes.roles(self).attribute[name as usize];
+        let indexable = self.indexes.roles.attribute[name as usize];
         rent_value(cell, indexable, rows, self.attribute_count(), || {
             build_attribute_values(self, Some(name)).remove(&name)
         })
@@ -491,6 +491,26 @@ impl DocStore {
     }
 }
 
+#[cfg(test)]
+impl DocStore {
+    /// Assert that the statistics and name roles the shredder counted
+    /// equal what a scan of the finished store measures.
+    pub(crate) fn assert_counts_match_scans(&self) {
+        assert_eq!(
+            *self.statistics,
+            DocStatistics::scan(self),
+            "statistics of {}",
+            self.name
+        );
+        assert_eq!(
+            self.indexes.roles,
+            crate::index::NameRoles::scan(self),
+            "name roles of {}",
+            self.name
+        );
+    }
+}
+
 /// One step of [`DocStore::walk_subtree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubtreeStep {
@@ -553,21 +573,27 @@ mod tests {
         assert_eq!(s.tag_of(4), "d");
     }
 
+    /// The statistics exist once the store does, counted in its shred
+    /// pass: clones share them, and another store, even of equal text,
+    /// holds its own equal counts.
     #[test]
     fn clones_share_one_statistics_measurement() {
         let s = store("<a><b/><b/></a>");
         let copy = s.clone();
-        let measured = copy.statistics();
-        assert_eq!(measured.nodes, 4);
+        let counted = copy.statistics();
+        assert_eq!(counted.nodes, 4);
+        assert_eq!(counted.elements_tagged("b"), 2);
         assert!(
-            Arc::ptr_eq(&measured, &s.statistics()),
-            "the original sees the clone's measurement"
+            Arc::ptr_eq(&counted, &s.statistics()),
+            "the original and the clone share one count"
         );
         let other = store("<a><b/><b/></a>");
         assert!(
-            !Arc::ptr_eq(&measured, &other.statistics()),
-            "another store, even of equal text, measures its own"
+            !Arc::ptr_eq(&counted, &other.statistics()),
+            "another store, even of equal text, has its own"
         );
+        assert_eq!(*counted, *other.statistics());
+        assert_eq!(DocStatistics::measure(&s), *counted);
     }
 
     #[test]

@@ -270,7 +270,7 @@ fn property_analyses_are_shared_per_plan_version() {
         seed: 20050831,
     });
     let store = DocStore::from_xml("auction.xml", &xml).unwrap();
-    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    let stats = AuctionStats(store.statistics());
     for q in queries() {
         let core = normalize(&parse_query(q.text).unwrap()).unwrap();
         let plan = compile(&core, &CompileOptions::default()).unwrap().plan;
@@ -310,7 +310,7 @@ fn optimizing_an_optimized_plan_changes_nothing() {
         seed: 20050831,
     });
     let store = DocStore::from_xml("auction.xml", &xml).unwrap();
-    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    let stats = AuctionStats(store.statistics());
     for q in queries() {
         let core = normalize(&parse_query(q.text).unwrap()).unwrap();
         let mut plan = compile(&core, &CompileOptions::default()).unwrap().plan;
@@ -343,7 +343,7 @@ fn every_public_rule_is_idempotent() {
         seed: 20050831,
     });
     let store = DocStore::from_xml("auction.xml", &xml).unwrap();
-    let auction = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    let auction = AuctionStats(store.statistics());
     let rules: [(&str, Rule); 4] = [
         ("hash_cons", |p, _, r| dedup::hash_cons(p, r)),
         ("push_selections", |p, s, r| {
@@ -400,7 +400,7 @@ fn no_selection_reads_a_single_consumer_union_after_optimization() {
         seed: 20050831,
     });
     let store = DocStore::from_xml("auction.xml", &xml).unwrap();
-    let stats = AuctionStats(Arc::new(DocStatistics::measure(&store)));
+    let stats = AuctionStats(store.statistics());
     for q in queries() {
         let core = normalize(&parse_query(q.text).unwrap()).unwrap();
         let compiled = compile(&core, &CompileOptions::default()).unwrap().plan;
