@@ -410,6 +410,7 @@ impl TypeSet {
             ValueType::Str => 3,
             ValueType::Bool => 4,
             ValueType::Node => 5,
+            ValueType::Attr => 6,
         }
     }
 

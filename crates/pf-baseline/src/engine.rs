@@ -164,7 +164,10 @@ impl BaselineEngine {
                     previous_atomic = false;
                 }
                 BValue::Attr { name, value } => {
-                    out.push_str(&format!("{name}=\"{value}\""));
+                    out.push_str(name);
+                    out.push_str("=\"");
+                    out.push_str(&pf_xml::escape::escape_attribute(value));
+                    out.push('"');
                     previous_atomic = false;
                 }
                 atomic => {
@@ -184,6 +187,7 @@ impl BaselineEngine {
     fn atomize(&self, value: &BValue) -> BValue {
         match value {
             BValue::Node { doc, node } => BValue::Str(self.docs[*doc].string_value(*node)),
+            BValue::Attr { value, .. } => BValue::Str(value.clone()),
             other => other.clone(),
         }
     }

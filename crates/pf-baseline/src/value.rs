@@ -23,8 +23,8 @@ pub enum BValue {
         /// Node within that document.
         node: NodeId,
     },
-    /// A constructed attribute (only ever consumed by an enclosing element
-    /// constructor).
+    /// A constructed attribute: an enclosing element constructor makes it
+    /// one of the element's attributes, atomization yields its value.
     Attr {
         /// Attribute name.
         name: String,
@@ -72,8 +72,8 @@ impl BValue {
         self.lexical().cmp(&other.lexical())
     }
 
-    /// The lexical (string) form of an atomic value; nodes must be atomized
-    /// by the engine before calling this.
+    /// The lexical (string) form of an atomic value, or of an attribute's
+    /// value; nodes must be atomized by the engine before calling this.
     pub fn lexical(&self) -> String {
         match self {
             BValue::Int(i) => i.to_string(),
@@ -81,7 +81,7 @@ impl BValue {
             BValue::Str(s) => s.clone(),
             BValue::Bool(b) => b.to_string(),
             BValue::Node { doc, node } => format!("node({doc},{node})"),
-            BValue::Attr { name, value } => format!("{name}={value}"),
+            BValue::Attr { value, .. } => value.clone(),
         }
     }
 }
@@ -135,5 +135,10 @@ mod tests {
         assert_eq!(BValue::Dbl(f64::NEG_INFINITY).lexical(), "-INF");
         assert_eq!(BValue::Str("infinity".into()).as_number(), None);
         assert_eq!(BValue::Bool(true).lexical(), "true");
+        let attr = BValue::Attr {
+            name: "n".into(),
+            value: "1".into(),
+        };
+        assert_eq!(attr.lexical(), "1");
     }
 }

@@ -14,11 +14,15 @@
 //! calling thread, children before parents — the paper's model of one
 //! algebraic plan evaluated bottom-up, one operator after another.
 //! Shared subexpressions are computed exactly once.  The node
-//! constructors (ε, attribute and τ text construction) create transient
-//! documents and take their document ids from the registry as they run,
-//! so ids — and with them document order across transient fragments —
-//! follow the topological order.  A panicking operator is caught once,
-//! around the loop, and surfaces as an [`EngineError`].
+//! constructors (ε element, α attribute and τ text construction) create
+//! transient documents and take their document ids from the registry as
+//! they run, so ids — and with them document order across transient
+//! fragments — follow the topological order.  α writes its attributes as
+//! rows of its fragment's attribute table and emits [`AttrRef`]s to them;
+//! ε reads a referenced row's name and value in place, and atomization
+//! reads the value through the same store hook that atomizes nodes, so no
+//! string is made per attribute on the way.  A panicking operator is
+//! caught once, around the loop, and surfaces as an [`EngineError`].
 //!
 //! **One thread per query.**  Every kernel runs over its whole input on
 //! the calling thread; concurrency comes from the callers (the server
@@ -43,35 +47,18 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
-use pf_relational::{Cell, Column, NodeRef, Table, Value};
+use pf_relational::{AttrRef, Cell, Column, NodeRef, Table, Value};
 use pf_store::{DocStore, FragmentBuilder, Rental};
 
 use crate::error::{EngineError, EngineResult};
 use crate::registry::DocRegistry;
-
-/// Marker prefix used to smuggle constructed attributes through the `item`
-/// column as `marker name \u{1} value` (they are consumed by the enclosing
-/// element constructor and never escape the engine).
-///
-/// No data can forge one: U+0001 is outside XML 1.0's `Char` production,
-/// which `pf-xml` enforces on raw characters and character references
-/// alike, and outside XQuery's string-literal grammar, which the
-/// `pf-xquery` lexer enforces — so no document and no query can put the
-/// marker into a string item.
-const ATTR_MARKER: &str = "\u{1}attr\u{1}";
-
-/// The `(name, value)` of a constructed attribute item, borrowed from its
-/// marker string; `None` for any other string.
-fn constructed_attribute(item: &str) -> Option<(&str, &str)> {
-    let rest = item.strip_prefix(ATTR_MARKER)?;
-    Some(rest.split_once('\u{1}').unwrap_or((rest, "")))
-}
 
 /// Memory-discipline statistics of one plan execution.
 ///
@@ -326,13 +313,56 @@ impl<'a> StoreCache<'a> {
         self.memo[at].1.as_deref()
     }
 
-    /// Append the string value of `node` to `out` — the atomization hook
-    /// of the fused kernel (an unknown document contributes nothing).
-    fn push_string_value(&mut self, node: NodeRef, out: &mut String) {
-        if let Some(store) = self.store(node.doc) {
-            store.push_string_value(node.pre, out);
+    /// The store for `doc`, if [`StoreCache::store`] has resolved it.
+    fn resolved(&self, doc: u32) -> Option<&DocStore> {
+        self.memo
+            .iter()
+            .find(|(id, _)| *id == doc)
+            .and_then(|(_, store)| store.as_deref())
+    }
+
+    /// Resolve the store of every attribute `column` references, so that
+    /// [`StoreCache::resolved`] finds it; an unknown document is an error.
+    fn resolve_attributes(&mut self, column: &Column) -> EngineResult<()> {
+        let mut last = None;
+        for row in 0..column.len() {
+            if let Cell::Attr(attr) = column.cell(row) {
+                if last != Some(attr.doc) {
+                    self.store(attr.doc)
+                        .ok_or_else(|| unknown_document(attr.doc))?;
+                    last = Some(attr.doc);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Append the string value of `item` to `out` — the store hook of the
+    /// fused kernel and the constructors' atomization.  A node appends its
+    /// string value and a constructed attribute its value, both read in
+    /// place (an unknown document contributes nothing); an atomic is
+    /// written in its lexical form, without a string of its own.
+    fn push_string_value(&mut self, item: Cell<'_>, out: &mut String) {
+        match item {
+            Cell::Node(node) => {
+                if let Some(store) = self.store(node.doc) {
+                    store.push_string_value(node.pre, out);
+                }
+            }
+            Cell::Attr(attr) => {
+                if let Some(store) = self.store(attr.doc) {
+                    out.push_str(store.attr_value_of(attr.row as usize));
+                }
+            }
+            Cell::Str(s) => out.push_str(s),
+            atomic => write!(out, "{atomic}").expect("writing into a String cannot fail"),
         }
     }
+}
+
+/// The error of a reference into a document the registry does not hold.
+fn unknown_document(doc: u32) -> EngineError {
+    EngineError::msg(format!("unknown document id {doc}"))
 }
 
 /// The content rows of a constructor operator, grouped by iteration in
@@ -341,34 +371,11 @@ impl<'a> StoreCache<'a> {
 /// The rows are grouped by a [`ops::NatIndex`] over `iter` (direct
 /// address for the dense `iter`s loop-lifting produces) and each group is
 /// sorted stably by `pos` unless it already is in order;
-/// [`ContentIndex::content_of`] reads a group's items in place.
+/// [`ContentIndex::content_of`] reads a group's items in place, as
+/// [`Cell`]s.
 struct ContentIndex<'t> {
     groups: ops::NatIndex,
     items: &'t Column,
-}
-
-/// One content item, read in place: a node, a borrowed string, or any
-/// other atomic (which owns no heap data).
-#[derive(Debug, PartialEq)]
-enum ContentItem<'t> {
-    Node(NodeRef),
-    Str(&'t str),
-    Atomic(Value),
-}
-
-impl<'t> ContentItem<'t> {
-    fn at(column: &'t Column, row: usize) -> ContentItem<'t> {
-        match column {
-            Column::Node(nodes) => ContentItem::Node(nodes[row]),
-            Column::Str(strs) => ContentItem::Str(&strs[row]),
-            Column::Item(items) => match &items[row] {
-                Value::Node(node) => ContentItem::Node(*node),
-                Value::Str(s) => ContentItem::Str(s),
-                atomic => ContentItem::Atomic(atomic.clone()),
-            },
-            typed => ContentItem::Atomic(typed.get(row)),
-        }
-    }
 }
 
 impl<'t> ContentIndex<'t> {
@@ -383,26 +390,23 @@ impl<'t> ContentIndex<'t> {
     }
 
     /// The content items of `iter`, in `pos` order.
-    fn content_of(&self, iter: u64) -> impl Iterator<Item = ContentItem<'t>> + '_ {
+    fn content_of(&self, iter: u64) -> impl Iterator<Item = Cell<'t>> + '_ {
         let items = self.items;
         self.groups
             .rows_of(iter)
             .iter()
-            .map(move |&row| ContentItem::at(items, row as usize))
+            .map(move |&row| items.cell(row as usize))
     }
 
     /// Append the atomized content of `iter` to `out`, items separated by
-    /// single spaces: a node contributes its string value, read in place.
+    /// single spaces: a node or an attribute contributes its string value,
+    /// read in place, an atomic its lexical form.
     fn push_atomized(&self, iter: u64, cache: &mut StoreCache<'_>, out: &mut String) {
         for (i, item) in self.content_of(iter).enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            match item {
-                ContentItem::Node(node) => cache.push_string_value(node, out),
-                ContentItem::Str(s) => out.push_str(s),
-                ContentItem::Atomic(atomic) => out.push_str(&atomic.to_xdm_string()),
-            }
+            cache.push_string_value(item, out);
         }
     }
 }
@@ -415,14 +419,14 @@ fn item_truth(column: &Column, row: usize) -> bool {
         Column::Nat(v) => v[row] != 0,
         Column::Dbl(v) => v[row] != 0.0,
         Column::Str(v) => !v[row].is_empty(),
-        Column::Node(_) => true,
+        Column::Node(_) | Column::Attr(_) => true,
         Column::Item(v) => match &v[row] {
             Value::Bool(b) => *b,
             Value::Int(i) => *i != 0,
             Value::Nat(n) => *n != 0,
             Value::Dbl(d) => *d != 0.0,
             Value::Str(s) => !s.is_empty(),
-            Value::Node(_) => true,
+            Value::Node(_) | Value::Attr(_) => true,
         },
     }
 }
@@ -658,8 +662,8 @@ impl<'a> Executor<'a> {
             PhysKind::Pipeline { .. } => {
                 let input = slot(slots, node.inputs[0])?;
                 let mut cache = StoreCache::new(self.registry);
-                let table = ops::run_pipeline(input, &node.steps(plan), &mut |node, out| {
-                    cache.push_string_value(node, out)
+                let table = ops::run_pipeline(input, &node.steps(plan), &mut |item, out| {
+                    cache.push_string_value(item, out)
                 })?;
                 Ok((table, KernelStats::default()))
             }
@@ -1031,9 +1035,12 @@ impl<'a> Executor<'a> {
                 loop_input,
                 name,
                 content,
-            } => {
-                self.construct_attributes(slot(slots, *loop_input)?, name, slot(slots, *content)?)?
-            }
+            } => self.construct_attributes(
+                slot(slots, *loop_input)?,
+                name,
+                slot(slots, *content)?,
+                self.registry.reserve_constructed(1),
+            )?,
             AlgOp::TextConstruct {
                 loop_input,
                 content,
@@ -1145,7 +1152,7 @@ impl<'a> Executor<'a> {
         Ok(ops::row_number_permuted(table, target, partition, &order)?)
     }
 
-    // ----- node construction (ε, τ) ---------------------------------------
+    // ----- node construction (ε, α, τ) ------------------------------------
 
     /// ε: one element per iteration of `loop_table`.  All elements one
     /// operator constructs share a single transient fragment (like
@@ -1162,6 +1169,9 @@ impl<'a> Executor<'a> {
         let iters = nat_keys(loop_table.column("iter")?)?;
         let index = ContentIndex::build(content)?;
         let mut cache = StoreCache::new(self.registry);
+        // The attribute lists below read the constructed attributes' rows
+        // in place, from stores resolved here once.
+        cache.resolve_attributes(index.items)?;
         let mut fragment = FragmentBuilder::new(format!("#constructed-{doc_id}"));
         let tag = fragment.tag(tag);
         let mut nodes = Vec::with_capacity(iters.len());
@@ -1169,30 +1179,37 @@ impl<'a> Executor<'a> {
             // Constructed attributes, wherever they sit in the content,
             // become the element's attributes; the rest its children.
             let attributes = index.content_of(iter).filter_map(|item| match item {
-                ContentItem::Str(s) => constructed_attribute(s),
+                Cell::Attr(attr) => {
+                    let store = cache.resolved(attr.doc)?;
+                    let row = attr.row as usize;
+                    Some((store.attr_name_of(row), store.attr_value_of(row)))
+                }
                 _ => None,
             });
             let element = fragment.start_element(tag, attributes);
             let mut previous_was_atomic = false;
             for item in index.content_of(iter) {
-                let text = match item {
-                    ContentItem::Node(node) => {
-                        let store = cache.store(node.doc).ok_or_else(|| {
-                            EngineError::msg(format!("unknown document id {}", node.doc))
-                        })?;
+                match item {
+                    Cell::Node(node) => {
+                        let store = cache
+                            .store(node.doc)
+                            .ok_or_else(|| unknown_document(node.doc))?;
                         fragment.copy_subtree(store, node.pre);
                         previous_was_atomic = false;
-                        continue;
                     }
-                    ContentItem::Str(s) if constructed_attribute(s).is_some() => continue,
-                    ContentItem::Str(s) => Cow::Borrowed(s),
-                    ContentItem::Atomic(atomic) => Cow::Owned(atomic.to_xdm_string()),
-                };
-                if previous_was_atomic {
-                    fragment.text(" ");
+                    Cell::Attr(_) => {}
+                    atomic => {
+                        if previous_was_atomic {
+                            fragment.text(" ");
+                        }
+                        match atomic {
+                            Cell::Str(s) => fragment.text(s),
+                            _ => write!(fragment, "{atomic}")
+                                .expect("writing into a fragment cannot fail"),
+                        }
+                        previous_was_atomic = true;
+                    }
                 }
-                fragment.text(&text);
-                previous_was_atomic = true;
             }
             fragment.end_element();
             nodes.push(NodeRef::new(doc_id, element));
@@ -1201,24 +1218,35 @@ impl<'a> Executor<'a> {
         constructor_output(iters, Column::nodes(nodes))
     }
 
-    /// Attribute construction: one `marker name \u{1} value` string per
-    /// iteration, the value the atomized content joined by spaces.
+    /// α: one attribute per iteration, its value the atomized content
+    /// joined by spaces.  All attributes one operator constructs are rows
+    /// of one transient fragment's attribute table, owned by its document
+    /// node; the item is an [`AttrRef`] to the row, whose name and value
+    /// the element constructor, atomization and serialization read in
+    /// place.
     fn construct_attributes(
         &self,
         loop_table: &Table,
         name: &str,
         content: &Table,
+        doc_id: u32,
     ) -> EngineResult<Table> {
         let iters = nat_keys(loop_table.column("iter")?)?;
         let index = ContentIndex::build(content)?;
         let mut cache = StoreCache::new(self.registry);
-        let mut items = Vec::with_capacity(iters.len());
+        let mut fragment = FragmentBuilder::new(format!("#attributes-{doc_id}"));
+        let name = fragment.tag(name);
+        let mut value = String::new();
+        let mut attrs = Vec::with_capacity(iters.len());
         for &iter in iters.iter() {
-            let mut item = format!("{ATTR_MARKER}{name}\u{1}");
-            index.push_atomized(iter, &mut cache, &mut item);
-            items.push(item);
+            value.clear();
+            index.push_atomized(iter, &mut cache, &mut value);
+            let row = u32::try_from(fragment.attribute(name, &value))
+                .map_err(|_| EngineError::msg("an attribute constructor made 2^32 attributes"))?;
+            attrs.push(AttrRef::new(doc_id, row));
         }
-        constructor_output(iters, Column::strs(items))
+        self.registry.fill_constructed(doc_id, fragment.finish());
+        constructor_output(iters, Column::attrs(attrs))
     }
 
     /// τ: one text node per iteration with content, holding the atomized
@@ -1444,12 +1472,8 @@ mod tests {
         let content = Table::iter_pos_item(iters.clone(), poss.clone(), items).unwrap();
         let index = ContentIndex::build(&content).unwrap();
         let content_of = |iter: u64| index.content_of(iter).collect::<Vec<_>>();
-        let ints = |values: &[i64]| -> Vec<ContentItem<'_>> {
-            values
-                .iter()
-                .map(|&i| ContentItem::Atomic(Value::Int(i)))
-                .collect()
-        };
+        let ints =
+            |values: &[i64]| -> Vec<Cell<'_>> { values.iter().map(|&i| Cell::Int(i)).collect() };
         // The old per-iteration gather, stable by pos.
         let gather = |iter: u64| -> Vec<i64> {
             let mut rows: Vec<usize> = (0..iters.len()).filter(|&r| iters[r] == iter).collect();
@@ -1468,19 +1492,29 @@ mod tests {
         );
     }
 
-    /// The fused kernel's atomization hook appends a node's string value
-    /// and nothing for a node of an unknown document.
+    /// The store hook appends a node's string value, an attribute's
+    /// value and an atomic's lexical form, and nothing for a node or an
+    /// attribute of an unknown document.
     #[test]
     fn atomization_resolves_node_string_values() {
         let reg = registry();
+        let mut fragment = FragmentBuilder::new("attrs");
+        let name = fragment.tag("k");
+        fragment.attribute(name, "v");
+        fragment.attribute(name, "w é");
+        let attrs = reg.register_constructed(fragment.finish());
         let mut cache = StoreCache::new(&reg);
         let mut out = String::from(">");
         // node 2 is the first <b>; its string value is "1"; node 1 is <a>
-        cache.push_string_value(NodeRef::new(0, 2), &mut out);
-        cache.push_string_value(NodeRef::new(0, 1), &mut out);
-        cache.push_string_value(NodeRef::new(99, 0), &mut out);
-        assert_eq!(out, ">112x");
-        assert_eq!(cache.memo.len(), 2, "one lookup per document");
+        cache.push_string_value(Cell::Node(NodeRef::new(0, 2)), &mut out);
+        cache.push_string_value(Cell::Node(NodeRef::new(0, 1)), &mut out);
+        cache.push_string_value(Cell::Node(NodeRef::new(99, 0)), &mut out);
+        cache.push_string_value(Cell::Attr(AttrRef::new(attrs, 1)), &mut out);
+        cache.push_string_value(Cell::Attr(AttrRef::new(99, 0)), &mut out);
+        cache.push_string_value(Cell::Dbl(2.5), &mut out);
+        cache.push_string_value(Cell::Str("s"), &mut out);
+        assert_eq!(out, ">112xw é2.5s");
+        assert_eq!(cache.memo.len(), 3, "one lookup per document");
     }
 
     #[test]
@@ -1501,39 +1535,67 @@ mod tests {
         assert_eq!(numbered.value("item", 2).unwrap(), Value::Int(5));
     }
 
-    /// Strings and nodes are read in place from typed and untyped item
-    /// columns alike.
+    /// Strings, nodes and attributes are read in place from typed and
+    /// untyped item columns alike.
     #[test]
     fn content_items_are_borrowed_views() {
         let node = NodeRef::new(0, 2);
+        let attr = AttrRef::new(3, 4);
         let mixed = Table::iter_pos_item(
-            vec![1, 1, 1],
-            vec![1, 2, 3],
-            vec![Value::Str("s".into()), Value::Node(node), Value::Bool(true)],
+            vec![1, 1, 1, 1],
+            vec![1, 2, 3, 4],
+            vec![
+                Value::Str("s".into()),
+                Value::Node(node),
+                Value::Bool(true),
+                Value::Attr(attr),
+            ],
         )
         .unwrap();
         let index = ContentIndex::build(&mixed).unwrap();
         assert_eq!(
             index.content_of(1).collect::<Vec<_>>(),
             vec![
-                ContentItem::Str("s"),
-                ContentItem::Node(node),
-                ContentItem::Atomic(Value::Bool(true))
+                Cell::Str("s"),
+                Cell::Node(node),
+                Cell::Bool(true),
+                Cell::Attr(attr)
             ]
         );
+    }
+
+    /// α writes one attribute-table row per iteration into one fragment
+    /// and emits references to the rows; an iteration's content is
+    /// atomized and joined by spaces, empty content gives "".
+    #[test]
+    fn attribute_construction_writes_rows_of_one_fragment() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2, 3]))]).unwrap();
+        let content = Table::iter_pos_item(
+            vec![1, 3, 1],
+            vec![1, 1, 2],
+            vec![
+                Value::Node(NodeRef::new(0, 2)), // <b>1</b>
+                Value::Str("é".into()),
+                Value::Dbl(2.5),
+            ],
+        )
+        .unwrap();
+        let doc_id = reg.reserve_constructed(1);
+        let out = exec
+            .construct_attributes(&loop_table, "k", &content, doc_id)
+            .unwrap();
         assert_eq!(
-            ContentItem::at(&Column::strs(vec!["t".into()]), 0),
-            ContentItem::Str("t")
+            out.column("item").unwrap().as_attrs().unwrap(),
+            &[0, 1, 2].map(|row| AttrRef::new(doc_id, row))
         );
-        assert_eq!(
-            ContentItem::at(&Column::nodes(vec![node]), 0),
-            ContentItem::Node(node)
-        );
-        assert_eq!(
-            constructed_attribute("\u{1}attr\u{1}k\u{1}v w"),
-            Some(("k", "v w"))
-        );
-        assert_eq!(constructed_attribute("attr k v"), None);
+        let store = reg.store(doc_id).unwrap();
+        let pairs: Vec<(&str, &str)> = (0..store.attribute_count())
+            .map(|row| (store.attr_name_of(row), store.attr_value_of(row)))
+            .collect();
+        assert_eq!(pairs, [("k", "1 2.5"), ("k", ""), ("k", "é")]);
+        assert_eq!(store.node_count(), 1, "the document node owns the rows");
     }
 
     /// Attributes, copied nodes, atomics with the " " between adjacent
@@ -1544,13 +1606,19 @@ mod tests {
     fn element_construction_writes_one_fragment_per_operator() {
         let reg = registry();
         let exec = Executor::new(&reg);
+        let one = Table::new(vec![("iter".into(), Column::nats(vec![1]))]).unwrap();
+        let value = Table::iter_pos_item(vec![1], vec![1], vec![Value::Str("v".into())]).unwrap();
+        let attrs = exec
+            .construct_attributes(&one, "k", &value, reg.reserve_constructed(1))
+            .unwrap();
+        let attr = attrs.value("item", 0).unwrap();
         let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2]))]).unwrap();
         let content = Table::iter_pos_item(
             vec![1, 1, 1, 1, 1, 2, 1],
             vec![1, 2, 3, 4, 5, 1, 6],
             vec![
                 Value::Int(1),
-                Value::Str("\u{1}attr\u{1}k\u{1}v".into()),
+                attr,
                 Value::Dbl(2.5),
                 Value::Node(NodeRef::new(0, 3)), // the text "1"
                 Value::Node(NodeRef::new(0, 4)), // <b>2</b>
@@ -1705,7 +1773,7 @@ mod tests {
     /// kernels (these plans hold no nodes).
     fn run_unfused(exec: &Executor<'_>, plan: &Plan) -> EngineResult<Table> {
         let mut slots: Vec<Option<Arc<Table>>> = vec![None; plan.ops().len()];
-        let no_nodes = &mut |_: NodeRef, _: &mut String| unreachable!("no node operands");
+        let no_nodes = &mut |_: Cell<'_>, _: &mut String| unreachable!("no node operands");
         for id in plan.reachable() {
             let input = |input: &OpId| slots[*input].as_deref().expect("inputs ran first");
             let table = match plan.op(id) {

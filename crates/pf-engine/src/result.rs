@@ -224,19 +224,26 @@ fn resolve_stores(
         for node in nodes {
             resolve(node.doc)?;
         }
+    } else if let Some(attrs) = item_col.as_attrs() {
+        for attr in attrs {
+            resolve(attr.doc)?;
+        }
     } else if let Some(items) = item_col.as_items() {
         for item in items {
-            if let Value::Node(node) = item {
-                resolve(node.doc)?;
+            match item {
+                Value::Node(node) => resolve(node.doc)?,
+                Value::Attr(attr) => resolve(attr.doc)?,
+                _ => {}
             }
         }
     }
-    // Other typed representations cannot contain nodes.
+    // Other typed representations cannot contain nodes or attributes.
     Ok(stores)
 }
 
 /// The shared streaming core: walk the item column in the given row
-/// order, writing nodes as XML and atomics space-separated.
+/// order, writing nodes as XML, constructed attributes as `name="value"`
+/// (as `pf-baseline` writes them) and atomics space-separated.
 fn write_rows(
     item_col: &Column,
     order: Option<&[usize]>,
@@ -251,6 +258,17 @@ fn write_rows(
                     .get(&node.doc)
                     .expect("referenced stores resolved at construction");
                 store.write_subtree_xml(node.pre, out)?;
+                previous_was_atomic = false;
+            }
+            Value::Attr(attr) => {
+                let store = stores
+                    .get(&attr.doc)
+                    .expect("referenced stores resolved at construction");
+                let row = attr.row as usize;
+                out.write_str(store.attr_name_of(row))?;
+                out.write_str("=\"")?;
+                out.write_str(&pf_xml::escape::escape_attribute(store.attr_value_of(row)))?;
+                out.write_char('"')?;
                 previous_was_atomic = false;
             }
             atomic => {
@@ -287,7 +305,7 @@ fn write_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_relational::NodeRef;
+    use pf_relational::{AttrRef, NodeRef};
 
     fn result_of(table: Table, registry: &DocRegistry) -> QueryResult {
         QueryResult::from_table(Arc::new(table), registry, Timings::default()).unwrap()
@@ -312,6 +330,52 @@ mod tests {
         assert_eq!(result.to_xml(), "1<y>7</y>z");
         assert_eq!(result.len(), 3);
         assert!(!result.is_empty());
+    }
+
+    /// A constructed attribute serializes as `name="value"`, its value
+    /// escaped, from an `Item` and from an `Attr` column alike; an
+    /// attribute of an unknown document fails at construction.
+    #[test]
+    fn constructed_attributes_serialize_as_name_value_pairs() {
+        let registry = DocRegistry::new();
+        let mut fragment = pf_store::FragmentBuilder::new("attributes");
+        let name = fragment.tag("n");
+        fragment.attribute(name, "a<\"b\"");
+        let doc = registry.register_constructed(fragment.finish());
+        let attr = AttrRef::new(doc, 0);
+        let table = Table::iter_pos_item(
+            vec![1; 4],
+            vec![1, 2, 3, 4],
+            vec![
+                Value::Int(1),
+                Value::Attr(attr),
+                Value::Int(2),
+                Value::Attr(attr),
+            ],
+        )
+        .unwrap();
+        let pair = "n=\"a&lt;&quot;b&quot;\"";
+        assert_eq!(
+            result_of(table, &registry).to_xml(),
+            format!("1{pair}2{pair}")
+        );
+        let table = Table::new(vec![
+            ("iter".into(), Column::nats(vec![1, 1])),
+            ("pos".into(), Column::nats(vec![2, 1])),
+            ("item".into(), Column::attrs(vec![attr; 2])),
+        ])
+        .unwrap();
+        assert_eq!(
+            result_of(table, &registry).to_xml(),
+            format!("{pair}{pair}")
+        );
+        let table =
+            Table::iter_pos_item(vec![1], vec![1], vec![Value::Attr(AttrRef::new(9, 0))]).unwrap();
+        let err = QueryResult::from_table(Arc::new(table), &registry, Timings::default());
+        assert!(err
+            .unwrap_err()
+            .to_string()
+            .contains("unknown document id 9"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use crate::error::{RelError, RelResult};
-use crate::value::{Cell, NodeRef, Value, ValueType};
+use crate::value::{AttrRef, Cell, NodeRef, Value, ValueType};
 
 /// A homogeneous column of values.
 ///
@@ -33,6 +33,8 @@ pub enum Column {
     Bool(Arc<Vec<bool>>),
     /// Node references.
     Node(Arc<Vec<NodeRef>>),
+    /// Constructed-attribute references.
+    Attr(Arc<Vec<AttrRef>>),
     /// The polymorphic item column.
     Item(Arc<Vec<Value>>),
 }
@@ -68,6 +70,11 @@ impl Column {
         Column::Node(Arc::new(values))
     }
 
+    /// An `Attr` column owning `values`.
+    pub fn attrs(values: Vec<AttrRef>) -> Column {
+        Column::Attr(Arc::new(values))
+    }
+
     /// A polymorphic item column owning `values` (no type detection — use
     /// [`Column::from_values`] to get a typed column when possible).
     pub fn items(values: Vec<Value>) -> Column {
@@ -83,6 +90,7 @@ impl Column {
             ValueType::Str => Column::strs(Vec::new()),
             ValueType::Bool => Column::bools(Vec::new()),
             ValueType::Node => Column::nodes(Vec::new()),
+            ValueType::Attr => Column::attrs(Vec::new()),
         }
     }
 
@@ -100,6 +108,7 @@ impl Column {
             Column::Str(v) => v.len(),
             Column::Bool(v) => v.len(),
             Column::Node(v) => v.len(),
+            Column::Attr(v) => v.len(),
             Column::Item(v) => v.len(),
         }
     }
@@ -124,6 +133,7 @@ impl Column {
             Column::Str(v) => Arc::as_ptr(v) as usize,
             Column::Bool(v) => Arc::as_ptr(v) as usize,
             Column::Node(v) => Arc::as_ptr(v) as usize,
+            Column::Attr(v) => Arc::as_ptr(v) as usize,
             Column::Item(v) => Arc::as_ptr(v) as usize,
         }
     }
@@ -138,6 +148,7 @@ impl Column {
             (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(a, b),
             (Column::Bool(a), Column::Bool(b)) => Arc::ptr_eq(a, b),
             (Column::Node(a), Column::Node(b)) => Arc::ptr_eq(a, b),
+            (Column::Attr(a), Column::Attr(b)) => Arc::ptr_eq(a, b),
             (Column::Item(a), Column::Item(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -154,6 +165,7 @@ impl Column {
             Column::Str(v) => Cell::Str(&v[i]),
             Column::Bool(v) => Cell::Bool(v[i]),
             Column::Node(v) => Cell::Node(v[i]),
+            Column::Attr(v) => Cell::Attr(v[i]),
             Column::Item(v) => v[i].cell(),
         }
     }
@@ -167,6 +179,7 @@ impl Column {
             Column::Str(v) => Value::Str(v[i].clone()),
             Column::Bool(v) => Value::Bool(v[i]),
             Column::Node(v) => Value::Node(v[i]),
+            Column::Attr(v) => Value::Attr(v[i]),
             Column::Item(v) => v[i].clone(),
         }
     }
@@ -184,6 +197,7 @@ impl Column {
             (Column::Str(v), Value::Str(s)) => Arc::make_mut(v).push(s),
             (Column::Bool(v), Value::Bool(b)) => Arc::make_mut(v).push(b),
             (Column::Node(v), Value::Node(n)) => Arc::make_mut(v).push(n),
+            (Column::Attr(v), Value::Attr(a)) => Arc::make_mut(v).push(a),
             (Column::Item(v), val) => Arc::make_mut(v).push(val),
             (col, val) => {
                 return Err(RelError::new(format!(
@@ -204,6 +218,7 @@ impl Column {
             Column::Str(_) => Some(ValueType::Str),
             Column::Bool(_) => Some(ValueType::Bool),
             Column::Node(_) => Some(ValueType::Node),
+            Column::Attr(_) => Some(ValueType::Attr),
             Column::Item(_) => None,
         }
     }
@@ -272,6 +287,15 @@ impl Column {
         }
     }
 
+    /// View as a slice of attribute references, if this is an `Attr`
+    /// column.
+    pub fn as_attrs(&self) -> Option<&[AttrRef]> {
+        match self {
+            Column::Attr(v) => Some(v.as_slice()),
+            _ => None,
+        }
+    }
+
     /// View as a slice of values, if this is a polymorphic `Item` column.
     pub fn as_items(&self) -> Option<&[Value]> {
         match self {
@@ -289,6 +313,7 @@ impl Column {
             Column::Str(v) => Column::strs(rows.iter().map(|&r| v[r].clone()).collect()),
             Column::Bool(v) => Column::bools(rows.iter().map(|&r| v[r]).collect()),
             Column::Node(v) => Column::nodes(rows.iter().map(|&r| v[r]).collect()),
+            Column::Attr(v) => Column::attrs(rows.iter().map(|&r| v[r]).collect()),
             Column::Item(v) => Column::items(rows.iter().map(|&r| v[r].clone()).collect()),
         }
     }
@@ -304,6 +329,7 @@ impl Column {
             (Column::Str(a), Column::Str(b)) => Arc::make_mut(a).extend_from_slice(b),
             (Column::Bool(a), Column::Bool(b)) => Arc::make_mut(a).extend_from_slice(b),
             (Column::Node(a), Column::Node(b)) => Arc::make_mut(a).extend_from_slice(b),
+            (Column::Attr(a), Column::Attr(b)) => Arc::make_mut(a).extend_from_slice(b),
             (Column::Item(a), b) => {
                 let a = Arc::make_mut(a);
                 for i in 0..b.len() {
@@ -349,6 +375,8 @@ pub enum ColumnBuilder {
     Bool(Vec<bool>),
     /// Node references so far.
     Node(Vec<NodeRef>),
+    /// Attribute references so far.
+    Attr(Vec<AttrRef>),
     /// Values of more than one type.
     Item(Vec<Value>),
 }
@@ -369,6 +397,7 @@ impl ColumnBuilder {
             (ColumnBuilder::Str(v), Value::Str(x)) => v.push(x),
             (ColumnBuilder::Bool(v), Value::Bool(x)) => v.push(x),
             (ColumnBuilder::Node(v), Value::Node(x)) => v.push(x),
+            (ColumnBuilder::Attr(v), Value::Attr(x)) => v.push(x),
             (ColumnBuilder::Item(v), x) => v.push(x),
             (ColumnBuilder::Empty(capacity), x) => {
                 let capacity = *capacity;
@@ -379,6 +408,7 @@ impl ColumnBuilder {
                     Value::Str(x) => ColumnBuilder::Str(first(capacity, x)),
                     Value::Bool(x) => ColumnBuilder::Bool(first(capacity, x)),
                     Value::Node(x) => ColumnBuilder::Node(first(capacity, x)),
+                    Value::Attr(x) => ColumnBuilder::Attr(first(capacity, x)),
                 };
             }
             (typed, x) => {
@@ -399,6 +429,7 @@ impl ColumnBuilder {
             ColumnBuilder::Str(v) => v.into_iter().map(Value::Str).collect(),
             ColumnBuilder::Bool(v) => v.into_iter().map(Value::Bool).collect(),
             ColumnBuilder::Node(v) => v.into_iter().map(Value::Node).collect(),
+            ColumnBuilder::Attr(v) => v.into_iter().map(Value::Attr).collect(),
             ColumnBuilder::Item(v) => v,
         }
     }
@@ -414,6 +445,7 @@ impl ColumnBuilder {
             ColumnBuilder::Str(v) => Column::strs(v),
             ColumnBuilder::Bool(v) => Column::bools(v),
             ColumnBuilder::Node(v) => Column::nodes(v),
+            ColumnBuilder::Attr(v) => Column::attrs(v),
             ColumnBuilder::Item(v) => Column::items(v),
         }
     }
@@ -550,6 +582,31 @@ mod tests {
         };
         // No other owner → Arc::make_mut reuses the allocation.
         assert_eq!(before, after);
+    }
+
+    /// Attribute references make a typed column of their own: built,
+    /// gathered and appended as plain copies, demoted to `Item` next to
+    /// another type.
+    #[test]
+    fn attribute_references_are_a_typed_column() {
+        let refs = [AttrRef::new(1, 0), AttrRef::new(1, 1), AttrRef::new(2, 0)];
+        let col = Column::from_values(refs.iter().map(|&a| Value::Attr(a)).collect());
+        assert_eq!(col.column_type(), Some(ValueType::Attr));
+        assert_eq!(col.as_attrs().unwrap(), &refs);
+        assert_eq!(col.gather(&[2, 0]).as_attrs().unwrap(), &[refs[2], refs[0]]);
+        assert_eq!(col.cell(1), Cell::Attr(refs[1]));
+        let mut appended = col.clone();
+        appended.append(&Column::attrs(vec![refs[0]])).unwrap();
+        assert_eq!(appended.as_attrs().unwrap().len(), 4);
+        let mut mixed = col.clone();
+        mixed.append(&Column::ints(vec![7])).unwrap();
+        assert_eq!(mixed.column_type(), None);
+        assert_eq!(mixed.get(0), Value::Attr(refs[0]));
+        assert_eq!(mixed.get(3), Value::Int(7));
+        assert!(Column::empty(ValueType::Attr)
+            .as_attrs()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub mod value;
 pub use column::{Column, ColumnBuilder};
 pub use error::{RelError, RelResult};
 pub use table::Table;
-pub use value::{Cell, NodeRef, Value, ValueType};
+pub use value::{AttrRef, Cell, NodeRef, Value, ValueType};

@@ -243,7 +243,7 @@ impl<'t> AggPlan<'t> {
                 Value::Str(s) => self.add_str(sum, s),
                 other => Err(RelError::new(format!("cannot aggregate value {other}"))),
             },
-            Column::Bool(_) | Column::Node(_) => {
+            Column::Bool(_) | Column::Node(_) | Column::Attr(_) => {
                 let other = vcol.get(row);
                 Err(RelError::new(format!("cannot aggregate value {other}")))
             }
@@ -278,6 +278,7 @@ impl<'t> AggPlan<'t> {
             Column::Str(v) => Ok(v[a].cmp(&v[b])),
             Column::Bool(v) => Ok(v[a].cmp(&v[b])),
             Column::Node(v) => Ok(v[a].cmp(&v[b])),
+            Column::Attr(_) => vcol.get(a).compare(&vcol.get(b)),
             Column::Item(v) => v[a].compare(&v[b]),
         }
     }

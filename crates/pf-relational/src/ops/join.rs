@@ -283,7 +283,7 @@ pub(crate) fn numeric_keys(column: &Column) -> Option<Vec<f64>> {
                 _ => None,
             })
             .collect(),
-        Column::Str(_) | Column::Bool(_) | Column::Node(_) => None,
+        Column::Str(_) | Column::Bool(_) | Column::Node(_) | Column::Attr(_) => None,
     }
 }
 

@@ -38,7 +38,7 @@ use std::collections::HashSet;
 use std::hash::Hash;
 
 use crate::column::Column;
-use crate::value::{NodeRef, Value};
+use crate::value::{AttrRef, NodeRef, Value};
 
 /// A hashable key borrowed from a column, used by the typed hash-join and
 /// aggregation kernels.  Same equivalence classes as
@@ -55,6 +55,8 @@ pub enum Key<'a> {
     Bool(bool),
     /// Nodes by (doc, pre).
     Node(u32, u32),
+    /// Constructed attributes by (doc, row).
+    Attr(u32, u32),
 }
 
 impl<'a> Key<'a> {
@@ -89,6 +91,7 @@ impl<'a> Key<'a> {
             Value::Str(s) => Key::Str(s),
             Value::Bool(b) => Key::Bool(*b),
             Value::Node(n) => Key::Node(n.doc, n.pre),
+            Value::Attr(a) => Key::Attr(a.doc, a.row),
         }
     }
 }
@@ -109,6 +112,8 @@ pub enum KeyView<'a> {
     Bool(&'a [bool]),
     /// Node references.
     Node(&'a [NodeRef]),
+    /// Attribute references.
+    Attr(&'a [AttrRef]),
     /// The polymorphic item column (keys borrow from the stored values).
     Item(&'a [Value]),
 }
@@ -123,6 +128,7 @@ impl<'a> KeyView<'a> {
             Column::Str(v) => KeyView::Str(v),
             Column::Bool(v) => KeyView::Bool(v),
             Column::Node(v) => KeyView::Node(v),
+            Column::Attr(v) => KeyView::Attr(v),
             Column::Item(v) => KeyView::Item(v),
         }
     }
@@ -136,6 +142,7 @@ impl<'a> KeyView<'a> {
             KeyView::Str(v) => v.len(),
             KeyView::Bool(v) => v.len(),
             KeyView::Node(v) => v.len(),
+            KeyView::Attr(v) => v.len(),
             KeyView::Item(v) => v.len(),
         }
     }
@@ -156,6 +163,7 @@ impl<'a> KeyView<'a> {
             KeyView::Str(v) => Key::Str(&v[row]),
             KeyView::Bool(v) => Key::Bool(v[row]),
             KeyView::Node(v) => Key::Node(v[row].doc, v[row].pre),
+            KeyView::Attr(v) => Key::Attr(v[row].doc, v[row].row),
             KeyView::Item(v) => Key::of_value(&v[row]),
         }
     }

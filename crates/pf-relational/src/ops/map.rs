@@ -14,7 +14,7 @@ use std::cmp::Ordering;
 use crate::column::Column;
 use crate::error::RelResult;
 use crate::table::Table;
-use crate::value::{ArithOp, Cell, NodeRef, Value};
+use crate::value::{ArithOp, Cell, Value};
 
 /// Comparison operators (`eq`, `ne`, `lt`, `le`, `gt`, `ge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,17 +164,18 @@ pub fn apply_unary(op: UnaryOp, value: &Value) -> RelResult<Value> {
     unary_cell(op, value.cell())
 }
 
-/// The node-only atomization hook the engine hands the kernels: append
-/// the string value of a node to the buffer.
-pub type Atomizer<'h> = dyn FnMut(NodeRef, &mut String) + 'h;
+/// The store hook the engine hands the kernels: append the string value
+/// of a stored item — a node or a constructed attribute, the only cells
+/// the kernels hand it — to the buffer.
+pub type Atomizer<'h> = dyn FnMut(Cell<'_>, &mut String) + 'h;
 
-/// Atomize an owned value through `atomize`: a node becomes its string
-/// value, an atomic stays as it is.
+/// Atomize an owned value through `atomize`: a node or an attribute
+/// becomes its string value, an atomic stays as it is.
 pub fn atomize_value(value: Value, atomize: &mut Atomizer<'_>) -> Value {
     match value {
-        Value::Node(node) => {
+        Value::Node(_) | Value::Attr(_) => {
             let mut text = String::new();
-            atomize(node, &mut text);
+            atomize(value.cell(), &mut text);
             Value::Str(text)
         }
         atomic => atomic,
@@ -271,9 +272,10 @@ pub fn map_data(input: &Table, column: &str, atomize: &mut Atomizer<'_>) -> RelR
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::value::NodeRef;
 
     /// A hook for tables that hold no nodes.
-    fn no_nodes() -> impl FnMut(NodeRef, &mut String) {
+    fn no_nodes() -> impl FnMut(Cell<'_>, &mut String) {
         |_, _| unreachable!("no node operands")
     }
 
@@ -380,7 +382,11 @@ mod tests {
             ),
         ])
         .unwrap();
-        let mut pre_as_text = |node: NodeRef, out: &mut String| out.push_str(&node.pre.to_string());
+        let mut pre_as_text = |item: Cell<'_>, out: &mut String| {
+            if let Cell::Node(node) = item {
+                out.push_str(&node.pre.to_string())
+            }
+        };
         let t = map_binary(
             &nodes,
             "lt",

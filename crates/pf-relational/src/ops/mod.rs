@@ -61,6 +61,8 @@ pub enum HashKey {
     Bool(bool),
     /// Nodes by (doc, pre).
     Node(u32, u32),
+    /// Constructed attributes by (doc, row).
+    Attr(u32, u32),
 }
 
 impl HashKey {
@@ -85,6 +87,7 @@ impl HashKey {
             Value::Str(s) => HashKey::Str(s.clone()),
             Value::Bool(b) => HashKey::Bool(*b),
             Value::Node(n) => HashKey::Node(n.doc, n.pre),
+            Value::Attr(a) => HashKey::Attr(a.doc, a.row),
         }
     }
 }

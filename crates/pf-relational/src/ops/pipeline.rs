@@ -36,16 +36,15 @@
 //!
 //! # Atomization
 //!
-//! The engine hands in a node-only hook, [`Atomizer`]: it appends the
-//! string value of a node to a buffer.  ⊙ operands are atomized through
-//! it, except that two nodes under a comparison compare as nodes
-//! (identity, document order).  `fn:data` over a column that holds no
-//! nodes changes no value; over a node column it is lazy — the slot's
-//! cells read each node's string value into a reused buffer, and strings
-//! are built only when the column reaches the output or δ (σ= compares
-//! the buffer).  A lazily
-//! atomized cell is a string, never a node, so the identity comparison
-//! cannot fire on it.
+//! The engine hands in a store hook, [`Atomizer`]: it appends the string
+//! value of a node or of a constructed attribute to a buffer.  ⊙ operands
+//! are atomized through it, except that two nodes under a comparison
+//! compare as nodes (identity, document order).  `fn:data` over a column
+//! that holds neither changes no value; over a node or attribute column
+//! it is lazy — the slot's cells read each string value into a reused
+//! buffer, and strings are built only when the column reaches the output
+//! or δ (σ= compares the buffer).  A lazily atomized cell is a string,
+//! never a node, so the identity comparison cannot fire on it.
 //!
 //! # Output
 //!
@@ -158,8 +157,8 @@ enum Slot {
 struct Entry {
     name: String,
     slot: Slot,
-    /// `fn:data` was applied to this column of nodes: its node cells read
-    /// as their string values.
+    /// `fn:data` was applied to this column of nodes or attributes: those
+    /// cells read as their string values.
     data: bool,
 }
 
@@ -212,7 +211,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The cell atomized: a node reads as its string value.
+    /// The cell atomized: a node or an attribute reads as its string
+    /// value.
     #[inline]
     fn atomized<'s>(&'s mut self, at: usize, atomize: &mut Atomizer<'_>) -> Cell<'s> {
         let cell = self.source.cell(at);
@@ -230,9 +230,9 @@ impl<'a> Reader<'a> {
 
     fn atomize<'s>(&'s mut self, cell: Cell<'a>, atomize: &mut Atomizer<'_>) -> Cell<'s> {
         match cell {
-            Cell::Node(node) => {
+            Cell::Node(_) | Cell::Attr(_) => {
                 self.buf.clear();
-                atomize(node, &mut self.buf);
+                atomize(cell, &mut self.buf);
                 Cell::Str(&self.buf)
             }
             atomic => atomic,
@@ -340,7 +340,7 @@ impl StrLane<'_> {
             StrLane::Const(value) => value,
             StrLane::Nodes(nodes, sel, buf) => {
                 buf.clear();
-                atomize(nodes[sel.map_or(at, |sel| sel[at])], buf);
+                atomize(Cell::Node(nodes[sel.map_or(at, |sel| sel[at])]), buf);
                 buf.as_str()
             }
         }
@@ -410,6 +410,7 @@ fn equal_positions(
         (Column::Str(v), Value::Str(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Bool(v), Value::Bool(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Node(v), Value::Node(x)) => positions(rows, sel, |row| v[row] == *x),
+        (Column::Attr(v), Value::Attr(x)) => positions(rows, sel, |row| v[row] == *x),
         _ => Vec::new(),
     })
 }
@@ -426,6 +427,7 @@ fn splat(value: &Value, rows: usize) -> Column {
         Value::Str(x) => Column::strs(vec![x.clone(); rows]),
         Value::Bool(x) => Column::bools(vec![*x; rows]),
         Value::Node(x) => Column::nodes(vec![*x; rows]),
+        Value::Attr(x) => Column::attrs(vec![*x; rows]),
     }
 }
 
@@ -726,15 +728,16 @@ impl VirtualTable {
         Ok(None)
     }
 
-    /// `fn:data` over slot `idx`: lazy over nodes, no value changes
-    /// otherwise.
+    /// `fn:data` over slot `idx`: lazy over nodes and attributes, no
+    /// value changes otherwise.
     fn data(&mut self, idx: usize) {
+        let stored = |v: &Value| matches!(v, Value::Node(_) | Value::Attr(_));
         let slot = &self.cols[idx].slot;
         let holds_nodes = match slot {
-            Slot::Const(value) => matches!(value, Value::Node(_)),
+            Slot::Const(value) => stored(value),
             Slot::Shared(c) | Slot::Dense(c) => match c {
-                Column::Node(_) => true,
-                Column::Item(values) => values.iter().any(|v| matches!(v, Value::Node(_))),
+                Column::Node(_) | Column::Attr(_) => true,
+                Column::Item(values) => values.iter().any(stored),
                 _ => false,
             },
         };
@@ -832,9 +835,9 @@ impl VirtualTable {
 
 /// Evaluate a whole pipeline of [`FusedStep`]s over `input`.
 ///
-/// `atomize` is the engine's node-only atomization hook (see the module
-/// docs): it appends a node's string value to the buffer it is handed.
-/// For tables without nodes any hook will do; it is never called.
+/// `atomize` is the engine's store hook (see the module docs): it appends
+/// the string value of a node or an attribute to the buffer it is handed.
+/// For tables without either any hook will do; it is never called.
 ///
 /// The result is row- and value-identical to interpreting the same chain
 /// one operator at a time; no intermediate [`Table`] is ever allocated.
@@ -915,12 +918,15 @@ mod tests {
     use crate::ops;
 
     /// A hook for tables without nodes.
-    fn no_nodes() -> impl FnMut(NodeRef, &mut String) {
+    fn no_nodes() -> impl FnMut(Cell<'_>, &mut String) {
         |_, _| unreachable!("no node operands")
     }
 
     /// Atomizes node `(doc, pre)` to the decimal text of `pre`.
-    fn pre_as_text(node: NodeRef, out: &mut String) {
+    fn pre_as_text(item: Cell<'_>, out: &mut String) {
+        let Cell::Node(node) = item else {
+            unreachable!("these tables hold no attributes: {item}")
+        };
         out.push_str(&node.pre.to_string());
     }
 

@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 use crate::column::Column;
 use crate::error::RelResult;
 use crate::table::Table;
-use crate::value::{NodeRef, Value};
+use crate::value::{AttrRef, NodeRef, Value};
 
 /// A borrowed, typed view of one key column.
 #[derive(Debug, Clone, Copy)]
@@ -30,6 +30,8 @@ pub enum KeyCol<'a> {
     Bool(&'a [bool]),
     /// Node references (document order).
     Node(&'a [NodeRef]),
+    /// Attribute references (constructor order).
+    Attr(&'a [AttrRef]),
     /// The polymorphic item column (compared by reference via
     /// [`Value::sort_key_cmp`]).
     Item(&'a [Value]),
@@ -45,6 +47,7 @@ impl<'a> KeyCol<'a> {
             Column::Str(v) => KeyCol::Str(v),
             Column::Bool(v) => KeyCol::Bool(v),
             Column::Node(v) => KeyCol::Node(v),
+            Column::Attr(v) => KeyCol::Attr(v),
             Column::Item(v) => KeyCol::Item(v),
         }
     }
@@ -62,6 +65,7 @@ impl<'a> KeyCol<'a> {
             KeyCol::Str(v) => v[a].cmp(&v[b]),
             KeyCol::Bool(v) => v[a].cmp(&v[b]),
             KeyCol::Node(v) => v[a].cmp(&v[b]),
+            KeyCol::Attr(v) => v[a].cmp(&v[b]),
             KeyCol::Item(v) => v[a].sort_key_cmp(&v[b]),
         }
     }

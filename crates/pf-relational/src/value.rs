@@ -50,6 +50,36 @@ impl fmt::Display for NodeRef {
     }
 }
 
+/// A reference to a constructed attribute: the id of the transient
+/// document an attribute constructor wrote it into and its row in that
+/// document's attribute table.
+///
+/// Kept apart from [`NodeRef`]: a tree node has a `pre` rank on the
+/// `pre|size|level` axes, an attribute has none, so no step can start
+/// from one.  The name and value are read from the table in place by
+/// whoever consumes the reference — the element constructor, atomization,
+/// serialization — so none is copied between the constructors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AttrRef {
+    /// Document id (index into the engine's document registry).
+    pub doc: u32,
+    /// Row of the document's attribute table.
+    pub row: u32,
+}
+
+impl AttrRef {
+    /// Construct an attribute reference.
+    pub fn new(doc: u32, row: u32) -> Self {
+        AttrRef { doc, row }
+    }
+}
+
+impl fmt::Display for AttrRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "attribute({},{})", self.doc, self.row)
+    }
+}
+
 /// The static type of a [`Value`]; used by columns and by the light static
 /// typing pass of the compiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +96,8 @@ pub enum ValueType {
     Bool,
     /// A node reference.
     Node,
+    /// A constructed-attribute reference.
+    Attr,
 }
 
 /// A single item (or auxiliary value such as an `iter` number) stored in a
@@ -84,6 +116,8 @@ pub enum Value {
     Bool(bool),
     /// Node reference.
     Node(NodeRef),
+    /// Constructed-attribute reference.
+    Attr(AttrRef),
 }
 
 impl Value {
@@ -102,6 +136,7 @@ impl Value {
             Value::Str(s) => Cell::Str(s),
             Value::Bool(b) => Cell::Bool(*b),
             Value::Node(n) => Cell::Node(*n),
+            Value::Attr(a) => Cell::Attr(*a),
         }
     }
 
@@ -164,6 +199,7 @@ impl Value {
                 Value::Str(_) => 3,
                 Value::Bool(_) => 4,
                 Value::Node(_) => 5,
+                Value::Attr(_) => 6,
             }
         }
         match (self, rhs) {
@@ -173,6 +209,7 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Node(a), Value::Node(b)) => a.cmp(b),
+            (Value::Attr(a), Value::Attr(b)) => a.cmp(b),
             (a, b) if a.is_numeric() && b.is_numeric() => {
                 let x = a.cell().as_f64().unwrap_or(f64::NAN);
                 let y = b.cell().as_f64().unwrap_or(f64::NAN);
@@ -201,6 +238,8 @@ pub enum Cell<'a> {
     Bool(bool),
     /// A node reference.
     Node(NodeRef),
+    /// A constructed-attribute reference.
+    Attr(AttrRef),
 }
 
 impl<'a> Cell<'a> {
@@ -213,6 +252,7 @@ impl<'a> Cell<'a> {
             Cell::Str(s) => Value::Str(s.to_owned()),
             Cell::Bool(b) => Value::Bool(b),
             Cell::Node(n) => Value::Node(n),
+            Cell::Attr(a) => Value::Attr(a),
         }
     }
 
@@ -225,6 +265,7 @@ impl<'a> Cell<'a> {
             Cell::Str(_) => ValueType::Str,
             Cell::Bool(_) => ValueType::Bool,
             Cell::Node(_) => ValueType::Node,
+            Cell::Attr(_) => ValueType::Attr,
         }
     }
 
@@ -312,13 +353,17 @@ impl<'a> Cell<'a> {
             Cell::Nat(_) | Cell::Int(_) | Cell::Dbl(_) => Ok(self.to_value()),
             Cell::Str(s) => cast_double(s).map(Value::Dbl),
             Cell::Bool(b) => Ok(Value::Int(i64::from(b))),
-            Cell::Node(_) => Err(RelError::new("cannot cast a node reference to a number")),
+            Cell::Node(_) | Cell::Attr(_) => {
+                Err(RelError::new("cannot cast a node reference to a number"))
+            }
         }
     }
 }
 
 /// The XQuery string representation (what `fn:string` gives an atomic):
-/// doubles print as [`XsDouble`], nodes as `node(doc,pre)`.
+/// doubles print as [`XsDouble`], nodes as `node(doc,pre)` and attributes
+/// as `attribute(doc,row)` (both are atomized through the store before
+/// any XQuery-visible use).
 impl fmt::Display for Cell<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -328,6 +373,7 @@ impl fmt::Display for Cell<'_> {
             Cell::Str(s) => f.write_str(s),
             Cell::Bool(b) => write!(f, "{b}"),
             Cell::Node(n) => write!(f, "{n}"),
+            Cell::Attr(a) => write!(f, "{a}"),
         }
     }
 }
@@ -595,6 +641,7 @@ mod tests {
             Value::Str("s".into()),
             Value::Bool(false),
             Value::Node(NodeRef::new(1, 2)),
+            Value::Attr(AttrRef::new(1, 2)),
         ];
         for a in &values {
             assert_eq!(a.cell().to_value(), *a);

@@ -155,10 +155,19 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Total bytes of string payload held by the dictionary (used by the
-    /// storage-overhead experiment).
+    /// Total bytes of string payload held by the dictionary.
     pub fn payload_bytes(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Bytes the dictionary holds resident: the string payload, one
+    /// `usize` offset per value and the table's slots (at most half of
+    /// them taken) — what a value costs here, as opposed to the
+    /// MonetDB-style heap the paper accounts.
+    pub fn resident_bytes(&self) -> usize {
+        self.payload_bytes()
+            + self.len() * std::mem::size_of::<usize>()
+            + self.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// Iterate over `(surrogate, value)` pairs.
@@ -216,6 +225,24 @@ mod tests {
         assert_eq!(d.lookup("x"), None);
         assert_eq!(d.iter().count(), 0);
         assert_eq!(d.payload_bytes(), 0);
+        assert_eq!(d.resident_bytes(), 0);
+    }
+
+    /// Resident bytes: payload, an offset per value and every table slot,
+    /// taken or not — the table doubles at the ninth value.
+    #[test]
+    fn resident_bytes_count_offsets_and_slots() {
+        let mut d = Dictionary::new();
+        for (i, value) in ["a", "bb", "a", "é"].iter().enumerate() {
+            d.intern(value);
+            assert!(i > 0 || d.resident_bytes() == 1 + 8 + 16 * 8);
+        }
+        assert_eq!(d.resident_bytes(), 5 + 3 * 8 + 16 * 8);
+        for i in 0..6 {
+            d.intern(&i.to_string());
+        }
+        assert_eq!(d.len(), 9);
+        assert_eq!(d.resident_bytes(), 11 + 9 * 8 + 32 * 8);
     }
 
     /// The dictionary against a `HashMap` oracle: the empty string,

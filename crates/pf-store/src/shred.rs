@@ -284,8 +284,9 @@ impl XmlSink for Shredder {
     }
 }
 
-/// An element name interned into a [`FragmentBuilder`]'s dictionary:
-/// intern once, open any number of elements with it.
+/// A name interned into a [`FragmentBuilder`]'s dictionary: intern once,
+/// open any number of elements or append any number of attributes with
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tag(u32);
 
@@ -311,7 +312,7 @@ impl FragmentBuilder {
         }
     }
 
-    /// Intern the element name `name`.
+    /// Intern the element or attribute name `name`.
     pub fn tag(&mut self, name: &str) -> Tag {
         Tag(self.shredder.name(name))
     }
@@ -325,6 +326,29 @@ impl FragmentBuilder {
         attributes: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> PreRank {
         self.shredder.open_element(tag.0, attributes)
+    }
+
+    /// Append a row `name="value"` to the attribute table, owned by the
+    /// fragment's document node, and return the row.  This is how an
+    /// attribute constructor builds its attributes: no step reads the
+    /// attributes of a document node, and the consumers address each row
+    /// directly.  The table stays ordered by owner only while the
+    /// fragment holds no element, so a fragment is either attributes or
+    /// elements.
+    pub fn attribute(&mut self, name: Tag, value: &str) -> usize {
+        debug_assert_eq!(
+            self.shredder.store.node_count(),
+            1,
+            "attribute rows belong to a fragment of attributes only"
+        );
+        let store = &mut self.shredder.store;
+        let row = store.attr_owner.len();
+        store.attr_owner.push(store.document_node());
+        let value = store.texts.intern(value);
+        store.attr_name.push(name.0);
+        store.attr_value.push(value);
+        self.shredder.counts.attribute(name.0);
+        row
     }
 
     /// Close the innermost open element.
@@ -362,6 +386,15 @@ impl FragmentBuilder {
     }
 }
 
+/// Formatted text goes where [`FragmentBuilder::text`] puts it: an atomic
+/// is written into the pending text run without a string of its own.
+impl std::fmt::Write for FragmentBuilder {
+    fn write_str(&mut self, text: &str) -> std::fmt::Result {
+        self.text(text);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +410,47 @@ mod tests {
         assert_eq!(s.content_of(2), "x<y>z");
         assert_eq!(s.content_of(4), "w");
         assert_eq!(s.size, vec![4, 3, 0, 0, 0]);
+    }
+
+    /// Attribute rows of an attribute-only fragment: owned by the
+    /// document node, in append order, names and values interned and
+    /// counted, no node besides the document node.
+    #[test]
+    fn a_fragment_of_attributes_writes_rows_owned_by_the_document_node() {
+        let mut fragment = FragmentBuilder::new("a");
+        let n = fragment.tag("n");
+        let m = fragment.tag("m");
+        let rows: Vec<usize> = [(n, "1"), (m, ""), (n, "é ü"), (n, "1")]
+            .into_iter()
+            .map(|(name, value)| fragment.attribute(name, value))
+            .collect();
+        assert_eq!(rows, [0, 1, 2, 3]);
+        let store = fragment.finish();
+        assert_eq!(store.node_count(), 1);
+        assert_eq!(store.attr_owner, [0; 4]);
+        let pairs: Vec<(&str, &str)> = (0..4)
+            .map(|row| (store.attr_name_of(row), store.attr_value_of(row)))
+            .collect();
+        assert_eq!(pairs, [("n", "1"), ("m", ""), ("n", "é ü"), ("n", "1")]);
+        assert_eq!(store.texts.len(), 3, "equal values share a surrogate");
+        assert_eq!(store.statistics().attributes_named("n"), 3);
+        store.assert_counts_match_scans();
+    }
+
+    /// Formatted text joins the pending text run like `text` does.
+    #[test]
+    fn formatted_text_merges_with_the_text_run() {
+        use std::fmt::Write;
+        let mut fragment = FragmentBuilder::new("f");
+        let e = fragment.tag("e");
+        fragment.start_element(e, []);
+        fragment.text("x");
+        let (x, flag) = (2.5, true);
+        write!(fragment, "{x} {flag}").unwrap();
+        fragment.end_element();
+        let store = fragment.finish();
+        assert_eq!(store.subtree_to_xml(0), "<e>x2.5 true</e>");
+        assert_eq!(store.node_count(), 3);
     }
 
     #[test]

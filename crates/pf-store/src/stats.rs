@@ -29,8 +29,8 @@ pub struct StorageStats {
     pub node_table_bytes: usize,
     /// Bytes used by the attribute table.
     pub attribute_table_bytes: usize,
-    /// Bytes used by the tag/attribute-name dictionary (payload + surrogate
-    /// index entries).
+    /// Bytes used by the tag/attribute-name dictionary: payload, offsets
+    /// and hash-table slots ([`Dictionary::resident_bytes`]).
     pub qname_dict_bytes: usize,
     /// Bytes used by the text dictionary.
     pub text_dict_bytes: usize,
@@ -52,10 +52,10 @@ impl StorageStats {
         // (pre, target) side-table row.
         let node_table_bytes = n * (4 + 4 + 4 + 1) + store.pi_target.len() * (4 + 4);
         let attribute_table_bytes = store.attribute_count() * (4 + 4 + 4);
-        // A dictionary entry costs its payload plus a 4-byte offset (this is
-        // how MonetDB's string BATs account heap storage, approximately).
-        let qname_dict_bytes = store.qnames.payload_bytes() + store.qnames.len() * 4;
-        let text_dict_bytes = store.texts.payload_bytes() + store.texts.len() * 4;
+        // A dictionary costs what it holds: payload, an offset per value
+        // and its hash table.
+        let qname_dict_bytes = store.qnames.resident_bytes();
+        let text_dict_bytes = store.texts.resident_bytes();
         StorageStats {
             source_bytes: store.source_bytes,
             node_table_bytes,
@@ -298,6 +298,9 @@ mod tests {
         assert_eq!(stats.distinct_texts, 2); // "hello" (shared), "1"
         assert!(stats.total_bytes() > 0);
         assert!(stats.overhead_percent().unwrap() > 0.0);
+        // Payload, an 8-byte offset per value and 16 eight-byte slots each.
+        assert_eq!(stats.qname_dict_bytes, 3 + 3 * 8 + 16 * 8);
+        assert_eq!(stats.text_dict_bytes, 6 + 2 * 8 + 16 * 8);
     }
 
     #[test]

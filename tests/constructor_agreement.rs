@@ -9,6 +9,10 @@
 //! copied text nodes (the text merge and the " " rule), copies of the
 //! document node, `text { }` over empty and multi-item content, and empty
 //! sequences — at the top level and inside loops of many iterations.
+//!
+//! Constructed attributes are rows of their operator's fragment, passed
+//! on as references: a fixed corpus checks them wherever they can go —
+//! top level, after content, reused, reordered, duplicated, atomized.
 
 use proptest::prelude::*;
 
@@ -95,22 +99,20 @@ const PATHS: [&str; 8] = [
 /// Content over the loop variable, which is bound to an `e` element.
 const VAR_PATHS: [&str; 4] = ["$v", "$v/node()", "$v/text()", "$v/*"];
 
-/// Where a content sequence sits: element content may hold attribute
-/// constructors, the content of `text { }` and `attribute { }` may not
-/// (atomizing an attribute is outside what both engines implement).
+/// Where a content sequence sits.  Any content may hold attribute
+/// constructors: element content makes them the element's attributes,
+/// the content of `text { }` and `attribute { }` atomizes them.
 #[derive(Clone, Copy)]
 struct Scope {
     depth: usize,
     /// `$v` is bound.
     var: bool,
-    element: bool,
 }
 
 impl Scope {
-    fn inner(self, element: bool) -> Scope {
+    fn inner(self) -> Scope {
         Scope {
             depth: self.depth + 1,
-            element,
             ..self
         }
     }
@@ -132,16 +134,16 @@ fn item(tape: &mut Tape<'_>, scope: Scope) -> String {
         5 if nested => format!(
             "element {} {{ {} }}",
             TAGS[tape.next(2)],
-            content(tape, scope.inner(true))
+            content(tape, scope.inner())
         ),
-        6 if nested && scope.element => {
+        6 if nested => {
             let value = match tape.next(3) {
                 0 if var => "$v/@id".to_string(),
-                _ => content(tape, scope.inner(false)),
+                _ => content(tape, scope.inner()),
             };
             format!("attribute {} {{ {value} }}", ["n", "id"][tape.next(2)])
         }
-        7 if nested => format!("text {{ {} }}", content(tape, scope.inner(false))),
+        7 if nested => format!("text {{ {} }}", content(tape, scope.inner())),
         8 => "()".to_string(),
         _ => LITERALS[tape.next(LITERALS.len())].to_string(),
     }
@@ -154,7 +156,6 @@ fn query(tape: &mut Tape<'_>) -> String {
     let top = Scope {
         depth: 0,
         var: false,
-        element: true,
     };
     match tape.next(5) {
         4 => format!(
@@ -240,6 +241,87 @@ fn empty_text_content_constructs_no_node() {
             "for $i in (1, 2, 3) return element w { text { $i[. != 2] } }",
             "<w>1</w><w/><w>3</w>",
         ),
+    ] {
+        let engine = pf.session().query(query).unwrap().to_xml();
+        assert_eq!(engine, expected, "{query}");
+        assert_eq!(baseline.query(query).unwrap().to_xml(), expected, "{query}");
+    }
+}
+
+/// Constructed attributes wherever a query can put them: at the top level
+/// and in sequences, after content, the same `$a` twice, through
+/// `order by` and `[1]`, duplicate names, empty and multibyte values, two
+/// α operators inside one ε, and atomized by every function and
+/// comparison that atomizes.
+#[test]
+fn constructed_attributes_agree() {
+    let xml = "<r><e id=\"2\">a<f k=\"&lt;\">b</f></e><e id=\"1\"><f/>c</e><e id=\"3\"/></r>";
+    let queries: Vec<String> = [
+        // The top level and sequences.
+        "attribute n { 1 }",
+        "(attribute n { 1 }, attribute m { \"x\" })",
+        "(1, attribute n { 2 }, \"s\", attribute m { 3 }, 4)",
+        "for $v in doc(\"d.xml\")//e return attribute id { $v/@id }",
+        // Placed after content.
+        "element a { 1, doc(\"d.xml\")//f, attribute n { \"v\" } }",
+        "element a { element b { 2 }, \"t\", attribute n { 1 } }",
+        // The same `$a` twice, in one element and in two.
+        "let $a := attribute n { 1 } return element e { $a, $a }",
+        "for $a in attribute n { 1 } return (element e { $a }, element f { 2, $a })",
+        "for $v in doc(\"d.xml\")//e let $a := attribute k { $v/@id } return element w { $a, $v/f, $a }",
+        // Through `order by` and `[1]`.
+        "for $v in doc(\"d.xml\")//e order by string($v/@id) descending return element x { attribute k { $v/@id }, $v/text() }",
+        "for $i in (3, 1, 2) order by $i descending return attribute n { $i }",
+        "(attribute n { 1 }, attribute m { 2 })[1]",
+        "element a { (attribute n { 1 }, attribute m { 2 })[2], 3 }",
+        "for $v in doc(\"d.xml\")//e return element w { (attribute n { $v/@id }, attribute m { 0 })[1] }",
+        // Duplicate names.
+        "element a { attribute n { 1 }, attribute n { 2 } }",
+        "(attribute n { 1 }, attribute n { 1 })",
+        // Empty and multibyte values, and values that need escaping.
+        "element a { attribute n { () }, attribute m { \"\" }, attribute o { \"é ü €\" } }",
+        "element a { attribute n { 'a<b & \"c\" >' } }",
+        "(attribute n { \"é\" }, attribute m { \"<&>\" })",
+        // Two α operators inside one ε, per iteration.
+        "element a { attribute n { 1 }, attribute m { 2 } }",
+        "for $v in doc(\"d.xml\")//e return element w { attribute n { $v/@id }, attribute m { count($v/f) }, $v/f }",
+        "for $i in (1, 2, 3) return element w { attribute n { $i }, $i, attribute m { $i * 2 } }",
+        // Atomized: fn:string, fn:data, comparisons, α and τ content.
+        "fn:string(attribute n { 1 })",
+        "data((attribute n { 1 }, attribute m { \"x\" }))",
+        "attribute n { 1 } = \"1\"",
+        "attribute n { \"5\" } > 3",
+        "attribute n { 1 } = attribute m { 1 }",
+        "text { attribute n { 5 }, 6 }",
+        "attribute m { attribute n { 5 }, \"x\" }",
+        "element a { attribute m { attribute n { 5 } } }",
+        "element a { text { attribute n { 1 } } }",
+        "string-length(attribute n { \"abc\" })",
+        "count((attribute n { 1 }, attribute m { 2 }))",
+        "concat(attribute n { \"a\" }, \"b\")",
+        "number(attribute n { \"4\" }) + 1",
+        "sum((attribute n { 4 }, attribute m { 5 }))",
+        "contains(attribute n { \"abc\" }, \"b\")",
+        "distinct-values((attribute n { 1 }, attribute m { 1 }, attribute o { 2 }))",
+        "for $a in (attribute n { 2 }, attribute n { 1 }) order by string($a) return string($a)",
+        "if (attribute n { \"\" }) then 1 else 2",
+        "for $v in doc(\"d.xml\")//e where attribute k { $v/@id } = \"1\" return $v/f",
+    ]
+    .map(str::to_string)
+    .to_vec();
+    agree(xml, &queries);
+}
+
+/// Item 7's row 1 of the roadmap, pinned in both engines: a constructed
+/// attribute atomizes to its value and serializes as `name="value"`.
+#[test]
+fn constructed_attributes_atomize_to_their_value() {
+    let pf = Pathfinder::new();
+    let mut baseline = BaselineEngine::new();
+    for (query, expected) in [
+        ("fn:string(attribute n { 1 })", "1"),
+        ("attribute n { 1 } = \"1\"", "true"),
+        ("attribute n { 1 }", "n=\"1\""),
     ] {
         let engine = pf.session().query(query).unwrap().to_xml();
         assert_eq!(engine, expected, "{query}");

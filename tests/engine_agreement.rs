@@ -289,11 +289,12 @@ fn engines_agree_on_processing_instructions() {
     }
 }
 
-/// Data cannot forge a constructed attribute.  U+0001 is neither an XML
-/// nor an XQuery character, so the inputs that used to smuggle the
-/// engine's attribute marker into element content — a raw U+0001 in a
-/// string literal, in a document, or as a character reference — are the
-/// same error on both engines.  Tab, LF and CR are characters and load.
+/// U+0001 is neither an XML nor an XQuery character, so a raw U+0001 in
+/// a string literal, in a document, or as a character reference is the
+/// same error on both engines — XML and XQuery conformance.  These are
+/// the inputs that once forged the engine's constructed-attribute marker,
+/// before constructed attributes became attribute-table rows.  Tab, LF
+/// and CR are characters and load.
 #[test]
 fn forged_attribute_markers_are_the_same_error_on_both_engines() {
     let pf = Pathfinder::new();

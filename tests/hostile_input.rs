@@ -3,8 +3,8 @@
 //! inputs as well as on their own — go into `pf_xml::parse`,
 //! `DocStore::from_xml` and `pf_xquery::parse_query`.  Each returns `Ok`
 //! or `Err`; the two XML entry points fail alike; and whatever loads
-//! holds no C0 control but tab, LF and CR, so no document can carry the
-//! engine's constructed-attribute marker (U+0001) into a query.
+//! holds no C0 control but tab, LF and CR, as XML 1.0's `Char`
+//! production requires.
 
 use proptest::prelude::*;
 
@@ -85,7 +85,10 @@ proptest! {
     }
 }
 
-/// The two forged-attribute inputs: a raw U+0001 and a reference to it.
+/// A raw U+0001 and a reference to it are not XML characters, in text or
+/// in an attribute value: the parser and the shredder reject them alike,
+/// and the query lexer rejects U+0001 in a string literal (inputs that
+/// once forged the engine's former constructed-attribute marker).
 #[test]
 fn the_attribute_marker_cannot_enter_through_a_document() {
     for xml in [

@@ -23,7 +23,8 @@
 //! The fused kernel, finally, runs random chains of all eight
 //! [`FusedStep`] kinds over random tables — typed, `Item` and empty
 //! columns, `NaN`, strings that are and are not numbers, nodes of a small
-//! document atomized through the node-only hook — and must give the table
+//! document and constructed attributes atomized through the store hook —
+//! and must give the table
 //! (column representation included) or the error that the value-at-a-time
 //! reference kernels give applied one operator at a time.
 //!
@@ -39,8 +40,8 @@ use pathfinder::relational::ops::{
     self, AggFunc, AggPlan, BinaryOp, CmpOp, FusedStep, HashKey, JoinPlan, UnaryOp,
 };
 use pathfinder::relational::value::ArithOp;
-use pathfinder::relational::{Cell, Column, NodeRef, RelResult, Table, Value};
-use pathfinder::store::DocStore;
+use pathfinder::relational::{AttrRef, Cell, Column, NodeRef, RelResult, Table, Value};
+use pathfinder::store::{DocStore, FragmentBuilder};
 
 /// Random scalar values spanning every key class: small colliding
 /// integers, huge `Nat`s beyond `i64::MAX`, integral and fractional
@@ -370,6 +371,13 @@ const NODES: [(u32, u32); 8] = [
 ];
 
 /// Strings that are numbers, are not, and are only to Rust's parser.
+/// The attribute rows of document 1, and a row of a document the hook
+/// does not know (its value is empty).
+const ATTRS: [(u32, u32); 4] = [(1, 0), (1, 1), (1, 2), (9, 0)];
+
+/// The values of document 1's attribute rows.
+const ATTR_VALUES: [&str; 3] = ["2.5", "x", ""];
+
 const STRINGS: [&str; 10] = [
     "1", " 2.5 ", "abc", "INF", "-INF", "NaN", "infinity", "", "10", "x",
 ];
@@ -391,7 +399,8 @@ fn class_of(value: &Value) -> Class {
         Value::Nat(_) | Value::Int(_) | Value::Dbl(_) => Class::Num,
         Value::Str(_) => Class::Str,
         Value::Bool(_) => Class::Bool,
-        Value::Node(_) => Class::Node,
+        // Both atomize through the store hook.
+        Value::Node(_) | Value::Attr(_) => Class::Node,
     }
 }
 
@@ -411,6 +420,7 @@ fn constants() -> Vec<Value> {
         Value::Bool(false),
         Value::Node(NodeRef::new(0, 2)),
         Value::Node(NodeRef::new(0, 8)),
+        Value::Attr(AttrRef::new(1, 0)),
     ]
 }
 
@@ -435,7 +445,8 @@ impl Tape<'_> {
 
 /// A random input table of `rows` rows: `Nat` keys, integers, doubles,
 /// strings, booleans (random, all true or all false), two mixed `Item`
-/// columns (any constant; nodes and strings) and nodes.
+/// columns (any constant; nodes, attributes and strings), nodes and
+/// attributes.
 fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)>) {
     let mut nats = Vec::new();
     let mut ints = Vec::new();
@@ -444,6 +455,7 @@ fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)
     let mut items = Vec::new();
     let mut texts = Vec::new();
     let mut nodes = Vec::new();
+    let mut attrs = Vec::new();
     for _ in 0..rows {
         nats.push(tape.next(4) as u64);
         ints.push(tape.next(7) as i64 - 3);
@@ -452,8 +464,11 @@ fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)
         items.push(tape.pick(&constants()));
         let (doc, pre) = tape.pick(&NODES);
         nodes.push(NodeRef::new(doc, pre));
-        texts.push(match tape.next(3) {
+        let (doc, row) = tape.pick(&ATTRS);
+        attrs.push(AttrRef::new(doc, row));
+        texts.push(match tape.next(4) {
             0 => Value::Str(tape.pick(&STRINGS).to_string()),
+            1 => Value::Attr(*attrs.last().expect("just pushed")),
             _ => Value::Node(*nodes.last().expect("just pushed")),
         });
     }
@@ -470,6 +485,7 @@ fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)
         ("x", Column::items(items), Class::Mixed),
         ("y", Column::items(texts), Class::Mixed),
         ("n", Column::nodes(nodes), Class::Node),
+        ("a", Column::attrs(attrs), Class::Node),
     ];
     let schema = columns
         .iter()
@@ -684,7 +700,7 @@ fn kernel_chain(tape: &mut Tape<'_>, mut schema: Vec<(String, Class)>) -> Vec<St
 fn reference_chain(
     input: &Table,
     steps: &[FusedStep<'_>],
-    atomize: &mut dyn FnMut(NodeRef, &mut String),
+    atomize: &mut dyn FnMut(Cell<'_>, &mut String),
 ) -> RelResult<Table> {
     let mut table = input.clone();
     let mut computed: HashSet<String> = HashSet::new();
@@ -763,10 +779,19 @@ proptest! {
         tape in proptest::collection::vec(0u8..255, 96..256),
     ) {
         let store = DocStore::from_xml("d.xml", DOC).unwrap();
-        let mut atomize = |node: NodeRef, out: &mut String| {
-            if node.doc == 0 {
-                store.push_string_value(node.pre, out);
+        let mut fragment = FragmentBuilder::new("attributes");
+        let name = fragment.tag("n");
+        for value in ATTR_VALUES {
+            fragment.attribute(name, value);
+        }
+        let attributes = fragment.finish();
+        let mut atomize = |item: Cell<'_>, out: &mut String| match item {
+            Cell::Node(node) if node.doc == 0 => store.push_string_value(node.pre, out),
+            Cell::Attr(attr) if attr.doc == 1 => {
+                out.push_str(attributes.attr_value_of(attr.row as usize))
             }
+            Cell::Node(_) | Cell::Attr(_) => {}
+            atomic => panic!("atomic {atomic} handed to the store hook"),
         };
         let mut tape = Tape { bytes: &tape, at: 0 };
         let (input, schema) = kernel_input(&mut tape, rows);
