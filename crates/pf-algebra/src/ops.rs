@@ -4,15 +4,18 @@
 //! handful of helpers — aggregation, document access, node construction —
 //! that the loop-lifting compilation scheme needs).  Children are referenced
 //! by [`crate::plan::OpId`], so plans are DAGs and common
-//! subexpressions can be shared.
+//! subexpressions can be shared.  Columns are referenced by
+//! [`ColId`]; the plan holding an operator keeps their names
+//! ([`ColNames`]), which only the renderers and diagnostics read.
 
+pub use pf_relational::ops::OrderSpec as SortSpec;
 use pf_relational::ops::{
     AggFunc, BinaryOp, IndexMode, IndexProbe, IndexTarget, RankCount, UnaryOp,
 };
-use pf_relational::{Value, ValueType};
+use pf_relational::{ColId, Value, ValueType};
 use pf_store::{Axis, NodeTest};
 
-use crate::plan::OpId;
+use crate::plan::{ColNames, OpId};
 
 /// A plan constant: a known [`Value`], or a **parameter slot** — an
 /// `xs:string` whose value the plan does not carry.
@@ -67,33 +70,6 @@ impl std::fmt::Display for Const {
         match self {
             Const::Value(v) => write!(f, "{v}"),
             Const::Param(k) => write!(f, "?{k}"),
-        }
-    }
-}
-
-/// A sort key of the `%` (row numbering) operator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortSpec {
-    /// Column to order by.
-    pub column: String,
-    /// `true` for descending order.
-    pub descending: bool,
-}
-
-impl SortSpec {
-    /// Ascending sort on `column`.
-    pub fn asc(column: impl Into<String>) -> Self {
-        SortSpec {
-            column: column.into(),
-            descending: false,
-        }
-    }
-
-    /// Descending sort on `column`.
-    pub fn desc(column: impl Into<String>) -> Self {
-        SortSpec {
-            column: column.into(),
-            descending: true,
         }
     }
 }
@@ -173,8 +149,8 @@ pub enum AlgOp {
     /// A literal (constant) relation, e.g. the initial `loop` relation
     /// `{⟨iter:1⟩}` or the encoding of a literal sequence.
     Lit {
-        /// Column names.
-        columns: Vec<String>,
+        /// The columns.
+        columns: Vec<ColId>,
         /// Row values (each row has `columns.len()` entries); a template
         /// may hold parameter slots in them.
         rows: Vec<Vec<Const>>,
@@ -190,21 +166,21 @@ pub enum AlgOp {
         /// Input operator.
         input: OpId,
         /// `(source, target)` column pairs.
-        columns: Vec<(String, String)>,
+        columns: Vec<(ColId, ColId)>,
     },
     /// σ over a boolean column.
     Select {
         /// Input operator.
         input: OpId,
         /// Boolean column to filter on.
-        column: String,
+        column: ColId,
     },
     /// σ with an equality-to-constant predicate.
     SelectEq {
         /// Input operator.
         input: OpId,
         /// Column compared against the constant.
-        column: String,
+        column: ColId,
         /// The constant.
         value: Value,
     },
@@ -234,9 +210,9 @@ pub enum AlgOp {
         /// Right input.
         right: OpId,
         /// Join column of the left input.
-        left_col: String,
+        left_col: ColId,
         /// Join column of the right input.
-        right_col: String,
+        right_col: ColId,
     },
     /// Theta-join with an arbitrary comparison predicate (used for the
     /// value-based joins of XMark Q11/Q12).
@@ -246,11 +222,11 @@ pub enum AlgOp {
         /// Right input.
         right: OpId,
         /// Left comparison column.
-        left_col: String,
+        left_col: ColId,
         /// The comparison operator.
         op: BinaryOp,
         /// Right comparison column.
-        right_col: String,
+        right_col: ColId,
     },
     /// Grouped *rank count* over an inequality join (introduced by the
     /// `thetacount` optimizer rule, never by the compiler): per distinct
@@ -265,9 +241,8 @@ pub enum AlgOp {
         left: OpId,
         /// Right input (the counted side).
         right: OpId,
-        /// Columns and comparison — boxed, so that its five names do not
-        /// widen every operator of every cached plan.
-        count: Box<RankCount>,
+        /// Columns and comparison.
+        count: RankCount,
     },
     /// × — Cartesian product.
     Cross {
@@ -281,44 +256,44 @@ pub enum AlgOp {
     RowNum {
         /// Input operator.
         input: OpId,
-        /// Name of the new numbering column.
-        target: String,
+        /// The new numbering column.
+        target: ColId,
         /// Ordering criteria.
         order_by: Vec<SortSpec>,
         /// Optional partitioning column.
-        partition: Option<String>,
+        partition: Option<ColId>,
     },
     /// ⊙ — binary arithmetic / comparison / boolean operator, materializing
     /// its result as a new column.
     BinaryMap {
         /// Input operator.
         input: OpId,
-        /// Result column name.
-        target: String,
+        /// Result column.
+        target: ColId,
         /// Left operand column.
-        left: String,
+        left: ColId,
         /// The operator.
         op: BinaryOp,
         /// Right operand column.
-        right: String,
+        right: ColId,
     },
     /// Unary ⊙ (negation, casts).
     UnaryMap {
         /// Input operator.
         input: OpId,
-        /// Result column name.
-        target: String,
+        /// Result column.
+        target: ColId,
         /// The operator.
         op: UnaryOp,
         /// Operand column.
-        source: String,
+        source: ColId,
     },
     /// Attach a constant column (loop lifting of literals).
     Attach {
         /// Input operator.
         input: OpId,
-        /// New column name.
-        target: String,
+        /// New column.
+        target: ColId,
         /// The constant: a value, or a parameter slot of a template.
         value: Const,
     },
@@ -327,13 +302,13 @@ pub enum AlgOp {
         /// Input operator.
         input: OpId,
         /// Grouping column (always `iter` in compiled plans).
-        group: String,
-        /// Result column name.
-        target: String,
+        group: ColId,
+        /// Result column.
+        target: ColId,
         /// Aggregation function.
         func: AggFunc,
         /// Aggregated column.
-        value: String,
+        value: ColId,
     },
     /// The staircase join: one XPath location step applied to a context
     /// table with columns `iter|item` (items are nodes).
@@ -560,8 +535,9 @@ impl AlgOp {
     }
 
     /// Short operator name used by the plan renderers (mirrors the symbols
-    /// of Table 1 where sensible).
-    pub fn symbol(&self) -> String {
+    /// of Table 1 where sensible), its columns named by `names`.
+    pub fn symbol(&self, names: &ColNames) -> String {
+        let n = |c: &ColId| names.name(*c);
         match self {
             AlgOp::Lit { rows, .. } => format!("table[{}]", rows.len()),
             AlgOp::Doc { uri } => format!("doc(\"{uri}\")"),
@@ -570,16 +546,16 @@ impl AlgOp {
                     .iter()
                     .map(|(s, t)| {
                         if s == t {
-                            s.clone()
+                            n(s).to_string()
                         } else {
-                            format!("{t}:{s}")
+                            format!("{}:{}", n(t), n(s))
                         }
                     })
                     .collect();
                 format!("π[{}]", cols.join(","))
             }
-            AlgOp::Select { column, .. } => format!("σ[{column}]"),
-            AlgOp::SelectEq { column, value, .. } => format!("σ[{column}={value}]"),
+            AlgOp::Select { column, .. } => format!("σ[{}]", n(column)),
+            AlgOp::SelectEq { column, value, .. } => format!("σ[{}={value}]", n(column)),
             AlgOp::Distinct { .. } => "δ".to_string(),
             AlgOp::Union { .. } => "∪".to_string(),
             AlgOp::Difference { .. } => "\\".to_string(),
@@ -587,21 +563,21 @@ impl AlgOp {
                 left_col,
                 right_col,
                 ..
-            } => format!("⋈[{left_col}={right_col}]"),
+            } => format!("⋈[{}={}]", n(left_col), n(right_col)),
             AlgOp::ThetaJoin {
                 left_col,
                 op,
                 right_col,
                 ..
-            } => format!("⋈θ[{left_col} {op:?} {right_col}]"),
+            } => format!("⋈θ[{} {op:?} {}]", n(left_col), n(right_col)),
             AlgOp::ThetaCount { count, .. } => format!(
                 "#θ[{}:=count({})/{}: {} {:?} {}]",
-                count.result,
-                count.right_id,
-                count.group,
-                count.left_col,
+                n(&count.result),
+                n(&count.right_id),
+                n(&count.group),
+                n(&count.left_col),
                 count.op,
-                count.right_col
+                n(&count.right_col)
             ),
             AlgOp::Cross { .. } => "×".to_string(),
             AlgOp::RowNum {
@@ -610,10 +586,10 @@ impl AlgOp {
                 partition,
                 ..
             } => {
-                let keys: Vec<&str> = order_by.iter().map(|s| s.column.as_str()).collect();
+                let keys: Vec<&str> = order_by.iter().map(|s| n(&s.column)).collect();
                 match partition {
-                    Some(p) => format!("%{target}:⟨{}⟩/{p}", keys.join(",")),
-                    None => format!("%{target}:⟨{}⟩", keys.join(",")),
+                    Some(p) => format!("%{}:⟨{}⟩/{}", n(target), keys.join(","), n(p)),
+                    None => format!("%{}:⟨{}⟩", n(target), keys.join(",")),
                 }
             }
             AlgOp::BinaryMap {
@@ -622,17 +598,17 @@ impl AlgOp {
                 op,
                 right,
                 ..
-            } => format!("⊙{target}:({left}{op:?}{right})"),
+            } => format!("⊙{}:({}{op:?}{})", n(target), n(left), n(right)),
             AlgOp::UnaryMap {
                 target, op, source, ..
-            } => format!("⊙{target}:{op:?}({source})"),
-            AlgOp::Attach { target, value, .. } => format!("@{target}:={value}"),
+            } => format!("⊙{}:{op:?}({})", n(target), n(source)),
+            AlgOp::Attach { target, value, .. } => format!("@{}:={value}", n(target)),
             AlgOp::Aggregate {
                 target,
                 func,
                 value,
                 ..
-            } => format!("agg[{target}:={}({value})]", func.name()),
+            } => format!("agg[{}:={}({})]", n(target), func.name(), n(value)),
             AlgOp::Step { axis, test, .. } => format!("⇝[{}::{test:?}]", axis.name()),
             AlgOp::IndexScan {
                 probe, mode, param, ..
@@ -679,14 +655,15 @@ impl AlgOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cols::{col, names};
 
     #[test]
     fn children_and_replace() {
         let mut op = AlgOp::EquiJoin {
             left: 3,
             right: 5,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         };
         assert_eq!(op.children().to_vec(), vec![3, 5]);
         op.replace_child(1, 9);
@@ -694,13 +671,13 @@ mod tests {
 
         let mut p = AlgOp::Project {
             input: 1,
-            columns: vec![("a".into(), "b".into())],
+            columns: vec![(col("a"), col("b"))],
         };
         p.replace_child(0, 7);
         assert_eq!(p.children().to_vec(), vec![7]);
 
         let lit = AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         };
         assert!(lit.children().is_empty());
@@ -710,24 +687,21 @@ mod tests {
     fn symbols_are_readable() {
         let op = AlgOp::RowNum {
             input: 0,
-            target: "pos1".into(),
-            order_by: vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
-            partition: Some("outer".into()),
+            target: col("pos1"),
+            order_by: vec![SortSpec::asc(col("iter")), SortSpec::asc(col("pos"))],
+            partition: Some(col("outer")),
         };
-        assert_eq!(op.symbol(), "%pos1:⟨iter,pos⟩/outer");
+        assert_eq!(op.symbol(&names()), "%pos1:⟨iter,pos⟩/outer");
         let op = AlgOp::Project {
             input: 0,
-            columns: vec![
-                ("iter".into(), "outer".into()),
-                ("pos".into(), "pos".into()),
-            ],
+            columns: vec![(col("iter"), col("outer")), (col("pos"), col("pos"))],
         };
-        assert_eq!(op.symbol(), "π[outer:iter,pos]");
+        assert_eq!(op.symbol(&names()), "π[outer:iter,pos]");
     }
 
     #[test]
     fn sortspec_constructors() {
-        assert!(!SortSpec::asc("x").descending);
-        assert!(SortSpec::desc("x").descending);
+        assert!(!SortSpec::asc(col("x")).descending);
+        assert!(SortSpec::desc(col("x")).descending);
     }
 }

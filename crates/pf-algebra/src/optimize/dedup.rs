@@ -198,17 +198,18 @@ pub fn unshare_fusable_chains(plan: &mut Plan, report: &mut OptimizeReport) {
 #[cfg(test)]
 pub(crate) fn float_twins() -> (Plan, [(OpId, OpId); 4], [OpId; 4]) {
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::Value;
 
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let input = b.add(AlgOp::Lit {
-        columns: vec!["iter".into()],
+        columns: vec![col("iter")],
         rows: vec![vec![Value::Nat(1).into()]],
     });
     let attach = |b: &mut PlanBuilder, x: f64| {
         b.add(AlgOp::Attach {
             input,
-            target: "c".into(),
+            target: col("c"),
             value: Value::Dbl(x).into(),
         })
     };
@@ -216,7 +217,7 @@ pub(crate) fn float_twins() -> (Plan, [(OpId, OpId); 4], [OpId; 4]) {
     let nans = (attach(&mut b, f64::NAN), attach(&mut b, f64::NAN));
     let lit = |b: &mut PlanBuilder, x: f64| {
         b.add(AlgOp::Lit {
-            columns: vec!["d".into()],
+            columns: vec![col("d")],
             rows: vec![vec![Value::Dbl(x).into()]],
         })
     };
@@ -244,6 +245,7 @@ pub(crate) fn float_twins() -> (Plan, [(OpId, OpId); 4], [OpId; 4]) {
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::Value;
 
     /// Hash-consing keeps `0.0` and `-0.0` apart (they serialize
@@ -268,24 +270,24 @@ mod tests {
 
     fn lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Int(7).into()]],
         })
     }
 
     #[test]
     fn hash_cons_collapses_duplicate_subtrees_in_one_pass() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         // Two copies of lit → project → select, three levels deep.
         let branch = |b: &mut PlanBuilder| {
             let l = lit(b);
             let p = b.add(AlgOp::Project {
                 input: l,
-                columns: vec![("iter".into(), "iter".into()), ("item".into(), "v".into())],
+                columns: vec![(col("iter"), col("iter")), (col("item"), col("v"))],
             });
             b.add(AlgOp::SelectEq {
                 input: p,
-                column: "v".into(),
+                column: col("v"),
                 value: Value::Int(7),
             })
         };
@@ -309,21 +311,21 @@ mod tests {
 
     #[test]
     fn unshare_clones_shared_cheap_ops_for_fusable_consumers() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(&mut b);
         let shared = b.add(AlgOp::Attach {
             input: l,
-            target: "flag".into(),
+            target: col("flag"),
             value: Value::Bool(true).into(),
         });
         // Two fusable consumers of the shared attach.
         let c1 = b.add(AlgOp::Select {
             input: shared,
-            column: "flag".into(),
+            column: col("flag"),
         });
         let c2 = b.add(AlgOp::Project {
             input: shared,
-            columns: vec![("item".into(), "item".into())],
+            columns: vec![(col("item"), col("item"))],
         });
         let u = b.add(AlgOp::Union {
             left: c1,
@@ -346,24 +348,21 @@ mod tests {
 
     #[test]
     fn unshare_keeps_the_original_for_non_fusable_consumers() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(&mut b);
         let shared = b.add(AlgOp::Project {
             input: l,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let fuse = b.add(AlgOp::Select {
             input: shared,
-            column: "item".into(),
+            column: col("item"),
         });
         // Row numbering is a breaker: it keeps reading the original
         // operator.
         let keep = b.add(AlgOp::RowNum {
             input: shared,
-            target: "pos".into(),
+            target: col("pos"),
             order_by: vec![],
             partition: None,
         });
@@ -387,12 +386,12 @@ mod tests {
 
     #[test]
     fn unshare_leaves_expensive_ops_shared() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(&mut b);
         let shared = b.add(AlgOp::Distinct { input: l });
         let c1 = b.add(AlgOp::Select {
             input: shared,
-            column: "item".into(),
+            column: col("item"),
         });
         let c2 = b.add(AlgOp::FnData { input: shared });
         let u = b.add(AlgOp::Union {

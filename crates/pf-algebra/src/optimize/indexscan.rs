@@ -43,7 +43,7 @@
 use pf_relational::ops::{
     text_fragments, BinaryOp, CmpOp, IndexMode, IndexProbe, IndexTarget, UnaryOp,
 };
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 use pf_store::{Axis, NodeTest};
 
 use crate::ops::{AlgOp, Const};
@@ -66,9 +66,9 @@ pub(crate) fn introduce_index_scans(
     for id in plan.reachable() {
         let rewrite = match plan.op(id) {
             AlgOp::Select { input, column } => {
-                let (input, column) = (*input, column.clone());
-                match_exact(plan, &consumers, props, input, &column)
-                    .or_else(|| match_ebv_pushed(plan, &consumers, props, id, input, &column))
+                let (input, column) = (*input, *column);
+                match_exact(plan, &consumers, props, input, column)
+                    .or_else(|| match_ebv_pushed(plan, &consumers, props, id, input, column))
             }
             AlgOp::ThetaJoin {
                 left,
@@ -80,8 +80,8 @@ pub(crate) fn introduce_index_scans(
                 plan,
                 &consumers,
                 id,
-                (*left, left_col),
-                (*right, right_col),
+                (*left, *left_col),
+                (*right, *right_col),
                 *op,
             )
             .and_then(|traced| build_rewrite(plan, props, traced, IndexMode::Exact)),
@@ -135,7 +135,7 @@ struct NodeSide {
 /// A fully traced comparison: the step side, the (possibly mirrored)
 /// operator, the literal, and the constant side's `(operator, column)` —
 /// the latter so EBV matching can require the constant side to be keyed.
-type Traced = (NodeSide, BinaryOp, Const, (OpId, String));
+type Traced = (NodeSide, BinaryOp, Const, (OpId, ColId));
 
 /// Pattern A: `Select{mapped, res}` with
 /// `mapped = BinaryMap{joined, res, item ⊙ item1}` over an equi-join of a
@@ -145,7 +145,7 @@ fn match_exact(
     consumers: &[usize],
     props: &PlanProperties,
     mapped_id: OpId,
-    column: &str,
+    column: ColId,
 ) -> Option<Rewrite> {
     let AlgOp::BinaryMap {
         input: joined,
@@ -157,7 +157,7 @@ fn match_exact(
     else {
         return None;
     };
-    if target != column || consumers[mapped_id] != 1 {
+    if *target != column || consumers[mapped_id] != 1 {
         return None;
     }
     let AlgOp::EquiJoin {
@@ -171,7 +171,7 @@ fn match_exact(
     if consumers[*joined] != 1 {
         return None;
     }
-    let traced = trace_sides(plan, consumers, *joined, (*jl, left), (*jr, right), *op)?;
+    let traced = trace_sides(plan, consumers, *joined, (*jl, *left), (*jr, *right), *op)?;
     build_rewrite(plan, props, traced, IndexMode::Exact)
 }
 
@@ -185,9 +185,9 @@ fn match_ebv_pushed(
     props: &PlanProperties,
     anchor_id: OpId,
     ebv_id: OpId,
-    column: &str,
+    column: ColId,
 ) -> Option<Rewrite> {
-    if column != "item" || !matches!(plan.op(ebv_id), AlgOp::Ebv { .. }) {
+    if column != ColId::ITEM || !matches!(plan.op(ebv_id), AlgOp::Ebv { .. }) {
         return None;
     }
     if consumers[ebv_id] != 2 {
@@ -209,7 +209,7 @@ fn match_ebv_pushed(
     else {
         return None;
     };
-    if consumers[iters_id] != 1 || *ebv_again != ebv_id || !same_mapping(pic, &[("iter", "iter")]) {
+    if consumers[iters_id] != 1 || *ebv_again != ebv_id || *pic != [(ColId::ITER, ColId::ITER)] {
         return None;
     }
     let [diff_id] = consumers_of(plan, iters_id)[..] else {
@@ -227,13 +227,13 @@ fn match_ebv_pushed(
     let AlgOp::Attach { target, value, .. } = plan.op(attach_id) else {
         return None;
     };
-    if target != "item" || *value != Value::Bool(false) || consumers[attach_id] != 1 {
+    if *target != ColId::ITEM || *value != Value::Bool(false) || consumers[attach_id] != 1 {
         return None;
     }
     let [kill_id] = consumers_of(plan, attach_id)[..] else {
         return None;
     };
-    if !matches!(plan.op(kill_id), AlgOp::Select { column, .. } if column == "item") {
+    if !matches!(plan.op(kill_id), AlgOp::Select { column, .. } if *column == ColId::ITEM) {
         return None;
     }
     ebv_predicate(plan, consumers, props, ebv_id)
@@ -254,7 +254,7 @@ fn ebv_predicate(
     let AlgOp::Ebv { input: pred } = plan.op(ebv_id) else {
         return None;
     };
-    let mut col = "item".to_string();
+    let mut col = ColId::ITEM;
     let mut cur = *pred;
     loop {
         match plan.op(cur) {
@@ -262,8 +262,7 @@ fn ebv_predicate(
                 if consumers[cur] != 1 {
                     return None;
                 }
-                let (src, _) = columns.iter().find(|(_, t)| *t == col)?;
-                col = src.clone();
+                (col, _) = *columns.iter().find(|&&(_, t)| t == col)?;
                 cur = *input;
             }
             AlgOp::BinaryMap { .. } => break,
@@ -295,14 +294,13 @@ fn ebv_predicate(
     if consumers[*joined] != 1 || jl == jr {
         return None;
     }
-    let traced = trace_sides(plan, consumers, *joined, (*jl, left), (*jr, right), *op)?;
+    let traced = trace_sides(plan, consumers, *joined, (*jl, *left), (*jr, *right), *op)?;
     // EBV group sizes must equal step fan-out: the constant side may
     // contribute at most one row per iteration, i.e. its *join* column
     // must be a key (one constant row per iteration group).
     let const_id = traced.3 .0;
     let join_col = if const_id == *jl { jl_col } else { jr_col };
-    let key: std::collections::BTreeSet<String> = [join_col.clone()].into();
-    if !props.keyed_by(const_id, &key) {
+    if !props.keyed_by(const_id, &[*join_col]) {
         return None;
     }
     build_rewrite(plan, props, traced, IndexMode::Ebv)
@@ -315,27 +313,22 @@ fn trace_sides(
     plan: &Plan,
     consumers: &[usize],
     joined: OpId,
-    (jl, left): (OpId, &str),
-    (jr, right): (OpId, &str),
+    (jl, left): (OpId, ColId),
+    (jr, right): (OpId, ColId),
     op: BinaryOp,
 ) -> Option<Traced> {
     if let (Some(node), Some(constant)) = (
         trace_node_side(plan, consumers, joined, jl, left),
         trace_const_side(plan, jr, right),
     ) {
-        return Some((node, op, constant, (jr, right.to_string())));
+        return Some((node, op, constant, (jr, right)));
     }
     if let BinaryOp::Cmp(cmp) = op {
         if let (Some(node), Some(constant)) = (
             trace_node_side(plan, consumers, joined, jr, right),
             trace_const_side(plan, jl, left),
         ) {
-            return Some((
-                node,
-                BinaryOp::Cmp(cmp.mirror()),
-                constant,
-                (jl, left.to_string()),
-            ));
+            return Some((node, BinaryOp::Cmp(cmp.mirror()), constant, (jl, left)));
         }
     }
     None
@@ -354,14 +347,13 @@ fn trace_node_side(
     consumers: &[usize],
     mut parent: OpId,
     mut cur: OpId,
-    col: &str,
+    mut col: ColId,
 ) -> Option<NodeSide> {
-    let mut col = col.to_string();
     let mut to_number = false;
     loop {
         match plan.op(cur) {
             AlgOp::Step { .. } | AlgOp::DocOrder { .. } => {
-                if col != "item" {
+                if col != ColId::ITEM {
                     return None;
                 }
                 return Some(NodeSide {
@@ -374,8 +366,7 @@ fn trace_node_side(
                 if consumers[cur] != 1 {
                     return None;
                 }
-                let (src, _) = columns.iter().find(|(_, t)| *t == col)?;
-                col = src.clone();
+                (col, _) = *columns.iter().find(|&&(_, t)| t == col)?;
                 parent = cur;
                 cur = *input;
             }
@@ -403,7 +394,7 @@ fn trace_node_side(
                     return None;
                 }
                 to_number = true;
-                col = source.clone();
+                col = *source;
                 parent = cur;
                 cur = *input;
             }
@@ -415,13 +406,11 @@ fn trace_node_side(
 /// Walk one join input down to the loop-lifted literal (or parameter
 /// slot) it carries in `col`.  No consumer constraints: the constant side
 /// is never modified.
-fn trace_const_side(plan: &Plan, mut cur: OpId, col: &str) -> Option<Const> {
-    let mut col = col.to_string();
+fn trace_const_side(plan: &Plan, mut cur: OpId, mut col: ColId) -> Option<Const> {
     loop {
         match plan.op(cur) {
             AlgOp::Project { input, columns } => {
-                let (src, _) = columns.iter().find(|(_, t)| *t == col)?;
-                col = src.clone();
+                (col, _) = *columns.iter().find(|&&(_, t)| t == col)?;
                 cur = *input;
             }
             AlgOp::FnData { input } => cur = *input, // identity on atomics
@@ -442,7 +431,7 @@ fn trace_const_side(plan: &Plan, mut cur: OpId, col: &str) -> Option<Const> {
                 cur = *input;
             }
             AlgOp::Lit { columns, rows } => {
-                let idx = columns.iter().position(|c| c == &col)?;
+                let idx = columns.iter().position(|&c| c == col)?;
                 let first = rows.first()?[idx].clone();
                 return rows.iter().all(|r| r[idx] == first).then_some(first);
             }
@@ -551,14 +540,6 @@ fn build_rewrite(
         mode,
         param,
     })
-}
-
-/// Set-equality of a projection mapping against an expected set.
-fn same_mapping(columns: &[(String, String)], expected: &[(&str, &str)]) -> bool {
-    columns.len() == expected.len()
-        && expected
-            .iter()
-            .all(|(s, t)| columns.iter().any(|(cs, ct)| cs == s && ct == t))
 }
 
 /// The reachable operators consuming `target` (each listed once, however

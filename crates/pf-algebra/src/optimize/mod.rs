@@ -573,9 +573,9 @@ fn merge_projections(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
         // Compose: outer (source→target) looks up source in the inner map.
         let Some(composed) = columns
             .iter()
-            .map(|(source, target)| {
-                let (orig, _) = inner_columns.iter().rfind(|(_, t)| t == source)?;
-                Some((orig.clone(), target.clone()))
+            .map(|&(source, target)| {
+                let &(orig, _) = inner_columns.iter().rfind(|&&(_, t)| t == source)?;
+                Some((orig, target))
             })
             .collect::<Option<Vec<_>>>()
         else {
@@ -623,12 +623,13 @@ fn remove_identity_projections(
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::Value;
     use pf_store::{Axis, NodeTest};
 
     fn lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: vec![vec![
                 Value::Nat(1).into(),
                 Value::Nat(1).into(),
@@ -639,18 +640,15 @@ mod tests {
 
     #[test]
     fn merges_stacked_projections() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = big_lit(&mut b);
         let p1 = b.add(AlgOp::Project {
             input: l,
-            columns: vec![
-                ("iter".into(), "outer".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("outer")), (col("item"), col("item"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: p1,
-            columns: vec![("outer".into(), "iter".into())],
+            columns: vec![(col("outer"), col("iter"))],
         });
         let mut plan = b.finish(p2);
         let report = optimize(&mut plan);
@@ -660,21 +658,21 @@ mod tests {
             plan.op(plan.root()),
             &AlgOp::Project {
                 input: l,
-                columns: vec![("iter".into(), "iter".into())],
+                columns: vec![(col("iter"), col("iter"))],
             }
         );
     }
 
     #[test]
     fn removes_identity_projection() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = big_lit(&mut b);
         let p = b.add(AlgOp::Project {
             input: l,
             columns: vec![
-                ("iter".into(), "iter".into()),
-                ("pos".into(), "pos".into()),
-                ("item".into(), "item".into()),
+                (col("iter"), col("iter")),
+                (col("pos"), col("pos")),
+                (col("item"), col("item")),
             ],
         });
         let mut plan = b.finish(p);
@@ -685,9 +683,9 @@ mod tests {
 
     #[test]
     fn removes_redundant_doc_order_after_step() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let d = b.add(AlgOp::Doc {
@@ -709,9 +707,9 @@ mod tests {
 
     #[test]
     fn removes_redundant_distinct() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![],
         });
         let step = b.add(AlgOp::Step {
@@ -729,7 +727,7 @@ mod tests {
     /// leaves the operators over it in place.
     fn big_lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: (0..=pushdown::LIT_FOLD_CAP as u64)
                 .map(|i| {
                     vec![
@@ -744,22 +742,22 @@ mod tests {
 
     #[test]
     fn cse_merges_identical_subplans() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l1 = big_lit(&mut b);
         let l2 = big_lit(&mut b);
         let p1 = b.add(AlgOp::Project {
             input: l1,
-            columns: vec![("iter".into(), "iter".into()), ("item".into(), "a".into())],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("a"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: l2,
-            columns: vec![("iter".into(), "iter1".into()), ("item".into(), "b".into())],
+            columns: vec![(col("iter"), col("iter1")), (col("item"), col("b"))],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: p1,
             right: p2,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         let mut plan = b.finish(join);
         let before = plan.operator_count();
@@ -774,14 +772,14 @@ mod tests {
 
     #[test]
     fn folds_constant_attach_into_literal() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()], vec![Value::Nat(2).into()]],
         });
         let a = b.add(AlgOp::Attach {
             input: l,
-            target: "pos".into(),
+            target: col("pos"),
             value: Value::Nat(1).into(),
         });
         let mut plan = b.finish(a);
@@ -789,7 +787,7 @@ mod tests {
         assert_eq!(report.constants_folded, 1);
         match plan.op(plan.root()) {
             AlgOp::Lit { columns, rows } => {
-                assert_eq!(columns, &vec!["iter".to_string(), "pos".to_string()]);
+                assert_eq!(columns, &vec![col("iter"), col("pos")]);
                 assert_eq!(rows[1], vec![Value::Nat(2), Value::Nat(1)]);
             }
             other => panic!("expected folded literal, found {other:?}"),
@@ -801,9 +799,9 @@ mod tests {
     /// one of its consumers, so the plan grows from 8 operators to 9.
     #[test]
     fn reduction_is_negative_when_the_plan_grows() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let d = b.add(AlgOp::Doc {
@@ -817,28 +815,28 @@ mod tests {
         });
         let map = b.add(AlgOp::UnaryMap {
             input: step,
-            target: "s".into(),
+            target: col("s"),
             op: pf_relational::ops::UnaryOp::ToString,
-            source: "item".into(),
+            source: col("item"),
         });
         let sel = b.add(AlgOp::SelectEq {
             input: map,
-            column: "pos".into(),
+            column: col("pos"),
             value: Value::Nat(1),
         });
         let proj = b.add(AlgOp::Project {
             input: map,
             columns: vec![
-                ("iter".into(), "iter1".into()),
-                ("pos".into(), "pos1".into()),
-                ("s".into(), "s1".into()),
+                (col("iter"), col("iter1")),
+                (col("pos"), col("pos1")),
+                (col("s"), col("s1")),
             ],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: sel,
             right: proj,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         let mut plan = b.finish(join);
         let report = optimize(&mut plan);
@@ -850,14 +848,14 @@ mod tests {
 
     #[test]
     fn optimization_reaches_a_fixpoint_and_shrinks() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(&mut b);
         let p = b.add(AlgOp::Project {
             input: l,
             columns: vec![
-                ("iter".into(), "iter".into()),
-                ("pos".into(), "pos".into()),
-                ("item".into(), "item".into()),
+                (col("iter"), col("iter")),
+                (col("pos"), col("pos")),
+                (col("item"), col("item")),
             ],
         });
         let ddo = b.add(AlgOp::DocOrder { input: p });

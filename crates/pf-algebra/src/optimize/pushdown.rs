@@ -24,7 +24,7 @@ use super::OptimizeReport;
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
 use crate::properties::PlanProperties;
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 
 /// Largest literal table the folds will copy.
 pub(crate) const LIT_FOLD_CAP: usize = 64;
@@ -83,11 +83,11 @@ fn push_one<'p>(
     plan: &mut Plan,
     id: OpId,
     consumers: &[usize],
-    columns: impl Fn(OpId) -> &'p [String],
+    columns: impl Fn(OpId) -> &'p [ColId],
 ) -> Vec<OpId> {
     let (input, column) = match plan.op(id) {
         AlgOp::Select { input, column } | AlgOp::SelectEq { input, column, .. } => {
-            (*input, column.clone())
+            (*input, *column)
         }
         _ => return Vec::new(),
     };
@@ -107,10 +107,9 @@ fn push_one<'p>(
     match plan.op(input).clone() {
         AlgOp::Project { input: x, columns } => {
             // Rename the predicate column back to its source name.
-            let Some((source, _)) = columns.iter().find(|(_, t)| *t == column) else {
+            let Some(&(source, _)) = columns.iter().find(|&&(_, t)| t == column) else {
                 return Vec::new();
             };
-            let source = source.clone();
             let pushed = sigma(plan, x);
             match &mut plan.ops_mut()[pushed] {
                 AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => {
@@ -261,7 +260,7 @@ fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 column,
                 value,
             } => {
-                let Some(idx) = lit_column(plan, input, &column) else {
+                let Some(idx) = lit_column(plan, input, column) else {
                     continue;
                 };
                 // A parameter slot may or may not equal the constant.
@@ -275,7 +274,7 @@ fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                 (input, Box::new(move |row: &[Const]| row[idx] == value))
             }
             AlgOp::Select { input, column } => {
-                let Some(idx) = lit_column(plan, input, &column) else {
+                let Some(idx) = lit_column(plan, input, column) else {
                     continue;
                 };
                 // select_true errors on non-booleans; only fold when the
@@ -317,7 +316,7 @@ fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
                     .map(|r| indices.iter().map(|&i| r[i].clone()).collect())
                     .collect();
                 plan.ops_mut()[id] = AlgOp::Lit {
-                    columns: columns.iter().map(|(_, t)| t.clone()).collect(),
+                    columns: columns.iter().map(|&(_, t)| t).collect(),
                     rows: new_rows,
                 };
                 report.constants_folded += 1;
@@ -363,24 +362,25 @@ fn fold_literals(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
 }
 
 /// If `input` is a small literal containing `column`, its index.
-fn lit_column(plan: &Plan, input: usize, column: &str) -> Option<usize> {
+fn lit_column(plan: &Plan, input: usize, column: ColId) -> Option<usize> {
     let AlgOp::Lit { columns, rows } = plan.op(input) else {
         return None;
     };
     if rows.len() > LIT_FOLD_CAP {
         return None;
     }
-    columns.iter().position(|c| c == column)
+    columns.iter().position(|&c| c == column)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{OpId, PlanBuilder};
+    use crate::test_cols::{builder, col};
 
     fn lit2(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "flag".into()],
+            columns: vec![col("iter"), col("flag")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Bool(true).into()],
                 vec![Value::Nat(2).into(), Value::Bool(false).into()],
@@ -390,9 +390,9 @@ mod tests {
 
     #[test]
     fn pushes_select_through_projection_with_rename() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["a".into(), "b".into()],
+            columns: vec![col("a"), col("b")],
             rows: (0..100)
                 .map(|i| vec![Value::Nat(i).into(), Value::Nat(i % 7).into()])
                 .collect(),
@@ -400,11 +400,11 @@ mod tests {
         let d = b.add(AlgOp::Distinct { input: l });
         let p = b.add(AlgOp::Project {
             input: d,
-            columns: vec![("a".into(), "x".into()), ("b".into(), "y".into())],
+            columns: vec![(col("a"), col("x")), (col("b"), col("y"))],
         });
         let s = b.add(AlgOp::SelectEq {
             input: p,
-            column: "y".into(),
+            column: col("y"),
             value: Value::Nat(3),
         });
         let mut plan = b.finish(s);
@@ -420,23 +420,23 @@ mod tests {
             panic!("expected distinct under the projection");
         };
         match plan.op(*input) {
-            AlgOp::SelectEq { column, .. } => assert_eq!(column, "b"),
+            AlgOp::SelectEq { column, .. } => assert_eq!(*column, col("b")),
             other => panic!("expected pushed selection, found {other:?}"),
         }
     }
 
     #[test]
     fn pushes_select_below_join_on_owning_side() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let left = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: (0..80)
                 .map(|i| vec![Value::Nat(i).into(), Value::Nat(i).into()])
                 .collect(),
         });
         let dl = b.add(AlgOp::Distinct { input: left });
         let right = b.add(AlgOp::Lit {
-            columns: vec!["iter1".into(), "val".into()],
+            columns: vec![col("iter1"), col("val")],
             rows: (0..80)
                 .map(|i| vec![Value::Nat(i).into(), Value::Nat(i * 2).into()])
                 .collect(),
@@ -445,12 +445,12 @@ mod tests {
         let j = b.add(AlgOp::EquiJoin {
             left: dl,
             right: dr,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         let s = b.add(AlgOp::SelectEq {
             input: j,
-            column: "val".into(),
+            column: col("val"),
             value: Value::Nat(4),
         });
         let mut plan = b.finish(s);
@@ -470,12 +470,12 @@ mod tests {
 
     #[test]
     fn does_not_push_under_shared_children() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit2(&mut b);
         let d = b.add(AlgOp::Distinct { input: l });
         let s = b.add(AlgOp::Select {
             input: d,
-            column: "flag".into(),
+            column: col("flag"),
         });
         // Second consumer of the δ: pushing the σ below it would filter
         // rows this branch still needs.
@@ -489,16 +489,16 @@ mod tests {
 
     #[test]
     fn folds_select_eq_and_projection_over_literals() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit2(&mut b);
         let s = b.add(AlgOp::SelectEq {
             input: l,
-            column: "iter".into(),
+            column: col("iter"),
             value: Value::Nat(2),
         });
         let p = b.add(AlgOp::Project {
             input: s,
-            columns: vec![("flag".into(), "f".into())],
+            columns: vec![(col("flag"), col("f"))],
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
@@ -507,7 +507,7 @@ mod tests {
         assert_eq!(report.constants_folded, 2);
         match plan.op(plan.root()) {
             AlgOp::Lit { columns, rows } => {
-                assert_eq!(columns, &vec!["f".to_string()]);
+                assert_eq!(columns, &vec![col("f")]);
                 assert_eq!(rows, &vec![vec![Value::Bool(false)]]);
             }
             other => panic!("expected fully folded literal, found {other:?}"),
@@ -516,14 +516,14 @@ mod tests {
 
     #[test]
     fn boolean_select_only_folds_all_bool_columns() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["flag".into()],
+            columns: vec![col("flag")],
             rows: vec![vec![Value::Bool(true).into()], vec![Value::Nat(1).into()]],
         });
         let s = b.add(AlgOp::Select {
             input: l,
-            column: "flag".into(),
+            column: col("flag"),
         });
         let mut plan = b.finish(s);
         let mut report = OptimizeReport::default();
@@ -539,9 +539,9 @@ mod tests {
     #[test]
     fn folds_stop_at_the_literal_cap() {
         let fold = |rows: usize, op: fn(OpId) -> AlgOp| {
-            let mut b = PlanBuilder::new();
+            let mut b = builder();
             let l = b.add(AlgOp::Lit {
-                columns: vec!["iter".into(), "flag".into()],
+                columns: vec![col("iter"), col("flag")],
                 rows: (0..rows as u64)
                     .map(|i| vec![Value::Nat(i).into(), Value::Bool(true).into()])
                     .collect(),
@@ -556,20 +556,20 @@ mod tests {
         let ops: [fn(OpId) -> AlgOp; 4] = [
             |input| AlgOp::Attach {
                 input,
-                target: "pos".into(),
+                target: col("pos"),
                 value: Value::Nat(1).into(),
             },
             |input| AlgOp::Project {
                 input,
-                columns: vec![("iter".into(), "pos".into())],
+                columns: vec![(col("iter"), col("pos"))],
             },
             |input| AlgOp::Select {
                 input,
-                column: "flag".into(),
+                column: col("flag"),
             },
             |input| AlgOp::SelectEq {
                 input,
-                column: "iter".into(),
+                column: col("iter"),
                 value: Value::Nat(3),
             },
         ];

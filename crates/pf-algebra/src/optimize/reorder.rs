@@ -26,6 +26,8 @@
 
 use std::collections::HashMap;
 
+use pf_relational::ColId;
+
 use super::{redirect, OptimizeReport};
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
@@ -33,20 +35,22 @@ use crate::properties::PlanProperties;
 
 /// A join predicate resolved to leaf coordinates:
 /// `((leaf, col), (leaf, col))`.
-type Pred = ((usize, String), (usize, String));
+type Pred = ((usize, ColId), (usize, ColId));
 
 /// Where a column visible at a cluster edge ultimately comes from.
 #[derive(Debug, Clone, PartialEq)]
 enum Origin {
     /// Column `1` of cluster leaf `0`.
-    Leaf(usize, String),
+    Leaf(usize, ColId),
     /// An `Attach`ed constant.
     Const(Const),
 }
 
-/// The α-name leaf `i`'s column `col` gets inside a rebuilt chain.
-fn alpha(i: usize, col: &str) -> String {
-    format!("{col}__jg{i}")
+/// The α-column leaf `i`'s column `col` becomes inside a rebuilt chain,
+/// named `{col}__jg{i}` in `plan`.
+fn alpha(plan: &mut Plan, i: usize, col: ColId) -> ColId {
+    let name = format!("{}__jg{i}", plan.name(col));
+    plan.col(&name)
 }
 
 /// Reorder every equi-join cluster `props` justifies, top-down; `true` if
@@ -146,8 +150,8 @@ pub fn reorder_join_graphs(
                     continue;
                 }
                 let (set_side, leaf_side) = match (in_set[*la], in_set[*lb]) {
-                    (true, false) => ((*la, ca.clone()), (*lb, cb.clone())),
-                    (false, true) => ((*lb, cb.clone()), (*la, ca.clone())),
+                    (true, false) => ((*la, *ca), (*lb, *cb)),
+                    (false, true) => ((*lb, *cb), (*la, *ca)),
                     _ => continue,
                 };
                 let leaf = leaf_side.0;
@@ -192,19 +196,19 @@ pub fn reorder_join_graphs(
         // Each leaf only needs the columns the predicates and the root
         // schema reference.
         let root_cols = props.columns(root).to_vec();
-        let mut needed: Vec<Vec<String>> = vec![Vec::new(); n];
-        let mut need = |leaf: usize, col: &str| {
-            if !needed[leaf].iter().any(|c| c == col) {
-                needed[leaf].push(col.to_string());
+        let mut needed: Vec<Vec<ColId>> = vec![Vec::new(); n];
+        let mut need = |leaf: usize, col: ColId| {
+            if !needed[leaf].contains(&col) {
+                needed[leaf].push(col);
             }
         };
-        for ((la, ca), (lb, cb)) in &preds {
-            need(*la, ca);
-            need(*lb, cb);
+        for &((la, ca), (lb, cb)) in &preds {
+            need(la, ca);
+            need(lb, cb);
         }
         for col in &root_cols {
-            if let Some(Origin::Leaf(leaf, src)) = colmap.get(col) {
-                need(*leaf, src);
+            if let Some(&Origin::Leaf(leaf, src)) = colmap.get(col) {
+                need(leaf, src);
             }
         }
 
@@ -212,7 +216,7 @@ pub fn reorder_join_graphs(
         // projection (re-attaching interposer constants).
         let alpha_leaf: Vec<OpId> = (0..n)
             .map(|i| {
-                let columns = needed[i].iter().map(|c| (c.clone(), alpha(i, c))).collect();
+                let columns = needed[i].iter().map(|&c| (c, alpha(plan, i, c))).collect();
                 plan.ops_mut().push(AlgOp::Project {
                     input: leaves[i],
                     columns,
@@ -221,27 +225,28 @@ pub fn reorder_join_graphs(
             })
             .collect();
         let mut acc = alpha_leaf[order[0]];
-        for ((sl, sc), (ll, lc)) in &chain {
+        for &((sl, sc), (ll, lc)) in &chain {
+            let (left_col, right_col) = (alpha(plan, sl, sc), alpha(plan, ll, lc));
             plan.ops_mut().push(AlgOp::EquiJoin {
                 left: acc,
-                right: alpha_leaf[*ll],
-                left_col: alpha(*sl, sc),
-                right_col: alpha(*ll, lc),
+                right: alpha_leaf[ll],
+                left_col,
+                right_col,
             });
             acc = plan.ops_mut().len() - 1;
         }
-        let mut restore: Vec<(String, String)> = Vec::new();
-        for col in &root_cols {
-            match &colmap[col] {
-                Origin::Leaf(leaf, src) => restore.push((alpha(*leaf, src), col.clone())),
+        let mut restore: Vec<(ColId, ColId)> = Vec::new();
+        for &col in &root_cols {
+            match &colmap[&col] {
+                &Origin::Leaf(leaf, src) => restore.push((alpha(plan, leaf, src), col)),
                 Origin::Const(value) => {
                     plan.ops_mut().push(AlgOp::Attach {
                         input: acc,
-                        target: col.clone(),
+                        target: col,
                         value: value.clone(),
                     });
                     acc = plan.ops_mut().len() - 1;
-                    restore.push((col.clone(), col.clone()));
+                    restore.push((col, col));
                 }
             }
         }
@@ -271,7 +276,7 @@ struct Cluster {
     /// `((leaf, col), (leaf, col))`.
     preds: Vec<Pred>,
     /// The cluster root's visible columns → their origins.
-    colmap: HashMap<String, Origin>,
+    colmap: HashMap<ColId, Origin>,
 }
 
 /// Collect the cluster rooted at the equi-join `root`: recurse through
@@ -307,7 +312,7 @@ fn collect_edge(
     props: &PlanProperties,
     leaves: &mut Vec<OpId>,
     preds: &mut Vec<Pred>,
-) -> Option<HashMap<String, Origin>> {
+) -> Option<HashMap<ColId, Origin>> {
     // Walk the interposer chain down to a join or a leaf.
     let mut interposers: Vec<OpId> = Vec::new();
     let mut cur = node;
@@ -324,7 +329,7 @@ fn collect_edge(
             _ => break None,
         }
     };
-    let mut map: HashMap<String, Origin> = match bottom {
+    let mut map: HashMap<ColId, Origin> = match bottom {
         Some(join) => {
             let AlgOp::EquiJoin {
                 left,
@@ -342,7 +347,7 @@ fn collect_edge(
             else {
                 return None; // predicate over an attached constant
             };
-            preds.push(((*la, ca.clone()), (*lb, cb.clone())));
+            preds.push(((*la, *ca), (*lb, *cb)));
             let mut map = lmap;
             for (col, origin) in rmap {
                 if map.insert(col, origin).is_some() {
@@ -361,7 +366,7 @@ fn collect_edge(
                 props
                     .columns(leaf)
                     .iter()
-                    .map(|c| (c.clone(), Origin::Leaf(idx, c.clone())))
+                    .map(|&c| (c, Origin::Leaf(idx, c)))
                     .collect(),
             );
         }
@@ -372,12 +377,12 @@ fn collect_edge(
             AlgOp::Project { columns, .. } => {
                 let mut next = HashMap::new();
                 for (src, tgt) in columns {
-                    next.insert(tgt.clone(), map.get(src)?.clone());
+                    next.insert(*tgt, map.get(src)?.clone());
                 }
                 map = next;
             }
             AlgOp::Attach { target, value, .. } => {
-                map.insert(target.clone(), Origin::Const(value.clone()));
+                map.insert(*target, Origin::Const(value.clone()));
             }
             _ => unreachable!("interposers are projects or attaches"),
         }
@@ -389,6 +394,7 @@ fn collect_edge(
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::Value;
 
     /// The rule over a fresh statistics-free analysis, as the driver
@@ -403,7 +409,7 @@ mod tests {
     /// key and joins on shared key ranges behave like a star schema.
     fn relation(b: &mut PlanBuilder, key_col: &str, val_col: &str, rows: u64) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec![key_col.into(), val_col.into()],
+            columns: vec![col(key_col), col(val_col)],
             rows: (0..rows)
                 .map(|i| vec![Value::Nat(i).into(), Value::Nat(i * 10).into()])
                 .collect(),
@@ -419,14 +425,14 @@ mod tests {
         let j1 = b.add(AlgOp::EquiJoin {
             left: a,
             right: bb,
-            left_col: "b_k".into(),
-            right_col: "b_k2".into(),
+            left_col: col("b_k"),
+            right_col: col("b_k2"),
         });
         let j2 = b.add(AlgOp::EquiJoin {
             left: j1,
             right: c,
-            left_col: "c_k".into(),
-            right_col: "c_k2".into(),
+            left_col: col("c_k"),
+            right_col: col("c_k2"),
         });
         (a, bb, c, j2)
     }
@@ -437,7 +443,7 @@ mod tests {
         // serialization's pos sort covers a key.
         let p = b.add(AlgOp::Project {
             input,
-            columns: vec![("a_k".into(), "pos".into()), ("c_v".into(), "item".into())],
+            columns: vec![(col("a_k"), col("pos")), (col("c_v"), col("item"))],
         });
         b.finish(p)
     }
@@ -453,7 +459,7 @@ mod tests {
 
     #[test]
     fn reorders_left_deep_by_estimate_and_restores_columns() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let (_a, bb, c, root) = three_way(&mut b);
         let mut plan = finish_order_free(b, root);
         let before_cols = PlanProperties::analyze(&plan).columns(root).to_vec();
@@ -473,10 +479,7 @@ mod tests {
             panic!("expected the restore projection, got {:?}", plan.op(*input));
         };
         assert_eq!(
-            restore_cols
-                .iter()
-                .map(|(_, t)| t.clone())
-                .collect::<Vec<_>>(),
+            restore_cols.iter().map(|(_, t)| *t).collect::<Vec<_>>(),
             before_cols
         );
         // The chain starts from the smallest leaf: C ⋈ B, then A.
@@ -502,7 +505,7 @@ mod tests {
 
     #[test]
     fn reordering_reaches_a_fixpoint() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let (_a, _bb, _c, root) = three_way(&mut b);
         let mut plan = finish_order_free(b, root);
         let mut report = OptimizeReport::default();
@@ -514,13 +517,13 @@ mod tests {
 
     #[test]
     fn order_sensitive_roots_are_left_alone() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let (_a, _bb, _c, root) = three_way(&mut b);
         // No pos column at the root: serialization order depends on row
         // order, so the cluster must not move.
         let p = b.add(AlgOp::Project {
             input: root,
-            columns: vec![("c_v".into(), "item".into())],
+            columns: vec![(col("c_v"), col("item"))],
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
@@ -529,18 +532,18 @@ mod tests {
 
     #[test]
     fn two_way_joins_are_left_alone() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let a = relation(&mut b, "a_k", "b_k", 10);
         let bb = relation(&mut b, "b_k2", "c_v", 2);
         let j = b.add(AlgOp::EquiJoin {
             left: a,
             right: bb,
-            left_col: "b_k".into(),
-            right_col: "b_k2".into(),
+            left_col: col("b_k"),
+            right_col: col("b_k2"),
         });
         let p = b.add(AlgOp::Project {
             input: j,
-            columns: vec![("a_k".into(), "pos".into()), ("c_v".into(), "item".into())],
+            columns: vec![(col("a_k"), col("pos")), (col("c_v"), col("item"))],
         });
         let mut plan = b.finish(p);
         let mut report = OptimizeReport::default();
@@ -553,38 +556,38 @@ mod tests {
     /// schema.
     #[test]
     fn clusters_reach_through_project_and_attach_interposers() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let a = relation(&mut b, "a_k", "b_k", 40);
         let bb = relation(&mut b, "b_k2", "c_k", 4);
         let c = relation(&mut b, "c_k2", "c_v", 2);
         let j1 = b.add(AlgOp::EquiJoin {
             left: a,
             right: bb,
-            left_col: "b_k".into(),
-            right_col: "b_k2".into(),
+            left_col: col("b_k"),
+            right_col: col("b_k2"),
         });
         // Interposers: rename c_k → hop, attach a constant flag.
         let ren = b.add(AlgOp::Project {
             input: j1,
-            columns: vec![("a_k".into(), "a_k".into()), ("c_k".into(), "hop".into())],
+            columns: vec![(col("a_k"), col("a_k")), (col("c_k"), col("hop"))],
         });
         let att = b.add(AlgOp::Attach {
             input: ren,
-            target: "flag".into(),
+            target: col("flag"),
             value: Value::Nat(7).into(),
         });
         let j2 = b.add(AlgOp::EquiJoin {
             left: att,
             right: c,
-            left_col: "hop".into(),
-            right_col: "c_k2".into(),
+            left_col: col("hop"),
+            right_col: col("c_k2"),
         });
         let p = b.add(AlgOp::Project {
             input: j2,
             columns: vec![
-                ("a_k".into(), "pos".into()),
-                ("flag".into(), "flag".into()),
-                ("c_v".into(), "item".into()),
+                (col("a_k"), col("pos")),
+                (col("flag"), col("flag")),
+                (col("c_v"), col("item")),
             ],
         });
         let mut plan = b.finish(p);
@@ -599,6 +602,6 @@ mod tests {
         assert!(!reorder(&mut plan, &mut report2));
         // The attached constant column survives at the root.
         let props = PlanProperties::analyze(&plan);
-        assert!(props.columns(plan.root()).iter().any(|c| c == "flag"));
+        assert!(props.columns(plan.root()).contains(&col("flag")));
     }
 }

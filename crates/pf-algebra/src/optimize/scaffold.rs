@@ -37,9 +37,7 @@
 //! rewrites in the same sweep read them as they are; the operators a
 //! rewrite creates are never read.
 
-use std::collections::BTreeSet;
-
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 
 use super::OptimizeReport;
 use crate::ops::{AlgOp, Const};
@@ -111,12 +109,14 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
         }
         AlgOp::Select { input, column } => {
             let input = *input;
-            (props.constant_value(input, column) == Some(&Value::Bool(true)))
+            (props.constant_value(input, *column) == Some(&Value::Bool(true)))
                 .then(|| same(input))?
         }
         &AlgOp::Ebv { input } => {
-            let boolean = props.types(input, "item").is_some_and(|t| t.is_boolean());
-            (boolean && props.keyed_by(input, &set("iter"))).then(|| same(input))?
+            let boolean = props
+                .types(input, ColId::ITEM)
+                .is_some_and(|t| t.is_boolean());
+            (boolean && props.keyed_by(input, &[ColId::ITER])).then(|| same(input))?
         }
         // A keyed input has no duplicate rows for δ to remove, and an input
         // in distinct document order nothing for `ddo` to do.
@@ -129,14 +129,14 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
             right_col,
         } => {
             let (left, right) = (*left, *right);
-            let (left_col, right_col) = (left_col.clone(), right_col.clone());
-            if let Some(chain) = loop_lookup(plan, props, (left, &left_col), (right, &right_col)) {
+            let (left_col, right_col) = (*left_col, *right_col);
+            if let Some(chain) = loop_lookup(plan, props, (left, left_col), (right, right_col)) {
                 return Some((reorder_to(chain, columns()), false));
             }
             if !props.order_free(id) {
                 return None;
             }
-            let chain = loop_lookup(plan, props, (right, &right_col), (left, &left_col))?;
+            let chain = loop_lookup(plan, props, (right, right_col), (left, left_col))?;
             Some((reorder_to(chain, columns()), true))
         }
         AlgOp::RowNum {
@@ -145,27 +145,26 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
             order_by,
             partition,
         } => {
-            let input = *input;
+            let (input, target) = (*input, *target);
             let one = || AlgOp::Attach {
                 input,
-                target: target.clone(),
+                target,
                 value: Value::Nat(1).into(),
             };
             // At most one row, or one row per partition already in
             // partition order: every row is number 1.
-            if props.keyed_by(input, &BTreeSet::new()) {
+            if props.keyed_by(input, &[]) {
                 return Some((one(), false));
             }
             let seq = props.sequence(input)?;
-            if partition.as_deref() == Some("iter") && props.keyed_by(input, &set("iter")) {
+            if *partition == Some(ColId::ITER) && props.keyed_by(input, &[ColId::ITER]) {
                 return Some((one(), false));
             }
             // Numbering a dense sequence in its own order reproduces it.
             let constants = props.constants(input);
-            let per_iter = match partition.as_deref() {
-                Some("iter") => true,
-                Some(_) => false,
-                None => constants.contains_key("iter"),
+            let per_iter = match partition {
+                Some(p) => *p == ColId::ITER,
+                None => constants.contains_key(&ColId::ITER),
             };
             let mut keys = order_by
                 .iter()
@@ -178,12 +177,9 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
             if !(per_iter && seq.dense && in_order) {
                 return None;
             }
-            let mut columns: Vec<(String, String)> = props
-                .columns(input)
-                .iter()
-                .map(|c| (c.clone(), c.clone()))
-                .collect();
-            columns.push((seq.column.clone(), target.clone()));
+            let mut columns: Vec<(ColId, ColId)> =
+                props.columns(input).iter().map(|&c| (c, c)).collect();
+            columns.push((seq.column, target));
             Some((AlgOp::Project { input, columns }, false))
         }
         _ => None,
@@ -198,27 +194,23 @@ fn rewrite(plan: &mut Plan, props: &PlanProperties, id: OpId) -> Option<(AlgOp, 
 fn loop_lookup(
     plan: &mut Plan,
     props: &PlanProperties,
-    (kept, kc): (OpId, &str),
-    (lookup, lc): (OpId, &str),
+    (kept, kc): (OpId, ColId),
+    (lookup, lc): (OpId, ColId),
 ) -> Option<OpId> {
-    if !props.keyed_by(lookup, &set(lc)) || !props.value_subset(kept, kc, lookup, lc) {
+    if !props.keyed_by(lookup, &[lc]) || !props.value_subset(kept, kc, lookup, lc) {
         return None;
     }
     if !opset_subset(props.raisers(lookup), props.raisers(kept)) {
         return None;
     }
-    let constants: Vec<(String, Const)> = props
+    let constants: Vec<(ColId, Const)> = props
         .columns(lookup)
         .iter()
-        .filter(|c| *c != lc)
-        .map(|c| Some((c.clone(), props.constant(lookup, c)?.clone())))
+        .filter(|&&c| c != lc)
+        .map(|&c| Some((c, props.constant(lookup, c)?.clone())))
         .collect::<Option<_>>()?;
-    let mut columns: Vec<(String, String)> = props
-        .columns(kept)
-        .iter()
-        .map(|c| (c.clone(), c.clone()))
-        .collect();
-    columns.push((kc.to_string(), lc.to_string()));
+    let mut columns: Vec<(ColId, ColId)> = props.columns(kept).iter().map(|&c| (c, c)).collect();
+    columns.push((kc, lc));
     let mut top = push(
         plan,
         AlgOp::Project {
@@ -241,10 +233,10 @@ fn loop_lookup(
 
 /// `π[columns]` over `input`: the identity when `input` already has
 /// them in that order (the identity-projection rule removes it).
-fn reorder_to(input: OpId, columns: &[String]) -> AlgOp {
+fn reorder_to(input: OpId, columns: &[ColId]) -> AlgOp {
     AlgOp::Project {
         input,
-        columns: columns.iter().map(|c| (c.clone(), c.clone())).collect(),
+        columns: columns.iter().map(|&c| (c, c)).collect(),
     }
 }
 
@@ -253,22 +245,19 @@ fn push(plan: &mut Plan, op: AlgOp) -> OpId {
     plan.ops().len() - 1
 }
 
-fn set(col: &str) -> BTreeSet<String> {
-    std::iter::once(col.to_string()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use crate::verify::{digest, verify_rewrite};
     use pf_relational::ops::BinaryOp;
     use pf_relational::value::ArithOp;
 
     fn lit(b: &mut PlanBuilder, columns: &[&str], rows: Vec<Vec<Value>>) -> OpId {
         b.add(AlgOp::Lit {
-            columns: columns.iter().map(|c| c.to_string()).collect(),
+            columns: columns.iter().map(|c| col(c)).collect(),
             rows: rows
                 .into_iter()
                 .map(|r| r.into_iter().map(Const::from).collect())
@@ -294,7 +283,7 @@ mod tests {
     /// `⋈[iter=iter1](L, lookup)`, the lookup side `@c:="x"(π[iter1:iter](L))`
     /// unless `rows` gives a literal instead.
     fn loop_join(rows: Option<Vec<Vec<Value>>>) -> (Plan, OpId) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(
             &mut b,
             &["iter", "item"],
@@ -305,11 +294,11 @@ mod tests {
             None => {
                 let keys = b.add(AlgOp::Project {
                     input: l,
-                    columns: vec![("iter".into(), "iter1".into())],
+                    columns: vec![(col("iter"), col("iter1"))],
                 });
                 b.add(AlgOp::Attach {
                     input: keys,
-                    target: "c".into(),
+                    target: col("c"),
                     value: Value::Str("x".into()).into(),
                 })
             }
@@ -317,8 +306,8 @@ mod tests {
         let j = b.add(AlgOp::EquiJoin {
             left: l,
             right: r,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         (b.finish(j), j)
     }
@@ -339,7 +328,7 @@ mod tests {
         // `m` repeats iter 1; the loop is δ(π[iter](m)), the lookup side
         // `@c:="x"(π[iter1:iter](m))` holds exactly the loop's values but
         // two rows for iter 1.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let m = lit(
             &mut b,
             &["iter", "item"],
@@ -347,23 +336,23 @@ mod tests {
         );
         let iters = b.add(AlgOp::Project {
             input: m,
-            columns: vec![("iter".into(), "iter".into())],
+            columns: vec![(col("iter"), col("iter"))],
         });
         let l = b.add(AlgOp::Distinct { input: iters });
         let keys = b.add(AlgOp::Project {
             input: m,
-            columns: vec![("iter".into(), "iter1".into())],
+            columns: vec![(col("iter"), col("iter1"))],
         });
         let r = b.add(AlgOp::Attach {
             input: keys,
-            target: "c".into(),
+            target: col("c"),
             value: Value::Str("x".into()).into(),
         });
         let j = b.add(AlgOp::EquiJoin {
             left: l,
             right: r,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         let mut plan = b.finish(j);
         sweep(&mut plan);
@@ -385,33 +374,30 @@ mod tests {
     /// `∪(a, π[iter,item](σ[f](@f:=false(x))))`, where `x` computes a map
     /// when `raising`.
     fn dead_arm(raising: bool) -> (Plan, OpId, OpId) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let a = lit(&mut b, &["iter", "item"], nats(&[&[1, 5]]));
         let mut x = lit(&mut b, &["iter", "item"], nats(&[&[2, 6]]));
         if raising {
             x = b.add(AlgOp::BinaryMap {
                 input: x,
-                target: "sum".into(),
-                left: "item".into(),
+                target: col("sum"),
+                left: col("item"),
                 op: BinaryOp::Arith(ArithOp::Add),
-                right: "item".into(),
+                right: col("item"),
             });
         }
         let f = b.add(AlgOp::Attach {
             input: x,
-            target: "f".into(),
+            target: col("f"),
             value: Value::Bool(false).into(),
         });
         let none = b.add(AlgOp::Select {
             input: f,
-            column: "f".into(),
+            column: col("f"),
         });
         let arm = b.add(AlgOp::Project {
             input: none,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let u = b.add(AlgOp::Union {
             left: a,
@@ -433,7 +419,7 @@ mod tests {
     #[test]
     fn ebv_over_one_boolean_per_iter_becomes_a_projection() {
         for (item, deleted) in [(Value::Bool(false), true), (Value::Int(0), false)] {
-            let mut b = PlanBuilder::new();
+            let mut b = builder();
             let rows = vec![
                 vec![Value::Nat(1), Value::Bool(true)],
                 vec![Value::Nat(2), item],
@@ -451,11 +437,11 @@ mod tests {
     fn renumbered(filter: Option<(&str, u64)>, by: &str) -> (Plan, OpId) {
         let renumber = |input, target: &str, by: &str| AlgOp::RowNum {
             input,
-            target: target.into(),
-            order_by: vec![SortSpec::asc(by)],
-            partition: Some("iter".into()),
+            target: col(target),
+            order_by: vec![SortSpec::asc(col(by))],
+            partition: Some(col("iter")),
         };
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = lit(
             &mut b,
             &["iter", "item"],
@@ -465,7 +451,7 @@ mod tests {
         if let Some((column, value)) = filter {
             numbered = b.add(AlgOp::SelectEq {
                 input: numbered,
-                column: column.into(),
+                column: col(column),
                 value: Value::Nat(value),
             });
         }
@@ -498,7 +484,7 @@ mod tests {
     #[test]
     fn distinct_over_a_keyed_input_goes() {
         for (rows, deleted) in [(nats(&[&[1], &[2]]), true), (nats(&[&[1], &[1]]), false)] {
-            let mut b = PlanBuilder::new();
+            let mut b = builder();
             let l = lit(&mut b, &["iter"], rows);
             let d = b.add(AlgOp::Distinct { input: l });
             let mut plan = b.finish(d);

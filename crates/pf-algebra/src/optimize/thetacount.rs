@@ -34,6 +34,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use pf_relational::ops::{AggFunc, RankCount};
+use pf_relational::ColId;
 
 use crate::ops::AlgOp;
 use crate::optimize::OptimizeReport;
@@ -66,7 +67,7 @@ pub(crate) struct Candidate {
     /// The [`AlgOp::ThetaCount`] over the θ-join's inputs.
     pub(crate) count: AlgOp,
     /// `(source, target)` pairs mapping its schema onto the aggregate's.
-    renames: Vec<(String, String)>,
+    renames: Vec<(ColId, ColId)>,
 }
 
 /// Every reachable count aggregate whose input is row-aligned with a
@@ -92,17 +93,14 @@ pub(crate) fn candidates(plan: &Plan, pp: &PlanProperties) -> Vec<Candidate> {
             let grouped_on_left = aligned
                 .get(input)
                 .and_then(|cols| cols.get(group))
-                .is_some_and(|origin| *origin == (base.delta, base.group_out.clone()));
+                .is_some_and(|origin| *origin == (base.delta, base.group_out));
             // The aggregate emits groups in its input's row order, the
             // rank count in the left key relation's.
             if grouped_on_left && pp.order_free(id) && *target != base.group {
                 found.push(Candidate {
                     aggregate: id,
-                    count: base.count(plan, target),
-                    renames: vec![
-                        (base.group.clone(), group.clone()),
-                        (target.clone(), target.clone()),
-                    ],
+                    count: base.count(plan, *target),
+                    renames: vec![(base.group, *group), (*target, *target)],
                 });
             }
         }
@@ -111,8 +109,8 @@ pub(crate) fn candidates(plan: &Plan, pp: &PlanProperties) -> Vec<Candidate> {
 }
 
 /// A column of an aligned operator: the aligned operator that introduced
-/// it, and its name there.
-type Origin = (OpId, String);
+/// it, and the column there.
+type Origin = (OpId, ColId);
 
 /// `δ(π[group_out:group, …:right_id](⋈θ))` — the distinct pairs of one
 /// recognized join — or the `π` alone where its rows are keyed, so that
@@ -121,11 +119,11 @@ struct Base {
     delta: OpId,
     theta: OpId,
     /// The θ-join's left-side column the `π` keeps…
-    group: String,
+    group: ColId,
     /// …and its name at the `δ`.
-    group_out: String,
+    group_out: ColId,
     /// The right-side column the `π` keeps.
-    right_id: String,
+    right_id: ColId,
 }
 
 impl Base {
@@ -150,10 +148,10 @@ impl Base {
         };
         // Join inputs have disjoint schemas, so a column that is not the
         // left side's is the right side's.
-        let of_left = |c: &str| pp.columns(*left).iter().any(|l| l == c);
-        let ((group, group_out), (right_id, _)) = match (of_left(&a.0), of_left(&b.0)) {
-            (true, false) => (a.clone(), b.clone()),
-            (false, true) => (b.clone(), a.clone()),
+        let of_left = |c: ColId| pp.columns(*left).contains(&c);
+        let ((group, group_out), (right_id, _)) = match (of_left(a.0), of_left(b.0)) {
+            (true, false) => (*a, *b),
+            (false, true) => (*b, *a),
             _ => return None,
         };
         Some(Base {
@@ -166,7 +164,7 @@ impl Base {
     }
 
     /// The rank count over this base's key relations.
-    fn count(&self, plan: &Plan, result: &str) -> AlgOp {
+    fn count(&self, plan: &Plan, result: ColId) -> AlgOp {
         let AlgOp::ThetaJoin {
             left,
             right,
@@ -180,14 +178,14 @@ impl Base {
         AlgOp::ThetaCount {
             left,
             right,
-            count: Box::new(RankCount {
-                group: self.group.clone(),
+            count: RankCount {
+                group: self.group,
                 left_col,
                 op,
-                right_id: self.right_id.clone(),
+                right_id: self.right_id,
                 right_col,
-                result: result.to_string(),
-            }),
+                result,
+            },
         }
     }
 
@@ -198,26 +196,25 @@ impl Base {
         plan: &Plan,
         order: &[OpId],
         pp: &PlanProperties,
-    ) -> HashMap<OpId, BTreeMap<String, Origin>> {
-        let mut aligned: HashMap<OpId, BTreeMap<String, Origin>> = HashMap::new();
-        let introduced = |id: OpId, cols: &[String]| -> BTreeMap<String, Origin> {
-            cols.iter().map(|c| (c.clone(), (id, c.clone()))).collect()
+    ) -> HashMap<OpId, BTreeMap<ColId, Origin>> {
+        let mut aligned: HashMap<OpId, BTreeMap<ColId, Origin>> = HashMap::new();
+        let introduced = |id: OpId, cols: &[ColId]| -> BTreeMap<ColId, Origin> {
+            cols.iter().map(|&c| (c, (id, c))).collect()
         };
-        let keyed =
-            |id: OpId, col: &str| pp.keyed_by(id, &std::iter::once(col.to_string()).collect());
+        let keyed = |id: OpId, col: ColId| pp.keyed_by(id, &[col]);
         for &id in order {
             let cols = match plan.op(id) {
                 _ if id == self.delta => Some(introduced(id, pp.columns(id))),
                 AlgOp::Project { input, columns } => aligned.get(input).and_then(|from| {
                     columns
                         .iter()
-                        .map(|(src, tgt)| Some((tgt.clone(), from.get(src)?.clone())))
+                        .map(|(src, tgt)| Some((*tgt, *from.get(src)?)))
                         .collect()
                 }),
                 AlgOp::Attach { input, target, .. } | AlgOp::RowNum { input, target, .. } => {
                     aligned.get(input).map(|from| {
                         let mut cols = from.clone();
-                        cols.insert(target.clone(), (id, target.clone()));
+                        cols.insert(*target, (id, *target));
                         cols
                     })
                 }
@@ -228,7 +225,7 @@ impl Base {
                     right_col,
                 } => {
                     // `side` aligned, `other` looked up through its key.
-                    let lookup = |side: OpId, sc: &str, other: OpId, oc: &str| {
+                    let lookup = |side: OpId, sc: ColId, other: OpId, oc: ColId| {
                         let from = aligned.get(&side)?;
                         (keyed(other, oc) && pp.value_subset(side, sc, other, oc)).then(|| {
                             let mut cols = from.clone();
@@ -239,14 +236,14 @@ impl Base {
                     match (aligned.get(left), aligned.get(right)) {
                         (Some(l), Some(r))
                             if l.get(left_col).is_some_and(|o| r.get(right_col) == Some(o))
-                                && keyed(*left, left_col) =>
+                                && keyed(*left, *left_col) =>
                         {
                             let mut cols = l.clone();
                             cols.extend(r.clone());
                             Some(cols)
                         }
-                        _ => lookup(*left, left_col, *right, right_col)
-                            .or_else(|| lookup(*right, right_col, *left, left_col)),
+                        _ => lookup(*left, *left_col, *right, *right_col)
+                            .or_else(|| lookup(*right, *right_col, *left, *left_col)),
                     }
                 }
                 _ => None,
@@ -263,13 +260,14 @@ impl Base {
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use crate::SortSpec;
     use pf_relational::ops::{BinaryOp, CmpOp};
     use pf_relational::Value;
 
     fn nat_lit(b: &mut PlanBuilder, columns: &[&str], rows: &[&[u64]]) -> OpId {
         b.add(AlgOp::Lit {
-            columns: columns.iter().map(|c| c.to_string()).collect(),
+            columns: columns.iter().map(|c| col(c)).collect(),
             rows: rows
                 .iter()
                 .map(|r| r.iter().map(|v| Value::Nat(*v).into()).collect())
@@ -280,10 +278,7 @@ mod tests {
     fn project(b: &mut PlanBuilder, input: OpId, columns: &[(&str, &str)]) -> OpId {
         b.add(AlgOp::Project {
             input,
-            columns: columns
-                .iter()
-                .map(|(s, t)| (s.to_string(), t.to_string()))
-                .collect(),
+            columns: columns.iter().map(|(s, t)| (col(s), col(t))).collect(),
         })
     }
 
@@ -291,43 +286,43 @@ mod tests {
     /// distinct pairs, the item fetch through `aid`, the self-join that
     /// maps `inner` back to `outer` — optionally with a `σ` in the body.
     fn counted_join(filter_body: bool) -> (Plan, OpId) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let outer = nat_lit(&mut b, &["outer", "okey"], &[&[1, 10], &[2, 20]]);
         let items = nat_lit(&mut b, &["aid", "item"], &[&[1, 5], &[2, 15]]);
         let keyed = b.add(AlgOp::RowNum {
             input: items,
-            target: "id".into(),
-            order_by: vec![SortSpec::asc("aid")],
+            target: col("id"),
+            order_by: vec![SortSpec::asc(col("aid"))],
             partition: None,
         });
         let inner = project(&mut b, keyed, &[("id", "aid1"), ("item", "item1")]);
         let theta = b.add(AlgOp::ThetaJoin {
             left: outer,
             right: inner,
-            left_col: "okey".into(),
+            left_col: col("okey"),
             op: BinaryOp::Cmp(CmpOp::Gt),
-            right_col: "item1".into(),
+            right_col: col("item1"),
         });
         let pairs = project(&mut b, theta, &[("outer", "outer"), ("aid1", "aid")]);
         let delta = b.add(AlgOp::Distinct { input: pairs });
         let numbered = b.add(AlgOp::RowNum {
             input: delta,
-            target: "inner".into(),
-            order_by: vec![SortSpec::asc("outer"), SortSpec::asc("aid")],
+            target: col("inner"),
+            order_by: vec![SortSpec::asc(col("outer")), SortSpec::asc(col("aid"))],
             partition: None,
         });
         let by_id = project(&mut b, keyed, &[("id", "aid2"), ("item", "item")]);
         let fetched = b.add(AlgOp::EquiJoin {
             left: numbered,
             right: by_id,
-            left_col: "aid".into(),
-            right_col: "aid2".into(),
+            left_col: col("aid"),
+            right_col: col("aid2"),
         });
         let mut body = project(&mut b, fetched, &[("inner", "iter"), ("item", "item")]);
         if filter_body {
             body = b.add(AlgOp::SelectEq {
                 input: body,
-                column: "item".into(),
+                column: col("item"),
                 value: Value::Nat(5),
             });
         }
@@ -335,23 +330,23 @@ mod tests {
         let back = b.add(AlgOp::EquiJoin {
             left: body,
             right: map,
-            left_col: "iter".into(),
-            right_col: "inner".into(),
+            left_col: col("iter"),
+            right_col: col("inner"),
         });
         let agg = b.add(AlgOp::Aggregate {
             input: back,
-            group: "outer".into(),
-            target: "res".into(),
+            group: col("outer"),
+            target: col("res"),
             func: AggFunc::Count,
-            value: "item".into(),
+            value: col("item"),
         });
         // Numbering the result by the group key makes the aggregate's own
         // row order unobservable, as the scaffolding around a compiled
         // count does.
         let numbered = b.add(AlgOp::RowNum {
             input: agg,
-            target: "pos".into(),
-            order_by: vec![SortSpec::asc("outer")],
+            target: col("pos"),
+            order_by: vec![SortSpec::asc(col("outer"))],
             partition: None,
         });
         (b.finish(numbered), agg)
@@ -369,12 +364,9 @@ mod tests {
         };
         match plan.op(*input) {
             AlgOp::ThetaCount { count, .. } => {
-                assert_eq!(
-                    (count.group.as_str(), count.right_id.as_str()),
-                    ("outer", "aid1")
-                );
+                assert_eq!((count.group, count.right_id), (col("outer"), col("aid1")));
                 assert_eq!(count.op, BinaryOp::Cmp(CmpOp::Gt));
-                assert_eq!(count.result, "res");
+                assert_eq!(count.result, col("res"));
             }
             other => panic!("expected a rank count, found {other:?}"),
         }

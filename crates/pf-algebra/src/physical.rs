@@ -31,6 +31,7 @@
 //! [`Pipeline`]: PhysKind::Pipeline
 
 use pf_relational::ops::FusedStep;
+use pf_relational::ColId;
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
@@ -135,10 +136,13 @@ fn is_fusable(op: &AlgOp) -> bool {
 fn fused_step(op: &AlgOp) -> Option<FusedStep<'_>> {
     Some(match op {
         AlgOp::Project { columns, .. } => FusedStep::Project { columns },
-        AlgOp::Select { column, .. } => FusedStep::SelectTrue { column },
-        AlgOp::SelectEq { column, value, .. } => FusedStep::SelectEq { column, value },
+        AlgOp::Select { column, .. } => FusedStep::SelectTrue { column: *column },
+        AlgOp::SelectEq { column, value, .. } => FusedStep::SelectEq {
+            column: *column,
+            value,
+        },
         AlgOp::Attach { target, value, .. } => FusedStep::Attach {
-            target,
+            target: *target,
             value: value
                 .value()
                 .expect("plans are verified bound before they run"),
@@ -146,9 +150,9 @@ fn fused_step(op: &AlgOp) -> Option<FusedStep<'_>> {
         AlgOp::UnaryMap {
             target, op, source, ..
         } => FusedStep::MapUnary {
-            target,
+            target: *target,
             op: *op,
-            source,
+            source: *source,
         },
         AlgOp::BinaryMap {
             target,
@@ -157,12 +161,14 @@ fn fused_step(op: &AlgOp) -> Option<FusedStep<'_>> {
             right,
             ..
         } => FusedStep::MapBinary {
-            target,
-            left,
+            target: *target,
+            left: *left,
             op: *op,
-            right,
+            right: *right,
         },
-        AlgOp::FnData { .. } => FusedStep::MapAtomize { column: "item" },
+        AlgOp::FnData { .. } => FusedStep::MapAtomize {
+            column: ColId::ITEM,
+        },
         AlgOp::Distinct { .. } => FusedStep::Distinct,
         _ => return None,
     })
@@ -326,45 +332,42 @@ impl PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::ops::{BinaryOp, CmpOp};
     use pf_relational::Value;
 
     /// lit → attach → map → select → project → sort(root): the four
     /// middle operators form one pipeline between two breakers.
     fn chain_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Int(10).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
-            target: "limit".into(),
+            target: col("limit"),
             value: Value::Int(5).into(),
         });
         let map = b.add(AlgOp::BinaryMap {
             input: attach,
-            target: "keep".into(),
-            left: "item".into(),
+            target: col("keep"),
+            left: col("item"),
             op: BinaryOp::Cmp(CmpOp::Gt),
-            right: "limit".into(),
+            right: col("limit"),
         });
         let select = b.add(AlgOp::Select {
             input: map,
-            column: "keep".into(),
+            column: col("keep"),
         });
         let project = b.add(AlgOp::Project {
             input: select,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let rownum = b.add(AlgOp::RowNum {
             input: project,
-            target: "pos".into(),
-            order_by: vec![crate::SortSpec::asc("iter")],
+            target: col("pos"),
+            order_by: vec![crate::SortSpec::asc(col("iter"))],
             partition: None,
         });
         b.finish(rownum)
@@ -398,25 +401,22 @@ mod tests {
         // lit → project; the projection feeds TWO selects that join back:
         // the projection's result is shared, so nothing fuses with it from
         // above, and each single fusable op is a one-step pipeline.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Bool(true).into()]],
         });
         let project = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let s1 = b.add(AlgOp::Select {
             input: project,
-            column: "item".into(),
+            column: col("item"),
         });
         let s2 = b.add(AlgOp::SelectEq {
             input: project,
-            column: "item".into(),
+            column: col("item"),
             value: Value::Bool(true),
         });
         let cross = b.add(AlgOp::Cross {
@@ -438,19 +438,19 @@ mod tests {
     fn the_root_can_be_a_pipeline_tail_but_not_an_interior() {
         // lit → attach → project(root): attach+project fuse, the root is
         // the tail and its result materializes.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
-            target: "pos".into(),
+            target: col("pos"),
             value: Value::Nat(1).into(),
         });
         let project = b.add(AlgOp::Project {
             input: attach,
-            columns: vec![("iter".into(), "iter".into()), ("pos".into(), "pos".into())],
+            columns: vec![(col("iter"), col("iter")), (col("pos"), col("pos"))],
         });
         let plan = b.finish(project);
         let phys = PhysicalPlan::compile(&plan);
@@ -460,19 +460,19 @@ mod tests {
 
         // Same chain, but the root is the *attach*: nothing may fuse
         // through the root (its table is the query answer).
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
-            target: "pos".into(),
+            target: col("pos"),
             value: Value::Nat(1).into(),
         });
         let _orphan = b.add(AlgOp::Project {
             input: attach,
-            columns: vec![("iter".into(), "iter".into())],
+            columns: vec![(col("iter"), col("iter"))],
         });
         let plan = b.finish(attach);
         let phys = PhysicalPlan::compile(&plan);
@@ -519,9 +519,9 @@ mod tests {
         assert!(!phys.matches(&rewired), "rewired child must not match");
 
         // A different arena size is rejected outright.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![],
         });
         assert!(!phys.matches(&b.finish(lit)));
@@ -529,9 +529,9 @@ mod tests {
 
     #[test]
     fn self_referencing_breakers_count_edges_twice() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {

@@ -1,15 +1,52 @@
-//! Plan DAGs and the plan builder.
+//! Plan DAGs, their column names and the plan builder.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use pf_relational::ops::IndexProbe;
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 
 use crate::ops::{AlgOp, Const};
 
 /// Identifier of an operator within a [`Plan`] (index into the node arena).
 pub type OpId = usize;
+
+/// The column names of one plan, indexed by [`ColId`]: every operator,
+/// schema and table of the plan addresses its columns by id, and this is
+/// the one place that keeps the names.  The well-known columns take
+/// their fixed ids ([`ColId::WELL_KNOWN`]); every other name is numbered
+/// in the order it is first interned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColNames(Vec<String>);
+
+impl Default for ColNames {
+    fn default() -> Self {
+        ColNames(ColId::WELL_KNOWN.iter().map(|n| n.to_string()).collect())
+    }
+}
+
+impl ColNames {
+    /// The id of `name`, numbering it if it is new.  A plan has a few
+    /// dozen names, so a scan finds one.
+    pub fn col(&mut self, name: &str) -> ColId {
+        match self.0.iter().position(|n| n == name) {
+            Some(i) => ColId(i as u32),
+            None => {
+                self.0.push(name.to_string());
+                ColId(self.0.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// The name of `col`.
+    ///
+    /// # Panics
+    ///
+    /// If `col` was not numbered here.
+    pub fn name(&self, col: ColId) -> &str {
+        &self.0[col.0 as usize]
+    }
+}
 
 /// A query plan: a DAG of [`AlgOp`]s with a designated root.
 ///
@@ -22,18 +59,22 @@ pub type OpId = usize;
 /// plan version, on first demand ([`Plan::reachable`]); the optimizer's
 /// two mutation paths, its arena access and its root change, drop it.
 /// [`Plan::bind`] keeps it: binding changes no edge.  Equality and
-/// `Debug` look at the arena and the root only.
+/// `Debug` look at the arena, the root and the column names only.
+///
+/// The plan owns its [`ColNames`], behind an [`Arc`]: a bound template
+/// shares its template's names.
 #[derive(Clone)]
 pub struct Plan {
     ops: Vec<AlgOp>,
     root: OpId,
+    names: Arc<ColNames>,
     /// The reachable operators, children before parents.
     order: OnceLock<Vec<OpId>>,
 }
 
 impl PartialEq for Plan {
     fn eq(&self, other: &Plan) -> bool {
-        self.root == other.root && self.ops == other.ops
+        self.root == other.root && self.ops == other.ops && self.names == other.names
     }
 }
 
@@ -42,19 +83,43 @@ impl fmt::Debug for Plan {
         f.debug_struct("Plan")
             .field("ops", &self.ops)
             .field("root", &self.root)
+            .field("names", &self.names)
             .finish()
     }
 }
 
 impl Plan {
-    /// Build a plan from an arena and a root id.
-    pub fn new(ops: Vec<AlgOp>, root: OpId) -> Self {
+    /// Build a plan from an arena, a root id and the names of the
+    /// arena's columns.
+    pub fn new(ops: Vec<AlgOp>, root: OpId, names: ColNames) -> Self {
         assert!(root < ops.len(), "root id out of bounds");
         Plan {
             ops,
             root,
+            names: Arc::new(names),
             order: OnceLock::new(),
         }
+    }
+
+    /// The plan's column names.
+    pub fn names(&self) -> &ColNames {
+        &self.names
+    }
+
+    /// The name of column `col`.
+    pub fn name(&self, col: ColId) -> &str {
+        self.names.name(col)
+    }
+
+    /// The id of column `name`, numbering it if the plan has no such
+    /// column yet.
+    pub fn col(&mut self, name: &str) -> ColId {
+        Arc::make_mut(&mut self.names).col(name)
+    }
+
+    /// The renderers' symbol of operator `id`, its columns named.
+    pub fn symbol(&self, id: OpId) -> String {
+        self.ops[id].symbol(&self.names)
     }
 
     /// The root operator id.
@@ -252,6 +317,7 @@ impl Plan {
 #[derive(Debug, Default)]
 pub struct PlanBuilder {
     ops: Vec<AlgOp>,
+    names: ColNames,
 }
 
 impl PlanBuilder {
@@ -281,21 +347,27 @@ impl PlanBuilder {
         &self.ops[id]
     }
 
+    /// The id of column `name`, numbering it if it is new.
+    pub fn col(&mut self, name: &str) -> ColId {
+        self.names.col(name)
+    }
+
     /// Finish building, designating `root` as the plan root.
     pub fn finish(self, root: OpId) -> Plan {
-        Plan::new(self.ops, root)
+        Plan::new(self.ops, root, self.names)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cols::{builder, col, names};
     use pf_relational::Value;
 
     fn small_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: vec![vec![
                 Value::Nat(1).into(),
                 Value::Nat(1).into(),
@@ -304,23 +376,17 @@ mod tests {
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "iter1".into()),
-                ("item".into(), "item1".into()),
-            ],
+            columns: vec![(col("iter"), col("iter1")), (col("item"), col("item1"))],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: p1,
             right: p2,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         b.finish(join)
     }
@@ -353,14 +419,14 @@ mod tests {
 
     #[test]
     fn binding_keeps_the_cached_order() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
-            target: "item".into(),
+            target: col("item"),
             value: Const::Param(0),
         });
         let template = b.finish(attach);
@@ -387,9 +453,9 @@ mod tests {
 
     #[test]
     fn operator_count_ignores_unreachable_nodes() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![],
         });
         let _orphan = b.add(AlgOp::Distinct { input: lit });
@@ -417,7 +483,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "root id out of bounds")]
     fn invalid_root_panics() {
-        Plan::new(vec![], 0);
+        Plan::new(vec![], 0, names());
     }
 
     #[test]
@@ -429,9 +495,9 @@ mod tests {
         assert_eq!(counts, vec![2, 1, 1, 1]);
 
         // A self-cross references its child twice.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {
@@ -444,9 +510,9 @@ mod tests {
 
     #[test]
     fn consumer_counts_ignore_unreachable_operators() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![],
         });
         let orphan = b.add(AlgOp::Distinct { input: lit });
@@ -482,9 +548,9 @@ mod tests {
 
     #[test]
     fn consumers_repeat_duplicate_edges() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let cross = b.add(AlgOp::Cross {

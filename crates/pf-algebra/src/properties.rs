@@ -54,14 +54,12 @@
 //! fact instead of copying it.  The row subsets and reorders (σ, σ=, δ,
 //! sort, `ddo`, `∖`, the index scan) mostly share, and so do `∪` (its
 //! left side), `fn:data` and `fn:root` for columns and `@` and the maps
-//! for keys.  Column names are interned into small integers, each
-//! operator interning only the names it mentions itself (its inputs
-//! interned the rest), so keys are small inline integer sets and an
-//! operator's provenance tags one sorted vector of `(column, tag)`
-//! pairs.  The canonical operators that provenance tags name are found
-//! the way hash-consing finds duplicates: bucketed by kind and
-//! (canonical) inputs and compared with [`AlgOp::same_as`], never by
-//! rendering.
+//! for keys.  Columns are the plan's [`ColId`]s, so keys are small
+//! inline integer sets, an operator's provenance tags one sorted vector
+//! of `(column, tag)` pairs, and no fact holds a name.  The canonical
+//! operators that provenance tags name are found the way hash-consing
+//! finds duplicates: bucketed by kind and (canonical) inputs and
+//! compared with [`AlgOp::same_as`], never by rendering.
 //!
 //! Every reader calls this pass directly: the optimizer's rules, the
 //! verifier, and the engine's admission estimate for an unoptimized plan
@@ -74,12 +72,12 @@
 //! [`crate::verify`] checks rewrites against the same inference, so the
 //! optimizer is validated by the very properties it plans with.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use pf_relational::ops::{AggFunc, BinaryOp, UnaryOp};
-use pf_relational::{Value, ValueType};
+use pf_relational::{ColId, Value, ValueType};
 use pf_store::{Axis, DocStatistics, NodeTest};
 
 use crate::ops::{AlgOp, Const};
@@ -104,26 +102,23 @@ impl StatsSource for NoStats {
     }
 }
 
-/// A column name, interned once per analysis.
-type Col = u32;
-
-/// A set of interned columns, sorted and duplicate-free.  Up to
+/// A set of columns, sorted and duplicate-free.  Up to
 /// [`ColSet::INLINE`] columns are held inline — nearly every key is
 /// `{iter}`, `{iter, pos}` or `{iter, item}`, and most schemas have fewer
 /// columns — so most sets allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct ColSet {
     len: usize,
-    inline: [Col; ColSet::INLINE],
+    inline: [ColId; ColSet::INLINE],
     /// Every column, once there are more than fit inline.
-    spilled: Vec<Col>,
+    spilled: Vec<ColId>,
 }
 
 impl ColSet {
     const INLINE: usize = 8;
 
     /// Add `c`, keeping the set sorted.
-    fn insert(&mut self, c: Col) {
+    fn insert(&mut self, c: ColId) {
         let Err(at) = self.binary_search(&c) else {
             return;
         };
@@ -141,9 +136,9 @@ impl ColSet {
 }
 
 impl std::ops::Deref for ColSet {
-    type Target = [Col];
+    type Target = [ColId];
 
-    fn deref(&self) -> &[Col] {
+    fn deref(&self) -> &[ColId] {
         if self.len <= Self::INLINE {
             &self.inline[..self.len]
         } else {
@@ -158,8 +153,8 @@ impl PartialEq for ColSet {
     }
 }
 
-impl FromIterator<Col> for ColSet {
-    fn from_iter<I: IntoIterator<Item = Col>>(cols: I) -> ColSet {
+impl FromIterator<ColId> for ColSet {
+    fn from_iter<I: IntoIterator<Item = ColId>>(cols: I) -> ColSet {
         let mut set = ColSet::default();
         cols.into_iter().for_each(|c| set.insert(c));
         set
@@ -167,8 +162,8 @@ impl FromIterator<Col> for ColSet {
 }
 
 impl<'a> IntoIterator for &'a ColSet {
-    type Item = &'a Col;
-    type IntoIter = std::slice::Iter<'a, Col>;
+    type Item = &'a ColId;
+    type IntoIter = std::slice::Iter<'a, ColId>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -176,9 +171,9 @@ impl<'a> IntoIterator for &'a ColSet {
 }
 
 /// A multiply-rotate hasher in the style of rustc's `FxHash`, for the
-/// analysis's maps: their keys are short column names and operator
-/// buckets out of the plan itself, so SipHash's resistance to chosen
-/// keys buys nothing and costs a hash per lookup.
+/// analysis's maps: their keys are operator buckets out of the plan
+/// itself, so SipHash's resistance to chosen keys buys nothing and costs
+/// a hash per lookup.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FxHasher(u64);
 
@@ -221,60 +216,31 @@ impl Hasher for FxHasher {
 /// A `HashMap` over [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// The column names one analysis has seen.  Keys and provenance tags
-/// hold [`Col`] ids, so comparing and copying them never touches a
-/// string.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Names {
-    ids: FxHashMap<String, Col>,
-    names: Vec<String>,
-}
-
-impl Names {
-    fn intern(&mut self, name: &str) -> Col {
-        if let Some(&col) = self.ids.get(name) {
-            return col;
-        }
-        let col = self.names.len() as Col;
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), col);
-        col
-    }
-
-    fn get(&self, name: &str) -> Option<Col> {
-        self.ids.get(name).copied()
-    }
-
-    fn name(&self, col: Col) -> &str {
-        &self.names[col as usize]
-    }
-}
-
 /// A value-provenance tag: “the tracked column's values are related to
 /// column `.1` of operator `.0`”.
-pub(crate) type Tag = (OpId, Col);
+pub(crate) type Tag = (OpId, ColId);
 
 /// The tag sets of one operator's columns in one vector of `(column,
 /// tag)` pairs, sorted by column, then tag.  A column without a pair has
 /// no tag.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct TagMap(Vec<(Col, Tag)>);
+struct TagMap(Vec<(ColId, Tag)>);
 
 impl TagMap {
     /// The pairs of column `c`, ascending.
-    fn run(&self, c: Col) -> &[(Col, Tag)] {
+    fn run(&self, c: ColId) -> &[(ColId, Tag)] {
         let start = self.0.partition_point(|&(col, _)| col < c);
         let len = self.0[start..].partition_point(|&(col, _)| col == c);
         &self.0[start..start + len]
     }
 
     /// The tags of column `c`, ascending.
-    fn tags(&self, c: Col) -> impl Iterator<Item = Tag> + '_ {
+    fn tags(&self, c: ColId) -> impl Iterator<Item = Tag> + '_ {
         self.run(c).iter().map(|&(_, tag)| tag)
     }
 
     /// Whether column `c` has `tag`.
-    fn contains(&self, c: Col, tag: Tag) -> bool {
+    fn contains(&self, c: ColId, tag: Tag) -> bool {
         self.0.binary_search(&(c, tag)).is_ok()
     }
 }
@@ -282,7 +248,7 @@ impl TagMap {
 /// A [`TagMap`] being built, one column's tag set at a time.
 struct TagMapBuilder {
     /// Each column's tags, ascending, the columns in the order set.
-    pairs: Vec<(Col, Tag)>,
+    pairs: Vec<(ColId, Tag)>,
     /// The columns set so far.
     columns: ColSet,
     /// The pairs to make room for once the first tag arrives.
@@ -300,7 +266,7 @@ impl TagMapBuilder {
     }
 
     /// Remove the tags of column `c` and return them.
-    fn take(&mut self, c: Col) -> Vec<Tag> {
+    fn take(&mut self, c: ColId) -> Vec<Tag> {
         let mut taken = Vec::new();
         if self.columns.binary_search(&c).is_ok() {
             self.pairs.retain(|&(col, tag)| {
@@ -315,7 +281,7 @@ impl TagMapBuilder {
 
     /// Set the tags of column `c` to the smallest [`TAG_CAP`] of `tags`,
     /// which ascend.
-    fn put(&mut self, c: Col, tags: impl Iterator<Item = Tag>) {
+    fn put(&mut self, c: ColId, tags: impl Iterator<Item = Tag>) {
         self.take(c);
         self.columns.insert(c);
         let mut tags = tags.take(TAG_CAP).peekable();
@@ -329,7 +295,7 @@ impl TagMapBuilder {
     /// a finished map) plus `own`, copying the run in slices: in a deep
     /// plan the run is full and `own` — the input itself, above the
     /// operators its tags name — falls off the end.
-    fn put_run(&mut self, c: Col, run: &[(Col, Tag)], own: Tag) {
+    fn put_run(&mut self, c: ColId, run: &[(ColId, Tag)], own: Tag) {
         self.take(c);
         self.columns.insert(c);
         if self.pairs.capacity() == 0 {
@@ -436,7 +402,7 @@ impl TypeSet {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sequence {
     /// The column that orders the rows of one `iter`.
-    pub column: String,
+    pub column: ColId,
     /// The column is 1..k within every `iter`, without gaps or ties.
     pub dense: bool,
 }
@@ -469,10 +435,10 @@ pub(crate) fn opset_subset(a: &OpSet, b: &OpSet) -> bool {
 }
 
 /// The constant columns of one operator, with the value when known.
-type Constants = BTreeMap<String, Option<Const>>;
+type Constants = BTreeMap<ColId, Option<Const>>;
 
 /// The known type sets of one operator's columns.
-type Types = BTreeMap<String, TypeSet>;
+type Types = BTreeMap<ColId, TypeSet>;
 
 /// Every statically inferred property of one plan, per operator.
 /// Indexed by [`OpId`]; entries for unreachable operators are
@@ -484,11 +450,9 @@ type Types = BTreeMap<String, TypeSet>;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProperties {
     /// Output columns, in schema order.
-    columns: Vec<Arc<Vec<String>>>,
+    columns: Vec<Arc<Vec<ColId>>>,
     /// The output is in distinct document order per `iter`.
     doc_ordered: Vec<bool>,
-    /// Every column name of the analyzed operators.
-    names: Names,
     /// Per operator, the first analyzed operator computing the same
     /// relation (same kind, same parameters, canonical inputs): the id
     /// provenance tags name, so a cloned subplan relates to what its
@@ -553,7 +517,6 @@ impl PlanProperties {
         PlanProperties {
             columns: Vec::new(),
             doc_ordered: Vec::new(),
-            names: Names::default(),
             canon: Vec::new(),
             classes: OpClasses::default(),
             keys: Vec::new(),
@@ -611,7 +574,6 @@ impl PlanProperties {
 
     /// Every bottom-up fact of `id`, from its inputs' facts.
     fn infer(&mut self, plan: &Plan, id: OpId, stats: &dyn StatsSource) {
-        intern_mentioned(&mut self.names, plan.op(id));
         self.columns[id] = infer_columns(plan, id, self);
         self.doc_ordered[id] = infer_doc_ordered(plan, id, self);
         self.canon[id] = self.canonical(plan, id);
@@ -695,7 +657,7 @@ impl PlanProperties {
         // through its consumer edges, parents first.
         let root = plan.root();
         self.order_free[root] =
-            self.columns(root).iter().any(|c| c == "pos") && self.keyed_by_names(root, ["pos"]);
+            self.columns(root).contains(&ColId::POS) && self.keyed_by(root, &[ColId::POS]);
         for &id in topo.iter().rev() {
             let parent_free = self.order_free[id];
             let children = plan.op(id).children();
@@ -709,45 +671,12 @@ impl PlanProperties {
     /// `true` if some key of `id`, after removing provably constant
     /// columns, is contained in `cols` — i.e. rows of `id` are distinct
     /// on `cols`.
-    pub fn keyed_by(&self, id: OpId, cols: &BTreeSet<String>) -> bool {
-        let constants = &self.constants[id];
-        self.keys[id].iter().any(|key| {
-            key.iter().all(|&c| {
-                let name = self.names.name(c);
-                constants.contains_key(name) || cols.contains(name)
-            })
-        })
-    }
-
-    /// [`PlanProperties::keyed_by`] over names.  A name the analysis never
-    /// saw is in no key, so it is dropped.
-    fn keyed_by_names<'n>(&self, id: OpId, names: impl IntoIterator<Item = &'n str>) -> bool {
-        let cols: ColSet = names
-            .into_iter()
-            .filter_map(|n| self.names.get(n))
-            .collect();
-        self.keyed_by_cols(id, &cols)
-    }
-
-    /// [`PlanProperties::keyed_by`] over interned columns.
-    fn keyed_by_cols(&self, id: OpId, cols: &[Col]) -> bool {
+    pub fn keyed_by(&self, id: OpId, cols: &[ColId]) -> bool {
         let constants = &self.constants[id];
         self.keys[id].iter().any(|key| {
             key.iter()
-                .all(|c| cols.contains(c) || constants.contains_key(self.names.name(*c)))
+                .all(|c| cols.contains(c) || constants.contains_key(c))
         })
-    }
-
-    /// The interned id of a column the analysis has seen.
-    fn col(&self, name: &str) -> Col {
-        self.names
-            .get(name)
-            .expect("an operator's columns are interned before its facts")
-    }
-
-    /// The interned set of `names`.
-    fn cols(&self, names: &[&str]) -> ColSet {
-        names.iter().map(|n| self.col(n)).collect()
     }
 
     /// Whether permuting the rows of `id` is unobservable in the
@@ -756,26 +685,19 @@ impl PlanProperties {
         self.order_free[id]
     }
 
-    /// The inferred key sets of `id`.
-    pub fn keys(&self, id: OpId) -> Vec<BTreeSet<String>> {
-        self.keys[id]
-            .iter()
-            .map(|key| {
-                key.iter()
-                    .map(|&c| self.names.name(c).to_string())
-                    .collect()
-            })
-            .collect()
+    /// The inferred key sets of `id`, each ascending by id.
+    pub fn keys(&self, id: OpId) -> Vec<Vec<ColId>> {
+        self.keys[id].iter().map(|key| key.to_vec()).collect()
     }
 
     /// The provably constant columns of `id`, with statically known
     /// values where available.
-    pub fn constants(&self, id: OpId) -> &BTreeMap<String, Option<Const>> {
+    pub fn constants(&self, id: OpId) -> &BTreeMap<ColId, Option<Const>> {
         &self.constants[id]
     }
 
     /// The output columns of `id` (empty for unreachable operators).
-    pub fn columns(&self, id: OpId) -> &[String] {
+    pub fn columns(&self, id: OpId) -> &[ColId] {
         self.columns
             .get(id)
             .map_or(&[], |columns| columns.as_slice())
@@ -817,12 +739,12 @@ impl PlanProperties {
 
     /// The value types column `col` of `id` can hold; `None` when any
     /// type is possible.
-    pub fn types(&self, id: OpId, col: &str) -> Option<TypeSet> {
-        self.types.get(id).and_then(|t| t.get(col)).copied()
+    pub fn types(&self, id: OpId, col: ColId) -> Option<TypeSet> {
+        self.types.get(id).and_then(|t| t.get(&col)).copied()
     }
 
     /// Every column of `id` with a known type set.
-    pub fn typed_columns(&self, id: OpId) -> &BTreeMap<String, TypeSet> {
+    pub fn typed_columns(&self, id: OpId) -> &BTreeMap<ColId, TypeSet> {
         &self.types[id]
     }
 
@@ -839,23 +761,20 @@ impl PlanProperties {
 
     /// The known value of a constant column `col` of `id` (`None` for a
     /// parameter slot: its value is not in the plan).
-    pub fn constant_value(&self, id: OpId, col: &str) -> Option<&Value> {
+    pub fn constant_value(&self, id: OpId, col: ColId) -> Option<&Value> {
         self.constant(id, col).and_then(Const::value)
     }
 
     /// The constant in column `col` of `id` — a known value or a
     /// parameter slot — when the analysis can name it.
-    pub fn constant(&self, id: OpId, col: &str) -> Option<&Const> {
-        self.constants[id].get(col).and_then(Option::as_ref)
+    pub fn constant(&self, id: OpId, col: ColId) -> Option<&Const> {
+        self.constants[id].get(&col).and_then(Option::as_ref)
     }
 
     /// `true` when every value of column `ac` at `a` provably occurs in
     /// column `bc` at `b`: some tag is a superset of the former and
     /// set-equal to the latter.
-    pub(crate) fn value_subset(&self, a: OpId, ac: &str, b: OpId, bc: &str) -> bool {
-        let (Some(ac), Some(bc)) = (self.names.get(ac), self.names.get(bc)) else {
-            return false;
-        };
+    pub(crate) fn value_subset(&self, a: OpId, ac: ColId, b: OpId, bc: ColId) -> bool {
         let own = (self.canon[b], bc);
         self.meets_supersets(a, ac, |tag| {
             tag == own || self.equalsets[b].contains(bc, tag)
@@ -864,7 +783,7 @@ impl PlanProperties {
 
     /// Whether some superset of column `c` at `id` — `(id, c)` itself
     /// included — is in a set, given by its membership test.
-    fn meets_supersets(&self, id: OpId, c: Col, contains: impl Fn(Tag) -> bool) -> bool {
+    fn meets_supersets(&self, id: OpId, c: ColId, contains: impl Fn(Tag) -> bool) -> bool {
         contains((self.canon[id], c)) || self.supersets[id].tags(c).any(contains)
     }
 }
@@ -888,106 +807,23 @@ fn minimal_keys(mut keys: Vec<ColSet>) -> Vec<ColSet> {
     keys
 }
 
-/// Intern the column names `op` itself names.  Every other output column
-/// comes from an input, which interned it first.  The columns the
-/// operator adds go first, in schema order, then `iter`, `pos` and
-/// `item`, then the names it reads or writes besides its output — these
-/// let inference name a column a malformed plan lacks (the verifier
-/// analyzes plans before it rejects them).
-fn intern_mentioned(names: &mut Names, op: &AlgOp) {
-    let mut intern = |name: &str| {
-        names.intern(name);
-    };
-    match op {
-        AlgOp::Lit { columns, .. } => columns.iter().for_each(|c| intern(c)),
-        AlgOp::Doc { .. } => intern("item"),
-        AlgOp::Project { columns, .. } => columns.iter().for_each(|(_, t)| intern(t)),
-        AlgOp::RowNum { target, .. }
-        | AlgOp::BinaryMap { target, .. }
-        | AlgOp::UnaryMap { target, .. }
-        | AlgOp::Attach { target, .. } => intern(target),
-        AlgOp::Aggregate { group, target, .. } => {
-            [group, target].into_iter().for_each(|c| intern(c))
-        }
-        AlgOp::ThetaCount { count, .. } => {
-            [&count.group, &count.result]
-                .into_iter()
-                .for_each(|c| intern(c));
-        }
-        AlgOp::Ebv { .. } => ["iter", "item"].into_iter().for_each(&mut intern),
-        _ => {}
-    }
-    ["iter", "pos", "item"].into_iter().for_each(&mut intern);
-    match op {
-        AlgOp::Project { columns, .. } => {
-            for (source, target) in columns {
-                intern(source);
-                intern(target);
-            }
-        }
-        AlgOp::Select { column, .. } | AlgOp::SelectEq { column, .. } => intern(column),
-        AlgOp::EquiJoin {
-            left_col,
-            right_col,
-            ..
-        }
-        | AlgOp::ThetaJoin {
-            left_col,
-            right_col,
-            ..
-        } => [left_col, right_col].into_iter().for_each(|c| intern(c)),
-        AlgOp::ThetaCount { count, .. } => [
-            &count.group,
-            &count.left_col,
-            &count.right_id,
-            &count.right_col,
-            &count.result,
-        ]
-        .into_iter()
-        .for_each(|c| intern(c)),
-        AlgOp::RowNum {
-            target,
-            order_by,
-            partition,
-            ..
-        } => {
-            intern(target);
-            order_by.iter().for_each(|s| intern(&s.column));
-            partition.iter().for_each(|p| intern(p));
-        }
-        AlgOp::BinaryMap {
-            target,
-            left,
-            right,
-            ..
-        } => [target, left, right].into_iter().for_each(|c| intern(c)),
-        AlgOp::UnaryMap { target, source, .. } => {
-            intern(target);
-            intern(source);
-        }
-        AlgOp::Attach { target, .. } => intern(target),
-        AlgOp::Aggregate {
-            group,
-            target,
-            value,
-            ..
-        } => [group, target, value].into_iter().for_each(|c| intern(c)),
-        _ => {}
-    }
+/// The set of `cols`.
+fn cols(cols: &[ColId]) -> ColSet {
+    cols.iter().copied().collect()
 }
 
 /// `a ⊆ b` for sorted column sets.
-fn is_subset(a: &[Col], b: &[Col]) -> bool {
+fn is_subset(a: &[ColId], b: &[ColId]) -> bool {
     a.iter().all(|c| b.binary_search(c).is_ok())
 }
 
 /// `a ∪ b` for sorted column sets.
-fn union(a: &[Col], b: &[Col]) -> ColSet {
+fn union(a: &[ColId], b: &[ColId]) -> ColSet {
     a.iter().chain(b).copied().collect()
 }
 
 /// The tags column `c` has at both `left` and `right` in `maps`.
-fn meet(maps: &[TagMap], left: OpId, right: OpId, c: Col) -> impl Iterator<Item = Tag> + '_ {
+fn meet(maps: &[TagMap], left: OpId, right: OpId, c: ColId) -> impl Iterator<Item = Tag> + '_ {
     let right = &maps[right];
     maps[left]
         .tags(c)
@@ -996,18 +832,17 @@ fn meet(maps: &[TagMap], left: OpId, right: OpId, c: Col) -> impl Iterator<Item 
 
 /// The output columns of `id`, from its inputs' columns: shared with the
 /// input when they are the input's.
-fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<String>> {
-    let names = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
-    let extended = |input: OpId, target: &str| {
+fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColId>> {
+    let extended = |input: OpId, target: ColId| {
         let mut columns = Vec::with_capacity(pp.columns(input).len() + 1);
         columns.extend_from_slice(pp.columns(input));
-        columns.push(target.to_string());
+        columns.push(target);
         columns
     };
     Arc::new(match plan.op(id) {
         AlgOp::Lit { columns, .. } => columns.clone(),
-        AlgOp::Doc { .. } => names(&["item"]),
-        AlgOp::Project { columns, .. } => columns.iter().map(|(_, t)| t.clone()).collect(),
+        AlgOp::Doc { .. } => vec![ColId::ITEM],
+        AlgOp::Project { columns, .. } => columns.iter().map(|&(_, t)| t).collect(),
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. }
@@ -1023,14 +858,14 @@ fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<String>>
         AlgOp::RowNum { input, target, .. }
         | AlgOp::BinaryMap { input, target, .. }
         | AlgOp::UnaryMap { input, target, .. }
-        | AlgOp::Attach { input, target, .. } => extended(*input, target),
-        AlgOp::ThetaCount { count, .. } => vec![count.group.clone(), count.result.clone()],
-        AlgOp::Aggregate { group, target, .. } => vec![group.clone(), target.clone()],
+        | AlgOp::Attach { input, target, .. } => extended(*input, *target),
+        AlgOp::ThetaCount { count, .. } => vec![count.group, count.result],
+        AlgOp::Aggregate { group, target, .. } => vec![*group, *target],
         AlgOp::Step { .. }
         | AlgOp::ElemConstruct { .. }
         | AlgOp::TextConstruct { .. }
-        | AlgOp::AttrConstruct { .. } => names(&["iter", "pos", "item"]),
-        AlgOp::Ebv { .. } => names(&["iter", "item"]),
+        | AlgOp::AttrConstruct { .. } => vec![ColId::ITER, ColId::POS, ColId::ITEM],
+        AlgOp::Ebv { .. } => vec![ColId::ITER, ColId::ITEM],
     })
 }
 
@@ -1068,14 +903,14 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
     let mut eq = room(&pp.equalsets);
     let mut excl = room(&pp.exclusions);
     // The tag naming column `src` of `input` itself.
-    let own = |input: OpId, src: Col| Some((pp.canon[input], src));
+    let own = |input: OpId, src: ColId| Some((pp.canon[input], src));
     // Row-preserving rename: `tgt` takes exactly the values `src` had.
     let exact = |sup: &mut TagMapBuilder,
                  eq: &mut TagMapBuilder,
                  excl: &mut TagMapBuilder,
                  input: OpId,
-                 src: Col,
-                 tgt: Col| {
+                 src: ColId,
+                 tgt: ColId| {
         let own = (pp.canon[input], src);
         sup.put_run(tgt, pp.supersets[input].run(src), own);
         eq.put_run(tgt, pp.equalsets[input].run(src), own);
@@ -1084,23 +919,16 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
     // Row subset: values shrink — supersets and exclusions carry, set
     // equality does not.
     let subset =
-        |sup: &mut TagMapBuilder, excl: &mut TagMapBuilder, input: OpId, src: Col, tgt: Col| {
+        |sup: &mut TagMapBuilder, excl: &mut TagMapBuilder, input: OpId, src: ColId, tgt: ColId| {
             sup.put_run(tgt, pp.supersets[input].run(src), (pp.canon[input], src));
             excl.put(tgt, pp.exclusions[input].tags(src));
         };
-    let cols = |of: OpId| pp.columns(of).iter().map(|c| pp.col(c));
+    let cols = |of: OpId| pp.columns(of).iter().copied();
     match plan.op(id) {
         AlgOp::Lit { .. } | AlgOp::Doc { .. } => {}
         AlgOp::Project { input, columns } => {
-            for (src, tgt) in columns {
-                exact(
-                    &mut sup,
-                    &mut eq,
-                    &mut excl,
-                    *input,
-                    pp.col(src),
-                    pp.col(tgt),
-                );
+            for &(src, tgt) in columns {
+                exact(&mut sup, &mut eq, &mut excl, *input, src, tgt);
             }
         }
         // Full-row dedup / re-sort preserves every column's value set.
@@ -1122,9 +950,8 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         | AlgOp::RowNum { input, target, .. }
         | AlgOp::UnaryMap { input, target, .. }
         | AlgOp::BinaryMap { input, target, .. } => {
-            let target = pp.col(target);
             for c in cols(*input) {
-                if c != target {
+                if c != *target {
                     exact(&mut sup, &mut eq, &mut excl, *input, c, c);
                 }
             }
@@ -1132,9 +959,8 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         // fn:data / fn:root rewrite `item`; other columns ride along
         // row-preserved.
         AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            let item = pp.names.get("item");
             for c in cols(*input) {
-                if Some(c) != item {
+                if c != ColId::ITEM {
                     exact(&mut sup, &mut eq, &mut excl, *input, c, c);
                 }
             }
@@ -1142,14 +968,12 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         // The distinct group values survive exactly; the aggregate
         // target is fresh.
         AlgOp::Aggregate { input, group, .. } => {
-            let group = pp.col(group);
-            exact(&mut sup, &mut eq, &mut excl, *input, group, group);
+            exact(&mut sup, &mut eq, &mut excl, *input, *group, *group);
         }
         // Steps emit a subset of the input iterations; item/pos are
         // fresh node/position values.
         AlgOp::Step { input, .. } | AlgOp::Ebv { input } => {
-            let iter = pp.col("iter");
-            subset(&mut sup, &mut excl, *input, iter, iter);
+            subset(&mut sup, &mut excl, *input, ColId::ITER, ColId::ITER);
         }
         AlgOp::EquiJoin {
             left,
@@ -1164,7 +988,7 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
                 subset(&mut sup, &mut excl, *right, c, c);
             }
             // Matched join columns take values present on *both* sides.
-            let (lcol, rcol) = (pp.col(left_col), pp.col(right_col));
+            let (lcol, rcol) = (*left_col, *right_col);
             let kept = sup.take(lcol);
             let matched = merge(pp.supersets[*right].tags(rcol), own(*right, rcol));
             sup.put(lcol, merge(kept, matched));
@@ -1183,8 +1007,7 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         // Groups without a match vanish: the group values shrink; the
         // count is fresh.
         AlgOp::ThetaCount { left, count, .. } => {
-            let group = pp.col(&count.group);
-            subset(&mut sup, &mut excl, *left, group, group);
+            subset(&mut sup, &mut excl, *left, count.group, count.group);
         }
         // A union row comes from either side: only relations that hold
         // on both survive; a tag equal to both sides equals the union.
@@ -1196,7 +1019,7 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
             }
         }
         AlgOp::Difference { left, right } => {
-            let out: Vec<Col> = cols(id).collect();
+            let out: Vec<ColId> = cols(id).collect();
             for &c in &out {
                 subset(&mut sup, &mut excl, *left, c, c);
             }
@@ -1212,14 +1035,19 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
         // One output row per loop row; iter values survive exactly, the
         // item (fresh node ids) does not.
         AlgOp::ElemConstruct { loop_input, .. } | AlgOp::AttrConstruct { loop_input, .. } => {
-            let iter = pp.col("iter");
-            exact(&mut sup, &mut eq, &mut excl, *loop_input, iter, iter);
+            exact(
+                &mut sup,
+                &mut eq,
+                &mut excl,
+                *loop_input,
+                ColId::ITER,
+                ColId::ITER,
+            );
         }
         // τ builds no node for an iteration without content: its iters
         // are a subset of the loop's.
         AlgOp::TextConstruct { loop_input, .. } => {
-            let iter = pp.col("iter");
-            subset(&mut sup, &mut excl, *loop_input, iter, iter);
+            subset(&mut sup, &mut excl, *loop_input, ColId::ITER, ColId::ITER);
         }
     }
     (sup.finish(), eq.finish(), excl.finish())
@@ -1249,7 +1077,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
                     }
                 });
                 if distinct {
-                    keys.push(pp.cols(&[col]));
+                    keys.push(cols(&[*col]));
                 }
             }
             keys
@@ -1264,14 +1092,13 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
                 // copied under several names keys the output under each.
                 let mut mapped: Vec<ColSet> = vec![ColSet::default()];
                 for &source in key {
-                    let name = pp.names.name(source);
-                    let targets: Vec<Col> = columns
+                    let targets: Vec<ColId> = columns
                         .iter()
-                        .filter(|(s, _)| s == name)
-                        .map(|(_, t)| pp.col(t))
+                        .filter(|&&(s, _)| s == source)
+                        .map(|&(_, t)| t)
                         .collect();
                     if targets.is_empty() {
-                        if pp.constants[*input].contains_key(name) {
+                        if pp.constants[*input].contains_key(&source) {
                             continue;
                         }
                         mapped.clear();
@@ -1298,8 +1125,7 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
         | AlgOp::BinaryMap { input, .. } => return shared(*input),
         AlgOp::Distinct { input } => {
             let mut keys = pp.keys[*input].to_vec();
-            let all: Vec<&str> = pp.columns(id).iter().map(String::as_str).collect();
-            keys.push(pp.cols(&all));
+            keys.push(cols(pp.columns(id)));
             keys
         }
         AlgOp::EquiJoin {
@@ -1317,10 +1143,10 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
             }
             // If the join column keys one side, every row of the other
             // side matches at most once, so that side's keys survive.
-            if pp.keyed_by_cols(*right, &[pp.col(right_col)]) {
+            if pp.keyed_by(*right, &[*right_col]) {
                 keys.extend(pp.keys[*left].iter().cloned());
             }
-            if pp.keyed_by_cols(*left, &[pp.col(left_col)]) {
+            if pp.keyed_by(*left, &[*left_col]) {
                 keys.extend(pp.keys[*right].iter().cloned());
             }
             keys
@@ -1341,16 +1167,12 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
             ..
         } => {
             let mut keys = pp.keys[*input].to_vec();
-            let mut numbered = vec![target.as_str()];
-            if let Some(p) = partition {
-                numbered.push(p);
-            }
-            keys.push(pp.cols(&numbered));
+            keys.push(std::iter::once(*target).chain(*partition).collect());
             keys
         }
         // One row per distinct group value, whatever the inputs' keys.
-        AlgOp::Aggregate { group, .. } => vec![pp.cols(&[group])],
-        AlgOp::ThetaCount { count, .. } => vec![pp.cols(&[&count.group])],
+        AlgOp::Aggregate { group, .. } => vec![cols(&[*group])],
+        AlgOp::ThetaCount { count, .. } => vec![cols(&[count.group])],
         // Steps and ddo sort + dedup on (iter, item) and renumber pos
         // within iter: both (iter, pos) and (iter, item) key the output.
         // An element has at most one attribute of a given name, so a
@@ -1358,31 +1180,31 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
         // yields at most one row per iteration.
         // (An attribute step yields attribute *values*, which repeat.)
         AlgOp::Step { input, axis, test } => {
-            let mut keys = vec![pp.cols(&["iter", "pos"])];
+            let mut keys = vec![cols(&[ColId::ITER, ColId::POS])];
             if *axis != Axis::Attribute {
-                keys.push(pp.cols(&["iter", "item"]));
+                keys.push(cols(&[ColId::ITER, ColId::ITEM]));
             }
-            let iter = pp.cols(&["iter"]);
+            let iter = cols(&[ColId::ITER]);
             if *axis == Axis::Attribute
                 && matches!(test, NodeTest::Attribute(_))
-                && pp.keyed_by_cols(*input, &iter)
+                && pp.keyed_by(*input, &iter)
             {
                 keys.push(iter);
             }
             keys
         }
-        AlgOp::DocOrder { .. } => vec![pp.cols(&["iter", "pos"]), pp.cols(&["iter", "item"])],
-        AlgOp::Ebv { .. } => vec![pp.cols(&["iter"])],
+        AlgOp::DocOrder { .. } => vec![
+            cols(&[ColId::ITER, ColId::POS]),
+            cols(&[ColId::ITER, ColId::ITEM]),
+        ],
+        AlgOp::Ebv { .. } => vec![cols(&[ColId::ITER])],
         // fn:data / fn:root rewrite the item column, which can collapse
         // distinct items; keys not involving `item` survive.
-        AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            let item = pp.names.get("item");
-            pp.keys[*input]
-                .iter()
-                .filter(|k| item.is_none_or(|item| !k.contains(&item)))
-                .cloned()
-                .collect()
-        }
+        AlgOp::FnData { input } | AlgOp::FnRoot { input } => pp.keys[*input]
+            .iter()
+            .filter(|k| !k.contains(&ColId::ITEM))
+            .cloned()
+            .collect(),
         // A union generally loses all keys — unless some column provably
         // *discriminates* the sides (rows from different sides always
         // differ on it).  Then that column plus one key per side is a
@@ -1400,10 +1222,9 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
             if pp.empty[*right] {
                 return shared(*left);
             }
-            let mut discriminators: Vec<Col> = Vec::new();
-            for name in pp.columns(id) {
-                let c = pp.col(name);
-                let known = |side: OpId| pp.constant_value(side, name);
+            let mut discriminators: Vec<ColId> = Vec::new();
+            for &c in pp.columns(id) {
+                let known = |side: OpId| pp.constant_value(side, c);
                 if let (Some(va), Some(vb)) = (known(*left), known(*right)) {
                     if va != vb {
                         discriminators.push(c);
@@ -1434,9 +1255,9 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
         AlgOp::ElemConstruct { loop_input, .. }
         | AlgOp::AttrConstruct { loop_input, .. }
         | AlgOp::TextConstruct { loop_input, .. } => {
-            let mut keys = vec![pp.cols(&["item"])];
-            let iter = pp.cols(&["iter"]);
-            if pp.keyed_by_cols(*loop_input, &iter) {
+            let mut keys = vec![cols(&[ColId::ITEM])];
+            let iter = cols(&[ColId::ITER]);
+            if pp.keyed_by(*loop_input, &iter) {
                 keys.push(iter);
             }
             keys
@@ -1454,7 +1275,7 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         // is constant `false`.  σ= keeps none of a column constant at a
         // different value.
         AlgOp::Select { input, column } => {
-            pp.empty[*input] || pp.constant_value(*input, column) == Some(&Value::Bool(false))
+            pp.empty[*input] || pp.constant_value(*input, *column) == Some(&Value::Bool(false))
         }
         AlgOp::SelectEq {
             input,
@@ -1463,7 +1284,7 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         } => {
             pp.empty[*input]
                 || pp
-                    .constant_value(*input, column)
+                    .constant_value(*input, *column)
                     .is_some_and(|c| c != value)
         }
         AlgOp::Project { input, .. }
@@ -1497,29 +1318,29 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
 fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants> {
     let shared = |input: OpId| Arc::clone(&pp.constants[input]);
     // The input's constants with `col` set to `value`.
-    let with = |input: OpId, col: &str, value: Option<Const>| {
+    let with = |input: OpId, col: ColId, value: Option<Const>| {
         let known = &pp.constants[input];
-        if known.get(col) == Some(&value) {
+        if known.get(&col) == Some(&value) {
             return Arc::clone(known);
         }
         let mut c = Constants::clone(known);
-        c.insert(col.to_string(), value);
+        c.insert(col, value);
         Arc::new(c)
     };
     // The input's constants without `col`.
-    let without = |input: OpId, col: &str| {
+    let without = |input: OpId, col: ColId| {
         let known = &pp.constants[input];
-        if !known.contains_key(col) {
+        if !known.contains_key(&col) {
             return Arc::clone(known);
         }
         let mut c = Constants::clone(known);
-        c.remove(col);
+        c.remove(&col);
         Arc::new(c)
     };
     Arc::new(match plan.op(id) {
         AlgOp::Lit { columns, rows } => {
             if rows.is_empty() {
-                columns.iter().map(|c| (c.clone(), None)).collect()
+                columns.iter().map(|&c| (c, None)).collect()
             } else if rows.len() > LIT_SCAN_CAP {
                 Constants::new()
             } else {
@@ -1527,25 +1348,25 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
                     .iter()
                     .enumerate()
                     .filter(|(idx, _)| rows.iter().all(|r| r[*idx] == rows[0][*idx]))
-                    .map(|(idx, c)| (c.clone(), Some(rows[0][idx].clone())))
+                    .map(|(idx, &c)| (c, Some(rows[0][idx].clone())))
                     .collect()
             }
         }
         // One row: its only column is constant, the value opaque.
-        AlgOp::Doc { .. } => std::iter::once(("item".to_string(), None)).collect(),
+        AlgOp::Doc { .. } => std::iter::once((ColId::ITEM, None)).collect(),
         AlgOp::Project { input, columns } => columns
             .iter()
-            .filter_map(|(s, t)| pp.constants[*input].get(s).map(|v| (t.clone(), v.clone())))
+            .filter_map(|&(s, t)| pp.constants[*input].get(&s).map(|v| (t, v.clone())))
             .collect(),
         // Survivors all carry `true` / the matched constant in `column`.
         AlgOp::Select { input, column } => {
-            return with(*input, column, Some(Const::Value(Value::Bool(true))));
+            return with(*input, *column, Some(Const::Value(Value::Bool(true))));
         }
         AlgOp::SelectEq {
             input,
             column,
             value,
-        } => return with(*input, column, Some(Const::Value(value.clone()))),
+        } => return with(*input, *column, Some(Const::Value(value.clone()))),
         // Row subsets / reorders keep every constant column constant.
         AlgOp::Distinct { input }
         | AlgOp::IndexScan { input, .. }
@@ -1554,10 +1375,10 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
             input,
             target,
             value,
-        } => return with(*input, target, Some(value.clone())),
+        } => return with(*input, *target, Some(value.clone())),
         AlgOp::UnaryMap { input, target, .. }
         | AlgOp::BinaryMap { input, target, .. }
-        | AlgOp::RowNum { input, target, .. } => return without(*input, target),
+        | AlgOp::RowNum { input, target, .. } => return without(*input, *target),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::Cross { left, right } => {
@@ -1566,7 +1387,7 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
             }
             let mut c = Constants::clone(&pp.constants[*left]);
             for (col, v) in pp.constants[*right].iter() {
-                c.entry(col.clone()).or_insert_with(|| v.clone());
+                c.entry(*col).or_insert_with(|| v.clone());
             }
             c
         }
@@ -1587,27 +1408,24 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
                     continue;
                 };
                 if va == vb {
-                    c.insert(col.clone(), Some(va.clone()));
+                    c.insert(*col, Some(va.clone()));
                 }
             }
             c
         }
-        AlgOp::Aggregate { input, group, .. } => group_constant(pp, *input, group),
-        AlgOp::ThetaCount { left, count, .. } => group_constant(pp, *left, &count.group),
-        AlgOp::Step { input, .. } | AlgOp::Ebv { input } => group_constant(pp, *input, "iter"),
-        AlgOp::DocOrder { input } => ["iter", "item"]
+        AlgOp::Aggregate { input, group, .. } => group_constant(pp, *input, *group),
+        AlgOp::ThetaCount { left, count, .. } => group_constant(pp, *left, count.group),
+        AlgOp::Step { input, .. } | AlgOp::Ebv { input } => group_constant(pp, *input, ColId::ITER),
+        AlgOp::DocOrder { input } => [ColId::ITER, ColId::ITEM]
             .into_iter()
-            .filter_map(|col| {
-                let v = pp.constants[*input].get(col)?;
-                Some((col.to_string(), v.clone()))
-            })
+            .filter_map(|col| Some((col, pp.constants[*input].get(&col)?.clone())))
             .collect(),
         // The item column is rewritten: still constant when the input
         // item was (same node ⇒ same atomization), but the value is no
         // longer statically known.
         AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            return if pp.constants[*input].contains_key("item") {
-                with(*input, "item", None)
+            return if pp.constants[*input].contains_key(&ColId::ITEM) {
+                with(*input, ColId::ITEM, None)
             } else {
                 shared(*input)
             };
@@ -1616,8 +1434,8 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
         | AlgOp::AttrConstruct { loop_input, .. }
         | AlgOp::TextConstruct { loop_input, .. } => {
             let mut c = Constants::new();
-            if pp.constants[*loop_input].contains_key("iter") {
-                c.insert("iter".to_string(), None);
+            if pp.constants[*loop_input].contains_key(&ColId::ITER) {
+                c.insert(ColId::ITER, None);
             }
             c
         }
@@ -1630,9 +1448,9 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
 fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
     let carry = |input: OpId| Arc::clone(&pp.types[input]);
     // The input's types with `col` set to `t` (`None`: any type).
-    let with = |input: OpId, col: &str, t: Option<TypeSet>| {
+    let with = |input: OpId, col: ColId, t: Option<TypeSet>| {
         let known = &pp.types[input];
-        if known.get(col).copied() == t {
+        if known.get(&col).copied() == t {
             return Arc::clone(known);
         }
         let mut types = Types::clone(known);
@@ -1640,7 +1458,7 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
         Arc::new(types)
     };
     // A fresh map of the given types.
-    let fresh = |typed: &[(&str, Option<TypeSet>)]| {
+    let fresh = |typed: &[(ColId, Option<TypeSet>)]| {
         let mut types = Types::new();
         for &(col, t) in typed {
             set_type(&mut types, col, t);
@@ -1661,17 +1479,17 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
                     let t = rows.iter().fold(TypeSet::NONE, |t, r| {
                         t.union(TypeSet::of(r[idx].value_type()))
                     });
-                    (c.clone(), t)
+                    (*c, t)
                 })
                 .collect()
         }
-        AlgOp::Doc { .. } => fresh(&[("item", node)]),
+        AlgOp::Doc { .. } => fresh(&[(ColId::ITEM, node)]),
         AlgOp::Project { input, columns } => columns
             .iter()
-            .filter_map(|(s, t)| pp.types[*input].get(s).map(|ty| (t.clone(), *ty)))
+            .filter_map(|&(s, t)| pp.types[*input].get(&s).map(|ty| (t, *ty)))
             .collect(),
         // Survivors carry `true` in the column (anything else is an error).
-        AlgOp::Select { input, column } => return with(*input, column, boolean),
+        AlgOp::Select { input, column } => return with(*input, *column, boolean),
         AlgOp::SelectEq { input, .. }
         | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
@@ -1681,7 +1499,7 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
             input,
             target,
             value,
-        } => return with(*input, target, Some(TypeSet::of(value.value_type()))),
+        } => return with(*input, *target, Some(TypeSet::of(value.value_type()))),
         AlgOp::BinaryMap {
             input, target, op, ..
         } => {
@@ -1693,25 +1511,25 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
                 | BinaryOp::StartsWith => boolean,
                 BinaryOp::Arith(_) | BinaryOp::Concat => None,
             };
-            return with(*input, target, t);
+            return with(*input, *target, t);
         }
         AlgOp::UnaryMap {
             input, target, op, ..
         } => {
             return with(
                 *input,
-                target,
+                *target,
                 (*op == UnaryOp::Not).then_some(boolean).flatten(),
             );
         }
         AlgOp::RowNum { input, target, .. } => {
-            return with(*input, target, Some(TypeSet::of(ValueType::Nat)));
+            return with(*input, *target, Some(TypeSet::of(ValueType::Nat)));
         }
         AlgOp::Aggregate { input, group, .. } => {
-            fresh(&[(group, pp.types[*input].get(group).copied())])
+            fresh(&[(*group, pp.types[*input].get(group).copied())])
         }
         AlgOp::ThetaCount { left, count, .. } => {
-            fresh(&[(&count.group, pp.types[*left].get(&count.group).copied())])
+            fresh(&[(count.group, pp.types[*left].get(&count.group).copied())])
         }
         // Attribute steps yield the attribute values, every other axis
         // nodes.
@@ -1721,17 +1539,17 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
                 _ => ValueType::Node,
             };
             fresh(&[
-                ("iter", pp.types[*input].get("iter").copied()),
-                ("pos", Some(TypeSet::of(ValueType::Nat))),
-                ("item", Some(TypeSet::of(item))),
+                (ColId::ITER, pp.types[*input].get(&ColId::ITER).copied()),
+                (ColId::POS, Some(TypeSet::of(ValueType::Nat))),
+                (ColId::ITEM, Some(TypeSet::of(item))),
             ])
         }
         AlgOp::Ebv { input } => fresh(&[
-            ("iter", pp.types[*input].get("iter").copied()),
-            ("item", boolean),
+            (ColId::ITER, pp.types[*input].get(&ColId::ITER).copied()),
+            (ColId::ITEM, boolean),
         ]),
-        AlgOp::FnData { input } => return with(*input, "item", None),
-        AlgOp::FnRoot { input } => return with(*input, "item", node),
+        AlgOp::FnData { input } => return with(*input, ColId::ITEM, None),
+        AlgOp::FnRoot { input } => return with(*input, ColId::ITEM, node),
         AlgOp::EquiJoin { left, right, .. }
         | AlgOp::ThetaJoin { left, right, .. }
         | AlgOp::Cross { left, right } => {
@@ -1739,7 +1557,7 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
                 return carry(*left);
             }
             let mut types = Types::clone(&pp.types[*left]);
-            types.extend(pp.types[*right].iter().map(|(c, t)| (c.clone(), *t)));
+            types.extend(pp.types[*right].iter().map(|(&c, &t)| (c, t)));
             types
         }
         AlgOp::Union { left, right } => {
@@ -1751,20 +1569,20 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
             }
             pp.types[*left]
                 .iter()
-                .filter_map(|(c, l)| pp.types[*right].get(c).map(|r| (c.clone(), l.union(*r))))
+                .filter_map(|(&c, l)| pp.types[*right].get(&c).map(|r| (c, l.union(*r))))
                 .collect()
         }
         // A constructed attribute travels as an encoded string.
-        AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } => fresh(&[("item", node)]),
+        AlgOp::ElemConstruct { .. } | AlgOp::TextConstruct { .. } => fresh(&[(ColId::ITEM, node)]),
         AlgOp::AttrConstruct { .. } => return Arc::default(),
     })
 }
 
 /// Set the type set of `col` (`None`: any type, no entry).
-fn set_type(types: &mut Types, col: &str, t: Option<TypeSet>) {
+fn set_type(types: &mut Types, col: ColId, t: Option<TypeSet>) {
     match t {
-        Some(t) => types.insert(col.to_string(), t),
-        None => types.remove(col),
+        Some(t) => types.insert(col, t),
+        None => types.remove(&col),
     };
 }
 
@@ -1772,9 +1590,9 @@ fn set_type(types: &mut Types, col: &str, t: Option<TypeSet>) {
 /// produce a dense one; π, `@` and maps keep it; σ, δ, `∖` and the
 /// left-major joins keep the order but lose the density.
 fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Arc<Sequence>> {
-    let dense = |column: &str| {
+    let dense = |column: ColId| {
         Some(Arc::new(Sequence {
-            column: column.to_string(),
+            column,
             dense: true,
         }))
     };
@@ -1785,14 +1603,14 @@ fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Arc<Sequ
             return Some(Arc::clone(seq));
         }
         Some(Arc::new(Sequence {
-            column: seq.column.clone(),
+            column: seq.column,
             dense: false,
         }))
     };
     match plan.op(id) {
         // Steps and ddo sort by (iter, document order) and number `pos`
         // within each iter.
-        AlgOp::Step { .. } | AlgOp::DocOrder { .. } => dense("pos"),
+        AlgOp::Step { .. } | AlgOp::DocOrder { .. } => dense(ColId::POS),
         // % re-sorts by (partition, order keys) and numbers within each
         // partition: per iter, or over the whole table when iter is
         // constant.
@@ -1802,31 +1620,33 @@ fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Arc<Sequ
             partition,
             ..
         } => {
-            let has_iter = pp.columns(*input).iter().any(|c| c == "iter");
+            let has_iter = pp.columns(*input).contains(&ColId::ITER);
             let per_iter = match partition {
-                Some(p) => p == "iter",
-                None => pp.constants[*input].contains_key("iter"),
+                Some(p) => *p == ColId::ITER,
+                None => pp.constants[*input].contains_key(&ColId::ITER),
             };
-            (has_iter && per_iter).then(|| dense(target)).flatten()
+            (has_iter && per_iter).then(|| dense(*target)).flatten()
         }
         AlgOp::Project { input, columns } => {
             let seq = pp.sequence[*input].as_ref()?;
-            columns.iter().find(|(s, t)| s == "iter" && t == "iter")?;
-            let (_, target) = columns.iter().find(|(s, _)| *s == seq.column)?;
-            if *target == seq.column {
+            columns
+                .iter()
+                .find(|&&(s, t)| s == ColId::ITER && t == ColId::ITER)?;
+            let &(_, target) = columns.iter().find(|&&(s, _)| s == seq.column)?;
+            if target == seq.column {
                 return Some(Arc::clone(seq));
             }
             Some(Arc::new(Sequence {
-                column: target.clone(),
+                column: target,
                 dense: seq.dense,
             }))
         }
         AlgOp::Attach { input, .. }
         | AlgOp::BinaryMap { input, .. }
         | AlgOp::UnaryMap { input, .. } => pp.sequence[*input].clone(),
-        AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-            pp.sequence[*input].clone().filter(|s| s.column != "item")
-        }
+        AlgOp::FnData { input } | AlgOp::FnRoot { input } => pp.sequence[*input]
+            .clone()
+            .filter(|s| s.column != ColId::ITEM),
         // One row per iter survives σ[c=1] of a dense sequence on c: still
         // 1 within each iter.
         AlgOp::SelectEq {
@@ -1859,7 +1679,7 @@ fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<OpSet> {
     let op = plan.op(id);
     let raises = match op {
         AlgOp::Select { input, column } => {
-            !pp.types(*input, column).is_some_and(TypeSet::is_boolean)
+            !pp.types(*input, *column).is_some_and(TypeSet::is_boolean)
         }
         AlgOp::Aggregate { func, .. } => *func != AggFunc::Count,
         AlgOp::BinaryMap { .. }
@@ -1890,12 +1710,9 @@ fn infer_raisers(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<OpSet> {
 
 /// The constants of a grouping operator: its group column, when that is
 /// constant at `input`.
-fn group_constant(pp: &PlanProperties, input: OpId, group: &str) -> Constants {
-    let known = pp.constants[input].get(group);
-    known
-        .map(|v| (group.to_string(), v.clone()))
-        .into_iter()
-        .collect()
+fn group_constant(pp: &PlanProperties, input: OpId, group: ColId) -> Constants {
+    let known = pp.constants[input].get(&group);
+    known.map(|v| (group, v.clone())).into_iter().collect()
 }
 
 /// Can permuting the rows of `child` (child slot `slot` of `parent_op`)
@@ -1920,8 +1737,12 @@ fn edge_order_free(
             partition,
             ..
         } => {
-            let cols = order_by.iter().map(|s| s.column.as_str());
-            if pp.keyed_by_names(child, cols.chain(partition.as_deref())) {
+            let cols: Vec<ColId> = order_by
+                .iter()
+                .map(|s| s.column)
+                .chain(*partition)
+                .collect();
+            if pp.keyed_by(child, &cols) {
                 parent_free
             } else {
                 false
@@ -1941,13 +1762,13 @@ fn edge_order_free(
         // index re-sorts stably by pos within iter.
         AlgOp::ElemConstruct { .. } | AlgOp::AttrConstruct { .. } | AlgOp::TextConstruct { .. } => {
             if slot == 0 {
-                if pp.keyed_by_names(child, ["iter"]) {
+                if pp.keyed_by(child, &[ColId::ITER]) {
                     parent_free
                 } else {
                     false
                 }
             } else {
-                pp.keyed_by_names(child, ["iter", "pos"])
+                pp.keyed_by(child, &[ColId::ITER, ColId::POS])
             }
         }
         // The right side of a difference is only probed, never emitted;
@@ -2064,25 +1885,23 @@ mod tests {
     use super::*;
     use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_store::DocStore;
 
-    fn set(cols: &[&str]) -> BTreeSet<String> {
-        cols.iter().map(|c| c.to_string()).collect()
+    fn set(cols: &[&str]) -> Vec<ColId> {
+        cols.iter().map(|c| col(c)).collect()
     }
 
     fn doc_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let d = b.add(AlgOp::Doc { uri: uri.into() });
         let l = b.add(AlgOp::Attach {
             input: d,
-            target: "iter".into(),
+            target: col("iter"),
             value: Value::Nat(1).into(),
         });
         let p = b.add(AlgOp::Project {
             input: l,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         b.add(AlgOp::Step {
             input: p,
@@ -2093,9 +1912,9 @@ mod tests {
 
     #[test]
     fn step_output_is_doc_ordered_and_distinct() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![],
         });
         let step = b.add(AlgOp::Step {
@@ -2108,16 +1927,16 @@ mod tests {
         let pp = PlanProperties::analyze(&plan);
         assert!(pp.doc_ordered(step));
         assert!(pp.keyed_by(step, &set(&["iter", "item"])));
-        assert_eq!(pp.columns(step), ["iter", "pos", "item"]);
+        assert_eq!(pp.columns(step), [col("iter"), col("pos"), col("item")]);
         assert!(pp.doc_ordered(ddo));
         assert!(!pp.doc_ordered(lit));
     }
 
     #[test]
     fn project_tracks_renamed_columns() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: vec![vec![
                 Value::Nat(1).into(),
                 Value::Nat(1).into(),
@@ -2126,69 +1945,66 @@ mod tests {
         });
         let proj = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "outer".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("outer")), (col("item"), col("item"))],
         });
         let plan = b.finish(proj);
         let pp = PlanProperties::analyze(&plan);
-        assert_eq!(pp.columns(proj), ["outer", "item"]);
+        assert_eq!(pp.columns(proj), [col("outer"), col("item")]);
     }
 
     #[test]
     fn join_concatenates_schemas_and_clears_order() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![],
         });
         let r = b.add(AlgOp::Lit {
-            columns: vec!["inner".into(), "outer".into()],
+            columns: vec![col("inner"), col("outer")],
             rows: vec![],
         });
         let j = b.add(AlgOp::EquiJoin {
             left: l,
             right: r,
-            left_col: "iter".into(),
-            right_col: "outer".into(),
+            left_col: col("iter"),
+            right_col: col("outer"),
         });
         let plan = b.finish(j);
         let pp = PlanProperties::analyze(&plan);
-        assert_eq!(pp.columns(j), ["iter", "inner", "outer"]);
+        assert_eq!(pp.columns(j), [col("iter"), col("inner"), col("outer")]);
         assert!(!pp.doc_ordered(j));
     }
 
     #[test]
     fn rownum_adds_key_column() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into()],
+            columns: vec![col("iter"), col("pos")],
             rows: vec![],
         });
         let r = b.add(AlgOp::RowNum {
             input: l,
-            target: "inner".into(),
-            order_by: vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
+            target: col("inner"),
+            order_by: vec![SortSpec::asc(col("iter")), SortSpec::asc(col("pos"))],
             partition: None,
         });
         let plan = b.finish(r);
         let pp = PlanProperties::analyze(&plan);
         assert!(pp.keyed_by(r, &set(&["inner"])));
-        assert_eq!(pp.columns(r), ["iter", "pos", "inner"]);
+        assert_eq!(pp.columns(r), [col("iter"), col("pos"), col("inner")]);
     }
 
     /// The unified pass agrees with itself: one analysis carries schema,
     /// keys, constants, cardinality and provenance for the same ops.
     #[test]
     fn one_pass_carries_every_property_family() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = doc_step(&mut b, "doc.xml");
         let plan = b.finish(s);
         let pp = PlanProperties::analyze(&plan);
-        assert_eq!(pp.columns(s), ["iter", "pos", "item"]);
+        assert_eq!(pp.columns(s), [col("iter"), col("pos"), col("item")]);
         assert!(pp.keyed_by(s, &set(&["pos"])), "iter is constant");
-        assert!(pp.constants(s).contains_key("iter"));
+        assert!(pp.constants(s).contains_key(&col("iter")));
         assert_eq!(pp.doc(s), Some("doc.xml"));
         assert!(pp.rows(s) > 0.0);
         assert!(pp.order_free(s));
@@ -2211,9 +2027,9 @@ mod tests {
 
     #[test]
     fn unreachable_operators_have_empty_properties() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let keep = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into()],
+            columns: vec![col("iter"), col("pos")],
             rows: vec![vec![Value::Nat(1).into(), Value::Nat(1).into()]],
         });
         let orphan = b.add(AlgOp::Distinct { input: keep });
@@ -2228,17 +2044,17 @@ mod tests {
 
     #[test]
     fn doc_provenance_resets_at_constructors_and_merges_at_joins() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = doc_step(&mut b, "d");
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: s,
             right: lit,
-            left_col: "iter".into(),
-            right_col: "iter".into(),
+            left_col: col("iter"),
+            right_col: col("iter"),
         });
         let elem = b.add(AlgOp::ElemConstruct {
             loop_input: join,
@@ -2256,39 +2072,39 @@ mod tests {
     /// holds more than its left input.
     #[test]
     fn rank_count_is_estimated_at_its_left_input() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let nats = |n: u64| {
             (1..=n)
                 .map(|i| vec![Value::Nat(i).into(), Value::Nat(i).into()])
                 .collect()
         };
         let l = b.add(AlgOp::Lit {
-            columns: vec!["g".into(), "k".into()],
+            columns: vec![col("g"), col("k")],
             rows: nats(30),
         });
         let r = b.add(AlgOp::Lit {
-            columns: vec!["id".into(), "v".into()],
+            columns: vec![col("id"), col("v")],
             rows: nats(60),
         });
         let op = pf_relational::ops::BinaryOp::Cmp(pf_relational::ops::CmpOp::Gt);
         let pairs = b.add(AlgOp::ThetaJoin {
             left: l,
             right: r,
-            left_col: "k".into(),
+            left_col: col("k"),
             op,
-            right_col: "v".into(),
+            right_col: col("v"),
         });
         let count = b.add(AlgOp::ThetaCount {
             left: l,
             right: r,
-            count: Box::new(pf_relational::ops::RankCount {
-                group: "g".into(),
-                left_col: "k".into(),
+            count: pf_relational::ops::RankCount {
+                group: col("g"),
+                left_col: col("k"),
                 op,
-                right_id: "id".into(),
-                right_col: "v".into(),
-                result: "n".into(),
-            }),
+                right_id: col("id"),
+                right_col: col("v"),
+                result: col("n"),
+            },
         });
         let both = b.add(AlgOp::Cross {
             left: pairs,
@@ -2297,7 +2113,7 @@ mod tests {
         let pp = PlanProperties::analyze(&b.finish(both));
         assert_eq!(pp.rows(pairs), 600.0);
         assert_eq!(pp.rows(count), 30.0);
-        assert_eq!(pp.columns(count), ["g", "n"]);
+        assert_eq!(pp.columns(count), [col("g"), col("n")]);
         assert!(pp.keyed_by(count, &set(&["g"])));
     }
 
@@ -2305,18 +2121,18 @@ mod tests {
     fn provably_empty_sides_keep_union_properties() {
         // ∪(σ over a 1-row lit, empty lit): the empty side must not cost
         // the union the non-empty side's keys and constants.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["a".into(), "v".into()],
+            columns: vec![col("a"), col("v")],
             rows: vec![vec![Value::Nat(1).into(), Value::Nat(7).into()]],
         });
         let sel = b.add(AlgOp::SelectEq {
             input: lit,
-            column: "v".into(),
+            column: col("v"),
             value: Value::Nat(7),
         });
         let empty = b.add(AlgOp::Lit {
-            columns: vec!["a".into(), "v".into()],
+            columns: vec![col("a"), col("v")],
             rows: vec![],
         });
         let u = b.add(AlgOp::Union {
@@ -2328,7 +2144,7 @@ mod tests {
         assert!(pp.provably_empty(empty));
         assert!(!pp.provably_empty(u));
         assert_eq!(
-            pp.constants(u).get("v"),
+            pp.constants(u).get(&col("v")),
             Some(&Some(Const::Value(Value::Nat(7)))),
             "constant survives a provably empty union side"
         );
@@ -2341,7 +2157,7 @@ mod tests {
     /// A one-iteration literal context under a descendant step.
     fn lit_step(b: &mut PlanBuilder, uri: &str) -> OpId {
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Nat(0).into()]],
         });
         b.add(AlgOp::Step {
@@ -2353,36 +2169,36 @@ mod tests {
 
     #[test]
     fn step_output_is_keyed_and_constant_iter_shrinks_the_key() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = lit_step(&mut b, "a");
         let plan = b.finish(s);
         let pp = PlanProperties::analyze(&plan);
         // iter is constant (single-iteration literal below), so {pos}
         // alone determines rows.
-        assert!(pp.constants(s).contains_key("iter"));
+        assert!(pp.constants(s).contains_key(&col("iter")));
         assert!(pp.keyed_by(s, &set(&["pos"])));
         assert!(pp.keyed_by(s, &set(&["item"])));
-        assert!(!pp.keyed_by(s, &BTreeSet::new()));
+        assert!(!pp.keyed_by(s, &[]));
         // Serialization sorts by pos, which keys the root: order-free.
         assert!(pp.order_free(s));
     }
 
     #[test]
     fn order_sensitive_aggregate_pins_its_input() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = lit_step(&mut b, "a");
         let fd = b.add(AlgOp::FnData { input: s });
         let agg = b.add(AlgOp::Aggregate {
             input: fd,
-            group: "iter".into(),
-            target: "item".into(),
+            group: col("iter"),
+            target: col("item"),
             func: AggFunc::Sum,
-            value: "item".into(),
+            value: col("item"),
         });
         // Give the root a pos column so serialization is key-covered.
         let at = b.add(AlgOp::Attach {
             input: agg,
-            target: "pos".into(),
+            target: col("pos"),
             value: Value::Nat(1).into(),
         });
         let plan = b.finish(at);
@@ -2396,18 +2212,18 @@ mod tests {
 
     #[test]
     fn count_aggregate_keeps_the_region_order_free() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = lit_step(&mut b, "a");
         let agg = b.add(AlgOp::Aggregate {
             input: s,
-            group: "iter".into(),
-            target: "item".into(),
+            group: col("iter"),
+            target: col("item"),
             func: AggFunc::Count,
-            value: "item".into(),
+            value: col("item"),
         });
         let at = b.add(AlgOp::Attach {
             input: agg,
-            target: "pos".into(),
+            target: col("pos"),
             value: Value::Nat(1).into(),
         });
         let plan = b.finish(at);
@@ -2417,9 +2233,9 @@ mod tests {
 
     #[test]
     fn rownum_without_covering_keys_pins_its_input() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Int(5).into()],
                 vec![Value::Nat(2).into(), Value::Int(5).into()],
@@ -2427,9 +2243,9 @@ mod tests {
         });
         let rn = b.add(AlgOp::RowNum {
             input: l,
-            target: "pos".into(),
+            target: col("pos"),
             order_by: vec![SortSpec {
-                column: "item".into(),
+                column: col("item"),
                 descending: false,
             }],
             partition: None,
@@ -2441,9 +2257,9 @@ mod tests {
         assert!(!pp.order_free(l));
 
         // With a key-covering order_by, the same shape is order-free.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Int(5).into()],
                 vec![Value::Nat(2).into(), Value::Int(5).into()],
@@ -2451,9 +2267,9 @@ mod tests {
         });
         let rn = b.add(AlgOp::RowNum {
             input: l,
-            target: "pos".into(),
+            target: col("pos"),
             order_by: vec![SortSpec {
-                column: "iter".into(),
+                column: col("iter"),
                 descending: false,
             }],
             partition: None,
@@ -2466,10 +2282,10 @@ mod tests {
 
     #[test]
     fn equijoin_on_keyed_side_preserves_other_side_keys() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = lit_step(&mut b, "a");
         let lookup = b.add(AlgOp::Lit {
-            columns: vec!["key".into(), "val".into()],
+            columns: vec![col("key"), col("val")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Int(10).into()],
                 vec![Value::Nat(2).into(), Value::Int(20).into()],
@@ -2478,8 +2294,8 @@ mod tests {
         let join = b.add(AlgOp::EquiJoin {
             left: s,
             right: lookup,
-            left_col: "iter".into(),
-            right_col: "key".into(),
+            left_col: col("iter"),
+            right_col: col("key"),
         });
         let plan = b.finish(join);
         let pp = PlanProperties::analyze(&plan);
@@ -2490,9 +2306,9 @@ mod tests {
 
     #[test]
     fn root_without_pos_column_is_order_pinned() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Int(1).into()]],
         });
         let plan = b.finish(l);
@@ -2506,17 +2322,17 @@ mod tests {
     /// is the same value.
     #[test]
     fn slots_are_never_known_to_differ() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s1 = lit_step(&mut b, "a");
         let s2 = lit_step(&mut b, "b");
         let t1 = b.add(AlgOp::Attach {
             input: s1,
-            target: "ord".into(),
+            target: col("ord"),
             value: Const::Param(0),
         });
         let t2 = b.add(AlgOp::Attach {
             input: s2,
-            target: "ord".into(),
+            target: col("ord"),
             value: Const::Param(1),
         });
         let u = b.add(AlgOp::Union {
@@ -2528,7 +2344,7 @@ mod tests {
             right: t1,
         });
         let rows = b.add(AlgOp::Lit {
-            columns: vec!["v".into()],
+            columns: vec![col("v")],
             rows: vec![vec![Const::Param(0)], vec![Const::Param(1)]],
         });
         let root = b.add(AlgOp::Cross {
@@ -2542,29 +2358,29 @@ mod tests {
         let plan = b.finish(root);
         let pp = PlanProperties::analyze(&plan);
         assert!(!pp.keyed_by(u, &set(&["ord", "pos"])));
-        assert_eq!(pp.constant(t1, "ord"), Some(&Const::Param(0)));
-        assert_eq!(pp.constant_value(t1, "ord"), None);
-        assert_eq!(pp.constant(same, "ord"), Some(&Const::Param(0)));
-        assert!(pp.constant(u, "ord").is_none());
+        assert_eq!(pp.constant(t1, col("ord")), Some(&Const::Param(0)));
+        assert_eq!(pp.constant_value(t1, col("ord")), None);
+        assert_eq!(pp.constant(same, col("ord")), Some(&Const::Param(0)));
+        assert!(pp.constant(u, col("ord")).is_none());
         assert!(!pp.keyed_by(rows, &set(&["v"])));
-        assert_eq!(pp.types(t1, "ord"), Some(TypeSet::of(ValueType::Str)));
+        assert_eq!(pp.types(t1, col("ord")), Some(TypeSet::of(ValueType::Str)));
     }
 
     /// Two branches tagged with different `ord` constants: the union is
     /// keyed by {ord} ∪ (a key per side).
     #[test]
     fn constant_discriminated_union_keeps_a_key() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s1 = lit_step(&mut b, "a");
         let s2 = lit_step(&mut b, "b");
         let t1 = b.add(AlgOp::Attach {
             input: s1,
-            target: "ord".into(),
+            target: col("ord"),
             value: Value::Nat(1).into(),
         });
         let t2 = b.add(AlgOp::Attach {
             input: s2,
-            target: "ord".into(),
+            target: col("ord"),
             value: Value::Nat(2).into(),
         });
         let u = b.add(AlgOp::Union {
@@ -2577,17 +2393,17 @@ mod tests {
         assert!(!pp.keyed_by(u, &set(&["pos"])));
 
         // Same ord value on both sides: no discrimination, no key.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s1 = lit_step(&mut b, "a");
         let s2 = lit_step(&mut b, "b");
         let t1 = b.add(AlgOp::Attach {
             input: s1,
-            target: "ord".into(),
+            target: col("ord"),
             value: Value::Nat(1).into(),
         });
         let t2 = b.add(AlgOp::Attach {
             input: s2,
-            target: "ord".into(),
+            target: col("ord"),
             value: Value::Nat(1).into(),
         });
         let u = b.add(AlgOp::Union {
@@ -2604,40 +2420,37 @@ mod tests {
     /// union keeps the {iter} key.
     #[test]
     fn difference_complement_union_keeps_a_key() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s = lit_step(&mut b, "a");
         // One row per item: iter column = item ids (a key).
         let all = b.add(AlgOp::Project {
             input: s,
-            columns: vec![("item".into(), "iter".into())],
+            columns: vec![(col("item"), col("iter"))],
         });
         let agg_in = b.add(AlgOp::SelectEq {
             input: s,
-            column: "pos".into(),
+            column: col("pos"),
             value: Value::Nat(1),
         });
         let agg_iters = b.add(AlgOp::Project {
             input: agg_in,
-            columns: vec![("item".into(), "iter".into())],
+            columns: vec![(col("item"), col("iter"))],
         });
         let agg = b.add(AlgOp::Aggregate {
             input: agg_iters,
-            group: "iter".into(),
-            target: "res".into(),
+            group: col("iter"),
+            target: col("res"),
             func: AggFunc::Count,
-            value: "iter".into(),
+            value: col("iter"),
         });
         let hit = b.add(AlgOp::Project {
             input: agg,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("res".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("res"), col("item"))],
         });
         // Default branch: iters with no aggregate row.
         let agg_keys = b.add(AlgOp::Project {
             input: agg,
-            columns: vec![("iter".into(), "iter".into())],
+            columns: vec![(col("iter"), col("iter"))],
         });
         let missing = b.add(AlgOp::Difference {
             left: all,
@@ -2645,7 +2458,7 @@ mod tests {
         });
         let dflt = b.add(AlgOp::Attach {
             input: missing,
-            target: "item".into(),
+            target: col("item"),
             value: Value::Int(0).into(),
         });
         let u = b.add(AlgOp::Union {
@@ -2679,7 +2492,7 @@ mod tests {
     #[test]
     fn descendant_step_estimates_from_tag_histogram() {
         let stats = xml_stats("d", "<a><b/><b/><b/><c/></a>");
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let d = b.add(AlgOp::Doc { uri: "d".into() });
         let step = b.add(AlgOp::Step {
             input: d,
@@ -2695,9 +2508,9 @@ mod tests {
     #[test]
     fn empty_input_steps_estimate_zero() {
         let stats = xml_stats("d", "<a><b/></a>");
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![],
         });
         let step = b.add(AlgOp::Step {
@@ -2713,7 +2526,7 @@ mod tests {
     #[test]
     fn provenance_survives_joins_and_selections() {
         let stats = xml_stats("d", "<a><b/><b/><c/><c/><c/><c/></a>");
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let d = b.add(AlgOp::Doc { uri: "d".into() });
         let bs = b.add(AlgOp::Step {
             input: d,
@@ -2721,14 +2534,14 @@ mod tests {
             test: NodeTest::Element("b".into()),
         });
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: bs,
             right: lit,
-            left_col: "iter".into(),
-            right_col: "iter".into(),
+            left_col: col("iter"),
+            right_col: col("iter"),
         });
         // The join keeps the document provenance of its left side, so a
         // step above it still finds the tag histogram.
@@ -2746,15 +2559,15 @@ mod tests {
     #[test]
     fn peak_rows_takes_the_plan_maximum() {
         let stats = NoStats;
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()], vec![Value::Nat(2).into()]],
         });
         let cross = b.add(AlgOp::Cross { left: l, right: l });
         let sel = b.add(AlgOp::SelectEq {
             input: cross,
-            column: "iter".into(),
+            column: col("iter"),
             value: Value::Nat(1),
         });
         let plan = b.finish(sel);

@@ -18,7 +18,7 @@ pub fn to_dot(plan: &Plan) -> String {
     let mut out = String::from("digraph plan {\n  node [shape=box, fontname=\"monospace\"];\n");
     let reachable = plan.reachable();
     for &id in &reachable {
-        let label = plan.op(id).symbol().replace('"', "\\\"");
+        let label = plan.symbol(id).replace('"', "\\\"");
         let shape_extra = if id == plan.root() {
             ", style=bold"
         } else {
@@ -70,7 +70,7 @@ pub fn to_ascii(plan: &Plan) -> String {
 /// [`to_ascii`].
 pub fn to_ascii_annotated(plan: &Plan) -> String {
     let props = PlanProperties::analyze(plan);
-    render_annotated(plan, &|id| Some(annotate(&props, id)))
+    render_annotated(plan, &|id| Some(annotate(plan, &props, id)))
 }
 
 /// [`to_ascii_annotated`] with each operator also tagged by the node of
@@ -91,7 +91,7 @@ pub fn to_ascii_physical(plan: &Plan, physical: &PhysicalPlan) -> String {
     }
     render_annotated(plan, &|id| {
         let tag = tags[id].as_deref().unwrap_or("-");
-        Some(format!(" {tag}{}", annotate(&props, id)))
+        Some(format!(" {tag}{}", annotate(plan, &props, id)))
     })
 }
 
@@ -118,22 +118,38 @@ fn render_annotated(plan: &Plan, annotation: &dyn Fn(OpId) -> Option<String>) ->
 }
 
 /// One operator's property annotation:
-/// `{cols=[iter,pos] keys={pos} const=[iter=Nat(1)] rows≈12}`.
-fn annotate(props: &PlanProperties, id: OpId) -> String {
-    let cols = props.columns(id).join(",");
+/// `{cols=[iter,pos] keys={pos} const=[iter=Nat(1)] rows≈12}`.  Key
+/// columns and constants are listed by name.
+fn annotate(plan: &Plan, props: &PlanProperties, id: OpId) -> String {
+    let by_name = |cols: &mut Vec<&str>| {
+        cols.sort_unstable();
+        cols.join(",")
+    };
+    let cols: Vec<&str> = props.columns(id).iter().map(|&c| plan.name(c)).collect();
+    let cols = cols.join(",");
     let keys = props
         .keys(id)
         .iter()
-        .map(|k| format!("{{{}}}", k.iter().cloned().collect::<Vec<_>>().join(",")))
+        .map(|k| {
+            format!(
+                "{{{}}}",
+                by_name(&mut k.iter().map(|&c| plan.name(c)).collect())
+            )
+        })
         .collect::<Vec<_>>()
         .join("");
-    let consts = props
+    let mut consts: Vec<(&str, &Option<Const>)> = props
         .constants(id)
+        .iter()
+        .map(|(&c, v)| (plan.name(c), v))
+        .collect();
+    consts.sort_unstable_by_key(|&(c, _)| c);
+    let consts = consts
         .iter()
         .map(|(c, v)| match v {
             Some(Const::Value(v)) => format!("{c}={v:?}"),
             Some(Const::Param(k)) => format!("{c}=?{k}"),
-            None => c.clone(),
+            None => c.to_string(),
         })
         .collect::<Vec<_>>()
         .join(",");
@@ -175,10 +191,7 @@ fn render_node_with(
         String::new()
     };
     let props = annotation(id).unwrap_or_default();
-    out.push_str(&format!(
-        "{indent}{}{marker}{props}\n",
-        plan.op(id).symbol()
-    ));
+    out.push_str(&format!("{indent}{}{marker}{props}\n", plan.symbol(id)));
     printed.insert(id, ());
     for child in plan.op(id).children() {
         render_node_with(plan, child, depth + 1, refs, printed, out, annotation);
@@ -189,28 +202,28 @@ fn render_node_with(
 mod tests {
     use super::*;
     use crate::ops::AlgOp;
-    use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col};
     use pf_relational::Value;
 
     fn shared_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![vec![Value::Nat(1).into(), Value::Int(10).into()]],
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![("iter".into(), "iter".into())],
+            columns: vec![(col("iter"), col("iter"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![("iter".into(), "iter1".into())],
+            columns: vec![(col("iter"), col("iter1"))],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: p1,
             right: p2,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         b.finish(join)
     }

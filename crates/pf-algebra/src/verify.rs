@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use pf_relational::ops::IndexProbe;
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
@@ -81,14 +81,14 @@ fn err(message: String) -> VerifyError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanDigest {
     /// Root output columns, in schema order.
-    pub columns: Vec<String>,
+    pub columns: Vec<ColId>,
     /// Key sets proven at the root.
-    pub keys: Vec<BTreeSet<String>>,
+    pub keys: Vec<Vec<ColId>>,
     /// Constant columns proven at the root (with statically known
     /// values where available).
-    pub constants: BTreeMap<String, Option<Const>>,
+    pub constants: BTreeMap<ColId, Option<Const>>,
     /// The value types proven for root columns.
-    pub types: BTreeMap<String, TypeSet>,
+    pub types: BTreeMap<ColId, TypeSet>,
     /// The [`AlgOp::ThetaCount`] operators the plan justifies, inputs
     /// erased: the ones it already contains, and one per count aggregate
     /// whose input is row-aligned with a θ-join's distinct pairs
@@ -97,7 +97,8 @@ pub struct PlanDigest {
 }
 
 /// Capture the root-level property digest of `plan`.  The plan must be
-/// well-formed (run [`verify_plan`] first when in doubt).
+/// well-formed (run [`verify_plan`] first when in doubt).  Its columns
+/// are ids of `plan`, which a rewrite only ever adds names to.
 pub fn digest(plan: &Plan) -> PlanDigest {
     let props = PlanProperties::analyze(plan);
     let root = plan.root();
@@ -151,7 +152,7 @@ pub fn verify_bound(plan: &Plan) -> Result<(), VerifyError> {
         if let Some(k) = slot {
             return Err(err(format!(
                 "op #{id} {}: parameter slot ?{k} is unbound",
-                op.symbol()
+                plan.symbol(id)
             )));
         }
     }
@@ -171,7 +172,7 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
             if child >= n {
                 return Err(err(format!(
                     "op #{id} {} references child #{child}, but the arena has {n} operators",
-                    op.symbol()
+                    plan.symbol(id)
                 )));
             }
         }
@@ -201,8 +202,8 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
             ON_STACK => {
                 return Err(err(format!(
                     "cycle through op #{child} {} (reached again from #{id} {})",
-                    plan.op(child).symbol(),
-                    plan.op(id).symbol()
+                    plan.symbol(child),
+                    plan.symbol(id)
                 )));
             }
             WHITE => {
@@ -217,10 +218,11 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
     // a ragged row.
     for (id, op) in plan.ops().iter().enumerate() {
         if let AlgOp::Lit { columns, rows } = op {
-            let unique: HashSet<&String> = columns.iter().collect();
+            let unique: HashSet<&ColId> = columns.iter().collect();
             if unique.len() != columns.len() {
                 return Err(err(format!(
-                    "op #{id} lit: duplicate column names in {columns:?}"
+                    "op #{id} lit: duplicate column names in {:?}",
+                    names(plan, columns)
                 )));
             }
             for (r, row) in rows.iter().enumerate() {
@@ -237,38 +239,40 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
     // (d) Per-operator checks over the (now provably safe to compute)
     // inferred schemas.
     let props = PlanProperties::analyze(plan);
-    let resolve = |of: OpId, col: &str, what: &str, at: OpId| -> Result<(), VerifyError> {
-        if props.columns(of).iter().any(|c| c == col) {
+    let resolve = |of: OpId, col: ColId, what: &str, at: OpId| -> Result<(), VerifyError> {
+        if props.columns(of).contains(&col) {
             Ok(())
         } else {
             Err(err(format!(
-                "op #{at} {}: {what} column `{col}` does not resolve in input #{of} (columns: {:?})",
-                plan.op(at).symbol(),
-                props.columns(of)
+                "op #{at} {}: {what} column `{}` does not resolve in input #{of} (columns: {:?})",
+                plan.symbol(at),
+                plan.name(col),
+                names(plan, props.columns(of))
             )))
         }
     };
-    let fresh = |of: OpId, col: &str, at: OpId| -> Result<(), VerifyError> {
-        if props.columns(of).iter().any(|c| c == col) {
+    let fresh = |of: OpId, col: ColId, at: OpId| -> Result<(), VerifyError> {
+        if props.columns(of).contains(&col) {
             Err(err(format!(
-                "op #{at} {}: target column `{col}` already exists in input #{of}",
-                plan.op(at).symbol()
+                "op #{at} {}: target column `{}` already exists in input #{of}",
+                plan.symbol(at),
+                plan.name(col)
             )))
         } else {
             Ok(())
         }
     };
     let same_columns = |left: OpId, right: OpId, at: OpId| -> Result<(), VerifyError> {
-        let l: BTreeSet<&String> = props.columns(left).iter().collect();
-        let r: BTreeSet<&String> = props.columns(right).iter().collect();
+        let l: BTreeSet<&ColId> = props.columns(left).iter().collect();
+        let r: BTreeSet<&ColId> = props.columns(right).iter().collect();
         if l == r {
             Ok(())
         } else {
             Err(err(format!(
                 "op #{at} {}: input schemas disagree ({:?} vs {:?})",
-                plan.op(at).symbol(),
-                props.columns(left),
-                props.columns(right)
+                plan.symbol(at),
+                names(plan, props.columns(left)),
+                names(plan, props.columns(right))
             )))
         }
     };
@@ -277,16 +281,19 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
             // Literal invariants were checked in pass (c) above.
             AlgOp::Lit { .. } | AlgOp::Doc { .. } => {}
             AlgOp::Project { input, columns } => {
-                let mut targets: HashSet<&String> = HashSet::new();
-                for (src, tgt) in columns {
+                let mut targets: HashSet<ColId> = HashSet::new();
+                for &(src, tgt) in columns {
                     resolve(*input, src, "source", id)?;
                     if !targets.insert(tgt) {
-                        return Err(err(format!("op #{id} π: duplicate target column `{tgt}`")));
+                        return Err(err(format!(
+                            "op #{id} π: duplicate target column `{}`",
+                            plan.name(tgt)
+                        )));
                     }
                 }
             }
             AlgOp::Select { input, column } | AlgOp::SelectEq { input, column, .. } => {
-                resolve(*input, column, "predicate", id)?;
+                resolve(*input, *column, "predicate", id)?;
             }
             AlgOp::Distinct { .. } => {}
             AlgOp::Union { left, right } | AlgOp::Difference { left, right } => {
@@ -305,18 +312,18 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 right_col,
                 ..
             } => {
-                resolve(*left, left_col, "left join", id)?;
-                resolve(*right, right_col, "right join", id)?;
+                resolve(*left, *left_col, "left join", id)?;
+                resolve(*right, *right_col, "right join", id)?;
             }
             AlgOp::ThetaCount { left, right, count } => {
-                resolve(*left, &count.group, "group", id)?;
-                resolve(*left, &count.left_col, "left join", id)?;
-                resolve(*right, &count.right_id, "counted", id)?;
-                resolve(*right, &count.right_col, "right join", id)?;
+                resolve(*left, count.group, "group", id)?;
+                resolve(*left, count.left_col, "left join", id)?;
+                resolve(*right, count.right_id, "counted", id)?;
+                resolve(*right, count.right_col, "right join", id)?;
                 if count.result == count.group {
                     return Err(err(format!(
                         "op #{id} {}: count column collides with the group column",
-                        plan.op(id).symbol()
+                        plan.symbol(id)
                     )));
                 }
             }
@@ -327,12 +334,12 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 order_by,
                 partition,
             } => {
-                fresh(*input, target, id)?;
+                fresh(*input, *target, id)?;
                 for spec in order_by {
-                    resolve(*input, &spec.column, "order-by", id)?;
+                    resolve(*input, spec.column, "order-by", id)?;
                 }
                 if let Some(p) = partition {
-                    resolve(*input, p, "partition", id)?;
+                    resolve(*input, *p, "partition", id)?;
                 }
             }
             AlgOp::BinaryMap {
@@ -342,9 +349,9 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 right,
                 ..
             } => {
-                fresh(*input, target, id)?;
-                resolve(*input, left, "left operand", id)?;
-                resolve(*input, right, "right operand", id)?;
+                fresh(*input, *target, id)?;
+                resolve(*input, *left, "left operand", id)?;
+                resolve(*input, *right, "right operand", id)?;
             }
             AlgOp::UnaryMap {
                 input,
@@ -352,11 +359,11 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 source,
                 ..
             } => {
-                fresh(*input, target, id)?;
-                resolve(*input, source, "operand", id)?;
+                fresh(*input, *target, id)?;
+                resolve(*input, *source, "operand", id)?;
             }
             AlgOp::Attach { input, target, .. } => {
-                fresh(*input, target, id)?;
+                fresh(*input, *target, id)?;
             }
             AlgOp::Aggregate {
                 input,
@@ -364,12 +371,12 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 value,
                 ..
             } => {
-                resolve(*input, group, "group", id)?;
-                resolve(*input, value, "aggregated", id)?;
+                resolve(*input, *group, "group", id)?;
+                resolve(*input, *value, "aggregated", id)?;
             }
             AlgOp::Step { input, .. } => {
-                resolve(*input, "iter", "context", id)?;
-                resolve(*input, "item", "context", id)?;
+                resolve(*input, ColId::ITER, "context", id)?;
+                resolve(*input, ColId::ITEM, "context", id)?;
             }
             AlgOp::IndexScan {
                 input, uri, probe, ..
@@ -382,11 +389,11 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 // residual predicate cannot repair the loss.
                 match plan.op(*input) {
                     AlgOp::Step { .. } | AlgOp::DocOrder { .. } => {}
-                    other => {
+                    _ => {
                         return Err(err(format!(
                             "op #{id} idx: input #{input} is {} — an IndexScan may only \
                              filter a step or doc-order output",
-                            other.symbol()
+                            plan.symbol(*input)
                         )));
                     }
                 }
@@ -410,23 +417,23 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 }
             }
             AlgOp::DocOrder { input } => {
-                resolve(*input, "iter", "ddo", id)?;
-                resolve(*input, "item", "ddo", id)?;
+                resolve(*input, ColId::ITER, "ddo", id)?;
+                resolve(*input, ColId::ITEM, "ddo", id)?;
             }
             AlgOp::FnData { input } | AlgOp::FnRoot { input } => {
-                resolve(*input, "item", "atomization", id)?;
+                resolve(*input, ColId::ITEM, "atomization", id)?;
             }
             AlgOp::Ebv { input } => {
-                resolve(*input, "iter", "ebv", id)?;
-                resolve(*input, "item", "ebv", id)?;
+                resolve(*input, ColId::ITER, "ebv", id)?;
+                resolve(*input, ColId::ITEM, "ebv", id)?;
             }
             AlgOp::ElemConstruct {
                 loop_input,
                 content,
                 ..
             } => {
-                resolve(*loop_input, "iter", "loop", id)?;
-                for col in ["iter", "pos", "item"] {
+                resolve(*loop_input, ColId::ITER, "loop", id)?;
+                for col in [ColId::ITER, ColId::POS, ColId::ITEM] {
                     resolve(*content, col, "content", id)?;
                 }
             }
@@ -439,8 +446,8 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 loop_input,
                 content,
             } => {
-                resolve(*loop_input, "iter", "loop", id)?;
-                for col in ["iter", "pos", "item"] {
+                resolve(*loop_input, ColId::ITER, "loop", id)?;
+                for col in [ColId::ITER, ColId::POS, ColId::ITEM] {
                     resolve(*content, col, "content", id)?;
                 }
             }
@@ -471,19 +478,23 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
             crate::render::to_ascii_annotated(after)
         )))
     };
+    let keys = |keys: &[Vec<ColId>]| -> Vec<Vec<&str>> {
+        keys.iter().map(|key| names(after, key)).collect()
+    };
     if props.columns(root) != before.columns.as_slice() {
         return Err(semantic(format!(
             "root schema changed: {:?} -> {:?}",
-            before.columns,
-            props.columns(root)
+            names(after, &before.columns),
+            names(after, props.columns(root))
         )));
     }
     for key in &before.keys {
         if !props.keyed_by(root, key) {
             return Err(semantic(format!(
-                "root key {key:?} was proven before the rewrite but not after \
+                "root key {:?} was proven before the rewrite but not after \
                  (keys now: {:?})",
-                props.keys(root)
+                names(after, key),
+                keys(&props.keys(root))
             )));
         }
     }
@@ -491,22 +502,28 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
     // sound where the pre-rewrite plan justified it.
     for count in theta_counts(after) {
         if !before.theta_counts.contains(&without_inputs(count)) {
-            let justified: Vec<String> = before.theta_counts.iter().map(AlgOp::symbol).collect();
+            let justified: Vec<String> = before
+                .theta_counts
+                .iter()
+                .map(|op| op.symbol(after.names()))
+                .collect();
             return Err(semantic(format!(
                 "{} is not a count the plan before the rewrite justifies \
                  (justified: {justified:?})",
-                count.symbol()
+                count.symbol(after.names())
             )));
         }
     }
     let constants = props.constants(root);
-    for (col, val) in &before.constants {
-        match constants.get(col) {
+    for (&col, val) in &before.constants {
+        let col_name = after.name(col);
+        match constants.get(&col) {
             None => {
+                let now: Vec<(&str, &Option<Const>)> =
+                    constants.iter().map(|(&c, v)| (after.name(c), v)).collect();
                 return Err(semantic(format!(
-                    "column `{col}` was proven constant before the rewrite but not after \
-                     (constants now: {:?})",
-                    constants
+                    "column `{col_name}` was proven constant before the rewrite but not after \
+                     (constants now: {now:?})"
                 )));
             }
             Some(after_val) => {
@@ -518,7 +535,7 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
                 if let (Some(v), Some(after)) = (val, after_val) {
                     if after != v {
                         return Err(semantic(format!(
-                            "constant column `{col}` changed value: {v:?} -> {after:?}"
+                            "constant column `{col_name}` changed value: {v:?} -> {after:?}"
                         )));
                     }
                 }
@@ -527,11 +544,12 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
     }
     // Types may only narrow; losing track of a column's types is an
     // analysis weakening, like losing a constant's value.
-    for (col, before_types) in &before.types {
+    for (&col, before_types) in &before.types {
         if let Some(after_types) = props.types(root, col) {
             if after_types.union(*before_types) != *before_types {
                 return Err(semantic(format!(
-                    "column `{col}` widened its types: {before_types:?} -> {after_types:?}"
+                    "column `{}` widened its types: {before_types:?} -> {after_types:?}",
+                    after.name(col)
                 )));
             }
         }
@@ -539,14 +557,20 @@ pub fn verify_rewrite(rule: &str, before: &PlanDigest, after: &Plan) -> Result<(
     Ok(())
 }
 
+/// The names of `cols` in `plan`, for diagnostics.
+fn names<'p>(plan: &'p Plan, cols: &[ColId]) -> Vec<&'p str> {
+    cols.iter().map(|&c| plan.name(c)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
+    use crate::test_cols::{builder, col, names};
 
     fn small_lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: vec![vec![
                 Value::Nat(1).into(),
                 Value::Nat(1).into(),
@@ -557,7 +581,7 @@ mod tests {
 
     #[test]
     fn accepts_a_well_formed_plan() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = small_lit(&mut b);
         let d = b.add(AlgOp::Distinct { input: l });
         let plan = b.finish(d);
@@ -568,11 +592,11 @@ mod tests {
     fn a_slot_anywhere_makes_a_plan_unexecutable() {
         use pf_relational::ops::IndexMode;
 
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = small_lit(&mut b);
         let a = b.add(AlgOp::Attach {
             input: l,
-            target: "s".into(),
+            target: col("s"),
             value: Const::Param(0),
         });
         let template = b.finish(a);
@@ -584,17 +608,18 @@ mod tests {
 
         let lit = Plan::new(
             vec![AlgOp::Lit {
-                columns: vec!["item".into()],
+                columns: vec![col("item")],
                 rows: vec![vec![Const::Param(1)]],
             }],
             0,
+            names(),
         );
         assert!(verify_bound(&lit).is_err());
         let bound = lit.bind(&["x".into(), "y".into()]);
         assert_eq!(
             bound.op(0),
             &AlgOp::Lit {
-                columns: vec!["item".into()],
+                columns: vec![col("item")],
                 rows: vec![vec![Value::Str("y".into()).into()]],
             }
         );
@@ -602,7 +627,7 @@ mod tests {
         let scan = Plan::new(
             vec![
                 AlgOp::Lit {
-                    columns: vec!["iter".into(), "item".into()],
+                    columns: vec![col("iter"), col("item")],
                     rows: vec![],
                 },
                 AlgOp::IndexScan {
@@ -616,6 +641,7 @@ mod tests {
                 },
             ],
             1,
+            names(),
         );
         assert!(verify_bound(&scan).is_err());
         let bound = scan.bind(&["gold".into()]);
@@ -628,7 +654,7 @@ mod tests {
 
     #[test]
     fn rejects_dangling_child_references() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = small_lit(&mut b);
         b.add(AlgOp::Distinct { input: 99 });
         let plan = b.finish(l);
@@ -640,7 +666,7 @@ mod tests {
     fn rejects_cycles() {
         // A forward reference the builder happily accepts: op 0 will be
         // Distinct{input: 1}, op 1 Distinct{input: 0}.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let a = b.add(AlgOp::Distinct { input: 1 });
         let c = b.add(AlgOp::Distinct { input: a });
         let plan = b.finish(c);
@@ -650,11 +676,11 @@ mod tests {
 
     #[test]
     fn rejects_unresolvable_columns() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = small_lit(&mut b);
         let s = b.add(AlgOp::Select {
             input: l,
-            column: "missing".into(),
+            column: col("missing"),
         });
         let plan = b.finish(s);
         let e = verify_plan(&plan).unwrap_err();
@@ -663,7 +689,7 @@ mod tests {
 
     #[test]
     fn rewrite_digest_catches_schema_and_key_loss() {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = small_lit(&mut b);
         let plan = b.finish(l);
         let before = digest(&plan);
@@ -672,9 +698,9 @@ mod tests {
         assert_eq!(verify_rewrite("noop", &before, &plan), Ok(()));
 
         // Root schema reordered: rejected.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l2 = b.add(AlgOp::Lit {
-            columns: vec!["pos".into(), "iter".into(), "item".into()],
+            columns: vec![col("pos"), col("iter"), col("item")],
             rows: vec![vec![
                 Value::Nat(1).into(),
                 Value::Nat(1).into(),
@@ -688,9 +714,9 @@ mod tests {
 
         // Keys weakened (two identical rows): rejected, message carries
         // the annotated dump.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l3 = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "item".into()],
+            columns: vec![col("iter"), col("pos"), col("item")],
             rows: vec![
                 vec![
                     Value::Nat(1).into(),

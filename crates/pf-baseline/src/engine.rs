@@ -423,13 +423,10 @@ impl BaselineEngine {
                     inner.position = Some(index + 1);
                     inner.last = Some(total);
                     let result = self.eval(pred, &inner)?;
-                    // A single numeric predicate value is positional.
+                    // A single numeric predicate value is positional; a
+                    // string that reads as a number is not.
                     let keep = match result.as_slice() {
-                        [single]
-                            if !single.is_node()
-                                && single.as_number().is_some()
-                                && !matches!(single, BValue::Bool(_)) =>
-                        {
+                        [single @ (BValue::Int(_) | BValue::Dbl(_))] => {
                             single.as_number() == Some(index as f64 + 1.0)
                         }
                         other => self.ebv(other),

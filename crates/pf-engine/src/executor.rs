@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
 use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
-use pf_relational::{AttrRef, Cell, Column, NodeRef, Table, Value};
+use pf_relational::{AttrRef, Cell, ColId, Column, NodeRef, Table, Value};
 use pf_store::{DocStore, FragmentBuilder, Rental};
 
 use crate::error::{EngineError, EngineResult};
@@ -380,9 +380,9 @@ struct ContentIndex<'t> {
 
 impl<'t> ContentIndex<'t> {
     fn build(content: &'t Table) -> EngineResult<ContentIndex<'t>> {
-        let iters = nat_keys(content.column("iter")?)?;
-        let poss = nat_keys(content.column("pos")?)?;
-        let items = content.column("item")?;
+        let iters = nat_keys(content.column(ColId::ITER)?)?;
+        let poss = nat_keys(content.column(ColId::POS)?)?;
+        let items = content.column(ColId::ITEM)?;
         let mut groups = ops::NatIndex::new(&iters);
         // Stable by pos: equal positions keep table order.
         groups.sort_groups_by_key(|row| poss[row as usize]);
@@ -677,8 +677,8 @@ impl<'a> Executor<'a> {
         &self,
         left: &Table,
         right: &Table,
-        left_col: &str,
-        right_col: &str,
+        left_col: ColId,
+        right_col: ColId,
     ) -> EngineResult<(Table, KernelStats)> {
         let mut kernel = KernelStats::default();
         let build_started = self.profile_ops.then(Instant::now);
@@ -705,9 +705,9 @@ impl<'a> Executor<'a> {
         &self,
         left: &Table,
         right: &Table,
-        left_col: &str,
+        left_col: ColId,
         op: BinaryOp,
-        right_col: &str,
+        right_col: ColId,
     ) -> EngineResult<(Table, KernelStats)> {
         let mut kernel = KernelStats {
             join_build_rows: right.row_count(),
@@ -748,10 +748,10 @@ impl<'a> Executor<'a> {
     fn aggregate_node(
         &self,
         input: &Table,
-        group: &str,
-        target: &str,
+        group: ColId,
+        target: ColId,
         func: AggFunc,
-        value: &str,
+        value: ColId,
     ) -> EngineResult<(Table, KernelStats)> {
         let kernel = KernelStats {
             agg_input_rows: input.row_count(),
@@ -764,7 +764,7 @@ impl<'a> Executor<'a> {
     }
 
     /// The stable sort permutation of `table` under `specs`.
-    fn sort_permutation(&self, table: &Table, specs: &[(&str, bool)]) -> EngineResult<Vec<usize>> {
+    fn sort_permutation(&self, table: &Table, specs: &[(ColId, bool)]) -> EngineResult<Vec<usize>> {
         let keys = SortKeys::for_columns(table, specs)?;
         Ok(keys.stable_permutation(table.row_count()))
     }
@@ -801,7 +801,7 @@ impl<'a> Executor<'a> {
             return Ok((table.clone(), kernel));
         };
         let started = self.profile_ops.then(Instant::now);
-        let item = table.column("item")?;
+        let item = table.column(ColId::ITEM)?;
         let rows = table.row_count();
         let candidate: Vec<bool> = match probe {
             ops::IndexProbe::TextContains { needle } => {
@@ -868,7 +868,7 @@ impl<'a> Executor<'a> {
                 // without ever evaluating the predicate, so every row of a
                 // multi-row iteration must survive; only singleton groups
                 // may be filtered on candidacy.
-                let iters = nat_keys(table.column("iter")?)?;
+                let iters = nat_keys(table.column(ColId::ITER)?)?;
                 let mut keep = Vec::with_capacity(rows);
                 if iters.windows(2).all(|w| w[0] <= w[1]) {
                     // Iterations are grouped (the common case: the join
@@ -928,8 +928,8 @@ impl<'a> Executor<'a> {
                 return self.equi_join_node(
                     slot(slots, *left)?,
                     slot(slots, *right)?,
-                    left_col,
-                    right_col,
+                    *left_col,
+                    *right_col,
                 )
             }
             AlgOp::ThetaJoin {
@@ -942,9 +942,9 @@ impl<'a> Executor<'a> {
                 return self.theta_join_node(
                     slot(slots, *left)?,
                     slot(slots, *right)?,
-                    left_col,
+                    *left_col,
                     *op,
-                    right_col,
+                    *right_col,
                 )
             }
             AlgOp::ThetaCount { left, right, count } => {
@@ -956,7 +956,10 @@ impl<'a> Executor<'a> {
                 target,
                 func,
                 value,
-            } => return self.aggregate_node(slot(slots, *input)?, group, target, *func, value),
+            } => {
+                let input = slot(slots, *input)?;
+                return self.aggregate_node(input, *group, *target, *func, *value);
+            }
             AlgOp::IndexScan {
                 input,
                 uri,
@@ -976,7 +979,7 @@ impl<'a> Executor<'a> {
                     columns
                         .iter()
                         .zip(cols)
-                        .map(|(name, values)| (name.clone(), Column::from_values(values)))
+                        .map(|(&id, values)| (id, Column::from_values(values)))
                         .collect(),
                 )?
             }
@@ -985,7 +988,7 @@ impl<'a> Executor<'a> {
                     EngineError::msg(format!("no document registered under `{uri}`"))
                 })?;
                 Table::new(vec![(
-                    "item".into(),
+                    ColId::ITEM,
                     Column::nodes(vec![NodeRef::new(doc_id, 0)]),
                 )])?
             }
@@ -999,7 +1002,7 @@ impl<'a> Executor<'a> {
             | AlgOp::FnData { .. } => {
                 return Err(EngineError::msg(format!(
                     "{} runs in a fused pipeline, not as a breaker",
-                    plan.op(id).symbol()
+                    plan.symbol(id)
                 )))
             }
             AlgOp::Union { left, right } => {
@@ -1014,7 +1017,7 @@ impl<'a> Executor<'a> {
                 target,
                 order_by,
                 partition,
-            } => self.row_number(slot(slots, *input)?, target, order_by, partition.as_deref())?,
+            } => self.row_number(slot(slots, *input)?, *target, order_by, *partition)?,
             AlgOp::Step { input, axis, test } => {
                 ops::staircase_step(slot(slots, *input)?, self.registry, *axis, test)?
             }
@@ -1056,7 +1059,7 @@ impl<'a> Executor<'a> {
     // ----- value helpers --------------------------------------------------
 
     fn fn_root(&self, table: &Table) -> EngineResult<Table> {
-        let item = table.column("item")?;
+        let item = table.column(ColId::ITEM)?;
         let mut values = Vec::with_capacity(table.row_count());
         for row in 0..table.row_count() {
             match item.get(row) {
@@ -1069,11 +1072,11 @@ impl<'a> Executor<'a> {
             }
         }
         let mut columns = Vec::new();
-        for (name, col) in table.columns() {
-            if name == "item" {
-                columns.push((name.clone(), Column::from_values(values.clone())));
+        for &(id, ref col) in table.columns() {
+            if id == ColId::ITEM {
+                columns.push((id, Column::from_values(values.clone())));
             } else {
-                columns.push((name.clone(), col.clone()));
+                columns.push((id, col.clone()));
             }
         }
         Ok(Table::new(columns)?)
@@ -1083,8 +1086,8 @@ impl<'a> Executor<'a> {
     /// the iterations: `true` for more than one item, otherwise the
     /// truth of the single item (a node is `true`).
     fn ebv(&self, table: &Table) -> EngineResult<Table> {
-        let iters = nat_keys(table.column("iter")?)?;
-        let item_col = table.column("item")?;
+        let iters = nat_keys(table.column(ColId::ITER)?)?;
+        let item_col = table.column(ColId::ITEM)?;
         let groups = ops::NatIndex::new(&iters);
         let mut out_iters = Vec::new();
         let mut bools = Vec::new();
@@ -1104,22 +1107,23 @@ impl<'a> Executor<'a> {
             Column::bools(bools)
         };
         Ok(Table::new(vec![
-            ("iter".into(), Column::nats(out_iters)),
-            ("item".into(), item),
+            (ColId::ITER, Column::nats(out_iters)),
+            (ColId::ITEM, item),
         ])?)
     }
 
     /// `fs:distinct-doc-order`: per iteration, sort items into document
     /// order and drop duplicates, renumbering `pos`.
     fn doc_order(&self, table: &Table) -> EngineResult<Table> {
-        let order = self.sort_permutation(table, &[("iter", false), ("item", false)])?;
+        let (iter, pos, item) = (ColId::ITER, ColId::POS, ColId::ITEM);
+        let order = self.sort_permutation(table, &[(iter, false), (item, false)])?;
         let sorted = table.gather_rows(&order);
-        let distinct = ops::setops::distinct_on(&sorted, &["iter", "item"])?;
-        let numbered =
-            self.row_number(&distinct, "pos_ddo", &[SortSpec::asc("item")], Some("iter"))?;
+        let distinct = ops::setops::distinct_on(&sorted, &[iter, item])?;
+        let pairs = ops::project(&distinct, &[(iter, iter), (item, item)])?;
+        let numbered = self.row_number(&pairs, pos, &[SortSpec::asc(item)], Some(iter))?;
         Ok(ops::project(
             &numbered,
-            &[("iter", "iter"), ("pos_ddo", "pos"), ("item", "item")],
+            &[(iter, iter), (pos, pos), (item, item)],
         )?)
     }
 
@@ -1133,21 +1137,14 @@ impl<'a> Executor<'a> {
     fn row_number(
         &self,
         table: &Table,
-        target: &str,
+        target: ColId,
         order_by: &[SortSpec],
-        partition: Option<&str>,
+        partition: Option<ColId>,
     ) -> EngineResult<Table> {
         // The partition-first sort-spec convention lives in ONE place —
         // `rownum::sort_spec` — so the permutation computed here always
         // matches what `row_number_permuted`'s numbering expects.
-        let order_by: Vec<ops::OrderSpec> = order_by
-            .iter()
-            .map(|s| ops::OrderSpec {
-                column: s.column.clone(),
-                descending: s.descending,
-            })
-            .collect();
-        let specs = ops::rownum::sort_spec(&order_by, partition);
+        let specs = ops::rownum::sort_spec(order_by, partition);
         let order = self.sort_permutation(table, &specs)?;
         Ok(ops::row_number_permuted(table, target, partition, &order)?)
     }
@@ -1166,7 +1163,7 @@ impl<'a> Executor<'a> {
         content: &Table,
         doc_id: u32,
     ) -> EngineResult<Table> {
-        let iters = nat_keys(loop_table.column("iter")?)?;
+        let iters = nat_keys(loop_table.column(ColId::ITER)?)?;
         let index = ContentIndex::build(content)?;
         let mut cache = StoreCache::new(self.registry);
         // The attribute lists below read the constructed attributes' rows
@@ -1231,7 +1228,7 @@ impl<'a> Executor<'a> {
         content: &Table,
         doc_id: u32,
     ) -> EngineResult<Table> {
-        let iters = nat_keys(loop_table.column("iter")?)?;
+        let iters = nat_keys(loop_table.column(ColId::ITER)?)?;
         let index = ContentIndex::build(content)?;
         let mut cache = StoreCache::new(self.registry);
         let mut fragment = FragmentBuilder::new(format!("#attributes-{doc_id}"));
@@ -1261,7 +1258,7 @@ impl<'a> Executor<'a> {
         content: &Table,
         doc_id: u32,
     ) -> EngineResult<Table> {
-        let iters = nat_keys(loop_table.column("iter")?)?;
+        let iters = nat_keys(loop_table.column(ColId::ITER)?)?;
         let index = ContentIndex::build(content)?;
         let mut cache = StoreCache::new(self.registry);
         let mut fragment = FragmentBuilder::new(format!("#text-{doc_id}"));
@@ -1296,9 +1293,9 @@ fn constructor_output(iters: Cow<'_, [u64]>, item: Column) -> EngineResult<Table
     };
     let poss = vec![1; iters.len()];
     Ok(Table::new(vec![
-        ("iter".into(), Column::nats(iters.into_owned())),
-        ("pos".into(), Column::nats(poss)),
-        ("item".into(), item),
+        (ColId::ITER, Column::nats(iters.into_owned())),
+        (ColId::POS, Column::nats(poss)),
+        (ColId::ITEM, item),
     ])?)
 }
 
@@ -1307,6 +1304,29 @@ mod tests {
     use super::*;
     use pf_algebra::PlanBuilder;
     use pf_store::{Axis, NodeTest};
+
+    /// The columns the tests name, after the well-known ones: every plan
+    /// of [`builder`] numbers them in this order, so [`col`] names them.
+    const NAMES: &[&str] = &[
+        "a", "b", "c", "d", "flag", "item1", "iter1", "iter2", "keep", "limit", "n", "rank",
+        "weight",
+    ];
+
+    fn col(name: &str) -> ColId {
+        let at = ColId::WELL_KNOWN
+            .iter()
+            .chain(NAMES)
+            .position(|&n| n == name);
+        ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+    }
+
+    fn builder() -> PlanBuilder {
+        let mut b = PlanBuilder::new();
+        NAMES.iter().for_each(|&n| {
+            b.col(n);
+        });
+        b
+    }
 
     fn registry() -> DocRegistry {
         let reg = DocRegistry::new();
@@ -1318,9 +1338,9 @@ mod tests {
     #[test]
     fn executes_doc_and_step() {
         let reg = registry();
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let loop0 = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let doc = b.add(AlgOp::Doc {
@@ -1356,7 +1376,7 @@ mod tests {
         )
         .unwrap();
         let b = exec.ebv(&t).unwrap();
-        let flags: Vec<Value> = b.column("item").unwrap().iter_values().collect();
+        let flags: Vec<Value> = b.column(col("item")).unwrap().iter_values().collect();
         assert_eq!(
             flags,
             vec![
@@ -1377,16 +1397,16 @@ mod tests {
         let exec = Executor::new(&reg);
         let iter_item = |iters: Vec<u64>, items: Column| {
             Table::new(vec![
-                ("iter".into(), Column::nats(iters)),
-                ("item".into(), items),
+                (col("iter"), Column::nats(iters)),
+                (col("item"), items),
             ])
             .unwrap()
         };
         let as_rows = |t: &Table| -> Vec<(u64, Value)> {
             (0..t.row_count())
                 .map(|r| {
-                    let iter = t.value("iter", r).unwrap().as_nat().unwrap();
-                    (iter, t.value("item", r).unwrap())
+                    let iter = t.value(col("iter"), r).unwrap().as_nat().unwrap();
+                    (iter, t.value(col("item"), r).unwrap())
                 })
                 .collect()
         };
@@ -1404,7 +1424,10 @@ mod tests {
                 (5, Value::Bool(false)),
             ]
         );
-        assert_eq!(out.column("item").unwrap().as_bools().unwrap().len(), 4);
+        assert_eq!(
+            out.column(col("item")).unwrap().as_bools().unwrap().len(),
+            4
+        );
         for (items, expected) in [
             (Column::nats(vec![0, 4]), [false, true]),
             (Column::dbls(vec![0.0, f64::NAN]), [false, true]),
@@ -1418,7 +1441,7 @@ mod tests {
         ] {
             let out = exec.ebv(&iter_item(vec![2, 1], items)).unwrap();
             let flags: Vec<bool> = out
-                .column("item")
+                .column(col("item"))
                 .unwrap()
                 .iter_values()
                 .map(|v| v.as_bool().unwrap())
@@ -1428,8 +1451,8 @@ mod tests {
         // A non-`Nat` iter column of naturals groups alike; one that is not
         // natural fails as before.
         let items = Table::new(vec![
-            ("iter".into(), Column::ints(vec![4, 4])),
-            ("item".into(), Column::ints(vec![0, 0])),
+            (col("iter"), Column::ints(vec![4, 4])),
+            (col("item"), Column::ints(vec![0, 0])),
         ])
         .unwrap();
         assert_eq!(
@@ -1437,8 +1460,8 @@ mod tests {
             vec![(4, Value::Bool(true))]
         );
         let bad = Table::new(vec![
-            ("iter".into(), Column::ints(vec![1, -1])),
-            ("item".into(), Column::ints(vec![0, 0])),
+            (col("iter"), Column::ints(vec![1, -1])),
+            (col("item"), Column::ints(vec![0, 0])),
         ])
         .unwrap();
         assert!(exec
@@ -1457,8 +1480,8 @@ mod tests {
         let t = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
         let out = exec.ebv(&t).unwrap();
         assert_eq!(out.row_count(), 0);
-        assert!(out.column("iter").unwrap().as_nats().is_some());
-        assert!(out.column("item").unwrap().as_items().is_some());
+        assert!(out.column(col("iter")).unwrap().as_nats().is_some());
+        assert!(out.column(col("item")).unwrap().as_items().is_some());
     }
 
     /// The content of an iteration is its rows in `pos` order, ties in
@@ -1528,11 +1551,16 @@ mod tests {
         )
         .unwrap();
         let numbered = exec
-            .row_number(&t, "rank", &[SortSpec::desc("item")], Some("iter"))
+            .row_number(
+                &t,
+                col("rank"),
+                &[SortSpec::desc(col("item"))],
+                Some(col("iter")),
+            )
             .unwrap();
-        assert_eq!(numbered.value("item", 0).unwrap(), Value::Int(9));
-        assert_eq!(numbered.value("rank", 0).unwrap(), Value::Nat(1));
-        assert_eq!(numbered.value("item", 2).unwrap(), Value::Int(5));
+        assert_eq!(numbered.value(col("item"), 0).unwrap(), Value::Int(9));
+        assert_eq!(numbered.value(col("rank"), 0).unwrap(), Value::Nat(1));
+        assert_eq!(numbered.value(col("item"), 2).unwrap(), Value::Int(5));
     }
 
     /// Strings, nodes and attributes are read in place from typed and
@@ -1571,7 +1599,7 @@ mod tests {
     fn attribute_construction_writes_rows_of_one_fragment() {
         let reg = registry();
         let exec = Executor::new(&reg);
-        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2, 3]))]).unwrap();
+        let loop_table = Table::new(vec![(col("iter"), Column::nats(vec![1, 2, 3]))]).unwrap();
         let content = Table::iter_pos_item(
             vec![1, 3, 1],
             vec![1, 1, 2],
@@ -1587,7 +1615,7 @@ mod tests {
             .construct_attributes(&loop_table, "k", &content, doc_id)
             .unwrap();
         assert_eq!(
-            out.column("item").unwrap().as_attrs().unwrap(),
+            out.column(col("item")).unwrap().as_attrs().unwrap(),
             &[0, 1, 2].map(|row| AttrRef::new(doc_id, row))
         );
         let store = reg.store(doc_id).unwrap();
@@ -1606,13 +1634,13 @@ mod tests {
     fn element_construction_writes_one_fragment_per_operator() {
         let reg = registry();
         let exec = Executor::new(&reg);
-        let one = Table::new(vec![("iter".into(), Column::nats(vec![1]))]).unwrap();
+        let one = Table::new(vec![(col("iter"), Column::nats(vec![1]))]).unwrap();
         let value = Table::iter_pos_item(vec![1], vec![1], vec![Value::Str("v".into())]).unwrap();
         let attrs = exec
             .construct_attributes(&one, "k", &value, reg.reserve_constructed(1))
             .unwrap();
-        let attr = attrs.value("item", 0).unwrap();
-        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2]))]).unwrap();
+        let attr = attrs.value(col("item"), 0).unwrap();
+        let loop_table = Table::new(vec![(col("iter"), Column::nats(vec![1, 2]))]).unwrap();
         let content = Table::iter_pos_item(
             vec![1, 1, 1, 1, 1, 2, 1],
             vec![1, 2, 3, 4, 5, 1, 6],
@@ -1631,7 +1659,12 @@ mod tests {
         let out = exec
             .construct_elements(&loop_table, "e", &content, doc_id)
             .unwrap();
-        let nodes = out.column("item").unwrap().as_nodes().unwrap().to_vec();
+        let nodes = out
+            .column(col("item"))
+            .unwrap()
+            .as_nodes()
+            .unwrap()
+            .to_vec();
         assert_eq!(
             nodes,
             vec![NodeRef::new(doc_id, 1), NodeRef::new(doc_id, 6)]
@@ -1644,12 +1677,12 @@ mod tests {
         // "1 2.5" and the copied "1" merged into one text node: the
         // document, two elements, <b> and four text nodes.
         assert_eq!(store.node_count(), 8);
-        let empty = Table::new(vec![("iter".into(), Column::nats(vec![]))]).unwrap();
+        let empty = Table::new(vec![(col("iter"), Column::nats(vec![]))]).unwrap();
         let out = exec
             .construct_elements(&empty, "e", &content, reg.reserve_constructed(1))
             .unwrap();
         assert_eq!(out.row_count(), 0);
-        assert!(out.column("item").unwrap().as_items().is_some());
+        assert!(out.column(col("item")).unwrap().as_items().is_some());
     }
 
     /// τ over empty and multi-item content: one text node per iteration
@@ -1659,7 +1692,7 @@ mod tests {
     fn text_construction_keeps_one_node_per_iteration() {
         let reg = registry();
         let exec = Executor::new(&reg);
-        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1, 2, 3]))]).unwrap();
+        let loop_table = Table::new(vec![(col("iter"), Column::nats(vec![1, 2, 3]))]).unwrap();
         let content = Table::iter_pos_item(
             vec![1, 1, 3],
             vec![1, 2, 1],
@@ -1674,7 +1707,7 @@ mod tests {
         let out = exec.construct_texts(&loop_table, &content, doc_id).unwrap();
         let store = reg.store(doc_id).unwrap();
         let texts: Vec<&str> = out
-            .column("item")
+            .column(col("item"))
             .unwrap()
             .as_nodes()
             .unwrap()
@@ -1682,14 +1715,14 @@ mod tests {
             .map(|node| store.content_of(node.pre))
             .collect();
         assert_eq!(texts, ["12x 7", "z"]);
-        assert_eq!(out.column("iter").unwrap().as_nats().unwrap(), &[1, 3]);
+        assert_eq!(out.column(col("iter")).unwrap().as_nats().unwrap(), &[1, 3]);
     }
 
     #[test]
     fn element_construction_copies_subtrees() {
         let reg = registry();
         let exec = Executor::new(&reg);
-        let loop_table = Table::new(vec![("iter".into(), Column::nats(vec![1]))]).unwrap();
+        let loop_table = Table::new(vec![(col("iter"), Column::nats(vec![1]))]).unwrap();
         let content = Table::iter_pos_item(
             vec![1, 1],
             vec![1, 2],
@@ -1701,7 +1734,7 @@ mod tests {
             .construct_elements(&loop_table, "wrap", &content, doc_id)
             .unwrap();
         assert_eq!(out.row_count(), 1);
-        let Value::Node(node) = out.value("item", 0).unwrap() else {
+        let Value::Node(node) = out.value(col("item"), 0).unwrap() else {
             panic!()
         };
         let store = reg.store(node.doc).unwrap();
@@ -1711,9 +1744,9 @@ mod tests {
     /// A linear 4-operator chain over the sample document: each result is
     /// dead as soon as its single consumer has run.
     fn chain_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let loop0 = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into()]],
         });
         let doc = b.add(AlgOp::Doc {
@@ -1749,20 +1782,20 @@ mod tests {
 
     /// lit → project(rename) → project(rename) over 8 rows.
     fn projection_chain_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: (1..=8)
                 .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64 * 10).into()])
                 .collect(),
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![("iter".into(), "a".into()), ("item".into(), "b".into())],
+            columns: vec![(col("iter"), col("a")), (col("item"), col("b"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: p1,
-            columns: vec![("a".into(), "c".into()), ("b".into(), "d".into())],
+            columns: vec![(col("a"), col("c")), (col("b"), col("d"))],
         });
         b.finish(p2)
     }
@@ -1777,27 +1810,21 @@ mod tests {
         for id in plan.reachable() {
             let input = |input: &OpId| slots[*input].as_deref().expect("inputs ran first");
             let table = match plan.op(id) {
-                AlgOp::Project { input: i, columns } => {
-                    let pairs: Vec<(&str, &str)> = columns
-                        .iter()
-                        .map(|(s, t)| (s.as_str(), t.as_str()))
-                        .collect();
-                    ops::project(input(i), &pairs)?
-                }
-                AlgOp::Select { input: i, column } => ops::select_true(input(i), column)?,
+                AlgOp::Project { input: i, columns } => ops::project(input(i), columns)?,
+                AlgOp::Select { input: i, column } => ops::select_true(input(i), *column)?,
                 AlgOp::Distinct { input: i } => ops::distinct(input(i))?,
                 AlgOp::Attach {
                     input: i,
                     target,
                     value,
-                } => ops::map_const(input(i), target, value.value().unwrap())?,
+                } => ops::map_const(input(i), *target, value.value().unwrap())?,
                 AlgOp::BinaryMap {
                     input: i,
                     target,
                     left,
                     op,
                     right,
-                } => ops::map_binary(input(i), target, left, *op, right, no_nodes)?,
+                } => ops::map_binary(input(i), *target, *left, *op, *right, no_nodes)?,
                 _ => exec.eval(plan, id, &slots)?.0,
             };
             slots[id] = Some(Arc::new(table));
@@ -1843,35 +1870,32 @@ mod tests {
         // selection-vector pass); values, schema and row order must match
         // the operator-at-a-time interpretation exactly.
         let reg = registry();
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: (1..=6)
                 .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
                 .collect(),
         });
         let attach = b.add(AlgOp::Attach {
             input: lit,
-            target: "limit".into(),
+            target: col("limit"),
             value: Value::Int(3).into(),
         });
         let map = b.add(AlgOp::BinaryMap {
             input: attach,
-            target: "keep".into(),
-            left: "item".into(),
+            target: col("keep"),
+            left: col("item"),
             op: ops::BinaryOp::Cmp(ops::CmpOp::Gt),
-            right: "limit".into(),
+            right: col("limit"),
         });
         let select = b.add(AlgOp::Select {
             input: map,
-            column: "keep".into(),
+            column: col("keep"),
         });
         let project = b.add(AlgOp::Project {
             input: select,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let distinct = b.add(AlgOp::Distinct { input: project });
         let plan = b.finish(distinct);
@@ -1890,19 +1914,19 @@ mod tests {
         // the fused kernel must report the same error as the unfused path.
         let reg = registry();
         let build = || {
-            let mut b = PlanBuilder::new();
+            let mut b = builder();
             let lit = b.add(AlgOp::Lit {
-                columns: vec!["iter".into(), "item".into()],
+                columns: vec![col("iter"), col("item")],
                 rows: vec![vec![Value::Nat(1).into(), Value::Int(5).into()]],
             });
             let attach = b.add(AlgOp::Attach {
                 input: lit,
-                target: "flag".into(),
+                target: col("flag"),
                 value: Value::Int(7).into(),
             });
             let select = b.add(AlgOp::Select {
                 input: attach,
-                column: "flag".into(),
+                column: col("flag"),
             });
             let distinct = b.add(AlgOp::Distinct { input: select });
             b.finish(distinct)
@@ -1918,9 +1942,9 @@ mod tests {
         // A diamond: the literal feeds two projections that join back
         // together.  The literal must survive until the second projection
         // has run, then be evicted.
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Int(10).into()],
                 vec![Value::Nat(2).into(), Value::Int(20).into()],
@@ -1928,29 +1952,23 @@ mod tests {
         });
         let p1 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "iter".into()),
-                ("item".into(), "item".into()),
-            ],
+            columns: vec![(col("iter"), col("iter")), (col("item"), col("item"))],
         });
         let p2 = b.add(AlgOp::Project {
             input: lit,
-            columns: vec![
-                ("iter".into(), "iter1".into()),
-                ("item".into(), "item1".into()),
-            ],
+            columns: vec![(col("iter"), col("iter1")), (col("item"), col("item1"))],
         });
         let join = b.add(AlgOp::EquiJoin {
             left: p1,
             right: p2,
-            left_col: "iter".into(),
-            right_col: "iter1".into(),
+            left_col: col("iter"),
+            right_col: col("iter1"),
         });
         let plan = b.finish(join);
         let reg = registry();
         let (table, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
         assert_eq!(table.row_count(), 2);
-        assert_eq!(table.value("item1", 1).unwrap(), Value::Int(20));
+        assert_eq!(table.value(col("item1"), 1).unwrap(), Value::Int(20));
         assert_eq!(stats.evicted_results, 3);
     }
 
@@ -1970,13 +1988,13 @@ mod tests {
         // eval.  The panic must surface as an error instead of unwinding
         // into the caller.
         let reg = registry();
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let bad = b.add(AlgOp::Lit {
-            columns: vec!["iter".into()],
+            columns: vec![col("iter")],
             rows: vec![vec![Value::Nat(1).into(), Value::Nat(2).into()]],
         });
         let good = b.add(AlgOp::Lit {
-            columns: vec!["item".into()],
+            columns: vec![col("item")],
             rows: vec![vec![Value::Int(7).into()]],
         });
         let crossed = b.add(AlgOp::Cross {
@@ -1991,15 +2009,15 @@ mod tests {
     /// A join + aggregation plan: 200 probe rows against a 40-row build
     /// side, counted per group.
     fn join_agg_plan() -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let left = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: (0..200u64)
                 .map(|i| vec![Value::Nat(i % 40).into(), Value::Int(i as i64 % 13).into()])
                 .collect(),
         });
         let right = b.add(AlgOp::Lit {
-            columns: vec!["iter2".into(), "weight".into()],
+            columns: vec![col("iter2"), col("weight")],
             rows: (0..40u64)
                 .map(|i| vec![Value::Nat(i).into(), Value::Int(i as i64).into()])
                 .collect(),
@@ -2007,15 +2025,15 @@ mod tests {
         let join = b.add(AlgOp::EquiJoin {
             left,
             right,
-            left_col: "iter".into(),
-            right_col: "iter2".into(),
+            left_col: col("iter"),
+            right_col: col("iter2"),
         });
         let counted = b.add(AlgOp::Aggregate {
             input: join,
-            group: "iter".into(),
-            target: "n".into(),
+            group: col("iter"),
+            target: col("n"),
             func: ops::AggFunc::Count,
-            value: "item".into(),
+            value: col("item"),
         });
         b.finish(counted)
     }
@@ -2028,9 +2046,10 @@ mod tests {
         let plan = join_agg_plan();
         let exec = Executor::new(&reg);
         let lit = |id| exec.eval(&plan, id, &[]).unwrap().0;
-        let joined = ops::equi_join_generic(&lit(0), &lit(1), "iter", "iter2").unwrap();
+        let joined = ops::equi_join_generic(&lit(0), &lit(1), col("iter"), col("iter2")).unwrap();
         let generic =
-            ops::aggregate_by_generic(&joined, "iter", "n", AggFunc::Count, "item").unwrap();
+            ops::aggregate_by_generic(&joined, col("iter"), col("n"), AggFunc::Count, col("item"))
+                .unwrap();
         assert_eq!(exec.run(&plan).unwrap(), generic);
     }
 

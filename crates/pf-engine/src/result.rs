@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use pf_algebra::OptimizeReport;
-use pf_relational::{Column, Table, Value};
+use pf_relational::{ColId, Column, Table, Value};
 use pf_store::DocStore;
 
 use crate::error::{EngineError, EngineResult};
@@ -96,7 +96,7 @@ impl QueryResult {
         timings: Timings,
     ) -> EngineResult<Self> {
         let order = pos_order(&table)?;
-        let stores = resolve_stores(table.column("item")?, registry)?;
+        let stores = resolve_stores(table.column(ColId::ITEM)?, registry)?;
         Ok(QueryResult {
             table,
             stores,
@@ -111,7 +111,7 @@ impl QueryResult {
         self.items.get_or_init(|| {
             let item_col = self
                 .table
-                .column("item")
+                .column(ColId::ITEM)
                 .expect("item column validated at construction");
             match &self.order {
                 None => item_col.iter_values().collect(),
@@ -148,7 +148,7 @@ impl QueryResult {
     pub fn write_xml(&self, out: &mut impl fmt::Write) -> EngineResult<()> {
         let item_col = self
             .table
-            .column("item")
+            .column(ColId::ITEM)
             .expect("item column validated at construction");
         write_rows(item_col, self.order.as_deref(), &self.stores, out)
     }
@@ -170,7 +170,7 @@ pub fn serialize_table(
     out: &mut impl fmt::Write,
 ) -> EngineResult<()> {
     let order = pos_order(table)?;
-    let item_col = table.column("item")?;
+    let item_col = table.column(ColId::ITEM)?;
     let stores = resolve_stores(item_col, registry)?;
     write_rows(item_col, order.as_deref(), &stores, out)
 }
@@ -187,7 +187,7 @@ fn pos_order(table: &Table) -> EngineResult<Option<Vec<usize>>> {
         order.sort_by_key(|&row| keys[row]);
         Some(order)
     }
-    let pos_col = table.column("pos")?;
+    let pos_col = table.column(ColId::POS)?;
     match pos_col.as_nats() {
         // The typed fast path sorts indices against the borrowed buffer.
         Some(nats) => Ok(sorted_order(nats)),
@@ -360,9 +360,9 @@ mod tests {
             format!("1{pair}2{pair}")
         );
         let table = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1])),
-            ("pos".into(), Column::nats(vec![2, 1])),
-            ("item".into(), Column::attrs(vec![attr; 2])),
+            (ColId::ITER, Column::nats(vec![1, 1])),
+            (ColId::POS, Column::nats(vec![2, 1])),
+            (ColId::ITEM, Column::attrs(vec![attr; 2])),
         ])
         .unwrap();
         assert_eq!(

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::table::ColId;
+
 /// Result alias for relational operations.
 pub type RelResult<T> = Result<T, RelError>;
 
@@ -27,14 +29,14 @@ impl RelError {
     /// schema that never materializes as a `Table` — reports misses through
     /// this constructor, so the message (including the available-column
     /// listing) is identical on the fused and unfused execution paths.
-    pub fn unknown_column<'a>(name: &str, available: impl Iterator<Item = &'a str>) -> Self {
-        let names: Vec<String> = available.map(|n| format!("`{n}`")).collect();
-        let schema = if names.is_empty() {
+    pub fn unknown_column(id: ColId, available: impl Iterator<Item = ColId>) -> Self {
+        let ids: Vec<String> = available.map(|c| format!("`{c}`")).collect();
+        let schema = if ids.is_empty() {
             "no columns".to_string()
         } else {
-            names.join(", ")
+            ids.join(", ")
         };
-        RelError::new(format!("unknown column `{name}` (available: {schema})"))
+        RelError::new(format!("unknown column `{id}` (available: {schema})"))
     }
 }
 

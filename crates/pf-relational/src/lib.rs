@@ -23,7 +23,8 @@
 //!
 //! Every kernel takes its whole input and runs on the calling thread.
 //!
-//! Tables are sets of equal-length named [`Column`]s; the row number plays
+//! Tables are sets of equal-length [`Column`]s, each under a plan-wide
+//! [`ColId`] (the plan keeps the names); the row number plays
 //! the role of MonetDB's *virtual object identifier*, which is why
 //! [`ops::row_number`] is (nearly) free.
 
@@ -37,5 +38,5 @@ pub mod value;
 
 pub use column::{Column, ColumnBuilder};
 pub use error::{RelError, RelResult};
-pub use table::Table;
+pub use table::{ColId, Table};
 pub use value::{AttrRef, Cell, NodeRef, Value, ValueType};

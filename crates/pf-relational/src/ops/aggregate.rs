@@ -20,7 +20,7 @@ use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Key, KeyView};
 use crate::ops::HashKey;
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{compare_f64, parse_double, ArithOp, Value};
 
 /// Aggregation functions supported by the dialect of Table 2
@@ -117,8 +117,8 @@ impl<'t> GroupState<'t> {
 /// A prepared grouped aggregation over one input table: typed group keys,
 /// native accumulators and a segmented fast path (see the module docs).
 pub struct AggPlan<'t> {
-    group_col: String,
-    target: String,
+    group_col: ColId,
+    target: ColId,
     func: AggFunc,
     gcol: &'t Column,
     gkeys: KeyView<'t>,
@@ -129,10 +129,10 @@ impl<'t> AggPlan<'t> {
     /// Resolve the columns and borrow the typed key view.
     pub fn new(
         input: &'t Table,
-        group_col: &str,
-        target: &str,
+        group_col: ColId,
+        target: ColId,
         func: AggFunc,
-        value_col: &str,
+        value_col: ColId,
     ) -> RelResult<AggPlan<'t>> {
         let gcol = input.column(group_col)?;
         let vcol = if func == AggFunc::Count {
@@ -141,8 +141,8 @@ impl<'t> AggPlan<'t> {
             Some(input.column(value_col)?)
         };
         Ok(AggPlan {
-            group_col: group_col.to_string(),
-            target: target.to_string(),
+            group_col,
+            target,
             func,
             gcol,
             gkeys: KeyView::of(gcol),
@@ -320,8 +320,8 @@ impl<'t> AggPlan<'t> {
             out_values.push(value);
         }
         Table::new(vec![
-            (self.group_col.clone(), Column::from_values(out_groups)),
-            (self.target.clone(), Column::from_values(out_values)),
+            (self.group_col, Column::from_values(out_groups)),
+            (self.target, Column::from_values(out_values)),
         ])
     }
 }
@@ -335,10 +335,10 @@ impl<'t> AggPlan<'t> {
 /// difference construction exactly as the loop-lifting scheme prescribes.
 pub fn aggregate_by(
     input: &Table,
-    group_col: &str,
-    target: &str,
+    group_col: ColId,
+    target: ColId,
     func: AggFunc,
-    value_col: &str,
+    value_col: ColId,
 ) -> RelResult<Table> {
     AggPlan::new(input, group_col, target, func, value_col)?.run()
 }
@@ -351,10 +351,10 @@ pub fn aggregate_by(
 /// property suite asserts both agree on arbitrary tables).
 pub fn aggregate_by_generic(
     input: &Table,
-    group_col: &str,
-    target: &str,
+    group_col: ColId,
+    target: ColId,
     func: AggFunc,
-    value_col: &str,
+    value_col: ColId,
 ) -> RelResult<Table> {
     let gcol = input.column(group_col)?;
     let vcol = if func == AggFunc::Count {
@@ -436,8 +436,8 @@ pub fn aggregate_by_generic(
     }
 
     Table::new(vec![
-        (group_col.to_string(), Column::from_values(out_groups)),
-        (target.to_string(), Column::from_values(out_values)),
+        (group_col, Column::from_values(out_groups)),
+        (target, Column::from_values(out_values)),
     ])
 }
 
@@ -461,11 +461,12 @@ fn coerce_numeric(v: &Value) -> RelResult<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::col;
 
     fn table() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1, 2, 2, 2])),
-            ("item".into(), Column::ints(vec![10, 20, 5, 7, 9])),
+            (col("iter"), Column::nats(vec![1, 1, 2, 2, 2])),
+            (col("item"), Column::ints(vec![10, 20, 5, 7, 9])),
         ])
         .unwrap()
     }
@@ -480,91 +481,112 @@ mod tests {
 
     #[test]
     fn count_per_group() {
-        let t = aggregate_by(&table(), "iter", "cnt", AggFunc::Count, "item").unwrap();
+        let t = aggregate_by(
+            &table(),
+            col("iter"),
+            col("cnt"),
+            AggFunc::Count,
+            col("item"),
+        )
+        .unwrap();
         assert_eq!(t.row_count(), 2);
-        assert_eq!(t.value("cnt", 0).unwrap(), Value::Int(2));
-        assert_eq!(t.value("cnt", 1).unwrap(), Value::Int(3));
+        assert_eq!(t.value(col("cnt"), 0).unwrap(), Value::Int(2));
+        assert_eq!(t.value(col("cnt"), 1).unwrap(), Value::Int(3));
     }
 
     #[test]
     fn sum_and_avg_per_group() {
-        let t = aggregate_by(&table(), "iter", "s", AggFunc::Sum, "item").unwrap();
-        assert_eq!(t.value("s", 0).unwrap(), Value::Int(30));
-        assert_eq!(t.value("s", 1).unwrap(), Value::Int(21));
-        let t = aggregate_by(&table(), "iter", "a", AggFunc::Avg, "item").unwrap();
-        assert_eq!(t.value("a", 0).unwrap(), Value::Dbl(15.0));
-        assert_eq!(t.value("a", 1).unwrap(), Value::Dbl(7.0));
+        let t = aggregate_by(&table(), col("iter"), col("s"), AggFunc::Sum, col("item")).unwrap();
+        assert_eq!(t.value(col("s"), 0).unwrap(), Value::Int(30));
+        assert_eq!(t.value(col("s"), 1).unwrap(), Value::Int(21));
+        let t = aggregate_by(&table(), col("iter"), col("a"), AggFunc::Avg, col("item")).unwrap();
+        assert_eq!(t.value(col("a"), 0).unwrap(), Value::Dbl(15.0));
+        assert_eq!(t.value(col("a"), 1).unwrap(), Value::Dbl(7.0));
     }
 
     #[test]
     fn zero_or_one_keeps_the_one_value_and_rejects_more() {
         let singles = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 3, 4])),
+            (col("iter"), Column::nats(vec![1, 3, 4])),
             (
-                "item".into(),
+                col("item"),
                 Column::strs(vec!["b".into(), "a".into(), "c".into()]),
             ),
         ])
         .unwrap();
         for run in [aggregate_by, aggregate_by_generic] {
-            let t = run(&singles, "iter", "k", AggFunc::ZeroOrOne, "item").unwrap();
-            assert_eq!(t.value("k", 1).unwrap(), Value::Str("a".into()));
-            let err = run(&table(), "iter", "k", AggFunc::ZeroOrOne, "item").unwrap_err();
+            let t = run(
+                &singles,
+                col("iter"),
+                col("k"),
+                AggFunc::ZeroOrOne,
+                col("item"),
+            )
+            .unwrap();
+            assert_eq!(t.value(col("k"), 1).unwrap(), Value::Str("a".into()));
+            let err = run(
+                &table(),
+                col("iter"),
+                col("k"),
+                AggFunc::ZeroOrOne,
+                col("item"),
+            )
+            .unwrap_err();
             assert!(err.to_string().contains("XPTY0004"), "{err}");
         }
     }
 
     #[test]
     fn min_and_max_per_group() {
-        let t = aggregate_by(&table(), "iter", "m", AggFunc::Min, "item").unwrap();
-        assert_eq!(t.value("m", 1).unwrap(), Value::Int(5));
-        let t = aggregate_by(&table(), "iter", "m", AggFunc::Max, "item").unwrap();
-        assert_eq!(t.value("m", 0).unwrap(), Value::Int(20));
+        let t = aggregate_by(&table(), col("iter"), col("m"), AggFunc::Min, col("item")).unwrap();
+        assert_eq!(t.value(col("m"), 1).unwrap(), Value::Int(5));
+        let t = aggregate_by(&table(), col("iter"), col("m"), AggFunc::Max, col("item")).unwrap();
+        assert_eq!(t.value(col("m"), 0).unwrap(), Value::Int(20));
     }
 
     #[test]
     fn sum_coerces_untyped_strings() {
         let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1])),
+            (col("iter"), Column::nats(vec![1, 1])),
             (
-                "item".into(),
+                col("item"),
                 Column::from_values(vec![Value::Str("10".into()), Value::Str("2.5".into())]),
             ),
         ])
         .unwrap();
-        let r = aggregate_by(&t, "iter", "s", AggFunc::Sum, "item").unwrap();
-        assert_eq!(r.value("s", 0).unwrap(), Value::Dbl(12.5));
+        let r = aggregate_by(&t, col("iter"), col("s"), AggFunc::Sum, col("item")).unwrap();
+        assert_eq!(r.value(col("s"), 0).unwrap(), Value::Dbl(12.5));
     }
 
     #[test]
     fn aggregation_of_non_numeric_fails() {
         let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1])),
+            (col("iter"), Column::nats(vec![1])),
             (
-                "item".into(),
+                col("item"),
                 Column::from_values(vec![Value::Str("abc".into())]),
             ),
         ])
         .unwrap();
-        assert!(aggregate_by(&t, "iter", "s", AggFunc::Sum, "item").is_err());
+        assert!(aggregate_by(&t, col("iter"), col("s"), AggFunc::Sum, col("item")).is_err());
     }
 
     #[test]
     fn group_order_is_first_appearance() {
         let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![5, 3, 5])),
-            ("item".into(), Column::ints(vec![1, 1, 1])),
+            (col("iter"), Column::nats(vec![5, 3, 5])),
+            (col("item"), Column::ints(vec![1, 1, 1])),
         ])
         .unwrap();
-        let r = aggregate_by(&t, "iter", "c", AggFunc::Count, "item").unwrap();
-        assert_eq!(r.value("iter", 0).unwrap(), Value::Nat(5));
-        assert_eq!(r.value("iter", 1).unwrap(), Value::Nat(3));
+        let r = aggregate_by(&t, col("iter"), col("c"), AggFunc::Count, col("item")).unwrap();
+        assert_eq!(r.value(col("iter"), 0).unwrap(), Value::Nat(5));
+        assert_eq!(r.value(col("iter"), 1).unwrap(), Value::Nat(3));
     }
 
     #[test]
     fn empty_input_produces_no_groups() {
         let t = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
-        let r = aggregate_by(&t, "iter", "c", AggFunc::Count, "item").unwrap();
+        let r = aggregate_by(&t, col("iter"), col("c"), AggFunc::Count, col("item")).unwrap();
         assert_eq!(r.row_count(), 0);
     }
 
@@ -575,14 +597,15 @@ mod tests {
     fn typed_kernels_match_generic() {
         let sorted = table();
         let shuffled = Table::new(vec![
-            ("iter".into(), Column::nats(vec![2, 1, 2, 1, 2])),
-            ("item".into(), Column::ints(vec![5, 10, 7, 20, 9])),
+            (col("iter"), Column::nats(vec![2, 1, 2, 1, 2])),
+            (col("item"), Column::ints(vec![5, 10, 7, 20, 9])),
         ])
         .unwrap();
         for input in [&sorted, &shuffled] {
             for func in FUNCS {
-                let fast = aggregate_by(input, "iter", "v", func, "item").unwrap();
-                let slow = aggregate_by_generic(input, "iter", "v", func, "item").unwrap();
+                let fast = aggregate_by(input, col("iter"), col("v"), func, col("item")).unwrap();
+                let slow =
+                    aggregate_by_generic(input, col("iter"), col("v"), func, col("item")).unwrap();
                 assert_eq!(fast, slow, "{}", func.name());
             }
         }
@@ -593,21 +616,29 @@ mod tests {
     #[test]
     fn segmented_detection() {
         let sorted = table();
-        let plan = AggPlan::new(&sorted, "iter", "c", AggFunc::Count, "item").unwrap();
+        let plan =
+            AggPlan::new(&sorted, col("iter"), col("c"), AggFunc::Count, col("item")).unwrap();
         assert!(plan.segmented());
         let unsorted = Table::new(vec![
-            ("iter".into(), Column::nats(vec![2, 1])),
-            ("item".into(), Column::ints(vec![1, 2])),
+            (col("iter"), Column::nats(vec![2, 1])),
+            (col("item"), Column::ints(vec![1, 2])),
         ])
         .unwrap();
-        let plan = AggPlan::new(&unsorted, "iter", "c", AggFunc::Count, "item").unwrap();
+        let plan = AggPlan::new(
+            &unsorted,
+            col("iter"),
+            col("c"),
+            AggFunc::Count,
+            col("item"),
+        )
+        .unwrap();
         assert!(!plan.segmented());
         let strs = Table::new(vec![
-            ("g".into(), Column::strs(vec!["a".into(), "b".into()])),
-            ("item".into(), Column::ints(vec![1, 2])),
+            (col("g"), Column::strs(vec!["a".into(), "b".into()])),
+            (col("item"), Column::ints(vec![1, 2])),
         ])
         .unwrap();
-        let plan = AggPlan::new(&strs, "g", "c", AggFunc::Count, "item").unwrap();
+        let plan = AggPlan::new(&strs, col("g"), col("c"), AggFunc::Count, col("item")).unwrap();
         assert!(!plan.segmented());
     }
 
@@ -616,17 +647,18 @@ mod tests {
     #[test]
     fn min_keeps_first_on_ties() {
         let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1, 1])),
+            (col("iter"), Column::nats(vec![1, 1, 1])),
             (
-                "item".into(),
+                col("item"),
                 Column::items(vec![Value::Int(2), Value::Dbl(2.0), Value::Int(2)]),
             ),
         ])
         .unwrap();
-        let fast = aggregate_by(&t, "iter", "m", AggFunc::Min, "item").unwrap();
-        let slow = aggregate_by_generic(&t, "iter", "m", AggFunc::Min, "item").unwrap();
+        let fast = aggregate_by(&t, col("iter"), col("m"), AggFunc::Min, col("item")).unwrap();
+        let slow =
+            aggregate_by_generic(&t, col("iter"), col("m"), AggFunc::Min, col("item")).unwrap();
         assert_eq!(fast, slow);
-        assert_eq!(fast.value("m", 0).unwrap(), Value::Int(2));
+        assert_eq!(fast.value(col("m"), 0).unwrap(), Value::Int(2));
     }
 
     /// Integer sums stay integers and overflow with the arithmetic error;
@@ -634,26 +666,27 @@ mod tests {
     #[test]
     fn sum_promotion_and_overflow_match_generic() {
         let promo = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1, 1])),
+            (col("iter"), Column::nats(vec![1, 1, 1])),
             (
-                "item".into(),
+                col("item"),
                 Column::items(vec![Value::Int(1), Value::Dbl(0.5), Value::Int(2)]),
             ),
         ])
         .unwrap();
-        let fast = aggregate_by(&promo, "iter", "s", AggFunc::Sum, "item").unwrap();
-        assert_eq!(fast.value("s", 0).unwrap(), Value::Dbl(3.5));
+        let fast = aggregate_by(&promo, col("iter"), col("s"), AggFunc::Sum, col("item")).unwrap();
+        assert_eq!(fast.value(col("s"), 0).unwrap(), Value::Dbl(3.5));
         assert_eq!(
             fast,
-            aggregate_by_generic(&promo, "iter", "s", AggFunc::Sum, "item").unwrap()
+            aggregate_by_generic(&promo, col("iter"), col("s"), AggFunc::Sum, col("item")).unwrap()
         );
         let overflow = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1])),
-            ("item".into(), Column::ints(vec![i64::MAX, 1])),
+            (col("iter"), Column::nats(vec![1, 1])),
+            (col("item"), Column::ints(vec![i64::MAX, 1])),
         ])
         .unwrap();
-        let fast = aggregate_by(&overflow, "iter", "s", AggFunc::Sum, "item");
-        let slow = aggregate_by_generic(&overflow, "iter", "s", AggFunc::Sum, "item");
+        let fast = aggregate_by(&overflow, col("iter"), col("s"), AggFunc::Sum, col("item"));
+        let slow =
+            aggregate_by_generic(&overflow, col("iter"), col("s"), AggFunc::Sum, col("item"));
         assert!(fast.is_err());
         assert_eq!(fast.unwrap_err().to_string(), slow.unwrap_err().to_string());
     }

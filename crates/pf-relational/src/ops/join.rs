@@ -38,23 +38,18 @@ use crate::error::{RelError, RelResult};
 use crate::ops::keys::{Key, KeyView, NatIndex};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::ops::HashKey;
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{compare_f64, Value};
 
-fn merge_schemas(left: &Table, right: &Table) -> RelResult<Vec<String>> {
-    for (name, _) in right.columns() {
-        if left.has_column(name) {
+fn check_disjoint(left: &Table, right: &Table) -> RelResult<()> {
+    for &(id, _) in right.columns() {
+        if left.has_column(id) {
             return Err(RelError::new(format!(
-                "join would produce duplicate column `{name}`; project/rename first"
+                "join would produce duplicate column `{id}`; project/rename first"
             )));
         }
     }
-    Ok(left
-        .column_names()
-        .into_iter()
-        .chain(right.column_names())
-        .map(str::to_string)
-        .collect())
+    Ok(())
 }
 
 fn materialize_join(left: &Table, right: &Table, pairs: &[(usize, usize)]) -> RelResult<Table> {
@@ -63,11 +58,8 @@ fn materialize_join(left: &Table, right: &Table, pairs: &[(usize, usize)]) -> Re
     let left_part = left.gather_rows(&left_rows);
     let right_part = right.gather_rows(&right_rows);
     let mut columns = Vec::new();
-    for (name, col) in left_part.columns() {
-        columns.push((name.clone(), col.clone()));
-    }
-    for (name, col) in right_part.columns() {
-        columns.push((name.clone(), col.clone()));
+    for (id, col) in left_part.columns().iter().chain(right_part.columns()) {
+        columns.push((*id, col.clone()));
     }
     Table::new(columns)
 }
@@ -104,10 +96,10 @@ impl<'t> JoinPlan<'t> {
     pub fn new(
         left: &'t Table,
         right: &'t Table,
-        left_col: &str,
-        right_col: &str,
+        left_col: ColId,
+        right_col: ColId,
     ) -> RelResult<JoinPlan<'t>> {
-        merge_schemas(left, right)?;
+        check_disjoint(left, right)?;
         let lcol = left.column(left_col)?;
         let rcol = right.column(right_col)?;
         // Build on the smaller side, probe with the larger.
@@ -228,7 +220,12 @@ impl<'t> JoinPlan<'t> {
 /// Figure 5.  The output contains the matching row pairs ordered by the
 /// left input's row order (then the right's), which keeps plan results
 /// deterministic whichever side the hash index is built on.
-pub fn equi_join(left: &Table, right: &Table, left_col: &str, right_col: &str) -> RelResult<Table> {
+pub fn equi_join(
+    left: &Table,
+    right: &Table,
+    left_col: ColId,
+    right_col: ColId,
+) -> RelResult<Table> {
     let plan = JoinPlan::new(left, right, left_col, right_col)?;
     let pairs = plan.probe();
     plan.materialize(pairs)
@@ -242,10 +239,10 @@ pub fn equi_join(left: &Table, right: &Table, left_col: &str, right_col: &str) -
 pub fn equi_join_generic(
     left: &Table,
     right: &Table,
-    left_col: &str,
-    right_col: &str,
+    left_col: ColId,
+    right_col: ColId,
 ) -> RelResult<Table> {
-    merge_schemas(left, right)?;
+    check_disjoint(left, right)?;
     let lcol = left.column(left_col)?;
     let rcol = right.column(right_col)?;
     let mut index: HashMap<HashKey, Vec<usize>> = HashMap::with_capacity(right.row_count());
@@ -308,11 +305,11 @@ impl<'t> ThetaPlan<'t> {
     pub fn new(
         left: &'t Table,
         right: &'t Table,
-        left_col: &str,
+        left_col: ColId,
         op: BinaryOp,
-        right_col: &str,
+        right_col: ColId,
     ) -> RelResult<ThetaPlan<'t>> {
-        merge_schemas(left, right)?;
+        check_disjoint(left, right)?;
         let lcol = left.column(left_col)?;
         let rcol = right.column(right_col)?;
         let numeric = match op {
@@ -372,9 +369,9 @@ impl<'t> ThetaPlan<'t> {
 pub fn theta_join(
     left: &Table,
     right: &Table,
-    left_col: &str,
+    left_col: ColId,
     op: BinaryOp,
-    right_col: &str,
+    right_col: ColId,
 ) -> RelResult<Table> {
     let plan = ThetaPlan::new(left, right, left_col, op, right_col)?;
     let pairs = plan.probe()?;
@@ -383,7 +380,7 @@ pub fn theta_join(
 
 /// × — Cartesian product.
 pub fn cross(left: &Table, right: &Table) -> RelResult<Table> {
-    merge_schemas(left, right)?;
+    check_disjoint(left, right)?;
     let size = left
         .row_count()
         .checked_mul(right.row_count())
@@ -400,53 +397,64 @@ pub fn cross(left: &Table, right: &Table) -> RelResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::col;
     use crate::value::Value;
 
     fn left() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 2, 3])),
-            ("item".into(), Column::ints(vec![10, 20, 30])),
+            (col("iter"), Column::nats(vec![1, 2, 3])),
+            (col("item"), Column::ints(vec![10, 20, 30])),
         ])
         .unwrap()
     }
 
     fn right() -> Table {
         Table::new(vec![
-            ("iter1".into(), Column::nats(vec![2, 3, 3, 4])),
-            ("item1".into(), Column::ints(vec![200, 300, 301, 400])),
+            (col("iter1"), Column::nats(vec![2, 3, 3, 4])),
+            (col("item1"), Column::ints(vec![200, 300, 301, 400])),
         ])
         .unwrap()
     }
 
     #[test]
     fn equi_join_matches_keys() {
-        let j = equi_join(&left(), &right(), "iter", "iter1").unwrap();
+        let j = equi_join(&left(), &right(), col("iter"), col("iter1")).unwrap();
         assert_eq!(j.row_count(), 3);
-        assert_eq!(j.column_names(), vec!["iter", "item", "iter1", "item1"]);
-        assert_eq!(j.value("item1", 0).unwrap(), Value::Int(200));
-        assert_eq!(j.value("item", 2).unwrap(), Value::Int(30));
+        assert_eq!(
+            j.column_ids(),
+            vec![col("iter"), col("item"), col("iter1"), col("item1")]
+        );
+        assert_eq!(j.value(col("item1"), 0).unwrap(), Value::Int(200));
+        assert_eq!(j.value(col("item"), 2).unwrap(), Value::Int(30));
     }
 
     #[test]
     fn equi_join_rejects_name_clash() {
-        assert!(equi_join(&left(), &left(), "iter", "iter").is_err());
+        assert!(equi_join(&left(), &left(), col("iter"), col("iter")).is_err());
     }
 
     #[test]
     fn equi_join_with_no_matches_is_empty() {
         let r = Table::new(vec![
-            ("iter1".into(), Column::nats(vec![9])),
-            ("item1".into(), Column::ints(vec![1])),
+            (col("iter1"), Column::nats(vec![9])),
+            (col("item1"), Column::ints(vec![1])),
         ])
         .unwrap();
-        let j = equi_join(&left(), &r, "iter", "iter1").unwrap();
+        let j = equi_join(&left(), &r, col("iter"), col("iter1")).unwrap();
         assert_eq!(j.row_count(), 0);
         assert_eq!(j.column_count(), 4);
     }
 
     #[test]
     fn theta_join_greater_than() {
-        let j = theta_join(&left(), &right(), "item", BinaryOp::Cmp(CmpOp::Gt), "iter1").unwrap();
+        let j = theta_join(
+            &left(),
+            &right(),
+            col("item"),
+            BinaryOp::Cmp(CmpOp::Gt),
+            col("iter1"),
+        )
+        .unwrap();
         // every left item (10,20,30) is > every right iter1 (2,3,3,4)
         assert_eq!(j.row_count(), 12);
     }
@@ -460,9 +468,9 @@ mod tests {
 
     #[test]
     fn join_result_order_is_left_major() {
-        let j = equi_join(&left(), &right(), "iter", "iter1").unwrap();
+        let j = equi_join(&left(), &right(), col("iter"), col("iter1")).unwrap();
         let iters: Vec<_> = (0..j.row_count())
-            .map(|r| j.value("iter", r).unwrap().as_nat().unwrap())
+            .map(|r| j.value(col("iter"), r).unwrap().as_nat().unwrap())
             .collect();
         let mut sorted = iters.clone();
         sorted.sort_unstable();
@@ -474,28 +482,28 @@ mod tests {
     #[test]
     fn both_build_orientations_match_the_generic_join() {
         let small = Table::new(vec![
-            ("k".into(), Column::nats(vec![3, 1, 3])),
-            ("a".into(), Column::ints(vec![30, 10, 31])),
+            (col("k"), Column::nats(vec![3, 1, 3])),
+            (col("a"), Column::ints(vec![30, 10, 31])),
         ])
         .unwrap();
         let big = Table::new(vec![
-            ("k1".into(), Column::nats(vec![1, 2, 3, 3, 1, 5, 3])),
-            ("b".into(), Column::ints(vec![1, 2, 3, 4, 5, 6, 7])),
+            (col("k1"), Column::nats(vec![1, 2, 3, 3, 1, 5, 3])),
+            (col("b"), Column::ints(vec![1, 2, 3, 4, 5, 6, 7])),
         ])
         .unwrap();
         // small ⋈ big builds on the left (left is smaller)…
-        let plan = JoinPlan::new(&small, &big, "k", "k1").unwrap();
+        let plan = JoinPlan::new(&small, &big, col("k"), col("k1")).unwrap();
         assert!(plan.build_left);
         assert_eq!(plan.build_rows(), 3);
         assert_eq!(plan.probe_rows(), 7);
-        let fast = equi_join(&small, &big, "k", "k1").unwrap();
-        let slow = equi_join_generic(&small, &big, "k", "k1").unwrap();
+        let fast = equi_join(&small, &big, col("k"), col("k1")).unwrap();
+        let slow = equi_join_generic(&small, &big, col("k"), col("k1")).unwrap();
         assert_eq!(fast, slow);
         // …and big ⋈ small builds on the right.
-        let plan = JoinPlan::new(&big, &small, "k1", "k").unwrap();
+        let plan = JoinPlan::new(&big, &small, col("k1"), col("k")).unwrap();
         assert!(!plan.build_left);
-        let fast = equi_join(&big, &small, "k1", "k").unwrap();
-        let slow = equi_join_generic(&big, &small, "k1", "k").unwrap();
+        let fast = equi_join(&big, &small, col("k1"), col("k")).unwrap();
+        let slow = equi_join_generic(&big, &small, col("k1"), col("k")).unwrap();
         assert_eq!(fast, slow);
     }
 
@@ -504,28 +512,27 @@ mod tests {
     /// side — and anything else hashes; the pairs are the reference's.
     #[test]
     fn nat_keys_are_probed_by_direct_address() {
-        let nats = |name: &str, keys: Vec<u64>| {
-            Table::new(vec![(name.to_string(), Column::nats(keys))]).unwrap()
-        };
+        let nats =
+            |name: &str, keys: Vec<u64>| Table::new(vec![(col(name), Column::nats(keys))]).unwrap();
         let small_sparse = nats("k", vec![2000, 7, 2000]);
         let big = nats("k1", (0..600).map(|i| i * 4 % 2003).collect());
-        let plan = JoinPlan::new(&small_sparse, &big, "k", "k1").unwrap();
+        let plan = JoinPlan::new(&small_sparse, &big, col("k"), col("k1")).unwrap();
         assert!(plan.build_left && matches!(plan.probe, Probe::Direct(_)));
         assert_eq!(
-            equi_join(&small_sparse, &big, "k", "k1").unwrap(),
-            equi_join_generic(&small_sparse, &big, "k", "k1").unwrap()
+            equi_join(&small_sparse, &big, col("k"), col("k1")).unwrap(),
+            equi_join_generic(&small_sparse, &big, col("k"), col("k1")).unwrap()
         );
         // Too sparse for the rows read, or a key column of another type.
         let huge = nats("k1", vec![1 << 40, 7, u64::MAX]);
-        let plan = JoinPlan::new(&small_sparse, &huge, "k", "k1").unwrap();
+        let plan = JoinPlan::new(&small_sparse, &huge, col("k"), col("k1")).unwrap();
         assert!(matches!(plan.probe, Probe::Hashed { .. }));
-        let ints = Table::new(vec![("k1".into(), Column::ints(vec![7, 2000, 3]))]).unwrap();
-        let plan = JoinPlan::new(&small_sparse, &ints, "k", "k1").unwrap();
+        let ints = Table::new(vec![(col("k1"), Column::ints(vec![7, 2000, 3]))]).unwrap();
+        let plan = JoinPlan::new(&small_sparse, &ints, col("k"), col("k1")).unwrap();
         assert!(matches!(plan.probe, Probe::Hashed { .. }));
         for right in [&huge, &ints] {
             assert_eq!(
-                equi_join(&small_sparse, right, "k", "k1").unwrap(),
-                equi_join_generic(&small_sparse, right, "k", "k1").unwrap()
+                equi_join(&small_sparse, right, col("k"), col("k1")).unwrap(),
+                equi_join_generic(&small_sparse, right, col("k"), col("k1")).unwrap()
             );
         }
     }
@@ -535,18 +542,18 @@ mod tests {
     #[test]
     fn string_keyed_join_matches_generic() {
         let l = Table::new(vec![(
-            "k".into(),
+            col("k"),
             Column::strs(vec!["a".into(), "b".into(), "a".into()]),
         )])
         .unwrap();
         let r = Table::new(vec![(
-            "k1".into(),
+            col("k1"),
             Column::strs(vec!["b".into(), "a".into(), "c".into()]),
         )])
         .unwrap();
         assert_eq!(
-            equi_join(&l, &r, "k", "k1").unwrap(),
-            equi_join_generic(&l, &r, "k", "k1").unwrap()
+            equi_join(&l, &r, col("k"), col("k1")).unwrap(),
+            equi_join_generic(&l, &r, col("k"), col("k1")).unwrap()
         );
     }
 
@@ -554,15 +561,15 @@ mod tests {
     /// column joins an Int/Dbl item column where the values are integral.
     #[test]
     fn cross_representation_keys_collapse() {
-        let l = Table::new(vec![("k".into(), Column::nats(vec![1, 2, 3]))]).unwrap();
+        let l = Table::new(vec![(col("k"), Column::nats(vec![1, 2, 3]))]).unwrap();
         let r = Table::new(vec![(
-            "k1".into(),
+            col("k1"),
             Column::items(vec![Value::Dbl(2.0), Value::Int(3), Value::Dbl(2.5)]),
         )])
         .unwrap();
-        let j = equi_join(&l, &r, "k", "k1").unwrap();
+        let j = equi_join(&l, &r, col("k"), col("k1")).unwrap();
         assert_eq!(j.row_count(), 2);
-        assert_eq!(equi_join_generic(&l, &r, "k", "k1").unwrap(), j);
+        assert_eq!(equi_join_generic(&l, &r, col("k"), col("k1")).unwrap(), j);
     }
 
     /// The `f64` probe and the boxed-value loop are the same join: same
@@ -571,20 +578,16 @@ mod tests {
     #[test]
     fn numeric_theta_probe_matches_the_value_loop() {
         let l = Table::new(vec![(
-            "a".into(),
+            col("a"),
             Column::items(vec![Value::Int(-3), Value::Dbl(2.5), Value::Nat(7)]),
         )])
         .unwrap();
-        let r = Table::new(vec![(
-            "b".into(),
-            Column::dbls(vec![2.5, -4.0, 7.0, 1e300]),
-        )])
-        .unwrap();
+        let r = Table::new(vec![(col("b"), Column::dbls(vec![2.5, -4.0, 7.0, 1e300]))]).unwrap();
         let value_loop = |l: &Table, r: &Table, cmp: CmpOp| -> RelResult<Vec<(usize, usize)>> {
             let mut pairs = Vec::new();
             for lrow in 0..l.row_count() {
                 for rrow in 0..r.row_count() {
-                    let (a, b) = (l.value("a", lrow)?, r.value("b", rrow)?);
+                    let (a, b) = (l.value(col("a"), lrow)?, r.value(col("b"), rrow)?);
                     if apply_binary(BinaryOp::Cmp(cmp), &a, &b)?.as_bool()? {
                         pairs.push((lrow, rrow));
                     }
@@ -600,7 +603,7 @@ mod tests {
             CmpOp::Gt,
             CmpOp::Ge,
         ] {
-            let plan = ThetaPlan::new(&l, &r, "a", BinaryOp::Cmp(cmp), "b").unwrap();
+            let plan = ThetaPlan::new(&l, &r, col("a"), BinaryOp::Cmp(cmp), col("b")).unwrap();
             assert!(matches!(plan.keys, ThetaKeys::Numeric(..)));
             assert_eq!(
                 plan.probe().unwrap(),
@@ -608,8 +611,8 @@ mod tests {
                 "{cmp:?}"
             );
         }
-        let nan = Table::new(vec![("b".into(), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
-        let plan = ThetaPlan::new(&l, &nan, "a", BinaryOp::Cmp(CmpOp::Lt), "b").unwrap();
+        let nan = Table::new(vec![(col("b"), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
+        let plan = ThetaPlan::new(&l, &nan, col("a"), BinaryOp::Cmp(CmpOp::Lt), col("b")).unwrap();
         assert_eq!(
             plan.probe().unwrap_err().to_string(),
             value_loop(&l, &nan, CmpOp::Lt).unwrap_err().to_string()

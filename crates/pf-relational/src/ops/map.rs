@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 
 use crate::column::Column;
 use crate::error::RelResult;
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{ArithOp, Cell, Value};
 
 /// Comparison operators (`eq`, `ne`, `lt`, `le`, `gt`, `ge`).
@@ -195,10 +195,10 @@ pub fn atomize_value(value: Value, atomize: &mut Atomizer<'_>) -> Value {
 /// comparison compare as nodes (identity / document order).
 pub fn map_binary(
     input: &Table,
-    target: &str,
-    left: &str,
+    target: ColId,
+    left: ColId,
     op: BinaryOp,
-    right: &str,
+    right: ColId,
     atomize: &mut Atomizer<'_>,
 ) -> RelResult<Table> {
     let lcol = input.column(left)?;
@@ -220,9 +220,9 @@ pub fn map_binary(
 /// the operand atomized through `atomize`.
 pub fn map_unary(
     input: &Table,
-    target: &str,
+    target: ColId,
     op: UnaryOp,
-    source: &str,
+    source: ColId,
     atomize: &mut Atomizer<'_>,
 ) -> RelResult<Table> {
     let col = input.column(source)?;
@@ -237,7 +237,7 @@ pub fn map_unary(
 
 /// Attach a constant column (the "attach" operator the loop-lifting scheme
 /// uses to give literals their `iter`/`pos` columns).
-pub fn map_const(input: &Table, target: &str, value: &Value) -> RelResult<Table> {
+pub fn map_const(input: &Table, target: ColId, value: &Value) -> RelResult<Table> {
     let values = vec![value.clone(); input.row_count()];
     let mut out = input.clone();
     out.add_column(target, Column::from_values(values))?;
@@ -246,23 +246,23 @@ pub fn map_const(input: &Table, target: &str, value: &Value) -> RelResult<Table>
 
 /// Atomization (`fn:data`): replace `column` with its values atomized
 /// through `atomize`, leaving every other column untouched.
-pub fn map_data(input: &Table, column: &str, atomize: &mut Atomizer<'_>) -> RelResult<Table> {
+pub fn map_data(input: &Table, column: ColId, atomize: &mut Atomizer<'_>) -> RelResult<Table> {
     let mut values: Vec<Value> = input
         .column(column)?
         .iter_values()
         .map(|value| atomize_value(value, atomize))
         .collect();
-    // Column names are unique: exactly one column takes the values.
+    // Column ids are unique: exactly one column takes the values.
     let columns = input
         .columns()
         .iter()
-        .map(|(name, c)| {
-            let c = if name == column {
+        .map(|&(id, ref c)| {
+            let c = if id == column {
                 Column::from_values(std::mem::take(&mut values))
             } else {
                 c.clone()
             };
-            (name.clone(), c)
+            (id, c)
         })
         .collect();
     Table::new(columns)
@@ -272,6 +272,7 @@ pub fn map_data(input: &Table, column: &str, atomize: &mut Atomizer<'_>) -> RelR
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::table::col;
     use crate::value::NodeRef;
 
     /// A hook for tables that hold no nodes.
@@ -281,9 +282,9 @@ mod tests {
 
     fn table() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 2, 3])),
-            ("a".into(), Column::ints(vec![10, 20, 30])),
-            ("b".into(), Column::ints(vec![3, 20, 7])),
+            (col("iter"), Column::nats(vec![1, 2, 3])),
+            (col("a"), Column::ints(vec![10, 20, 30])),
+            (col("b"), Column::ints(vec![3, 20, 7])),
         ])
         .unwrap()
     }
@@ -292,53 +293,69 @@ mod tests {
     fn arithmetic_map() {
         let t = map_binary(
             &table(),
-            "sum",
-            "a",
+            col("sum"),
+            col("a"),
             BinaryOp::Arith(ArithOp::Add),
-            "b",
+            col("b"),
             &mut no_nodes(),
         )
         .unwrap();
-        assert_eq!(t.value("sum", 0).unwrap(), Value::Int(13));
-        assert_eq!(t.value("sum", 2).unwrap(), Value::Int(37));
+        assert_eq!(t.value(col("sum"), 0).unwrap(), Value::Int(13));
+        assert_eq!(t.value(col("sum"), 2).unwrap(), Value::Int(37));
     }
 
     #[test]
     fn comparison_map_produces_booleans() {
         let t = map_binary(
             &table(),
-            "eq",
-            "a",
+            col("eq"),
+            col("a"),
             BinaryOp::Cmp(CmpOp::Eq),
-            "b",
+            col("b"),
             &mut no_nodes(),
         )
         .unwrap();
-        assert_eq!(t.value("eq", 0).unwrap(), Value::Bool(false));
-        assert_eq!(t.value("eq", 1).unwrap(), Value::Bool(true));
+        assert_eq!(t.value(col("eq"), 0).unwrap(), Value::Bool(false));
+        assert_eq!(t.value(col("eq"), 1).unwrap(), Value::Bool(true));
         let t = map_binary(
             &table(),
-            "gt",
-            "a",
+            col("gt"),
+            col("a"),
             BinaryOp::Cmp(CmpOp::Gt),
-            "b",
+            col("b"),
             &mut no_nodes(),
         )
         .unwrap();
-        assert_eq!(t.value("gt", 0).unwrap(), Value::Bool(true));
+        assert_eq!(t.value(col("gt"), 0).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn boolean_connectives() {
         let t = Table::new(vec![
-            ("x".into(), Column::bools(vec![true, true, false])),
-            ("y".into(), Column::bools(vec![true, false, false])),
+            (col("x"), Column::bools(vec![true, true, false])),
+            (col("y"), Column::bools(vec![true, false, false])),
         ])
         .unwrap();
-        let t = map_binary(&t, "and", "x", BinaryOp::And, "y", &mut no_nodes()).unwrap();
-        let t = map_binary(&t, "or", "x", BinaryOp::Or, "y", &mut no_nodes()).unwrap();
-        assert_eq!(t.value("and", 1).unwrap(), Value::Bool(false));
-        assert_eq!(t.value("or", 1).unwrap(), Value::Bool(true));
+        let t = map_binary(
+            &t,
+            col("and"),
+            col("x"),
+            BinaryOp::And,
+            col("y"),
+            &mut no_nodes(),
+        )
+        .unwrap();
+        let t = map_binary(
+            &t,
+            col("or"),
+            col("x"),
+            BinaryOp::Or,
+            col("y"),
+            &mut no_nodes(),
+        )
+        .unwrap();
+        assert_eq!(t.value(col("and"), 1).unwrap(), Value::Bool(false));
+        assert_eq!(t.value(col("or"), 1).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -373,11 +390,11 @@ mod tests {
     fn reference_maps_atomize_node_operands() {
         let nodes = Table::new(vec![
             (
-                "n".into(),
+                col("n"),
                 Column::nodes(vec![NodeRef::new(0, 4), NodeRef::new(0, 9)]),
             ),
             (
-                "m".into(),
+                col("m"),
                 Column::nodes(vec![NodeRef::new(0, 5), NodeRef::new(0, 2)]),
             ),
         ])
@@ -389,27 +406,45 @@ mod tests {
         };
         let t = map_binary(
             &nodes,
-            "lt",
-            "n",
+            col("lt"),
+            col("n"),
             BinaryOp::Cmp(CmpOp::Lt),
-            "m",
+            col("m"),
             &mut pre_as_text,
         )
         .unwrap();
-        assert_eq!(t.column("lt").unwrap(), &Column::bools(vec![true, false]));
-        let t = map_binary(&nodes, "c", "n", BinaryOp::Concat, "m", &mut pre_as_text).unwrap();
-        assert_eq!(t.value("c", 1).unwrap(), Value::Str("92".into()));
-        let t = map_unary(&nodes, "x", UnaryOp::ToNumber, "n", &mut pre_as_text).unwrap();
-        assert_eq!(t.column("x").unwrap(), &Column::dbls(vec![4.0, 9.0]));
-        let t = map_data(&nodes, "m", &mut pre_as_text).unwrap();
         assert_eq!(
-            t.column("m").unwrap(),
+            t.column(col("lt")).unwrap(),
+            &Column::bools(vec![true, false])
+        );
+        let t = map_binary(
+            &nodes,
+            col("c"),
+            col("n"),
+            BinaryOp::Concat,
+            col("m"),
+            &mut pre_as_text,
+        )
+        .unwrap();
+        assert_eq!(t.value(col("c"), 1).unwrap(), Value::Str("92".into()));
+        let t = map_unary(
+            &nodes,
+            col("x"),
+            UnaryOp::ToNumber,
+            col("n"),
+            &mut pre_as_text,
+        )
+        .unwrap();
+        assert_eq!(t.column(col("x")).unwrap(), &Column::dbls(vec![4.0, 9.0]));
+        let t = map_data(&nodes, col("m"), &mut pre_as_text).unwrap();
+        assert_eq!(
+            t.column(col("m")).unwrap(),
             &Column::strs(vec!["5".into(), "2".into()])
         );
         assert!(t
-            .column("n")
+            .column(col("n"))
             .unwrap()
-            .shares_data(nodes.column("n").unwrap()));
+            .shares_data(nodes.column(col("n")).unwrap()));
     }
 
     #[test]
@@ -433,9 +468,9 @@ mod tests {
 
     #[test]
     fn map_const_attaches_constant() {
-        let t = map_const(&table(), "c", &Value::Nat(1)).unwrap();
+        let t = map_const(&table(), col("c"), &Value::Nat(1)).unwrap();
         assert!(t
-            .column("c")
+            .column(col("c"))
             .unwrap()
             .iter_values()
             .all(|v| v == Value::Nat(1)));
@@ -446,25 +481,25 @@ mod tests {
         let t = table();
         let out = map_binary(
             &t,
-            "sum",
-            "a",
+            col("sum"),
+            col("a"),
             BinaryOp::Arith(ArithOp::Add),
-            "b",
+            col("b"),
             &mut no_nodes(),
         )
         .unwrap();
         // ⊙ appends one new column; the input columns are shared, not copied.
         for name in ["iter", "a", "b"] {
             assert!(out
-                .column(name)
+                .column(col(name))
                 .unwrap()
-                .shares_data(t.column(name).unwrap()));
+                .shares_data(t.column(col(name)).unwrap()));
         }
-        let out = map_const(&t, "c", &Value::Nat(1)).unwrap();
+        let out = map_const(&t, col("c"), &Value::Nat(1)).unwrap();
         assert!(out
-            .column("iter")
+            .column(col("iter"))
             .unwrap()
-            .shares_data(t.column("iter").unwrap()));
+            .shares_data(t.column(col("iter")).unwrap()));
     }
 
     #[test]
@@ -478,7 +513,15 @@ mod tests {
     #[test]
     fn type_errors_are_reported() {
         let t = table();
-        assert!(map_binary(&t, "x", "a", BinaryOp::And, "b", &mut no_nodes()).is_err());
-        assert!(map_unary(&t, "x", UnaryOp::Not, "a", &mut no_nodes()).is_err());
+        assert!(map_binary(
+            &t,
+            col("x"),
+            col("a"),
+            BinaryOp::And,
+            col("b"),
+            &mut no_nodes()
+        )
+        .is_err());
+        assert!(map_unary(&t, col("x"), UnaryOp::Not, col("a"), &mut no_nodes()).is_err());
     }
 }

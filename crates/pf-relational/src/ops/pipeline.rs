@@ -69,7 +69,7 @@ use crate::ops::keys::{first_nats, first_rows, KeyView};
 use crate::ops::map::{
     binary_cell, substring_test, unary_cell, Atomizer, BinaryOp, CmpOp, UnaryOp,
 };
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{
     cast_double, compare_f64, dbl_arith, dbl_idiv, int_arith, ArithOp, Cell, NodeRef, Value,
 };
@@ -87,53 +87,53 @@ pub enum FusedStep<'a> {
     /// π — keep/rename columns (`(source, target)` pairs).
     Project {
         /// `(source, target)` column pairs.
-        columns: &'a [(String, String)],
+        columns: &'a [(ColId, ColId)],
     },
     /// σ over a boolean column.
     SelectTrue {
         /// Boolean column to filter on.
-        column: &'a str,
+        column: ColId,
     },
     /// σ with an equality-to-constant predicate.
     SelectEq {
         /// Column compared against the constant.
-        column: &'a str,
+        column: ColId,
         /// The constant.
         value: &'a Value,
     },
     /// Attach a constant column.
     Attach {
-        /// New column name.
-        target: &'a str,
+        /// New column.
+        target: ColId,
         /// The constant value.
         value: &'a Value,
     },
     /// Unary ⊙ — append `target` = `op(source)`.
     MapUnary {
-        /// Result column name.
-        target: &'a str,
+        /// Result column.
+        target: ColId,
         /// The operator.
         op: UnaryOp,
         /// Operand column.
-        source: &'a str,
+        source: ColId,
     },
     /// Binary ⊙ — append `target` = `left op right`.
     MapBinary {
-        /// Result column name.
-        target: &'a str,
+        /// Result column.
+        target: ColId,
         /// Left operand column.
-        left: &'a str,
+        left: ColId,
         /// The operator.
         op: BinaryOp,
         /// Right operand column.
-        right: &'a str,
+        right: ColId,
     },
     /// Atomization (`fn:data` / `fn:string`): replace `column` with the
     /// atomized value of each row (nodes become their string value,
     /// atomics pass through), leaving every other column untouched.
     MapAtomize {
         /// The column to atomize in place.
-        column: &'a str,
+        column: ColId,
     },
     /// δ — duplicate elimination over all (current) columns, keeping the
     /// first occurrence of each distinct row.  A pure selection-vector
@@ -152,10 +152,10 @@ enum Slot {
     Const(Value),
 }
 
-/// A named slot of the virtual table.
+/// A slot of the virtual table, under its column's id.
 #[derive(Debug, Clone)]
 struct Entry {
-    name: String,
+    id: ColId,
     slot: Slot,
     /// `fn:data` was applied to this column of nodes or attributes: those
     /// cells read as their string values.
@@ -472,8 +472,8 @@ impl VirtualTable {
             cols: input
                 .columns()
                 .iter()
-                .map(|(name, c)| Entry {
-                    name: name.clone(),
+                .map(|&(id, ref c)| Entry {
+                    id,
                     slot: Slot::Shared(c.clone()),
                     data: false,
                 })
@@ -488,15 +488,13 @@ impl VirtualTable {
         self.sel.as_ref().map_or(self.input_rows, Vec::len)
     }
 
-    /// Resolve a column name to its slot index, with the same
+    /// Resolve a column to its slot index, with the same
     /// schema-listing error as [`Table::column`].
-    fn col_index(&self, name: &str) -> RelResult<usize> {
+    fn col_index(&self, id: ColId) -> RelResult<usize> {
         self.cols
             .iter()
-            .position(|e| e.name == name)
-            .ok_or_else(|| {
-                RelError::unknown_column(name, self.cols.iter().map(|e| e.name.as_str()))
-            })
+            .position(|e| e.id == id)
+            .ok_or_else(|| RelError::unknown_column(id, self.cols.iter().map(|e| e.id)))
     }
 
     /// The column of a non-constant slot with the selection its rows are
@@ -572,14 +570,14 @@ impl VirtualTable {
             }
     }
 
-    /// Append a computed slot, rejecting duplicate names exactly like
+    /// Append a computed slot, rejecting duplicate columns exactly like
     /// [`Table::add_column`].
-    fn push(&mut self, name: &str, slot: Slot) -> RelResult<()> {
-        if self.cols.iter().any(|e| e.name == name) {
-            return Err(RelError::new(format!("duplicate column name `{name}`")));
+    fn push(&mut self, id: ColId, slot: Slot) -> RelResult<()> {
+        if self.cols.iter().any(|e| e.id == id) {
+            return Err(RelError::new(format!("duplicate column `{id}`")));
         }
         self.cols.push(Entry {
-            name: name.to_string(),
+            id,
             slot,
             data: false,
         });
@@ -826,7 +824,7 @@ impl VirtualTable {
                     Slot::Dense(c) => computed(c),
                     Slot::Const(value) => splat(&value, rows),
                 };
-                (entry.name, column)
+                (entry.id, column)
             })
             .collect();
         Table::new(columns)
@@ -851,21 +849,18 @@ pub fn run_pipeline(
         match step {
             FusedStep::Project { columns } => {
                 let mut projected: Vec<Entry> = Vec::with_capacity(columns.len());
-                for (source, target) in columns.iter() {
+                for &(source, target) in columns {
                     let idx = vt.col_index(source)?;
                     projected.push(Entry {
-                        name: target.clone(),
+                        id: target,
                         ..vt.cols[idx].clone()
                     });
                 }
                 // π targets must be unique — same check, same error as
                 // `Table::new` performs on the unfused path.
                 for (i, entry) in projected.iter().enumerate() {
-                    if projected[..i].iter().any(|e| e.name == entry.name) {
-                        return Err(RelError::new(format!(
-                            "duplicate column name `{}`",
-                            entry.name
-                        )));
+                    if projected[..i].iter().any(|e| e.id == entry.id) {
+                        return Err(RelError::new(format!("duplicate column `{}`", entry.id)));
                     }
                 }
                 vt.cols = projected;
@@ -916,6 +911,7 @@ mod tests {
 
     use super::*;
     use crate::ops;
+    use crate::table::col;
 
     /// A hook for tables without nodes.
     fn no_nodes() -> impl FnMut(Cell<'_>, &mut String) {
@@ -932,9 +928,9 @@ mod tests {
 
     fn input() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 2, 3, 4])),
-            ("a".into(), Column::ints(vec![10, 20, 30, 40])),
-            ("b".into(), Column::ints(vec![15, 15, 15, 45])),
+            (col("iter"), Column::nats(vec![1, 2, 3, 4])),
+            (col("a"), Column::ints(vec![10, 20, 30, 40])),
+            (col("b"), Column::ints(vec![15, 15, 15, 45])),
         ])
         .unwrap()
     }
@@ -944,30 +940,26 @@ mod tests {
     /// them (the kernel's output convention).
     fn reference(input: &Table, steps: &[FusedStep<'_>]) -> RelResult<Table> {
         let mut table = input.clone();
-        let mut computed: HashSet<String> = HashSet::new();
+        let mut computed: HashSet<ColId> = HashSet::new();
         let hook = &mut pre_as_text;
         for &step in steps {
             table = match step {
                 FusedStep::Project { columns } => {
-                    let pairs: Vec<(&str, &str)> = columns
-                        .iter()
-                        .map(|(s, t)| (s.as_str(), t.as_str()))
-                        .collect();
                     computed = columns
                         .iter()
                         .filter(|(s, _)| computed.contains(s))
-                        .map(|(_, t)| t.clone())
+                        .map(|&(_, t)| t)
                         .collect();
-                    ops::project(&table, &pairs)?
+                    ops::project(&table, columns)?
                 }
                 FusedStep::SelectTrue { column } => ops::select_true(&table, column)?,
                 FusedStep::SelectEq { column, value } => ops::select_eq(&table, column, value)?,
                 FusedStep::Attach { target, value } => {
-                    computed.insert(target.to_string());
+                    computed.insert(target);
                     ops::map_const(&table, target, value)?
                 }
                 FusedStep::MapUnary { target, op, source } => {
-                    computed.insert(target.to_string());
+                    computed.insert(target);
                     ops::map_unary(&table, target, op, source, hook)?
                 }
                 FusedStep::MapBinary {
@@ -976,11 +968,11 @@ mod tests {
                     op,
                     right,
                 } => {
-                    computed.insert(target.to_string());
+                    computed.insert(target);
                     ops::map_binary(&table, target, left, op, right, hook)?
                 }
                 FusedStep::MapAtomize { column } => {
-                    computed.insert(column.to_string());
+                    computed.insert(column);
                     ops::map_data(&table, column, hook)?
                 }
                 FusedStep::Distinct => ops::distinct(&table)?,
@@ -989,9 +981,9 @@ mod tests {
         let columns = table
             .columns()
             .iter()
-            .map(|(name, c)| match computed.contains(name) {
-                true => (name.clone(), Column::from_values(c.iter_values().collect())),
-                false => (name.clone(), c.clone()),
+            .map(|&(id, ref c)| match computed.contains(&id) {
+                true => (id, Column::from_values(c.iter_values().collect())),
+                false => (id, c.clone()),
             })
             .collect();
         Table::new(columns)
@@ -1015,20 +1007,20 @@ mod tests {
             &input(),
             &[
                 FusedStep::MapBinary {
-                    target: "cmp",
-                    left: "a",
+                    target: col("cmp"),
+                    left: col("a"),
                     op: BinaryOp::Cmp(CmpOp::Gt),
-                    right: "b",
+                    right: col("b"),
                 },
-                FusedStep::SelectTrue { column: "cmp" },
+                FusedStep::SelectTrue { column: col("cmp") },
                 FusedStep::Project {
-                    columns: &[("iter".into(), "iter".into()), ("a".into(), "item".into())],
+                    columns: &[(col("iter"), col("iter")), (col("a"), col("item"))],
                 },
             ],
         );
         assert_eq!(out.row_count(), 2);
-        assert_eq!(out.column_names(), vec!["iter", "item"]);
-        assert_eq!(out.value("item", 0).unwrap(), Value::Int(20));
+        assert_eq!(out.column_ids(), vec![col("iter"), col("item")]);
+        assert_eq!(out.value(col("item"), 0).unwrap(), Value::Int(20));
     }
 
     #[test]
@@ -1037,28 +1029,28 @@ mod tests {
             &input(),
             &[
                 FusedStep::SelectEq {
-                    column: "b",
+                    column: col("b"),
                     value: &Value::Int(15),
                 },
                 FusedStep::MapBinary {
-                    target: "sum",
-                    left: "a",
+                    target: col("sum"),
+                    left: col("a"),
                     op: BinaryOp::Arith(ArithOp::Add),
-                    right: "b",
+                    right: col("b"),
                 },
                 FusedStep::SelectEq {
-                    column: "sum",
+                    column: col("sum"),
                     value: &Value::Int(35),
                 },
                 FusedStep::Attach {
-                    target: "flag",
+                    target: col("flag"),
                     value: &Value::Bool(true),
                 },
             ],
         );
         assert_eq!(out.row_count(), 1);
-        assert_eq!(out.value("iter", 0).unwrap(), Value::Nat(2));
-        assert_eq!(out.column("flag").unwrap(), &Column::bools(vec![true]));
+        assert_eq!(out.value(col("iter"), 0).unwrap(), Value::Nat(2));
+        assert_eq!(out.column(col("flag")).unwrap(), &Column::bools(vec![true]));
     }
 
     #[test]
@@ -1068,40 +1060,39 @@ mod tests {
             &[
                 FusedStep::Project {
                     columns: &[
-                        ("iter".into(), "inner".into()),
-                        ("iter".into(), "outer".into()),
-                        ("a".into(), "a".into()),
+                        (col("iter"), col("inner")),
+                        (col("iter"), col("outer")),
+                        (col("a"), col("a")),
                     ],
                 },
                 FusedStep::MapUnary {
-                    target: "neg",
+                    target: col("neg"),
                     op: UnaryOp::Neg,
-                    source: "a",
+                    source: col("a"),
                 },
             ],
         );
-        assert_eq!(out.value("neg", 3).unwrap(), Value::Int(-40));
+        assert_eq!(out.value(col("neg"), 3).unwrap(), Value::Int(-40));
         assert_eq!(
-            out.value("inner", 0).unwrap(),
-            out.value("outer", 0).unwrap()
+            out.value(col("inner"), 0).unwrap(),
+            out.value(col("outer"), 0).unwrap()
         );
     }
 
     #[test]
     fn distinct_and_atomize_fuse_like_their_operators() {
         let t = Table::new(vec![
-            ("iter".into(), Column::nats(vec![1, 1, 2, 2, 2])),
-            ("item".into(), Column::ints(vec![7, 7, 7, 8, 8])),
+            (col("iter"), Column::nats(vec![1, 1, 2, 2, 2])),
+            (col("item"), Column::ints(vec![7, 7, 7, 8, 8])),
         ])
         .unwrap();
         let steps = [
-            FusedStep::MapAtomize { column: "item" },
+            FusedStep::MapAtomize {
+                column: col("item"),
+            },
             FusedStep::Distinct,
             FusedStep::Project {
-                columns: &[
-                    ("iter".into(), "iter".into()),
-                    ("item".into(), "item".into()),
-                ],
+                columns: &[(col("iter"), col("iter")), (col("item"), col("item"))],
             },
         ];
         let fused = agree(&t, &steps);
@@ -1112,7 +1103,7 @@ mod tests {
             &t,
             &[
                 FusedStep::Project {
-                    columns: &[("item".into(), "item".into())],
+                    columns: &[(col("item"), col("item"))],
                 },
                 FusedStep::Distinct,
             ],
@@ -1121,7 +1112,7 @@ mod tests {
         // Atomized nodes are compared as their strings: nodes 12 and 21
         // differ, the two 12s do not.
         let nodes = Table::new(vec![(
-            "item".into(),
+            col("item"),
             Column::nodes(vec![
                 NodeRef::new(0, 12),
                 NodeRef::new(0, 21),
@@ -1130,12 +1121,14 @@ mod tests {
         )])
         .unwrap();
         let steps = [
-            FusedStep::MapAtomize { column: "item" },
+            FusedStep::MapAtomize {
+                column: col("item"),
+            },
             FusedStep::Distinct,
         ];
         let out = agree(&nodes, &steps);
         assert_eq!(
-            out.column("item").unwrap(),
+            out.column(col("item")).unwrap(),
             &Column::strs(vec!["12".into(), "21".into()])
         );
     }
@@ -1146,7 +1139,7 @@ mod tests {
         let out = run_pipeline(
             &t,
             &[FusedStep::SelectEq {
-                column: "b",
+                column: col("b"),
                 value: &Value::Int(15),
             }],
             &mut no_nodes(),
@@ -1157,7 +1150,7 @@ mod tests {
         let all = run_pipeline(
             &t,
             &[FusedStep::SelectEq {
-                column: "iter",
+                column: col("iter"),
                 value: &Value::Int(1),
             }],
             &mut no_nodes(),
@@ -1168,19 +1161,22 @@ mod tests {
             &t,
             &[
                 FusedStep::Attach {
-                    target: "t",
+                    target: col("t"),
                     value: &Value::Bool(true),
                 },
-                FusedStep::SelectTrue { column: "t" },
+                FusedStep::SelectTrue { column: col("t") },
             ],
             &mut no_nodes(),
         )
         .unwrap();
-        assert!(all.column("a").unwrap().shares_data(t.column("a").unwrap()));
+        assert!(all
+            .column(col("a"))
+            .unwrap()
+            .shares_data(t.column(col("a")).unwrap()));
         let attached = run_pipeline(
             &t,
             &[FusedStep::Attach {
-                target: "c",
+                target: col("c"),
                 value: &Value::Nat(1),
             }],
             &mut no_nodes(),
@@ -1188,22 +1184,25 @@ mod tests {
         .unwrap();
         for name in ["iter", "a", "b"] {
             assert!(attached
-                .column(name)
+                .column(col(name))
                 .unwrap()
-                .shares_data(t.column(name).unwrap()));
+                .shares_data(t.column(col(name)).unwrap()));
         }
-        assert_eq!(attached.column("c").unwrap(), &Column::nats(vec![1; 4]));
+        assert_eq!(
+            attached.column(col("c")).unwrap(),
+            &Column::nats(vec![1; 4])
+        );
         // `fn:data` over numbers changes no value and copies nothing.
         let data = run_pipeline(
             &t,
-            &[FusedStep::MapAtomize { column: "a" }],
+            &[FusedStep::MapAtomize { column: col("a") }],
             &mut no_nodes(),
         )
         .unwrap();
         assert!(data
-            .column("a")
+            .column(col("a"))
             .unwrap()
-            .shares_data(t.column("a").unwrap()));
+            .shares_data(t.column(col("a")).unwrap()));
     }
 
     #[test]
@@ -1211,13 +1210,20 @@ mod tests {
         let t = input();
         let fused = run_pipeline(
             &t,
-            &[FusedStep::SelectTrue { column: "missing" }],
+            &[FusedStep::SelectTrue {
+                column: col("missing"),
+            }],
             &mut no_nodes(),
         )
         .unwrap_err();
-        let direct = t.column("missing").unwrap_err();
+        let direct = t.column(col("missing")).unwrap_err();
         assert_eq!(fused, direct, "fused kernels must report the same error");
-        assert!(fused.to_string().contains("available: `iter`, `a`, `b`"));
+        assert!(fused.to_string().contains(&format!(
+            "available: `{}`, `{}`, `{}`",
+            col("iter"),
+            col("a"),
+            col("b")
+        )));
 
         // …and after a projection narrowed the schema, the listing reflects
         // the *virtual* schema at that point in the pipeline.
@@ -1225,14 +1231,16 @@ mod tests {
             &t,
             &[
                 FusedStep::Project {
-                    columns: &[("iter".into(), "iter".into())],
+                    columns: &[(col("iter"), col("iter"))],
                 },
-                FusedStep::SelectTrue { column: "a" },
+                FusedStep::SelectTrue { column: col("a") },
             ],
             &mut no_nodes(),
         )
         .unwrap_err();
-        assert!(narrowed.to_string().contains("available: `iter`"));
+        assert!(narrowed
+            .to_string()
+            .contains(&format!("available: `{}`)", col("iter"))));
     }
 
     #[test]
@@ -1241,56 +1249,58 @@ mod tests {
         let dup_attach = run_pipeline(
             &t,
             &[FusedStep::Attach {
-                target: "a",
+                target: col("a"),
                 value: &Value::Int(0),
             }],
             &mut no_nodes(),
         )
         .unwrap_err();
-        assert!(dup_attach.to_string().contains("duplicate column name `a`"));
+        assert!(dup_attach
+            .to_string()
+            .contains(&format!("duplicate column `{}`", col("a"))));
         let dup_project = run_pipeline(
             &t,
             &[FusedStep::Project {
-                columns: &[("a".into(), "x".into()), ("b".into(), "x".into())],
+                columns: &[(col("a"), col("x")), (col("b"), col("x"))],
             }],
             &mut no_nodes(),
         )
         .unwrap_err();
         assert!(dup_project
             .to_string()
-            .contains("duplicate column name `x`"));
+            .contains(&format!("duplicate column `{}`", col("x"))));
     }
 
     #[test]
     fn type_errors_surface_as_errors() {
         let t = input();
         let steps = [FusedStep::MapBinary {
-            target: "x",
-            left: "a",
+            target: col("x"),
+            left: col("a"),
             op: BinaryOp::And,
-            right: "b",
+            right: col("b"),
         }];
         let err = run_pipeline(&t, &steps, &mut no_nodes()).unwrap_err();
         assert_eq!(err, reference(&t, &steps).unwrap_err());
         // The first failing row's error, on the typed loops too.
         let strings = Table::new(vec![(
-            "s".into(),
+            col("s"),
             Column::strs(vec!["1".into(), "x".into(), "y".into()]),
         )])
         .unwrap();
         let cast = [FusedStep::MapUnary {
-            target: "n",
+            target: col("n"),
             op: UnaryOp::ToNumber,
-            source: "s",
+            source: col("s"),
         }];
         let err = run_pipeline(&strings, &cast, &mut no_nodes()).unwrap_err();
         assert!(err.to_string().contains("cannot cast `x` to a number"));
-        let nan = Table::new(vec![("d".into(), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
+        let nan = Table::new(vec![(col("d"), Column::dbls(vec![1.0, f64::NAN]))]).unwrap();
         let cmp = [FusedStep::MapBinary {
-            target: "c",
-            left: "d",
+            target: col("c"),
+            left: col("d"),
             op: BinaryOp::Cmp(CmpOp::Lt),
-            right: "d",
+            right: col("d"),
         }];
         let err = run_pipeline(&nan, &cmp, &mut no_nodes()).unwrap_err();
         assert!(err.to_string().contains("NaN is not comparable"));
@@ -1302,61 +1312,64 @@ mod tests {
     fn atomizer_is_applied_to_map_operands() {
         let t = Table::new(vec![
             (
-                "n".into(),
+                col("n"),
                 Column::nodes(vec![NodeRef::new(0, 9), NodeRef::new(0, 30)]),
             ),
             (
-                "m".into(),
+                col("m"),
                 Column::nodes(vec![NodeRef::new(0, 10), NodeRef::new(0, 4)]),
             ),
-            ("k".into(), Column::ints(vec![20, 20])),
+            (col("k"), Column::ints(vec![20, 20])),
         ])
         .unwrap();
-        fn lt<'a>(target: &'a str, left: &'a str, right: &'a str) -> FusedStep<'a> {
+        fn lt(target: &str, left: &str, right: &str) -> FusedStep<'static> {
             FusedStep::MapBinary {
-                target,
-                left,
+                target: col(target),
+                left: col(left),
                 op: BinaryOp::Cmp(CmpOp::Lt),
-                right,
+                right: col(right),
             }
         }
         // Document order: 9 < 10, 30 > 4.
         let out = agree(&t, &[lt("n<m", "n", "m")]);
         assert_eq!(
-            out.column("n<m").unwrap(),
+            out.column(col("n<m")).unwrap(),
             &Column::bools(vec![true, false])
         );
         // Against a number the node's text is cast: 9 < 20, 30 > 20.
         let out = agree(&t, &[lt("n<k", "n", "k")]);
         assert_eq!(
-            out.column("n<k").unwrap(),
+            out.column(col("n<k")).unwrap(),
             &Column::bools(vec![true, false])
         );
         // After fn:data the texts compare as strings: "9" > "10".
         let steps = [
-            FusedStep::MapAtomize { column: "n" },
-            FusedStep::MapAtomize { column: "m" },
+            FusedStep::MapAtomize { column: col("n") },
+            FusedStep::MapAtomize { column: col("m") },
             lt("n<m", "n", "m"),
         ];
         let out = agree(&t, &steps);
         assert_eq!(
-            out.column("n<m").unwrap(),
+            out.column(col("n<m")).unwrap(),
             &Column::bools(vec![false, true])
         );
         assert_eq!(
-            out.column("n").unwrap(),
+            out.column(col("n")).unwrap(),
             &Column::strs(vec!["9".into(), "30".into()])
         );
         let number = [
-            FusedStep::MapAtomize { column: "m" },
+            FusedStep::MapAtomize { column: col("m") },
             FusedStep::MapUnary {
-                target: "x",
+                target: col("x"),
                 op: UnaryOp::ToNumber,
-                source: "m",
+                source: col("m"),
             },
         ];
         let out = agree(&t, &number);
-        assert_eq!(out.column("x").unwrap(), &Column::dbls(vec![10.0, 4.0]));
+        assert_eq!(
+            out.column(col("x")).unwrap(),
+            &Column::dbls(vec![10.0, 4.0])
+        );
     }
 
     /// Constants and computed columns end like `from_values` builds them:
@@ -1367,43 +1380,43 @@ mod tests {
         let t = input();
         let none = [
             FusedStep::Attach {
-                target: "c",
+                target: col("c"),
                 value: &Value::Str("s".into()),
             },
             FusedStep::MapBinary {
-                target: "gt",
-                left: "a",
+                target: col("gt"),
+                left: col("a"),
                 op: BinaryOp::Cmp(CmpOp::Gt),
-                right: "b",
+                right: col("b"),
             },
             FusedStep::SelectEq {
-                column: "a",
+                column: col("a"),
                 value: &Value::Int(99),
             },
         ];
         let out = agree(&t, &none);
-        assert_eq!(out.column("c").unwrap(), &Column::empty_item());
-        assert_eq!(out.column("gt").unwrap(), &Column::empty_item());
-        assert_eq!(out.column("a").unwrap(), &Column::ints(vec![]));
+        assert_eq!(out.column(col("c")).unwrap(), &Column::empty_item());
+        assert_eq!(out.column(col("gt")).unwrap(), &Column::empty_item());
+        assert_eq!(out.column(col("a")).unwrap(), &Column::ints(vec![]));
         let mixed = Table::new(vec![
-            ("k".into(), Column::bools(vec![true, false, true])),
+            (col("k"), Column::bools(vec![true, false, true])),
             (
-                "v".into(),
+                col("v"),
                 Column::items(vec![Value::Int(1), Value::Str("x".into()), Value::Int(3)]),
             ),
         ])
         .unwrap();
         let steps = [
             FusedStep::MapUnary {
-                target: "w",
+                target: col("w"),
                 op: UnaryOp::ToString,
-                source: "v",
+                source: col("v"),
             },
-            FusedStep::MapAtomize { column: "v" },
-            FusedStep::SelectTrue { column: "k" },
+            FusedStep::MapAtomize { column: col("v") },
+            FusedStep::SelectTrue { column: col("k") },
         ];
         let out = agree(&mixed, &steps);
-        assert_eq!(out.column("v").unwrap(), &Column::ints(vec![1, 3]));
+        assert_eq!(out.column(col("v")).unwrap(), &Column::ints(vec![1, 3]));
     }
 
     #[test]

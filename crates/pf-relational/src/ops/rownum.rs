@@ -19,30 +19,30 @@
 use crate::column::Column;
 use crate::error::RelResult;
 use crate::ops::sortkeys::{KeyCol, SortKeys};
-use crate::table::Table;
+use crate::table::{ColId, Table};
 
 /// One ordering key of a row numbering: a column and its direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderSpec {
     /// The key column.
-    pub column: String,
+    pub column: ColId,
     /// `true` for descending order.
     pub descending: bool,
 }
 
 impl OrderSpec {
     /// An ascending key.
-    pub fn asc(column: impl Into<String>) -> OrderSpec {
+    pub fn asc(column: ColId) -> OrderSpec {
         OrderSpec {
-            column: column.into(),
+            column,
             descending: false,
         }
     }
 
     /// A descending key.
-    pub fn desc(column: impl Into<String>) -> OrderSpec {
+    pub fn desc(column: ColId) -> OrderSpec {
         OrderSpec {
-            column: column.into(),
+            column,
             descending: true,
         }
     }
@@ -50,15 +50,12 @@ impl OrderSpec {
 
 /// The `(column, descending)` sort specification of a row numbering: the
 /// partition column (always ascending) first, then the order keys.
-pub fn sort_spec<'a>(
-    order_by: &'a [OrderSpec],
-    partition_by: Option<&'a str>,
-) -> Vec<(&'a str, bool)> {
-    let mut specs: Vec<(&str, bool)> = Vec::with_capacity(order_by.len() + 1);
+pub fn sort_spec(order_by: &[OrderSpec], partition_by: Option<ColId>) -> Vec<(ColId, bool)> {
+    let mut specs = Vec::with_capacity(order_by.len() + 1);
     if let Some(p) = partition_by {
         specs.push((p, false));
     }
-    specs.extend(order_by.iter().map(|s| (s.column.as_str(), s.descending)));
+    specs.extend(order_by.iter().map(|s| (s.column, s.descending)));
     specs
 }
 
@@ -72,9 +69,9 @@ pub fn sort_spec<'a>(
 /// `iter` or `pos` column).
 pub fn row_number_by(
     input: &Table,
-    target: &str,
+    target: ColId,
     order_by: &[OrderSpec],
-    partition_by: Option<&str>,
+    partition_by: Option<ColId>,
 ) -> RelResult<Table> {
     let specs = sort_spec(order_by, partition_by);
     let keys = SortKeys::for_columns(input, &specs)?;
@@ -85,9 +82,9 @@ pub fn row_number_by(
 /// Ascending-only convenience wrapper around [`row_number_by`].
 pub fn row_number(
     input: &Table,
-    target: &str,
-    order_by: &[&str],
-    partition_by: Option<&str>,
+    target: ColId,
+    order_by: &[ColId],
+    partition_by: Option<ColId>,
 ) -> RelResult<Table> {
     let specs: Vec<OrderSpec> = order_by.iter().map(|&c| OrderSpec::asc(c)).collect();
     row_number_by(input, target, &specs, partition_by)
@@ -100,8 +97,8 @@ pub fn row_number(
 /// [`KeyCol`] comparator, so no per-row key values are materialized.
 pub fn row_number_permuted(
     input: &Table,
-    target: &str,
-    partition_by: Option<&str>,
+    target: ColId,
+    partition_by: Option<ColId>,
     order: &[usize],
 ) -> RelResult<Table> {
     if let Some(p) = partition_by {
@@ -132,37 +129,38 @@ pub fn row_number_permuted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::col;
     use crate::value::Value;
 
     fn table() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![2, 1, 2, 1])),
-            ("pos".into(), Column::nats(vec![1, 2, 2, 1])),
-            ("item".into(), Column::ints(vec![30, 20, 40, 10])),
+            (col("iter"), Column::nats(vec![2, 1, 2, 1])),
+            (col("pos"), Column::nats(vec![1, 2, 2, 1])),
+            (col("item"), Column::ints(vec![30, 20, 40, 10])),
         ])
         .unwrap()
     }
 
     #[test]
     fn global_numbering_follows_order_by() {
-        let t = row_number(&table(), "rank", &["item"], None).unwrap();
+        let t = row_number(&table(), col("rank"), &[col("item")], None).unwrap();
         let ranks: Vec<u64> = (0..4)
-            .map(|r| t.value("rank", r).unwrap().as_nat().unwrap())
+            .map(|r| t.value(col("rank"), r).unwrap().as_nat().unwrap())
             .collect();
         assert_eq!(ranks, vec![1, 2, 3, 4]);
-        assert_eq!(t.value("item", 0).unwrap(), Value::Int(10));
-        assert_eq!(t.value("item", 3).unwrap(), Value::Int(40));
+        assert_eq!(t.value(col("item"), 0).unwrap(), Value::Int(10));
+        assert_eq!(t.value(col("item"), 3).unwrap(), Value::Int(40));
     }
 
     #[test]
     fn partitioned_numbering_restarts_per_group() {
-        let t = row_number(&table(), "pos1", &["pos"], Some("iter")).unwrap();
+        let t = row_number(&table(), col("pos1"), &[col("pos")], Some(col("iter"))).unwrap();
         // Partitions are grouped; numbering 1..k within each iter.
         let mut by_iter: Vec<(u64, u64)> = (0..4)
             .map(|r| {
                 (
-                    t.value("iter", r).unwrap().as_nat().unwrap(),
-                    t.value("pos1", r).unwrap().as_nat().unwrap(),
+                    t.value(col("iter"), r).unwrap().as_nat().unwrap(),
+                    t.value(col("pos1"), r).unwrap().as_nat().unwrap(),
                 )
             })
             .collect();
@@ -176,24 +174,30 @@ mod tests {
         // the per-binding iteration numbers of Figure 3(b).
         let t = Table::iter_pos_item(vec![1, 1], vec![1, 2], vec![Value::Int(10), Value::Int(20)])
             .unwrap();
-        let t = row_number(&t, "inner", &["iter", "pos"], None).unwrap();
-        assert_eq!(t.value("inner", 0).unwrap(), Value::Nat(1));
-        assert_eq!(t.value("inner", 1).unwrap(), Value::Nat(2));
+        let t = row_number(&t, col("inner"), &[col("iter"), col("pos")], None).unwrap();
+        assert_eq!(t.value(col("inner"), 0).unwrap(), Value::Nat(1));
+        assert_eq!(t.value(col("inner"), 1).unwrap(), Value::Nat(2));
     }
 
     #[test]
     fn descending_keys_number_from_the_top() {
-        let t = row_number_by(&table(), "rank", &[OrderSpec::desc("item")], Some("iter")).unwrap();
+        let t = row_number_by(
+            &table(),
+            col("rank"),
+            &[OrderSpec::desc(col("item"))],
+            Some(col("iter")),
+        )
+        .unwrap();
         // Within iter 1: 20 before 10; within iter 2: 40 before 30.
         let rows: Vec<(u64, i64, u64)> = (0..4)
             .map(|r| {
                 (
-                    t.value("iter", r).unwrap().as_nat().unwrap(),
-                    match t.value("item", r).unwrap() {
+                    t.value(col("iter"), r).unwrap().as_nat().unwrap(),
+                    match t.value(col("item"), r).unwrap() {
                         Value::Int(i) => i,
                         other => panic!("unexpected {other}"),
                     },
-                    t.value("rank", r).unwrap().as_nat().unwrap(),
+                    t.value(col("rank"), r).unwrap().as_nat().unwrap(),
                 )
             })
             .collect();
@@ -203,26 +207,26 @@ mod tests {
     #[test]
     fn permuted_entry_matches_the_direct_kernel() {
         let t = table();
-        let order_by = [OrderSpec::asc("pos")];
-        let direct = row_number_by(&t, "n", &order_by, Some("iter")).unwrap();
-        let specs = sort_spec(&order_by, Some("iter"));
+        let order_by = [OrderSpec::asc(col("pos"))];
+        let direct = row_number_by(&t, col("n"), &order_by, Some(col("iter"))).unwrap();
+        let specs = sort_spec(&order_by, Some(col("iter")));
         let keys = SortKeys::for_columns(&t, &specs).unwrap();
         let order = keys.stable_permutation(t.row_count());
-        let permuted = row_number_permuted(&t, "n", Some("iter"), &order).unwrap();
+        let permuted = row_number_permuted(&t, col("n"), Some(col("iter")), &order).unwrap();
         assert_eq!(direct, permuted);
     }
 
     #[test]
     fn unknown_columns_are_rejected() {
-        assert!(row_number(&table(), "r", &["missing"], None).is_err());
-        assert!(row_number(&table(), "r", &["item"], Some("missing")).is_err());
+        assert!(row_number(&table(), col("r"), &[col("missing")], None).is_err());
+        assert!(row_number(&table(), col("r"), &[col("item")], Some(col("missing"))).is_err());
     }
 
     #[test]
     fn empty_input() {
         let t = Table::iter_pos_item(vec![], vec![], vec![]).unwrap();
-        let t = row_number(&t, "n", &["pos"], Some("iter")).unwrap();
+        let t = row_number(&t, col("n"), &[col("pos")], Some(col("iter"))).unwrap();
         assert_eq!(t.row_count(), 0);
-        assert!(t.has_column("n"));
+        assert!(t.has_column(col("n")));
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::error::{RelError, RelResult};
 use crate::ops::keys::{first_nats, first_rows, nats_absent, rows_absent, KeyView};
-use crate::table::Table;
+use crate::table::{ColId, Table};
 
 /// ∪̇ — disjoint union.
 ///
@@ -30,11 +30,11 @@ pub fn union_disjoint(left: &Table, right: &Table) -> RelResult<Table> {
     if right.column_count() == 0 {
         return Ok(left.clone());
     }
-    if left.column_names() != right.column_names() {
+    if left.column_ids() != right.column_ids() {
         return Err(RelError::new(format!(
             "union of incompatible schemas {:?} and {:?}",
-            left.column_names(),
-            right.column_names()
+            left.column_ids(),
+            right.column_ids()
         )));
     }
     // A union with an empty side shares the other side's columns (O(1)).
@@ -48,7 +48,7 @@ pub fn union_disjoint(left: &Table, right: &Table) -> RelResult<Table> {
     for ((name, lcol), (_, rcol)) in left.columns().iter().zip(right.columns()) {
         let mut col = lcol.clone();
         col.append(rcol)?;
-        columns.push((name.clone(), col));
+        columns.push((*name, col));
     }
     Table::new(columns)
 }
@@ -59,7 +59,7 @@ pub fn difference(left: &Table, right: &Table) -> RelResult<Table> {
     let rcols = left
         .columns()
         .iter()
-        .map(|(name, _)| right.column(name))
+        .map(|&(id, _)| right.column(id))
         .collect::<RelResult<Vec<_>>>()?;
     if let ([(_, lcol)], [rcol]) = (left.columns(), &rcols[..]) {
         if let Some(keep) = lcol
@@ -85,16 +85,16 @@ pub fn difference(left: &Table, right: &Table) -> RelResult<Table> {
 /// δ — duplicate elimination over all columns, keeping the first occurrence
 /// of each distinct row (so a sorted input stays sorted).
 pub fn distinct(input: &Table) -> RelResult<Table> {
-    distinct_on(input, &input.column_names())
+    distinct_on(input, &input.column_ids())
 }
 
 /// δ restricted to a subset of columns: keeps the first row of every
 /// distinct combination and projects nothing away (the remaining columns of
 /// the surviving row are retained).
-pub fn distinct_on(input: &Table, columns: &[&str]) -> RelResult<Table> {
+pub fn distinct_on(input: &Table, columns: &[ColId]) -> RelResult<Table> {
     let cols = columns
         .iter()
-        .map(|c| input.column(c))
+        .map(|&c| input.column(c))
         .collect::<RelResult<Vec<_>>>()?;
     if let [col] = cols[..] {
         if let Some(keep) = col
@@ -113,12 +113,13 @@ pub fn distinct_on(input: &Table, columns: &[&str]) -> RelResult<Table> {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::table::col;
     use crate::value::Value;
 
     fn t(iters: Vec<u64>, items: Vec<i64>) -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("item".into(), Column::ints(items)),
+            (col("iter"), Column::nats(iters)),
+            (col("item"), Column::ints(items)),
         ])
         .unwrap()
     }
@@ -127,7 +128,7 @@ mod tests {
     fn union_concatenates() {
         let u = union_disjoint(&t(vec![1], vec![10]), &t(vec![2], vec![20])).unwrap();
         assert_eq!(u.row_count(), 2);
-        assert_eq!(u.value("item", 1).unwrap(), Value::Int(20));
+        assert_eq!(u.value(col("item"), 1).unwrap(), Value::Int(20));
     }
 
     #[test]
@@ -144,19 +145,19 @@ mod tests {
         let empty = t(vec![], vec![]);
         let u = union_disjoint(&empty, &populated).unwrap();
         assert!(u
-            .column("item")
+            .column(col("item"))
             .unwrap()
-            .shares_data(populated.column("item").unwrap()));
+            .shares_data(populated.column(col("item")).unwrap()));
         let u = union_disjoint(&populated, &empty).unwrap();
         assert!(u
-            .column("item")
+            .column(col("item"))
             .unwrap()
-            .shares_data(populated.column("item").unwrap()));
+            .shares_data(populated.column(col("item")).unwrap()));
     }
 
     #[test]
     fn union_rejects_mismatched_schemas() {
-        let other = Table::new(vec![("x".into(), Column::nats(vec![1]))]).unwrap();
+        let other = Table::new(vec![(col("x"), Column::nats(vec![1]))]).unwrap();
         assert!(union_disjoint(&t(vec![1], vec![1]), &other).is_err());
     }
 
@@ -168,12 +169,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.row_count(), 2);
-        assert_eq!(d.value("iter", 1).unwrap(), Value::Nat(3));
+        assert_eq!(d.value(col("iter"), 1).unwrap(), Value::Nat(3));
     }
 
     #[test]
     fn difference_requires_columns_present_in_right() {
-        let right = Table::new(vec![("iter".into(), Column::nats(vec![1]))]).unwrap();
+        let right = Table::new(vec![(col("iter"), Column::nats(vec![1]))]).unwrap();
         assert!(difference(&t(vec![1], vec![1]), &right).is_err());
     }
 
@@ -181,16 +182,21 @@ mod tests {
     fn distinct_keeps_first_occurrence() {
         let d = distinct(&t(vec![1, 1, 2, 1], vec![10, 10, 20, 10])).unwrap();
         assert_eq!(d.row_count(), 2);
-        assert_eq!(d.value("iter", 0).unwrap(), Value::Nat(1));
-        assert_eq!(d.value("iter", 1).unwrap(), Value::Nat(2));
+        assert_eq!(d.value(col("iter"), 0).unwrap(), Value::Nat(1));
+        assert_eq!(d.value(col("iter"), 1).unwrap(), Value::Nat(2));
     }
 
     fn iters(keys: Vec<u64>) -> Table {
-        Table::new(vec![("iter".into(), Column::nats(keys))]).unwrap()
+        Table::new(vec![(col("iter"), Column::nats(keys))]).unwrap()
     }
 
     fn nats_of(table: &Table) -> Vec<u64> {
-        table.column("iter").unwrap().as_nats().unwrap().to_vec()
+        table
+            .column(col("iter"))
+            .unwrap()
+            .as_nats()
+            .unwrap()
+            .to_vec()
     }
 
     /// One `Nat` column: the bitset path, unsorted or sparse alike.
@@ -215,14 +221,14 @@ mod tests {
     #[test]
     fn cross_type_keys_collapse() {
         let right = Table::new(vec![(
-            "iter".into(),
+            col("iter"),
             Column::items(vec![Value::Int(2), Value::Dbl(3.0), Value::Dbl(4.5)]),
         )])
         .unwrap();
         let d = difference(&iters(vec![1, 2, 3, 4]), &right).unwrap();
         assert_eq!(nats_of(&d), vec![1, 4]);
         let mixed = Table::new(vec![(
-            "iter".into(),
+            col("iter"),
             Column::items(vec![Value::Nat(2), Value::Int(2), Value::Dbl(2.0)]),
         )])
         .unwrap();
@@ -231,9 +237,9 @@ mod tests {
 
     #[test]
     fn distinct_on_subset_of_columns() {
-        let d = distinct_on(&t(vec![1, 1, 2], vec![10, 99, 20]), &["iter"]).unwrap();
+        let d = distinct_on(&t(vec![1, 1, 2], vec![10, 99, 20]), &[col("iter")]).unwrap();
         assert_eq!(d.row_count(), 2);
         // first row of iter=1 wins
-        assert_eq!(d.value("item", 0).unwrap(), Value::Int(10));
+        assert_eq!(d.value(col("item"), 0).unwrap(), Value::Int(10));
     }
 }

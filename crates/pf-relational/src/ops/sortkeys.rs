@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 
 use crate::column::Column;
 use crate::error::RelResult;
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{AttrRef, NodeRef, Value};
 
 /// A borrowed, typed view of one key column.
@@ -88,10 +88,10 @@ impl<'a> SortKeys<'a> {
     /// Extract the keys for `specs` (`(column, descending)` pairs) from
     /// `table`.  Unknown columns error with the schema-listing message of
     /// [`Table::column`].
-    pub fn for_columns(table: &'a Table, specs: &[(&str, bool)]) -> RelResult<SortKeys<'a>> {
+    pub fn for_columns(table: &'a Table, specs: &[(ColId, bool)]) -> RelResult<SortKeys<'a>> {
         let keys = specs
             .iter()
-            .map(|&(name, descending)| Ok((KeyCol::of(table.column(name)?), descending)))
+            .map(|&(id, descending)| Ok((KeyCol::of(table.column(id)?), descending)))
             .collect::<RelResult<Vec<_>>>()?;
         Ok(SortKeys { keys })
     }
@@ -122,13 +122,14 @@ impl<'a> SortKeys<'a> {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::table::col;
 
     fn table() -> Table {
         Table::new(vec![
-            ("iter".into(), Column::nats(vec![2, 1, 2, 1, 1])),
-            ("item".into(), Column::ints(vec![30, 20, 40, 20, 10])),
+            (col("iter"), Column::nats(vec![2, 1, 2, 1, 1])),
+            (col("item"), Column::ints(vec![30, 20, 40, 20, 10])),
             (
-                "mixed".into(),
+                col("mixed"),
                 Column::items(vec![
                     Value::Int(1),
                     Value::Str("a".into()),
@@ -147,7 +148,7 @@ mod tests {
     fn typed_cmp_matches_value_sort_key_cmp() {
         let t = table();
         for name in ["iter", "item", "mixed"] {
-            let col = t.column(name).unwrap();
+            let col = t.column(crate::table::col(name)).unwrap();
             let key = KeyCol::of(col);
             for a in 0..t.row_count() {
                 for b in 0..t.row_count() {
@@ -164,11 +165,12 @@ mod tests {
     #[test]
     fn stable_permutation_matches_materializing_sort() {
         let t = table();
-        let keys = SortKeys::for_columns(&t, &[("iter", false), ("item", false)]).unwrap();
+        let keys =
+            SortKeys::for_columns(&t, &[(col("iter"), false), (col("item"), false)]).unwrap();
         let fast = keys.stable_permutation(t.row_count());
         let mut slow: Vec<usize> = (0..t.row_count()).collect();
-        let a = t.column("iter").unwrap();
-        let b = t.column("item").unwrap();
+        let a = t.column(col("iter")).unwrap();
+        let b = t.column(col("item")).unwrap();
         slow.sort_by(|&x, &y| {
             a.get(x)
                 .sort_key_cmp(&a.get(y))
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn descending_keys_reverse_but_stay_stable() {
         let t = table();
-        let keys = SortKeys::for_columns(&t, &[("item", true)]).unwrap();
+        let keys = SortKeys::for_columns(&t, &[(col("item"), true)]).unwrap();
         let order = keys.stable_permutation(t.row_count());
         // items: 30, 20, 40, 20, 10 → desc: 40, 30, 20, 20, 10; the two
         // 20s keep their original relative order (row 1 before row 3).
@@ -192,11 +194,11 @@ mod tests {
         // NaN-as-equal-to-everything is intransitive and would leave the
         // sorted order to the sort algorithm; NaN-last keeps it total.
         let t = Table::new(vec![(
-            "d".into(),
+            col("d"),
             Column::dbls(vec![5.0, f64::NAN, 3.0, f64::NAN, 1.0, 4.0]),
         )])
         .unwrap();
-        let keys = SortKeys::for_columns(&t, &[("d", false)]).unwrap();
+        let keys = SortKeys::for_columns(&t, &[(col("d"), false)]).unwrap();
         assert_eq!(
             keys.stable_permutation(t.row_count()),
             vec![4, 2, 5, 0, 1, 3],
@@ -207,6 +209,6 @@ mod tests {
     #[test]
     fn unknown_column_is_an_error() {
         let t = table();
-        assert!(SortKeys::for_columns(&t, &[("missing", false)]).is_err());
+        assert!(SortKeys::for_columns(&t, &[(col("missing"), false)]).is_err());
     }
 }

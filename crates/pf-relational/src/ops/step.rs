@@ -27,7 +27,7 @@ use pf_store::{descendant_prune_into, Axis, DocStore, NodeTest, PreRank, StepKer
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{NodeRef, Value};
 
 /// Resolves document ids found in [`NodeRef`]s to their stores.
@@ -106,8 +106,8 @@ fn typed_cells<'a, T: Copy>(
 /// `item` column; the first offending row (then the first unknown document
 /// in `(iter, doc)` order) is reported here.
 fn plan_step<R: DocResolver + ?Sized>(input: &Table, docs: &R, axis: Axis) -> RelResult<StepPlan> {
-    let iter_col = input.column("iter")?;
-    let item_col = input.column("item")?;
+    let iter_col = input.column(ColId::ITER)?;
+    let item_col = input.column(ColId::ITEM)?;
     let iters = typed_cells(iter_col, iter_col.as_nats(), Value::as_nat);
     let nodes = typed_cells(item_col, item_col.as_nodes(), Value::as_node);
     let (iters, nodes) = match (iters, nodes) {
@@ -217,9 +217,9 @@ impl StepPlan {
             Column::nodes(nodes)
         };
         Table::new(vec![
-            ("iter".into(), Column::nats(iters)),
-            ("pos".into(), Column::nats(poss)),
-            ("item".into(), item_col),
+            (ColId::ITER, Column::nats(iters)),
+            (ColId::POS, Column::nats(poss)),
+            (ColId::ITEM, item_col),
         ])
     }
 }
@@ -245,6 +245,7 @@ pub fn staircase_step<R: DocResolver + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::col;
 
     fn setup() -> (Vec<Arc<DocStore>>, Table) {
         let store = DocStore::from_xml(
@@ -277,9 +278,9 @@ mod tests {
         .unwrap();
         assert_eq!(result.row_count(), 4); // 2 persons × 2 iterations
                                            // Each iteration gets pos 1..2 in document order.
-        assert_eq!(result.value("pos", 0).unwrap(), Value::Nat(1));
-        assert_eq!(result.value("pos", 1).unwrap(), Value::Nat(2));
-        assert_eq!(result.value("iter", 2).unwrap(), Value::Nat(2));
+        assert_eq!(result.value(col("pos"), 0).unwrap(), Value::Nat(1));
+        assert_eq!(result.value(col("pos"), 1).unwrap(), Value::Nat(2));
+        assert_eq!(result.value(col("iter"), 2).unwrap(), Value::Nat(2));
     }
 
     #[test]
@@ -324,8 +325,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.row_count(), 2);
-        assert_eq!(result.value("item", 0).unwrap(), Value::Str("p0".into()));
-        assert_eq!(result.value("item", 1).unwrap(), Value::Str("p1".into()));
+        assert_eq!(
+            result.value(col("item"), 0).unwrap(),
+            Value::Str("p0".into())
+        );
+        assert_eq!(
+            result.value(col("item"), 1).unwrap(),
+            Value::Str("p1".into())
+        );
     }
 
     #[test]
@@ -350,6 +357,9 @@ mod tests {
         let result =
             staircase_step(&table, docs.as_slice(), Axis::Child, &NodeTest::AnyNode).unwrap();
         assert_eq!(result.row_count(), 0);
-        assert_eq!(result.column_names(), vec!["iter", "pos", "item"]);
+        assert_eq!(
+            result.column_ids(),
+            vec![col("iter"), col("pos"), col("item")]
+        );
     }
 }

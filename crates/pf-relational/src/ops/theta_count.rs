@@ -26,26 +26,26 @@ use crate::error::{RelError, RelResult};
 use crate::ops::join::numeric_keys;
 use crate::ops::keys::{Key, KeyView};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
-use crate::table::Table;
+use crate::table::{ColId, Table};
 use crate::value::{nan_error, Value};
 
 /// What a grouped rank count counts: per distinct `group` value of the
 /// left input, the distinct `right_id` values of the right input with at
 /// least one pair satisfying `left_col op right_col`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankCount {
     /// Grouping column of the left input.
-    pub group: String,
+    pub group: ColId,
     /// Left comparison column.
-    pub left_col: String,
+    pub left_col: ColId,
     /// The comparison operator.
     pub op: BinaryOp,
     /// Column of the right input identifying what is counted.
-    pub right_id: String,
+    pub right_id: ColId,
     /// Right comparison column.
-    pub right_col: String,
+    pub right_col: ColId,
     /// Name of the count column.
-    pub result: String,
+    pub result: ColId,
 }
 
 /// Rows of one column collapsed onto dense ids `0..len()` (same classes as
@@ -116,11 +116,11 @@ impl<'t> ThetaCountPlan<'t> {
         count: &'t RankCount,
     ) -> RelResult<ThetaCountPlan<'t>> {
         let op = count.op;
-        let group_col = left.column(&count.group)?;
-        let lcol = left.column(&count.left_col)?;
-        let rcol = right.column(&count.right_col)?;
+        let group_col = left.column(count.group)?;
+        let lcol = left.column(count.left_col)?;
+        let rcol = right.column(count.right_col)?;
         let groups = DenseIds::of(group_col);
-        let ids = DenseIds::of(right.column(&count.right_id)?);
+        let ids = DenseIds::of(right.column(count.right_id)?);
         let ranked = match op {
             BinaryOp::Cmp(cmp @ (CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)) => {
                 numeric_keys(lcol)
@@ -242,8 +242,8 @@ impl<'t> ThetaCountPlan<'t> {
             .map(|(&row, count)| (row, count as i64))
             .unzip();
         Table::new(vec![
-            (self.count.group.clone(), self.group_col.gather(&rows)),
-            (self.count.result.clone(), Column::ints(counts)),
+            (self.count.group, self.group_col.gather(&rows)),
+            (self.count.result, Column::ints(counts)),
         ])
     }
 }
@@ -287,23 +287,24 @@ pub fn theta_count(left: &Table, right: &Table, count: &RankCount) -> RelResult<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::col;
 
     fn table(cols: Vec<(&str, Column)>) -> Table {
-        Table::new(cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect()).unwrap()
+        Table::new(cols.into_iter().map(|(n, c)| (col(n), c)).collect()).unwrap()
     }
 
     fn count(left: &Table, right: &Table, cmp: CmpOp) -> RelResult<Vec<(Value, Value)>> {
         let spec = RankCount {
-            group: "g".into(),
-            left_col: "k".into(),
+            group: col("g"),
+            left_col: col("k"),
             op: BinaryOp::Cmp(cmp),
-            right_id: "id".into(),
-            right_col: "v".into(),
-            result: "n".into(),
+            right_id: col("id"),
+            right_col: col("v"),
+            result: col("n"),
         };
         let t = theta_count(left, right, &spec)?;
         Ok((0..t.row_count())
-            .map(|r| (t.value("g", r).unwrap(), t.value("n", r).unwrap()))
+            .map(|r| (t.value(col("g"), r).unwrap(), t.value(col("n"), r).unwrap()))
             .collect())
     }
 
@@ -364,7 +365,8 @@ mod tests {
             ("id", Column::nats(vec![1])),
             ("v", Column::bools(vec![true])),
         ]);
-        let loop_err = crate::ops::theta_join(&left, &bools, "k", BinaryOp::Cmp(CmpOp::Gt), "v");
+        let loop_err =
+            crate::ops::theta_join(&left, &bools, col("k"), BinaryOp::Cmp(CmpOp::Gt), col("v"));
         assert_eq!(
             count(&left, &bools, CmpOp::Gt).unwrap_err().to_string(),
             loop_err.unwrap_err().to_string()

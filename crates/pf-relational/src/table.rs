@@ -1,29 +1,50 @@
-//! Tables: ordered collections of equal-length named columns.
+//! Tables: ordered collections of equal-length columns, each under a
+//! [`ColId`].
 //!
 //! The loop-lifted representation of every XQuery subexpression is a table
 //! with schema `iter|pos|item` (Figure 2/3 of the paper); intermediate
 //! tables of the compiled plans carry additional columns (`inner`, `outer`,
-//! `item1`, …).  Rows are implicitly numbered 0…n−1 — those row ids serve as
-//! MonetDB's virtual OIDs.
+//! `item1`, …).  A column is addressed by its plan-wide id, as MonetDB
+//! addresses a BAT; the names live once, in the plan that numbered them.
+//! Rows are implicitly numbered 0…n−1 — those row ids serve as MonetDB's
+//! virtual OIDs.
 
-use std::collections::HashSet;
+use std::fmt;
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
 use crate::value::Value;
 
-/// Well-known column names used by the loop-lifting compilation scheme.
-pub mod names {
+/// A column: an index into the name table of the plan that numbered it.
+/// The well-known columns of the loop-lifting scheme have fixed ids, the
+/// first entries of every name table ([`ColId::WELL_KNOWN`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct ColId(pub u32);
+
+impl ColId {
     /// Iteration scope column.
-    pub const ITER: &str = "iter";
+    pub const ITER: ColId = ColId(0);
     /// Sequence position column.
-    pub const POS: &str = "pos";
+    pub const POS: ColId = ColId(1);
     /// Item column.
-    pub const ITEM: &str = "item";
+    pub const ITEM: ColId = ColId(2);
     /// Inner iteration (map relation).
-    pub const INNER: &str = "inner";
+    pub const INNER: ColId = ColId(3);
     /// Outer iteration (map relation).
-    pub const OUTER: &str = "outer";
+    pub const OUTER: ColId = ColId(4);
+    /// The names of the well-known columns, by id.
+    pub const WELL_KNOWN: [&'static str; 5] = ["iter", "pos", "item", "inner", "outer"];
+}
+
+impl fmt::Display for ColId {
+    /// The name of a well-known column, `#k` for any other: only the plan
+    /// that numbered a column knows its name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match ColId::WELL_KNOWN.get(self.0 as usize) {
+            Some(name) => f.write_str(name),
+            None => write!(f, "#{}", self.0),
+        }
+    }
 }
 
 /// A relational table.
@@ -34,7 +55,7 @@ pub mod names {
 /// therefore share their input's buffers with their output.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
-    columns: Vec<(String, Column)>,
+    columns: Vec<(ColId, Column)>,
 }
 
 impl Table {
@@ -43,19 +64,18 @@ impl Table {
         Table::default()
     }
 
-    /// Create a table from `(name, column)` pairs.  All columns must have
-    /// the same length and names must be unique.
-    pub fn new(columns: Vec<(String, Column)>) -> RelResult<Self> {
+    /// Create a table from `(id, column)` pairs.  All columns must have
+    /// the same length and ids must be unique.
+    pub fn new(columns: Vec<(ColId, Column)>) -> RelResult<Self> {
         if let Some(first) = columns.first() {
             let len = first.1.len();
             if columns.iter().any(|(_, c)| c.len() != len) {
                 return Err(RelError::new("columns have differing lengths"));
             }
         }
-        let mut seen: HashSet<&str> = HashSet::with_capacity(columns.len());
-        for (name, _) in &columns {
-            if !seen.insert(name.as_str()) {
-                return Err(RelError::new(format!("duplicate column name `{name}`")));
+        for (i, (id, _)) in columns.iter().enumerate() {
+            if columns[..i].iter().any(|(other, _)| other == id) {
+                return Err(RelError::new(format!("duplicate column `{id}`")));
             }
         }
         Ok(Table { columns })
@@ -71,61 +91,50 @@ impl Table {
         self.columns.len()
     }
 
-    /// Column names in schema order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|(n, _)| n.as_str()).collect()
+    /// Column ids in schema order.
+    pub fn column_ids(&self) -> Vec<ColId> {
+        self.columns.iter().map(|&(id, _)| id).collect()
     }
 
-    /// Does the table have a column called `name`?
-    pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|(n, _)| n == name)
+    /// Does the table have column `id`?
+    pub fn has_column(&self, id: ColId) -> bool {
+        self.columns.iter().any(|&(c, _)| c == id)
     }
 
-    /// Borrow the column called `name`.
-    pub fn column(&self, name: &str) -> RelResult<&Column> {
+    /// Borrow column `id`.
+    pub fn column(&self, id: ColId) -> RelResult<&Column> {
         self.columns
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|&&(c, _)| c == id)
             .map(|(_, c)| c)
-            .ok_or_else(|| {
-                RelError::unknown_column(name, self.columns.iter().map(|(n, _)| n.as_str()))
-            })
+            .ok_or_else(|| RelError::unknown_column(id, self.columns.iter().map(|&(c, _)| c)))
     }
 
-    /// All `(name, column)` pairs.
-    pub fn columns(&self) -> &[(String, Column)] {
+    /// All `(id, column)` pairs.
+    pub fn columns(&self) -> &[(ColId, Column)] {
         &self.columns
     }
 
     /// Add a column; its length must match the current row count (unless the
     /// table has no columns yet).
-    pub fn add_column(&mut self, name: impl Into<String>, column: Column) -> RelResult<()> {
-        let name = name.into();
-        if self.has_column(&name) {
-            return Err(RelError::new(format!("duplicate column name `{name}`")));
+    pub fn add_column(&mut self, id: ColId, column: Column) -> RelResult<()> {
+        if self.has_column(id) {
+            return Err(RelError::new(format!("duplicate column `{id}`")));
         }
         if !self.columns.is_empty() && column.len() != self.row_count() {
             return Err(RelError::new(format!(
-                "column `{name}` has {} rows, table has {}",
+                "column `{id}` has {} rows, table has {}",
                 column.len(),
                 self.row_count()
             )));
         }
-        self.columns.push((name, column));
+        self.columns.push((id, column));
         Ok(())
     }
 
     /// Read the cell at (`row`, `column`).
-    pub fn value(&self, column: &str, row: usize) -> RelResult<Value> {
+    pub fn value(&self, column: ColId, row: usize) -> RelResult<Value> {
         Ok(self.column(column)?.get(row))
-    }
-
-    /// Materialize one row as `(name, value)` pairs (debugging, tracing).
-    pub fn row(&self, row: usize) -> Vec<(String, Value)> {
-        self.columns
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get(row)))
-            .collect()
     }
 
     /// Build a new table containing only the given rows (in the given
@@ -142,7 +151,7 @@ impl Table {
             columns: self
                 .columns
                 .iter()
-                .map(|(n, c)| (n.clone(), c.gather(rows)))
+                .map(|&(id, ref c)| (id, c.gather(rows)))
                 .collect(),
         }
     }
@@ -150,9 +159,9 @@ impl Table {
     /// Convenience constructor for the ubiquitous `iter|pos|item` tables.
     pub fn iter_pos_item(iters: Vec<u64>, poss: Vec<u64>, items: Vec<Value>) -> RelResult<Table> {
         Table::new(vec![
-            (names::ITER.to_string(), Column::nats(iters)),
-            (names::POS.to_string(), Column::nats(poss)),
-            (names::ITEM.to_string(), Column::from_values(items)),
+            (ColId::ITER, Column::nats(iters)),
+            (ColId::POS, Column::nats(poss)),
+            (ColId::ITEM, Column::from_values(items)),
         ])
     }
 
@@ -160,7 +169,7 @@ impl Table {
     /// ("Relational plans may be traced to reveal the result computed for
     /// any subexpression", Section 4).
     pub fn to_ascii(&self) -> String {
-        let headers: Vec<String> = self.columns.iter().map(|(n, _)| n.clone()).collect();
+        let headers: Vec<String> = self.columns.iter().map(|(id, _)| id.to_string()).collect();
         let mut rows: Vec<Vec<String>> = Vec::with_capacity(self.row_count());
         for r in 0..self.row_count() {
             rows.push(
@@ -203,9 +212,28 @@ impl Table {
     }
 }
 
+/// Test helper: the well-known id of a well-known name, a fixed id
+/// derived from the name otherwise.
+#[cfg(test)]
+pub(crate) fn col(name: &str) -> ColId {
+    match ColId::WELL_KNOWN.iter().position(|&n| n == name) {
+        Some(i) => ColId(i as u32),
+        None => ColId(
+            name.bytes()
+                .fold(5u32, |h, b| h.wrapping_mul(31).wrapping_add(u32::from(b)))
+                % 1_000_000
+                + 5,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const A: ColId = ColId(10);
+    const B: ColId = ColId(11);
+    const EXTRA: ColId = ColId(12);
 
     fn sample() -> Table {
         Table::iter_pos_item(
@@ -219,15 +247,11 @@ mod tests {
     #[test]
     fn construction_checks_lengths_and_names() {
         assert!(Table::new(vec![
-            ("a".into(), Column::nats(vec![1, 2])),
-            ("b".into(), Column::nats(vec![1])),
+            (A, Column::nats(vec![1, 2])),
+            (B, Column::nats(vec![1])),
         ])
         .is_err());
-        assert!(Table::new(vec![
-            ("a".into(), Column::nats(vec![1])),
-            ("a".into(), Column::nats(vec![2])),
-        ])
-        .is_err());
+        assert!(Table::new(vec![(A, Column::nats(vec![1])), (A, Column::nats(vec![2])),]).is_err());
     }
 
     #[test]
@@ -235,18 +259,20 @@ mod tests {
         let t = sample();
         assert_eq!(t.row_count(), 3);
         assert_eq!(t.column_count(), 3);
-        assert_eq!(t.column_names(), vec!["iter", "pos", "item"]);
-        assert_eq!(t.value("item", 2).unwrap(), Value::Int(30));
-        assert!(t.value("nope", 0).is_err());
-        assert!(t.has_column("pos"));
+        assert_eq!(t.column_ids(), vec![ColId::ITER, ColId::POS, ColId::ITEM]);
+        assert_eq!(t.value(ColId::ITEM, 2).unwrap(), Value::Int(30));
+        assert!(t.value(EXTRA, 0).is_err());
+        assert!(t.has_column(ColId::POS));
     }
 
     #[test]
     fn add_column_validates() {
         let mut t = sample();
-        assert!(t.add_column("iter", Column::nats(vec![1, 2, 3])).is_err());
-        assert!(t.add_column("extra", Column::nats(vec![1])).is_err());
-        assert!(t.add_column("extra", Column::nats(vec![1, 2, 3])).is_ok());
+        assert!(t
+            .add_column(ColId::ITER, Column::nats(vec![1, 2, 3]))
+            .is_err());
+        assert!(t.add_column(EXTRA, Column::nats(vec![1])).is_err());
+        assert!(t.add_column(EXTRA, Column::nats(vec![1, 2, 3])).is_ok());
         assert_eq!(t.column_count(), 4);
     }
 
@@ -255,8 +281,8 @@ mod tests {
         let t = sample();
         let g = t.gather_rows(&[2, 0]);
         assert_eq!(g.row_count(), 2);
-        assert_eq!(g.value("item", 0).unwrap(), Value::Int(30));
-        assert_eq!(g.value("item", 1).unwrap(), Value::Int(10));
+        assert_eq!(g.value(ColId::ITEM, 0).unwrap(), Value::Int(30));
+        assert_eq!(g.value(ColId::ITEM, 1).unwrap(), Value::Int(10));
     }
 
     #[test]

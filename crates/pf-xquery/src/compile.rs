@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, HashSet};
 
 use pf_algebra::{AlgOp, Const, OpId, Plan, PlanBuilder, SortSpec};
 use pf_relational::ops::{AggFunc, BinaryOp, CmpOp, UnaryOp};
-use pf_relational::Value;
+use pf_relational::{ColId, Value};
 
 use crate::ast::{BinOpKind, Expr, OrderKey};
 use crate::error::{XqError, XqResult};
@@ -151,9 +151,14 @@ struct Ctx {
 impl Ctx {
     // ----- small plan-construction helpers -------------------------------
 
+    fn col(&mut self, name: &str) -> ColId {
+        self.b.col(name)
+    }
+
     fn lit(&mut self, columns: Vec<&str>, rows: Vec<Vec<Value>>) -> OpId {
+        let columns = columns.into_iter().map(|c| self.col(c)).collect();
         self.b.add(AlgOp::Lit {
-            columns: columns.into_iter().map(str::to_string).collect(),
+            columns,
             rows: rows
                 .into_iter()
                 .map(|row| row.into_iter().map(Const::Value).collect())
@@ -162,44 +167,61 @@ impl Ctx {
     }
 
     fn project(&mut self, input: OpId, columns: &[(&str, &str)]) -> OpId {
-        self.b.add(AlgOp::Project {
-            input,
-            columns: columns
-                .iter()
-                .map(|(s, t)| (s.to_string(), t.to_string()))
-                .collect(),
-        })
+        let columns = columns
+            .iter()
+            .map(|(s, t)| (self.col(s), self.col(t)))
+            .collect();
+        self.b.add(AlgOp::Project { input, columns })
     }
 
     fn attach(&mut self, input: OpId, target: &str, value: impl Into<Const>) -> OpId {
+        let target = self.col(target);
         self.b.add(AlgOp::Attach {
             input,
-            target: target.to_string(),
+            target,
             value: value.into(),
         })
     }
 
     fn equi_join(&mut self, left: OpId, right: OpId, lcol: &str, rcol: &str) -> OpId {
+        let (left_col, right_col) = (self.col(lcol), self.col(rcol));
         self.b.add(AlgOp::EquiJoin {
             left,
             right,
-            left_col: lcol.to_string(),
-            right_col: rcol.to_string(),
+            left_col,
+            right_col,
         })
     }
 
+    /// `%target` over `input` in ascending `order_by` order.
     fn row_number(
+        &mut self,
+        input: OpId,
+        target: &str,
+        order_by: &[&str],
+        partition: Option<&str>,
+    ) -> OpId {
+        let order_by = order_by
+            .iter()
+            .map(|c| SortSpec::asc(self.col(c)))
+            .collect();
+        self.row_number_by(input, target, order_by, partition)
+    }
+
+    fn row_number_by(
         &mut self,
         input: OpId,
         target: &str,
         order_by: Vec<SortSpec>,
         partition: Option<&str>,
     ) -> OpId {
+        let target = self.col(target);
+        let partition = partition.map(|p| self.col(p));
         self.b.add(AlgOp::RowNum {
             input,
-            target: target.to_string(),
+            target,
             order_by,
-            partition: partition.map(str::to_string),
+            partition,
         })
     }
 
@@ -229,7 +251,7 @@ impl Ctx {
 
     /// Renumber `pos` to 1…k per iteration, preserving the current order.
     fn renumber_pos(&mut self, input: OpId) -> OpId {
-        let numbered = self.row_number(input, "pos1", vec![SortSpec::asc("pos")], Some("iter"));
+        let numbered = self.row_number(input, "pos1", &["pos"], Some("iter"));
         self.project(
             numbered,
             &[("iter", "iter"), ("pos1", "pos"), ("item", "item")],
@@ -280,12 +302,7 @@ impl Ctx {
             });
         }
         let all = tagged.expect("at least one part");
-        let numbered = self.row_number(
-            all,
-            "pos1",
-            vec![SortSpec::asc("ord"), SortSpec::asc("pos")],
-            Some("iter"),
-        );
+        let numbered = self.row_number(all, "pos1", &["ord", "pos"], Some("iter"));
         Ok(self.project(
             numbered,
             &[("iter", "iter"), ("pos1", "pos"), ("item", "item")],
@@ -390,11 +407,12 @@ impl Ctx {
             Expr::BinOp { op, left, right } => self.compile_binop(*op, left, right, scope),
             Expr::Neg(inner) => {
                 let q = self.compile_expr(inner, scope)?;
+                let res_col = self.col("res");
                 let mapped = self.b.add(AlgOp::UnaryMap {
                     input: q,
-                    target: "res".into(),
+                    target: res_col,
                     op: UnaryOp::Neg,
-                    source: "item".into(),
+                    source: ColId::ITEM,
                 });
                 Ok(self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]))
             }
@@ -464,7 +482,7 @@ impl Ctx {
         let bools = self.ebv_bool(qc, scope.loop_op);
         let true_rows = self.b.add(AlgOp::Select {
             input: bools,
-            column: "item".into(),
+            column: ColId::ITEM,
         });
         let loop_then = self.project(true_rows, &[("iter", "iter")]);
         let loop_else = self.difference(scope.loop_op, loop_then);
@@ -504,12 +522,14 @@ impl Ctx {
                 } else {
                     BinaryOp::Or
                 };
+                let res_col = self.col("res");
+                let item1_col = self.col("item1");
                 let mapped = self.b.add(AlgOp::BinaryMap {
                     input: joined,
-                    target: "res".into(),
-                    left: "item".into(),
+                    target: res_col,
+                    left: ColId::ITEM,
                     op: bin,
-                    right: "item1".into(),
+                    right: item1_col,
                 });
                 let pairs = self.project(mapped, &[("iter", "iter"), ("res", "item")]);
                 Ok(self.bool_to_seq(pairs))
@@ -528,12 +548,14 @@ impl Ctx {
                     BinOpKind::Mod => pf_relational::value::ArithOp::Mod,
                     _ => unreachable!(),
                 };
+                let res_col = self.col("res");
+                let item1_col = self.col("item1");
                 let mapped = self.b.add(AlgOp::BinaryMap {
                     input: joined,
-                    target: "res".into(),
-                    left: "item".into(),
+                    target: res_col,
+                    left: ColId::ITEM,
                     op: BinaryOp::Arith(arith),
-                    right: "item1".into(),
+                    right: item1_col,
                 });
                 Ok(self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]))
             }
@@ -570,16 +592,19 @@ impl Ctx {
         let l = self.project(ql, &[("iter", "iter"), ("item", "item")]);
         let r = self.project(qr, &[("iter", "iter1"), ("item", "item1")]);
         let joined = self.equi_join(l, r, "iter", "iter1");
+        let res_col = self.col("res");
+        let item1_col = self.col("item1");
         let mapped = self.b.add(AlgOp::BinaryMap {
             input: joined,
-            target: "res".into(),
-            left: "item".into(),
+            target: res_col,
+            left: ColId::ITEM,
             op: BinaryOp::Cmp(cmp),
-            right: "item1".into(),
+            right: item1_col,
         });
+        let res_col = self.col("res");
         let matching = self.b.add(AlgOp::Select {
             input: mapped,
-            column: "res".into(),
+            column: res_col,
         });
         let matched_iters_dup = self.project(matching, &[("iter", "iter")]);
         let matched_iters = self.b.add(AlgOp::Distinct {
@@ -599,7 +624,7 @@ impl Ctx {
             if *n >= 1 {
                 let selected = self.b.add(AlgOp::SelectEq {
                     input: q,
-                    column: "pos".into(),
+                    column: ColId::POS,
                     value: Value::Nat(*n as u64),
                 });
                 return Ok(self.renumber_pos(selected));
@@ -608,25 +633,29 @@ impl Ctx {
         }
         // `[last()]`: keep the row whose pos equals the per-iteration count.
         if matches!(pred, Expr::FunCall { name, args } if name == "last" && args.is_empty()) {
+            let cnt_col = self.col("cnt");
             let counts = self.b.add(AlgOp::Aggregate {
                 input: q,
-                group: "iter".into(),
-                target: "cnt".into(),
+                group: ColId::ITER,
+                target: cnt_col,
                 func: AggFunc::Count,
-                value: "item".into(),
+                value: ColId::ITEM,
             });
             let counts_renamed = self.project(counts, &[("iter", "iterc"), ("cnt", "cnt")]);
             let joined = self.equi_join(q, counts_renamed, "iter", "iterc");
+            let is_last_col = self.col("is_last");
+            let cnt_col = self.col("cnt");
             let flagged = self.b.add(AlgOp::BinaryMap {
                 input: joined,
-                target: "is_last".into(),
-                left: "pos".into(),
+                target: is_last_col,
+                left: ColId::POS,
                 op: BinaryOp::Cmp(CmpOp::Eq),
-                right: "cnt".into(),
+                right: cnt_col,
             });
+            let is_last_col = self.col("is_last");
             let selected = self.b.add(AlgOp::Select {
                 input: flagged,
-                column: "is_last".into(),
+                column: is_last_col,
             });
             let canonical = self.canonical(selected);
             return Ok(self.renumber_pos(canonical));
@@ -635,12 +664,7 @@ impl Ctx {
         // General predicate: open a per-item scope (exactly like `for`),
         // bind the context item, position() and last(), evaluate the
         // predicate's effective boolean value and keep the matching rows.
-        let numbered = self.row_number(
-            q,
-            "inner",
-            vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
-            None,
-        );
+        let numbered = self.row_number(q, "inner", &["iter", "pos"], None);
         let map = self.project(numbered, &[("inner", "inner"), ("iter", "outer")]);
         let inner_loop = self.project(numbered, &[("inner", "iter")]);
         let dot_pairs = self.project(numbered, &[("inner", "iter"), ("item", "item")]);
@@ -649,12 +673,13 @@ impl Ctx {
         let position_pairs = self.project(numbered, &[("inner", "iter"), ("pos", "item")]);
         let position_pos = self.attach(position_pairs, "pos", Value::Nat(1));
         let position = self.canonical(position_pos);
+        let cnt_col = self.col("cnt");
         let counts = self.b.add(AlgOp::Aggregate {
             input: q,
-            group: "iter".into(),
-            target: "cnt".into(),
+            group: ColId::ITER,
+            target: cnt_col,
             func: AggFunc::Count,
-            value: "item".into(),
+            value: ColId::ITEM,
         });
         let counts_renamed = self.project(counts, &[("iter", "iterc"), ("cnt", "cnt")]);
         let with_counts = self.equi_join(numbered, counts_renamed, "iter", "iterc");
@@ -676,16 +701,19 @@ impl Ctx {
             // value equals their position.
             let positions = self.project(position, &[("iter", "iterp"), ("item", "posp")]);
             let paired = self.equi_join(q_pred, positions, "iter", "iterp");
+            let at_col = self.col("at");
+            let posp_col = self.col("posp");
             let flagged = self.b.add(AlgOp::BinaryMap {
                 input: paired,
-                target: "at".into(),
-                left: "item".into(),
+                target: at_col,
+                left: ColId::ITEM,
                 op: BinaryOp::Cmp(CmpOp::Eq),
-                right: "posp".into(),
+                right: posp_col,
             });
+            let at_col = self.col("at");
             let hits = self.b.add(AlgOp::Select {
                 input: flagged,
-                column: "at".into(),
+                column: at_col,
             });
             let iters = self.project(hits, &[("iter", "inner2")]);
             self.b.add(AlgOp::Distinct { input: iters })
@@ -693,7 +721,7 @@ impl Ctx {
             let bools = self.ebv_bool(q_pred, inner_loop);
             let keep_rows = self.b.add(AlgOp::Select {
                 input: bools,
-                column: "item".into(),
+                column: ColId::ITEM,
             });
             self.project(keep_rows, &[("iter", "inner2")])
         };
@@ -731,22 +759,24 @@ impl Ctx {
             "number" => {
                 let q = self.compile_expr(&args[0], scope)?;
                 let data = self.b.add(AlgOp::FnData { input: q });
+                let res_col = self.col("res");
                 let mapped = self.b.add(AlgOp::UnaryMap {
                     input: data,
-                    target: "res".into(),
+                    target: res_col,
                     op: UnaryOp::ToNumber,
-                    source: "item".into(),
+                    source: ColId::ITEM,
                 });
                 Ok(self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]))
             }
             "string-length" => {
                 let q = self.compile_expr(&args[0], scope)?;
                 let data = self.b.add(AlgOp::FnData { input: q });
+                let res_col = self.col("res");
                 let mapped = self.b.add(AlgOp::UnaryMap {
                     input: data,
-                    target: "res".into(),
+                    target: res_col,
                     op: UnaryOp::StrLen,
-                    source: "item".into(),
+                    source: ColId::ITEM,
                 });
                 let present =
                     self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]);
@@ -773,12 +803,13 @@ impl Ctx {
                 } else {
                     q
                 };
+                let res_col = self.col("res");
                 let agg = self.b.add(AlgOp::Aggregate {
                     input,
-                    group: "iter".into(),
-                    target: "res".into(),
+                    group: ColId::ITER,
+                    target: res_col,
                     func,
-                    value: "item".into(),
+                    value: ColId::ITEM,
                 });
                 Ok(self.complete_aggregate(agg, "res", scope.loop_op, default))
             }
@@ -803,11 +834,12 @@ impl Ctx {
                 if name == "boolean" {
                     return Ok(self.bool_to_seq(bools));
                 }
+                let res_col = self.col("res");
                 let mapped = self.b.add(AlgOp::UnaryMap {
                     input: bools,
-                    target: "res".into(),
+                    target: res_col,
                     op: UnaryOp::Not,
-                    source: "item".into(),
+                    source: ColId::ITEM,
                 });
                 let pairs = self.project(mapped, &[("iter", "iter"), ("res", "item")]);
                 Ok(self.bool_to_seq(pairs))
@@ -825,8 +857,7 @@ impl Ctx {
                 let data = self.b.add(AlgOp::FnData { input: q });
                 let pairs = self.project(data, &[("iter", "iter"), ("item", "item")]);
                 let distinct = self.b.add(AlgOp::Distinct { input: pairs });
-                let numbered =
-                    self.row_number(distinct, "pos", vec![SortSpec::asc("item")], Some("iter"));
+                let numbered = self.row_number(distinct, "pos", &["item"], Some("iter"));
                 Ok(self.canonical(numbered))
             }
             "distinct-doc-order" => {
@@ -845,12 +876,14 @@ impl Ctx {
                 } else {
                     BinaryOp::StartsWith
                 };
+                let res_col = self.col("res");
+                let item1_col = self.col("item1");
                 let mapped = self.b.add(AlgOp::BinaryMap {
                     input: joined,
-                    target: "res".into(),
-                    left: "item".into(),
+                    target: res_col,
+                    left: ColId::ITEM,
                     op,
-                    right: "item1".into(),
+                    right: item1_col,
                 });
                 Ok(self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]))
             }
@@ -864,12 +897,13 @@ impl Ctx {
                     let item1 = format!("item{index}");
                     let r = self.project(d, &[("iter", iter1.as_str()), ("item", item1.as_str())]);
                     let joined = self.equi_join(acc, r, "iter", &iter1);
+                    let (res_col, item1_col) = (self.col("res"), self.col(&item1));
                     let mapped = self.b.add(AlgOp::BinaryMap {
                         input: joined,
-                        target: "res".into(),
-                        left: "item".into(),
+                        target: res_col,
+                        left: ColId::ITEM,
                         op: BinaryOp::Concat,
-                        right: item1.clone(),
+                        right: item1_col,
                     });
                     acc =
                         self.project(mapped, &[("iter", "iter"), ("pos", "pos"), ("res", "item")]);
@@ -907,12 +941,7 @@ impl Ctx {
 
         // --- generic loop lifting ----------------------------------------
         let q_seq = self.compile_expr(seq, scope)?;
-        let numbered = self.row_number(
-            q_seq,
-            "inner",
-            vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
-            None,
-        );
+        let numbered = self.row_number(q_seq, "inner", &["iter", "pos"], None);
         let map = self.project(numbered, &[("inner", "inner"), ("iter", "outer")]);
         let inner_loop = self.project(numbered, &[("inner", "iter")]);
         let var_pairs = self.project(numbered, &[("inner", "iter"), ("item", "item")]);
@@ -952,7 +981,7 @@ impl Ctx {
             let inner_name = format!("okey_inner{index}");
             let item_name = format!("okey{index}");
             let flag_name = format!("okey_present{index}");
-            let spec = |column: &str| {
+            let spec = |column: ColId| {
                 if key.descending {
                     SortSpec::desc(column)
                 } else {
@@ -963,15 +992,15 @@ impl Ctx {
             if !statically_one_item(&key.expr) {
                 data = self.zero_or_one_key(data, body_scope.loop_op);
                 columns.push(("present", flag_name.as_str()));
-                sort_keys.push(spec(&flag_name));
+                sort_keys.push(spec(self.col(&flag_name)));
             }
             let key_pairs = self.project(data, &columns);
             back = self.equi_join(back, key_pairs, "inner", &inner_name);
-            sort_keys.push(spec(&item_name));
+            sort_keys.push(spec(self.col(&item_name)));
         }
-        sort_keys.push(SortSpec::asc("iter"));
-        sort_keys.push(SortSpec::asc("pos"));
-        let renumbered = self.row_number(back, "pos1", sort_keys, Some("outer"));
+        sort_keys.push(SortSpec::asc(ColId::ITER));
+        sort_keys.push(SortSpec::asc(ColId::POS));
+        let renumbered = self.row_number_by(back, "pos1", sort_keys, Some("outer"));
         Ok(self.project(
             renumbered,
             &[("outer", "iter"), ("pos1", "pos"), ("item", "item")],
@@ -987,10 +1016,10 @@ impl Ctx {
     fn zero_or_one_key(&mut self, data: OpId, loop_op: OpId) -> OpId {
         let single = self.b.add(AlgOp::Aggregate {
             input: data,
-            group: "iter".into(),
-            target: "item".into(),
+            group: ColId::ITER,
+            target: ColId::ITEM,
             func: AggFunc::ZeroOrOne,
-            value: "item".into(),
+            value: ColId::ITEM,
         });
         let present = self.attach(single, "present", Value::Nat(1));
         let present_iters = self.project(single, &[("iter", "iter")]);
@@ -1052,12 +1081,7 @@ impl Ctx {
             numeric: HashSet::new(),
         };
         let q_seq = self.compile_expr(seq, &single_scope)?;
-        let keyed = self.row_number(
-            q_seq,
-            "aid",
-            vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
-            None,
-        );
+        let keyed = self.row_number(q_seq, "aid", &["iter", "pos"], None);
         let items_by_aid = self.project(keyed, &[("aid", "aid2"), ("item", "item")]);
 
         // 2. Compile the inner key with $var bound per candidate binding.
@@ -1089,22 +1113,19 @@ impl Ctx {
         let joined = if cmp == CmpOp::Eq {
             self.equi_join(outer_keys, inner_keys, "okey", "item1")
         } else {
+            let okey_col = self.col("okey");
+            let item1_col = self.col("item1");
             self.b.add(AlgOp::ThetaJoin {
                 left: outer_keys,
                 right: inner_keys,
-                left_col: "okey".into(),
+                left_col: okey_col,
                 op: BinaryOp::Cmp(cmp),
-                right_col: "item1".into(),
+                right_col: item1_col,
             })
         };
         let pairs_dup = self.project(joined, &[("outer", "outer"), ("aid1", "aid")]);
         let pairs_distinct = self.b.add(AlgOp::Distinct { input: pairs_dup });
-        let pairs = self.row_number(
-            pairs_distinct,
-            "inner",
-            vec![SortSpec::asc("outer"), SortSpec::asc("aid")],
-            None,
-        );
+        let pairs = self.row_number(pairs_distinct, "inner", &["outer", "aid"], None);
         let inner_loop = self.project(pairs, &[("inner", "iter")]);
         let map = self.project(pairs, &[("inner", "inner"), ("outer", "outer")]);
 
@@ -1124,12 +1145,7 @@ impl Ctx {
 
         // 7. Back-map to the enclosing scope.
         let back = self.equi_join(q_body, map, "iter", "inner");
-        let renumbered = self.row_number(
-            back,
-            "pos1",
-            vec![SortSpec::asc("iter"), SortSpec::asc("pos")],
-            Some("outer"),
-        );
+        let renumbered = self.row_number(back, "pos1", &["iter", "pos"], Some("outer"));
         Ok(Some(self.project(
             renumbered,
             &[("outer", "iter"), ("pos1", "pos"), ("item", "item")],

@@ -9,7 +9,7 @@
 
 use pathfinder::engine::Pathfinder;
 use pathfinder::relational::ops::row_number;
-use pathfinder::relational::{Table, Value};
+use pathfinder::relational::{ColId, Table, Value};
 
 fn main() {
     // Figure 3(a): the literal sequence (10,20) in the top-level scope s0.
@@ -19,16 +19,20 @@ fn main() {
 
     // Figure 3(b): row numbering introduces the iterations of scope s1 —
     // variable $v is bound to one item per iteration.
-    let numbered = row_number(&fig3a, "inner", &["iter", "pos"], None).unwrap();
+    let numbered = row_number(&fig3a, ColId::INNER, &[ColId::ITER, ColId::POS], None).unwrap();
     let fig3b = Table::iter_pos_item(
         numbered
-            .column("inner")
+            .column(ColId::INNER)
             .unwrap()
             .as_nats()
             .unwrap()
             .to_vec(),
         vec![1, 1],
-        numbered.column("item").unwrap().iter_values().collect(),
+        numbered
+            .column(ColId::ITEM)
+            .unwrap()
+            .iter_values()
+            .collect(),
     )
     .unwrap();
     println!("(b) $v in scope s1:\n{}", fig3b.to_ascii());

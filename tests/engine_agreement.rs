@@ -160,10 +160,10 @@ fn order_by_keys_are_zero_or_one() {
     assert!(baseline.query(q).unwrap_err().contains("XPTY0004"));
 }
 
-/// Known divergences (ROADMAP item 2's table), pinned until fixed: the
-/// engine's `max`/`min` over untyped content compare strings, and its
+/// Known divergences (ROADMAP item 7's table), pinned until fixed: the
+/// engine's `max`/`min` over untyped content compare strings, its
 /// `number("abc")` raises where pf-baseline returns `()` (XQuery: 30 and
-/// NaN).
+/// NaN), and an empty `order by` key drops the iteration in the engine.
 #[test]
 fn known_divergences_stay_pinned_until_fixed() {
     let xml = "<r><age>30</age><age>4.5</age></r>";
@@ -177,6 +177,22 @@ fn known_divergences_stay_pinned_until_fixed() {
     let q = "number(\"abc\")";
     assert!(pf.session().query(q).is_err());
     assert_eq!(baseline.query(q).unwrap().to_xml(), "");
+
+    // `fn:string(())` is `()` in both engines (XQuery: `""`), so an
+    // `order by` key of an iteration without `@id` is empty, and the
+    // engine drops that iteration where pf-baseline sorts it first.
+    let xml = "<r><e id=\"2\">a</e><e id=\"1\">c</e><e/></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    let q = "for $v in doc(\"d.xml\")//e order by string($v/@id) \
+             return element x { $v/text() }";
+    assert_eq!(pf.session().query(q).unwrap().to_xml(), "<x>c</x><x>a</x>");
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "<x/><x>c</x><x>a</x>");
+    let q = "count(fn:string(()))";
+    assert_eq!(pf.session().query(q).unwrap().to_xml(), "0");
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "0");
 }
 
 /// Two strings compare by code points on both engines, also when both
@@ -227,6 +243,22 @@ fn numeric_predicates_select_by_position() {
         assert_eq!(a, b, "engines disagree on `{q}`");
         assert_eq!(a, expected, "`{q}` must select by position");
     }
+}
+
+/// An attribute whose value looks like a number is a node, not a number:
+/// as a predicate it tests existence, in both engines.
+#[test]
+fn numeric_looking_attributes_are_not_positions() {
+    let xml = "<r><e id=\"2\">a</e><e id=\"1\">c</e><e/></r>";
+    let pf = Pathfinder::new();
+    pf.load_document("d.xml", xml).unwrap();
+    let mut baseline = BaselineEngine::new();
+    baseline.load_document("d.xml", xml).unwrap();
+    let q = "count(doc(\"d.xml\")//e[@id])";
+    assert_eq!(pf.session().query(q).unwrap().to_xml(), "2");
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "2");
+    let q = "(3, 2, 1)[.]";
+    assert_eq!(baseline.query(q).unwrap().to_xml(), "2");
 }
 
 /// `fn:string-length` of the empty sequence is 0 (XQuery F&O), in every

@@ -40,8 +40,28 @@ use pathfinder::relational::ops::{
     self, AggFunc, AggPlan, BinaryOp, CmpOp, FusedStep, HashKey, JoinPlan, UnaryOp,
 };
 use pathfinder::relational::value::ArithOp;
-use pathfinder::relational::{AttrRef, Cell, Column, NodeRef, RelResult, Table, Value};
+use pathfinder::relational::{AttrRef, Cell, ColId, Column, NodeRef, RelResult, Table, Value};
 use pathfinder::store::{DocStore, FragmentBuilder};
+
+thread_local! {
+    /// The column names [`col`] has numbered on this thread.
+    static NAMES: std::cell::RefCell<Vec<String>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The id of column `name` in these tests' tables: the well-known id of a
+/// well-known name, the next free one for a name seen the first time.
+fn col(name: &str) -> ColId {
+    if let Some(at) = ColId::WELL_KNOWN.iter().position(|&n| n == name) {
+        return ColId(at as u32);
+    }
+    NAMES.with_borrow_mut(|names| {
+        let at = names.iter().position(|n| n == name).unwrap_or_else(|| {
+            names.push(name.to_string());
+            names.len() - 1
+        });
+        ColId((ColId::WELL_KNOWN.len() + at) as u32)
+    })
+}
 
 /// Random scalar values spanning every key class: small colliding
 /// integers, huge `Nat`s beyond `i64::MAX`, integral and fractional
@@ -102,10 +122,10 @@ proptest! {
         (lkey, lval) in table_columns(24),
         (rkey, rval) in table_columns(24),
     ) {
-        let left = Table::new(vec![("k".into(), lkey), ("v".into(), lval)]).unwrap();
-        let right = Table::new(vec![("k2".into(), rkey), ("w".into(), rval)]).unwrap();
-        let typed = ops::equi_join(&left, &right, "k", "k2").unwrap();
-        let generic = ops::equi_join_generic(&left, &right, "k", "k2").unwrap();
+        let left = Table::new(vec![(col("k"), lkey), (col("v"), lval)]).unwrap();
+        let right = Table::new(vec![(col("k2"), rkey), (col("w"), rval)]).unwrap();
+        let typed = ops::equi_join(&left, &right, col("k"), col("k2")).unwrap();
+        let generic = ops::equi_join_generic(&left, &right, col("k"), col("k2")).unwrap();
         prop_assert_eq!(typed, generic);
     }
 
@@ -114,9 +134,9 @@ proptest! {
         (group, value) in table_columns(32),
         func in agg_func(),
     ) {
-        let table = Table::new(vec![("g".into(), group), ("v".into(), value)]).unwrap();
-        let typed = ops::aggregate_by(&table, "g", "out", func, "v");
-        let generic = ops::aggregate_by_generic(&table, "g", "out", func, "v");
+        let table = Table::new(vec![(col("g"), group), (col("v"), value)]).unwrap();
+        let typed = ops::aggregate_by(&table, col("g"), col("out"), func, col("v"));
+        let generic = ops::aggregate_by_generic(&table, col("g"), col("out"), func, col("v"));
         match (typed, generic) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
@@ -142,11 +162,11 @@ proptest! {
         keys.truncate(n);
         let rows: Vec<usize> = (0..n).collect();
         let value = value.gather(&rows);
-        let table = Table::new(vec![("g".into(), Column::nats(keys)), ("v".into(), value)]).unwrap();
-        let plan = AggPlan::new(&table, "g", "out", func, "v").unwrap();
+        let table = Table::new(vec![(col("g"), Column::nats(keys)), (col("v"), value)]).unwrap();
+        let plan = AggPlan::new(&table, col("g"), col("out"), func, col("v")).unwrap();
         prop_assert!(plan.segmented());
-        let typed = ops::aggregate_by(&table, "g", "out", func, "v");
-        let generic = ops::aggregate_by_generic(&table, "g", "out", func, "v");
+        let typed = ops::aggregate_by(&table, col("g"), col("out"), func, col("v"));
+        let generic = ops::aggregate_by_generic(&table, col("g"), col("out"), func, col("v"));
         match (typed, generic) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
@@ -216,7 +236,7 @@ fn key_column(max_rows: usize) -> BoxedStrategy<Column> {
 /// `key_name` / `payload_name`.
 fn keyed(key: Column, key_name: &str, payload_name: &str) -> Table {
     let payload = Column::ints((0..key.len() as i64).collect());
-    Table::new(vec![(key_name.into(), key), (payload_name.into(), payload)]).unwrap()
+    Table::new(vec![(col(key_name), key), (col(payload_name), payload)]).unwrap()
 }
 
 /// The owned-key δ the direct-address and borrowed-key kernels replaced.
@@ -227,7 +247,7 @@ fn oracle_distinct_on(input: &Table, columns: &[&str]) -> Table {
             seen.insert(
                 columns
                     .iter()
-                    .map(|c| HashKey::of(&input.value(c, row).unwrap()))
+                    .map(|c| HashKey::of(&input.value(col(c), row).unwrap()))
                     .collect(),
             )
         })
@@ -237,11 +257,11 @@ fn oracle_distinct_on(input: &Table, columns: &[&str]) -> Table {
 
 /// The owned-key `∖` the direct-address and borrowed-key kernels replaced.
 fn oracle_difference(left: &Table, right: &Table) -> Table {
-    let columns = left.column_names();
+    let columns = left.column_ids();
     let row_key = |table: &Table, row: usize| -> Vec<HashKey> {
         columns
             .iter()
-            .map(|c| HashKey::of(&table.value(c, row).unwrap()))
+            .map(|&c| HashKey::of(&table.value(c, row).unwrap()))
             .collect()
     };
     let exclude: HashSet<Vec<HashKey>> =
@@ -262,9 +282,9 @@ proptest! {
     ) {
         let left = keyed(lkey, "k", "v");
         let right = keyed(rkey, "k2", "w");
-        let generic = ops::equi_join_generic(&left, &right, "k", "k2").unwrap();
-        prop_assert_eq!(&ops::equi_join(&left, &right, "k", "k2").unwrap(), &generic);
-        let plan = JoinPlan::new(&left, &right, "k", "k2").unwrap();
+        let generic = ops::equi_join_generic(&left, &right, col("k"), col("k2")).unwrap();
+        prop_assert_eq!(&ops::equi_join(&left, &right, col("k"), col("k2")).unwrap(), &generic);
+        let plan = JoinPlan::new(&left, &right, col("k"), col("k2")).unwrap();
         prop_assert_eq!(plan.materialize(plan.probe()).unwrap(), generic);
     }
 
@@ -277,11 +297,11 @@ proptest! {
         // One key column (the bitset path when both are dense `Nat`s), or
         // the key plus a payload that matches on some rows.
         let project = |table: Table, payload: Column| {
-            let key = table.column("iter").unwrap().clone();
+            let key = table.column(col("iter")).unwrap().clone();
             if two_columns {
-                Table::new(vec![("iter".into(), key), ("p".into(), payload)]).unwrap()
+                Table::new(vec![(col("iter"), key), (col("p"), payload)]).unwrap()
             } else {
-                Table::new(vec![("iter".into(), key)]).unwrap()
+                Table::new(vec![(col("iter"), key)]).unwrap()
             }
         };
         let left = keyed(lkey, "iter", "v");
@@ -303,16 +323,16 @@ proptest! {
         let n = key.len().min(other.len());
         let rows: Vec<usize> = (0..n).collect();
         let table = Table::new(vec![
-            ("iter".into(), key.gather(&rows)),
-            ("item".into(), Column::nats(other[..n].iter().map(|k| k % 3).collect())),
+            (col("iter"), key.gather(&rows)),
+            (col("item"), Column::nats(other[..n].iter().map(|k| k % 3).collect())),
         ])
         .unwrap();
-        let only_key = Table::new(vec![("iter".into(), key)]).unwrap();
+        let only_key = Table::new(vec![(col("iter"), key)]).unwrap();
         prop_assert_eq!(ops::distinct(&only_key).unwrap(), oracle_distinct_on(&only_key, &["iter"]));
         prop_assert_eq!(ops::distinct(&table).unwrap(), oracle_distinct_on(&table, &["iter", "item"]));
         for columns in [&["iter"][..], &["item"], &["item", "iter"]] {
             prop_assert_eq!(
-                ops::setops::distinct_on(&table, columns).unwrap(),
+                ops::setops::distinct_on(&table, &columns.iter().map(|c| col(c)).collect::<Vec<_>>()).unwrap(),
                 oracle_distinct_on(&table, columns)
             );
         }
@@ -327,25 +347,23 @@ proptest! {
     ) {
         // δ over the shared key column — through a selection vector when a
         // σ runs first — alone or next to a computed (dense) column.
-        let mut table = Table::new(vec![("iter".into(), key)]).unwrap();
+        let mut table = Table::new(vec![(col("iter"), key)]).unwrap();
         table
-            .add_column("keep", Column::bools(keep[..table.row_count()].to_vec()))
+            .add_column(col("keep"), Column::bools(keep[..table.row_count()].to_vec()))
             .unwrap();
         let kept = if with_computed_column { vec!["iter", "c"] } else { vec!["iter"] };
-        let columns: Vec<(String, String)> =
-            kept.iter().map(|c| (c.to_string(), c.to_string())).collect();
+        let columns: Vec<(ColId, ColId)> = kept.iter().map(|c| (col(c), col(c))).collect();
         let mut steps = Vec::new();
         if select_first {
-            steps.push(FusedStep::SelectTrue { column: "keep" });
+            steps.push(FusedStep::SelectTrue { column: col("keep") });
         }
-        steps.push(FusedStep::Attach { target: "c", value: &Value::Int(7) });
+        steps.push(FusedStep::Attach { target: col("c"), value: &Value::Int(7) });
         steps.push(FusedStep::Project { columns: &columns });
         steps.push(FusedStep::Distinct);
         let fused = ops::run_pipeline(&table, &steps, &mut |_, _| unreachable!()).unwrap();
-        let selected = if select_first { ops::select_true(&table, "keep").unwrap() } else { table };
-        let attached = ops::map_const(&selected, "c", &Value::Int(7)).unwrap();
-        let pairs: Vec<(&str, &str)> = kept.iter().map(|c| (*c, *c)).collect();
-        let projected = ops::project(&attached, &pairs).unwrap();
+        let selected = if select_first { ops::select_true(&table, col("keep")).unwrap() } else { table };
+        let attached = ops::map_const(&selected, col("c"), &Value::Int(7)).unwrap();
+        let projected = ops::project(&attached, &columns).unwrap();
         prop_assert_eq!(&fused, &ops::distinct(&projected).unwrap());
         prop_assert_eq!(fused, oracle_distinct_on(&projected, &kept));
     }
@@ -491,7 +509,7 @@ fn kernel_input(tape: &mut Tape<'_>, rows: usize) -> (Table, Vec<(String, Class)
         .iter()
         .map(|(n, _, c)| (n.to_string(), *c))
         .collect();
-    let table = Table::new(columns.into_iter().map(|(n, c, _)| (n.into(), c)).collect()).unwrap();
+    let table = Table::new(columns.into_iter().map(|(n, c, _)| (col(n), c)).collect()).unwrap();
     (table, schema)
 }
 
@@ -514,7 +532,7 @@ fn column(tape: &mut Tape<'_>, schema: &[(String, Class)], wanted: &[Class]) -> 
 /// One step of a generated chain, owning what its [`FusedStep`] borrows.
 #[derive(Debug)]
 enum Step {
-    Project(Vec<(String, String)>),
+    Project(Vec<(ColId, ColId)>),
     SelectTrue(String),
     SelectEq(String, Value),
     Attach(String, Value),
@@ -528,21 +546,31 @@ impl Step {
     fn fused(&self) -> FusedStep<'_> {
         match self {
             Step::Project(columns) => FusedStep::Project { columns },
-            Step::SelectTrue(column) => FusedStep::SelectTrue { column },
-            Step::SelectEq(column, value) => FusedStep::SelectEq { column, value },
-            Step::Attach(target, value) => FusedStep::Attach { target, value },
+            Step::SelectTrue(column) => FusedStep::SelectTrue {
+                column: col(column),
+            },
+            Step::SelectEq(column, value) => FusedStep::SelectEq {
+                column: col(column),
+                value,
+            },
+            Step::Attach(target, value) => FusedStep::Attach {
+                target: col(target),
+                value,
+            },
             Step::MapUnary(target, op, source) => FusedStep::MapUnary {
-                target,
+                target: col(target),
                 op: *op,
-                source,
+                source: col(source),
             },
             Step::MapBinary(target, left, op, right) => FusedStep::MapBinary {
-                target,
-                left,
+                target: col(target),
+                left: col(left),
                 op: *op,
-                right,
+                right: col(right),
             },
-            Step::MapAtomize(column) => FusedStep::MapAtomize { column },
+            Step::MapAtomize(column) => FusedStep::MapAtomize {
+                column: col(column),
+            },
             Step::Distinct => FusedStep::Distinct,
         }
     }
@@ -571,17 +599,17 @@ fn kernel_chain(tape: &mut Tape<'_>, mut schema: Vec<(String, Class)>) -> Vec<St
         let target = format!("c{fresh}");
         let step = match kind {
             0 => {
-                let mut columns: Vec<(String, String)> = Vec::new();
+                let mut columns: Vec<(ColId, ColId)> = Vec::new();
                 let mut projected = Vec::new();
                 for p in 0..1 + tape.next(schema.len().min(4)) {
                     let (source, class) = tape.pick(&schema);
-                    let clash = columns.iter().any(|(_, t)| *t == source);
+                    let clash = columns.iter().any(|&(_, t)| t == col(&source));
                     let name = if (clash && tape.next(8) > 0) || tape.next(3) == 0 {
                         format!("p{fresh}_{p}")
                     } else {
                         source.clone()
                     };
-                    columns.push((source, name.clone()));
+                    columns.push((col(&source), col(&name)));
                     projected.push((name, class));
                 }
                 schema = projected;
@@ -703,29 +731,25 @@ fn reference_chain(
     atomize: &mut dyn FnMut(Cell<'_>, &mut String),
 ) -> RelResult<Table> {
     let mut table = input.clone();
-    let mut computed: HashSet<String> = HashSet::new();
+    let mut computed: HashSet<ColId> = HashSet::new();
     for &step in steps {
         table = match step {
             FusedStep::Project { columns } => {
-                let pairs: Vec<(&str, &str)> = columns
-                    .iter()
-                    .map(|(s, t)| (s.as_str(), t.as_str()))
-                    .collect();
                 computed = columns
                     .iter()
                     .filter(|(s, _)| computed.contains(s))
-                    .map(|(_, t)| t.clone())
+                    .map(|&(_, t)| t)
                     .collect();
-                ops::project(&table, &pairs)?
+                ops::project(&table, columns)?
             }
             FusedStep::SelectTrue { column } => ops::select_true(&table, column)?,
             FusedStep::SelectEq { column, value } => ops::select_eq(&table, column, value)?,
             FusedStep::Attach { target, value } => {
-                computed.insert(target.to_string());
+                computed.insert(target);
                 ops::map_const(&table, target, value)?
             }
             FusedStep::MapUnary { target, op, source } => {
-                computed.insert(target.to_string());
+                computed.insert(target);
                 ops::map_unary(&table, target, op, source, atomize)?
             }
             FusedStep::MapBinary {
@@ -734,11 +758,11 @@ fn reference_chain(
                 op,
                 right,
             } => {
-                computed.insert(target.to_string());
+                computed.insert(target);
                 ops::map_binary(&table, target, left, op, right, atomize)?
             }
             FusedStep::MapAtomize { column } => {
-                computed.insert(column.to_string());
+                computed.insert(column);
                 ops::map_data(&table, column, atomize)?
             }
             FusedStep::Distinct => ops::distinct(&table)?,
@@ -747,9 +771,9 @@ fn reference_chain(
     let columns = table
         .columns()
         .iter()
-        .map(|(name, c)| match computed.contains(name) {
-            true => (name.clone(), Column::from_values(c.iter_values().collect())),
-            false => (name.clone(), c.clone()),
+        .map(|&(id, ref c)| match computed.contains(&id) {
+            true => (id, Column::from_values(c.iter_values().collect())),
+            false => (id, c.clone()),
         })
         .collect();
     Table::new(columns)
@@ -762,7 +786,7 @@ fn same_table(a: &Table, b: &Table) -> bool {
         (Cell::Dbl(x), Cell::Dbl(y)) => x == y || (x.is_nan() && y.is_nan()),
         _ => x == y,
     };
-    a.column_names() == b.column_names()
+    a.column_ids() == b.column_ids()
         && a.row_count() == b.row_count()
         && a.columns().iter().zip(b.columns()).all(|((_, x), (_, y))| {
             std::mem::discriminant(x) == std::mem::discriminant(y)
@@ -815,36 +839,37 @@ fn projection_pipelines_stay_zero_copy() {
     use pathfinder::algebra::{AlgOp, PlanBuilder};
 
     let input = Table::new(vec![
-        ("iter".into(), Column::nats((0..64).collect())),
+        (col("iter"), Column::nats((0..64).collect())),
         (
-            "item".into(),
+            col("item"),
             Column::strs((0..64).map(|i| i.to_string()).collect()),
         ),
     ])
     .unwrap();
     let rename = FusedStep::Project {
-        columns: &[("iter".into(), "a".into()), ("item".into(), "b".into())],
+        columns: &[(col("iter"), col("a")), (col("item"), col("b"))],
     };
     let out = ops::run_pipeline(&input, &[rename], &mut |_, _| unreachable!()).unwrap();
     assert!(out
-        .column("a")
+        .column(col("a"))
         .unwrap()
-        .shares_data(input.column("iter").unwrap()));
+        .shares_data(input.column(col("iter")).unwrap()));
     assert!(out
-        .column("b")
+        .column(col("b"))
         .unwrap()
-        .shares_data(input.column("item").unwrap()));
+        .shares_data(input.column(col("item")).unwrap()));
 
     let mut b = PlanBuilder::new();
+    let (iter, item, a, bb) = (b.col("iter"), b.col("item"), b.col("a"), b.col("b"));
     let lit = b.add(AlgOp::Lit {
-        columns: vec!["iter".into(), "item".into()],
+        columns: vec![iter, item],
         rows: (0..64u64)
             .map(|i| vec![Value::Nat(i).into(), Value::Str(i.to_string()).into()])
             .collect(),
     });
     let renamed = b.add(AlgOp::Project {
         input: lit,
-        columns: vec![("iter".into(), "a".into()), ("item".into(), "b".into())],
+        columns: vec![(iter, a), (item, bb)],
     });
     let plan = b.finish(renamed);
     let registry = DocRegistry::new();

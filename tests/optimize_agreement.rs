@@ -28,10 +28,31 @@ use pathfinder::algebra::{
 use pathfinder::engine::{
     DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
 };
-use pathfinder::relational::Value;
+use pathfinder::relational::{ColId, Value};
 use pathfinder::store::{DocStatistics, DocStore};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 use pathfinder::xquery::{compile, normalize, parse_query, CompileOptions};
+
+/// The columns these tests name besides the well-known ones, numbered in
+/// this order by every plan of [`builder`]; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &["a", "j1", "j1b", "j2", "j2c", "k", "posk", "v", "val", "w"];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
+
+fn builder() -> PlanBuilder {
+    let mut b = PlanBuilder::new();
+    NAMES.iter().for_each(|&n| {
+        b.col(n);
+    });
+    b
+}
 
 #[test]
 fn optimized_and_unoptimized_plans_agree_on_all_xmark_queries() {
@@ -439,7 +460,14 @@ fn run_rows(plan: &Plan) -> Vec<String> {
         .run(plan)
         .expect("literal plan executes");
     (0..table.row_count())
-        .map(|r| format!("{:?}", table.row(r)))
+        .map(|r| {
+            let row: Vec<_> = table
+                .columns()
+                .iter()
+                .map(|(id, c)| (id, c.get(r)))
+                .collect();
+            format!("{row:?}")
+        })
         .collect()
 }
 
@@ -462,38 +490,38 @@ proptest! {
         right in proptest::collection::vec((0u64..5, 0u64..6), 1..12),
         pick in 0u64..6,
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lrows: Vec<Vec<u64>> = left
             .iter()
             .enumerate()
             .map(|(i, (a, p))| vec![i as u64 + 1, *p, *a])
             .collect();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "a".into()],
+            columns: vec![col("iter"), col("pos"), col("a")],
             rows: nat_rows(3, &lrows),
         });
         let rrows: Vec<Vec<u64>> = right.iter().map(|(k, v)| vec![*k, *v]).collect();
         let r = b.add(AlgOp::Lit {
-            columns: vec!["k".into(), "v".into()],
+            columns: vec![col("k"), col("v")],
             rows: nat_rows(2, &rrows),
         });
         let j = b.add(AlgOp::EquiJoin {
             left: l,
             right: r,
-            left_col: "a".into(),
-            right_col: "k".into(),
+            left_col: col("a"),
+            right_col: col("k"),
         });
         let p = b.add(AlgOp::Project {
             input: j,
             columns: vec![
-                ("iter".into(), "iter".into()),
-                ("pos".into(), "pos".into()),
-                ("v".into(), "val".into()),
+                (col("iter"), col("iter")),
+                (col("pos"), col("pos")),
+                (col("v"), col("val")),
             ],
         });
         let s = b.add(AlgOp::SelectEq {
             input: p,
-            column: "val".into(),
+            column: col("val"),
             value: Value::Nat(pick),
         });
         let plan = b.finish(s);
@@ -520,20 +548,20 @@ proptest! {
         let build_branch = |b: &mut PlanBuilder, rows: &[(u64, u64)], sel: u64| -> OpId {
             let lit_rows: Vec<Vec<u64>> = rows.iter().map(|(a, v)| vec![*a, *v]).collect();
             let l = b.add(AlgOp::Lit {
-                columns: vec!["a".into(), "v".into()],
+                columns: vec![col("a"), col("v")],
                 rows: nat_rows(2, &lit_rows),
             });
             let p = b.add(AlgOp::Project {
                 input: l,
-                columns: vec![("a".into(), "a".into()), ("v".into(), "w".into())],
+                columns: vec![(col("a"), col("a")), (col("v"), col("w"))],
             });
             b.add(AlgOp::SelectEq {
                 input: p,
-                column: "w".into(),
+                column: col("w"),
                 value: Value::Nat(sel),
             })
         };
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let s1 = build_branch(&mut b, &rows, sel);
         let s2 = build_branch(&mut b, &rows, sel);
         let u = b.add(AlgOp::Union { left: s1, right: s2 });
@@ -560,7 +588,7 @@ proptest! {
         b_vals in proptest::collection::vec(0u64..8, 1..10),
         c_vals in proptest::collection::vec(0u64..30, 1..8),
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         // A: arbitrary join values under a distinct key (posk).
         let arows: Vec<Vec<u64>> = a_vals
             .iter()
@@ -568,7 +596,7 @@ proptest! {
             .map(|(i, v)| vec![i as u64, *v])
             .collect();
         let a = b.add(AlgOp::Lit {
-            columns: vec!["posk".into(), "j1".into()],
+            columns: vec![col("posk"), col("j1")],
             rows: nat_rows(2, &arows),
         });
         // B and C: keyed on their join columns (0..n distinct), so the
@@ -579,7 +607,7 @@ proptest! {
             .map(|(i, v)| vec![i as u64, *v])
             .collect();
         let bb = b.add(AlgOp::Lit {
-            columns: vec!["j1b".into(), "j2".into()],
+            columns: vec![col("j1b"), col("j2")],
             rows: nat_rows(2, &brows),
         });
         let crows: Vec<Vec<u64>> = c_vals
@@ -588,24 +616,24 @@ proptest! {
             .map(|(i, v)| vec![i as u64, *v])
             .collect();
         let c = b.add(AlgOp::Lit {
-            columns: vec!["j2c".into(), "val".into()],
+            columns: vec![col("j2c"), col("val")],
             rows: nat_rows(2, &crows),
         });
         let j1 = b.add(AlgOp::EquiJoin {
             left: a,
             right: bb,
-            left_col: "j1".into(),
-            right_col: "j1b".into(),
+            left_col: col("j1"),
+            right_col: col("j1b"),
         });
         let j2 = b.add(AlgOp::EquiJoin {
             left: j1,
             right: c,
-            left_col: "j2".into(),
-            right_col: "j2c".into(),
+            left_col: col("j2"),
+            right_col: col("j2c"),
         });
         let p = b.add(AlgOp::Project {
             input: j2,
-            columns: vec![("posk".into(), "pos".into()), ("val".into(), "item".into())],
+            columns: vec![(col("posk"), col("pos")), (col("val"), col("item"))],
         });
         let plan = b.finish(p);
 

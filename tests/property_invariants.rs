@@ -11,9 +11,21 @@
 use proptest::prelude::*;
 
 use pathfinder::relational::ops::{distinct, equi_join, row_number, union_disjoint};
-use pathfinder::relational::{Column, Table};
+use pathfinder::relational::{ColId, Column, Table};
 use pathfinder::store::{naive_axis_step, staircase_join, Axis, DocStore, NodeTest};
 use pathfinder::xml::{parse, Document, DocumentBuilder};
+
+/// The columns these tests name besides the well-known ones; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &["item2", "iter2", "rank"];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
 
 /// Build a random tree with `spec` interpreted as a nesting script: numbers
 /// push children, `true` closes the current element.
@@ -115,8 +127,8 @@ proptest! {
     ) {
         let n = keys.len().min(values.len());
         let table = Table::new(vec![
-            ("iter".into(), Column::nats(keys[..n].to_vec())),
-            ("item".into(), Column::ints(values[..n].to_vec())),
+            (col("iter"), Column::nats(keys[..n].to_vec())),
+            (col("item"), Column::ints(values[..n].to_vec())),
         ]).unwrap();
 
         // distinct is idempotent.
@@ -127,31 +139,31 @@ proptest! {
 
         // union with an empty relation of the same schema is identity.
         let empty = Table::new(vec![
-            ("iter".into(), Column::nats(vec![])),
-            ("item".into(), Column::ints(vec![])),
+            (col("iter"), Column::nats(vec![])),
+            (col("item"), Column::ints(vec![])),
         ]).unwrap();
         let u = union_disjoint(&table, &empty).unwrap();
         prop_assert_eq!(u.row_count(), table.row_count());
 
         // row numbering assigns 1..k within every partition.
-        let numbered = row_number(&table, "rank", &["item"], Some("iter")).unwrap();
+        let numbered = row_number(&table, col("rank"), &[col("item")], Some(col("iter"))).unwrap();
         for row in 0..numbered.row_count() {
-            let rank = numbered.value("rank", row).unwrap().as_nat().unwrap();
+            let rank = numbered.value(col("rank"), row).unwrap().as_nat().unwrap();
             prop_assert!(rank >= 1 && rank as usize <= table.row_count());
         }
 
         // joining on a key with itself (renamed) yields at least the row count
         // of the distinct keys, and every output row has matching key columns.
         let renamed = Table::new(vec![
-            ("iter2".into(), table.column("iter").unwrap().clone()),
-            ("item2".into(), table.column("item").unwrap().clone()),
+            (col("iter2"), table.column(col("iter")).unwrap().clone()),
+            (col("item2"), table.column(col("item")).unwrap().clone()),
         ]).unwrap();
-        let joined = equi_join(&table, &renamed, "iter", "iter2").unwrap();
+        let joined = equi_join(&table, &renamed, col("iter"), col("iter2")).unwrap();
         prop_assert!(joined.row_count() >= table.row_count());
         for row in 0..joined.row_count() {
             prop_assert_eq!(
-                joined.value("iter", row).unwrap().as_nat().unwrap(),
-                joined.value("iter2", row).unwrap().as_nat().unwrap()
+                joined.value(col("iter"), row).unwrap().as_nat().unwrap(),
+                joined.value(col("iter2"), row).unwrap().as_nat().unwrap()
             );
         }
     }

@@ -20,10 +20,31 @@ use proptest::prelude::*;
 use pathfinder::algebra::{optimize, AlgOp, Const, OpId, Plan, PlanBuilder, PlanProperties};
 use pathfinder::engine::{DocRegistry, Executor};
 use pathfinder::relational::ops::{BinaryOp, CmpOp, RankCount};
-use pathfinder::relational::{Table, Value};
+use pathfinder::relational::{ColId, Table, Value};
 use pathfinder::store::{Axis, NodeTest};
 use pathfinder::xmark::{generate, queries, GeneratorConfig};
 use pathfinder::xquery::{compile, normalize, parse_query, CompileOptions};
+
+/// The columns these tests name besides the well-known ones, numbered in
+/// this order by every plan of [`builder`]; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &["a", "g", "id", "k", "n", "tag", "v", "val"];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
+
+fn builder() -> PlanBuilder {
+    let mut b = PlanBuilder::new();
+    NAMES.iter().for_each(|&n| {
+        b.col(n);
+    });
+    b
+}
 
 /// Assert every property claimed at the root of a literal-only plan
 /// against the executed table.
@@ -44,10 +65,10 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
     let root = id;
 
     // Schema: the claimed columns are the table's columns, in order.
-    let claimed: Vec<&str> = props.columns(root).iter().map(|c| c.as_str()).collect();
+    let claimed = props.columns(root).to_vec();
     prop_assert_eq!(
         claimed.clone(),
-        table.column_names(),
+        table.column_ids(),
         "{}: inferred schema diverges from executed schema",
         label
     );
@@ -59,7 +80,7 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
         for r in 0..table.row_count() {
             let tuple: Vec<String> = key
                 .iter()
-                .map(|col| format!("{:?}", table.value(col, r).expect("key column exists")))
+                .map(|&col| format!("{:?}", table.value(col, r).expect("key column exists")))
                 .collect();
             prop_assert!(
                 seen.insert(tuple),
@@ -72,7 +93,7 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
 
     // Constants: a claimed constant column carries one value across all
     // rows; a statically known value must be that value.
-    for (col, known) in props.constants(root) {
+    for (&col, known) in props.constants(root) {
         let mut first: Option<Value> = None;
         for r in 0..table.row_count() {
             let v = table.value(col, r).expect("constant column exists");
@@ -105,7 +126,7 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
     }
 
     // Types: every value of a typed column has one of the claimed types.
-    for (col, types) in props.typed_columns(root) {
+    for (&col, types) in props.typed_columns(root) {
         for r in 0..table.row_count() {
             let v = table.value(col, r).expect("typed column exists");
             prop_assert!(
@@ -121,13 +142,13 @@ fn assert_claims(props: &PlanProperties, id: OpId, table: &Table, label: &str) {
 
     // Sequence: rows sorted by (iter, column); dense ⇒ 1..k per iter.
     if let Some(seq) = props.sequence(root) {
-        let nat = |col: &str, r: usize| match table.value(col, r).expect("sequence column") {
+        let nat = |col: ColId, r: usize| match table.value(col, r).expect("sequence column") {
             Value::Nat(n) => n,
             other => panic!("{label}: sequence column `{col}` holds {other:?}"),
         };
         let mut previous: Option<(u64, u64)> = None;
         for r in 0..table.row_count() {
-            let row = (nat("iter", r), nat(&seq.column, r));
+            let row = (nat(ColId::ITER, r), nat(seq.column, r));
             if let Some(prev) = previous {
                 prop_assert!(
                     prev <= row,
@@ -190,12 +211,12 @@ fn xmark_plan_properties_are_sound_at_every_operator() {
                 }
                 let props = PlanProperties::analyze(&plan);
                 for id in plan.reachable() {
-                    let sub = Plan::new(plan.ops().to_vec(), id);
+                    let sub = Plan::new(plan.ops().to_vec(), id, plan.names().clone());
                     let table = executor.run(&sub).expect("every sub-plan executes");
                     let label = format!(
                         "Q{} ({name}, join recognition {join_recognition}) op #{id} {}",
                         q.id,
-                        plan.op(id).symbol()
+                        plan.symbol(id)
                     );
                     assert_claims(&props, id, &table, &label);
                 }
@@ -222,44 +243,44 @@ proptest! {
         pick in 0u64..6,
         tag in 0u64..100,
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lrows: Vec<Vec<u64>> = left
             .iter()
             .enumerate()
             .map(|(i, (a, p))| vec![i as u64 + 1, *p, *a])
             .collect();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "pos".into(), "a".into()],
+            columns: vec![col("iter"), col("pos"), col("a")],
             rows: nat_rows(3, &lrows),
         });
         let rrows: Vec<Vec<u64>> = right.iter().map(|(k, v)| vec![*k, *v]).collect();
         let r = b.add(AlgOp::Lit {
-            columns: vec!["k".into(), "v".into()],
+            columns: vec![col("k"), col("v")],
             rows: nat_rows(2, &rrows),
         });
         let j = b.add(AlgOp::EquiJoin {
             left: l,
             right: r,
-            left_col: "a".into(),
-            right_col: "k".into(),
+            left_col: col("a"),
+            right_col: col("k"),
         });
         let at = b.add(AlgOp::Attach {
             input: j,
-            target: "tag".into(),
+            target: col("tag"),
             value: Value::Nat(tag).into(),
         });
         let p = b.add(AlgOp::Project {
             input: at,
             columns: vec![
-                ("iter".into(), "iter".into()),
-                ("pos".into(), "pos".into()),
-                ("v".into(), "val".into()),
-                ("tag".into(), "tag".into()),
+                (col("iter"), col("iter")),
+                (col("pos"), col("pos")),
+                (col("v"), col("val")),
+                (col("tag"), col("tag")),
             ],
         });
         let s = b.add(AlgOp::SelectEq {
             input: p,
-            column: "val".into(),
+            column: col("val"),
             value: Value::Nat(pick),
         });
         let plan = b.finish(s);
@@ -277,16 +298,16 @@ proptest! {
         sel in 0u64..4,
         dedup_branches in proptest::bool::ANY,
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let mk = |b: &mut PlanBuilder, rows: &[(u64, u64)], sel: u64| {
             let lit_rows: Vec<Vec<u64>> = rows.iter().map(|(a, v)| vec![*a, *v]).collect();
             let l = b.add(AlgOp::Lit {
-                columns: vec!["a".into(), "v".into()],
+                columns: vec![col("a"), col("v")],
                 rows: nat_rows(2, &lit_rows),
             });
             b.add(AlgOp::SelectEq {
                 input: l,
-                column: "v".into(),
+                column: col("v"),
                 value: Value::Nat(sel),
             })
         };
@@ -307,32 +328,32 @@ proptest! {
     fn rownum_aggregate_shapes_are_sound(
         vals in proptest::collection::vec((1u64..4, 0u64..9), 1..14),
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let rows: Vec<Vec<u64>> = vals.iter().map(|(g, v)| vec![*g, *v]).collect();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: nat_rows(2, &rows),
         });
         let rn = b.add(AlgOp::RowNum {
             input: lit,
-            target: "pos".into(),
-            order_by: vec![pathfinder::algebra::SortSpec::asc("item")],
-            partition: Some("iter".into()),
+            target: col("pos"),
+            order_by: vec![pathfinder::algebra::SortSpec::asc(col("item"))],
+            partition: Some(col("iter")),
         });
         let plan = b.finish(rn);
         assert_sound(&plan, "rownum");
 
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lit = b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: nat_rows(2, &rows),
         });
         let agg = b.add(AlgOp::Aggregate {
             input: lit,
-            group: "iter".into(),
-            target: "n".into(),
+            group: col("iter"),
+            target: col("n"),
             func: pathfinder::relational::ops::AggFunc::Count,
-            value: "item".into(),
+            value: col("item"),
         });
         let plan = b.finish(agg);
         assert_sound(&plan, "aggregate");
@@ -357,11 +378,11 @@ proptest! {
         let registry = DocRegistry::new();
         registry.load_xml("d.xml", &format!("<r>{body}</r>")).unwrap();
 
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let doc = b.add(AlgOp::Doc { uri: "d.xml".into() });
         let root_ctx = b.add(AlgOp::Attach {
             input: doc,
-            target: "iter".into(),
+            target: col("iter"),
             value: Value::Nat(1).into(),
         });
         let elements = b.add(AlgOp::Step {
@@ -373,7 +394,7 @@ proptest! {
         // keys the step output and becomes the new `iter`.
         let per_element = b.add(AlgOp::Project {
             input: elements,
-            columns: vec![("pos".into(), "iter".into()), ("item".into(), "item".into())],
+            columns: vec![(col("pos"), col("iter")), (col("item"), col("item"))],
         });
         let test = if any_attribute {
             NodeTest::AnyAttribute
@@ -386,8 +407,7 @@ proptest! {
             test,
         });
         let plan = b.finish(attrs);
-        let iter: BTreeSet<String> = std::iter::once("iter".to_string()).collect();
-        let claimed = PlanProperties::analyze(&plan).keyed_by(attrs, &iter);
+        let claimed = PlanProperties::analyze(&plan).keyed_by(attrs, &[ColId::ITER]);
         prop_assert_eq!(claimed, !any_attribute, "key {{iter}} claimed for the wrong test");
         assert_sound_over(&registry, &plan, "attribute step");
     }
@@ -400,32 +420,31 @@ proptest! {
         right in proptest::collection::vec((0u64..4, 0u64..9), 0..10),
         greater in proptest::bool::ANY,
     ) {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let lrows: Vec<Vec<u64>> = left.iter().map(|(g, k)| vec![*g, *k]).collect();
         let l = b.add(AlgOp::Lit {
-            columns: vec!["g".into(), "k".into()],
+            columns: vec![col("g"), col("k")],
             rows: nat_rows(2, &lrows),
         });
         let rrows: Vec<Vec<u64>> = right.iter().map(|(id, v)| vec![*id, *v]).collect();
         let r = b.add(AlgOp::Lit {
-            columns: vec!["id".into(), "v".into()],
+            columns: vec![col("id"), col("v")],
             rows: nat_rows(2, &rrows),
         });
         let count = b.add(AlgOp::ThetaCount {
             left: l,
             right: r,
-            count: Box::new(RankCount {
-                group: "g".into(),
-                left_col: "k".into(),
+            count: RankCount {
+                group: col("g"),
+                left_col: col("k"),
                 op: BinaryOp::Cmp(if greater { CmpOp::Gt } else { CmpOp::Le }),
-                right_id: "id".into(),
-                right_col: "v".into(),
-                result: "n".into(),
-            }),
+                right_id: col("id"),
+                right_col: col("v"),
+                result: col("n"),
+            },
         });
         let plan = b.finish(count);
-        let g: BTreeSet<String> = std::iter::once("g".to_string()).collect();
-        prop_assert!(PlanProperties::analyze(&plan).keyed_by(count, &g));
+        prop_assert!(PlanProperties::analyze(&plan).keyed_by(count, &[col("g")]));
         assert_sound(&plan, "rank count");
     }
 }

@@ -23,11 +23,23 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pathfinder::relational::ops::staircase_step;
-use pathfinder::relational::{Column, NodeRef, Table, Value};
+use pathfinder::relational::{ColId, Column, NodeRef, Table, Value};
 use pathfinder::store::{
     naive_axis_step, staircase_join_counted, Axis, DocStore, NodeTest, PreRank, StaircaseStats,
 };
 use pathfinder::xml::{Attribute, DocumentBuilder};
+
+/// The columns these tests name besides the well-known ones; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &[];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
 
 const AXES: [Axis; 12] = [
     Axis::Child,
@@ -138,8 +150,8 @@ fn context_table(iters: &[u64], nodes: &[NodeRef], item_typed: bool) -> Table {
         Column::nodes(nodes.to_vec())
     };
     Table::new(vec![
-        ("iter".into(), Column::nats(iters.to_vec())),
-        ("item".into(), item),
+        (col("iter"), Column::nats(iters.to_vec())),
+        (col("item"), item),
     ])
     .unwrap()
 }
@@ -197,9 +209,9 @@ fn oracle(
         Column::nodes(out_nodes)
     };
     Table::new(vec![
-        ("iter".into(), Column::nats(out_iters)),
-        ("pos".into(), Column::nats(poss)),
-        ("item".into(), item),
+        (col("iter"), Column::nats(out_iters)),
+        (col("pos"), Column::nats(poss)),
+        (col("item"), item),
     ])
     .unwrap()
 }
@@ -271,8 +283,8 @@ proptest! {
                 .map(|(_, doc)| pathfinder::relational::RelError::new(format!("unknown document id {doc}")))
         });
         let table = Table::new(vec![
-            ("iter".into(), Column::items(iter_cells)),
-            ("item".into(), Column::items(item_cells)),
+            (col("iter"), Column::items(iter_cells)),
+            (col("item"), Column::items(item_cells)),
         ])
         .unwrap();
         for axis in [Axis::Child, Axis::Descendant, Axis::Parent, Axis::Attribute] {

@@ -21,8 +21,20 @@ use proptest::prelude::*;
 use pathfinder::baseline::BaselineEngine;
 use pathfinder::engine::{EngineOptions, Pathfinder, Profile};
 use pathfinder::relational::ops::{self, AggFunc, BinaryOp, CmpOp, RankCount};
-use pathfinder::relational::{Column, RelResult, Table, Value};
+use pathfinder::relational::{ColId, Column, RelResult, Table, Value};
 use pathfinder::xmark::{generate, query, GeneratorConfig};
+
+/// The columns these tests name besides the well-known ones; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &["g", "id", "k", "n", "v"];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
 
 // ---------------------------------------------------------------------------
 // (i) Kernel vs. the nested-loop-plus-distinct pipeline.
@@ -100,10 +112,10 @@ fn key_column(kind: Keys, rows: &[RawRow], nan: bool) -> Column {
 fn side(names: (&str, &str), kind: Keys, rows: &[RawRow], nan: bool) -> Table {
     Table::new(vec![
         (
-            names.0.to_string(),
+            col(names.0),
             Column::nats(rows.iter().map(|r| r.0).collect()),
         ),
-        (names.1.to_string(), key_column(kind, rows, nan)),
+        (col(names.1), key_column(kind, rows, nan)),
     ])
     .unwrap()
 }
@@ -111,7 +123,7 @@ fn side(names: (&str, &str), kind: Keys, rows: &[RawRow], nan: bool) -> Table {
 /// The `(group, count)` rows of a result, sorted by group: the pair-table
 /// pipeline emits a group where its first *match* is, the kernel where its
 /// first row is (the rule only fires where that order is unobservable).
-fn rows_of(table: &Table, group: &str, count: &str) -> Vec<(Value, Value)> {
+fn rows_of(table: &Table, group: ColId, count: ColId) -> Vec<(Value, Value)> {
     let mut rows: Vec<(Value, Value)> = (0..table.row_count())
         .map(|r| {
             (
@@ -127,11 +139,11 @@ fn rows_of(table: &Table, group: &str, count: &str) -> Vec<(Value, Value)> {
 /// What the compiled plan computes without the rule: the θ-join's pairs,
 /// reduced to distinct `(group, id)` rows, counted per group.
 fn pair_table_count(left: &Table, right: &Table, c: &RankCount) -> RelResult<Vec<(Value, Value)>> {
-    let (group, id) = (c.group.as_str(), c.right_id.as_str());
-    let pairs = ops::theta_join(left, right, &c.left_col, c.op, &c.right_col)?;
+    let (group, id) = (c.group, c.right_id);
+    let pairs = ops::theta_join(left, right, c.left_col, c.op, c.right_col)?;
     let distinct = ops::distinct(&ops::project(&pairs, &[(group, group), (id, id)])?)?;
-    let counted = ops::aggregate_by(&distinct, group, &c.result, AggFunc::Count, id)?;
-    Ok(rows_of(&counted, group, &c.result))
+    let counted = ops::aggregate_by(&distinct, group, c.result, AggFunc::Count, id)?;
+    Ok(rows_of(&counted, group, c.result))
 }
 
 fn errors_as_text<T>(result: RelResult<T>) -> Result<T, String> {
@@ -163,16 +175,16 @@ proptest! {
         ];
         for (l, r, group, lc, cmp, id, rc) in orders {
             let count = RankCount {
-                group: group.into(),
-                left_col: lc.into(),
+                group: col(group),
+                left_col: col(lc),
                 op: BinaryOp::Cmp(cmp),
-                right_id: id.into(),
-                right_col: rc.into(),
-                result: "n".into(),
+                right_id: col(id),
+                right_col: col(rc),
+                result: col("n"),
             };
             let expected = errors_as_text(pair_table_count(l, r, &count));
             let kernel = errors_as_text(
-                ops::theta_count(l, r, &count).map(|t| rows_of(&t, group, "n")),
+                ops::theta_count(l, r, &count).map(|t| rows_of(&t, col(group), col("n"))),
             );
             prop_assert_eq!(&kernel, &expected, "{:?} {:?} {:?}", left_kind, cmp, right_kind);
         }

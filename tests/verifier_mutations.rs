@@ -20,14 +20,37 @@ use pathfinder::algebra::{
 use pathfinder::relational::ops::{
     AggFunc, BinaryOp, CmpOp, IndexMode, IndexProbe, IndexTarget, RankCount,
 };
-use pathfinder::relational::Value;
+use pathfinder::relational::{ColId, Value};
 use pathfinder::store::{Axis, NodeTest};
 use pathfinder::xmark::queries;
 use pathfinder::xquery::{compile, normalize, parse_query, CompileOptions};
 
+/// The columns these tests name besides the well-known ones, numbered in
+/// this order by every plan of [`builder`]; [`col`]
+/// gives each a fixed id.
+const NAMES: &[&str] = &[
+    "a", "b", "c", "gone", "iter1", "k", "loop", "missing", "n", "t", "val", "x", "y", "z",
+];
+
+fn col(name: &str) -> ColId {
+    let at = ColId::WELL_KNOWN
+        .iter()
+        .chain(NAMES)
+        .position(|&n| n == name);
+    ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
+
+fn builder() -> PlanBuilder {
+    let mut b = PlanBuilder::new();
+    NAMES.iter().for_each(|&n| {
+        b.col(n);
+    });
+    b
+}
+
 fn nat_lit(b: &mut PlanBuilder, columns: &[&str], rows: &[&[u64]]) -> usize {
     b.add(AlgOp::Lit {
-        columns: columns.iter().map(|c| c.to_string()).collect(),
+        columns: columns.iter().map(|c| col(c)).collect(),
         rows: rows
             .iter()
             .map(|r| r.iter().map(|v| Value::Nat(*v).into()).collect())
@@ -40,7 +63,7 @@ fn step_base(b: &mut PlanBuilder, uri: &str) -> usize {
     let doc = b.add(AlgOp::Doc { uri: uri.into() });
     let ctx = b.add(AlgOp::Attach {
         input: doc,
-        target: "iter".into(),
+        target: col("iter"),
         value: Value::Nat(1).into(),
     });
     b.add(AlgOp::Step {
@@ -72,7 +95,7 @@ fn assert_rejected(plan: &Plan, needles: &[&str]) {
 
 #[test]
 fn mutation_dangling_child_reference() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let broken = b.add(AlgOp::Distinct { input: 99 });
     assert_rejected(&b.finish(broken), &["child #99"]);
 }
@@ -81,7 +104,7 @@ fn mutation_dangling_child_reference() {
 fn mutation_cycle_through_forward_reference() {
     // PlanBuilder does not validate forward references, so a cycle is
     // constructible: #0 → #1 → #0.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let a = b.add(AlgOp::Distinct { input: 1 });
     let _bk = b.add(AlgOp::Distinct { input: a });
     assert_rejected(&b.finish(a), &["cycle"]);
@@ -89,20 +112,20 @@ fn mutation_cycle_through_forward_reference() {
 
 #[test]
 fn mutation_unresolvable_select_column() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 10]]);
     let sel = b.add(AlgOp::Select {
         input: lit,
-        column: "missing".into(),
+        column: col("missing"),
     });
     assert_rejected(&b.finish(sel), &["missing", "does not resolve"]);
 }
 
 #[test]
 fn mutation_ragged_literal_rows() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = b.add(AlgOp::Lit {
-        columns: vec!["a".into(), "b".into()],
+        columns: vec![col("a"), col("b")],
         rows: vec![
             vec![Value::Nat(1).into(), Value::Nat(2).into()],
             vec![Value::Nat(3).into()],
@@ -113,18 +136,18 @@ fn mutation_ragged_literal_rows() {
 
 #[test]
 fn mutation_duplicate_literal_columns() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["a", "a"], &[&[1, 2]]);
     assert_rejected(&b.finish(lit), &["duplicate column"]);
 }
 
 #[test]
 fn mutation_duplicate_projection_targets() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["a", "b"], &[&[1, 2]]);
     let proj = b.add(AlgOp::Project {
         input: lit,
-        columns: vec![("a".into(), "x".into()), ("b".into(), "x".into())],
+        columns: vec![(col("a"), col("x")), (col("b"), col("x"))],
     });
     assert_rejected(&b.finish(proj), &["duplicate target column `x`"]);
 }
@@ -133,18 +156,18 @@ fn mutation_duplicate_projection_targets() {
 fn mutation_projection_source_missing() {
     // The classic broken rewrite: a rule renames a column but forgets to
     // patch a consumer's source list.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["a"], &[&[1]]);
     let proj = b.add(AlgOp::Project {
         input: lit,
-        columns: vec![("gone".into(), "a".into())],
+        columns: vec![(col("gone"), col("a"))],
     });
     assert_rejected(&b.finish(proj), &["gone", "does not resolve"]);
 }
 
 #[test]
 fn mutation_union_schema_mismatch() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let l = nat_lit(&mut b, &["a", "b"], &[&[1, 2]]);
     let r = nat_lit(&mut b, &["a", "c"], &[&[1, 2]]);
     let u = b.add(AlgOp::Union { left: l, right: r });
@@ -153,11 +176,11 @@ fn mutation_union_schema_mismatch() {
 
 #[test]
 fn mutation_attach_target_collision() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["a"], &[&[1]]);
     let at = b.add(AlgOp::Attach {
         input: lit,
-        target: "a".into(),
+        target: col("a"),
         value: Value::Nat(7).into(),
     });
     assert_rejected(&b.finish(at), &["target column `a` already exists"]);
@@ -165,12 +188,12 @@ fn mutation_attach_target_collision() {
 
 #[test]
 fn mutation_rownum_target_collision() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "pos"], &[&[1, 1]]);
     let rn = b.add(AlgOp::RowNum {
         input: lit,
-        target: "pos".into(),
-        order_by: vec![SortSpec::asc("iter")],
+        target: col("pos"),
+        order_by: vec![SortSpec::asc(col("iter"))],
         partition: None,
     });
     assert_rejected(&b.finish(rn), &["target column `pos` already exists"]);
@@ -178,14 +201,14 @@ fn mutation_rownum_target_collision() {
 
 #[test]
 fn mutation_aggregate_group_unresolvable() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 10]]);
     let agg = b.add(AlgOp::Aggregate {
         input: lit,
-        group: "loop".into(),
-        target: "n".into(),
+        group: col("loop"),
+        target: col("n"),
         func: AggFunc::Count,
-        value: "item".into(),
+        value: col("item"),
     });
     assert_rejected(&b.finish(agg), &["group column `loop`"]);
 }
@@ -193,12 +216,12 @@ fn mutation_aggregate_group_unresolvable() {
 #[test]
 fn mutation_sort_column_unresolvable() {
     // The sort key of a row numbering names a column its input lacks.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["a"], &[&[1]]);
     let rn = b.add(AlgOp::RowNum {
         input: lit,
-        target: "n".into(),
-        order_by: vec![SortSpec::asc("z")],
+        target: col("n"),
+        order_by: vec![SortSpec::asc(col("z"))],
         partition: None,
     });
     assert_rejected(&b.finish(rn), &["order-by column `z`"]);
@@ -206,7 +229,7 @@ fn mutation_sort_column_unresolvable() {
 
 #[test]
 fn mutation_step_over_iterless_input() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let doc = b.add(AlgOp::Doc {
         uri: "auction.xml".into(),
     });
@@ -221,7 +244,7 @@ fn mutation_step_over_iterless_input() {
 
 #[test]
 fn mutation_indexscan_over_non_step_input() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 10]]);
     let idx = b.add(AlgOp::IndexScan {
         input: lit,
@@ -239,7 +262,7 @@ fn mutation_indexscan_uri_provenance_mismatch() {
     // to filter rows that came out of document A keeps *wrong* rows out
     // of the candidate set — rows the residual predicate can never
     // restore.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let step = step_base(&mut b, "auction.xml");
     let idx = b.add(AlgOp::IndexScan {
         input: step,
@@ -253,7 +276,7 @@ fn mutation_indexscan_uri_provenance_mismatch() {
 
 #[test]
 fn mutation_indexscan_unanswerable_nan_probe() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let step = step_base(&mut b, "auction.xml");
     let idx = b.add(AlgOp::IndexScan {
         input: step,
@@ -272,7 +295,7 @@ fn mutation_indexscan_unanswerable_nan_probe() {
 
 #[test]
 fn mutation_root_produces_no_columns() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = b.add(AlgOp::Lit {
         columns: vec![],
         rows: vec![],
@@ -287,11 +310,11 @@ fn mutation_root_produces_no_columns() {
 
 /// `lit(iter, val) → σ[val = pick]` — proves `val` constant at the root.
 fn selected_plan(pick: u64) -> Plan {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "val"], &[&[1, 1], &[2, 2], &[3, 1]]);
     let sel = b.add(AlgOp::SelectEq {
         input: lit,
-        column: "val".into(),
+        column: col("val"),
         value: Value::Nat(pick),
     });
     b.finish(sel)
@@ -300,7 +323,7 @@ fn selected_plan(pick: u64) -> Plan {
 #[test]
 fn mutation_swapped_join_inputs_change_root_schema() {
     let build = |swap: bool| -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let l = nat_lit(&mut b, &["a", "x"], &[&[1, 10]]);
         let r = nat_lit(&mut b, &["k", "y"], &[&[1, 20]]);
         let (left, right, lc, rc) = if swap {
@@ -311,8 +334,8 @@ fn mutation_swapped_join_inputs_change_root_schema() {
         let j = b.add(AlgOp::EquiJoin {
             left,
             right,
-            left_col: lc.into(),
-            right_col: rc.into(),
+            left_col: col(lc),
+            right_col: col(rc),
         });
         b.finish(j)
     };
@@ -331,7 +354,7 @@ fn mutation_dropped_residual_predicate_loses_constant() {
     // "Optimize away" the selection entirely: `val` is no longer
     // constant, which is exactly how a dropped residual predicate shows
     // up in the digest.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "val"], &[&[1, 1], &[2, 2], &[3, 1]]);
     let after = b.finish(lit);
     let err = verify_rewrite("mutated-drop-predicate", &before, &after)
@@ -353,12 +376,12 @@ fn mutation_dedup_of_non_equal_subplans() {
     // after: a broken hash-cons merged the σ[val=1] branch into a
     // σ[val=2] branch — non-equal subplans dedup'd.
     let union_of = |p1: u64, p2: u64| -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let mk = |b: &mut PlanBuilder, pick: u64| {
             let lit = nat_lit(b, &["iter", "val"], &[&[1, 1], &[2, 2]]);
             b.add(AlgOp::SelectEq {
                 input: lit,
-                column: "val".into(),
+                column: col("val"),
                 value: Value::Nat(pick),
             })
         };
@@ -379,7 +402,7 @@ fn mutation_dedup_of_non_equal_subplans() {
 #[test]
 fn mutation_duplicating_rows_loses_root_key() {
     let single = |dup: bool| -> Plan {
-        let mut b = PlanBuilder::new();
+        let mut b = builder();
         let rows: &[&[u64]] = if dup { &[&[1, 7], &[1, 7]] } else { &[&[1, 7]] };
         let lit = nat_lit(&mut b, &["iter", "item"], rows);
         b.finish(lit)
@@ -397,7 +420,7 @@ fn mutation_after_plan_structurally_broken() {
     // verify_rewrite must also catch a rewrite that left the plan
     // structurally broken (it re-runs verify_plan on the after-plan).
     let before = digest(&selected_plan(1));
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let broken = b.add(AlgOp::Distinct { input: 42 });
     let err = verify_rewrite("mutated-structure", &before, &b.finish(broken))
         .expect_err("structurally broken after-plan must be rejected");
@@ -412,38 +435,38 @@ fn mutation_after_plan_structurally_broken() {
 /// `⋈[iter=iter1](L, @c:=c(π[iter1:iter](L)))` — the join `scaffold`
 /// deletes — or, with `deleted`, its replacement attaching `deleted`.
 fn loop_join(deleted: Option<Value>) -> Plan {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let l = nat_lit(&mut b, &["iter", "item"], &[&[1, 10], &[2, 20]]);
     let keys = b.add(AlgOp::Project {
         input: l,
-        columns: vec![("iter".into(), "iter1".into())],
+        columns: vec![(col("iter"), col("iter1"))],
     });
     let root = match deleted {
         None => {
             let lookup = b.add(AlgOp::Attach {
                 input: keys,
-                target: "c".into(),
+                target: col("c"),
                 value: Value::Str("x".into()).into(),
             });
             b.add(AlgOp::EquiJoin {
                 left: l,
                 right: lookup,
-                left_col: "iter".into(),
-                right_col: "iter1".into(),
+                left_col: col("iter"),
+                right_col: col("iter1"),
             })
         }
         Some(value) => {
             let copied = b.add(AlgOp::Project {
                 input: l,
                 columns: vec![
-                    ("iter".into(), "iter".into()),
-                    ("item".into(), "item".into()),
-                    ("iter".into(), "iter1".into()),
+                    (col("iter"), col("iter")),
+                    (col("item"), col("item")),
+                    (col("iter"), col("iter1")),
                 ],
             });
             b.add(AlgOp::Attach {
                 input: copied,
-                target: "c".into(),
+                target: col("c"),
                 value: value.into(),
             })
         }
@@ -478,11 +501,11 @@ fn mutation_dead_arm_deletion_keeping_the_empty_arm() {
         let lit = nat_lit(b, &["iter", "val"], &[&[1, 1], &[2, 1]]);
         b.add(AlgOp::SelectEq {
             input: lit,
-            column: "val".into(),
+            column: col("val"),
             value: Value::Nat(pick),
         })
     };
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let live = arm(&mut b, 1);
     let dead = arm(&mut b, 2);
     let u = b.add(AlgOp::Union {
@@ -490,7 +513,7 @@ fn mutation_dead_arm_deletion_keeping_the_empty_arm() {
         right: dead,
     });
     let before = digest(&b.finish(u));
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let kept = arm(&mut b, 2);
     let err = verify_rewrite("mutated-dead-arm", &before, &b.finish(kept))
         .expect_err("keeping the empty arm must be rejected");
@@ -503,7 +526,7 @@ fn mutation_row_number_deletion_copying_the_wrong_column() {
     // into `t` instead widens `t` from naturals to strings.
     let lit = |b: &mut PlanBuilder| {
         b.add(AlgOp::Lit {
-            columns: vec!["iter".into(), "item".into()],
+            columns: vec![col("iter"), col("item")],
             rows: vec![
                 vec![Value::Nat(1).into(), Value::Str("a".into()).into()],
                 vec![Value::Nat(1).into(), Value::Str("b".into()).into()],
@@ -514,28 +537,28 @@ fn mutation_row_number_deletion_copying_the_wrong_column() {
         let l = lit(b);
         b.add(AlgOp::RowNum {
             input: l,
-            target: "pos".into(),
-            order_by: vec![SortSpec::asc("item")],
-            partition: Some("iter".into()),
+            target: col("pos"),
+            order_by: vec![SortSpec::asc(col("item"))],
+            partition: Some(col("iter")),
         })
     };
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let input = numbered(&mut b);
     let t = b.add(AlgOp::RowNum {
         input,
-        target: "t".into(),
-        order_by: vec![SortSpec::asc("pos")],
-        partition: Some("iter".into()),
+        target: col("t"),
+        order_by: vec![SortSpec::asc(col("pos"))],
+        partition: Some(col("iter")),
     });
     let before = digest(&b.finish(t));
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let input = numbered(&mut b);
     let copied = b.add(AlgOp::Project {
         input,
         columns: ["iter", "item", "pos"]
             .iter()
-            .map(|c| (c.to_string(), c.to_string()))
-            .chain(std::iter::once(("item".to_string(), "t".to_string())))
+            .map(|c| (col(c), col(c)))
+            .chain(std::iter::once((col("item"), col("t"))))
             .collect(),
     });
     let err = verify_rewrite("mutated-row-number", &before, &b.finish(copied))
@@ -563,7 +586,7 @@ fn xmark_plans(id: u8) -> (Plan, Plan) {
 fn with_op(plan: &Plan, at: usize, op: impl FnOnce(&AlgOp) -> AlgOp) -> Plan {
     let mut ops = plan.ops().to_vec();
     ops[at] = op(&ops[at]);
-    Plan::new(ops, plan.root())
+    Plan::new(ops, plan.root(), plan.names().clone())
 }
 
 fn find_op(plan: &Plan, pick: impl Fn(&AlgOp) -> bool) -> usize {
@@ -612,7 +635,7 @@ fn mutation_rank_count_grouped_on_the_right_input() {
     let regrouped = with_op(&optimized, at, |op| {
         let mut op = op.clone();
         if let AlgOp::ThetaCount { count, .. } = &mut op {
-            count.group = count.right_id.clone();
+            count.group = count.right_id;
         }
         op
     });
@@ -653,23 +676,24 @@ fn mutation_rank_count_across_a_step_in_the_body() {
         unreachable!();
     };
     let mut ops = optimized.ops().to_vec();
+    let aid1 = optimized.clone().col("aid1");
     ops.push(AlgOp::ThetaCount {
         left,
         right,
-        count: Box::new(RankCount {
-            group: "outer".into(),
+        count: RankCount {
+            group: ColId::OUTER,
             left_col,
             op,
-            right_id: "aid1".into(),
+            right_id: aid1,
             right_col,
-            result: target.clone(),
-        }),
+            result: target,
+        },
     });
     ops[agg] = AlgOp::Project {
         input: ops.len() - 1,
-        columns: vec![("outer".into(), group), (target.clone(), target)],
+        columns: vec![(ColId::OUTER, group), (target, target)],
     };
-    let forced = Plan::new(ops, optimized.root());
+    let forced = Plan::new(ops, optimized.root(), optimized.names().clone());
     verify_plan(&forced).expect("the forced plan is well-formed");
     let err = verify_rewrite("mutated-across-step", &digest(&optimized), &forced)
         .expect_err("a count across a step must be rejected");
@@ -682,7 +706,7 @@ fn mutation_rank_count_across_a_step_in_the_body() {
 
 #[test]
 fn well_formed_bases_pass_including_indexscan() {
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let step = step_base(&mut b, "auction.xml");
     let idx = b.add(AlgOp::IndexScan {
         input: step,
@@ -699,12 +723,12 @@ fn well_formed_bases_pass_including_indexscan() {
 fn strengthening_rewrites_are_accepted() {
     // Adding a Distinct proves a *new* key — strictly more knowledge,
     // which the monotonicity check must allow.
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 7], &[1, 7]]);
     let weak = b.finish(lit);
     let before = digest(&weak);
 
-    let mut b = PlanBuilder::new();
+    let mut b = builder();
     let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 7], &[1, 7]]);
     let d = b.add(AlgOp::Distinct { input: lit });
     let strong = b.finish(d);
