@@ -9,9 +9,7 @@
 //! ([`ColNames`]), which only the renderers and diagnostics read.
 
 pub use pf_relational::ops::OrderSpec as SortSpec;
-use pf_relational::ops::{
-    AggFunc, BinaryOp, IndexMode, IndexProbe, IndexTarget, RankCount, UnaryOp,
-};
+use pf_relational::ops::{AggFunc, BinaryOp, RankCount, UnaryOp};
 use pf_relational::{ColId, Value, ValueType};
 use pf_store::{Axis, NodeTest};
 
@@ -320,27 +318,6 @@ pub enum AlgOp {
         /// The node test.
         test: NodeTest,
     },
-    /// Index-accelerated candidate filter over an axis-step output
-    /// (introduced by the `indexscan` optimizer rule, never by the
-    /// compiler).  Keeps only rows whose `item` can possibly satisfy
-    /// `probe` according to the sidecar indexes of the document `uri`;
-    /// the untouched residual predicate above keeps answers exact.
-    IndexScan {
-        /// The step (or doc-order over a step) being filtered.
-        input: OpId,
-        /// URI of the document whose indexes answer the probe.
-        uri: String,
-        /// The recognized predicate pattern.
-        probe: IndexProbe,
-        /// How the residual consumes the rows (row filter vs per-`iter`
-        /// EBV — the latter may only drop singleton groups).
-        mode: IndexMode,
-        /// The parameter slot the probe's literal comes from while the
-        /// plan is a template (the probe then holds an empty string);
-        /// [`crate::Plan::bind`] writes the value into the probe and
-        /// clears this.
-        param: Option<u32>,
-    },
     /// `fs:distinct-doc-order`: per `iter`, sort items into document order
     /// and remove duplicates.  Steps already produce this shape, which is
     /// why the optimizer can remove most of these operators.
@@ -415,7 +392,6 @@ impl AlgOp {
             | AlgOp::Attach { input, .. }
             | AlgOp::Aggregate { input, .. }
             | AlgOp::Step { input, .. }
-            | AlgOp::IndexScan { input, .. }
             | AlgOp::DocOrder { input }
             | AlgOp::FnData { input }
             | AlgOp::FnRoot { input }
@@ -467,10 +443,6 @@ impl AlgOp {
             AlgOp::Lit { rows, .. } => rows.iter().flatten().any(constant),
             AlgOp::SelectEq { value, .. } => double(value),
             AlgOp::Attach { value, .. } => constant(value),
-            AlgOp::IndexScan {
-                probe: IndexProbe::ValueCmp { value, .. },
-                ..
-            } => double(value),
             _ => false,
         }
     }
@@ -490,7 +462,6 @@ impl AlgOp {
             | AlgOp::Attach { input, .. }
             | AlgOp::Aggregate { input, .. }
             | AlgOp::Step { input, .. }
-            | AlgOp::IndexScan { input, .. }
             | AlgOp::DocOrder { input }
             | AlgOp::FnData { input }
             | AlgOp::FnRoot { input }
@@ -610,37 +581,6 @@ impl AlgOp {
                 ..
             } => format!("agg[{}:={}({})]", n(target), func.name(), n(value)),
             AlgOp::Step { axis, test, .. } => format!("⇝[{}::{test:?}]", axis.name()),
-            AlgOp::IndexScan {
-                probe, mode, param, ..
-            } => {
-                let tag = match mode {
-                    IndexMode::Exact => "σ",
-                    IndexMode::Ebv => "ebv",
-                };
-                match probe {
-                    IndexProbe::TextContains { needle } => match param {
-                        Some(k) => format!("idx[text∋?{k}]/{tag}"),
-                        None => format!("idx[text∋\"{needle}\"]/{tag}"),
-                    },
-                    IndexProbe::ValueCmp {
-                        target,
-                        op,
-                        value,
-                        to_number,
-                    } => {
-                        let name = match target {
-                            IndexTarget::ElementTag(t) => t.clone(),
-                            IndexTarget::AttributeName(n) => format!("@{n}"),
-                        };
-                        let cast = if *to_number { "number " } else { "" };
-                        let value = match param {
-                            Some(k) => format!("?{k}"),
-                            None => value.to_string(),
-                        };
-                        format!("idx[{cast}{name} {} {value}]/{tag}", op.name())
-                    }
-                }
-            }
             AlgOp::DocOrder { .. } => "ddo".to_string(),
             AlgOp::FnData { .. } => "data".to_string(),
             AlgOp::FnRoot { .. } => "root".to_string(),

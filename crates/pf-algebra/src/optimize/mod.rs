@@ -24,7 +24,7 @@
 //! uses that report to reproduce the paper's plan-complexity claim
 //! (experiment E5).  No rule runs until nothing changes:
 //!
-//! 1. hash-cons, pushdown, reorder, indexscan, scaffold, cleanup;
+//! 1. hash-cons, pushdown, reorder, scaffold, cleanup;
 //! 2. the **second pass**: pushdown, reorder, scaffold, cleanup.
 //!    Scaffold replaces joins, numberings and δ by π and @, which
 //!    pushdown and scaffold then match again; without this pass XMark Q1,
@@ -32,7 +32,7 @@
 //! 3. thetacount, then merge π when it fired;
 //! 4. unshare.
 //!
-//! That is 14 sweeps, 15 after a rank count.  A phase is on the list only
+//! That is 13 sweeps, 14 after a rank count.  A phase is on the list only
 //! if leaving it out changes some XMark plan: a cleanup before the first
 //! pass, a literal fold of its own in cleanup (pushdown folds in the same
 //! sweep), a hash-cons in the second pass or right before unshare, and an
@@ -54,9 +54,9 @@
 //! deterministically when their sort keys cover a key (rownum), so large
 //! plan regions are provably order-free.  The rules:
 //!
-//! * [`pushdown`] — pushes σ below joins and through
-//!   projections/attach/maps (order-preserving rewrites, safe
-//!   everywhere), and folds σ/π/@ over literal tables at compile time.
+//! * [`pushdown`] — pushes σ below equi-joins and through π, @, ∪ and δ
+//!   (order-preserving rewrites, safe everywhere), and folds σ/π/@ over
+//!   literal tables at compile time.
 //! * [`reorder`] — reorders equi-join clusters inside order-free regions,
 //!   greedily joining the smallest-estimated leaves first per
 //!   [`PlanProperties::rows`] (document statistics from `pf-store`).
@@ -83,9 +83,9 @@
 //! ## One analysis per plan, sweeps
 //!
 //! The rules that read properties — identity-π removal, `pushdown`,
-//! `reorder`, `indexscan`, `scaffold`, `thetacount` — share one
-//! [`PlanProperties`] analysis, computed when a rule first asks for it
-//! and then *kept*.  The sweep contract: every rewrite replaces an
+//! `reorder`, `scaffold`, `thetacount` — share one [`PlanProperties`]
+//! analysis, computed when a rule first asks for it and then *kept*:
+//! each optimization runs exactly one whole-plan analysis.  The sweep contract: every rewrite replaces an
 //! operator by a subplan with the same rows, the same row order and the
 //! same columns, so the bottom-up facts of every operator the rewrite did
 //! not create — columns, document order, keys, constants, emptiness,
@@ -96,9 +96,8 @@
 //! re-resolves the top-down `order_free`, which any change of a consumer
 //! can invalidate.  Rewrites that keep rows but not their order (join
 //! reordering, the rank count, a mirrored join deletion) re-derive the
-//! sequence facts; `indexscan` filters intermediate rows and is the one
-//! rule after which the next reader gets a new analysis.  `pushdown`
-//! keeps its consumer counts across one sweep of pushes.
+//! sequence facts.  `pushdown` keeps its consumer counts across one
+//! sweep of pushes.
 //!
 //! The rule set is fixed: the engine either runs all of it or, with
 //! `EngineOptions::optimize` off, none.  Every rewrite preserves the
@@ -111,7 +110,6 @@ use std::sync::Arc;
 use pf_store::DocStatistics;
 
 pub mod dedup;
-pub mod indexscan;
 pub mod pushdown;
 pub mod reorder;
 pub mod scaffold;
@@ -161,15 +159,16 @@ pub struct OptimizeReport {
     /// Number of equi-join clusters rewritten by statistics-driven
     /// reordering.
     pub joins_reordered: usize,
-    /// Number of selections pushed below joins or through
-    /// π/attach/maps.
+    /// Number of selections pushed below equi-joins or through π, @, ∪
+    /// and δ.
     pub predicates_pushed: usize,
     /// Number of operators merged by hash-consed subplan dedup.
     pub subplans_deduped: usize,
     /// Number of cheap shared operators cloned by the final unshare pass
     /// so pipeline fusion sees single-consumer chains.
     pub chains_unshared: usize,
-    /// Number of `IndexScan` candidate filters spliced above axis steps.
+    /// Always 0: the optimizer introduces no index scans.  Kept because
+    /// the benchmark harness reads it.
     pub index_scans_introduced: usize,
     /// Number of count aggregates over a θ-join's pair table replaced by
     /// [`AlgOp::ThetaCount`].
@@ -183,9 +182,8 @@ pub struct OptimizeReport {
     /// Number of verifier passes run (one for the input plan plus one per
     /// rule application that changed the plan).
     pub verify_passes: usize,
-    /// Number of whole-plan property analyses the rules asked for: one,
-    /// plus one after each `indexscan` application that changed the plan
-    /// (every other rewrite keeps the analysis).
+    /// Number of whole-plan property analyses the rules asked for: one
+    /// (every rewrite keeps the analysis).
     pub property_passes: usize,
     /// Number of per-operator inferences the analyses ran: every operator
     /// of each whole-plan analysis, plus each operator a kept analysis
@@ -272,14 +270,12 @@ pub fn optimize_with_verify(
 /// The property analysis of the plan the optimizer currently holds:
 /// computed on first demand, then kept across rewrites.
 ///
-/// Every rewrite but one replaces a subplan by one with the same rows, so
-/// the bottom-up facts of every operator stay true; the analysis only
-/// infers facts for the operators a rule created, re-estimates
-/// cardinalities and re-resolves the top-down `order_free`.  A rewrite that keeps the rows but not their
-/// order (join reordering, a rank count, a mirrored join deletion) also
-/// re-derives the sequence facts.  Only `indexscan`, which filters the
-/// rows between the step it splices above and the predicate, drops the
-/// analysis.
+/// Every rewrite replaces a subplan by one with the same rows, so the
+/// bottom-up facts of every operator stay true; the analysis only infers
+/// facts for the operators a rule created, re-estimates cardinalities and
+/// re-resolves the top-down `order_free`.  A rewrite that keeps the rows
+/// but not their order (join reordering, a rank count, a mirrored join
+/// deletion) also re-derives the sequence facts.
 struct Analysis<'s> {
     stats: PinnedStats<'s>,
     current: Option<PlanProperties>,
@@ -301,8 +297,6 @@ enum Change {
     Equivalent,
     /// Same rows and columns; some row orders changed.
     Reordered,
-    /// Some intermediate relations lost rows.
-    Filtered,
 }
 
 /// The statistics one optimization run sees: each document's fetched
@@ -372,7 +366,6 @@ impl Analysis<'_> {
         match change {
             Change::Equivalent => self.order_stale = true,
             Change::Reordered => self.sequences_stale = true,
-            Change::Filtered => self.current = None,
         }
     }
 }
@@ -460,8 +453,6 @@ impl<'s> Optimizer<'s> {
     /// a merge-π sweep on a hit; unshare.
     fn run(&mut self, plan: &mut Plan) {
         self.rewrite_pass(plan, true);
-        // The second pass.  Index scans went in on the first; scaffold
-        // never takes apart their shape.
         self.rewrite_pass(plan, false);
         // Count-by-rank matches the settled shape; a hit leaves stacked
         // projections to merge (and no identity π).
@@ -483,8 +474,8 @@ impl<'s> Optimizer<'s> {
         self.report.operators_analyzed = self.analysis.inferred;
     }
 
-    /// The first pass (`first`): hash-cons, pushdown, reorder, indexscan,
-    /// scaffold, cleanup.  The second: pushdown, reorder, scaffold,
+    /// The first pass (`first`): hash-cons, pushdown, reorder, scaffold,
+    /// cleanup.  The second: pushdown, reorder, scaffold,
     /// cleanup.
     fn rewrite_pass(&mut self, plan: &mut Plan, first: bool) {
         if first {
@@ -498,14 +489,6 @@ impl<'s> Optimizer<'s> {
             let props = a.of(p);
             reorder::reorder_join_graphs(p, props, r).then_some(Change::Reordered)
         });
-        if first {
-            self.apply(plan, "indexscan", |p, a, r| {
-                let props = a.of(p);
-                indexscan::introduce_index_scans(p, props, r).then_some(Change::Filtered)
-            });
-        }
-        // Scaffolding deletion runs after the index scans are in, so it
-        // never takes apart a predicate shape they match.
         self.apply(plan, "scaffold", |p, a, r| {
             let props = a.of(p);
             let swept = scaffold::delete_scaffolding(p, props, r);

@@ -2,10 +2,10 @@
 //!
 //! Selections (σ, both the boolean [`AlgOp::Select`] and the equality
 //! [`AlgOp::SelectEq`]) are pushed toward the leaves: through
-//! projections (renaming the predicate column back), attach and value
-//! maps (when they do not compute the predicate column), below joins
-//! (onto the side that owns the column), through δ, into both branches
-//! of a union and into the left side of a difference.  Every rewrite
+//! projections (renaming the predicate column back) and attach (when it
+//! does not compute the predicate column), below equi-joins (onto the
+//! side that owns the column), through δ and into both branches of a
+//! union; a σ over any other operator stays where it is.  Every rewrite
 //! here preserves the *exact* row order of every operator's output —
 //! selections are row-subset operators and all the hosts are
 //! row-order-preserving — so unlike join reordering, pushdown needs no
@@ -139,44 +139,6 @@ fn push_one<'p>(
             };
             vec![pushed]
         }
-        AlgOp::UnaryMap {
-            input: x,
-            target,
-            op,
-            source,
-        } => {
-            if target == column {
-                return Vec::new();
-            }
-            let pushed = sigma(plan, x);
-            plan.ops_mut()[id] = AlgOp::UnaryMap {
-                input: pushed,
-                target,
-                op,
-                source,
-            };
-            vec![pushed]
-        }
-        AlgOp::BinaryMap {
-            input: x,
-            target,
-            left,
-            op,
-            right,
-        } => {
-            if target == column {
-                return Vec::new();
-            }
-            let pushed = sigma(plan, x);
-            plan.ops_mut()[id] = AlgOp::BinaryMap {
-                input: pushed,
-                target,
-                left,
-                op,
-                right,
-            };
-            vec![pushed]
-        }
         AlgOp::Distinct { input: x } => {
             // Duplicates are whole-row, so filtering commutes with δ
             // (and keeps the same first occurrences).
@@ -193,23 +155,7 @@ fn push_one<'p>(
             };
             vec![sl, sr]
         }
-        AlgOp::Difference { left, right } => {
-            // σ(L − R) = σ(L) − R: the filter only concerns emitted
-            // (left) rows.
-            let pushed = sigma(plan, left);
-            plan.ops_mut()[id] = AlgOp::Difference {
-                left: pushed,
-                right,
-            };
-            vec![pushed]
-        }
-        join @ (AlgOp::EquiJoin { .. } | AlgOp::ThetaJoin { .. } | AlgOp::Cross { .. }) => {
-            let (left, right) = match &join {
-                AlgOp::EquiJoin { left, right, .. }
-                | AlgOp::ThetaJoin { left, right, .. }
-                | AlgOp::Cross { left, right } => (*left, *right),
-                _ => unreachable!(),
-            };
+        join @ AlgOp::EquiJoin { left, right, .. } => {
             let owns = |side: OpId| columns(side).contains(&column);
             // The column must belong to exactly one side (a self-join
             // with colliding names is ambiguous — bail).

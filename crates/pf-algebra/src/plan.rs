@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use pf_relational::ops::IndexProbe;
 use pf_relational::{ColId, Value};
 
 use crate::ops::{AlgOp, Const};
@@ -195,24 +194,21 @@ impl Plan {
     }
 
     /// This template with every parameter slot `k` bound to the
-    /// `xs:string` `values[k]`: in attached constants, literal rows and
-    /// the literal of an index probe.  Arena, ids and root stay as they are, so a
-    /// bound template is the plan the optimizer produced for the slots,
-    /// with the values written in.
+    /// `xs:string` `values[k]`: in attached constants and literal rows.
+    /// Arena, ids and root stay as they are, so a bound template is the
+    /// plan the optimizer produced for the slots, with the values written
+    /// in.
     ///
     /// # Panics
     ///
     /// If a slot of the plan has no value in `values`.
     pub fn bind(&self, values: &[String]) -> Plan {
-        let value = |k: u32| {
-            values
-                .get(k as usize)
-                .unwrap_or_else(|| panic!("no value for parameter slot {k}"))
-                .clone()
-        };
         let bind = |slot: &mut Const| {
             if let Const::Param(k) = *slot {
-                *slot = Const::Value(Value::Str(value(k)));
+                let value = values
+                    .get(k as usize)
+                    .unwrap_or_else(|| panic!("no value for parameter slot {k}"));
+                *slot = Const::Value(Value::Str(value.clone()));
             }
         };
         let mut plan = self.clone();
@@ -220,14 +216,6 @@ impl Plan {
             match op {
                 AlgOp::Attach { value: slot, .. } => bind(slot),
                 AlgOp::Lit { rows, .. } => rows.iter_mut().flatten().for_each(bind),
-                AlgOp::IndexScan { probe, param, .. } => {
-                    if let Some(k) = param.take() {
-                        match probe {
-                            IndexProbe::TextContains { needle } => *needle = value(k),
-                            IndexProbe::ValueCmp { value: v, .. } => *v = Value::Str(value(k)),
-                        }
-                    }
-                }
                 _ => {}
             }
         }
@@ -298,7 +286,6 @@ impl Plan {
                 AlgOp::Attach { .. } => "attach",
                 AlgOp::Aggregate { .. } => "aggregate",
                 AlgOp::Step { .. } => "step",
-                AlgOp::IndexScan { .. } => "index-scan",
                 AlgOp::DocOrder { .. } => "ddo",
                 AlgOp::FnData { .. } => "data",
                 AlgOp::FnRoot { .. } => "root",

@@ -26,7 +26,7 @@
 //!   [`pf_store::DocStatistics`] through a [`StatsSource`];
 //! * **document provenance** — the URI of the single `doc()` source
 //!   feeding the operator's items, if unambiguous (what lets an axis
-//!   step find its tag histogram and an `IndexScan` its sidecar);
+//!   step find its tag histogram);
 //! * **types** — per column, the set of value types it can hold (Boolean
 //!   at comparisons, `ebv` and Boolean constants, a union at `∪`);
 //! * **sequence** — rows sorted by `(iter, c)` and, when *dense*, `c`
@@ -52,7 +52,7 @@
 //! provenance and sequences are shared behind [`Arc`]: where an
 //! operator's fact is its input's, the operator points at the input's
 //! fact instead of copying it.  The row subsets and reorders (σ, σ=, δ,
-//! sort, `ddo`, `∖`, the index scan) mostly share, and so do `∪` (its
+//! sort, `ddo`, `∖`) mostly share, and so do `∪` (its
 //! left side), `fn:data` and `fn:root` for columns and `@` and the maps
 //! for keys.  Columns are the plan's [`ColId`]s, so keys are small
 //! inline integer sets, an operator's provenance tags one sorted vector
@@ -67,8 +67,8 @@
 //! the optimizer driver owns one per plan version and hands it to every
 //! rule that reads properties — identity-projection removal (columns),
 //! [`crate::optimize::pushdown`] (which side of a join owns a
-//! column), [`crate::optimize::reorder`], [`crate::optimize::indexscan`],
-//! [`crate::optimize::scaffold`] and [`crate::optimize::thetacount`].
+//! column), [`crate::optimize::reorder`], [`crate::optimize::scaffold`]
+//! and [`crate::optimize::thetacount`].
 //! [`crate::verify`] checks rewrites against the same inference, so the
 //! optimizer is validated by the very properties it plans with.
 
@@ -845,7 +845,6 @@ fn infer_columns(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColId>> 
         AlgOp::Project { columns, .. } => columns.iter().map(|&(_, t)| t).collect(),
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Difference { left: input, .. }
         | AlgOp::DocOrder { input }
@@ -877,7 +876,6 @@ fn infer_doc_ordered(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         AlgOp::Step { .. } | AlgOp::DocOrder { .. } => true,
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Difference { left: input, .. } => pp.doc_ordered(*input),
         _ => false,
@@ -937,9 +935,7 @@ fn infer_provenance(plan: &Plan, id: OpId, pp: &PlanProperties) -> (TagMap, TagM
                 exact(&mut sup, &mut eq, &mut excl, *input, c, c);
             }
         }
-        AlgOp::Select { input, .. }
-        | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. } => {
+        AlgOp::Select { input, .. } | AlgOp::SelectEq { input, .. } => {
             for c in cols(*input) {
                 subset(&mut sup, &mut excl, *input, c, c);
             }
@@ -1116,7 +1112,6 @@ fn infer_keys(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Vec<ColSet>> {
         // Row subsets keep distinctness.
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::Difference { left: input, .. } => return shared(*input),
         // Row-preserving operators keep existing keys (they only add or
         // reorder columns / rows).
@@ -1296,7 +1291,6 @@ fn infer_empty(plan: &Plan, id: OpId, pp: &PlanProperties) -> bool {
         | AlgOp::Attach { input, .. }
         | AlgOp::Aggregate { input, .. }
         | AlgOp::Step { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::FnData { input }
         | AlgOp::FnRoot { input }
         | AlgOp::Ebv { input } => pp.empty[*input],
@@ -1368,9 +1362,7 @@ fn infer_constants(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Constants>
             value,
         } => return with(*input, *column, Some(Const::Value(value.clone()))),
         // Row subsets / reorders keep every constant column constant.
-        AlgOp::Distinct { input }
-        | AlgOp::IndexScan { input, .. }
-        | AlgOp::Difference { left: input, .. } => return shared(*input),
+        AlgOp::Distinct { input } | AlgOp::Difference { left: input, .. } => return shared(*input),
         AlgOp::Attach {
             input,
             target,
@@ -1491,7 +1483,6 @@ fn infer_types(plan: &Plan, id: OpId, pp: &PlanProperties) -> Arc<Types> {
         // Survivors carry `true` in the column (anything else is an error).
         AlgOp::Select { input, column } => return with(*input, *column, boolean),
         AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::DocOrder { input }
         | AlgOp::Difference { left: input, .. } => return carry(*input),
@@ -1662,7 +1653,6 @@ fn infer_sequence(plan: &Plan, id: OpId, pp: &PlanProperties) -> Option<Arc<Sequ
         }
         AlgOp::Select { input, .. }
         | AlgOp::SelectEq { input, .. }
-        | AlgOp::IndexScan { input, .. }
         | AlgOp::Distinct { input }
         | AlgOp::Difference { left: input, .. }
         | AlgOp::EquiJoin { left: input, .. }
@@ -1832,9 +1822,6 @@ fn estimate_op(
             (est.max(0.0), uri)
         }
         AlgOp::Select { input, .. } => (rows[*input] * 0.5, doc[*input].clone()),
-        // Index probes are selective by construction (the rule only fires
-        // on literal lookups).
-        AlgOp::IndexScan { input, .. } => (rows[*input] * 0.1, doc[*input].clone()),
         AlgOp::SelectEq { input, .. } => (rows[*input] * 0.1, doc[*input].clone()),
         AlgOp::Distinct { input } => (rows[*input] * 0.8, doc[*input].clone()),
         AlgOp::Union { left, right } => (rows[*left] + rows[*right], merge_doc(doc, *left, *right)),

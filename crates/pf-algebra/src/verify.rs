@@ -1,7 +1,7 @@
 //! Static plan verification.
 //!
 //! With the cleanup rules and the join-graph-isolation rules (pushdown,
-//! reordering, index scans, rank counts, scaffolding deletion) composing
+//! reordering, rank counts, scaffolding deletion) composing
 //! over a fixed sequence of phases, a latent rewrite bug can only surface
 //! as a wrong query answer.  This module catches it at *plan time* instead: after every
 //! rule application the optimizer can check
@@ -9,10 +9,8 @@
 //! * **structural well-formedness** ([`verify_plan`]) — every child
 //!   reference is in bounds, the plan is acyclic from the root, every
 //!   column an operator references resolves in its input's inferred
-//!   schema, literal rows have the declared arity, `IndexScan` sits on
-//!   the step shape whose document actually backs the probed sidecar
-//!   (the candidate-superset precondition), and the root produces at
-//!   least one column; and
+//!   schema, literal rows have the declared arity, and the root produces
+//!   at least one column; and
 //! * **semantic invariants** ([`verify_rewrite`]) — a rewrite must
 //!   preserve the root schema exactly and may only *strengthen* the
 //!   statically proven key sets and constant columns captured in the
@@ -33,8 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use pf_relational::ops::IndexProbe;
-use pf_relational::{ColId, Value};
+use pf_relational::ColId;
 
 use crate::ops::{AlgOp, Const};
 use crate::plan::{OpId, Plan};
@@ -146,7 +143,6 @@ pub fn verify_bound(plan: &Plan) -> Result<(), VerifyError> {
                 Const::Param(k) => Some(*k),
                 Const::Value(_) => None,
             }),
-            AlgOp::IndexScan { param, .. } => *param,
             _ => None,
         };
         if let Some(k) = slot {
@@ -378,44 +374,6 @@ pub fn verify_plan(plan: &Plan) -> Result<(), VerifyError> {
                 resolve(*input, ColId::ITER, "context", id)?;
                 resolve(*input, ColId::ITEM, "context", id)?;
             }
-            AlgOp::IndexScan {
-                input, uri, probe, ..
-            } => {
-                // Candidate-superset precondition: the sidecar consulted
-                // must belong to the document that produced the rows
-                // being filtered, and the base must be the step shape
-                // whose rows the probe understands — otherwise candidate
-                // sets are not supersets of the true matches and the
-                // residual predicate cannot repair the loss.
-                match plan.op(*input) {
-                    AlgOp::Step { .. } | AlgOp::DocOrder { .. } => {}
-                    _ => {
-                        return Err(err(format!(
-                            "op #{id} idx: input #{input} is {} — an IndexScan may only \
-                             filter a step or doc-order output",
-                            plan.symbol(*input)
-                        )));
-                    }
-                }
-                match props.doc(*input) {
-                    Some(doc) if doc == uri => {}
-                    got => {
-                        return Err(err(format!(
-                            "op #{id} idx: probes indexes of `{uri}` but input #{input} \
-                             has document provenance {got:?}"
-                        )));
-                    }
-                }
-                if let IndexProbe::ValueCmp { value, .. } = probe {
-                    if matches!(value, Value::Dbl(d) if d.is_nan())
-                        || matches!(value, Value::Node(_))
-                    {
-                        return Err(err(format!(
-                            "op #{id} idx: unanswerable probe constant {value:?}"
-                        )));
-                    }
-                }
-            }
             AlgOp::DocOrder { input } => {
                 resolve(*input, ColId::ITER, "ddo", id)?;
                 resolve(*input, ColId::ITEM, "ddo", id)?;
@@ -567,6 +525,7 @@ mod tests {
     use super::*;
     use crate::plan::PlanBuilder;
     use crate::test_cols::{builder, col, names};
+    use pf_relational::Value;
 
     fn small_lit(b: &mut PlanBuilder) -> OpId {
         b.add(AlgOp::Lit {
@@ -590,8 +549,6 @@ mod tests {
 
     #[test]
     fn a_slot_anywhere_makes_a_plan_unexecutable() {
-        use pf_relational::ops::IndexMode;
-
         let mut b = builder();
         let l = small_lit(&mut b);
         let a = b.add(AlgOp::Attach {
@@ -623,33 +580,6 @@ mod tests {
                 rows: vec![vec![Value::Str("y".into()).into()]],
             }
         );
-
-        let scan = Plan::new(
-            vec![
-                AlgOp::Lit {
-                    columns: vec![col("iter"), col("item")],
-                    rows: vec![],
-                },
-                AlgOp::IndexScan {
-                    input: 0,
-                    uri: "d".into(),
-                    probe: IndexProbe::TextContains {
-                        needle: String::new(),
-                    },
-                    mode: IndexMode::Exact,
-                    param: Some(0),
-                },
-            ],
-            1,
-            names(),
-        );
-        assert!(verify_bound(&scan).is_err());
-        let bound = scan.bind(&["gold".into()]);
-        assert!(matches!(
-            bound.op(1),
-            AlgOp::IndexScan { probe: IndexProbe::TextContains { needle }, param: None, .. }
-                if needle == "gold"
-        ));
     }
 
     #[test]

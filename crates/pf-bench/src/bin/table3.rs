@@ -4,10 +4,9 @@
 //! speedup columns that back the Section 3.3 claims (E6).
 //!
 //! Pathfinder gets two columns per scale: its first run of the query on
-//! the loaded engine (compilation, optimization and any index the run
-//! builds included) and its warm time, the median of the
-//! [`WARM_RUNS`] runs after the first; each with its speedup over the
-//! walker's run.  A closing section splits the first runs at the largest
+//! the loaded engine (compilation and optimization included) and its
+//! warm time, the median of the [`WARM_RUNS`] runs after the first; each
+//! with its speedup over the walker's run.  A closing section splits the first runs at the largest
 //! scale into compile, optimize and execute time.
 //!
 //! ```text

@@ -118,26 +118,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// Opaque identity of the underlying shared buffer.
-    ///
-    /// Two columns report the same id iff they share one allocation, so a
-    /// resident-memory accounting that sums `len()` over *distinct* ids
-    /// counts each shared buffer exactly once.  Ids are only meaningful
-    /// between columns that are alive at the same time (a freed buffer's
-    /// address may be reused).
-    pub fn buffer_id(&self) -> usize {
-        match self {
-            Column::Nat(v) => Arc::as_ptr(v) as usize,
-            Column::Int(v) => Arc::as_ptr(v) as usize,
-            Column::Dbl(v) => Arc::as_ptr(v) as usize,
-            Column::Str(v) => Arc::as_ptr(v) as usize,
-            Column::Bool(v) => Arc::as_ptr(v) as usize,
-            Column::Node(v) => Arc::as_ptr(v) as usize,
-            Column::Attr(v) => Arc::as_ptr(v) as usize,
-            Column::Item(v) => Arc::as_ptr(v) as usize,
-        }
-    }
-
     /// `true` if `self` and `other` share the same underlying buffer (the
     /// zero-copy invariant the plan executor relies on).
     pub fn shares_data(&self, other: &Column) -> bool {

@@ -6,7 +6,6 @@
 //! they take tables by reference and return new tables.
 
 pub mod aggregate;
-pub mod index;
 pub mod join;
 pub mod keys;
 pub mod map;
@@ -20,10 +19,6 @@ pub mod step;
 pub mod theta_count;
 
 pub use aggregate::{aggregate_by, aggregate_by_generic, AggFunc, AggPlan};
-pub use index::{
-    evaluate_text_probe, evaluate_value_probe, text_fragments, text_row_is_candidate, IndexMode,
-    IndexProbe, IndexTarget, TextCandidates, ValueCandidates,
-};
 pub use join::{cross, equi_join, equi_join_generic, theta_join, JoinPlan, ThetaPlan};
 pub use keys::{Key, KeyView, NatIndex};
 pub use map::{

@@ -3,8 +3,8 @@
 //! Untyped XML content becomes a number in several places: the value
 //! index's numeric view, comparisons of untyped content against numbers,
 //! `fn:number`, `fn:sum`, and the navigational baseline.  All of them call
-//! [`parse_double`], so an index probe and the residual predicate it
-//! stands in for can never disagree on what a string means.  The parser
+//! [`parse_double`], so no two of them can disagree on what a string
+//! means.  The parser
 //! lives in this crate because the value index needs it and every crate
 //! that evaluates XQuery sits above it.
 //!

@@ -14,16 +14,15 @@
 //!   `pf-xml`'s start-tag/end-tag stream with one stack of open elements
 //!   ([`DocStore::from_xml`] builds no DOM; [`DocStore::from_document`]
 //!   replays a DOM through the same shredder), counting the optimizer's
-//!   [`DocStatistics`] and the names that can carry a value index on the
-//!   way, and interning values into string-heap [`Dictionary`]s,
+//!   [`DocStatistics`] on the way, and interning values into string-heap
+//!   [`Dictionary`]s,
 //! * **transient fragments**: the nodes an XQuery constructor builds are
 //!   written by a [`FragmentBuilder`] into the same columns through the
 //!   same open-element stack, with content subtrees copied row by row off
 //!   the source store (`size` and `kind` as they are, `level` shifted,
 //!   surrogates re-interned) — no DOM, no replay,
-//! * **content indexes** (text and value indexes, [`index`]), each built
-//!   once the scans probing it have passed through as many rows as its
-//!   build walks, with numbers read by the one
+//! * **content indexes** (text and value indexes, [`index`]), built
+//!   beside the node table on request, with numbers read by the one
 //!   `xs:double` parser ([`lexical`]) every engine shares,
 //! * **XPath axis evaluation as range selections** over the
 //!   `(pre, size, level)` space, and
@@ -58,7 +57,7 @@ pub mod store;
 
 pub use axis::{axis_region, naive_axis_step, Axis, NodeTest, ResolvedTest};
 pub use dict::Dictionary;
-pub use index::{DocIndexes, Rental, TextIndex, ValueEntry, ValueIndex, ValueKey};
+pub use index::{DocIndexes, TextIndex, ValueEntry, ValueIndex, ValueKey};
 pub use lexical::{format_double, parse_double, XsDouble};
 pub use shred::{FragmentBuilder, Tag};
 pub use staircase::{

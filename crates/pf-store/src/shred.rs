@@ -9,10 +9,9 @@
 //! replay of an existing [`Document`] ([`DocStore::from_document`]).  One
 //! code path, either way.
 //!
-//! The open-element stack also hands the shredder each node's parent, so
-//! it counts the document's statistics and which names can carry a value
-//! index ([`ShredCounts`]) as the rows go in; the finished store carries
-//! them and nothing scans it for them.
+//! The shredder counts the document's statistics ([`ShredCounts`]) as
+//! the rows go in; the finished store carries them and nothing scans it
+//! for them.
 //!
 //! Node constructors write through the same stack: a [`FragmentBuilder`]
 //! opens elements and merges text as the shredder does, and copies a
@@ -34,7 +33,7 @@ pub(crate) struct Shredder {
     text: String,
     /// Whether `text` holds a run (possibly empty: `<![CDATA[]]>`).
     in_text: bool,
-    /// The statistics and name roles, counted as the rows go in.
+    /// The statistics, counted as the rows go in.
     counts: ShredCounts,
     /// The surrogates of recently interned names ([`Shredder::name`]),
     /// `u32::MAX` in a slot that holds none.
@@ -138,17 +137,9 @@ impl Shredder {
         let last = root + source.size_of(root);
         let mut attr = source.attr_owner.partition_point(|&o| o < root);
         let mut pi = source.pi_target.partition_point(|&(p, _)| p < root);
-        let outer = self.parent_tag();
-        // The copied elements whose subtree `p` has not left yet: the
-        // last source `pre` of each subtree and the copy's tag.
-        let mut parents: Vec<(PreRank, u32)> = Vec::new();
         for p in root..=last {
             let i = p as usize;
             let copy = base + (p - root);
-            while parents.last().is_some_and(|&(end, _)| end < p) {
-                parents.pop();
-            }
-            let parent = parents.last().map(|&(_, tag)| tag).or(outer);
             let prop = match source.kind[i] {
                 NodeKindCode::Element => {
                     let tag = self.name(source.qnames.resolve(source.prop[i]));
@@ -162,7 +153,6 @@ impl Shredder {
                         self.counts.attribute(name);
                         attr += 1;
                     }
-                    parents.push((p + source.size[i], tag));
                     tag
                 }
                 NodeKindCode::Pi => {
@@ -185,7 +175,7 @@ impl Shredder {
             store.level.push(source.level[i] - root_level + depth);
             store.kind.push(source.kind[i]);
             store.prop.push(prop);
-            self.counts.node(source.kind[i], prop, parent);
+            self.counts.node(source.kind[i], prop);
         }
     }
 
@@ -210,19 +200,10 @@ impl Shredder {
         id
     }
 
-    /// The tag surrogate of the innermost open element, `None` when only
-    /// the document node is open.
-    fn parent_tag(&self) -> Option<u32> {
-        match self.open.as_slice() {
-            [_, .., parent] => Some(self.store.prop[*parent as usize]),
-            _ => None,
-        }
-    }
-
     /// Append a node row at the current level, and count it; its size is
     /// 0 until [`Shredder::close`] sets it.
     fn push(&mut self, kind: NodeKindCode, prop: u32) -> PreRank {
-        self.counts.node(kind, prop, self.parent_tag());
+        self.counts.node(kind, prop);
         let store = &mut self.store;
         let pre = store.size.len() as PreRank;
         store.size.push(0);

@@ -8,15 +8,13 @@
 //! break-down for an in-memory [`DocStore`].
 //!
 //! [`DocStatistics`] are counted in the shred pass: the shredder feeds
-//! every node and attribute it appends to a `ShredCounts`, which also
-//! records which names can carry a value index.  There is no lazy scan of
-//! the finished store.
+//! every node and attribute it appends to a `ShredCounts`.  There is no
+//! lazy scan of the finished store.
 
 use std::collections::HashMap;
 
 use crate::axis::NodeTest;
 use crate::dict::Dictionary;
-use crate::index::NameRoles;
 use crate::store::{DocStore, NodeKindCode};
 
 /// Byte-level breakdown of one encoded document.
@@ -185,9 +183,9 @@ impl DocStatistics {
 }
 
 /// What the shredder counts on its way through a document, in the order
-/// the nodes arrive: the [`DocStatistics`] and the [`NameRoles`], so
-/// neither needs a scan of the finished store.  Per-name tallies are
-/// arrays indexed by the `qnames` surrogate.
+/// the nodes arrive: the [`DocStatistics`], so they need no scan of the
+/// finished store.  Per-name tallies are arrays indexed by the `qnames`
+/// surrogate.
 #[derive(Debug, Default)]
 pub(crate) struct ShredCounts {
     nodes: usize,
@@ -198,18 +196,13 @@ pub(crate) struct ShredCounts {
     attributes: usize,
     /// Per tag surrogate: the elements carrying it.
     tags: Vec<usize>,
-    /// Per tag surrogate: whether an element carrying it has an element,
-    /// comment or PI child (complex content, which no value index covers).
-    complex: Vec<bool>,
     /// Per name surrogate: the attributes carrying it.
     names: Vec<usize>,
 }
 
 impl ShredCounts {
-    /// Count a node of `kind` whose `prop` column holds `prop`.  `parent`
-    /// is the tag surrogate of the element the node sits in (`None` at
-    /// the top level); only a non-text node reads it.
-    pub(crate) fn node(&mut self, kind: NodeKindCode, prop: u32, parent: Option<u32>) {
+    /// Count a node of `kind` whose `prop` column holds `prop`.
+    pub(crate) fn node(&mut self, kind: NodeKindCode, prop: u32) {
         self.nodes += 1;
         match kind {
             NodeKindCode::Element => {
@@ -217,20 +210,13 @@ impl ShredCounts {
                 let tag = prop as usize;
                 if tag >= self.tags.len() {
                     self.tags.resize(tag + 1, 0);
-                    self.complex.resize(tag + 1, false);
                 }
                 self.tags[tag] += 1;
             }
-            NodeKindCode::Text => {
-                self.texts += 1;
-                return;
-            }
+            NodeKindCode::Text => self.texts += 1,
             NodeKindCode::Comment => self.comments += 1,
             NodeKindCode::Pi => self.pis += 1,
             NodeKindCode::Document => {}
-        }
-        if let Some(parent) = parent {
-            self.complex[parent as usize] = true;
         }
     }
 
@@ -244,13 +230,8 @@ impl ShredCounts {
         self.names[name] += 1;
     }
 
-    /// The statistics and name roles of the document whose names
-    /// `qnames` holds.
-    pub(crate) fn finish(mut self, qnames: &Dictionary) -> (DocStatistics, NameRoles) {
-        let names = qnames.len();
-        self.tags.resize(names, 0);
-        self.complex.resize(names, false);
-        self.names.resize(names, 0);
+    /// The statistics of the document whose names `qnames` holds.
+    pub(crate) fn finish(self, qnames: &Dictionary) -> DocStatistics {
         let by_name = |counts: &[usize]| -> HashMap<String, usize> {
             counts
                 .iter()
@@ -259,7 +240,7 @@ impl ShredCounts {
                 .map(|(name, &n)| (qnames.resolve(name as u32).to_string(), n))
                 .collect()
         };
-        let statistics = DocStatistics {
+        DocStatistics {
             nodes: self.nodes,
             elements: self.elements,
             texts: self.texts,
@@ -268,17 +249,7 @@ impl ShredCounts {
             attributes: self.attributes,
             tag_elements: by_name(&self.tags),
             attr_names: by_name(&self.names),
-        };
-        let roles = NameRoles {
-            simple_tag: self
-                .tags
-                .iter()
-                .zip(&self.complex)
-                .map(|(&n, &complex)| n > 0 && !complex)
-                .collect(),
-            attribute: self.names.iter().map(|&n| n > 0).collect(),
-        };
-        (statistics, roles)
+        }
     }
 }
 

@@ -260,14 +260,6 @@ impl Ctx {
 
     /// Effective boolean value per iteration, completed with `false` for
     /// iterations that produced no value.  Result schema: `iter|item`.
-    ///
-    /// **Pattern provenance:** this exact scaffolding —
-    /// `π(ebv) ∪ @item:=false(loop ∖ π_iter(ebv))` — is what the
-    /// `indexscan` optimizer rule recognizes as its *Ebv* shape (both
-    /// before and after selection pushdown splits the union).  Changing
-    /// the emitted operators here requires updating
-    /// `pf-algebra/src/optimize/indexscan.rs` in lockstep, or the rule
-    /// silently stops firing.
     fn ebv_bool(&mut self, input: OpId, loop_op: OpId) -> OpId {
         let ebv = self.b.add(AlgOp::Ebv { input });
         let present = self.project(ebv, &[("iter", "iter"), ("item", "item")]);
@@ -573,15 +565,8 @@ impl Ctx {
     }
 
     /// `left θ right` with existential semantics over sequences, completed
-    /// with `false` for iterations where either side is empty.
-    ///
-    /// **Pattern provenance:** the core
-    /// `σ_res(⊙res:(item θ item1)(ql ⋈iter=iter1 qr))` emitted here is the
-    /// `indexscan` rule's *Exact* shape: when one join side traces to a
-    /// step chain and the other to a loop-lifted literal, the rule splices
-    /// an `IndexScan` below the join and keeps this σ as the residual.
-    /// Keep the operator sequence in sync with
-    /// `pf-algebra/src/optimize/indexscan.rs`.
+    /// with `false` for iterations where either side is empty: the core
+    /// is `σ_res(⊙res:(item θ item1)(ql ⋈iter=iter1 qr))`.
     fn existential_comparison(
         &mut self,
         ql: OpId,
@@ -1105,11 +1090,7 @@ impl Ctx {
         let outer_keys = self.project(outer_key_data, &[("iter", "outer"), ("item", "okey")]);
 
         // 4. Join the key relations: surviving (outer, aid) pairs are the
-        //    iterations of the new scope.  Pattern provenance: when one
-        //    side of this θ-join traces to a step chain and the other to
-        //    a loop-lifted literal, the `indexscan` rule treats the join
-        //    itself as the residual (its *Theta* shape) — see
-        //    `pf-algebra/src/optimize/indexscan.rs`.
+        //    iterations of the new scope.
         let joined = if cmp == CmpOp::Eq {
             self.equi_join(outer_keys, inner_keys, "okey", "item1")
         } else {

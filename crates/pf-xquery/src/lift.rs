@@ -18,10 +18,9 @@
 //!
 //! Never lifted:
 //!
-//! * `doc()` URIs — they name the document whose statistics and indexes
-//!   the optimizer plans with;
-//! * numeric literals — `[n]` is a positional predicate, and numbers
-//!   feed numeric index probes;
+//! * `doc()` URIs — they name the document whose statistics the
+//!   optimizer plans with;
+//! * numeric literals — `[n]` is a positional predicate;
 //! * constructor content and every other function argument.
 //!
 //! A query with nothing to lift is a shape with zero slots.

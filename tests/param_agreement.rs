@@ -82,8 +82,7 @@ const CORPUS: &[Shape] = &[
         text: r#"for $i in doc("auction.xml")/site//item where contains(string($i/description), "{0}") return $i/name/text()"#,
         literals: &[&["gold"], &["the"], &["Gold"], &["zzzz"]],
     },
-    // Part 2: needles without alphanumeric content, which a known literal
-    // gets no index scan for; a slot's scan passes every row through.
+    // Part 2: needles without alphanumeric content.
     Shape {
         text: r#"for $i in doc("auction.xml")/site//item where contains(string($i/description), "{0}") return $i/name/text()"#,
         literals: &[&[""], &["!!"]],
@@ -149,18 +148,6 @@ fn shape_hits_agree_with_fresh_engines_and_the_baseline() {
             );
         }
     }
-}
-
-/// A needle with no alphanumeric content gets no index scan as a known
-/// literal; as a slot it gets one, and the scan must pass rows through.
-#[test]
-fn slot_needles_keep_their_index_scan() {
-    let pf = Pathfinder::new();
-    pf.load_document(DOC, &auction()).unwrap();
-    let query = r#"for $i in doc("auction.xml")/site//item where contains(string($i/description), "!!") return $i/name/text()"#;
-    let explain = pf.explain(query).unwrap();
-    assert!(explain.report.index_scans_introduced > 0, "no index scan");
-    assert!(explain.plan_ascii().contains("idx[text∋\"!!\"]"));
 }
 
 /// The engine's statistics, for optimizing plans outside of it.

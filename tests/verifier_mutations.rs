@@ -4,10 +4,9 @@
 //! confidence.  This suite injects deliberately broken plans and broken
 //! "rewrites" (the kinds of bugs an optimizer rule could realistically
 //! introduce: dangling edges, dropped predicates, swapped join inputs,
-//! dedup of non-equal subplans, mis-targeted index probes) and asserts
-//! that [`verify_plan`] / [`verify_rewrite`] reject **every single one**
-//! — while accepting all twenty XMark query plans at every optimizer
-//! level, with and without index scans.
+//! dedup of non-equal subplans) and asserts that [`verify_plan`] /
+//! [`verify_rewrite`] reject **every single one** — while accepting all
+//! twenty XMark query plans, unoptimized and after every rewrite.
 //!
 //! The mutations call the verifier directly rather than going through
 //! `optimize_with_verify`, whose debug builds `debug_assert!` on a
@@ -17,9 +16,7 @@ use pathfinder::algebra::{
     digest, optimize_with_verify, verify_plan, verify_rewrite, AlgOp, NoStats, Plan, PlanBuilder,
     SortSpec,
 };
-use pathfinder::relational::ops::{
-    AggFunc, BinaryOp, CmpOp, IndexMode, IndexProbe, IndexTarget, RankCount,
-};
+use pathfinder::relational::ops::{AggFunc, BinaryOp, RankCount};
 use pathfinder::relational::{ColId, Value};
 use pathfinder::store::{Axis, NodeTest};
 use pathfinder::xmark::queries;
@@ -58,7 +55,7 @@ fn nat_lit(b: &mut PlanBuilder, columns: &[&str], rows: &[&[u64]]) -> usize {
     })
 }
 
-/// A well-formed `doc → attach iter → step` base for IndexScan mutations.
+/// A well-formed `doc → attach iter → step` plan.
 fn step_base(b: &mut PlanBuilder, uri: &str) -> usize {
     let doc = b.add(AlgOp::Doc { uri: uri.into() });
     let ctx = b.add(AlgOp::Attach {
@@ -71,12 +68,6 @@ fn step_base(b: &mut PlanBuilder, uri: &str) -> usize {
         axis: Axis::Descendant,
         test: NodeTest::Element("item".into()),
     })
-}
-
-fn text_probe() -> IndexProbe {
-    IndexProbe::TextContains {
-        needle: "gold".into(),
-    }
 }
 
 /// Assert the mutated plan is rejected and the error message mentions
@@ -240,57 +231,6 @@ fn mutation_step_over_iterless_input() {
         test: NodeTest::AnyElement,
     });
     assert_rejected(&b.finish(step), &["context column `iter`"]);
-}
-
-#[test]
-fn mutation_indexscan_over_non_step_input() {
-    let mut b = builder();
-    let lit = nat_lit(&mut b, &["iter", "item"], &[&[1, 10]]);
-    let idx = b.add(AlgOp::IndexScan {
-        input: lit,
-        uri: "auction.xml".into(),
-        probe: text_probe(),
-        mode: IndexMode::Exact,
-        param: None,
-    });
-    assert_rejected(&b.finish(idx), &["only", "filter a step"]);
-}
-
-#[test]
-fn mutation_indexscan_uri_provenance_mismatch() {
-    // The candidate-superset precondition: probing document B's sidecar
-    // to filter rows that came out of document A keeps *wrong* rows out
-    // of the candidate set — rows the residual predicate can never
-    // restore.
-    let mut b = builder();
-    let step = step_base(&mut b, "auction.xml");
-    let idx = b.add(AlgOp::IndexScan {
-        input: step,
-        uri: "other.xml".into(),
-        probe: text_probe(),
-        mode: IndexMode::Exact,
-        param: None,
-    });
-    assert_rejected(&b.finish(idx), &["other.xml", "provenance"]);
-}
-
-#[test]
-fn mutation_indexscan_unanswerable_nan_probe() {
-    let mut b = builder();
-    let step = step_base(&mut b, "auction.xml");
-    let idx = b.add(AlgOp::IndexScan {
-        input: step,
-        uri: "auction.xml".into(),
-        probe: IndexProbe::ValueCmp {
-            target: IndexTarget::ElementTag("price".into()),
-            op: CmpOp::Lt,
-            value: Value::Dbl(f64::NAN),
-            to_number: true,
-        },
-        mode: IndexMode::Exact,
-        param: None,
-    });
-    assert_rejected(&b.finish(idx), &["unanswerable probe"]);
 }
 
 #[test]
@@ -705,17 +645,10 @@ fn mutation_rank_count_across_a_step_in_the_body() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn well_formed_bases_pass_including_indexscan() {
+fn well_formed_bases_pass() {
     let mut b = builder();
     let step = step_base(&mut b, "auction.xml");
-    let idx = b.add(AlgOp::IndexScan {
-        input: step,
-        uri: "auction.xml".into(),
-        probe: text_probe(),
-        mode: IndexMode::Exact,
-        param: None,
-    });
-    verify_plan(&b.finish(idx)).expect("well-formed IndexScan plan verifies");
+    verify_plan(&b.finish(step)).expect("well-formed step plan verifies");
     verify_plan(&selected_plan(1)).expect("well-formed selection plan verifies");
 }
 
