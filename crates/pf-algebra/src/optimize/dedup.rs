@@ -21,6 +21,7 @@ use std::mem::Discriminant;
 
 use super::OptimizeReport;
 use crate::ops::{AlgOp, Children};
+use crate::physical::is_fusable;
 use crate::plan::{OpId, Plan};
 use crate::properties::FxHashMap;
 
@@ -102,22 +103,6 @@ pub fn hash_cons(plan: &mut Plan, report: &mut OptimizeReport) -> bool {
     merged > 0
 }
 
-/// Can this operator be fused into a pipeline at all?  Mirrors the
-/// physical planner's fusable set.
-fn chainable(op: &AlgOp) -> bool {
-    matches!(
-        op,
-        AlgOp::Project { .. }
-            | AlgOp::Select { .. }
-            | AlgOp::SelectEq { .. }
-            | AlgOp::Attach { .. }
-            | AlgOp::UnaryMap { .. }
-            | AlgOp::BinaryMap { .. }
-            | AlgOp::FnData { .. }
-            | AlgOp::Distinct { .. }
-    )
-}
-
 /// Is this operator cheap enough to evaluate once per consumer?
 /// `FnData` (node resolution) and `Distinct` (hashing) stay shared.
 fn cheap(op: &AlgOp) -> bool {
@@ -157,7 +142,7 @@ pub fn unshare_fusable_chains(plan: &mut Plan, report: &mut OptimizeReport) {
             let fusable_edges: Vec<(OpId, usize)> = parents
                 .iter()
                 .copied()
-                .filter(|&(p, _)| chainable(plan.op(p)))
+                .filter(|&(p, _)| is_fusable(plan.op(p)))
                 .collect();
             if fusable_edges.is_empty() {
                 continue;

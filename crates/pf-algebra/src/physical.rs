@@ -116,8 +116,9 @@ pub struct PhysicalPlan {
     logical_len: usize,
 }
 
-/// Is `op` eligible for fusion into a pipeline?
-fn is_fusable(op: &AlgOp) -> bool {
+/// Is `op` eligible for fusion into a pipeline?  The optimizer's unshare
+/// pass clones shared operators only for consumers this accepts.
+pub(crate) fn is_fusable(op: &AlgOp) -> bool {
     matches!(
         op,
         AlgOp::Project { .. }

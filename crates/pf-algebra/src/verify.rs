@@ -130,8 +130,8 @@ fn without_inputs(op: &AlgOp) -> AlgOp {
 }
 
 /// Check that `plan` holds no parameter slot — that it is executable,
-/// not a template ([`crate::ops::Const::Param`]).  The engine runs this
-/// on every plan before [`crate::PhysicalPlan::compile`], in every build.
+/// not a template ([`crate::ops::Const::Param`]).  The engine's executor
+/// runs this on every plan before it runs it, in every build.
 pub fn verify_bound(plan: &Plan) -> Result<(), VerifyError> {
     for (id, op) in plan.ops().iter().enumerate() {
         let slot = match op {

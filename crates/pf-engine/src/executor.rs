@@ -30,35 +30,42 @@
 //! index once over the smaller input (typed borrowed keys — see
 //! `pf_relational::ops::JoinPlan`) and probes it with the larger one; an
 //! aggregation takes a hash-free segmented scan over an ascending
-//! `Nat`/`Int` group column.  [`ExecStats::join_build_rows`] /
-//! [`ExecStats::join_probe_rows`] / [`ExecStats::agg_input_rows`] count
-//! what the kernels processed.
+//! `Nat`/`Int` group column.
+//!
+//! **One accounting path.**  Every node is published through
+//! `RunState::publish`, the one place a run is accounted: it appends a
+//! [`NodeRun`] record (the node, its kind, its input and output rows, its
+//! output cells and its wall time — one clock reading per node, a node
+//! ending where the next one starts) on every run, behind no switch.  At
+//! the end of the run [`ExecStats`] and [`OpProfile`] are folded from the
+//! records; the kernel counters ([`ExecStats::join_build_rows`],
+//! [`ExecStats::join_probe_rows`], [`ExecStats::agg_input_rows`]) follow
+//! from the join and aggregate nodes' input sizes.
 //!
 //! Intermediate results are held behind [`Arc`]s and evicted at their last
-//! use: every node is published through `RunState::publish`, which
-//! decrements the per-result consumer counts of
-//! [`PhysicalPlan::result_consumers`] (consuming *node* edges plus a
-//! synthetic final consumer protecting the root) and frees a result the
-//! moment its count reaches zero — peak resident rows track the live
+//! use: `RunState::publish` also decrements the per-result consumer
+//! counts of [`PhysicalPlan::result_consumers`] (consuming *node* edges
+//! plus a synthetic final consumer protecting the root) and frees a result
+//! the moment its count reaches zero — peak resident rows track the live
 //! frontier of the DAG, not the whole plan.  Operators are borrowed from
 //! the plan, never cloned.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pf_algebra::{verify_bound, AlgOp, OpId, PhysKind, PhysNode, PhysicalPlan, Plan, SortSpec};
-use pf_relational::ops::{self, AggFunc, BinaryOp, SortKeys};
+use pf_relational::ops::{self, KeyCol, SortKeys};
 use pf_relational::{AttrRef, Cell, ColId, Column, NodeRef, Table, Value};
 use pf_store::{DocStore, FragmentBuilder};
 
 use crate::error::{EngineError, EngineResult};
 use crate::registry::DocRegistry;
 
-/// Memory-discipline statistics of one plan execution.
+/// Memory-discipline statistics of one plan execution, folded from its
+/// [`NodeRun`] records.
 ///
 /// Rows are counted logically: every live table at its full row count,
 /// ignoring buffer sharing.  `rows_produced` is what an executor that
@@ -87,11 +94,11 @@ pub struct ExecStats {
     /// Intermediate tables fusion elided — one per interior pipeline edge
     /// that the unfused interpreter would have materialized.
     pub tables_elided: usize,
-    /// Rows hashed into join build sides (the smaller input of each
-    /// equi-join, plus the materialized inner side of each theta-join).
+    /// Rows hashed into join build sides: the smaller input of each
+    /// equi-join, the right input of each θ-join and rank count.
     pub join_build_rows: usize,
-    /// Rows probed against join indexes (the larger input of each
-    /// equi-join, plus the outer side of each theta-join).
+    /// Rows probed against join indexes: the larger input of each
+    /// equi-join, the left input of each θ-join and rank count.
     pub join_probe_rows: usize,
     /// Rows consumed by grouped aggregation kernels.
     pub agg_input_rows: usize,
@@ -103,9 +110,9 @@ pub struct ExecStats {
     pub index_residual_rows: usize,
 }
 
-/// Per-operator-kind wall-clock accounting of one plan execution, collected
-/// when [`Executor::with_op_profile`] asks for it.  Timings vary from run
-/// to run; the *shape* (kinds, node and row counts) does not.
+/// Per-operator-kind wall-clock accounting of one plan execution, folded
+/// from its [`NodeRun`] records.  Timings vary from run to run; the
+/// *shape* (kinds, node and row counts) does not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpProfile {
     /// One entry per operator kind that ran, sorted by kind name.
@@ -125,18 +132,46 @@ pub struct OpTiming {
     pub total: Duration,
 }
 
-/// Accumulator behind [`OpProfile`].
-type OpTimes = HashMap<&'static str, (usize, usize, Duration)>;
-
-fn record_op_time(times: &mut OpTimes, kind: &'static str, rows: usize, elapsed: Duration) {
-    let entry = times.entry(kind).or_insert((0, 0, Duration::ZERO));
-    entry.0 += 1;
-    entry.1 += rows;
-    entry.2 += elapsed;
+/// What one physical node did in one run: recorded for every node, in the
+/// order the nodes ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeRun {
+    /// The operator whose result the node published
+    /// ([`PhysNode::output`]).
+    pub output: OpId,
+    /// The node's kind: `"pipeline"` for a fused pipeline, the operator
+    /// otherwise (the key of [`OpTiming::kind`]).
+    pub kind: &'static str,
+    /// Logical operators the node covers ([`PhysNode::op_count`]).
+    pub ops: usize,
+    /// Rows of the node's inputs, in [`PhysNode::inputs`] order; 0 past
+    /// its last input (no operator has more than two).
+    pub input_rows: [usize; 2],
+    /// Rows of the node's output.
+    pub rows: usize,
+    /// Cells of the node's output (rows times columns).
+    pub cells: usize,
+    /// Wall time from the end of the previous node to the end of this
+    /// one.
+    pub elapsed: Duration,
 }
 
-/// The profile key of one physical node: `"pipeline"` for the fused
-/// kernel (which runs every fusable operator), the operator otherwise.
+/// The outcome of [`Executor::run`]: the root table, the record of every
+/// node, and the statistics and profile folded from the records.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The root operator's table.
+    pub table: Arc<Table>,
+    /// One record per physical node, in the order the nodes ran.
+    pub nodes: Vec<NodeRun>,
+    /// The run's statistics.
+    pub stats: ExecStats,
+    /// The run's per-kind profile.
+    pub ops: OpProfile,
+}
+
+/// The kind of one physical node: `"pipeline"` for the fused kernel
+/// (which runs every fusable operator), the operator otherwise.
 fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
     match plan.op(node.output) {
         AlgOp::Project { .. }
@@ -164,16 +199,6 @@ fn node_kind(plan: &Plan, node: &PhysNode) -> &'static str {
         AlgOp::AttrConstruct { .. } => "attr_construct",
         AlgOp::TextConstruct { .. } => "text_construct",
     }
-}
-
-/// Per-evaluation kernel counters, returned by `eval_node` alongside the
-/// result table and folded into [`ExecStats`] at publish.  They are
-/// data-determined.
-#[derive(Debug, Default)]
-struct KernelStats {
-    join_build_rows: usize,
-    join_probe_rows: usize,
-    agg_input_rows: usize,
 }
 
 /// The published result of operator `id` in the slot arena.
@@ -357,7 +382,7 @@ fn nat_keys(column: &Column) -> EngineResult<Cow<'_, [u64]>> {
     }
 }
 
-/// The published results of one run and everything accounted about them.
+/// The published results of one run and the record of every node.
 ///
 /// The dispatch loop hands every evaluated node to [`RunState::publish`]
 /// in topological order.
@@ -366,83 +391,115 @@ struct RunState {
     /// Remaining consumer edges per published result, by [`OpId`] (evict
     /// when 0).
     remaining: Vec<usize>,
-    stats: ExecStats,
+    nodes: Vec<NodeRun>,
     resident_rows: usize,
-    op_times: Option<OpTimes>,
+    peak_resident_rows: usize,
+    evicted_results: usize,
 }
 
 impl RunState {
-    fn new(plan: &Plan, remaining: Vec<usize>, profile_ops: bool) -> Self {
+    fn new(plan: &Plan, physical: &PhysicalPlan) -> Self {
         RunState {
             slots: vec![None; plan.ops().len()],
-            remaining,
-            stats: ExecStats::default(),
+            remaining: physical.result_consumers(),
+            nodes: Vec::with_capacity(physical.nodes().len()),
             resident_rows: 0,
-            op_times: profile_ops.then(HashMap::new),
+            peak_resident_rows: 0,
+            evicted_results: 0,
         }
     }
 
-    /// Record `node`'s result: time and account it, publish it, and evict
-    /// the inputs that lost their last consumer.  A breaker contributes
-    /// one evaluated operator, a pipeline all the operators it covers plus
-    /// the intermediate tables it never allocated.
-    fn publish(
-        &mut self,
-        plan: &Plan,
-        node: &PhysNode,
-        table: Table,
-        kernel: &KernelStats,
-        elapsed: Option<Duration>,
-    ) {
-        if let (Some(times), Some(elapsed)) = (&mut self.op_times, elapsed) {
-            record_op_time(times, node_kind(plan, node), table.row_count(), elapsed);
+    /// Record `node`'s run, publish its result, and evict the inputs that
+    /// lost their last consumer — the one place a run is accounted.
+    fn publish(&mut self, plan: &Plan, node: &PhysNode, table: Table, elapsed: Duration) {
+        let mut input_rows = [0; 2];
+        for (rows, &input) in input_rows.iter_mut().zip(&node.inputs) {
+            *rows = self.slots[input].as_ref().map_or(0, |t| t.row_count());
         }
-        let stats = &mut self.stats;
-        stats.operators_evaluated += node.op_count();
-        if node.op_count() > 1 {
-            stats.fused_ops += node.op_count();
-            stats.tables_elided += node.op_count() - 1;
-        }
-        stats.rows_produced += table.row_count();
-        stats.cells_produced += table.columns().iter().map(|(_, c)| c.len()).sum::<usize>();
-        stats.join_build_rows += kernel.join_build_rows;
-        stats.join_probe_rows += kernel.join_probe_rows;
-        stats.agg_input_rows += kernel.agg_input_rows;
+        let rows = table.row_count();
+        self.nodes.push(NodeRun {
+            output: node.output,
+            kind: node_kind(plan, node),
+            ops: node.op_count(),
+            input_rows,
+            rows,
+            cells: rows * table.column_count(),
+            elapsed,
+        });
 
-        self.resident_rows += table.row_count();
+        self.resident_rows += rows;
         self.slots[node.output] = Some(Arc::new(table));
         // The node's inputs and its output coexist while it runs, so the
         // peak is sampled before the inputs are released.
-        stats.peak_resident_rows = stats.peak_resident_rows.max(self.resident_rows);
+        self.peak_resident_rows = self.peak_resident_rows.max(self.resident_rows);
         for &input in &node.inputs {
             self.remaining[input] -= 1;
             if self.remaining[input] == 0 {
                 if let Some(freed) = self.slots[input].take() {
                     self.resident_rows -= freed.row_count();
-                    stats.evicted_results += 1;
+                    self.evicted_results += 1;
                 }
             }
         }
     }
 
-    /// The root table, the statistics and the timing profile of the run.
-    fn finish(mut self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
-        let root = self.slots[plan.root()]
+    /// The root table, the records, and the statistics and profile folded
+    /// from them.  A node's kernel counters follow from its input sizes:
+    /// an equi-join builds its smaller input and probes its larger one, a
+    /// θ-join or rank count builds its right input and probes its left
+    /// one, an aggregate reads its input.
+    fn finish(mut self, plan: &Plan) -> EngineResult<Run> {
+        let table = self.slots[plan.root()]
             .take()
             .ok_or_else(|| EngineError::msg("plan produced no result"))?;
-        let mut entries: Vec<OpTiming> = self
-            .op_times
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(kind, (nodes, rows, total))| OpTiming {
-                kind,
-                nodes,
-                rows,
-                total,
-            })
-            .collect();
-        entries.sort_by_key(|e| e.kind);
-        Ok((root, self.stats, OpProfile { entries }))
+        let mut stats = ExecStats {
+            peak_resident_rows: self.peak_resident_rows,
+            evicted_results: self.evicted_results,
+            ..ExecStats::default()
+        };
+        let mut entries: Vec<OpTiming> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            stats.operators_evaluated += node.ops;
+            if node.ops > 1 {
+                stats.fused_ops += node.ops;
+                stats.tables_elided += node.ops - 1;
+            }
+            stats.rows_produced += node.rows;
+            stats.cells_produced += node.cells;
+            let [left, right] = node.input_rows;
+            match node.kind {
+                "equi_join" => {
+                    stats.join_build_rows += left.min(right);
+                    stats.join_probe_rows += left.max(right);
+                }
+                "theta_join" => {
+                    stats.join_build_rows += right;
+                    stats.join_probe_rows += left;
+                }
+                "aggregate" => stats.agg_input_rows += left,
+                _ => {}
+            }
+            match entries.iter_mut().find(|entry| entry.kind == node.kind) {
+                Some(entry) => {
+                    entry.nodes += 1;
+                    entry.rows += node.rows;
+                    entry.total += node.elapsed;
+                }
+                None => entries.push(OpTiming {
+                    kind: node.kind,
+                    nodes: 1,
+                    rows: node.rows,
+                    total: node.elapsed,
+                }),
+            }
+        }
+        entries.sort_by_key(|entry| entry.kind);
+        Ok(Run {
+            table,
+            nodes: self.nodes,
+            stats,
+            ops: OpProfile { entries },
+        })
     }
 }
 
@@ -454,85 +511,40 @@ impl RunState {
 #[derive(Debug)]
 pub struct Executor<'a> {
     registry: &'a DocRegistry,
-    /// Collect per-operator-kind timings ([`OpProfile`]).
-    profile_ops: bool,
 }
 
 impl<'a> Executor<'a> {
     /// Create an executor over `registry` (constructed nodes are registered
     /// there).
     pub fn new(registry: &'a DocRegistry) -> Self {
-        Executor {
-            registry,
-            profile_ops: false,
-        }
+        Executor { registry }
     }
 
-    /// Collect a per-operator-kind timing profile ([`OpProfile`], returned
-    /// by [`Executor::run_physical_profiled`]).
-    pub fn with_op_profile(mut self, profile: bool) -> Self {
-        self.profile_ops = profile;
-        self
-    }
-
-    /// Evaluate `plan` and return the root operator's table.
-    pub fn run(&self, plan: &Plan) -> EngineResult<Table> {
-        Ok(self.run_with_stats(plan)?.0)
-    }
-
-    /// Evaluate `plan`, returning the root table and the memory-discipline
-    /// statistics of the run.
-    pub fn run_with_stats(&self, plan: &Plan) -> EngineResult<(Table, ExecStats)> {
-        let (table, stats) = self.execute(plan)?;
-        Ok((
-            Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone()),
-            stats,
-        ))
-    }
-
-    /// Evaluate a pre-compiled physical plan (see [`PhysicalPlan::compile`];
-    /// the engine caches one per cached logical plan), returning the root
-    /// table behind its [`Arc`], the statistics of the run and the
-    /// per-operator timing profile (only populated under
-    /// [`Executor::with_op_profile`]).  `physical` must have been compiled
-    /// from this very `plan`.
-    pub fn run_physical_profiled(
-        &self,
-        plan: &Plan,
-        physical: &PhysicalPlan,
-    ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
+    /// Run `physical`, compiled from this very `plan` by
+    /// [`PhysicalPlan::compile`] (the engine caches one per cached logical
+    /// plan): physical nodes in topological order on the calling thread,
+    /// with last-use eviction.  A plan with an unbound parameter slot is
+    /// refused.
+    ///
+    /// A panicking operator must not take its caller down — the server
+    /// runs every query on a connection thread — so the loop runs under
+    /// one `catch_unwind`, and the panic surfaces as an [`EngineError`].
+    pub fn run(&self, plan: &Plan, physical: &PhysicalPlan) -> EngineResult<Run> {
         if !physical.matches(plan) {
             return Err(EngineError::msg(
                 "physical plan was compiled from a different logical plan",
             ));
         }
-        self.execute_physical(plan, physical)
-    }
-
-    fn execute(&self, plan: &Plan) -> EngineResult<(Arc<Table>, ExecStats)> {
         verify_bound(plan).map_err(|e| EngineError::msg(e.to_string()))?;
-        let physical = PhysicalPlan::compile(plan);
-        let (table, stats, _) = self.execute_physical(plan, &physical)?;
-        Ok((table, stats))
-    }
-
-    /// The dispatch loop: physical nodes in topological order on the
-    /// calling thread, with last-use eviction.
-    ///
-    /// A panicking operator must not take its caller down — the server
-    /// runs every query on a connection thread — so the loop runs under
-    /// one `catch_unwind`, and the panic surfaces as an [`EngineError`].
-    fn execute_physical(
-        &self,
-        plan: &Plan,
-        physical: &PhysicalPlan,
-    ) -> EngineResult<(Arc<Table>, ExecStats, OpProfile)> {
         catch_unwind(AssertUnwindSafe(|| {
-            let mut run = RunState::new(plan, physical.result_consumers(), self.profile_ops);
+            let mut run = RunState::new(plan, physical);
+            let mut started = Instant::now();
             for node in physical.nodes() {
-                let started = self.profile_ops.then(Instant::now);
-                let (table, kernel) = self.eval_node(plan, node, &run.slots)?;
-                run.publish(plan, node, table, &kernel, started.map(|s| s.elapsed()));
+                let table = self.eval_node(plan, node, &run.slots)?;
+                // A node ends where the next one starts.
+                let ended = Instant::now();
+                run.publish(plan, node, table, ended - started);
+                started = ended;
             }
             run.finish(plan)
         }))
@@ -546,151 +558,58 @@ impl<'a> Executor<'a> {
 
     /// Evaluate one physical node: breakers go through the single-operator
     /// interpreter, pipelines through the fused kernel (with node
-    /// atomization wired in via a [`StoreCache`]).  Joins and aggregates
-    /// go through the typed kernels (see [`Executor::equi_join_node`] and
-    /// friends), which also report the kernel counters folded into
-    /// [`ExecStats`].
+    /// atomization wired in via a [`StoreCache`]).
     fn eval_node(
         &self,
         plan: &Plan,
         node: &PhysNode,
         slots: &[Option<Arc<Table>>],
-    ) -> EngineResult<(Table, KernelStats)> {
+    ) -> EngineResult<Table> {
         match &node.kind {
             PhysKind::Breaker => self.eval(plan, node.output, slots),
             PhysKind::Pipeline { .. } => {
                 let input = slot(slots, node.inputs[0])?;
                 let mut cache = StoreCache::new(self.registry);
-                let table = ops::run_pipeline(input, &node.steps(plan), &mut |item, out| {
-                    cache.push_string_value(item, out)
-                })?;
-                Ok((table, KernelStats::default()))
+                Ok(ops::run_pipeline(
+                    input,
+                    &node.steps(plan),
+                    &mut |item, out| cache.push_string_value(item, out),
+                )?)
             }
         }
     }
 
-    /// Equi-join: build the hash index once over the smaller side (typed
-    /// keys straight off the column buffers — no per-row [`Value`]), then
-    /// probe it with every row of the larger side.
-    fn equi_join_node(
-        &self,
-        left: &Table,
-        right: &Table,
-        left_col: ColId,
-        right_col: ColId,
-    ) -> EngineResult<(Table, KernelStats)> {
-        let join = ops::JoinPlan::new(left, right, left_col, right_col)?;
-        let kernel = KernelStats {
-            join_build_rows: join.build_rows(),
-            join_probe_rows: join.probe_rows(),
-            ..KernelStats::default()
-        };
-        let pairs = join.probe();
-        Ok((join.materialize(pairs)?, kernel))
-    }
-
-    /// Theta-join with the inner-side values hoisted out of the scan loop.
-    fn theta_join_node(
-        &self,
-        left: &Table,
-        right: &Table,
-        left_col: ColId,
-        op: BinaryOp,
-        right_col: ColId,
-    ) -> EngineResult<(Table, KernelStats)> {
-        let kernel = KernelStats {
-            join_build_rows: right.row_count(),
-            join_probe_rows: left.row_count(),
-            ..KernelStats::default()
-        };
-        let join = ops::ThetaPlan::new(left, right, left_col, op, right_col)?;
-        let pairs = join.probe()?;
-        Ok((join.materialize(pairs)?, kernel))
-    }
-
-    /// Grouped rank count over an inequality join ([`AlgOp::ThetaCount`]).
-    fn theta_count_node(
-        &self,
-        left: &Table,
-        right: &Table,
-        count: &ops::RankCount,
-    ) -> EngineResult<(Table, KernelStats)> {
-        let kernel = KernelStats {
-            join_build_rows: right.row_count(),
-            join_probe_rows: left.row_count(),
-            ..KernelStats::default()
-        };
-        Ok((ops::theta_count(left, right, count)?, kernel))
-    }
-
-    /// Grouped aggregation through the typed kernel: the segmented
-    /// (hash-free) scan when the group column is ascending, the hashed
-    /// loop otherwise.
-    fn aggregate_node(
-        &self,
-        input: &Table,
-        group: ColId,
-        target: ColId,
-        func: AggFunc,
-        value: ColId,
-    ) -> EngineResult<(Table, KernelStats)> {
-        let kernel = KernelStats {
-            agg_input_rows: input.row_count(),
-            ..KernelStats::default()
-        };
-        Ok((
-            ops::aggregate_by(input, group, target, func, value)?,
-            kernel,
-        ))
-    }
-
-    /// The stable sort permutation of `table` under `specs`.
-    fn sort_permutation(&self, table: &Table, specs: &[(ColId, bool)]) -> EngineResult<Vec<usize>> {
-        let keys = SortKeys::for_columns(table, specs)?;
-        Ok(keys.stable_permutation(table.row_count()))
-    }
-
-    /// Evaluate one logical operator as a pipeline breaker.  The join and
-    /// aggregate kernels report their counters; every other
-    /// operator reports none.  The fusable operators are not breakers:
-    /// the fused kernel runs them (see [`PhysicalPlan::compile`]).
-    fn eval(
-        &self,
-        plan: &Plan,
-        id: OpId,
-        slots: &[Option<Arc<Table>>],
-    ) -> EngineResult<(Table, KernelStats)> {
+    /// Evaluate one logical operator as a pipeline breaker.  The fusable
+    /// operators are not breakers: the fused kernel runs them (see
+    /// [`PhysicalPlan::compile`]).
+    fn eval(&self, plan: &Plan, id: OpId, slots: &[Option<Arc<Table>>]) -> EngineResult<Table> {
         let table = match plan.op(id) {
             AlgOp::EquiJoin {
                 left,
                 right,
                 left_col,
                 right_col,
-            } => {
-                return self.equi_join_node(
-                    slot(slots, *left)?,
-                    slot(slots, *right)?,
-                    *left_col,
-                    *right_col,
-                )
-            }
+            } => ops::equi_join(
+                slot(slots, *left)?,
+                slot(slots, *right)?,
+                *left_col,
+                *right_col,
+            )?,
             AlgOp::ThetaJoin {
                 left,
                 right,
                 left_col,
                 op,
                 right_col,
-            } => {
-                return self.theta_join_node(
-                    slot(slots, *left)?,
-                    slot(slots, *right)?,
-                    *left_col,
-                    *op,
-                    *right_col,
-                )
-            }
+            } => ops::theta_join(
+                slot(slots, *left)?,
+                slot(slots, *right)?,
+                *left_col,
+                *op,
+                *right_col,
+            )?,
             AlgOp::ThetaCount { left, right, count } => {
-                return self.theta_count_node(slot(slots, *left)?, slot(slots, *right)?, count)
+                ops::theta_count(slot(slots, *left)?, slot(slots, *right)?, count)?
             }
             AlgOp::Aggregate {
                 input,
@@ -698,10 +617,7 @@ impl<'a> Executor<'a> {
                 target,
                 func,
                 value,
-            } => {
-                let input = slot(slots, *input)?;
-                return self.aggregate_node(input, *group, *target, *func, *value);
-            }
+            } => ops::aggregate_by(slot(slots, *input)?, *group, *target, *func, *value)?,
             AlgOp::Lit { columns, rows } => {
                 let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); columns.len()];
                 for row in rows {
@@ -788,7 +704,7 @@ impl<'a> Executor<'a> {
                 self.registry.reserve_constructed(1),
             )?,
         };
-        Ok((table, KernelStats::default()))
+        Ok(table)
     }
 
     // ----- value helpers --------------------------------------------------
@@ -848,18 +764,33 @@ impl<'a> Executor<'a> {
     }
 
     /// `fs:distinct-doc-order`: per iteration, sort items into document
-    /// order and drop duplicates, renumbering `pos`.
+    /// order and drop duplicates, numbering `pos` in the same pass over
+    /// the sorted rows.
     fn doc_order(&self, table: &Table) -> EngineResult<Table> {
-        let (iter, pos, item) = (ColId::ITER, ColId::POS, ColId::ITEM);
-        let order = self.sort_permutation(table, &[(iter, false), (item, false)])?;
-        let sorted = table.gather_rows(&order);
-        let distinct = ops::setops::distinct_on(&sorted, &[iter, item])?;
-        let pairs = ops::project(&distinct, &[(iter, iter), (item, item)])?;
-        let numbered = self.row_number(&pairs, pos, &[SortSpec::asc(item)], Some(iter))?;
-        Ok(ops::project(
-            &numbered,
-            &[(iter, iter), (pos, pos), (item, item)],
-        )?)
+        let (iter, item) = (table.column(ColId::ITER)?, table.column(ColId::ITEM)?);
+        let (iters, items) = (KeyCol::of(iter), KeyCol::of(item));
+        let mut order: Vec<usize> = (0..table.row_count()).collect();
+        order.sort_by(|&a, &b| iters.cmp_rows(a, b).then_with(|| items.cmp_rows(a, b)));
+        let mut keep: Vec<usize> = Vec::with_capacity(order.len());
+        let mut poss: Vec<u64> = Vec::with_capacity(order.len());
+        for row in order {
+            let pos = match (keep.last(), poss.last()) {
+                (Some(&prev), Some(&pos)) if iters.rows_equal(prev, row) => {
+                    if items.rows_equal(prev, row) {
+                        continue;
+                    }
+                    pos + 1
+                }
+                _ => 1,
+            };
+            keep.push(row);
+            poss.push(pos);
+        }
+        Ok(Table::new(vec![
+            (ColId::ITER, iter.gather(&keep)),
+            (ColId::POS, Column::nats(poss)),
+            (ColId::ITEM, item.gather(&keep)),
+        ])?)
     }
 
     /// Row numbering with ascending/descending keys and optional
@@ -880,7 +811,7 @@ impl<'a> Executor<'a> {
         // `rownum::sort_spec` — so the permutation computed here always
         // matches what `row_number_permuted`'s numbering expects.
         let specs = ops::rownum::sort_spec(order_by, partition);
-        let order = self.sort_permutation(table, &specs)?;
+        let order = SortKeys::for_columns(table, &specs)?.stable_permutation(table.row_count());
         Ok(ops::row_number_permuted(table, target, partition, &order)?)
     }
 
@@ -1040,6 +971,7 @@ mod tests {
     use std::collections::HashSet;
 
     use pf_algebra::PlanBuilder;
+    use pf_relational::ops::{AggFunc, BinaryOp};
     use pf_store::{Axis, NodeTest};
 
     /// The columns the tests name, after the well-known ones: every plan
@@ -1063,6 +995,11 @@ mod tests {
             b.col(n);
         });
         b
+    }
+
+    /// [`Executor::run`] over `plan`'s own physical compilation.
+    fn run(exec: &Executor<'_>, plan: &Plan) -> EngineResult<Run> {
+        exec.run(plan, &PhysicalPlan::compile(plan))
     }
 
     fn registry() -> DocRegistry {
@@ -1093,7 +1030,7 @@ mod tests {
             test: NodeTest::Element("b".into()),
         });
         let plan = b.finish(step);
-        let table = Executor::new(&reg).run(&plan).unwrap();
+        let table = run(&Executor::new(&reg), &plan).unwrap().table;
         assert_eq!(table.row_count(), 2);
     }
 
@@ -1505,7 +1442,7 @@ mod tests {
     fn executor_evicts_dead_intermediates() {
         let reg = registry();
         let plan = chain_plan();
-        let (table, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
+        let Run { table, stats, .. } = run(&Executor::new(&reg), &plan).unwrap();
         assert_eq!(table.row_count(), 2);
         assert_eq!(stats.operators_evaluated, 4);
         // Every non-root result is freed at its last use…
@@ -1560,7 +1497,7 @@ mod tests {
                     op,
                     right,
                 } => ops::map_binary(input(i), *target, *left, *op, *right, no_nodes)?,
-                _ => exec.eval(plan, id, &slots)?.0,
+                _ => exec.eval(plan, id, &slots)?,
             };
             slots[id] = Some(Arc::new(table));
         }
@@ -1574,7 +1511,7 @@ mod tests {
         // pipeline output shares the literal's buffers.
         let plan = projection_chain_plan();
         let reg = registry();
-        let (_, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
+        let stats = run(&Executor::new(&reg), &plan).unwrap().stats;
         assert_eq!(stats.peak_resident_rows, 16);
         assert_eq!(stats.cells_produced, 32); // 2 tables × 2 columns × 8 rows
     }
@@ -1586,8 +1523,8 @@ mod tests {
         let plan = projection_chain_plan();
         let reg = registry();
         let exec = Executor::new(&reg);
-        let (fused, stats) = exec.run_with_stats(&plan).unwrap();
-        assert_eq!(fused, run_unfused(&exec, &plan).unwrap());
+        let Run { table, stats, .. } = run(&exec, &plan).unwrap();
+        assert_eq!(*table, run_unfused(&exec, &plan).unwrap());
         assert_eq!(stats.fused_ops, 2);
         assert_eq!(stats.tables_elided, 1);
         assert_eq!(stats.operators_evaluated, 3);
@@ -1633,8 +1570,12 @@ mod tests {
         let distinct = b.add(AlgOp::Distinct { input: project });
         let plan = b.finish(distinct);
         let exec = Executor::new(&reg);
-        let (fused, on) = exec.run_with_stats(&plan).unwrap();
-        assert_eq!(fused, run_unfused(&exec, &plan).unwrap());
+        let Run {
+            table: fused,
+            stats: on,
+            ..
+        } = run(&exec, &plan).unwrap();
+        assert_eq!(*fused, run_unfused(&exec, &plan).unwrap());
         assert_eq!(fused.row_count(), 3);
         assert_eq!(on.fused_ops, 5);
         assert_eq!(on.tables_elided, 4);
@@ -1665,7 +1606,7 @@ mod tests {
             b.finish(distinct)
         };
         let exec = Executor::new(&reg);
-        let fused = exec.run(&build()).unwrap_err();
+        let fused = run(&exec, &build()).unwrap_err();
         let unfused = run_unfused(&exec, &build()).unwrap_err();
         assert_eq!(fused.to_string(), unfused.to_string());
     }
@@ -1699,20 +1640,10 @@ mod tests {
         });
         let plan = b.finish(join);
         let reg = registry();
-        let (table, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
+        let Run { table, stats, .. } = run(&Executor::new(&reg), &plan).unwrap();
         assert_eq!(table.row_count(), 2);
         assert_eq!(table.value(col("item1"), 1).unwrap(), Value::Int(20));
         assert_eq!(stats.evicted_results, 3);
-    }
-
-    #[test]
-    fn run_matches_run_with_stats() {
-        let reg = registry();
-        let plan = chain_plan();
-        let plain = Executor::new(&reg).run(&plan).unwrap();
-        let reg2 = registry();
-        let (profiled, _) = Executor::new(&reg2).run_with_stats(&plan).unwrap();
-        assert_eq!(plain, profiled);
     }
 
     #[test]
@@ -1735,7 +1666,7 @@ mod tests {
             right: good,
         });
         let plan = b.finish(crossed);
-        let err = Executor::new(&reg).run(&plan).unwrap_err().to_string();
+        let err = run(&Executor::new(&reg), &plan).unwrap_err().to_string();
         assert!(err.contains("operator panicked"), "{err}");
     }
 
@@ -1784,29 +1715,44 @@ mod tests {
         let reg = registry();
         let plan = join_agg_plan();
         let exec = Executor::new(&reg);
-        let lit = |id| exec.eval(&plan, id, &[]).unwrap().0;
+        let lit = |id| exec.eval(&plan, id, &[]).unwrap();
         let joined = ops::equi_join_generic(&lit(0), &lit(1), col("iter"), col("iter2")).unwrap();
         let generic =
             ops::aggregate_by_generic(&joined, col("iter"), col("n"), AggFunc::Count, col("item"))
                 .unwrap();
-        assert_eq!(exec.run(&plan).unwrap(), generic);
+        assert_eq!(*run(&exec, &plan).unwrap().table, generic);
     }
 
+    /// The kernel counters follow from the input sizes the records hold:
+    /// the smaller side of an equi-join builds and the larger probes, a
+    /// θ-join builds its right input and probes its left one, and an
+    /// aggregation reads its whole input.
     #[test]
     fn kernel_counters_report_join_and_aggregate_sizes() {
         let reg = registry();
-        let plan = join_agg_plan();
-        let (_, stats) = Executor::new(&reg).run_with_stats(&plan).unwrap();
+        let stats = run(&Executor::new(&reg), &join_agg_plan()).unwrap().stats;
         // Smaller side (40 rows) builds, larger (200 rows) probes; the
         // aggregation consumes the 200 join output rows.
         assert_eq!(stats.join_build_rows, 40);
         assert_eq!(stats.join_probe_rows, 200);
         assert_eq!(stats.agg_input_rows, 200);
+        let theta = join_agg_plan_with(|right, left| AlgOp::ThetaJoin {
+            left,
+            right,
+            left_col: col("weight"),
+            op: BinaryOp::Cmp(ops::CmpOp::Gt),
+            right_col: col("item"),
+        });
+        let Run { table, stats, .. } = run(&Executor::new(&reg), &theta).unwrap();
+        assert_eq!(stats.join_build_rows, 200);
+        assert_eq!(stats.join_probe_rows, 40);
+        assert!(table.row_count() > 0);
     }
 
-    /// A traced run times each physical node once, under its own kind:
-    /// an equi-join's build and probe, or a θ-join's probe, are not timed
-    /// again apart from the node.
+    /// Each physical node is recorded once, under its own kind, with the
+    /// rows of its inputs and its output: an equi-join's build and probe,
+    /// or a θ-join's probe, are not timed again apart from the node, and
+    /// the profile's nodes and rows are the records' sums.
     #[test]
     fn a_traced_run_times_each_physical_node_once() {
         let reg = registry();
@@ -1819,20 +1765,59 @@ mod tests {
         });
         for plan in [join_agg_plan(), theta] {
             let physical = PhysicalPlan::compile(&plan);
-            let (_, _, profile) = Executor::new(&reg)
-                .with_op_profile(true)
-                .run_physical_profiled(&plan, &physical)
-                .unwrap();
-            let kinds: HashSet<&str> = physical
-                .nodes()
-                .iter()
-                .map(|node| node_kind(&plan, node))
-                .collect();
-            for entry in &profile.entries {
-                assert!(kinds.contains(entry.kind), "{} is no node kind", entry.kind);
+            let Run { nodes, ops, .. } = Executor::new(&reg).run(&plan, &physical).unwrap();
+            assert_eq!(nodes.len(), physical.nodes().len());
+            for (record, node) in nodes.iter().zip(physical.nodes()) {
+                assert_eq!(record.output, node.output);
+                assert_eq!(record.kind, node_kind(&plan, node));
             }
-            let timed: usize = profile.entries.iter().map(|e| e.nodes).sum();
+            let join = nodes
+                .iter()
+                .find(|n| n.kind != "lit" && n.kind != "aggregate");
+            assert_eq!(join.map(|n| n.input_rows), Some([200, 40]));
+            let kinds: HashSet<&str> = nodes.iter().map(|n| n.kind).collect();
+            assert_eq!(ops.entries.len(), kinds.len());
+            let timed: usize = ops.entries.iter().map(|e| e.nodes).sum();
             assert_eq!(timed, physical.nodes().len());
+            let rows: usize = ops.entries.iter().map(|e| e.rows).sum();
+            assert_eq!(rows, nodes.iter().map(|n| n.rows).sum::<usize>());
         }
+    }
+
+    /// ddo sorts by `(iter, item)`, drops repeated items of an iteration
+    /// and numbers `pos` from 1 per iteration, whatever the input order.
+    #[test]
+    fn doc_order_sorts_dedups_and_numbers_positions() {
+        let reg = registry();
+        let exec = Executor::new(&reg);
+        let node = |pre| NodeRef::new(0, pre);
+        let t = Table::new(vec![
+            (col("iter"), Column::nats(vec![2, 1, 2, 1, 2, 1])),
+            (col("pos"), Column::nats(vec![9, 9, 9, 9, 9, 9])),
+            (
+                col("item"),
+                Column::nodes(vec![node(5), node(3), node(4), node(3), node(5), node(1)]),
+            ),
+        ])
+        .unwrap();
+        let out = exec.doc_order(&t).unwrap();
+        assert_eq!(out.column_ids(), [col("iter"), col("pos"), col("item")]);
+        assert_eq!(
+            out.column(col("iter")).unwrap().as_nats().unwrap(),
+            &[1, 1, 2, 2]
+        );
+        assert_eq!(
+            out.column(col("pos")).unwrap().as_nats().unwrap(),
+            &[1, 2, 1, 2]
+        );
+        assert_eq!(
+            out.column(col("item")).unwrap().as_nodes().unwrap(),
+            &[node(1), node(3), node(4), node(5)]
+        );
+        let empty = exec
+            .doc_order(&Table::iter_pos_item(vec![], vec![], vec![]).unwrap())
+            .unwrap();
+        assert_eq!(empty.row_count(), 0);
+        assert!(empty.column(col("item")).unwrap().as_items().is_some());
     }
 }

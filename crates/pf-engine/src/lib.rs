@@ -20,6 +20,9 @@
 //! pf.load_document("doc.xml", "<a><b>1</b><b>2</b></a>").unwrap();
 //! let outcome = pf.query_with("fn:sum(fn:doc(\"doc.xml\")//b)", Profile::None).unwrap();
 //! assert_eq!(outcome.result.to_xml(), "3");
+//! // Every run accounts for itself: statistics and the per-kind profile.
+//! assert!(outcome.stats.unwrap().operators_evaluated > 0);
+//! assert!(outcome.ops.unwrap().entries.iter().any(|e| e.kind == "step"));
 //! ```
 //!
 //! ## Concurrent serving
@@ -67,7 +70,7 @@ use std::time::{Duration, Instant};
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use error::{EngineError, EngineResult};
-pub use executor::{ExecStats, Executor, OpProfile, OpTiming};
+pub use executor::{ExecStats, Executor, NodeRun, OpProfile, OpTiming, Run};
 pub use registry::DocRegistry;
 pub use result::{serialize_table, QueryResult, Timings};
 pub use session::Session;
@@ -75,7 +78,7 @@ pub use session::Session;
 pub use pf_algebra::{OptimizeReport, OptimizerLevel};
 
 use pf_algebra::{
-    optimize_analyzed, optimize_with, verify_bound, PhysicalPlan, Plan, PlanProperties, StatsSource,
+    optimize_analyzed, optimize_with, PhysicalPlan, Plan, PlanProperties, StatsSource,
 };
 use pf_store::DocStatistics;
 use pf_xquery::{compile, lift, normalize, parse_query, CompileOptions, Lifted};
@@ -200,19 +203,18 @@ impl EngineOptionsBuilder {
     }
 }
 
-/// How much execution telemetry [`Pathfinder::query_with`] should return
-/// alongside the result.
+/// Accepted and ignored by [`Pathfinder::query_with`]: every query
+/// records each physical node it runs and returns the statistics and the
+/// profile folded from the records.  Kept so that callers written for the
+/// former telemetry levels still compile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Profile {
-    /// Result only ([`QueryOutcome::stats`] and [`QueryOutcome::ops`] are
-    /// `None`).
+    /// Same as every other level.
     #[default]
     None,
-    /// Also return the executor's memory-discipline statistics
-    /// ([`ExecStats`]).
+    /// Same as every other level.
     Stats,
-    /// Statistics plus the per-operator-kind wall-time profile
-    /// ([`OpProfile`]).
+    /// Same as every other level.
     Ops,
 }
 
@@ -221,9 +223,9 @@ pub enum Profile {
 pub struct QueryOutcome {
     /// The query result (serialization, items, timings).
     pub result: QueryResult,
-    /// Executor statistics, under [`Profile::Stats`] and [`Profile::Ops`].
+    /// Executor statistics; always `Some`.
     pub stats: Option<ExecStats>,
-    /// Per-operator timing profile, under [`Profile::Ops`].
+    /// Per-operator-kind timing profile; always `Some`.
     pub ops: Option<OpProfile>,
 }
 
@@ -560,8 +562,8 @@ impl Pathfinder {
     }
 
     /// Parse, compile, optimize, execute and serialize `query` — the one
-    /// execution entry point.  `profile` selects how much telemetry rides
-    /// along in the [`QueryOutcome`].
+    /// execution entry point.  The [`QueryOutcome`] carries the run's
+    /// statistics and profile whatever `profile` says (it is ignored).
     ///
     /// Takes `&self`: any number of sessions/threads may call this
     /// concurrently on one engine.  The call admission-gates against
@@ -569,7 +571,7 @@ impl Pathfinder {
     /// registry (concurrent reloads cannot tear this query), and runs the
     /// plan on the calling thread.  A panicking operator returns an
     /// [`EngineError`].
-    pub fn query_with(&self, query: &str, profile: Profile) -> EngineResult<QueryOutcome> {
+    pub fn query_with(&self, query: &str, _profile: Profile) -> EngineResult<QueryOutcome> {
         let planned = self.plan_for(query)?;
         // Admission first, snapshot second: the query's view of the
         // registry is as of the moment it is *admitted* (not submitted).
@@ -577,14 +579,12 @@ impl Pathfinder {
         let snapshot = self.registry.snapshot();
 
         let exec_start = Instant::now();
-        let executor = Executor::new(&snapshot).with_op_profile(matches!(profile, Profile::Ops));
-        let (table, stats, ops) =
-            executor.run_physical_profiled(&planned.plan, &planned.physical)?;
+        let run = Executor::new(&snapshot).run(&planned.plan, &planned.physical)?;
         let execute_time = exec_start.elapsed();
-        self.record_peak(&planned.key, stats.peak_resident_rows);
+        self.record_peak(&planned.key, run.stats.peak_resident_rows);
 
         let result = QueryResult::from_table(
-            table,
+            run.table,
             &snapshot,
             Timings {
                 compile: planned.compile_time,
@@ -597,11 +597,8 @@ impl Pathfinder {
         )?;
         Ok(QueryOutcome {
             result,
-            stats: match profile {
-                Profile::None => None,
-                Profile::Stats | Profile::Ops => Some(stats),
-            },
-            ops: matches!(profile, Profile::Ops).then_some(ops),
+            stats: Some(run.stats),
+            ops: Some(run.ops),
         })
     }
 
@@ -682,7 +679,7 @@ impl Pathfinder {
         if let Some((hit, cache_hits, cache_misses)) = template {
             let compile_time = started.elapsed();
             let bind_start = Instant::now();
-            let (plan, physical) = bind(&hit.plan, &lifted)?;
+            let (plan, physical) = bind(&hit.plan, &lifted);
             return Ok(Planned {
                 key: shape,
                 plan,
@@ -710,7 +707,7 @@ impl Pathfinder {
             )
         };
         let template = Arc::new(template);
-        let (plan, physical) = bind(&template, &lifted)?;
+        let (plan, physical) = bind(&template, &lifted);
         let optimize_time = opt_start.elapsed();
 
         let entry = |plan: &Arc<Plan>, physical: Option<&Arc<PhysicalPlan>>| CachedPlan {
@@ -741,17 +738,16 @@ impl Pathfinder {
 }
 
 /// Bind the lifted literals of a query into `template` and compile the
-/// result physically — after the verifier has checked no slot is left.
+/// result physically ([`Executor::run`] refuses a plan with a slot left).
 /// Binding no literals is the identity, and shares the template.
-fn bind(template: &Arc<Plan>, lifted: &Lifted) -> EngineResult<(Arc<Plan>, Arc<PhysicalPlan>)> {
+fn bind(template: &Arc<Plan>, lifted: &Lifted) -> (Arc<Plan>, Arc<PhysicalPlan>) {
     let plan = if lifted.values.is_empty() {
         Arc::clone(template)
     } else {
         Arc::new(template.bind(&lifted.values))
     };
-    verify_bound(&plan).map_err(|e| EngineError::msg(e.to_string()))?;
     let physical = Arc::new(PhysicalPlan::compile(&plan));
-    Ok((plan, physical))
+    (plan, physical)
 }
 
 /// Normalize a query text into its plan-cache key: collapse every run of
@@ -928,20 +924,41 @@ mod tests {
             .is_err());
     }
 
+    /// `Profile` is ignored: every level, and `Session::query`, run the
+    /// one accounting path and report the same statistics and the same
+    /// profile shape.
     #[test]
-    fn profile_levels_gate_the_telemetry() {
+    fn every_profile_level_reports_the_same_run() {
+        let q = "for $b in fn:doc(\"doc.xml\")//b return element c { $b/text() }";
+        let shape = |ops: &OpProfile| -> Vec<(&str, usize, usize)> {
+            ops.entries
+                .iter()
+                .map(|e| (e.kind, e.nodes, e.rows))
+                .collect()
+        };
+        let reference = engine_with("<a><b>1</b><b>2</b></a>")
+            .query_with(q, Profile::None)
+            .unwrap();
+        let stats = reference.stats.expect("statistics are always reported");
+        let ops = reference
+            .ops
+            .as_ref()
+            .expect("the profile is always reported");
+        assert!(ops.entries.iter().any(|e| e.kind == "step"));
+        for profile in [Profile::None, Profile::Stats, Profile::Ops] {
+            let outcome = engine_with("<a><b>1</b><b>2</b></a>")
+                .query_with(q, profile)
+                .unwrap();
+            assert_eq!(outcome.to_xml(), reference.to_xml());
+            assert_eq!(outcome.stats, Some(stats), "{profile:?}");
+            assert_eq!(outcome.ops.as_ref().map(shape), Some(shape(ops)));
+        }
+        // `Session::query` records the same peak on the cached plan.
         let pf = engine_with("<a><b>1</b><b>2</b></a>");
-        let q = "fn:count(fn:doc(\"doc.xml\")//b)";
-        let none = pf.query_with(q, Profile::None).unwrap();
-        assert_eq!(none.to_xml(), "2");
-        assert!(none.stats.is_none());
-        assert!(none.ops.is_none());
-        let stats = pf.query_with(q, Profile::Stats).unwrap();
-        assert!(stats.stats.is_some());
-        assert!(stats.ops.is_none());
-        let ops = pf.query_with(q, Profile::Ops).unwrap();
-        assert!(ops.stats.is_some());
-        assert!(ops.ops.is_some());
+        assert_eq!(pf.session().query(q).unwrap().to_xml(), reference.to_xml());
+        let cache = pf.cache.lock().unwrap();
+        let entry = &cache.entries[&CacheKey::Text(normalize_cache_key(q))];
+        assert_eq!(entry.peak_rows, Some(stats.peak_resident_rows));
     }
 
     #[test]
@@ -1191,7 +1208,7 @@ mod tests {
         .unwrap()
         .plan;
         let error = Executor::new(&pf.registry().snapshot())
-            .run(&template)
+            .run(&template, &PhysicalPlan::compile(&template))
             .unwrap_err();
         assert!(error.to_string().contains("unbound"), "{error}");
     }
@@ -1234,12 +1251,8 @@ mod tests {
         let mut sorted = kinds.clone();
         sorted.sort_unstable();
         assert_eq!(kinds, sorted);
-        // The plain profiled path collects no per-op timings (zero cost).
-        assert!(pf
-            .query_with("1 + 1", Profile::Stats)
-            .unwrap()
-            .ops
-            .is_none());
+        let nodes: usize = profile.entries.iter().map(|e| e.nodes).sum();
+        assert!(nodes <= outcome.stats.unwrap().operators_evaluated);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!         let session = pf.session();
 //!         scope.spawn(move || {
 //!             let out = session
-//!                 .query_with("fn:sum(fn:doc(\"doc.xml\")//b)", Profile::Stats)
+//!                 .query_with("fn:sum(fn:doc(\"doc.xml\")//b)", Profile::None)
 //!                 .unwrap();
 //!             assert_eq!(out.to_xml(), "3");
 //!             assert!(out.stats.is_some());
@@ -54,16 +54,17 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// Run `query` and return its result — shorthand for
-    /// [`query_with`](Session::query_with) with [`Profile::None`].
+    /// Run `query` and return its result alone — the
+    /// [`query_with`](Session::query_with) outcome without its statistics
+    /// and profile.
     pub fn query(&self, query: &str) -> EngineResult<QueryResult> {
         Ok(self.engine.query_with(query, Profile::None)?.result)
     }
 
-    /// Run `query` with the requested telemetry (see
-    /// [`Pathfinder::query_with`] for the full execution contract:
-    /// admission gating, registry snapshot, execution on the calling
-    /// thread).
+    /// Run `query` and return its result with the run's statistics and
+    /// profile; `profile` is ignored (see [`Pathfinder::query_with`] for
+    /// the full execution contract: admission gating, registry snapshot,
+    /// execution on the calling thread).
     pub fn query_with(&self, query: &str, profile: Profile) -> EngineResult<QueryOutcome> {
         self.engine.query_with(query, profile)
     }
@@ -136,7 +137,7 @@ mod tests {
                             .unwrap();
                         assert_eq!(out.to_xml(), "6");
                         assert!(out.stats.is_some());
-                        assert!(out.ops.is_none());
+                        assert!(out.ops.is_some());
                     }
                 });
             }

@@ -159,15 +159,6 @@ impl<'t> JoinPlan<'t> {
         }
     }
 
-    /// Rows on the build (smaller) side.
-    pub fn build_rows(&self) -> usize {
-        if self.build_left {
-            self.left.row_count()
-        } else {
-            self.right.row_count()
-        }
-    }
-
     /// Probe the index with every probe row, returning the matching
     /// `(left row, right row)` pairs in probe-major order.
     pub fn probe(&self) -> Vec<(usize, usize)> {
@@ -494,7 +485,6 @@ mod tests {
         // small ⋈ big builds on the left (left is smaller)…
         let plan = JoinPlan::new(&small, &big, col("k"), col("k1")).unwrap();
         assert!(plan.build_left);
-        assert_eq!(plan.build_rows(), 3);
         assert_eq!(plan.probe_rows(), 7);
         let fast = equi_join(&small, &big, col("k"), col("k1")).unwrap();
         let slow = equi_join_generic(&small, &big, col("k"), col("k1")).unwrap();

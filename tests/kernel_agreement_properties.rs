@@ -873,7 +873,9 @@ fn projection_pipelines_stay_zero_copy() {
     });
     let plan = b.finish(renamed);
     let registry = DocRegistry::new();
-    let (table, stats) = Executor::new(&registry).run_with_stats(&plan).unwrap();
+    let physical = pathfinder::algebra::PhysicalPlan::compile(&plan);
+    let run = Executor::new(&registry).run(&plan, &physical).unwrap();
+    let (table, stats) = (run.table, run.stats);
     assert_eq!(table.row_count(), 64);
     assert_eq!(
         stats.cells_produced,

@@ -27,11 +27,12 @@ use proptest::prelude::*;
 use pathfinder::algebra::optimize::{dedup, pushdown, reorder};
 use pathfinder::algebra::{
     optimize, optimize_analyzed, optimize_with_verify, to_ascii, AlgOp, Const, NoStats, OpId,
-    OptimizeReport, Plan, PlanBuilder, PlanProperties, StatsSource,
+    OptimizeReport, PhysicalPlan, Plan, PlanBuilder, PlanProperties, StatsSource,
 };
 use pathfinder::baseline::BaselineEngine;
 use pathfinder::engine::{
-    DocRegistry, EngineOptions, ExecStats, Executor, Pathfinder, Profile, QueryResult, Timings,
+    DocRegistry, EngineOptions, EngineResult, ExecStats, Executor, Pathfinder, Profile,
+    QueryResult, Run, Timings,
 };
 use pathfinder::relational::{ColId, Value};
 use pathfinder::store::{DocStatistics, DocStore};
@@ -49,6 +50,11 @@ fn col(name: &str) -> ColId {
         .chain(NAMES)
         .position(|&n| n == name);
     ColId(at.unwrap_or_else(|| panic!("test column `{name}` is not in `NAMES`")) as u32)
+}
+
+/// Run `plan` over `registry` through its own physical compilation.
+fn execute(registry: &DocRegistry, plan: &Plan) -> EngineResult<Run> {
+    Executor::new(registry).run(plan, &PhysicalPlan::compile(plan))
 }
 
 fn builder() -> PlanBuilder {
@@ -83,12 +89,12 @@ fn optimized_and_unoptimized_plans_agree_on_all_xmark_queries() {
             q.id
         );
 
-        let raw_table = Executor::new(&registry)
-            .run(&unoptimized)
-            .unwrap_or_else(|e| panic!("Q{} unoptimized plan failed: {e}", q.id));
-        let opt_table = Executor::new(&registry)
-            .run(&optimized)
-            .unwrap_or_else(|e| panic!("Q{} optimized plan failed: {e}", q.id));
+        let raw_table = execute(&registry, &unoptimized)
+            .unwrap_or_else(|e| panic!("Q{} unoptimized plan failed: {e}", q.id))
+            .table;
+        let opt_table = execute(&registry, &optimized)
+            .unwrap_or_else(|e| panic!("Q{} optimized plan failed: {e}", q.id))
+            .table;
 
         // Identical shape…
         assert_eq!(
@@ -100,9 +106,9 @@ fn optimized_and_unoptimized_plans_agree_on_all_xmark_queries() {
         // …and identical serialized content (constructed nodes get fresh
         // transient document ids per run, so the tables are compared through
         // the serializer, which resolves node references).
-        let raw = QueryResult::from_table(Arc::new(raw_table), &registry, Timings::default())
+        let raw = QueryResult::from_table(raw_table, &registry, Timings::default())
             .unwrap_or_else(|e| panic!("Q{} unoptimized serialization failed: {e}", q.id));
-        let opt = QueryResult::from_table(Arc::new(opt_table), &registry, Timings::default())
+        let opt = QueryResult::from_table(opt_table, &registry, Timings::default())
             .unwrap_or_else(|e| panic!("Q{} optimized serialization failed: {e}", q.id));
         assert_eq!(
             raw.to_xml(),
@@ -129,15 +135,15 @@ fn eviction_does_not_change_results_on_shared_dags() {
     let core = normalize(&ast).unwrap();
     let plan = compile(&core, &CompileOptions::default()).unwrap().plan;
 
-    let (table, stats) = Executor::new(&registry).run_with_stats(&plan).unwrap();
+    let Run { table, stats, .. } = execute(&registry, &plan).unwrap();
     assert!(stats.evicted_results > 0, "no intermediate was evicted");
     assert!(
         stats.peak_resident_rows <= stats.rows_produced,
         "peak exceeds the retain-everything total"
     );
-    let (again, _) = Executor::new(&registry).run_with_stats(&plan).unwrap();
-    let a = QueryResult::from_table(Arc::new(table), &registry, Timings::default()).unwrap();
-    let b = QueryResult::from_table(Arc::new(again), &registry, Timings::default()).unwrap();
+    let again = execute(&registry, &plan).unwrap().table;
+    let a = QueryResult::from_table(table, &registry, Timings::default()).unwrap();
+    let b = QueryResult::from_table(again, &registry, Timings::default()).unwrap();
     assert_eq!(a.to_xml(), b.to_xml());
 }
 
@@ -221,10 +227,8 @@ fn full_optimizer_never_decreases_the_fused_share_on_fusable_queries() {
     let registry = DocRegistry::new();
     registry.load_xml("auction.xml", &xml).unwrap();
     let run = |plan: &Plan| {
-        let (table, stats) = Executor::new(&registry)
-            .run_with_stats(plan)
-            .expect("XMark plans execute");
-        let result = QueryResult::from_table(Arc::new(table), &registry, Timings::default())
+        let Run { table, stats, .. } = execute(&registry, plan).expect("XMark plans execute");
+        let result = QueryResult::from_table(table, &registry, Timings::default())
             .expect("XMark results serialize");
         (result.to_xml(), stats)
     };
@@ -476,9 +480,9 @@ fn no_selection_reads_a_single_consumer_union_after_optimization() {
 /// plans are literal-only).
 fn run_rows(plan: &Plan) -> Vec<String> {
     let registry = DocRegistry::new();
-    let table = Executor::new(&registry)
-        .run(plan)
-        .expect("literal plan executes");
+    let table = execute(&registry, plan)
+        .expect("literal plan executes")
+        .table;
     (0..table.row_count())
         .map(|r| {
             let row: Vec<_> = table

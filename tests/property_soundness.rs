@@ -17,7 +17,9 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use pathfinder::algebra::{optimize, AlgOp, Const, OpId, Plan, PlanBuilder, PlanProperties};
+use pathfinder::algebra::{
+    optimize, AlgOp, Const, OpId, PhysicalPlan, Plan, PlanBuilder, PlanProperties,
+};
 use pathfinder::engine::{DocRegistry, Executor};
 use pathfinder::relational::ops::{BinaryOp, CmpOp, RankCount};
 use pathfinder::relational::{ColId, Table, Value};
@@ -55,7 +57,10 @@ fn assert_sound(plan: &Plan, label: &str) {
 /// [`assert_sound`] for a plan that reads the documents of `registry`.
 fn assert_sound_over(registry: &DocRegistry, plan: &Plan, label: &str) {
     let props = PlanProperties::analyze(plan);
-    let table: Table = Executor::new(registry).run(plan).expect("plan executes");
+    let table = Executor::new(registry)
+        .run(plan, &PhysicalPlan::compile(plan))
+        .expect("plan executes")
+        .table;
     assert_claims(&props, plan.root(), &table, label);
 }
 
@@ -212,7 +217,10 @@ fn xmark_plan_properties_are_sound_at_every_operator() {
                 let props = PlanProperties::analyze(&plan);
                 for id in plan.reachable() {
                     let sub = Plan::new(plan.ops().to_vec(), id, plan.names().clone());
-                    let table = executor.run(&sub).expect("every sub-plan executes");
+                    let table = executor
+                        .run(&sub, &PhysicalPlan::compile(&sub))
+                        .expect("every sub-plan executes")
+                        .table;
                     let label = format!(
                         "Q{} ({name}, join recognition {join_recognition}) op #{id} {}",
                         q.id,
