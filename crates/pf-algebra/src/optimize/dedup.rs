@@ -19,11 +19,12 @@
 use std::collections::hash_map::Entry;
 use std::mem::Discriminant;
 
+use pf_relational::hash::FxHashMap;
+
 use super::OptimizeReport;
 use crate::ops::{AlgOp, Children};
 use crate::physical::is_fusable;
 use crate::plan::{OpId, Plan};
-use crate::properties::FxHashMap;
 
 /// Operators bucketed by kind and inputs.  Two operators can compute the
 /// same relation only within one bucket, so only bucket members are ever

@@ -107,6 +107,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use pf_relational::hash::FxHashMap;
 use pf_store::DocStatistics;
 
 pub mod dedup;
@@ -119,7 +120,7 @@ pub use crate::properties::{NoStats, StatsSource};
 
 use crate::ops::AlgOp;
 use crate::plan::{OpId, Plan};
-use crate::properties::{FxHashMap, PlanProperties};
+use crate::properties::PlanProperties;
 
 /// The optimizer's rule set.  It carries no choice: there is one rule
 /// set, and [`optimize_with`] runs all of it.  The type exists for that

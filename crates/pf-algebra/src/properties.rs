@@ -72,8 +72,7 @@
 //! [`crate::verify`] checks rewrites against the same inference, so the
 //! optimizer is validated by the very properties it plans with.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pf_relational::ops::{AggFunc, BinaryOp, UnaryOp};
@@ -169,52 +168,6 @@ impl<'a> IntoIterator for &'a ColSet {
         self.iter()
     }
 }
-
-/// A multiply-rotate hasher in the style of rustc's `FxHash`, for the
-/// analysis's maps: their keys are operator buckets out of the plan
-/// itself, so SipHash's resistance to chosen keys buys nothing and costs
-/// a hash per lookup.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` over [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A value-provenance tag: “the tracked column's values are related to
 /// column `.1` of operator `.0`”.
@@ -1869,6 +1822,8 @@ fn merge_doc(doc: &[Option<Arc<str>>], left: OpId, right: OpId) -> Option<Arc<st
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::ops::SortSpec;
     use crate::plan::PlanBuilder;

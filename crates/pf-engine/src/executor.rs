@@ -356,6 +356,7 @@ fn item_truth(column: &Column, row: usize) -> bool {
         Column::Nat(v) => v[row] != 0,
         Column::Dbl(v) => v[row] != 0.0,
         Column::Str(v) => !v[row].is_empty(),
+        Column::Text(t) => !t.spell(row).is_empty(),
         Column::Node(_) | Column::Attr(_) => true,
         Column::Item(v) => match &v[row] {
             Value::Bool(b) => *b,

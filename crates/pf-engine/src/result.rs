@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use pf_algebra::OptimizeReport;
-use pf_relational::{ColId, Column, Table, Value};
+use pf_relational::{Cell, ColId, Column, Table, Value};
 use pf_store::DocStore;
 
 use crate::error::{EngineError, EngineResult};
@@ -251,16 +251,16 @@ fn write_rows(
     out: &mut impl fmt::Write,
 ) -> EngineResult<()> {
     let mut previous_was_atomic = false;
-    let mut write_item = |item: &Value, out: &mut dyn fmt::Write| -> fmt::Result {
+    let mut write_item = |item: Cell<'_>, out: &mut dyn fmt::Write| -> fmt::Result {
         match item {
-            Value::Node(node) => {
+            Cell::Node(node) => {
                 let store = stores
                     .get(&node.doc)
                     .expect("referenced stores resolved at construction");
                 store.write_subtree_xml(node.pre, out)?;
                 previous_was_atomic = false;
             }
-            Value::Attr(attr) => {
+            Cell::Attr(attr) => {
                 let store = stores
                     .get(&attr.doc)
                     .expect("referenced stores resolved at construction");
@@ -275,29 +275,20 @@ fn write_rows(
                 if previous_was_atomic {
                     out.write_char(' ')?;
                 }
-                out.write_str(&atomic.to_xdm_string())?;
+                // A string (spelled from a dictionary or not) is written
+                // as it is stored, other atomics in their lexical form.
+                write!(out, "{atomic}")?;
                 previous_was_atomic = true;
             }
         }
         Ok(())
     };
+    // Cells are read in place: no value is cloned per row.
     let result = match order {
-        None => {
-            // Fast path: no permutation, and `Node`/`Item` columns stream
-            // without per-row value clones.
-            if let Some(nodes) = item_col.as_nodes() {
-                nodes
-                    .iter()
-                    .try_for_each(|n| write_item(&Value::Node(*n), out))
-            } else if let Some(items) = item_col.as_items() {
-                items.iter().try_for_each(|item| write_item(item, out))
-            } else {
-                (0..item_col.len()).try_for_each(|row| write_item(&item_col.get(row), out))
-            }
-        }
+        None => (0..item_col.len()).try_for_each(|row| write_item(item_col.cell(row), out)),
         Some(order) => order
             .iter()
-            .try_for_each(|&row| write_item(&item_col.get(row), out)),
+            .try_for_each(|&row| write_item(item_col.cell(row), out)),
     };
     result.map_err(|_| EngineError::msg("serialization sink failed"))
 }

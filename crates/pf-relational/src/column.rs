@@ -5,13 +5,33 @@
 //! are the bulk of every loop-lifted table); the polymorphic `item` column
 //! of Figure 2 is represented by the `Item` variant.
 //!
+//! Six kinds hold atomic values (`Nat`, `Int`, `Dbl`, `Str`, `Bool` and
+//! `Text`), two hold references into stores (`Node`, `Attr`), and `Item`
+//! holds any mix.  `Text` is a second representation of strings: the
+//! surrogates of one stored document's `texts` dictionary ([`Texts`]), as
+//! MonetDB keeps a string column as offsets into a shared heap.  It is
+//! what an attribute step returns, so attribute values are never copied
+//! out of the store.  A `Text` column *spells* itself: its cells are
+//! [`Cell::Str`]s borrowed from the dictionary and its type is `Str`, so
+//! every consumer that reads cells sees strings.  Kernels compare the
+//! surrogates instead only where that is exact — within one column, or
+//! between two `Text` columns over the same store, because one dictionary
+//! gives one surrogate per distinct string.  Everywhere else (against a
+//! `Str` column or constant, against another document's `Text`, in sorts
+//! and ordering comparisons, at serialization) a `Text` value is spelled,
+//! borrowed from the store without a copy; only [`Column::get`] and a
+//! union with a column of another representation copy it.
+//!
 //! Payloads are behind [`Arc`]s, mirroring how MonetDB shares BATs between
 //! the consumers of an intermediate result: cloning a column is an O(1)
 //! reference-count bump, never a copy of the cell data.  Mutation goes
 //! through [`Arc::make_mut`], i.e. columns are copy-on-write — a uniquely
 //! owned column is mutated in place, a shared one is copied first.
 
+use std::fmt;
 use std::sync::Arc;
+
+use pf_store::{Dictionary, DocStore};
 
 use crate::error::{RelError, RelResult};
 use crate::value::{AttrRef, Cell, NodeRef, Value, ValueType};
@@ -29,6 +49,9 @@ pub enum Column {
     Dbl(Arc<Vec<f64>>),
     /// Strings.
     Str(Arc<Vec<String>>),
+    /// Strings as surrogates of one stored document's dictionary (see
+    /// the module docs).
+    Text(Texts),
     /// Booleans.
     Bool(Arc<Vec<bool>>),
     /// Node references.
@@ -37,6 +60,90 @@ pub enum Column {
     Attr(Arc<Vec<AttrRef>>),
     /// The polymorphic item column.
     Item(Arc<Vec<Value>>),
+}
+
+/// The payload of [`Column::Text`]: surrogates of the `texts` dictionary
+/// of one stored document, which the column keeps alive.
+///
+/// Two `Texts` are equal when they spell the same strings, whichever
+/// stores they read.
+#[derive(Clone)]
+pub struct Texts {
+    store: Arc<DocStore>,
+    syms: Arc<Vec<u32>>,
+}
+
+impl Texts {
+    /// Surrogates `syms` of `store`'s `texts` dictionary.
+    pub fn new(store: Arc<DocStore>, syms: Vec<u32>) -> Texts {
+        Texts {
+            store,
+            syms: Arc::new(syms),
+        }
+    }
+
+    /// The document whose dictionary the surrogates index.
+    pub fn store(&self) -> &Arc<DocStore> {
+        &self.store
+    }
+
+    /// The dictionary the surrogates index.
+    #[inline]
+    pub(crate) fn dictionary(&self) -> &Dictionary {
+        &self.store.texts
+    }
+
+    /// The surrogates, one per row.
+    #[inline]
+    pub fn syms(&self) -> &[u32] {
+        &self.syms
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.syms.len()
+    }
+
+    /// `true` if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.syms.is_empty()
+    }
+
+    /// Row `i`, spelled (borrowed from the dictionary).
+    #[inline]
+    pub fn spell(&self, i: usize) -> &str {
+        self.store.texts.resolve(self.syms[i])
+    }
+
+    /// Do `self` and `other` index the same dictionary, so that equal
+    /// surrogates mean equal strings across the two?
+    #[inline]
+    pub(crate) fn same_store(&self, other: &Texts) -> bool {
+        Arc::ptr_eq(&self.store, &other.store)
+    }
+
+    /// The rows spelled into owned strings.
+    fn spelled(&self) -> Vec<String> {
+        (0..self.len()).map(|i| self.spell(i).to_owned()).collect()
+    }
+}
+
+impl fmt::Debug for Texts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Texts")
+            .field("doc", &self.store.name)
+            .field("syms", &self.syms)
+            .finish()
+    }
+}
+
+impl PartialEq for Texts {
+    fn eq(&self, other: &Texts) -> bool {
+        if self.same_store(other) {
+            return self.syms == other.syms;
+        }
+        self.len() == other.len() && (0..self.len()).all(|i| self.spell(i) == other.spell(i))
+    }
 }
 
 impl Column {
@@ -106,6 +213,7 @@ impl Column {
             Column::Int(v) => v.len(),
             Column::Dbl(v) => v.len(),
             Column::Str(v) => v.len(),
+            Column::Text(t) => t.len(),
             Column::Bool(v) => v.len(),
             Column::Node(v) => v.len(),
             Column::Attr(v) => v.len(),
@@ -126,6 +234,7 @@ impl Column {
             (Column::Int(a), Column::Int(b)) => Arc::ptr_eq(a, b),
             (Column::Dbl(a), Column::Dbl(b)) => Arc::ptr_eq(a, b),
             (Column::Str(a), Column::Str(b)) => Arc::ptr_eq(a, b),
+            (Column::Text(a), Column::Text(b)) => Arc::ptr_eq(&a.syms, &b.syms),
             (Column::Bool(a), Column::Bool(b)) => Arc::ptr_eq(a, b),
             (Column::Node(a), Column::Node(b)) => Arc::ptr_eq(a, b),
             (Column::Attr(a), Column::Attr(b)) => Arc::ptr_eq(a, b),
@@ -135,7 +244,7 @@ impl Column {
     }
 
     /// Row `i` viewed in place as a [`Cell`] (a string is borrowed, not
-    /// cloned).
+    /// cloned; a `Text` row is spelled from its dictionary).
     #[inline]
     pub fn cell(&self, i: usize) -> Cell<'_> {
         match self {
@@ -143,6 +252,7 @@ impl Column {
             Column::Int(v) => Cell::Int(v[i]),
             Column::Dbl(v) => Cell::Dbl(v[i]),
             Column::Str(v) => Cell::Str(&v[i]),
+            Column::Text(t) => Cell::Str(t.spell(i)),
             Column::Bool(v) => Cell::Bool(v[i]),
             Column::Node(v) => Cell::Node(v[i]),
             Column::Attr(v) => Cell::Attr(v[i]),
@@ -157,6 +267,7 @@ impl Column {
             Column::Int(v) => Value::Int(v[i]),
             Column::Dbl(v) => Value::Dbl(v[i]),
             Column::Str(v) => Value::Str(v[i].clone()),
+            Column::Text(t) => Value::Str(t.spell(i).to_owned()),
             Column::Bool(v) => Value::Bool(v[i]),
             Column::Node(v) => Value::Node(v[i]),
             Column::Attr(v) => Value::Attr(v[i]),
@@ -166,8 +277,13 @@ impl Column {
 
     /// Append a value, converting it to the column type where possible.
     ///
-    /// Copy-on-write: a shared buffer is copied before the append.
+    /// Copy-on-write: a shared buffer is copied before the append.  A
+    /// `Text` column is spelled into a `Str` column first (a dictionary
+    /// is never extended).
     pub fn push(&mut self, value: Value) -> RelResult<()> {
+        if let Column::Text(t) = self {
+            *self = Column::strs(t.spelled());
+        }
         match (self, value) {
             (Column::Nat(v), val) => Arc::make_mut(v).push(val.as_nat()?),
             (Column::Int(v), Value::Int(i)) => Arc::make_mut(v).push(i),
@@ -195,7 +311,7 @@ impl Column {
             Column::Nat(_) => Some(ValueType::Nat),
             Column::Int(_) => Some(ValueType::Int),
             Column::Dbl(_) => Some(ValueType::Dbl),
-            Column::Str(_) => Some(ValueType::Str),
+            Column::Str(_) | Column::Text(_) => Some(ValueType::Str),
             Column::Bool(_) => Some(ValueType::Bool),
             Column::Node(_) => Some(ValueType::Node),
             Column::Attr(_) => Some(ValueType::Attr),
@@ -251,6 +367,23 @@ impl Column {
         }
     }
 
+    /// The surrogates and their store, if this is a `Text` column.
+    pub fn as_texts(&self) -> Option<&Texts> {
+        match self {
+            Column::Text(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The same values with a `Text` column spelled into a `Str` column;
+    /// any other column is shared as it is.
+    pub fn spelled(&self) -> Column {
+        match self {
+            Column::Text(t) => Column::strs(t.spelled()),
+            other => other.clone(),
+        }
+    }
+
     /// View as a slice of booleans, if this is a `Bool` column.
     pub fn as_bools(&self) -> Option<&[bool]> {
         match self {
@@ -291,6 +424,10 @@ impl Column {
             Column::Int(v) => Column::ints(rows.iter().map(|&r| v[r]).collect()),
             Column::Dbl(v) => Column::dbls(rows.iter().map(|&r| v[r]).collect()),
             Column::Str(v) => Column::strs(rows.iter().map(|&r| v[r].clone()).collect()),
+            Column::Text(t) => Column::Text(Texts::new(
+                t.store.clone(),
+                rows.iter().map(|&r| t.syms[r]).collect(),
+            )),
             Column::Bool(v) => Column::bools(rows.iter().map(|&r| v[r]).collect()),
             Column::Node(v) => Column::nodes(rows.iter().map(|&r| v[r]).collect()),
             Column::Attr(v) => Column::attrs(rows.iter().map(|&r| v[r]).collect()),
@@ -300,9 +437,22 @@ impl Column {
 
     /// Concatenate another column of a compatible representation onto this
     /// one (used by disjoint union).  Copy-on-write applies: a shared left
-    /// buffer is copied once before extension.
+    /// buffer is copied once before extension.  Two `Text` columns over
+    /// one store concatenate their surrogates; a `Text` column next to a
+    /// `Str` column or another store's `Text` is spelled into `Str`.
     pub fn append(&mut self, other: &Column) -> RelResult<()> {
         match (&mut *self, other) {
+            (Column::Text(a), Column::Text(b)) if a.same_store(b) => {
+                Arc::make_mut(&mut a.syms).extend_from_slice(&b.syms)
+            }
+            (a @ Column::Text(_), Column::Str(_) | Column::Text(_)) => {
+                *a = a.spelled();
+                return a.append(other);
+            }
+            (Column::Str(a), Column::Text(b)) => {
+                let a = Arc::make_mut(a);
+                a.extend((0..b.len()).map(|i| b.spell(i).to_owned()));
+            }
             (Column::Nat(a), Column::Nat(b)) => Arc::make_mut(a).extend_from_slice(b),
             (Column::Int(a), Column::Int(b)) => Arc::make_mut(a).extend_from_slice(b),
             (Column::Dbl(a), Column::Dbl(b)) => Arc::make_mut(a).extend_from_slice(b),
@@ -587,6 +737,45 @@ mod tests {
             .as_attrs()
             .unwrap()
             .is_empty());
+    }
+
+    /// A `Text` column spells itself, keeps its surrogates through
+    /// gathers and same-store appends, and becomes `Str` wherever a
+    /// dictionary would have to grow or two would meet.
+    #[test]
+    fn text_columns_spell_themselves() {
+        let store = |name: &str, xml: &str| Arc::new(DocStore::from_xml(name, xml).unwrap());
+        let a = store("a", r#"<r x="p" y="q" z="p"/>"#);
+        let b = store("b", r#"<r><t>q</t><s y="p" z="q"/></r>"#);
+        let text = |store: &Arc<DocStore>| {
+            Column::Text(Texts::new(store.clone(), store.attr_value.clone()))
+        };
+        let col = text(&a);
+        assert_eq!(col.column_type(), Some(ValueType::Str));
+        assert_eq!(col.cell(1), Cell::Str("q"));
+        assert_eq!(col.get(2), Value::Str("p".into()));
+        assert_eq!(
+            col.spelled(),
+            Column::strs(vec!["p".into(), "q".into(), "p".into()])
+        );
+        let gathered = col.gather(&[2, 0]);
+        assert_eq!(gathered.as_texts().unwrap().syms(), &[0, 0]);
+        // The same strings under other surrogates are equal.
+        assert_eq!(text(&b), Column::Text(Texts::new(a.clone(), vec![0, 1])));
+        assert_ne!(b.attr_value, vec![0, 1]);
+
+        let mut same = col.clone();
+        same.append(&gathered).unwrap();
+        assert_eq!(same.as_texts().unwrap().syms().len(), 5);
+        let mut across = col.clone();
+        across.append(&text(&b)).unwrap();
+        assert_eq!(across.as_strs().unwrap(), ["p", "q", "p", "p", "q"]);
+        let mut pushed = col.clone();
+        pushed.push(Value::Str("r".into())).unwrap();
+        assert_eq!(pushed.as_strs().unwrap(), ["p", "q", "p", "r"]);
+        let mut mixed = col.clone();
+        mixed.append(&Column::ints(vec![1])).unwrap();
+        assert_eq!(mixed.get(3), Value::Int(1));
     }
 
     #[test]

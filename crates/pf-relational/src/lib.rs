@@ -32,11 +32,12 @@
 
 pub mod column;
 pub mod error;
+pub mod hash;
 pub mod ops;
 pub mod table;
 pub mod value;
 
-pub use column::{Column, ColumnBuilder};
+pub use column::{Column, ColumnBuilder, Texts};
 pub use error::{RelError, RelResult};
 pub use table::{ColId, Table};
 pub use value::{AttrRef, Cell, NodeRef, Value, ValueType};

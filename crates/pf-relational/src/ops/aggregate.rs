@@ -14,10 +14,13 @@
 //! skips the hash table entirely.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
+use crate::hash::FxHasher;
 use crate::ops::keys::{Key, KeyView};
 use crate::ops::HashKey;
 use crate::table::{ColId, Table};
@@ -176,18 +179,32 @@ impl<'t> AggPlan<'t> {
                 let last = groups.last_mut().expect("pushed above");
                 self.accumulate(last, row)?;
             }
+        } else if let KeyView::Text(texts) = self.gkeys {
+            let syms = texts.syms();
+            self.hashed::<_, BuildHasherDefault<FxHasher>>(&mut groups, |row| syms[row])?;
         } else {
-            let mut index: HashMap<Key<'t>, usize> = HashMap::new();
-            for row in 0..self.gkeys.len() {
-                let key = self.gkeys.key(row);
-                let idx = *index.entry(key).or_insert_with(|| {
-                    groups.push(GroupState::new(key, row));
-                    groups.len() - 1
-                });
-                self.accumulate(&mut groups[idx], row)?;
-            }
+            self.hashed::<_, RandomState>(&mut groups, |row| self.gkeys.key(row))?;
         }
         self.finish_states(&groups)
+    }
+
+    /// The hash-table path of [`AggPlan::run`]: group the rows by
+    /// `key(row)`, the surrogate of a `Text` group column or the borrowed
+    /// [`Key`] of any other.
+    fn hashed<K: Hash + Eq, S: BuildHasher + Default>(
+        &self,
+        groups: &mut Vec<GroupState<'t>>,
+        key: impl Fn(usize) -> K,
+    ) -> RelResult<()> {
+        let mut index: HashMap<K, usize, S> = HashMap::default();
+        for row in 0..self.gkeys.len() {
+            let idx = *index.entry(key(row)).or_insert_with(|| {
+                groups.push(GroupState::new(self.gkeys.local_key(row), row));
+                groups.len() - 1
+            });
+            self.accumulate(&mut groups[idx], row)?;
+        }
+        Ok(())
     }
 
     /// Fold row `row` into `group` (count always; sum or min/max winner
@@ -233,6 +250,7 @@ impl<'t> AggPlan<'t> {
                 Ok(())
             }
             Column::Str(v) => self.add_str(sum, &v[row]),
+            Column::Text(t) => self.add_str(sum, t.spell(row)),
             Column::Item(v) => match &v[row] {
                 Value::Int(i) => sum.add_i64(*i),
                 Value::Nat(n) => sum.add_i64(*n as i64),
@@ -276,6 +294,7 @@ impl<'t> AggPlan<'t> {
             Column::Int(v) => compare_f64(v[a] as f64, v[b] as f64),
             Column::Dbl(v) => compare_f64(v[a], v[b]),
             Column::Str(v) => Ok(v[a].cmp(&v[b])),
+            Column::Text(t) => Ok(t.spell(a).cmp(t.spell(b))),
             Column::Bool(v) => Ok(v[a].cmp(&v[b])),
             Column::Node(v) => Ok(v[a].cmp(&v[b])),
             Column::Attr(_) => vcol.get(a).compare(&vcol.get(b)),

@@ -13,9 +13,16 @@
 //!   rows keyed up to 5 084), the key is the group: a probe is an array
 //!   access, and a probe key above the largest build key misses.  Exact,
 //!   because two `Nat`s share a [`Key`] exactly when they are equal.
+//! * **Surrogates.**  Two `Text` key columns over the same store compare
+//!   their dictionary surrogates: one dictionary gives one surrogate per
+//!   distinct string, so equal `u32`s are exactly equal strings.  The
+//!   build side's surrogates map to group ids through an
+//!   [`FxHashMap`] (the keys are the engine's own numbers).
 //! * **Hashed.**  Every other key pair — strings, doubles, mixed `Item`
-//!   columns, a `Nat` against an `Int` — maps each borrowed [`Key`] (no
-//!   per-row `Value`, string keys hashed by `&str`) to a group id in
+//!   columns, a `Nat` against an `Int`, `Text` against `Str` or against
+//!   another document's `Text` — maps each borrowed [`Key`] (no per-row
+//!   `Value`, string keys hashed by `&str` with the keyed SipHash, a
+//!   `Text` row spelled from its dictionary) to a group id in
 //!   first-appearance order, and the ids index the same CSR.
 //!
 //! Either way the pairs and their order are the ones a per-key list of
@@ -32,9 +39,11 @@
 //! pairs — see [`mod@crate::ops::theta_count`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
 use crate::column::Column;
 use crate::error::{RelError, RelResult};
+use crate::hash::FxHashMap;
 use crate::ops::keys::{Key, KeyView, NatIndex};
 use crate::ops::map::{apply_binary, BinaryOp, CmpOp};
 use crate::ops::HashKey;
@@ -83,6 +92,12 @@ enum Probe<'t> {
     /// Both keys are `Nat`s and the build side is dense: the key is the
     /// group.
     Direct(&'t [u64]),
+    /// Both keys are surrogates of one dictionary: a map from the build
+    /// surrogate to its group id.
+    Syms {
+        groups: FxHashMap<u32, u64>,
+        keys: &'t [u32],
+    },
     /// Any other keys: a hash map from the borrowed build key to its group
     /// id (groups numbered in first-appearance order).
     Hashed {
@@ -116,20 +131,20 @@ impl<'t> JoinPlan<'t> {
             .and_then(|(build, probe)| Some((NatIndex::dense(build, rows)?, probe)));
         let (build, probe) = match direct {
             Some((index, probe)) => (index, Probe::Direct(probe)),
-            None => {
-                let build = KeyView::of(build);
-                let mut groups: HashMap<Key<'t>, u64> = HashMap::with_capacity(build.len());
-                let group_of: Vec<u64> = (0..build.len())
-                    .map(|row| {
-                        let next = groups.len() as u64;
-                        *groups.entry(build.key(row)).or_insert(next)
-                    })
-                    .collect();
-                let index = NatIndex::dense(&group_of, group_of.len())
-                    .expect("group ids are dense by construction");
-                let keys = KeyView::of(probe);
-                (index, Probe::Hashed { groups, keys })
-            }
+            None => match (build, probe) {
+                (Column::Text(build), Column::Text(probe)) if build.same_store(probe) => {
+                    let syms = build.syms();
+                    let (groups, index) = group_ids(syms.len(), |row| syms[row]);
+                    let keys = probe.syms();
+                    (index, Probe::Syms { groups, keys })
+                }
+                _ => {
+                    let build = KeyView::of(build);
+                    let (groups, index) = group_ids(build.len(), |row| build.key(row));
+                    let keys = KeyView::of(probe);
+                    (index, Probe::Hashed { groups, keys })
+                }
+            },
         };
         Ok(JoinPlan {
             left,
@@ -144,6 +159,7 @@ impl<'t> JoinPlan<'t> {
     pub fn probe_rows(&self) -> usize {
         match &self.probe {
             Probe::Direct(keys) => keys.len(),
+            Probe::Syms { keys, .. } => keys.len(),
             Probe::Hashed { keys, .. } => keys.len(),
         }
     }
@@ -153,6 +169,9 @@ impl<'t> JoinPlan<'t> {
     fn matches(&self, row: usize) -> &[u32] {
         match &self.probe {
             Probe::Direct(keys) => self.build.rows_of(keys[row]),
+            Probe::Syms { groups, keys } => groups
+                .get(&keys[row])
+                .map_or(&[], |&group| self.build.rows_of(group)),
             Probe::Hashed { groups, keys } => groups
                 .get(&keys.key(row))
                 .map_or(&[], |&group| self.build.rows_of(group)),
@@ -202,6 +221,24 @@ impl<'t> JoinPlan<'t> {
         };
         materialize_join(self.left, self.right, &pairs)
     }
+}
+
+/// The build keys of `rows` rows as group ids in first-appearance order:
+/// the map from key to group, and the rows grouped by it.
+fn group_ids<K: Hash + Eq, S: BuildHasher + Default>(
+    rows: usize,
+    key: impl Fn(usize) -> K,
+) -> (HashMap<K, u64, S>, NatIndex) {
+    let mut groups: HashMap<K, u64, S> = HashMap::with_capacity_and_hasher(rows, S::default());
+    let group_of: Vec<u64> = (0..rows)
+        .map(|row| {
+            let next = groups.len() as u64;
+            *groups.entry(key(row)).or_insert(next)
+        })
+        .collect();
+    let index =
+        NatIndex::dense(&group_of, group_of.len()).expect("group ids are dense by construction");
+    (groups, index)
 }
 
 /// Equi-join `left ⋈ right` on `left_col = right_col` (hash join).
@@ -271,7 +308,9 @@ pub(crate) fn numeric_keys(column: &Column) -> Option<Vec<f64>> {
                 _ => None,
             })
             .collect(),
-        Column::Str(_) | Column::Bool(_) | Column::Node(_) | Column::Attr(_) => None,
+        Column::Str(_) | Column::Text(_) | Column::Bool(_) | Column::Node(_) | Column::Attr(_) => {
+            None
+        }
     }
 }
 

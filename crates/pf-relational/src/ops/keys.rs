@@ -33,11 +33,26 @@
 //! key column of any other type (an `Int`, `Dbl` or `Item` column, even
 //! one holding naturals) goes through borrowed [`Key`] rows, which carry
 //! the cross-type collapse.
+//!
+//! # Surrogates of one dictionary
+//!
+//! A `Text` column holds surrogates of one document's dictionary, which
+//! gives one surrogate per distinct string.  Its [`KeyView::key`] spells
+//! the row ([`Key::Str`], borrowed from the dictionary), so it meets any
+//! other column's keys as a string.  Where every key a kernel compares
+//! comes from *one* column — the columns of δ and of a grouping, each
+//! against itself — [`KeyView::local_key`] gives the surrogate instead
+//! ([`Key::Sym`]), and a kernel keyed by one `Text` column hashes the
+//! `u32`s with [`FxHasher`](crate::hash::FxHasher) (or addresses them
+//! through a seen-bitset when they are dense).  A join compares surrogates
+//! only when both key columns index the same store (see
+//! [`join`](crate::ops::join)).
 
 use std::collections::HashSet;
 use std::hash::Hash;
 
-use crate::column::Column;
+use crate::column::{Column, Texts};
+use crate::hash::FxHashSet;
 use crate::value::{AttrRef, NodeRef, Value};
 
 /// A hashable key borrowed from a column, used by the typed hash-join and
@@ -57,6 +72,9 @@ pub enum Key<'a> {
     Node(u32, u32),
     /// Constructed attributes by (doc, row).
     Attr(u32, u32),
+    /// A dictionary surrogate: only ever compared against keys of the
+    /// same `Text` column ([`KeyView::local_key`]).
+    Sym(u32),
 }
 
 impl<'a> Key<'a> {
@@ -108,6 +126,8 @@ pub enum KeyView<'a> {
     Dbl(&'a [f64]),
     /// Strings (hashed without cloning).
     Str(&'a [String]),
+    /// Dictionary surrogates, spelled by [`KeyView::key`].
+    Text(&'a Texts),
     /// Booleans.
     Bool(&'a [bool]),
     /// Node references.
@@ -126,6 +146,7 @@ impl<'a> KeyView<'a> {
             Column::Int(v) => KeyView::Int(v),
             Column::Dbl(v) => KeyView::Dbl(v),
             Column::Str(v) => KeyView::Str(v),
+            Column::Text(t) => KeyView::Text(t),
             Column::Bool(v) => KeyView::Bool(v),
             Column::Node(v) => KeyView::Node(v),
             Column::Attr(v) => KeyView::Attr(v),
@@ -140,6 +161,7 @@ impl<'a> KeyView<'a> {
             KeyView::Int(v) => v.len(),
             KeyView::Dbl(v) => v.len(),
             KeyView::Str(v) => v.len(),
+            KeyView::Text(t) => t.len(),
             KeyView::Bool(v) => v.len(),
             KeyView::Node(v) => v.len(),
             KeyView::Attr(v) => v.len(),
@@ -161,10 +183,22 @@ impl<'a> KeyView<'a> {
             KeyView::Int(v) => Key::Int(v[row]),
             KeyView::Dbl(v) => Key::of_dbl(v[row]),
             KeyView::Str(v) => Key::Str(&v[row]),
+            KeyView::Text(t) => Key::Str(t.spell(row)),
             KeyView::Bool(v) => Key::Bool(v[row]),
             KeyView::Node(v) => Key::Node(v[row].doc, v[row].pre),
             KeyView::Attr(v) => Key::Attr(v[row].doc, v[row].row),
             KeyView::Item(v) => Key::of_value(&v[row]),
+        }
+    }
+
+    /// The key of row `row` for comparison with the keys of *this
+    /// column's* rows only: a `Text` row's surrogate, [`KeyView::key`]
+    /// otherwise (see the module docs).
+    #[inline]
+    pub fn local_key(&self, row: usize) -> Key<'a> {
+        match self {
+            KeyView::Text(t) => Key::Sym(t.syms()[row]),
+            view => view.key(row),
         }
     }
 }
@@ -348,6 +382,20 @@ pub(crate) fn nats_absent(left: &[u64], right: &[u64]) -> Option<Vec<usize>> {
             .filter(|&row| !present.contains(left[row]))
             .collect(),
     )
+}
+
+/// δ over one `Text` key sequence: the positions of the first occurrence
+/// of every surrogate, through a seen-bitset when they are dense against
+/// their count ([`first_nats`]), an [`FxHashSet`](crate::hash::FxHashSet)
+/// otherwise.
+pub(crate) fn first_syms(syms: impl ExactSizeIterator<Item = u32> + Clone) -> Vec<usize> {
+    first_nats(syms.clone().map(u64::from)).unwrap_or_else(|| {
+        let mut seen = FxHashSet::with_capacity_and_hasher(syms.len(), Default::default());
+        syms.enumerate()
+            .filter(|&(_, sym)| seen.insert(sym))
+            .map(|(at, _)| at)
+            .collect()
+    })
 }
 
 /// δ over composite keys: the first row among `0..rows` of every distinct

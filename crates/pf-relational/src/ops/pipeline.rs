@@ -27,7 +27,11 @@
 //! straight into a typed `Vec`.  Typed loops cover `Cmp` and `Arith` over
 //! `Nat`/`Int`/`Dbl` columns and numeric constants, `Cmp`, `Contains` and
 //! `StartsWith` over strings, `ToNumber` over strings, σ over a `Bool`
-//! column and σ= over a typed column.  What still runs one row at a time
+//! column and σ= over a typed column.  A `Text` column (dictionary
+//! surrogates) is read as strings spelled from its dictionary, except
+//! that σ=, `=` and `!=` against a string constant look the constant up
+//! once and compare surrogates — an absent constant equals no row, and
+//! no row is read.  What still runs one row at a time
 //! is an `Item` column and a mixed pair (a string against a number, a
 //! node against an atomic): one loop over [`binary_cell`] /
 //! [`unary_cell`], the same functions the typed loops' scalar helpers
@@ -63,9 +67,9 @@
 
 use std::sync::Arc;
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Column, ColumnBuilder, Texts};
 use crate::error::{RelError, RelResult};
-use crate::ops::keys::{first_nats, first_rows, KeyView};
+use crate::ops::keys::{first_nats, first_rows, first_syms, KeyView};
 use crate::ops::map::{
     binary_cell, substring_test, unary_cell, Atomizer, BinaryOp, CmpOp, UnaryOp,
 };
@@ -324,10 +328,12 @@ macro_rules! with_nums {
     };
 }
 
-/// A ⊙ operand read as strings: a string column or constant, or a node
-/// column read through the atomization hook.
+/// A ⊙ operand read as strings: a string column or constant, a `Text`
+/// column spelled from its dictionary, or a node column read through the
+/// atomization hook.
 enum StrLane<'a> {
     Col(&'a [String], Option<&'a [usize]>),
+    Text(&'a Texts, Option<&'a [usize]>),
     Const(&'a str),
     Nodes(&'a [NodeRef], Option<&'a [usize]>, String),
 }
@@ -337,6 +343,7 @@ impl StrLane<'_> {
     fn get<'s>(&'s mut self, at: usize, atomize: &mut Atomizer<'_>) -> &'s str {
         match self {
             StrLane::Col(values, sel) => &values[sel.map_or(at, |sel| sel[at])],
+            StrLane::Text(texts, sel) => texts.spell(sel.map_or(at, |sel| sel[at])),
             StrLane::Const(value) => value,
             StrLane::Nodes(nodes, sel, buf) => {
                 buf.clear();
@@ -345,6 +352,32 @@ impl StrLane<'_> {
             }
         }
     }
+}
+
+/// `=` or `!=` of a `Text` column and a string constant, by surrogate:
+/// the constant is looked up in the dictionary once, and an absent one
+/// equals no row without reading any.  `None` for any other pair.
+fn text_literal_eq(a: &StrLane<'_>, b: &StrLane<'_>, rows: usize, op: CmpOp) -> Option<Column> {
+    let want = match op {
+        CmpOp::Eq => true,
+        CmpOp::Ne => false,
+        _ => return None,
+    };
+    let (texts, sel, literal) = match (a, b) {
+        (StrLane::Text(texts, sel), StrLane::Const(literal))
+        | (StrLane::Const(literal), StrLane::Text(texts, sel)) => (texts, sel, literal),
+        _ => return None,
+    };
+    Some(Column::bools(match texts.dictionary().lookup(literal) {
+        None => vec![!want; rows],
+        Some(sym) => {
+            let syms = texts.syms();
+            match sel {
+                None => syms.iter().map(|&s| (s == sym) == want).collect(),
+                Some(sel) => sel.iter().map(|&row| (syms[row] == sym) == want).collect(),
+            }
+        }
+    }))
 }
 
 /// `cmp` of two numeric lanes, into `bools`.
@@ -408,6 +441,11 @@ fn equal_positions(
         (Column::Int(v), Value::Int(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Dbl(v), Value::Dbl(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Str(v), Value::Str(x)) => positions(rows, sel, |row| v[row] == *x),
+        // One dictionary lookup; an absent literal matches no row.
+        (Column::Text(t), Value::Str(x)) => match t.dictionary().lookup(x) {
+            None => Vec::new(),
+            Some(sym) => positions(rows, sel, |row| t.syms()[row] == sym),
+        },
         (Column::Bool(v), Value::Bool(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Node(v), Value::Node(x)) => positions(rows, sel, |row| v[row] == *x),
         (Column::Attr(v), Value::Attr(x)) => positions(rows, sel, |row| v[row] == *x),
@@ -543,6 +581,7 @@ impl VirtualTable {
             Slot::Const(Value::Str(x)) => Some(StrLane::Const(x)),
             slot => match self.column(slot)? {
                 (Column::Str(v), sel) => Some(StrLane::Col(v, sel)),
+                (Column::Text(t), sel) => Some(StrLane::Text(t, sel)),
                 (Column::Node(v), sel) => Some(StrLane::Nodes(v, sel, String::new())),
                 _ => None,
             },
@@ -698,6 +737,9 @@ impl VirtualTable {
                     return with_nums!(a, b, cmp_nums(rows, cmp)).map(Some);
                 }
                 if let Some((mut a, mut b)) = strs() {
+                    if let Some(column) = text_literal_eq(&a, &b, rows, cmp) {
+                        return Ok(Some(column));
+                    }
                     let mut out = Vec::with_capacity(rows);
                     for at in 0..rows {
                         let x = a.get(at, atomize);
@@ -771,7 +813,8 @@ impl VirtualTable {
 
     /// δ's selection: the live-row positions of the first occurrence of
     /// every distinct row, compared like [`super::distinct`] compares —
-    /// a seen-bitset for one `Nat` column, borrowed key tuples otherwise.
+    /// a seen-bitset for one `Nat` column, the surrogates for one `Text`
+    /// column, borrowed key tuples otherwise.
     /// A constant column is one key on every row, so it tells no rows
     /// apart and is left out.
     fn first_occurrences(&mut self, atomize: &mut Atomizer<'_>) -> Vec<usize> {
@@ -782,18 +825,28 @@ impl VirtualTable {
             .filter_map(|e| self.column(&e.slot))
             .map(|(column, sel)| (KeyView::of(column), sel))
             .collect();
-        if let [(KeyView::Nat(nats), sel)] = views[..] {
-            let dense = match sel {
-                None => first_nats(nats.iter().copied()),
-                Some(sel) => first_nats(sel.iter().map(|&row| nats[row])),
-            };
-            if let Some(keep) = dense {
-                return keep;
+        match views[..] {
+            [(KeyView::Nat(nats), sel)] => {
+                let dense = match sel {
+                    None => first_nats(nats.iter().copied()),
+                    Some(sel) => first_nats(sel.iter().map(|&row| nats[row])),
+                };
+                if let Some(keep) = dense {
+                    return keep;
+                }
             }
+            [(KeyView::Text(texts), sel)] => {
+                let syms = texts.syms();
+                return match sel {
+                    None => first_syms(syms.iter().copied()),
+                    Some(sel) => first_syms(sel.iter().map(|&row| syms[row])),
+                };
+            }
+            _ => {}
         }
         first_rows(views.len(), self.live_rows(), |c, at| {
             let (view, sel) = views[c];
-            view.key(sel.map_or(at, |sel| sel[at]))
+            view.local_key(sel.map_or(at, |sel| sel[at]))
         })
     }
 

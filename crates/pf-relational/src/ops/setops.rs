@@ -11,11 +11,15 @@
 //! — several columns, or one column that is not `Column::Nat` on both
 //! sides — compares rows as tuples of borrowed [`Key`](crate::ops::Key)s,
 //! which collapse `Nat`, `Int` and integral `Dbl` values as every hashed
-//! kernel does.  Either way no `Value` is built and no string is cloned
-//! per row, and `δ` keeps the first occurrence of every row.
+//! kernel does.  `δ` compares a `Text` column by its surrogates
+//! ([`KeyView::local_key`]); one `Text` key column alone goes through a
+//! seen-bitset or an Fx-hashed set of them.  Either way no `Value` is
+//! built and no string is cloned per row, and `δ` keeps the first
+//! occurrence of every row.
 
+use crate::column::Column;
 use crate::error::{RelError, RelResult};
-use crate::ops::keys::{first_nats, first_rows, nats_absent, rows_absent, KeyView};
+use crate::ops::keys::{first_nats, first_rows, first_syms, nats_absent, rows_absent, KeyView};
 use crate::table::{ColId, Table};
 
 /// ∪̇ — disjoint union.
@@ -96,23 +100,28 @@ pub fn distinct_on(input: &Table, columns: &[ColId]) -> RelResult<Table> {
         .iter()
         .map(|&c| input.column(c))
         .collect::<RelResult<Vec<_>>>()?;
-    if let [col] = cols[..] {
-        if let Some(keep) = col
-            .as_nats()
-            .and_then(|nats| first_nats(nats.iter().copied()))
-        {
+    match cols[..] {
+        [Column::Nat(nats)] => {
+            if let Some(keep) = first_nats(nats.iter().copied()) {
+                return Ok(input.gather_rows(&keep));
+            }
+        }
+        [Column::Text(texts)] => {
+            let keep = first_syms(texts.syms().iter().copied());
             return Ok(input.gather_rows(&keep));
         }
+        _ => {}
     }
     let views: Vec<KeyView> = cols.into_iter().map(KeyView::of).collect();
-    let keep = first_rows(views.len(), input.row_count(), |c, row| views[c].key(row));
+    let keep = first_rows(views.len(), input.row_count(), |c, row| {
+        views[c].local_key(row)
+    });
     Ok(input.gather_rows(&keep))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
     use crate::table::col;
     use crate::value::Value;
 

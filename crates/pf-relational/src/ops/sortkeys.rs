@@ -10,7 +10,7 @@
 
 use std::cmp::Ordering;
 
-use crate::column::Column;
+use crate::column::{Column, Texts};
 use crate::error::RelResult;
 use crate::table::{ColId, Table};
 use crate::value::{AttrRef, NodeRef, Value};
@@ -26,6 +26,9 @@ pub enum KeyCol<'a> {
     Dbl(&'a [f64]),
     /// Strings (compared without cloning).
     Str(&'a [String]),
+    /// Dictionary surrogates, compared spelled (a dictionary numbers its
+    /// strings in first-seen order, not in sort order).
+    Text(&'a Texts),
     /// Booleans.
     Bool(&'a [bool]),
     /// Node references (document order).
@@ -45,6 +48,7 @@ impl<'a> KeyCol<'a> {
             Column::Int(v) => KeyCol::Int(v),
             Column::Dbl(v) => KeyCol::Dbl(v),
             Column::Str(v) => KeyCol::Str(v),
+            Column::Text(t) => KeyCol::Text(t),
             Column::Bool(v) => KeyCol::Bool(v),
             Column::Node(v) => KeyCol::Node(v),
             Column::Attr(v) => KeyCol::Attr(v),
@@ -63,6 +67,7 @@ impl<'a> KeyCol<'a> {
             KeyCol::Int(v) => v[a].cmp(&v[b]),
             KeyCol::Dbl(v) => crate::value::nan_last_cmp(v[a], v[b]),
             KeyCol::Str(v) => v[a].cmp(&v[b]),
+            KeyCol::Text(t) => t.spell(a).cmp(t.spell(b)),
             KeyCol::Bool(v) => v[a].cmp(&v[b]),
             KeyCol::Node(v) => v[a].cmp(&v[b]),
             KeyCol::Attr(v) => v[a].cmp(&v[b]),

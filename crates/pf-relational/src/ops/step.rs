@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use pf_store::{descendant_prune_into, Axis, DocStore, NodeTest, PreRank, StepKernel};
 
-use crate::column::Column;
+use crate::column::{Column, Texts};
 use crate::error::{RelError, RelResult};
 use crate::table::{ColId, Table};
 use crate::value::{NodeRef, Value};
@@ -173,10 +173,20 @@ impl StepPlan {
     /// [`StepKernel`] per document serves all its items: the node test is
     /// resolved once, and its cursors carry over from item to item.
     /// Contexts and stores were validated by [`plan_step`].
+    ///
+    /// The attribute axis returns attribute *values*, as surrogates of
+    /// the document's dictionary: a [`Column::Text`] over the one store
+    /// the step reads, with no string built per row.  A step over the
+    /// attributes of several documents spells them into a `Str` column,
+    /// since one `Text` column indexes one dictionary.
     fn eval(&self, test: &NodeTest) -> RelResult<Table> {
         let mut iters: Vec<u64> = Vec::new();
         let mut nodes: Vec<NodeRef> = Vec::new();
-        let mut strs: Vec<String> = Vec::new();
+        // Attribute values: the surrogate of each row, and its store slot
+        // when the step reads several documents.
+        let mut syms: Vec<u32> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
+        let several = self.docs.len() > 1;
         let mut kernels: Vec<Option<StepKernel>> = self.docs.iter().map(|_| None).collect();
         for item in &self.items {
             let (doc, store) = &self.docs[item.slot];
@@ -184,11 +194,11 @@ impl StepPlan {
                 kernels[item.slot].get_or_insert_with(|| StepKernel::new(store, self.axis, test));
             let context = &self.contexts[item.lo..item.hi];
             if self.axis == Axis::Attribute {
-                // Attribute *values* are returned, as strings.
-                kernel.attributes(context, |row| {
-                    strs.push(store.attr_value_of(row).to_string())
-                });
-                iters.resize(strs.len(), item.iter);
+                kernel.attributes(context, |row| syms.push(store.attr_value[row]));
+                if several {
+                    slots.resize(syms.len(), item.slot);
+                }
+                iters.resize(syms.len(), item.iter);
             } else {
                 kernel.run(context, |pre| nodes.push(NodeRef::new(*doc, pre)));
                 iters.resize(nodes.len(), item.iter);
@@ -212,7 +222,14 @@ impl StepPlan {
         let item_col = if iters.is_empty() {
             Column::empty_item()
         } else if self.axis == Axis::Attribute {
-            Column::strs(strs)
+            let first = slots.first().copied().unwrap_or(0);
+            if slots.iter().all(|&slot| slot == first) {
+                Column::Text(Texts::new(self.docs[first].1.clone(), syms))
+            } else {
+                let spell =
+                    |(&sym, &slot): (&u32, &usize)| self.docs[slot].1.texts.resolve(sym).to_owned();
+                Column::strs(syms.iter().zip(&slots).map(spell).collect())
+            }
         } else {
             Column::nodes(nodes)
         };
@@ -231,8 +248,9 @@ impl StepPlan {
 /// * The result has schema `iter|pos|item`, where `pos` re-establishes
 ///   sequence order (document order) within each iteration.
 /// * The attribute axis is handled here as well (it reads the attribute
-///   table rather than the node table); attribute *values* are returned as
-///   strings, mirroring how the engine consumes `@attr` steps.
+///   table rather than the node table); attribute *values* are returned
+///   as surrogates of the document's dictionary (a [`Column::Text`]),
+///   mirroring how the engine consumes `@attr` steps.
 pub fn staircase_step<R: DocResolver + ?Sized>(
     input: &Table,
     docs: &R,
@@ -333,6 +351,41 @@ mod tests {
             result.value(col("item"), 1).unwrap(),
             Value::Str("p1".into())
         );
+    }
+
+    /// An attribute step hands out the store's surrogates: its `item`
+    /// column is `Text` over the resolver's very store, holding the
+    /// attribute table's value surrogates — no string is built per row.
+    #[test]
+    fn attribute_step_returns_surrogates_of_the_store() {
+        let (docs, _) = setup();
+        let table = Table::iter_pos_item(
+            vec![1, 2],
+            vec![1, 1],
+            vec![
+                Value::Node(NodeRef::new(0, 3)),
+                Value::Node(NodeRef::new(0, 6)),
+            ],
+        )
+        .unwrap();
+        let test = NodeTest::Attribute("id".into());
+        let result = staircase_step(&table, docs.as_slice(), Axis::Attribute, &test).unwrap();
+        let texts = result
+            .column(col("item"))
+            .unwrap()
+            .as_texts()
+            .expect("a Text column");
+        assert!(Arc::ptr_eq(texts.store(), &docs[0]));
+        let store = &docs[0];
+        let expected: Vec<u32> = [3, 6]
+            .iter()
+            .map(|&pre| {
+                let row = store.attributes_of(pre).next().unwrap();
+                store.attr_value[row]
+            })
+            .collect();
+        assert_eq!(texts.syms(), expected.as_slice());
+        assert_eq!((texts.spell(0), texts.spell(1)), ("p0", "p1"));
     }
 
     #[test]

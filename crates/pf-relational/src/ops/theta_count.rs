@@ -64,7 +64,7 @@ impl DenseIds {
         let mut first = Vec::new();
         let of_row = (0..view.len())
             .map(|row| {
-                *index.entry(view.key(row)).or_insert_with(|| {
+                *index.entry(view.local_key(row)).or_insert_with(|| {
                     first.push(row);
                     first.len() - 1
                 })

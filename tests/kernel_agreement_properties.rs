@@ -28,19 +28,30 @@
 //! (column representation included) or the error that the value-at-a-time
 //! reference kernels give applied one operator at a time.
 //!
+//! `Text` columns — attribute values held as surrogates of a stored
+//! document's dictionary — must give every kernel that reads them, after
+//! spelling, the table (or the error) their `Column::strs` twins give:
+//! equi-joins on one store, across two stores whose dictionaries number
+//! the same strings differently and against `Str`, δ, grouping, `%`, ∪,
+//! σ= with present and absent literals, θ-joins, `number()`, the
+//! effective boolean value and serialization.
+//!
 //! [`JoinPlan`]: pathfinder::relational::ops::JoinPlan
 //! [`AggPlan`]: pathfinder::relational::ops::AggPlan
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pathfinder::engine::{DocRegistry, Executor};
+use pathfinder::engine::{serialize_table, DocRegistry, Executor, Pathfinder};
 use pathfinder::relational::ops::{
     self, AggFunc, AggPlan, BinaryOp, CmpOp, FusedStep, HashKey, JoinPlan, UnaryOp,
 };
 use pathfinder::relational::value::ArithOp;
-use pathfinder::relational::{AttrRef, Cell, ColId, Column, NodeRef, RelResult, Table, Value};
+use pathfinder::relational::{
+    AttrRef, Cell, ColId, Column, NodeRef, RelResult, Table, Texts, Value,
+};
 use pathfinder::store::{DocStore, FragmentBuilder};
 
 thread_local! {
@@ -885,4 +896,193 @@ fn projection_pipelines_stay_zero_copy() {
     let column = |c| table.column(c).unwrap();
     assert!(column(a).shares_data(column(iter)), "one copy of `iter`");
     assert!(column(bb).shares_data(column(item)), "one copy of `item`");
+}
+
+// ----- Text columns against their `Str` twins -------------------------
+
+/// Attribute values from a small alphabet: duplicates, the empty string,
+/// multibyte characters and numerals (for `number()`).
+fn text_values() -> BoxedStrategy<Vec<String>> {
+    proptest::collection::vec("[aé€1-2]{0,2}", 0..10).boxed()
+}
+
+/// Text interned before any attribute value of the second document, so
+/// that its dictionary numbers the shared strings differently.
+const PREAMBLE: [&str; 4] = ["2", "€a", "é", "1"];
+
+/// A stored document whose `e` elements carry `values` as `v`
+/// attributes, in order, after a `p` element per `preamble` text.
+fn text_xml(preamble: &[&str], values: &[String]) -> String {
+    let mut xml = String::from("<r>");
+    for text in preamble {
+        xml.push_str(&format!("<p>{text}</p>"));
+    }
+    for value in values {
+        xml.push_str(&format!("<e v=\"{value}\"/>"));
+    }
+    xml.push_str("</r>");
+    xml
+}
+
+/// A `Text` column of `store`'s attribute values at `rows` (modulo the
+/// attribute count; no rows when there are no attributes).
+fn text_column(store: &Arc<DocStore>, rows: &[usize]) -> Column {
+    let values = &store.attr_value;
+    let syms = match values.len() {
+        0 => Vec::new(),
+        n => rows.iter().map(|&row| values[row % n]).collect(),
+    };
+    Column::Text(Texts::new(store.clone(), syms))
+}
+
+/// A two-column table: `id` numbers the rows modulo 3 (so δ and grouping
+/// over both columns see duplicates), `key` is `key`.
+fn text_table(id: &str, key_name: &str, key: Column) -> Table {
+    let ids = Column::nats((0..key.len() as u64).map(|i| i % 3).collect());
+    Table::new(vec![(col(id), ids), (col(key_name), key)]).unwrap()
+}
+
+/// `table` with every `Text` column spelled into a `Str` column.
+fn spelled(table: &Table) -> Table {
+    let columns = table.columns().iter();
+    Table::new(columns.map(|(id, c)| (*id, c.spelled())).collect()).unwrap()
+}
+
+/// A kernel's result on `Text` inputs, spelled, against its result on the
+/// `Str` twins: the same table or the same error.
+fn agree(kernel: &str, on_text: RelResult<Table>, on_strs: RelResult<Table>) {
+    match (on_text, on_strs) {
+        (Ok(text), Ok(strs)) => prop_assert_eq!(spelled(&text), strs, "{}", kernel),
+        (Err(text), Err(strs)) => prop_assert_eq!(text, strs, "{}", kernel),
+        (text, strs) => prop_assert!(false, "{kernel}: Text {text:?}, Str {strs:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn text_columns_agree_with_their_str_twins(
+        values_a in text_values(),
+        values_b in text_values(),
+        rows_l in proptest::collection::vec(0usize..64, 0..9),
+        rows_r in proptest::collection::vec(0usize..64, 0..9),
+        pick in 0usize..64,
+    ) {
+        let a = Arc::new(DocStore::from_xml("a.xml", &text_xml(&[], &values_a)).unwrap());
+        let b = Arc::new(DocStore::from_xml("b.xml", &text_xml(&PREAMBLE, &values_b)).unwrap());
+        let (k1, k2) = (col("k1"), col("k2"));
+        let left = text_table("l", "k1", text_column(&a, &rows_l));
+        let same = text_table("r", "k2", text_column(&a, &rows_r));
+        let other = text_table("r", "k2", text_column(&b, &rows_r));
+        let strs = spelled(&other);
+        let tl = spelled(&left);
+
+        // ⋈ in both build orientations, and θ `<`: on one store, across
+        // two, and against `Str`.
+        for (name, right) in [("one store", &same), ("two stores", &other), ("Str", &strs)] {
+            let tr = spelled(right);
+            agree(name, ops::equi_join(&left, right, k1, k2), ops::equi_join(&tl, &tr, k1, k2));
+            agree(name, ops::equi_join(right, &left, k2, k1), ops::equi_join(&tr, &tl, k2, k1));
+            let lt = BinaryOp::Cmp(CmpOp::Lt);
+            agree(name, ops::theta_join(&left, right, k1, lt, k2), ops::theta_join(&tl, &tr, k1, lt, k2));
+        }
+
+        // ∪ within one store keeps the surrogates; across two it spells.
+        let renamed = ops::project(&same, &[(col("r"), col("l")), (k2, k1)]).unwrap();
+        let foreign = ops::project(&other, &[(col("r"), col("l")), (k2, k1)]).unwrap();
+        for (name, right) in [("∪ one store", &renamed), ("∪ two stores", &foreign)] {
+            let union = ops::union_disjoint(&left, right);
+            if let Ok(union) = &union {
+                let kept = union.column(k1).unwrap().as_texts().is_some();
+                if left.row_count() > 0 && right.row_count() > 0 {
+                    prop_assert_eq!(kept, std::ptr::eq(right, &renamed), "{}", name);
+                }
+            }
+            agree(name, union, ops::union_disjoint(&tl, &spelled(right)));
+        }
+
+        // δ over the key alone and with the `id` column, as an operator
+        // and fused; grouping; `%`.
+        let one = ops::project(&left, &[(k1, k1)]).unwrap();
+        agree("δ key", ops::distinct(&one), ops::distinct(&spelled(&one)));
+        agree("δ id, key", ops::distinct(&left), ops::distinct(&tl));
+        for input in [&one, &left] {
+            let fused = ops::run_pipeline(input, &[FusedStep::Distinct], &mut |_, _| {});
+            let twin = ops::run_pipeline(&spelled(input), &[FusedStep::Distinct], &mut |_, _| {});
+            agree("fused δ", fused, twin);
+        }
+        let n = col("n");
+        agree(
+            "count by key",
+            ops::aggregate_by(&left, k1, n, AggFunc::Count, k1),
+            ops::aggregate_by(&tl, k1, n, AggFunc::Count, k1),
+        );
+        agree(
+            "max of key by id",
+            ops::aggregate_by(&left, col("l"), n, AggFunc::Max, k1),
+            ops::aggregate_by(&tl, col("l"), n, AggFunc::Max, k1),
+        );
+        agree("% by key", ops::row_number(&left, n, &[k1], None), ops::row_number(&tl, n, &[k1], None));
+
+        // σ= and `=`/`!=` against a literal the dictionary holds and one
+        // it does not; `number()`.
+        let present = Value::Str(values_a.get(pick % values_a.len().max(1)).cloned().unwrap_or_default());
+        let absent = Value::Str("zz".into());
+        let (lit, hit) = (col("lit"), col("hit"));
+        for literal in [&present, &absent] {
+            let chains: [&[FusedStep]; 3] = [
+                &[FusedStep::SelectEq { column: k1, value: literal }],
+                &[
+                    FusedStep::Attach { target: lit, value: literal },
+                    FusedStep::MapBinary { target: hit, left: k1, op: BinaryOp::Cmp(CmpOp::Eq), right: lit },
+                    FusedStep::SelectTrue { column: hit },
+                ],
+                &[
+                    FusedStep::Attach { target: lit, value: literal },
+                    FusedStep::MapBinary { target: hit, left: lit, op: BinaryOp::Cmp(CmpOp::Ne), right: k1 },
+                ],
+            ];
+            for chain in chains {
+                let fused = ops::run_pipeline(&left, chain, &mut |_, _| {});
+                agree("σ=", fused, ops::run_pipeline(&tl, chain, &mut |_, _| {}));
+            }
+        }
+        let number = [FusedStep::MapUnary { target: n, op: UnaryOp::ToNumber, source: k1 }];
+        let fused = ops::run_pipeline(&left, &number, &mut |_, _| {});
+        agree("number()", fused, ops::run_pipeline(&tl, &number, &mut |_, _| {}));
+
+        // Serialization of a result column.
+        let registry = DocRegistry::new();
+        let result = |item: Column| {
+            let rows = item.len() as u64;
+            let table = Table::new(vec![
+                (ColId::POS, Column::nats((1..=rows).collect())),
+                (ColId::ITEM, item),
+            ])
+            .unwrap();
+            let mut out = String::new();
+            serialize_table(&table, &registry, &mut out).map(|()| out).map_err(|e| e.to_string())
+        };
+        let key = left.column(k1).unwrap();
+        prop_assert_eq!(result(key.clone()), result(key.spelled()));
+    }
+
+    /// Attribute steps through the engine: the effective boolean value and
+    /// the serialization of the `Text` column an `@v` step returns are
+    /// those of the strings it spells.
+    #[test]
+    fn attribute_values_test_and_serialize_as_their_strings(values in text_values()) {
+        let pf = Pathfinder::new();
+        pf.load_document("a.xml", &text_xml(&PREAMBLE, &values)).unwrap();
+        let session = pf.session();
+        let ebv = session
+            .query(r#"for $e in doc("a.xml")/r/e return if ($e/@v) then 1 else 0"#)
+            .unwrap()
+            .to_xml();
+        let truth: Vec<&str> = values.iter().map(|v| if v.is_empty() { "0" } else { "1" }).collect();
+        prop_assert_eq!(ebv, truth.join(" "));
+        let spelled = session.query(r#"doc("a.xml")/r/e/@v"#).unwrap().to_xml();
+        prop_assert_eq!(spelled, values.join(" "));
+    }
 }
